@@ -154,7 +154,7 @@ let run_perf () =
   Format.printf "cdrc_repro perf matrix — threads=%s duration=%.2fs out=%s@."
     (String.concat "," (List.map string_of_int threads))
     duration out;
-  let s =
+  let s, failures =
     Workload.Perf_runner.run ~label ~threads ~duration
       ~log:(fun m -> Format.eprintf "perf: %s@." m)
       ()
@@ -172,12 +172,12 @@ let run_perf () =
   close_out oc;
   Format.printf "perf summary written to %s (%d cells, %d atomic profiles)@." out
     (List.length s.Obs.Perf.s_cells)
-    (List.length s.Obs.Perf.s_atomics)
+    (List.length s.Obs.Perf.s_atomics);
+  Workload.Harness.status failures
 
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "perf" then begin
-    run_perf ();
-    exit 0
+    exit (run_perf ())
   end;
   Format.printf
     "cdrc_repro benchmark suite — threads=%s duration=%.2fs scale=%d (1 = paper sizes)@."
@@ -185,16 +185,22 @@ let () =
     duration scale;
   Format.printf "host: %d recommended domains@." (Domain.recommended_domain_count ());
   if Sys.getenv_opt "BENCH_SKIP_MICRO" = None then run_micro ();
+  (* Any worker death anywhere in the suite fails it. *)
+  let status = ref 0 in
+  let record code = status := max !status code in
   List.iter
-    (fun e -> ignore (Workload.Experiments.run_set_exp ~threads ~duration ~scale e))
+    (fun e -> record (Workload.Experiments.run_set_exp ~threads ~duration ~scale e))
     Workload.Experiments.set_experiments;
-  ignore (Workload.Experiments.run_fig12 ~threads ~duration ());
-  Workload.Experiments.run_abl_sticky ~threads ~duration ();
-  Workload.Experiments.run_abl_epochfreq
-    ~threads:(List.fold_left max 1 threads)
-    ~duration ();
-  Workload.Experiments.run_abl_hpslots
-    ~threads:(min 2 (List.fold_left max 1 threads))
-    ~duration ();
-  Workload.Experiments.run_ext_stack ~threads ~duration ();
-  Format.printf "done.@."
+  record (Workload.Experiments.run_fig12 ~threads ~duration ());
+  record (Workload.Experiments.run_abl_sticky ~threads ~duration ());
+  record
+    (Workload.Experiments.run_abl_epochfreq
+       ~threads:(List.fold_left max 1 threads)
+       ~duration ());
+  record
+    (Workload.Experiments.run_abl_hpslots
+       ~threads:(min 2 (List.fold_left max 1 threads))
+       ~duration ());
+  record (Workload.Experiments.run_ext_stack ~threads ~duration ());
+  Format.printf "done.@.";
+  exit !status

@@ -41,10 +41,14 @@ let adapt_arg =
     & opt (enum [ ("on", true); ("off", false) ]) false
     & info [ "adapt" ] ~docv:"on|off" ~doc)
 
+(* Experiment runners return their exit status: 2 for an unknown
+   scheme, 1 when a worker died, else 0. *)
+let exit_with status = if status <> 0 then exit status
+
 let run_set_exp_cmd (e : Workload.Experiments.set_exp) =
   let doc = e.title in
   let run threads duration schemes scale adapt =
-    ignore (Workload.Experiments.run_set_exp ~threads ~duration ~schemes ~scale ~adapt e)
+    exit_with (Workload.Experiments.run_set_exp ~threads ~duration ~schemes ~scale ~adapt e)
   in
   Cmd.v
     (Cmd.info e.id ~doc)
@@ -52,14 +56,16 @@ let run_set_exp_cmd (e : Workload.Experiments.set_exp) =
 
 let fig12_cmd =
   let run threads duration schemes =
-    ignore (Workload.Experiments.run_fig12 ~threads ~duration ~schemes ())
+    exit_with (Workload.Experiments.run_fig12 ~threads ~duration ~schemes ())
   in
   Cmd.v
     (Cmd.info "fig12" ~doc:"Fig 12: weak-pointer doubly-linked queue")
     Term.(const run $ threads_arg $ duration_arg $ schemes_arg)
 
 let abl_sticky_cmd =
-  let run threads duration = Workload.Experiments.run_abl_sticky ~threads ~duration () in
+  let run threads duration =
+    exit_with (Workload.Experiments.run_abl_sticky ~threads ~duration ())
+  in
   Cmd.v
     (Cmd.info "abl-sticky" ~doc:"Ablation: wait-free sticky counter vs CAS loop")
     Term.(const run $ threads_arg $ duration_arg)
@@ -67,7 +73,7 @@ let abl_sticky_cmd =
 let abl_epochfreq_cmd =
   let run threads duration =
     let threads = match threads with t :: _ -> t | [] -> 4 in
-    Workload.Experiments.run_abl_epochfreq ~threads ~duration ()
+    exit_with (Workload.Experiments.run_abl_epochfreq ~threads ~duration ())
   in
   Cmd.v
     (Cmd.info "abl-epochfreq" ~doc:"Ablation: epoch advance frequency sweep")
@@ -76,14 +82,16 @@ let abl_epochfreq_cmd =
 let abl_hpslots_cmd =
   let run threads duration =
     let threads = match threads with t :: _ -> t | [] -> 2 in
-    Workload.Experiments.run_abl_hpslots ~threads ~duration ()
+    exit_with (Workload.Experiments.run_abl_hpslots ~threads ~duration ())
   in
   Cmd.v
     (Cmd.info "abl-hpslots" ~doc:"Ablation: RCHP announcement-slot budget")
     Term.(const run $ threads_arg $ duration_arg)
 
 let ext_stack_cmd =
-  let run threads duration = Workload.Experiments.run_ext_stack ~threads ~duration () in
+  let run threads duration =
+    exit_with (Workload.Experiments.run_ext_stack ~threads ~duration ())
+  in
   Cmd.v
     (Cmd.info "ext-stack" ~doc:"Extension: Treiber stack across every scheme")
     Term.(const run $ threads_arg $ duration_arg)
@@ -100,7 +108,7 @@ let robustness_cmd =
     (match out with
     | Some path -> (try Unix.mkdir (Filename.dirname path) 0o755 with Unix.Unix_error _ -> ())
     | None -> ());
-    ignore (Workload.Experiments.run_robustness ~duration ~schemes ?out ())
+    exit_with (Workload.Experiments.run_robustness ~duration ~schemes ?out ())
   in
   Cmd.v
     (Cmd.info "robustness"
@@ -175,7 +183,7 @@ let perf_cmd =
   in
   let run threads duration keys label out validate =
     let log m = Printf.eprintf "perf: %s\n%!" m in
-    let s = Workload.Perf_runner.run ~label ~threads ~duration ~scale:keys ~log () in
+    let s, failures = Workload.Perf_runner.run ~label ~threads ~duration ~scale:keys ~log () in
     let json = Obs.Perf.to_string s in
     (match out with
     | None -> print_endline json
@@ -187,14 +195,15 @@ let perf_cmd =
         Printf.eprintf "perf: wrote %s (%d cells, %d atomic profiles)\n%!" f
           (List.length s.Obs.Perf.s_cells)
           (List.length s.Obs.Perf.s_atomics));
-    if validate then
+    (if validate then
       match
         Obs.Perf.validate ~require_schemes:Workload.Perf_runner.required_schemes s
       with
       | Ok () -> Printf.eprintf "perf: summary valid\n%!"
       | Error e ->
           Printf.eprintf "perf: summary INVALID: %s\n%!" e;
-          exit 1
+          exit 1);
+    exit_with (Workload.Harness.status failures)
   in
   Cmd.v
     (Cmd.info "perf"
@@ -246,11 +255,9 @@ let stats_cmd =
         Format.eprintf "stats: an EXPERIMENT is required (or --perf FILE)@.";
         exit 2
     | None, Some exp ->
-        let code =
-          Workload.Experiments.run_stats ~threads ~duration ~schemes ~scale ~json ~check
-            exp
-        in
-        if code <> 0 then exit code
+        exit_with
+          (Workload.Experiments.run_stats ~threads ~duration ~schemes ~scale ~json ~check
+             exp)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -268,7 +275,7 @@ let obs_overhead_cmd =
   in
   let run threads duration repeats =
     let threads = match threads with t :: _ -> t | [] -> 2 in
-    ignore (Workload.Experiments.run_obs_overhead ~threads ~duration ~repeats ())
+    exit_with (Workload.Experiments.run_obs_overhead ~threads ~duration ~repeats ())
   in
   Cmd.v
     (Cmd.info "obs-overhead"
@@ -316,7 +323,7 @@ let custom_cmd =
             });
       }
     in
-    ignore (Workload.Experiments.run_set_exp ~threads ~duration ~schemes ~adapt e)
+    exit_with (Workload.Experiments.run_set_exp ~threads ~duration ~schemes ~adapt e)
   in
   Cmd.v
     (Cmd.info "custom" ~doc:"Custom workload on any structure")
@@ -438,17 +445,13 @@ let kv_cmd =
             mixes
         in
         let selected =
-          match schemes with
-          | [] -> Workload.Instances.kv_services
-          | names ->
-              List.map
-                (fun n ->
-                  match Workload.Instances.find_kv n with
-                  | Some inst -> inst
-                  | None ->
-                      Format.eprintf "kv: unknown scheme %S@." n;
-                      exit 2)
-                names
+          match
+            Workload.Instances.(select ~find:find_kv kv_services) schemes
+          with
+          | Ok l -> l
+          | Error e ->
+              Format.eprintf "kv: %s@." e;
+              exit 2
         in
         let spec =
           {
@@ -570,14 +573,11 @@ let chaos_cmd =
           }
         in
         let schemes =
-          match schemes with
-          | [] -> Workload.Chaos_runner.base_schemes
-          | names -> (
-              match Workload.Chaos_runner.find_schemes names with
-              | [] ->
-                  prerr_endline "no matching schemes";
-                  exit 2
-              | l -> l)
+          match Workload.Chaos_runner.find_schemes schemes with
+          | Ok l -> l
+          | Error e ->
+              prerr_endline ("chaos: " ^ e);
+              exit 2
         in
         let ok, _ = Workload.Chaos_runner.run_all ~spec ~schemes () in
         if not ok then exit 1

@@ -244,13 +244,22 @@ module Make (S : Smr.Smr_intf.S) = struct
          shows is easy to get wrong (Fig 1a); reference counting makes
          it disappear (see Nm_tree_rc). *)
       let stop = es.dest in
+      let is_stop d = match (d, stop) with Some a, Some b -> a == b | _ -> false in
       let rec retire_chain (n : node Ar.managed) =
-        let at_stop = match stop with Some sib -> n == sib | None -> false in
-        if not at_stop then begin
+        if not (is_stop (Some n)) then begin
           let node = deref n in
           let el = Atomic.get node.left in
           let er = Atomic.get node.right in
-          let excised, next = if el.flag then (el.dest, er.dest) else (er.dest, el.dest) in
+          (* At the parent, the excised child is whichever one is not
+             the kept sibling: both may be flagged when two removals
+             race on one parent, and retiring the sibling here would
+             free it twice once its own removal completes. *)
+          let excised, next =
+            if is_stop er.dest then (el.dest, er.dest)
+            else if is_stop el.dest then (er.dest, el.dest)
+            else if el.flag then (el.dest, er.dest)
+            else (er.dest, el.dest)
+          in
           (match excised with
           | Some fm -> Ar.retire_free c.t.ar ~pid:c.pid fm
           | None -> ());

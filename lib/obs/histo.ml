@@ -114,6 +114,15 @@ let dump () =
       Hashtbl.fold (fun _ h acc -> h :: acc) registry []
       |> List.sort (fun a b -> compare a.h_name b.h_name))
 
+let merged_suffix suffix =
+  let acc = Array.make buckets 0 in
+  List.iter
+    (fun h ->
+      if String.ends_with ~suffix h.h_name then
+        Array.iteri (fun i c -> acc.(i) <- acc.(i) + c) (merged h))
+    (dump ());
+  acc
+
 let reset () =
   with_lock (fun () ->
       Hashtbl.iter (fun _ h -> Array.iter (fun c -> Atomic.set c 0) h.cells) registry)

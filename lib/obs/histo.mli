@@ -46,5 +46,11 @@ val percentiles : t -> (int * int * int) option
 val dump : unit -> t list
 (** All registered histograms, name-sorted. *)
 
+val merged_suffix : string -> int array
+(** Bucket counts summed over every histogram whose name ends in
+    [suffix], e.g. [".reclaim_latency"] for all the
+    [smr.<scheme>.reclaim_latency] rings (an RC run populates its
+    underlying scheme's). *)
+
 val reset : unit -> unit
 (** Zero every cell, keeping registered names. *)

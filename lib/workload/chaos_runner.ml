@@ -71,10 +71,7 @@ let base_schemes : (string * (module Smr.Smr_intf.S)) list =
   ]
 
 let find_schemes names =
-  let wanted = List.map Instances.normalize_name names in
-  List.filter
-    (fun (n, _) -> List.mem (Instances.normalize_name n) wanted)
-    base_schemes
+  Instances.select ~find:(Instances.find_named fst base_schemes) base_schemes names
 
 (* Schemes whose garbage stays bounded under a stalled thread (the
    paper's robustness column); EBR/Hyaline pin everything behind a
@@ -116,12 +113,6 @@ let pp_run ppf r =
     r.c_digest
     (if r.c_ok then "PASS" else "FAIL")
 
-(* Request-layer counters (shared names with Kv_runner's wall-clock
-   path; the registry is idempotent by name). *)
-let retry_c = Obs.Metrics.counter "kv.retry"
-let shed_c = Obs.Metrics.counter "kv.shed"
-let timeout_c = Obs.Metrics.counter "kv.timeout"
-let retried_ok_c = Obs.Metrics.counter "kv.retried_ok"
 let recovery_h = Obs.Histo.histo "kv.recovery.steps"
 
 let breaker_config spec =
@@ -314,7 +305,7 @@ let run_campaign ?(spec = default_spec)
        (match decision with
        | Breaker.Shed | Breaker.Shed_write ->
            incr shed;
-           Obs.Metrics.incr shed_c ~pid:0;
+           Obs.Metrics.incr Kv_runner.shed_c ~pid:0;
            mix_digest 3
        | Breaker.Admit | Breaker.Admit_probe ->
            let b = Repro_util.Backoff.create ~min:1 ~max:8 ~rng:bo_rng () in
@@ -325,7 +316,7 @@ let run_campaign ?(spec = default_spec)
              else begin
                if n > 0 then begin
                  incr nretries;
-                 Obs.Metrics.incr retry_c ~pid:0;
+                 Obs.Metrics.incr Kv_runner.retry_c ~pid:0;
                  total := !total + Repro_util.Backoff.current b;
                  Repro_util.Backoff.once b
                end;
@@ -352,12 +343,12 @@ let run_campaign ?(spec = default_spec)
                  0
              | `Ok _ ->
                  incr retried_ok;
-                 Obs.Metrics.incr retried_ok_c ~pid:0;
+                 Obs.Metrics.incr Kv_runner.retried_ok_c ~pid:0;
                  1
              | `Exhausted ->
                  if !saw_timeout then begin
                    incr timed_out;
-                   Obs.Metrics.incr timeout_c ~pid:0;
+                   Obs.Metrics.incr Kv_runner.timeout_c ~pid:0;
                    2
                  end
                  else begin

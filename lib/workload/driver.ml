@@ -52,6 +52,7 @@ type result = {
   leaked : int; (* live blocks after teardown; 0 = leak-free *)
   uaf : int; (* use-after-free events caught (unsafe schemes) *)
   worker_failures : int; (* workers killed by a non-safety exception (harness bug) *)
+  errors : Harness.errors; (* every worker death, by kind *)
   snap_slow_share : float option; (* RC only: slow-path snapshot share *)
   watchdog_verdicts : string list;
       (* Stuck verdicts the reclamation watchdog raised during the run
@@ -85,19 +86,6 @@ let live_gauge = Obs.Metrics.gauge "driver.live_blocks"
 let backlog_gauge = Obs.Metrics.gauge "driver.retired_backlog"
 let ops_gauge = Obs.Metrics.gauge "driver.ops_per_s"
 
-(* p99 retire→free latency across every scheme's reclaim_latency
-   histogram (one driver runs one scheme per process, so at most one
-   accumulates). [None] while telemetry is off or nothing was
-   sampled — the controller treats that as "SLO met". *)
-let reclaim_p99 () =
-  let acc = Array.make Obs.Histo.buckets 0 in
-  List.iter
-    (fun h ->
-      if String.ends_with ~suffix:".reclaim_latency" (Obs.Histo.name h) then
-        Array.iteri (fun i c -> acc.(i) <- acc.(i) + c) (Obs.Histo.merged h))
-    (Obs.Histo.dump ());
-  Obs.Histo.percentile_of_counts acc 99.0
-
 module Run (D : Ds.Set_intf.S) = struct
   let prefill d spec =
     let c = D.ctx d 0 in
@@ -117,115 +105,81 @@ module Run (D : Ds.Set_intf.S) = struct
     prefill d spec;
     D.reset_peak d;
     ignore (Obs.Verdicts.drain ()); (* discard verdicts from earlier runs *)
-    let stop = Atomic.make false in
-    let ops = Array.make spec.threads 0 in
-    (* Published batch-by-batch so the sampler can compute a live
-       throughput rate without waiting for workers to finish. *)
-    let progress = Repro_util.Padded.create spec.threads 0 in
-    let uafs = Atomic.make 0 in
-    let failures = Atomic.make 0 in
-    let worker pid () =
-      let c = D.ctx d (pid + 1) in
-      let rng = Repro_util.Rng.create ~seed:(spec.seed + ((pid + 1) * 7919)) in
+    let worker pid continue =
+      let c = D.ctx d pid in
+      let rng = Repro_util.Rng.create ~seed:(spec.seed + (pid * 7919)) in
       let n = ref 0 in
-      (try
-         while not (Atomic.get stop) do
-           (* Batch 64 operations between stop-flag checks. *)
-           for _ = 1 to 64 do
-             let r = Repro_util.Rng.int rng 100 in
-             let key = Repro_util.Rng.int rng spec.key_range in
-             if r < spec.update_pct then begin
-               if r land 1 = 0 then ignore (D.insert c key) else ignore (D.remove c key)
-             end
-             else if r < spec.update_pct + spec.rq_pct then
-               ignore (D.range_query c key (key + spec.rq_size))
-             else ignore (D.contains c key)
-           done;
-           n := !n + 64;
-           Repro_util.Padded.set progress pid !n
-         done;
-         D.flush c
-       with
-      | (Simheap.Use_after_free _ | Simheap.Double_free _) as e ->
-          (* A safety violation of the reclamation scheme under test. *)
-          ignore (Atomic.fetch_and_add uafs 1);
-          Printf.eprintf "[%s] worker %d safety violation: %s\n%!" D.name pid
-            (Printexc.to_string e)
-      | e ->
-          (* Anything else is a harness/structure bug, not a UAF —
-             report it as a worker failure so the two aren't conflated. *)
-          ignore (Atomic.fetch_and_add failures 1);
-          Printf.eprintf "[%s] worker %d died: %s\n%!" D.name pid (Printexc.to_string e));
-      ops.(pid) <- !n
+      while continue !n do
+        for _ = 1 to 64 do
+          let r = Repro_util.Rng.int rng 100 in
+          let key = Repro_util.Rng.int rng spec.key_range in
+          if r < spec.update_pct then begin
+            if r land 1 = 0 then ignore (D.insert c key) else ignore (D.remove c key)
+          end
+          else if r < spec.update_pct + spec.rq_pct then
+            ignore (D.range_query c key (key + spec.rq_size))
+          else ignore (D.contains c key)
+        done;
+        n := !n + 64
+      done;
+      D.flush c
     in
-    let t0 = Unix.gettimeofday () in
-    let domains = List.init spec.threads (fun pid -> Domain.spawn (worker pid)) in
     (* Sample memory usage from the coordinating thread while the
        workers run. *)
     let samples = ref [] in
-    let deadline = t0 +. spec.duration in
     let last_ops = ref 0 in
-    let last_t = ref t0 in
+    let last_t = ref 0. in
     (* The adaptive controller rides the sampler: one controller tick
        per sample, fed the backlog, latency-p99, and watchdog signals.
        No [on_escalate] here — benchmark workers are healthy by
        construction, so escalation is only logged; the adaptivity
        experiment wires the real abandon path. *)
     let ctl = if spec.adapt then Some (Adapt.Controller.create (D.control d)) else None in
-    let rec sample () =
-      let now = Unix.gettimeofday () in
-      if now < deadline then begin
-        let live = D.live_objects d in
-        samples := float_of_int live :: !samples;
-        let verdict = ref None in
-        let checked = ref false in
-        (* Telemetry side of the sampler: per-second throughput and
-           backlog gauges, a Sample trace event, and a watchdog poke.
-           Gated as a block so the disabled path adds nothing beyond
-           the pre-existing live_objects read. *)
-        if Obs.Metrics.enabled () then begin
-          let done_ops = Repro_util.Padded.fold ( + ) 0 progress in
-          let dt = now -. !last_t in
-          let rate =
-            if dt > 0. then int_of_float (float_of_int (done_ops - !last_ops) /. dt) else 0
-          in
-          last_ops := done_ops;
-          last_t := now;
-          let backlog = D.retired_backlog d in
-          Obs.Metrics.set_gauge live_gauge live;
-          Obs.Metrics.set_gauge backlog_gauge backlog;
-          Obs.Metrics.set_gauge ops_gauge rate;
-          Obs.Trace.emit ~pid:0
-            (Obs.Trace.Sample
+    let sample ~elapsed ~ops =
+      let live = D.live_objects d in
+      samples := float_of_int live :: !samples;
+      let verdict = ref None in
+      let checked = ref false in
+      (* Telemetry side of the sampler: per-second throughput and
+         backlog gauges, a Sample trace event, and a watchdog poke.
+         Gated as a block so the disabled path adds nothing beyond
+         the pre-existing live_objects read. *)
+      if Obs.Metrics.enabled () then begin
+        let dt = elapsed -. !last_t in
+        let rate = if dt > 0. then int_of_float (float_of_int (ops - !last_ops) /. dt) else 0 in
+        last_ops := ops;
+        last_t := elapsed;
+        let backlog = D.retired_backlog d in
+        Obs.Metrics.set_gauge live_gauge live;
+        Obs.Metrics.set_gauge backlog_gauge backlog;
+        Obs.Metrics.set_gauge ops_gauge rate;
+        Obs.Trace.emit ~pid:0
+          (Obs.Trace.Sample
+             { t_ms = int_of_float (elapsed *. 1000.); ops_per_s = rate; live; backlog });
+        verdict := D.watchdog_check d;
+        checked := true
+      end;
+      match ctl with
+      | None -> ()
+      | Some c ->
+          if not !checked then verdict := D.watchdog_check d;
+          ignore
+            (Adapt.Controller.observe c
                {
-                 t_ms = int_of_float ((now -. t0) *. 1000.);
-                 ops_per_s = rate;
-                 live;
-                 backlog;
-               });
-          verdict := D.watchdog_check d;
-          checked := true
-        end;
-        (match ctl with
-        | None -> ()
-        | Some c ->
-            if not !checked then verdict := D.watchdog_check d;
-            ignore
-              (Adapt.Controller.observe c
-                 {
-                   Adapt.Controller.backlog = D.retired_backlog d;
-                   p99 = reclaim_p99 ();
-                   stalled = !verdict <> None;
-                 }));
-        Unix.sleepf (min 0.01 (deadline -. now));
-        sample ()
-      end
+                 Adapt.Controller.backlog = D.retired_backlog d;
+                 (* [None] while telemetry is off or nothing was
+                    sampled — the controller treats that as "SLO met". *)
+                 p99 =
+                   Obs.Histo.percentile_of_counts
+                     (Obs.Histo.merged_suffix ".reclaim_latency")
+                     99.0;
+                 stalled = !verdict <> None;
+               })
     in
-    sample ();
-    Atomic.set stop true;
-    List.iter Domain.join domains;
-    let elapsed = Unix.gettimeofday () -. t0 in
-    let total_ops = Array.fold_left ( + ) 0 ops in
+    let h =
+      Harness.run ~name:D.name ~threads:spec.threads ~duration:spec.duration
+        ~sample:(0.01, sample) worker
+    in
     let live_peak = D.peak_objects d in
     let live_avg =
       match !samples with [] -> float_of_int (D.live_objects d) | s -> Repro_util.Stats.mean (Array.of_list s)
@@ -240,17 +194,21 @@ module Run (D : Ds.Set_intf.S) = struct
     in
     D.teardown d;
     let leaked = D.live_objects d in
+    (* A safety violation of the scheme under test is a UAF; anything
+       else that killed a worker is a harness/structure bug. *)
+    let safety = Harness.count h.errors "Use_after_free" + Harness.count h.errors "Double_free" in
     {
       scheme = D.name;
       spec;
-      total_ops;
-      elapsed;
-      mops = Repro_util.Stats.throughput_mops ~ops:total_ops ~seconds:elapsed;
+      total_ops = h.ops;
+      elapsed = h.elapsed;
+      mops = h.mops;
       live_avg;
       live_peak;
       leaked;
-      uaf = uaf_ds + Atomic.get uafs;
-      worker_failures = Atomic.get failures;
+      uaf = uaf_ds + safety;
+      worker_failures = Harness.total h.errors - safety;
+      errors = h.errors;
       snap_slow_share;
       watchdog_verdicts = Obs.Verdicts.drain ();
       adapt_decisions =

@@ -89,68 +89,83 @@ let find_set_exp id = List.find_opt (fun e -> e.id = id) set_experiments
 
 (* ---------------- runners ---------------- *)
 
+(* Every runner below returns its command's exit status: 2 when a
+   [--schemes] name is unknown (nothing runs), 1 when a worker died in
+   some cell (each named on stderr by {!Harness.status}), else 0. *)
+let with_selection cmd selection k =
+  match selection with
+  | Error e ->
+      Format.eprintf "%s: %s@." cmd e;
+      2
+  | Ok picked -> k picked
+
+(* A table with one block per thread count, a blank line after each;
+   [row p x] prints one row and returns its [(cell, errors)]. *)
+let sweep threads xs row =
+  Harness.status
+    (List.concat_map
+       (fun p ->
+         let cells = List.map (row p) xs in
+         Format.printf "@.";
+         cells)
+       threads)
+
 let run_set_instance (module D : Ds.Set_intf.S) spec =
   let module R = Driver.Run (D) in
   R.run ~spec ()
 
 let run_set_exp ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(schemes = []) ?(scale = 1)
     ?(adapt = false) e =
+  with_selection e.id
+    (Instances.select ~find:(Instances.find_set e.structure)
+       (Instances.all_sets e.structure) schemes)
+  @@ fun instances ->
   Format.printf "@.== %s ==@.expected: %s@.@." e.title e.expected;
-  let instances =
-    match schemes with
-    | [] -> Instances.all_sets e.structure
-    | names ->
-        List.filter_map (fun n -> Instances.find_set e.structure n) names
+  sweep threads instances @@ fun p (module D : Ds.Set_intf.S) ->
+  let spec = e.mix { Driver.default_spec with threads = p; duration; adapt } in
+  (* [scale] > 1 shrinks the structure for smoke runs. *)
+  let spec =
+    {
+      spec with
+      init_size = max 16 (spec.init_size / scale);
+      key_range = max 32 (spec.key_range / scale);
+      buckets = Option.map (fun b -> max 16 (b / scale)) spec.buckets;
+    }
   in
-  let results = ref [] in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun (module D : Ds.Set_intf.S) ->
-          let spec = e.mix { Driver.default_spec with threads = p; duration; adapt } in
-          (* [scale] > 1 shrinks the structure for smoke runs. *)
-          let spec =
-            {
-              spec with
-              init_size = max 16 (spec.init_size / scale);
-              key_range = max 32 (spec.key_range / scale);
-              buckets = Option.map (fun b -> max 16 (b / scale)) spec.buckets;
-            }
-          in
-          let r = run_set_instance (module D) spec in
-          results := r :: !results;
-          Format.printf "%a@." Driver.pp_result r;
-          List.iter
-            (fun d -> Format.printf "    [adapt] %s@." d)
-            r.Driver.adapt_decisions)
-        instances;
-      Format.printf "@.")
-    threads;
-  List.rev !results
+  let r = run_set_instance (module D) spec in
+  Format.printf "%a@." Driver.pp_result r;
+  List.iter (fun d -> Format.printf "    [adapt] %s@." d) r.Driver.adapt_decisions;
+  (Harness.cell_name D.name (Instances.structure_name e.structure) p, r.errors)
+
+(* One Fig 12 cell: a queue prefilled with P elements, P workers each
+   popping an element and pushing it back. Returns the run and the
+   blocks left live after teardown. *)
+let fig12_cell ~threads ~duration (module Q : Ds.Queue_intf.S) =
+  let q = Q.create ~max_threads:(threads + 1) () in
+  let c0 = Q.ctx q 0 in
+  for i = 1 to threads do
+    Q.enqueue c0 i
+  done;
+  Q.flush c0;
+  let h =
+    Harness.run ~name:(Harness.cell_name Q.name "queue" threads) ~threads ~duration
+      (Perf_runner.pop_push (module Q) q)
+  in
+  Q.teardown q;
+  (h, Q.live_objects q)
 
 let run_fig12 ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(schemes = []) () =
+  with_selection "fig12" (Instances.select ~find:Instances.find_queue Instances.queues schemes)
+  @@ fun instances ->
   Format.printf
     "@.== Fig 12: doubly-linked queue, P threads pop-then-push ==@.expected: Original > \
      ours (RC-weak) >> locked stand-in at high thread counts; ours within ~19-33%% of \
      Original beyond 1 thread@.@.";
-  let instances =
-    match schemes with
-    | [] -> Instances.queues
-    | names -> List.filter_map Instances.find_queue names
-  in
-  let results = ref [] in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun (module Q : Ds.Queue_intf.S) ->
-          let module R = Queue_driver.Run (Q) in
-          let r = R.run ~threads:p ~duration () in
-          results := r :: !results;
-          Format.printf "%a@." Queue_driver.pp_result r)
-        instances;
-      Format.printf "@.")
-    threads;
-  List.rev !results
+  sweep threads instances @@ fun p (module Q : Ds.Queue_intf.S) ->
+  let h, leaked = fig12_cell ~threads:p ~duration (module Q) in
+  Format.printf "%-16s P=%-3d %8.3f Mops/s  ops=%-10d%s@." Q.name p h.mops h.ops
+    (if leaked > 0 then Printf.sprintf "  LEAK=%d" leaked else "");
+  (Harness.cell_name Q.name "queue" p, h.errors)
 
 (* ---------------- ablations ---------------- *)
 
@@ -162,40 +177,37 @@ let run_abl_sticky ?(threads = [ 1; 2; 4 ]) ?(duration = 0.3) () =
     "@.== Ablation: sticky counter vs CAS-loop counter ==@.expected: sticky sustains \
      higher inc/dec throughput as contention grows@.@.";
   let bench name inc dec =
-    List.iter
+    List.map
       (fun p ->
-        let stop = Atomic.make false in
-        let ops = Array.make p 0 in
-        let worker pid () =
-          let n = ref 0 in
-          while not (Atomic.get stop) do
-            for _ = 1 to 64 do
-              if inc () then ignore (dec ())
-            done;
-            n := !n + 128
-          done;
-          ops.(pid) <- !n
+        let cell = Harness.cell_name name "counter" p in
+        let h =
+          Harness.run ~name:cell ~threads:p ~duration (fun _ continue ->
+              let n = ref 0 in
+              while continue !n do
+                for _ = 1 to 64 do
+                  if inc () then ignore (dec ())
+                done;
+                n := !n + 128
+              done)
         in
-        let t0 = Unix.gettimeofday () in
-        let ds = List.init p (fun pid -> Domain.spawn (worker pid)) in
-        Unix.sleepf duration;
-        Atomic.set stop true;
-        List.iter Domain.join ds;
-        let dt = Unix.gettimeofday () -. t0 in
-        let total = Array.fold_left ( + ) 0 ops in
-        Format.printf "%-8s P=%-3d %8.3f Mops/s@." name p
-          (Repro_util.Stats.throughput_mops ~ops:total ~seconds:dt))
+        Format.printf "%-8s P=%-3d %8.3f Mops/s@." name p h.mops;
+        (cell, h.errors))
       threads
   in
   let s = Sticky.Sticky_counter.create 1 in
-  bench "sticky"
-    (fun () -> Sticky.Sticky_counter.increment_if_not_zero s)
-    (fun () -> Sticky.Sticky_counter.decrement s);
+  let sticky =
+    bench "sticky"
+      (fun () -> Sticky.Sticky_counter.increment_if_not_zero s)
+      (fun () -> Sticky.Sticky_counter.decrement s)
+  in
   let c = Sticky.Casloop_counter.create 1 in
-  bench "casloop"
-    (fun () -> Sticky.Casloop_counter.increment_if_not_zero c)
-    (fun () -> Sticky.Casloop_counter.decrement c);
-  Format.printf "@."
+  let casloop =
+    bench "casloop"
+      (fun () -> Sticky.Casloop_counter.increment_if_not_zero c)
+      (fun () -> Sticky.Casloop_counter.decrement c)
+  in
+  Format.printf "@.";
+  Harness.status (sticky @ casloop)
 
 (* abl2: EBR/IBR epoch frequency sweep (the paper's §5.1 tuning:
    throughput vs memory trade-off). *)
@@ -204,24 +216,28 @@ let run_abl_epochfreq ?(threads = 4) ?(duration = 0.3) ?(freqs = [ 1; 10; 40; 16
   Format.printf
     "@.== Ablation: epoch advance frequency (RCEBR on the NM tree, 50%% updates) \
      ==@.expected: rare advances raise throughput but grow live memory@.@.";
-  List.iter
-    (fun f ->
-      let spec =
-        {
-          Driver.default_spec with
-          threads;
-          duration;
-          update_pct = 50;
-          key_range = 20_000;
-          init_size = 10_000;
-          epoch_freq = Some f;
-        }
-      in
-      let module R = Driver.Run (Instances.Tr_ebr) in
-      let r = R.run ~spec () in
-      Format.printf "epoch_freq=%-5d %a@." f Driver.pp_result r)
-    freqs;
-  Format.printf "@."
+  let cells =
+    List.map
+      (fun f ->
+        let spec =
+          {
+            Driver.default_spec with
+            threads;
+            duration;
+            update_pct = 50;
+            key_range = 20_000;
+            init_size = 10_000;
+            epoch_freq = Some f;
+          }
+        in
+        let module R = Driver.Run (Instances.Tr_ebr) in
+        let r = R.run ~spec () in
+        Format.printf "epoch_freq=%-5d %a@." f Driver.pp_result r;
+        (Printf.sprintf "%s/tree/%d epoch_freq=%d" r.scheme threads f, r.errors))
+      freqs
+  in
+  Format.printf "@.";
+  Harness.status cells
 
 (* abl3: HP announcement-slot budget vs the snapshot fast path — the
    mechanism behind Fig 11's RCHP collapse, isolated. *)
@@ -230,26 +246,30 @@ let run_abl_hpslots ?(threads = 2) ?(duration = 0.3) ?(slots = [ 2; 4; 8; 16; 32
     "@.== Ablation: RCHP announcement slots vs range-query throughput (NM tree, 50%% \
      RQ-64) ==@.expected: few slots force the count-increment slow path; throughput \
      recovers as slots cover the query path@.@.";
-  List.iter
-    (fun k ->
-      let spec =
-        {
-          Driver.default_spec with
-          threads;
-          duration;
-          update_pct = 50;
-          rq_pct = 50;
-          rq_size = 64;
-          key_range = 20_000;
-          init_size = 10_000;
-          slots = Some k;
-        }
-      in
-      let module R = Driver.Run (Instances.Tr_hp) in
-      let r = R.run ~spec () in
-      Format.printf "slots=%-3d %a@." k Driver.pp_result r)
-    slots;
-  Format.printf "@."
+  let cells =
+    List.map
+      (fun k ->
+        let spec =
+          {
+            Driver.default_spec with
+            threads;
+            duration;
+            update_pct = 50;
+            rq_pct = 50;
+            rq_size = 64;
+            key_range = 20_000;
+            init_size = 10_000;
+            slots = Some k;
+          }
+        in
+        let module R = Driver.Run (Instances.Tr_hp) in
+        let r = R.run ~spec () in
+        Format.printf "slots=%-3d %a@." k Driver.pp_result r;
+        (Printf.sprintf "%s/tree/%d slots=%d" r.scheme threads k, r.errors))
+      slots
+  in
+  Format.printf "@.";
+  Harness.status cells
 
 (* ---------------- robustness (fault injection) ---------------- *)
 
@@ -271,6 +291,7 @@ type robustness_result = {
   rb_leaked : int; (* after teardown *)
   rb_watchdog_fired : float option; (* seconds at which Stuck was reported *)
   rb_events : Fault.Fault_plan.event list;
+  rb_errors : Harness.errors;
 }
 
 let pp_robustness_result ppf r =
@@ -293,7 +314,7 @@ let robustness_schemes : (module Smr.Smr_intf.S) list =
 
 let run_robustness_one ?(duration = 1.0) ?(seed = 42) (module S : Smr.Smr_intf.S) =
   let workers = 3 in
-  let victim = 0 in
+  let victim = 1 in
   (* Stall the victim forever at its 21st critical-section entry; the
      plan is the only thing that distinguishes this run from a healthy
      one. *)
@@ -309,55 +330,50 @@ let run_robustness_one ?(duration = 1.0) ?(seed = 42) (module S : Smr.Smr_intf.S
       end)
   in
   let module St = Ds.Treiber_stack_manual.Make (FS) in
-  let st = St.create ~max_threads:workers () in
-  let stop = Atomic.make false in
-  let abandoned = Atomic.make false in
-  let worker pid () =
+  let st = St.create ~max_threads:(workers + 1) () in
+  let worker pid continue =
     let c = St.ctx st pid in
     let rng = Repro_util.Rng.create ~seed:(seed + (pid * 7919)) in
-    while not (Atomic.get stop) do
+    let n = ref 0 in
+    while continue !n do
       if Fault.Fault_plan.stalled plan ~pid then
         (* Parked: the thread is "preempted" holding its protection. *)
         Unix.sleepf 0.001
       else begin
         St.push c (Repro_util.Rng.int rng 1000);
-        ignore (St.pop c)
+        ignore (St.pop c);
+        n := !n + 2
       end
     done;
     if not (Fault.Fault_plan.stalled plan ~pid) then St.flush c
   in
-  let t0 = Unix.gettimeofday () in
-  let domains = List.init workers (fun pid -> Domain.spawn (worker pid)) in
   let wd = St.Ar.watchdog ~threshold:3 ~slack:256 () in
   let watchdog_fired = ref None in
   let curve = ref [] in
   let peak_stalled = ref 0 in
   let live_at_abandon = ref 0 in
+  let abandoned = ref false in
   let abandon_at = duration /. 2. in
-  let rec sample () =
-    let now = Unix.gettimeofday () -. t0 in
-    if now < duration then begin
-      let live = St.live_objects st in
-      curve := (now, live) :: !curve;
-      if not (Atomic.get abandoned) then begin
-        peak_stalled := max !peak_stalled live;
-        (match St.Ar.watchdog_check st.St.ar wd with
-        | St.Ar.Stuck _ when !watchdog_fired = None -> watchdog_fired := Some now
-        | _ -> ());
-        if now >= abandon_at then begin
-          (* Recovery: reap the stalled thread on its behalf. *)
-          live_at_abandon := live;
-          St.abandon st ~pid:victim;
-          Atomic.set abandoned true
-        end
-      end;
-      Unix.sleepf 0.002;
-      sample ()
+  let sample ~elapsed:now ~ops:_ =
+    let live = St.live_objects st in
+    curve := (now, live) :: !curve;
+    if not !abandoned then begin
+      peak_stalled := max !peak_stalled live;
+      (match St.Ar.watchdog_check st.St.ar wd with
+      | St.Ar.Stuck _ when !watchdog_fired = None -> watchdog_fired := Some now
+      | _ -> ());
+      if now >= abandon_at then begin
+        (* Recovery: reap the stalled thread on its behalf. *)
+        live_at_abandon := live;
+        St.abandon st ~pid:victim;
+        abandoned := true
+      end
     end
   in
-  sample ();
-  Atomic.set stop true;
-  List.iter Domain.join domains;
+  let h =
+    Harness.run ~name:(S.name ^ "/robustness") ~threads:workers ~duration
+      ~sample:(0.002, sample) worker
+  in
   let live_end = St.live_objects st in
   St.teardown st;
   {
@@ -369,24 +385,19 @@ let run_robustness_one ?(duration = 1.0) ?(seed = 42) (module S : Smr.Smr_intf.S
     rb_leaked = St.live_objects st;
     rb_watchdog_fired = !watchdog_fired;
     rb_events = Fault.Fault_plan.trace plan;
+    rb_errors = h.errors;
   }
 
 let run_robustness ?(duration = 1.0) ?(schemes = []) ?(seed = 42) ?out () =
+  with_selection "robustness"
+    (Instances.select
+       ~find:(Instances.find_named (fun (module S : Smr.Smr_intf.S) -> S.name) robustness_schemes)
+       robustness_schemes schemes)
+  @@ fun picked ->
   Format.printf
     "@.== Robustness: one stalled thread, garbage growth and recovery by abandon \
      ==@.expected: EBR backlog grows unboundedly while stalled (watchdog trips); \
      HP/IBR/HE stay bounded; abandon restores leak-free reclamation everywhere@.@.";
-  let picked =
-    match schemes with
-    | [] -> robustness_schemes
-    | names ->
-        List.filter
-          (fun (module S : Smr.Smr_intf.S) ->
-            List.exists
-              (fun n -> Instances.normalize_name n = Instances.normalize_name S.name)
-              names)
-          robustness_schemes
-  in
   let results = List.map (run_robustness_one ~duration ~seed) picked in
   List.iter
     (fun r ->
@@ -412,7 +423,7 @@ let run_robustness ?(duration = 1.0) ?(schemes = []) ?(seed = 42) ?out () =
       Format.pp_print_flush ppf ();
       close_out oc;
       Format.printf "curves written to %s@.@." path);
-  results
+  Harness.status (List.map (fun r -> (r.rb_scheme ^ "/robustness", r.rb_errors)) results)
 
 (* ---------------- adaptivity (controller vs fixed knobs) ---------------- *)
 
@@ -427,7 +438,7 @@ let run_robustness ?(duration = 1.0) ?(schemes = []) ?(seed = 42) ?out () =
    stays bounded.
 
    Unlike [run_robustness], this is a {e single-domain} deterministic
-   replay — a scripted churn loop with no Domain.spawn, no wall clock,
+   replay — a scripted churn loop with no worker domains, no wall clock,
    and no randomness — so the controller's decision log is a pure
    function of the iteration count and replays bit-identically
    (test/test_adapt.ml runs it twice and pins the log). *)
@@ -574,47 +585,39 @@ let run_adaptivity ?(iters = 2000) ?(bound = 512) ?out () =
 (* Extension table: Treiber stack push/pop across every scheme — not a
    paper figure, but the smallest end-to-end consumer of the framework
    (includes the "None" leak-everything upper bound). *)
+(* The ext-stack kernel: P workers of push/pop pairs on a fresh stack.
+   Returns the run, the blocks live when it stopped and the blocks
+   left after teardown. *)
+let stack_push_pop ~threads ~duration (module St : Instances.STACK) =
+  let s = St.create ~max_threads:(threads + 1) () in
+  let h =
+    Harness.run ~name:(Harness.cell_name St.name "stack" threads) ~threads ~duration
+      (fun pid continue ->
+        let c = St.ctx s pid in
+        let n = ref 0 in
+        while continue !n do
+          for i = 1 to 32 do
+            St.push c i;
+            ignore (St.pop c)
+          done;
+          n := !n + 64
+        done;
+        St.flush c)
+  in
+  let residual = St.live_objects s in
+  St.teardown s;
+  (h, residual, St.live_objects s)
+
 let run_ext_stack ?(threads = [ 1; 2; 4 ]) ?(duration = 0.3) () =
   Format.printf
     "@.== Extension: Treiber stack, P threads push/pop pairs ==@.expected: None (no \
      reclamation) is the throughput upper bound and the memory worst case; region \
      schemes close behind; RC versions track their manual counterparts@.@.";
-  List.iter
-    (fun p ->
-      List.iter
-        (fun (module St : Instances.STACK) ->
-          let s = St.create ~max_threads:p () in
-          let stop = Atomic.make false in
-          let ops = Array.make p 0 in
-          let worker pid () =
-            let c = St.ctx s pid in
-            let n = ref 0 in
-            while not (Atomic.get stop) do
-              for i = 1 to 32 do
-                St.push c i;
-                ignore (St.pop c)
-              done;
-              n := !n + 64
-            done;
-            St.flush c;
-            ops.(pid) <- !n
-          in
-          let t0 = Unix.gettimeofday () in
-          let ds = List.init p (fun pid -> Domain.spawn (worker pid)) in
-          Unix.sleepf duration;
-          Atomic.set stop true;
-          List.iter Domain.join ds;
-          let dt = Unix.gettimeofday () -. t0 in
-          let total = Array.fold_left ( + ) 0 ops in
-          let peak_live = St.live_objects s in
-          St.teardown s;
-          Format.printf "%-10s P=%-3d %8.3f Mops/s  residual=%-9d leak-after=%d@." St.name
-            p
-            (Repro_util.Stats.throughput_mops ~ops:total ~seconds:dt)
-            peak_live (St.live_objects s))
-        Instances.stacks;
-      Format.printf "@.")
-    threads
+  sweep threads Instances.stacks @@ fun p (module St : Instances.STACK) ->
+  let h, residual, leaked = stack_push_pop ~threads:p ~duration (module St) in
+  Format.printf "%-10s P=%-3d %8.3f Mops/s  residual=%-9d leak-after=%d@." St.name p h.mops
+    residual leaked;
+  (Harness.cell_name St.name "stack" p, h.errors)
 
 (* ---------------- telemetry (`stats`, `obs-overhead`) ---------------- *)
 
@@ -624,7 +627,7 @@ let ensure_results_dir () =
 (* Run [f] with stdout silenced — used by [stats --json] so the
    process's only stdout is the JSON object itself. Redirection happens
    at the fd level because OCaml 5's [Format.std_formatter] swaps in a
-   shared buffered backend at the first [Domain.spawn], which would
+   shared buffered backend at the first domain spawn, which would
    bypass silenced formatter out-functions. *)
 let with_quiet_stdout f =
   Format.pp_print_flush Format.std_formatter ();
@@ -653,28 +656,21 @@ let stats_requirements = function
   | _ ->
       [ Key "smr.ebr.retire"; Key "smr.ebr.eject.ops"; Prefix "cdrc."; Prefix "ar." ]
 
+(* The per-scheme rings are in the metric tree; this is their merge. *)
 let print_reclaim_latency () =
-  let hs =
-    Obs.Histo.dump ()
-    |> List.filter (fun h ->
-           String.ends_with ~suffix:".reclaim_latency" (Obs.Histo.name h))
-    |> List.filter_map (fun h ->
-           Option.map (fun ps -> (h, ps)) (Obs.Histo.percentiles h))
-  in
-  if hs <> [] then begin
+  let counts = Obs.Histo.merged_suffix ".reclaim_latency" in
+  let p q = Option.value ~default:0 (Obs.Histo.percentile_of_counts counts q) in
+  let n = Array.fold_left ( + ) 0 counts in
+  if n > 0 then
     Format.printf
-      "@.reclamation latency per scheme (operation ticks survived; bucket upper bounds)@.";
-    List.iter
-      (fun (h, (p50, p99, p999)) ->
-        Format.printf "  %-28s n=%-9d p50=%-8d p99=%-8d p999=%d@." (Obs.Histo.name h)
-          (Obs.Histo.count h) p50 p99 p999)
-      hs
-  end
+      "@.reclamation latency, all schemes (operation ticks survived; bucket upper \
+       bounds)@.  n=%-9d p50=%-8d p99=%-8d p999=%d@."
+      n (p 50.) (p 99.) (p 99.9)
 
 (** Run one experiment with telemetry enabled, export the event trace
     to [results/trace-<exp>.jsonl], and report the metric registry.
-    Returns a process exit code: 0 on success, 1 if [--check] failed,
-    2 for an unknown experiment id. *)
+    Returns a process exit code: 0 on success, 1 if a worker died or
+    [--check] failed, 2 for an unknown experiment id or scheme. *)
 let run_stats ?(threads = [ 2 ]) ?(duration = 0.3) ?(schemes = []) ?(scale = 1)
     ?(json = false) ?(check = false) exp =
   Obs.Report.reset_all ();
@@ -682,41 +678,32 @@ let run_stats ?(threads = [ 2 ]) ?(duration = 0.3) ?(schemes = []) ?(scale = 1)
   Obs.Trace.set_enabled true;
   let run () =
     match exp with
-    | "fig12" ->
-        ignore (run_fig12 ~threads ~duration ~schemes ());
-        true
-    | "robustness" ->
-        ignore (run_robustness ~duration ~schemes ());
-        true
+    | "fig12" -> run_fig12 ~threads ~duration ~schemes ()
+    | "robustness" -> run_robustness ~duration ~schemes ()
     | "chaos" ->
         (* One mixed campaign with the breaker on; a deliberately tight
            deadline makes sure the retry/shed paths actually fire so the
            requirements below are discriminating. *)
-        let cschemes =
-          if schemes = [] then Chaos_runner.base_schemes
-          else Chaos_runner.find_schemes schemes
-        in
+        with_selection "chaos" (Chaos_runner.find_schemes schemes) @@ fun cschemes ->
         let spec =
           { Chaos_runner.default_spec with Chaos_runner.ch_deadline = 12 }
         in
         ignore (Chaos_runner.run_all ~spec ~schemes:cschemes ());
-        true
+        0
     | id -> (
         match find_set_exp id with
-        | Some e ->
-            ignore (run_set_exp ~threads ~duration ~schemes ~scale e);
-            true
+        | Some e -> run_set_exp ~threads ~duration ~schemes ~scale e
         | None ->
             Format.eprintf
               "stats: unknown experiment %S (expected fig11, fig13a-f, fig12, \
                robustness or chaos)@."
               id;
-            false)
+            2)
   in
-  let known = if json then with_quiet_stdout run else run () in
+  let status = if json then with_quiet_stdout run else run () in
   Obs.Metrics.set_enabled false;
   Obs.Trace.set_enabled false;
-  if not known then 2
+  if status = 2 then 2
   else begin
     ensure_results_dir ();
     let trace_path = Filename.concat "results" ("trace-" ^ exp ^ ".jsonl") in
@@ -731,7 +718,7 @@ let run_stats ?(threads = [ 2 ]) ?(duration = 0.3) ?(schemes = []) ?(scale = 1)
       print_reclaim_latency ();
       Format.printf "@.trace: %s (%d events)@." trace_path trace_lines
     end;
-    if not check then 0
+    if not check then status
     else begin
       let failures = ref [] in
       (match Obs.Report.validate_jsonl_file trace_path with
@@ -755,7 +742,7 @@ let run_stats ?(threads = [ 2 ]) ?(duration = 0.3) ?(schemes = []) ?(scale = 1)
       match List.rev !failures with
       | [] ->
           Format.eprintf "stats --check: OK (trace parses; required metrics present)@.";
-          0
+          status
       | fs ->
           List.iter (fun f -> Format.eprintf "stats --check: FAIL: %s@." f) fs;
           1
@@ -768,32 +755,11 @@ let run_stats ?(threads = [ 2 ]) ?(duration = 0.3) ?(schemes = []) ?(scale = 1)
     over uninstrumented code is one atomic flag load per hook, so "off"
     here stands in for the pre-telemetry baseline. *)
 let run_obs_overhead ?(threads = 2) ?(duration = 0.4) ?(repeats = 3) () =
-  let module St = Instances.St_ebr in
-  let measure () =
-    let s = St.create ~max_threads:threads () in
-    let stop = Atomic.make false in
-    let ops = Array.make threads 0 in
-    let worker pid () =
-      let c = St.ctx s pid in
-      let n = ref 0 in
-      while not (Atomic.get stop) do
-        for i = 1 to 32 do
-          St.push c i;
-          ignore (St.pop c)
-        done;
-        n := !n + 64
-      done;
-      St.flush c;
-      ops.(pid) <- !n
-    in
-    let t0 = Unix.gettimeofday () in
-    let ds = List.init threads (fun pid -> Domain.spawn (worker pid)) in
-    Unix.sleepf duration;
-    Atomic.set stop true;
-    List.iter Domain.join ds;
-    let dt = Unix.gettimeofday () -. t0 in
-    St.teardown s;
-    Repro_util.Stats.throughput_mops ~ops:(Array.fold_left ( + ) 0 ops) ~seconds:dt
+  let cells = ref [] in
+  let measure mode =
+    let h, _, _ = stack_push_pop ~threads ~duration (module Instances.St_ebr) in
+    cells := (Printf.sprintf "EBR/stack/%d telemetry %s" threads mode, h.errors) :: !cells;
+    h.mops
   in
   let median xs =
     let a = Array.of_list xs in
@@ -806,11 +772,11 @@ let run_obs_overhead ?(threads = 2) ?(duration = 0.4) ?(repeats = 3) () =
   for _ = 1 to repeats do
     Obs.Metrics.set_enabled false;
     Obs.Trace.set_enabled false;
-    off := measure () :: !off;
+    off := measure "off" :: !off;
     Obs.Report.reset_all ();
     Obs.Metrics.set_enabled true;
     Obs.Trace.set_enabled true;
-    on := measure () :: !on;
+    on := measure "on" :: !on;
     Obs.Metrics.set_enabled false;
     Obs.Trace.set_enabled false
   done;
@@ -819,4 +785,4 @@ let run_obs_overhead ?(threads = 2) ?(duration = 0.4) ?(repeats = 3) () =
   let delta = 100. *. (m_off -. m_on) /. m_off in
   Format.printf "telemetry off: %8.3f Mops/s@." m_off;
   Format.printf "telemetry on : %8.3f Mops/s  (%+.1f%% vs off)@.@." m_on (-.delta);
-  (m_off, m_on)
+  Harness.status (List.rev !cells)

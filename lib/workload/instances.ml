@@ -204,15 +204,25 @@ let normalize_name s =
   String.lowercase_ascii
     (String.concat "" (String.split_on_char '-' (String.concat "" (String.split_on_char '_' s))))
 
-let find_set structure name =
-  List.find_opt
-    (fun (module D : Ds.Set_intf.S) -> normalize_name D.name = normalize_name name)
-    (all_sets structure)
+let find_named name_of candidates name =
+  List.find_opt (fun c -> normalize_name (name_of c) = normalize_name name) candidates
 
-let find_queue name =
-  List.find_opt
-    (fun (module Q : Ds.Queue_intf.S) -> normalize_name Q.name = normalize_name name)
-    queues
+let find_set structure =
+  find_named (fun (module D : Ds.Set_intf.S) -> D.name) (all_sets structure)
+
+let find_queue = find_named (fun (module Q : Ds.Queue_intf.S) -> Q.name) queues
+
+(* Resolve a [--schemes] list against [all] ([[]] selects all of it).
+   [Error] names every unknown entry, so a typo fails the command
+   instead of silently shrinking the run. *)
+let select ~find all = function
+  | [] -> Ok all
+  | names -> (
+      match List.filter (fun n -> Option.is_none (find n)) names with
+      | [] -> Ok (List.filter_map find names)
+      | unknown ->
+          Error
+            ("unknown scheme " ^ String.concat ", " (List.map (Printf.sprintf "%S") unknown)))
 
 (* ---------------------------------------------------------------- *)
 (* Sharded KV service (DESIGN.md §12): automatic schemes only — the

@@ -1,7 +1,8 @@
 (** Serving-workload harness for the sharded KV service (DESIGN.md
     §12): the "heavy traffic" scenario of the ROADMAP, driven by
     {!Keygen} key distributions and operation mixes instead of the
-    uniform set churn of {!Driver}.
+    uniform set churn of {!Driver}. Both run their workers through
+    {!Harness}.
 
     Two entry points:
 
@@ -89,7 +90,7 @@ type result = {
   r_peak_backlog : int; (* service-wide *)
   r_shard_peak_backlog : int array;
   r_leaked : int;
-  r_failures : int; (* worker deaths only — never request outcomes *)
+  r_failures : int; (* worker deaths ({!Harness} tally) — never request outcomes *)
   r_timed_out : int; (* requests past the deadline after all retries *)
   r_retried_ok : int; (* requests rescued by a retry *)
   r_retries : int; (* retry attempts issued *)
@@ -127,8 +128,8 @@ let put_histo = Obs.Histo.histo "kv.put.latency_ns"
 let scan_histo = Obs.Histo.histo "kv.scan.latency_ns"
 let lat_sample_mask = 7
 
-(* Request-outcome counters, shared by name with Chaos_runner (the
-   metrics registry is idempotent per name). *)
+(* Request-outcome counters, also incremented by Chaos_runner's
+   deterministic request path. *)
 let retry_c = Obs.Metrics.counter "kv.retry"
 let shed_c = Obs.Metrics.counter "kv.shed"
 let timeout_c = Obs.Metrics.counter "kv.timeout"
@@ -172,34 +173,29 @@ let run_one ?(spec = default_spec) ?(validate = false)
   K.reset_peak t;
   let metrics_were = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled true;
-  let stop = Atomic.make false in
-  let ops = Array.make spec.threads 0 in
-  let failures = Atomic.make 0 in
-  (* Request-outcome tallies, per worker (summed at the end) — kept
-     strictly apart from [failures], which counts worker deaths. *)
-  let timed_out = Array.make spec.threads 0 in
-  let retried_ok = Array.make spec.threads 0 in
-  let retries_issued = Array.make spec.threads 0 in
-  let shed = Array.make spec.threads 0 in
+  (* Request-outcome tallies, pid-indexed (summed at the end) — kept
+     strictly apart from the harness's worker-death tally. *)
+  let timed_out = Array.make (spec.threads + 1) 0 in
+  let retried_ok = Array.make (spec.threads + 1) 0 in
+  let retries_issued = Array.make (spec.threads + 1) 0 in
+  let shed = Array.make (spec.threads + 1) 0 in
   let deadline_ns = int_of_float (spec.deadline_ms *. 1e6) in
   (* Per-shard breaker state words, published by the sampler and read
      by every worker on admission: 0 = admit, 1 = read-only (shed
      writes), 2 = open (shed everything). *)
   let nshards = K.shard_count t in
   let breaker_words = Array.init nshards (fun _ -> Atomic.make 0) in
-  let worker pid () =
-    let c = K.ctx t (pid + 1) in
-    let kg =
-      Keygen.create ~seed:(spec.seed + ((pid + 1) * 7919)) ~range:spec.keys spec.keygen
-    in
-    let rng = Repro_util.Rng.create ~seed:(spec.seed lxor ((pid + 1) * 104729)) in
+  let worker pid continue =
+    let c = K.ctx t pid in
+    let kg = Keygen.create ~seed:(spec.seed + (pid * 7919)) ~range:spec.keys spec.keygen in
+    let rng = Repro_util.Rng.create ~seed:(spec.seed lxor (pid * 104729)) in
     let n = ref 0 in
     let timed histo op =
       if !n land lat_sample_mask = 0 then begin
         let t0 = Unix.gettimeofday () in
         op ();
         let dt = Unix.gettimeofday () -. t0 in
-        Obs.Histo.observe histo ~pid:(pid + 1) (int_of_float (dt *. 1e9))
+        Obs.Histo.observe histo ~pid (int_of_float (dt *. 1e9))
       end
       else op ()
     in
@@ -222,7 +218,7 @@ let run_one ?(spec = default_spec) ?(validate = false)
     let request shard kindw histo op =
       if not (admitted shard kindw) then begin
         shed.(pid) <- shed.(pid) + 1;
-        Obs.Metrics.incr shed_c ~pid:(pid + 1)
+        Obs.Metrics.incr shed_c ~pid
       end
       else if deadline_ns = 0 then
         match histo with Some h -> timed h op | None -> op ()
@@ -233,7 +229,7 @@ let run_one ?(spec = default_spec) ?(validate = false)
           let dt = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
           (match histo with
           | Some h when !n land lat_sample_mask = 0 ->
-              Obs.Histo.observe h ~pid:(pid + 1) dt
+              Obs.Histo.observe h ~pid dt
           | _ -> ());
           dt
         in
@@ -242,15 +238,15 @@ let run_one ?(spec = default_spec) ?(validate = false)
           let rec go k =
             if k > spec.retries then begin
               timed_out.(pid) <- timed_out.(pid) + 1;
-              Obs.Metrics.incr timeout_c ~pid:(pid + 1)
+              Obs.Metrics.incr timeout_c ~pid
             end
             else begin
               Repro_util.Backoff.once b;
               retries_issued.(pid) <- retries_issued.(pid) + 1;
-              Obs.Metrics.incr retry_c ~pid:(pid + 1);
+              Obs.Metrics.incr retry_c ~pid;
               if attempt () <= deadline_ns then begin
                 retried_ok.(pid) <- retried_ok.(pid) + 1;
-                Obs.Metrics.incr retried_ok_c ~pid:(pid + 1)
+                Obs.Metrics.incr retried_ok_c ~pid
               end
               else go (k + 1)
             end
@@ -259,51 +255,43 @@ let run_one ?(spec = default_spec) ?(validate = false)
         end
       end
     in
-    (try
-       while not (Atomic.get stop) do
-         let now = K.now t in
-         for _ = 1 to 64 do
-           let key = Keygen.next kg in
-           let shard = K.shard_of_key t key in
-           let r = Repro_util.Rng.int rng 100 in
-           let get () =
-             request shard Breaker.Read (Some get_histo) (fun () ->
-                 ignore (K.get c ~now key))
-           in
-           let put () =
-             let ttl =
-               if Repro_util.Rng.int rng 100 < spec.ttl_pct then Some spec.ttl_ticks
-               else None
-             in
-             request shard Breaker.Write (Some put_histo) (fun () ->
-                 ignore (K.put c ~now ?ttl key !n))
-           in
-           let remove () =
-             request shard Breaker.Write None (fun () -> ignore (K.remove c ~now key))
-           in
-           (match spec.mix with
-           | Read95 -> if r < 95 then get () else put ()
-           | Write50 ->
-               if r < 50 then get () else if r < 90 then put () else remove ()
-           | Scan_churn ->
-               if r < 10 then
-                 request shard Breaker.Read (Some scan_histo) (fun () ->
-                     ignore (K.scan c ~now key (key + 64)))
-               else if r < 60 then get ()
-               else if r < 90 then put ()
-               else remove ());
-           incr n
-         done
-       done;
-       K.flush c
-     with e ->
-       ignore (Atomic.fetch_and_add failures 1);
-       Printf.eprintf "[kv %s] worker %d died: %s\n%!" scheme_name pid
-         (Printexc.to_string e));
-    ops.(pid) <- !n
+    while continue !n do
+      let now = K.now t in
+      for _ = 1 to 64 do
+        let key = Keygen.next kg in
+        let shard = K.shard_of_key t key in
+        let r = Repro_util.Rng.int rng 100 in
+        let get () =
+          request shard Breaker.Read (Some get_histo) (fun () ->
+              ignore (K.get c ~now key))
+        in
+        let put () =
+          let ttl =
+            if Repro_util.Rng.int rng 100 < spec.ttl_pct then Some spec.ttl_ticks
+            else None
+          in
+          request shard Breaker.Write (Some put_histo) (fun () ->
+              ignore (K.put c ~now ?ttl key !n))
+        in
+        let remove () =
+          request shard Breaker.Write None (fun () -> ignore (K.remove c ~now key))
+        in
+        (match spec.mix with
+        | Read95 -> if r < 95 then get () else put ()
+        | Write50 ->
+            if r < 50 then get () else if r < 90 then put () else remove ()
+        | Scan_churn ->
+            if r < 10 then
+              request shard Breaker.Read (Some scan_histo) (fun () ->
+                  ignore (K.scan c ~now key (key + 64)))
+            else if r < 60 then get ()
+            else if r < 90 then put ()
+            else remove ());
+        incr n
+      done
+    done;
+    K.flush c
   in
-  let t0 = Unix.gettimeofday () in
-  let domains = List.init spec.threads (fun pid -> Domain.spawn (worker pid)) in
   (* The sampler owns logical time: one tick per sample, a background
      expiry sweep (the retirement storm) every [sweep_every] ticks, and
      — with [adapt] — one controller per shard fed that shard's
@@ -334,51 +322,47 @@ let run_one ?(spec = default_spec) ?(validate = false)
       Array.init nshards (fun s -> Breaker.create ~config:cfg ~shard:s ())
     else [||]
   in
-  let deadline = t0 +. spec.duration in
-  let rec sample () =
-    let wall = Unix.gettimeofday () in
-    if wall < deadline then begin
-      let tick = K.tick t in
-      let total = ref 0 in
-      for s = 0 to nshards - 1 do
-        let b = K.shard_backlog t ~shard:s in
-        shard_peaks.(s) <- max shard_peaks.(s) b;
-        total := !total + b;
-        if spec.breaker then begin
-          let p99 =
-            match Obs.Histo.percentiles get_histo with
-            | Some (_, p99, _) when deadline_ns > 0 -> Some p99
-            | _ -> None
-          in
-          (match Breaker.on_tick breakers.(s) ~pid:0 ~backlog:b ~p99 with
-          | Some (Breaker.To_open _) -> incr trips
-          | _ -> ());
-          Atomic.set breaker_words.(s)
-            (match Breaker.state breakers.(s) with
-            | Breaker.Open _ -> 2
-            | Breaker.Closed { shed_writes = true; _ } -> 1
-            | _ -> 0)
-        end;
-        if spec.adapt then
-          ignore
-            (Adapt.Controller.observe controllers.(s)
-               {
-                 Adapt.Controller.backlog = b;
-                 p99 = Driver.reclaim_p99 ();
-                 stalled = false;
-               })
-      done;
-      peak_backlog := max !peak_backlog !total;
-      if tick mod spec.sweep_every = 0 then swept := !swept + K.expire_sweep c0 ~now:tick;
-      Unix.sleepf (min 0.002 (deadline -. wall));
-      sample ()
-    end
+  let sample ~elapsed:_ ~ops:_ =
+    let tick = K.tick t in
+    let total = ref 0 in
+    for s = 0 to nshards - 1 do
+      let b = K.shard_backlog t ~shard:s in
+      shard_peaks.(s) <- max shard_peaks.(s) b;
+      total := !total + b;
+      if spec.breaker then begin
+        let p99 =
+          match Obs.Histo.percentiles get_histo with
+          | Some (_, p99, _) when deadline_ns > 0 -> Some p99
+          | _ -> None
+        in
+        (match Breaker.on_tick breakers.(s) ~pid:0 ~backlog:b ~p99 with
+        | Some (Breaker.To_open _) -> incr trips
+        | _ -> ());
+        Atomic.set breaker_words.(s)
+          (match Breaker.state breakers.(s) with
+          | Breaker.Open _ -> 2
+          | Breaker.Closed { shed_writes = true; _ } -> 1
+          | _ -> 0)
+      end;
+      if spec.adapt then
+        ignore
+          (Adapt.Controller.observe controllers.(s)
+             {
+               Adapt.Controller.backlog = b;
+               p99 =
+                 Obs.Histo.percentile_of_counts
+                   (Obs.Histo.merged_suffix ".reclaim_latency")
+                   99.0;
+               stalled = false;
+             })
+    done;
+    peak_backlog := max !peak_backlog !total;
+    if tick mod spec.sweep_every = 0 then swept := !swept + K.expire_sweep c0 ~now:tick
   in
-  sample ();
-  Atomic.set stop true;
-  List.iter Domain.join domains;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let total_ops = Array.fold_left ( + ) 0 ops in
+  let h =
+    Harness.run ~name:("kv " ^ scheme_name) ~threads:spec.threads ~duration:spec.duration
+      ~sample:(0.002, sample) worker
+  in
   let now = K.now t in
   let violations =
     if validate then begin
@@ -398,9 +382,9 @@ let run_one ?(spec = default_spec) ?(validate = false)
   {
     r_scheme = scheme_name;
     r_spec = spec;
-    r_ops = total_ops;
-    r_elapsed = elapsed;
-    r_mops = Repro_util.Stats.throughput_mops ~ops:total_ops ~seconds:elapsed;
+    r_ops = h.ops;
+    r_elapsed = h.elapsed;
+    r_mops = h.mops;
     r_hit_rate =
       (let h = counters.Kv_intf.gets_hit and m = counters.Kv_intf.gets_miss in
        if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m));
@@ -413,7 +397,7 @@ let run_one ?(spec = default_spec) ?(validate = false)
     r_peak_backlog = !peak_backlog;
     r_shard_peak_backlog = shard_peaks;
     r_leaked = leaked;
-    r_failures = Atomic.get failures;
+    r_failures = Harness.total h.errors;
     r_timed_out = Array.fold_left ( + ) 0 timed_out;
     r_retried_ok = Array.fold_left ( + ) 0 retried_ok;
     r_retries = Array.fold_left ( + ) 0 retries_issued;

@@ -11,12 +11,14 @@
     the deterministic atomic-op profiles of the three lock-free cores
     instantiated over {!Sched.Counting}.
 
-    The harness here is deliberately smaller than {!Driver}: cells are
-    short (fractions of a second) and uniform across structure kinds,
-    so one probe record covers stacks, queues and sets. Telemetry is
-    reset between cells, which is what makes per-cell histogram
-    attribution correct — every [smr.*] histogram alive after a cell
-    belongs to that cell's scheme. *)
+    Every cell runs on {!Harness}, like every other wall-clock
+    experiment; one probe record covers stacks, queues, sets and KV
+    services. A worker death is tallied by kind under its cell key
+    [scheme/structure/threads] and returned next to the summary, so
+    the perf commands exit 1 instead of recording a short cell.
+    Telemetry is reset between cells, which is what makes per-cell
+    histogram attribution correct — every [smr.*] histogram alive
+    after a cell belongs to that cell's scheme. *)
 
 let default_threads = [ 1; 2; 4 ]
 let default_duration = 0.2
@@ -30,23 +32,13 @@ let git_sha () =
     if sha = "" then "unknown" else sha
   with _ -> "unknown"
 
-(* Merge every histogram whose name ends in [suffix] (e.g. all
-   [smr.<scheme>.reclaim_latency] rings — an RC cell populates its
-   underlying scheme's) and take quantiles of the merged counts. *)
-let quantiles_of_suffix suffix =
-  let acc = Array.make Obs.Histo.buckets 0 in
-  List.iter
-    (fun h ->
-      if String.ends_with ~suffix (Obs.Histo.name h) then
-        Array.iteri (fun i c -> acc.(i) <- acc.(i) + c) (Obs.Histo.merged h))
-    (Obs.Histo.dump ());
-  Obs.Perf.quantiles_of_counts acc
+let quantiles_of_suffix suffix = Obs.Perf.quantiles_of_counts (Obs.Histo.merged_suffix suffix)
 
-(* What [measure] needs to know about a structure: how a worker loops,
-   and how the coordinator observes memory. [p_finish] tears down and
-   returns the block count left live — the leak figure. *)
+(* What [measure] needs to know about a structure: its {!Harness}
+   worker, and how the coordinator observes memory. [p_finish] tears
+   down and returns the block count left live — the leak figure. *)
 type probe = {
-  p_worker : int -> (unit -> bool) -> int;
+  p_worker : int -> (int -> bool) -> unit;
   p_live : unit -> int;
   p_backlog : unit -> int;
   p_finish : unit -> int;
@@ -57,56 +49,41 @@ let measure ~scheme ~structure ~threads ~duration (probe : probe) =
   Obs.Metrics.set_enabled true;
   (* Reclaim-latency sampling rides [Trace.should_sample]. *)
   Obs.Trace.set_enabled true;
-  let stop = Atomic.make false in
-  let running () = not (Atomic.get stop) in
-  let ops = Array.make threads 0 in
-  let domains =
-    List.init threads (fun i -> Domain.spawn (fun () -> ops.(i) <- probe.p_worker (i + 1) running))
-  in
   let peak_live = ref 0 in
   let peak_backlog = ref 0 in
   let observe () =
     peak_live := max !peak_live (probe.p_live ());
     peak_backlog := max !peak_backlog (probe.p_backlog ())
   in
-  let t0 = Unix.gettimeofday () in
-  let deadline = t0 +. duration in
-  let rec sample () =
-    let now = Unix.gettimeofday () in
-    if now < deadline then begin
-      observe ();
-      Unix.sleepf (min 0.002 (deadline -. now));
-      sample ()
-    end
+  let h =
+    Harness.run
+      ~name:(Harness.cell_name scheme structure threads)
+      ~threads ~duration
+      ~sample:(0.002, fun ~elapsed:_ ~ops:_ -> observe ())
+      probe.p_worker
   in
-  sample ();
-  Atomic.set stop true;
-  List.iter Domain.join domains;
-  let elapsed = Unix.gettimeofday () -. t0 in
   observe ();
   let leaked = probe.p_finish () in
-  let total = Array.fold_left ( + ) 0 ops in
   let reclaim = quantiles_of_suffix ".reclaim_latency" in
   let eject = quantiles_of_suffix ".eject.batch_size" in
   Obs.Metrics.set_enabled false;
   Obs.Trace.set_enabled false;
-  {
-    Obs.Perf.c_scheme = scheme;
-    c_structure = structure;
-    c_threads = threads;
-    c_ops = total;
-    c_mops = Repro_util.Stats.throughput_mops ~ops:total ~seconds:elapsed;
-    c_reclaim = reclaim;
-    c_eject_batch = eject;
-    c_peak_live = !peak_live;
-    c_peak_backlog = !peak_backlog;
-    c_leaked = leaked;
-  }
+  ( {
+      Obs.Perf.c_scheme = scheme;
+      c_structure = structure;
+      c_threads = threads;
+      c_ops = h.ops;
+      c_mops = h.mops;
+      c_reclaim = reclaim;
+      c_eject_batch = eject;
+      c_peak_live = !peak_live;
+      c_peak_backlog = !peak_backlog;
+      c_leaked = leaked;
+    },
+    h.errors )
 
-(* Workers batch 64 operations between stop-flag checks, like
-   [Driver]. Worker exceptions end that worker's run with the ops it
-   completed — cells measure throughput, not safety (the fault and
-   lincheck harnesses own that). *)
+(* Workers batch 64 operations between [continue] checks, like
+   [Driver]. *)
 
 let stack_cell ~threads ~duration ~scale (module St : Instances.STACK) =
   let s = St.create ~max_threads:(threads + 1) () in
@@ -118,20 +95,17 @@ let stack_cell ~threads ~duration ~scale (module St : Instances.STACK) =
   let probe =
     {
       p_worker =
-        (fun pid running ->
+        (fun pid continue ->
           let c = St.ctx s pid in
           let rng = Repro_util.Rng.create ~seed:(7919 * pid) in
           let n = ref 0 in
-          (try
-             while running () do
-               for _ = 1 to 64 do
-                 if Repro_util.Rng.bool rng then St.push c !n else ignore (St.pop c)
-               done;
-               n := !n + 64
-             done;
-             St.flush c
-           with _ -> ());
-          !n);
+          while continue !n do
+            for _ = 1 to 64 do
+              if Repro_util.Rng.bool rng then St.push c !n else ignore (St.pop c)
+            done;
+            n := !n + 64
+          done;
+          St.flush c);
       p_live = (fun () -> St.live_objects s);
       p_backlog = (fun () -> St.retired_backlog s);
       p_finish =
@@ -142,6 +116,19 @@ let stack_cell ~threads ~duration ~scale (module St : Instances.STACK) =
   in
   measure ~scheme:St.name ~structure:"stack" ~threads ~duration probe
 
+(* The Fig 12 kernel, shared with [Experiments.run_fig12]: pop an
+   element and push it straight back, 64 operations a batch. *)
+let pop_push (type q) (module Q : Ds.Queue_intf.S with type t = q) (q : q) pid continue =
+  let c = Q.ctx q pid in
+  let n = ref 0 in
+  while continue !n do
+    for _ = 1 to 32 do
+      match Q.dequeue c with Some v -> Q.enqueue c v | None -> ()
+    done;
+    n := !n + 64
+  done;
+  Q.flush c
+
 let queue_cell ~threads ~duration ~scale (module Q : Ds.Queue_intf.S) =
   let q = Q.create ~max_threads:(threads + 1) () in
   let c0 = Q.ctx q 0 in
@@ -151,21 +138,7 @@ let queue_cell ~threads ~duration ~scale (module Q : Ds.Queue_intf.S) =
   Q.flush c0;
   let probe =
     {
-      p_worker =
-        (fun pid running ->
-          let c = Q.ctx q pid in
-          let n = ref 0 in
-          (try
-             while running () do
-               for _ = 1 to 32 do
-                 (match Q.dequeue c with Some v -> Q.enqueue c v | None -> ());
-                 incr n;
-                 incr n
-               done
-             done;
-             Q.flush c
-           with _ -> ());
-          !n);
+      p_worker = pop_push (module Q) q;
       p_live = (fun () -> Q.live_objects q);
       p_backlog = (fun () -> Q.retired_backlog q);
       p_finish =
@@ -190,26 +163,23 @@ let hash_cell ~threads ~duration ~scale (module D : Ds.Set_intf.S) =
   let probe =
     {
       p_worker =
-        (fun pid running ->
+        (fun pid continue ->
           let c = D.ctx d pid in
           let rng = Repro_util.Rng.create ~seed:(7919 * pid) in
           let n = ref 0 in
-          (try
-             while running () do
-               for _ = 1 to 64 do
-                 let r = Repro_util.Rng.int rng 100 in
-                 let key = Repro_util.Rng.int rng scale in
-                 (* 50% updates keep the retire pipeline busy so the
-                    latency histograms have substance at smoke scale. *)
-                 if r < 25 then ignore (D.insert c key)
-                 else if r < 50 then ignore (D.remove c key)
-                 else ignore (D.contains c key)
-               done;
-               n := !n + 64
-             done;
-             D.flush c
-           with _ -> ());
-          !n);
+          while continue !n do
+            for _ = 1 to 64 do
+              let r = Repro_util.Rng.int rng 100 in
+              let key = Repro_util.Rng.int rng scale in
+              (* 50% updates keep the retire pipeline busy so the
+                 latency histograms have substance at smoke scale. *)
+              if r < 25 then ignore (D.insert c key)
+              else if r < 50 then ignore (D.remove c key)
+              else ignore (D.contains c key)
+            done;
+            n := !n + 64
+          done;
+          D.flush c);
       p_live = (fun () -> D.live_objects d);
       p_backlog = (fun () -> D.retired_backlog d);
       p_finish =
@@ -238,30 +208,27 @@ let kv_cell ~threads ~duration ~scale ~structure ~read_pct
   let probe =
     {
       p_worker =
-        (fun pid running ->
+        (fun pid continue ->
           let c = K.ctx t pid in
           let kg =
             Keygen.create ~seed:(7919 * pid) ~range:scale (Keygen.Zipfian { theta = 0.99 })
           in
           let rng = Repro_util.Rng.create ~seed:(104729 * pid) in
           let n = ref 0 in
-          (try
-             while running () do
-               let now = K.now t in
-               for _ = 1 to 64 do
-                 let key = Keygen.next kg in
-                 let r = Repro_util.Rng.int rng 100 in
-                 if r < read_pct then ignore (K.get c ~now key)
-                 else if r mod 5 = 0 then ignore (K.remove c ~now key)
-                 else
-                   let ttl = if r land 3 = 0 then Some 64 else None in
-                   ignore (K.put c ~now ?ttl key r)
-               done;
-               n := !n + 64
-             done;
-             K.flush c
-           with _ -> ());
-          !n);
+          while continue !n do
+            let now = K.now t in
+            for _ = 1 to 64 do
+              let key = Keygen.next kg in
+              let r = Repro_util.Rng.int rng 100 in
+              if r < read_pct then ignore (K.get c ~now key)
+              else if r mod 5 = 0 then ignore (K.remove c ~now key)
+              else
+                let ttl = if r land 3 = 0 then Some 64 else None in
+                ignore (K.put c ~now ?ttl key r)
+            done;
+            n := !n + 64
+          done;
+          K.flush c);
       p_live =
         (fun () ->
           ignore (K.tick t);
@@ -356,10 +323,10 @@ let atomic_profiles () =
 (* ---------------- the matrix ---------------- *)
 
 let run ?(label = "perf") ?(threads = default_threads) ?(duration = default_duration)
-    ?(scale = default_scale) ?(log = fun (_ : string) -> ()) () : Obs.Perf.summary =
+    ?(scale = default_scale) ?(log = fun (_ : string) -> ()) () =
   let metrics_were = Obs.Metrics.enabled () in
   let trace_were = Obs.Trace.enabled () in
-  let cells =
+  let measured =
     List.concat_map
       (fun p ->
         log (Printf.sprintf "P=%d: %d stacks" p (List.length Instances.stacks));
@@ -386,19 +353,27 @@ let run ?(label = "perf") ?(threads = default_threads) ?(duration = default_dura
   Obs.Report.reset_all ();
   Obs.Metrics.set_enabled metrics_were;
   Obs.Trace.set_enabled trace_were;
-  {
-    Obs.Perf.s_meta =
-      {
-        Obs.Perf.m_label = label;
-        m_git_sha = git_sha ();
-        m_host_domains = Domain.recommended_domain_count ();
-        m_duration = duration;
-        m_threads = threads;
-        m_scale = scale;
-      };
-    s_cells = cells;
-    s_atomics = atomic_profiles ();
-  }
+  let summary =
+    {
+      Obs.Perf.s_meta =
+        {
+          Obs.Perf.m_label = label;
+          m_git_sha = git_sha ();
+          m_host_domains = Domain.recommended_domain_count ();
+          m_duration = duration;
+          m_threads = threads;
+          m_scale = scale;
+        };
+      s_cells = List.map fst measured;
+      s_atomics = atomic_profiles ();
+    }
+  in
+  let failures =
+    List.map
+      (fun ((c : Obs.Perf.cell), errors) -> (Harness.cell_name c.c_scheme c.c_structure c.c_threads, errors))
+      measured
+  in
+  (summary, failures)
 
 (* Scheme coverage a full-matrix run must achieve — the 7 reclamation
    schemes of the evaluation (§5 plus our HE/PTB/None extensions). *)

@@ -113,6 +113,25 @@ let test_quantiles_match_histo () =
   let empty = P.quantiles_of_counts (Array.make Obs.Histo.buckets 0) in
   Alcotest.(check int) "empty count" 0 empty.P.q_count
 
+(* [merged_suffix] sums exactly the rings whose name ends in the
+   suffix. *)
+let test_merged_suffix () =
+  Obs.Report.reset_all ();
+  Obs.Metrics.set_enabled true;
+  let a = Obs.Histo.histo "test.a.merge_lat" in
+  let b = Obs.Histo.histo "test.b.merge_lat" in
+  let other = Obs.Histo.histo "test.merge_lat.other" in
+  Obs.Histo.observe a ~pid:0 3;
+  Obs.Histo.observe b ~pid:1 3;
+  Obs.Histo.observe b ~pid:0 1000;
+  Obs.Histo.observe other ~pid:0 5;
+  let counts = Obs.Histo.merged_suffix ".merge_lat" in
+  Obs.Metrics.set_enabled false;
+  Obs.Report.reset_all ();
+  Alcotest.(check int) "total" 3 (Array.fold_left ( + ) 0 counts);
+  Alcotest.(check int) "both 3s in one bucket" 2 counts.(Obs.Histo.bucket_of 3);
+  Alcotest.(check int) "1000 counted" 1 counts.(Obs.Histo.bucket_of 1000)
+
 (* ---------------- validate ---------------- *)
 
 let contains s sub =
@@ -282,7 +301,10 @@ let () =
           Alcotest.test_case "missing file" `Quick test_load_file_missing;
         ] );
       ( "quantiles",
-        [ Alcotest.test_case "agree with Histo" `Quick test_quantiles_match_histo ] );
+        [
+          Alcotest.test_case "agree with Histo" `Quick test_quantiles_match_histo;
+          Alcotest.test_case "merged by suffix" `Quick test_merged_suffix;
+        ] );
       ("validate", [ Alcotest.test_case "schema sanity" `Quick test_validate ]);
       ( "gate",
         [

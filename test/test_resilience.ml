@@ -156,7 +156,7 @@ let chaos_spec =
 let chaos_replays_bit_identically () =
   let scheme =
     match Workload.Chaos_runner.find_schemes [ "EBR" ] with
-    | [ s ] -> s
+    | Ok [ s ] -> s
     | _ -> Alcotest.fail "EBR scheme not found"
   in
   let a = Workload.Chaos_runner.run_campaign ~spec:chaos_spec scheme in
@@ -172,7 +172,7 @@ let chaos_replays_bit_identically () =
 let chaos_seed_changes_schedule () =
   let scheme =
     match Workload.Chaos_runner.find_schemes [ "EBR" ] with
-    | [ s ] -> s
+    | Ok [ s ] -> s
     | _ -> Alcotest.fail "EBR scheme not found"
   in
   let a = Workload.Chaos_runner.run_campaign ~spec:chaos_spec scheme in

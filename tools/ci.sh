@@ -24,6 +24,26 @@ if dune exec tools/rc_lint/rc_lint.exe -- test/lint_fixtures >/dev/null; then
   exit 1
 fi
 
+echo "== single harness =="
+# Every timed multi-domain run goes through Workload.Harness (DESIGN.md
+# §1): no other file spawns worker domains, no workload code swallows
+# an exception, and an unknown scheme name fails the command instead
+# of shrinking it to an empty table (inverted gate).
+spawners=$(grep -rln 'Domain.spawn' lib bin)
+if [ "$spawners" != "lib/workload/harness.ml" ]; then
+  echo "error: Domain.spawn outside lib/workload/harness.ml:" >&2
+  echo "$spawners" >&2
+  exit 1
+fi
+if grep -rn 'with _ -> ()' lib/workload; then
+  echo "error: lib/workload swallows an exception" >&2
+  exit 1
+fi
+if dune exec bin/cdrc_bench.exe -- fig12 --schemes Bogus >/dev/null 2>&1; then
+  echo "error: fig12 accepted an unknown scheme name" >&2
+  exit 1
+fi
+
 echo "== robustness smoke (EBR, 0.2s) =="
 dune exec bin/cdrc_bench.exe -- robustness --duration 0.2 --schemes EBR --out ""
 
