@@ -9,10 +9,17 @@
     - {e strong}: [shared] / [atomic shared (Asp)] / [snapshot]
     - {e weak}: [weak] / [atomic weak (Awp)] / [weak_snapshot]
 
-    The conversion instantiates up to three acquire–retire instances of
-    [S] — for deferred strong decrements, deferred weak decrements, and
-    deferred disposals (Fig 8) — so that reads can protect a reference
-    count (or a disposal) instead of incrementing it.
+    The conversion instantiates one acquire–retire instance of [S] and
+    retires all three deferred kinds into it — strong decrements, weak
+    decrements and disposals — so that reads can protect a reference
+    count (or a disposal) instead of incrementing it. Fig 8 uses three
+    instances because a C++ [eject] hands back a bare pointer and the
+    instance says which operation to apply; a {!Smr.Deferred.t} closure
+    already carries its operation, so one instance suffices. Every
+    deferred operation on a control block is retired under the identity
+    that all guards on the block announce, so merging the instances
+    only adds guards that hold it back: it can run later than under
+    Fig 8, never earlier (DESIGN.md S8).
 
     OCaml-specific API shape (DESIGN.md S5/S6): pointers are linear
     values with explicit [drop] instead of destructors; atomic pointer
@@ -54,17 +61,13 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   type 'a control_block = {
     cell : 'a Cell.t; (* value (None once disposed) + strong/weak counters *)
-    birth_strong : int;
-    birth_weak : int;
-    birth_dispose : int;
+    birth : int;
     block : Simheap.block;
     destroy : int -> 'a -> unit; (* user hook, pid of executing thread *)
   }
 
   type rt = {
-    strong_ar : S.t;
-    weak_ar : S.t;
-    dispose_ar : S.t;
+    ar : S.t; (* the one acquire–retire instance *)
     support_weak : bool;
     heap : Simheap.t;
     pending : Smr.Deferred.t Queue.t array; (* per-pid, owner-thread only *)
@@ -74,7 +77,7 @@ module Make (S : Smr.Smr_intf.S) = struct
        paths, per thread — the mechanism behind the paper's Fig 11. *)
     snap_fast : int Repro_util.Padded.t;
     snap_slow : int Repro_util.Padded.t;
-    wd : Obs.Watchdog.t; (* reclamation-progress watchdog over strong_ar *)
+    wd : Obs.Watchdog.t; (* reclamation-progress watchdog over [ar] *)
   }
 
   type thr = { rt : rt; pid : int }
@@ -84,11 +87,8 @@ module Make (S : Smr.Smr_intf.S) = struct
     let heap =
       match heap with Some h -> h | None -> Simheap.create ~name:("rc-" ^ S.name) ()
     in
-    let mk () = S.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () in
     {
-      strong_ar = mk ();
-      weak_ar = mk ();
-      dispose_ar = mk ();
+      ar = S.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads ();
       support_weak;
       heap;
       pending = Array.init max_threads (fun _ -> Queue.create ());
@@ -146,9 +146,18 @@ module Make (S : Smr.Smr_intf.S) = struct
     Cell.clear cb.cell;
     Simheap.free cb.block
 
+  (* Defer [op] on [cb] until no guard taken before this call protects
+     it, counting it under its kind's [counter]. All three kinds share
+     the one instance [ar]. *)
+  let delayed rt ~pid counter cb op =
+    Obs.Metrics.incr counter ~pid;
+    S.retire rt.ar ~pid (Ident.of_val cb) ~birth:cb.birth op;
+    enqueue_all rt ~pid (S.eject rt.ar ~pid)
+
   let rec decrement rt ~pid cb =
     if Cell.strong_decrement cb.cell then
-      if rt.support_weak then delayed_dispose rt ~pid cb
+      if rt.support_weak then
+        delayed rt ~pid dispose_deferred_c cb (fun epid -> dispose rt ~pid:epid cb)
       else
         (* Strong-only mode: no weak snapshot can observe the object, so
            dispose as soon as the count dies — via the queue, so that a
@@ -163,23 +172,11 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   and weak_decrement rt ~pid:_ cb = if Cell.weak_decrement cb.cell then free_cb rt cb
 
-  and delayed_decrement rt ~pid cb =
-    Obs.Metrics.incr dec_deferred_c ~pid;
-    S.retire rt.strong_ar ~pid (Ident.of_val cb) ~birth:cb.birth_strong (fun epid ->
-        decrement rt ~pid:epid cb);
-    enqueue_all rt ~pid (S.eject rt.strong_ar ~pid)
+  let delayed_decrement rt ~pid cb =
+    delayed rt ~pid dec_deferred_c cb (fun epid -> decrement rt ~pid:epid cb)
 
-  and delayed_weak_decrement rt ~pid cb =
-    Obs.Metrics.incr weak_dec_deferred_c ~pid;
-    S.retire rt.weak_ar ~pid (Ident.of_val cb) ~birth:cb.birth_weak (fun epid ->
-        weak_decrement rt ~pid:epid cb);
-    enqueue_all rt ~pid (S.eject rt.weak_ar ~pid)
-
-  and delayed_dispose rt ~pid cb =
-    Obs.Metrics.incr dispose_deferred_c ~pid;
-    S.retire rt.dispose_ar ~pid (Ident.of_val cb) ~birth:cb.birth_dispose (fun epid ->
-        dispose rt ~pid:epid cb);
-    enqueue_all rt ~pid (S.eject rt.dispose_ar ~pid)
+  let delayed_weak_decrement rt ~pid cb =
+    delayed rt ~pid weak_dec_deferred_c cb (fun epid -> weak_decrement rt ~pid:epid cb)
 
   (* ------------------------------------------------------------------ *)
   (* Slots: the value stored in atomic shared/weak pointer cells.
@@ -304,19 +301,8 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Critical sections (§3.4) *)
 
-  let begin_critical_section (t : thr) =
-    S.begin_critical_section t.rt.strong_ar ~pid:t.pid;
-    if t.rt.support_weak then begin
-      S.begin_critical_section t.rt.weak_ar ~pid:t.pid;
-      S.begin_critical_section t.rt.dispose_ar ~pid:t.pid
-    end
-
-  let end_critical_section (t : thr) =
-    S.end_critical_section t.rt.strong_ar ~pid:t.pid;
-    if t.rt.support_weak then begin
-      S.end_critical_section t.rt.weak_ar ~pid:t.pid;
-      S.end_critical_section t.rt.dispose_ar ~pid:t.pid
-    end
+  let begin_critical_section (t : thr) = S.begin_critical_section t.rt.ar ~pid:t.pid
+  let end_critical_section (t : thr) = S.end_critical_section t.rt.ar ~pid:t.pid
 
   let critically (t : thr) f =
     begin_critical_section t;
@@ -365,10 +351,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       let cb =
         {
           cell = Cell.make v;
-          birth_strong = S.alloc_hook rt.strong_ar ~pid:t.pid;
-          birth_weak = (if rt.support_weak then S.alloc_hook rt.weak_ar ~pid:t.pid else 0);
-          birth_dispose =
-            (if rt.support_weak then S.alloc_hook rt.dispose_ar ~pid:t.pid else 0);
+          birth = S.alloc_hook rt.ar ~pid:t.pid;
           block = Simheap.alloc rt.heap;
           destroy;
         }
@@ -474,7 +457,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       check_owner p.n_live "snapshot";
       p.n_live <- false;
       (match (p.n_guard, p.n_cb) with
-      | Some g, _ -> S.release t.rt.strong_ar ~pid:t.pid g
+      | Some g, _ -> S.release t.rt.ar ~pid:t.pid g
       | None, Some cb -> decrement t.rt ~pid:t.pid cb
       | None, None -> ());
       drain t.rt ~pid:t.pid
@@ -513,7 +496,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     (* Fig 8 load_and_increment *)
     let load (t : thr) (c : 'a t) : 'a shared =
-      let v, g = protect_load t.rt.strong_ar ~pid:t.pid c.asp in
+      let v, g = protect_load t.rt.ar ~pid:t.pid c.asp in
       let res =
         match cb_of v with
         | None -> Shared.null ()
@@ -521,7 +504,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             must_increment cb;
             { s_cb = Some cb; s_live = true }
       in
-      S.release t.rt.strong_ar ~pid:t.pid g;
+      S.release t.rt.ar ~pid:t.pid g;
       res
 
     let store (t : thr) (c : 'a t) (desired : 'a ptr) =
@@ -567,26 +550,26 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     (* Fig 5 get_snapshot *)
     let get_snapshot (t : thr) (c : 'a t) : 'a snapshot =
-      match try_protect_load t.rt.strong_ar ~pid:t.pid c.asp with
+      match try_protect_load t.rt.ar ~pid:t.pid c.asp with
       | Some (v, g) -> (
           bump t.rt.snap_fast snap_fast_c t;
           match cb_of v with
           | None ->
-              S.release t.rt.strong_ar ~pid:t.pid g;
+              S.release t.rt.ar ~pid:t.pid g;
               { n_cb = None; n_guard = None; n_tag = slot_tag v; n_live = true }
           | Some cb -> { n_cb = Some cb; n_guard = Some g; n_tag = slot_tag v; n_live = true })
       | None -> (
           (* Slow path: protect with the reserved slot, take a real
              count, release the slot (Fig 5 lines 8–11). *)
           bump t.rt.snap_slow snap_slow_c t;
-          let v, g = protect_load t.rt.strong_ar ~pid:t.pid c.asp in
+          let v, g = protect_load t.rt.ar ~pid:t.pid c.asp in
           match cb_of v with
           | None ->
-              S.release t.rt.strong_ar ~pid:t.pid g;
+              S.release t.rt.ar ~pid:t.pid g;
               { n_cb = None; n_guard = None; n_tag = slot_tag v; n_live = true }
           | Some cb ->
               must_increment cb;
-              S.release t.rt.strong_ar ~pid:t.pid g;
+              S.release t.rt.ar ~pid:t.pid g;
               { n_cb = Some cb; n_guard = None; n_tag = slot_tag v; n_live = true })
 
     (** Scoped snapshot: dropped when [f] returns or raises. *)
@@ -731,7 +714,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       check_owner p.ws_live "weak_snapshot";
       p.ws_live <- false;
       (match (p.ws_guard, p.ws_cb) with
-      | Some g, _ -> S.release t.rt.dispose_ar ~pid:t.pid g
+      | Some g, _ -> S.release t.rt.ar ~pid:t.pid g
       | None, Some cb -> decrement t.rt ~pid:t.pid cb
       | None, None -> ());
       drain t.rt ~pid:t.pid
@@ -766,7 +749,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     (* Fig 9 load *)
     let load (t : thr) (c : 'a t) : 'a weak =
       require_weak t.rt;
-      let v, g = protect_load t.rt.weak_ar ~pid:t.pid c.awp in
+      let v, g = protect_load t.rt.ar ~pid:t.pid c.awp in
       let res =
         match cb_of v with
         | None -> Weak.null ()
@@ -774,7 +757,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             weak_increment cb;
             { w_cb = Some cb; w_live = true }
       in
-      S.release t.rt.weak_ar ~pid:t.pid g;
+      S.release t.rt.ar ~pid:t.pid g;
       res
 
     (* Fig 9 compare_and_swap. [desired] must be backed by an owned
@@ -806,20 +789,20 @@ module Make (S : Smr.Smr_intf.S) = struct
       let rt = t.rt in
       let pid = t.pid in
       let rec retry () =
-        let v, wg = protect_load rt.weak_ar ~pid c.awp in
+        let v, wg = protect_load rt.ar ~pid c.awp in
         match cb_of v with
         | None ->
-            S.release rt.weak_ar ~pid wg;
+            S.release rt.ar ~pid wg;
             { ws_cb = None; ws_guard = None; ws_tag = slot_tag v; ws_live = true }
         | Some cb -> (
             let id = Ident.of_val cb in
-            let dg = S.try_acquire rt.dispose_ar ~pid id in
+            let dg = S.try_acquire rt.ar ~pid id in
             let alive =
               match dg with
               | Some g ->
                   (* For IBR/HE the dispose-side interval must be
                      re-stabilized before trusting the liveness read. *)
-                  settle_guard rt.dispose_ar ~pid g id;
+                  settle_guard rt.ar ~pid g id;
                   not (expired cb)
               | None ->
                   (* Fig 9 line 26: out of dispose guards — fall back to
@@ -827,7 +810,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                   Cell.try_upgrade cb.cell
             in
             if alive then begin
-              S.release rt.weak_ar ~pid wg;
+              S.release rt.ar ~pid wg;
               {
                 ws_cb = Some cb;
                 ws_guard = dg;
@@ -836,8 +819,8 @@ module Make (S : Smr.Smr_intf.S) = struct
               }
             end
             else begin
-              (match dg with Some g -> S.release rt.dispose_ar ~pid g | None -> ());
-              S.release rt.weak_ar ~pid wg;
+              (match dg with Some g -> S.release rt.ar ~pid g | None -> ());
+              S.release rt.ar ~pid wg;
               (* Fig 9 lines 34–35: only linearizable to return null if
                  the cell still holds the expired pointer. *)
               if slot_eq (Atomic.get c.awp) v then
@@ -864,19 +847,28 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Maintenance *)
 
-  (** Apply every deferred operation that is currently safe (plus the
-      cascades it triggers). Benchmarks call this between phases. *)
+  (** Apply every deferred operation that is currently safe, plus the
+      cascades it triggers. A disposal retires its node's outgoing
+      decrements, which may make the next node's disposal due, so
+      [flush] ejects and drains until the scheme yields nothing: a
+      dequeued chain is reclaimed in one call, not one node per call.
+      Only [flush] rescans; a rescan after every drain would cost the
+      protected-pointer schemes their tail latency. Benchmarks call
+      this between phases. *)
   let flush (t : thr) =
     let rt = t.rt in
     let pid = t.pid in
-    enqueue_all rt ~pid (S.eject ~force:true rt.strong_ar ~pid);
-    if rt.support_weak then begin
-      enqueue_all rt ~pid (S.eject ~force:true rt.weak_ar ~pid);
-      enqueue_all rt ~pid (S.eject ~force:true rt.dispose_ar ~pid)
-    end;
-    drain rt ~pid
+    let rec go () =
+      match S.eject ~force:true rt.ar ~pid with
+      | [] -> drain rt ~pid
+      | ops ->
+          enqueue_all rt ~pid ops;
+          drain rt ~pid;
+          go ()
+    in
+    go ()
 
-  (** Teardown at quiescence: repeatedly drain every acquire–retire
+  (** Teardown at quiescence: repeatedly drain the acquire–retire
       instance and every pending queue until nothing remains. After
       [quiesce], every unreachable object has been reclaimed; with no
       strong cycles, [Simheap.live rt.heap] counts exactly the objects
@@ -885,9 +877,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let progress = ref true in
     while !progress do
       progress := false;
-      let ops =
-        S.drain_all rt.strong_ar @ S.drain_all rt.weak_ar @ S.drain_all rt.dispose_ar
-      in
+      let ops = S.drain_all rt.ar in
       if ops <> [] then progress := true;
       List.iter (fun op -> op 0) ops;
       Array.iteri
@@ -910,47 +900,38 @@ module Make (S : Smr.Smr_intf.S) = struct
     ( Repro_util.Padded.fold ( + ) 0 rt.snap_fast,
       Repro_util.Padded.fold ( + ) 0 rt.snap_slow )
 
-  (** Deferred decrements/disposals currently parked across the three
-      acquire–retire instances. For Hyaline the per-pid count is
-      already global, so this overcounts by the thread count there —
-      fine for the backlog gauge it feeds, which tracks trend, not an
-      exact census. *)
+  (** Deferred decrements and disposals of all three kinds currently
+      parked in the acquire–retire instance. For Hyaline the per-pid
+      count is already global, so this overcounts by the thread count
+      there — fine for the backlog gauge it feeds, which tracks trend,
+      not an exact census. *)
   let retired_backlog rt =
-    let sum ar =
-      let acc = ref 0 in
-      for pid = 0 to rt.nthreads - 1 do
-        acc := !acc + S.retired_count ar ~pid
-      done;
-      !acc
-    in
-    sum rt.strong_ar + sum rt.weak_ar + sum rt.dispose_ar
+    let acc = ref 0 in
+    for pid = 0 to rt.nthreads - 1 do
+      acc := !acc + S.retired_count rt.ar ~pid
+    done;
+    !acc
 
-  (** CONTROLLABLE surface: one knob handle per underlying scheme
-      instance (strong / weak / dispose — the latter two exist even
-      under [~support_weak:false] but then never accumulate). The
-      adaptive controller tunes all of them in lockstep. *)
+  (** CONTROLLABLE surface: the one knob handle of the runtime's
+      acquire–retire instance, which every deferred kind shares. *)
   let control rt =
-    let h role ar =
+    [
       {
-        Smr.Knobs.h_scheme = scheme_name ^ "." ^ role;
-        h_knobs = S.knobs ar;
-        h_force_advance = (fun () -> S.force_advance ar);
-      }
-    in
-    [ h "strong" rt.strong_ar; h "weak" rt.weak_ar; h "dispose" rt.dispose_ar ]
+        Smr.Knobs.h_scheme = scheme_name;
+        h_knobs = S.knobs rt.ar;
+        h_force_advance = (fun () -> S.force_advance rt.ar);
+      };
+    ]
 
-  (** Crash/stall recovery across all three acquire–retire instances:
-      the abandoned pid's critical sections close, its announcement
-      slots clear, and its parked deferred operations land in the
-      shared orphan pools for survivor adoption — so one stalled
+  (** Crash/stall recovery on the acquire–retire instance: the
+      abandoned pid's critical section closes, its announcement slots
+      clear, and its parked deferred operations of all three kinds land
+      in the shared orphan pool for survivor adoption — so one stalled
       thread cannot pin the whole runtime's backlog. *)
-  let abandon rt ~pid =
-    S.abandon rt.strong_ar ~pid;
-    S.abandon rt.weak_ar ~pid;
-    S.abandon rt.dispose_ar ~pid
+  let abandon rt ~pid = S.abandon rt.ar ~pid
 
   let watchdog_check rt =
-    match S.reclamation_frontier rt.strong_ar with
+    match S.reclamation_frontier rt.ar with
     | None -> None
     | Some frontier -> (
         let pending = retired_backlog rt in

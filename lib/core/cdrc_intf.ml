@@ -34,6 +34,11 @@ module type S = sig
   val end_critical_section : thr -> unit
   val critically : thr -> (unit -> 'r) -> 'r
   val flush : thr -> unit
+  (** Apply every deferred operation that is currently safe, plus the
+      cascades it triggers: eject and drain repeat until the scheme
+      yields nothing, so a chain of disposals (each releasing its
+      successor's count) is followed to its end in one call. *)
+
   val quiesce : rt -> unit
   val live_objects : rt -> int
   val peak_objects : rt -> int
@@ -43,8 +48,9 @@ module type S = sig
       snapshots) since creation — the Fig 11 fallback mechanism. *)
 
   val retired_backlog : rt -> int
-  (** Deferred decrements/disposals currently parked in the runtime's
-      acquire–retire instances, summed over all threads. *)
+  (** Deferred strong decrements, weak decrements and disposals
+      currently parked in the runtime's one acquire–retire instance,
+      summed over all threads. *)
 
   val watchdog_check : rt -> string option
   (** Sample the runtime's reclamation-progress watchdog: [Some verdict]
@@ -53,13 +59,13 @@ module type S = sig
       otherwise. *)
 
   val control : rt -> Smr.Knobs.handle list
-  (** CONTROLLABLE surface: one knob handle per underlying scheme
-      instance (strong / weak / dispose), for the adaptive
-      controller. *)
+  (** CONTROLLABLE surface for the adaptive controller: exactly one
+      knob handle, for the acquire–retire instance that every deferred
+      kind shares. *)
 
   val abandon : rt -> pid:int -> unit
-  (** Crash/stall recovery: release every resource [pid] holds in all
-      three underlying scheme instances — close its critical sections,
+  (** Crash/stall recovery: release every resource [pid] holds in the
+      runtime's acquire–retire instance — close its critical section,
       clear its announcement slots, and hand its retired-but-not-ejected
       entries to the survivors for adoption. Call it exactly once per
       dead thread, and only after that thread has truly stopped calling

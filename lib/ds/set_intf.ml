@@ -75,9 +75,10 @@ module type S = sig
 
   val control : t -> Smr.Knobs.handle list
   (** The structure's CONTROLLABLE surface: one knob handle per
-      underlying scheme instance (one for manual structures, three —
-      strong/weak/dispose — for RC ones). The driver's sampler hands
-      these to the adaptive controller when [--adapt] is on. *)
+      underlying scheme instance (one for manual and RC structures
+      alike — an RC runtime retires every deferred kind into one
+      instance). The driver's sampler hands these to the adaptive
+      controller when [--adapt] is on. *)
 
   val teardown : t -> unit
   (** Free every node and apply all deferred operations; afterwards

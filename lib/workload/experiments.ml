@@ -29,7 +29,8 @@ let set_experiments =
       title = "Fig 13a: Harris-Michael list, 10% updates / 90% lookups, 1K keys";
       expected =
         "region schemes > pointer schemes; RC versions close to manual but \
-         with higher memory (deferred decrements keep chains alive)";
+         with higher memory (between flushes a removed chain is reclaimed one \
+         link per eject round; flush reclaims it all)";
       structure = List_s;
       mix =
         (fun s ->

@@ -152,6 +152,8 @@ module RC_ebr = Cdrc.Make (Smr.Ebr)
 module RC_hp = Cdrc.Make (Smr.Hp)
 module RC_hyaline = Cdrc.Make (Smr.Hyaline)
 module RC_ibr = Cdrc.Make (Smr.Ibr)
+module RC_he = Cdrc.Make (Smr.Hazard_eras)
+module RC_ptb = Cdrc.Make (Smr.Ptb)
 
 module L_ebr = Ds.Hm_list_manual.Make (Smr.Ebr)
 module L_hp = Ds.Hm_list_manual.Make (Smr.Hp)
@@ -430,6 +432,93 @@ module Tests_q_locked =
       let label = "queue/locked"
     end)
 
+(* ---- retention: a queue at steady length keeps only its items ---- *)
+
+(* Each node's disposal releases its successor's count, so reclaiming
+   a dequeued run is a chain of deferred operations, one retire round
+   per link. [flush] must follow the chain to its end: with 64 items
+   queued, after every flush only the items and the head dummy may be
+   live, plus, in the weak queue, the dummy's weakly held predecessor
+   ([bound] 66 vs 65), and nothing may stay parked. *)
+let retention ~bound kind (module Q : Ds.Queue_intf.S) =
+  Alcotest.test_case (kind ^ "/" ^ Q.name ^ ": flush reclaims dequeued nodes") `Quick
+    (fun () ->
+      let q = Q.create ~max_threads:1 () in
+      let c = Q.ctx q 0 in
+      for i = 1 to 64 do
+        Q.enqueue c i
+      done;
+      for i = 1 to 10_000 do
+        Q.enqueue c (64 + i);
+        Alcotest.(check (option int)) "fifo" (Some i) (Q.dequeue c);
+        if i mod 1_000 = 0 then begin
+          Q.flush c;
+          Alcotest.(check int) (Printf.sprintf "backlog after %d pairs" i) 0
+            (Q.retired_backlog q);
+          let live = Q.live_objects q in
+          if live > bound then
+            Alcotest.failf "%d blocks live after %d pairs (bound %d)" live i bound
+        end
+      done;
+      Q.teardown q;
+      Alcotest.(check int) "leak free" 0 (Q.live_objects q))
+
+(* [Ms_queue_rc.create] takes optional knobs; fix them to fit
+   [Queue_intf.S]. *)
+module Ms_q (R : Cdrc.Intf.S) = struct
+  include Ds.Ms_queue_rc.Make (R)
+
+  let create ~max_threads () = create ~max_threads ()
+end
+
+let retention_tests =
+  List.map (retention ~bound:66 "queue")
+    [
+      (module Q_rc_ebr : Ds.Queue_intf.S);
+      (module Q_rc_hp);
+      (module Ds.Dl_queue_rc.Make (RC_ibr));
+      (module Ds.Dl_queue_rc.Make (RC_he));
+      (module Ds.Dl_queue_rc.Make (RC_ptb));
+      (module Q_rc_hyaline);
+    ]
+  @ List.map (retention ~bound:65 "ms-queue")
+      [
+        (module Ms_q (RC_ebr) : Ds.Queue_intf.S);
+        (module Ms_q (RC_hp));
+        (module Ms_q (RC_ibr));
+        (module Ms_q (RC_he));
+        (module Ms_q (RC_ptb));
+      ]
+
+(* The runtime's knob surface is one handle: the weak queue's three
+   deferred kinds share one acquire–retire instance, so turning on
+   [sync_scan] through it makes every retire scan, and under RCHP the
+   queue stays at its steady size without a flush. The one entry left
+   parked after a pair is the old head's decrement, retired while the
+   dequeue's own snapshot still guarded it; the next retire ejects it.
+   Without [sync_scan] the same loop retains thousands of nodes. *)
+let control_one_handle () =
+  let module Q = Q_rc_hp in
+  let q = Q.create ~max_threads:1 () in
+  let c = Q.ctx q 0 in
+  match RC_hp.control q.Q.rt with
+  | [ h ] ->
+      Alcotest.(check string) "handle names the runtime" "RCHP" h.Smr.Knobs.h_scheme;
+      Smr.Knobs.set_sync_scan h.Smr.Knobs.h_knobs true;
+      for i = 1 to 64 do
+        Q.enqueue c i
+      done;
+      for i = 1 to 2_000 do
+        Q.enqueue c (64 + i);
+        ignore (Q.dequeue c);
+        let b = Q.retired_backlog q and live = Q.live_objects q in
+        if b > 1 || live > 67 then
+          Alcotest.failf "backlog %d, %d blocks live after %d pairs with sync_scan on" b live i
+      done;
+      Q.teardown q;
+      Alcotest.(check int) "leak free" 0 (Q.live_objects q)
+  | hs -> Alcotest.failf "expected one knob handle, got %d" (List.length hs)
+
 let () =
   Alcotest.run "ds"
     [
@@ -452,4 +541,6 @@ let () =
       ("queue rc hyaline", Tests_q_rc_hyaline.tests);
       ("queue original", Tests_q_manual.tests);
       ("queue locked", Tests_q_locked.tests);
+      ("queue retention", retention_tests);
+      ("queue control", [ Alcotest.test_case "one knob handle" `Quick control_one_handle ]);
     ]

@@ -187,6 +187,28 @@ if [ -n "$baseline" ]; then
 fi
 rm -f results/BENCH_smoke.json
 
+echo "== queue retention (perfbench queue-weak, 3s) =="
+# The weak queue must reclaim what it dequeues: one acquire–retire
+# instance per RC runtime and a flush that drains cascades to a
+# fixpoint (DESIGN.md S8, §3) hold both schemes' peak near 3k blocks.
+# A runtime that reclaims a dequeued chain one node per flush retains
+# one block per enqueue–dequeue pair instead (33,060 on this workload).
+python3 perfbench/run.py --workload queue-weak --seed 1 --seconds 3 --trace 0 \
+  | tail -1 | python3 -c '
+import json, sys
+result = json.load(sys.stdin)
+metrics = result["metrics"]
+bad = [(k, metrics[k]["value"]) for k in ("rcebr_peak_blocks", "rchp_peak_blocks")
+       if metrics[k]["value"] > 4096]
+for k in ("rcebr_peak_blocks", "rchp_peak_blocks"):
+    print("queue-weak %s = %d (bound 4096)" % (k, metrics[k]["value"]))
+for k, v in bad:
+    print("error: queue-weak %s = %d exceeds 4096" % (k, v), file=sys.stderr)
+if not result["correct"]:
+    print("error: queue-weak returned a wrong result", file=sys.stderr)
+sys.exit(1 if bad or not result["correct"] else 0)
+'
+
 echo "== no committed result artifacts =="
 # Raw run output (traces, sweep logs, smoke summaries) is regenerable
 # and must not be versioned; the only committed perf artifacts are the
