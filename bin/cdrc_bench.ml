@@ -648,24 +648,12 @@ let explore_cmd =
             "Replay one schedule instead of exploring; TRACE is the printed fiber-index \
              list, e.g. '[0;1;1;0]' or '0,1,1,0'.")
   in
-  let sanitize_arg =
-    Arg.(
-      value & flag
-      & info [ "sanitize" ]
-          ~doc:
-            "Use the sanitized target registry (DESIGN.md §14): every explored schedule \
-             is checked by the happens-before race & pointer-lifetime monitor; \
-             violations name the two racing operations and print a replayable \
-             schedule.")
-  in
-  let run list sanitize target mode seed iters preemptions depth max_steps replay =
-    let registry = if sanitize then Explore.san_targets else Explore.targets in
-    let find = if sanitize then Explore.find_san else Explore.find in
+  let run list target mode seed iters preemptions depth max_steps replay =
     if list then begin
       List.iter
         (fun t ->
           Format.printf "%-26s %s@." t.Explore.t_name t.Explore.t_doc)
-        registry;
+        Explore.targets;
       exit 0
     end;
     match target with
@@ -673,10 +661,9 @@ let explore_cmd =
         Format.eprintf "explore: a TARGET is required (try --list)@.";
         exit 2
     | Some name -> (
-        match find name with
+        match Explore.find name with
         | None ->
-            Format.eprintf "explore: unknown target %S (try --list%s)@." name
-              (if sanitize then " --sanitize" else "");
+            Format.eprintf "explore: unknown target %S (try --list)@." name;
             exit 2
         | Some t ->
             let replay =
@@ -698,9 +685,10 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:
          "Deterministic schedule exploration of the lock-free cores (sticky counter, \
-          acquire-retire slots, CDRC weak upgrade); failures print a replayable schedule")
+          acquire-retire slots, CDRC weak upgrade), and of their san-* kernels under the \
+          race & lifetime sanitizer; failures print a replayable schedule")
     Term.(
-      const run $ list_arg $ sanitize_arg $ target_arg $ mode_arg $ seed_arg $ iters_arg
+      const run $ list_arg $ target_arg $ mode_arg $ seed_arg $ iters_arg
       $ preempt_arg $ depth_arg $ max_steps_arg $ replay_arg)
 
 let () =

@@ -1,7 +1,7 @@
 (** Target registry and runner for the schedule-exploration harness:
     the named scenarios the [cdrc-bench explore] subcommand and the CI
-    smoke stage drive. See {!Scenarios} for the scenarios themselves
-    and [Sched] for the explorers. *)
+    smoke/sanitize stages drive. See {!Scenarios} and {!San_scenarios}
+    for the scenarios themselves and [Sched] for the explorers. *)
 
 module Scenarios = Scenarios
 module San_scenarios = San_scenarios
@@ -60,18 +60,12 @@ let targets =
       t_mk = (fun () -> Scenarios.racy_counter ());
       t_expect_fail = true;
     };
-  ]
-
-let find name = List.find_opt (fun t -> t.t_name = name) targets
-
-(* Sanitized targets ([cdrc-bench explore --sanitize], DESIGN.md §14):
-   the same kernels wrapped so an [Analysis.Race_monitor] checks each
-   explored schedule for lifetime-rule violations. The clean targets
-   assert zero false positives under exhaustive DFS; the MUTANT targets
-   carry seeded protocol bugs the sanitizer must catch, naming the two
-   racing operations. *)
-let san_targets =
-  [
+    (* Sanitized targets (DESIGN.md §14): the same kernels wrapped so
+       an [Analysis.Race_monitor] checks each explored schedule for
+       lifetime-rule violations. The clean ones assert zero false
+       positives under exhaustive DFS; the MUTANT ones carry seeded
+       protocol bugs the sanitizer must catch, naming the two racing
+       operations. *)
     {
       t_name = "san-slots";
       t_doc = "sanitized announcement slots: reader vs retire+eject, zero violations (Fig 2)";
@@ -110,7 +104,7 @@ let san_targets =
     };
   ]
 
-let find_san name = List.find_opt (fun t -> t.t_name = name) san_targets
+let find name = List.find_opt (fun t -> t.t_name = name) targets
 
 type mode = Dfs | Pct | Random
 

@@ -18,18 +18,13 @@ type target = {
 }
 
 val targets : target list
-(** The plain exploration registry ([cdrc-bench explore]). *)
+(** The exploration registry ([cdrc-bench explore]). The [san-*]
+    targets wrap their kernel so an [Analysis.Race_monitor] checks
+    every explored schedule for lifetime-rule violations (DESIGN.md
+    §14): clean ones assert zero false positives under exhaustive DFS;
+    MUTANT ones carry seeded protocol bugs the sanitizer must catch. *)
 
 val find : string -> target option
-
-val san_targets : target list
-(** The sanitized registry ([cdrc-bench explore --sanitize],
-    DESIGN.md §14): each kernel wrapped so an [Analysis.Race_monitor]
-    checks every explored schedule for lifetime-rule violations. Clean
-    targets assert zero false positives under exhaustive DFS; MUTANT
-    targets carry seeded protocol bugs the sanitizer must catch. *)
-
-val find_san : string -> target option
 
 type mode = Dfs | Pct | Random
 

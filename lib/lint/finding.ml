@@ -1,8 +1,9 @@
 (* A single lint diagnostic, and its two renderings (human / JSON).
 
    Findings carry 1-based lines and 0-based columns, matching compiler
-   diagnostics so editors can jump to them. The JSON shape is flat
-   scalars only, the same discipline as [Obs.Report]'s exports. *)
+   diagnostics so editors can jump to them. A finding's JSON shape is
+   flat scalars only, the same discipline as [Obs.Report]'s exports,
+   printed by [Obs.Json]. *)
 
 type t = { file : string; line : int; col : int; rule : string; msg : string }
 
@@ -11,33 +12,15 @@ let compare a b =
 
 let to_human f = Printf.sprintf "%s:%d:%d: %s: %s" f.file f.line f.col f.rule f.msg
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json f =
-  Printf.sprintf {|{"file":"%s","line":%d,"col":%d,"rule":"%s","msg":"%s"}|}
-    (json_escape f.file) f.line f.col (json_escape f.rule) (json_escape f.msg)
+  Obs.Json.(
+    Obj
+      [ ("file", String f.file); ("line", Int f.line); ("col", Int f.col);
+        ("rule", String f.rule); ("msg", String f.msg) ])
 
 let list_to_json fs =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b {|{"version":1,"count":|};
-  Buffer.add_string b (string_of_int (List.length fs));
-  Buffer.add_string b {|,"findings":[|};
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (to_json f))
-    fs;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Obs.Json.(
+    to_string
+      (Obj
+         [ ("version", Int 1); ("count", Int (List.length fs));
+           ("findings", List (List.map to_json fs)) ]))

@@ -11,7 +11,7 @@ val compare : t -> t -> int
 val to_human : t -> string
 (** [file:line:col: RULE: message], the compiler-diagnostic shape. *)
 
-val to_json : t -> string
+val to_json : t -> Obs.Json.t
 (** One finding as a flat JSON object (scalars only). *)
 
 val list_to_json : t list -> string

@@ -8,10 +8,9 @@
    one per PR as `BENCH_PR<N>.json`; `tools/bench_check` compares two
    of them and gates regressions.
 
-   Everything here is dependency-free by design: the JSON encoder and
-   the (strict, recursive-descent) parser live side by side so the
-   comparator, the tests and the CLI all read the same schema without
-   pulling a JSON library into the build. *)
+   The bytes go through [Json], the one codec, so the comparator, the
+   tests and the CLI all read the same schema without pulling a JSON
+   library into the build. *)
 
 let schema_version = 1
 
@@ -77,321 +76,85 @@ type meta = {
 type summary = { s_meta : meta; s_cells : cell list; s_atomics : atomic_profile list }
 
 (* ------------------------------------------------------------------ *)
-(* Encoding *)
+(* JSON: each record's encoder and decoder sit side by side and name
+   the same members in the same order. *)
 
-let buf_addf b fmt = Printf.ksprintf (Buffer.add_string b) fmt
-
-(* Floats are emitted with fixed precision so summaries are diff-stable
-   and round-trip through the parser bit-identically at this
-   resolution (the tests rely on that, not on %.17g exactness). *)
-let float_str f = Printf.sprintf "%.6f" f
-
-let add_quantiles b q =
-  buf_addf b "{\"count\":%d,\"p50\":%d,\"p99\":%d,\"p999\":%d}" q.q_count q.q_p50 q.q_p99
-    q.q_p999
-
-let add_cell b c =
-  buf_addf b "{\"scheme\":\"%s\",\"structure\":\"%s\",\"threads\":%d,\"ops\":%d,\"mops\":%s,"
-    (Trace.json_escape c.c_scheme)
-    (Trace.json_escape c.c_structure)
-    c.c_threads c.c_ops (float_str c.c_mops);
-  Buffer.add_string b "\"reclaim_latency\":";
-  add_quantiles b c.c_reclaim;
-  Buffer.add_string b ",\"eject_batch\":";
-  add_quantiles b c.c_eject_batch;
-  buf_addf b ",\"peak_live\":%d,\"peak_backlog\":%d,\"leaked\":%d}" c.c_peak_live
-    c.c_peak_backlog c.c_leaked
-
-let add_atomic b a =
-  buf_addf b
-    "{\"core\":\"%s\",\"op\":\"%s\",\"ops\":%d,\"get\":%d,\"set\":%d,\"exchange\":%d,\"cas\":%d,\"cas_fail\":%d,\"faa\":%d}"
-    (Trace.json_escape a.a_core) (Trace.json_escape a.a_op) a.a_ops a.a_gets a.a_sets
-    a.a_exchanges a.a_cas a.a_cas_failures a.a_faa
-
-let to_string s =
-  let b = Buffer.create 8192 in
-  buf_addf b "{\"schema_version\":%d,\"meta\":{" schema_version;
-  buf_addf b "\"label\":\"%s\",\"git_sha\":\"%s\",\"host_domains\":%d,"
-    (Trace.json_escape s.s_meta.m_label)
-    (Trace.json_escape s.s_meta.m_git_sha)
-    s.s_meta.m_host_domains;
-  buf_addf b "\"duration_s\":%s,\"threads\":[%s],\"scale\":%d},"
-    (float_str s.s_meta.m_duration)
-    (String.concat "," (List.map string_of_int s.s_meta.m_threads))
-    s.s_meta.m_scale;
-  Buffer.add_string b "\"cells\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      add_cell b c)
-    s.s_cells;
-  Buffer.add_string b "],\"atomics\":[";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char b ',';
-      add_atomic b a)
-    s.s_atomics;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Parsing *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jlist of json list
-  | Jobj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let next () =
-    if !pos >= n then fail "unexpected end";
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        incr pos;
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    let got = next () in
-    if got <> c then fail (Printf.sprintf "expected %c, got %c" c got)
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-          (match next () with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
-          | 'u' ->
-              let h = ref 0 in
-              for _ = 1 to 4 do
-                let c = next () in
-                let d =
-                  match c with
-                  | '0' .. '9' -> Char.code c - Char.code '0'
-                  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-                  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-                  | _ -> fail "bad \\u escape"
-                in
-                h := (!h * 16) + d
-              done;
-              (* Our own encoder never emits non-ASCII escapes; map the
-                 rest to '?' rather than implementing UTF-8. *)
-              Buffer.add_char b (if !h < 128 then Char.chr !h else '?')
-          | _ -> fail "bad escape");
-          go ()
-      | c when Char.code c < 0x20 -> fail "control char in string"
-      | c ->
-          Buffer.add_char b c;
-          go ()
-    in
-    go ()
-  in
-  let number () =
-    let start = !pos in
-    if peek () = Some '-' then incr pos;
-    let digits () =
-      let d0 = !pos in
-      while (match peek () with Some ('0' .. '9') -> true | _ -> false) do
-        incr pos
-      done;
-      if !pos = d0 then fail "expected digit"
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      incr pos;
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        incr pos;
-        (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
-        digits ()
-    | _ -> ());
-    float_of_string (String.sub s start (!pos - start))
-  in
-  let keyword k v =
-    String.iter (fun c -> if next () <> c then fail ("expected " ^ k)) k;
-    v
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (string_lit ())
-    | Some ('-' | '0' .. '9') -> Jnum (number ())
-    | Some 't' -> keyword "true" (Jbool true)
-    | Some 'f' -> keyword "false" (Jbool false)
-    | Some 'n' -> keyword "null" Jnull
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Jlist []
-        end
-        else begin
-          let rec items acc =
-            let v = value () in
-            skip_ws ();
-            match next () with
-            | ',' -> items (v :: acc)
-            | ']' -> Jlist (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          items []
-        end
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Jobj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match next () with
-            | ',' -> members ((k, v) :: acc)
-            | '}' -> Jobj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-        end
-    | _ -> fail "expected value"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-(* Field accessors over the generic tree, failing with the path. *)
-let field obj name =
-  match obj with
-  | Jobj kvs -> (
-      match List.assoc_opt name kvs with
-      | Some v -> v
-      | None -> raise (Parse_error ("missing field " ^ name)))
-  | _ -> raise (Parse_error ("expected object for field " ^ name))
-
-let jint name = function
-  | Jnum f -> int_of_float f
-  | _ -> raise (Parse_error (name ^ ": expected number"))
-
-let jfloat name = function
-  | Jnum f -> f
-  | _ -> raise (Parse_error (name ^ ": expected number"))
-
-let jstr name = function
-  | Jstr s -> s
-  | _ -> raise (Parse_error (name ^ ": expected string"))
-
-let jlist name = function
-  | Jlist l -> l
-  | _ -> raise (Parse_error (name ^ ": expected array"))
+let quantiles_to_json q =
+  Json.Obj
+    [ ("count", Int q.q_count); ("p50", Int q.q_p50); ("p99", Int q.q_p99); ("p999", Int q.q_p999) ]
 
 let quantiles_of_json j =
-  {
-    q_count = jint "count" (field j "count");
-    q_p50 = jint "p50" (field j "p50");
-    q_p99 = jint "p99" (field j "p99");
-    q_p999 = jint "p999" (field j "p999");
-  }
+  Json.{ q_count = field "count" to_int j; q_p50 = field "p50" to_int j;
+         q_p99 = field "p99" to_int j; q_p999 = field "p999" to_int j }
+
+let cell_to_json c =
+  Json.Obj
+    [ ("scheme", String c.c_scheme); ("structure", String c.c_structure);
+      ("threads", Int c.c_threads); ("ops", Int c.c_ops); ("mops", Float c.c_mops);
+      ("reclaim_latency", quantiles_to_json c.c_reclaim);
+      ("eject_batch", quantiles_to_json c.c_eject_batch);
+      ("peak_live", Int c.c_peak_live); ("peak_backlog", Int c.c_peak_backlog);
+      ("leaked", Int c.c_leaked) ]
 
 let cell_of_json j =
-  {
-    c_scheme = jstr "scheme" (field j "scheme");
-    c_structure = jstr "structure" (field j "structure");
-    c_threads = jint "threads" (field j "threads");
-    c_ops = jint "ops" (field j "ops");
-    c_mops = jfloat "mops" (field j "mops");
-    c_reclaim = quantiles_of_json (field j "reclaim_latency");
-    c_eject_batch = quantiles_of_json (field j "eject_batch");
-    c_peak_live = jint "peak_live" (field j "peak_live");
-    c_peak_backlog = jint "peak_backlog" (field j "peak_backlog");
-    c_leaked = jint "leaked" (field j "leaked");
-  }
+  Json.{ c_scheme = field "scheme" to_string_ j; c_structure = field "structure" to_string_ j;
+         c_threads = field "threads" to_int j; c_ops = field "ops" to_int j;
+         c_mops = field "mops" to_float j;
+         c_reclaim = field "reclaim_latency" quantiles_of_json j;
+         c_eject_batch = field "eject_batch" quantiles_of_json j;
+         c_peak_live = field "peak_live" to_int j; c_peak_backlog = field "peak_backlog" to_int j;
+         c_leaked = field "leaked" to_int j }
+
+let atomic_to_json a =
+  Json.Obj
+    [ ("core", String a.a_core); ("op", String a.a_op); ("ops", Int a.a_ops);
+      ("get", Int a.a_gets); ("set", Int a.a_sets); ("exchange", Int a.a_exchanges);
+      ("cas", Int a.a_cas); ("cas_fail", Int a.a_cas_failures); ("faa", Int a.a_faa) ]
 
 let atomic_of_json j =
-  {
-    a_core = jstr "core" (field j "core");
-    a_op = jstr "op" (field j "op");
-    a_ops = jint "ops" (field j "ops");
-    a_gets = jint "get" (field j "get");
-    a_sets = jint "set" (field j "set");
-    a_exchanges = jint "exchange" (field j "exchange");
-    a_cas = jint "cas" (field j "cas");
-    a_cas_failures = jint "cas_fail" (field j "cas_fail");
-    a_faa = jint "faa" (field j "faa");
-  }
+  Json.{ a_core = field "core" to_string_ j; a_op = field "op" to_string_ j;
+         a_ops = field "ops" to_int j; a_gets = field "get" to_int j;
+         a_sets = field "set" to_int j; a_exchanges = field "exchange" to_int j;
+         a_cas = field "cas" to_int j; a_cas_failures = field "cas_fail" to_int j;
+         a_faa = field "faa" to_int j }
+
+let meta_to_json m =
+  Json.Obj
+    [ ("label", String m.m_label); ("git_sha", String m.m_git_sha);
+      ("host_domains", Int m.m_host_domains); ("duration_s", Float m.m_duration);
+      ("threads", List (List.map (fun t -> Json.Int t) m.m_threads)); ("scale", Int m.m_scale) ]
 
 let meta_of_json j =
-  {
-    m_label = jstr "label" (field j "label");
-    m_git_sha = jstr "git_sha" (field j "git_sha");
-    m_host_domains = jint "host_domains" (field j "host_domains");
-    m_duration = jfloat "duration_s" (field j "duration_s");
-    m_threads = List.map (jint "threads") (jlist "threads" (field j "threads"));
-    m_scale = jint "scale" (field j "scale");
-  }
+  Json.{ m_label = field "label" to_string_ j; m_git_sha = field "git_sha" to_string_ j;
+         m_host_domains = field "host_domains" to_int j;
+         m_duration = field "duration_s" to_float j;
+         m_threads = field "threads" (to_list to_int) j; m_scale = field "scale" to_int j }
+
+let to_string s =
+  Json.to_string
+    (Obj
+       [ ("schema_version", Int schema_version); ("meta", meta_to_json s.s_meta);
+         ("cells", List (List.map cell_to_json s.s_cells));
+         ("atomics", List (List.map atomic_to_json s.s_atomics)) ])
 
 let summary_of_string str : (summary, string) result =
-  try
-    let j = parse_json str in
-    let v = jint "schema_version" (field j "schema_version") in
-    if v <> schema_version then
-      Error (Printf.sprintf "schema_version %d (this build reads %d)" v schema_version)
-    else
-      Ok
-        {
-          s_meta = meta_of_json (field j "meta");
-          s_cells = List.map cell_of_json (jlist "cells" (field j "cells"));
-          s_atomics = List.map atomic_of_json (jlist "atomics" (field j "atomics"));
-        }
-  with
-  | Parse_error msg -> Error msg
-  | Failure msg -> Error msg
+  let ( let* ) = Result.bind in
+  let* j = Json.of_string str in
+  let* v = Json.(decode (field "schema_version" to_int)) j in
+  if v <> schema_version then
+    Error (Printf.sprintf "schema_version %d (this build reads %d)" v schema_version)
+  else
+    Json.decode
+      (fun j ->
+        Json.{ s_meta = field "meta" meta_of_json j;
+               s_cells = field "cells" (to_list cell_of_json) j;
+               s_atomics = field "atomics" (to_list atomic_of_json) j })
+      j
 
 let load_file path : (summary, string) result =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | exception End_of_file -> Error (path ^ ": truncated")
-  | str -> (
-      match summary_of_string (String.trim str) with
-      | Ok s -> Ok s
-      | Error e -> Error (path ^ ": " ^ e))
+  | str -> Result.map_error (fun e -> path ^ ": " ^ e) (summary_of_string str)
 
 (* ------------------------------------------------------------------ *)
 (* Validation *)

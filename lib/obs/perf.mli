@@ -5,7 +5,7 @@
     scheme×structure×thread-count throughput, retire→free latency and
     eject batch-size quantiles, peak live/backlog memory, plus the
     exact atomic-op profiles of the lock-free cores measured over
-    [Sched.Counting]. Encoder and parser are dependency-free and
+    [Sched.Counting]. Encoded and decoded through {!Json}; summaries
     round-trip bit-identically at the emitted precision. *)
 
 val schema_version : int
@@ -64,6 +64,9 @@ val to_string : summary -> string
 (** One-line JSON object. *)
 
 val summary_of_string : string -> (summary, string) result
+(** Never raises. Errors name the failing field path; integer fields
+    reject fractions, exponents and out-of-range literals. *)
+
 val load_file : string -> (summary, string) result
 
 val validate : ?require_schemes:string list -> summary -> (unit, string) result

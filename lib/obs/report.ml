@@ -6,11 +6,9 @@
    [json] emits the same data as one JSON object (histograms carry
    their non-empty buckets and nearest-rank p50/p99/p999).
 
-   [validate_jsonl_line] is a deliberately minimal JSON checker: it
-   accepts exactly the object-of-scalars shape our own [Trace] export
-   produces (flat object, string/int/float/bool values, no nesting).
-   That is all CI needs to assert "the trace file parses", and it keeps
-   the library dependency-free. *)
+   [validate_jsonl_file] parses each line with [Json] and accepts
+   exactly the shape our own [Trace] export produces: a flat object of
+   scalars, no nesting. That is what CI asserts about a trace file. *)
 
 let tree ?(out = Buffer.create 1024) () =
   let counters, gauges = Metrics.dump () in
@@ -63,158 +61,42 @@ let tree ?(out = Buffer.create 1024) () =
     entries;
   Buffer.contents out
 
-let json_escape = Trace.json_escape
-
 let json () =
   let counters, gauges = Metrics.dump () in
-  let b = Buffer.create 2048 in
-  let field_list items render =
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char b ',';
-        render x)
-      items
+  let ints kvs = Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) kvs) in
+  let histo h =
+    match Histo.percentiles h with
+    | None -> Json.Obj [ ("count", Int 0) ]
+    | Some (p50, p99, p999) ->
+        let buckets =
+          Histo.merged h |> Array.to_seqi
+          |> Seq.filter_map (fun (i, c) ->
+                 if c > 0 then Some (Json.List [ Int (Histo.bucket_upper i); Int c ]) else None)
+          |> List.of_seq
+        in
+        Obj
+          [ ("count", Int (Histo.count h)); ("p50", Int p50); ("p99", Int p99);
+            ("p999", Int p999); ("buckets", List buckets) ]
   in
-  Buffer.add_string b "{\"counters\":{";
-  field_list counters (fun (n, v) ->
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape n) v));
-  Buffer.add_string b "},\"gauges\":{";
-  field_list gauges (fun (n, v) ->
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape n) v));
-  Buffer.add_string b "},\"histograms\":{";
-  let histos = Histo.dump () in
-  field_list histos (fun h ->
-      Buffer.add_string b (Printf.sprintf "\"%s\":{" (json_escape (Histo.name h)));
-      (match Histo.percentiles h with
-      | None -> Buffer.add_string b "\"count\":0"
-      | Some (p50, p99, p999) ->
-          Buffer.add_string b
-            (Printf.sprintf "\"count\":%d,\"p50\":%d,\"p99\":%d,\"p999\":%d" (Histo.count h)
-               p50 p99 p999);
-          let counts = Histo.merged h in
-          Buffer.add_string b ",\"buckets\":[";
-          let first = ref true in
-          Array.iteri
-            (fun i c ->
-              if c > 0 then begin
-                if not !first then Buffer.add_char b ',';
-                first := false;
-                Buffer.add_string b (Printf.sprintf "[%d,%d]" (Histo.bucket_upper i) c)
-              end)
-            counts;
-          Buffer.add_char b ']');
-      Buffer.add_char b '}');
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  Json.to_string
+    (Obj
+       [ ("counters", ints counters); ("gauges", ints gauges);
+         ("histograms", Obj (List.map (fun h -> (Histo.name h, histo h)) (Histo.dump ()))) ])
 
-(** {2 Minimal JSONL validation} *)
+let scalar = function Json.(Null | Bool _ | Int _ | Float _ | String _) -> true | _ -> false
 
-exception Bad of string
-
-let validate_jsonl_line line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at %d in %S" msg !pos line)) in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let next () =
-    if !pos >= n then fail "unexpected end";
-    let c = line.[!pos] in
-    incr pos;
-    c
-  in
-  let expect c = if next () <> c then fail (Printf.sprintf "expected %c" c) in
-  let string_lit () =
-    expect '"';
-    let rec go () =
-      match next () with
-      | '"' -> ()
-      | '\\' ->
-          (match next () with
-          | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> ()
-          | 'u' ->
-              for _ = 1 to 4 do
-                match next () with
-                | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-                | _ -> fail "bad \\u escape"
-              done
-          | _ -> fail "bad escape");
-          go ()
-      | c when Char.code c < 0x20 -> fail "control char in string"
-      | _ -> go ()
-    in
-    go ()
-  in
-  let number () =
-    if peek () = Some '-' then incr pos;
-    let digits () =
-      let start = !pos in
-      while (match peek () with Some ('0' .. '9') -> true | _ -> false) do
-        incr pos
-      done;
-      if !pos = start then fail "expected digit"
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      incr pos;
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        incr pos;
-        (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
-        digits ()
-    | _ -> ())
-  in
-  let keyword k =
-    String.iter (fun c -> if next () <> c then fail ("expected " ^ k)) k
-  in
-  let value () =
-    match peek () with
-    | Some '"' -> string_lit ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some 't' -> keyword "true"
-    | Some 'f' -> keyword "false"
-    | Some 'n' -> keyword "null"
-    | _ -> fail "expected scalar value"
-  in
-  try
-    expect '{';
-    if peek () = Some '}' then incr pos
-    else begin
-      let rec members () =
-        string_lit ();
-        expect ':';
-        value ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            members ()
-        | Some '}' -> incr pos
-        | _ -> fail "expected , or }"
-      in
-      members ()
-    end;
-    if !pos <> n then fail "trailing garbage";
-    Ok ()
-  with Bad msg -> Error msg
-
-(** Validate a whole JSONL file; [Ok n] with the line count, or the
-    first error. Empty lines are rejected — every line must be an
-    object. *)
 let validate_jsonl_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go lineno acc =
-        match input_line ic with
-        | exception End_of_file -> Ok acc
-        | line -> (
-            match validate_jsonl_line line with
-            | Ok () -> go (lineno + 1) (acc + 1)
+  In_channel.with_open_text path (fun ic ->
+      let rec go lineno =
+        match In_channel.input_line ic with
+        | None -> Ok (lineno - 1)
+        | Some line -> (
+            match Json.of_string line with
+            | Ok (Obj kvs) when List.for_all (fun (_, v) -> scalar v) kvs -> go (lineno + 1)
+            | Ok _ -> Error (Printf.sprintf "line %d: not a flat object of scalars" lineno)
             | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
       in
-      go 1 0)
+      go 1)
 
 (** Reset every telemetry store: counters, gauges, histograms, trace
     rings, the verdict sink, and the tick clock. *)

@@ -8,17 +8,11 @@ val json : unit -> string
 (** The same data as one JSON object; histograms carry their
     non-empty buckets and nearest-rank p50/p99/p999. *)
 
-val validate_jsonl_line : string -> (unit, string) result
-(** Deliberately minimal JSON checker: accepts exactly the
-    object-of-scalars shape our own [Trace] export produces (flat
-    object, string/int/float/bool values, no nesting). That is all CI
-    needs to assert "the trace file parses", and it keeps the library
-    dependency-free. *)
-
 val validate_jsonl_file : string -> (int, string) result
-(** Validate a whole JSONL file; [Ok n] with the line count, or the
-    first error. Empty lines are rejected — every line must be an
-    object. *)
+(** Parse every line of a JSONL file with {!Json.of_string} and check
+    it is the flat object of scalars our [Trace] export produces; [Ok n]
+    with the line count, or the first error. Empty lines are rejected.
+    Raises [Sys_error] if the file cannot be opened. *)
 
 val reset_all : unit -> unit
 (** Reset every telemetry store: counters, gauges, histograms, trace

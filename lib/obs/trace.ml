@@ -90,48 +90,24 @@ let reset () =
     have since been overwritten. *)
 let emitted () = Atomic.get seq
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let fields_of_ev = function
-  | Acquire { scheme } -> ("acquire", [ ("scheme", `S scheme) ])
-  | Confirm_retry { scheme } -> ("confirm_retry", [ ("scheme", `S scheme) ])
-  | Retire { scheme } -> ("retire", [ ("scheme", `S scheme) ])
-  | Eject { scheme; batch } -> ("eject", [ ("scheme", `S scheme); ("batch", `I batch) ])
-  | Abandon { scheme } -> ("abandon", [ ("scheme", `S scheme) ])
+  | Acquire { scheme } -> ("acquire", [ ("scheme", Json.String scheme) ])
+  | Confirm_retry { scheme } -> ("confirm_retry", [ ("scheme", String scheme) ])
+  | Retire { scheme } -> ("retire", [ ("scheme", String scheme) ])
+  | Eject { scheme; batch } -> ("eject", [ ("scheme", String scheme); ("batch", Int batch) ])
+  | Abandon { scheme } -> ("abandon", [ ("scheme", String scheme) ])
   | Watchdog { scheme; verdict } ->
-      ("watchdog", [ ("scheme", `S scheme); ("verdict", `S verdict) ])
-  | Fault { site; action } -> ("fault", [ ("site", `S site); ("action", `S action) ])
+      ("watchdog", [ ("scheme", String scheme); ("verdict", String verdict) ])
+  | Fault { site; action } -> ("fault", [ ("site", String site); ("action", String action) ])
   | Sample { t_ms; ops_per_s; live; backlog } ->
       ( "sample",
-        [ ("t_ms", `I t_ms); ("ops_per_s", `I ops_per_s); ("live", `I live); ("backlog", `I backlog) ] )
+        [ ("t_ms", Int t_ms); ("ops_per_s", Int ops_per_s); ("live", Int live); ("backlog", Int backlog) ] )
   | Breaker { shard; state; cause } ->
-      ("breaker", [ ("shard", `I shard); ("state", `S state); ("cause", `S cause) ])
+      ("breaker", [ ("shard", Int shard); ("state", String state); ("cause", String cause) ])
 
 let entry_to_json { seq; e_pid; ev } =
   let kind, fields = fields_of_ev ev in
-  let b = Buffer.create 96 in
-  Buffer.add_string b (Printf.sprintf {|{"seq":%d,"pid":%d,"ev":"%s"|} seq e_pid kind);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b
-        (match v with
-        | `S s -> Printf.sprintf {|,"%s":"%s"|} k (json_escape s)
-        | `I i -> Printf.sprintf {|,"%s":%d|} k i))
-    fields;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.to_string (Obj (("seq", Int seq) :: ("pid", Int e_pid) :: ("ev", String kind) :: fields))
 
 (** All surviving entries across all rings, in global sequence order. *)
 let entries () =

@@ -41,8 +41,6 @@ val emitted : unit -> int
 (** Total events recorded since the last {!reset}, including ones
     that have since been overwritten. *)
 
-val json_escape : string -> string
-
 val entries : unit -> entry list
 (** All surviving entries across all rings, in global sequence
     order. *)

@@ -235,7 +235,7 @@ let test_rc_lost_death () =
 (* ---------------- the §14 registry ---------------- *)
 
 let run_dfs name =
-  match Explore.find_san name with
+  match Explore.find name with
   | None -> Alcotest.failf "unknown sanitized target %s" name
   | Some t ->
       ( t,

@@ -234,6 +234,77 @@ let counter_merge_prop =
       Obs.Metrics.set_enabled false;
       Obs.Metrics.total ctr = a + b + c + d)
 
+(* ---------------- JSON exports (lib/obs) ---------------- *)
+
+module Json = Obs.Json
+
+(* One event of every [Trace.ev] constructor, with a name that needs
+   escaping: each exported line parses back to a flat object carrying
+   exactly the emitted kind and fields. *)
+let test_trace_lines_parse () =
+  let odd = "a\"b\\c\nd" in
+  let events : (Obs.Trace.ev * string * (string * Json.t) list) list =
+    [
+      (Acquire { scheme = odd }, "acquire", [ ("scheme", String odd) ]);
+      (Confirm_retry { scheme = odd }, "confirm_retry", [ ("scheme", String odd) ]);
+      (Retire { scheme = odd }, "retire", [ ("scheme", String odd) ]);
+      (Eject { scheme = odd; batch = 7 }, "eject", [ ("scheme", String odd); ("batch", Int 7) ]);
+      (Abandon { scheme = odd }, "abandon", [ ("scheme", String odd) ]);
+      ( Watchdog { scheme = odd; verdict = odd },
+        "watchdog",
+        [ ("scheme", String odd); ("verdict", String odd) ] );
+      (Fault { site = odd; action = "stall" }, "fault", [ ("site", String odd); ("action", String "stall") ]);
+      ( Sample { t_ms = 5; ops_per_s = -1; live = 0; backlog = max_int },
+        "sample",
+        [ ("t_ms", Int 5); ("ops_per_s", Int (-1)); ("live", Int 0); ("backlog", Int max_int) ] );
+      ( Breaker { shard = 2; state = "open"; cause = odd },
+        "breaker",
+        [ ("shard", Int 2); ("state", String "open"); ("cause", String odd) ] );
+    ]
+  in
+  Obs.Report.reset_all ();
+  Obs.Trace.set_enabled true;
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.set_enabled false)
+      (fun () ->
+        List.iteri (fun i (ev, _, _) -> Obs.Trace.emit ~pid:(i mod 3) ev) events;
+        Obs.Trace.to_jsonl ())
+  in
+  Alcotest.(check int) "one line per event" (List.length events) (List.length lines);
+  List.iteri
+    (fun i ((_, kind, fields), line) ->
+      let expected =
+        Json.Obj (("seq", Int i) :: ("pid", Int (i mod 3)) :: ("ev", String kind) :: fields)
+      in
+      match Json.of_string line with
+      | Ok got when got = expected -> ()
+      | Ok _ -> Alcotest.failf "%s: line %s decodes to other fields" kind line
+      | Error e -> Alcotest.failf "%s: line %s does not parse: %s" kind line e)
+    (List.combine events lines)
+
+(* [stats --json] is JSON, and its counters and gauges are the
+   registry's. *)
+let test_report_json_parses () =
+  Obs.Report.reset_all ();
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled false)
+    (fun () ->
+      Obs.Metrics.add (Obs.Metrics.counter "test.json.ctr") ~pid:0 3;
+      Obs.Metrics.set_gauge (Obs.Metrics.gauge "test.json.\"gauge\"") 9;
+      Obs.Histo.observe (Obs.Histo.histo "test.json.histo") ~pid:0 100);
+  let ints =
+    List.map (function n, Json.Int v -> (n, v) | n, _ -> Alcotest.failf "%s: not an integer" n)
+  in
+  match Json.of_string (Obs.Report.json ()) with
+  | Ok (Obj [ ("counters", Obj counters); ("gauges", Obj gauges); ("histograms", Obj _) ]) ->
+      let dc, dg = Obs.Metrics.dump () in
+      Alcotest.(check (list (pair string int))) "counters" dc (ints counters);
+      Alcotest.(check (list (pair string int))) "gauges" dg (ints gauges)
+  | Ok _ -> Alcotest.fail "Report.json: unexpected shape"
+  | Error e -> Alcotest.failf "Report.json does not parse: %s" e
+
 let () =
   Alcotest.run "instrumentation"
     [
@@ -257,5 +328,11 @@ let () =
           Alcotest.test_case "accounting identity, all schemes" `Quick
             test_accounting_identity;
           QCheck_alcotest.to_alcotest counter_merge_prop;
+        ] );
+      ( "json exports",
+        [
+          Alcotest.test_case "every trace event parses" `Quick test_trace_lines_parse;
+          Alcotest.test_case "Report.json matches the registry" `Quick
+            test_report_json_parses;
         ] );
     ]

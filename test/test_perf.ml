@@ -6,6 +6,7 @@
    changed and the new number must be justified, not just re-pinned. *)
 
 module P = Obs.Perf
+module Json = Obs.Json
 
 let q ?(count = 10) p50 p99 p999 =
   { P.q_count = count; q_p50 = p50; q_p99 = p99; q_p999 = p999 }
@@ -74,18 +75,123 @@ let test_round_trip () =
       Alcotest.(check string) "escaped scheme survives" {|RC"EBR\odd|}
         (List.nth s'.P.s_cells 1).P.c_scheme
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* [replace ~sub ~by s] swaps the first occurrence of [sub]. *)
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec go i =
+    if String.sub s i n = sub then String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+    else go (i + 1)
+  in
+  go 0
+
 let test_parse_rejects_garbage () =
   List.iter
     (fun j ->
       match P.summary_of_string j with
       | Ok _ -> Alcotest.failf "accepted %S" j
       | Error _ -> ())
-    [ ""; "{"; "[1,2]"; {|{"schema_version":"x"}|}; {|{"meta":{}}|}; "nullx" ]
+    [ ""; "{"; "[1,2]"; {|{"schema_version":"x"}|}; {|{"meta":{}}|}; "nullx" ];
+  (* Integer fields reject every non-integral or out-of-range number,
+     and the error names the field. *)
+  let good = P.to_string (summary ()) in
+  List.iter
+    (fun (sub, by, path) ->
+      let j = replace ~sub ~by good in
+      match P.summary_of_string j with
+      | Ok _ -> Alcotest.failf "accepted %S" j
+      | Error e ->
+          if not (contains ~sub:path e) then Alcotest.failf "error %S does not name %s" e path)
+    [
+      ({|"schema_version":1|}, {|"schema_version":1.9|}, "schema_version");
+      ({|"schema_version":1|}, {|"schema_version":1e400|}, "schema_version");
+      ({|"ops":10000000|}, {|"ops":1e400|}, "cells[0].ops");
+      ({|"p99":127|}, {|"p99":127.0|}, "cells[0].reclaim_latency.p99");
+      ({|"host_domains":4|}, {|"host_domains":99999999999999999999|}, "meta.host_domains");
+      ({|"threads":[1,2]|}, {|"threads":[1,2.5]|}, "meta.threads[1]");
+      ({|"faa":2000|}, {|"faa":-2e3|}, "atomics[0].faa");
+    ]
+
+(* The committed trajectory points re-encode byte for byte: the codec
+   changes nothing a consumer of BENCH_PR<N>.json sees. *)
+let test_committed_points_reencode () =
+  List.iter
+    (fun path ->
+      let raw = In_channel.with_open_bin path In_channel.input_all in
+      match P.load_file path with
+      | Error e -> Alcotest.failf "%s: %s" path e
+      | Ok s -> Alcotest.(check string) path raw (P.to_string s ^ "\n"))
+    [ "../BENCH_PR7.json"; "../BENCH_PR8.json" ]
 
 let test_load_file_missing () =
   match P.load_file "/nonexistent/bench.json" with
   | Ok _ -> Alcotest.fail "loaded a missing file"
   | Error _ -> ()
+
+(* JSON values whose floats survive [%.6f]: k millionths, printed
+   exactly and read back to the same double. *)
+let json_gen =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [
+        pure Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun k -> Json.Float (float_of_int k /. 1e6)) (int_range (-1_000_000_000_000) 1_000_000_000_000);
+        map (fun s -> Json.String s) string_small;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (int_bound 4) (pair string_small (self (n / 4)))) );
+             ])
+
+let round_trip_prop =
+  QCheck2.Test.make ~name:"Json.of_string (to_string v) = Ok v" ~count:500
+    ~print:Json.to_string json_gen (fun v -> Json.of_string (Json.to_string v) = Ok v)
+
+(* Outside input: random bytes, prefixes and single-byte mutations of a
+   real summary. Both parsers must answer, never raise. *)
+let never_raise_prop =
+  let sample = P.to_string (summary ~cells:[ cell (); cell ~scheme:"HP" () ] ()) in
+  let n = String.length sample in
+  let input =
+    let open QCheck2.Gen in
+    oneof
+      [
+        string;
+        map (fun k -> String.sub sample 0 k) (int_bound n);
+        map2
+          (fun i c -> String.mapi (fun j x -> if j = i then c else x) sample)
+          (int_bound (n - 1)) char;
+      ]
+  in
+  QCheck2.Test.make ~name:"parsers never raise" ~count:2000 ~print:(Printf.sprintf "%S") input
+    (fun s ->
+      (match Json.of_string s with Ok _ | Error _ -> true)
+      && match P.summary_of_string s with Ok _ | Error _ -> true)
+
+let test_every_prefix_rejected () =
+  let sample = P.to_string (summary ()) in
+  for k = 0 to String.length sample - 1 do
+    match P.summary_of_string (String.sub sample 0 k) with
+    | Ok _ -> Alcotest.failf "accepted a %d-byte prefix" k
+    | Error _ -> ()
+  done
 
 (* ---------------- quantiles ---------------- *)
 
@@ -299,6 +405,11 @@ let () =
           Alcotest.test_case "round trip" `Quick test_round_trip;
           Alcotest.test_case "rejects garbage" `Quick test_parse_rejects_garbage;
           Alcotest.test_case "missing file" `Quick test_load_file_missing;
+          Alcotest.test_case "committed points re-encode" `Quick
+            test_committed_points_reencode;
+          Alcotest.test_case "every prefix rejected" `Quick test_every_prefix_rejected;
+          QCheck_alcotest.to_alcotest round_trip_prop;
+          QCheck_alcotest.to_alcotest never_raise_prop;
         ] );
       ( "quantiles",
         [

@@ -44,6 +44,18 @@ if dune exec bin/cdrc_bench.exe -- fig12 --schemes Bogus >/dev/null 2>&1; then
   exit 1
 fi
 
+echo "== single JSON codec =="
+# Every JSON byte the repo writes or reads goes through Obs.Json
+# (DESIGN.md §7): no other file under lib, bin or tools may define a
+# JSON escaper, parser or line validator, or escape control bytes.
+codecs=$(grep -rln --exclude=ci.sh 'json_escape\|parse_json\|validate_jsonl_line\|u%04x' \
+  lib bin tools | grep -v '^lib/obs/json.ml$' || true)
+if [ -n "$codecs" ]; then
+  echo "error: JSON codec code outside lib/obs/json.ml:" >&2
+  echo "$codecs" >&2
+  exit 1
+fi
+
 echo "== robustness smoke (EBR, 0.2s) =="
 dune exec bin/cdrc_bench.exe -- robustness --duration 0.2 --schemes EBR --out ""
 
@@ -81,9 +93,9 @@ echo "== sanitize: clean corpus under exhaustive DFS =="
 # The §14 race & lifetime sanitizer: every clean sanitized target must
 # survive exhaustive DFS with zero violations — a false positive here
 # means the happens-before engine or the typestate rules regressed.
-dune exec bin/cdrc_bench.exe -- explore --sanitize san-slots --mode dfs
-dune exec bin/cdrc_bench.exe -- explore --sanitize san-handoff --mode dfs
-dune exec bin/cdrc_bench.exe -- explore --sanitize san-weak-upgrade --mode dfs
+dune exec bin/cdrc_bench.exe -- explore san-slots --mode dfs
+dune exec bin/cdrc_bench.exe -- explore san-handoff --mode dfs
+dune exec bin/cdrc_bench.exe -- explore san-weak-upgrade --mode dfs
 
 echo "== sanitize: seeded mutants caught with a replayable trace =="
 # Each mutant target exits 0 only when the sanitizer catches the seeded
@@ -91,7 +103,7 @@ echo "== sanitize: seeded mutants caught with a replayable trace =="
 # schedule ("schedule [...]") that names the racing pair — that printed
 # trace is the contract the test suite replays.
 for t in san-slots-drop-acquire san-handoff-retire-early san-rc-extra-dec; do
-  out=$(dune exec bin/cdrc_bench.exe -- explore --sanitize "$t" --mode dfs)
+  out=$(dune exec bin/cdrc_bench.exe -- explore "$t" --mode dfs)
   echo "$out"
   case $out in
     *"schedule ["*) ;;
