@@ -1,85 +1,93 @@
-(* Full benchmark harness: regenerates every figure of the paper's
-   evaluation (§5) plus our ablations, preceded by a Bechamel
-   micro-suite with one Test.make per table/figure (a single-threaded
-   per-operation kernel of that figure's workload) and per-primitive
-   costs.
+(* Full benchmark harness: runs every figure row of the experiment
+   table (Workload.Table) — the paper's evaluation (§5) plus our
+   ablations — preceded by a Bechamel micro-suite with one Test.make
+   per table/figure (a single-threaded per-operation kernel of that
+   figure's workload) and per-primitive costs.
 
-   Environment knobs (all optional):
-     BENCH_THREADS  — comma-separated sweep (default "1,2,4")
-     BENCH_DURATION — seconds per data point (default 0.25)
-     BENCH_SCALE    — divide structure sizes by this (default 1)
+   Environment knobs (all optional; a malformed value exits 2):
+     BENCH_THREADS  — comma-separated sweep of positive counts (default "1,2,4")
+     BENCH_DURATION — positive seconds per data point (default 0.25)
+     BENCH_SCALE    — divide structure sizes by this positive factor (default 1)
      BENCH_SKIP_MICRO=1 — skip the Bechamel section
 
-   `main.exe perf` runs the pinned perf-trajectory matrix instead of
-   the figure suite and writes a machine-readable summary (default
-   BENCH.json, override with BENCH_PERF_OUT) for tools/bench_check —
-   same output as `cdrc-bench perf`, reachable without cmdliner.
-
-   See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
+   The perf-trajectory matrix is `cdrc-bench perf`. See DESIGN.md §4
+   for the experiment index and EXPERIMENTS.md for the
    paper-vs-measured record. *)
 
 open Bechamel
 open Toolkit
 
-let getenv_default name default = match Sys.getenv_opt name with Some v -> v | None -> default
+(* [parse] the variable [name], or [default] when it is unset. *)
+let env name ~default ~expect parse =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some v -> (
+      match parse v with
+      | Some x -> x
+      | None ->
+          Printf.eprintf "%s=%S: expected %s\n%!" name v expect;
+          exit 2)
+
+let positive zero of_string v =
+  Option.bind (of_string (String.trim v)) (fun x -> if x > zero then Some x else None)
 
 let threads =
-  getenv_default "BENCH_THREADS" "1,2,4"
-  |> String.split_on_char ','
-  |> List.filter_map int_of_string_opt
+  env "BENCH_THREADS" ~default:[ 1; 2; 4 ] ~expect:"a comma-separated list of positive integers"
+    (fun v ->
+      let ts = List.map (positive 0 int_of_string_opt) (String.split_on_char ',' v) in
+      if List.mem None ts then None else Some (List.filter_map Fun.id ts))
 
-let duration = float_of_string (getenv_default "BENCH_DURATION" "0.25")
-let scale = int_of_string (getenv_default "BENCH_SCALE" "1")
+let duration =
+  env "BENCH_DURATION" ~default:0.25 ~expect:"a positive number of seconds"
+    (positive 0. float_of_string_opt)
+
+let scale = env "BENCH_SCALE" ~default:1 ~expect:"a positive integer" (positive 0 int_of_string_opt)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-suite *)
 
 module I = Workload.Instances
+module T = Workload.Table
+module Tree = Ds.Nm_tree_rc.Make (I.RC_ebr)
+module List_rc = Ds.Hm_list_rc.Make (I.RC_ebr)
+module Hash_rc = Ds.Hash_table_rc.Make (I.RC_ebr)
+module Queue_rc = Ds.Dl_queue_rc.Make (I.RC_hp)
 
-(* Per-figure kernels: a prefilled small structure and one operation of
-   the figure's mix per run. Single-threaded per-op cost — the
-   multi-domain versions below give the scalability picture. *)
-let figure_kernel (type a) (module D : Ds.Set_intf.S with type t = a) ~size ~update_pct
-    ~rq_pct ~rq_size =
+(* Per-figure kernels: [keys / 2] keys prefilled from a range of
+   [keys], then one operation of the figure's mix (the table's set op
+   step) per run. Single-threaded per-op cost — the table's
+   multi-domain rows give the scalability picture. *)
+let micro (module D : Ds.Set_intf.S) ~keys mix =
   let d = D.create ~max_threads:1 () in
   let c = D.ctx d 0 in
   let rng = Repro_util.Rng.create ~seed:7 in
-  let filled = ref 0 in
-  while !filled < size do
-    if D.insert c (Repro_util.Rng.int rng (2 * size)) then incr filled
-  done;
-  Staged.stage (fun () ->
-      let r = Repro_util.Rng.int rng 100 in
-      let key = Repro_util.Rng.int rng (2 * size) in
-      if r < update_pct then
-        if r land 1 = 0 then ignore (D.insert c key) else ignore (D.remove c key)
-      else if r < update_pct + rq_pct then ignore (D.range_query c key (key + rq_size))
-      else ignore (D.contains c key))
+  T.set_prefill (module D) c rng ~keys ~init:(keys / 2);
+  Staged.stage (fun () -> T.set_op (module D) mix ~keys rng c)
 
 let figure_tests =
   [
     Test.make ~name:"fig11/tree-RCEBR upd50+rq50 kernel"
-      (figure_kernel (module I.Tr_ebr) ~size:10_000 ~update_pct:50 ~rq_pct:50 ~rq_size:64);
+      (micro (module Tree) ~keys:20_000 (T.mix 50 ~rq_pct:50));
     Test.make ~name:"fig12/queue-RCHP-weak pop-push kernel"
-      (let q = I.Q_rc_hp.create ~max_threads:1 () in
-       let c = I.Q_rc_hp.ctx q 0 in
-       I.Q_rc_hp.enqueue c 1;
+      (let q = Queue_rc.create ~max_threads:1 () in
+       let c = Queue_rc.ctx q 0 in
+       Queue_rc.enqueue c 1;
        Staged.stage (fun () ->
-           match I.Q_rc_hp.dequeue c with
-           | Some v -> I.Q_rc_hp.enqueue c v
+           match Queue_rc.dequeue c with
+           | Some v -> Queue_rc.enqueue c v
            | None -> ()));
     Test.make ~name:"fig13a/list-RCEBR upd10 kernel"
-      (figure_kernel (module I.Lr_ebr) ~size:1_000 ~update_pct:10 ~rq_pct:0 ~rq_size:0);
+      (micro (module List_rc) ~keys:2_000 (T.mix 10));
     Test.make ~name:"fig13b/hash-RCEBR upd10 kernel"
-      (figure_kernel (module I.Hr_ebr) ~size:10_000 ~update_pct:10 ~rq_pct:0 ~rq_size:0);
+      (micro (module Hash_rc) ~keys:20_000 (T.mix 10));
     Test.make ~name:"fig13c/tree-RCEBR upd10 kernel"
-      (figure_kernel (module I.Tr_ebr) ~size:10_000 ~update_pct:10 ~rq_pct:0 ~rq_size:0);
+      (micro (module Tree) ~keys:20_000 (T.mix 10));
     Test.make ~name:"fig13d/tree-RCEBR upd50 kernel"
-      (figure_kernel (module I.Tr_ebr) ~size:10_000 ~update_pct:50 ~rq_pct:0 ~rq_size:0);
+      (micro (module Tree) ~keys:20_000 (T.mix 50));
     Test.make ~name:"fig13e/tree-RCEBR upd1 kernel"
-      (figure_kernel (module I.Tr_ebr) ~size:10_000 ~update_pct:1 ~rq_pct:0 ~rq_size:0);
+      (micro (module Tree) ~keys:20_000 (T.mix 1));
     Test.make ~name:"fig13f/tree-RCEBR upd100 kernel"
-      (figure_kernel (module I.Tr_ebr) ~size:10_000 ~update_pct:100 ~rq_pct:0 ~rq_size:0);
+      (micro (module Tree) ~keys:20_000 (T.mix 100));
   ]
 
 let primitive_tests =
@@ -148,37 +156,7 @@ let run_micro () =
 
 (* ------------------------------------------------------------------ *)
 
-let run_perf () =
-  let out = getenv_default "BENCH_PERF_OUT" "BENCH.json" in
-  let label = Filename.remove_extension (Filename.basename out) in
-  Format.printf "cdrc_repro perf matrix — threads=%s duration=%.2fs out=%s@."
-    (String.concat "," (List.map string_of_int threads))
-    duration out;
-  let s, failures =
-    Workload.Perf_runner.run ~label ~threads ~duration
-      ~log:(fun m -> Format.eprintf "perf: %s@." m)
-      ()
-  in
-  (match
-     Obs.Perf.validate ~require_schemes:Workload.Perf_runner.required_schemes s
-   with
-  | Ok () -> ()
-  | Error e ->
-      Format.eprintf "perf: summary INVALID: %s@." e;
-      exit 1);
-  let oc = open_out out in
-  output_string oc (Obs.Perf.to_string s);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "perf summary written to %s (%d cells, %d atomic profiles)@." out
-    (List.length s.Obs.Perf.s_cells)
-    (List.length s.Obs.Perf.s_atomics);
-  Workload.Harness.status failures
-
 let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "perf" then begin
-    exit (run_perf ())
-  end;
   Format.printf
     "cdrc_repro benchmark suite — threads=%s duration=%.2fs scale=%d (1 = paper sizes)@."
     (String.concat "," (List.map string_of_int threads))
@@ -186,21 +164,8 @@ let () =
   Format.printf "host: %d recommended domains@." (Domain.recommended_domain_count ());
   if Sys.getenv_opt "BENCH_SKIP_MICRO" = None then run_micro ();
   (* Any worker death anywhere in the suite fails it. *)
-  let status = ref 0 in
-  let record code = status := max !status code in
-  List.iter
-    (fun e -> record (Workload.Experiments.run_set_exp ~threads ~duration ~scale e))
-    Workload.Experiments.set_experiments;
-  record (Workload.Experiments.run_fig12 ~threads ~duration ());
-  record (Workload.Experiments.run_abl_sticky ~threads ~duration ());
-  record
-    (Workload.Experiments.run_abl_epochfreq
-       ~threads:(List.fold_left max 1 threads)
-       ~duration ());
-  record
-    (Workload.Experiments.run_abl_hpslots
-       ~threads:(min 2 (List.fold_left max 1 threads))
-       ~duration ());
-  record (Workload.Experiments.run_ext_stack ~threads ~duration ());
+  let status =
+    List.fold_left (fun st row -> max st (T.run ~threads ~duration ~scale row)) 0 T.figures
+  in
   Format.printf "done.@.";
-  exit !status
+  exit status

@@ -1,13 +1,13 @@
 (* Command-line driver: run any single experiment from the paper's
-   evaluation with full parameter control.
+   evaluation with full parameter control. Every row of the experiment
+   table (Workload.Table) is a subcommand:
 
      cdrc-bench fig11 --threads 1,2,4 --duration 0.5
      cdrc-bench fig13c --schemes EBR,RCEBR --scale 10
-     cdrc-bench fig12 --threads 4
-     cdrc-bench abl-sticky
+     cdrc-bench abl-epochfreq --threads 1,2
      cdrc-bench custom --structure tree --update 20 --rq 5 ...
 
-   `bench/main.exe` runs the whole suite; this tool is for focused
+   `bench/main.exe` runs every row; this tool is for focused
    measurements. *)
 
 open Cmdliner
@@ -45,70 +45,46 @@ let adapt_arg =
    scheme, 1 when a worker died, else 0. *)
 let exit_with status = if status <> 0 then exit status
 
-let run_set_exp_cmd (e : Workload.Experiments.set_exp) =
-  let doc = e.title in
-  let run threads duration schemes scale adapt =
-    exit_with (Workload.Experiments.run_set_exp ~threads ~duration ~schemes ~scale ~adapt e)
+(* A table row's flags: --threads and --duration, plus --schemes when
+   the row is selectable, --scale and --adapt for the set figures,
+   --repeats when the row repeats its cells. *)
+let row_term ~schemes ~scale ~adapt ~repeats =
+  let flag present arg default = if present then arg else Term.const default in
+  let repeats_arg =
+    Arg.(
+      value & opt int repeats
+      & info [ "repeats" ] ~docv:"N" ~doc:"Repeats per cell (median reported).")
   in
-  Cmd.v
-    (Cmd.info e.id ~doc)
-    Term.(const run $ threads_arg $ duration_arg $ schemes_arg $ scale_arg $ adapt_arg)
+  let run threads duration schemes scale adapt repeats row =
+    exit_with (Workload.Table.run ~threads ~duration ~schemes ~scale ~adapt ~repeats row)
+  in
+  Term.(
+    const run $ threads_arg $ duration_arg
+    $ flag schemes schemes_arg [] $ flag scale scale_arg 1 $ flag adapt adapt_arg false
+    $ flag (repeats > 1) repeats_arg 1)
 
-let fig12_cmd =
-  let run threads duration schemes =
-    exit_with (Workload.Experiments.run_fig12 ~threads ~duration ~schemes ())
-  in
-  Cmd.v
-    (Cmd.info "fig12" ~doc:"Fig 12: weak-pointer doubly-linked queue")
-    Term.(const run $ threads_arg $ duration_arg $ schemes_arg)
+let row_cmd (r : Workload.Table.row) =
+  let figure = r.axis = Workload.Table.Threads && r.keys > 0 in
+  let term = row_term ~schemes:r.selectable ~scale:figure ~adapt:figure ~repeats:r.repeats in
+  Cmd.v (Cmd.info r.id ~doc:r.title) Term.(term $ const r)
 
-let abl_sticky_cmd =
-  let run threads duration =
-    exit_with (Workload.Experiments.run_abl_sticky ~threads ~duration ())
-  in
-  Cmd.v
-    (Cmd.info "abl-sticky" ~doc:"Ablation: wait-free sticky counter vs CAS loop")
-    Term.(const run $ threads_arg $ duration_arg)
+let out_arg default doc =
+  Arg.(value & opt (some string) default & info [ "o"; "out" ] ~docv:"FILE" ~doc)
 
-let abl_epochfreq_cmd =
-  let run threads duration =
-    let threads = match threads with t :: _ -> t | [] -> 4 in
-    exit_with (Workload.Experiments.run_abl_epochfreq ~threads ~duration ())
-  in
-  Cmd.v
-    (Cmd.info "abl-epochfreq" ~doc:"Ablation: epoch advance frequency sweep")
-    Term.(const run $ threads_arg $ duration_arg)
-
-let abl_hpslots_cmd =
-  let run threads duration =
-    let threads = match threads with t :: _ -> t | [] -> 2 in
-    exit_with (Workload.Experiments.run_abl_hpslots ~threads ~duration ())
-  in
-  Cmd.v
-    (Cmd.info "abl-hpslots" ~doc:"Ablation: RCHP announcement-slot budget")
-    Term.(const run $ threads_arg $ duration_arg)
-
-let ext_stack_cmd =
-  let run threads duration =
-    exit_with (Workload.Experiments.run_ext_stack ~threads ~duration ())
-  in
-  Cmd.v
-    (Cmd.info "ext-stack" ~doc:"Extension: Treiber stack across every scheme")
-    Term.(const run $ threads_arg $ duration_arg)
+(* [--out ""] disables a results file; otherwise its directory is
+   created. *)
+let results_file = function
+  | None | Some "" -> None
+  | Some path ->
+      (try Unix.mkdir (Filename.dirname path) 0o755 with Unix.Unix_error _ -> ());
+      Some path
 
 let robustness_cmd =
   let out_arg =
-    Arg.(
-      value
-      & opt (some string) (Some "results/robustness.txt")
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"CSV output path (empty string disables).")
+    out_arg (Some "results/robustness.txt") "CSV output path (empty string disables)."
   in
   let run duration schemes out =
-    let out = match out with Some "" -> None | o -> o in
-    (match out with
-    | Some path -> (try Unix.mkdir (Filename.dirname path) 0o755 with Unix.Unix_error _ -> ())
-    | None -> ());
-    exit_with (Workload.Experiments.run_robustness ~duration ~schemes ?out ())
+    exit_with (Workload.Experiments.run_robustness ~duration ~schemes ?out:(results_file out) ())
   in
   Cmd.v
     (Cmd.info "robustness"
@@ -132,18 +108,11 @@ let adaptivity_cmd =
              fixed-knob run).")
   in
   let out_arg =
-    Arg.(
-      value
-      & opt (some string) (Some "results/adaptivity.txt")
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Results + decision-log output path (empty string disables).")
+    out_arg (Some "results/adaptivity.txt")
+      "Results + decision-log output path (empty string disables)."
   in
   let run iters bound out =
-    let out = match out with Some "" -> None | o -> o in
-    (match out with
-    | Some path -> (try Unix.mkdir (Filename.dirname path) 0o755 with Unix.Unix_error _ -> ())
-    | None -> ());
-    let ok, _ = Workload.Experiments.run_adaptivity ~iters ~bound ?out () in
+    let ok, _ = Workload.Experiments.run_adaptivity ~iters ~bound ?out:(results_file out) () in
     if not ok then exit 1
   in
   Cmd.v
@@ -155,13 +124,7 @@ let adaptivity_cmd =
     Term.(const run $ iters_arg $ bound_arg $ out_arg)
 
 let perf_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the JSON summary to FILE (default: stdout).")
-  in
+  let out_arg = out_arg None "Write the JSON summary to FILE (default: stdout)." in
   let label_arg =
     Arg.(
       value & opt string "perf"
@@ -170,7 +133,7 @@ let perf_cmd =
   let keys_arg =
     Arg.(
       value
-      & opt int Workload.Perf_runner.default_scale
+      & opt int Workload.Table.perf_keys
       & info [ "keys" ] ~docv:"N" ~doc:"Structure size (elements / key range) per cell.")
   in
   let validate_arg =
@@ -217,7 +180,10 @@ let perf_cmd =
 
 let stats_cmd =
   let exp_arg =
-    let doc = "Experiment to instrument: fig11, fig13a-f, fig12, robustness or chaos." in
+    let doc =
+      "Experiment to instrument: any table row (fig11, fig12, abl-sticky, ...), robustness \
+       or chaos."
+    in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
   in
   let perf_arg =
@@ -269,19 +235,6 @@ let stats_cmd =
       const run $ threads_arg $ duration_arg $ schemes_arg $ scale_arg $ json_arg
       $ check_arg $ perf_arg $ exp_arg)
 
-let obs_overhead_cmd =
-  let repeats_arg =
-    Arg.(value & opt int 3 & info [ "repeats" ] ~docv:"N" ~doc:"Repeats per mode (median reported).")
-  in
-  let run threads duration repeats =
-    let threads = match threads with t :: _ -> t | [] -> 2 in
-    exit_with (Workload.Experiments.run_obs_overhead ~threads ~duration ~repeats ())
-  in
-  Cmd.v
-    (Cmd.info "obs-overhead"
-       ~doc:"Measure the telemetry layer's cost (disabled vs enabled) on the Treiber kernel")
-    Term.(const run $ threads_arg $ duration_arg $ repeats_arg)
-
 let custom_cmd =
   let structure_arg =
     let structure_conv =
@@ -301,35 +254,16 @@ let custom_cmd =
   let range_arg =
     Arg.(value & opt (some int) None & info [ "range" ] ~doc:"Key range (default 2x size).")
   in
-  let run threads duration schemes adapt structure update rq rq_size size range =
-    let e =
-      {
-        Workload.Experiments.id = "custom";
-        title =
-          Printf.sprintf "custom: %s, %d%% updates / %d%% RQ(%d), %d keys"
-            (Workload.Instances.structure_name structure)
-            update rq rq_size size;
-        expected = "(custom workload)";
-        structure;
-        mix =
-          (fun s ->
-            {
-              s with
-              Workload.Driver.update_pct = update;
-              rq_pct = rq;
-              rq_size;
-              init_size = size;
-              key_range = (match range with Some r -> r | None -> 2 * size);
-            });
-      }
-    in
-    exit_with (Workload.Experiments.run_set_exp ~threads ~duration ~schemes ~adapt e)
+  let make structure update rq rq_size size range =
+    let range = Option.value range ~default:(2 * size) in
+    Workload.Table.custom ~structure ~update ~rq ~rq_size ~size ~range
+  in
+  let row =
+    Term.(const make $ structure_arg $ update_arg $ rq_arg $ rq_size_arg $ size_arg $ range_arg)
   in
   Cmd.v
     (Cmd.info "custom" ~doc:"Custom workload on any structure")
-    Term.(
-      const run $ threads_arg $ duration_arg $ schemes_arg $ adapt_arg $ structure_arg
-      $ update_arg $ rq_arg $ rq_size_arg $ size_arg $ range_arg)
+    Term.(row_term ~schemes:true ~scale:false ~adapt:true ~repeats:1 $ row)
 
 let kv_cmd =
   let shards_arg =
@@ -699,11 +633,10 @@ let () =
          Automatic Reference Counting' (PLDI 2022)"
   in
   let cmds =
-    List.map run_set_exp_cmd Workload.Experiments.set_experiments
+    List.map row_cmd Workload.Table.figures
     @ [
-        fig12_cmd; abl_sticky_cmd; abl_epochfreq_cmd; abl_hpslots_cmd; ext_stack_cmd;
-        robustness_cmd; adaptivity_cmd; stats_cmd; obs_overhead_cmd; perf_cmd;
-        kv_cmd; chaos_cmd; custom_cmd; explore_cmd;
+        robustness_cmd; adaptivity_cmd; stats_cmd; perf_cmd; kv_cmd; chaos_cmd; custom_cmd;
+        explore_cmd;
       ]
   in
   exit (Cmd.eval (Cmd.group info cmds))

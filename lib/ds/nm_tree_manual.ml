@@ -215,8 +215,12 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* Excise the flagged chain hanging between ancestor and sibling:
      tag the sibling edge, swing the ancestor edge, and — this being
-     the manual version — retire the whole chain by hand (Fig 1a). *)
+     the manual version — retire the whole chain by hand (Fig 1a).
+     The {!Sched.yield} points (free outside a controller) let the
+     schedule explorer interleave two removals mid-cleanup, as
+     test/test_ds.ml does for sibling leaves of one parent. *)
   let cleanup c key (s : seek_record) =
+    Sched.yield ();
     let par = deref s.par in
     let child_cell, sibling_cell =
       if key < par.key then (par.left, par.right) else (par.right, par.left)
@@ -233,6 +237,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let es = Atomic.get sibling_cell in
     let anc = deref s.anc in
     let acell = if key < anc.key then anc.left else anc.right in
+    Sched.yield ();
     let ok =
       edge_cas acell
         { dest = Some s.suc; flag = false; tag = false }
@@ -247,6 +252,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       let is_stop d = match (d, stop) with Some a, Some b -> a == b | _ -> false in
       let rec retire_chain (n : node Ar.managed) =
         if not (is_stop (Some n)) then begin
+          Sched.yield ();
           let node = deref n in
           let el = Atomic.get node.left in
           let er = Atomic.get node.right in

@@ -2,10 +2,10 @@
     (Harris–Michael list, Michael hash table, Natarajan–Mittal tree),
     in both manual-SMR and reference-counted versions.
 
-    The benchmark driver ({!Workload}) is a functor over this
-    signature, so every workload runs unchanged over every (structure ×
-    scheme × manual/automatic) combination — mirroring the paper's
-    evaluation matrix (§5.1).
+    The experiment table's set kernel ([Workload.Table]) takes any
+    instance of this signature, so every workload runs unchanged over
+    every (structure × scheme × manual/automatic) combination —
+    mirroring the paper's evaluation matrix (§5.1).
 
     Each structure owns its runtime (SMR instance or RC runtime) and a
     simulated heap; [live_objects] reports the paper's memory-usage
@@ -63,13 +63,13 @@ module type S = sig
 
   val retired_backlog : t -> int
   (** Entries retired but not yet reclaimed, summed over all threads —
-      the quantity the driver's sampler publishes as the
-      [driver.retired_backlog] gauge. *)
+      the quantity the experiment runner's sampler publishes as the
+      [sampler.retired_backlog] gauge. *)
 
   val watchdog_check : t -> string option
   (** Sample the structure's reclamation-progress watchdog ([Some
       verdict] when reclamation is stuck behind a pinned frontier while
-      garbage accumulates, [None] otherwise). The driver's sampler
+      garbage accumulates, [None] otherwise). The experiment runner's sampler
       calls this periodically and collects verdicts into
       [result.watchdog_verdicts]. *)
 
@@ -77,7 +77,7 @@ module type S = sig
   (** The structure's CONTROLLABLE surface: one knob handle per
       underlying scheme instance (one for manual and RC structures
       alike — an RC runtime retires every deferred kind into one
-      instance). The driver's sampler hands these to the adaptive
+      instance). The experiment runner's sampler hands these to the adaptive
       controller when [--adapt] is on. *)
 
   val teardown : t -> unit

@@ -1,276 +1,8 @@
-(** Experiment registry: one entry per table/figure of the paper's
-    evaluation (§5), plus our ablations. DESIGN.md §4 carries the full
-    index; EXPERIMENTS.md records paper-vs-measured outcomes. *)
-
-type set_exp = {
-  id : string;
-  title : string;
-  expected : string; (* the paper's qualitative result for this figure *)
-  structure : Instances.structure;
-  mix : Driver.spec -> Driver.spec; (* workload mix on top of the base spec *)
-}
-
-let with_tree_defaults s =
-  { s with Driver.key_range = 200_000; init_size = 100_000 }
-
-let set_experiments =
-  [
-    {
-      id = "fig11";
-      title = "Fig 11: NM tree, 50% updates / 50% range queries (size 64)";
-      expected =
-        "RC{EBR,IBR,Hyaline} >> RCHP (paper: >7x at 144T; RCHP exhausts \
-         announcement slots on range queries); RC within 10-15% of manual";
-      structure = Tree_s;
-      mix = (fun s -> { (with_tree_defaults s) with update_pct = 50; rq_pct = 50; rq_size = 64 });
-    };
-    {
-      id = "fig13a";
-      title = "Fig 13a: Harris-Michael list, 10% updates / 90% lookups, 1K keys";
-      expected =
-        "region schemes > pointer schemes; RC versions close to manual but \
-         with higher memory (between flushes a removed chain is reclaimed one \
-         link per eject round; flush reclaims it all)";
-      structure = List_s;
-      mix =
-        (fun s ->
-          { s with key_range = 2_000; init_size = 1_000; update_pct = 10; rq_pct = 0 });
-    };
-    {
-      id = "fig13b";
-      title = "Fig 13b: Michael hash table, 10% updates / 90% lookups, 100K keys, load factor 1";
-      expected = "all schemes close (shallow buckets); RCEBR ~ EBR";
-      structure = Hash_s;
-      mix =
-        (fun s ->
-          {
-            s with
-            key_range = 200_000;
-            init_size = 100_000;
-            update_pct = 10;
-            rq_pct = 0;
-            buckets = Some 100_000;
-          });
-    };
-    {
-      id = "fig13c";
-      title = "Fig 13c: NM tree, 10% updates / 90% lookups, 100K keys";
-      expected = "RCEBR within 10% of EBR and up to ~1.7x faster than RCHP";
-      structure = Tree_s;
-      mix = (fun s -> { (with_tree_defaults s) with update_pct = 10; rq_pct = 0 });
-    };
-    {
-      id = "fig13d";
-      title = "Fig 13d: NM tree, 50% updates / 50% lookups, 100K keys";
-      expected = "same ordering as 13c with larger RC-vs-manual gaps";
-      structure = Tree_s;
-      mix = (fun s -> { (with_tree_defaults s) with update_pct = 50; rq_pct = 0 });
-    };
-    {
-      id = "fig13e";
-      title = "Fig 13e: NM tree, 1% updates / 99% lookups, 100K keys";
-      expected =
-        "RCEBR ~ EBR (near-identical); RCHyaline slightly faster than Hyaline; \
-         RCIBR ~20% slower than IBR";
-      structure = Tree_s;
-      mix = (fun s -> { (with_tree_defaults s) with update_pct = 1; rq_pct = 0 });
-    };
-    {
-      id = "fig13f";
-      title = "Fig 13f: NM tree, 100% updates, 100K keys (memory stress)";
-      expected =
-        "manual and automatic track each other on throughput; automatic uses \
-         several times more memory when oversubscribed";
-      structure = Tree_s;
-      mix = (fun s -> { (with_tree_defaults s) with update_pct = 100; rq_pct = 0 });
-    };
-  ]
-
-let find_set_exp id = List.find_opt (fun e -> e.id = id) set_experiments
-
-(* ---------------- runners ---------------- *)
-
-(* Every runner below returns its command's exit status: 2 when a
-   [--schemes] name is unknown (nothing runs), 1 when a worker died in
-   some cell (each named on stderr by {!Harness.status}), else 0. *)
-let with_selection cmd selection k =
-  match selection with
-  | Error e ->
-      Format.eprintf "%s: %s@." cmd e;
-      2
-  | Ok picked -> k picked
-
-(* A table with one block per thread count, a blank line after each;
-   [row p x] prints one row and returns its [(cell, errors)]. *)
-let sweep threads xs row =
-  Harness.status
-    (List.concat_map
-       (fun p ->
-         let cells = List.map (row p) xs in
-         Format.printf "@.";
-         cells)
-       threads)
-
-let run_set_instance (module D : Ds.Set_intf.S) spec =
-  let module R = Driver.Run (D) in
-  R.run ~spec ()
-
-let run_set_exp ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(schemes = []) ?(scale = 1)
-    ?(adapt = false) e =
-  with_selection e.id
-    (Instances.select ~find:(Instances.find_set e.structure)
-       (Instances.all_sets e.structure) schemes)
-  @@ fun instances ->
-  Format.printf "@.== %s ==@.expected: %s@.@." e.title e.expected;
-  sweep threads instances @@ fun p (module D : Ds.Set_intf.S) ->
-  let spec = e.mix { Driver.default_spec with threads = p; duration; adapt } in
-  (* [scale] > 1 shrinks the structure for smoke runs. *)
-  let spec =
-    {
-      spec with
-      init_size = max 16 (spec.init_size / scale);
-      key_range = max 32 (spec.key_range / scale);
-      buckets = Option.map (fun b -> max 16 (b / scale)) spec.buckets;
-    }
-  in
-  let r = run_set_instance (module D) spec in
-  Format.printf "%a@." Driver.pp_result r;
-  List.iter (fun d -> Format.printf "    [adapt] %s@." d) r.Driver.adapt_decisions;
-  (Harness.cell_name D.name (Instances.structure_name e.structure) p, r.errors)
-
-(* One Fig 12 cell: a queue prefilled with P elements, P workers each
-   popping an element and pushing it back. Returns the run and the
-   blocks left live after teardown. *)
-let fig12_cell ~threads ~duration (module Q : Ds.Queue_intf.S) =
-  let q = Q.create ~max_threads:(threads + 1) () in
-  let c0 = Q.ctx q 0 in
-  for i = 1 to threads do
-    Q.enqueue c0 i
-  done;
-  Q.flush c0;
-  let h =
-    Harness.run ~name:(Harness.cell_name Q.name "queue" threads) ~threads ~duration
-      (Perf_runner.pop_push (module Q) q)
-  in
-  Q.teardown q;
-  (h, Q.live_objects q)
-
-let run_fig12 ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(schemes = []) () =
-  with_selection "fig12" (Instances.select ~find:Instances.find_queue Instances.queues schemes)
-  @@ fun instances ->
-  Format.printf
-    "@.== Fig 12: doubly-linked queue, P threads pop-then-push ==@.expected: Original > \
-     ours (RC-weak) >> locked stand-in at high thread counts; ours within ~19-33%% of \
-     Original beyond 1 thread@.@.";
-  sweep threads instances @@ fun p (module Q : Ds.Queue_intf.S) ->
-  let h, leaked = fig12_cell ~threads:p ~duration (module Q) in
-  Format.printf "%-16s P=%-3d %8.3f Mops/s  ops=%-10d%s@." Q.name p h.mops h.ops
-    (if leaked > 0 then Printf.sprintf "  LEAK=%d" leaked else "");
-  (Harness.cell_name Q.name "queue" p, h.errors)
-
-(* ---------------- ablations ---------------- *)
-
-(* abl1: wait-free sticky counter vs CAS-loop counter under concurrent
-   increment-if-not-zero pressure (the §4.3 claim: O(1) vs O(P)
-   amortized). *)
-let run_abl_sticky ?(threads = [ 1; 2; 4 ]) ?(duration = 0.3) () =
-  Format.printf
-    "@.== Ablation: sticky counter vs CAS-loop counter ==@.expected: sticky sustains \
-     higher inc/dec throughput as contention grows@.@.";
-  let bench name inc dec =
-    List.map
-      (fun p ->
-        let cell = Harness.cell_name name "counter" p in
-        let h =
-          Harness.run ~name:cell ~threads:p ~duration (fun _ continue ->
-              let n = ref 0 in
-              while continue !n do
-                for _ = 1 to 64 do
-                  if inc () then ignore (dec ())
-                done;
-                n := !n + 128
-              done)
-        in
-        Format.printf "%-8s P=%-3d %8.3f Mops/s@." name p h.mops;
-        (cell, h.errors))
-      threads
-  in
-  let s = Sticky.Sticky_counter.create 1 in
-  let sticky =
-    bench "sticky"
-      (fun () -> Sticky.Sticky_counter.increment_if_not_zero s)
-      (fun () -> Sticky.Sticky_counter.decrement s)
-  in
-  let c = Sticky.Casloop_counter.create 1 in
-  let casloop =
-    bench "casloop"
-      (fun () -> Sticky.Casloop_counter.increment_if_not_zero c)
-      (fun () -> Sticky.Casloop_counter.decrement c)
-  in
-  Format.printf "@.";
-  Harness.status (sticky @ casloop)
-
-(* abl2: EBR/IBR epoch frequency sweep (the paper's §5.1 tuning:
-   throughput vs memory trade-off). *)
-let run_abl_epochfreq ?(threads = 4) ?(duration = 0.3) ?(freqs = [ 1; 10; 40; 160; 640 ]) ()
-    =
-  Format.printf
-    "@.== Ablation: epoch advance frequency (RCEBR on the NM tree, 50%% updates) \
-     ==@.expected: rare advances raise throughput but grow live memory@.@.";
-  let cells =
-    List.map
-      (fun f ->
-        let spec =
-          {
-            Driver.default_spec with
-            threads;
-            duration;
-            update_pct = 50;
-            key_range = 20_000;
-            init_size = 10_000;
-            epoch_freq = Some f;
-          }
-        in
-        let module R = Driver.Run (Instances.Tr_ebr) in
-        let r = R.run ~spec () in
-        Format.printf "epoch_freq=%-5d %a@." f Driver.pp_result r;
-        (Printf.sprintf "%s/tree/%d epoch_freq=%d" r.scheme threads f, r.errors))
-      freqs
-  in
-  Format.printf "@.";
-  Harness.status cells
-
-(* abl3: HP announcement-slot budget vs the snapshot fast path — the
-   mechanism behind Fig 11's RCHP collapse, isolated. *)
-let run_abl_hpslots ?(threads = 2) ?(duration = 0.3) ?(slots = [ 2; 4; 8; 16; 32 ]) () =
-  Format.printf
-    "@.== Ablation: RCHP announcement slots vs range-query throughput (NM tree, 50%% \
-     RQ-64) ==@.expected: few slots force the count-increment slow path; throughput \
-     recovers as slots cover the query path@.@.";
-  let cells =
-    List.map
-      (fun k ->
-        let spec =
-          {
-            Driver.default_spec with
-            threads;
-            duration;
-            update_pct = 50;
-            rq_pct = 50;
-            rq_size = 64;
-            key_range = 20_000;
-            init_size = 10_000;
-            slots = Some k;
-          }
-        in
-        let module R = Driver.Run (Instances.Tr_hp) in
-        let r = R.run ~spec () in
-        Format.printf "slots=%-3d %a@." k Driver.pp_result r;
-        (Printf.sprintf "%s/tree/%d slots=%d" r.scheme threads k, r.errors))
-      slots
-  in
-  Format.printf "@.";
-  Harness.status cells
+(** The experiments that are not rows of the experiment table
+    ({!Table}): fault-injection robustness and controller adaptivity,
+    plus [stats], which runs a table row (or robustness, or a chaos
+    campaign) with telemetry on. DESIGN.md §4 carries the full index;
+    EXPERIMENTS.md records paper-vs-measured outcomes. *)
 
 (* ---------------- robustness (fault injection) ---------------- *)
 
@@ -390,7 +122,7 @@ let run_robustness_one ?(duration = 1.0) ?(seed = 42) (module S : Smr.Smr_intf.S
   }
 
 let run_robustness ?(duration = 1.0) ?(schemes = []) ?(seed = 42) ?out () =
-  with_selection "robustness"
+  Table.with_selection "robustness"
     (Instances.select
        ~find:(Instances.find_named (fun (module S : Smr.Smr_intf.S) -> S.name) robustness_schemes)
        robustness_schemes schemes)
@@ -583,44 +315,7 @@ let run_adaptivity ?(iters = 2000) ?(bound = 512) ?out () =
       Format.printf "results written to %s@.@." path);
   (ok, results)
 
-(* Extension table: Treiber stack push/pop across every scheme — not a
-   paper figure, but the smallest end-to-end consumer of the framework
-   (includes the "None" leak-everything upper bound). *)
-(* The ext-stack kernel: P workers of push/pop pairs on a fresh stack.
-   Returns the run, the blocks live when it stopped and the blocks
-   left after teardown. *)
-let stack_push_pop ~threads ~duration (module St : Instances.STACK) =
-  let s = St.create ~max_threads:(threads + 1) () in
-  let h =
-    Harness.run ~name:(Harness.cell_name St.name "stack" threads) ~threads ~duration
-      (fun pid continue ->
-        let c = St.ctx s pid in
-        let n = ref 0 in
-        while continue !n do
-          for i = 1 to 32 do
-            St.push c i;
-            ignore (St.pop c)
-          done;
-          n := !n + 64
-        done;
-        St.flush c)
-  in
-  let residual = St.live_objects s in
-  St.teardown s;
-  (h, residual, St.live_objects s)
-
-let run_ext_stack ?(threads = [ 1; 2; 4 ]) ?(duration = 0.3) () =
-  Format.printf
-    "@.== Extension: Treiber stack, P threads push/pop pairs ==@.expected: None (no \
-     reclamation) is the throughput upper bound and the memory worst case; region \
-     schemes close behind; RC versions track their manual counterparts@.@.";
-  sweep threads Instances.stacks @@ fun p (module St : Instances.STACK) ->
-  let h, residual, leaked = stack_push_pop ~threads:p ~duration (module St) in
-  Format.printf "%-10s P=%-3d %8.3f Mops/s  residual=%-9d leak-after=%d@." St.name p h.mops
-    residual leaked;
-  (Harness.cell_name St.name "stack" p, h.errors)
-
-(* ---------------- telemetry (`stats`, `obs-overhead`) ---------------- *)
+(* ---------------- telemetry (`stats`) ---------------- *)
 
 let ensure_results_dir () =
   try Unix.mkdir "results" 0o755 with Unix.Unix_error _ -> ()
@@ -645,18 +340,6 @@ let with_quiet_stdout f =
       Unix.close saved)
     f
 
-(* What a telemetry-enabled run of each experiment must have produced,
-   assuming the default (all-schemes) instance list; [stats --check]
-   asserts these are present and nonzero. *)
-type metric_requirement = Key of string | Prefix of string
-
-let stats_requirements = function
-  | "robustness" -> [ Key "fault.fired"; Prefix "smr."; Prefix "ar." ]
-  | "fig12" -> [ Prefix "smr."; Prefix "cdrc." ]
-  | "chaos" -> [ Prefix "kv.breaker."; Key "kv.retry"; Key "kv.shed" ]
-  | _ ->
-      [ Key "smr.ebr.retire"; Key "smr.ebr.eject.ops"; Prefix "cdrc."; Prefix "ar." ]
-
 (* The per-scheme rings are in the metric tree; this is their merge. *)
 let print_reclaim_latency () =
   let counts = Obs.Histo.merged_suffix ".reclaim_latency" in
@@ -668,39 +351,14 @@ let print_reclaim_latency () =
        bounds)@.  n=%-9d p50=%-8d p99=%-8d p999=%d@."
       n (p 50.) (p 99.) (p 99.9)
 
-(** Run one experiment with telemetry enabled, export the event trace
-    to [results/trace-<exp>.jsonl], and report the metric registry.
-    Returns a process exit code: 0 on success, 1 if a worker died or
-    [--check] failed, 2 for an unknown experiment id or scheme. *)
-let run_stats ?(threads = [ 2 ]) ?(duration = 0.3) ?(schemes = []) ?(scale = 1)
-    ?(json = false) ?(check = false) exp =
+(* Run [run] with telemetry on, export its event trace to
+   [results/trace-<exp>.jsonl] and report the metric registry; with
+   [check], also demand a parsable trace and every counter in
+   [needs]. *)
+let instrumented ~json ~check exp needs run =
   Obs.Report.reset_all ();
   Obs.Metrics.set_enabled true;
   Obs.Trace.set_enabled true;
-  let run () =
-    match exp with
-    | "fig12" -> run_fig12 ~threads ~duration ~schemes ()
-    | "robustness" -> run_robustness ~duration ~schemes ()
-    | "chaos" ->
-        (* One mixed campaign with the breaker on; a deliberately tight
-           deadline makes sure the retry/shed paths actually fire so the
-           requirements below are discriminating. *)
-        with_selection "chaos" (Chaos_runner.find_schemes schemes) @@ fun cschemes ->
-        let spec =
-          { Chaos_runner.default_spec with Chaos_runner.ch_deadline = 12 }
-        in
-        ignore (Chaos_runner.run_all ~spec ~schemes:cschemes ());
-        0
-    | id -> (
-        match find_set_exp id with
-        | Some e -> run_set_exp ~threads ~duration ~schemes ~scale e
-        | None ->
-            Format.eprintf
-              "stats: unknown experiment %S (expected fig11, fig13a-f, fig12, \
-               robustness or chaos)@."
-              id;
-            2)
-  in
   let status = if json then with_quiet_stdout run else run () in
   Obs.Metrics.set_enabled false;
   Obs.Trace.set_enabled false;
@@ -735,11 +393,11 @@ let run_stats ?(threads = [ 2 ]) ?(duration = 0.3) ?(schemes = []) ?(scale = 1)
         (fun r ->
           let ok, what =
             match r with
-            | Key k -> (nonzero_key k, "counter " ^ k)
-            | Prefix p -> (nonzero_prefix p, "a nonzero counter under " ^ p)
+            | Table.Key k -> (nonzero_key k, "counter " ^ k)
+            | Table.Prefix p -> (nonzero_prefix p, "a nonzero counter under " ^ p)
           in
           if not ok then failures := ("missing " ^ what) :: !failures)
-        (stats_requirements exp);
+        needs;
       match List.rev !failures with
       | [] ->
           Format.eprintf "stats --check: OK (trace parses; required metrics present)@.";
@@ -750,40 +408,39 @@ let run_stats ?(threads = [ 2 ]) ?(duration = 0.3) ?(schemes = []) ?(scale = 1)
     end
   end
 
-(** Overhead of the telemetry layer itself: the [run_ext_stack] Treiber
-    push/pop kernel on EBR, telemetry disabled vs enabled, alternating
-    repeats with the medians compared. The disabled path's only cost
-    over uninstrumented code is one atomic flag load per hook, so "off"
-    here stands in for the pre-telemetry baseline. *)
-let run_obs_overhead ?(threads = 2) ?(duration = 0.4) ?(repeats = 3) () =
-  let cells = ref [] in
-  let measure mode =
-    let h, _, _ = stack_push_pop ~threads ~duration (module Instances.St_ebr) in
-    cells := (Printf.sprintf "EBR/stack/%d telemetry %s" threads mode, h.errors) :: !cells;
-    h.mops
+(** Run one experiment with telemetry enabled, export the event trace
+    to [results/trace-<exp>.jsonl], and report the metric registry.
+    Returns a process exit code: 0 on success, 1 if a worker died or
+    [--check] failed, 2 for an unknown experiment id or scheme. *)
+let run_stats ?(threads = [ 2 ]) ?(duration = 0.3) ?(schemes = []) ?(scale = 1)
+    ?(json = false) ?(check = false) exp =
+  (* Every figure row of the table, robustness and one chaos campaign,
+     each with the counters a telemetry-enabled run of it must have
+     made nonzero, assuming the default (all-schemes) instance list. *)
+  let experiments =
+    List.map
+      (fun (r : Table.row) ->
+        (r.id, (r.needs, fun () -> Table.run ~threads ~duration ~schemes ~scale r)))
+      Table.figures
+    @ [
+        ( "robustness",
+          ( Table.[ Key "fault.fired"; Prefix "smr."; Prefix "ar." ],
+            fun () -> run_robustness ~duration ~schemes () ) );
+        ( "chaos",
+          ( Table.[ Prefix "kv.breaker."; Key "kv.retry"; Key "kv.shed" ],
+            (* One mixed campaign with the breaker on; a deliberately
+               tight deadline makes sure the retry/shed paths fire, so
+               the requirements are discriminating. *)
+            fun () ->
+              Table.with_selection "chaos" (Chaos_runner.find_schemes schemes) @@ fun cschemes ->
+              let spec = { Chaos_runner.default_spec with Chaos_runner.ch_deadline = 12 } in
+              ignore (Chaos_runner.run_all ~spec ~schemes:cschemes ());
+              0 ) );
+      ]
   in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  Format.printf "@.== Telemetry overhead: Treiber stack (EBR), P=%d, %d repeats per mode ==@."
-    threads repeats;
-  let off = ref [] and on = ref [] in
-  for _ = 1 to repeats do
-    Obs.Metrics.set_enabled false;
-    Obs.Trace.set_enabled false;
-    off := measure "off" :: !off;
-    Obs.Report.reset_all ();
-    Obs.Metrics.set_enabled true;
-    Obs.Trace.set_enabled true;
-    on := measure "on" :: !on;
-    Obs.Metrics.set_enabled false;
-    Obs.Trace.set_enabled false
-  done;
-  Obs.Report.reset_all ();
-  let m_off = median !off and m_on = median !on in
-  let delta = 100. *. (m_off -. m_on) /. m_off in
-  Format.printf "telemetry off: %8.3f Mops/s@." m_off;
-  Format.printf "telemetry on : %8.3f Mops/s  (%+.1f%% vs off)@.@." m_on (-.delta);
-  Harness.status (List.rev !cells)
+  match List.assoc_opt exp experiments with
+  | None ->
+      Format.eprintf "stats: unknown experiment %S (expected one of: %s)@." exp
+        (String.concat ", " (List.map fst experiments));
+      2
+  | Some (needs, run) -> instrumented ~json ~check exp needs run

@@ -18,72 +18,30 @@ module RC_ptb = Cdrc.Make (Smr.Ptb)
    KV sweep. *)
 module RC_none = Cdrc.Make (Smr.Leaky)
 
-(* Harris-Michael list *)
-module L_ebr = Ds.Hm_list_manual.Make (Smr.Ebr)
-module L_ibr = Ds.Hm_list_manual.Make (Smr.Ibr)
-module L_hyaline = Ds.Hm_list_manual.Make (Smr.Hyaline)
-module L_hp = Ds.Hm_list_manual.Make (Smr.Hp)
-module L_he = Ds.Hm_list_manual.Make (Smr.Hazard_eras)
-module L_ptb = Ds.Hm_list_manual.Make (Smr.Ptb)
-module Lr_ebr = Ds.Hm_list_rc.Make (RC_ebr)
-module Lr_ibr = Ds.Hm_list_rc.Make (RC_ibr)
-module Lr_hyaline = Ds.Hm_list_rc.Make (RC_hyaline)
-module Lr_hp = Ds.Hm_list_rc.Make (RC_hp)
-module Lr_he = Ds.Hm_list_rc.Make (RC_he)
-module Lr_ptb = Ds.Hm_list_rc.Make (RC_ptb)
+(* The evaluation's schemes, manual and automatic, in table order.
+   Every structure below is instantiated over them. *)
+let manual_schemes : (module Smr.Smr_intf.S) list =
+  [
+    (module Smr.Ebr);
+    (module Smr.Ibr);
+    (module Smr.Hyaline);
+    (module Smr.Hp);
+    (module Smr.Hazard_eras);
+    (module Smr.Ptb);
+  ]
 
-(* Michael hash table *)
-module H_ebr = Ds.Hash_table_manual.Make (Smr.Ebr)
-module H_ibr = Ds.Hash_table_manual.Make (Smr.Ibr)
-module H_hyaline = Ds.Hash_table_manual.Make (Smr.Hyaline)
-module H_hp = Ds.Hash_table_manual.Make (Smr.Hp)
-module H_he = Ds.Hash_table_manual.Make (Smr.Hazard_eras)
-module H_ptb = Ds.Hash_table_manual.Make (Smr.Ptb)
-module Hr_ebr = Ds.Hash_table_rc.Make (RC_ebr)
-module Hr_ibr = Ds.Hash_table_rc.Make (RC_ibr)
-module Hr_hyaline = Ds.Hash_table_rc.Make (RC_hyaline)
-module Hr_hp = Ds.Hash_table_rc.Make (RC_hp)
-module Hr_he = Ds.Hash_table_rc.Make (RC_he)
-module Hr_ptb = Ds.Hash_table_rc.Make (RC_ptb)
+let rc_schemes : (module Cdrc.Intf.S) list =
+  [
+    (module RC_ebr);
+    (module RC_ibr);
+    (module RC_hyaline);
+    (module RC_hp);
+    (module RC_he);
+    (module RC_ptb);
+  ]
 
-(* Natarajan-Mittal tree *)
-module T_ebr = Ds.Nm_tree_manual.Make (Smr.Ebr)
-module T_ibr = Ds.Nm_tree_manual.Make (Smr.Ibr)
-module T_hyaline = Ds.Nm_tree_manual.Make (Smr.Hyaline)
-module T_hp = Ds.Nm_tree_manual.Make (Smr.Hp)
-module T_he = Ds.Nm_tree_manual.Make (Smr.Hazard_eras)
-module T_ptb = Ds.Nm_tree_manual.Make (Smr.Ptb)
-module Tr_ebr = Ds.Nm_tree_rc.Make (RC_ebr)
-module Tr_ibr = Ds.Nm_tree_rc.Make (RC_ibr)
-module Tr_hyaline = Ds.Nm_tree_rc.Make (RC_hyaline)
-module Tr_hp = Ds.Nm_tree_rc.Make (RC_hp)
-module Tr_he = Ds.Nm_tree_rc.Make (RC_he)
-module Tr_ptb = Ds.Nm_tree_rc.Make (RC_ptb)
-
-(* Doubly-linked queues (Fig 12). The paper's "our algorithm" uses the
-   hazard-pointer acquire-retire; we expose every scheme. *)
-module Q_rc_hp = Ds.Dl_queue_rc.Make (RC_hp)
-module Q_rc_ebr = Ds.Dl_queue_rc.Make (RC_ebr)
-module Q_rc_ibr = Ds.Dl_queue_rc.Make (RC_ibr)
-module Q_rc_hyaline = Ds.Dl_queue_rc.Make (RC_hyaline)
-module Q_rc_he = Ds.Dl_queue_rc.Make (RC_he)
-module Q_rc_ptb = Ds.Dl_queue_rc.Make (RC_ptb)
-module Q_manual = Ds.Dl_queue_manual.Make ()
-module Q_locked = Ds.Dl_queue_locked.Make ()
-
-(* Treiber stacks (extension: not a paper benchmark, but the smallest
-   SMR consumer; used by the ext-stack table). *)
-module St_ebr = Ds.Treiber_stack_manual.Make (Smr.Ebr)
-module St_ibr = Ds.Treiber_stack_manual.Make (Smr.Ibr)
-module St_hyaline = Ds.Treiber_stack_manual.Make (Smr.Hyaline)
-module St_hp = Ds.Treiber_stack_manual.Make (Smr.Hp)
-module St_he = Ds.Treiber_stack_manual.Make (Smr.Hazard_eras)
-module St_leaky = Ds.Treiber_stack_manual.Make (Smr.Leaky)
-module Str_ebr = Ds.Treiber_stack_rc.Make (RC_ebr)
-module Str_ibr = Ds.Treiber_stack_rc.Make (RC_ibr)
-module Str_hyaline = Ds.Treiber_stack_rc.Make (RC_hyaline)
-module Str_hp = Ds.Treiber_stack_rc.Make (RC_hp)
-module Str_he = Ds.Treiber_stack_rc.Make (RC_he)
+let rc_schemes_but (module X : Cdrc.Intf.S) =
+  List.filter (fun (module R : Cdrc.Intf.S) -> R.scheme_name <> X.scheme_name) rc_schemes
 
 module type STACK = sig
   val name : string
@@ -105,20 +63,17 @@ module type STACK = sig
   val teardown : t -> unit
 end
 
+(* Treiber stacks (extension: not a paper benchmark, but the smallest
+   SMR consumer): every manual scheme but PTB plus the leak-everything
+   "None", then their RC conversions. *)
 let stacks : (module STACK) list =
-  [
-    (module St_ebr : STACK);
-    (module St_ibr);
-    (module St_hyaline);
-    (module St_hp);
-    (module St_he);
-    (module St_leaky);
-    (module Str_ebr);
-    (module Str_ibr);
-    (module Str_hyaline);
-    (module Str_hp);
-    (module Str_he);
-  ]
+  List.map
+    (fun (module S : Smr.Smr_intf.S) -> (module Ds.Treiber_stack_manual.Make (S) : STACK))
+    (List.filter (fun (module S : Smr.Smr_intf.S) -> S.name <> Smr.Ptb.name) manual_schemes
+    @ [ (module Smr.Leaky) ])
+  @ List.map
+      (fun (module R : Cdrc.Intf.S) -> (module Ds.Treiber_stack_rc.Make (R) : STACK))
+      (rc_schemes_but (module RC_ptb))
 
 type structure = List_s | Hash_s | Tree_s
 
@@ -126,77 +81,37 @@ let structure_name = function List_s -> "list" | Hash_s -> "hash" | Tree_s -> "t
 
 type set_instance = (module Ds.Set_intf.S)
 
-let manual_sets = function
-  | List_s ->
-      [
-        (module L_ebr : Ds.Set_intf.S);
-        (module L_ibr);
-        (module L_hyaline);
-        (module L_hp);
-        (module L_he);
-        (module L_ptb);
-      ]
-  | Hash_s ->
-      [
-        (module H_ebr : Ds.Set_intf.S);
-        (module H_ibr);
-        (module H_hyaline);
-        (module H_hp);
-        (module H_he);
-        (module H_ptb);
-      ]
-  | Tree_s ->
-      [
-        (module T_ebr : Ds.Set_intf.S);
-        (module T_ibr);
-        (module T_hyaline);
-        (module T_hp);
-        (module T_he);
-        (module T_ptb);
-      ]
+(* Harris-Michael list, Michael hash table, Natarajan-Mittal tree. *)
+let manual_sets structure =
+  List.map
+    (fun (module S : Smr.Smr_intf.S) : set_instance ->
+      match structure with
+      | List_s -> (module Ds.Hm_list_manual.Make (S))
+      | Hash_s -> (module Ds.Hash_table_manual.Make (S))
+      | Tree_s -> (module Ds.Nm_tree_manual.Make (S)))
+    manual_schemes
 
-let rc_sets = function
-  | List_s ->
-      [
-        (module Lr_ebr : Ds.Set_intf.S);
-        (module Lr_ibr);
-        (module Lr_hyaline);
-        (module Lr_hp);
-        (module Lr_he);
-        (module Lr_ptb);
-      ]
-  | Hash_s ->
-      [
-        (module Hr_ebr : Ds.Set_intf.S);
-        (module Hr_ibr);
-        (module Hr_hyaline);
-        (module Hr_hp);
-        (module Hr_he);
-        (module Hr_ptb);
-      ]
-  | Tree_s ->
-      [
-        (module Tr_ebr : Ds.Set_intf.S);
-        (module Tr_ibr);
-        (module Tr_hyaline);
-        (module Tr_hp);
-        (module Tr_he);
-        (module Tr_ptb);
-      ]
+let rc_sets structure =
+  List.map
+    (fun (module R : Cdrc.Intf.S) : set_instance ->
+      match structure with
+      | List_s -> (module Ds.Hm_list_rc.Make (R))
+      | Hash_s -> (module Ds.Hash_table_rc.Make (R))
+      | Tree_s -> (module Ds.Nm_tree_rc.Make (R)))
+    rc_schemes
 
 let all_sets s = manual_sets s @ rc_sets s
 
+(* Doubly-linked queues (Fig 12): Ramalhete-Correia's original, our
+   weak-pointer queue over every RC runtime (the paper's "our
+   algorithm" uses the hazard-pointer one, listed first), and the
+   locked stand-in. *)
 let queues : (module Ds.Queue_intf.S) list =
-  [
-    (module Q_manual : Ds.Queue_intf.S);
-    (module Q_rc_hp);
-    (module Q_rc_ebr);
-    (module Q_rc_ibr);
-    (module Q_rc_hyaline);
-    (module Q_rc_he);
-    (module Q_rc_ptb);
-    (module Q_locked);
-  ]
+  ((module Ds.Dl_queue_manual.Make ()) : (module Ds.Queue_intf.S))
+  :: List.map
+       (fun (module R : Cdrc.Intf.S) -> (module Ds.Dl_queue_rc.Make (R) : Ds.Queue_intf.S))
+       ((module RC_hp) :: rc_schemes_but (module RC_hp))
+  @ [ (module Ds.Dl_queue_locked.Make ()) ]
 
 (* Scheme names are matched case-insensitively and ignoring '-'/'_',
    so "rc-ebr" and "RC_EBR" both select "RCEBR". *)
@@ -206,11 +121,6 @@ let normalize_name s =
 
 let find_named name_of candidates name =
   List.find_opt (fun c -> normalize_name (name_of c) = normalize_name name) candidates
-
-let find_set structure =
-  find_named (fun (module D : Ds.Set_intf.S) -> D.name) (all_sets structure)
-
-let find_queue = find_named (fun (module Q : Ds.Queue_intf.S) -> Q.name) queues
 
 (* Resolve a [--schemes] list against [all] ([[]] selects all of it).
    [Error] names every unknown entry, so a typo fails the command

@@ -519,6 +519,40 @@ let control_one_handle () =
       Alcotest.(check int) "leak free" 0 (Q.live_objects q)
   | hs -> Alcotest.failf "expected one knob handle, got %d" (List.length hs)
 
+(* Two removals racing on the sibling leaves of one parent, under the
+   DFS explorer. The cleanup's yield points let both flag their edge
+   before either excises; the winner must then retire only its own
+   leaf. Retiring the flagged sibling too frees it twice once the
+   other removal completes, and Simheap raises [Double_free] when the
+   final flush applies the retirements. *)
+let nm_sibling_deletes () =
+  let t = T_ebr.create ~max_threads:3 () in
+  let c0 = T_ebr.ctx t 0 in
+  (* Leaves 1 and 2 become the two children of internal node 2. *)
+  ignore (T_ebr.insert c0 1);
+  ignore (T_ebr.insert c0 2);
+  let removed = [| false; false |] in
+  let remove i key () = removed.(i) <- T_ebr.remove (T_ebr.ctx t (i + 1)) key in
+  {
+    Sched.fibers = [| remove 0 1; remove 1 2 |];
+    check =
+      (fun () ->
+        if not (removed.(0) && removed.(1)) then failwith "a removal reported absent";
+        if T_ebr.size t <> 0 then failwith "keys survived both removals";
+        List.iter (fun pid -> T_ebr.flush (T_ebr.ctx t pid)) [ 0; 1; 2 ];
+        T_ebr.teardown t;
+        let live = T_ebr.live_objects t in
+        if live <> 0 then failwith (Printf.sprintf "%d blocks leaked" live));
+  }
+
+let test_nm_sibling_deletes () =
+  (* A cleanup that picks the excised child by its flag alone fails
+     the 4th schedule explored. *)
+  match Sched.explore_dfs nm_sibling_deletes with
+  | Sched.Pass { schedules } ->
+      Alcotest.(check bool) "explored past 4 schedules" true (schedules > 4)
+  | r -> Alcotest.failf "dfs: %a" Sched.pp_result r
+
 let () =
   Alcotest.run "ds"
     [
@@ -543,4 +577,10 @@ let () =
       ("queue locked", Tests_q_locked.tests);
       ("queue retention", retention_tests);
       ("queue control", [ Alcotest.test_case "one knob handle" `Quick control_one_handle ]);
+      ( "tree manual explore",
+        [
+          Alcotest.test_case "delete || delete on sibling leaves (EBR)" `Quick
+            test_nm_sibling_deletes;
+        ]
+      );
     ]

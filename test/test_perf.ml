@@ -397,6 +397,30 @@ let test_pinned_atomic_footprints () =
      (FAA+CAS). *)
   expect "rc_cell" "dispose" ~gets:0 ~sets:0 ~exchanges:1 ~cas:2 ~faa:2
 
+(* ---------------- the matrix ---------------- *)
+
+(* The table's perf rows must keep emitting exactly the committed
+   trajectory's cells: bench_check compares only the keys both sides
+   share, so a dropped cell would otherwise pass silently. *)
+let test_matrix_matches_committed_point () =
+  let point =
+    match P.load_file "../BENCH_PR8.json" with Ok s -> s | Error e -> Alcotest.fail e
+  in
+  let s, failures = Workload.Perf_runner.run ~threads:[ 1 ] ~duration:0.002 ~scale:64 () in
+  let keys cells =
+    List.sort Stdlib.compare
+      (List.filter_map (fun c -> if c.P.c_threads = 1 then Some (P.cell_key c) else None) cells)
+  in
+  Alcotest.(check int) "45 cells at P=1" 45 (List.length s.P.s_cells);
+  Alcotest.(check (list string)) "cell keys = the point's */1" (keys point.P.s_cells)
+    (keys s.P.s_cells);
+  Alcotest.(check bool) "atomics = the point's" true (s.P.s_atomics = point.P.s_atomics);
+  Alcotest.(check (list (pair string int))) "no worker deaths" []
+    (List.concat_map snd failures);
+  match P.validate ~require_schemes:Workload.Perf_runner.required_schemes s with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "perf"
     [
@@ -429,5 +453,10 @@ let () =
         [
           Alcotest.test_case "counting shim" `Quick test_counting_shim;
           Alcotest.test_case "pinned core footprints" `Quick test_pinned_atomic_footprints;
+        ] );
+      ( "matrix",
+        [
+          Alcotest.test_case "cells and atomics match the committed point" `Slow
+            test_matrix_matches_committed_point;
         ] );
     ]

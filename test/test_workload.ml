@@ -1,60 +1,84 @@
-(* Tests for the benchmark harness itself: the driver must prefill to
-   the requested size, count operations, sample memory, and leave no
-   leaks; the experiment registry must cover every figure; the shared
-   measurement loop must hand out pids 1..P, keep a dead worker's ops
-   and tally every death by kind, and no caller may swallow one. *)
+(* Tests for the benchmark harness itself: the experiment table's
+   runner must prefill to the requested size, count operations, sample
+   memory, and leave no leaks; the table must cover every figure and
+   sweep every requested thread count; the shared measurement loop
+   must hand out pids 1..P, keep a dead worker's ops and tally every
+   death by kind, and no caller may swallow one. *)
 
 module L_ebr = Ds.Hm_list_manual.Make (Smr.Ebr)
-module D = Workload.Driver.Run (L_ebr)
+module T = Workload.Table
 
-let tiny_spec =
-  {
-    Workload.Driver.default_spec with
-    threads = 2;
-    duration = 0.1;
-    key_range = 256;
-    init_size = 128;
-    update_pct = 20;
-  }
+let find_row id =
+  match List.find_opt (fun (r : T.row) -> r.id = id) (T.figures @ T.perf_rows) with
+  | Some r -> r
+  | None -> Alcotest.failf "row %s missing" id
+
+(* 20% updates over a list of 256 keys, 128 prefilled. *)
+let tiny_row = T.custom ~structure:List_s ~update:20 ~rq:0 ~rq_size:64 ~size:128 ~range:256
 
 let test_driver_basics () =
-  let r = D.run ~spec:tiny_spec () in
-  Alcotest.(check string) "scheme name" "EBR" r.scheme;
-  Alcotest.(check bool) "performed ops" true (r.total_ops > 0);
+  let o =
+    match T.select tiny_row [ "EBR" ] with
+    | Error e -> Alcotest.fail e
+    | Ok instances -> (
+        match T.sweep ~threads:[ 2 ] ~duration:0.1 tiny_row instances with
+        | [ o ] -> o
+        | os -> Alcotest.failf "%d cells, expected 1" (List.length os))
+  in
+  Alcotest.(check string) "scheme name" "EBR" o.cell.c_scheme;
+  Alcotest.(check string) "cell key" "EBR/list/2" o.key;
+  Alcotest.(check bool) "performed ops" true (o.cell.c_ops > 0);
   (* No wall-clock bounds: they are flaky on loaded machines. Check the
      measurement is internally consistent instead — elapsed is positive
      and the reported throughput derives from ops/elapsed. *)
-  Alcotest.(check bool) "elapsed positive" true (r.elapsed > 0.);
-  Alcotest.(check bool) "throughput positive" true (r.mops > 0.);
-  let derived = float_of_int r.total_ops /. r.elapsed /. 1e6 in
+  Alcotest.(check bool) "elapsed positive" true (o.elapsed > 0.);
+  Alcotest.(check bool) "throughput positive" true (o.cell.c_mops > 0.);
+  let derived = float_of_int o.cell.c_ops /. o.elapsed /. 1e6 in
   Alcotest.(check bool) "mops consistent with ops/elapsed" true
-    (abs_float (r.mops -. derived) <= 0.05 *. derived);
+    (abs_float (o.cell.c_mops -. derived) <= 0.05 *. derived);
   Alcotest.(check bool) "live average near init size" true
-    (r.live_avg > 64. && r.live_avg < 512.);
-  Alcotest.(check int) "no leak" 0 r.leaked;
-  Alcotest.(check int) "no uaf on EBR" 0 r.uaf
+    (o.live_avg > 64. && o.live_avg < 512.);
+  Alcotest.(check bool) "exact peak at least the sampled one" true
+    (o.peak >= o.cell.c_peak_live);
+  Alcotest.(check int) "no leak" 0 o.cell.c_leaked;
+  Alcotest.(check int) "no uaf on EBR" 0 o.uaf;
+  Alcotest.(check (list (pair string int))) "no deaths" [] o.errors
 
 let test_driver_deterministic_prefill () =
-  (* Same seed => same prefill contents: verify via size only (the
-     driver owns teardown, so probe with a fresh structure). *)
+  (* Same seed => same prefill contents: verify via size only. *)
   let d = L_ebr.create ~max_threads:1 () in
-  let c = L_ebr.ctx d 0 in
-  let rng = Repro_util.Rng.create ~seed:tiny_spec.seed in
-  let filled = ref 0 in
-  while !filled < tiny_spec.init_size do
-    if L_ebr.insert c (Repro_util.Rng.int rng tiny_spec.key_range) then incr filled
-  done;
-  Alcotest.(check int) "prefill reaches target" tiny_spec.init_size (L_ebr.size d);
+  T.set_prefill (module L_ebr) (L_ebr.ctx d 0) (Repro_util.Rng.create ~seed:42) ~keys:256 ~init:128;
+  Alcotest.(check int) "prefill reaches target" 128 (L_ebr.size d);
   L_ebr.teardown d
 
 let test_registry_covers_figures () =
-  let ids =
-    List.map (fun e -> e.Workload.Experiments.id) Workload.Experiments.set_experiments
-  in
+  let ids = List.map (fun (r : T.row) -> r.id) T.figures in
+  List.iter
+    (fun id -> Alcotest.(check bool) (id ^ " registered") true (List.mem id ids))
+    [
+      "fig11"; "fig13a"; "fig13b"; "fig13c"; "fig13d"; "fig13e"; "fig13f"; "fig12";
+      "abl-sticky"; "abl-epochfreq"; "abl-hpslots"; "ext-stack"; "obs-overhead";
+    ];
+  Alcotest.(check (list string)) "ids unique" (List.sort_uniq compare ids) (List.sort compare ids);
+  (* The rows whose command takes --schemes. *)
+  Alcotest.(check (list string))
+    "selectable rows"
+    [ "fig11"; "fig13a"; "fig13b"; "fig13c"; "fig13d"; "fig13e"; "fig13f"; "fig12" ]
+    (List.filter_map (fun (r : T.row) -> if r.selectable then Some r.id else None) T.figures)
+
+(* The knob rows once kept only the first --threads entry. *)
+let test_knob_rows_sweep_threads () =
   List.iter
     (fun id ->
-      Alcotest.(check bool) (id ^ " registered") true (List.mem id ids))
-    [ "fig11"; "fig13a"; "fig13b"; "fig13c"; "fig13d"; "fig13e"; "fig13f" ]
+      let r = find_row id in
+      let cells = T.sweep ~threads:[ 1; 2 ] ~duration:0.005 ~scale:1000 r r.instances in
+      let at p = List.length (List.filter (fun (o : T.outcome) -> o.cell.c_threads = p) cells) in
+      let knobs =
+        match r.axis with T.Knob (_, vs) -> List.length vs | T.Telemetry -> 2 | T.Threads -> 1
+      in
+      Alcotest.(check int) (id ^ " cells at P=1") knobs (at 1);
+      Alcotest.(check int) (id ^ " cells at P=2") knobs (at 2))
+    [ "abl-epochfreq"; "abl-hpslots"; "obs-overhead" ]
 
 let test_instance_matrix_complete () =
   List.iter
@@ -74,11 +98,11 @@ let test_instance_matrix_complete () =
   Alcotest.(check int) "8 queue instances" 8 (List.length Workload.Instances.queues)
 
 let test_find_set () =
-  (match Workload.Instances.find_set Workload.Instances.Tree_s "rcebr" with
-  | Some (module D : Ds.Set_intf.S) -> Alcotest.(check string) "found" "RCEBR" D.name
-  | None -> Alcotest.fail "RCEBR not found");
-  Alcotest.(check bool) "unknown scheme" true
-    (Workload.Instances.find_set Workload.Instances.Tree_s "nope" = None)
+  let find = T.select (find_row "fig13c") in
+  (match find [ "rc_ebr" ] with
+  | Ok [ (name, _) ] -> Alcotest.(check string) "found" "RCEBR" name
+  | _ -> Alcotest.fail "RCEBR not found");
+  Alcotest.(check bool) "unknown scheme" true (Result.is_error (find [ "nope" ]))
 
 (* A worker that reports 0, 10, ..., [limit] ops and then raises,
    whatever [continue] answers. *)
@@ -144,7 +168,7 @@ let test_harness_pids_and_sampler () =
 
 (* A stack whose pushes fail once 1000 have gone through. *)
 module Failing_stack = struct
-  include Workload.Instances.St_ebr
+  include Ds.Treiber_stack_manual.Make (Smr.Ebr)
 
   let name = "failing"
   let pushes = Atomic.make 0
@@ -154,14 +178,17 @@ module Failing_stack = struct
 end
 
 let test_perf_cell_reports_death () =
-  let cell, errors =
-    Workload.Perf_runner.stack_cell ~threads:1 ~duration:0.05 ~scale:64
-      (module Failing_stack : Workload.Instances.STACK)
+  let cell =
+    match
+      T.sweep ~threads:[ 1 ] ~duration:0.05 ~keys:64 (find_row "perf-stack")
+        [ T.stack_kernel ~pairs:false (module Failing_stack : Workload.Instances.STACK) ]
+    with
+    | [ o ] -> o
+    | os -> Alcotest.failf "%d cells, expected 1" (List.length os)
   in
-  Alcotest.(check (list (pair string int))) "death tallied" [ ("Failure", 1) ] errors;
-  Alcotest.(check bool) "ops before the death kept" true (cell.Obs.Perf.c_ops > 0);
-  Alcotest.(check int) "status 1" 1
-    (Workload.Harness.status [ ("failing/stack/1", errors) ])
+  Alcotest.(check (list (pair string int))) "death tallied" [ ("Failure", 1) ] cell.errors;
+  Alcotest.(check bool) "ops before the death kept" true (cell.cell.c_ops > 0);
+  Alcotest.(check int) "status 1" 1 (Workload.Harness.status [ (cell.key, cell.errors) ])
 
 let contains s sub =
   let n = String.length sub in
@@ -169,7 +196,7 @@ let contains s sub =
   go 0
 
 let test_select_unknown () =
-  let select = Workload.Instances.(select ~find:find_queue queues) in
+  let select = T.select (find_row "fig12") in
   (match select [ "rchp-weak"; "Bogus"; "Nope" ] with
   | Ok _ -> Alcotest.fail "unknown names accepted"
   | Error e ->
@@ -177,22 +204,25 @@ let test_select_unknown () =
       Alcotest.(check bool) "names Nope" true (contains e "Nope");
       Alcotest.(check bool) "known name not blamed" false (contains e "rchp"));
   (match select [ "rchp-weak" ] with
-  | Ok [ (module Q : Ds.Queue_intf.S) ] -> Alcotest.(check string) "found" "RCHP-weak" Q.name
+  | Ok [ (name, _) ] -> Alcotest.(check string) "found" "RCHP-weak" name
   | _ -> Alcotest.fail "RCHP-weak not selected");
   (match select [] with
   | Ok all -> Alcotest.(check int) "empty selects all" 8 (List.length all)
   | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "fig12 exits 2" 2
-    (Workload.Experiments.run_fig12 ~schemes:[ "Bogus" ] ())
+  Alcotest.(check int) "fig12 exits 2" 2 (T.run ~schemes:[ "Bogus" ] (find_row "fig12"))
 
 let test_fig12_cell () =
-  let h, leaked =
-    Workload.Experiments.fig12_cell ~threads:2 ~duration:0.1
-      (module Workload.Instances.Q_manual)
-  in
-  Alcotest.(check bool) "ops" true (h.ops > 0);
-  Alcotest.(check (list (pair string int))) "no deaths" [] h.errors;
-  Alcotest.(check int) "no leak" 0 leaked
+  let fig12 = find_row "fig12" in
+  match T.select fig12 [ "Original" ] with
+  | Error e -> Alcotest.fail e
+  | Ok instances -> (
+      match T.sweep ~threads:[ 2 ] ~duration:0.1 fig12 instances with
+      | [ o ] ->
+          Alcotest.(check string) "cell key" "Original/queue/2" o.key;
+          Alcotest.(check bool) "ops" true (o.cell.c_ops > 0);
+          Alcotest.(check (list (pair string int))) "no deaths" [] o.errors;
+          Alcotest.(check int) "no leak" 0 o.cell.c_leaked
+      | os -> Alcotest.failf "%d cells, expected 1" (List.length os))
 
 let () =
   Alcotest.run "workload"
@@ -208,6 +238,8 @@ let () =
           Alcotest.test_case "instance matrix" `Quick test_instance_matrix_complete;
           Alcotest.test_case "find_set" `Quick test_find_set;
           Alcotest.test_case "select rejects unknown" `Quick test_select_unknown;
+          Alcotest.test_case "knob rows sweep every thread count" `Slow
+            test_knob_rows_sweep_threads;
         ] );
       ( "harness",
         [

@@ -44,6 +44,36 @@ if dune exec bin/cdrc_bench.exe -- fig12 --schemes Bogus >/dev/null 2>&1; then
   exit 1
 fi
 
+echo "== one experiment table =="
+# Every figure, ablation and perf cell is a row of Workload.Table run by
+# one runner (DESIGN.md §4). The whole bench suite runs tiny and must
+# print one line per cell: 7 set figures x 12 schemes, fig12's 8
+# queues, abl-sticky's 2 counters, 5 epoch frequencies, 5 slot budgets,
+# ext-stack's 11 stacks and obs-overhead's 2 modes x 3 repeats = 121.
+suite=$(BENCH_THREADS=1 BENCH_DURATION=0.02 BENCH_SCALE=100 BENCH_SKIP_MICRO=1 \
+  dune exec bench/main.exe)
+cells=$(echo "$suite" | grep -c ' Mops/s  ops=' || true)
+if [ "$cells" -ne 121 ]; then
+  echo "error: the tiny bench suite printed $cells cells, expected 121" >&2
+  exit 1
+fi
+# Inverted gate: a malformed environment value is a usage error (exit
+# 2), not an empty suite.
+status=0
+BENCH_THREADS=x BENCH_SKIP_MICRO=1 dune exec bench/main.exe >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "error: bench/main.exe exited $status on BENCH_THREADS=x, expected 2" >&2
+  exit 1
+fi
+# The retired per-figure paths and any second prefill or worker kernel
+# must not reappear outside the table.
+retired='Driver\.Run|fig12_cell|stack_push_pop|figure_kernel|run_perf|let pop_push'
+kernels='let [a-z_]*(prefill|_kernel)\b|\.(push|enqueue|insert) c0'
+if grep -rnE "$retired|$kernels" lib/workload bin bench | grep -v '^lib/workload/table.ml:'; then
+  echo "error: an experiment kernel or sweep outside lib/workload/table.ml" >&2
+  exit 1
+fi
+
 echo "== single JSON codec =="
 # Every JSON byte the repo writes or reads goes through Obs.Json
 # (DESIGN.md §7): no other file under lib, bin or tools may define a
