@@ -97,7 +97,7 @@ let adaptivity_cmd =
   let iters_arg =
     Arg.(
       value & opt int 2000
-      & info [ "iters" ] ~docv:"N" ~doc:"Churn iterations on the healthy domain.")
+      & info [ "iters" ] ~docv:"N" ~doc:"Churn iterations per replay.")
   in
   let bound_arg =
     Arg.(
@@ -112,15 +112,15 @@ let adaptivity_cmd =
       "Results + decision-log output path (empty string disables)."
   in
   let run iters bound out =
-    let ok, _ = Workload.Experiments.run_adaptivity ~iters ~bound ?out:(results_file out) () in
-    if not ok then exit 1
+    exit_with (Workload.Experiments.run_adaptivity ~iters ~bound ?out:(results_file out) ())
   in
   Cmd.v
     (Cmd.info "adaptivity"
        ~doc:
-         "Adaptive controller vs fixed knobs under a stalled domain: deterministic \
-          replay asserting the controller keeps EBR's garbage bounded where fixed \
-          knobs do not (exit 1 on violation)")
+         "Adaptive controller vs fixed knobs under a stalled victim: deterministic \
+          replays on an acquire-retire instance and on shard 0 of the KV service, \
+          asserting the controller keeps EBR's garbage bounded where fixed knobs do not \
+          (exit 1 on violation)")
     Term.(const run $ iters_arg $ bound_arg $ out_arg)
 
 let perf_cmd =
@@ -276,149 +276,36 @@ let kv_cmd =
     Arg.(
       value & opt (list string) [ "read95" ]
       & info [ "mix" ] ~docv:"M,M,..."
-          ~doc:"Operation mixes to sweep: read95 (95/5), write50 (50/50), scan (scan-with-churn).")
+          ~doc:"Operation mixes to run: read95 (95% gets), write50 (50% gets).")
   in
-  let keys_arg =
-    Arg.(
-      value & opt int Workload.Kv_runner.default_spec.Workload.Kv_runner.keys
-      & info [ "keys" ] ~docv:"N" ~doc:"Key range.")
-  in
-  let keygen_arg =
-    Arg.(
-      value & opt string "zipf:0.99"
-      & info [ "keygen" ] ~docv:"SPEC"
-          ~doc:
-            "Key distribution: uniform, zipf[:THETA], or hotspot[:KEYS:PCT:SHIFT] \
-             (hot-set size, hot percentage, draws between hot-set migrations).")
-  in
-  let ttl_arg =
-    Arg.(
-      value & opt int Workload.Kv_runner.default_spec.Workload.Kv_runner.ttl_ticks
-      & info [ "ttl" ] ~docv:"TICKS" ~doc:"TTL length in logical clock ticks.")
-  in
-  let ttl_pct_arg =
-    Arg.(
-      value & opt int Workload.Kv_runner.default_spec.Workload.Kv_runner.ttl_pct
-      & info [ "ttl-pct" ] ~docv:"PCT" ~doc:"Percentage of puts that carry a TTL.")
-  in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.") in
-  let deadline_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "Per-request deadline in milliseconds; attempts past it count as timed out \
-             and may be retried. 0 disables deadline accounting.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Bounded retries (with seeded-jitter backoff) after a deadline miss.")
-  in
-  let breaker_arg =
-    Arg.(
-      value & flag
-      & info [ "breaker" ]
-          ~doc:
-            "Enable per-shard circuit breakers: the sampler feeds each shard's backlog \
-             and request p99 into a closed/open/half-open machine and workers shed \
-             against its published state (open sheds all, read-only sheds writes).")
-  in
-  let validate_arg =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:
-            "After each run, quiesce and assert the accounting identities (node and box \
-             retirement) plus leak-freedom; exit 1 on violation.")
-  in
-  let fault_arg =
-    Arg.(
-      value
-      & opt (some (enum [ ("stalled-shard", `Stalled_shard) ])) None
-      & info [ "fault" ] ~docv:"SCENARIO"
-          ~doc:
-            "Run a fault scenario instead of the sweep. stalled-shard: a fault plan \
-             stalls the victim inside a shard-0 critical section; asserts the per-shard \
-             controller keeps the backlog bounded where fixed knobs do not (exit 1 \
-             otherwise).")
-  in
-  let iters_arg =
-    Arg.(
-      value & opt int 2000
-      & info [ "iters" ] ~docv:"N" ~doc:"Churn iterations (fault scenario).")
-  in
-  let bound_arg =
-    Arg.(
-      value & opt int 512
-      & info [ "bound" ] ~docv:"B" ~doc:"Backlog bound asserted for the controller-on run.")
-  in
-  let run threads duration schemes adapt shards mixes keys keygen ttl ttl_pct seed
-      deadline_ms retries breaker validate fault iters bound =
-    match fault with
-    | Some `Stalled_shard ->
-        let ok, _ = Workload.Kv_runner.run_stalled_shard ~iters ~bound () in
-        if not ok then exit 1
-    | None ->
-        let keygen =
-          match Workload.Keygen.spec_of_string keygen with
-          | Ok g -> g
+  let keys_arg = Arg.(value & opt int 16_384 & info [ "keys" ] ~docv:"N" ~doc:"Key range.") in
+  let run threads duration schemes adapt shards mixes keys =
+    let rows =
+      List.map
+        (fun m ->
+          match Workload.Table.kv_row ~keys ~shards m with
+          | Ok r -> r
           | Error e ->
               Format.eprintf "kv: %s@." e;
-              exit 2
-        in
-        let mixes =
-          List.map
-            (fun m ->
-              match Workload.Kv_runner.mix_of_string m with
-              | Ok m -> m
-              | Error e ->
-                  Format.eprintf "kv: %s@." e;
-                  exit 2)
-            mixes
-        in
-        let selected =
-          match
-            Workload.Instances.(select ~find:find_kv kv_services) schemes
-          with
-          | Ok l -> l
-          | Error e ->
-              Format.eprintf "kv: %s@." e;
-              exit 2
-        in
-        let spec =
-          {
-            Workload.Kv_runner.default_spec with
-            Workload.Kv_runner.duration;
-            keys;
-            keygen;
-            ttl_ticks = ttl;
-            ttl_pct;
-            adapt;
-            deadline_ms;
-            retries;
-            breaker;
-            seed;
-          }
-        in
-        let ok, _ =
-          Workload.Kv_runner.sweep ~spec ~schemes:selected ~shard_counts:shards
-            ~thread_counts:threads ~mixes ~validate ()
-        in
-        if not ok then exit 1
+              exit 2)
+        mixes
+    in
+    exit_with
+      (List.fold_left
+         (fun status r ->
+           if status = 2 then 2
+           else max status (Workload.Table.run ~threads ~duration ~schemes ~adapt r))
+         0 rows)
   in
   Cmd.v
     (Cmd.info "kv"
        ~doc:
-         "Sharded KV serving workload over the RC hash table: scheme x shards x threads \
-          x mix sweep with Zipfian/hotspot key skew, TTL-expiry churn, per-op latency \
-          percentiles and per-shard adaptive controllers; --fault stalled-shard runs the \
-          shard-stall + abandon-recovery scenario")
+         "Sharded KV serving workload over the RC hash table: scheme x thread count x \
+          shard count cells per mix, Zipfian keys with TTL-expiry churn; every cell checks \
+          the accounting identities and leak-freedom (exit 1 on a violation)")
     Term.(
       const run $ threads_arg $ duration_arg $ schemes_arg $ adapt_arg $ shards_arg
-      $ mix_arg $ keys_arg $ keygen_arg $ ttl_arg $ ttl_pct_arg $ seed_arg $ deadline_arg
-      $ retries_arg $ breaker_arg $ validate_arg $ fault_arg $ iters_arg $ bound_arg)
+      $ mix_arg $ keys_arg)
 
 let chaos_cmd =
   let campaign_arg =

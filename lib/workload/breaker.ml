@@ -60,18 +60,6 @@ type config = {
   close_after : int;  (** probe successes needed to close; <= probe_quota *)
 }
 
-let default_config =
-  {
-    trip_failures = 8;
-    backlog_trip = 2048;
-    shed_writes_at = 512;
-    shed_writes_clear = 128;
-    p99_trip = 256;
-    open_ticks = 4;
-    probe_quota = 4;
-    close_after = 2;
-  }
-
 let validate_config c =
   let req b msg = if not b then invalid_arg ("Breaker: " ^ msg) in
   req (c.trip_failures >= 1) "trip_failures must be >= 1";
@@ -165,12 +153,9 @@ let shed_c = Obs.Metrics.counter "kv.breaker.shed"
 
 type t = { cfg : config; shard : int; mutable st : state }
 
-let create ?(config = default_config) ~shard () =
+let create ~config ~shard =
   validate_config config;
   { cfg = config; shard; st = init }
-
-let state t = t.st
-let config t = t.cfg
 
 let note t ~pid tr =
   (match tr with

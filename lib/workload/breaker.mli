@@ -23,8 +23,6 @@
 
 type cause = Failures | Backlog | Latency
 
-val cause_name : cause -> string
-
 type state =
   | Closed of { fails : int; shed_writes : bool }
   | Open of { left : int; cause : cause }
@@ -51,12 +49,6 @@ type config = {
   close_after : int;
 }
 
-val default_config : config
-
-val validate_config : config -> unit
-(** Raises [Invalid_argument] on non-positive thresholds, inverted
-    hysteresis, or [close_after] outside [1, probe_quota]. *)
-
 val init : state
 val state_name : state -> string
 
@@ -70,9 +62,9 @@ val tick : config -> state -> backlog:int -> p99:int option -> state * transitio
 
 type t
 
-val create : ?config:config -> shard:int -> unit -> t
-val state : t -> state
-val config : t -> config
+val create : config:config -> shard:int -> t
+(** Raises [Invalid_argument] on non-positive thresholds, inverted
+    hysteresis, or [close_after] outside [1, probe_quota]. *)
 
 val admit_req : t -> pid:int -> kind -> decision
 val report_req : t -> pid:int -> ok:bool -> transition option

@@ -114,6 +114,10 @@ let pp_run ppf r =
     (if r.c_ok then "PASS" else "FAIL")
 
 let recovery_h = Obs.Histo.histo "kv.recovery.steps"
+let retry_c = Obs.Metrics.counter "kv.retry"
+let shed_c = Obs.Metrics.counter "kv.shed"
+let timeout_c = Obs.Metrics.counter "kv.timeout"
+let retried_ok_c = Obs.Metrics.counter "kv.retried_ok"
 
 let breaker_config spec =
   {
@@ -170,10 +174,7 @@ let run_campaign ?(spec = default_spec)
   let c0 = ctx_of 0 in
   (* Prefill so reads hit and puts overwrite (overwrites are what
      retire boxes into a pinned shard). *)
-  for k = 0 to (spec.ch_keys / 2) - 1 do
-    ignore (K.put c0 ~now:0 k k)
-  done;
-  K.flush c0;
+  Table.kv_prefill (module K) c0 ~keys:spec.ch_keys;
   let serving =
     Array.init nshards (fun s ->
         Array.init members (fun m -> Fault.Chaos.pid_of ~shard:s ~member:m))
@@ -181,7 +182,7 @@ let run_campaign ?(spec = default_spec)
   let rr = Array.make nshards 0 in
   let next_spare = ref first_spare in
   let bcfg = breaker_config spec in
-  let breakers = Array.init nshards (fun s -> Breaker.create ~config:bcfg ~shard:s ()) in
+  let breakers = Array.init nshards (fun s -> Breaker.create ~config:bcfg ~shard:s) in
   (* Per-shard recovery state: Some (trip_step) while draining. *)
   let recovering = Array.make nshards None in
   let recoveries = ref [] in
@@ -305,7 +306,7 @@ let run_campaign ?(spec = default_spec)
        (match decision with
        | Breaker.Shed | Breaker.Shed_write ->
            incr shed;
-           Obs.Metrics.incr Kv_runner.shed_c ~pid:0;
+           Obs.Metrics.incr shed_c ~pid:0;
            mix_digest 3
        | Breaker.Admit | Breaker.Admit_probe ->
            let b = Repro_util.Backoff.create ~min:1 ~max:8 ~rng:bo_rng () in
@@ -316,7 +317,7 @@ let run_campaign ?(spec = default_spec)
              else begin
                if n > 0 then begin
                  incr nretries;
-                 Obs.Metrics.incr Kv_runner.retry_c ~pid:0;
+                 Obs.Metrics.incr retry_c ~pid:0;
                  total := !total + Repro_util.Backoff.current b;
                  Repro_util.Backoff.once b
                end;
@@ -343,12 +344,12 @@ let run_campaign ?(spec = default_spec)
                  0
              | `Ok _ ->
                  incr retried_ok;
-                 Obs.Metrics.incr Kv_runner.retried_ok_c ~pid:0;
+                 Obs.Metrics.incr retried_ok_c ~pid:0;
                  1
              | `Exhausted ->
                  if !saw_timeout then begin
                    incr timed_out;
-                   Obs.Metrics.incr Kv_runner.timeout_c ~pid:0;
+                   Obs.Metrics.incr timeout_c ~pid:0;
                    2
                  end
                  else begin
@@ -407,20 +408,8 @@ let run_campaign ?(spec = default_spec)
     if not spec.ch_validate then (true, "skipped")
     else begin
       ignore (K.expire_sweep c0 ~now);
-      let c = K.counters t in
-      let size = K.size t ~now in
-      let node_delta =
-        abs (c.Kv_intf.puts_new - (size + c.Kv_intf.removes + c.Kv_intf.expiries))
-      in
-      let installed =
-        c.Kv_intf.puts_new + c.Kv_intf.overwrites + c.Kv_intf.expired_overwrites
-      in
-      let box_delta =
-        abs
-          (installed - size
-          - (c.Kv_intf.overwrites + c.Kv_intf.expired_overwrites + c.Kv_intf.removes
-           + c.Kv_intf.expiries))
-      in
+      let node, box = Kv_intf.identity_deltas (K.counters t) ~size:(K.size t ~now) in
+      let node_delta = abs node and box_delta = abs box in
       ( node_delta <= !aborted && box_delta <= !aborted,
         Printf.sprintf "node_delta=%d box_delta=%d <= aborted=%d" node_delta box_delta
           !aborted )

@@ -1,8 +1,8 @@
 (** The one timed multi-domain measurement loop (DESIGN.md §1, §11).
 
-    Every wall-clock experiment — the set driver, Fig 12, the perf
-    cells, the KV serving runs, the ablations, ext-stack and the
-    robustness run — drives its workers through {!run}: spawn
+    Every wall-clock experiment — each row of the experiment table
+    ({!Table}: the figures, the ablations, the perf matrix and the KV
+    rows) and the robustness run — drives its workers through {!run}: spawn
     [threads] worker domains with pids [1..threads] (pid 0 belongs to
     the coordinator, which prefills and samples), sample or sleep for
     [duration], raise the stop flag, join. A worker exception never

@@ -122,14 +122,17 @@ let normalize_name s =
 let find_named name_of candidates name =
   List.find_opt (fun c -> normalize_name (name_of c) = normalize_name name) candidates
 
-(* Resolve a [--schemes] list against [all] ([[]] selects all of it).
-   [Error] names every unknown entry, so a typo fails the command
-   instead of silently shrinking the run. *)
+(* Resolve a [--schemes] list against [all] ([[]] selects all of it),
+   keeping the first of duplicate picks. [Error] names every unknown
+   entry, so a typo fails the command instead of silently shrinking
+   the run. *)
 let select ~find all = function
   | [] -> Ok all
   | names -> (
       match List.filter (fun n -> Option.is_none (find n)) names with
-      | [] -> Ok (List.filter_map find names)
+      | [] ->
+          let keep picked x = if List.memq x picked then picked else x :: picked in
+          Ok (List.rev (List.fold_left keep [] (List.filter_map find names)))
       | unknown ->
           Error
             ("unknown scheme " ^ String.concat ", " (List.map (Printf.sprintf "%S") unknown)))
@@ -159,10 +162,3 @@ let kv_services : (string * (module Kv_intf.S)) list =
     ("PTB", (module Kv_ptb));
     ("None", (module Kv_none));
   ]
-
-let find_kv name =
-  List.find_opt
-    (fun (n, _) ->
-      normalize_name n = normalize_name name
-      || normalize_name ("RC" ^ n) = normalize_name name)
-    kv_services

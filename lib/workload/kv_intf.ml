@@ -137,3 +137,11 @@ module type S = sig
   (** Clear every bucket and quiesce every shard; afterwards
       [live_objects t = 0] on a leak-free run. *)
 end
+
+(** [identity_deltas c ~size] is [(node, box)]: how far [c] is from
+    each accounting identity above, given the store's [size] at
+    quiescence after an [expire_sweep]. [(0, 0)] iff both hold. *)
+let identity_deltas c ~size =
+  let retired = c.overwrites + c.expired_overwrites + c.removes + c.expiries in
+  let installed = c.puts_new + c.overwrites + c.expired_overwrites in
+  (c.puts_new - (size + c.removes + c.expiries), installed - size - retired)

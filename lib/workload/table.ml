@@ -8,16 +8,18 @@
     every (instance × thread count × knob value) into an {!outcome}:
     an {!Obs.Perf.cell} plus the columns the figure tables print.
     Figure tables ({!run}), the [perf] matrix ({!Perf_runner}),
-    [stats <EXP>] and the bench suite are selections and renderings of
-    {!figures} and {!perf_rows}. EXPERIMENTS.md records
+    [stats <EXP>], the bench suite and [cdrc-bench kv] ({!kv_row}) are
+    selections and renderings of {!figures}, {!perf_rows} and the KV
+    kernel. A cell fails when a worker dies, its kernel's check reports
+    a violation, or its teardown leaks. EXPERIMENTS.md records
     paper-vs-measured outcomes. *)
 
 module Rng = Repro_util.Rng
 
 (* What the coordinator needs from a prefilled instance: its worker,
-   how to observe memory, and how to tear it down (blocks still live
-   after [teardown] are the leak figure). Only set kernels fill the
-   optional fields. *)
+   how to observe memory, how to check it at quiescence and how to
+   tear it down (blocks still live after [teardown] are the leak
+   figure). Only set and KV kernels fill the optional fields. *)
 type probe = {
   worker : int -> (int -> bool) -> unit;
   live : unit -> int;
@@ -27,12 +29,14 @@ type probe = {
   snapshots : unit -> (int * int) option; (* RC (fast, slow) snapshot paths *)
   watchdog : unit -> string option;
   control : Smr.Knobs.handle list;
+  check : unit -> string list; (* violations, once the workers have stopped *)
   teardown : unit -> unit;
 }
 
 let probe ?(peak = fun () -> None) ?(uaf = fun () -> 0) ?(snapshots = fun () -> None)
-    ?(watchdog = fun () -> None) ?(control = []) ~live ~backlog ~teardown worker =
-  { worker; live; backlog; peak; uaf; snapshots; watchdog; control; teardown }
+    ?(watchdog = fun () -> None) ?(control = []) ?(check = fun () -> []) ~live ~backlog
+    ~teardown worker =
+  { worker; live; backlog; peak; uaf; snapshots; watchdog; control; check; teardown }
 
 (* One cell's inputs: its thread count, the row's knob value when the
    row sweeps one, and [keys], the size every kernel derives its own
@@ -195,21 +199,36 @@ let counter_kernel name create inc dec : instance =
         ~teardown:ignore
         (fun _ continue -> batches ~ops:128 continue (fun _ -> if inc t then ignore (dec t))) )
 
-(* The sharded KV store under Zipfian skew: 4 shards, [keys / 2]
-   puts prefilled. The sampler doubles as the service clock (one tick
-   per observation), so TTL'd puts expire mid-cell and the cell
-   measures the real expiry/overwrite retire churn. *)
+(* [keys / 2] fresh puts, [k -> k] for [k] in [0, keys / 2), then a
+   flush. *)
+let kv_prefill (type c) (module K : Kv_intf.S with type ctx = c) (c0 : c) ~keys =
+  for k = 0 to (keys / 2) - 1 do
+    ignore (K.put c0 ~now:0 k k)
+  done;
+  K.flush c0
+
+(* The sharded KV store under Zipfian skew: [shards] shards (knob,
+   default 4), [keys / 2] puts prefilled. The sampler doubles as the
+   service clock (one tick per observation), so TTL'd puts expire
+   mid-cell and the cell measures the real expiry/overwrite retire
+   churn. [check] sweeps the expired entries and then demands both
+   {!Kv_intf} accounting identities. *)
 let kv_kernel ~read_pct ((name, (module K : Kv_intf.S)) : string * (module Kv_intf.S)) :
     instance =
   ( name,
     fun s ->
-      let t = K.create ~shards:4 ~buckets:(max 64 (s.keys / 8)) ~max_threads:(s.threads + 1) () in
+      let shards = Option.value (knob s "shards") ~default:4 in
+      let t = K.create ~shards ~buckets:(max 64 (s.keys / 8)) ~max_threads:(s.threads + 1) () in
       let c0 = K.ctx t 0 in
-      for k = 0 to (s.keys / 2) - 1 do
-        ignore (K.put c0 ~now:0 k k)
-      done;
-      K.flush c0;
-      probe
+      kv_prefill (module K) c0 ~keys:s.keys;
+      let check () =
+        let now = K.now t in
+        ignore (K.expire_sweep c0 ~now);
+        match Kv_intf.identity_deltas (K.counters t) ~size:(K.size t ~now) with
+        | 0, 0 -> []
+        | node, box -> [ Printf.sprintf "accounting identities off by node=%d box=%d" node box ]
+      in
+      probe ~control:(K.control t) ~check
         ~live:(fun () ->
           ignore (K.tick t);
           K.live_objects t)
@@ -337,14 +356,15 @@ let figures =
    cells are emitted at each thread count. *)
 let perf_keys = 4096
 
+(* The serving mixes, each with its share of gets: the rest are 80%
+   puts (a quarter with a TTL) and 20% removes. *)
+let kv_mixes = [ ("read95", 95); ("write50", 50) ]
+let kv_instances ~read_pct = List.map (kv_kernel ~read_pct) Instances.kv_services
+
 let perf_rows =
   let perf id structure instances =
     row ~telemetry:true ~keys:perf_keys ~id ~title:("perf: " ^ structure) ~expected:""
       structure instances
-  in
-  let kv structure read_pct =
-    perf ("perf-" ^ structure) structure
-      (List.map (kv_kernel ~read_pct) Instances.kv_services)
   in
   [
     perf "perf-stack" "stack" (List.map (stack_kernel ~pairs:false) Instances.stacks);
@@ -355,9 +375,30 @@ let perf_rows =
       (List.map
          (set_kernel ~buckets:(fun k -> max 64 (k / 8)) ~base:0 (mix 50 ~halves:true))
          (Instances.all_sets Hash_s));
-    kv "kv-read95" 95;
-    kv "kv-write50" 50;
   ]
+  @ List.map
+      (fun (mix, read_pct) ->
+        perf ("perf-kv-" ^ mix) ("kv-" ^ mix) (kv_instances ~read_pct))
+      kv_mixes
+
+(* [cdrc-bench kv]'s row for one mix: the perf matrix's KV cells over
+   [keys] keys, one cell per shard count. *)
+let kv_row ~keys ~shards mix =
+  match List.assoc_opt (String.lowercase_ascii mix) kv_mixes with
+  | None -> Error (Printf.sprintf "unknown mix %S (read95 | write50)" mix)
+  | Some read_pct ->
+      Ok
+        (row ~telemetry:true ~keys
+           ~axis:(Knob ("shards", shards))
+           ~id:"kv"
+           ~title:
+             (Printf.sprintf "KV serving: sharded RC hash store, Zipf 0.99 keys, %d%% gets"
+                read_pct)
+           ~expected:
+             "None (its decrements wait for teardown) holds the most live blocks, the \
+              reclaiming schemes about the same; every cell keeps both accounting \
+              identities and leaks nothing"
+           ("kv-" ^ mix) (kv_instances ~read_pct))
 
 (* A set row from the [custom] command's flags: [size] keys prefilled
    from a range of [range]; --scale shrinks both. *)
@@ -384,7 +425,7 @@ type outcome = {
   snap_slow : float option; (* RC only: slow-path snapshot share *)
   watchdog : string list; (* Stuck verdicts raised during the cell *)
   adapt : string list; (* the adaptive controller's decision log *)
-  errors : Harness.errors;
+  errors : Harness.errors; (* deaths, plus Leak (blocks) and Invalid (check violations) *)
 }
 
 (* Time-series gauges published by a figure row's sampler when
@@ -468,8 +509,10 @@ let run_cell ~duration ~adapt ~suffix ~telemetry row (s : setup) ((name, make) :
   in
   let peak = Option.value (p.peak ()) ~default:!peak_live in
   let uaf = p.uaf () in
+  let violations = p.check () in
   p.teardown ();
   let leaked = p.live () in
+  List.iter (fun v -> Format.eprintf "[%s] %s@." key v) violations;
   let reclaim = quantiles ".reclaim_latency" in
   let eject = quantiles ".eject.batch_size" in
   if telemetry <> None then begin
@@ -503,7 +546,11 @@ let run_cell ~duration ~adapt ~suffix ~telemetry row (s : setup) ((name, make) :
     snap_slow;
     watchdog = Obs.Verdicts.drain ();
     adapt = (match ctl with None -> [] | Some c -> Adapt.Controller.decisions c);
-    errors = h.errors;
+    errors =
+      List.sort compare
+        (h.errors
+        @ (if leaked > 0 then [ ("Leak", leaked) ] else [])
+        @ if violations = [] then [] else [ ("Invalid", List.length violations) ]);
   }
 
 (* Resolve a [--schemes] list against the row's instances. *)

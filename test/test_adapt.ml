@@ -6,9 +6,9 @@
    hysteresis-delayed regrow, stall backoff and escalation after the
    grace period); (2) qcheck properties over reachable states —
    monotone in the backlog signal, emitted knob values always inside
-   the config clamps; (3) end-to-end determinism — the stalled-domain
-   adaptivity experiment replays bit-identically, the controller run
-   stays bounded where the fixed-knob run is not; plus the uniform
+   the config clamps; (3) end-to-end determinism — both targets of the
+   stalled-victim adaptivity experiment replay bit-identically, the
+   controller run stays bounded where the fixed-knob run is not; plus the uniform
    knob-validation contract across every scheme. *)
 
 module C = Adapt.Controller
@@ -187,8 +187,7 @@ let prop_step_deterministic =
 
 let adaptivity_replays_bit_identically () =
   let run () =
-    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt:true
-      (module Smr.Ebr : Smr.Smr_intf.S)
+    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt:true Workload.Experiments.Ebr
   in
   let a = run () in
   let b = run () in
@@ -211,12 +210,10 @@ let adaptivity_replays_bit_identically () =
 
 let adaptivity_bounds_garbage () =
   let on =
-    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt:true
-      (module Smr.Ebr : Smr.Smr_intf.S)
+    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt:true Workload.Experiments.Ebr
   in
   let off =
-    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt:false
-      (module Smr.Ebr : Smr.Smr_intf.S)
+    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt:false Workload.Experiments.Ebr
   in
   Alcotest.(check bool)
     "controller keeps the peak backlog bounded" true
@@ -224,6 +221,39 @@ let adaptivity_bounds_garbage () =
   Alcotest.(check bool)
     "fixed knobs grow without bound behind the pinned frontier" true
     (off.Workload.Experiments.ad_end_backlog >= 2000);
+  Alcotest.(check int) "fixed-knob run still leak-free after teardown" 0
+    off.Workload.Experiments.ad_leaked
+
+(* The kv target: shard 0 of the KV service, the victim stalled at its
+   8th shard-0 section entry. *)
+let kv_replays_bit_identically () =
+  let run () =
+    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt:true Workload.Experiments.Kv
+  in
+  let a = run () in
+  let b = run () in
+  Alcotest.(check bool) "full results identical across replays" true (a = b);
+  Alcotest.(check (option int))
+    "escalates at iteration 384" (Some 384) a.Workload.Experiments.ad_escalated_at;
+  (match a.Workload.Experiments.ad_decisions with
+  | first :: _ ->
+      Alcotest.(check string)
+        "first decision is the first backoff"
+        "t=10 backlog=313 p99=- stalled=true | cleanup_freq=128" first
+  | [] -> Alcotest.fail "controller made no decisions");
+  Alcotest.(check (option bool)) "the fault fired" (Some true) a.Workload.Experiments.ad_fired;
+  Alcotest.(check int) "leak-free" 0 a.Workload.Experiments.ad_leaked
+
+let kv_bounds_garbage () =
+  let run adapt =
+    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt Workload.Experiments.Kv
+  in
+  let on = run true in
+  let off = run false in
+  Alcotest.(check int) "controller-on peak" 409 on.Workload.Experiments.ad_peak_backlog;
+  Alcotest.(check int) "controller-on end" 49 on.Workload.Experiments.ad_end_backlog;
+  Alcotest.(check int) "fixed-knob end" 1993 off.Workload.Experiments.ad_end_backlog;
+  Alcotest.(check (option bool)) "the fault fired" (Some true) off.Workload.Experiments.ad_fired;
   Alcotest.(check int) "fixed-knob run still leak-free after teardown" 0
     off.Workload.Experiments.ad_leaked
 
@@ -297,7 +327,7 @@ let knob_gauges_track_values () =
    a controller that only notices pressure an epoch later blows it. *)
 
 let reaction_latency_bounded () =
-  let r = Workload.Kv_runner.measure_adapt_reaction () in
+  let r = Workload.Experiments.measure_adapt_reaction () in
   Alcotest.(check bool) "at least two phase shifts occurred" true (r.a_shifts >= 2);
   Alcotest.(check bool)
     (Printf.sprintf "every shift measured (got %d of %d)"
@@ -324,14 +354,14 @@ let reaction_gauge_recorded () =
   let was = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
-  let r = Workload.Kv_runner.measure_adapt_reaction () in
+  let r = Workload.Experiments.measure_adapt_reaction () in
   let g = Obs.Metrics.gauge_value (Obs.Metrics.gauge "adapt.reaction_ticks") in
   Alcotest.(check bool) "gauge holds the last measured reaction" true
     (match r.a_reactions with last :: _ -> g = last | [] -> false)
 
 let reaction_replays_bit_identically () =
-  let a = Workload.Kv_runner.measure_adapt_reaction () in
-  let b = Workload.Kv_runner.measure_adapt_reaction () in
+  let a = Workload.Experiments.measure_adapt_reaction () in
+  let b = Workload.Experiments.measure_adapt_reaction () in
   Alcotest.(check (list int)) "same reaction sequence" a.a_reactions b.a_reactions;
   Alcotest.(check int) "same peak" a.a_peak_backlog b.a_peak_backlog
 
@@ -361,6 +391,10 @@ let () =
             adaptivity_replays_bit_identically;
           Alcotest.test_case "bounded vs unbounded garbage" `Quick
             adaptivity_bounds_garbage;
+          Alcotest.test_case "kv target replays bit-identically" `Quick
+            kv_replays_bit_identically;
+          Alcotest.test_case "kv target bounded vs unbounded garbage" `Quick
+            kv_bounds_garbage;
         ] );
       ( "reaction",
         [

@@ -227,19 +227,40 @@ let accounting_identities (name, (module K : Workload.Kv_intf.S)) () =
     if Repro_util.Rng.int rng 10 = 0 then incr now
   done;
   ignore (K.expire_sweep c ~now:!now);
-  let s = K.counters t in
-  let size = K.size t ~now:!now in
-  Alcotest.(check int)
-    (name ^ ": node identity (puts_new = size + removes + expiries)")
-    s.Workload.Kv_intf.puts_new
-    (size + s.removes + s.expiries);
-  let installed = s.puts_new + s.overwrites + s.expired_overwrites in
-  Alcotest.(check int)
-    (name ^ ": box identity (installed - size = retire events)")
-    (installed - size)
-    (s.overwrites + s.expired_overwrites + s.removes + s.expiries);
+  Alcotest.(check (pair int int))
+    (name ^ ": (node, box) identity deltas")
+    (0, 0)
+    (Workload.Kv_intf.identity_deltas (K.counters t) ~size:(K.size t ~now:!now));
   K.teardown t;
   Alcotest.(check int) (name ^ ": leak-free") 0 (K.live_objects t)
+
+(* A store whose counters claim one fresh put too many: both deltas
+   move, and the table's KV kernel reports the cell as invalid. *)
+module Tampered = struct
+  include Workload.Instances.Kv_ebr
+
+  let counters t =
+    let c = counters t in
+    { c with Workload.Kv_intf.puts_new = c.Workload.Kv_intf.puts_new + 1 }
+end
+
+let tampered_counters_caught () =
+  let honest = Workload.Instances.Kv_ebr.create ~max_threads:1 () in
+  let c = Tampered.counters honest in
+  Workload.Instances.Kv_ebr.teardown honest;
+  Alcotest.(check (pair int int)) "deltas" (1, 1)
+    (Workload.Kv_intf.identity_deltas c ~size:0);
+  let row =
+    match Workload.Table.kv_row ~keys:256 ~shards:[ 2 ] "read95" with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let inst = Workload.Table.kv_kernel ~read_pct:95 ("tampered", (module Tampered)) in
+  match Workload.Table.sweep ~threads:[ 1 ] ~duration:0.02 row [ inst ] with
+  | [ o ] ->
+      Alcotest.(check (list (pair string int))) "cell invalid" [ ("Invalid", 1) ] o.errors;
+      Alcotest.(check int) "status 1" 1 (Workload.Harness.status [ (o.key, o.errors) ])
+  | os -> Alcotest.failf "%d cells, expected 1" (List.length os)
 
 let router_is_total_and_stable () =
   let module K = Workload.Instances.Kv_ebr in
@@ -425,7 +446,9 @@ let () =
       ("basic-ops", per_scheme basic_get_put_remove);
       ("ttl", per_scheme ttl_semantics);
       ("sweep", per_scheme expire_sweep_churn);
-      ("accounting", per_scheme accounting_identities);
+      ( "accounting",
+        per_scheme accounting_identities
+        @ [ Alcotest.test_case "tampered counters caught" `Quick tampered_counters_caught ] );
       ("router", [ Alcotest.test_case "total-stable-balanced" `Quick router_is_total_and_stable ]);
       ("explore", per_scheme explore_races);
     ]

@@ -1,7 +1,7 @@
 (* Resilience layer (DESIGN.md §13): qcheck properties over the
    circuit breaker's pure core, bit-identical chaos-campaign replay,
-   and the request-outcome / worker-failure separation in the serving
-   runner.
+   and the request-outcome / worker-failure separation in the chaos
+   runner's request layer.
 
    The breaker properties quantify over *reachable* states — whatever a
    random input sequence produces from [init] — rather than raw state
@@ -16,7 +16,7 @@ let to_alcotest = QCheck_alcotest.to_alcotest
 (* ------------------- generators ----------------------------------- *)
 
 (* Small-threshold configs keep the walks short while exercising every
-   transition; fields respect [validate_config]'s invariants by
+   transition; fields respect the invariants [B.create] validates by
    construction. *)
 let config_gen =
   Q.Gen.(
@@ -185,33 +185,40 @@ let chaos_seed_changes_schedule () =
 
 (* ------------------- outcome separation --------------------------- *)
 
-(* A nanosecond deadline forces every request over budget: the runner
-   must report timeouts/retries as request outcomes while r_failures —
-   worker deaths — stays zero and the run still validates. *)
+(* Gray-slow victims keep serving but every try against them costs more
+   than the per-try budget, so a tight deadline forces timeouts and
+   fail-over retries. The runner must report those as request outcomes
+   while c_aborted — requests lost to a worker dying mid-flight — stays
+   zero, every request lands in exactly one outcome, and the run still
+   validates with nothing leaked. *)
 let request_outcomes_are_not_failures () =
   let scheme =
-    match Workload.Instances.find_kv "EBR" with
-    | Some s -> s
-    | None -> Alcotest.fail "EBR KV instance not found"
+    match Workload.Chaos_runner.find_schemes [ "EBR" ] with
+    | Ok [ s ] -> s
+    | _ -> Alcotest.fail "EBR scheme not found"
   in
   let spec =
     {
-      Workload.Kv_runner.default_spec with
-      Workload.Kv_runner.threads = 2;
-      duration = 0.1;
-      shards = 2;
-      keys = 2048;
-      deadline_ms = 0.0001;
-      retries = 1;
+      chaos_spec with
+      Workload.Chaos_runner.ch_kind = Fault.Chaos.Gray_slow;
+      ch_deadline = 3;
+      ch_retries = 2;
     }
   in
-  let r = Workload.Kv_runner.run_one ~spec ~validate:true scheme in
-  Alcotest.(check int) "no worker deaths" 0 r.Workload.Kv_runner.r_failures;
+  let r = Workload.Chaos_runner.run_campaign ~spec scheme in
+  Alcotest.(check int) "no worker deaths" 0 r.Workload.Chaos_runner.c_aborted;
   Alcotest.(check bool) "deadline misses were accounted" true
-    (r.r_timed_out + r.r_retried_ok > 0);
-  Alcotest.(check bool) "retries were issued" true (r.r_retries > 0);
-  Alcotest.(check (list string)) "run validates" [] r.r_violations;
-  Alcotest.(check int) "no leaks" 0 r.r_leaked
+    (r.c_timed_out + r.c_retried_ok > 0);
+  Alcotest.(check bool) "retries were issued" true (r.c_retries > 0);
+  Alcotest.(check int) "every request has one outcome" r.c_steps
+    (r.c_ok_first + r.c_retried_ok + r.c_timed_out + r.c_shed + r.c_failed);
+  List.iter
+    (fun name ->
+      match List.find_opt (fun o -> o.Fault.Chaos.o_name = name) r.c_oracles with
+      | Some o -> Alcotest.(check bool) (name ^ ": " ^ o.o_detail) true o.o_ok
+      | None -> Alcotest.failf "oracle %s missing" name)
+    [ "uaf-free"; "leak-free"; "accounting" ];
+  Alcotest.(check int) "no leaks" 0 r.c_leaked
 
 let () =
   Alcotest.run "resilience"

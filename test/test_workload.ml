@@ -104,6 +104,45 @@ let test_find_set () =
   | _ -> Alcotest.fail "RCEBR not found");
   Alcotest.(check bool) "unknown scheme" true (Result.is_error (find [ "nope" ]))
 
+(* "EBR,ebr" once ran EBR twice under one cell key. *)
+let test_select_dedup () =
+  match T.select (find_row "fig13c") [ "EBR"; "RCEBR"; "ebr"; "rc-ebr" ] with
+  | Ok picked -> Alcotest.(check (list string)) "first picks kept" [ "EBR"; "RCEBR" ] (List.map fst picked)
+  | Error e -> Alcotest.fail e
+
+(* The kv command's row: one cell per shard count, each checked at
+   quiescence and leak-free. *)
+let test_kv_row_shards () =
+  let row =
+    match T.kv_row ~keys:512 ~shards:[ 1; 2 ] "read95" with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let instances = Result.get_ok (T.select row [ "EBR" ]) in
+  let cells = T.sweep ~threads:[ 1 ] ~duration:0.05 row instances in
+  Alcotest.(check (list string))
+    "cell keys"
+    [ "EBR/kv-read95/1 shards=1"; "EBR/kv-read95/1 shards=2" ]
+    (List.map (fun (o : T.outcome) -> o.key) cells);
+  List.iter
+    (fun (o : T.outcome) ->
+      Alcotest.(check bool) (o.key ^ " ops") true (o.cell.c_ops > 0);
+      Alcotest.(check int) (o.key ^ " no leak") 0 o.cell.c_leaked;
+      Alcotest.(check (list (pair string int))) (o.key ^ " no violation") [] o.errors)
+    cells;
+  Alcotest.(check bool) "unknown mix" true (Result.is_error (T.kv_row ~keys:512 ~shards:[ 1 ] "scan"))
+
+(* A kernel whose teardown leaves a block live fails its cell. *)
+let test_leak_fails_row () =
+  let leaky : T.instance =
+    ( "leaky",
+      fun _ ->
+        T.probe ~live:(fun () -> 1) ~backlog:(fun () -> 0) ~teardown:ignore (fun _ continue ->
+            T.batches continue ignore) )
+  in
+  let row = T.row ~id:"stub" ~title:"stub" ~expected:"" "stub" [ leaky ] in
+  Alcotest.(check int) "status 1" 1 (T.run ~threads:[ 1 ] ~duration:0.01 row)
+
 (* A worker that reports 0, 10, ..., [limit] ops and then raises,
    whatever [continue] answers. *)
 let dies_after limit exn continue =
@@ -237,6 +276,9 @@ let () =
           Alcotest.test_case "figures covered" `Quick test_registry_covers_figures;
           Alcotest.test_case "instance matrix" `Quick test_instance_matrix_complete;
           Alcotest.test_case "find_set" `Quick test_find_set;
+          Alcotest.test_case "select keeps the first of duplicates" `Quick test_select_dedup;
+          Alcotest.test_case "kv row sweeps shard counts" `Slow test_kv_row_shards;
+          Alcotest.test_case "a leaking cell fails its row" `Quick test_leak_fails_row;
           Alcotest.test_case "select rejects unknown" `Quick test_select_unknown;
           Alcotest.test_case "knob rows sweep every thread count" `Slow
             test_knob_rows_sweep_threads;

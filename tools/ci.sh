@@ -68,7 +68,8 @@ fi
 # The retired per-figure paths and any second prefill or worker kernel
 # must not reappear outside the table.
 retired='Driver\.Run|fig12_cell|stack_push_pop|figure_kernel|run_perf|let pop_push'
-kernels='let [a-z_]*(prefill|_kernel)\b|\.(push|enqueue|insert) c0'
+retired="$retired|Kv_runner|run_stalled_shard"
+kernels='let [a-z_]*(prefill|_kernel)\b|\.(push|enqueue|insert|put) c0'
 if grep -rnE "$retired|$kernels" lib/workload bin bench | grep -v '^lib/workload/table.ml:'; then
   echo "error: an experiment kernel or sweep outside lib/workload/table.ml" >&2
   exit 1
@@ -90,10 +91,19 @@ echo "== robustness smoke (EBR, 0.2s) =="
 dune exec bin/cdrc_bench.exe -- robustness --duration 0.2 --schemes EBR --out ""
 
 echo "== adaptivity smoke (controller vs fixed knobs) =="
-# Deterministic stalled-domain replay (DESIGN.md §10): exits 1 unless
-# the controller-on run keeps EBR's backlog under the bound while the
+# Deterministic stalled-victim replays (DESIGN.md §10) on two targets:
+# an acquire-retire instance, and shard 0 of the KV service, where the
+# controller escalates to abandon_shard. Exits 1 unless, on both, the
+# controller-on run keeps EBR's backlog under the bound while the
 # fixed-knob run exceeds it — the graceful-degradation contract.
 dune exec bin/cdrc_bench.exe -- adaptivity --iters 2000 --bound 512 --out ""
+# The gate must actually gate: with an unattainable bound the same
+# replays have to exit non-zero.
+if dune exec bin/cdrc_bench.exe -- adaptivity --iters 2000 --bound 1 --out "" \
+    >/dev/null 2>&1; then
+  echo "error: adaptivity ignored a violated bound" >&2
+  exit 1
+fi
 
 echo "== telemetry smoke (fig13a, scaled down) =="
 # Short run with telemetry on; --check fails unless the exported trace
@@ -144,26 +154,12 @@ for t in san-slots-drop-acquire san-handoff-retire-early san-rc-extra-dec; do
   esac
 done
 
-echo "== kv serving smoke (sweep + identity validation) =="
-# Short sharded-KV sweep (DESIGN.md §12) with --validate: after each
-# run the store is quiesced and the node/box retirement-accounting
-# identities plus leak-freedom are asserted; any violation exits 1.
+echo "== kv serving smoke (table rows, always validated) =="
+# Short sharded-KV rows (DESIGN.md §12): after each cell the store is
+# quiesced and the node/box retirement-accounting identities plus
+# leak-freedom are asserted; any violation exits 1.
 dune exec bin/cdrc_bench.exe -- kv --threads 2 --duration 0.1 --shards 2 \
-  --schemes EBR,None --mix read95 --keys 2048 --validate
-
-echo "== kv stalled-shard fault scenario =="
-# Deterministic shard-stall + abandon-recovery replay: a fault plan
-# pins the victim inside a shard-0 critical section; the per-shard
-# controller must escalate to abandon_shard and keep the peak backlog
-# under the bound while the fixed-knob run grows without limit.
-dune exec bin/cdrc_bench.exe -- kv --fault stalled-shard --iters 1200 --bound 512
-# The gate must actually gate: with an unattainable bound the same
-# scenario has to exit non-zero.
-if dune exec bin/cdrc_bench.exe -- kv --fault stalled-shard --iters 1200 --bound 1 \
-    >/dev/null 2>&1; then
-  echo "error: kv --fault stalled-shard ignored a violated bound" >&2
-  exit 1
-fi
+  --schemes EBR,None --mix read95 --keys 2048
 
 echo "== chaos campaign smoke (mixed + rolling-crash, EBR + HP) =="
 # Deterministic seeded chaos campaigns (DESIGN.md §13): every safety
