@@ -1,9 +1,8 @@
 (** Generalized acquire–retire (paper §3.1, Fig 2).
 
     This layer packages any manual SMR scheme as the paper's
-    generalized interface: [alloc] / [retire] / [eject] plus critical
-    sections and the typed [acquire] / [try_acquire] / [release]
-    protocol. It is the contribution that lets reference counting (and
+    generalized interface: [alloc] / [retire] / [eject] plus protection
+    scopes. It is the contribution that lets reference counting (and
     the manual data structures) be written once against a scheme-
     agnostic API.
 
@@ -11,9 +10,10 @@
     DESIGN.md: [alloc] wraps an existing value in a {!Make.managed}
     record (carrying the birth tag and the simulated-heap block) rather
     than calling a constructor; [eject] returns deferred closures for
-    the caller to run (never reentrantly — use {!Make.drain}); the
-    typed read of the shared location is supplied by the caller as a
-    [read] function. *)
+    the caller to run (never reentrantly — use {!Make.drain}); and
+    protection is acquired only inside a {!Make.scope}, whose rank-2
+    body type keeps every guard from outliving the critical section
+    that backs it (DESIGN.md §3). *)
 
 (** The announcement-slot kernel of the Fig 2 protocol, functorized
     over the atomic shim for deterministic schedule exploration
@@ -23,7 +23,10 @@ module Slot_protocol = Slot_protocol
 module Make (S : Smr.Smr_intf.S) = struct
   module Smr_impl = S
 
-  type guard = S.guard
+  (* A pid's protection-scope state, preallocated so that neither
+     opening a scope nor protecting a pointer allocates bookkeeping:
+     bit [g] of [held] is set while the open scope holds guard [g]. *)
+  type scope_state = { smr_s : S.t; pid : int; mutable held : int; mutable opened : bool }
 
   type t = {
     smr : S.t;
@@ -31,6 +34,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     (* AR-level batch sizing: ops the scheme released but the cap has
        not yet let through. Owner-pid only, like the retired queues. *)
     carry : Smr.Deferred.t Queue.t array;
+    scopes : scope_state array;
   }
 
   (* AR-level eject batch sizes: unlike the scheme-level histogram this
@@ -47,13 +51,17 @@ module Make (S : Smr.Smr_intf.S) = struct
     let heap =
       match heap with Some h -> h | None -> Simheap.create ~name:("ar-" ^ S.name) ()
     in
+    let smr = S.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () in
+    if Smr.Knobs.slots_per_thread (S.knobs smr) >= Sys.int_size then
+      invalid_arg "Acquire_retire.create: more slots per thread than a scope's bitmask holds";
     {
-      smr = S.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads ();
+      smr;
       heap;
       carry = Array.init max_threads (fun _ -> Queue.create ());
+      scopes =
+        Array.init max_threads (fun pid -> { smr_s = smr; pid; held = 0; opened = false });
     }
 
-  let smr t = t.smr
   let heap t = t.heap
   let max_threads t = S.max_threads t.smr
 
@@ -82,45 +90,106 @@ module Make (S : Smr.Smr_intf.S) = struct
   let begin_critical_section t ~pid = S.begin_critical_section t.smr ~pid
   let end_critical_section t ~pid = S.end_critical_section t.smr ~pid
 
-  let critically t ~pid f =
-    begin_critical_section t ~pid;
-    Fun.protect ~finally:(fun () -> end_critical_section t ~pid) f
+  (** {2 Protection scopes}
 
-  (* The two-phase announce/confirm protocol described in
-     [Smr.Smr_intf]: [read] loads the shared location, [ident] projects
-     the identity token that the scheme announces and validates. *)
+      The only way to protect a pointer. [scope t ~pid { f }] opens a
+      critical section, runs [f] on a fresh scope, and on every exit —
+      normal or exceptional — releases each guard still held exactly
+      once, then closes the section. The body's type
+      [{ f : 's. 's scope -> 'a }] is rank-2: [f] must work for every
+      ['s], so ['s] cannot occur in ['a], and neither a guard nor
+      anything typed by its scope can be returned from the body or
+      stored where the body's caller sees it (test/scope_fixtures pins
+      this with programs that must fail to compile). The scope is
+      sealed: a scheme's [S.guard = int] cannot be forged into an
+      ['s guard]. Scopes do not nest: closing an inner one would end
+      the critical section the outer body still relies on, so opening
+      a second scope for a pid whose scope is open raises
+      [Invalid_argument]. *)
+  module Scope : sig
+    type 's scope
+    type 's guard
+    type 'a body = { f : 's. 's scope -> 'a } [@@unboxed]
 
-  let acquire t ~pid ~(read : unit -> 'v) ~(ident : 'v -> Smr.Ident.t) : 'v * guard =
-    if S.confirm_is_trivial then (read (), S.acquire t.smr ~pid Smr.Ident.null)
-    else begin
-      let v0 = read () in
-      let g = S.acquire t.smr ~pid (ident v0) in
-      let rec settle () =
-        let v = read () in
-        if S.confirm t.smr ~pid g (ident v) then (v, g) else settle ()
-      in
-      settle ()
-    end
+    val scope : t -> pid:int -> 'a body -> 'a
 
-  let try_acquire t ~pid ~(read : unit -> 'v) ~(ident : 'v -> Smr.Ident.t) :
-      ('v * guard) option =
-    if S.confirm_is_trivial then
-      match S.try_acquire t.smr ~pid Smr.Ident.null with
-      | Some g -> Some (read (), g)
-      | None -> None
-    else begin
-      let v0 = read () in
-      match S.try_acquire t.smr ~pid (ident v0) with
-      | None -> None
-      | Some g ->
-          let rec settle () =
-            let v = read () in
-            if S.confirm t.smr ~pid g (ident v) then Some (v, g) else settle ()
-          in
-          settle ()
-    end
+    val protect : 's scope -> ident:('v -> Smr.Ident.t) -> 'v Atomic.t -> ('v * 's guard) option
+    (** The two-phase announce/confirm protocol of [Smr.Smr_intf] on
+        [cell]: [ident] (a top-level projection, so the call allocates
+        no closure) names what the scheme announces and validates.
+        [None] means the announcement slots ran out; what to do then is
+        the caller's policy. *)
 
-  let release t ~pid g = S.release t.smr ~pid g
+    val release : 's scope -> 's guard -> unit
+    (** Release before scope exit, where the order against a retire or
+        an eject matters, or to free a slot mid-traversal. A guard is
+        its slot's index, and a released slot can be handed out again
+        by the next [protect]: releasing a guard twice is a no-op only
+        if no [protect] since the first release reused its slot. *)
+  end = struct
+    type 's scope = scope_state
+    type 's guard = S.guard
+    type 'a body = { f : 's. 's scope -> 'a } [@@unboxed]
+
+    let hold s g = s.held <- s.held lor (1 lsl g)
+
+    let release s g =
+      let bit = 1 lsl g in
+      if s.held land bit <> 0 then begin
+        s.held <- s.held lxor bit;
+        S.release s.smr_s ~pid:s.pid g
+      end
+
+    let rec release_mask s mask g =
+      if mask <> 0 then begin
+        if mask land 1 <> 0 then S.release s.smr_s ~pid:s.pid g;
+        release_mask s (mask lsr 1) (g + 1)
+      end
+
+    (* Marks the scope closed and clears the mask before releasing, so
+       a release that raises can neither make a guard be released twice
+       nor keep the pid's next scope from opening. *)
+    let close s =
+      let mask = s.held in
+      s.held <- 0;
+      s.opened <- false;
+      release_mask s mask 0;
+      S.end_critical_section s.smr_s ~pid:s.pid
+
+    let scope t ~pid body =
+      let s = t.scopes.(pid) in
+      if s.opened then invalid_arg "Acquire_retire.scope: the pid's scope is already open";
+      S.begin_critical_section t.smr ~pid;
+      s.opened <- true;
+      match body.f s with
+      | v ->
+          close s;
+          v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          close s;
+          Printexc.raise_with_backtrace e bt
+
+    let rec settle s ~ident cell g =
+      let v = Atomic.get cell in
+      if S.confirm s.smr_s ~pid:s.pid g (ident v) then v else settle s ~ident cell g
+
+    let protect s ~ident cell =
+      if S.confirm_is_trivial then (
+        match S.try_acquire s.smr_s ~pid:s.pid Smr.Ident.null with
+        | Some g ->
+            hold s g;
+            Some (Atomic.get cell, g)
+        | None -> None)
+      else
+        match S.try_acquire s.smr_s ~pid:s.pid (ident (Atomic.get cell)) with
+        | Some g ->
+            hold s g;
+            Some (settle s ~ident cell g, g)
+        | None -> None
+  end
+
+  include Scope
 
   let retire t ~pid (m : _ managed) (op : Smr.Deferred.t) =
     S.retire t.smr ~pid (ident m) ~birth:m.birth op

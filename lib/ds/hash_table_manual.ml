@@ -27,28 +27,15 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Fibonacci hashing spreads the benchmark's dense integer keys. *)
   let bucket t key = key * 2654435761 land max_int mod t.nbuckets
 
-  let with_section ctx f =
-    L.Ar.begin_critical_section ctx.t.list.L.ar ~pid:ctx.c.L.pid;
-    Fun.protect
-      ~finally:(fun () -> L.Ar.end_critical_section ctx.t.list.L.ar ~pid:ctx.c.L.pid)
-      f
-
-  let insert ctx key =
-    with_section ctx (fun () -> L.insert_at ctx.c ctx.t.buckets.(bucket ctx.t key) key)
-
-  let remove ctx key =
-    with_section ctx (fun () -> L.remove_at ctx.c ctx.t.buckets.(bucket ctx.t key) key)
-
-  let contains ctx key =
-    with_section ctx (fun () -> L.contains_at ctx.c ctx.t.buckets.(bucket ctx.t key) key)
+  let insert ctx key = L.insert_at ctx.c ctx.t.buckets.(bucket ctx.t key) key
+  let remove ctx key = L.remove_at ctx.c ctx.t.buckets.(bucket ctx.t key) key
+  let contains ctx key = L.contains_at ctx.c ctx.t.buckets.(bucket ctx.t key) key
 
   (* Hash tables do not support ordered ranges; the paper never runs
-     range queries on them. Count by scanning all buckets. *)
+     range queries on them. Count by scanning all buckets, one
+     protection scope per bucket. *)
   let range_query ctx lo hi =
-    with_section ctx (fun () ->
-        Array.fold_left
-          (fun acc b -> acc + L.range_at ctx.c b lo hi)
-          0 ctx.t.buckets)
+    Array.fold_left (fun acc b -> acc + L.range_at ctx.c b lo hi) 0 ctx.t.buckets
 
   let flush ctx = L.flush ctx.c
   let size t = Array.fold_left (fun acc b -> acc + L.size_at b) 0 t.buckets

@@ -55,29 +55,13 @@ module Make (S : Smr.Smr_intf.S) = struct
     else if Atomic.compare_and_set cell cur desired then true
     else link_cas cell expected desired
 
-  (* Protect the destination of the link currently in [cell]; returns
-     the protected link and its guard. Guard budget per traversal is at
-     most 3, below the default 8 slots of HP/HE. *)
-  let protect c cell =
-    let smr = Ar.smr c.t.ar in
-    if S.confirm_is_trivial then
-      match S.try_acquire smr ~pid:c.pid Ident.null with
-      | Some g -> (Atomic.get cell, g)
-      | None -> failwith "hm_list_manual: out of announcement slots (need >= 3)"
-    else begin
-      let v0 = Atomic.get cell in
-      match S.try_acquire smr ~pid:c.pid (ident_of v0) with
-      | None -> failwith "hm_list_manual: out of announcement slots (need >= 3)"
-      | Some g ->
-          let rec settle () =
-            let v = Atomic.get cell in
-            if S.confirm smr ~pid:c.pid g (ident_of v) then (v, g) else settle ()
-          in
-          settle ()
-    end
-
-  let release c g = S.release (Ar.smr c.t.ar) ~pid:c.pid g
-  let release_opt c = function Some g -> release c g | None -> ()
+  (* Protect the destination of the link currently in [cell]. Guard
+     budget per traversal is at most 3, below the default 8 slots of
+     HP/HE. *)
+  let protect s cell =
+    match Ar.protect s ~ident:ident_of cell with
+    | Some p -> p
+    | None -> failwith "hm_list_manual: out of announcement slots (need >= 3)"
 
   let run_ejects c =
     match Ar.eject c.t.ar ~pid:c.pid with
@@ -86,253 +70,174 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   exception Restart
 
-  type cursor = {
+  (* Run [body] in a protection scope, reopening a fresh one on
+     [Restart]: the scope releases whatever the abandoned attempt
+     held. *)
+  let rec scoped c body =
+    match Ar.scope c.t.ar ~pid:c.pid body with v -> v | exception Restart -> scoped c body
+
+  (* Typed by its scope: [prev] and [cur] are protected only while the
+     scope that found them is open. *)
+  type 's cursor = {
     found : bool;
     prev : link Atomic.t;
-    prev_g : S.guard option; (* protects the node containing [prev] *)
     cur : link; (* unmarked view of the successor *)
-    cur_g : S.guard option;
   }
 
-  let discard c cu =
-    release_opt c cu.prev_g;
-    release_opt c cu.cur_g
+  (* The traversals walk hand over hand: [pg] protects the node holding
+     the [prev] cell and [cg] the node [cur] links to. The head cell
+     belongs to no node, so [pg] means nothing while [at_head]. [cur] is
+     always an unmarked view, so it doubles as the CAS-expected link. *)
+  let unlinked prev cur = not (link_eq (Atomic.get prev) cur)
 
   (* Michael's find: position the cursor at the first node with
      key >= [key], unlinking marked nodes on the way. *)
-  let rec search c head key =
-    match search_once c head key with cu -> cu | exception Restart -> search c head key
+  let rec find (s : 's Ar.scope) c key prev pg (cur : link) cg at_head : 's cursor =
+    match cur.dest with
+    | None -> { found = false; prev; cur }
+    | Some m ->
+        let node = Ar.get m in
+        let next, gn = protect s node.next in
+        (* Protected-pointer schemes: cur is only trustworthy if prev
+           still links to it unmarked (Michael 2002). *)
+        if validate && unlinked prev cur then raise Restart
+        else if next.marked then begin
+          (* cur is logically deleted: unlink and retire it. *)
+          let succ = { next with marked = false } in
+          Sched.yield ();
+          if link_cas prev cur succ then begin
+            Ar.retire_free c.t.ar ~pid:c.pid m;
+            run_ejects c;
+            Ar.release s cg;
+            find s c key prev pg succ gn at_head
+          end
+          else raise Restart
+        end
+        else if node.key >= key then begin
+          Ar.release s gn;
+          { found = node.key = key; prev; cur }
+        end
+        else begin
+          if not at_head then Ar.release s pg;
+          find s c key node.next cg next gn false
+        end
 
-  and search_once c head key =
-    let prev = ref head in
-    let prev_g = ref None in
-    let v, g = protect c head in
-    let cur = ref v in
-    let cur_g = ref (if v.dest = None then (release c g; None) else Some g) in
-    let abort () =
-      release_opt c !cur_g;
-      release_opt c !prev_g;
-      raise Restart
-    in
-    let rec loop () =
-      match !cur.dest with
-      | None -> { found = false; prev = !prev; prev_g = !prev_g; cur = !cur; cur_g = None }
-      | Some m ->
-          let node = Ar.get m in
-          let next, gn = protect c node.next in
-          (* Protected-pointer schemes: cur is only trustworthy if prev
-             still links to it unmarked (Michael 2002). *)
-          if validate && not (link_eq (Atomic.get !prev) { dest = !cur.dest; marked = false })
-          then begin
-            release c gn;
-            abort ()
-          end
-          else if next.marked then
-            (* cur is logically deleted: unlink and retire it. *)
-            if
-              link_cas !prev
-                { dest = !cur.dest; marked = false }
-                { dest = next.dest; marked = false }
-            then begin
-              Ar.retire_free c.t.ar ~pid:c.pid m;
-              run_ejects c;
-              release_opt c !cur_g;
-              cur := { next with marked = false };
-              cur_g := (if next.dest = None then (release c gn; None) else Some gn);
-              loop ()
-            end
-            else begin
-              release c gn;
-              abort ()
-            end
-          else if node.key >= key then begin
-            release c gn;
-            {
-              found = node.key = key;
-              prev = !prev;
-              prev_g = !prev_g;
-              cur = !cur;
-              cur_g = !cur_g;
-            }
-          end
-          else begin
-            release_opt c !prev_g;
-            prev_g := !cur_g;
-            prev := node.next;
-            cur := next;
-            cur_g := (if next.dest = None then (release c gn; None) else Some gn);
-            loop ()
-          end
-    in
-    loop ()
+  let search s c head key =
+    let cur, g = protect s head in
+    find s c key head g cur g true
 
   let insert_at c head key =
-    let rec go () =
-      let cu = search c head key in
-      if cu.found then begin
-        discard c cu;
-        false
-      end
-      else begin
-        let m =
-          Ar.alloc c.t.ar ~pid:c.pid
-            { key; next = Atomic.make { dest = cu.cur.dest; marked = false } }
-        in
-        if
-          link_cas cu.prev { dest = cu.cur.dest; marked = false } { dest = Some m; marked = false }
-        then begin
-          discard c cu;
-          true
-        end
-        else begin
-          (* Never published: reclaim directly. *)
-          Simheap.free m.Ar.block;
-          discard c cu;
-          go ()
-        end
-      end
-    in
-    go ()
+    scoped c
+      {
+        f =
+          (fun s ->
+            let cu = search s c head key in
+            if cu.found then false
+            else begin
+              let m = Ar.alloc c.t.ar ~pid:c.pid { key; next = Atomic.make cu.cur } in
+              if link_cas cu.prev cu.cur (link_to m) then true
+              else begin
+                (* Never published: reclaim directly. *)
+                Simheap.free m.Ar.block;
+                raise Restart
+              end
+            end);
+      }
 
+  (* The body returns once the deletion is owned: [`Marked] when the
+     unlink CAS lost, so a helping search in a fresh scope unlinks and
+     retires the node. Run inside the body, a [Restart] from that
+     search would re-run the whole remove after its mark took effect.
+     The {!Sched.yield} points (free outside a controller) let the
+     schedule explorer drive that path, as test/test_ds.ml does. *)
   let remove_at c head key =
-    let rec go () =
-      let cu = search c head key in
-      if not cu.found then begin
-        discard c cu;
-        false
-      end
-      else begin
-        let m = Option.get cu.cur.dest in
-        let node = Ar.get m in
-        let next = Atomic.get node.next in
-        if next.marked then begin
-          (* A concurrent remove owns this node; retry until the find
-             no longer sees it. *)
-          discard c cu;
-          go ()
-        end
-        else if
-          link_cas node.next { dest = next.dest; marked = false }
-            { dest = next.dest; marked = true }
-        then begin
-          (* We own the deletion; try to unlink (guards still held, so
-             the prev cell is safe to CAS), else a later find unlinks
-             and retires it. *)
-          if
-            link_cas cu.prev { dest = Some m; marked = false }
-              { dest = next.dest; marked = false }
-          then begin
-            Ar.retire_free c.t.ar ~pid:c.pid m;
-            run_ejects c
-          end
-          else begin
-            let cu2 = search c head key in
-            discard c cu2
-          end;
-          discard c cu;
-          true
-        end
-        else begin
-          discard c cu;
-          go ()
-        end
-      end
-    in
-    go ()
+    match
+      scoped c
+        {
+          f =
+            (fun s ->
+              let cu = search s c head key in
+              if not cu.found then `Absent
+              else begin
+                let m = Option.get cu.cur.dest in
+                let node = Ar.get m in
+                let next = Atomic.get node.next in
+                (* A marked node is owned by a concurrent remove; retry
+                   until the find no longer sees it. *)
+                if next.marked then raise Restart
+                else if link_cas node.next next { next with marked = true } then begin
+                  (* We own the deletion; try to unlink (guards still
+                     held, so the prev cell is safe to CAS). *)
+                  Sched.yield ();
+                  if link_cas cu.prev cu.cur next then begin
+                    Ar.retire_free c.t.ar ~pid:c.pid m;
+                    run_ejects c;
+                    `Unlinked
+                  end
+                  else `Marked
+                end
+                else raise Restart
+              end);
+        }
+    with
+    | `Absent -> false
+    | `Unlinked -> true
+    | `Marked ->
+        scoped c { f = (fun s -> ignore (search s c head key)) };
+        true
 
   (* Read-only traversal: no helping, no unlinking; marked nodes are
      passed through (their links are frozen). *)
+  let rec contains_in s key prev pg (cur : link) cg at_head =
+    match cur.dest with
+    | None -> false
+    | Some m ->
+        let node = Ar.get m in
+        if node.key > key then false
+        else if node.key = key then
+          (* Deletion flag lives on the node's own next link; no
+             dereference needed to read it. *)
+          not (Atomic.get node.next).marked
+        else begin
+          let next, gn = protect s node.next in
+          if validate && unlinked prev cur then raise Restart;
+          if not at_head then Ar.release s pg;
+          contains_in s key node.next cg { next with marked = false } gn false
+        end
+
   let contains_at c head key =
-    let once () =
-      let prev = ref head in
-      let prev_g = ref None in
-      let v, g = protect c head in
-      let cur = ref v in
-      let cur_g = ref (if v.dest = None then (release c g; None) else Some g) in
-      let finish result =
-        release_opt c !cur_g;
-        release_opt c !prev_g;
-        result
-      in
-      let rec loop () =
-        match !cur.dest with
-        | None -> finish false
-        | Some m ->
-            let node = Ar.get m in
-            if node.key > key then finish false
-            else if node.key = key then
-              (* Deletion flag lives on the node's own next link; no
-                 dereference needed to read it. *)
-              finish (not (Atomic.get node.next).marked)
-            else begin
-              let next, gn = protect c node.next in
-              if
-                validate
-                && not (link_eq (Atomic.get !prev) { dest = !cur.dest; marked = false })
-              then begin
-                release c gn;
-                release_opt c !cur_g;
-                release_opt c !prev_g;
-                raise Restart
-              end;
-              release_opt c !prev_g;
-              prev_g := !cur_g;
-              prev := node.next;
-              cur := { next with marked = false };
-              cur_g := (if next.dest = None then (release c gn; None) else Some gn);
-              loop ()
-            end
-      in
-      loop ()
-    in
-    let rec retry () = match once () with b -> b | exception Restart -> retry () in
-    retry ()
+    scoped c
+      {
+        f =
+          (fun s ->
+            let cur, g = protect s head in
+            contains_in s key head g cur g true);
+      }
 
   (* Sequential-traversal range count (non-linearizable, as in the
      paper's range-query workload). *)
+  let rec range_in s lo hi n prev pg (cur : link) cg at_head =
+    match cur.dest with
+    | None -> n
+    | Some m ->
+        let node = Ar.get m in
+        if node.key >= hi then n
+        else begin
+          let next, gn = protect s node.next in
+          if validate && unlinked prev cur then raise Restart;
+          let n = if node.key >= lo && not next.marked then n + 1 else n in
+          if not at_head then Ar.release s pg;
+          range_in s lo hi n node.next cg { next with marked = false } gn false
+        end
+
   let range_at c head lo hi =
-    let once () =
-      let prev = ref head in
-      let prev_g = ref None in
-      let v, g = protect c head in
-      let cur = ref v in
-      let cur_g = ref (if v.dest = None then (release c g; None) else Some g) in
-      let count = ref 0 in
-      let finish () =
-        release_opt c !cur_g;
-        release_opt c !prev_g;
-        !count
-      in
-      let rec loop () =
-        match !cur.dest with
-        | None -> finish ()
-        | Some m ->
-            let node = Ar.get m in
-            if node.key >= hi then finish ()
-            else begin
-              let next, gn = protect c node.next in
-              if
-                validate
-                && not (link_eq (Atomic.get !prev) { dest = !cur.dest; marked = false })
-              then begin
-                release c gn;
-                release_opt c !cur_g;
-                release_opt c !prev_g;
-                raise Restart
-              end;
-              if node.key >= lo && not next.marked then incr count;
-              release_opt c !prev_g;
-              prev_g := !cur_g;
-              prev := node.next;
-              cur := { next with marked = false };
-              cur_g := (if next.dest = None then (release c gn; None) else Some gn);
-              loop ()
-            end
-      in
-      loop ()
-    in
-    let rec retry () = match once () with n -> n | exception Restart -> retry () in
-    retry ()
+    scoped c
+      {
+        f =
+          (fun s ->
+            let cur, g = protect s head in
+            range_in s lo hi 0 head g cur g true);
+      }
 
   (* Quiescent-only sequential helpers over a head cell. *)
   let size_at head =
@@ -361,14 +266,10 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
 
-  let with_section c f =
-    Ar.begin_critical_section c.t.ar ~pid:c.pid;
-    Fun.protect ~finally:(fun () -> Ar.end_critical_section c.t.ar ~pid:c.pid) f
-
-  let insert c key = with_section c (fun () -> insert_at c c.t.head key)
-  let remove c key = with_section c (fun () -> remove_at c c.t.head key)
-  let contains c key = with_section c (fun () -> contains_at c c.t.head key)
-  let range_query c lo hi = with_section c (fun () -> range_at c c.t.head lo hi)
+  let insert c key = insert_at c c.t.head key
+  let remove c key = remove_at c c.t.head key
+  let contains c key = contains_at c c.t.head key
+  let range_query c lo hi = range_at c c.t.head lo hi
   let flush c = Ar.drain c.t.ar ~pid:c.pid
   let size t = size_at t.head
   let live_objects t = Simheap.live (Ar.heap t.ar)

@@ -50,143 +50,97 @@ module Make (S : Smr.Smr_intf.S) = struct
     | Some a, Some b -> a == b
     | _ -> false
 
-  (* Announce-and-settle on an anchor cell (head or tail). *)
-  let protect c (cell : link Atomic.t) =
-    let smr = Ar.smr c.t.ar in
-    if S.confirm_is_trivial then
-      match S.try_acquire smr ~pid:c.pid Ident.null with
-      | Some g -> (Atomic.get cell, g)
-      | None -> failwith "ms_queue: out of announcement slots"
-    else begin
-      let v0 = Atomic.get cell in
-      match S.try_acquire smr ~pid:c.pid (ident_of v0) with
-      | None -> failwith "ms_queue: out of announcement slots"
-      | Some g ->
-          let rec settle () =
-            let v = Atomic.get cell in
-            if S.confirm smr ~pid:c.pid g (ident_of v) then (v, g) else settle ()
-          in
-          settle ()
-    end
-
-  let release c g = S.release (Ar.smr c.t.ar) ~pid:c.pid g
+  (* Protect the destination of an anchor cell (head or tail), or of a
+     node's [next] link. *)
+  let protect s cell =
+    match Ar.protect s ~ident:ident_of cell with
+    | Some p -> p
+    | None -> failwith "ms_queue: out of announcement slots"
 
   let run_ejects c =
     match Ar.eject c.t.ar ~pid:c.pid with
     | [] -> ()
     | ops -> List.iter (fun op -> op c.pid) ops
 
-  let enqueue c v =
-    Ar.begin_critical_section c.t.ar ~pid:c.pid;
-    let nu = mk_node c.t.ar ~pid:c.pid v in
-    let rec loop () =
-      let lt, g = protect c c.t.tail in
-      match lt with
-      | None ->
-          (* The tail link is never null; still, don't leak the slot. *)
-          release c g;
-          failwith "ms_queue: null tail"
-      | Some tm ->
-          (* Validate tail still = tm before trusting it. *)
-          if not (link_is c.t.tail lt) then begin
-            release c g;
-            loop ()
-          end
-          else begin
-            let tnode = Ar.get tm in
-            match Atomic.get tnode.next with
-            | None ->
-                if link_cas tnode.next None (Some nu) then begin
-                  (* Swing the tail; failure means someone helped. *)
-                  ignore (link_cas c.t.tail (Some tm) (Some nu));
-                  release c g
-                end
-                else begin
-                  release c g;
-                  loop ()
-                end
-            | Some nx ->
-                (* Help a lagging enqueuer advance the tail. *)
-                ignore (link_cas c.t.tail (Some tm) (Some nx));
-                release c g;
-                loop ()
-          end
-    in
-    loop ();
-    Ar.end_critical_section c.t.ar ~pid:c.pid
+  (* Each retry releases the attempt's guards first, keeping the slot
+     budget at two. *)
+  let rec enqueue_in s c nu =
+    let lt, g = protect s c.t.tail in
+    match lt with
+    | None -> failwith "ms_queue: null tail"
+    | Some tm ->
+        (* Validate tail still = tm before trusting it. *)
+        if not (link_is c.t.tail lt) then begin
+          Ar.release s g;
+          enqueue_in s c nu
+        end
+        else begin
+          let tnode = Ar.get tm in
+          match Atomic.get tnode.next with
+          | None ->
+              if link_cas tnode.next None (Some nu) then
+                (* Swing the tail; failure means someone helped. *)
+                ignore (link_cas c.t.tail (Some tm) (Some nu))
+              else begin
+                Ar.release s g;
+                enqueue_in s c nu
+              end
+          | Some nx ->
+              (* Help a lagging enqueuer advance the tail. *)
+              ignore (link_cas c.t.tail (Some tm) (Some nx));
+              Ar.release s g;
+              enqueue_in s c nu
+        end
 
-  let dequeue c =
-    Ar.begin_critical_section c.t.ar ~pid:c.pid;
-    let rec loop () =
-      let lh, gh = protect c c.t.head in
-      match lh with
-      | None ->
-          release c gh;
-          failwith "ms_queue: null head"
-      | Some hm ->
-          if not (link_is c.t.head lh) then begin
-            release c gh;
-            loop ()
-          end
-          else begin
-            let hnode = Ar.get hm in
-            let lt = Atomic.get c.t.tail in
-            let next = Atomic.get hnode.next in
-            match next with
-            | None ->
-                release c gh;
-                None
-            | Some nm ->
-                (* Protect the successor, then re-validate the head:
-                   a stale head's successor may already be reclaimed. *)
-                let smr = Ar.smr c.t.ar in
-                let gn =
-                  if S.confirm_is_trivial then Option.get (S.try_acquire smr ~pid:c.pid Ident.null)
-                  else begin
-                    match S.try_acquire smr ~pid:c.pid (Ident.of_val nm) with
-                    | None -> failwith "ms_queue: out of announcement slots"
-                    | Some g ->
-                        let rec settle () =
-                          if S.confirm smr ~pid:c.pid g (Ident.of_val nm) then g
-                          else settle ()
-                        in
-                        settle ()
-                  end
-                in
-                if not (link_is c.t.head lh) then begin
-                  release c gn;
-                  release c gh;
-                  loop ()
+  let enqueue c v =
+    Ar.scope c.t.ar ~pid:c.pid
+      { f = (fun s -> enqueue_in s c (mk_node c.t.ar ~pid:c.pid v)) }
+
+  let rec dequeue_in s c =
+    let lh, gh = protect s c.t.head in
+    match lh with
+    | None -> failwith "ms_queue: null head"
+    | Some hm ->
+        if not (link_is c.t.head lh) then begin
+          Ar.release s gh;
+          dequeue_in s c
+        end
+        else begin
+          let hnode = Ar.get hm in
+          let lt = Atomic.get c.t.tail in
+          match Atomic.get hnode.next with
+          | None -> None
+          | Some nm as next ->
+              (* Protect the successor, then re-validate the head: a
+                 stale head's successor may already be reclaimed. Once
+                 set, [hnode.next] never changes, so protecting through
+                 it protects [nm]. *)
+              let _, gn = protect s hnode.next in
+              if not (link_is c.t.head lh) then retry s c gh gn
+              else if match lt with Some tm -> tm == hm | None -> false then begin
+                (* Tail is lagging behind a non-empty queue: help. *)
+                ignore (link_cas c.t.tail lt next);
+                retry s c gh gn
+              end
+              else begin
+                let v = (Ar.get nm).value in
+                if link_cas c.t.head lh next then begin
+                  (* The guards outlive the eject: the scope releases
+                     them after it. *)
+                  Ar.retire_free c.t.ar ~pid:c.pid hm;
+                  run_ejects c;
+                  Some v
                 end
-                else if
-                  match lt with Some tm -> tm == hm | None -> false
-                then begin
-                  (* Tail is lagging behind a non-empty queue: help. *)
-                  ignore (link_cas c.t.tail lt next);
-                  release c gn;
-                  release c gh;
-                  loop ()
-                end
-                else begin
-                  let v = (Ar.get nm).value in
-                  if link_cas c.t.head lh next then begin
-                    Ar.retire_free c.t.ar ~pid:c.pid hm;
-                    run_ejects c;
-                    release c gn;
-                    release c gh;
-                    Some v
-                  end
-                  else begin
-                    release c gn;
-                    release c gh;
-                    loop ()
-                  end
-                end
-          end
-    in
-    let r = loop () in
-    Ar.end_critical_section c.t.ar ~pid:c.pid;
-    r
+                else retry s c gh gn
+              end
+        end
+
+  and retry s c gh gn =
+    Ar.release s gn;
+    Ar.release s gh;
+    dequeue_in s c
+
+  let dequeue c = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> dequeue_in s c) }
 
   let flush c = Ar.drain c.t.ar ~pid:c.pid
   let live_objects t = Simheap.live (Ar.heap t.ar)

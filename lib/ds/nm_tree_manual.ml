@@ -17,9 +17,10 @@
     reclaimed; "we still include these numbers … even though these
     experiments occasionally crash". Under our simulated heap such an
     access raises [Simheap.Use_after_free] instead of corrupting
-    memory; the operation wrappers catch it, release all held guards,
-    count the event, and restart — so the benchmark keeps running and
-    reports the violation count. EBR and Hyaline are fully safe here.
+    memory; the operation wrapper counts the event and restarts in a
+    fresh protection scope (the old one released every guard on the
+    unwind) — so the benchmark keeps running and reports the violation
+    count. EBR and Hyaline are fully safe here.
 
     Guard discipline: only the ancestor, parent, and current nodes are
     ever dereferenced, so at most four announcement slots are live at a
@@ -51,7 +52,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     wd : Ar.watchdog;
   }
 
-  type ctx = { t : t; pid : int; mutable held : S.guard list }
+  type ctx = { t : t; pid : int }
 
   let mk_leaf ar ~pid key =
     Ar.alloc ar ~pid { key; left = Atomic.make null_edge; right = Atomic.make null_edge }
@@ -70,7 +71,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let r = mk_internal ar ~pid:0 inf2 s l_inf2b in
     { ar; root = r; uaf = Atomic.make 0; nthreads = max_threads; wd = Ar.watchdog () }
 
-  let ctx t pid = { t; pid; held = [] }
+  let ctx t pid = { t; pid }
   let uaf_events t = Atomic.get t.uaf
   let is_leaf node = (Atomic.get node.left).dest = None
   let ident_of e = match e.dest with None -> Ident.null | Some m -> Ident.of_val m
@@ -89,129 +90,61 @@ module Make (S : Smr.Smr_intf.S) = struct
     else if Atomic.compare_and_set cell cur desired then true
     else edge_cas cell expected desired
 
-  (* Protect the destination of the edge in [cell]. [None] guard means
-     the announcement slots ran out: proceed unprotected (the paper's
-     over-budget HP behaviour). *)
-  let protect c cell =
-    let smr = Ar.smr c.t.ar in
-    if S.confirm_is_trivial then
-      match S.try_acquire smr ~pid:c.pid Ident.null with
-      | Some g ->
-          c.held <- g :: c.held;
-          (Atomic.get cell, Some g)
-      | None -> (Atomic.get cell, None)
-    else
-      match S.try_acquire smr ~pid:c.pid (ident_of (Atomic.get cell)) with
-      | None -> (Atomic.get cell, None)
-      | Some g ->
-          c.held <- g :: c.held;
-          let rec settle () =
-            let v = Atomic.get cell in
-            if S.confirm smr ~pid:c.pid g (ident_of v) then (v, Some g) else settle ()
-          in
-          settle ()
-
-  let release c = function
-    | None -> ()
-    | Some g ->
-        c.held <- List.filter (fun h -> h <> g) c.held;
-        S.release (Ar.smr c.t.ar) ~pid:c.pid g
-
-  let release_all c =
-    List.iter (fun g -> S.release (Ar.smr c.t.ar) ~pid:c.pid g) c.held;
-    c.held <- []
+  (* Protect the destination of the edge in [cell]. The protection is
+     [None] when the announcement slots ran out: proceed unprotected
+     (the paper's over-budget HP behaviour). Read the edge with
+     [target]. *)
+  let protect s cell = Ar.protect s ~ident:ident_of cell
+  let target cell = function Some ((e : edge), _) -> e | None -> Atomic.get cell
+  let release s = function Some (_, g) -> Ar.release s g | None -> ()
 
   let run_ejects c =
     match Ar.eject c.t.ar ~pid:c.pid with
     | [] -> ()
     | ops -> List.iter (fun op -> op c.pid) ops
 
-  (* Seek record (paper Fig 1a). Guards: ancestor, parent, leaf; the
-     successor is never dereferenced so it carries no guard. *)
-  type seek_record = {
+  (* Seek record (paper Fig 1a), typed by the scope whose guards
+     protect its ancestor, parent and leaf; the successor is never
+     dereferenced so it carries no guard. *)
+  type 's seek_record = {
     anc : node Ar.managed;
     suc : node Ar.managed;
     par : node Ar.managed;
     leaf : node Ar.managed;
-    g_anc : S.guard option;
-    g_par : S.guard option;
-    g_leaf : S.guard option;
   }
-
-  let discard c s =
-    release c s.g_anc;
-    release c s.g_par;
-    release c s.g_leaf
 
   let deref (m : node Ar.managed) = Ar.get m
 
-  let seek c key =
+  (* One step down from internal node [n] (= [par]), toward [key]. *)
+  let rec descend (s : 's Ar.scope) key anc g_anc suc n par g_par : 's seek_record =
+    let cell = if key < n.key then n.left else n.right in
+    let p = protect s cell in
+    let e = target cell p in
+    match e.dest with
+    | None ->
+        (* Internal nodes always have two children; a null edge
+           means we read a reclaimed node on an unsafe scheme. *)
+        raise (Simheap.Use_after_free "nm_tree: null child of internal node")
+    | Some m -> walk s key anc g_anc suc par g_par m p e.tag
+
+  and walk s key anc g_anc suc par g_par cur g_cur cur_tag =
+    let n = deref cur in
+    if is_leaf n then { anc; suc; par; leaf = cur }
+    else if not cur_tag then begin
+      (* The edge par->cur is untagged: par/cur become the new
+         ancestor/successor. *)
+      release s g_anc;
+      descend s key par g_par cur n cur g_cur
+    end
+    else begin
+      release s g_par;
+      descend s key anc g_anc suc n cur g_cur
+    end
+
+  (* From the root sentinel, whose first step always lands on S. *)
+  let seek s c key =
     let r = c.t.root in
-    let e_s, g_s = protect c (deref r).left in
-    let s =
-      match e_s.dest with
-      | Some m -> m
-      | None ->
-          release c g_s;
-          failwith "nm_tree: corrupt sentinel"
-    in
-    let anc = ref r and g_anc = ref None in
-    let suc = ref s in
-    let par = ref s and g_par = ref g_s in
-    let e_c, g_c = protect c (deref s).left in
-    let cur =
-      ref
-        (match e_c.dest with
-        | Some m -> m
-        | None ->
-            release c g_c;
-            release c !g_par;
-            failwith "nm_tree: corrupt sentinel")
-    in
-    let g_cur = ref g_c in
-    let cur_tag = ref e_c.tag in
-    let rec walk () =
-      let n = deref !cur in
-      if not (is_leaf n) then begin
-        if not !cur_tag then begin
-          (* The edge par->cur is untagged: par/cur become the new
-             ancestor/successor. *)
-          release c !g_anc;
-          g_anc := !g_par;
-          anc := !par;
-          suc := !cur;
-          g_par := None
-        end
-        else begin
-          release c !g_par;
-          g_par := None
-        end;
-        g_par := !g_cur;
-        par := !cur;
-        let e, g = protect c (if key < n.key then n.left else n.right) in
-        (match e.dest with
-        | None ->
-            (* Internal nodes always have two children; a null edge
-               means we read a reclaimed node on an unsafe scheme. *)
-            release c g;
-            raise (Simheap.Use_after_free "nm_tree: null child of internal node")
-        | Some m ->
-            cur := m;
-            g_cur := g;
-            cur_tag := e.tag);
-        walk ()
-      end
-    in
-    walk ();
-    {
-      anc = !anc;
-      suc = !suc;
-      par = !par;
-      leaf = !cur;
-      g_anc = !g_anc;
-      g_par = !g_par;
-      g_leaf = !g_cur;
-    }
+    descend s key r None r (deref r) r None
 
   (* Excise the flagged chain hanging between ancestor and sibling:
      tag the sibling edge, swing the ancestor edge, and — this being
@@ -219,7 +152,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      The {!Sched.yield} points (free outside a controller) let the
      schedule explorer interleave two removals mid-cleanup, as
      test/test_ds.ml does for sibling leaves of one parent. *)
-  let cleanup c key (s : seek_record) =
+  let cleanup c key (s : _ seek_record) =
     Sched.yield ();
     let par = deref s.par in
     let child_cell, sibling_cell =
@@ -278,129 +211,85 @@ module Make (S : Smr.Smr_intf.S) = struct
     end;
     ok
 
-  let insert_op c key =
-    let rec go () =
-      let s = seek c key in
-      let leaf = deref s.leaf in
-      if leaf.key = key then begin
-        discard c s;
-        false
-      end
-      else begin
-        let par = deref s.par in
-        let cell = if key < par.key then par.left else par.right in
-        let new_leaf = mk_leaf c.t.ar ~pid:c.pid key in
-        let ikey = max key leaf.key in
-        let l, r = if key < leaf.key then (new_leaf, s.leaf) else (s.leaf, new_leaf) in
-        let new_internal = mk_internal c.t.ar ~pid:c.pid ikey l r in
-        if edge_cas cell (clean s.leaf) (clean new_internal) then begin
-          discard c s;
-          true
-        end
-        else begin
-          (* Unpublished nodes: reclaim directly. *)
-          Simheap.free new_leaf.Ar.block;
-          Simheap.free new_internal.Ar.block;
-          (* Help the delete that beat us, if any. *)
-          let e = Atomic.get cell in
-          (match e.dest with
-          | Some m when m == s.leaf && (e.flag || e.tag) -> ignore (cleanup c key s)
-          | _ -> ());
-          discard c s;
-          go ()
-        end
-      end
-    in
-    go ()
+  exception Restart
 
-  let remove_op c key =
-    let rec cleanup_loop victim =
-      let s = seek c key in
-      if s.leaf != victim then begin
-        (* Someone else finished removing our victim. *)
-        discard c s;
-        true
-      end
+  (* Operations run in a protection scope. A retry, and a
+     Use_after_free (possible under the unsafe schemes, see header),
+     reopen a fresh one — the scope has released every guard — and the
+     Use_after_free is counted. *)
+  let rec guarded c body =
+    match Ar.scope c.t.ar ~pid:c.pid body with
+    | v -> v
+    | exception Restart -> guarded c body
+    | exception Simheap.Use_after_free _ ->
+        ignore (Atomic.fetch_and_add c.t.uaf 1);
+        guarded c body
+
+  (* After losing a CAS on [cell], help the delete that beat us, if
+     any, then retry. *)
+  let help_and_retry c key (sr : _ seek_record) cell =
+    let e = Atomic.get cell in
+    (match e.dest with
+    | Some m when m == sr.leaf && (e.flag || e.tag) -> ignore (cleanup c key sr)
+    | _ -> ());
+    raise Restart
+
+  let insert_op s c key =
+    let sr = seek s c key in
+    let leaf = deref sr.leaf in
+    if leaf.key = key then false
+    else begin
+      let par = deref sr.par in
+      let cell = if key < par.key then par.left else par.right in
+      let new_leaf = mk_leaf c.t.ar ~pid:c.pid key in
+      let ikey = max key leaf.key in
+      let l, r = if key < leaf.key then (new_leaf, sr.leaf) else (sr.leaf, new_leaf) in
+      let new_internal = mk_internal c.t.ar ~pid:c.pid ikey l r in
+      if edge_cas cell (clean sr.leaf) (clean new_internal) then true
       else begin
-        let ok = cleanup c key s in
-        discard c s;
-        if ok then true else cleanup_loop victim
+        (* Unpublished nodes: reclaim directly. *)
+        Simheap.free new_leaf.Ar.block;
+        Simheap.free new_internal.Ar.block;
+        help_and_retry c key sr cell
       end
-    in
-    let rec inject () =
-      let s = seek c key in
-      if (deref s.leaf).key <> key then begin
-        discard c s;
-        false
-      end
-      else begin
-        let par = deref s.par in
-        let cell = if key < par.key then par.left else par.right in
-        if edge_cas cell (clean s.leaf) { dest = Some s.leaf; flag = true; tag = false }
-        then begin
-          let victim = s.leaf in
-          let ok = cleanup c key s in
-          discard c s;
-          if ok then true else cleanup_loop victim
-        end
-        else begin
-          let e = Atomic.get cell in
-          (match e.dest with
-          | Some m when m == s.leaf && (e.flag || e.tag) -> ignore (cleanup c key s)
-          | _ -> ());
-          discard c s;
-          inject ()
-        end
-      end
-    in
-    inject ()
+    end
+
+  (* Flag the leaf's edge, then try one cleanup. The flag commits the
+     removal: if that cleanup fails, the caller retries the cleanup
+     (in fresh scopes), never the injection. *)
+  let inject s c key =
+    let sr = seek s c key in
+    if (deref sr.leaf).key <> key then `Done false
+    else begin
+      let par = deref sr.par in
+      let cell = if key < par.key then par.left else par.right in
+      if edge_cas cell (clean sr.leaf) { dest = Some sr.leaf; flag = true; tag = false } then
+        if cleanup c key sr then `Done true else `Flagged sr.leaf
+      else help_and_retry c key sr cell
+    end
+
+  let excise s c key victim =
+    let sr = seek s c key in
+    (* A different leaf means someone else finished removing ours. *)
+    sr.leaf != victim || cleanup c key sr || raise Restart
 
   (* Read-only descent: protects parent and current only. *)
-  let contains_op c key =
-    let r = c.t.root in
-    let e_s, g_s = protect c (deref r).left in
-    let par_g = ref g_s in
-    let cur =
-      ref
-        (match e_s.dest with
-        | Some m -> m
-        | None ->
-            release c g_s;
-            failwith "nm_tree: corrupt sentinel")
-    in
-    let g_cur = ref None in
-    (* Swap: initial cur is S, protected by g_s. *)
-    g_cur := !par_g;
-    par_g := None;
-    let rec walk () =
-      let n = deref !cur in
-      if is_leaf n then begin
-        let res = n.key = key in
-        release c !g_cur;
-        release c !par_g;
-        res
-      end
-      else begin
-        let e, g = protect c (if key < n.key then n.left else n.right) in
-        match e.dest with
-        | None ->
-            release c g;
-            release c !g_cur;
-            release c !par_g;
-            raise (Simheap.Use_after_free "nm_tree: null child of internal node")
-        | Some m ->
-            release c !par_g;
-            par_g := !g_cur;
-            cur := m;
-            g_cur := g;
-            walk ()
-      end
-    in
-    walk ()
+  let rec contains_in s key g_par cur g_cur =
+    let n = deref cur in
+    if is_leaf n then n.key = key
+    else begin
+      let cell = if key < n.key then n.left else n.right in
+      let p = protect s cell in
+      match (target cell p).dest with
+      | None -> raise (Simheap.Use_after_free "nm_tree: null child of internal node")
+      | Some m ->
+          release s g_par;
+          contains_in s key g_cur m p
+    end
 
   (* Sequential range count over [lo, hi): DFS holding one guard per
      path node (paper Fig 11's workload). *)
-  let range_op c lo hi =
+  let range_op s c lo hi =
     let count = ref 0 in
     let rec dfs (m : node Ar.managed) =
       let n = deref m in
@@ -408,51 +297,28 @@ module Make (S : Smr.Smr_intf.S) = struct
         if n.key >= lo && n.key < hi && n.key < inf1 then incr count
       end
       else begin
-        if lo < n.key then begin
-          let e, g = protect c n.left in
-          (match e.dest with Some child -> dfs child | None -> ());
-          release c g
-        end;
-        if hi > n.key then begin
-          let e, g = protect c n.right in
-          (match e.dest with Some child -> dfs child | None -> ());
-          release c g
-        end
+        if lo < n.key then child n.left;
+        if hi > n.key then child n.right
       end
+    and child cell =
+      let p = protect s cell in
+      (match (target cell p).dest with Some m -> dfs m | None -> ());
+      release s p
     in
-    let e, g = protect c (deref c.t.root).left in
-    (match e.dest with Some s -> dfs s | None -> ());
-    release c g;
+    dfs c.t.root;
     !count
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
 
-  (* Operations run inside a critical section; Use_after_free (possible
-     under the unsafe schemes, see header) is caught, guards are
-     released, the event is counted, and the operation restarts. *)
-  let guarded c f =
-    let rec attempt () =
-      Ar.begin_critical_section c.t.ar ~pid:c.pid;
-      match f () with
-      | v ->
-          Ar.end_critical_section c.t.ar ~pid:c.pid;
-          v
-      | exception Simheap.Use_after_free _ ->
-          release_all c;
-          Ar.end_critical_section c.t.ar ~pid:c.pid;
-          ignore (Atomic.fetch_and_add c.t.uaf 1);
-          attempt ()
-      | exception e ->
-          release_all c;
-          Ar.end_critical_section c.t.ar ~pid:c.pid;
-          raise e
-    in
-    attempt ()
+  let insert c key = guarded c { f = (fun s -> insert_op s c key) }
 
-  let insert c key = guarded c (fun () -> insert_op c key)
-  let remove c key = guarded c (fun () -> remove_op c key)
-  let contains c key = guarded c (fun () -> contains_op c key)
-  let range_query c lo hi = guarded c (fun () -> range_op c lo hi)
+  let remove c key =
+    match guarded c { f = (fun s -> inject s c key) } with
+    | `Done removed -> removed
+    | `Flagged victim -> guarded c { f = (fun s -> excise s c key victim) }
+
+  let contains c key = guarded c { f = (fun s -> contains_in s key None c.t.root None) }
+  let range_query c lo hi = guarded c { f = (fun s -> range_op s c lo hi) }
   let flush c = Ar.drain c.t.ar ~pid:c.pid
 
   let size t =

@@ -41,66 +41,52 @@ module Make (S : Smr.Smr_intf.S) = struct
     else if Atomic.compare_and_set cell cur desired then true
     else link_cas cell expected desired
 
-  let push c v =
-    Ar.begin_critical_section c.t.ar ~pid:c.pid;
-    let rec go () =
-      let top = Atomic.get c.t.top in
-      let m = Ar.alloc c.t.ar ~pid:c.pid { value = v; next = top } in
-      if not (link_cas c.t.top top (Some m)) then begin
-        Simheap.free m.Ar.block;
-        go ()
-      end
-    in
-    go ();
-    Ar.end_critical_section c.t.ar ~pid:c.pid
+  let run_ejects c =
+    match Ar.eject c.t.ar ~pid:c.pid with
+    | [] -> ()
+    | ops -> List.iter (fun op -> op c.pid) ops
 
-  let pop c =
-    Ar.begin_critical_section c.t.ar ~pid:c.pid;
-    let smr = Ar.smr c.t.ar in
-    let rec go ?(attempts = 0) () =
-      let v0 = Atomic.get c.t.top in
-      match S.try_acquire smr ~pid:c.pid (ident_of v0) with
-      | None ->
-          (* Slots exhausted (HP/HE): back off with jitter and retry —
-             a concurrent releaser or a woken stalled guard may free
-             one — before declaring the budget truly blown. *)
-          if attempts >= 16 then failwith "treiber_stack: out of announcement slots"
-          else begin
-            Repro_util.Backoff.once c.bo;
-            go ~attempts:(attempts + 1) ()
-          end
-      | Some g ->
-          Repro_util.Backoff.reset c.bo;
-          let rec settle () =
-            let v = Atomic.get c.t.top in
-            if S.confirm smr ~pid:c.pid g (ident_of v) then v else settle ()
-          in
-          let top = settle () in
-          let result =
-            match top with
-            | None ->
-                S.release smr ~pid:c.pid g;
-                None
-            | Some m ->
-                let node = Ar.get m in
-                if link_cas c.t.top top node.next then begin
-                  S.release smr ~pid:c.pid g;
-                  Ar.retire_free c.t.ar ~pid:c.pid m;
-                  (match Ar.eject c.t.ar ~pid:c.pid with
-                  | [] -> ()
-                  | ops -> List.iter (fun op -> op c.pid) ops);
-                  Some node.value
-                end
-                else begin
-                  S.release smr ~pid:c.pid g;
-                  go ()
-                end
-          in
-          result
-    in
-    let r = go () in
-    Ar.end_critical_section c.t.ar ~pid:c.pid;
-    r
+  let rec push_in c v =
+    let top = Atomic.get c.t.top in
+    let m = Ar.alloc c.t.ar ~pid:c.pid { value = v; next = top } in
+    if not (link_cas c.t.top top (Some m)) then begin
+      Simheap.free m.Ar.block;
+      push_in c v
+    end
+
+  let push c v = Ar.scope c.t.ar ~pid:c.pid { f = (fun _ -> push_in c v) }
+
+  let rec pop_in s c attempts =
+    match Ar.protect s ~ident:ident_of c.t.top with
+    | None ->
+        (* Slots exhausted (HP/HE): back off with jitter and retry — a
+           concurrent releaser or a woken stalled guard may free one —
+           before declaring the budget truly blown. *)
+        if attempts >= 16 then failwith "treiber_stack: out of announcement slots"
+        else begin
+          Repro_util.Backoff.once c.bo;
+          pop_in s c (attempts + 1)
+        end
+    | Some (None, _) ->
+        Repro_util.Backoff.reset c.bo;
+        None
+    | Some ((Some m as top), g) ->
+        Repro_util.Backoff.reset c.bo;
+        let node = Ar.get m in
+        (* Release before retiring, so the retire's scan no longer sees
+           our own announcement of the popped node. *)
+        if link_cas c.t.top top node.next then begin
+          Ar.release s g;
+          Ar.retire_free c.t.ar ~pid:c.pid m;
+          run_ejects c;
+          Some node.value
+        end
+        else begin
+          Ar.release s g;
+          pop_in s c 0
+        end
+
+  let pop c = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> pop_in s c 0) }
 
   let flush c = Ar.drain c.t.ar ~pid:c.pid
 

@@ -1,18 +1,19 @@
-(** rc-lint: static protection-obligation and atomic-discipline checks
-    for the reclamation stack (DESIGN.md §9).
+(** rc-lint: static retire-discipline and atomic-discipline checks for
+    the reclamation stack (DESIGN.md §9).
 
     The analyzer parses each [.ml] file with the ppxlib parser and runs
     a set of purely syntactic rules over the AST. Rules are
     deliberately approximate — they encode the repo's protocol
-    conventions (announce/confirm naming, CAS-helper naming, the
-    [ATOMIC] functor discipline of §8) rather than a points-to
-    analysis, which is exactly the Meyer–Wolff observation: the
-    acquire/release/retire obligations are simple enough to be checked
-    on the syntax of disciplined code.
+    conventions (CAS-helper naming, retire naming, the [ATOMIC] functor
+    discipline of §8) rather than a points-to analysis, which is the
+    Meyer–Wolff observation: the retire obligations are simple enough
+    to be checked on the syntax of disciplined code. The protection
+    obligations (release every guard, let none escape its scope) need
+    no rule: [Acquire_retire]'s rank-2 scopes discharge them by type.
 
-    Suppression: [\[@@@rc_lint.allow "R2"\]] as a floating structure
+    Suppression: [\[@@@rc_lint.allow "R3"\]] as a floating structure
     attribute silences a rule from that point to the end of the file;
-    [\[@rc_lint.allow "R2"\]] attached to an expression, value binding,
+    [\[@rc_lint.allow "R3"\]] attached to an expression, value binding,
     or record label silences exactly that subtree/site. The payload
     ["all"] silences every rule. *)
 
@@ -27,9 +28,6 @@ let rules : (string * string) list =
     ( "R1",
       "raw-atomic: no direct Stdlib.Atomic operations inside the schedule-sensitive \
        functorized cores or any ATOMIC-parameterized functor body" );
-    ( "R2",
-      "acquire-release pairing: in lib/ds/*_manual.ml a function that acquires protection \
-       must release it on every syntactic exit path" );
     ( "R3",
       "retire-discipline: retire calls must be dominated by a successful CAS/unlink \
        (an if-then whose condition runs compare_and_set or a *cas* helper)" );
@@ -46,11 +44,6 @@ let rules : (string * string) list =
       "knob-capture: scheme code must read tuning knobs through Knobs.t accessors, never \
        store them in its own record fields — a captured constant is invisible to the \
        adaptive controller" );
-    ( "R8",
-      "guard-escape: a guard obtained from an acquire-family call must not escape its \
-       protection scope — not stored in a non-local ref or mutable field, not packed \
-       into a returned record/tuple, not captured by a closure except as a \
-       release-family argument" );
     ( "R9",
       "use-after-retire: a pointer passed to retire (directly or through a summarized \
        helper that retires its parameter) must not be used on any subsequent path in \
@@ -66,7 +59,7 @@ let rules : (string * string) list =
    subdirectories), so the same role logic covers both trees. *)
 type roles = {
   core : bool;  (* one of the three schedule-sensitive cores: whole-file R1 *)
-  manual_ds : bool;  (* a *_manual.ml data structure: R2 + R3 *)
+  manual_ds : bool;  (* a *_manual.ml data structure: R3 + R9 *)
   smr_scheme : bool;  (* under an smr/ directory: R5 + R7 *)
   obs_smr : bool;  (* under obs/ or smr/: R6 *)
   unsafe_allowed : bool;  (* listed in allow_unsafe.txt: R4 off *)
@@ -136,78 +129,30 @@ let allows rule attrs =
 (* Longident and subtree helpers                                       *)
 (* ------------------------------------------------------------------ *)
 
-let flat lid = try Longident.flatten_exn lid with _ -> []
-let last_seg lid = match List.rev (flat lid) with s :: _ -> Some s | [] -> None
+(* [flatten_exn] raises only on a functor application ([Lapply]), as
+   in [Set.Make(Int).t]: no rule matches such a path. *)
+let flat lid = try Longident.flatten_exn lid with Invalid_argument _ -> []
 
 let contains_substring ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-(* Protection-protocol vocabularies. These encode the repo's naming
-   conventions (Smr_intf + the manual data structures); a structure
-   using different names can either adopt them or annotate. *)
-let acquire_names = [ "protect"; "protect_read"; "try_acquire"; "acquire" ]
-
-let release_names =
-  [ "release"; "release_opt"; "release_all"; "unprotect"; "unannounce"; "discard"; "clear" ]
-
-let raise_names = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
 let retire_names = [ "retire"; "retire_free" ]
 
-(* [Fun.protect] is scoped-finalization, not slot protection. *)
 let is_family names path =
-  match List.rev path with
-  | name :: _ -> List.mem name names && path <> [ "Fun"; "protect" ]
-  | [] -> false
+  match List.rev path with name :: _ -> List.mem name names | [] -> false
 
 let apply_head e =
   match e.pexp_desc with
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> Some (flat txt)
   | _ -> None
 
-let expr_contains_apply names e =
-  let found = ref false in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression e =
-        if not !found then begin
-          (match apply_head e with
-          | Some path when is_family names path -> found := true
-          | _ -> ());
-          if not !found then super#expression e
-        end
-    end
-  in
-  it#expression e;
-  !found
-
-let contains_acquire = expr_contains_apply acquire_names
-let contains_release = expr_contains_apply release_names
-
 (* CAS vocabulary: the primitive itself plus the repo's retrying
    helpers (link_cas, edge_cas, cas_link, ...). *)
 let is_casish_name s =
   let s = String.lowercase_ascii s in
   String.equal s "compare_and_set" || contains_substring ~sub:"cas" s
-
-let pattern_mentions_none p =
-  let found = ref false in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! pattern p =
-        (match p.ppat_desc with
-        | Ppat_construct ({ txt = Lident "None"; _ }, _) -> found := true
-        | _ -> ());
-        if not !found then super#pattern p
-    end
-  in
-  it#pattern p;
-  !found
 
 (* ------------------------------------------------------------------ *)
 (* Finding accumulation                                                *)
@@ -251,7 +196,7 @@ let run_r1 ctx ~whole_file st =
       method! module_expr me =
         match me.pmod_desc with
         | Pmod_functor (Named (_, { pmty_desc = Pmty_ident { txt; _ }; _ }), body)
-          when last_seg txt = Some "ATOMIC" ->
+          when (match List.rev (flat txt) with "ATOMIC" :: _ -> true | _ -> false) ->
             scope <- scope + 1;
             self#module_expr body;
             scope <- scope - 1
@@ -288,121 +233,6 @@ let run_r1 ctx ~whole_file st =
         (if scope > 0 && atomic_module_ref od.popen_expr.txt then
            report ctx "R1" od.popen_loc (r1_msg (String.concat "." (flat od.popen_expr.txt))));
         super#open_description od
-    end
-  in
-  it#structure st
-
-(* ------------------------------------------------------------------ *)
-(* R2: acquire-release pairing                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Per structure-level function: if its body performs an
-   acquire-family call it must (a) mention a release-family call
-   somewhere (unless the function is itself a guard constructor by
-   naming convention: name starts with "protect" or mentions
-   "acquire"), and (b) not raise on a
-   path with no preceding release. "Preceding" is judged per enclosing
-   sequence/let chain; a raise in the [None] arm of a match whose
-   scrutinee performs the acquire is exempt (no slot was obtained). *)
-
-let r2_guard_constructor name =
-  let lname = String.lowercase_ascii name in
-  String.length lname >= 7 && String.sub lname 0 7 = "protect"
-  || contains_substring ~sub:"acquire" lname
-
-let r2_check_binding ctx name (vb : value_binding) =
-  let body = vb.pvb_expr in
-  if not (contains_acquire body) then ()
-  else begin
-    if (not (r2_guard_constructor name)) && not (contains_release body) then
-      report ctx "R2" vb.pvb_loc
-        (Printf.sprintf
-           "`%s` acquires protection but contains no release/unprotect — every exit path \
-            must return its announcement slot"
-           name);
-    let it =
-      object (self)
-        inherit Ast_traverse.iter as super
-        val mutable released = false
-        val mutable exempt = false
-
-        method! expression e =
-          if allows "R2" e.pexp_attributes then ()
-          else begin
-            let saved_r = released and saved_e = exempt in
-            (match e.pexp_desc with
-            | Pexp_sequence (e1, e2) ->
-                self#expression e1;
-                released <- saved_r || contains_release e1;
-                exempt <- saved_e;
-                self#expression e2
-            | Pexp_let (_, vbs, rest) ->
-                List.iter
-                  (fun vb ->
-                    self#expression vb.pvb_expr;
-                    released <- saved_r;
-                    exempt <- saved_e)
-                  vbs;
-                released <- saved_r || List.exists (fun vb -> contains_release vb.pvb_expr) vbs;
-                self#expression rest
-            | Pexp_match (scrut, cases) ->
-                self#expression scrut;
-                let acquiring = contains_acquire scrut in
-                List.iter
-                  (fun c ->
-                    released <- saved_r;
-                    exempt <- saved_e || (acquiring && pattern_mentions_none c.pc_lhs);
-                    Option.iter self#expression c.pc_guard;
-                    self#expression c.pc_rhs)
-                  cases
-            | Pexp_try (body, cases) ->
-                (* A raise inside [try] does not exit the function. *)
-                exempt <- true;
-                self#expression body;
-                released <- saved_r;
-                exempt <- saved_e;
-                List.iter
-                  (fun c ->
-                    Option.iter self#expression c.pc_guard;
-                    self#expression c.pc_rhs;
-                    released <- saved_r;
-                    exempt <- saved_e)
-                  cases
-            | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-              when is_family raise_names (flat txt) ->
-                if not (released || exempt) then
-                  report ctx "R2" e.pexp_loc
-                    (Printf.sprintf
-                       "early exit via `%s` on a path that may hold a protection slot — \
-                        release the guard first (or annotate with [@rc_lint.allow \"R2\"])"
-                       (String.concat "." (flat txt)));
-                List.iter (fun (_, a) -> self#expression a) args
-            | _ -> super#expression e);
-            released <- saved_r;
-            exempt <- saved_e
-          end
-      end
-    in
-    it#expression body
-  end
-
-let run_r2 ctx st =
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! structure_item si =
-        match si.pstr_desc with
-        | Pstr_value (_, vbs) ->
-            List.iter
-              (fun vb ->
-                if allows "R2" vb.pvb_attributes then ()
-                else
-                  match vb.pvb_pat.ppat_desc with
-                  | Ppat_var { txt = name; _ } -> r2_check_binding ctx name vb
-                  | _ -> ())
-              vbs
-        | _ -> super#structure_item si
     end
   in
   it#structure st
@@ -656,38 +486,8 @@ let run_r7 ctx st =
   it#structure st
 
 (* ------------------------------------------------------------------ *)
-(* R8: guard-escape                                                    *)
+(* R9: use-after-retire                                                *)
 (* ------------------------------------------------------------------ *)
-
-(* Interprocedural life-cycle rule 1 (Meyer–Wolff's guard scoping as a
-   syntactic check): a guard value let-bound from an acquire-family
-   call is *tainted*; it must die inside its function. Escape shapes:
-
-   - assigned into a ref that is NOT let-bound to [ref ...] in the same
-     function (a local ref is the legal hand-over-hand idiom — see
-     nm_tree's seek — because it cannot outlive the frame);
-   - stored into a mutable record field ([x.f <- ... g ...]);
-   - packed into a record literal (a cursor that outlives the scope);
-   - returned in tail position (bare, or inside a tuple/construct);
-   - captured by a closure, unless every mention inside the closure is
-     an argument of a release-family call (the [Fun.protect
-     ~finally:(fun () -> release t g)] finalizer idiom).
-
-   Taint is deliberately narrow: only [let]-bound variables whose name
-   looks like a guard ([g], [g_*], [g<digit/letter>], [guard*]) and
-   whose right-hand side *is* an acquire-family application. Guards
-   bound by match patterns ([Some g -> ...]) are the caller's problem
-   at the binding site that produced them, and functions that exist to
-   construct guards (protect*/acquire* by name, as in R2) are exempt. *)
-
-let guardish_name n =
-  let ln = String.lowercase_ascii n in
-  String.equal ln "g"
-  || (String.length ln >= 2 && ln.[0] = 'g' && (ln.[1] = '_' || String.length ln <= 3))
-  || (String.length ln >= 5 && String.sub ln 0 5 = "guard")
-
-let is_acquire_apply e =
-  match apply_head e with Some path -> is_family acquire_names path | None -> false
 
 let pat_vars p =
   let acc = ref [] in
@@ -706,232 +506,11 @@ let pat_vars p =
   it#pattern p;
   !acc
 
-(* Tainted variables let-bound by [vbs]: guard-named vars (bare or in a
-   tuple pattern) whose RHS is an acquire-family application. *)
-let r8_taints_of vbs =
+let param_vars params =
   List.concat_map
-    (fun vb ->
-      if is_acquire_apply vb.pvb_expr then
-        List.filter guardish_name (pat_vars vb.pvb_pat)
-      else [])
-    vbs
-
-(* Local refs let-bound by [vbs]: [let r = ref ...]. *)
-let r8_refs_of vbs =
-  List.concat_map
-    (fun vb ->
-      match (vb.pvb_pat.ppat_desc, vb.pvb_expr.pexp_desc) with
-      | ( Ppat_var { txt; _ },
-          Pexp_apply ({ pexp_desc = Pexp_ident { txt = Lident "ref"; _ }; _ }, _) ) ->
-          [ txt ]
-      | _ -> [])
-    vbs
-
-let minus vars names = List.filter (fun v -> not (List.mem v names)) vars
-
-let param_pats params =
-  List.filter_map
     (fun p ->
-      match p.pparam_desc with Pparam_val (_, _, pat) -> Some pat | Pparam_newtype _ -> None)
+      match p.pparam_desc with Pparam_val (_, _, pat) -> pat_vars pat | Pparam_newtype _ -> [])
     params
-
-let param_vars params = List.concat_map pat_vars (param_pats params)
-
-(* Does [e] mention a tainted guard at all — skipping release-family
-   call arguments when [skip_release], and respecting lambda-parameter
-   shadowing? *)
-let mentions_guard ~skip_release tainted e0 =
-  let found = ref false in
-  let rec make tainted =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression e =
-        if !found || tainted = [] then ()
-        else
-          match e.pexp_desc with
-          | Pexp_ident { txt = Lident v; _ } when List.mem v tainted -> found := true
-          | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _)
-            when skip_release && is_family release_names (flat txt) ->
-              ()
-          | Pexp_function (params, _, fbody) -> (
-              let tainted = minus tainted (param_vars params) in
-              match fbody with
-              | Pfunction_body e' -> (make tainted)#expression e'
-              | Pfunction_cases (cases, _, _) ->
-                  List.iter
-                    (fun c ->
-                      (make (minus tainted (pat_vars c.pc_lhs)))#expression c.pc_rhs)
-                    cases)
-          | _ -> super#expression e
-    end
-  in
-  (make tainted)#expression e0;
-  !found
-
-(* A tainted ident reachable through pure data structure only:
-   tuples, constructs, variants, record fields. This is the "the guard
-   itself is in the returned value" test — calls are not structural, so
-   [loop g] or [release t g] never match. *)
-let rec structural_mention tainted e =
-  match e.pexp_desc with
-  | Pexp_ident { txt = Lident v; _ } -> List.mem v tainted
-  | Pexp_tuple es -> List.exists (structural_mention tainted) es
-  | Pexp_construct (_, Some e') | Pexp_variant (_, Some e') -> structural_mention tainted e'
-  | Pexp_record (fields, base) ->
-      List.exists (fun (_, e') -> structural_mention tainted e') fields
-      || (match base with Some b -> structural_mention tainted b | None -> false)
-  | Pexp_constraint (e', _) -> structural_mention tainted e'
-  | _ -> false
-
-let run_r8 ctx st =
-  (* Tail positions of a function body: where a structural mention of a
-     tainted guard means "returned to the caller". *)
-  let rec check_tail tainted e =
-    (* no empty-taint short-circuit: the top-level call starts empty
-       and only picks up taint at the [let]s it walks through *)
-    if allows "R8" e.pexp_attributes then ()
-    else
-      match e.pexp_desc with
-      | Pexp_function (params, _, Pfunction_body body) ->
-          check_tail (minus tainted (param_vars params)) body
-      | Pexp_function (params, _, Pfunction_cases (cases, _, _)) ->
-          let tainted = minus tainted (param_vars params) in
-          List.iter (fun c -> check_tail (minus tainted (pat_vars c.pc_lhs)) c.pc_rhs) cases
-      | Pexp_let (_, vbs, body) ->
-          let tainted = minus tainted (List.concat_map (fun vb -> pat_vars vb.pvb_pat) vbs) in
-          check_tail (tainted @ r8_taints_of vbs) body
-      | Pexp_sequence (_, e2) -> check_tail tainted e2
-      | Pexp_ifthenelse (_, t, eo) ->
-          check_tail tainted t;
-          Option.iter (check_tail tainted) eo
-      | Pexp_match (_, cases) | Pexp_try (_, cases) ->
-          List.iter (fun c -> check_tail (minus tainted (pat_vars c.pc_lhs)) c.pc_rhs) cases
-      | Pexp_constraint (e', _) -> check_tail tainted e'
-      | Pexp_ident _ | Pexp_tuple _ | Pexp_construct _ | Pexp_variant _ ->
-          if structural_mention tainted e then
-            report ctx "R8" e.pexp_loc
-              "guard escapes its protection scope: returned from a non-constructor \
-               function — the protection interval must close before the frame does \
-               (release first, or name the function protect*/acquire* if it is a guard \
-               constructor)"
-      | _ -> ()
-  in
-  let walk_binding vb =
-    let it =
-      object (self)
-        inherit Ast_traverse.iter as super
-        val mutable tainted : string list = []
-        val mutable refs : string list = []
-
-        method! expression e =
-          if allows "R8" e.pexp_attributes then ()
-          else begin
-            let saved_t = tainted and saved_r = refs in
-            (match e.pexp_desc with
-            | Pexp_let (_, vbs, body) ->
-                List.iter (fun vb -> self#expression vb.pvb_expr) vbs;
-                let bound = List.concat_map (fun vb -> pat_vars vb.pvb_pat) vbs in
-                tainted <- minus tainted bound @ r8_taints_of vbs;
-                refs <- minus refs bound @ r8_refs_of vbs;
-                self#expression body
-            | Pexp_function (params, _, fbody) ->
-                let mentions =
-                  match fbody with
-                  | Pfunction_body e' -> mentions_guard ~skip_release:true tainted e'
-                  | Pfunction_cases (cases, _, _) ->
-                      List.exists
-                        (fun c -> mentions_guard ~skip_release:true tainted c.pc_rhs)
-                        cases
-                in
-                if mentions then
-                  report ctx "R8" e.pexp_loc
-                    "guard escapes its protection scope: captured by a closure (only \
-                     release-family calls may mention a guard from inside a closure — \
-                     the closure may run after the announcement is gone)";
-                tainted <- minus tainted (param_vars params);
-                (match fbody with
-                | Pfunction_body e' -> self#expression e'
-                | Pfunction_cases (cases, _, _) ->
-                    let t0 = tainted in
-                    List.iter
-                      (fun c ->
-                        tainted <- minus t0 (pat_vars c.pc_lhs);
-                        self#expression c.pc_rhs)
-                      cases)
-            | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-                self#expression scrut;
-                List.iter
-                  (fun c ->
-                    tainted <- minus saved_t (pat_vars c.pc_lhs);
-                    refs <- saved_r;
-                    Option.iter self#expression c.pc_guard;
-                    self#expression c.pc_rhs)
-                  cases
-            | Pexp_apply
-                ( { pexp_desc = Pexp_ident { txt = Lident ":="; _ }; _ },
-                  [ (_, { pexp_desc = Pexp_ident { txt = Lident r; _ }; _ }); (_, rhs) ] )
-              ->
-                if
-                  (not (List.mem r refs))
-                  && mentions_guard ~skip_release:false tainted rhs
-                then
-                  report ctx "R8" e.pexp_loc
-                    (Printf.sprintf
-                       "guard escapes its protection scope: assigned into `%s`, a ref \
-                        not local to this function — the guard may be read after its \
-                        announcement is released"
-                       r);
-                self#expression rhs
-            | Pexp_setfield (obj, field, rhs) ->
-                if mentions_guard ~skip_release:false tainted rhs then
-                  report ctx "R8" e.pexp_loc
-                    (Printf.sprintf
-                       "guard escapes its protection scope: stored into mutable field \
-                        `%s` — state that outlives the frame must not hold a live guard"
-                       (match last_seg field.txt with Some s -> s | None -> "?"));
-                self#expression obj;
-                self#expression rhs
-            | Pexp_record _ ->
-                if structural_mention tainted e then
-                  report ctx "R8" e.pexp_loc
-                    "guard escapes its protection scope: packed into a record literal — \
-                     a cursor or state value must carry released (or caller-owned) \
-                     guards only"
-                else super#expression e
-            | _ -> super#expression e);
-            tainted <- saved_t;
-            refs <- saved_r
-          end
-      end
-    in
-    it#expression vb.pvb_expr;
-    check_tail [] vb.pvb_expr
-  in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! structure_item si =
-        match si.pstr_desc with
-        | Pstr_value (_, vbs) ->
-            List.iter
-              (fun vb ->
-                if allows "R8" vb.pvb_attributes then ()
-                else
-                  match vb.pvb_pat.ppat_desc with
-                  | Ppat_var { txt = name; _ } when not (r2_guard_constructor name) ->
-                      walk_binding vb
-                  | _ -> ())
-              vbs
-        | _ -> super#structure_item si
-    end
-  in
-  it#structure st
-
-(* ------------------------------------------------------------------ *)
-(* R9: use-after-retire                                                *)
-(* ------------------------------------------------------------------ *)
 
 (* Interprocedural life-cycle rule 2: once a pointer variable is passed
    to retire — directly, or through a helper whose summary says it
@@ -1210,9 +789,7 @@ let suppressed_by spans (f : Finding.t) =
 let lint_structure ~roles ctx st =
   run_r1 ctx ~whole_file:roles.core st;
   if roles.manual_ds then begin
-    run_r2 ctx st;
     run_r3 ctx st;
-    run_r8 ctx st;
     run_r9 ctx st
   end;
   if not roles.unsafe_allowed then run_r4 ctx st;

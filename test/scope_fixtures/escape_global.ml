@@ -1,0 +1,16 @@
+(* Must not compile: the body assigns its guard to a top-level ref. *)
+module Ar = Acquire_retire.Make (Smr.Hp)
+
+let ar = Ar.create ~max_threads:1 ()
+let cell = Atomic.make (Ar.alloc ar ~pid:0 0)
+let last = ref None
+
+let () =
+  Ar.scope ar ~pid:0
+    {
+      f =
+        (fun s ->
+          match Ar.protect s ~ident:Ar.ident cell with
+          | Some (_, g) -> last := Some g
+          | None -> ());
+    }

@@ -1,0 +1,14 @@
+(* Must not compile: the body returns the guard it obtained, so the
+   scope's type variable would escape the scope. *)
+module Ar = Acquire_retire.Make (Smr.Hp)
+
+let ar = Ar.create ~max_threads:1 ()
+let cell = Atomic.make (Ar.alloc ar ~pid:0 0)
+
+let escaped =
+  Ar.scope ar ~pid:0
+    {
+      f =
+        (fun s ->
+          match Ar.protect s ~ident:Ar.ident cell with Some (_, g) -> Some g | None -> None);
+    }

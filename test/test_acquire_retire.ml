@@ -25,7 +25,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
 
   let critically_ends_section_on_exception () =
     let ar = Ar.create ~max_threads:1 () in
-    (match Ar.critically ar ~pid:0 (fun () -> failwith "boom") with
+    (match Ar.scope ar ~pid:0 { f = (fun _ -> failwith "boom") } with
     | _ -> Alcotest.fail "expected exception"
     | exception Failure _ -> ());
     (* If the section leaked, this retire would never eject. *)
@@ -67,13 +67,16 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let ar = Ar.create ~max_threads:1 () in
     let m1 = Ar.alloc ar ~pid:0 1 in
     let cell = Atomic.make m1 in
-    Ar.begin_critical_section ar ~pid:0;
-    (match Ar.try_acquire ar ~pid:0 ~read:(fun () -> Atomic.get cell) ~ident:Ar.ident with
-    | Some (v, g) ->
-        Alcotest.(check int) "value" 1 (Ar.get v);
-        Ar.release ar ~pid:0 g
-    | None -> Alcotest.fail "unexpected exhaustion with free slots");
-    Ar.end_critical_section ar ~pid:0;
+    Ar.scope ar ~pid:0
+      {
+        f =
+          (fun s ->
+            match Ar.protect s ~ident:Ar.ident cell with
+            | Some (v, g) ->
+                Alcotest.(check int) "value" 1 (Ar.get v);
+                Ar.release s g
+            | None -> Alcotest.fail "unexpected exhaustion with free slots");
+      };
     Ar.retire_free ar ~pid:0 m1;
     Ar.quiesce ar
 
@@ -94,6 +97,115 @@ module T_hp = Make_tests (Smr.Hp)
 module T_he = Make_tests (Smr.Hazard_eras)
 module T_ptb = Make_tests (Smr.Ptb)
 
+(* ------------------------ protection scopes ----------------------- *)
+
+(* Whatever a body does, its scope leaves no slot held and no critical
+   section open: what a lint rule used to approximate on the syntax of
+   each structure now holds by construction. *)
+
+module Hp_ar = Acquire_retire.Make (Smr.Hp)
+
+let hold_both s a b =
+  match (Hp_ar.protect s ~ident:Hp_ar.ident a, Hp_ar.protect s ~ident:Hp_ar.ident b) with
+  | Some _, Some _ -> ()
+  | _ -> Alcotest.fail "both slots should be free"
+
+let two_slot_cells () =
+  let ar = Hp_ar.create ~slots_per_thread:2 ~max_threads:1 () in
+  (ar, Atomic.make (Hp_ar.alloc ar ~pid:0 1), Atomic.make (Hp_ar.alloc ar ~pid:0 2))
+
+let raising_body_frees_slots () =
+  let ar, a, b = two_slot_cells () in
+  (match Hp_ar.scope ar ~pid:0 { f = (fun s -> hold_both s a b; failwith "boom") } with
+  | () -> Alcotest.fail "expected exception"
+  | exception Failure _ -> ());
+  Hp_ar.scope ar ~pid:0 { f = (fun s -> hold_both s a b) }
+
+let unreleased_guards_freed () =
+  let ar, a, b = two_slot_cells () in
+  for _ = 1 to 3 do
+    Hp_ar.scope ar ~pid:0 { f = (fun s -> hold_both s a b) }
+  done
+
+(* EBR reclaims an entry only once every open section began after its
+   retirement, so pid 1's retire is reclaimed iff pid 0's scopes really
+   closed their sections. The manually opened section is the control:
+   it must pin the same retire. *)
+module Ebr_ar = Acquire_retire.Make (Smr.Ebr)
+
+let reclaimed_after ar =
+  let m = Ebr_ar.alloc ar ~pid:1 () in
+  Ebr_ar.retire_free ar ~pid:1 m;
+  Ebr_ar.drain ar ~pid:1;
+  not (Ebr_ar.is_live m)
+
+let scope_unpins_frontier () =
+  let ar = Ebr_ar.create ~max_threads:2 () in
+  let cell = Atomic.make (Ebr_ar.alloc ar ~pid:0 ()) in
+  let protect s = ignore (Ebr_ar.protect s ~ident:Ebr_ar.ident cell) in
+  (match Ebr_ar.scope ar ~pid:0 { f = (fun s -> protect s; failwith "boom") } with
+  | () -> Alcotest.fail "expected exception"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "closed after a raise" true (reclaimed_after ar);
+  Ebr_ar.scope ar ~pid:0 { f = protect };
+  Alcotest.(check bool) "closed after unreleased guards" true (reclaimed_after ar);
+  Ebr_ar.begin_critical_section ar ~pid:0;
+  Alcotest.(check bool) "an open section pins it" false (reclaimed_after ar);
+  Ebr_ar.end_critical_section ar ~pid:0
+
+(* Scopes do not nest: an inner scope's exit would close the section
+   the outer body still relies on. The rejected inner scope leaves the
+   outer one open (pid 1's retire stays pinned), and the pid's next
+   scope opens normally. *)
+let nested_scope_rejected () =
+  let ar = Ebr_ar.create ~max_threads:2 () in
+  Ebr_ar.scope ar ~pid:0
+    {
+      f =
+        (fun _ ->
+          (match Ebr_ar.scope ar ~pid:0 { f = (fun _ -> ()) } with
+          | () -> Alcotest.fail "expected Invalid_argument"
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check bool) "outer section still open" false (reclaimed_after ar));
+    };
+  Alcotest.(check bool) "closed after the outer exit" true (reclaimed_after ar);
+  Ebr_ar.scope ar ~pid:0 { f = (fun _ -> ()) }
+
+(* A crash inside the body propagates as itself, after the scope has
+   dropped the crashed pid's announcement: the survivor can reclaim the
+   object pid 0 was protecting, before any [abandon]. *)
+let crash_propagates_unwrapped () =
+  let plan =
+    Fault.Fault_plan.create
+      [ { site = On_confirm; pid = Some 0; at = 1; action = Crash } ]
+  in
+  let module Ar =
+    Acquire_retire.Make
+      (Fault.Faulty_smr.Make
+         (Smr.Hp)
+         (struct
+           let plan = plan
+         end))
+  in
+  let ar = Ar.create ~max_threads:2 () in
+  let m = Ar.alloc ar ~pid:1 () in
+  let cell = Atomic.make m in
+  (match Ar.scope ar ~pid:0 { f = (fun s -> ignore (Ar.protect s ~ident:Ar.ident cell)) } with
+  | () -> Alcotest.fail "expected the crash"
+  | exception Fault.Fault_plan.Crashed 0 -> ());
+  Ar.retire_free ar ~pid:1 m;
+  Ar.drain ar ~pid:1;
+  Alcotest.(check bool) "announcement dropped" false (Ar.is_live m)
+
+let scope_tests =
+  [
+    Alcotest.test_case "HP: raising body frees both slots" `Quick raising_body_frees_slots;
+    Alcotest.test_case "HP: unreleased guards freed at exit" `Quick unreleased_guards_freed;
+    Alcotest.test_case "EBR: scope exit unpins the frontier" `Quick scope_unpins_frontier;
+    Alcotest.test_case "crash propagates unwrapped" `Quick crash_propagates_unwrapped;
+    Alcotest.test_case "EBR: nested scope rejected" `Quick nested_scope_rejected;
+  ]
+
 let () =
   Alcotest.run "acquire_retire"
     [
@@ -103,4 +215,5 @@ let () =
       ("hp", T_hp.tests);
       ("hazard_eras", T_he.tests);
       ("ptb", T_ptb.tests);
+      ("scope", scope_tests);
     ]

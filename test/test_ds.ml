@@ -553,6 +553,36 @@ let test_nm_sibling_deletes () =
       Alcotest.(check bool) "explored past 4 schedules" true (schedules > 4)
   | r -> Alcotest.failf "dfs: %a" Sched.pp_result r
 
+(* Two removals of neighbouring keys under the DFS explorer, in the
+   list [1; 2; 3]. One schedule: fiber 0 marks 2 and yields; fiber 1
+   unlinks 2 on its way, marks 3 and yields; fiber 0's unlink CAS then
+   fails, and its helping search loses the race to unlink 3. Each
+   removal must report its key exactly once: re-running a remove whose
+   mark already took effect finds 2 gone and reports it absent. *)
+let list_mark_then_help () =
+  let t = L_ebr.create ~max_threads:3 () in
+  let c0 = L_ebr.ctx t 0 in
+  List.iter (fun k -> ignore (L_ebr.insert c0 k)) [ 1; 2; 3 ];
+  let removed = [| false; false |] in
+  let remove i key () = removed.(i) <- L_ebr.remove (L_ebr.ctx t (i + 1)) key in
+  {
+    Sched.fibers = [| remove 0 2; remove 1 3 |];
+    check =
+      (fun () ->
+        if not (removed.(0) && removed.(1)) then failwith "a removal reported absent";
+        if L_ebr.size t <> 1 then failwith "expected only key 1 to survive";
+        List.iter (fun pid -> L_ebr.flush (L_ebr.ctx t pid)) [ 0; 1; 2 ];
+        L_ebr.teardown t;
+        let live = L_ebr.live_objects t in
+        if live <> 0 then failwith (Printf.sprintf "%d blocks leaked" live));
+  }
+
+let test_list_mark_then_help () =
+  match Sched.explore_dfs list_mark_then_help with
+  | Sched.Pass { schedules } ->
+      Alcotest.(check bool) "explored more than one schedule" true (schedules > 1)
+  | r -> Alcotest.failf "dfs: %a" Sched.pp_result r
+
 let () =
   Alcotest.run "ds"
     [
@@ -581,6 +611,12 @@ let () =
         [
           Alcotest.test_case "delete || delete on sibling leaves (EBR)" `Quick
             test_nm_sibling_deletes;
+        ]
+      );
+      ( "list manual explore",
+        [
+          Alcotest.test_case "remove || remove on neighbouring keys (EBR)" `Quick
+            test_list_mark_then_help;
         ]
       );
     ]

@@ -19,12 +19,9 @@ let test_bad_files () =
   check_rules "core/sticky_counter_f.ml" [ "R1"; "R1" ];
   check_rules "core/slot_protocol.ml" [ "R1" ];
   check_rules "bad_r1_functor.ml" [ "R1" ];
-  check_rules "ds/bad_r2_leak_manual.ml" [ "R2" ];
-  check_rules "ds/bad_r2_norelease_manual.ml" [ "R2" ];
   check_rules "ds/bad_r3_retire_manual.ml" [ "R3" ];
   check_rules "ds/bad_r3_retire_loop_manual.ml" [ "R3" ];
   check_rules "bad_r4_obj_magic.ml" [ "R4" ];
-  check_rules "ds/bad_r8_escape_manual.ml" [ "R8"; "R8" ];
   check_rules "ds/bad_r9_use_after_retire_manual.ml" [ "R9"; "R9" ];
   check_rules "smr/bad_r5_scheme.ml" [ "R5" ];
   check_rules "obs/bad_r6_counter.ml" [ "R6"; "R6" ];
@@ -34,21 +31,20 @@ let test_clean_files () =
   check_rules "clean.ml" [];
   check_rules "suppressed_r1.ml" [];
   check_rules "suppressed_r4.ml" [];
-  check_rules "ds/suppressed_r8_manual.ml" [];
   check_rules "ds/suppressed_r9_manual.ml" []
 
-(* suppressed_r2_manual.ml holds two identical leaks; the annotated
-   one must be silent and the other must still fire. *)
+(* bad_r3_retire_manual.ml holds two identical unguarded retires; the
+   annotated one must be silent and the other must still fire. *)
 let test_suppression_site_granular () =
-  match Lint.lint_file (fixture "ds/suppressed_r2_manual.ml") with
+  match Lint.lint_file (fixture "ds/bad_r3_retire_manual.ml") with
   | [ f ] ->
-      Alcotest.(check string) "rule" "R2" f.Finding.rule;
-      Alcotest.(check bool) "fires on the unannotated binding" true (f.Finding.line >= 8)
+      Alcotest.(check string) "rule" "R3" f.Finding.rule;
+      Alcotest.(check bool) "fires on the unannotated binding" true (f.Finding.line >= 12)
   | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
 let test_corpus_total () =
   let fs = Lint.lint_paths [ "lint_fixtures" ] in
-  Alcotest.(check int) "total corpus findings" 19 (List.length fs)
+  Alcotest.(check int) "total corpus findings" 14 (List.length fs)
 
 let test_allowlist_gates_r4 () =
   let src = "let key x = Obj.repr x\n" in
@@ -58,6 +54,12 @@ let test_allowlist_gates_r4 () =
     Lint.lint_string ~allow_unsafe:[ "lib/smr/ident.ml" ] ~filename:"lib/smr/ident.ml" src
   in
   Alcotest.(check int) "clean with allowlist" 0 (List.length ok)
+
+(* A type path through a functor application cannot be flattened; no
+   rule matches it, and the lint must neither crash nor misreport. *)
+let test_functor_application_path () =
+  let fs = Lint.lint_string ~filename:"lib/core/rc_cell.ml" "type t = Set.Make(Int).t\n" in
+  Alcotest.(check int) "no finding" 0 (List.length fs)
 
 let test_parse_failure_is_a_finding () =
   match Lint.lint_string ~filename:"broken.ml" "let = =" with
@@ -90,6 +92,8 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "allowlist gates R4" `Quick test_allowlist_gates_r4;
+          Alcotest.test_case "functor application path" `Quick
+            test_functor_application_path;
           Alcotest.test_case "parse failure is a finding" `Quick
             test_parse_failure_is_a_finding;
           Alcotest.test_case "json output" `Quick test_json_output;

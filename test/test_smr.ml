@@ -192,20 +192,26 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let ar = Ar.create ~cleanup_freq:1 ~max_threads:2 () in
     let m1 = Ar.alloc ar ~pid:0 1 in
     let cell = Atomic.make m1 in
-    Ar.begin_critical_section ar ~pid:1;
-    let v, g =
-      Ar.acquire ar ~pid:1 ~read:(fun () -> Atomic.get cell) ~ident:Ar.ident
+    let m2 =
+      Ar.scope ar ~pid:1
+        {
+          f =
+            (fun s ->
+              match Ar.protect s ~ident:Ar.ident cell with
+              | None -> Alcotest.fail "unexpected exhaustion with free slots"
+              | Some (v, g) ->
+                  Alcotest.(check int) "read value" 1 (Ar.get v);
+                  (* Writer swaps in a new object and retires the old one. *)
+                  let m2 = Ar.alloc ar ~pid:0 2 in
+                  let old = Atomic.exchange cell m2 in
+                  Ar.retire_free ar ~pid:0 old;
+                  Ar.drain ar ~pid:0;
+                  (* Still protected: the object must not have been freed. *)
+                  Alcotest.(check int) "still readable under guard" 1 (Ar.get v);
+                  Ar.release s g;
+                  m2);
+        }
     in
-    Alcotest.(check int) "read value" 1 (Ar.get v);
-    (* Writer swaps in a new object and retires the old one. *)
-    let m2 = Ar.alloc ar ~pid:0 2 in
-    let old = Atomic.exchange cell m2 in
-    Ar.retire_free ar ~pid:0 old;
-    Ar.drain ar ~pid:0;
-    (* Still protected: the object must not have been freed. *)
-    Alcotest.(check int) "still readable under guard" 1 (Ar.get v);
-    Ar.release ar ~pid:1 g;
-    Ar.end_critical_section ar ~pid:1;
     Ar.drain ar ~pid:0;
     (* PTB hand-off lands in the releaser's queue. *)
     Ar.drain ar ~pid:1;
@@ -232,25 +238,17 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       let rng = Repro_util.Rng.create ~seed:(pid * 7919) in
       try
         for _ = 1 to iters do
-          Ar.begin_critical_section ar ~pid;
           let slot = Repro_util.Rng.int rng nslots in
-          (match
-             Ar.try_acquire ar ~pid
-               ~read:(fun () -> Atomic.get cells.(slot))
-               ~ident:Ar.ident
-           with
-          | Some (v, g) ->
-              ignore (Sys.opaque_identity (Ar.get v));
-              Ar.release ar ~pid g
-          | None ->
-              let v, g =
-                Ar.acquire ar ~pid
-                  ~read:(fun () -> Atomic.get cells.(slot))
-                  ~ident:Ar.ident
-              in
-              ignore (Sys.opaque_identity (Ar.get v));
-              Ar.release ar ~pid g);
-          Ar.end_critical_section ar ~pid
+          Ar.scope ar ~pid
+            {
+              f =
+                (fun s ->
+                  match Ar.protect s ~ident:Ar.ident cells.(slot) with
+                  | Some (v, g) ->
+                      ignore (Sys.opaque_identity (Ar.get v));
+                      Ar.release s g
+                  | None -> failwith "slots exhausted with one guard held");
+            }
         done
       with e ->
         ignore (Atomic.fetch_and_add failures 1);

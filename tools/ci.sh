@@ -24,6 +24,17 @@ if dune exec tools/rc_lint/rc_lint.exe -- test/lint_fixtures >/dev/null; then
   exit 1
 fi
 
+echo "== protection scopes =="
+# Every manual structure protects pointers through Acquire_retire's
+# rank-2 scope (DESIGN.md §3), which releases its guards and closes its
+# critical section on every exit: no lib/ds/*_manual.ml line may call
+# the scheme's protection API or open a section by hand.
+if grep -nE 'S\.(try_acquire|acquire|confirm|release) |Ar\.smr|begin_critical_section|end_critical_section' \
+    lib/ds/*_manual.ml; then
+  echo "error: a manual structure bypasses the protection scope" >&2
+  exit 1
+fi
+
 echo "== single harness =="
 # Every timed multi-domain run goes through Workload.Harness (DESIGN.md
 # §1): no other file spawns worker domains, no workload code swallows
