@@ -505,9 +505,9 @@ let explore_cmd =
   Cmd.v
     (Cmd.info "explore"
        ~doc:
-         "Deterministic schedule exploration of the lock-free cores (sticky counter, \
-          acquire-retire slots, CDRC weak upgrade), and of their san-* kernels under the \
-          race & lifetime sanitizer; failures print a replayable schedule")
+         "Deterministic schedule exploration of the production lock-free cores (sticky \
+          counter, acquire-retire over hazard pointers, CDRC weak upgrade) under the race \
+          & lifetime sanitizer; failures print a replayable schedule")
     Term.(
       const run $ list_arg $ target_arg $ mode_arg $ seed_arg $ iters_arg
       $ preempt_arg $ depth_arg $ max_steps_arg $ replay_arg)

@@ -15,11 +15,6 @@
     body type keeps every guard from outliving the critical section
     that backs it (DESIGN.md §3). *)
 
-(** The announcement-slot kernel of the Fig 2 protocol, functorized
-    over the atomic shim for deterministic schedule exploration
-    (DESIGN.md §8). *)
-module Slot_protocol = Slot_protocol
-
 module Make (S : Smr.Smr_intf.S) = struct
   module Smr_impl = S
 
@@ -113,7 +108,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     val scope : t -> pid:int -> 'a body -> 'a
 
-    val protect : 's scope -> ident:('v -> Smr.Ident.t) -> 'v Atomic.t -> ('v * 's guard) option
+    val protect : 's scope -> ident:('v -> Smr.Ident.t) -> 'v Sched.Atomic.t -> ('v * 's guard) option
     (** The two-phase announce/confirm protocol of [Smr.Smr_intf] on
         [cell]: [ident] (a top-level projection, so the call allocates
         no closure) names what the scheme announces and validates.
@@ -171,7 +166,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           Printexc.raise_with_backtrace e bt
 
     let rec settle s ~ident cell g =
-      let v = Atomic.get cell in
+      let v = Sched.Atomic.get cell in
       if S.confirm s.smr_s ~pid:s.pid g (ident v) then v else settle s ~ident cell g
 
     let protect s ~ident cell =
@@ -179,10 +174,10 @@ module Make (S : Smr.Smr_intf.S) = struct
         match S.try_acquire s.smr_s ~pid:s.pid Smr.Ident.null with
         | Some g ->
             hold s g;
-            Some (Atomic.get cell, g)
+            Some (Sched.Atomic.get cell, g)
         | None -> None)
       else
-        match S.try_acquire s.smr_s ~pid:s.pid (ident (Atomic.get cell)) with
+        match S.try_acquire s.smr_s ~pid:s.pid (ident (Sched.Atomic.get cell)) with
         | Some g ->
             hold s g;
             Some (settle s ~ident cell g, g)

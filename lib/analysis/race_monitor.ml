@@ -3,11 +3,11 @@
     One monitor instance checks one explored schedule. Two event feeds
     drive it:
 
-    - every [Sched.Traced] atomic operation, via the {!Sched.set_tracer}
-      hook installed by {!create} — these build the happens-before
-      relation (FastTrack-style: each atomic op on a location is treated
-      as an acquire+release on that location, which is exactly the
-      seq-cst semantics the traced shim models);
+    - every [Sched.Atomic] operation of the scenario's fibers, via the
+      {!Sched.interpose} tracer installed by {!create} — these build the
+      happens-before relation (FastTrack-style: each atomic op on a
+      location is treated as an acquire+release on that location, which
+      is exactly the seq-cst semantics of [Stdlib.Atomic]);
     - protocol events ([register]/[deref]/[acquire]/[retire]/[free] and
       the [rc_*] family), reported explicitly by the sanitizing scenario
       wrappers in [lib/explore] — these drive the pointer-lifetime
@@ -45,7 +45,7 @@ type t = {
   n : int;  (** fibers; clock component [n] is the setup/oracle context *)
   clocks : Vclock.t array;  (** [n + 1] entries *)
   started : bool array;  (** fork edge from setup applied? *)
-  locs : (int, Vclock.t) Hashtbl.t;  (** atomic-cell uid -> last-sync clock *)
+  locs : (int, Vclock.t) Hashtbl.t;  (** atomic-cell id -> last-sync clock *)
   idents : (int, ident_state) Hashtbl.t;
   derefs : (int, deref_record list) Hashtbl.t;
   guards : (int, int list) Hashtbl.t;  (** context -> announced idents (multiset) *)
@@ -109,7 +109,7 @@ let create ~fibers () =
       rc = Hashtbl.create 8;
     }
   in
-  Sched.set_tracer (Some (on_op m));
+  Sched.interpose (on_op m);
   m
 
 (* ------------------------------------------------------------------ *)

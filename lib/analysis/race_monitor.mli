@@ -1,10 +1,10 @@
 (** Happens-before race & pointer-lifetime sanitizer (DESIGN.md §14).
 
-    One monitor checks one explored schedule. {!create} installs the
-    {!Sched.set_tracer} hook, so every [Sched.Traced] atomic operation
-    feeds the FastTrack-style vector-clock engine; the sanitizing
-    scenario wrappers in [lib/explore] report protocol events
-    explicitly. Violations raise {!Violation} at the offending event —
+    One monitor checks one explored schedule. {!create} opts the
+    scenario into interposition ({!Sched.interpose}), so every
+    [Sched.Atomic] operation of its fibers feeds the FastTrack-style
+    vector-clock engine; the scenarios in [lib/explore] report protocol
+    events explicitly. Violations raise {!Violation} at the offending event —
     inside the offending fiber — so the explorers surface them with the
     executed schedule and a replay recipe, like any oracle failure.
 
@@ -30,7 +30,7 @@ type t
 val create : fibers:int -> unit -> t
 (** [create ~fibers:n ()] — a monitor for a scenario with [n] fibers.
     Installs itself as the scheduler's tracer (replacing any previous
-    one). Clock component [n] is the setup/oracle context: events
+    one), which opts the scenario being built into interposition. Clock component [n] is the setup/oracle context: events
     reported while [Sched.current_fiber () = -1] are attributed to it;
     setup happens-before every fiber, the oracle follows all of them. *)
 

@@ -31,11 +31,9 @@
 module Make (S : Smr.Smr_intf.S) = struct
   module Smr_impl = S
 
-  (* The control-block lifecycle core (counters + value cell) comes
-     from the schedule-explorable functor, instantiated on the
-     zero-cost passthrough shim; test/test_sched.ml drives the same
-     functor over [Sched.Traced]. *)
-  module Cell = Rc_cell.Make (Sched.Passthrough)
+  (* The control-block lifecycle core (counters + value cell); the
+     schedule explorer drives the same module. *)
+  module Cell = Rc_cell
   module Ident = Smr.Ident
 
   let scheme_name = "RC" ^ S.name
@@ -75,8 +73,8 @@ module Make (S : Smr.Smr_intf.S) = struct
     nthreads : int;
     (* instrumentation: snapshot fast (guard) vs slow (count increment)
        paths, per thread — the mechanism behind the paper's Fig 11. *)
-    snap_fast : int Repro_util.Padded.t;
-    snap_slow : int Repro_util.Padded.t;
+    snap_fast : int Padded.t;
+    snap_slow : int Padded.t;
     wd : Obs.Watchdog.t; (* reclamation-progress watchdog over [ar] *)
   }
 
@@ -94,8 +92,8 @@ module Make (S : Smr.Smr_intf.S) = struct
       pending = Array.init max_threads (fun _ -> Queue.create ());
       draining = Array.make max_threads false;
       nthreads = max_threads;
-      snap_fast = Repro_util.Padded.create max_threads 0;
-      snap_slow = Repro_util.Padded.create max_threads 0;
+      snap_fast = Padded.create max_threads 0;
+      snap_slow = Padded.create max_threads 0;
       wd = Obs.Watchdog.create ~scheme:scheme_name ();
     }
 
@@ -252,50 +250,40 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* The announce/confirm protocol against a slot-holding atomic cell *)
 
-  let settle_guard ar ~pid g id =
-    while not (S.confirm ar ~pid g id) do
-      ()
-    done
+  (* The confirm half of the protocol, shared by every protected read:
+     confirm [g] against [v]'s identity, re-reading [loc] after each
+     miss, and return the value [g] covers. *)
+  let rec settle ar ~pid g loc v =
+    if S.confirm ar ~pid g (slot_ident v) then v
+    else settle ar ~pid g loc (Sched.Atomic.get loc)
 
   (* When confirm is constantly true (EBR/Hyaline), the first load is
      already protected by the ambient critical section: single-load
      fast path, the reason region schemes are cheap (paper §2). *)
-  let protect_load ar ~pid (loc : 'a slot Atomic.t) : 'a slot * S.guard =
-    if S.confirm_is_trivial then (Atomic.get loc, S.acquire ar ~pid Ident.null)
+  let protect_load ar ~pid (loc : 'a slot Sched.Atomic.t) : 'a slot * S.guard =
+    if S.confirm_is_trivial then (Sched.Atomic.get loc, S.acquire ar ~pid Ident.null)
     else begin
-      let v0 = Atomic.get loc in
-      let g = S.acquire ar ~pid (slot_ident v0) in
-      let rec settle () =
-        let v = Atomic.get loc in
-        if S.confirm ar ~pid g (slot_ident v) then (v, g) else settle ()
-      in
-      settle ()
+      let g = S.acquire ar ~pid (slot_ident (Sched.Atomic.get loc)) in
+      (settle ar ~pid g loc (Sched.Atomic.get loc), g)
     end
 
-  let try_protect_load ar ~pid (loc : 'a slot Atomic.t) : ('a slot * S.guard) option =
+  let try_protect_load ar ~pid (loc : 'a slot Sched.Atomic.t) : ('a slot * S.guard) option =
     if S.confirm_is_trivial then
       match S.try_acquire ar ~pid Ident.null with
-      | Some g -> Some (Atomic.get loc, g)
+      | Some g -> Some (Sched.Atomic.get loc, g)
       | None -> None
-    else begin
-      let v0 = Atomic.get loc in
-      match S.try_acquire ar ~pid (slot_ident v0) with
+    else
+      match S.try_acquire ar ~pid (slot_ident (Sched.Atomic.get loc)) with
       | None -> None
-      | Some g ->
-          let rec settle () =
-            let v = Atomic.get loc in
-            if S.confirm ar ~pid g (slot_ident v) then Some (v, g) else settle ()
-          in
-          settle ()
-    end
+      | Some g -> Some (settle ar ~pid g loc (Sched.Atomic.get loc), g)
 
   (* Logical CAS over a slot cell: succeed iff the current slot equals
      [expected] (cb identity + mark). Physical CAS failure against a
      logically-equal but re-boxed slot retries (DESIGN.md S5). *)
-  let rec slot_cas (loc : 'a slot Atomic.t) expected desired =
-    let cur = Atomic.get loc in
+  let rec slot_cas (loc : 'a slot Sched.Atomic.t) expected desired =
+    let cur = Sched.Atomic.get loc in
     if not (slot_eq cur expected) then false
-    else if Atomic.compare_and_set loc cur desired then true
+    else if Sched.Atomic.compare_and_set loc cur desired then true
     else slot_cas loc expected desired
 
   (* ------------------------------------------------------------------ *)
@@ -329,8 +317,8 @@ module Make (S : Smr.Smr_intf.S) = struct
     mutable ws_live : bool;
   }
 
-  type 'a asp = { asp : 'a slot Atomic.t }
-  type 'a awp = { awp : 'a slot Atomic.t }
+  type 'a asp = { asp : 'a slot Sched.Atomic.t }
+  type 'a awp = { awp : 'a slot Sched.Atomic.t }
 
   let check_owner live what = if not live then raise (Use_after_drop what)
 
@@ -482,17 +470,17 @@ module Make (S : Smr.Smr_intf.S) = struct
   module Asp = struct
     type 'a t = 'a asp
 
-    let make_null () : 'a t = { asp = Atomic.make Null }
+    let make_null () : 'a t = { asp = Sched.Atomic.make Null }
 
     (** Initialize a cell from an owned view, taking a count unit. *)
     let make (t : thr) (v : 'a ptr) : 'a t =
       ignore t;
       (match cb_of v with Some cb -> must_increment cb | None -> ());
-      { asp = Atomic.make v }
+      { asp = Sched.Atomic.make v }
 
     (** Unprotected read of the current logical value. Only safe for
         diagnostics or quiescent inspection. *)
-    let unsafe_ptr (c : 'a t) : 'a ptr = Atomic.get c.asp
+    let unsafe_ptr (c : 'a t) : 'a ptr = Sched.Atomic.get c.asp
 
     (* Fig 8 load_and_increment *)
     let load (t : thr) (c : 'a t) : 'a shared =
@@ -509,7 +497,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     let store (t : thr) (c : 'a t) (desired : 'a ptr) =
       (match cb_of desired with Some cb -> must_increment cb | None -> ());
-      let old = Atomic.exchange c.asp desired in
+      let old = Sched.Atomic.exchange c.asp desired in
       (match cb_of old with
       | Some cb -> delayed_decrement t.rt ~pid:t.pid cb
       | None -> ());
@@ -545,7 +533,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       slot_cas c.asp (Ptr.with_mark expected false) (Ptr.with_mark expected true)
 
     let bump counter mirror (t : thr) =
-      Repro_util.Padded.set counter t.pid (Repro_util.Padded.get counter t.pid + 1);
+      Padded.set counter t.pid (Padded.get counter t.pid + 1);
       Obs.Metrics.incr mirror ~pid:t.pid
 
     (* Fig 5 get_snapshot *)
@@ -579,7 +567,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     (** Release the cell's count unit (node teardown in destroy hooks). *)
     let clear (t : thr) (c : 'a t) =
-      let old = Atomic.exchange c.asp Null in
+      let old = Sched.Atomic.exchange c.asp Null in
       (match cb_of old with
       | Some cb -> delayed_decrement t.rt ~pid:t.pid cb
       | None -> ());
@@ -726,21 +714,21 @@ module Make (S : Smr.Smr_intf.S) = struct
     type 'a t = 'a awp
 
     let make_null () : 'a t =
-      { awp = Atomic.make Null }
+      { awp = Sched.Atomic.make Null }
 
     let make (t : thr) (v : 'a ptr) : 'a t =
       require_weak t.rt;
       (match cb_of v with Some cb -> weak_increment cb | None -> ());
-      { awp = Atomic.make v }
+      { awp = Sched.Atomic.make v }
 
-    let unsafe_ptr (c : 'a t) : 'a ptr = Atomic.get c.awp
+    let unsafe_ptr (c : 'a t) : 'a ptr = Sched.Atomic.get c.awp
 
     (* Fig 9 store: weak-increment desired, exchange, deferred
        weak-decrement of the old value. *)
     let store (t : thr) (c : 'a t) (desired : 'a ptr) =
       require_weak t.rt;
       (match cb_of desired with Some cb -> weak_increment cb | None -> ());
-      let old = Atomic.exchange c.awp desired in
+      let old = Sched.Atomic.exchange c.awp desired in
       (match cb_of old with
       | Some cb -> delayed_weak_decrement t.rt ~pid:t.pid cb
       | None -> ());
@@ -801,8 +789,11 @@ module Make (S : Smr.Smr_intf.S) = struct
               match dg with
               | Some g ->
                   (* For IBR/HE the dispose-side interval must be
-                     re-stabilized before trusting the liveness read. *)
-                  settle_guard rt.ar ~pid g id;
+                     re-stabilized before trusting the liveness read.
+                     [g] announced [v]'s own identity, so HP and PTB
+                     confirm at once; the era schemes ignore the
+                     identity a re-read would bring. *)
+                  ignore (settle rt.ar ~pid g c.awp v);
                   not (expired cb)
               | None ->
                   (* Fig 9 line 26: out of dispose guards — fall back to
@@ -823,7 +814,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               S.release rt.ar ~pid wg;
               (* Fig 9 lines 34–35: only linearizable to return null if
                  the cell still holds the expired pointer. *)
-              if slot_eq (Atomic.get c.awp) v then
+              if slot_eq (Sched.Atomic.get c.awp) v then
                 {
                   ws_cb = None;
                   ws_guard = None;
@@ -837,7 +828,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     let clear (t : thr) (c : 'a t) =
       require_weak t.rt;
-      let old = Atomic.exchange c.awp Null in
+      let old = Sched.Atomic.exchange c.awp Null in
       (match cb_of old with
       | Some cb -> delayed_weak_decrement t.rt ~pid:t.pid cb
       | None -> ());
@@ -897,8 +888,8 @@ module Make (S : Smr.Smr_intf.S) = struct
       Fig 11 mechanism: protected-pointer schemes fall back to real
       increments when announcement slots run out. *)
   let snapshot_stats rt =
-    ( Repro_util.Padded.fold ( + ) 0 rt.snap_fast,
-      Repro_util.Padded.fold ( + ) 0 rt.snap_slow )
+    ( Padded.fold ( + ) 0 rt.snap_fast,
+      Padded.fold ( + ) 0 rt.snap_slow )
 
   (** Deferred decrements and disposals of all three kinds currently
       parked in the acquire–retire instance. For Hyaline the per-pid
@@ -947,8 +938,8 @@ end
     library's entry module hides sibling modules, so expose it here). *)
 module Intf = Cdrc_intf
 
-(** Re-export of the control-block lifecycle functor so the schedule
-    explorer (and its CLI) can instantiate it over [Sched.Traced]. *)
+(** Re-export of the control-block lifecycle core for the schedule
+    explorer and the atomics profiles. *)
 module Rc_cell = Rc_cell
 
 (* Compile-time check that Make's output satisfies the scheme-agnostic

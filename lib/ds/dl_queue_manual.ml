@@ -12,7 +12,6 @@
 
 module Make () = struct
   module Ident = Smr.Ident
-  module Padded = Repro_util.Padded
 
   let name = "Original"
 

@@ -1,10 +1,9 @@
 (** Target registry and runner for the schedule-exploration harness:
     the named scenarios the [cdrc-bench explore] subcommand and the CI
-    smoke/sanitize stages drive. See {!Scenarios} and {!San_scenarios}
-    for the scenarios themselves and [Sched] for the explorers. *)
+    smoke/sanitize stages drive. See {!Scenarios} for the scenarios
+    themselves and [Sched] for the explorers. *)
 
 module Scenarios = Scenarios
-module San_scenarios = San_scenarios
 
 type target = {
   t_name : string;
@@ -16,92 +15,46 @@ type target = {
           these targets prove the harness can detect the real bug. *)
 }
 
+let target ?(mutant = false) t_name t_doc t_mk = { t_name; t_doc; t_mk; t_expect_fail = mutant }
+
+(* The clean targets assert zero counterexamples (and zero monitor
+   violations) under exhaustive DFS; the MUTANT ones carry seeded
+   protocol bugs the explorer must catch, naming the racing pair. *)
 let targets =
   [
-    {
-      t_name = "sticky-one-death";
-      t_doc = "sticky counter: 2 domains x 3 inc/dec bursts, exactly one death credit (Fig 7)";
-      t_mk = (fun () -> Scenarios.sticky_one_death ~domains:2 ~ops:3 ());
-      t_expect_fail = false;
-    };
-    {
-      t_name = "sticky-load-vs-dec";
-      t_doc = "sticky counter: loads racing the killing decrement (zero/help-flag dance)";
-      t_mk = (fun () -> Scenarios.sticky_load_vs_decrement ());
-      t_expect_fail = false;
-    };
-    {
-      t_name = "sticky-drop-help";
-      t_doc = "MUTANT: load omits the help-flag publish; the lost death credit must be found";
-      t_mk = (fun () -> Scenarios.sticky_load_vs_decrement ~mutate:true ());
-      t_expect_fail = true;
-    };
-    {
-      t_name = "slots";
-      t_doc = "acquire-retire announcement slots: reader vs retire+eject, no UAF (Fig 2)";
-      t_mk = (fun () -> Scenarios.slots_reclaim ());
-      t_expect_fail = false;
-    };
-    {
-      t_name = "slots-skip-validate";
-      t_doc = "MUTANT: reader skips the confirm re-read; the use-after-free must be found";
-      t_mk = (fun () -> Scenarios.slots_reclaim ~mutate:true ());
-      t_expect_fail = true;
-    };
-    {
-      t_name = "weak-upgrade";
-      t_doc = "CDRC weak upgrade vs final strong drop: dispose once, free once (Figs 8-9)";
-      t_mk = (fun () -> Scenarios.weak_upgrade ());
-      t_expect_fail = false;
-    };
-    {
-      t_name = "racy-counter";
-      t_doc = "harness self-check: a racy RMW whose lost update MUST be found";
-      t_mk = (fun () -> Scenarios.racy_counter ());
-      t_expect_fail = true;
-    };
-    (* Sanitized targets (DESIGN.md §14): the same kernels wrapped so
-       an [Analysis.Race_monitor] checks each explored schedule for
-       lifetime-rule violations. The clean ones assert zero false
-       positives under exhaustive DFS; the MUTANT ones carry seeded
-       protocol bugs the sanitizer must catch, naming the two racing
-       operations. *)
-    {
-      t_name = "san-slots";
-      t_doc = "sanitized announcement slots: reader vs retire+eject, zero violations (Fig 2)";
-      t_mk = (fun () -> San_scenarios.san_slots ());
-      t_expect_fail = false;
-    };
-    {
-      t_name = "san-slots-drop-acquire";
-      t_doc = "MUTANT: the announcement write is dropped; the unprotected access must be caught";
-      t_mk = (fun () -> San_scenarios.san_slots ~mutate:true ());
-      t_expect_fail = true;
-    };
-    {
-      t_name = "san-handoff";
-      t_doc = "sanitized ownership hand-off: deref ordered before free by the ack edge";
-      t_mk = (fun () -> San_scenarios.san_handoff ());
-      t_expect_fail = false;
-    };
-    {
-      t_name = "san-handoff-retire-early";
-      t_doc = "MUTANT: retire+free reordered before the hand-off; the racing deref must be caught";
-      t_mk = (fun () -> San_scenarios.san_handoff ~mutate:true ());
-      t_expect_fail = true;
-    };
-    {
-      t_name = "san-weak-upgrade";
-      t_doc = "sanitized CDRC strong-counter ledger: upgrades and drops balance exactly (Figs 8-9)";
-      t_mk = (fun () -> San_scenarios.san_weak_upgrade ());
-      t_expect_fail = false;
-    };
-    {
-      t_name = "san-rc-extra-dec";
-      t_doc = "MUTANT: one fiber drops its strong reference twice; the ledger must flag it";
-      t_mk = (fun () -> San_scenarios.san_weak_upgrade ~mutate:true ());
-      t_expect_fail = true;
-    };
+    target "sticky-one-death"
+      "sticky counter: 2 domains x 3 inc/dec bursts, exactly one death credit (Fig 7)"
+      (fun () -> Scenarios.sticky_one_death ~domains:2 ~ops:3 ());
+    target "sticky-load-vs-dec"
+      "sticky counter: loads racing the killing decrement (zero/help-flag dance)"
+      (fun () -> Scenarios.sticky_load_vs_decrement ());
+    target ~mutant:true "sticky-drop-help"
+      "MUTANT: load omits the help-flag publish; the lost death credit must be found"
+      (fun () -> Scenarios.sticky_load_vs_decrement ~mutate:true ());
+    target "slots"
+      "acquire-retire over HP: reader vs retire+eject, no UAF, zero violations (Fig 2)"
+      (fun () -> Scenarios.slots ());
+    target ~mutant:true "slots-skip-validate"
+      "MUTANT: HP confirm always succeeds; the unprotected access must be found"
+      (fun () -> Scenarios.slots ~mutant:Scenarios.Skip_confirm ());
+    target ~mutant:true "slots-drop-announce"
+      "MUTANT: HP announces null; the unprotected access must be caught"
+      (fun () -> Scenarios.slots ~mutant:Scenarios.Drop_announce ());
+    target "weak-upgrade"
+      "CDRC weak upgrade vs final strong drop: dispose once, free once, ledger balances \
+       (Figs 8-9)"
+      (fun () -> Scenarios.weak_upgrade ());
+    target ~mutant:true "rc-extra-dec"
+      "MUTANT: one fiber drops its strong reference twice; the ledger must flag it"
+      (fun () -> Scenarios.weak_upgrade ~mutate:true ());
+    target "handoff" "ownership hand-off: deref ordered before free by the ack edge"
+      (fun () -> Scenarios.handoff ());
+    target ~mutant:true "handoff-retire-early"
+      "MUTANT: retire+free reordered before the hand-off; the racing deref must be caught"
+      (fun () -> Scenarios.handoff ~mutate:true ());
+    target ~mutant:true "racy-counter"
+      "harness self-check: a racy RMW whose lost update MUST be found"
+      (fun () -> Scenarios.racy_counter ());
   ]
 
 let find name = List.find_opt (fun t -> t.t_name = name) targets

@@ -1,11 +1,9 @@
 (** Target registry and runner for the schedule-exploration harness:
     the named scenarios the [cdrc-bench explore] subcommand and the CI
-    smoke/sanitize stages drive. See {!Scenarios} and
-    {!San_scenarios} for the scenarios themselves and [Sched] for the
-    explorers. *)
+    smoke/sanitize stages drive. See {!Scenarios} for the scenarios
+    themselves and [Sched] for the explorers. *)
 
 module Scenarios = Scenarios
-module San_scenarios = San_scenarios
 
 type target = {
   t_name : string;
@@ -18,11 +16,10 @@ type target = {
 }
 
 val targets : target list
-(** The exploration registry ([cdrc-bench explore]). The [san-*]
-    targets wrap their kernel so an [Analysis.Race_monitor] checks
-    every explored schedule for lifetime-rule violations (DESIGN.md
-    §14): clean ones assert zero false positives under exhaustive DFS;
-    MUTANT ones carry seeded protocol bugs the sanitizer must catch. *)
+(** The exploration registry ([cdrc-bench explore]). Every target's
+    scenario reports to an [Analysis.Race_monitor] (DESIGN.md §14):
+    clean ones assert zero counterexamples under exhaustive DFS; MUTANT
+    ones carry seeded protocol bugs the explorer must catch. *)
 
 val find : string -> target option
 

@@ -1,35 +1,50 @@
-(* Schedule-exploration scenarios for the lock-free cores: each
+(* Schedule-exploration scenarios over the production cores: each
    builder returns a fresh [Sched.scenario] — simulated domains as
-   cooperative fibers plus a final-state oracle — over the traced
-   instantiations of the functorized cores. Verdicts come from three
-   oracle families: protocol invariants (death credits, dispose-once),
-   [Simheap] (use-after-free / double-free / leak), and [Lincheck]
-   (history linearizability against the sequential model). *)
+   cooperative fibers plus a final-state oracle — and creates an
+   [Analysis.Race_monitor], which opts the scenario into interposition
+   (every [Sched.Atomic] op of its fibers is a scheduling point) and
+   checks each schedule's happens-before structure. Verdicts come from
+   the monitor's lifetime rules and rc ledger, protocol invariants
+   (death credits, dispose-once), [Simheap] (use-after-free /
+   double-free / leak) and [Lincheck] (history linearizability). *)
 
-module Sticky_t = Sticky.Sticky_counter_f.Make (Sched.Traced)
-module Slots_t = Acquire_retire.Slot_protocol.Make (Sched.Traced)
-module Cell_t = Cdrc.Rc_cell.Make (Sched.Traced)
-module T = Sched.Traced
+module Mon = Analysis.Race_monitor
+module Sticky = Sticky.Sticky_counter
+module Cell = Cdrc.Rc_cell
 
 (* ------------------------------------------------------------------ *)
 (* Sticky counter (Fig 7) *)
 
+(* The counter's traffic as rc cell #1 of the monitor's ledger. *)
+let sticky_inc mon c =
+  let ok = Sticky.increment_if_not_zero c in
+  if ok then Mon.rc_incr mon ~ident:1;
+  ok
+
+let sticky_dec mon c =
+  let death = Sticky.decrement c in
+  Mon.rc_decr mon ~ident:1 ~death;
+  death
+
+let sticky_setup ~mutate ~fibers ~count =
+  Sticky.mutation_drop_help_publish := mutate;
+  let mon = Mon.create ~fibers () in
+  Mon.rc_register mon ~ident:1 ~count;
+  (mon, Sticky.create count)
+
 (** [domains] fibers each own one unit of the count and run [ops]
     increment/decrement bursts before dropping their unit. Oracle:
     exactly one decrement overall takes the death credit, the counter
-    reads 0 afterwards, and stays stuck. The traced twin of
-    test_sticky's parallel stress. *)
-let sticky_one_death ?(mutate = false) ~domains ~ops () : Sched.scenario =
-  Sticky_t.mutation_drop_help_publish := mutate;
-  let c = Sticky_t.create domains in
+    reads 0 afterwards, and stays stuck. *)
+let sticky_one_death ~domains ~ops () : Sched.scenario =
+  let mon, c = sticky_setup ~mutate:false ~fibers:domains ~count:domains in
   let deaths = ref 0 in
   let fiber _i () =
     for _ = 1 to ops do
-      if Sticky_t.increment_if_not_zero c then
-        if Sticky_t.decrement c then incr deaths
+      if sticky_inc mon c then if sticky_dec mon c then incr deaths
     done;
     (* drop our owned unit *)
-    if Sticky_t.decrement c then incr deaths
+    if sticky_dec mon c then incr deaths
   in
   {
     Sched.fibers = Array.init domains (fun i -> fiber i);
@@ -37,10 +52,10 @@ let sticky_one_death ?(mutate = false) ~domains ~ops () : Sched.scenario =
       (fun () ->
         if !deaths <> 1 then
           failwith (Printf.sprintf "death credits: expected 1, got %d" !deaths);
-        let v = Sticky_t.load c in
+        Mon.check mon;
+        let v = Sticky.load c in
         if v <> 0 then failwith (Printf.sprintf "post-death load: expected 0, got %d" v);
-        if Sticky_t.increment_if_not_zero c then
-          failwith "increment revived a dead counter");
+        if Sticky.increment_if_not_zero c then failwith "increment revived a dead counter");
   }
 
 (** One fiber loads [loads] times while another drops the only unit:
@@ -51,8 +66,7 @@ let sticky_one_death ?(mutate = false) ~domains ~ops () : Sched.scenario =
     — the decrement then loses its credit, which the explorer must
     detect. *)
 let sticky_load_vs_decrement ?(mutate = false) ?(loads = 2) () : Sched.scenario =
-  Sticky_t.mutation_drop_help_publish := mutate;
-  let c = Sticky_t.create 1 in
+  let mon, c = sticky_setup ~mutate ~fibers:2 ~count:1 in
   let deaths = ref 0 in
   let seen = ref [] in
   {
@@ -60,14 +74,15 @@ let sticky_load_vs_decrement ?(mutate = false) ?(loads = 2) () : Sched.scenario 
       [|
         (fun () ->
           for _ = 1 to loads do
-            seen := Sticky_t.load c :: !seen
+            seen := Sticky.load c :: !seen
           done);
-        (fun () -> if Sticky_t.decrement c then incr deaths);
+        (fun () -> if sticky_dec mon c then incr deaths);
       |];
     check =
       (fun () ->
         if !deaths <> 1 then
           failwith (Printf.sprintf "death credits: expected 1, got %d" !deaths);
+        Mon.check mon;
         let rec monotone prev = function
           | [] -> true
           | v :: rest -> v >= 0 && v <= 1 && v <= prev && monotone v rest
@@ -101,12 +116,10 @@ let sticky_model count op =
     fiber owns a unit, honoring the API precondition; leftover units
     are dropped at the end), recording every operation with logical
     invocation/response stamps. Oracle: the recorded history is
-    linearizable against the sequential model — the schedule-exploration
-    port of test_sticky's qcheck property. *)
+    linearizable against the sequential model. *)
 let sticky_lincheck ?(mutate = false) ~(seqs : sticky_op list array) () : Sched.scenario =
-  Sticky_t.mutation_drop_help_publish := mutate;
   let nfibers = Array.length seqs in
-  let c = Sticky_t.create nfibers in
+  let mon, c = sticky_setup ~mutate ~fibers:nfibers ~count:nfibers in
   let rec_ : (sticky_op, int) Lincheck.Recorder.t = Lincheck.Recorder.create () in
   (* Yield inside the recorded window so other fibers' steps land
      between a recorded op's invocation and response stamps — otherwise
@@ -116,25 +129,23 @@ let sticky_lincheck ?(mutate = false) ~(seqs : sticky_op list array) () : Sched.
         Sched.yield ();
         f ())
   in
+  let dec i = ignore (recorded i Dec (fun () -> if sticky_dec mon c then 1 else 0)) in
   let fiber i () =
     let units = ref 1 in
     List.iter
       (fun op ->
         match op with
-        | Inc ->
-            if recorded i Inc (fun () -> if Sticky_t.increment_if_not_zero c then 1 else 0)
-               = 1
-            then incr units
+        | Inc -> if recorded i Inc (fun () -> if sticky_inc mon c then 1 else 0) = 1 then incr units
         | Dec ->
             if !units > 0 then begin
               decr units;
-              ignore (recorded i Dec (fun () -> if Sticky_t.decrement c then 1 else 0))
+              dec i
             end
-        | Load -> ignore (recorded i Load (fun () -> Sticky_t.load c)))
+        | Load -> ignore (recorded i Load (fun () -> Sticky.load c)))
       seqs.(i);
     while !units > 0 do
       decr units;
-      ignore (recorded i Dec (fun () -> if Sticky_t.decrement c then 1 else 0))
+      dec i
     done
   in
   {
@@ -147,51 +158,176 @@ let sticky_lincheck ?(mutate = false) ~(seqs : sticky_op list array) () : Sched.
             ~pp_res:(fun ppf r -> Format.fprintf ppf "%d" r)
             ~init:nfibers (Lincheck.Recorder.history rec_)
         with
-        | Ok () -> ()
+        | Ok () -> Mon.check mon
         | Error msg -> failwith msg);
   }
 
 (* ------------------------------------------------------------------ *)
-(* Acquire–retire announcement slots (Fig 2) *)
+(* Acquire–retire over hazard pointers (Fig 2) *)
 
-(** A reader protects and dereferences whatever a shared location
-    holds while a reclaimer swings the location from node 1 to node 2,
-    retires node 1 and ejects. Oracles: [Simheap] (the deref must
-    never hit a freed block, freeing must happen exactly once) and no
-    leak once the reader has released. With [mutate] the reader skips
-    the confirm re-read after announcing — the classic validation
-    elision, which opens a use-after-free window the explorer must
-    find. *)
-let slots_reclaim ?(mutate = false) () : Sched.scenario =
-  let heap = Simheap.create ~name:"sched-slots" () in
-  let b1 = Simheap.alloc heap and b2 = Simheap.alloc heap in
-  let block_of = function
-    | 1 -> b1
-    | 2 -> b2
-    | id -> failwith (Printf.sprintf "unknown ident %d" id)
+type slot_mutant = Skip_confirm | Drop_announce
+
+(* The seeded slot bugs, as wrappers around the production scheme. *)
+module Hp_skip_confirm = struct
+  include Smr.Hp
+
+  let confirm _ ~pid:_ _ _ = true
+end
+
+module Hp_drop_announce = struct
+  include Smr.Hp
+
+  let try_acquire t ~pid _ = Smr.Hp.try_acquire t ~pid Smr.Ident.null
+  let confirm _ ~pid:_ _ _ = true
+end
+
+(* A reader protects and dereferences whatever [loc] holds, through the
+   production [Acquire_retire] scope, while a reclaimer swings [loc]
+   from node 1 to 2 to 3, retires 1 and 2 and ejects. The reader
+   reports its guard only if a slot of the scheme really carries the
+   node it got back — read with interposition off, so the check adds no
+   scheduling point — and a dropped or stale announcement earns no
+   phantom coverage; the slot release at
+   scope exit → eject scan edge orders every clean deref before its
+   free. *)
+module Slots (S : Smr.Smr_intf.S with type t = Smr.Hp.t) = struct
+  module Ar = Acquire_retire.Make (S)
+
+  let scenario () : Sched.scenario =
+    let mon = Mon.create ~fibers:2 () in
+    let ar = Ar.create ~slots_per_thread:1 ~max_threads:2 () in
+    let nodes =
+      Array.init 3 (fun i ->
+          Mon.register mon ~ident:(i + 1);
+          Ar.alloc ar ~pid:1 (i + 1))
+    in
+    let loc = Sched.Atomic.make nodes.(0) in
+    let retire (m : int Ar.managed) =
+      Mon.retire mon ~ident:m.value;
+      Ar.retire ar ~pid:1 m (fun _ ->
+          Mon.free mon ~ident:m.value;
+          Simheap.free m.block)
+    in
+    let eject () = List.iter (fun op -> op 1) (Ar.eject ~force:true ar ~pid:1) in
+    let read s =
+      match Ar.protect s ~ident:Ar.ident loc with
+      | None -> failwith "out of announcement slots"
+      | Some (m, _) ->
+          let id = m.Ar.value in
+          if Sched.Atomic.plain (fun () -> Smr.Hp.is_announced ar.Ar.smr (Ar.ident m)) then
+            Mon.acquire mon ~ident:id;
+          Mon.deref mon ~ident:id;
+          ignore (Ar.get m);
+          Mon.release mon ~ident:id
+    in
+    {
+      Sched.fibers =
+        [|
+          (fun () -> Ar.scope ar ~pid:0 { Ar.f = read });
+          (fun () ->
+            Sched.Atomic.set loc nodes.(1);
+            retire nodes.(0);
+            Sched.Atomic.set loc nodes.(2);
+            retire nodes.(1);
+            eject ());
+        |];
+      check =
+        (fun () ->
+          (* The reader has released: a final eject must reclaim both
+             retired nodes. *)
+          eject ();
+          Mon.check mon;
+          let live = Simheap.live (Ar.heap ar) in
+          if live <> 1 then
+            failwith (Printf.sprintf "post-run live blocks: expected 1 (node 3), got %d" live));
+    }
+end
+
+module Slots_hp = Slots (Smr.Hp)
+module Slots_skip_confirm = Slots (Hp_skip_confirm)
+module Slots_drop_announce = Slots (Hp_drop_announce)
+
+let slots ?mutant () =
+  match mutant with
+  | None -> Slots_hp.scenario ()
+  | Some Skip_confirm -> Slots_skip_confirm.scenario ()
+  | Some Drop_announce -> Slots_drop_announce.scenario ()
+
+(* ------------------------------------------------------------------ *)
+(* Ownership hand-off (the *_manual transfer idiom) *)
+
+(** Ownership transfer without guards, ordered purely by
+    happens-before — the idiom of the [*_manual] structures, where a
+    CAS unlink makes the unlinker the node's sole owner. The producer
+    unlinks node 1 from [shared] and hands it to the consumer through
+    an atomic [mailbox]; the consumer dereferences it and acknowledges
+    through [ack]; only after observing the ack does the producer
+    retire and free. Both sides poll boundedly (a fixed handful of
+    attempts), so every schedule terminates; unconsumed or unfreed
+    state is reclaimed by the oracle, whose events are ordered after
+    all fibers by construction.
+
+    With [mutate] the producer retires {e before} the hand-off — and
+    frees immediately, never waiting for the ack: any schedule in which
+    the consumer receives the node trips the monitor, either as a
+    use-after-free deref (rule a) or as a deref not ordered before the
+    free (rule b). *)
+let handoff ?(mutate = false) () : Sched.scenario =
+  let mon = Mon.create ~fibers:2 () in
+  let heap = Simheap.create ~name:"handoff" () in
+  let b1 = Simheap.alloc heap in
+  Mon.register mon ~ident:1;
+  let shared = Sched.Atomic.make 1 in
+  let mailbox = Sched.Atomic.make 0 in
+  let ack = Sched.Atomic.make 0 in
+  let free_node () =
+    Mon.free mon ~ident:1;
+    Simheap.free b1
   in
-  let proto = Slots_t.create ~max_threads:2 () in
-  proto.Slots_t.mutation_skip_validate := mutate;
-  let loc = T.make 1 in
+  let producer () =
+    let v = Sched.Atomic.exchange shared 0 in
+    if v <> 0 then
+      if mutate then begin
+        (* BUG under test: retire + free reordered before the hand-off. *)
+        Mon.retire mon ~ident:v;
+        free_node ();
+        Sched.Atomic.set mailbox v
+      end
+      else begin
+        Sched.Atomic.set mailbox v;
+        let rec poll k =
+          if k = 0 then false else if Sched.Atomic.get ack = 1 then true else poll (k - 1)
+        in
+        if poll 3 then begin
+          Mon.retire mon ~ident:v;
+          free_node ()
+        end
+      end
+  in
+  let consumer () =
+    let rec take k =
+      if k = 0 then 0
+      else
+        let v = Sched.Atomic.exchange mailbox 0 in
+        if v <> 0 then v else take (k - 1)
+    in
+    match take 3 with
+    | 0 -> ()
+    | v ->
+        Mon.deref mon ~ident:v;
+        Simheap.check_live b1;
+        Sched.Atomic.set ack 1
+  in
   {
-    Sched.fibers =
-      [|
-        (fun () ->
-          let v, g = Slots_t.protect_read proto ~pid:0 ~read:(fun () -> T.get loc) in
-          Simheap.check_live (block_of v);
-          Slots_t.release proto ~pid:0 g);
-        (fun () ->
-          T.set loc 2;
-          Slots_t.retire proto ~pid:1 1 (fun () -> Simheap.free b1);
-          ignore (Slots_t.eject proto ~pid:1));
-      |];
+    Sched.fibers = [| producer; consumer |];
     check =
       (fun () ->
-        (* The reader has released: a final eject must reclaim node 1. *)
-        ignore (Slots_t.eject proto ~pid:1);
-        let live = Simheap.live heap in
-        if live <> 1 then
-          failwith (Printf.sprintf "post-run live blocks: expected 1 (node 2), got %d" live));
+        Mon.check mon;
+        (* Quiesce: whatever survived the bounded polls is reclaimed
+           here, in the oracle context. *)
+        if Simheap.is_live b1 then free_node ();
+        if Simheap.live heap <> 0 then
+          failwith (Printf.sprintf "leak: %d block(s) never freed" (Simheap.live heap)));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -199,34 +335,44 @@ let slots_reclaim ?(mutate = false) () : Sched.scenario =
 
 (** The owner of the last strong reference races a weak-pointer
     upgrade: drop-strong → dispose → weak-decrement → free on one
-    side, increment-if-not-zero → deref on the other. Oracles: a
-    successful upgrade must observe the value (never the disposed
-    [None]) and a live block; disposal happens exactly once; the block
-    is freed exactly once and nothing leaks ([Simheap]); both counters
-    end at zero. *)
-let weak_upgrade () : Sched.scenario =
-  let heap = Simheap.create ~name:"sched-weak" () in
+    side, increment-if-not-zero → deref on the other, with the strong
+    counter's traffic fed to the monitor's rc ledger. Oracles: a
+    successful upgrade observes the value (never the disposed [None])
+    and a live block; disposal happens exactly once; the block is freed
+    exactly once and nothing leaks ([Simheap]); both counters end at
+    zero; upgrades and drops balance exactly. With [mutate] the first
+    fiber drops its strong reference {e twice} — the classic
+    double-decrement — and the ledger must flag it. *)
+let weak_upgrade ?(mutate = false) () : Sched.scenario =
+  let mon = Mon.create ~fibers:2 () in
+  let heap = Simheap.create ~name:"weak-upgrade" () in
   let block = Simheap.alloc heap in
-  let cell = Cell_t.make 42 in
+  let cell = Cell.make 42 in
+  Mon.rc_register mon ~ident:1 ~count:1;
   (* the weak-holder fiber's own weak unit, on top of the strong
      side's implicit one (Fig 8: weak = #weak + (1 if strong > 0)) *)
-  if not (Cell_t.weak_increment_if_not_zero cell) then failwith "setup weak_increment";
+  if not (Cell.weak_increment_if_not_zero cell) then failwith "setup weak_increment";
   let drop_strong () =
-    if Cell_t.strong_decrement cell then begin
-      (match Cell_t.take cell with
-      | Some _ -> ()
-      | None -> failwith "double dispose");
-      if Cell_t.weak_decrement cell then Simheap.free block
+    let death = Cell.strong_decrement cell in
+    Mon.rc_decr mon ~ident:1 ~death;
+    if death then begin
+      (match Cell.take cell with Some _ -> () | None -> failwith "double dispose");
+      if Cell.weak_decrement cell then Simheap.free block
     end
   in
-  let drop_weak () = if Cell_t.weak_decrement cell then Simheap.free block in
+  let drop_weak () = if Cell.weak_decrement cell then Simheap.free block in
   {
     Sched.fibers =
       [|
-        (fun () -> drop_strong ());
         (fun () ->
-          if Cell_t.try_upgrade cell then begin
-            (match Cell_t.read cell with
+          drop_strong ();
+          (* BUG under test: a second drop of a reference this fiber no
+             longer owns. *)
+          if mutate then drop_strong ());
+        (fun () ->
+          if Cell.try_upgrade cell then begin
+            Mon.rc_incr mon ~ident:1;
+            (match Cell.read cell with
             | Some _ -> ()
             | None -> failwith "successful upgrade observed a disposed value");
             Simheap.check_live block;
@@ -236,9 +382,10 @@ let weak_upgrade () : Sched.scenario =
       |];
     check =
       (fun () ->
+        Mon.check mon;
         if Simheap.live heap <> 0 then
           failwith (Printf.sprintf "leak: %d control block(s) never freed" (Simheap.live heap));
-        let s = Cell_t.strong_count cell and w = Cell_t.weak_count cell in
+        let s = Cell.strong_count cell and w = Cell.weak_count cell in
         if s <> 0 || w <> 0 then
           failwith (Printf.sprintf "final counts: strong=%d weak=%d (expected 0/0)" s w));
   }
@@ -251,15 +398,17 @@ let weak_upgrade () : Sched.scenario =
     MUST find it — if this scenario ever passes exhaustive
     exploration, the harness itself is broken. *)
 let racy_counter () : Sched.scenario =
-  let c = T.make 0 in
+  let mon = Mon.create ~fibers:2 () in
+  let c = Sched.Atomic.make 0 in
   let bump () =
-    let v = T.get c in
-    T.set c (v + 1)
+    let v = Sched.Atomic.get c in
+    Sched.Atomic.set c (v + 1)
   in
   {
     Sched.fibers = [| bump; bump |];
     check =
       (fun () ->
-        let v = T.get c in
+        Mon.check mon;
+        let v = Sched.Atomic.get c in
         if v <> 2 then failwith (Printf.sprintf "lost update: counter = %d, expected 2" v));
   }

@@ -4,7 +4,7 @@
     The analyzer parses each [.ml] file with the ppxlib parser and runs
     a set of purely syntactic rules over the AST. Rules are
     deliberately approximate — they encode the repo's protocol
-    conventions (CAS-helper naming, retire naming, the [ATOMIC] functor
+    conventions (CAS-helper naming, retire naming, the [Sched.Atomic]
     discipline of §8) rather than a points-to analysis, which is the
     Meyer–Wolff observation: the retire obligations are simple enough
     to be checked on the syntax of disciplined code. The protection
@@ -26,8 +26,8 @@ open Ppxlib
 let rules : (string * string) list =
   [
     ( "R1",
-      "raw-atomic: no direct Stdlib.Atomic operations inside the schedule-sensitive \
-       functorized cores or any ATOMIC-parameterized functor body" );
+      "raw-atomic: every atomic in lib/{sticky,core,smr,acquire_retire} and \
+       lib/util/padded.ml goes through Sched.Atomic" );
     ( "R3",
       "retire-discipline: retire calls must be dominated by a successful CAS/unlink \
        (an if-then whose condition runs compare_and_set or a *cas* helper)" );
@@ -39,7 +39,7 @@ let rules : (string * string) list =
        Obs.Scheme_metrics.on_retire so telemetry cannot silently rot" );
     ( "R6",
       "padding: per-domain hot counter arrays in lib/obs and lib/smr must go through \
-       Repro_util.Padded (or annotate the deliberate layout)" );
+       Padded (or annotate the deliberate layout)" );
     ( "R7",
       "knob-capture: scheme code must read tuning knobs through Knobs.t accessors, never \
        store them in its own record fields — a captured constant is invisible to the \
@@ -58,7 +58,7 @@ let rules : (string * string) list =
    under test/lint_fixtures mimic the real layout (ds/, smr/, obs/
    subdirectories), so the same role logic covers both trees. *)
 type roles = {
-  core : bool;  (* one of the three schedule-sensitive cores: whole-file R1 *)
+  protocol : bool;  (* a protocol directory or padded.ml: R1 *)
   manual_ds : bool;  (* a *_manual.ml data structure: R3 + R9 *)
   smr_scheme : bool;  (* under an smr/ directory: R5 + R7 *)
   obs_smr : bool;  (* under obs/ or smr/: R6 *)
@@ -82,15 +82,15 @@ let suffix_matches ~entry path =
   in
   e <> [] && is_prefix e p
 
-let core_basenames = [ "sticky_counter_f.ml"; "slot_protocol.ml"; "rc_cell.ml" ]
-
 let roles_of ~allow_unsafe path =
   let segs = path_segments path in
   let base = match List.rev segs with b :: _ -> b | [] -> path in
   let dirs = match List.rev segs with _ :: d -> d | [] -> [] in
   let has d = List.mem d dirs in
   {
-    core = List.mem base core_basenames;
+    protocol =
+      List.exists has [ "sticky"; "core"; "smr"; "acquire_retire" ]
+      || (has "util" && String.equal base "padded.ml");
     manual_ds = Filename.check_suffix base "_manual.ml";
     smr_scheme = has "smr";
     obs_smr = has "obs" || has "smr";
@@ -175,33 +175,24 @@ let report ctx rule (loc : Location.t) msg =
 (* R1: raw-atomic                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let atomic_value_ref lid =
-  match flat lid with [ "Atomic"; _ ] | [ "Stdlib"; "Atomic"; _ ] -> true | _ -> false
+let raw_atomic lid =
+  match flat lid with "Atomic" :: _ | "Stdlib" :: "Atomic" :: _ -> true | _ -> false
 
-let atomic_module_ref lid =
-  match flat lid with [ "Atomic" ] | [ "Stdlib"; "Atomic" ] -> true | _ -> false
-
-let r1_msg what =
-  Printf.sprintf
-    "raw `%s` bypasses the ATOMIC functor shim; the §8 schedule explorer cannot interpose \
-     on this step — use the functor's atomic parameter"
-    what
-
-let run_r1 ctx ~whole_file st =
+let run_r1 ctx st =
+  let flag txt loc =
+    report ctx "R1" loc
+      (Printf.sprintf
+         "raw `%s` bypasses Sched.Atomic; the §8 schedule explorer and the atomics \
+          profiles cannot see this step — use Sched.Atomic"
+         (String.concat "." (flat txt)))
+  in
   let it =
-    object (self)
+    object
       inherit Ast_traverse.iter as super
-      val mutable scope = if whole_file then 1 else 0
 
       method! module_expr me =
         match me.pmod_desc with
-        | Pmod_functor (Named (_, { pmty_desc = Pmty_ident { txt; _ }; _ }), body)
-          when (match List.rev (flat txt) with "ATOMIC" :: _ -> true | _ -> false) ->
-            scope <- scope + 1;
-            self#module_expr body;
-            scope <- scope - 1
-        | Pmod_ident { txt; loc } when scope > 0 && atomic_module_ref txt ->
-            report ctx "R1" loc (r1_msg (String.concat "." (flat txt)))
+        | Pmod_ident { txt; loc } when raw_atomic txt -> flag txt loc
         | _ -> super#module_expr me
 
       method! value_binding vb =
@@ -209,30 +200,17 @@ let run_r1 ctx ~whole_file st =
 
       method! expression e =
         if allows "R1" e.pexp_attributes then ()
-        else begin
-          (if scope > 0 then
-             match e.pexp_desc with
-             | Pexp_ident { txt; loc } when atomic_value_ref txt ->
-                 report ctx "R1" loc (r1_msg (String.concat "." (flat txt)))
-             | _ -> ());
-          super#expression e
-        end
+        else
+          match e.pexp_desc with
+          | Pexp_ident { txt; loc } when raw_atomic txt -> flag txt loc
+          | _ -> super#expression e
 
       method! core_type t =
         if allows "R1" t.ptyp_attributes then ()
-        else begin
-          (if scope > 0 then
-             match t.ptyp_desc with
-             | Ptyp_constr ({ txt; loc }, _) when atomic_value_ref txt ->
-                 report ctx "R1" loc (r1_msg (String.concat "." (flat txt)))
-             | _ -> ());
-          super#core_type t
-        end
-
-      method! open_description od =
-        (if scope > 0 && atomic_module_ref od.popen_expr.txt then
-           report ctx "R1" od.popen_loc (r1_msg (String.concat "." (flat od.popen_expr.txt))));
-        super#open_description od
+        else
+          match t.ptyp_desc with
+          | Ptyp_constr ({ txt; loc }, _) when raw_atomic txt -> flag txt loc
+          | _ -> super#core_type t
     end
   in
   it#structure st
@@ -441,7 +419,7 @@ let run_r6 ctx st =
             report ctx "R6" ld.pld_loc
               (Printf.sprintf
                  "field `%s` is a plain %s — per-domain hot counters share cache lines; use \
-                  Repro_util.Padded, or annotate a deliberate layout with [@rc_lint.allow \
+                  Padded, or annotate a deliberate layout with [@rc_lint.allow \
                   \"R6\"]"
                  ld.pld_name.txt shape)
         | _ -> ());
@@ -787,7 +765,7 @@ let suppressed_by spans (f : Finding.t) =
     spans
 
 let lint_structure ~roles ctx st =
-  run_r1 ctx ~whole_file:roles.core st;
+  if roles.protocol then run_r1 ctx st;
   if roles.manual_ds then begin
     run_r3 ctx st;
     run_r9 ctx st

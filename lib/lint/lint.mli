@@ -5,8 +5,8 @@
     a set of purely syntactic rules over the AST — R1, R3–R7 and R9,
     catalogued in {!rules} (R2 and R8 are retired, and their IDs are
     not reused). Rules are deliberately approximate: they encode the
-    repo's protocol conventions (CAS-helper naming, the [ATOMIC]
-    functor discipline of §8, the retire life-cycle of §14) rather
+    repo's protocol conventions (CAS-helper naming, the [Sched.Atomic]
+    discipline of §8, the retire life-cycle of §14) rather
     than a points-to analysis, which is the Meyer–Wolff observation —
     the retire obligations are simple enough to be checked on the
     syntax of disciplined code. The protection obligations (release
@@ -14,7 +14,7 @@
     [Acquire_retire] scope discharges them by type.
 
     Which rules run on a file is decided by its path (the role system:
-    functorized cores, [lib/ds/*_manual.ml] structures, SMR schemes,
+    protocol directories, [lib/ds/*_manual.ml] structures, SMR schemes,
     observability modules). The visitor machinery, role classification,
     and per-rule state are implementation details hidden behind this
     interface.

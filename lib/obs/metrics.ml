@@ -31,7 +31,7 @@ let set_enabled b = Atomic.set enabled_flag b
 let stride = 8 (* one live int per cache line's worth of words *)
 
 (* [cells] is hand-strided (shards * stride, one live int per cache
-   line) rather than Repro_util.Padded: counters are plain ints bumped
+   line) rather than Padded: counters are plain ints bumped
    only by their owning domain, so the Atomic.t indirection Padded
    imposes would cost on the hot path. *)
 type counter = { c_name : string; cells : int array [@rc_lint.allow "R6"] }

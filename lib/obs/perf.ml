@@ -4,7 +4,7 @@
    scheme×structure×thread-count throughput, retire→free latency
    quantiles, eject batch-size quantiles and peak live/backlog memory,
    plus the exact atomic-op profiles of the lock-free cores measured
-   over the counting shim ([Sched.Counting]). `cdrc-bench perf` emits
+   in a counting window ([Sched.Atomic.counting]). `cdrc-bench perf` emits
    one per PR as `BENCH_PR<N>.json`; `tools/bench_check` compares two
    of them and gates regressions.
 
@@ -48,7 +48,7 @@ type cell = {
 let cell_key c = Printf.sprintf "%s/%s/%d" c.c_scheme c.c_structure c.c_threads
 
 type atomic_profile = {
-  a_core : string;  (** "sticky_counter" | "slot_protocol" | "rc_cell" *)
+  a_core : string;  (** "sticky" | "slot" | "rc_cell" *)
   a_op : string;  (** pinned script name, e.g. "inc_dec" *)
   a_ops : int;  (** operations the script executed *)
   a_gets : int;
@@ -324,7 +324,7 @@ let pp ppf s =
     structures;
   if s.s_atomics <> [] then begin
     Format.fprintf ppf
-      "-- atomic-op profile (counting shim, exact per-op costs of the lock-free cores) --@.";
+      "-- atomic-op profile (counting window, exact per-op costs of the lock-free cores) --@.";
     Format.fprintf ppf "%-16s %-18s %10s %6s %6s %6s %10s %6s@." "core" "op" "atomics/op"
       "get" "set" "xchg" "cas(fail)" "faa";
     List.iter

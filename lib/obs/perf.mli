@@ -4,8 +4,8 @@
     A summary is one point on the perf trajectory: per
     scheme×structure×thread-count throughput, retire→free latency and
     eject batch-size quantiles, peak live/backlog memory, plus the
-    exact atomic-op profiles of the lock-free cores measured over
-    [Sched.Counting]. Encoded and decoded through {!Json}; summaries
+    exact atomic-op profiles of the lock-free cores measured in a
+    [Sched.Atomic] counting window. Encoded and decoded through {!Json}; summaries
     round-trip bit-identically at the emitted precision. *)
 
 val schema_version : int

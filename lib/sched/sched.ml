@@ -1,16 +1,18 @@
 (** Deterministic schedule exploration for the lock-free cores
     (dscheck-style; see DESIGN.md §8).
 
-    The schedule-sensitive algorithms — the sticky counter (Fig 7), the
-    acquire–retire announcement protocol (Fig 2) and the CDRC
-    weak-pointer upgrade path (Figs 8–9) — are functorized over the
-    {!ATOMIC} signature. Production code instantiates them with
-    {!Passthrough} (literally [Stdlib.Atomic]: zero cost); the test
-    harness instantiates them with {!Traced}, whose every operation
-    yields to a controller via an effect. The controller runs each
-    "domain" as a cooperative fiber on a single OS thread and decides,
-    at every atomic step, which fiber runs next — so a bad interleaving
-    is a *schedule we can enumerate and replay*, not a lottery ticket.
+    Every protocol atomic of the reclamation stack — the sticky counter
+    (Fig 7), the schemes' announcement slots behind acquire–retire
+    (Fig 2), the CDRC control block (Figs 8–9) — goes through {!Atomic}.
+    It is [Stdlib.Atomic] plus one test of a mode word per operation:
+    plain in production, and switched on only by a controller running
+    an opted-in scenario's fiber (every op then yields to the
+    controller and is reported to the scenario's tracer) or by a
+    counting window (every op is tallied by kind). The controller runs
+    each "domain" as a cooperative fiber on a single OS thread and
+    decides, at every atomic step, which fiber runs next — so a bad
+    interleaving of the production code is a *schedule we can
+    enumerate and replay*, not a lottery ticket.
 
     Three explorers drive the controller:
 
@@ -29,30 +31,11 @@
     Every failure carries the executed schedule and a replay
     recipe; {!replay} re-runs a single schedule deterministically. *)
 
-(* ------------------------------------------------------------------ *)
-(* The atomic shim *)
-
-module type ATOMIC = sig
-  type 'a t
-
-  val make : 'a -> 'a t
-  val get : 'a t -> 'a
-  val set : 'a t -> 'a -> unit
-  val exchange : 'a t -> 'a -> 'a
-  val compare_and_set : 'a t -> 'a -> 'a -> bool
-  val fetch_and_add : int t -> int -> int
-end
-
-(** Production path: the real thing, no indirection. *)
-module Passthrough : ATOMIC with type 'a t = 'a Atomic.t = Stdlib.Atomic
-
 type _ Effect.t += Yield : unit Effect.t
 
 (* Depth of active controllers on this domain. Exploration is strictly
-   single-domain (that is the point), so a plain ref suffices; the
-   guard makes Traced usable outside a controller (it just degrades to
-   sequential execution, which the unit tests of the functorized cores
-   rely on). *)
+   single-domain (that is the point), so a plain ref suffices; outside
+   a controller an explicit [yield] is a no-op. *)
 let controller_depth = ref 0
 
 let yield () = if !controller_depth > 0 then Effect.perform Yield
@@ -63,18 +46,17 @@ let yield () = if !controller_depth > 0 then Effect.perform Yield
 type op_kind = Op_get | Op_set | Op_exchange | Op_cas of bool | Op_faa
 
 type op_event = {
-  op_fiber : int;  (** executing fiber, or [-1] for setup/oracle code *)
+  op_fiber : int;  (** executing fiber *)
   op_step : int;  (** controller step at which the op executed *)
-  op_loc : int;  (** unique id of the {!Traced} cell *)
+  op_loc : int;  (** the cell's id within the run *)
   op_kind : op_kind;
 }
 
-(* One observer at a time is plenty: the monitor is per-schedule and
-   [run_schedule] clears the hook on exit, so a stale tracer can never
-   leak into an unrelated run. Scenario builders re-install on each
-   [mk ()]. *)
+(* The tracer of the schedule being built; installing one is what opts
+   a scenario into interposition. [run_schedule] clears it on exit, so
+   a stale tracer can never leak into an unrelated run. *)
 let tracer : (op_event -> unit) option ref = ref None
-let set_tracer f = tracer := f
+let interpose f = tracer := Some f
 
 (* Maintained by [run_schedule]; [-1] outside fiber context (setup code
    in the scenario builder, and the final [check] oracle). *)
@@ -83,83 +65,11 @@ let running_step = ref 0
 let current_fiber () = !running_fiber
 let current_step () = !running_step
 
-let trace_uid = ref 0
+(* ------------------------------------------------------------------ *)
+(* The atomic module *)
 
-let emit loc kind =
-  match !tracer with
-  | None -> ()
-  | Some f ->
-      f { op_fiber = !running_fiber; op_step = !running_step; op_loc = loc; op_kind = kind }
-
-(** Traced shim: a plain mutable cell, sound because the controller
-    serializes all fibers on one thread; each operation is one
-    indivisible step *after* the scheduling point. Every operation also
-    reports itself to the installed {!set_tracer} hook (after the
-    scheduling point, i.e. at the moment the op takes effect), which is
-    how the happens-before sanitizer in [lib/analysis] sees the
-    synchronization structure of a schedule. *)
-module Traced : ATOMIC = struct
-  type 'a t = { mutable v : 'a; uid : int }
-
-  let make v =
-    incr trace_uid;
-    { v; uid = !trace_uid }
-
-  let get r =
-    yield ();
-    emit r.uid Op_get;
-    r.v
-
-  let set r v =
-    yield ();
-    emit r.uid Op_set;
-    r.v <- v
-
-  let exchange r v =
-    yield ();
-    emit r.uid Op_exchange;
-    let old = r.v in
-    r.v <- v;
-    old
-
-  (* Same comparison as the hardware CAS [Stdlib.Atomic] performs:
-     physical equality (coincides with structural on the ints the
-     functorized cores store). *)
-  let compare_and_set r old nu =
-    yield ();
-    if r.v == old then begin
-      emit r.uid (Op_cas true);
-      r.v <- nu;
-      true
-    end
-    else begin
-      emit r.uid (Op_cas false);
-      false
-    end
-
-  let fetch_and_add r n =
-    yield ();
-    emit r.uid Op_faa;
-    let old = r.v in
-    r.v <- old + n;
-    old
-end
-
-(** Counting shim: the production primitives ([Stdlib.Atomic], no
-    behavioral change) plus one plain counter per operation kind. This
-    is the third instantiation of the PR 3 functor boundary — the perf
-    profiler ([Workload.Perf_runner]) drives the functorized cores over
-    it with pinned single-domain scripts, so "atomics per operation" is
-    an exact, deterministic number rather than a sampled estimate.
-
-    Off the production path by construction: production code keeps
-    instantiating {!Passthrough}; nothing here runs unless a profiling
-    script instantiates the cores over [Counting]. The counters are
-    plain (unsynchronized) refs — profiling scripts are single-domain,
-    like the deterministic telemetry tests. [make] is deliberately not
-    counted: allocation is not a protocol step. *)
-module Counting = struct
-  type 'a t = 'a Atomic.t
+module Atomic = struct
+  type 'a t = 'a Stdlib.Atomic.t
 
   type counts = {
     gets : int;
@@ -170,41 +80,123 @@ module Counting = struct
     faa : int;
   }
 
-  let zero = { gets = 0; sets = 0; exchanges = 0; cas = 0; cas_failures = 0; faa = 0 }
-  let state = ref zero
-  let reset () = state := zero
-  let snapshot () = !state
+  type mode = Plain | Interposing | Counting
+
+  (* The mode word. Exploration and counting windows are
+     single-domain, so a plain ref suffices. *)
+  let mode = ref Plain
+  let interposed () = !mode = Interposing
+
+  (* Cell ids for the tracer, assigned per run in order of first use and
+     keyed on physical identity (stable under the moving GC, like
+     [Smr.Ident]); the scan is linear because a scenario touches a
+     handful of cells. *)
+  let locs : (Obj.t * int) list ref = ref []
+
+  let loc_of r =
+    let key = Obj.repr r in
+    match List.find_opt (fun (c, _) -> c == key) !locs with
+    | Some (_, id) -> id
+    | None ->
+        let id = List.length !locs + 1 in
+        locs := (key, id) :: !locs;
+        id
+
+  let n_gets = ref 0
+  let n_sets = ref 0
+  let n_exchanges = ref 0
+  let n_cas = ref 0
+  let n_cas_failures = ref 0
+  let n_faa = ref 0
+
+  let reset () =
+    List.iter (fun r -> r := 0) [ n_gets; n_sets; n_exchanges; n_cas; n_cas_failures; n_faa ]
+
+  let snapshot () =
+    {
+      gets = !n_gets;
+      sets = !n_sets;
+      exchanges = !n_exchanges;
+      cas = !n_cas;
+      cas_failures = !n_cas_failures;
+      faa = !n_faa;
+    }
 
   (* Failed CAS attempts are already inside [cas]. *)
   let total c = c.gets + c.sets + c.exchanges + c.cas + c.faa
 
-  let make = Atomic.make
+  let window m f =
+    let saved = !mode in
+    mode := m;
+    Fun.protect ~finally:(fun () -> mode := saved) f
 
-  let get r =
-    state := { !state with gets = !state.gets + 1 };
-    Atomic.get r
+  let counting f = window Counting f
+  let plain f = window Plain f
 
-  let set r v =
-    state := { !state with sets = !state.sets + 1 };
-    Atomic.set r v
+  (* The slow paths: [enter] is the interposed op's scheduling point;
+     [leave] reports the op that just took effect. *)
+  let enter () = if interposed () then yield ()
 
-  let exchange r v =
-    state := { !state with exchanges = !state.exchanges + 1 };
-    Atomic.exchange r v
+  let leave r kind =
+    if !mode = Counting then
+      match kind with
+      | Op_get -> incr n_gets
+      | Op_set -> incr n_sets
+      | Op_exchange -> incr n_exchanges
+      | Op_cas ok ->
+          incr n_cas;
+          if not ok then incr n_cas_failures
+      | Op_faa -> incr n_faa
+    else
+      match !tracer with
+      | Some f ->
+          f { op_fiber = !running_fiber; op_step = !running_step; op_loc = loc_of r; op_kind = kind }
+      | None -> ()
 
-  let compare_and_set r old nu =
-    let ok = Atomic.compare_and_set r old nu in
-    state :=
-      {
-        !state with
-        cas = !state.cas + 1;
-        cas_failures = (!state.cas_failures + if ok then 0 else 1);
-      };
+  let[@inline never] get_slow r =
+    enter ();
+    let v = Stdlib.Atomic.get r in
+    leave r Op_get;
+    v
+
+  let[@inline never] set_slow r v =
+    enter ();
+    Stdlib.Atomic.set r v;
+    leave r Op_set
+
+  let[@inline never] exchange_slow r v =
+    enter ();
+    let old = Stdlib.Atomic.exchange r v in
+    leave r Op_exchange;
+    old
+
+  let[@inline never] compare_and_set_slow r old nu =
+    enter ();
+    let ok = Stdlib.Atomic.compare_and_set r old nu in
+    leave r (Op_cas ok);
     ok
 
-  let fetch_and_add r n =
-    state := { !state with faa = !state.faa + 1 };
-    Atomic.fetch_and_add r n
+  let[@inline never] fetch_and_add_slow r n =
+    enter ();
+    let old = Stdlib.Atomic.fetch_and_add r n in
+    leave r Op_faa;
+    old
+
+  (* The fast paths: one test of the mode word, inlined at every call
+     site (this compiler has no flambda; [@inline] still applies). *)
+  let make = Stdlib.Atomic.make
+  let[@inline] get r = if !mode = Plain then Stdlib.Atomic.get r else get_slow r
+  let[@inline] set r v = if !mode = Plain then Stdlib.Atomic.set r v else set_slow r v
+
+  let[@inline] exchange r v =
+    if !mode = Plain then Stdlib.Atomic.exchange r v else exchange_slow r v
+
+  let[@inline] compare_and_set r old nu =
+    if !mode = Plain then Stdlib.Atomic.compare_and_set r old nu
+    else compare_and_set_slow r old nu
+
+  let[@inline] fetch_and_add r n =
+    if !mode = Plain then Stdlib.Atomic.fetch_and_add r n else fetch_and_add_slow r n
 end
 
 (* ------------------------------------------------------------------ *)
@@ -231,6 +223,7 @@ let run_schedule ?(max_steps = 10_000) ~choose (s : scenario) :
     (int list * int list list, exn * int list) result =
   let n = Array.length s.fibers in
   let state = Array.map (fun f -> Pending f) s.fibers in
+  let interposed_run = Option.is_some !tracer in
   let trace = ref [] and alts = ref [] in
   let step = ref 0 in
   let last = ref (-1) in
@@ -250,37 +243,45 @@ let run_schedule ?(max_steps = 10_000) ~choose (s : scenario) :
     let handler =
       { Effect.Deep.retc = (fun () -> state.(i) <- Finished); exnc = raise; effc }
     in
+    if interposed_run then Atomic.mode := Atomic.Interposing;
     match state.(i) with
     | Pending f -> Effect.Deep.match_with f () handler
     | Suspended k -> Effect.Deep.continue k ()
     | Finished -> invalid_arg "Sched: scheduled a finished fiber"
   in
-  let cleanup () =
-    (* Discontinue leftover fibers so their [Fun.protect] finalizers
-       run; swallow whatever they raise on the way out. *)
+  (* Discontinue leftover fibers so their finalizers (a scope's close
+     releasing its slots, say) run to completion — with interposition
+     off, so their atomics cannot yield. [Abort] coming back is the
+     unwinding we asked for; any other exception is a finalizer
+     failure, reported unless [failure] already holds one. *)
+  let cleanup failure =
+    let failure = ref failure in
     Array.iteri
       (fun i st ->
         match st with
         | Suspended k -> (
             state.(i) <- Finished;
-            try Effect.Deep.discontinue k Abort with _ -> ())
-        | _ -> ())
-      state
+            match Effect.Deep.discontinue k Abort with
+            | () | (exception Abort) -> ()
+            | exception e -> if Option.is_none !failure then failure := Some e)
+        | Pending _ | Finished -> ())
+      state;
+    !failure
   in
+  let fail e = Error (Option.get (cleanup (Some e)), List.rev !trace) in
   incr controller_depth;
   Fun.protect
     ~finally:(fun () ->
       decr controller_depth;
-      (* The tracer is per-schedule state: scenario builders install it
-         in [mk ()], so clearing it here guarantees no events from this
-         run's monitor ever reach a later, unrelated run. *)
+      Atomic.mode := Atomic.Plain;
+      Atomic.locs := [];
       running_fiber := -1;
-      set_tracer None)
+      tracer := None)
     (fun () ->
-      (* The oracle runs after every fiber has finished: no concurrency
-         remains, so traced operations inside it must degrade to plain
-         sequential ones rather than yield (there is no handler on this
-         stack). Masking the depth does exactly that. *)
+      (* The oracle runs after every fiber has finished, outside fiber
+         context: its atomics are plain, and an explicit [yield] inside
+         it must not suspend (there is no handler on this stack), which
+         masking the depth ensures. *)
       let run_check () =
         let saved = !controller_depth in
         controller_depth := 0;
@@ -295,10 +296,7 @@ let run_schedule ?(max_steps = 10_000) ~choose (s : scenario) :
             | () -> Ok (List.rev !trace, List.rev !alts)
             | exception e -> Error (e, List.rev !trace))
         | rs -> (
-            if !step >= max_steps then begin
-              cleanup ();
-              Error (Step_bound_exceeded max_steps, List.rev !trace)
-            end
+            if !step >= max_steps then fail (Step_bound_exceeded max_steps)
             else begin
               let i = choose ~runnable:rs ~last:!last ~step:!step in
               if not (List.mem i rs) then
@@ -312,13 +310,16 @@ let run_schedule ?(max_steps = 10_000) ~choose (s : scenario) :
               running_fiber := i;
               running_step := !step - 1;
               match
-                Fun.protect ~finally:(fun () -> running_fiber := -1) (fun () -> run_fiber i)
+                Fun.protect
+                  ~finally:(fun () ->
+                    Atomic.mode := Atomic.Plain;
+                    running_fiber := -1)
+                  (fun () -> run_fiber i)
               with
               | () -> loop ()
               | exception e ->
                   state.(i) <- Finished;
-                  cleanup ();
-                  Error (e, List.rev !trace)
+                  fail e
             end)
       in
       loop ())
@@ -555,9 +556,10 @@ let explore_pct ?(max_steps = 10_000) ?(iters = 1_000) ?(depth = 3) ~seed
       let scen = mk () in
       let n = Array.length scen.fibers in
       (* priorities: higher value runs first; start with a random
-         permutation of n .. 2n-1 so change points (0 .. depth-2,
-         descending) always sink below initial priorities *)
-      let prio = Array.init n (fun i -> n + i) in
+         permutation of depth .. depth+n-1 so change points (0 ..
+         depth-2, descending) always sink below initial priorities, at
+         every depth *)
+      let prio = Array.init n (fun i -> depth + i) in
       for i = n - 1 downto 1 do
         let j = Repro_util.Rng.int rng (i + 1) in
         let tmp = prio.(i) in

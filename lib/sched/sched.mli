@@ -1,14 +1,24 @@
 (** Deterministic schedule exploration for the lock-free cores.
 
-    See DESIGN.md §8. The schedule-sensitive algorithms are functorized
-    over {!ATOMIC}; production instantiates {!Passthrough} (zero-cost,
-    literally [Stdlib.Atomic]), tests instantiate {!Traced}, which
-    yields to a cooperative controller at every atomic operation. The
-    explorers enumerate or sample schedules; every failure carries a
-    deterministic replay recipe. *)
+    See DESIGN.md §8. Every protocol atomic of the reclamation stack
+    goes through {!Atomic}: [Stdlib.Atomic] behind one test of a mode
+    word, plain until a controller runs an opted-in scenario (each op
+    becomes a scheduling point, see {!interpose}) or a counting window
+    is open (each op is tallied, see {!Atomic.counting}). The explorers
+    enumerate or sample schedules of the production code; every
+    failure carries a deterministic replay recipe. *)
 
-module type ATOMIC = sig
-  type 'a t
+(** Operation kinds, as reported to a tracer and tallied by a counting
+    window. *)
+type op_kind = Op_get | Op_set | Op_exchange | Op_cas of bool | Op_faa
+
+(** The atomic operations of every protocol core. Outside an
+    interposed fiber or a counting window each op is the
+    [Stdlib.Atomic] op after one test of the mode word. The non-plain
+    modes are single-domain: nothing else may run atomics on other
+    domains meanwhile. *)
+module Atomic : sig
+  type 'a t = 'a Stdlib.Atomic.t
 
   val make : 'a -> 'a t
   val get : 'a t -> 'a
@@ -16,23 +26,22 @@ module type ATOMIC = sig
   val exchange : 'a t -> 'a -> 'a
   val compare_and_set : 'a t -> 'a -> 'a -> bool
   val fetch_and_add : int t -> int -> int
-end
 
-module Passthrough : ATOMIC with type 'a t = 'a Atomic.t
-(** The production shim: [Stdlib.Atomic] itself. *)
+  val interposed : unit -> bool
+  (** [true] while an interposed fiber runs. Seeded
+      protocol mutants test it, so that no leftover setting can reach
+      production code. *)
 
-module Traced : ATOMIC
-(** The exploration shim: every operation is a scheduling point.
-    Usable only under a controller (outside one it degrades to plain
-    sequential execution). *)
+  val plain : (unit -> 'a) -> 'a
+  (** [plain f] runs [f] with every op plain: neither a scheduling
+      point, nor reported, nor counted. For a scenario's read-back of
+      protocol state that production code never performs. [f] must not
+      {!yield}. *)
 
-(** The profiling shim: real atomics plus exact per-operation-kind
-    counters (DESIGN.md §11). Single-domain use only (plain counters);
-    production code never instantiates it — the perf profiler drives
-    pinned scripts of the functorized cores over it to report
-    deterministic atomics-per-operation costs. *)
-module Counting : sig
-  include ATOMIC with type 'a t = 'a Atomic.t
+  (** {2 Counting windows}
+
+      Exact per-kind counters for the atomics profiles (DESIGN.md §11).
+      Single-domain: the counters are plain. [make] is never counted. *)
 
   type counts = {
     gets : int;
@@ -43,41 +52,42 @@ module Counting : sig
     faa : int;
   }
 
+  val counting : (unit -> 'a) -> 'a
+  (** [counting f] runs [f] with every op tallied; the
+      counters accumulate across windows until {!reset}. *)
+
   val reset : unit -> unit
   val snapshot : unit -> counts
 
   val total : counts -> int
   (** All counted operations; [cas_failures] is a subset of [cas] and
-      is not re-added. [make] is never counted. *)
+      is not re-added. *)
 end
 
 val yield : unit -> unit
 (** Explicit scheduling point. No-op outside a controller; under one,
-    hands control to the scheduler. Use to interleave code that does
-    not go through {!Traced} (e.g. whole data-structure operations). *)
+    hands control to the scheduler. Scenarios that do not opt into
+    interposition schedule only at these points. *)
 
-(** {1 Operation tracing}
+(** {1 Interposition}
 
     The event feed for schedule-level analyses (the happens-before
-    sanitizer in [lib/analysis], DESIGN.md §14). Every {!Traced}
-    operation reports itself — after its scheduling point, at the
-    moment it takes effect — to the installed tracer. *)
-
-type op_kind = Op_get | Op_set | Op_exchange | Op_cas of bool | Op_faa
+    sanitizer in [lib/analysis], DESIGN.md §14). *)
 
 type op_event = {
-  op_fiber : int;
-      (** executing fiber index, or [-1] for code outside fiber context
-          (scenario setup, the final [check] oracle, cleanup) *)
+  op_fiber : int;  (** executing fiber index *)
   op_step : int;  (** controller step at which the op executed *)
-  op_loc : int;  (** unique id of the {!Traced} cell (per-process) *)
+  op_loc : int;  (** the cell's id, assigned per run in order of first use *)
   op_kind : op_kind;
 }
 
-val set_tracer : (op_event -> unit) option -> unit
-(** Install (or clear) the single operation observer. Per-schedule
-    state: {e every} [run] clears the tracer when it finishes, so
-    scenario builders must re-install it on each [mk ()] call. *)
+val interpose : (op_event -> unit) -> unit
+(** Opt the scenario being built into interposition: while the next
+    run executes one of its fibers, every {!Atomic} op is a scheduling
+    point and is reported — after it takes effect — to the given
+    tracer. Setup, the [check] oracle and cleanup stay plain.
+    Per-schedule state: {e every} run clears it when it finishes, so
+    scenario builders call it on each [mk ()]. *)
 
 val current_fiber : unit -> int
 (** Index of the fiber currently executing under a controller, or [-1]

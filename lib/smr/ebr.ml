@@ -1,5 +1,3 @@
-module Padded = Repro_util.Padded
-
 let name = "EBR"
 let om = Obs.Scheme_metrics.v name
 let epoch_advances = Obs.Metrics.counter "smr.ebr.epoch_advance"
@@ -14,7 +12,7 @@ type t = {
   max_threads : int;
   knobs : Knobs.t;
   ann : int Padded.t;
-  cur_epoch : int Atomic.t;
+  cur_epoch : int Sched.Atomic.t;
   alloc_tally : int Padded.t; (* owner-thread only; padded for locality *)
   retired : int Retire_queue.t array; (* meta = retire epoch *)
   orphans : int Orphanage.t; (* entries abandoned by crashed threads *)
@@ -28,7 +26,7 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     max_threads;
     knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name ();
     ann = Padded.create max_threads empty_ann;
-    cur_epoch = Atomic.make 0;
+    cur_epoch = Sched.Atomic.make 0;
     alloc_tally = Padded.create max_threads 0;
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
     orphans = Orphanage.create ();
@@ -36,9 +34,9 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
 
 let max_threads t = t.max_threads
 let knobs t = t.knobs
-let current_epoch t = Atomic.get t.cur_epoch
+let current_epoch t = Sched.Atomic.get t.cur_epoch
 let advance_epoch t =
-  ignore (Atomic.fetch_and_add t.cur_epoch 1);
+  ignore (Sched.Atomic.fetch_and_add t.cur_epoch 1);
   Obs.Metrics.incr epoch_advances ~pid:0
 
 let force_advance t = advance_epoch t
@@ -46,7 +44,7 @@ let force_advance t = advance_epoch t
 let begin_critical_section t ~pid =
   (* Announcing a possibly stale epoch is conservative-safe: it only
      makes this section look older to the ejector. *)
-  Padded.set t.ann pid (Atomic.get t.cur_epoch)
+  Padded.set t.ann pid (Sched.Atomic.get t.cur_epoch)
 
 let end_critical_section t ~pid = Padded.set t.ann pid empty_ann
 
@@ -71,7 +69,7 @@ let min_announced t = Padded.fold min max_int t.ann
 
 let retire t ~pid _id ~birth:_ op =
   let op = Obs.Scheme_metrics.on_retire om ~pid op in
-  Retire_queue.push t.retired.(pid) (Atomic.get t.cur_epoch) op
+  Retire_queue.push t.retired.(pid) (Sched.Atomic.get t.cur_epoch) op
 
 (* Adopt orphaned entries against the same safety predicate; the
    still-protected remainder goes back to the pool. *)
@@ -107,7 +105,7 @@ let abandon t ~pid =
 
 let reclamation_frontier t =
   let f = min_announced t in
-  Some (if f = max_int then Atomic.get t.cur_epoch else f)
+  Some (if f = max_int then Sched.Atomic.get t.cur_epoch else f)
 
 let drain_all t =
   let orphaned = List.map snd (Orphanage.take_all t.orphans) in

@@ -1,5 +1,3 @@
-module Padded = Repro_util.Padded
-
 let name = "HE"
 let om = Obs.Scheme_metrics.v name
 let epoch_advances = Obs.Metrics.counter "smr.he.epoch_advance"
@@ -16,7 +14,7 @@ type t = {
   k : int;
   knobs : Knobs.t;
   cleanup_floor : int; (* amortization floor: 2 * announcements *)
-  era : int Atomic.t;
+  era : int Sched.Atomic.t;
   slots : int Padded.t; (* announced eras, (k+1) per thread *)
   free : int list array; (* owner only *)
   alloc_tally : int Padded.t;
@@ -32,7 +30,7 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     k;
     knobs;
     cleanup_floor = 2 * (k + 1) * max_threads;
-    era = Atomic.make 0;
+    era = Sched.Atomic.make 0;
     slots = Padded.create ((k + 1) * max_threads) empty_era;
     free = Array.init max_threads (fun _ -> List.init k Fun.id);
     alloc_tally = Padded.create max_threads 0;
@@ -46,9 +44,9 @@ let effective_cleanup_freq t = max (Knobs.cleanup_freq t.knobs) t.cleanup_floor
 
 let max_threads t = t.max_threads
 let knobs t = t.knobs
-let current_era t = Atomic.get t.era
+let current_era t = Sched.Atomic.get t.era
 let advance_era t =
-  ignore (Atomic.fetch_and_add t.era 1);
+  ignore (Sched.Atomic.fetch_and_add t.era 1);
   Obs.Metrics.incr epoch_advances ~pid:0
 
 let force_advance t = advance_era t
@@ -60,7 +58,7 @@ let alloc_hook t ~pid =
   let tally = Padded.get t.alloc_tally pid + 1 in
   Padded.set t.alloc_tally pid tally;
   if tally mod Knobs.epoch_freq t.knobs = 0 then advance_era t;
-  Atomic.get t.era
+  Sched.Atomic.get t.era
 
 let try_acquire t ~pid _id =
   match t.free.(pid) with
@@ -70,12 +68,12 @@ let try_acquire t ~pid _id =
   | s :: rest ->
       t.free.(pid) <- rest;
       Obs.Scheme_metrics.on_acquire om ~pid;
-      Padded.set t.slots (slot_index t ~pid s) (Atomic.get t.era);
+      Padded.set t.slots (slot_index t ~pid s) (Sched.Atomic.get t.era);
       Some s
 
 let acquire t ~pid _id =
   Obs.Scheme_metrics.on_acquire om ~pid;
-  Padded.set t.slots (slot_index t ~pid t.k) (Atomic.get t.era);
+  Padded.set t.slots (slot_index t ~pid t.k) (Sched.Atomic.get t.era);
   t.k
 
 let confirm t ~pid g _id =
@@ -85,7 +83,7 @@ let confirm t ~pid g _id =
      covers it. Otherwise re-announce the fresh era and re-read. *)
   let idx = slot_index t ~pid g in
   let announced = Padded.get t.slots idx in
-  let cur = Atomic.get t.era in
+  let cur = Sched.Atomic.get t.era in
   if announced = cur then true
   else begin
     Obs.Scheme_metrics.on_confirm_retry om ~pid;
@@ -99,7 +97,7 @@ let release t ~pid g =
 
 let retire t ~pid _id ~birth op =
   let op = Obs.Scheme_metrics.on_retire om ~pid op in
-  Retire_queue.push t.retired.(pid) (birth, Atomic.get t.era) op
+  Retire_queue.push t.retired.(pid) (birth, Sched.Atomic.get t.era) op
 
 let eject ?(force = false) t ~pid =
   let q = t.retired.(pid) in
@@ -144,7 +142,7 @@ let reclamation_frontier t =
   let f =
     Padded.fold (fun acc e -> if e = empty_era then acc else min acc e) max_int t.slots
   in
-  Some (if f = max_int then Atomic.get t.era else f)
+  Some (if f = max_int then Sched.Atomic.get t.era else f)
 
 let drain_all t =
   let orphaned = List.map snd (Orphanage.take_all t.orphans) in

@@ -1,5 +1,3 @@
-module Padded = Repro_util.Padded
-
 let name = "HP"
 let om = Obs.Scheme_metrics.v name
 let is_protected_region = false
@@ -60,7 +58,7 @@ let try_acquire t ~pid id =
   | s :: rest ->
       t.free.(pid) <- rest;
       Obs.Scheme_metrics.on_acquire om ~pid;
-      (* Atomic.set is seq_cst: the announcement is globally visible
+      (* Sched.Atomic.set is seq_cst: the announcement is globally visible
          before the caller's revalidating re-read. *)
       Padded.set t.slots (slot_index t ~pid s) id;
       Some s
@@ -85,6 +83,8 @@ let release t ~pid g =
 
 let announced_count t =
   Padded.fold (fun acc id -> if Ident.is_null id then acc else acc + 1) 0 t.slots
+
+let is_announced t id = Padded.fold (fun acc a -> acc || Ident.equal a id) false t.slots
 
 let retire t ~pid id ~birth:_ op =
   let op = Obs.Scheme_metrics.on_retire om ~pid op in

@@ -26,3 +26,7 @@ val slots_per_thread : t -> int
 
 val announced_count : t -> int
 (** Number of currently non-null announcement slots (diagnostics). *)
+
+val is_announced : t -> Ident.t -> bool
+(** Whether some announcement slot currently carries the identity —
+    what [eject]'s scan would hold back. *)

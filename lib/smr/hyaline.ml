@@ -1,5 +1,3 @@
-module Padded = Repro_util.Padded
-
 let name = "Hyaline"
 let om = Obs.Scheme_metrics.v name
 let is_protected_region = true
@@ -8,17 +6,17 @@ let requires_validation = false
 
 type guard = int
 
-type rnode = Nil | Node of { refs : int Atomic.t; op : Deferred.t; next : rnode }
+type rnode = Nil | Node of { refs : int Sched.Atomic.t; op : Deferred.t; next : rnode }
 type hstate = { active : int; head : rnode }
 
 type t = {
   max_threads : int;
   knobs : Knobs.t;
-  state : hstate Atomic.t;
+  state : hstate Sched.Atomic.t;
   snapshot : rnode Padded.t; (* head observed at each thread's enter *)
   in_cs : bool Padded.t; (* whether each thread holds an open critical section *)
-  safe : (Deferred.t) list Atomic.t; (* entries whose stamp reached zero *)
-  pending : int Atomic.t; (* retired - ejected, diagnostics *)
+  safe : (Deferred.t) list Sched.Atomic.t; (* entries whose stamp reached zero *)
+  pending : int Sched.Atomic.t; (* retired - ejected, diagnostics *)
 }
 
 let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
@@ -38,25 +36,25 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
   {
     max_threads;
     knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name ();
-    state = Atomic.make { active = 0; head = Nil };
+    state = Sched.Atomic.make { active = 0; head = Nil };
     snapshot = Padded.create max_threads Nil;
     in_cs = Padded.create max_threads false;
-    safe = Atomic.make [];
-    pending = Atomic.make 0;
+    safe = Sched.Atomic.make [];
+    pending = Sched.Atomic.make 0;
   }
 
 let max_threads t = t.max_threads
 let knobs t = t.knobs
 let force_advance _t = ()
-let active_count t = (Atomic.get t.state).active
+let active_count t = (Sched.Atomic.get t.state).active
 
 let rec push_safe t op =
-  let cur = Atomic.get t.safe in
-  if not (Atomic.compare_and_set t.safe cur (op :: cur)) then push_safe t op
+  let cur = Sched.Atomic.get t.safe in
+  if not (Sched.Atomic.compare_and_set t.safe cur (op :: cur)) then push_safe t op
 
 let rec begin_critical_section t ~pid =
-  let s = Atomic.get t.state in
-  if Atomic.compare_and_set t.state s { s with active = s.active + 1 } then begin
+  let s = Sched.Atomic.get t.state in
+  if Sched.Atomic.compare_and_set t.state s { s with active = s.active + 1 } then begin
     Padded.set t.snapshot pid s.head;
     Padded.set t.in_cs pid true
   end
@@ -74,17 +72,17 @@ let rec decrement_segment t upto stop =
     match upto with
     | Nil -> ()
     | Node n ->
-        if Atomic.fetch_and_add n.refs (-1) = 1 then push_safe t n.op;
+        if Sched.Atomic.fetch_and_add n.refs (-1) = 1 then push_safe t n.op;
         decrement_segment t n.next stop
 
 let rec end_critical_section t ~pid =
-  let s = Atomic.get t.state in
+  let s = Sched.Atomic.get t.state in
   let active' = s.active - 1 in
   (* The last operation out truncates the global list: every remaining
      entry's stamp is held only by operations that already left or by
      us, so nobody else will need to reach it through the state. *)
   let head' = if active' = 0 then Nil else s.head in
-  if Atomic.compare_and_set t.state s { active = active'; head = head' } then begin
+  if Sched.Atomic.compare_and_set t.state s { active = active'; head = head' } then begin
     decrement_segment t s.head (Padded.get t.snapshot pid);
     Padded.set t.snapshot pid Nil;
     Padded.set t.in_cs pid false
@@ -108,26 +106,26 @@ let confirm _t ~pid:_ _g _id = true
 let release _t ~pid:_ _g = ()
 
 let rec retire t ~pid _id ~birth op =
-  let s = Atomic.get t.state in
+  let s = Sched.Atomic.get t.state in
   if s.active = 0 then
     (* No reader can hold the object; it is immediately safe. *)
-    if Atomic.compare_and_set t.state s s then push_safe t op else retire t ~pid _id ~birth op
+    if Sched.Atomic.compare_and_set t.state s s then push_safe t op else retire t ~pid _id ~birth op
   else begin
-    let node = Node { refs = Atomic.make s.active; op; next = s.head } in
-    if not (Atomic.compare_and_set t.state s { s with head = node }) then
+    let node = Node { refs = Sched.Atomic.make s.active; op; next = s.head } in
+    if not (Sched.Atomic.compare_and_set t.state s { s with head = node }) then
       retire t ~pid _id ~birth op
   end
 
 let retire t ~pid id ~birth op =
   let op = Obs.Scheme_metrics.on_retire om ~pid op in
-  ignore (Atomic.fetch_and_add t.pending 1);
+  ignore (Sched.Atomic.fetch_and_add t.pending 1);
   retire t ~pid id ~birth op
 
 let eject ?(force = false) t ~pid =
-  match Atomic.get t.safe with
+  match Sched.Atomic.get t.safe with
   | [] -> []
   | _ ->
-      let ops = Atomic.exchange t.safe [] in
+      let ops = Sched.Atomic.exchange t.safe [] in
       (* Cap the batch: the excess goes back on the safe list (it is
          already reclaimable, the controller just wants it released in
          smaller doses). *)
@@ -142,12 +140,12 @@ let eject ?(force = false) t ~pid =
         in
         if cap = max_int then ops else split cap [] ops
       in
-      ignore (Atomic.fetch_and_add t.pending (-List.length ops));
+      ignore (Sched.Atomic.fetch_and_add t.pending (-List.length ops));
       Obs.Scheme_metrics.on_eject om ~pid ops
 
 (* Pending entries that are global rather than per-thread: report the
    whole count against every pid (documented in the interface). *)
-let retired_count t ~pid:_ = Atomic.get t.pending
+let retired_count t ~pid:_ = Sched.Atomic.get t.pending
 
 (* A crashed thread holds no private retired entries (retirement is
    global here), but an open critical section pins a unit of every

@@ -1,5 +1,3 @@
-module Padded = Repro_util.Padded
-
 let name = "IBR"
 let om = Obs.Scheme_metrics.v name
 let epoch_advances = Obs.Metrics.counter "smr.ibr.epoch_advance"
@@ -17,7 +15,7 @@ type t = {
   max_threads : int;
   knobs : Knobs.t;
   ann : interval Padded.t;
-  cur_epoch : int Atomic.t;
+  cur_epoch : int Sched.Atomic.t;
   alloc_tally : int Padded.t; (* owner-thread only *)
   retired : (int * int) Retire_queue.t array; (* meta = (birth, retire epoch) *)
   orphans : (int * int) Orphanage.t;
@@ -31,7 +29,7 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     max_threads;
     knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name ();
     ann = Padded.create max_threads inactive;
-    cur_epoch = Atomic.make 0;
+    cur_epoch = Sched.Atomic.make 0;
     alloc_tally = Padded.create max_threads 0;
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
     orphans = Orphanage.create ();
@@ -39,15 +37,15 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
 
 let max_threads t = t.max_threads
 let knobs t = t.knobs
-let current_epoch t = Atomic.get t.cur_epoch
+let current_epoch t = Sched.Atomic.get t.cur_epoch
 let advance_epoch t =
-  ignore (Atomic.fetch_and_add t.cur_epoch 1);
+  ignore (Sched.Atomic.fetch_and_add t.cur_epoch 1);
   Obs.Metrics.incr epoch_advances ~pid:0
 
 let force_advance t = advance_epoch t
 
 let begin_critical_section t ~pid =
-  let e = Atomic.get t.cur_epoch in
+  let e = Sched.Atomic.get t.cur_epoch in
   Padded.set t.ann pid { b = e; e }
 
 let end_critical_section t ~pid = Padded.set t.ann pid inactive
@@ -56,7 +54,7 @@ let alloc_hook t ~pid =
   let tally = Padded.get t.alloc_tally pid + 1 in
   Padded.set t.alloc_tally pid tally;
   if tally mod Knobs.epoch_freq t.knobs = 0 then advance_epoch t;
-  Atomic.get t.cur_epoch
+  Sched.Atomic.get t.cur_epoch
 
 let try_acquire _t ~pid _id =
   Obs.Scheme_metrics.on_acquire om ~pid;
@@ -70,7 +68,7 @@ let confirm t ~pid _g _id =
   (* Fig 4: a read performed at the thread's announced upper epoch is
      protected iff the global epoch has not moved since; otherwise
      extend the announced interval and have the caller re-read. *)
-  let cur = Atomic.get t.cur_epoch in
+  let cur = Sched.Atomic.get t.cur_epoch in
   let a = Padded.get t.ann pid in
   if a.e = cur then true
   else begin
@@ -83,7 +81,7 @@ let release _t ~pid:_ _g = ()
 
 let retire t ~pid _id ~birth op =
   let op = Obs.Scheme_metrics.on_retire om ~pid op in
-  Retire_queue.push t.retired.(pid) (birth, Atomic.get t.cur_epoch) op
+  Retire_queue.push t.retired.(pid) (birth, Sched.Atomic.get t.cur_epoch) op
 
 let adopt_orphans t ~safe =
   match Orphanage.take_all t.orphans with
@@ -119,7 +117,7 @@ let abandon t ~pid =
 
 let reclamation_frontier t =
   let f = Padded.fold (fun acc a -> min acc a.b) max_int t.ann in
-  Some (if f = max_int then Atomic.get t.cur_epoch else f)
+  Some (if f = max_int then Sched.Atomic.get t.cur_epoch else f)
 
 let drain_all t =
   let orphaned = List.map snd (Orphanage.take_all t.orphans) in

@@ -4,9 +4,6 @@
    them from the sampler thread, and padding keeps the two from
    false-sharing. [slots_per_thread] is structural (slot arrays are
    sized at create) and therefore a plain immutable field. *)
-
-module Padded = Repro_util.Padded
-
 let default_epoch_freq = 40
 let default_cleanup_freq = 64
 let default_slots_per_thread = 8

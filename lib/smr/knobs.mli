@@ -11,7 +11,7 @@
     writes them from the other side.
 
     Concurrency: each knob lives in its own padded atomic cell
-    ({!Repro_util.Padded}), so controller writes never false-share with
+    ({!Padded}), so controller writes never false-share with
     scheme reads and a read is one atomic load. Knob moves are advisory
     — a scheme may complete an in-flight scan under the old value — but
     every subsequent decision sees the new one.

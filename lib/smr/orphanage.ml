@@ -1,13 +1,13 @@
-type 'meta t = ('meta * Deferred.t) list Atomic.t
+type 'meta t = ('meta * Deferred.t) list Sched.Atomic.t
 
-let create () = Atomic.make []
+let create () = Sched.Atomic.make []
 
 let rec put t entries =
   match entries with
   | [] -> ()
   | _ ->
-      let cur = Atomic.get t in
-      if not (Atomic.compare_and_set t cur (entries @ cur)) then put t entries
+      let cur = Sched.Atomic.get t in
+      if not (Sched.Atomic.compare_and_set t cur (entries @ cur)) then put t entries
 
-let take_all t = Atomic.exchange t []
-let size t = List.length (Atomic.get t)
+let take_all t = Sched.Atomic.exchange t []
+let size t = List.length (Sched.Atomic.get t)

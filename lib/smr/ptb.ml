@@ -1,5 +1,3 @@
-module Padded = Repro_util.Padded
-
 let name = "PTB"
 let om = Obs.Scheme_metrics.v name
 let is_protected_region = false

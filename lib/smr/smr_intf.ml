@@ -11,13 +11,13 @@
     caller and the scheme exposes a two-phase protocol:
 
     {[
-      let v = Atomic.get loc in
+      let v = Sched.Atomic.get loc in
       let g = try_acquire s ~pid (ident v) in    (* or acquire for the reserved slot *)
       let rec settle v =
         if confirm s ~pid g (ident v) then (v, g)   (* v is now protected *)
-        else settle (Atomic.get loc)
+        else settle (Sched.Atomic.get loc)
       in
-      settle (Atomic.get loc)
+      settle (Sched.Atomic.get loc)
     ]}
 
     [try_acquire] performs the initial announcement (pointer for HP,

@@ -29,3 +29,9 @@ val max_value : int
 
 val raw : t -> int
 (** Raw stored bits, for tests and diagnostics only. *)
+
+val mutation_drop_help_publish : bool ref
+(** Seeded Fig 7 mutant for the schedule explorer: [load] announces a
+    death without the help flag, so the racing decrement loses its
+    credit. Honoured only inside an interposed fiber
+    ({!Sched.Atomic.interposed}); production code never sees it. *)

@@ -1,14 +1,14 @@
-type 'a t = 'a Atomic.t array
+type 'a t = 'a Sched.Atomic.t array
 
 let stride = 8
 
-let create n init = Array.init (n * stride) (fun _ -> Atomic.make init)
+let create n init = Array.init (n * stride) (fun _ -> Sched.Atomic.make init)
 let length t = Array.length t / stride
-let get t i = Atomic.get t.(i * stride)
-let set t i v = Atomic.set t.(i * stride) v
-let exchange t i v = Atomic.exchange t.(i * stride) v
-let compare_and_set t i expected desired = Atomic.compare_and_set t.(i * stride) expected desired
-let add t i v = ignore (Atomic.fetch_and_add t.(i * stride) v)
+let get t i = Sched.Atomic.get t.(i * stride)
+let set t i v = Sched.Atomic.set t.(i * stride) v
+let exchange t i v = Sched.Atomic.exchange t.(i * stride) v
+let compare_and_set t i expected desired = Sched.Atomic.compare_and_set t.(i * stride) expected desired
+let add t i v = ignore (Sched.Atomic.fetch_and_add t.(i * stride) v)
 
 let fold f acc t =
   let n = length t in

@@ -20,11 +20,11 @@ let run ~name ~threads ~duration ?sample worker =
   let stop = Atomic.make false in
   (* Slot [pid - 1] holds the op count worker [pid] last reported;
      batch-by-batch, so the sampler sees a live total. *)
-  let reported = Repro_util.Padded.create threads 0 in
+  let reported = Padded.create threads 0 in
   let deaths = Array.make threads None in
   let body pid () =
     let continue n =
-      Repro_util.Padded.set reported (pid - 1) n;
+      Padded.set reported (pid - 1) n;
       not (Atomic.get stop)
     in
     try worker pid continue
@@ -32,7 +32,7 @@ let run ~name ~threads ~duration ?sample worker =
       Printf.eprintf "[%s] worker %d died: %s\n%!" name pid (Printexc.to_string e);
       deaths.(pid - 1) <- Some (kind_of_exn e)
   in
-  let reported_ops () = Repro_util.Padded.fold ( + ) 0 reported in
+  let reported_ops () = Padded.fold ( + ) 0 reported in
   let t0 = Unix.gettimeofday () in
   let domains = List.init threads (fun i -> Domain.spawn (body (i + 1))) in
   (match sample with

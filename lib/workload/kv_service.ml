@@ -30,13 +30,13 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     mask : int;
     heap : Simheap.t;
     clock : int Atomic.t;
-    c_puts_new : int Repro_util.Padded.t;
-    c_overwrites : int Repro_util.Padded.t;
-    c_expired_overwrites : int Repro_util.Padded.t;
-    c_removes : int Repro_util.Padded.t;
-    c_expiries : int Repro_util.Padded.t;
-    c_gets_hit : int Repro_util.Padded.t;
-    c_gets_miss : int Repro_util.Padded.t;
+    c_puts_new : int Padded.t;
+    c_overwrites : int Padded.t;
+    c_expired_overwrites : int Padded.t;
+    c_removes : int Padded.t;
+    c_expiries : int Padded.t;
+    c_gets_hit : int Padded.t;
+    c_gets_miss : int Padded.t;
   }
 
   type ctx = { t : t; ths : R.thr array; pid : int }
@@ -69,13 +69,13 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
       mask = nshards - 1;
       heap;
       clock = Atomic.make 0;
-      c_puts_new = Repro_util.Padded.create max_threads 0;
-      c_overwrites = Repro_util.Padded.create max_threads 0;
-      c_expired_overwrites = Repro_util.Padded.create max_threads 0;
-      c_removes = Repro_util.Padded.create max_threads 0;
-      c_expiries = Repro_util.Padded.create max_threads 0;
-      c_gets_hit = Repro_util.Padded.create max_threads 0;
-      c_gets_miss = Repro_util.Padded.create max_threads 0;
+      c_puts_new = Padded.create max_threads 0;
+      c_overwrites = Padded.create max_threads 0;
+      c_expired_overwrites = Padded.create max_threads 0;
+      c_removes = Padded.create max_threads 0;
+      c_expiries = Padded.create max_threads 0;
+      c_gets_hit = Padded.create max_threads 0;
+      c_gets_miss = Padded.create max_threads 0;
     }
 
   let shard_count t = Array.length t.shards
@@ -87,7 +87,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
   let ctx t pid = { t; ths = Array.map (fun sh -> R.thread sh.rt pid) t.shards; pid }
   let now t = Atomic.get t.clock
   let tick t = 1 + Atomic.fetch_and_add t.clock 1
-  let bump arr c = Repro_util.Padded.add arr c.pid 1
+  let bump arr c = Padded.add arr c.pid 1
 
   (* ------------------------------------------------------------------ *)
   (* Chain search — hm_list_rc's cursor, verbatim protocol: position at
@@ -495,7 +495,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     Array.to_list t.shards |> List.concat_map (fun sh -> R.control sh.rt)
 
   let counters t =
-    let sum arr = Repro_util.Padded.fold ( + ) 0 arr in
+    let sum arr = Padded.fold ( + ) 0 arr in
     {
       Kv_intf.puts_new = sum t.c_puts_new;
       overwrites = sum t.c_overwrites;

@@ -7,8 +7,8 @@
     thread count, with full telemetry on, and assembles an
     {!Obs.Perf.summary}: throughput, retire→free latency and eject
     batch-size quantiles, peak live blocks and peak retired backlog,
-    plus the deterministic atomic-op profiles of the three lock-free
-    cores instantiated over {!Sched.Counting}. A worker death is
+    plus the deterministic atomic-op profiles of the three production
+    lock-free cores inside a {!Sched.Atomic.counting} window. A worker death is
     tallied by kind under its cell key and returned next to the
     summary, so the perf command exits 1 instead of recording a short
     cell. *)
@@ -23,22 +23,23 @@ let git_sha () =
 
 (* ---------------- atomic-op profiles ---------------- *)
 
-(* The three schedule-explored cores, re-instantiated over the
-   counting shim. Counts are exact and deterministic: each script is
-   single-domain, contention-free, and pinned so its per-op cost is a
-   protocol invariant, not a measurement. *)
-module C = Sched.Counting
-module Sticky_c = Sticky.Sticky_counter_f.Make (C)
-module Slot_c = Acquire_retire.Slot_protocol.Make (C)
-module Cell_c = Cdrc.Rc_cell.Make (C)
+(* The production cores, run inside a counting window. Counts are exact
+   and deterministic: each script is single-domain, contention-free,
+   and pinned so its per-op cost is a protocol invariant, not a
+   measurement. *)
+module C = Sched.Atomic
+module Sticky_c = Sticky.Sticky_counter
+module Cell_c = Cdrc.Rc_cell
+module Ar_hp = Acquire_retire.Make (Smr.Hp)
 
 let profile_ops = 1000
 
 let profile ~core ~op body : Obs.Perf.atomic_profile =
   C.reset ();
-  for _ = 1 to profile_ops do
-    body ()
-  done;
+  C.counting (fun () ->
+      for _ = 1 to profile_ops do
+        body ()
+      done);
   let c = C.snapshot () in
   {
     Obs.Perf.a_core = core;
@@ -54,8 +55,9 @@ let profile ~core ~op body : Obs.Perf.atomic_profile =
 
 let atomic_profiles () =
   let sticky = Sticky_c.create 1 in
-  let slots = Slot_c.create ~slots_per_thread:2 ~max_threads:1 () in
-  let shared = C.make 7 in
+  let ar = Ar_hp.create ~slots_per_thread:2 ~max_threads:1 () in
+  let node = Ar_hp.alloc ar ~pid:0 () in
+  let shared = C.make node in
   let cell = Cell_c.make 0 in
   [
     (* Revive-free increment + non-final decrement: the refcount hot
@@ -69,17 +71,15 @@ let atomic_profiles () =
     profile ~core:"sticky" ~op:"death" (fun () ->
         let t = Sticky_c.create 1 in
         ignore (Sticky_c.decrement t));
-    (* Announce→confirm→release on an unchanging location: the
-       hazard-pointer read path. 3 gets (pre-read, settle re-read,
-       confirm) + 2 sets (announce, release) per op — the [read]
-       closure is itself a counted get. *)
+    (* Announce→confirm→release on an unchanging location, through the
+       production scope over HP: 3 gets (pre-read, settle re-read,
+       confirm) + 2 sets (announce, release at scope exit) per op. *)
     profile ~core:"slot" ~op:"protect_release" (fun () ->
-        let _, g = Slot_c.protect_read slots ~pid:0 ~read:(fun () -> C.get shared) in
-        Slot_c.release slots ~pid:0 g);
-    (* Retire one identity and eject it: the scan reads every slot. *)
+        Ar_hp.scope ar ~pid:0 { f = (fun s -> ignore (Ar_hp.protect s ~ident:Ar_hp.ident shared)) });
+    (* Retire one node and eject it: the HP scan reads every slot. *)
     profile ~core:"slot" ~op:"retire_eject" (fun () ->
-        Slot_c.retire slots ~pid:0 1 (fun () -> ());
-        ignore (Slot_c.eject slots ~pid:0));
+        Ar_hp.retire ar ~pid:0 node ignore;
+        List.iter (fun op -> op 0) (Ar_hp.eject ~force:true ar ~pid:0));
     (* Fig 9 weak upgrade + matching drop on a live control block. *)
     profile ~core:"rc_cell" ~op:"upgrade_drop" (fun () ->
         ignore (Cell_c.try_upgrade cell);

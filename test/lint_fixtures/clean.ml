@@ -1,6 +1,6 @@
-(* rc-lint fixture: a clean file. Atomic use outside a core file or
-   ATOMIC-functor body is fine, as is Fun.protect (scoped
-   finalization, not slot protection). Never compiled. *)
+(* rc-lint fixture: a clean file. Atomic use outside the protocol
+   directories is fine, as is Fun.protect (scoped finalization, not
+   slot protection). Never compiled. *)
 let counter = Atomic.make 0
 let bump () = Atomic.fetch_and_add counter 1
 

@@ -3,12 +3,12 @@
    replays of tiny two-fiber scenarios whose happens-before verdicts
    are computed by hand — each trace below is annotated with the clock
    arithmetic that justifies the expected verdict. Finally the §14
-   registry itself: clean sanitized targets survive exhaustive DFS
+   registry itself: clean targets survive exhaustive DFS
    with zero false positives, and the seeded mutants are caught. *)
 
 module V = Analysis.Vclock
 module Mon = Analysis.Race_monitor
-module T = Sched.Traced
+module T = Sched.Atomic
 
 (* ---------------- vector clocks ---------------- *)
 
@@ -236,7 +236,7 @@ let test_rc_lost_death () =
 
 let run_dfs name =
   match Explore.find name with
-  | None -> Alcotest.failf "unknown sanitized target %s" name
+  | None -> Alcotest.failf "unknown target %s" name
   | Some t ->
       ( t,
         Explore.run_target t ~mode:Explore.Dfs ~seed:1 ~iters:0 ~max_preemptions:None
@@ -248,7 +248,7 @@ let test_clean_targets_no_false_positives () =
       match run_dfs name with
       | _, Sched.Pass _ -> ()
       | _, r -> Alcotest.failf "%s: false positive under DFS: %a" name Sched.pp_result r)
-    [ "san-slots"; "san-handoff"; "san-weak-upgrade" ]
+    [ "slots"; "handoff"; "weak-upgrade" ]
 
 let test_mutants_caught () =
   List.iter
@@ -266,21 +266,25 @@ let test_mutants_caught () =
             (contains needle f.Sched.f_message)
       | _, r -> Alcotest.failf "%s: mutant survived: %a" name Sched.pp_result r)
     [
-      ("san-slots-drop-acquire", "block #1");
-      ("san-handoff-retire-early", "block #1");
-      ("san-rc-extra-dec", "rc cell #1");
+      ("slots-drop-announce", "block #2");
+      ("handoff-retire-early", "block #1");
+      ("rc-extra-dec", "rc cell #1");
     ]
 
 let test_mutant_trace_replays () =
   (* the printed schedule is a complete reproducer: replaying it hits
      the identical violation *)
-  match run_dfs "san-handoff-retire-early" with
-  | t, Sched.Fail f -> (
-      match Sched.replay ~trace:f.Sched.f_trace t.Explore.t_mk with
-      | Sched.Fail f' ->
-          Alcotest.(check string) "same violation" f.Sched.f_message f'.Sched.f_message
-      | r -> Alcotest.failf "replay diverged: %a" Sched.pp_result r)
-  | _, r -> Alcotest.failf "mutant survived: %a" Sched.pp_result r
+  List.iter
+    (fun name ->
+      match run_dfs name with
+      | t, Sched.Fail f -> (
+          match Sched.replay ~trace:f.Sched.f_trace t.Explore.t_mk with
+          | Sched.Fail f' ->
+              Alcotest.(check string) (name ^ ": same violation") f.Sched.f_message
+                f'.Sched.f_message
+          | r -> Alcotest.failf "%s: replay diverged: %a" name Sched.pp_result r)
+      | _, r -> Alcotest.failf "%s: mutant survived: %a" name Sched.pp_result r)
+    [ "handoff-retire-early"; "slots-drop-announce" ]
 
 let () =
   Alcotest.run "analysis"

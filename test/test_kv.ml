@@ -7,8 +7,8 @@
    (get-after-put, expired keys never served, the node and box
    retirement identities, leak-free teardown); (3) linearizability of
    single-shard get/put/remove/TTL histories — recorded under real
-   domains and explored exhaustively under [Sched.Traced] (DFS ≤2
-   preemptions). *)
+   domains and explored exhaustively at the shard core's [Sched.yield]
+   points (DFS ≤2 preemptions). *)
 
 module Q = QCheck2
 

@@ -16,9 +16,9 @@ let check_rules name expected =
   Alcotest.(check (list string)) name (List.sort String.compare expected) got
 
 let test_bad_files () =
-  check_rules "core/sticky_counter_f.ml" [ "R1"; "R1" ];
-  check_rules "core/slot_protocol.ml" [ "R1" ];
-  check_rules "bad_r1_functor.ml" [ "R1" ];
+  check_rules "core/bad_r1_counter.ml" [ "R1"; "R1" ];
+  check_rules "core/bad_r1_open.ml" [ "R1" ];
+  check_rules "smr/bad_r1_stdlib.ml" [ "R1" ];
   check_rules "ds/bad_r3_retire_manual.ml" [ "R3" ];
   check_rules "ds/bad_r3_retire_loop_manual.ml" [ "R3" ];
   check_rules "bad_r4_obj_magic.ml" [ "R4" ];
@@ -29,7 +29,7 @@ let test_bad_files () =
 
 let test_clean_files () =
   check_rules "clean.ml" [];
-  check_rules "suppressed_r1.ml" [];
+  check_rules "acquire_retire/suppressed_r1.ml" [];
   check_rules "suppressed_r4.ml" [];
   check_rules "ds/suppressed_r9_manual.ml" []
 

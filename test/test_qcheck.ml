@@ -119,16 +119,16 @@ let prop_padded_model =
       pair (int_range 1 8)
         (list_size (int_range 0 50) (pair (int_range 0 7) (int_range 0 1000))))
     (fun (n, writes) ->
-      let p = Repro_util.Padded.create n 0 in
+      let p = Padded.create n 0 in
       let a = Array.make n 0 in
       List.iter
         (fun (i, v) ->
           let i = i mod n in
-          Repro_util.Padded.set p i v;
+          Padded.set p i v;
           a.(i) <- v)
         writes;
-      Array.for_all Fun.id (Array.init n (fun i -> Repro_util.Padded.get p i = a.(i)))
-      && Repro_util.Padded.fold ( + ) 0 p = Array.fold_left ( + ) 0 a)
+      Array.for_all Fun.id (Array.init n (fun i -> Padded.get p i = a.(i)))
+      && Padded.fold ( + ) 0 p = Array.fold_left ( + ) 0 a)
 
 (* ------------------- RNG ------------------------------------------ *)
 

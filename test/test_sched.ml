@@ -1,9 +1,10 @@
 (* The deterministic schedule-exploration harness (DESIGN.md §8):
    first the harness itself (the DFS explorer must find a known lost
-   update, replay must reproduce it), then exhaustive exploration of
-   the functorized lock-free cores — sticky counter (Fig 7),
-   acquire-retire announcement slots (Fig 2), CDRC weak upgrade
-   (Figs 8-9) — and detection of the two injected mutations. *)
+   update, replay must reproduce it, aborted fibers are cleaned up),
+   then exhaustive exploration of the production lock-free cores —
+   sticky counter (Fig 7), acquire-retire over hazard pointers (Fig 2),
+   CDRC weak upgrade (Figs 8-9) — and detection of the seeded
+   mutations. *)
 
 module S = Explore.Scenarios
 
@@ -95,6 +96,40 @@ let test_pct_and_random_find_lost_update () =
   | Sched.Fail _ -> ()
   | r -> Alcotest.failf "pct missed the lost update: %a" Sched.pp_result r
 
+(* A violation aborts the leftover fibers; their finalizers run with
+   interposition off. One finalizer raises: the recorded violation
+   stays the verdict, and cleanup still reaches the next fiber. *)
+let test_aborted_finalizer_raises () =
+  let cleaned = ref false in
+  let mk () =
+    let c = Sched.Atomic.make 0 in
+    Sched.interpose ignore;
+    {
+      Sched.fibers =
+        [|
+          (fun () ->
+            Fun.protect
+              ~finally:(fun () -> failwith "finalizer failure")
+              (fun () -> Sched.Atomic.set c 1; Sched.Atomic.set c 2));
+          (fun () ->
+            Fun.protect
+              ~finally:(fun () ->
+                Sched.Atomic.set c 0;
+                cleaned := true)
+              (fun () -> Sched.Atomic.set c 3; Sched.Atomic.set c 4));
+          (fun () ->
+            ignore (Sched.Atomic.get c);
+            failwith "violation");
+        |];
+      check = (fun () -> ());
+    }
+  in
+  match Sched.replay ~trace:[ 0; 0; 1; 1; 2; 2 ] mk with
+  | Sched.Fail f ->
+      Alcotest.(check string) "the recorded violation wins" "violation" f.Sched.f_message;
+      Alcotest.(check bool) "the second finalizer ran" true !cleaned
+  | r -> Alcotest.failf "expected the violation: %a" Sched.pp_result r
+
 let test_preemption_bound_prunes () =
   (* with zero preemptions allowed, only domain-ordered schedules run:
      the lost update needs one preemption, so the search passes *)
@@ -151,26 +186,38 @@ let test_sticky_mutant_needs_the_bad_schedule () =
 (* ---------------- acquire-retire slots (Fig 2) ---------------- *)
 
 let test_slots_no_uaf_exhaustive () =
-  match Sched.explore_dfs (fun () -> S.slots_reclaim ()) with
+  match Sched.explore_dfs (fun () -> S.slots ()) with
   | Sched.Pass { schedules } ->
       Alcotest.(check bool) "explored many schedules" true (schedules > 20)
   | r -> Alcotest.failf "slots: %a" Sched.pp_result r
 
 let test_slots_skip_validate_caught () =
-  match Sched.explore_dfs (fun () -> S.slots_reclaim ~mutate:true ()) with
-  | Sched.Fail f ->
-      Alcotest.(check bool)
-        "verdict is a use-after-free" true
-        (let m = f.Sched.f_message in
-         let has sub =
-           let n = String.length sub in
-           let rec go i =
-             i + n <= String.length m && (String.sub m i n = sub || go (i + 1))
-           in
-           go 0
-         in
-         has "use-after-free" || has "Use_after_free")
+  (* The returned node is the settle re-read, which the slot does not
+     announce: the violation names node 2, swung in and retired while
+     the slot still carries node 1. The trace replays identically. *)
+  let mk () = S.slots ~mutant:S.Skip_confirm () in
+  match Sched.explore_dfs mk with
+  | Sched.Fail f -> (
+      let m = f.Sched.f_message in
+      let has sub =
+        let n = String.length sub in
+        let rec go i = i + n <= String.length m && (String.sub m i n = sub || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) ("verdict names node 2: " ^ m) true (has "block #2");
+      match Sched.replay ~trace:f.Sched.f_trace mk with
+      | Sched.Fail f' -> Alcotest.(check string) "same violation" m f'.Sched.f_message
+      | r -> Alcotest.failf "mutant trace did not replay: %a" Sched.pp_result r)
   | r -> Alcotest.failf "skip-validate mutant survived: %a" Sched.pp_result r
+
+(* The skip-confirm bug needs three priority changes (reader, reclaimer,
+   reader, reclaimer), so PCT must place them at depth 4: every change
+   point sinks its fiber below every initial priority. *)
+let test_slots_skip_validate_pct () =
+  let mk () = S.slots ~mutant:S.Skip_confirm () in
+  match Sched.explore_pct ~iters:500 ~depth:4 ~seed:3 mk with
+  | Sched.Fail _ -> ()
+  | r -> Alcotest.failf "pct at depth 4 missed the skip-validate mutant: %a" Sched.pp_result r
 
 (* ---------------- CDRC weak upgrade (Figs 8-9) ---------------- *)
 
@@ -215,6 +262,7 @@ let () =
           Alcotest.test_case "pct+random find lost update" `Quick
             test_pct_and_random_find_lost_update;
           Alcotest.test_case "preemption bound prunes" `Quick test_preemption_bound_prunes;
+          Alcotest.test_case "aborted finalizer raises" `Quick test_aborted_finalizer_raises;
         ] );
       ( "sticky",
         [
@@ -231,6 +279,7 @@ let () =
           Alcotest.test_case "no UAF, exhaustive" `Quick test_slots_no_uaf_exhaustive;
           Alcotest.test_case "skip-validate mutant caught" `Quick
             test_slots_skip_validate_caught;
+          Alcotest.test_case "skip-validate caught by pct" `Quick test_slots_skip_validate_pct;
         ] );
       ( "weak",
         [

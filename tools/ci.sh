@@ -121,39 +121,35 @@ echo "== telemetry smoke (fig13a, scaled down) =="
 # is valid JSONL and the experiment's required metrics are non-zero.
 dune exec bin/cdrc_bench.exe -- stats fig13a --threads 2 --duration 0.1 --scale 50 --check
 
-echo "== schedule-exploration smoke =="
-# Deterministic schedule exploration of the lock-free cores (DESIGN.md
-# §8). Exhaustive DFS on the real algorithms must find no
-# counterexample; the MUTANT targets carry injected bugs and their runs
-# fail unless the explorer catches them — every failure prints a
-# replayable schedule (replay with: explore TARGET --replay TRACE).
+echo "== one atomic module =="
+# Every protocol atomic goes through Sched.Atomic (DESIGN.md §8): the
+# functor boundary, its shims, the kernel copies it fed and the seeded
+# mutation flags in production modules must not come back.
+if grep -rnE --exclude=ci.sh \
+    'Sched\.(Traced|Passthrough|ATOMIC)|Slot_protocol|Sticky_counter_f|Rc_cell\.Make|San_scenarios|mutation_(skip|drop_acquire)' \
+    lib bin bench test tools; then
+  echo "error: a retired atomic shim or kernel copy is back" >&2
+  exit 1
+fi
+
+echo "== schedule-exploration smoke: clean targets under exhaustive DFS =="
+# Deterministic schedule exploration of the production lock-free cores
+# (DESIGN.md §8), each schedule checked by the §14 race & lifetime
+# monitor: exhaustive DFS must find no counterexample and no violation
+# — a false positive here means the happens-before engine or the
+# typestate rules regressed.
 dune exec bin/cdrc_bench.exe -- explore sticky-one-death --mode dfs --preemptions 2
 dune exec bin/cdrc_bench.exe -- explore sticky-load-vs-dec --mode dfs
 dune exec bin/cdrc_bench.exe -- explore slots --mode dfs
 dune exec bin/cdrc_bench.exe -- explore weak-upgrade --mode dfs
-dune exec bin/cdrc_bench.exe -- explore sticky-drop-help --mode dfs
-dune exec bin/cdrc_bench.exe -- explore slots-skip-validate --mode dfs
-dune exec bin/cdrc_bench.exe -- explore racy-counter --mode dfs
-# Pinned-seed randomized corpus: the PCT and random explorers must also
-# catch the injected bugs with these exact seeds.
-dune exec bin/cdrc_bench.exe -- explore racy-counter --mode pct --seed 1 --iters 500
-dune exec bin/cdrc_bench.exe -- explore sticky-drop-help --mode random --seed 2 --iters 2000
-dune exec bin/cdrc_bench.exe -- explore slots-skip-validate --mode pct --seed 3 --iters 500
+dune exec bin/cdrc_bench.exe -- explore handoff --mode dfs
 
-echo "== sanitize: clean corpus under exhaustive DFS =="
-# The §14 race & lifetime sanitizer: every clean sanitized target must
-# survive exhaustive DFS with zero violations — a false positive here
-# means the happens-before engine or the typestate rules regressed.
-dune exec bin/cdrc_bench.exe -- explore san-slots --mode dfs
-dune exec bin/cdrc_bench.exe -- explore san-handoff --mode dfs
-dune exec bin/cdrc_bench.exe -- explore san-weak-upgrade --mode dfs
-
-echo "== sanitize: seeded mutants caught with a replayable trace =="
-# Each mutant target exits 0 only when the sanitizer catches the seeded
-# protocol bug; on top of that, the report must print the replayable
-# schedule ("schedule [...]") that names the racing pair — that printed
-# trace is the contract the test suite replays.
-for t in san-slots-drop-acquire san-handoff-retire-early san-rc-extra-dec; do
+echo "== schedule-exploration: seeded mutants caught with a replayable trace =="
+# Each MUTANT target exits 0 only when the explorer catches its seeded
+# bug; on top of that, the report must print the replayable schedule
+# ("schedule [...]") — replay with: explore TARGET --replay TRACE.
+for t in sticky-drop-help slots-skip-validate slots-drop-announce rc-extra-dec \
+    handoff-retire-early racy-counter; do
   out=$(dune exec bin/cdrc_bench.exe -- explore "$t" --mode dfs)
   echo "$out"
   case $out in
@@ -164,6 +160,13 @@ for t in san-slots-drop-acquire san-handoff-retire-early san-rc-extra-dec; do
       ;;
   esac
 done
+# Pinned-seed randomized corpus: the PCT and random explorers must also
+# catch the injected bugs with these exact seeds. The skip-confirm
+# mutant needs three priority changes (reader, reclaimer, reader,
+# reclaimer), hence depth 4.
+dune exec bin/cdrc_bench.exe -- explore racy-counter --mode pct --seed 1 --iters 500
+dune exec bin/cdrc_bench.exe -- explore sticky-drop-help --mode random --seed 2 --iters 2000
+dune exec bin/cdrc_bench.exe -- explore slots-skip-validate --mode pct --seed 3 --depth 4 --iters 500
 
 echo "== kv serving smoke (table rows, always validated) =="
 # Short sharded-KV rows (DESIGN.md §12): after each cell the store is
