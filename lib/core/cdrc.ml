@@ -9,8 +9,9 @@
     - {e strong}: [shared] / [atomic shared (Asp)] / [snapshot]
     - {e weak}: [weak] / [atomic weak (Awp)] / [weak_snapshot]
 
-    The conversion instantiates one acquire–retire instance of [S] and
-    retires all three deferred kinds into it — strong decrements, weak
+    The conversion runs on {!Acquire_retire.Make} over [S], the runtime
+    the manual structures use too, and keeps one instance per runtime.
+    It retires all three deferred kinds into it — strong decrements, weak
     decrements and disposals — so that reads can protect a reference
     count (or a disposal) instead of incrementing it. Fig 8 uses three
     instances because a C++ [eject] hands back a bare pointer and the
@@ -29,14 +30,21 @@
     exactly as §3.4 requires for region schemes. *)
 
 module Make (S : Smr.Smr_intf.S) = struct
-  module Smr_impl = S
+  let scheme_name = "RC" ^ S.name
+
+  (* The acquire–retire runtime under the RC runtime's name, so that
+     over HP its knob handle reads RCHP and its watchdog counts under
+     ar.rchp.watchdog. *)
+  module Ar = Acquire_retire.Make (struct
+    include S
+
+    let name = scheme_name
+  end)
 
   (* The control-block lifecycle core (counters + value cell); the
      schedule explorer drives the same module. *)
   module Cell = Rc_cell
   module Ident = Smr.Ident
-
-  let scheme_name = "RC" ^ S.name
 
   (* Registry mirrors of this runtime's counters. The padded per-rt
      [snap_fast]/[snap_slow] fields below stay authoritative for
@@ -65,17 +73,12 @@ module Make (S : Smr.Smr_intf.S) = struct
   }
 
   type rt = {
-    ar : S.t; (* the one acquire–retire instance *)
+    ar : Ar.t; (* the one acquire–retire instance *)
     support_weak : bool;
-    heap : Simheap.t;
-    pending : Smr.Deferred.t Queue.t array; (* per-pid, owner-thread only *)
-    draining : bool array; (* per-pid reentrancy latch *)
-    nthreads : int;
     (* instrumentation: snapshot fast (guard) vs slow (count increment)
        paths, per thread — the mechanism behind the paper's Fig 11. *)
     snap_fast : int Padded.t;
     snap_slow : int Padded.t;
-    wd : Obs.Watchdog.t; (* reclamation-progress watchdog over [ar] *)
   }
 
   type thr = { rt : rt; pid : int }
@@ -86,45 +89,18 @@ module Make (S : Smr.Smr_intf.S) = struct
       match heap with Some h -> h | None -> Simheap.create ~name:("rc-" ^ S.name) ()
     in
     {
-      ar = S.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads ();
+      ar = Ar.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~heap ~max_threads ();
       support_weak;
-      heap;
-      pending = Array.init max_threads (fun _ -> Queue.create ());
-      draining = Array.make max_threads false;
-      nthreads = max_threads;
       snap_fast = Padded.create max_threads 0;
       snap_slow = Padded.create max_threads 0;
-      wd = Obs.Watchdog.create ~scheme:scheme_name ();
     }
 
+  let heap rt = Ar.heap rt.ar
+  let max_threads rt = Ar.max_threads rt.ar
+
   let thread rt pid =
-    if pid < 0 || pid >= rt.nthreads then invalid_arg "Cdrc.thread: pid out of range";
+    if pid < 0 || pid >= max_threads rt then invalid_arg "Cdrc.thread: pid out of range";
     { rt; pid }
-
-  let heap rt = rt.heap
-  let max_threads rt = rt.nthreads
-
-  (* ------------------------------------------------------------------ *)
-  (* Pending-operation queue: deferred operations (and the cascades they
-     trigger) are drained iteratively, never recursively — the paper's
-     rule that eject must not be re-entered (§3.2). *)
-
-  let enqueue rt ~pid (op : Smr.Deferred.t) = Queue.push op rt.pending.(pid)
-  let enqueue_all rt ~pid ops = List.iter (enqueue rt ~pid) ops
-
-  let drain rt ~pid =
-    (* Cheap early exit: this runs after every drop/store/CAS, so the
-       empty case must not allocate. *)
-    if (not (Queue.is_empty rt.pending.(pid))) && not rt.draining.(pid) then begin
-      rt.draining.(pid) <- true;
-      let q = rt.pending.(pid) in
-      Fun.protect
-        ~finally:(fun () -> rt.draining.(pid) <- false)
-        (fun () ->
-          while not (Queue.is_empty q) do
-            (Queue.pop q) pid
-          done)
-    end
 
   (* ------------------------------------------------------------------ *)
   (* Reference-count primitives (Fig 8) *)
@@ -145,12 +121,14 @@ module Make (S : Smr.Smr_intf.S) = struct
     Simheap.free cb.block
 
   (* Defer [op] on [cb] until no guard taken before this call protects
-     it, counting it under its kind's [counter]. All three kinds share
-     the one instance [ar]. *)
+     it, counting it under its kind's [counter], then eject: all three
+     kinds share the one instance [ar], whose queue runs what the scan
+     releases (cascades included) before this returns, or, from inside
+     a deferred op, right after it. *)
   let delayed rt ~pid counter cb op =
     Obs.Metrics.incr counter ~pid;
-    S.retire rt.ar ~pid (Ident.of_val cb) ~birth:cb.birth op;
-    enqueue_all rt ~pid (S.eject rt.ar ~pid)
+    Ar.retire_id rt.ar ~pid (Ident.of_val cb) ~birth:cb.birth op;
+    Ar.eject rt.ar ~pid
 
   let rec decrement rt ~pid cb =
     if Cell.strong_decrement cb.cell then
@@ -160,7 +138,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         (* Strong-only mode: no weak snapshot can observe the object, so
            dispose as soon as the count dies — via the queue, so that a
            destroy hook dropping a long chain cannot overflow the stack. *)
-        enqueue rt ~pid (fun epid -> dispose rt ~pid:epid cb)
+        Ar.run rt.ar ~pid (fun epid -> dispose rt ~pid:epid cb)
 
   and dispose rt ~pid cb =
     (match Cell.take cb.cell with
@@ -247,36 +225,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     let strong_count p = match cb_of p with None -> 0 | Some cb -> Cell.strong_count cb.cell
   end
 
-  (* ------------------------------------------------------------------ *)
-  (* The announce/confirm protocol against a slot-holding atomic cell *)
-
-  (* The confirm half of the protocol, shared by every protected read:
-     confirm [g] against [v]'s identity, re-reading [loc] after each
-     miss, and return the value [g] covers. *)
-  let rec settle ar ~pid g loc v =
-    if S.confirm ar ~pid g (slot_ident v) then v
-    else settle ar ~pid g loc (Sched.Atomic.get loc)
-
-  (* When confirm is constantly true (EBR/Hyaline), the first load is
-     already protected by the ambient critical section: single-load
-     fast path, the reason region schemes are cheap (paper §2). *)
-  let protect_load ar ~pid (loc : 'a slot Sched.Atomic.t) : 'a slot * S.guard =
-    if S.confirm_is_trivial then (Sched.Atomic.get loc, S.acquire ar ~pid Ident.null)
-    else begin
-      let g = S.acquire ar ~pid (slot_ident (Sched.Atomic.get loc)) in
-      (settle ar ~pid g loc (Sched.Atomic.get loc), g)
-    end
-
-  let try_protect_load ar ~pid (loc : 'a slot Sched.Atomic.t) : ('a slot * S.guard) option =
-    if S.confirm_is_trivial then
-      match S.try_acquire ar ~pid Ident.null with
-      | Some g -> Some (Sched.Atomic.get loc, g)
-      | None -> None
-    else
-      match S.try_acquire ar ~pid (slot_ident (Sched.Atomic.get loc)) with
-      | None -> None
-      | Some g -> Some (settle ar ~pid g loc (Sched.Atomic.get loc), g)
-
   (* Logical CAS over a slot cell: succeed iff the current slot equals
      [expected] (cb identity + mark). Physical CAS failure against a
      logically-equal but re-boxed slot retries (DESIGN.md S5). *)
@@ -289,8 +237,8 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Critical sections (§3.4) *)
 
-  let begin_critical_section (t : thr) = S.begin_critical_section t.rt.ar ~pid:t.pid
-  let end_critical_section (t : thr) = S.end_critical_section t.rt.ar ~pid:t.pid
+  let begin_critical_section (t : thr) = Ar.begin_critical_section t.rt.ar ~pid:t.pid
+  let end_critical_section (t : thr) = Ar.end_critical_section t.rt.ar ~pid:t.pid
 
   let critically (t : thr) f =
     begin_critical_section t;
@@ -301,9 +249,11 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   type 'a shared = { mutable s_cb : 'a control_block option; mutable s_live : bool }
 
+  (* A snapshot's guard is [Ar.no_guard] when it holds a count instead
+     (the slow path, or a null snapshot). *)
   type 'a snapshot = {
     n_cb : 'a control_block option;
-    n_guard : S.guard option; (* Some = fast path; None = counted *)
+    n_guard : S.guard;
     n_tag : int;
     mutable n_live : bool;
   }
@@ -312,7 +262,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   type 'a weak_snapshot = {
     ws_cb : 'a control_block option;
-    ws_guard : S.guard option; (* Some = dispose guard; None = counted *)
+    ws_guard : S.guard; (* dispose guard, or [Ar.no_guard]: counted *)
     ws_tag : int;
     mutable ws_live : bool;
   }
@@ -339,8 +289,8 @@ module Make (S : Smr.Smr_intf.S) = struct
       let cb =
         {
           cell = Cell.make v;
-          birth = S.alloc_hook rt.ar ~pid:t.pid;
-          block = Simheap.alloc rt.heap;
+          birth = Ar.birth rt.ar ~pid:t.pid;
+          block = Simheap.alloc (heap rt);
           destroy;
         }
       in
@@ -380,8 +330,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       | None -> ()
       | Some cb ->
           p.s_cb <- None;
-          decrement t.rt ~pid:t.pid cb);
-      drain t.rt ~pid:t.pid
+          decrement t.rt ~pid:t.pid cb)
 
     let use_count (p : 'a t) =
       check_owner p.s_live "shared";
@@ -410,7 +359,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   module Snapshot = struct
     type 'a t = 'a snapshot
 
-    let null () : 'a t = { n_cb = None; n_guard = None; n_tag = 0; n_live = true }
+    let null () : 'a t = { n_cb = None; n_guard = Ar.no_guard; n_tag = 0; n_live = true }
 
     let is_null (p : 'a t) =
       check_owner p.n_live "snapshot";
@@ -444,11 +393,8 @@ module Make (S : Smr.Smr_intf.S) = struct
     let drop (t : thr) (p : 'a t) =
       check_owner p.n_live "snapshot";
       p.n_live <- false;
-      (match (p.n_guard, p.n_cb) with
-      | Some g, _ -> S.release t.rt.ar ~pid:t.pid g
-      | None, Some cb -> decrement t.rt ~pid:t.pid cb
-      | None, None -> ());
-      drain t.rt ~pid:t.pid
+      if p.n_guard <> Ar.no_guard then Ar.release_unscoped t.rt.ar ~pid:t.pid p.n_guard
+      else match p.n_cb with Some cb -> decrement t.rt ~pid:t.pid cb | None -> ()
 
     (** Upgrade to an owning shared pointer (the snapshot stays live). *)
     let to_shared (t : thr) (p : 'a t) : 'a shared =
@@ -464,7 +410,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       check_owner p.n_live "snapshot";
       match p.n_cb with None -> 0 | Some cb -> Cell.strong_count cb.cell
 
-    let is_protected (p : 'a t) = p.n_guard <> None
+    let is_protected (p : 'a t) = p.n_guard <> Ar.no_guard
   end
 
   module Asp = struct
@@ -484,7 +430,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     (* Fig 8 load_and_increment *)
     let load (t : thr) (c : 'a t) : 'a shared =
-      let v, g = protect_load t.rt.ar ~pid:t.pid c.asp in
+      let v, g = Ar.protect_unscoped t.rt.ar ~pid:t.pid ~reserved:true ~ident:slot_ident c.asp in
       let res =
         match cb_of v with
         | None -> Shared.null ()
@@ -492,16 +438,13 @@ module Make (S : Smr.Smr_intf.S) = struct
             must_increment cb;
             { s_cb = Some cb; s_live = true }
       in
-      S.release t.rt.ar ~pid:t.pid g;
+      Ar.release_unscoped t.rt.ar ~pid:t.pid g;
       res
 
     let store (t : thr) (c : 'a t) (desired : 'a ptr) =
       (match cb_of desired with Some cb -> must_increment cb | None -> ());
       let old = Sched.Atomic.exchange c.asp desired in
-      (match cb_of old with
-      | Some cb -> delayed_decrement t.rt ~pid:t.pid cb
-      | None -> ());
-      drain t.rt ~pid:t.pid
+      match cb_of old with Some cb -> delayed_decrement t.rt ~pid:t.pid cb | None -> ()
 
     (** Logical CAS. [desired] must be backed by an owned reference the
         caller holds across the call (shared, snapshot, or the null
@@ -510,17 +453,11 @@ module Make (S : Smr.Smr_intf.S) = struct
     let compare_and_swap (t : thr) (c : 'a t) ~(expected : 'a ptr) ~(desired : 'a ptr) =
       (match cb_of desired with Some cb -> must_increment cb | None -> ());
       if slot_cas c.asp expected desired then begin
-        (match cb_of expected with
-        | Some cb -> delayed_decrement t.rt ~pid:t.pid cb
-        | None -> ());
-        drain t.rt ~pid:t.pid;
+        (match cb_of expected with Some cb -> delayed_decrement t.rt ~pid:t.pid cb | None -> ());
         true
       end
       else begin
-        (match cb_of desired with
-        | Some cb -> decrement t.rt ~pid:t.pid cb
-        | None -> ());
-        drain t.rt ~pid:t.pid;
+        (match cb_of desired with Some cb -> decrement t.rt ~pid:t.pid cb | None -> ());
         false
       end
 
@@ -538,27 +475,28 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     (* Fig 5 get_snapshot *)
     let get_snapshot (t : thr) (c : 'a t) : 'a snapshot =
-      match try_protect_load t.rt.ar ~pid:t.pid c.asp with
-      | Some (v, g) -> (
+      let ar = t.rt.ar and pid = t.pid in
+      match Ar.protect_unscoped ar ~pid ~reserved:false ~ident:slot_ident c.asp with
+      | v, g when g <> Ar.no_guard -> (
           bump t.rt.snap_fast snap_fast_c t;
           match cb_of v with
           | None ->
-              S.release t.rt.ar ~pid:t.pid g;
-              { n_cb = None; n_guard = None; n_tag = slot_tag v; n_live = true }
-          | Some cb -> { n_cb = Some cb; n_guard = Some g; n_tag = slot_tag v; n_live = true })
-      | None -> (
+              Ar.release_unscoped ar ~pid g;
+              { n_cb = None; n_guard = Ar.no_guard; n_tag = slot_tag v; n_live = true }
+          | Some cb -> { n_cb = Some cb; n_guard = g; n_tag = slot_tag v; n_live = true })
+      | _ -> (
           (* Slow path: protect with the reserved slot, take a real
              count, release the slot (Fig 5 lines 8–11). *)
           bump t.rt.snap_slow snap_slow_c t;
-          let v, g = protect_load t.rt.ar ~pid:t.pid c.asp in
+          let v, g = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.asp in
           match cb_of v with
           | None ->
-              S.release t.rt.ar ~pid:t.pid g;
-              { n_cb = None; n_guard = None; n_tag = slot_tag v; n_live = true }
+              Ar.release_unscoped ar ~pid g;
+              { n_cb = None; n_guard = Ar.no_guard; n_tag = slot_tag v; n_live = true }
           | Some cb ->
               must_increment cb;
-              S.release t.rt.ar ~pid:t.pid g;
-              { n_cb = Some cb; n_guard = None; n_tag = slot_tag v; n_live = true })
+              Ar.release_unscoped ar ~pid g;
+              { n_cb = Some cb; n_guard = Ar.no_guard; n_tag = slot_tag v; n_live = true })
 
     (** Scoped snapshot: dropped when [f] returns or raises. *)
     let with_snapshot (t : thr) (c : 'a t) f =
@@ -568,10 +506,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     (** Release the cell's count unit (node teardown in destroy hooks). *)
     let clear (t : thr) (c : 'a t) =
       let old = Sched.Atomic.exchange c.asp Null in
-      (match cb_of old with
-      | Some cb -> delayed_decrement t.rt ~pid:t.pid cb
-      | None -> ());
-      drain t.rt ~pid:t.pid
+      match cb_of old with Some cb -> delayed_decrement t.rt ~pid:t.pid cb | None -> ()
   end
 
   (* ------------------------------------------------------------------ *)
@@ -644,8 +579,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       | None -> ()
       | Some cb ->
           p.w_cb <- None;
-          weak_decrement t.rt ~pid:t.pid cb);
-      drain t.rt ~pid:t.pid
+          weak_decrement t.rt ~pid:t.pid cb)
 
     let weak_count (p : 'a t) =
       check_owner p.w_live "weak";
@@ -656,7 +590,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     type 'a t = 'a weak_snapshot
 
     let null () : 'a t =
-      { ws_cb = None; ws_guard = None; ws_tag = 0; ws_live = true }
+      { ws_cb = None; ws_guard = Ar.no_guard; ws_tag = 0; ws_live = true }
 
     let is_null (p : 'a t) =
       check_owner p.ws_live "weak_snapshot";
@@ -701,13 +635,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     let drop (t : thr) (p : 'a t) =
       check_owner p.ws_live "weak_snapshot";
       p.ws_live <- false;
-      (match (p.ws_guard, p.ws_cb) with
-      | Some g, _ -> S.release t.rt.ar ~pid:t.pid g
-      | None, Some cb -> decrement t.rt ~pid:t.pid cb
-      | None, None -> ());
-      drain t.rt ~pid:t.pid
+      if p.ws_guard <> Ar.no_guard then Ar.release_unscoped t.rt.ar ~pid:t.pid p.ws_guard
+      else match p.ws_cb with Some cb -> decrement t.rt ~pid:t.pid cb | None -> ()
 
-    let is_protected (p : 'a t) = p.ws_guard <> None
+    let is_protected (p : 'a t) = p.ws_guard <> Ar.no_guard
   end
 
   module Awp = struct
@@ -729,15 +660,12 @@ module Make (S : Smr.Smr_intf.S) = struct
       require_weak t.rt;
       (match cb_of desired with Some cb -> weak_increment cb | None -> ());
       let old = Sched.Atomic.exchange c.awp desired in
-      (match cb_of old with
-      | Some cb -> delayed_weak_decrement t.rt ~pid:t.pid cb
-      | None -> ());
-      drain t.rt ~pid:t.pid
+      match cb_of old with Some cb -> delayed_weak_decrement t.rt ~pid:t.pid cb | None -> ()
 
     (* Fig 9 load *)
     let load (t : thr) (c : 'a t) : 'a weak =
       require_weak t.rt;
-      let v, g = protect_load t.rt.ar ~pid:t.pid c.awp in
+      let v, g = Ar.protect_unscoped t.rt.ar ~pid:t.pid ~reserved:true ~ident:slot_ident c.awp in
       let res =
         match cb_of v with
         | None -> Weak.null ()
@@ -745,7 +673,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             weak_increment cb;
             { w_cb = Some cb; w_live = true }
       in
-      S.release t.rt.ar ~pid:t.pid g;
+      Ar.release_unscoped t.rt.ar ~pid:t.pid g;
       res
 
     (* Fig 9 compare_and_swap. [desired] must be backed by an owned
@@ -760,14 +688,10 @@ module Make (S : Smr.Smr_intf.S) = struct
         (match cb_of expected with
         | Some cb -> delayed_weak_decrement t.rt ~pid:t.pid cb
         | None -> ());
-        drain t.rt ~pid:t.pid;
         true
       end
       else begin
-        (match cb_of desired with
-        | Some cb -> weak_decrement t.rt ~pid:t.pid cb
-        | None -> ());
-        drain t.rt ~pid:t.pid;
+        (match cb_of desired with Some cb -> weak_decrement t.rt ~pid:t.pid cb | None -> ());
         false
       end
 
@@ -777,111 +701,64 @@ module Make (S : Smr.Smr_intf.S) = struct
       let rt = t.rt in
       let pid = t.pid in
       let rec retry () =
-        let v, wg = protect_load rt.ar ~pid c.awp in
+        let v, wg = Ar.protect_unscoped rt.ar ~pid ~reserved:true ~ident:slot_ident c.awp in
         match cb_of v with
         | None ->
-            S.release rt.ar ~pid wg;
-            { ws_cb = None; ws_guard = None; ws_tag = slot_tag v; ws_live = true }
-        | Some cb -> (
-            let id = Ident.of_val cb in
-            let dg = S.try_acquire rt.ar ~pid id in
+            Ar.release_unscoped rt.ar ~pid wg;
+            { ws_cb = None; ws_guard = Ar.no_guard; ws_tag = slot_tag v; ws_live = true }
+        | Some cb ->
+            (* Protect [cb]'s disposal with a fresh guard on [v], which
+               [wg] already protects. For IBR/HE the dispose-side
+               interval must be re-stabilized before trusting the
+               liveness read; HP and PTB confirm [v] at once. *)
+            let _, dg =
+              Ar.protect_unscoped rt.ar ~pid ~reserved:false ~seen:v ~ident:slot_ident c.awp
+            in
             let alive =
-              match dg with
-              | Some g ->
-                  (* For IBR/HE the dispose-side interval must be
-                     re-stabilized before trusting the liveness read.
-                     [g] announced [v]'s own identity, so HP and PTB
-                     confirm at once; the era schemes ignore the
-                     identity a re-read would bring. *)
-                  ignore (settle rt.ar ~pid g c.awp v);
-                  not (expired cb)
-              | None ->
-                  (* Fig 9 line 26: out of dispose guards — fall back to
-                     a real strong increment if the object is alive. *)
-                  Cell.try_upgrade cb.cell
+              if dg <> Ar.no_guard then not (expired cb)
+              else
+                (* Fig 9 line 26: out of dispose guards — fall back to
+                   a real strong increment if the object is alive. *)
+                Cell.try_upgrade cb.cell
             in
             if alive then begin
-              S.release rt.ar ~pid wg;
-              {
-                ws_cb = Some cb;
-                ws_guard = dg;
-                ws_tag = slot_tag v;
-                ws_live = true;
-              }
+              Ar.release_unscoped rt.ar ~pid wg;
+              { ws_cb = Some cb; ws_guard = dg; ws_tag = slot_tag v; ws_live = true }
             end
             else begin
-              (match dg with Some g -> S.release rt.ar ~pid g | None -> ());
-              S.release rt.ar ~pid wg;
+              if dg <> Ar.no_guard then Ar.release_unscoped rt.ar ~pid dg;
+              Ar.release_unscoped rt.ar ~pid wg;
               (* Fig 9 lines 34–35: only linearizable to return null if
                  the cell still holds the expired pointer. *)
               if slot_eq (Sched.Atomic.get c.awp) v then
-                {
-                  ws_cb = None;
-                  ws_guard = None;
-                  ws_tag = slot_tag v;
-                  ws_live = true;
-                }
+                { ws_cb = None; ws_guard = Ar.no_guard; ws_tag = slot_tag v; ws_live = true }
               else retry ()
-            end)
+            end
       in
       retry ()
 
     let clear (t : thr) (c : 'a t) =
       require_weak t.rt;
       let old = Sched.Atomic.exchange c.awp Null in
-      (match cb_of old with
-      | Some cb -> delayed_weak_decrement t.rt ~pid:t.pid cb
-      | None -> ());
-      drain t.rt ~pid:t.pid
+      match cb_of old with Some cb -> delayed_weak_decrement t.rt ~pid:t.pid cb | None -> ()
   end
 
   (* ------------------------------------------------------------------ *)
   (* Maintenance *)
 
   (** Apply every deferred operation that is currently safe, plus the
-      cascades it triggers. A disposal retires its node's outgoing
-      decrements, which may make the next node's disposal due, so
-      [flush] ejects and drains until the scheme yields nothing: a
-      dequeued chain is reclaimed in one call, not one node per call.
-      Only [flush] rescans; a rescan after every drain would cost the
-      protected-pointer schemes their tail latency. Benchmarks call
-      this between phases. *)
-  let flush (t : thr) =
-    let rt = t.rt in
-    let pid = t.pid in
-    let rec go () =
-      match S.eject ~force:true rt.ar ~pid with
-      | [] -> drain rt ~pid
-      | ops ->
-          enqueue_all rt ~pid ops;
-          drain rt ~pid;
-          go ()
-    in
-    go ()
+      cascades it triggers ({!Acquire_retire.Make.flush}). Benchmarks
+      call this between phases. *)
+  let flush (t : thr) = Ar.flush t.rt.ar ~pid:t.pid
 
-  (** Teardown at quiescence: repeatedly drain the acquire–retire
-      instance and every pending queue until nothing remains. After
-      [quiesce], every unreachable object has been reclaimed; with no
-      strong cycles, [Simheap.live rt.heap] counts exactly the objects
-      still owned by live pointers. *)
-  let quiesce rt =
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      let ops = S.drain_all rt.ar in
-      if ops <> [] then progress := true;
-      List.iter (fun op -> op 0) ops;
-      Array.iteri
-        (fun pid q ->
-          while not (Queue.is_empty q) do
-            progress := true;
-            (Queue.pop q) pid
-          done)
-        rt.pending
-    done
+  (** Teardown at quiescence ({!Acquire_retire.Make.quiesce}): after it,
+      every unreachable object has been reclaimed; with no strong
+      cycles, [live_objects] counts exactly the objects still owned by
+      live pointers. *)
+  let quiesce rt = Ar.quiesce rt.ar
 
-  let live_objects rt = Simheap.live rt.heap
-  let peak_objects rt = Simheap.peak rt.heap
+  let live_objects rt = Simheap.live (heap rt)
+  let peak_objects rt = Simheap.peak (heap rt)
 
   (** Snapshot path statistics: (fast guard-protected, slow
       count-incrementing) totals since creation. The slow share is the
@@ -892,46 +769,21 @@ module Make (S : Smr.Smr_intf.S) = struct
       Padded.fold ( + ) 0 rt.snap_slow )
 
   (** Deferred decrements and disposals of all three kinds currently
-      parked in the acquire–retire instance. For Hyaline the per-pid
-      count is already global, so this overcounts by the thread count
-      there — fine for the backlog gauge it feeds, which tracks trend,
-      not an exact census. *)
-  let retired_backlog rt =
-    let acc = ref 0 in
-    for pid = 0 to rt.nthreads - 1 do
-      acc := !acc + S.retired_count rt.ar ~pid
-    done;
-    !acc
+      parked in the acquire–retire instance. *)
+  let retired_backlog rt = Ar.total_pending rt.ar
 
   (** CONTROLLABLE surface: the one knob handle of the runtime's
       acquire–retire instance, which every deferred kind shares. *)
-  let control rt =
-    [
-      {
-        Smr.Knobs.h_scheme = scheme_name;
-        h_knobs = S.knobs rt.ar;
-        h_force_advance = (fun () -> S.force_advance rt.ar);
-      };
-    ]
+  let control rt = [ Ar.handle rt.ar ]
 
   (** Crash/stall recovery on the acquire–retire instance: the
       abandoned pid's critical section closes, its announcement slots
       clear, and its parked deferred operations of all three kinds land
       in the shared orphan pool for survivor adoption — so one stalled
       thread cannot pin the whole runtime's backlog. *)
-  let abandon rt ~pid = S.abandon rt.ar ~pid
+  let abandon rt ~pid = Ar.abandon rt.ar ~pid
 
-  let watchdog_check rt =
-    match S.reclamation_frontier rt.ar with
-    | None -> None
-    | Some frontier -> (
-        let pending = retired_backlog rt in
-        match Obs.Watchdog.check rt.wd ~pid:0 ~frontier ~pending with
-        | Obs.Watchdog.Progressing -> None
-        | Obs.Watchdog.Stuck { frontier; pending } ->
-            Some
-              (Printf.sprintf "%s: stuck (frontier=%d pending=%d)" scheme_name frontier
-                 pending))
+  let stalled rt = Ar.stalled rt.ar
 end
 
 (** Re-export of the scheme-agnostic public signature (the [cdrc]

@@ -52,11 +52,11 @@ module type S = sig
       currently parked in the runtime's one acquire–retire instance,
       summed over all threads. *)
 
-  val watchdog_check : rt -> string option
-  (** Sample the runtime's reclamation-progress watchdog: [Some verdict]
-      when the underlying scheme's frontier has been stuck while the
-      deferred-operation backlog grew (see [Obs.Watchdog]); [None]
-      otherwise. *)
+  val stalled : rt -> bool
+  (** Sample the runtime's reclamation-progress watchdog: [true] when
+      the underlying scheme's frontier has been stuck while the
+      deferred-operation backlog grew (see [Obs.Watchdog], which also
+      records the verdict text). *)
 
   val control : rt -> Smr.Knobs.handle list
   (** CONTROLLABLE surface for the adaptive controller: exactly one

@@ -50,6 +50,6 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let snapshot_stats _ = None
   let retired_backlog t = L.retired_backlog t.list
-  let watchdog_check t = L.watchdog_check t.list
+  let stalled t = L.stalled t.list
   let control t = L.control t.list
 end

@@ -23,18 +23,13 @@ module Make (S : Smr.Smr_intf.S) = struct
   type node = { key : int; next : link Atomic.t }
   and link = { dest : node Ar.managed option; marked : bool }
 
-  type t = { ar : Ar.t; head : link Atomic.t; nthreads : int; wd : Ar.watchdog }
+  type t = { ar : Ar.t; head : link Atomic.t }
   type ctx = { t : t; pid : int }
 
   let null_link = { dest = None; marked = false }
 
   let create ?slots_per_thread ?epoch_freq ?buckets:_ ~max_threads () =
-    {
-      ar = Ar.create ?slots_per_thread ?epoch_freq ~max_threads ();
-      head = Atomic.make null_link;
-      nthreads = max_threads;
-      wd = Ar.watchdog ();
-    }
+    { ar = Ar.create ?slots_per_thread ?epoch_freq ~max_threads (); head = Atomic.make null_link }
 
   let ctx t pid = { t; pid }
   let validate = S.requires_validation
@@ -62,11 +57,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     match Ar.protect s ~ident:ident_of cell with
     | Some p -> p
     | None -> failwith "hm_list_manual: out of announcement slots (need >= 3)"
-
-  let run_ejects c =
-    match Ar.eject c.t.ar ~pid:c.pid with
-    | [] -> ()
-    | ops -> List.iter (fun op -> op c.pid) ops
 
   exception Restart
 
@@ -107,7 +97,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           Sched.yield ();
           if link_cas prev cur succ then begin
             Ar.retire_free c.t.ar ~pid:c.pid m;
-            run_ejects c;
+            Ar.eject c.t.ar ~pid:c.pid;
             Ar.release s cg;
             find s c key prev pg succ gn at_head
           end
@@ -171,7 +161,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                   Sched.yield ();
                   if link_cas cu.prev cu.cur next then begin
                     Ar.retire_free c.t.ar ~pid:c.pid m;
-                    run_ejects c;
+                    Ar.eject c.t.ar ~pid:c.pid;
                     `Unlinked
                   end
                   else `Marked
@@ -270,7 +260,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   let remove c key = remove_at c c.t.head key
   let contains c key = contains_at c c.t.head key
   let range_query c lo hi = range_at c c.t.head lo hi
-  let flush c = Ar.drain c.t.ar ~pid:c.pid
+  let flush c = Ar.flush c.t.ar ~pid:c.pid
   let size t = size_at t.head
   let live_objects t = Simheap.live (Ar.heap t.ar)
   let peak_objects t = Simheap.peak (Ar.heap t.ar)
@@ -283,10 +273,5 @@ module Make (S : Smr.Smr_intf.S) = struct
   let snapshot_stats _ = None
   let retired_backlog t = Ar.total_pending t.ar
   let control t = [ Ar.handle t.ar ]
-
-  let watchdog_check t =
-    match Ar.watchdog_check t.ar t.wd with
-    | Ar.Progressing -> None
-    | Ar.Stuck { frontier; pending } ->
-        Some (Printf.sprintf "%s: stuck (frontier=%d pending=%d)" name frontier pending)
+  let stalled t = Ar.stalled t.ar
 end

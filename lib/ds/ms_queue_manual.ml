@@ -57,11 +57,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     | Some p -> p
     | None -> failwith "ms_queue: out of announcement slots"
 
-  let run_ejects c =
-    match Ar.eject c.t.ar ~pid:c.pid with
-    | [] -> ()
-    | ops -> List.iter (fun op -> op c.pid) ops
-
   (* Each retry releases the attempt's guards first, keeping the slot
      budget at two. *)
   let rec enqueue_in s c nu =
@@ -128,7 +123,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                   (* The guards outlive the eject: the scope releases
                      them after it. *)
                   Ar.retire_free c.t.ar ~pid:c.pid hm;
-                  run_ejects c;
+                  Ar.eject c.t.ar ~pid:c.pid;
                   Some v
                 end
                 else retry s c gh gn
@@ -142,7 +137,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let dequeue c = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> dequeue_in s c) }
 
-  let flush c = Ar.drain c.t.ar ~pid:c.pid
+  let flush c = Ar.flush c.t.ar ~pid:c.pid
   let live_objects t = Simheap.live (Ar.heap t.ar)
 
   let teardown t =

@@ -48,8 +48,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     ar : Ar.t;
     root : node Ar.managed; (* the R sentinel; never retired *)
     uaf : int Atomic.t; (* unsafe-scheme violations caught and retried *)
-    nthreads : int;
-    wd : Ar.watchdog;
   }
 
   type ctx = { t : t; pid : int }
@@ -69,7 +67,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let l_inf2b = mk_leaf ar ~pid:0 inf2 in
     let s = mk_internal ar ~pid:0 inf1 l_inf1 l_inf2a in
     let r = mk_internal ar ~pid:0 inf2 s l_inf2b in
-    { ar; root = r; uaf = Atomic.make 0; nthreads = max_threads; wd = Ar.watchdog () }
+    { ar; root = r; uaf = Atomic.make 0 }
 
   let ctx t pid = { t; pid }
   let uaf_events t = Atomic.get t.uaf
@@ -97,11 +95,6 @@ module Make (S : Smr.Smr_intf.S) = struct
   let protect s cell = Ar.protect s ~ident:ident_of cell
   let target cell = function Some ((e : edge), _) -> e | None -> Atomic.get cell
   let release s = function Some (_, g) -> Ar.release s g | None -> ()
-
-  let run_ejects c =
-    match Ar.eject c.t.ar ~pid:c.pid with
-    | [] -> ()
-    | ops -> List.iter (fun op -> op c.pid) ops
 
   (* Seek record (paper Fig 1a), typed by the scope whose guards
      protect its ancestor, parent and leaf; the successor is never
@@ -207,7 +200,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         end
       in
       retire_chain s.suc;
-      run_ejects c
+      Ar.eject c.t.ar ~pid:c.pid
     end;
     ok
 
@@ -319,7 +312,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let contains c key = guarded c { f = (fun s -> contains_in s key None c.t.root None) }
   let range_query c lo hi = guarded c { f = (fun s -> range_op s c lo hi) }
-  let flush c = Ar.drain c.t.ar ~pid:c.pid
+  let flush c = Ar.flush c.t.ar ~pid:c.pid
 
   let size t =
     let rec go (m : node Ar.managed) =
@@ -348,10 +341,5 @@ module Make (S : Smr.Smr_intf.S) = struct
   let snapshot_stats _ = None
   let retired_backlog t = Ar.total_pending t.ar
   let control t = [ Ar.handle t.ar ]
-
-  let watchdog_check t =
-    match Ar.watchdog_check t.ar t.wd with
-    | Ar.Progressing -> None
-    | Ar.Stuck { frontier; pending } ->
-        Some (Printf.sprintf "%s: stuck (frontier=%d pending=%d)" name frontier pending)
+  let stalled t = Ar.stalled t.ar
 end

@@ -66,12 +66,12 @@ module type S = sig
       the quantity the experiment runner's sampler publishes as the
       [sampler.retired_backlog] gauge. *)
 
-  val watchdog_check : t -> string option
-  (** Sample the structure's reclamation-progress watchdog ([Some
-      verdict] when reclamation is stuck behind a pinned frontier while
-      garbage accumulates, [None] otherwise). The experiment runner's sampler
-      calls this periodically and collects verdicts into
-      [result.watchdog_verdicts]. *)
+  val stalled : t -> bool
+  (** Sample the structure's reclamation-progress watchdog: [true] when
+      reclamation is stuck behind a pinned frontier while garbage
+      accumulates. The experiment runner's sampler calls this
+      periodically; the verdict text reaches [result.watchdog_verdicts]
+      through [Obs.Verdicts]. *)
 
   val control : t -> Smr.Knobs.handle list
   (** The structure's CONTROLLABLE surface: one knob handle per

@@ -41,11 +41,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     else if Atomic.compare_and_set cell cur desired then true
     else link_cas cell expected desired
 
-  let run_ejects c =
-    match Ar.eject c.t.ar ~pid:c.pid with
-    | [] -> ()
-    | ops -> List.iter (fun op -> op c.pid) ops
-
   let rec push_in c v =
     let top = Atomic.get c.t.top in
     let m = Ar.alloc c.t.ar ~pid:c.pid { value = v; next = top } in
@@ -78,7 +73,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         if link_cas c.t.top top node.next then begin
           Ar.release s g;
           Ar.retire_free c.t.ar ~pid:c.pid m;
-          run_ejects c;
+          Ar.eject c.t.ar ~pid:c.pid;
           Some node.value
         end
         else begin
@@ -88,7 +83,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let pop c = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> pop_in s c 0) }
 
-  let flush c = Ar.drain c.t.ar ~pid:c.pid
+  let flush c = Ar.flush c.t.ar ~pid:c.pid
 
   (** Reap a crashed thread's scheme state (see {!Acquire_retire}). *)
   let abandon t ~pid = Ar.abandon t.ar ~pid
@@ -103,6 +98,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let live_objects t = Simheap.live (Ar.heap t.ar)
   let retired_backlog t = Ar.total_pending t.ar
+  let stalled t = Ar.stalled t.ar
 
   let teardown t =
     let rec go = function

@@ -208,7 +208,7 @@ module Slots (S : Smr.Smr_intf.S with type t = Smr.Hp.t) = struct
           Mon.free mon ~ident:m.value;
           Simheap.free m.block)
     in
-    let eject () = List.iter (fun op -> op 1) (Ar.eject ~force:true ar ~pid:1) in
+    let eject () = Ar.eject ~force:true ar ~pid:1 in
     let read s =
       match Ar.protect s ~ident:Ar.ident loc with
       | None -> failwith "out of announcement slots"

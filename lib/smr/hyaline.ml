@@ -143,9 +143,10 @@ let eject ?(force = false) t ~pid =
       ignore (Sched.Atomic.fetch_and_add t.pending (-List.length ops));
       Obs.Scheme_metrics.on_eject om ~pid ops
 
-(* Pending entries that are global rather than per-thread: report the
-   whole count against every pid (documented in the interface). *)
-let retired_count t ~pid:_ = Sched.Atomic.get t.pending
+(* Pending entries are global rather than per-thread: report the whole
+   count under pid 0 and none elsewhere, so the per-pid counts sum to
+   the backlog. *)
+let retired_count t ~pid = if pid = 0 then Sched.Atomic.get t.pending else 0
 
 (* A crashed thread holds no private retired entries (retirement is
    global here), but an open critical section pins a unit of every

@@ -164,7 +164,9 @@ module type S = sig
 
   val retired_count : t -> pid:int -> int
   (** Number of this thread's retired-but-not-ejected entries
-      (diagnostics / memory accounting). *)
+      (diagnostics / memory accounting). The counts over every pid sum
+      to the instance's backlog: a scheme whose entries are global
+      (Hyaline) reports them all under pid 0. *)
 
   val abandon : t -> pid:int -> unit
   (** Crash recovery: release every resource held by [pid] on its

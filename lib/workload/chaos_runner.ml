@@ -57,21 +57,12 @@ let default_spec =
     ch_validate = true;
   }
 
-(* Base manual schemes the campaign wraps in Faulty_smr; the KV service
-   is instantiated per run so the fault plan is fresh. *)
-let base_schemes : (string * (module Smr.Smr_intf.S)) list =
-  [
-    ("EBR", (module Smr.Ebr : Smr.Smr_intf.S));
-    ("IBR", (module Smr.Ibr));
-    ("HP", (module Smr.Hp));
-    ("HE", (module Smr.Hazard_eras));
-    ("Hyaline", (module Smr.Hyaline));
-    ("PTB", (module Smr.Ptb));
-    ("None", (module Smr.Leaky));
-  ]
-
+(* The campaign wraps each of [Instances.named_schemes] in Faulty_smr;
+   the KV service is instantiated per run so the fault plan is fresh. *)
 let find_schemes names =
-  Instances.select ~find:(Instances.find_named fst base_schemes) base_schemes names
+  Instances.select
+    ~find:(Instances.find_named fst Instances.named_schemes)
+    Instances.named_schemes names
 
 (* Schemes whose garbage stays bounded under a stalled thread (the
    paper's robustness column); EBR/Hyaline pin everything behind a
@@ -486,7 +477,7 @@ let run_campaign ?(spec = default_spec)
 (* Run a campaign over each scheme; [ok] iff every oracle on every
    scheme holds. Prints the replayable schedule first so any failure
    names its exact reproduction. *)
-let run_all ?(spec = default_spec) ?(schemes = base_schemes) () =
+let run_all ?(spec = default_spec) ?(schemes = Instances.named_schemes) () =
   let cspec =
     {
       Fault.Chaos.seed = spec.ch_seed;

@@ -36,15 +36,9 @@ let pp_robustness_result ppf r =
     | Some s -> Printf.sprintf "stuck@%.2fs" s
     | None -> "quiet")
 
-let robustness_schemes : (module Smr.Smr_intf.S) list =
-  [
-    (module Smr.Ebr : Smr.Smr_intf.S);
-    (module Smr.Ibr);
-    (module Smr.Hp);
-    (module Smr.Hazard_eras);
-    (module Smr.Hyaline);
-    (module Smr.Ptb);
-  ]
+(* Every manual scheme but the leak-everything baseline, whose garbage
+   grows with or without a stall. *)
+let robustness_schemes = List.filter (fun (name, _) -> name <> "None") Instances.named_schemes
 
 let run_robustness_one ?(duration = 1.0) ?(seed = 42) (module S : Smr.Smr_intf.S) =
   let workers = 3 in
@@ -81,7 +75,6 @@ let run_robustness_one ?(duration = 1.0) ?(seed = 42) (module S : Smr.Smr_intf.S
     done;
     if not (Fault.Fault_plan.stalled plan ~pid) then St.flush c
   in
-  let wd = St.Ar.watchdog ~threshold:3 ~slack:256 () in
   let watchdog_fired = ref None in
   let curve = ref [] in
   let peak_stalled = ref 0 in
@@ -93,9 +86,7 @@ let run_robustness_one ?(duration = 1.0) ?(seed = 42) (module S : Smr.Smr_intf.S
     curve := (now, live) :: !curve;
     if not !abandoned then begin
       peak_stalled := max !peak_stalled live;
-      (match St.Ar.watchdog_check st.St.ar wd with
-      | St.Ar.Stuck _ when !watchdog_fired = None -> watchdog_fired := Some now
-      | _ -> ());
+      if St.stalled st && !watchdog_fired = None then watchdog_fired := Some now;
       if now >= abandon_at then begin
         (* Recovery: reap the stalled thread on its behalf. *)
         live_at_abandon := live;
@@ -124,15 +115,14 @@ let run_robustness_one ?(duration = 1.0) ?(seed = 42) (module S : Smr.Smr_intf.S
 
 let run_robustness ?(duration = 1.0) ?(schemes = []) ?(seed = 42) ?out () =
   Table.with_selection "robustness"
-    (Instances.select
-       ~find:(Instances.find_named (fun (module S : Smr.Smr_intf.S) -> S.name) robustness_schemes)
-       robustness_schemes schemes)
+    (Instances.select ~find:(Instances.find_named fst robustness_schemes) robustness_schemes
+       schemes)
   @@ fun picked ->
   Format.printf
     "@.== Robustness: one stalled thread, garbage growth and recovery by abandon \
      ==@.expected: EBR backlog grows unboundedly while stalled (watchdog trips); \
      HP/IBR/HE stay bounded; abandon restores leak-free reclamation everywhere@.@.";
-  let results = List.map (run_robustness_one ~duration ~seed) picked in
+  let results = List.map (fun (_, s) -> run_robustness_one ~duration ~seed s) picked in
   List.iter
     (fun r ->
       Format.printf "%a@." pp_robustness_result r;
@@ -220,7 +210,9 @@ let replay target =
       let ar = Ar.create ~epoch_freq:1 ~cleanup_freq:1 ~max_threads:2 () in
       (* The victim enters and never leaves. *)
       Ar.begin_critical_section ar ~pid:0;
-      let wd = Ar.watchdog ~threshold:3 ~slack:64 () in
+      (* A tighter slack than the instance's own watchdog: this backlog
+         grows by one entry per iteration. *)
+      let wd = Obs.Watchdog.create ~slack:64 ~scheme:FS.name () in
       {
         label = Smr.Ebr.name;
         churn =
@@ -229,17 +221,21 @@ let replay target =
             let m = Ar.alloc ar ~pid:1 i in
             Ar.retire_free ar ~pid:1 m;
             Ar.end_critical_section ar ~pid:1;
-            List.iter (fun op -> op 1) (Ar.eject ar ~pid:1));
+            Ar.eject ar ~pid:1);
         backlog = (fun () -> Ar.total_pending ar);
         stuck =
           (fun () ->
-            match Ar.watchdog_check ar wd with Ar.Stuck _ -> true | Ar.Progressing -> false);
+            match FS.reclamation_frontier ar.Ar.smr with
+            | None -> false
+            | Some frontier ->
+                Obs.Watchdog.check wd ~pid:0 ~frontier ~pending:(Ar.total_pending ar)
+                <> Obs.Watchdog.Progressing);
         control = [ Ar.handle ar ];
         abandon = (fun () -> Ar.abandon ar ~pid:0);
         fired = None;
         finish =
           (fun () ->
-            Ar.drain ar ~pid:1;
+            Ar.flush ar ~pid:1;
             Ar.quiesce ar;
             Simheap.live (Ar.heap ar));
       }
@@ -262,7 +258,7 @@ let replay target =
               ignore (K.put victim ~now:i (key i) i);
             ignore (K.put healthy ~now:i (key (i mod 8)) i));
         backlog = (fun () -> K.shard_backlog t ~shard:0);
-        stuck = (fun () -> K.watchdog_check t <> None);
+        stuck = (fun () -> K.stalled t);
         control = K.shard_control t ~shard:0;
         abandon = (fun () -> K.abandon_shard t ~shard:0 ~pid:1);
         fired = Some (fun () -> Fault.Fault_plan.stalled plan ~pid:1);

@@ -30,6 +30,19 @@ let manual_schemes : (module Smr.Smr_intf.S) list =
     (module Smr.Ptb);
   ]
 
+(* The six manual schemes and the leak-everything baseline, by name, in
+   the order the robustness and chaos experiments report them. *)
+let named_schemes : (string * (module Smr.Smr_intf.S)) list =
+  [
+    ("EBR", (module Smr.Ebr : Smr.Smr_intf.S));
+    ("IBR", (module Smr.Ibr));
+    ("HP", (module Smr.Hp));
+    ("HE", (module Smr.Hazard_eras));
+    ("Hyaline", (module Smr.Hyaline));
+    ("PTB", (module Smr.Ptb));
+    ("None", (module Smr.Leaky));
+  ]
+
 let rc_schemes : (module Cdrc.Intf.S) list =
   [
     (module RC_ebr);

@@ -114,7 +114,9 @@ module type S = sig
   (** Deferred decrements/disposals parked across all shards. *)
 
   val shard_backlog : t -> shard:int -> int
-  val watchdog_check : t -> string option
+  val stalled : t -> bool
+  (** Whether some shard's reclamation watchdog reports a stall. *)
+
   val control : t -> Smr.Knobs.handle list
   val shard_control : t -> shard:int -> Smr.Knobs.handle list
   val counters : t -> counters

@@ -484,10 +484,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
   let retired_backlog t =
     Array.fold_left (fun acc sh -> acc + R.retired_backlog sh.rt) 0 t.shards
 
-  let watchdog_check t =
-    Array.fold_left
-      (fun acc sh -> match acc with Some _ -> acc | None -> R.watchdog_check sh.rt)
-      None t.shards
+  let stalled t = Array.exists (fun sh -> R.stalled sh.rt) t.shards
 
   let shard_control t ~shard = R.control t.shards.(shard).rt
 

@@ -27,16 +27,16 @@ type probe = {
   peak : unit -> int option; (* exact heap peak since the prefill *)
   uaf : unit -> int;
   snapshots : unit -> (int * int) option; (* RC (fast, slow) snapshot paths *)
-  watchdog : unit -> string option;
+  stalled : unit -> bool; (* the reclamation watchdog's verdict *)
   control : Smr.Knobs.handle list;
   check : unit -> string list; (* violations, once the workers have stopped *)
   teardown : unit -> unit;
 }
 
 let probe ?(peak = fun () -> None) ?(uaf = fun () -> 0) ?(snapshots = fun () -> None)
-    ?(watchdog = fun () -> None) ?(control = []) ?(check = fun () -> []) ~live ~backlog
+    ?(stalled = fun () -> false) ?(control = []) ?(check = fun () -> []) ~live ~backlog
     ~teardown worker =
-  { worker; live; backlog; peak; uaf; snapshots; watchdog; control; check; teardown }
+  { worker; live; backlog; peak; uaf; snapshots; stalled; control; check; teardown }
 
 (* One cell's inputs: its thread count, the row's knob value when the
    row sweeps one, and [keys], the size every kernel derives its own
@@ -129,7 +129,7 @@ let set_kernel ?buckets ?(init = fun k -> k / 2) ?(base = 42) m (module D : Ds.S
         ~peak:(fun () -> Some (D.peak_objects d))
         ~uaf:(fun () -> D.uaf_events d)
         ~snapshots:(fun () -> D.snapshot_stats d)
-        ~watchdog:(fun () -> D.watchdog_check d)
+        ~stalled:(fun () -> D.stalled d)
         ~control:(D.control d)
         ~live:(fun () -> D.live_objects d)
         ~backlog:(fun () -> D.retired_backlog d)
@@ -474,7 +474,7 @@ let run_cell ~duration ~adapt ~suffix ~telemetry row (s : setup) ((name, make) :
     (* A perf row's sampler only tracks the peaks: its cells measure
        the structure, not the sampler. *)
     let series = (not row.telemetry) && Obs.Metrics.enabled () in
-    let verdict = if series || ctl <> None then p.watchdog () else None in
+    let stalled = (series || ctl <> None) && p.stalled () in
     if series then begin
       let t0, ops0 = !last in
       let dt = elapsed -. t0 in
@@ -495,7 +495,7 @@ let run_cell ~duration ~adapt ~suffix ~telemetry row (s : setup) ((name, make) :
                (* [None] while telemetry is off: "SLO met". *)
                p99 =
                  Obs.Histo.percentile_of_counts (Obs.Histo.merged_suffix ".reclaim_latency") 99.0;
-               stalled = verdict <> None;
+               stalled;
              }))
       ctl
   in

@@ -56,10 +56,10 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     Ar.retire ar ~pid:0 m (fun pid -> seen := pid);
     (* Drain from pid 2: the op must observe pid 2 (Hyaline can eject
        cross-thread; the closure must not assume the retiring pid). *)
-    Ar.drain ar ~pid:2;
+    Ar.flush ar ~pid:2;
     (* For per-thread-queue schemes the entry lives in pid 0's queue, so
        drain it there too. *)
-    if !seen = -1 then Ar.drain ar ~pid:0;
+    if !seen = -1 then Ar.flush ar ~pid:0;
     Alcotest.(check bool) "pid routed" true (!seen = 0 || !seen = 2);
     Simheap.free m.Ar.block
 
@@ -136,7 +136,7 @@ module Ebr_ar = Acquire_retire.Make (Smr.Ebr)
 let reclaimed_after ar =
   let m = Ebr_ar.alloc ar ~pid:1 () in
   Ebr_ar.retire_free ar ~pid:1 m;
-  Ebr_ar.drain ar ~pid:1;
+  Ebr_ar.flush ar ~pid:1;
   not (Ebr_ar.is_live m)
 
 let scope_unpins_frontier () =
@@ -194,8 +194,83 @@ let crash_propagates_unwrapped () =
   | () -> Alcotest.fail "expected the crash"
   | exception Fault.Fault_plan.Crashed 0 -> ());
   Ar.retire_free ar ~pid:1 m;
-  Ar.drain ar ~pid:1;
+  Ar.flush ar ~pid:1;
   Alcotest.(check bool) "announcement dropped" false (Ar.is_live m)
+
+(* ------------------------ the deferred-op queue ------------------- *)
+
+(* The pid's queue runs what an eject releases, never reentrantly: a
+   deferred op that retires a successor and ejects runs to its end
+   before the successor starts, however long the chain. Every eject
+   below is forced and nothing is protected, so without the queue each
+   nested eject would run the successor inside its retirer. *)
+module Queue_tests (S : Smr.Smr_intf.S) = struct
+  module Ar = Acquire_retire.Make (S)
+
+  let t name f = Alcotest.test_case (S.name ^ ": " ^ name) `Quick f
+
+  let nested_eject_runs_after () =
+    let ar = Ar.create ~max_threads:1 () in
+    let depth = ref 0 and deepest = ref 0 and order = ref [] in
+    let op name body _pid =
+      incr depth;
+      deepest := max !deepest !depth;
+      order := name :: !order;
+      body ();
+      decr depth
+    in
+    let a = Ar.alloc ar ~pid:0 () and b = Ar.alloc ar ~pid:0 () in
+    Ar.retire ar ~pid:0 a
+      (op "a" (fun () ->
+           Simheap.free a.Ar.block;
+           Ar.retire ar ~pid:0 b (op "b" (fun () -> Simheap.free b.Ar.block));
+           Ar.eject ~force:true ar ~pid:0;
+           Alcotest.(check bool) "successor not run inside the op" true (Ar.is_live b)));
+    Ar.eject ~force:true ar ~pid:0;
+    Alcotest.(check (list string)) "both ran, in order" [ "a"; "b" ] (List.rev !order);
+    Alcotest.(check int) "nesting depth" 1 !deepest;
+    Alcotest.(check int) "nothing left" 0 (Simheap.live (Ar.heap ar))
+
+  let long_chain_flushes () =
+    let ar = Ar.create ~max_threads:1 () in
+    let n = 100_000 in
+    let ms = Array.init n (fun i -> Ar.alloc ar ~pid:0 i) in
+    let rec link i _pid =
+      Simheap.free ms.(i).Ar.block;
+      if i + 1 < n then begin
+        Ar.retire ar ~pid:0 ms.(i + 1) (link (i + 1));
+        Ar.eject ~force:true ar ~pid:0
+      end
+    in
+    Ar.retire ar ~pid:0 ms.(0) (link 0);
+    Ar.flush ar ~pid:0;
+    Alcotest.(check int) "whole chain reclaimed" 0 (Simheap.live (Ar.heap ar))
+
+  let tests =
+    [
+      t "nested eject runs the successor after the op" nested_eject_runs_after;
+      t "100,000-link chain flushes" long_chain_flushes;
+    ]
+end
+
+module Q_ebr = Queue_tests (Smr.Ebr)
+module Q_hp = Queue_tests (Smr.Hp)
+
+(* Hyaline's retired entries are global: [total_pending] must count
+   each once, not once per pid. *)
+let hyaline_backlog_exact () =
+  let module Ar = Acquire_retire.Make (Smr.Hyaline) in
+  let ar = Ar.create ~max_threads:4 () in
+  (* An open section on pid 1 keeps every entry pending. *)
+  Ar.begin_critical_section ar ~pid:1;
+  for _ = 1 to 10 do
+    Ar.retire_free ar ~pid:0 (Ar.alloc ar ~pid:0 ())
+  done;
+  Alcotest.(check int) "backlog" 10 (Ar.total_pending ar);
+  Ar.end_critical_section ar ~pid:1;
+  Ar.flush ar ~pid:0;
+  Alcotest.(check int) "drained" 0 (Ar.total_pending ar);
+  Alcotest.(check int) "reclaimed" 0 (Simheap.live (Ar.heap ar))
 
 let scope_tests =
   [
@@ -216,4 +291,7 @@ let () =
       ("hazard_eras", T_he.tests);
       ("ptb", T_ptb.tests);
       ("scope", scope_tests);
+      ("queue", Q_ebr.tests @ Q_hp.tests);
+      ( "backlog",
+        [ Alcotest.test_case "Hyaline: total_pending is exact" `Quick hyaline_backlog_exact ] );
     ]

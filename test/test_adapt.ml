@@ -259,16 +259,7 @@ let kv_bounds_garbage () =
 
 (* ---------------- knob validation across every scheme ------------- *)
 
-let all_schemes : (module Smr.Smr_intf.S) list =
-  [
-    (module Smr.Ebr);
-    (module Smr.Ibr);
-    (module Smr.Hp);
-    (module Smr.Hazard_eras);
-    (module Smr.Hyaline);
-    (module Smr.Ptb);
-    (module Smr.Leaky);
-  ]
+let all_schemes = List.map snd Workload.Instances.named_schemes
 
 let knob_validation_uniform () =
   List.iter

@@ -10,16 +10,7 @@
 module FP = Fault.Fault_plan
 module Ident = Smr.Ident
 
-let all_schemes : (module Smr.Smr_intf.S) list =
-  [
-    (module Smr.Ebr : Smr.Smr_intf.S);
-    (module Smr.Ibr);
-    (module Smr.Hp);
-    (module Smr.Hazard_eras);
-    (module Smr.Hyaline);
-    (module Smr.Ptb);
-    (module Smr.Leaky);
-  ]
+let all_schemes = List.map snd Workload.Instances.named_schemes
 
 (* ---------------------- Fault_plan unit tests --------------------- *)
 
@@ -395,14 +386,7 @@ let () =
         List.map
           (fun (module S : Smr.Smr_intf.S) ->
             Alcotest.test_case S.name `Quick (stalled_backlog (module S)))
-          [
-            (module Smr.Ebr : Smr.Smr_intf.S);
-            (module Smr.Ibr);
-            (module Smr.Hp);
-            (module Smr.Hazard_eras);
-            (module Smr.Hyaline);
-            (module Smr.Ptb);
-          ] );
+          (List.map snd Workload.Experiments.robustness_schemes) );
       ("crash-abandon", scheme_cases crash_recovery);
       ("random-plans", [ QCheck_alcotest.to_alcotest prop_random_plans_safe ]);
     ]

@@ -174,16 +174,7 @@ let test_hp_scripted_counters () =
    count, for every scheme the retire counter equals delivered eject
    ops plus the remaining backlog — checked before teardown, whose
    [drain_all] path legitimately bypasses the eject counters. *)
-let accounting_schemes : (module Smr.Smr_intf.S) list =
-  [
-    (module Smr.Ebr);
-    (module Smr.Ibr);
-    (module Smr.Hp);
-    (module Smr.Hazard_eras);
-    (module Smr.Hyaline);
-    (module Smr.Ptb);
-    (module Smr.Leaky);
-  ]
+let accounting_schemes = List.map snd Workload.Instances.named_schemes
 
 let test_accounting_identity () =
   List.iter

@@ -181,7 +181,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     Alcotest.(check string) "get" "hello" (Ar.get m);
     Alcotest.(check bool) "live" true (Ar.is_live m);
     Ar.retire_free ar ~pid:0 m;
-    Ar.drain ar ~pid:0;
+    Ar.flush ar ~pid:0;
     Alcotest.(check bool) "reclaimed" false (Ar.is_live m);
     (match Ar.get m with
     | _ -> Alcotest.fail "expected Use_after_free"
@@ -205,16 +205,16 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
                   let m2 = Ar.alloc ar ~pid:0 2 in
                   let old = Atomic.exchange cell m2 in
                   Ar.retire_free ar ~pid:0 old;
-                  Ar.drain ar ~pid:0;
+                  Ar.flush ar ~pid:0;
                   (* Still protected: the object must not have been freed. *)
                   Alcotest.(check int) "still readable under guard" 1 (Ar.get v);
                   Ar.release s g;
                   m2);
         }
     in
-    Ar.drain ar ~pid:0;
+    Ar.flush ar ~pid:0;
     (* PTB hand-off lands in the releaser's queue. *)
-    Ar.drain ar ~pid:1;
+    Ar.flush ar ~pid:1;
     Alcotest.(check bool) "freed after release" false (Ar.is_live m1);
     Ar.retire_free ar ~pid:0 m2;
     Ar.quiesce ar;
@@ -264,7 +264,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
           let old = Atomic.exchange cells.(slot) nu in
           Ar.retire ar ~pid old (fun _ -> Simheap.free old.Ar.block);
           Ar.end_critical_section ar ~pid;
-          List.iter (fun op -> op pid) (Ar.eject ar ~pid)
+          Ar.eject ar ~pid
         done
       with e ->
         ignore (Atomic.fetch_and_add failures 1);

@@ -29,9 +29,28 @@ echo "== protection scopes =="
 # rank-2 scope (DESIGN.md §3), which releases its guards and closes its
 # critical section on every exit: no lib/ds/*_manual.ml line may call
 # the scheme's protection API or open a section by hand.
-if grep -nE 'S\.(try_acquire|acquire|confirm|release) |Ar\.smr|begin_critical_section|end_critical_section' \
+# The unscoped entry points are CDRC's, for snapshots that outlive a
+# call; a manual structure has no such pointer.
+if grep -nE 'S\.(try_acquire|acquire|confirm|release) |Ar\.smr|begin_critical_section|end_critical_section|Ar\.(protect|release)_unscoped' \
     lib/ds/*_manual.ml; then
   echo "error: a manual structure bypasses the protection scope" >&2
+  exit 1
+fi
+
+echo "== one reclamation runtime =="
+# CDRC and the manual structures run on Acquire_retire (DESIGN.md §3),
+# which alone queues and drains deferred ops, flushes, quiesces, counts
+# the backlog, hands out the knob handle and samples the watchdog:
+# nothing in lib/core or lib/ds drives the scheme's reclamation API
+# itself, and the per-structure eject loops, CDRC's private queue and
+# the AR-level carry queue must not come back.
+if grep -rnE '\bS\.(retire|eject|drain_all|retired_count|abandon|reclamation_frontier|knobs|force_advance|confirm)\b' \
+    lib/core lib/ds; then
+  echo "error: lib/core or lib/ds calls the scheme's reclamation API directly" >&2
+  exit 1
+fi
+if grep -rnE '\b(run_ejects|enqueue_all)\b|\.carry\b|\bcarry *[:=]' lib; then
+  echo "error: a second deferred-op queue or eject loop is back" >&2
   exit 1
 fi
 
