@@ -22,10 +22,29 @@
 module Make (S : Smr.Smr_intf.S) = struct
   module Smr_impl = S
 
-  (* A pid's protection-scope state, preallocated so that neither
-     opening a scope nor protecting a pointer allocates bookkeeping:
-     bit [g] of [held] is set while the open scope holds guard [g]. *)
-  type scope_state = { smr_s : S.t; pid : int; mutable held : int; mutable opened : bool }
+  (* A pid's protection state, preallocated so that neither opening a
+     section nor protecting a pointer allocates bookkeeping: bit [g] of
+     [held] is set while the pid holds guard [g], taken by its scope or
+     by {!protect_unscoped}, and [guard] is the guard of the pid's last
+     unscoped protect. The owner writes the record on every protect, so
+     the [pad_*] fields give it a cache line of its own. *)
+  type scope_state = {
+    smr_s : S.t;
+    pid : int;
+    mutable held : int;
+    mutable opened : bool;
+    mutable guard : S.guard;
+    pad_0 : int;
+    pad_1 : int;
+    pad_2 : int;
+    pad_3 : int;
+    pad_4 : int;
+    pad_5 : int;
+    pad_6 : int;
+  }
+
+  (** The guard of a failed fresh-slot announcement. *)
+  let no_guard = -1
 
   type t = {
     smr : S.t;
@@ -61,7 +80,21 @@ module Make (S : Smr.Smr_intf.S) = struct
       pending = Array.init max_threads (fun _ -> Queue.create ());
       draining = Array.make max_threads false;
       scopes =
-        Array.init max_threads (fun pid -> { smr_s = smr; pid; held = 0; opened = false });
+        Array.init max_threads (fun pid ->
+            {
+              smr_s = smr;
+              pid;
+              held = 0;
+              opened = false;
+              guard = no_guard;
+              pad_0 = 0;
+              pad_1 = 0;
+              pad_2 = 0;
+              pad_3 = 0;
+              pad_4 = 0;
+              pad_5 = 0;
+              pad_6 = 0;
+            });
       wd = Obs.Watchdog.create ~scheme:S.name ();
     }
 
@@ -107,22 +140,67 @@ module Make (S : Smr.Smr_intf.S) = struct
     if S.confirm smr ~pid g (ident v) then v
     else settle smr ~pid ~ident cell g (Sched.Atomic.get cell)
 
+  (* The pid's held guards. [release_held] releases [g] only while the
+     pid holds it, so a guard released early is not released again when
+     its section closes. *)
+  let hold s g = s.held <- s.held lor (1 lsl g)
+
+  let release_held s g =
+    let bit = 1 lsl g in
+    if s.held land bit <> 0 then begin
+      s.held <- s.held lxor bit;
+      S.release s.smr_s ~pid:s.pid g
+    end
+
+  let rec release_mask s mask g =
+    if mask <> 0 then begin
+      if mask land 1 <> 0 then S.release s.smr_s ~pid:s.pid g;
+      release_mask s (mask lsr 1) (g + 1)
+    end
+
+  (** {2 Protection sections}
+
+      [open_section t ~pid] opens the pid's critical section, and
+      [close_section t ~pid] releases each guard the pid still holds
+      exactly once, then closes it. A {!Scope.scope} is one such section
+      around its body; CDRC's [critically] is another, whose snapshots
+      hold guards taken by {!protect_unscoped}. Sections do not nest:
+      closing an inner one would end the critical section (under EBR
+      and IBR, the announcement) that the outer body still relies on,
+      so opening a section for a pid whose section is open raises
+      [Invalid_argument]. *)
+
+  let open_section t ~pid =
+    let s = t.scopes.(pid) in
+    if s.opened then invalid_arg "Acquire_retire: the pid's section is already open";
+    S.begin_critical_section t.smr ~pid;
+    s.opened <- true
+
+  (* Marks the section closed and clears the mask before releasing, so
+     a release that raises can neither make a guard be released twice
+     nor keep the pid's next section from opening. *)
+  let close s =
+    let mask = s.held in
+    s.held <- 0;
+    s.opened <- false;
+    release_mask s mask 0;
+    S.end_critical_section s.smr_s ~pid:s.pid
+
+  let close_section t ~pid = close t.scopes.(pid)
+
   (** {2 Protection scopes}
 
       The way a data structure protects a pointer. [scope t ~pid { f }]
-      opens a critical section, runs [f] on a fresh scope, and on every
-      exit — normal or exceptional — releases each guard still held
-      exactly once, then closes the section. The body's type
+      opens the pid's section, runs [f] on a fresh scope, and on every
+      exit — normal or exceptional — closes the section, releasing each
+      guard still held exactly once. The body's type
       [{ f : 's. 's scope -> 'a }] is rank-2: [f] must work for every
       ['s], so ['s] cannot occur in ['a], and neither a guard nor
       anything typed by its scope can be returned from the body or
       stored where the body's caller sees it (test/scope_fixtures pins
       this with programs that must fail to compile). The scope is
       sealed: a scheme's [S.guard = int] cannot be forged into an
-      ['s guard]. Scopes do not nest: closing an inner one would end
-      the critical section the outer body still relies on, so opening
-      a second scope for a pid whose scope is open raises
-      [Invalid_argument]. *)
+      ['s guard]. Scopes do not nest ({!open_section}). *)
   module Scope : sig
     type 's scope
     type 's guard
@@ -148,36 +226,11 @@ module Make (S : Smr.Smr_intf.S) = struct
     type 's guard = S.guard
     type 'a body = { f : 's. 's scope -> 'a } [@@unboxed]
 
-    let hold s g = s.held <- s.held lor (1 lsl g)
-
-    let release s g =
-      let bit = 1 lsl g in
-      if s.held land bit <> 0 then begin
-        s.held <- s.held lxor bit;
-        S.release s.smr_s ~pid:s.pid g
-      end
-
-    let rec release_mask s mask g =
-      if mask <> 0 then begin
-        if mask land 1 <> 0 then S.release s.smr_s ~pid:s.pid g;
-        release_mask s (mask lsr 1) (g + 1)
-      end
-
-    (* Marks the scope closed and clears the mask before releasing, so
-       a release that raises can neither make a guard be released twice
-       nor keep the pid's next scope from opening. *)
-    let close s =
-      let mask = s.held in
-      s.held <- 0;
-      s.opened <- false;
-      release_mask s mask 0;
-      S.end_critical_section s.smr_s ~pid:s.pid
+    let release = release_held
 
     let scope t ~pid body =
+      open_section t ~pid;
       let s = t.scopes.(pid) in
-      if s.opened then invalid_arg "Acquire_retire.scope: the pid's scope is already open";
-      S.begin_critical_section t.smr ~pid;
-      s.opened <- true;
       match body.f s with
       | v ->
           close s;
@@ -207,47 +260,60 @@ module Make (S : Smr.Smr_intf.S) = struct
   (** {2 Unscoped protection}
 
       CDRC's snapshots keep their guard after the call that took it, so
-      they cannot protect inside a scope. [protect_unscoped] is their
-      entry point to the same announce/confirm loop; nothing releases
-      its guard but {!release_unscoped}, and the caller must hold a
-      critical section across both. *)
+      a scope cannot type them. [protect_unscoped] is their entry point
+      to the same announce/confirm loop. The pid holds the guard it
+      takes as it holds a scope's: {!release_unscoped} releases it
+      early, and {!close_section} releases it if nothing did. Neither
+      call returns the guard beside the value, which would allocate a
+      pair per protect: it is left in the pid's {!guard} field. *)
 
-  (** The guard of a failed fresh-slot announcement. *)
-  let no_guard = -1
+  (* Announce [id] on the pid's reserved slot or on a fresh one, and
+     hold the guard. [s.guard] is left at {!no_guard} when no fresh slot
+     was left. *)
+  let announce s ~reserved id =
+    let g =
+      if reserved then S.acquire s.smr_s ~pid:s.pid id
+      else match S.try_acquire s.smr_s ~pid:s.pid id with Some g -> g | None -> no_guard
+    in
+    s.guard <- g;
+    if g <> no_guard then hold s g
 
-  let announce (smr : Smr_impl.t) ~pid ~reserved id =
-    if reserved then S.acquire smr ~pid id
-    else match S.try_acquire smr ~pid id with Some g -> g | None -> no_guard
+  (** The guard the pid's last unscoped protect took. *)
+  let guard t ~pid = t.scopes.(pid).guard
 
   (** [protect_unscoped t ~pid ~reserved ~ident cell] announces on the
       pid's reserved slot ([~reserved:true]; at most one such guard per
       pid at a time, and it never fails) or on a fresh one, and returns
-      the value the guard covers with the guard. The guard is
-      {!no_guard} when no fresh slot was left; the value is then
-      unprotected and must not be dereferenced.
+      [cell]'s value that the guard covers: announce a read, confirm a
+      re-read, as {!Scope.protect} does (one read for a scheme whose
+      confirm is trivial). When {!guard} is then {!no_guard}, no fresh
+      slot was left: the value is unprotected and must not be
+      dereferenced. *)
+  let protect_unscoped t ~pid ~reserved ~ident cell =
+    let s = t.scopes.(pid) in
+    if S.confirm_is_trivial then begin
+      announce s ~reserved Smr.Ident.null;
+      Sched.Atomic.get cell
+    end
+    else
+      let v = Sched.Atomic.get cell in
+      announce s ~reserved (ident v);
+      if s.guard = no_guard then v
+      else settle s.smr_s ~pid ~ident cell s.guard (Sched.Atomic.get cell)
 
-      Without [seen] it protects [cell]'s current value: announce a
-      read, confirm a re-read, as {!Scope.protect} does (one read for a
-      scheme whose confirm is trivial). [~seen:v] is for a value [v]
-      already read from [cell] and protected by another guard: it is
-      announced and confirmed as read, and [cell] is re-read only after
-      a miss — how Fig 9's weak snapshot protects a disposal. *)
-  let protect_unscoped ?seen t ~pid ~reserved ~ident cell =
-    match seen with
-    | Some v ->
-        let g = announce t.smr ~pid ~reserved (ident v) in
-        if g = no_guard then (v, g) else (settle t.smr ~pid ~ident cell g v, g)
-    | None ->
-        if S.confirm_is_trivial then
-          let g = announce t.smr ~pid ~reserved Smr.Ident.null in
-          (Sched.Atomic.get cell, g)
-        else
-          let v = Sched.Atomic.get cell in
-          let g = announce t.smr ~pid ~reserved (ident v) in
-          if g = no_guard then (v, g)
-          else (settle t.smr ~pid ~ident cell g (Sched.Atomic.get cell), g)
+  (** [protect_seen t ~pid ~ident cell v] protects [v], a value already
+      read from [cell] and protected by another guard, on a fresh slot:
+      [v] is announced and confirmed as read, and [cell] is re-read only
+      after a miss — how Fig 9's weak snapshot protects a disposal. The
+      guard is left in {!guard}, {!no_guard} when no fresh slot was
+      left. *)
+  let protect_seen t ~pid ~ident cell v =
+    let s = t.scopes.(pid) in
+    announce s ~reserved:false (ident v);
+    if s.guard <> no_guard then ignore (settle s.smr_s ~pid ~ident cell s.guard v)
 
-  let release_unscoped t ~pid g = S.release t.smr ~pid g
+  (** Release an unscoped guard before its section closes. *)
+  let release_unscoped t ~pid g = release_held t.scopes.(pid) g
 
   (** {2 Retire, eject, flush} *)
 

@@ -46,8 +46,8 @@ module Make (S : Smr.Smr_intf.S) = struct
   module Cell = Rc_cell
   module Ident = Smr.Ident
 
-  (* Registry mirrors of this runtime's counters. The padded per-rt
-     [snap_fast]/[snap_slow] fields below stay authoritative for
+  (* Registry mirrors of this runtime's counters. The per-pid
+     [fast]/[slow] fields of [books] below stay authoritative for
      [snapshot_stats] (they are unconditional and per-instance); the
      registry copies are the globally-collected view the [stats] CLI
      reports, and like all telemetry they only move when enabled. *)
@@ -72,13 +72,62 @@ module Make (S : Smr.Smr_intf.S) = struct
     destroy : int -> 'a -> unit; (* user hook, pid of executing thread *)
   }
 
+  (* Slots: the value stored in atomic shared/weak pointer cells.
+     Logical CAS compares control-block identity plus the mark bit;
+     marks are first-class because the paper's benchmarks all need
+     marked pointers (§5.1).
+
+     Tags are 2-bit integers packed next to the pointer, exactly like
+     the low pointer bits C++ implementations steal: bit 0 is the
+     Harris "mark", bit 1 the Natarajan–Mittal "tag"/"flag" second bit.
+     The untagged [Ptr] constructor keeps the hot path a one-field
+     block. *)
+  type 'a slot =
+    | Null
+    | Null_tagged of int (* tag in 1..3 *)
+    | Ptr of 'a control_block
+    | Tagged of 'a control_block * int (* tag in 1..3 *)
+
+  (* A snapshot (strong or weak) is the slot it read from its cell,
+     shared with the cell rather than copied, plus what keeps the object
+     alive: a guard, or [Ar.no_guard] when it holds a count instead (the
+     slow path) or nothing (a null snapshot). Four words, one block. *)
+  type 'a snapshot = { n_slot : 'a slot; n_guard : S.guard; mutable n_live : bool }
+
+  type 'a weak_snapshot = 'a snapshot
+
+  (* The control block of a counted snapshot, of any element type, as a
+     pid's books keep it: mostly an old block, so that recording it
+     seldom adds to the minor heap's remembered set. *)
+  type counted = Counted : 'a control_block -> counted [@@unboxed]
+
+  (* A pid's snapshot books, written by the owner only. [fast]/[slow]
+     count the snapshots taken on the guard and the count-increment
+     path — the mechanism behind the paper's Fig 11 — as plain ints:
+     they are statistics, not protocol atomics, and the sums
+     [snapshot_stats] reads are exact once the workers have joined.
+     [counted.(0 .. n_counted - 1)] hold one entry per counted snapshot
+     the pid has not dropped: the control block whose count it holds,
+     given back at the pid's section exit. The [pad_*] fields give the
+     record a cache line of its own. *)
+  type books = {
+    mutable fast : int;
+    mutable slow : int;
+    mutable counted : counted array;
+    mutable n_counted : int;
+    pad_0 : int;
+    pad_1 : int;
+    pad_2 : int;
+    pad_3 : int;
+    pad_4 : int;
+    pad_5 : int;
+    pad_6 : int;
+  }
+
   type rt = {
     ar : Ar.t; (* the one acquire–retire instance *)
     support_weak : bool;
-    (* instrumentation: snapshot fast (guard) vs slow (count increment)
-       paths, per thread — the mechanism behind the paper's Fig 11. *)
-    snap_fast : int Padded.t;
-    snap_slow : int Padded.t;
+    books : books array; (* per pid *)
   }
 
   type thr = { rt : rt; pid : int }
@@ -91,8 +140,21 @@ module Make (S : Smr.Smr_intf.S) = struct
     {
       ar = Ar.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~heap ~max_threads ();
       support_weak;
-      snap_fast = Padded.create max_threads 0;
-      snap_slow = Padded.create max_threads 0;
+      books =
+        Array.init max_threads (fun _ ->
+            {
+              fast = 0;
+              slow = 0;
+              counted = [||];
+              n_counted = 0;
+              pad_0 = 0;
+              pad_1 = 0;
+              pad_2 = 0;
+              pad_3 = 0;
+              pad_4 = 0;
+              pad_5 = 0;
+              pad_6 = 0;
+            });
     }
 
   let heap rt = Ar.heap rt.ar
@@ -155,21 +217,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     delayed rt ~pid weak_dec_deferred_c cb (fun epid -> weak_decrement rt ~pid:epid cb)
 
   (* ------------------------------------------------------------------ *)
-  (* Slots: the value stored in atomic shared/weak pointer cells.
-     Logical CAS compares control-block identity plus the mark bit;
-     marks are first-class because the paper's benchmarks all need
-     marked pointers (§5.1). *)
-
-  (* Tags are 2-bit integers packed next to the pointer, exactly like
-     the low pointer bits C++ implementations steal: bit 0 is the
-     Harris "mark", bit 1 the Natarajan–Mittal "tag"/"flag" second bit.
-     The untagged [Ptr] constructor keeps the hot path a one-field
-     block. *)
-  type 'a slot =
-    | Null
-    | Null_tagged of int (* tag in 1..3 *)
-    | Ptr of 'a control_block
-    | Tagged of 'a control_block * int (* tag in 1..3 *)
+  (* Pointer views and logical CAS *)
 
   type 'a ptr = 'a slot
   (** A non-owning view of a pointer value: what atomic cells hold and
@@ -240,33 +288,75 @@ module Make (S : Smr.Smr_intf.S) = struct
   let begin_critical_section (t : thr) = Ar.begin_critical_section t.rt.ar ~pid:t.pid
   let end_critical_section (t : thr) = Ar.end_critical_section t.rt.ar ~pid:t.pid
 
+  (* [body x], then [cleanup t x] on every exit, normal or exceptional.
+     Unlike [Fun.protect], it allocates no closure of its own, and an
+     exception raised by [cleanup] propagates as itself. *)
+  let finally (t : thr) cleanup x body =
+    match body x with
+    | r ->
+        cleanup t x;
+        r
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        cleanup t x;
+        Printexc.raise_with_backtrace e bt
+
+  (* Record the count a counted snapshot of [cb] holds in the pid's
+     books. Only the slow path comes here, so growing the table may
+     allocate. Entries past [n_counted] are stale and never read. *)
+  let count_in (t : thr) cb =
+    let b = t.rt.books.(t.pid) in
+    if b.n_counted = Array.length b.counted then begin
+      let bigger = Array.make (max 8 (2 * b.n_counted)) (Counted cb) in
+      Array.blit b.counted 0 bigger 0 b.n_counted;
+      b.counted <- bigger
+    end;
+    b.counted.(b.n_counted) <- Counted cb;
+    b.n_counted <- b.n_counted + 1
+
+  (* Strike one entry for the control block [id] from [b], searching
+     down from entry [i]; [false] when there is none. *)
+  let rec count_out b id i =
+    if i < 0 then false
+    else
+      let (Counted cb) = b.counted.(i) in
+      if Ident.equal (Ident.of_val cb) id then begin
+        let last = b.n_counted - 1 in
+        b.counted.(i) <- b.counted.(last);
+        b.n_counted <- last;
+        true
+      end
+      else count_out b id (i - 1)
+
+  (* Section exit: close the pid's section, which releases every guard
+     its snapshots still hold, then give back the counts its counted
+     snapshots still hold. The books shrink before each decrement, so
+     one that raises gives back no count twice and leaves the rest for
+     the pid's next exit. *)
+  let leave (t : thr) () =
+    Ar.close_section t.rt.ar ~pid:t.pid;
+    let b = t.rt.books.(t.pid) in
+    while b.n_counted > 0 do
+      let i = b.n_counted - 1 in
+      let (Counted cb) = b.counted.(i) in
+      b.n_counted <- i;
+      decrement t.rt ~pid:t.pid cb
+    done
+
+  (** [critically t f] runs [f] in the pid's critical section, which
+      owns the pid's snapshots: on every exit, normal or exceptional, it
+      releases the guards they still hold, gives back their counts and
+      closes the section. Sections do not nest: [Invalid_argument] for a
+      pid whose section is open. *)
   let critically (t : thr) f =
-    begin_critical_section t;
-    Fun.protect ~finally:(fun () -> end_critical_section t) f
+    Ar.open_section t.rt.ar ~pid:t.pid;
+    finally t leave () f
 
   (* ------------------------------------------------------------------ *)
   (* Owned pointer types *)
 
   type 'a shared = { mutable s_cb : 'a control_block option; mutable s_live : bool }
-
-  (* A snapshot's guard is [Ar.no_guard] when it holds a count instead
-     (the slow path, or a null snapshot). *)
-  type 'a snapshot = {
-    n_cb : 'a control_block option;
-    n_guard : S.guard;
-    n_tag : int;
-    mutable n_live : bool;
-  }
-
   type 'a weak = { mutable w_cb : 'a control_block option; mutable w_live : bool }
-
-  type 'a weak_snapshot = {
-    ws_cb : 'a control_block option;
-    ws_guard : S.guard; (* dispose guard, or [Ar.no_guard]: counted *)
-    ws_tag : int;
-    mutable ws_live : bool;
-  }
-
   type 'a asp = { asp : 'a slot Sched.Atomic.t }
   type 'a awp = { awp : 'a slot Sched.Atomic.t }
 
@@ -352,65 +442,89 @@ module Make (S : Smr.Smr_intf.S) = struct
         raises (the OCaml stand-in for C++ scope-bound destruction,
         DESIGN.md S6). *)
     let scoped (t : thr) ?destroy v f =
-      let p = make t ?destroy v in
-      Fun.protect ~finally:(fun () -> drop t p) (fun () -> f p)
+      finally t drop (make t ?destroy v) f
+  end
+
+  (* The accessors strong and weak snapshots share: both are a slot
+     read from a cell plus the guard or count that keeps its object
+     from being disposed. Every accessor checks ownership first. *)
+  module Snap (N : sig
+    val what : string (* [Use_after_drop]'s payload *)
+    val name : string (* the module, for [invalid_arg] *)
+  end) =
+  struct
+    let null () : 'a snapshot = { n_slot = Null; n_guard = Ar.no_guard; n_live = true }
+
+    let is_null p =
+      check_owner p.n_live N.what;
+      match p.n_slot with Null | Null_tagged _ -> true | Ptr _ | Tagged _ -> false
+
+    let is_marked p =
+      check_owner p.n_live N.what;
+      slot_tag p.n_slot land 1 <> 0
+
+    let tag p =
+      check_owner p.n_live N.what;
+      slot_tag p.n_slot
+
+    let get p =
+      check_owner p.n_live N.what;
+      match p.n_slot with
+      | Null | Null_tagged _ -> invalid_arg (N.name ^ ".get: null snapshot")
+      | Ptr cb | Tagged (cb, _) -> (
+          Simheap.check_live cb.block;
+          match Cell.read cb.cell with
+          | Some v -> v
+          | None -> failwith ("Cdrc: invariant violated: " ^ N.what ^ " deref of disposed object"))
+
+    let ptr ?tag p : 'a ptr =
+      check_owner p.n_live N.what;
+      match tag with None -> p.n_slot | Some g -> Ptr.with_tag p.n_slot g
+
+    (* Fig 5 snapshot_ptr::release, Fig 9 weak_snapshot_ptr::release *)
+    let drop (t : thr) p =
+      check_owner p.n_live N.what;
+      p.n_live <- false;
+      if p.n_guard <> Ar.no_guard then Ar.release_unscoped t.rt.ar ~pid:t.pid p.n_guard
+      else
+        match p.n_slot with
+        | Ptr cb | Tagged (cb, _) ->
+            (* No entry: the count went back when the section that took
+               the snapshot exited. *)
+            let b = t.rt.books.(t.pid) in
+            if not (count_out b (Ident.of_val cb) (b.n_counted - 1)) then
+              raise (Use_after_drop N.what);
+            decrement t.rt ~pid:t.pid cb
+        | Null | Null_tagged _ -> ()
+
+    let is_protected p =
+      check_owner p.n_live N.what;
+      p.n_guard <> Ar.no_guard
   end
 
   module Snapshot = struct
     type 'a t = 'a snapshot
 
-    let null () : 'a t = { n_cb = None; n_guard = Ar.no_guard; n_tag = 0; n_live = true }
-
-    let is_null (p : 'a t) =
-      check_owner p.n_live "snapshot";
-      p.n_cb = None
-
-    let is_marked (p : 'a t) =
-      check_owner p.n_live "snapshot";
-      p.n_tag land 1 <> 0
-
-    let tag (p : 'a t) =
-      check_owner p.n_live "snapshot";
-      p.n_tag
-
-    let get (p : 'a t) =
-      check_owner p.n_live "snapshot";
-      match p.n_cb with
-      | None -> invalid_arg "Snapshot.get: null snapshot"
-      | Some cb -> (
-          Simheap.check_live cb.block;
-          match Cell.read cb.cell with
-          | Some v -> v
-          | None -> failwith "Cdrc: invariant violated: snapshot deref of disposed object")
-
-    let ptr ?tag (p : 'a t) : 'a ptr =
-      check_owner p.n_live "snapshot";
-      let g = match tag with Some g -> g | None -> p.n_tag in
-      let base = match p.n_cb with None -> Null | Some cb -> Ptr cb in
-      Ptr.with_tag base g
-
-    (* Fig 5, snapshot_ptr::release *)
-    let drop (t : thr) (p : 'a t) =
-      check_owner p.n_live "snapshot";
-      p.n_live <- false;
-      if p.n_guard <> Ar.no_guard then Ar.release_unscoped t.rt.ar ~pid:t.pid p.n_guard
-      else match p.n_cb with Some cb -> decrement t.rt ~pid:t.pid cb | None -> ()
+    include Snap (struct
+      let what = "snapshot"
+      let name = "Snapshot"
+    end)
 
     (** Upgrade to an owning shared pointer (the snapshot stays live). *)
     let to_shared (t : thr) (p : 'a t) : 'a shared =
       ignore t;
       check_owner p.n_live "snapshot";
-      match p.n_cb with
-      | None -> Shared.null ()
-      | Some cb ->
+      match p.n_slot with
+      | Null | Null_tagged _ -> Shared.null ()
+      | Ptr cb | Tagged (cb, _) ->
           must_increment cb;
           { s_cb = Some cb; s_live = true }
 
     let use_count (p : 'a t) =
       check_owner p.n_live "snapshot";
-      match p.n_cb with None -> 0 | Some cb -> Cell.strong_count cb.cell
-
-    let is_protected (p : 'a t) = p.n_guard <> Ar.no_guard
+      match p.n_slot with
+      | Null | Null_tagged _ -> 0
+      | Ptr cb | Tagged (cb, _) -> Cell.strong_count cb.cell
   end
 
   module Asp = struct
@@ -430,15 +544,16 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     (* Fig 8 load_and_increment *)
     let load (t : thr) (c : 'a t) : 'a shared =
-      let v, g = Ar.protect_unscoped t.rt.ar ~pid:t.pid ~reserved:true ~ident:slot_ident c.asp in
+      let ar = t.rt.ar and pid = t.pid in
+      let v = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.asp in
       let res =
-        match cb_of v with
-        | None -> Shared.null ()
-        | Some cb ->
+        match v with
+        | Null | Null_tagged _ -> Shared.null ()
+        | Ptr cb | Tagged (cb, _) ->
             must_increment cb;
             { s_cb = Some cb; s_live = true }
       in
-      Ar.release_unscoped t.rt.ar ~pid:t.pid g;
+      Ar.release_unscoped ar ~pid (Ar.guard ar ~pid);
       res
 
     let store (t : thr) (c : 'a t) (desired : 'a ptr) =
@@ -469,39 +584,41 @@ module Make (S : Smr.Smr_intf.S) = struct
       ignore t;
       slot_cas c.asp (Ptr.with_mark expected false) (Ptr.with_mark expected true)
 
-    let bump counter mirror (t : thr) =
-      Padded.set counter t.pid (Padded.get counter t.pid + 1);
-      Obs.Metrics.incr mirror ~pid:t.pid
-
     (* Fig 5 get_snapshot *)
     let get_snapshot (t : thr) (c : 'a t) : 'a snapshot =
       let ar = t.rt.ar and pid = t.pid in
-      match Ar.protect_unscoped ar ~pid ~reserved:false ~ident:slot_ident c.asp with
-      | v, g when g <> Ar.no_guard -> (
-          bump t.rt.snap_fast snap_fast_c t;
-          match cb_of v with
-          | None ->
-              Ar.release_unscoped ar ~pid g;
-              { n_cb = None; n_guard = Ar.no_guard; n_tag = slot_tag v; n_live = true }
-          | Some cb -> { n_cb = Some cb; n_guard = g; n_tag = slot_tag v; n_live = true })
-      | _ -> (
-          (* Slow path: protect with the reserved slot, take a real
-             count, release the slot (Fig 5 lines 8–11). *)
-          bump t.rt.snap_slow snap_slow_c t;
-          let v, g = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.asp in
-          match cb_of v with
-          | None ->
-              Ar.release_unscoped ar ~pid g;
-              { n_cb = None; n_guard = Ar.no_guard; n_tag = slot_tag v; n_live = true }
-          | Some cb ->
-              must_increment cb;
-              Ar.release_unscoped ar ~pid g;
-              { n_cb = Some cb; n_guard = Ar.no_guard; n_tag = slot_tag v; n_live = true })
+      let b = t.rt.books.(pid) in
+      let v = Ar.protect_unscoped ar ~pid ~reserved:false ~ident:slot_ident c.asp in
+      let g = Ar.guard ar ~pid in
+      if g <> Ar.no_guard then begin
+        b.fast <- b.fast + 1;
+        Obs.Metrics.incr snap_fast_c ~pid;
+        match v with
+        | Ptr _ | Tagged _ -> { n_slot = v; n_guard = g; n_live = true }
+        | Null | Null_tagged _ ->
+            Ar.release_unscoped ar ~pid g;
+            { n_slot = v; n_guard = Ar.no_guard; n_live = true }
+      end
+      else begin
+        (* Slow path: protect with the reserved slot, take a real
+           count, release the slot (Fig 5 lines 8–11). *)
+        b.slow <- b.slow + 1;
+        Obs.Metrics.incr snap_slow_c ~pid;
+        let v = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.asp in
+        let g = Ar.guard ar ~pid in
+        match v with
+        | Null | Null_tagged _ ->
+            Ar.release_unscoped ar ~pid g;
+            { n_slot = v; n_guard = Ar.no_guard; n_live = true }
+        | Ptr cb | Tagged (cb, _) ->
+            must_increment cb;
+            Ar.release_unscoped ar ~pid g;
+            count_in t cb;
+            { n_slot = v; n_guard = Ar.no_guard; n_live = true }
+      end
 
     (** Scoped snapshot: dropped when [f] returns or raises. *)
-    let with_snapshot (t : thr) (c : 'a t) f =
-      let s = get_snapshot t c in
-      Fun.protect ~finally:(fun () -> Snapshot.drop t s) (fun () -> f s)
+    let with_snapshot (t : thr) (c : 'a t) f = finally t Snapshot.drop (get_snapshot t c) f
 
     (** Release the cell's count unit (node teardown in destroy hooks). *)
     let clear (t : thr) (c : 'a t) =
@@ -533,9 +650,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     let of_snapshot (t : thr) (p : 'a snapshot) : 'a t =
       require_weak t.rt;
       check_owner p.n_live "snapshot";
-      match p.n_cb with
-      | None -> null ()
-      | Some cb ->
+      match p.n_slot with
+      | Null | Null_tagged _ -> null ()
+      | Ptr cb | Tagged (cb, _) ->
           weak_increment cb;
           { w_cb = Some cb; w_live = true }
 
@@ -589,56 +706,20 @@ module Make (S : Smr.Smr_intf.S) = struct
   module Weak_snapshot = struct
     type 'a t = 'a weak_snapshot
 
-    let null () : 'a t =
-      { ws_cb = None; ws_guard = Ar.no_guard; ws_tag = 0; ws_live = true }
-
-    let is_null (p : 'a t) =
-      check_owner p.ws_live "weak_snapshot";
-      p.ws_cb = None
-
-    let is_marked (p : 'a t) =
-      check_owner p.ws_live "weak_snapshot";
-      p.ws_tag land 1 <> 0
-
-    let tag (p : 'a t) =
-      check_owner p.ws_live "weak_snapshot";
-      p.ws_tag
-
-    let get (p : 'a t) =
-      check_owner p.ws_live "weak_snapshot";
-      match p.ws_cb with
-      | None -> invalid_arg "Weak_snapshot.get: null snapshot"
-      | Some cb -> (
-          Simheap.check_live cb.block;
-          match Cell.read cb.cell with
-          | Some v -> v
-          | None ->
-              failwith "Cdrc: invariant violated: weak snapshot deref of disposed object")
-
-    let ptr ?tag (p : 'a t) : 'a ptr =
-      check_owner p.ws_live "weak_snapshot";
-      let g = match tag with Some g -> g | None -> p.ws_tag in
-      let base = match p.ws_cb with None -> Null | Some cb -> Ptr cb in
-      Ptr.with_tag base g
+    include Snap (struct
+      let what = "weak_snapshot"
+      let name = "Weak_snapshot"
+    end)
 
     (** Upgrade to a shared pointer; null if the object expired. *)
     let to_shared (t : thr) (p : 'a t) : 'a shared =
       ignore t;
-      check_owner p.ws_live "weak_snapshot";
-      match p.ws_cb with
-      | None -> Shared.null ()
-      | Some cb ->
+      check_owner p.n_live "weak_snapshot";
+      match p.n_slot with
+      | Null | Null_tagged _ -> Shared.null ()
+      | Ptr cb | Tagged (cb, _) ->
           if Cell.try_upgrade cb.cell then { s_cb = Some cb; s_live = true }
           else Shared.null ()
-
-    (* Fig 9, weak_snapshot_ptr::release *)
-    let drop (t : thr) (p : 'a t) =
-      check_owner p.ws_live "weak_snapshot";
-      p.ws_live <- false;
-      if p.ws_guard <> Ar.no_guard then Ar.release_unscoped t.rt.ar ~pid:t.pid p.ws_guard
-      else match p.ws_cb with Some cb -> decrement t.rt ~pid:t.pid cb | None -> ()
-
-    let is_protected (p : 'a t) = p.ws_guard <> Ar.no_guard
   end
 
   module Awp = struct
@@ -665,15 +746,16 @@ module Make (S : Smr.Smr_intf.S) = struct
     (* Fig 9 load *)
     let load (t : thr) (c : 'a t) : 'a weak =
       require_weak t.rt;
-      let v, g = Ar.protect_unscoped t.rt.ar ~pid:t.pid ~reserved:true ~ident:slot_ident c.awp in
+      let ar = t.rt.ar and pid = t.pid in
+      let v = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.awp in
       let res =
-        match cb_of v with
-        | None -> Weak.null ()
-        | Some cb ->
+        match v with
+        | Null | Null_tagged _ -> Weak.null ()
+        | Ptr cb | Tagged (cb, _) ->
             weak_increment cb;
             { w_cb = Some cb; w_live = true }
       in
-      Ar.release_unscoped t.rt.ar ~pid:t.pid g;
+      Ar.release_unscoped ar ~pid (Ar.guard ar ~pid);
       res
 
     (* Fig 9 compare_and_swap. [desired] must be backed by an owned
@@ -695,47 +777,48 @@ module Make (S : Smr.Smr_intf.S) = struct
         false
       end
 
-    (* Fig 9 get_snapshot *)
+    (* Fig 9 get_snapshot, retried at the top level: a local [retry]
+       closure would cost a heap block per snapshot. *)
+    let rec weak_snapshot (t : thr) (c : 'a t) : 'a weak_snapshot =
+      let ar = t.rt.ar and pid = t.pid in
+      let v = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.awp in
+      let wg = Ar.guard ar ~pid in
+      match v with
+      | Null | Null_tagged _ ->
+          Ar.release_unscoped ar ~pid wg;
+          { n_slot = v; n_guard = Ar.no_guard; n_live = true }
+      | Ptr cb | Tagged (cb, _) ->
+          (* Protect [cb]'s disposal with a fresh guard on [v], which
+             [wg] already protects. For IBR/HE the dispose-side
+             interval must be re-stabilized before trusting the
+             liveness read; HP and PTB confirm [v] at once. *)
+          Ar.protect_seen ar ~pid ~ident:slot_ident c.awp v;
+          let dg = Ar.guard ar ~pid in
+          let alive =
+            if dg <> Ar.no_guard then not (expired cb)
+            else
+              (* Fig 9 line 26: out of dispose guards — fall back to
+                 a real strong increment if the object is alive. *)
+              Cell.try_upgrade cb.cell
+          in
+          if alive then begin
+            Ar.release_unscoped ar ~pid wg;
+            if dg = Ar.no_guard then count_in t cb;
+            { n_slot = v; n_guard = dg; n_live = true }
+          end
+          else begin
+            if dg <> Ar.no_guard then Ar.release_unscoped ar ~pid dg;
+            Ar.release_unscoped ar ~pid wg;
+            (* Fig 9 lines 34–35: only linearizable to return null if
+               the cell still holds the expired pointer. *)
+            if slot_eq (Sched.Atomic.get c.awp) v then
+              { n_slot = Ptr.with_tag Null (slot_tag v); n_guard = Ar.no_guard; n_live = true }
+            else weak_snapshot t c
+          end
+
     let get_snapshot (t : thr) (c : 'a t) : 'a weak_snapshot =
       require_weak t.rt;
-      let rt = t.rt in
-      let pid = t.pid in
-      let rec retry () =
-        let v, wg = Ar.protect_unscoped rt.ar ~pid ~reserved:true ~ident:slot_ident c.awp in
-        match cb_of v with
-        | None ->
-            Ar.release_unscoped rt.ar ~pid wg;
-            { ws_cb = None; ws_guard = Ar.no_guard; ws_tag = slot_tag v; ws_live = true }
-        | Some cb ->
-            (* Protect [cb]'s disposal with a fresh guard on [v], which
-               [wg] already protects. For IBR/HE the dispose-side
-               interval must be re-stabilized before trusting the
-               liveness read; HP and PTB confirm [v] at once. *)
-            let _, dg =
-              Ar.protect_unscoped rt.ar ~pid ~reserved:false ~seen:v ~ident:slot_ident c.awp
-            in
-            let alive =
-              if dg <> Ar.no_guard then not (expired cb)
-              else
-                (* Fig 9 line 26: out of dispose guards — fall back to
-                   a real strong increment if the object is alive. *)
-                Cell.try_upgrade cb.cell
-            in
-            if alive then begin
-              Ar.release_unscoped rt.ar ~pid wg;
-              { ws_cb = Some cb; ws_guard = dg; ws_tag = slot_tag v; ws_live = true }
-            end
-            else begin
-              if dg <> Ar.no_guard then Ar.release_unscoped rt.ar ~pid dg;
-              Ar.release_unscoped rt.ar ~pid wg;
-              (* Fig 9 lines 34–35: only linearizable to return null if
-                 the cell still holds the expired pointer. *)
-              if slot_eq (Sched.Atomic.get c.awp) v then
-                { ws_cb = None; ws_guard = Ar.no_guard; ws_tag = slot_tag v; ws_live = true }
-              else retry ()
-            end
-      in
-      retry ()
+      weak_snapshot t c
 
     let clear (t : thr) (c : 'a t) =
       require_weak t.rt;
@@ -765,8 +848,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       Fig 11 mechanism: protected-pointer schemes fall back to real
       increments when announcement slots run out. *)
   let snapshot_stats rt =
-    ( Padded.fold ( + ) 0 rt.snap_fast,
-      Padded.fold ( + ) 0 rt.snap_slow )
+    Array.fold_left (fun (fast, slow) b -> (fast + b.fast, slow + b.slow)) (0, 0) rt.books
 
   (** Deferred decrements and disposals of all three kinds currently
       parked in the acquire–retire instance. *)

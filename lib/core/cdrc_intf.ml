@@ -33,6 +33,13 @@ module type S = sig
   val begin_critical_section : thr -> unit
   val end_critical_section : thr -> unit
   val critically : thr -> (unit -> 'r) -> 'r
+  (** Run the body in the thread's critical section, which owns the
+      snapshots taken inside it: on every exit, normal or exceptional,
+      it releases the guards they still hold and gives back the counts
+      of the counted ones, whose later [drop] raises [Use_after_drop].
+      Sections do not nest: [Invalid_argument] when the thread's
+      section is already open. *)
+
   val flush : thr -> unit
   (** Apply every deferred operation that is currently safe, plus the
       cascades it triggers: eject and drain repeat until the scheme

@@ -16,7 +16,7 @@ type t = {
   cleanup_floor : int; (* amortization floor: 2 * announcements *)
   era : int Sched.Atomic.t;
   slots : int Padded.t; (* announced eras, (k+1) per thread *)
-  free : int list array; (* owner only *)
+  free : Slot_pool.t array; (* per-thread free local slot indices; owner only *)
   alloc_tally : int Padded.t;
   retired : (int * int) Retire_queue.t array; (* (birth era, retire era) *)
   orphans : (int * int) Orphanage.t;
@@ -32,7 +32,7 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     cleanup_floor = 2 * (k + 1) * max_threads;
     era = Sched.Atomic.make 0;
     slots = Padded.create ((k + 1) * max_threads) empty_era;
-    free = Array.init max_threads (fun _ -> List.init k Fun.id);
+    free = Array.init max_threads (fun _ -> Slot_pool.create k);
     alloc_tally = Padded.create max_threads 0;
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
     orphans = Orphanage.create ();
@@ -61,15 +61,14 @@ let alloc_hook t ~pid =
   Sched.Atomic.get t.era
 
 let try_acquire t ~pid _id =
-  match t.free.(pid) with
-  | [] ->
+  match Slot_pool.take t.free.(pid) with
+  | None ->
       Obs.Scheme_metrics.on_slot_exhausted om ~pid;
       None
-  | s :: rest ->
-      t.free.(pid) <- rest;
+  | Some s as g ->
       Obs.Scheme_metrics.on_acquire om ~pid;
       Padded.set t.slots (slot_index t ~pid s) (Sched.Atomic.get t.era);
-      Some s
+      g
 
 let acquire t ~pid _id =
   Obs.Scheme_metrics.on_acquire om ~pid;
@@ -93,7 +92,7 @@ let confirm t ~pid g _id =
 
 let release t ~pid g =
   Padded.set t.slots (slot_index t ~pid g) empty_era;
-  if g < t.k then t.free.(pid) <- g :: t.free.(pid)
+  if g < t.k then Slot_pool.give t.free.(pid) g
 
 let retire t ~pid _id ~birth op =
   let op = Obs.Scheme_metrics.on_retire om ~pid op in
@@ -135,7 +134,7 @@ let abandon t ~pid =
   for s = 0 to t.k do
     Padded.set t.slots (slot_index t ~pid s) empty_era
   done;
-  t.free.(pid) <- List.init t.k Fun.id;
+  Slot_pool.reset t.free.(pid);
   Orphanage.put t.orphans (Retire_queue.drain_with_meta t.retired.(pid))
 
 let reclamation_frontier t =

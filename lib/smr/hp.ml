@@ -14,7 +14,7 @@ type t = {
   knobs : Knobs.t;
   cleanup_floor : int; (* amortization floor: 2 * announcements *)
   slots : Ident.t Padded.t; (* (k+1) * max_threads announcement slots *)
-  free : int list array; (* per-thread free local slot indices; owner only *)
+  free : Slot_pool.t array; (* per-thread free local slot indices; owner only *)
   retired : Ident.t Retire_queue.t array;
   orphans : Ident.t Orphanage.t;
 }
@@ -31,7 +31,7 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     knobs;
     cleanup_floor = 2 * (k + 1) * max_threads;
     slots = Padded.create ((k + 1) * max_threads) Ident.null;
-    free = Array.init max_threads (fun _ -> List.init k Fun.id);
+    free = Array.init max_threads (fun _ -> Slot_pool.create k);
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
     orphans = Orphanage.create ();
   }
@@ -51,17 +51,16 @@ let end_critical_section _t ~pid:_ = ()
 let alloc_hook _t ~pid:_ = 0
 
 let try_acquire t ~pid id =
-  match t.free.(pid) with
-  | [] ->
+  match Slot_pool.take t.free.(pid) with
+  | None ->
       Obs.Scheme_metrics.on_slot_exhausted om ~pid;
       None
-  | s :: rest ->
-      t.free.(pid) <- rest;
+  | Some s as g ->
       Obs.Scheme_metrics.on_acquire om ~pid;
       (* Sched.Atomic.set is seq_cst: the announcement is globally visible
          before the caller's revalidating re-read. *)
       Padded.set t.slots (slot_index t ~pid s) id;
-      Some s
+      g
 
 let acquire t ~pid id =
   Obs.Scheme_metrics.on_acquire om ~pid;
@@ -79,7 +78,7 @@ let confirm t ~pid g id =
 
 let release t ~pid g =
   Padded.set t.slots (slot_index t ~pid g) Ident.null;
-  if g < t.k then t.free.(pid) <- g :: t.free.(pid)
+  if g < t.k then Slot_pool.give t.free.(pid) g
 
 let announced_count t =
   Padded.fold (fun acc id -> if Ident.is_null id then acc else acc + 1) 0 t.slots
@@ -128,7 +127,7 @@ let abandon t ~pid =
   for s = 0 to t.k do
     Padded.set t.slots (slot_index t ~pid s) Ident.null
   done;
-  t.free.(pid) <- List.init t.k Fun.id;
+  Slot_pool.reset t.free.(pid);
   Orphanage.put t.orphans (Retire_queue.drain_with_meta t.retired.(pid))
 
 let reclamation_frontier _t = None

@@ -14,7 +14,7 @@ type t = {
   cleanup_floor : int; (* amortization floor: 2 * announcements *)
   slots : Ident.t Padded.t; (* posted values, (k+1) per thread *)
   handoffs : handoff Padded.t; (* one per physical slot *)
-  free : int list array; (* owner only *)
+  free : Slot_pool.t array; (* per-thread free local slot indices; owner only *)
   retired : Ident.t Retire_queue.t array;
   orphans : Ident.t Orphanage.t;
 }
@@ -32,7 +32,7 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     cleanup_floor = 2 * (k + 1) * max_threads;
     slots = Padded.create ((k + 1) * max_threads) Ident.null;
     handoffs = Padded.create ((k + 1) * max_threads) None;
-    free = Array.init max_threads (fun _ -> List.init k Fun.id);
+    free = Array.init max_threads (fun _ -> Slot_pool.create k);
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
     orphans = Orphanage.create ();
   }
@@ -49,15 +49,14 @@ let end_critical_section _t ~pid:_ = ()
 let alloc_hook _t ~pid:_ = 0
 
 let try_acquire t ~pid id =
-  match t.free.(pid) with
-  | [] ->
+  match Slot_pool.take t.free.(pid) with
+  | None ->
       Obs.Scheme_metrics.on_slot_exhausted om ~pid;
       None
-  | s :: rest ->
-      t.free.(pid) <- rest;
+  | Some s as g ->
       Obs.Scheme_metrics.on_acquire om ~pid;
       Padded.set t.slots (slot_index t ~pid s) id;
-      Some s
+      g
 
 let acquire t ~pid id =
   Obs.Scheme_metrics.on_acquire om ~pid;
@@ -81,7 +80,7 @@ let release t ~pid g =
   (match Padded.exchange t.handoffs idx None with
   | Some (id, op) -> Retire_queue.push t.retired.(pid) id op
   | None -> ());
-  if g < t.k then t.free.(pid) <- g :: t.free.(pid)
+  if g < t.k then Slot_pool.give t.free.(pid) g
 
 let retire t ~pid id ~birth:_ op =
   let op = Obs.Scheme_metrics.on_retire om ~pid op in
@@ -158,7 +157,7 @@ let abandon t ~pid =
     | Some entry -> parked := entry :: !parked
     | None -> ()
   done;
-  t.free.(pid) <- List.init t.k Fun.id;
+  Slot_pool.reset t.free.(pid);
   Orphanage.put t.orphans (!parked @ Retire_queue.drain_with_meta t.retired.(pid))
 
 let reclamation_frontier _t = None

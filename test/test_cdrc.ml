@@ -448,6 +448,157 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
             Alcotest.(check int) "with_snapshot" 3 v;
             R.Asp.clear th cell))
 
+  (* -------------------- section-owned snapshots -------------------- *)
+
+  let raises_use_after_drop what f =
+    match f () with
+    | () -> Alcotest.fail (what ^ ": expected Use_after_drop")
+    | exception R.Use_after_drop _ -> ()
+
+  (* A section that raises must not strand its snapshots: their guards
+     go back to the pool and their counts are given back, so the next
+     snapshots stay on the fast path, and a cleared cell's object is
+     reclaimed by [flush]. Slot schemes are the ones a stranded guard
+     starves. *)
+  let raising_sections_release_snapshots () =
+    if not S.is_protected_region then begin
+      let slots = 8 in
+      with_rt ~slots_per_thread:slots ~max_threads:1 @@ fun rt ->
+      let th = R.thread rt 0 in
+      let p = R.Shared.make th 5 in
+      let cell = R.Asp.make th (R.Shared.ptr p) in
+      let raising f =
+        match R.critically th f with
+        | () -> Alcotest.fail "expected Exit"
+        | exception Exit -> ()
+      in
+      for _ = 1 to 20 do
+        raising (fun () ->
+            ignore (R.Asp.get_snapshot th cell);
+            raise Exit)
+      done;
+      Alcotest.(check (pair int int)) "20 fast, 0 slow" (20, 0) (R.snapshot_stats rt);
+      (* One section past its slots: [slots] guarded snapshots, then 4
+         counted ones, the last of which escapes the section. *)
+      let escaped = ref (R.Snapshot.null ()) in
+      raising (fun () ->
+          for _ = 1 to slots + 4 do
+            escaped := R.Asp.get_snapshot th cell
+          done;
+          raise Exit);
+      Alcotest.(check (pair int int)) "4 slow" (20 + slots, 4) (R.snapshot_stats rt);
+      Alcotest.(check int) "counts given back" 2 (R.Shared.use_count p);
+      raises_use_after_drop "escaped counted snapshot" (fun () -> R.Snapshot.drop th !escaped);
+      (* Many counted snapshots, every other one dropped: the books
+         grow, and the exit gives back exactly the counts of the
+         rest. *)
+      raising (fun () ->
+          let held = List.init slots (fun _ -> R.Asp.get_snapshot th cell) in
+          for i = 1 to 50 do
+            let s = R.Asp.get_snapshot th cell in
+            if i mod 2 = 0 then R.Snapshot.drop th s
+          done;
+          Alcotest.(check int) "25 counts held" 27 (R.Shared.use_count p);
+          ignore held;
+          raise Exit);
+      Alcotest.(check int) "counts given back once" 2 (R.Shared.use_count p);
+      R.critically th (fun () -> R.Snapshot.drop th (R.Asp.get_snapshot th cell));
+      Alcotest.(check (pair int int)) "fast again" (21 + (2 * slots), 54) (R.snapshot_stats rt);
+      R.critically th (fun () -> R.Asp.clear th cell);
+      R.Shared.drop th p;
+      R.flush th;
+      Alcotest.(check int) "reclaimed by flush" 0 (R.live_objects rt)
+    end
+
+  (* Sections do not nest: the exit of an inner one would release the
+     outer body's snapshots. The rejected inner call leaves the outer
+     section and its snapshot intact. *)
+  let critically_rejects_nesting () =
+    with_rt ~max_threads:1 @@ fun rt ->
+    let th = R.thread rt 0 in
+    let p = R.Shared.make th 4 in
+    let cell = R.Asp.make th (R.Shared.ptr p) in
+    R.critically th (fun () ->
+        let s = R.Asp.get_snapshot th cell in
+        (match R.critically th (fun () -> ()) with
+        | () -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument _ -> ());
+        Alcotest.(check bool) "outer snapshot still protected" true (R.Snapshot.is_protected s);
+        Alcotest.(check int) "outer snapshot" 4 (R.Snapshot.get s);
+        R.Snapshot.drop th s);
+    R.critically th (fun () -> R.Asp.clear th cell);
+    R.Shared.drop th p
+
+  (* The fast path allocates the snapshot's one 4-word block and nothing
+     else: no pair from the protect, no option, no closure, no
+     free-slot cell. *)
+  let snapshot_allocation_pinned () =
+    with_rt ~max_threads:1 @@ fun rt ->
+    let th = R.thread rt 0 in
+    let p = R.Shared.make th 6 in
+    let cell = R.Asp.make th (R.Shared.ptr p) in
+    let wcell = R.Awp.make th (R.Shared.ptr p) in
+    let pairs = 10_000 in
+    let words_per_pair f =
+      let w0 = Gc.minor_words () in
+      for _ = 1 to pairs do
+        f ()
+      done;
+      (Gc.minor_words () -. w0) /. float pairs
+    in
+    R.critically th (fun () ->
+        let strong = words_per_pair (fun () -> R.Snapshot.drop th (R.Asp.get_snapshot th cell)) in
+        let weak =
+          words_per_pair (fun () -> R.Weak_snapshot.drop th (R.Awp.get_snapshot th wcell))
+        in
+        let at_most_4 what words =
+          let msg = Printf.sprintf "%s: %.2f words/pair <= 4" what words in
+          Alcotest.(check bool) msg true (words <= 4.)
+        in
+        at_most_4 "snapshot" strong;
+        at_most_4 "weak snapshot" weak;
+        Alcotest.(check (pair int int)) "all fast" (pairs, 0) (R.snapshot_stats rt);
+        R.Asp.clear th cell;
+        R.Awp.clear th wcell);
+    R.Shared.drop th p
+
+  let snapshot_use_after_drop () =
+    with_rt ~max_threads:1 @@ fun rt ->
+    let th = R.thread rt 0 in
+    let p = R.Shared.make th 2 in
+    let cell = R.Asp.make th (R.Shared.ptr p) in
+    let wcell = R.Awp.make th (R.Shared.ptr p) in
+    R.critically th (fun () ->
+        let s = R.Asp.get_snapshot th cell in
+        R.Snapshot.drop th s;
+        let check what f = raises_use_after_drop ("Snapshot." ^ what) (fun () -> ignore (f s)) in
+        check "is_null" R.Snapshot.is_null;
+        check "is_marked" R.Snapshot.is_marked;
+        check "tag" R.Snapshot.tag;
+        check "get" R.Snapshot.get;
+        check "ptr" (fun s -> R.Snapshot.ptr s);
+        check "to_shared" (R.Snapshot.to_shared th);
+        check "use_count" R.Snapshot.use_count;
+        check "is_protected" R.Snapshot.is_protected;
+        check "of_snapshot" (R.Weak.of_snapshot th);
+        check "drop" (R.Snapshot.drop th);
+        let ws = R.Awp.get_snapshot th wcell in
+        R.Weak_snapshot.drop th ws;
+        let check what f =
+          raises_use_after_drop ("Weak_snapshot." ^ what) (fun () -> ignore (f ws))
+        in
+        check "is_null" R.Weak_snapshot.is_null;
+        check "is_marked" R.Weak_snapshot.is_marked;
+        check "tag" R.Weak_snapshot.tag;
+        check "get" R.Weak_snapshot.get;
+        check "ptr" (fun ws -> R.Weak_snapshot.ptr ws);
+        check "to_shared" (R.Weak_snapshot.to_shared th);
+        check "is_protected" R.Weak_snapshot.is_protected;
+        check "drop" (R.Weak_snapshot.drop th);
+        R.Asp.clear th cell;
+        R.Awp.clear th wcell);
+    R.Shared.drop th p
+
   (* -------------------- multi-domain stress ------------------------- *)
 
   let stress_asp ~threads ~iters () =
@@ -597,6 +748,10 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       t "weak snapshot null on expired" `Quick weak_snapshot_null_on_expired;
       t "weak snapshot upgrade" `Quick weak_snapshot_upgrade;
       t "scoped helpers" `Quick scoped_helpers;
+      t "raising sections release snapshots" `Quick raising_sections_release_snapshots;
+      t "critically rejects nesting" `Quick critically_rejects_nesting;
+      t "snapshot allocation pinned" `Quick snapshot_allocation_pinned;
+      t "snapshot use after drop" `Quick snapshot_use_after_drop;
       t "strong cycle leaks" `Quick strong_cycle_leaks;
       t "weak edge breaks cycle" `Quick weak_backedge_breaks_cycle;
       t "stress strong" `Slow (stress_asp ~threads:4 ~iters:10_000);

@@ -305,9 +305,27 @@ module T_hp = Make_tests (Smr.Hp)
 module T_he = Make_tests (Smr.Hazard_eras)
 module T_ptb = Make_tests (Smr.Ptb)
 
+(* The free-slot pool of HP, HE and PTB: LIFO like the free list it
+   replaces, [None] once exhausted, and a slot given back twice is
+   handed out once. *)
+let slot_pool () =
+  let p = Smr.Slot_pool.create 3 in
+  (* [n] takes, in order (list literals evaluate right to left). *)
+  let takes n = List.init n (fun _ -> Smr.Slot_pool.take p) in
+  Alcotest.(check (list (option int)))
+    "increasing order" [ Some 0; Some 1; Some 2; None ] (takes 4);
+  Smr.Slot_pool.give p 1;
+  Smr.Slot_pool.give p 1;
+  Smr.Slot_pool.give p 2;
+  Alcotest.(check (list (option int))) "last given first" [ Some 2; Some 1; None ] (takes 3);
+  Smr.Slot_pool.reset p;
+  Smr.Slot_pool.give p 0;
+  Alcotest.(check (list (option int))) "reset frees all" [ Some 0; Some 1; Some 2; None ] (takes 4)
+
 let () =
   Alcotest.run "smr"
     [
+      ("slot_pool", [ Alcotest.test_case "slot pool" `Quick slot_pool ]);
       ("ebr", T_ebr.tests);
       ("ibr", T_ibr.tests);
       ("hyaline", T_hyaline.tests);

@@ -280,6 +280,28 @@ if not result["correct"]:
 sys.exit(1 if bad or not result["correct"] else 0)
 '
 
+echo "== lean snapshots (perfbench tree-read, traced, 3s) =="
+# A snapshot costs one 4-word block and no bookkeeping allocation
+# (DESIGN.md §3): tree-read takes ~28 snapshots per operation, so its
+# minor words per operation bound the read path's allocation. The
+# counts repeat exactly for a seed (perfbench/test_determinism.ml), so
+# these bounds do not flake.
+python3 perfbench/run.py --workload tree-read --seed 7 --seconds 3 --trace 1 \
+  | tail -1 | python3 -c '
+import json, sys
+result = json.load(sys.stdin)
+metrics = result["metrics"]
+bounds = {"rcebr.gc.minor_words_per_op": 160, "rchp.gc.minor_words_per_op": 240}
+bad = [(k, metrics[k]["value"], b) for k, b in bounds.items() if metrics[k]["value"] > b]
+for k, b in bounds.items():
+    print("tree-read %s = %.1f (bound %d)" % (k, metrics[k]["value"], b))
+for k, v, b in bad:
+    print("error: tree-read %s = %.1f exceeds %d" % (k, v, b), file=sys.stderr)
+if not result["correct"]:
+    print("error: tree-read returned a wrong result", file=sys.stderr)
+sys.exit(1 if bad or not result["correct"] else 0)
+'
+
 echo "== no committed result artifacts =="
 # Raw run output (traces, sweep logs, smoke summaries) is regenerable
 # and must not be versioned; the only committed perf artifacts are the
