@@ -25,7 +25,8 @@
     OCaml-specific API shape (DESIGN.md S5/S6): pointers are linear
     values with explicit [drop] instead of destructors; atomic pointer
     CAS is logical (control-block identity + mark bit) implemented with
-    a retry loop over a boxed slot; all racy accesses and snapshot
+    a retry loop over a slot, which is the control block itself or, for a
+    tagged pointer, a box; all racy accesses and snapshot
     lifetimes must happen inside a critical section ({!Make.critically}),
     exactly as §3.4 requires for region schemes. *)
 
@@ -65,13 +66,6 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Control blocks and the runtime *)
 
-  type 'a control_block = {
-    cell : 'a Cell.t; (* value (None once disposed) + strong/weak counters *)
-    birth : int;
-    block : Simheap.block;
-    destroy : int -> 'a -> unit; (* user hook, pid of executing thread *)
-  }
-
   (* Slots: the value stored in atomic shared/weak pointer cells.
      Logical CAS compares control-block identity plus the mark bit;
      marks are first-class because the paper's benchmarks all need
@@ -80,26 +74,31 @@ module Make (S : Smr.Smr_intf.S) = struct
      Tags are 2-bit integers packed next to the pointer, exactly like
      the low pointer bits C++ implementations steal: bit 0 is the
      Harris "mark", bit 1 the Natarajan–Mittal "tag"/"flag" second bit.
-     The untagged [Ptr] constructor keeps the hot path a one-field
-     block. *)
+
+     A control block is the [Cb] constructor's inline record, so an
+     untagged pointer to it is the block itself: a cell holds it with
+     no box between, and taking a view of an owned pointer allocates
+     nothing. [destroy] is the user's hook as given (or the shared
+     [no_destroy]), called with the executing pid's preallocated
+     [thr]. Only a tagged pointer is boxed, as [Tagged]. *)
   type 'a slot =
     | Null
     | Null_tagged of int (* tag in 1..3 *)
-    | Ptr of 'a control_block
+    | Cb of {
+        cell : 'a Cell.t; (* value (None once disposed) + strong/weak counters *)
+        birth : int;
+        block : Simheap.block;
+        destroy : thr -> 'a -> unit;
+      }
     | Tagged of 'a control_block * int (* tag in 1..3 *)
 
-  (* A snapshot (strong or weak) is the slot it read from its cell,
-     shared with the cell rather than copied, plus what keeps the object
-     alive: a guard, or [Ar.no_guard] when it holds a count instead (the
-     slow path) or nothing (a null snapshot). Four words, one block. *)
-  type 'a snapshot = { n_slot : 'a slot; n_guard : S.guard; mutable n_live : bool }
-
-  type 'a weak_snapshot = 'a snapshot
+  (* A slot that is a [Cb]. *)
+  and 'a control_block = 'a slot
 
   (* The control block of a counted snapshot, of any element type, as a
      pid's books keep it: mostly an old block, so that recording it
      seldom adds to the minor heap's remembered set. *)
-  type counted = Counted : 'a control_block -> counted [@@unboxed]
+  and counted = Counted : 'a control_block -> counted [@@unboxed]
 
   (* A pid's snapshot books, written by the owner only. [fast]/[slow]
      count the snapshots taken on the guard and the count-increment
@@ -110,7 +109,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      the pid has not dropped: the control block whose count it holds,
      given back at the pid's section exit. The [pad_*] fields give the
      record a cache line of its own. *)
-  type books = {
+  and books = {
     mutable fast : int;
     mutable slow : int;
     mutable counted : counted array;
@@ -124,63 +123,87 @@ module Make (S : Smr.Smr_intf.S) = struct
     pad_6 : int;
   }
 
-  type rt = {
+  (* [thrs] holds each pid's one [thr], set once by [create]: what
+     [thread] returns and what a destroy hook is called with. *)
+  and rt = {
     ar : Ar.t; (* the one acquire–retire instance *)
     support_weak : bool;
     books : books array; (* per pid *)
+    mutable thrs : thr array;
   }
 
-  type thr = { rt : rt; pid : int }
+  and thr = { rt : rt; pid : int }
+
+  (* A snapshot (strong or weak) is the slot it read from its cell,
+     shared with the cell rather than copied, plus what keeps the object
+     alive: a guard, or [Ar.no_guard] when it holds a count instead (the
+     slow path) or nothing (a null snapshot). Four words, one block. *)
+  type 'a snapshot = { n_slot : 'a slot; n_guard : S.guard; mutable n_live : bool }
+
+  type 'a weak_snapshot = 'a snapshot
 
   let create ?(support_weak = true) ?epoch_freq ?cleanup_freq ?slots_per_thread ?heap
       ~max_threads () =
     let heap =
       match heap with Some h -> h | None -> Simheap.create ~name:("rc-" ^ S.name) ()
     in
-    {
-      ar = Ar.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~heap ~max_threads ();
-      support_weak;
-      books =
-        Array.init max_threads (fun _ ->
-            {
-              fast = 0;
-              slow = 0;
-              counted = [||];
-              n_counted = 0;
-              pad_0 = 0;
-              pad_1 = 0;
-              pad_2 = 0;
-              pad_3 = 0;
-              pad_4 = 0;
-              pad_5 = 0;
-              pad_6 = 0;
-            });
-    }
+    let rt =
+      {
+        ar = Ar.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~heap ~max_threads ();
+        support_weak;
+        books =
+          Array.init max_threads (fun _ ->
+              {
+                fast = 0;
+                slow = 0;
+                counted = [||];
+                n_counted = 0;
+                pad_0 = 0;
+                pad_1 = 0;
+                pad_2 = 0;
+                pad_3 = 0;
+                pad_4 = 0;
+                pad_5 = 0;
+                pad_6 = 0;
+              });
+        thrs = [||];
+      }
+    in
+    rt.thrs <- Array.init max_threads (fun pid -> { rt; pid });
+    rt
 
   let heap rt = Ar.heap rt.ar
   let max_threads rt = Ar.max_threads rt.ar
 
   let thread rt pid =
     if pid < 0 || pid >= max_threads rt then invalid_arg "Cdrc.thread: pid out of range";
-    { rt; pid }
+    rt.thrs.(pid)
 
   (* ------------------------------------------------------------------ *)
   (* Reference-count primitives (Fig 8) *)
 
-  let expired cb = Cell.expired cb.cell
+  let not_a_cb () = invalid_arg "Cdrc: not a control block"
+  let cell_of = function Cb c -> c.cell | Null | Null_tagged _ | Tagged _ -> not_a_cb ()
+
+  (* The control block [p] points to, [Null] for a null pointer. *)
+  let target = function Null | Null_tagged _ -> Null | Tagged (cb, _) -> cb | Cb _ as cb -> cb
+
+  let expired cb = Cell.expired (cell_of cb)
 
   let must_increment cb =
-    if not (Cell.try_upgrade cb.cell) then
+    if not (Cell.try_upgrade (cell_of cb)) then
       failwith "Cdrc: invariant violated: increment of a dead strong count"
 
   let weak_increment cb =
-    if not (Cell.weak_increment_if_not_zero cb.cell) then
+    if not (Cell.weak_increment_if_not_zero (cell_of cb)) then
       failwith "Cdrc: invariant violated: increment of a dead weak count"
 
-  let free_cb rt cb =
-    ignore rt;
-    Cell.clear cb.cell;
-    Simheap.free cb.block
+  let free_cb cb =
+    match cb with
+    | Cb c ->
+        Cell.clear c.cell;
+        Simheap.free c.block
+    | Null | Null_tagged _ | Tagged _ -> not_a_cb ()
 
   (* Defer [op] on [cb] until no guard taken before this call protects
      it, counting it under its kind's [counter], then eject: all three
@@ -189,11 +212,12 @@ module Make (S : Smr.Smr_intf.S) = struct
      a deferred op, right after it. *)
   let delayed rt ~pid counter cb op =
     Obs.Metrics.incr counter ~pid;
-    Ar.retire_id rt.ar ~pid (Ident.of_val cb) ~birth:cb.birth op;
+    let birth = match cb with Cb c -> c.birth | Null | Null_tagged _ | Tagged _ -> not_a_cb () in
+    Ar.retire_id rt.ar ~pid (Ident.of_val cb) ~birth op;
     Ar.eject rt.ar ~pid
 
   let rec decrement rt ~pid cb =
-    if Cell.strong_decrement cb.cell then
+    if Cell.strong_decrement (cell_of cb) then
       if rt.support_weak then
         delayed rt ~pid dispose_deferred_c cb (fun epid -> dispose rt ~pid:epid cb)
       else
@@ -203,12 +227,15 @@ module Make (S : Smr.Smr_intf.S) = struct
         Ar.run rt.ar ~pid (fun epid -> dispose rt ~pid:epid cb)
 
   and dispose rt ~pid cb =
-    (match Cell.take cb.cell with
-    | Some v -> cb.destroy pid v
-    | None -> failwith "Cdrc: invariant violated: double dispose");
+    (match cb with
+    | Cb c -> (
+        match Cell.take c.cell with
+        | Some v -> c.destroy rt.thrs.(pid) v
+        | None -> failwith "Cdrc: invariant violated: double dispose")
+    | Null | Null_tagged _ | Tagged _ -> not_a_cb ());
     weak_decrement rt ~pid cb
 
-  and weak_decrement rt ~pid:_ cb = if Cell.weak_decrement cb.cell then free_cb rt cb
+  and weak_decrement _rt ~pid:_ cb = if Cell.weak_decrement (cell_of cb) then free_cb cb
 
   let delayed_decrement rt ~pid cb =
     delayed rt ~pid dec_deferred_c cb (fun epid -> decrement rt ~pid:epid cb)
@@ -227,25 +254,23 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let slot_ident = function
     | Null | Null_tagged _ -> Ident.null
-    | Ptr cb | Tagged (cb, _) -> Ident.of_val cb
+    | (Cb _ as cb) | Tagged (cb, _) -> Ident.of_val cb
 
-  let slot_tag = function Null | Ptr _ -> 0 | Null_tagged g | Tagged (_, g) -> g
+  let slot_tag = function Null | Cb _ -> 0 | Null_tagged g | Tagged (_, g) -> g
 
   let slot_eq a b =
     match (a, b) with
     | Null, Null -> true
     | Null_tagged g, Null_tagged h -> g = h
-    | Ptr x, Ptr y -> x == y
+    | Cb _, Cb _ -> a == b
     | Tagged (x, g), Tagged (y, h) -> x == y && g = h
     | _ -> false
-
-  let cb_of = function Null | Null_tagged _ -> None | Ptr cb | Tagged (cb, _) -> Some cb
 
   module Ptr = struct
     type 'a t = 'a ptr
 
     let null : 'a t = Null
-    let is_null = function Null | Null_tagged _ -> true | Ptr _ | Tagged _ -> false
+    let is_null = function Null | Null_tagged _ -> true | Cb _ | Tagged _ -> false
     let tag = slot_tag
     let is_marked p = slot_tag p land 1 <> 0
 
@@ -254,23 +279,19 @@ module Make (S : Smr.Smr_intf.S) = struct
       match (p, g) with
       | (Null | Null_tagged _), 0 -> Null
       | (Null | Null_tagged _), g -> Null_tagged g
-      | (Ptr cb | Tagged (cb, _)), 0 -> Ptr cb
-      | (Ptr cb | Tagged (cb, _)), g -> Tagged (cb, g)
+      | ((Cb _ as cb) | Tagged (cb, _)), 0 -> cb
+      | ((Cb _ as cb) | Tagged (cb, _)), g -> Tagged (cb, g)
 
     let with_mark (p : 'a t) m : 'a t =
       with_tag p (if m then slot_tag p lor 1 else slot_tag p land lnot 1)
 
     let equal = slot_eq
 
-    let same_object a b =
-      match (cb_of a, cb_of b) with
-      | None, None -> true
-      | Some x, Some y -> x == y
-      | _ -> false
+    let same_object a b = target a == target b
 
     (** Logical value read (unprotected!): only for diagnostics,
         quiescent inspection, and values the caller knows are pinned. *)
-    let strong_count p = match cb_of p with None -> 0 | Some cb -> Cell.strong_count cb.cell
+    let strong_count p = match target p with Null -> 0 | cb -> Cell.strong_count (cell_of cb)
   end
 
   (* Logical CAS over a slot cell: succeed iff the current slot equals
@@ -355,88 +376,86 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Owned pointer types *)
 
-  type 'a shared = { mutable s_cb : 'a control_block option; mutable s_live : bool }
-  type 'a weak = { mutable w_cb : 'a control_block option; mutable w_live : bool }
-  type 'a asp = { asp : 'a slot Sched.Atomic.t }
-  type 'a awp = { awp : 'a slot Sched.Atomic.t }
+  (* An owned pointer holds a control block, or [Null]. *)
+  type 'a shared = { mutable s_cb : 'a control_block; mutable s_live : bool }
+  type 'a weak = { mutable w_cb : 'a control_block; mutable w_live : bool }
+  (* An atomic pointer cell is its atomic: no wrapper block. *)
+  type 'a asp = { asp : 'a slot Sched.Atomic.t } [@@unboxed]
+  type 'a awp = { awp : 'a slot Sched.Atomic.t } [@@unboxed]
 
   let check_owner live what = if not live then raise (Use_after_drop what)
+  let no_destroy _ _ = ()
+
+  (* The value behind control block [cb]; [what] names the pointer kind
+     for the invariant's message. *)
+  let value_of what cb =
+    match cb with
+    | Cb c -> (
+        Simheap.check_live c.block;
+        match Cell.read c.cell with
+        | Some v -> v
+        | None -> failwith ("Cdrc: invariant violated: " ^ what ^ " deref of disposed object"))
+    | Null | Null_tagged _ | Tagged _ -> not_a_cb ()
 
   (* ------------------------------------------------------------------ *)
 
   module Shared = struct
     type 'a t = 'a shared
 
-    let null () : 'a t = { s_cb = None; s_live = true }
+    let null () : 'a t = { s_cb = Null; s_live = true }
 
-    let make (t : thr) ?destroy v : 'a t =
+    (* The birth hook runs before the heap allocation, as in [Ar.alloc]:
+       a hook that raises leaves no block behind. *)
+    let make (t : thr) ?(destroy = no_destroy) v : 'a t =
       let rt = t.rt in
-      let destroy =
-        match destroy with
-        | None -> fun _pid _v -> ()
-        | Some d -> fun pid v -> d (thread rt pid) v
-      in
-      let cb =
-        {
-          cell = Cell.make v;
-          birth = Ar.birth rt.ar ~pid:t.pid;
-          block = Simheap.alloc (heap rt);
-          destroy;
-        }
-      in
-      { s_cb = Some cb; s_live = true }
+      let birth = Ar.birth rt.ar ~pid:t.pid in
+      let block = Simheap.alloc (heap rt) in
+      { s_cb = Cb { cell = Cell.make v; birth; block; destroy }; s_live = true }
 
     let is_null (p : 'a t) =
       check_owner p.s_live "shared";
-      p.s_cb = None
+      p.s_cb == Null
 
     let get (p : 'a t) =
       check_owner p.s_live "shared";
       match p.s_cb with
-      | None -> invalid_arg "Shared.get: null pointer"
-      | Some cb -> (
-          Simheap.check_live cb.block;
-          match Cell.read cb.cell with
-          | Some v -> v
-          | None -> failwith "Cdrc: invariant violated: strong deref of disposed object")
+      | Null -> invalid_arg "Shared.get: null pointer"
+      | cb -> value_of "strong" cb
 
     let ptr (p : 'a t) : 'a ptr =
       check_owner p.s_live "shared";
-      match p.s_cb with None -> Null | Some cb -> Ptr cb
+      p.s_cb
 
     let copy (t : thr) (p : 'a t) : 'a t =
       ignore t;
       check_owner p.s_live "shared";
       match p.s_cb with
-      | None -> null ()
-      | Some cb ->
+      | Null -> null ()
+      | cb ->
           must_increment cb;
-          { s_cb = Some cb; s_live = true }
+          { s_cb = cb; s_live = true }
 
     let drop (t : thr) (p : 'a t) =
       check_owner p.s_live "shared";
       p.s_live <- false;
-      (match p.s_cb with
-      | None -> ()
-      | Some cb ->
-          p.s_cb <- None;
-          decrement t.rt ~pid:t.pid cb)
+      match p.s_cb with
+      | Null -> ()
+      | cb ->
+          p.s_cb <- Null;
+          decrement t.rt ~pid:t.pid cb
 
     let use_count (p : 'a t) =
       check_owner p.s_live "shared";
-      match p.s_cb with None -> 0 | Some cb -> Cell.strong_count cb.cell
+      match p.s_cb with Null -> 0 | cb -> Cell.strong_count (cell_of cb)
 
     let weak_count (p : 'a t) =
       check_owner p.s_live "shared";
-      match p.s_cb with None -> 0 | Some cb -> Cell.weak_count cb.cell
+      match p.s_cb with Null -> 0 | cb -> Cell.weak_count (cell_of cb)
 
     let equal (a : 'a t) (b : 'a t) =
       check_owner a.s_live "shared";
       check_owner b.s_live "shared";
-      match (a.s_cb, b.s_cb) with
-      | None, None -> true
-      | Some x, Some y -> x == y
-      | _ -> false
+      a.s_cb == b.s_cb
 
     (** Scoped allocation: the pointer is dropped when [f] returns or
         raises (the OCaml stand-in for C++ scope-bound destruction,
@@ -457,7 +476,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     let is_null p =
       check_owner p.n_live N.what;
-      match p.n_slot with Null | Null_tagged _ -> true | Ptr _ | Tagged _ -> false
+      match p.n_slot with Null | Null_tagged _ -> true | Cb _ | Tagged _ -> false
 
     let is_marked p =
       check_owner p.n_live N.what;
@@ -471,11 +490,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       check_owner p.n_live N.what;
       match p.n_slot with
       | Null | Null_tagged _ -> invalid_arg (N.name ^ ".get: null snapshot")
-      | Ptr cb | Tagged (cb, _) -> (
-          Simheap.check_live cb.block;
-          match Cell.read cb.cell with
-          | Some v -> v
-          | None -> failwith ("Cdrc: invariant violated: " ^ N.what ^ " deref of disposed object"))
+      | (Cb _ as cb) | Tagged (cb, _) -> value_of N.what cb
 
     let ptr ?tag p : 'a ptr =
       check_owner p.n_live N.what;
@@ -488,7 +503,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       if p.n_guard <> Ar.no_guard then Ar.release_unscoped t.rt.ar ~pid:t.pid p.n_guard
       else
         match p.n_slot with
-        | Ptr cb | Tagged (cb, _) ->
+        | (Cb _ as cb) | Tagged (cb, _) ->
             (* No entry: the count went back when the section that took
                the snapshot exited. *)
             let b = t.rt.books.(t.pid) in
@@ -516,15 +531,15 @@ module Make (S : Smr.Smr_intf.S) = struct
       check_owner p.n_live "snapshot";
       match p.n_slot with
       | Null | Null_tagged _ -> Shared.null ()
-      | Ptr cb | Tagged (cb, _) ->
+      | (Cb _ as cb) | Tagged (cb, _) ->
           must_increment cb;
-          { s_cb = Some cb; s_live = true }
+          { s_cb = cb; s_live = true }
 
     let use_count (p : 'a t) =
       check_owner p.n_live "snapshot";
       match p.n_slot with
       | Null | Null_tagged _ -> 0
-      | Ptr cb | Tagged (cb, _) -> Cell.strong_count cb.cell
+      | (Cb _ as cb) | Tagged (cb, _) -> Cell.strong_count (cell_of cb)
   end
 
   module Asp = struct
@@ -535,7 +550,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     (** Initialize a cell from an owned view, taking a count unit. *)
     let make (t : thr) (v : 'a ptr) : 'a t =
       ignore t;
-      (match cb_of v with Some cb -> must_increment cb | None -> ());
+      (match target v with Null -> () | cb -> must_increment cb);
       { asp = Sched.Atomic.make v }
 
     (** Unprotected read of the current logical value. Only safe for
@@ -549,30 +564,30 @@ module Make (S : Smr.Smr_intf.S) = struct
       let res =
         match v with
         | Null | Null_tagged _ -> Shared.null ()
-        | Ptr cb | Tagged (cb, _) ->
+        | (Cb _ as cb) | Tagged (cb, _) ->
             must_increment cb;
-            { s_cb = Some cb; s_live = true }
+            { s_cb = cb; s_live = true }
       in
       Ar.release_unscoped ar ~pid (Ar.guard ar ~pid);
       res
 
     let store (t : thr) (c : 'a t) (desired : 'a ptr) =
-      (match cb_of desired with Some cb -> must_increment cb | None -> ());
+      (match target desired with Null -> () | cb -> must_increment cb);
       let old = Sched.Atomic.exchange c.asp desired in
-      match cb_of old with Some cb -> delayed_decrement t.rt ~pid:t.pid cb | None -> ()
+      match target old with Null -> () | cb -> delayed_decrement t.rt ~pid:t.pid cb
 
     (** Logical CAS. [desired] must be backed by an owned reference the
         caller holds across the call (shared, snapshot, or the null
         view); on success the cell takes a new count unit on [desired]
         and releases (deferred) its unit on [expected]. *)
     let compare_and_swap (t : thr) (c : 'a t) ~(expected : 'a ptr) ~(desired : 'a ptr) =
-      (match cb_of desired with Some cb -> must_increment cb | None -> ());
+      (match target desired with Null -> () | cb -> must_increment cb);
       if slot_cas c.asp expected desired then begin
-        (match cb_of expected with Some cb -> delayed_decrement t.rt ~pid:t.pid cb | None -> ());
+        (match target expected with Null -> () | cb -> delayed_decrement t.rt ~pid:t.pid cb);
         true
       end
       else begin
-        (match cb_of desired with Some cb -> decrement t.rt ~pid:t.pid cb | None -> ());
+        (match target desired with Null -> () | cb -> decrement t.rt ~pid:t.pid cb);
         false
       end
 
@@ -594,7 +609,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         b.fast <- b.fast + 1;
         Obs.Metrics.incr snap_fast_c ~pid;
         match v with
-        | Ptr _ | Tagged _ -> { n_slot = v; n_guard = g; n_live = true }
+        | Cb _ | Tagged _ -> { n_slot = v; n_guard = g; n_live = true }
         | Null | Null_tagged _ ->
             Ar.release_unscoped ar ~pid g;
             { n_slot = v; n_guard = Ar.no_guard; n_live = true }
@@ -610,7 +625,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         | Null | Null_tagged _ ->
             Ar.release_unscoped ar ~pid g;
             { n_slot = v; n_guard = Ar.no_guard; n_live = true }
-        | Ptr cb | Tagged (cb, _) ->
+        | (Cb _ as cb) | Tagged (cb, _) ->
             must_increment cb;
             Ar.release_unscoped ar ~pid g;
             count_in t cb;
@@ -623,7 +638,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     (** Release the cell's count unit (node teardown in destroy hooks). *)
     let clear (t : thr) (c : 'a t) =
       let old = Sched.Atomic.exchange c.asp Null in
-      match cb_of old with Some cb -> delayed_decrement t.rt ~pid:t.pid cb | None -> ()
+      match target old with Null -> () | cb -> delayed_decrement t.rt ~pid:t.pid cb
   end
 
   (* ------------------------------------------------------------------ *)
@@ -636,37 +651,37 @@ module Make (S : Smr.Smr_intf.S) = struct
   module Weak = struct
     type 'a t = 'a weak
 
-    let null () : 'a t = { w_cb = None; w_live = true }
+    let null () : 'a t = { w_cb = Null; w_live = true }
 
     let of_shared (t : thr) (p : 'a shared) : 'a t =
       require_weak t.rt;
       check_owner p.s_live "shared";
       match p.s_cb with
-      | None -> null ()
-      | Some cb ->
+      | Null -> null ()
+      | cb ->
           weak_increment cb;
-          { w_cb = Some cb; w_live = true }
+          { w_cb = cb; w_live = true }
 
     let of_snapshot (t : thr) (p : 'a snapshot) : 'a t =
       require_weak t.rt;
       check_owner p.n_live "snapshot";
       match p.n_slot with
       | Null | Null_tagged _ -> null ()
-      | Ptr cb | Tagged (cb, _) ->
+      | (Cb _ as cb) | Tagged (cb, _) ->
           weak_increment cb;
-          { w_cb = Some cb; w_live = true }
+          { w_cb = cb; w_live = true }
 
     let is_null (p : 'a t) =
       check_owner p.w_live "weak";
-      p.w_cb = None
+      p.w_cb == Null
 
     let expired (p : 'a t) =
       check_owner p.w_live "weak";
-      match p.w_cb with None -> true | Some cb -> expired cb
+      match p.w_cb with Null -> true | cb -> expired cb
 
     let ptr (p : 'a t) : 'a ptr =
       check_owner p.w_live "weak";
-      match p.w_cb with None -> Null | Some cb -> Ptr cb
+      p.w_cb
 
     (** Upgrade ("lock"): returns a null shared pointer if the object
         has expired. The sticky counter makes this a single
@@ -675,32 +690,30 @@ module Make (S : Smr.Smr_intf.S) = struct
       ignore t;
       check_owner p.w_live "weak";
       match p.w_cb with
-      | None -> Shared.null ()
-      | Some cb ->
-          if Cell.try_upgrade cb.cell then { s_cb = Some cb; s_live = true }
-          else Shared.null ()
+      | Null -> Shared.null ()
+      | cb -> if Cell.try_upgrade (cell_of cb) then { s_cb = cb; s_live = true } else Shared.null ()
 
     let copy (t : thr) (p : 'a t) : 'a t =
       ignore t;
       check_owner p.w_live "weak";
       match p.w_cb with
-      | None -> null ()
-      | Some cb ->
+      | Null -> null ()
+      | cb ->
           weak_increment cb;
-          { w_cb = Some cb; w_live = true }
+          { w_cb = cb; w_live = true }
 
     let drop (t : thr) (p : 'a t) =
       check_owner p.w_live "weak";
       p.w_live <- false;
-      (match p.w_cb with
-      | None -> ()
-      | Some cb ->
-          p.w_cb <- None;
-          weak_decrement t.rt ~pid:t.pid cb)
+      match p.w_cb with
+      | Null -> ()
+      | cb ->
+          p.w_cb <- Null;
+          weak_decrement t.rt ~pid:t.pid cb
 
     let weak_count (p : 'a t) =
       check_owner p.w_live "weak";
-      match p.w_cb with None -> 0 | Some cb -> Cell.weak_count cb.cell
+      match p.w_cb with Null -> 0 | cb -> Cell.weak_count (cell_of cb)
   end
 
   module Weak_snapshot = struct
@@ -717,8 +730,8 @@ module Make (S : Smr.Smr_intf.S) = struct
       check_owner p.n_live "weak_snapshot";
       match p.n_slot with
       | Null | Null_tagged _ -> Shared.null ()
-      | Ptr cb | Tagged (cb, _) ->
-          if Cell.try_upgrade cb.cell then { s_cb = Some cb; s_live = true }
+      | (Cb _ as cb) | Tagged (cb, _) ->
+          if Cell.try_upgrade (cell_of cb) then { s_cb = cb; s_live = true }
           else Shared.null ()
   end
 
@@ -730,7 +743,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     let make (t : thr) (v : 'a ptr) : 'a t =
       require_weak t.rt;
-      (match cb_of v with Some cb -> weak_increment cb | None -> ());
+      (match target v with Null -> () | cb -> weak_increment cb);
       { awp = Sched.Atomic.make v }
 
     let unsafe_ptr (c : 'a t) : 'a ptr = Sched.Atomic.get c.awp
@@ -739,9 +752,9 @@ module Make (S : Smr.Smr_intf.S) = struct
        weak-decrement of the old value. *)
     let store (t : thr) (c : 'a t) (desired : 'a ptr) =
       require_weak t.rt;
-      (match cb_of desired with Some cb -> weak_increment cb | None -> ());
+      (match target desired with Null -> () | cb -> weak_increment cb);
       let old = Sched.Atomic.exchange c.awp desired in
-      match cb_of old with Some cb -> delayed_weak_decrement t.rt ~pid:t.pid cb | None -> ()
+      match target old with Null -> () | cb -> delayed_weak_decrement t.rt ~pid:t.pid cb
 
     (* Fig 9 load *)
     let load (t : thr) (c : 'a t) : 'a weak =
@@ -751,9 +764,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       let res =
         match v with
         | Null | Null_tagged _ -> Weak.null ()
-        | Ptr cb | Tagged (cb, _) ->
+        | (Cb _ as cb) | Tagged (cb, _) ->
             weak_increment cb;
-            { w_cb = Some cb; w_live = true }
+            { w_cb = cb; w_live = true }
       in
       Ar.release_unscoped ar ~pid (Ar.guard ar ~pid);
       res
@@ -765,15 +778,15 @@ module Make (S : Smr.Smr_intf.S) = struct
        guard on desired's location is unnecessary. *)
     let compare_and_swap (t : thr) (c : 'a t) ~(expected : 'a ptr) ~(desired : 'a ptr) =
       require_weak t.rt;
-      (match cb_of desired with Some cb -> weak_increment cb | None -> ());
+      (match target desired with Null -> () | cb -> weak_increment cb);
       if slot_cas c.awp expected desired then begin
-        (match cb_of expected with
-        | Some cb -> delayed_weak_decrement t.rt ~pid:t.pid cb
-        | None -> ());
+        (match target expected with
+        | Null -> ()
+        | cb -> delayed_weak_decrement t.rt ~pid:t.pid cb);
         true
       end
       else begin
-        (match cb_of desired with Some cb -> weak_decrement t.rt ~pid:t.pid cb | None -> ());
+        (match target desired with Null -> () | cb -> weak_decrement t.rt ~pid:t.pid cb);
         false
       end
 
@@ -787,7 +800,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       | Null | Null_tagged _ ->
           Ar.release_unscoped ar ~pid wg;
           { n_slot = v; n_guard = Ar.no_guard; n_live = true }
-      | Ptr cb | Tagged (cb, _) ->
+      | (Cb _ as cb) | Tagged (cb, _) ->
           (* Protect [cb]'s disposal with a fresh guard on [v], which
              [wg] already protects. For IBR/HE the dispose-side
              interval must be re-stabilized before trusting the
@@ -799,7 +812,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             else
               (* Fig 9 line 26: out of dispose guards — fall back to
                  a real strong increment if the object is alive. *)
-              Cell.try_upgrade cb.cell
+              Cell.try_upgrade (cell_of cb)
           in
           if alive then begin
             Ar.release_unscoped ar ~pid wg;
@@ -823,7 +836,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let clear (t : thr) (c : 'a t) =
       require_weak t.rt;
       let old = Sched.Atomic.exchange c.awp Null in
-      match cb_of old with Some cb -> delayed_weak_decrement t.rt ~pid:t.pid cb | None -> ()
+      match target old with Null -> () | cb -> delayed_weak_decrement t.rt ~pid:t.pid cb
   end
 
   (* ------------------------------------------------------------------ *)

@@ -1,55 +1,105 @@
 type t = {
   name : string;
-  allocated_n : int Atomic.t;
-  freed_n : int Atomic.t;
+  id : int; (* index in [registry] *)
   live_n : int Atomic.t;
   peak_n : int Atomic.t;
-  next_uid : int Atomic.t;
+  next_uid : int Atomic.t; (* also the allocation count *)
 }
 
-type block = { heap : t; uid : int; freed : bool Atomic.t }
+(* A block is one word: [heap id | uid | freed bit], from the top bit
+   down. The heap is found again from its id, so a block carries no
+   pointer and costs one 2-word atomic. *)
+type block = int Atomic.t
 
 exception Use_after_free of string
 exception Double_free of string
 
+let heap_bits = 22
+let uid_bits = Sys.int_size - 1 - heap_bits
+let max_uid = (1 lsl uid_bits) - 1
+let max_heaps = 1 lsl heap_bits
+let freed_bit = 1
+
+(* Every heap ever created, by id. [create] writes it under [lock] and
+   republishes it through the atomic, so a reader that got a block from
+   another domain sees its heap's entry. Heaps are never removed: an id
+   names one heap for the life of the process. *)
+let registry : t array Atomic.t = Atomic.make [||]
+let n_heaps = ref 0
+let lock = Mutex.create ()
+
 let create ?(name = "heap") () =
-  {
-    name;
-    allocated_n = Atomic.make 0;
-    freed_n = Atomic.make 0;
-    live_n = Atomic.make 0;
-    peak_n = Atomic.make 0;
-    next_uid = Atomic.make 0;
-  }
+  Mutex.protect lock (fun () ->
+      let id = !n_heaps in
+      if id >= max_heaps then failwith "Simheap.create: heap ids exhausted";
+      let t =
+        {
+          name;
+          id;
+          live_n = Atomic.make 0;
+          peak_n = Atomic.make 0;
+          next_uid = Atomic.make 0;
+        }
+      in
+      let r = Atomic.get registry in
+      let r =
+        if id < Array.length r then r
+        else begin
+          let bigger = Array.make (max 16 (2 * id)) t in
+          Array.blit r 0 bigger 0 id;
+          bigger
+        end
+      in
+      r.(id) <- t;
+      Atomic.set registry r;
+      n_heaps := id + 1;
+      t)
 
 let name t = t.name
+let heap_of w = (Atomic.get registry).(w lsr (uid_bits + 1))
+let uid_of w = (w lsr 1) land max_uid
 
 let rec bump_peak t live =
   let peak = Atomic.get t.peak_n in
   if live > peak && not (Atomic.compare_and_set t.peak_n peak live) then bump_peak t live
 
+(* The uid is taken before the live count rises, so [allocated] never
+   reads below [live] and [freed] never below 0. *)
 let alloc t =
-  ignore (Atomic.fetch_and_add t.allocated_n 1);
-  let live = Atomic.fetch_and_add t.live_n 1 + 1 in
-  bump_peak t live;
-  { heap = t; uid = Atomic.fetch_and_add t.next_uid 1; freed = Atomic.make false }
+  let uid = Atomic.fetch_and_add t.next_uid 1 in
+  if uid > max_uid then
+    failwith (Printf.sprintf "Simheap.alloc: %s: block uids exhausted" t.name);
+  bump_peak t (Atomic.fetch_and_add t.live_n 1 + 1);
+  Atomic.make ((t.id lsl (uid_bits + 1)) lor (uid lsl 1))
 
+(* Only the freed bit ever changes, so a failed CAS means a racing
+   free set it first: exactly one free wins, every other raises. *)
 let free b =
-  if Atomic.exchange b.freed true then
-    raise (Double_free (Printf.sprintf "%s: block %d freed twice" b.heap.name b.uid));
-  ignore (Atomic.fetch_and_add b.heap.freed_n 1);
-  ignore (Atomic.fetch_and_add b.heap.live_n (-1))
+  let w = Atomic.get b in
+  if w land freed_bit <> 0 || not (Atomic.compare_and_set b w (w lor freed_bit)) then
+    raise
+      (Double_free (Printf.sprintf "%s: block %d freed twice" (heap_of w).name (uid_of w)));
+  ignore (Atomic.fetch_and_add (heap_of w).live_n (-1))
 
 let check_live b =
-  if Atomic.get b.freed then
-    raise (Use_after_free (Printf.sprintf "%s: block %d used after free" b.heap.name b.uid))
+  let w = Atomic.get b in
+  if w land freed_bit <> 0 then
+    raise
+      (Use_after_free (Printf.sprintf "%s: block %d used after free" (heap_of w).name (uid_of w)))
 
-let is_live b = not (Atomic.get b.freed)
-let uid b = b.uid
+let is_live b = Atomic.get b land freed_bit = 0
+let uid b = uid_of (Atomic.get b)
 let live t = Atomic.get t.live_n
 let peak t = Atomic.get t.peak_n
-let allocated t = Atomic.get t.allocated_n
-let freed t = Atomic.get t.freed_n
+
+(* Failed allocations past [max_uid] still advanced the counter. *)
+let allocated t = min (Atomic.get t.next_uid) (max_uid + 1)
+
+(* [live] is read first: [allocated] only grows, and never trails it. *)
+let freed t =
+  let live = live t in
+  allocated t - live
+
 let reset_peak t = Atomic.set t.peak_n (Atomic.get t.live_n)
 
 let pp_stats ppf t =

@@ -19,7 +19,12 @@
     of silently corrupting memory, which is strictly better for a
     reproduction.
 
-    All operations are thread-safe and lock-free. *)
+    A block is one atomic word packing its heap's id, its uid and a
+    freed bit, so allocation costs one 2-word atomic and [free] and
+    [check_live] touch one word. The heap is found again from its id
+    through a process-wide registry that {!create} extends under a
+    mutex. Every other operation is thread-safe and lock-free, and
+    [free] allocates nothing. *)
 
 type t
 (** A simulated heap (one per benchmark run, usually). *)
@@ -35,15 +40,22 @@ exception Double_free of string
 
 val create : ?name:string -> unit -> t
 (** [create ?name ()] makes an empty heap. [name] appears in exception
-    messages and reports (default ["heap"]). *)
+    messages and reports (default ["heap"]). A heap stays registered,
+    and reachable, for the life of the process.
+    @raise Failure once 2{^22} heaps have been created in the process. *)
 
 val name : t -> string
 
 val alloc : t -> block
-(** Allocate a block: increments the live count and updates the peak. *)
+(** Allocate a block: takes the next uid, increments the live count and
+    updates the peak.
+    @raise Failure when the heap's uids (2{^40} on a 64-bit host) are
+    exhausted: uids never wrap. *)
 
 val free : block -> unit
-(** Reclaim a block.
+(** Reclaim a block: one CAS sets its freed bit, then the heap's live
+    count drops. Of several frees of one block, racing or not, exactly
+    one succeeds.
     @raise Double_free if the block was already freed. *)
 
 val check_live : block -> unit
@@ -65,10 +77,11 @@ val peak : t -> int
 (** High-water mark of {!live} since creation or {!reset_peak}. *)
 
 val allocated : t -> int
-(** Total blocks ever allocated. *)
+(** Total blocks ever allocated: the next uid. *)
 
 val freed : t -> int
-(** Total blocks ever freed. *)
+(** Total blocks ever freed: [allocated - live], exact whenever no
+    alloc or free is in flight, and never negative. *)
 
 val reset_peak : t -> unit
 (** Reset the peak to the current live count (called between benchmark

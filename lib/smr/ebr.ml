@@ -71,16 +71,6 @@ let retire t ~pid _id ~birth:_ op =
   let op = Obs.Scheme_metrics.on_retire om ~pid op in
   Retire_queue.push t.retired.(pid) (Sched.Atomic.get t.cur_epoch) op
 
-(* Adopt orphaned entries against the same safety predicate; the
-   still-protected remainder goes back to the pool. *)
-let adopt_orphans t ~safe =
-  match Orphanage.take_all t.orphans with
-  | [] -> []
-  | entries ->
-      let ready, blocked = List.partition (fun (m, _) -> safe m) entries in
-      Orphanage.put t.orphans blocked;
-      List.map snd ready
-
 let eject ?(force = false) t ~pid =
   let q = t.retired.(pid) in
   if
@@ -92,7 +82,7 @@ let eject ?(force = false) t ~pid =
     let max = if force then max_int else Knobs.batch_cap t.knobs in
     (* Retire epochs are monotone within a thread's queue. *)
     Obs.Scheme_metrics.on_eject om ~pid
-      (Retire_queue.pop_prefix ~max q ~safe @ adopt_orphans t ~safe)
+      (Orphanage.adopt t.orphans ~safe (Retire_queue.pop_prefix ~max q ~safe))
   end
   else []
 

@@ -94,6 +94,12 @@ let release t ~pid g =
   Padded.set t.slots (slot_index t ~pid g) empty_era;
   if g < t.k then Slot_pool.give t.free.(pid) g
 
+(* Whether an announced era falls in [birth, retired_at]: closure-free,
+   since an eject scan asks once per retired entry. *)
+let rec covered birth retired_at = function
+  | [] -> false
+  | e :: rest -> (birth <= e && e <= retired_at) || covered birth retired_at rest
+
 let retire t ~pid _id ~birth op =
   let op = Obs.Scheme_metrics.on_retire om ~pid op in
   Retire_queue.push t.retired.(pid) (birth, Sched.Atomic.get t.era) op
@@ -111,19 +117,10 @@ let eject ?(force = false) t ~pid =
       if e <> empty_era then eras := e :: !eras
     done;
     let eras = !eras in
-    let safe (birth, retired_at) =
-      not (List.exists (fun e -> birth <= e && e <= retired_at) eras)
-    in
-    let adopted =
-      match Orphanage.take_all t.orphans with
-      | [] -> []
-      | entries ->
-          let ready, blocked = List.partition (fun (m, _) -> safe m) entries in
-          Orphanage.put t.orphans blocked;
-          List.map snd ready
-    in
+    let safe (birth, retired_at) = not (covered birth retired_at eras) in
     let max = if force then max_int else Knobs.batch_cap t.knobs in
-    Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.filter_pop ~max q ~safe @ adopted)
+    Obs.Scheme_metrics.on_eject om ~pid
+      (Orphanage.adopt t.orphans ~safe (Retire_queue.filter_pop ~max q ~safe))
   end
   else []
 

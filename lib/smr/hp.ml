@@ -85,6 +85,10 @@ let announced_count t =
 
 let is_announced t id = Padded.fold (fun acc a -> acc || Ident.equal a id) false t.slots
 
+(* [List.exists (Ident.equal id)] would build a closure per call, and
+   an eject scan calls this once per retired entry. *)
+let rec mem id = function [] -> false | a :: rest -> Ident.equal a id || mem id rest
+
 let retire t ~pid id ~birth:_ op =
   let op = Obs.Scheme_metrics.on_retire om ~pid op in
   Retire_queue.push t.retired.(pid) id op
@@ -106,17 +110,10 @@ let eject ?(force = false) t ~pid =
       if not (Ident.is_null id) then announced := id :: !announced
     done;
     let announced = !announced in
-    let safe id = not (List.exists (Ident.equal id) announced) in
-    let adopted =
-      match Orphanage.take_all t.orphans with
-      | [] -> []
-      | entries ->
-          let ready, blocked = List.partition (fun (id, _) -> safe id) entries in
-          Orphanage.put t.orphans blocked;
-          List.map snd ready
-    in
+    let safe id = not (mem id announced) in
     let max = if force then max_int else Knobs.batch_cap t.knobs in
-    Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.filter_pop ~max q ~safe @ adopted)
+    Obs.Scheme_metrics.on_eject om ~pid
+      (Orphanage.adopt t.orphans ~safe (Retire_queue.filter_pop ~max q ~safe))
   end
   else []
 

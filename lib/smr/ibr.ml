@@ -79,17 +79,17 @@ let confirm t ~pid _g _id =
 
 let release _t ~pid:_ _g = ()
 
+(* Whether no interval in [anns.(0 .. i)] meets [birth, retired_at]:
+   closure-free, since an eject scan asks once per retired entry. *)
+let rec disjoint anns birth retired_at i =
+  if i < 0 then true
+  else
+    let a = anns.(i) in
+    (a.e < birth || a.b > retired_at) && disjoint anns birth retired_at (i - 1)
+
 let retire t ~pid _id ~birth op =
   let op = Obs.Scheme_metrics.on_retire om ~pid op in
   Retire_queue.push t.retired.(pid) (birth, Sched.Atomic.get t.cur_epoch) op
-
-let adopt_orphans t ~safe =
-  match Orphanage.take_all t.orphans with
-  | [] -> []
-  | entries ->
-      let ready, blocked = List.partition (fun (m, _) -> safe m) entries in
-      Orphanage.put t.orphans blocked;
-      List.map snd ready
 
 let eject ?(force = false) t ~pid =
   let q = t.retired.(pid) in
@@ -99,12 +99,10 @@ let eject ?(force = false) t ~pid =
   then begin
     let n = t.max_threads in
     let anns = Array.init n (fun i -> Padded.get t.ann i) in
-    let safe (birth, retired_at) =
-      Array.for_all (fun a -> a.e < birth || a.b > retired_at) anns
-    in
+    let safe (birth, retired_at) = disjoint anns birth retired_at (n - 1) in
     let max = if force then max_int else Knobs.batch_cap t.knobs in
     Obs.Scheme_metrics.on_eject om ~pid
-      (Retire_queue.filter_pop ~max q ~safe @ adopt_orphans t ~safe)
+      (Orphanage.adopt t.orphans ~safe (Retire_queue.filter_pop ~max q ~safe))
   end
   else []
 

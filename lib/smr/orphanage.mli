@@ -23,5 +23,11 @@ val take_all : 'meta t -> ('meta * Deferred.t) list
 (** Remove and return every pooled entry; the caller must either run
     or re-queue each one. *)
 
+val adopt : 'meta t -> safe:('meta -> bool) -> Deferred.t list -> Deferred.t list
+(** [adopt t ~safe ops] takes the pool, puts back the entries [safe]
+    rejects, and returns [ops] followed by the ready entries' ops: an
+    eject scan's adoption step. With nothing ready it returns [ops]
+    itself, uncopied. *)
+
 val size : 'meta t -> int
 (** Current pool size (diagnostics; racy under concurrency). *)

@@ -562,6 +562,43 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
         R.Awp.clear th wcell);
     R.Shared.drop th p
 
+  let no_op_destroy _th _v = ()
+
+  (* A managed object is flat: a heap block is one atomic word, a
+     control block carries no per-object closure and is its own
+     untagged slot, so a view of an owned pointer allocates nothing, and
+     an atomic pointer cell is its atomic alone. *)
+  let object_allocation_pinned () =
+    with_rt ~max_threads:1 @@ fun rt ->
+    let th = R.thread rt 0 in
+    let n = 1_000 in
+    let words f =
+      let w0 = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        f i
+      done;
+      (Gc.minor_words () -. w0) /. float n
+    in
+    let at_most what bound w =
+      let msg = Printf.sprintf "%s: %.2f words <= %d" what w bound in
+      Alcotest.(check bool) msg true (w <= float bound)
+    in
+    let heap = Simheap.create () in
+    let blocks = Array.make n (Simheap.alloc heap) in
+    at_most "Simheap.alloc" 2 (words (fun i -> blocks.(i) <- Simheap.alloc heap));
+    Array.iter Simheap.free blocks;
+    let ps = Array.make n (R.Shared.null ()) in
+    at_most "Shared.make ~destroy" 24
+      (words (fun i -> ps.(i) <- R.Shared.make th ~destroy:no_op_destroy i));
+    let views = Array.make n R.Ptr.null in
+    at_most "Shared.ptr" 0 (words (fun i -> views.(i) <- R.Shared.ptr ps.(i)));
+    at_most "Ptr.with_tag p 0" 0 (words (fun i -> views.(i) <- R.Ptr.with_tag views.(i) 0));
+    let cells = Array.make n (R.Asp.make_null ()) in
+    at_most "Asp.make_null" 2 (words (fun i -> cells.(i) <- R.Asp.make_null ()));
+    let wcells = Array.make n (R.Awp.make_null ()) in
+    at_most "Awp.make_null" 2 (words (fun i -> wcells.(i) <- R.Awp.make_null ()));
+    Array.iter (R.Shared.drop th) ps
+
   let snapshot_use_after_drop () =
     with_rt ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
@@ -751,6 +788,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       t "raising sections release snapshots" `Quick raising_sections_release_snapshots;
       t "critically rejects nesting" `Quick critically_rejects_nesting;
       t "snapshot allocation pinned" `Quick snapshot_allocation_pinned;
+      t "object allocation pinned" `Quick object_allocation_pinned;
       t "snapshot use after drop" `Quick snapshot_use_after_drop;
       t "strong cycle leaks" `Quick strong_cycle_leaks;
       t "weak edge breaks cycle" `Quick weak_backedge_breaks_cycle;

@@ -159,6 +159,32 @@ let test_slow_thread_stays_live () =
   Alcotest.(check bool) "never stalled" false (FP.stalled plan ~pid:0);
   Alcotest.(check bool) "reclamation kept up" true (!freed >= 99)
 
+(* A crash in [Shared.make]'s birth hook strikes before the heap
+   allocation, as in [Acquire_retire.alloc]: a make that crashes leaves
+   no block behind. Pid 0 crashes at its 3rd alloc and stays crashed;
+   pid 1 drops what was made. *)
+let test_make_crash_leaks_no_block () =
+  let plan = FP.create [ { FP.site = On_alloc; pid = Some 0; at = 3; action = Crash } ] in
+  let module FS =
+    Fault.Faulty_smr.Make
+      (Smr.Ebr)
+      (struct
+        let plan = plan
+      end)
+  in
+  let module R = Cdrc.Make (FS) in
+  let rt = R.create ~max_threads:2 () in
+  let made = ref [] and crashed = ref 0 in
+  for i = 1 to 5 do
+    match R.Shared.make (R.thread rt 0) i with
+    | p -> made := p :: !made
+    | exception FP.Crashed _ -> incr crashed
+  done;
+  Alcotest.(check (pair int int)) "made, crashed" (2, 3) (List.length !made, !crashed);
+  List.iter (R.Shared.drop (R.thread rt 1)) !made;
+  R.quiesce rt;
+  Alcotest.(check int) "no block live after quiesce" 0 (R.live_objects rt)
+
 (* --------------- stalled thread: bounded vs unbounded ------------- *)
 
 (* One thread (pid 0) stalls forever inside its first critical section;
@@ -381,6 +407,7 @@ let () =
             test_plan_slow_persists_and_heals;
           Alcotest.test_case "drop budget" `Quick test_plan_drop_budget;
           Alcotest.test_case "slow thread stays live" `Quick test_slow_thread_stays_live;
+          Alcotest.test_case "make crash leaks no block" `Quick test_make_crash_leaks_no_block;
         ] );
       ( "stalled-backlog",
         List.map

@@ -69,7 +69,44 @@ let test_parallel_accounting () =
   Alcotest.(check int) "allocated" (n * m) (Simheap.allocated h);
   Alcotest.(check int) "freed" (n * m) (Simheap.freed h);
   Alcotest.(check int) "live" 0 (Simheap.live h);
+  Alcotest.(check int) "allocated = freed + live" (Simheap.allocated h)
+    (Simheap.freed h + Simheap.live h);
   Alcotest.(check bool) "peak sane" true (Simheap.peak h >= 1 && Simheap.peak h <= n * m)
+
+(* N domains, released together, race to free the same blocks in the
+   same order: of the N frees of each block exactly one succeeds and
+   the rest raise [Double_free], and the accounting counts each block
+   freed once. *)
+let test_racing_free () =
+  let h = Simheap.create ~name:"race" () in
+  let n = 4 and m = 5_000 in
+  let blocks = Array.init m (fun _ -> Simheap.alloc h) in
+  let wins = Array.init m (fun _ -> Atomic.make 0) in
+  let ready = Atomic.make 0 in
+  let domains =
+    List.init n (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < n do
+              Domain.cpu_relax ()
+            done;
+            Array.iteri
+              (fun i b ->
+                match Simheap.free b with
+                | () -> Atomic.incr wins.(i)
+                | exception Simheap.Double_free _ -> ())
+              blocks))
+  in
+  List.iter Domain.join domains;
+  Alcotest.(check bool) "each block freed exactly once" true
+    (Array.for_all (fun w -> Atomic.get w = 1) wins);
+  Alcotest.(check bool) "every block dead" true
+    (Array.for_all (fun b -> not (Simheap.is_live b)) blocks);
+  Alcotest.(check int) "allocated" m (Simheap.allocated h);
+  Alcotest.(check int) "freed" m (Simheap.freed h);
+  Alcotest.(check int) "live" 0 (Simheap.live h);
+  Alcotest.(check int) "allocated = freed + live" (Simheap.allocated h)
+    (Simheap.freed h + Simheap.live h)
 
 let test_pp_stats () =
   let h = Simheap.create ~name:"pp" () in
@@ -93,5 +130,6 @@ let () =
         [
           Alcotest.test_case "double free" `Quick test_double_free_detected;
           Alcotest.test_case "use after free" `Quick test_use_after_free_detected;
+          Alcotest.test_case "racing free" `Quick test_racing_free;
         ] );
     ]

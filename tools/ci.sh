@@ -302,6 +302,30 @@ if not result["correct"]:
 sys.exit(1 if bad or not result["correct"] else 0)
 '
 
+echo "== flat objects (perfbench queue-weak, traced, 3s) =="
+# A managed object is a handful of blocks (DESIGN.md S1, S5): a heap
+# block is one atomic word, a control block carries no closure and is
+# its own untagged slot, and an atomic pointer cell is its atomic. Every queue
+# node outlives a minor GC, so its blocks are promoted: promoted words
+# per operation bound the object graph, minor words the allocation.
+# The counts repeat exactly for a seed (perfbench/test_determinism.ml).
+python3 perfbench/run.py --workload queue-weak --seed 7 --seconds 3 --trace 1 \
+  | tail -1 | python3 -c '
+import json, sys
+result = json.load(sys.stdin)
+metrics = result["metrics"]
+bounds = {"rcebr.gc.promoted_words_per_op": 36, "rchp.gc.promoted_words_per_op": 29,
+          "rcebr.gc.minor_words_per_op": 150, "rchp.gc.minor_words_per_op": 167}
+bad = [(k, metrics[k]["value"], b) for k, b in bounds.items() if metrics[k]["value"] > b]
+for k, b in bounds.items():
+    print("queue-weak %s = %.1f (bound %d)" % (k, metrics[k]["value"], b))
+for k, v, b in bad:
+    print("error: queue-weak %s = %.1f exceeds %d" % (k, v, b), file=sys.stderr)
+if not result["correct"]:
+    print("error: queue-weak returned a wrong result", file=sys.stderr)
+sys.exit(1 if bad or not result["correct"] else 0)
+'
+
 echo "== no committed result artifacts =="
 # Raw run output (traces, sweep logs, smoke summaries) is regenerable
 # and must not be versioned; the only committed perf artifacts are the
