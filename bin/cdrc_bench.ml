@@ -68,30 +68,16 @@ let row_cmd (r : Workload.Table.row) =
   let term = row_term ~schemes:r.selectable ~scale:figure ~adapt:figure ~repeats:r.repeats in
   Cmd.v (Cmd.info r.id ~doc:r.title) Term.(term $ const r)
 
-let out_arg default doc =
-  Arg.(value & opt (some string) default & info [ "o"; "out" ] ~docv:"FILE" ~doc)
-
-(* [--out ""] disables a results file; otherwise its directory is
-   created. *)
-let results_file = function
-  | None | Some "" -> None
-  | Some path ->
-      (try Unix.mkdir (Filename.dirname path) 0o755 with Unix.Unix_error _ -> ());
-      Some path
-
 let robustness_cmd =
-  let out_arg =
-    out_arg (Some "results/robustness.txt") "CSV output path (empty string disables)."
-  in
-  let run duration schemes out =
-    exit_with (Workload.Experiments.run_robustness ~duration ~schemes ?out:(results_file out) ())
+  let run duration schemes =
+    exit_with (Workload.Experiments.run_robustness ~duration ~schemes ())
   in
   Cmd.v
     (Cmd.info "robustness"
        ~doc:
          "Fault injection: garbage growth under one stalled thread, and recovery via \
-          abandon")
-    Term.(const run $ duration_arg $ schemes_arg $ out_arg)
+          abandon (exit 1 unless every scheme passes its check)")
+    Term.(const run $ duration_arg $ schemes_arg)
 
 let adaptivity_cmd =
   let iters_arg =
@@ -107,13 +93,7 @@ let adaptivity_cmd =
             "Backlog bound asserted for the controller-on run (and exceeded by the \
              fixed-knob run).")
   in
-  let out_arg =
-    out_arg (Some "results/adaptivity.txt")
-      "Results + decision-log output path (empty string disables)."
-  in
-  let run iters bound out =
-    exit_with (Workload.Experiments.run_adaptivity ~iters ~bound ?out:(results_file out) ())
-  in
+  let run iters bound = exit_with (Workload.Experiments.run_adaptivity ~iters ~bound ()) in
   Cmd.v
     (Cmd.info "adaptivity"
        ~doc:
@@ -121,10 +101,15 @@ let adaptivity_cmd =
           replays on an acquire-retire instance and on shard 0 of the KV service, \
           asserting the controller keeps EBR's garbage bounded where fixed knobs do not \
           (exit 1 on violation)")
-    Term.(const run $ iters_arg $ bound_arg $ out_arg)
+    Term.(const run $ iters_arg $ bound_arg)
 
 let perf_cmd =
-  let out_arg = out_arg None "Write the JSON summary to FILE (default: stdout)." in
+  let out_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the JSON summary to FILE (default: stdout).")
+  in
   let label_arg =
     Arg.(
       value & opt string "perf"
@@ -363,45 +348,27 @@ let chaos_cmd =
       & info [ "recovery-slo" ] ~docv:"STEPS"
           ~doc:"Max steps from a breaker trip to bounded backlog.")
   in
-  let validate_arg =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:
-            "Check the KV accounting identities at quiescence (with slack for requests \
-             aborted mid-flight by a crash).")
-  in
-  let run campaign seed steps shards victims breaker write_pct bound slo validate schemes
-      =
-    match Fault.Chaos.kind_of_string campaign with
+  let run campaign seed steps shards victims breaker write_pct bound slo schemes =
+    let spec kind =
+      {
+        Workload.Chaos_runner.default_spec with
+        ch_seed = seed;
+        ch_kind = kind;
+        ch_shards = shards;
+        ch_victims = Option.value victims ~default:shards;
+        ch_steps = steps;
+        ch_write_pct = write_pct;
+        ch_breaker = breaker;
+        ch_backlog_bound = bound;
+        ch_recovery_slo = slo;
+      }
+    in
+    let row k = Workload.Chaos_runner.row (spec k) in
+    match Result.bind (Fault.Chaos.kind_of_string campaign) row with
     | Error e ->
         prerr_endline e;
         exit 2
-    | Ok kind ->
-        let spec =
-          {
-            Workload.Chaos_runner.default_spec with
-            ch_seed = seed;
-            ch_kind = kind;
-            ch_shards = shards;
-            ch_victims = (match victims with Some v -> v | None -> shards);
-            ch_steps = steps;
-            ch_write_pct = write_pct;
-            ch_breaker = breaker;
-            ch_backlog_bound = bound;
-            ch_recovery_slo = slo;
-            ch_validate = validate;
-          }
-        in
-        let schemes =
-          match Workload.Chaos_runner.find_schemes schemes with
-          | Ok l -> l
-          | Error e ->
-              prerr_endline ("chaos: " ^ e);
-              exit 2
-        in
-        let ok, _ = Workload.Chaos_runner.run_all ~spec ~schemes () in
-        if not ok then exit 1
+    | Ok row -> exit_with (Workload.Table.run ~schemes row)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -410,10 +377,10 @@ let chaos_cmd =
           multi-shard fault schedules (stall storms, rolling crashes, crash-during-\
           eject, gray-failure slow shards) driven through deadlines, retries and \
           per-shard circuit breakers with abandon-based recovery drills; exits 1 if \
-          any safety or SLO oracle fails")
+          any safety or SLO oracle fails, 2 on an invalid campaign")
     Term.(
       const run $ campaign_arg $ seed_arg $ steps_arg $ shards_arg $ victims_arg
-      $ breaker_arg $ write_pct_arg $ bound_arg $ slo_arg $ validate_arg $ schemes_arg)
+      $ breaker_arg $ write_pct_arg $ bound_arg $ slo_arg $ schemes_arg)
 
 let explore_cmd =
   let target_arg =

@@ -3,18 +3,18 @@
 
    This module is pure schedule synthesis — it lives in lib/fault so it
    can only talk Fault_plan vocabulary and stays independent of the
-   serving layer; the driver that executes a campaign against a live
-   service is Workload.Chaos_runner. The two share a pid-layout
-   contract: shard [s] is served by the pid pool
+   serving layer; a campaign runs against a live service as a row of
+   Workload.Table, its kernel in Workload.Chaos_runner. The two share
+   a pid-layout contract: shard [s] is served by the pid pool
    [pid_of ~shard:s ~member:m] for [m < members], with [member 0] the
    designated fault victim and pid 0 reserved for the unfaulted
-   client/sampler. Restart generations allocated by the driver live
+   client/sampler. Restart generations allocated by the kernel live
    above [first_spare_pid].
 
    Same seed, same campaign: victim selection, fire points, stall
    durations and slow factors are all drawn from one [Repro_util.Rng]
    stream, so a failed campaign replays bit-identically from the
-   (seed, kind, shards, victims) tuple its driver prints. *)
+   (seed, kind, shards, victims) tuple its row prints. *)
 
 type kind =
   | Stall_storm  (** one member per victim shard stalls forever mid-operation *)
@@ -129,18 +129,3 @@ let describe spec =
       (Format.asprintf "%a" Fault_plan.pp_action r.action)
   in
   header :: List.map line (rules spec)
-
-(* ------------------------------- oracles -------------------------- *)
-
-(** One invariant verdict from a campaign run: safety (UAF/double-free
-    /leak freedom, accounting identities) or SLO (bounded garbage,
-    recovery latency). The driver fills these in; a campaign passes iff
-    every oracle holds. *)
-type oracle = { o_name : string; o_ok : bool; o_detail : string }
-
-let oracle ~name ~ok detail = { o_name = name; o_ok = ok; o_detail = detail }
-
-let pp_oracle ppf o =
-  Format.fprintf ppf "[%s] %-16s %s"
-    (if o.o_ok then "ok" else "FAIL")
-    o.o_name o.o_detail

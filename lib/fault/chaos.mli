@@ -1,11 +1,11 @@
 (** Deterministic chaos campaigns (DESIGN.md §13): seeded composition
     of {!Fault_plan} rules across the shards of the KV service.
 
-    Pure schedule synthesis — the executing driver is
-    [Workload.Chaos_runner]. A campaign is fully determined by its
-    {!spec}: the same (seed, kind, shards, victims) tuple always
-    compiles to the same rules, so any failing run replays
-    bit-identically from the schedule its driver prints
+    Pure schedule synthesis — a campaign runs as a row of
+    [Workload.Table], its kernel in [Workload.Chaos_runner]. A campaign
+    is fully determined by its {!spec}: the same (seed, kind, shards,
+    victims) tuple always compiles to the same rules, so any failing
+    run replays bit-identically from the schedule its row prints
     (see {!describe}). *)
 
 type kind =
@@ -48,10 +48,3 @@ val rules : spec -> Fault_plan.rule list
 val describe : spec -> string list
 (** Human-readable schedule (header + one line per rule) — what a
     driver prints so a failed campaign can be replayed. *)
-
-(** {2 Oracles} *)
-
-type oracle = { o_name : string; o_ok : bool; o_detail : string }
-
-val oracle : name:string -> ok:bool -> string -> oracle
-val pp_oracle : Format.formatter -> oracle -> unit

@@ -49,6 +49,10 @@ type config = {
   close_after : int;
 }
 
+val validate_config : config -> unit
+(** Raises [Invalid_argument] on non-positive thresholds, inverted
+    hysteresis, or [close_after] outside [1, probe_quota]. *)
+
 val init : state
 val state_name : state -> string
 
@@ -63,8 +67,7 @@ val tick : config -> state -> backlog:int -> p99:int option -> state * transitio
 type t
 
 val create : config:config -> shard:int -> t
-(** Raises [Invalid_argument] on non-positive thresholds, inverted
-    hysteresis, or [close_after] outside [1, probe_quota]. *)
+(** Raises [Invalid_argument] as {!validate_config} does. *)
 
 val admit_req : t -> pid:int -> kind -> decision
 val report_req : t -> pid:int -> ok:bool -> transition option

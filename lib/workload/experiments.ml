@@ -1,401 +1,249 @@
-(** The experiments that are not rows of the experiment table
-    ({!Table}): fault-injection robustness, controller adaptivity on
-    its two targets and the controller's reaction probe, plus [stats],
-    which runs a table row (or robustness, or a chaos campaign) with
-    telemetry on. DESIGN.md §4 carries the full index;
-    EXPERIMENTS.md records paper-vs-measured outcomes. *)
+(** The fault rows of the experiment table ({!Table}) — robustness and
+    controller adaptivity; chaos campaigns are {!Chaos_runner}'s — the
+    controller's reaction probe, and [stats], which runs a row with
+    telemetry on. DESIGN.md §4 carries the full index; EXPERIMENTS.md
+    records paper-vs-measured outcomes. *)
 
 (* ---------------- robustness (fault injection) ---------------- *)
 
 (* The paper's §2/§5.2 robustness claim, machine-checked: stall one
    thread inside its critical section and watch each scheme's garbage.
-   EBR's backlog grows without bound (the stalled section pins the
-   epoch frontier); HP/IBR/HE cap it per stalled thread; and reaping
-   the stalled thread with [abandon] restores reclamation everywhere.
-   Workers run a Treiber push/pop loop — the smallest real SMR
-   consumer — under a [Fault.Faulty_smr] wrapper, so the stall is
-   injected by a deterministic plan rather than scripted by hand. *)
-
-type robustness_result = {
-  rb_scheme : string;
-  rb_curve : (float * int) list; (* (seconds, live blocks) samples *)
-  rb_peak_stalled : int; (* peak live blocks while the victim stalled *)
-  rb_live_at_abandon : int;
-  rb_live_end : int; (* live blocks once survivors drained post-abandon *)
-  rb_leaked : int; (* after teardown *)
-  rb_watchdog_fired : float option; (* seconds at which Stuck was reported *)
-  rb_events : Fault.Fault_plan.event list;
-  rb_errors : Harness.errors;
-}
-
-let pp_robustness_result ppf r =
-  Format.fprintf ppf
-    "%-8s peak(stalled)=%-8d live@abandon=%-8d live@end=%-8d leaked=%-4d watchdog=%s"
-    r.rb_scheme r.rb_peak_stalled r.rb_live_at_abandon r.rb_live_end r.rb_leaked
-    (match r.rb_watchdog_fired with
-    | Some s -> Printf.sprintf "stuck@%.2fs" s
-    | None -> "quiet")
+   EBR's and Hyaline's grow without bound (the stalled section pins the
+   reclamation frontier), the robust schemes cap it per stalled thread,
+   and reaping the stalled thread with [abandon] restores reclamation
+   everywhere. Workers push and pop a Treiber stack — the smallest real
+   SMR consumer — over a scheme injecting from the row's plan: pid 1
+   stalls forever at its 21st section entry, and at half the run the
+   runner's recovery abandons every stalled worker. *)
 
 (* Every manual scheme but the leak-everything baseline, whose garbage
    grows with or without a stall. *)
 let robustness_schemes = List.filter (fun (name, _) -> name <> "None") Instances.named_schemes
+let robust_peak_bound = 1024
 
-let run_robustness_one ?(duration = 1.0) ?(seed = 42) (module S : Smr.Smr_intf.S) =
-  let workers = 3 in
-  let victim = 1 in
-  (* Stall the victim forever at its 21st critical-section entry; the
-     plan is the only thing that distinguishes this run from a healthy
-     one. *)
-  let plan =
-    Fault.Fault_plan.create
-      [ { site = On_begin_cs; pid = Some victim; at = 21; action = Stall 0 } ]
-  in
-  let module FS =
-    Fault.Faulty_smr.Make
-      (S)
-      (struct
-        let plan = plan
-      end)
-  in
-  let module St = Ds.Treiber_stack_manual.Make (FS) in
-  let st = St.create ~max_threads:(workers + 1) () in
-  let worker pid continue =
-    let c = St.ctx st pid in
-    let rng = Repro_util.Rng.create ~seed:(seed + (pid * 7919)) in
-    let n = ref 0 in
-    while continue !n do
-      if Fault.Fault_plan.stalled plan ~pid then
-        (* Parked: the thread is "preempted" holding its protection. *)
-        Unix.sleepf 0.001
-      else begin
-        St.push c (Repro_util.Rng.int rng 1000);
-        ignore (St.pop c);
-        n := !n + 2
-      end
-    done;
-    if not (Fault.Fault_plan.stalled plan ~pid) then St.flush c
-  in
-  let watchdog_fired = ref None in
-  let curve = ref [] in
-  let peak_stalled = ref 0 in
-  let live_at_abandon = ref 0 in
-  let abandoned = ref false in
-  let abandon_at = duration /. 2. in
-  let sample ~elapsed:now ~ops:_ =
-    let live = St.live_objects st in
-    curve := (now, live) :: !curve;
-    if not !abandoned then begin
-      peak_stalled := max !peak_stalled live;
-      if St.stalled st && !watchdog_fired = None then watchdog_fired := Some now;
-      if now >= abandon_at then begin
-        (* Recovery: reap the stalled thread on its behalf. *)
-        live_at_abandon := live;
-        St.abandon st ~pid:victim;
-        abandoned := true
-      end
-    end
-  in
-  let h =
-    Harness.run ~name:(S.name ^ "/robustness") ~threads:workers ~duration
-      ~sample:(0.002, sample) worker
-  in
-  let live_end = St.live_objects st in
-  St.teardown st;
-  {
-    rb_scheme = S.name;
-    rb_curve = List.rev !curve;
-    rb_peak_stalled = !peak_stalled;
-    rb_live_at_abandon = !live_at_abandon;
-    rb_live_end = live_end;
-    rb_leaked = St.live_objects st;
-    rb_watchdog_fired = !watchdog_fired;
-    rb_events = Fault.Fault_plan.trace plan;
-    rb_errors = h.errors;
-  }
+let robustness_instance ((name, scheme) : string * (module Smr.Smr_intf.S)) : Table.instance =
+  ( name,
+    fun s ->
+      let module St = Ds.Treiber_stack_manual.Make ((val Table.faulty scheme s.plan)) in
+      let st = St.create ~max_threads:(s.threads + 1) () in
+      let robust = List.mem name Instances.robust_schemes in
+      let recovered = ref false and peak = ref 0 and at_abandon = ref 0 and at_end = ref 0 in
+      let live () =
+        let n = St.live_objects st in
+        if not !recovered then peak := max !peak n;
+        n
+      in
+      let check () =
+        at_end := St.live_objects st;
+        Table.violations
+          [
+            (Fault.Fault_plan.trace s.plan <> [], "the stall never fired");
+            (!recovered, "the stalled thread was never abandoned");
+            ( (not robust) || !peak <= robust_peak_bound,
+              Printf.sprintf "peak live blocks while stalled %d > %d" !peak robust_peak_bound );
+            ( robust || !at_end < !at_abandon,
+              Printf.sprintf "live blocks at the end %d not below %d at abandon" !at_end
+                !at_abandon );
+          ]
+      in
+      Table.probe ~check ~live
+        ~stalled:(fun () -> St.stalled st)
+        ~recover:(fun () ->
+          at_abandon := St.live_objects st;
+          recovered := true;
+          for pid = 1 to s.threads do
+            if Fault.Fault_plan.stalled s.plan ~pid then St.abandon st ~pid
+          done)
+        ~columns:(fun () ->
+          [ ("stalled_peak", !peak); ("abandon_live", !at_abandon); ("end_live", !at_end) ])
+        ~backlog:(fun () -> St.retired_backlog st)
+        ~teardown:(fun () -> St.teardown st)
+        (fun pid continue ->
+          let c = St.ctx st pid in
+          let rng = Repro_util.Rng.create ~seed:(42 + (pid * 7919)) in
+          let stalled () = Fault.Fault_plan.stalled s.plan ~pid in
+          (* A parked thread is "preempted" holding its protection. *)
+          Table.batches ~iters:1 ~ops:2 continue (fun _ ->
+              if stalled () then Unix.sleepf 0.001
+              else begin
+                St.push c (Repro_util.Rng.int rng 1000);
+                ignore (St.pop c)
+              end);
+          if not (stalled ()) then St.flush c) )
 
-let run_robustness ?(duration = 1.0) ?(schemes = []) ?(seed = 42) ?out () =
-  Table.with_selection "robustness"
-    (Instances.select ~find:(Instances.find_named fst robustness_schemes) robustness_schemes
-       schemes)
-  @@ fun picked ->
-  Format.printf
-    "@.== Robustness: one stalled thread, garbage growth and recovery by abandon \
-     ==@.expected: EBR backlog grows unboundedly while stalled (watchdog trips); \
-     HP/IBR/HE stay bounded; abandon restores leak-free reclamation everywhere@.@.";
-  let results = List.map (fun (_, s) -> run_robustness_one ~duration ~seed s) picked in
-  List.iter
-    (fun r ->
-      Format.printf "%a@." pp_robustness_result r;
-      List.iter (fun e -> Format.printf "    [fault] %a@." Fault.Fault_plan.pp_event e) r.rb_events)
-    results;
-  Format.printf "@.";
-  (match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      let ppf = Format.formatter_of_out_channel oc in
-      Format.fprintf ppf "# robustness: stalled thread at op 21, abandon at %.2fs, seed %d@."
-        (duration /. 2.) seed;
-      Format.fprintf ppf "# scheme,time_s,live_blocks@.";
-      List.iter
-        (fun r ->
-          List.iter
-            (fun (t, live) -> Format.fprintf ppf "%s,%.4f,%d@." r.rb_scheme t live)
-            r.rb_curve;
-          Format.fprintf ppf "# %a@." pp_robustness_result r)
-        results;
-      Format.pp_print_flush ppf ();
-      close_out oc;
-      Format.printf "curves written to %s@.@." path);
-  Harness.status (List.map (fun r -> (r.rb_scheme ^ "/robustness", r.rb_errors)) results)
+let robustness_row ?(schemes = robustness_schemes) () =
+  Table.row ~id:"robustness" ~selectable:true
+    ~title:"Robustness: one stalled thread, garbage growth and recovery by abandon"
+    ~expected:
+      (Printf.sprintf
+         "EBR and Hyaline grow without bound while stalled (EBR's watchdog trips); %s stay \
+          under %d live blocks; abandon at half the run brings EBR and Hyaline back down; \
+          nothing leaks"
+         (String.concat "/" Instances.robust_schemes)
+         robust_peak_bound)
+    ~needs:Table.[ Key "fault.fired"; Prefix "smr."; Prefix "ar." ]
+    (* The victim and two workers that make garbage, whatever
+       --threads says: a lone victim shows nothing. *)
+    ~axis:(Workers 3)
+    ~faults:[ { site = On_begin_cs; pid = Some 1; at = 21; action = Stall 0 } ]
+    "robustness"
+    (List.map robustness_instance schemes)
+
+let run_robustness ?(duration = 1.0) ?(schemes = []) () =
+  if duration > 0. then Table.run ~duration ~schemes (robustness_row ())
+  else begin
+    Format.eprintf "robustness: --duration must be positive@.";
+    2
+  end
 
 (* ---------------- adaptivity (controller vs fixed knobs) ---------------- *)
 
-(* The tentpole claim of the adaptive controller, machine-checked on
-   two targets of one stalled-victim replay. A fault plan stalls a
-   victim inside a critical section forever, pinning EBR's epoch
-   frontier. With fixed knobs the healthy worker's garbage grows
-   without bound — every scan is futile and no human calls [abandon].
-   With the controller on, the watchdog's Stuck verdicts feed the
-   stall-response policy, which backs off the futile scans and, after
-   the grace period, escalates to the abandon/orphanage-adoption path;
-   the backlog then drains and stays bounded.
+(* The adaptive controller's claim, machine-checked on two targets. A
+   fault plan stalls a victim inside a critical section forever,
+   pinning EBR's epoch frontier. With fixed knobs the healthy worker's
+   garbage grows without bound: every scan is futile and nobody calls
+   [abandon]. With the controller on, the watchdog's Stuck verdicts
+   feed the stall-response policy, which backs off the futile scans
+   and, after the grace period, escalates to the kernel's recovery
+   (abandon and orphanage adoption); the backlog then drains.
 
-   - [Ebr]: an acquire–retire instance; the victim (pid 0) stalls at
-     its first section entry, before the first iteration, and pid 1
-     churns alloc/retire/eject.
-   - [Kv]: shard 0 of a 2-shard KV service; the victim (pid 1) puts
-     until the plan stalls it at its 8th shard-0 section entry, while
-     pid 2 overwrites a hot set of 8 shard-0 keys, so every put retires
-     a box into the pinned runtime. Escalation calls
-     {!Kv_intf.S.abandon_shard}.
+   - [adaptivity]: an acquire–retire instance; the victim (pid 0)
+     stalls at its first section entry and pid 1 churns
+     alloc/retire/eject.
+   - [adaptivity-kv]: shard 0 of a 2-shard KV service; the victim (pid
+     1) puts until its 8th shard-0 section entry stalls it, while pid 2
+     overwrites 8 hot shard-0 keys, retiring a box into the pinned
+     runtime on every put. Recovery is {!Kv_intf.S.abandon_shard}.
 
-   Unlike [run_robustness], this is a {e single-domain} deterministic
-   replay — a scripted churn loop with no worker domains, no wall clock,
-   and no randomness — so the controller's decision log is a pure
-   function of the iteration count and replays bit-identically
-   (test/test_adapt.ml runs each target twice and pins its log). *)
+   Each row is stepped, one churn iteration a step and a controller
+   tick every 32, so its decision log replays bit-identically
+   (test/test_adapt.ml pins it). A controller-on cell passes iff its
+   peak backlog stays within the bound, a fixed-knob cell iff its end
+   backlog exceeds it; the fixed-knob cell reaps the victim before
+   teardown, and neither may leak. *)
 
-type target = Ebr | Kv
-
-(* One target, set up and ready to churn. *)
-type replay = {
-  label : string;
-  churn : int -> unit; (* iteration [i] *)
-  backlog : unit -> int;
-  stuck : unit -> bool; (* the watchdog's verdict *)
-  control : Smr.Knobs.handle list;
-  abandon : unit -> unit; (* reap the victim *)
-  fired : (unit -> bool) option; (* did the plan stall the victim? [None]: at setup *)
-  finish : unit -> int; (* drain and tear down; the live blocks left *)
-}
-
-(* epoch_freq/cleanup_freq 1: the scheme is maximally eager, so any
-   unbounded growth is the stall's fault, not the tuning's. *)
-let replay target =
-  let plan =
-    let pid, at = match target with Ebr -> (0, 1) | Kv -> (1, 8) in
-    Fault.Fault_plan.create [ { site = On_begin_cs; pid = Some pid; at; action = Stall 0 } ]
+(* A target's probe: a stepped worker running [churn], the recovery
+   [abandon] and the checks; [fired]: did the plan stall the victim
+   ([None]: at setup). epoch_freq/cleanup_freq 1 make the scheme
+   maximally eager, so any unbounded growth is the stall's fault. *)
+let stalled_victim ~bound (s : Table.setup) ~churn ~abandon ?fired ~control ~stalled ~live
+    ~backlog ~teardown () =
+  let step = ref 0 and peak = ref 0 and end_backlog = ref 0 and escalated = ref None in
+  let check () =
+    end_backlog := backlog ();
+    Table.violations
+      [
+        ( (not s.adapt) || !peak <= bound,
+          Printf.sprintf "controller-on peak backlog %d > %d" !peak bound );
+        ( s.adapt || !end_backlog > bound,
+          Printf.sprintf "fixed-knob end backlog %d <= %d" !end_backlog bound );
+        (Option.fold ~none:true ~some:(fun f -> f ()) fired, "the fault never fired");
+      ]
   in
-  let module FS =
-    Fault.Faulty_smr.Make
-      (Smr.Ebr)
-      (struct
-        let plan = plan
-      end)
-  in
-  match target with
-  | Ebr ->
+  let column name = Option.map (fun v -> (name, v)) in
+  Table.probe ~control ~stalled ~live ~backlog ~check
+    ~recover:(fun () ->
+      escalated := Some !step;
+      abandon ())
+    ~columns:(fun () ->
+      [ ("peak_backlog", !peak); ("end_backlog", !end_backlog) ]
+      @ Option.to_list (column "escalated" !escalated)
+      @ Option.to_list (column "fired" (Option.map (fun f -> Bool.to_int (f ())) fired)))
+    ~teardown:(fun () ->
+      if !escalated = None then abandon ();
+      teardown ())
+    (fun _ ->
+      Table.each_step (fun i ->
+          step := i;
+          churn i;
+          peak := max !peak (backlog ())))
+
+let ebr_target ~bound : Table.instance =
+  ( Smr.Ebr.name,
+    fun s ->
+      let module FS = (val Table.faulty (module Smr.Ebr) s.plan) in
       let module Ar = Acquire_retire.Make (FS) in
       let ar = Ar.create ~epoch_freq:1 ~cleanup_freq:1 ~max_threads:2 () in
       (* The victim enters and never leaves. *)
       Ar.begin_critical_section ar ~pid:0;
       (* A tighter slack than the instance's own watchdog: this backlog
-         grows by one entry per iteration. *)
+         grows by one entry per step. *)
       let wd = Obs.Watchdog.create ~slack:64 ~scheme:FS.name () in
-      {
-        label = Smr.Ebr.name;
-        churn =
-          (fun i ->
-            Ar.begin_critical_section ar ~pid:1;
-            let m = Ar.alloc ar ~pid:1 i in
-            Ar.retire_free ar ~pid:1 m;
-            Ar.end_critical_section ar ~pid:1;
-            Ar.eject ar ~pid:1);
-        backlog = (fun () -> Ar.total_pending ar);
-        stuck =
-          (fun () ->
-            match FS.reclamation_frontier ar.Ar.smr with
-            | None -> false
-            | Some frontier ->
-                Obs.Watchdog.check wd ~pid:0 ~frontier ~pending:(Ar.total_pending ar)
-                <> Obs.Watchdog.Progressing);
-        control = [ Ar.handle ar ];
-        abandon = (fun () -> Ar.abandon ar ~pid:0);
-        fired = None;
-        finish =
-          (fun () ->
-            Ar.flush ar ~pid:1;
-            Ar.quiesce ar;
-            Simheap.live (Ar.heap ar));
-      }
-  | Kv ->
-      let module K = Kv_service.Make (Cdrc.Make (FS)) in
+      let backlog () = Ar.total_pending ar in
+      stalled_victim ~bound s
+        ~churn:(fun i ->
+          Ar.begin_critical_section ar ~pid:1;
+          Ar.retire_free ar ~pid:1 (Ar.alloc ar ~pid:1 i);
+          Ar.end_critical_section ar ~pid:1;
+          Ar.eject ar ~pid:1)
+        ~abandon:(fun () -> Ar.abandon ar ~pid:0)
+        ~backlog ~control:[ Ar.handle ar ]
+        ~stalled:(fun () ->
+          match FS.reclamation_frontier ar.Ar.smr with
+          | None -> false
+          | Some frontier ->
+              Obs.Watchdog.check wd ~pid:0 ~frontier ~pending:(backlog ())
+              <> Obs.Watchdog.Progressing)
+        ~live:(fun () -> Simheap.live (Ar.heap ar))
+        ~teardown:(fun () ->
+          Ar.flush ar ~pid:1;
+          Ar.quiesce ar)
+        () )
+
+let kv_target ~bound : Table.instance =
+  ( Smr.Ebr.name,
+    fun s ->
+      let module K = Kv_service.Make (Cdrc.Make ((val Table.faulty (module Smr.Ebr) s.plan))) in
       let t = K.create ~shards:2 ~buckets:32 ~epoch_freq:1 ~max_threads:3 () in
-      let victim = K.ctx t 1 in
-      let healthy = K.ctx t 2 in
+      let victim = K.ctx t 1 and healthy = K.ctx t 2 in
       let shard0 =
         Array.of_list (List.filter (fun k -> K.shard_of_key t k = 0) (List.init 4096 Fun.id))
       in
       let key i = shard0.(i mod Array.length shard0) in
-      {
-        label = "kv-EBR";
-        churn =
-          (fun i ->
-            (* A stalled victim is parked: the wrapper froze its
-               protection mid-operation. *)
-            if not (Fault.Fault_plan.stalled plan ~pid:1) then
-              ignore (K.put victim ~now:i (key i) i);
-            ignore (K.put healthy ~now:i (key (i mod 8)) i));
-        backlog = (fun () -> K.shard_backlog t ~shard:0);
-        stuck = (fun () -> K.stalled t);
-        control = K.shard_control t ~shard:0;
-        abandon = (fun () -> K.abandon_shard t ~shard:0 ~pid:1);
-        fired = Some (fun () -> Fault.Fault_plan.stalled plan ~pid:1);
-        finish =
-          (fun () ->
-            K.flush healthy;
-            K.teardown t;
-            K.live_objects t);
-      }
+      let fired () = Fault.Fault_plan.stalled s.plan ~pid:1 in
+      stalled_victim ~bound s ~fired
+        ~churn:(fun i ->
+          (* A stalled victim is parked: the wrapper froze its
+             protection mid-operation. *)
+          if not (fired ()) then ignore (K.put victim ~now:i (key i) i);
+          ignore (K.put healthy ~now:i (key (i mod 8)) i))
+        ~abandon:(fun () -> K.abandon_shard t ~shard:0 ~pid:1)
+        ~control:(K.shard_control t ~shard:0)
+        ~stalled:(fun () -> K.stalled t)
+        ~live:(fun () -> K.live_objects t)
+        ~backlog:(fun () -> K.shard_backlog t ~shard:0)
+        ~teardown:(fun () ->
+          K.flush healthy;
+          K.teardown t)
+        () )
 
-type adaptivity_result = {
-  ad_scheme : string;
-  ad_adapt : bool;
-  ad_iters : int;
-  ad_peak_backlog : int; (* max retired-but-unreclaimed entries seen *)
-  ad_end_backlog : int; (* backlog after the last iteration *)
-  ad_escalated_at : int option; (* iteration of the abandon escalation *)
-  ad_fired : bool option; (* the replay's [fired] *)
-  ad_leaked : int; (* live blocks after teardown; 0 = leak-free *)
-  ad_decisions : string list;
-}
-
-let pp_adaptivity_result ppf r =
-  Format.fprintf ppf
-    "%-8s adapt=%-5b iters=%-6d peak_backlog=%-6d end_backlog=%-6d escalate=%s%s leaked=%d \
-     decisions=%d"
-    r.ad_scheme r.ad_adapt r.ad_iters r.ad_peak_backlog r.ad_end_backlog
-    (match r.ad_escalated_at with Some i -> Printf.sprintf "@%d" i | None -> "never")
-    (match r.ad_fired with
-    | None -> ""
-    | Some f -> if f then " fault=fired" else " fault=NOT-FIRED")
-    r.ad_leaked (List.length r.ad_decisions)
-
-(* One deterministic run: [iters] churn iterations; a controller tick
-   every [check_every] iterations. *)
-let run_adaptivity_one ?(iters = 2000) ?(check_every = 32) ~adapt target =
-  let r = replay target in
-  let escalated_at = ref None in
-  let iter = ref 0 in
-  let ctl =
-    if adapt then
-      Some
-        (Adapt.Controller.create
-           ~on_escalate:(fun () ->
-             escalated_at := Some !iter;
-             r.abandon ())
-           r.control)
-    else None
+(* Each target with the controller off, then on. *)
+let adaptivity_rows ?(iters = 2000) ?(bound = 512) () =
+  let row ~id ~title ~expected ~victim ~at structure target =
+    Table.row ~id ~title ~expected:(Printf.sprintf "%s %d" expected bound)
+      ~axis:Adapt
+      ~faults:[ { site = On_begin_cs; pid = Some victim; at; action = Stall 0 } ]
+      ~length:(Steps { steps = iters; every = 32 })
+      structure [ target ~bound ]
   in
-  let peak = ref 0 in
-  for i = 1 to iters do
-    iter := i;
-    r.churn i;
-    peak := max !peak (r.backlog ());
-    if i mod check_every = 0 then
-      Option.iter
-        (fun c ->
-          let stalled = r.stuck () in
-          ignore
-            (Adapt.Controller.observe c
-               { Adapt.Controller.backlog = r.backlog (); p99 = None; stalled }))
-        ctl
-  done;
-  let end_backlog = r.backlog () in
-  (* Reap the victim if the controller never did: the run must be
-     leak-free either way. *)
-  if !escalated_at = None then r.abandon ();
-  let leaked = r.finish () in
-  {
-    ad_scheme = r.label;
-    ad_adapt = adapt;
-    ad_iters = iters;
-    ad_peak_backlog = !peak;
-    ad_end_backlog = end_backlog;
-    ad_escalated_at = !escalated_at;
-    ad_fired = Option.map (fun f -> f ()) r.fired;
-    ad_leaked = leaked;
-    ad_decisions = (match ctl with None -> [] | Some c -> Adapt.Controller.decisions c);
-  }
-
-(* Each target's title and expected result. *)
-let adaptivity_header = function
-  | Ebr ->
-      ( "Adaptivity: stalled domain, controller vs fixed knobs (EBR)",
+  [
+    row ~id:"adaptivity" ~victim:0 ~at:1 "ar" ebr_target
+      ~title:"Adaptivity: stalled domain, fixed knobs vs controller (EBR)"
+      ~expected:
         "fixed-knob EBR backlog grows without bound behind the pinned frontier; the \
          controller backs off scans, escalates to abandon after the grace period, and keeps \
-         the backlog under" )
-  | Kv ->
-      ( "KV stalled shard: victim pinned in a shard-0 critical section (EBR)",
+         the backlog under";
+    row ~id:"adaptivity-kv" ~victim:1 ~at:8 "kv" kv_target
+      ~title:"KV stalled shard: victim pinned in a shard-0 critical section (EBR)"
+      ~expected:
         "fixed-knob backlog grows behind the pinned frontier; the controller escalates to \
-         abandon_shard and keeps the peak under" )
+         abandon_shard and keeps the peak under";
+  ]
 
-(* Controller-on vs fixed knobs on each target. A target passes iff
-   the controller kept the peak backlog at or under [bound] while the
-   fixed-knob run ended above it, both leak-free and with the fault
-   fired; the exit status is 1 unless both pass — the CI smoke's
+(* Exit 1 unless every cell of both rows passes: the CI smoke's
    assertion. *)
-let run_adaptivity ?(iters = 2000) ?(bound = 512) ?out () =
-  let runs =
-    List.map
-      (fun target ->
-        let title, expected = adaptivity_header target in
-        Format.printf "@.== %s ==@.expected: %s %d@.@." title expected bound;
-        let on = run_adaptivity_one ~iters ~adapt:true target in
-        let off = run_adaptivity_one ~iters ~adapt:false target in
-        Format.printf "%a@.%a@." pp_adaptivity_result on pp_adaptivity_result off;
-        Format.printf "@.controller decisions:@.";
-        List.iter (fun d -> Format.printf "    [adapt] %s@." d) on.ad_decisions;
-        let fired r = r.ad_fired <> Some false in
-        let ok =
-          on.ad_peak_backlog <= bound && off.ad_end_backlog > bound
-          && on.ad_leaked = 0 && off.ad_leaked = 0 && fired on && fired off
-        in
-        Format.printf "@.bound=%d controller-on peak=%d (%s) fixed-knob end=%d (%s)@.@." bound
-          on.ad_peak_backlog
-          (if on.ad_peak_backlog <= bound then "bounded" else "VIOLATED")
-          off.ad_end_backlog
-          (if off.ad_end_backlog > bound then "unbounded as expected" else "UNEXPECTEDLY BOUNDED");
-        (ok, on, off))
-      [ Ebr; Kv ]
-  in
-  (match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      let ppf = Format.formatter_of_out_channel oc in
-      Format.fprintf ppf "# adaptivity: stalled victim, EBR, iters=%d bound=%d@." iters bound;
-      List.iter
-        (fun (_, on, off) ->
-          Format.fprintf ppf "%a@.%a@.# controller decision log@." pp_adaptivity_result on
-            pp_adaptivity_result off;
-          List.iter (fun d -> Format.fprintf ppf "%s@." d) on.ad_decisions)
-        runs;
-      Format.pp_print_flush ppf ();
-      close_out oc;
-      Format.printf "results written to %s@.@." path);
-  if List.for_all (fun (ok, _, _) -> ok) runs then 0 else 1
+let run_adaptivity ?iters ?bound () =
+  List.fold_left (fun status r -> max status (Table.run r)) 0 (adaptivity_rows ?iters ?bound ())
 
 (* Controller reaction latency to a workload phase shift: how fast
    adaptation reacts, not just whether it eventually bounds the
@@ -561,26 +409,23 @@ let instrumented ~json ~check exp needs run =
     end;
     if not check then status
     else begin
-      let failures = ref [] in
-      (match Obs.Report.validate_jsonl_file trace_path with
-      | Ok 0 -> failures := Printf.sprintf "%s: empty trace" trace_path :: !failures
-      | Ok _ -> ()
-      | Error e -> failures := Printf.sprintf "%s: %s" trace_path e :: !failures);
       let counters, _ = Obs.Metrics.dump () in
-      let nonzero_key k = List.exists (fun (n, v) -> n = k && v > 0) counters in
-      let nonzero_prefix p =
-        List.exists (fun (n, v) -> v > 0 && String.starts_with ~prefix:p n) counters
+      let nonzero named = List.exists (fun (n, v) -> v > 0 && named n) counters in
+      let failures =
+        (match Obs.Report.validate_jsonl_file trace_path with
+        | Ok 0 -> [ trace_path ^ ": empty trace" ]
+        | Ok _ -> []
+        | Error e -> [ trace_path ^ ": " ^ e ])
+        @ Table.violations
+            (List.map
+               (function
+                 | Table.Key k -> (nonzero (String.equal k), "missing counter " ^ k)
+                 | Table.Prefix p ->
+                     ( nonzero (String.starts_with ~prefix:p),
+                       "missing a nonzero counter under " ^ p ))
+               needs)
       in
-      List.iter
-        (fun r ->
-          let ok, what =
-            match r with
-            | Table.Key k -> (nonzero_key k, "counter " ^ k)
-            | Table.Prefix p -> (nonzero_prefix p, "a nonzero counter under " ^ p)
-          in
-          if not ok then failures := ("missing " ^ what) :: !failures)
-        needs;
-      match List.rev !failures with
+      match failures with
       | [] ->
           Format.eprintf "stats --check: OK (trace parses; required metrics present)@.";
           status
@@ -590,39 +435,25 @@ let instrumented ~json ~check exp needs run =
     end
   end
 
-(** Run one experiment with telemetry enabled, export the event trace
-    to [results/trace-<exp>.jsonl], and report the metric registry.
-    Returns a process exit code: 0 on success, 1 if a worker died or
-    [--check] failed, 2 for an unknown experiment id or scheme. *)
+(** Run one row with telemetry enabled, export the event trace to
+    [results/trace-<exp>.jsonl], and report the metric registry. The
+    experiments are the figure rows, robustness, and one mixed chaos
+    campaign with the breaker on and a deliberately tight deadline,
+    which makes the retry/shed paths fire so its requirements are
+    discriminating. The adaptivity rows are not: telemetry feeds their
+    controller a latency signal, so it would measure another
+    controller. Returns a process exit code: 0 on success, 1 if a cell
+    failed or [--check] did, 2 for an unknown experiment id or
+    scheme. *)
 let run_stats ?(threads = [ 2 ]) ?(duration = 0.3) ?(schemes = []) ?(scale = 1)
     ?(json = false) ?(check = false) exp =
-  (* Every figure row of the table, robustness and one chaos campaign,
-     each with the counters a telemetry-enabled run of it must have
-     made nonzero, assuming the default (all-schemes) instance list. *)
-  let experiments =
-    List.map
-      (fun (r : Table.row) ->
-        (r.id, (r.needs, fun () -> Table.run ~threads ~duration ~schemes ~scale r)))
-      Table.figures
-    @ [
-        ( "robustness",
-          ( Table.[ Key "fault.fired"; Prefix "smr."; Prefix "ar." ],
-            fun () -> run_robustness ~duration ~schemes () ) );
-        ( "chaos",
-          ( Table.[ Prefix "kv.breaker."; Key "kv.retry"; Key "kv.shed" ],
-            (* One mixed campaign with the breaker on; a deliberately
-               tight deadline makes sure the retry/shed paths fire, so
-               the requirements are discriminating. *)
-            fun () ->
-              Table.with_selection "chaos" (Chaos_runner.find_schemes schemes) @@ fun cschemes ->
-              let spec = { Chaos_runner.default_spec with Chaos_runner.ch_deadline = 12 } in
-              ignore (Chaos_runner.run_all ~spec ~schemes:cschemes ());
-              0 ) );
-      ]
-  in
-  match List.assoc_opt exp experiments with
+  let chaos = Chaos_runner.row { Chaos_runner.default_spec with ch_deadline = 12 } in
+  let rows = Table.figures @ [ robustness_row (); Result.get_ok chaos ] in
+  match List.find_opt (fun (r : Table.row) -> r.id = exp) rows with
   | None ->
       Format.eprintf "stats: unknown experiment %S (expected one of: %s)@." exp
-        (String.concat ", " (List.map fst experiments));
+        (String.concat ", " (List.map (fun (r : Table.row) -> r.id) rows));
       2
-  | Some (needs, run) -> instrumented ~json ~check exp needs run
+  | Some r ->
+      instrumented ~json ~check exp r.needs (fun () ->
+          Table.run ~threads ~duration ~schemes ~scale r)

@@ -1,4 +1,4 @@
-(* The one timed multi-domain measurement loop; see harness.mli. *)
+(* The one measurement loop, timed or stepped; see harness.mli. *)
 
 type errors = (string * int) list
 
@@ -16,6 +16,23 @@ let tally kinds =
 let count errors kind = Option.value ~default:0 (List.assoc_opt kind errors)
 let total errors = List.fold_left (fun acc (_, n) -> acc + n) 0 errors
 
+(* Run [worker pid continue]; a death is printed under [name] and
+   returned by kind. *)
+let attempt ~name worker pid continue =
+  match worker pid continue with
+  | () -> None
+  | exception e ->
+      Printf.eprintf "[%s] worker %d died: %s\n%!" name pid (Printexc.to_string e);
+      Some (kind_of_exn e)
+
+let result ~ops ~elapsed deaths =
+  {
+    ops;
+    elapsed;
+    mops = Repro_util.Stats.throughput_mops ~ops ~seconds:elapsed;
+    errors = tally (List.filter_map Fun.id deaths);
+  }
+
 let run ~name ~threads ~duration ?sample worker =
   let stop = Atomic.make false in
   (* Slot [pid - 1] holds the op count worker [pid] last reported;
@@ -27,10 +44,7 @@ let run ~name ~threads ~duration ?sample worker =
       Padded.set reported (pid - 1) n;
       not (Atomic.get stop)
     in
-    try worker pid continue
-    with e ->
-      Printf.eprintf "[%s] worker %d died: %s\n%!" name pid (Printexc.to_string e);
-      deaths.(pid - 1) <- Some (kind_of_exn e)
+    deaths.(pid - 1) <- attempt ~name worker pid continue
   in
   let reported_ops () = Padded.fold ( + ) 0 reported in
   let t0 = Unix.gettimeofday () in
@@ -50,14 +64,18 @@ let run ~name ~threads ~duration ?sample worker =
       loop ());
   Atomic.set stop true;
   List.iter Domain.join domains;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let ops = reported_ops () in
-  {
-    ops;
-    elapsed;
-    mops = Repro_util.Stats.throughput_mops ~ops ~seconds:elapsed;
-    errors = tally (List.filter_map Fun.id (Array.to_list deaths));
-  }
+  result ~ops:(reported_ops ()) ~elapsed:(Unix.gettimeofday () -. t0) (Array.to_list deaths)
+
+let steps ~name ~steps ~every ?(sample = fun ~elapsed:_ ~ops:_ -> ()) worker =
+  let ops = ref 0 in
+  let continue n =
+    ops := n;
+    if n > 0 && n mod every = 0 then sample ~elapsed:(float_of_int n) ~ops:n;
+    n < steps
+  in
+  let t0 = Unix.gettimeofday () in
+  let death = attempt ~name worker 1 continue in
+  result ~ops:!ops ~elapsed:(Unix.gettimeofday () -. t0) [ death ]
 
 let cell_name scheme structure threads = Printf.sprintf "%s/%s/%d" scheme structure threads
 

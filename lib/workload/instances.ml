@@ -43,6 +43,11 @@ let named_schemes : (string * (module Smr.Smr_intf.S)) list =
     ("None", (module Smr.Leaky));
   ]
 
+(* The schemes whose garbage stays bounded under a stalled thread (the
+   paper's robustness column): EBR and Hyaline pin everything behind a
+   frozen frontier, and None defers forever by construction. *)
+let robust_schemes = [ "IBR"; "HP"; "HE"; "PTB" ]
+
 let rc_schemes : (module Cdrc.Intf.S) list =
   [
     (module RC_ebr);

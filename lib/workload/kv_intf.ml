@@ -121,14 +121,7 @@ module type S = sig
   val shard_control : t -> shard:int -> Smr.Knobs.handle list
   val counters : t -> counters
 
-  (** {1 Fault scenarios} *)
-
-  val stall_enter : ctx -> shard:int -> unit
-  (** Open a critical section on one shard and keep it open — a
-      stalled request handler pinning that shard's reclamation
-      frontier. *)
-
-  val stall_exit : ctx -> shard:int -> unit
+  (** {1 Recovery} *)
 
   val abandon_shard : t -> shard:int -> pid:int -> unit
   (** Recovery: abandon [pid]'s resources on one shard's runtime

@@ -504,10 +504,8 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     }
 
   (* ------------------------------------------------------------------ *)
-  (* Fault scenarios *)
+  (* Recovery *)
 
-  let stall_enter c ~shard = R.begin_critical_section c.ths.(shard)
-  let stall_exit c ~shard = R.end_critical_section c.ths.(shard)
   let abandon_shard t ~shard ~pid = R.abandon t.shards.(shard).rt ~pid
 
   let teardown t =

@@ -1,25 +1,28 @@
-(** The experiment table (DESIGN.md §4): every figure, ablation and
-    perf-matrix cell of the evaluation is a row of data, run by one
-    runner.
+(** The experiment table (DESIGN.md §4): every figure, ablation,
+    perf-matrix cell and fault experiment of the evaluation is a row of
+    data, run by one runner.
 
     A row lists its instances (one per scheme, each a kernel: prefill
     plus a {!Harness} worker), the axis it sweeps, the size its kernels
-    derive theirs from, and whether telemetry is on. {!sweep} turns
-    every (instance × thread count × knob value) into an {!outcome}:
-    an {!Obs.Perf.cell} plus the columns the figure tables print.
-    Figure tables ({!run}), the [perf] matrix ({!Perf_runner}),
-    [stats <EXP>], the bench suite and [cdrc-bench kv] ({!kv_row}) are
-    selections and renderings of {!figures}, {!perf_rows} and the KV
-    kernel. A cell fails when a worker dies, its kernel's check reports
-    a violation, or its teardown leaks. EXPERIMENTS.md records
-    paper-vs-measured outcomes. *)
+    derive theirs from, whether telemetry is on, the faults its cells
+    inject and how long a cell runs: [--duration] seconds, or a number
+    of logical steps on the caller's domain. {!sweep} turns every
+    (instance × thread count × knob value) into an {!outcome}: an
+    {!Obs.Perf.cell} plus the columns the tables print. Figure tables
+    ({!run}), the [perf] matrix ({!Perf_runner}), [stats <EXP>], the
+    bench suite, [cdrc-bench kv] ({!kv_row}) and the fault rows
+    (robustness, adaptivity, chaos) are selections and renderings of
+    these rows. A cell fails when a worker dies, its kernel's check
+    reports a violation, or its teardown leaves more blocks live than
+    the kernel allows. EXPERIMENTS.md records paper-vs-measured
+    outcomes. *)
 
 module Rng = Repro_util.Rng
 
 (* What the coordinator needs from a prefilled instance: its worker,
    how to observe memory, how to check it at quiescence and how to
    tear it down (blocks still live after [teardown] are the leak
-   figure). Only set and KV kernels fill the optional fields. *)
+   figure). Set, KV and fault kernels fill the optional fields. *)
 type probe = {
   worker : int -> (int -> bool) -> unit;
   live : unit -> int;
@@ -30,27 +33,45 @@ type probe = {
   stalled : unit -> bool; (* the reclamation watchdog's verdict *)
   control : Smr.Knobs.handle list;
   check : unit -> string list; (* violations, once the workers have stopped *)
+  recover : unit -> unit; (* reap the fault's victim: the controller's escalation *)
+  columns : unit -> (string * int) list; (* named results, read after [check] *)
+  allowance : unit -> int; (* blocks [teardown] may leave live: a crash allowance *)
   teardown : unit -> unit;
 }
 
 let probe ?(peak = fun () -> None) ?(uaf = fun () -> 0) ?(snapshots = fun () -> None)
-    ?(stalled = fun () -> false) ?(control = []) ?(check = fun () -> []) ~live ~backlog
-    ~teardown worker =
-  { worker; live; backlog; peak; uaf; snapshots; stalled; control; check; teardown }
+    ?(stalled = fun () -> false) ?(control = []) ?(check = fun () -> []) ?(recover = ignore)
+    ?(columns = fun () -> []) ?(allowance = fun () -> 0) ~live ~backlog ~teardown worker =
+  { worker; live; backlog; peak; uaf; snapshots; stalled; control; check; recover; columns;
+    allowance; teardown }
 
 (* One cell's inputs: its thread count, the row's knob value when the
-   row sweeps one, and [keys], the size every kernel derives its own
-   from (a key range, or twice a prefill). *)
-type setup = { threads : int; knob : (string * int) option; keys : int }
+   row sweeps one, whether the adaptive controller runs, [keys], the
+   size every kernel derives its own from (a key range, or twice a
+   prefill), and a fresh plan of the row's faults. *)
+type setup = {
+  threads : int;
+  knob : (string * int) option;
+  adapt : bool;
+  keys : int;
+  plan : Fault.Fault_plan.t;
+}
 
 type instance = string * (setup -> probe)
 
 type axis =
   | Threads  (** one cell per thread count *)
+  | Workers of int  (** one cell at this many workers, whatever the thread counts *)
   | Knob of string * int list  (** thread count × knob value, read by the kernel *)
   | Telemetry  (** thread count × telemetry off, then on *)
+  | Adapt  (** thread count × adaptive controller off, then on *)
 
 type requirement = Key of string | Prefix of string
+
+type length =
+  | Timed  (** [--duration] seconds of {!Harness.run} *)
+  | Steps of { steps : int; every : int }
+      (** {!Harness.steps}: one worker, [steps] steps, sampled every [every] *)
 
 type row = {
   id : string;
@@ -60,16 +81,19 @@ type row = {
   keys : int; (* at --scale 1 *)
   axis : axis;
   instances : instance list;
-  telemetry : bool; (* on: reset per cell, sampled every 2 ms; off: every 10 ms *)
+  telemetry : bool; (* on: reset per cell, sampled every 2 ms like a fault row *)
   selectable : bool; (* its command takes --schemes *)
   repeats : int; (* > 1: each cell runs that often and medians are reported *)
   needs : requirement list; (* counters [stats --check] demands nonzero *)
+  faults : Fault.Fault_plan.rule list; (* a timed fault row recovers at half the run *)
+  length : length;
 }
 
 (* ---------------- kernels ---------------- *)
 
 (* Each structure's prefill and worker, defined once. Workers check
-   [continue] every batch: [iters] steps counted as [ops] operations. *)
+   [continue] every batch: [iters] steps counted as [ops] operations.
+   A stepped row's worker reports every step ({!each_step}). *)
 let batches ?(iters = 64) ?(ops = 64) continue step =
   let n = ref 0 in
   while continue !n do
@@ -79,7 +103,14 @@ let batches ?(iters = 64) ?(ops = 64) continue step =
     n := !n + ops
   done
 
+let each_step step continue =
+  let rec go n = if continue n then (step (n + 1); go (n + 1)) in
+  go 0
+
 let knob (s : setup) name = match s.knob with Some (n, v) when n = name -> Some v | _ -> None
+
+(* A check's violations: the messages of the conditions that fail. *)
+let violations conds = List.filter_map (fun (ok, v) -> if ok then None else Some v) conds
 
 type mix = { update_pct : int; rq_pct : int; rq_size : int; halves : bool }
 
@@ -207,12 +238,24 @@ let kv_prefill (type c) (module K : Kv_intf.S with type ctx = c) (c0 : c) ~keys 
   done;
   K.flush c0
 
+(* A KV kernel's check: sweep the expired entries, then demand both
+   {!Kv_intf} accounting identities, each within [slack]. *)
+let kv_accounting (type t c) (module K : Kv_intf.S with type t = t and type ctx = c) (t : t)
+    (c0 : c) ~slack =
+  let now = K.now t in
+  ignore (K.expire_sweep c0 ~now);
+  let node, box = Kv_intf.identity_deltas (K.counters t) ~size:(K.size t ~now) in
+  violations
+    [
+      ( abs node <= slack && abs box <= slack,
+        Printf.sprintf "accounting identities off by node=%d box=%d (slack %d)" node box slack );
+    ]
+
 (* The sharded KV store under Zipfian skew: [shards] shards (knob,
    default 4), [keys / 2] puts prefilled. The sampler doubles as the
    service clock (one tick per observation), so TTL'd puts expire
    mid-cell and the cell measures the real expiry/overwrite retire
-   churn. [check] sweeps the expired entries and then demands both
-   {!Kv_intf} accounting identities. *)
+   churn. *)
 let kv_kernel ~read_pct ((name, (module K : Kv_intf.S)) : string * (module Kv_intf.S)) :
     instance =
   ( name,
@@ -221,13 +264,7 @@ let kv_kernel ~read_pct ((name, (module K : Kv_intf.S)) : string * (module Kv_in
       let t = K.create ~shards ~buckets:(max 64 (s.keys / 8)) ~max_threads:(s.threads + 1) () in
       let c0 = K.ctx t 0 in
       kv_prefill (module K) c0 ~keys:s.keys;
-      let check () =
-        let now = K.now t in
-        ignore (K.expire_sweep c0 ~now);
-        match Kv_intf.identity_deltas (K.counters t) ~size:(K.size t ~now) with
-        | 0, 0 -> []
-        | node, box -> [ Printf.sprintf "accounting identities off by node=%d box=%d" node box ]
-      in
+      let check () = kv_accounting (module K) t c0 ~slack:0 in
       probe ~control:(K.control t) ~check
         ~live:(fun () ->
           ignore (K.tick t);
@@ -257,8 +294,17 @@ let rc_needs = [ Prefix "smr."; Prefix "cdrc." ]
 
 (* Telemetry is off for figure rows and on for perf rows. *)
 let row ?(telemetry = false) ?(selectable = false) ?(keys = 0) ?(axis = Threads) ?(repeats = 1)
-    ?(needs = []) ~id ~title ~expected structure instances =
-  { id; title; expected; structure; keys; axis; instances; telemetry; selectable; repeats; needs }
+    ?(needs = []) ?(faults = []) ?(length = Timed) ~id ~title ~expected structure instances =
+  { id; title; expected; structure; keys; axis; instances; telemetry; selectable; repeats; needs;
+    faults; length }
+
+(* A fault kernel's scheme, wrapped to inject from its cell's plan. *)
+let faulty (module S : Smr.Smr_intf.S) plan : (module Smr.Smr_intf.S) =
+  (module Fault.Faulty_smr.Make
+            (S)
+            (struct
+              let plan = plan
+            end))
 
 (* A row over every scheme's instance of [structure] lets --schemes
    pick among them; [sets] pins the instances instead. *)
@@ -425,6 +471,8 @@ type outcome = {
   snap_slow : float option; (* RC only: slow-path snapshot share *)
   watchdog : string list; (* Stuck verdicts raised during the cell *)
   adapt : string list; (* the adaptive controller's decision log *)
+  columns : (string * int) list; (* the kernel's named results *)
+  faults : Fault.Fault_plan.event list; (* what the cell's plan fired, in order *)
   errors : Harness.errors; (* deaths, plus Leak (blocks) and Invalid (check violations) *)
 }
 
@@ -440,7 +488,7 @@ let quantiles suffix = Obs.Perf.quantiles_of_counts (Obs.Histo.merged_suffix suf
    each [smr.*] histogram alive after it to this cell's scheme; [Some
    false] turns telemetry off; [None] leaves the flags as the caller
    set them ([stats] turns them on for a whole row). *)
-let run_cell ~duration ~adapt ~suffix ~telemetry row (s : setup) ((name, make) : instance) =
+let run_cell ~duration ~suffix ~telemetry row (s : setup) ((name, make) : instance) =
   let key = Harness.cell_name name row.structure s.threads ^ suffix in
   let p = make s in
   let metrics_were = Obs.Metrics.enabled () in
@@ -464,9 +512,17 @@ let run_cell ~duration ~adapt ~suffix ~telemetry row (s : setup) ((name, make) :
     (live, backlog)
   in
   (* The adaptive controller rides the sampler, fed the backlog,
-     latency-p99 and watchdog signals. Without [on_escalate],
-     escalation is only logged: benchmark workers are healthy. *)
-  let ctl = if adapt then Some (Adapt.Controller.create p.control) else None in
+     latency-p99 and watchdog signals; its escalation is the kernel's
+     recovery, a no-op for healthy benchmark workers. *)
+  let ctl =
+    if s.adapt then
+      Some (Adapt.Controller.create ~on_escalate:p.recover p.control)
+    else None
+  in
+  (* Without a controller, a timed fault row recovers at half the run. *)
+  let recover_at =
+    ref (if row.faults <> [] && row.length = Timed && ctl = None then duration /. 2. else infinity)
+  in
   let last = ref (0., 0) in
   let sample ~elapsed ~ops =
     let live, backlog = observe () in
@@ -474,7 +530,7 @@ let run_cell ~duration ~adapt ~suffix ~telemetry row (s : setup) ((name, make) :
     (* A perf row's sampler only tracks the peaks: its cells measure
        the structure, not the sampler. *)
     let series = (not row.telemetry) && Obs.Metrics.enabled () in
-    let stalled = (series || ctl <> None) && p.stalled () in
+    let stalled = (series || ctl <> None || row.faults <> []) && p.stalled () in
     if series then begin
       let t0, ops0 = !last in
       let dt = elapsed -. t0 in
@@ -497,10 +553,19 @@ let run_cell ~duration ~adapt ~suffix ~telemetry row (s : setup) ((name, make) :
                  Obs.Histo.percentile_of_counts (Obs.Histo.merged_suffix ".reclaim_latency") 99.0;
                stalled;
              }))
-      ctl
+      ctl;
+    if elapsed >= !recover_at then begin
+      recover_at := infinity;
+      p.recover ()
+    end
   in
-  let period = if row.telemetry then 0.002 else 0.01 in
-  let h = Harness.run ~name:key ~threads:s.threads ~duration ~sample:(period, sample) p.worker in
+  let h =
+    match row.length with
+    | Timed ->
+        let period = if row.telemetry || row.faults <> [] then 0.002 else 0.01 in
+        Harness.run ~name:key ~threads:s.threads ~duration ~sample:(period, sample) p.worker
+    | Steps { steps; every } -> Harness.steps ~name:key ~steps ~every ~sample p.worker
+  in
   let final_live, _ = observe () in
   let snap_slow =
     Option.map
@@ -510,8 +575,10 @@ let run_cell ~duration ~adapt ~suffix ~telemetry row (s : setup) ((name, make) :
   let peak = Option.value (p.peak ()) ~default:!peak_live in
   let uaf = p.uaf () in
   let violations = p.check () in
+  let columns = p.columns () in
   p.teardown ();
   let leaked = p.live () in
+  let allowance = p.allowance () in
   List.iter (fun v -> Format.eprintf "[%s] %s@." key v) violations;
   let reclaim = quantiles ".reclaim_latency" in
   let eject = quantiles ".eject.batch_size" in
@@ -546,10 +613,12 @@ let run_cell ~duration ~adapt ~suffix ~telemetry row (s : setup) ((name, make) :
     snap_slow;
     watchdog = Obs.Verdicts.drain ();
     adapt = (match ctl with None -> [] | Some c -> Adapt.Controller.decisions c);
+    columns;
+    faults = Fault.Fault_plan.trace s.plan;
     errors =
       List.sort compare
         (h.errors
-        @ (if leaked > 0 then [ ("Leak", leaked) ] else [])
+        @ (if leaked > allowance then [ ("Leak", leaked) ] else [])
         @ if violations = [] then [] else [ ("Invalid", List.length violations) ]);
   }
 
@@ -557,40 +626,39 @@ let run_cell ~duration ~adapt ~suffix ~telemetry row (s : setup) ((name, make) :
 let select row schemes =
   Instances.select ~find:(Instances.find_named fst row.instances) row.instances schemes
 
-(* Commands return their exit status: 2 when a [--schemes] name is
-   unknown (nothing runs), 1 when a worker died (each cell named on
-   stderr by {!Harness.status}), else 0. *)
-let with_selection cmd selection k =
-  match selection with
-  | Error e ->
-      Format.eprintf "%s: %s@." cmd e;
-      2
-  | Ok picked -> k picked
-
 (* Every cell of [instances] under [row]: repeats outermost, then
-   thread counts, then the axis's values. [keys] overrides [row.keys /
-   scale]. [on_cell] sees each outcome as it completes. *)
+   thread counts (one worker for a stepped row), then the axis's
+   values. [keys] overrides [row.keys / scale]. [on_cell] sees each
+   outcome as it completes. *)
 let sweep ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(scale = 1) ?keys ?(adapt = false)
     ?(repeats = 1) ?(on_cell = ignore) row instances =
   let keys = Option.value keys ~default:(row.keys / scale) in
   let own = if row.telemetry then Some true else None in
-  (* (key suffix, knob, telemetry) of each cell at one thread count *)
+  (* (key suffix, knob, telemetry, controller) of each cell at one
+     thread count *)
   let variants =
     match row.axis with
-    | Threads -> [ ("", None, own) ]
-    | Knob (n, vs) -> List.map (fun v -> (Printf.sprintf " %s=%d" n v, Some (n, v), own)) vs
-    | Telemetry -> [ (" telemetry off", None, Some false); (" telemetry on", None, Some true) ]
+    | Threads | Workers _ -> [ ("", None, own, adapt) ]
+    | Knob (n, vs) ->
+        List.map (fun v -> (Printf.sprintf " %s=%d" n v, Some (n, v), own, adapt)) vs
+    | Telemetry ->
+        [ (" telemetry off", None, Some false, adapt); (" telemetry on", None, Some true, adapt) ]
+    | Adapt -> [ (" adapt=0", None, own, false); (" adapt=1", None, own, true) ]
+  in
+  let threads =
+    match (row.length, row.axis) with Steps _, _ -> [ 1 ] | _, Workers n -> [ n ] | _ -> threads
   in
   List.concat_map
     (fun _ ->
       List.concat_map
         (fun threads ->
           List.concat_map
-            (fun (suffix, knob, telemetry) ->
+            (fun (suffix, knob, telemetry, adapt) ->
               List.map
                 (fun inst ->
-                  let s = { threads; knob; keys } in
-                  let o = run_cell ~duration ~adapt ~suffix ~telemetry row s inst in
+                  let plan = Fault.Fault_plan.create row.faults in
+                  let s = { threads; knob; adapt; keys; plan } in
+                  let o = run_cell ~duration ~suffix ~telemetry row s inst in
                   on_cell o;
                   o)
                 instances)
@@ -600,19 +668,24 @@ let sweep ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(scale = 1) ?keys ?(adapt 
 
 (* ---------------- rendering ---------------- *)
 
-let pp_outcome ppf o =
+(* A stepped cell prints its step count, not a throughput. *)
+let pp_outcome ~stepped ppf o =
   let c = o.cell in
   let flag cond fmt = if cond then Format.fprintf ppf fmt else Format.ifprintf ppf fmt in
-  Format.fprintf ppf "%-26s %8.3f Mops/s  ops=%-10d live(avg)=%-9.0f peak=%-9d" o.key c.c_mops
-    c.c_ops o.live_avg o.peak;
-  flag (c.c_leaked > 0) "  LEAK=%d" c.c_leaked;
+  if stepped then Format.fprintf ppf "%-26s steps=%-8d" o.key c.c_ops
+  else Format.fprintf ppf "%-26s %8.3f Mops/s  ops=%-10d" o.key c.c_mops c.c_ops;
+  Format.fprintf ppf " live(avg)=%-9.0f peak=%-9d" o.live_avg o.peak;
+  let leak = Harness.count o.errors "Leak" > 0 in
+  flag leak "  LEAK=%d" c.c_leaked;
+  flag ((not leak) && c.c_leaked > 0) "  leaked=%d (allowed)" c.c_leaked;
   flag (o.uaf > 0) "  UAF=%d" o.uaf;
   flag (o.failed > 0) "  FAILED-WORKERS=%d" o.failed;
   (match o.snap_slow with
   | Some s when s > 0.0005 -> Format.fprintf ppf "  slow-snap=%.1f%%" (100. *. s)
   | _ -> ());
   flag (o.watchdog <> []) "  WATCHDOG=%d" (List.length o.watchdog);
-  flag (o.adapt <> []) "  ADAPT=%d" (List.length o.adapt)
+  flag (o.adapt <> []) "  ADAPT=%d" (List.length o.adapt);
+  List.iter (fun (k, v) -> Format.fprintf ppf "  %s=%d" k v) o.columns
 
 (* Median throughput per cell key over a row's repeats. *)
 let print_medians repeats outcomes =
@@ -627,21 +700,28 @@ let print_medians repeats outcomes =
   Format.printf "@."
 
 (** Print [row]'s table — a header, one line per cell, a blank line
-    between thread counts — and return the command's exit status. *)
+    between thread counts — and return the command's exit status: 2
+    when a [--schemes] name is unknown (nothing runs), 1 when a cell
+    failed (each named on stderr by {!Harness.status}), else 0. *)
 let run ?threads ?duration ?(schemes = []) ?scale ?adapt ?repeats row =
-  with_selection row.id (select row schemes) @@ fun instances ->
-  Format.printf "@.== %s ==@.expected: %s@.@." row.title row.expected;
-  let last_p = ref 0 in
-  let on_cell o =
-    if !last_p <> 0 && o.cell.c_threads <> !last_p then Format.printf "@.";
-    last_p := o.cell.c_threads;
-    Format.printf "%a@." pp_outcome o;
-    List.iter (fun d -> Format.printf "    [adapt] %s@." d) o.adapt
-  in
-  let repeats = Option.value repeats ~default:row.repeats in
-  let outcomes =
-    sweep ?threads ?duration ?scale ?adapt ~repeats ~on_cell row instances
-  in
-  Format.printf "@.";
-  if repeats > 1 then print_medians repeats outcomes;
-  Harness.status (List.map (fun o -> (o.key, o.errors)) outcomes)
+  match select row schemes with
+  | Error e ->
+      Format.eprintf "%s: %s@." row.id e;
+      2
+  | Ok instances ->
+      Format.printf "@.== %s ==@.expected: %s@.@." row.title row.expected;
+      let last_p = ref 0 in
+      let on_cell o =
+        if !last_p <> 0 && o.cell.c_threads <> !last_p then Format.printf "@.";
+        last_p := o.cell.c_threads;
+        Format.printf "%a@." (pp_outcome ~stepped:(row.length <> Timed)) o;
+        List.iter (fun e -> Format.printf "    [fault] %a@." Fault.Fault_plan.pp_event e) o.faults;
+        List.iter (fun d -> Format.printf "    [adapt] %s@." d) o.adapt
+      in
+      let repeats = Option.value repeats ~default:row.repeats in
+      let outcomes =
+        sweep ?threads ?duration ?scale ?adapt ~repeats ~on_cell row instances
+      in
+      Format.printf "@.";
+      if repeats > 1 then print_medians repeats outcomes;
+      Harness.status (List.map (fun o -> (o.key, o.errors)) outcomes)

@@ -185,77 +185,80 @@ let prop_step_deterministic =
 
 (* ---------------- end-to-end: the adaptivity experiment ----------- *)
 
-let adaptivity_replays_bit_identically () =
-  let run () =
-    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt:true Workload.Experiments.Ebr
+module T = Workload.Table
+
+(* One adaptivity row's cell: [target] is the row id, [adapt] the
+   controller knob. *)
+let adaptivity_cell target ~adapt =
+  let row =
+    List.find (fun (r : T.row) -> r.id = target) (Workload.Experiments.adaptivity_rows ())
   in
+  match T.sweep row row.instances with
+  | [ off; on ] -> if adapt then on else off
+  | os -> Alcotest.failf "%d cells, expected 2" (List.length os)
+
+let col (o : T.outcome) name = List.assoc_opt name o.columns
+
+(* The columns and the decision log: everything but wall-clock time. *)
+let replayed (o : T.outcome) = (o.key, o.columns, o.adapt, o.errors, o.cell.c_leaked)
+
+let adaptivity_replays_bit_identically () =
+  let run () = adaptivity_cell "adaptivity" ~adapt:true in
   let a = run () in
   let b = run () in
-  Alcotest.(check (list string))
-    "decision logs identical across replays" a.Workload.Experiments.ad_decisions
-    b.Workload.Experiments.ad_decisions;
-  Alcotest.(check bool) "full results identical across replays" true (a = b);
+  Alcotest.(check (list string)) "decision logs identical across replays" a.adapt b.adapt;
+  Alcotest.(check bool) "full results identical across replays" true (replayed a = replayed b);
   (* Pin the episode shape: escalation fires at the first controller
      tick past the grace period (check_every * (watchdog strikes +
      grace)) and the log opens with the first backoff decision. *)
-  Alcotest.(check (option int))
-    "escalates at iteration 192" (Some 192) a.Workload.Experiments.ad_escalated_at;
-  (match a.Workload.Experiments.ad_decisions with
+  Alcotest.(check (option int)) "escalates at iteration 192" (Some 192) (col a "escalated");
+  (match a.adapt with
   | first :: _ ->
       Alcotest.(check string)
         "first decision is the first backoff"
         "t=4 backlog=128 p99=- stalled=true | cleanup_freq=128" first
   | [] -> Alcotest.fail "controller made no decisions");
-  Alcotest.(check int) "leak-free" 0 a.Workload.Experiments.ad_leaked
+  Alcotest.(check int) "leak-free" 0 a.cell.c_leaked;
+  Alcotest.(check (list (pair string int))) "cell passed" [] a.errors
 
 let adaptivity_bounds_garbage () =
-  let on =
-    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt:true Workload.Experiments.Ebr
-  in
-  let off =
-    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt:false Workload.Experiments.Ebr
-  in
-  Alcotest.(check bool)
-    "controller keeps the peak backlog bounded" true
-    (on.Workload.Experiments.ad_peak_backlog <= 512);
-  Alcotest.(check bool)
-    "fixed knobs grow without bound behind the pinned frontier" true
-    (off.Workload.Experiments.ad_end_backlog >= 2000);
-  Alcotest.(check int) "fixed-knob run still leak-free after teardown" 0
-    off.Workload.Experiments.ad_leaked
+  let on = adaptivity_cell "adaptivity" ~adapt:true in
+  let off = adaptivity_cell "adaptivity" ~adapt:false in
+  Alcotest.(check (option int)) "controller-on peak" (Some 224) (col on "peak_backlog");
+  Alcotest.(check (option int)) "controller-on end" (Some 47) (col on "end_backlog");
+  Alcotest.(check (option int))
+    "fixed knobs grow without bound behind the pinned frontier" (Some 2000)
+    (col off "end_backlog");
+  Alcotest.(check (option int)) "fixed knobs never escalate" None (col off "escalated");
+  Alcotest.(check int) "fixed-knob run still leak-free after teardown" 0 off.cell.c_leaked;
+  Alcotest.(check (list (pair string int))) "fixed-knob cell passed" [] off.errors
 
 (* The kv target: shard 0 of the KV service, the victim stalled at its
    8th shard-0 section entry. *)
 let kv_replays_bit_identically () =
-  let run () =
-    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt:true Workload.Experiments.Kv
-  in
+  let run () = adaptivity_cell "adaptivity-kv" ~adapt:true in
   let a = run () in
   let b = run () in
-  Alcotest.(check bool) "full results identical across replays" true (a = b);
-  Alcotest.(check (option int))
-    "escalates at iteration 384" (Some 384) a.Workload.Experiments.ad_escalated_at;
-  (match a.Workload.Experiments.ad_decisions with
+  Alcotest.(check bool) "full results identical across replays" true (replayed a = replayed b);
+  Alcotest.(check (option int)) "escalates at iteration 384" (Some 384) (col a "escalated");
+  (match a.adapt with
   | first :: _ ->
       Alcotest.(check string)
         "first decision is the first backoff"
         "t=10 backlog=313 p99=- stalled=true | cleanup_freq=128" first
   | [] -> Alcotest.fail "controller made no decisions");
-  Alcotest.(check (option bool)) "the fault fired" (Some true) a.Workload.Experiments.ad_fired;
-  Alcotest.(check int) "leak-free" 0 a.Workload.Experiments.ad_leaked
+  Alcotest.(check (option int)) "the fault fired" (Some 1) (col a "fired");
+  Alcotest.(check int) "leak-free" 0 a.cell.c_leaked
 
 let kv_bounds_garbage () =
-  let run adapt =
-    Workload.Experiments.run_adaptivity_one ~iters:2000 ~adapt Workload.Experiments.Kv
-  in
-  let on = run true in
-  let off = run false in
-  Alcotest.(check int) "controller-on peak" 409 on.Workload.Experiments.ad_peak_backlog;
-  Alcotest.(check int) "controller-on end" 49 on.Workload.Experiments.ad_end_backlog;
-  Alcotest.(check int) "fixed-knob end" 1993 off.Workload.Experiments.ad_end_backlog;
-  Alcotest.(check (option bool)) "the fault fired" (Some true) off.Workload.Experiments.ad_fired;
-  Alcotest.(check int) "fixed-knob run still leak-free after teardown" 0
-    off.Workload.Experiments.ad_leaked
+  let on = adaptivity_cell "adaptivity-kv" ~adapt:true in
+  let off = adaptivity_cell "adaptivity-kv" ~adapt:false in
+  Alcotest.(check (option int)) "controller-on peak" (Some 409) (col on "peak_backlog");
+  Alcotest.(check (option int)) "controller-on end" (Some 49) (col on "end_backlog");
+  Alcotest.(check (option int)) "fixed-knob end" (Some 1993) (col off "end_backlog");
+  Alcotest.(check (option int)) "the fault fired" (Some 1) (col off "fired");
+  Alcotest.(check int) "fixed-knob run still leak-free after teardown" 0 off.cell.c_leaked;
+  Alcotest.(check (list (pair string int))) "both cells passed" [] (on.errors @ off.errors)
 
 (* ---------------- knob validation across every scheme ------------- *)
 

@@ -146,79 +146,130 @@ let prop_replays_bit_identically =
 
 (* ------------------- chaos-campaign replay ------------------------ *)
 
-let chaos_spec =
-  {
-    Workload.Chaos_runner.default_spec with
-    Workload.Chaos_runner.ch_steps = 1500;
-    ch_victims = 2;
-  }
+module CR = Workload.Chaos_runner
+module T = Workload.Table
+
+let chaos_spec = { CR.default_spec with CR.ch_steps = 1500; ch_victims = 2 }
+
+(* The campaign's cell over one scheme. *)
+let campaign ?(spec = chaos_spec) scheme =
+  let row = Result.get_ok (CR.row spec) in
+  match T.sweep row (Result.get_ok (T.select row [ scheme ])) with
+  | [ o ] -> o
+  | os -> Alcotest.failf "%d cells, expected 1" (List.length os)
+
+let col (o : T.outcome) name =
+  match List.assoc_opt name o.columns with
+  | Some v -> v
+  | None -> Alcotest.failf "%s: no column %s" o.key name
 
 let chaos_replays_bit_identically () =
-  let scheme =
-    match Workload.Chaos_runner.find_schemes [ "EBR" ] with
-    | Ok [ s ] -> s
-    | _ -> Alcotest.fail "EBR scheme not found"
-  in
-  let a = Workload.Chaos_runner.run_campaign ~spec:chaos_spec scheme in
-  let b = Workload.Chaos_runner.run_campaign ~spec:chaos_spec scheme in
-  Alcotest.(check bool) "campaign passed" true a.Workload.Chaos_runner.c_ok;
-  Alcotest.(check int) "same digest" a.c_digest b.c_digest;
-  Alcotest.(check int) "same ok count" a.c_ok_first b.c_ok_first;
-  Alcotest.(check int) "same trips" a.c_trips b.c_trips;
-  Alcotest.(check int) "same aborted" a.c_aborted b.c_aborted;
-  Alcotest.(check (list int)) "same recoveries" a.c_recoveries b.c_recoveries;
-  Alcotest.(check int) "same peak backlog" a.c_peak_backlog b.c_peak_backlog
+  let a = campaign "EBR" in
+  let b = campaign "EBR" in
+  Alcotest.(check (list (pair string int))) "campaign passed" [] a.errors;
+  Alcotest.(check (list (pair string int))) "same columns" a.columns b.columns;
+  (* The recovery columns carry the drills' latencies. *)
+  Alcotest.(check bool) "a drill recovered" true (col a "recoveries" > 0);
+  Alcotest.(check bool) "same fault trace" true (a.faults = b.faults);
+  Alcotest.(check (list string))
+    "column names"
+    [
+      "ok"; "retried_ok"; "timeout"; "shed"; "failed"; "retries"; "aborted"; "trips"; "drills";
+      "recoveries"; "recovery_steps"; "backlog_peak"; "backlog_end"; "digest";
+    ]
+    (List.map fst a.columns);
+  Alcotest.(check int) "same leaked" a.cell.c_leaked b.cell.c_leaked
 
 let chaos_seed_changes_schedule () =
-  let scheme =
-    match Workload.Chaos_runner.find_schemes [ "EBR" ] with
-    | Ok [ s ] -> s
-    | _ -> Alcotest.fail "EBR scheme not found"
+  let a = campaign "EBR" in
+  let b = campaign ~spec:{ chaos_spec with CR.ch_seed = 43 } "EBR" in
+  Alcotest.(check bool) "different digest" true (col a "digest" <> col b "digest")
+
+(* ------------------- pinned campaign matrix ----------------------- *)
+
+(* Every campaign kind over every scheme at seed 42 and the default
+   spec, pinned: (digest, peak shard backlog, end shard backlog, blocks
+   leaked after teardown, verdict). The campaigns are deterministic, so
+   any change to the request layer, the fault wrapper or the runner
+   that moves one number shows here. *)
+let pinned_campaigns =
+  [
+    ("stall-storm", "EBR", (0x2b014bc329de4ab4, 133, 133, 0, true));
+    ("stall-storm", "IBR", (0x2b014bc329de4ab4, 133, 133, 0, true));
+    ("stall-storm", "HP", (0x2b014bc329de4ab4, 133, 133, 0, true));
+    ("stall-storm", "HE", (0x2b014bc329de4ab4, 133, 133, 0, true));
+    ("stall-storm", "Hyaline", (0x2698f2a6feeac2cc, 3, 1, 0, true));
+    ("stall-storm", "PTB", (0x2b014bc329de4ab4, 133, 133, 0, true));
+    ("stall-storm", "None", (0x2b014bc329de4ab4, 133, 133, 0, true));
+    ("rolling-crash", "EBR", (0x2a40623dc9051749, 165, 165, 2, true));
+    ("rolling-crash", "IBR", (0x2a40623dc9051749, 165, 165, 2, true));
+    ("rolling-crash", "HP", (0x143550e02b6a544, 134, 134, 2, true));
+    ("rolling-crash", "HE", (0x143550e02b6a544, 134, 134, 2, true));
+    ("rolling-crash", "Hyaline", (0xdb8f8f11c2940a3, 3, 1, 4, true));
+    ("rolling-crash", "PTB", (0x143550e02b6a544, 134, 134, 2, true));
+    ("rolling-crash", "None", (0x143550e02b6a544, 134, 134, 2, true));
+    ("crash-eject", "EBR", (0x26637556c21f2b3f, 120, 106, 3, true));
+    ("crash-eject", "IBR", (0x26637556c21f2b3f, 120, 106, 3, true));
+    ("crash-eject", "HP", (0x270b5becee740b00, 134, 134, 3, true));
+    ("crash-eject", "HE", (0x270b5becee740b00, 134, 134, 3, true));
+    ("crash-eject", "Hyaline", (0x26637556c21f2b3f, 3, 1, 3, true));
+    ("crash-eject", "PTB", (0x270b5becee740b00, 134, 134, 3, true));
+    ("crash-eject", "None", (0x270b5becee740b00, 134, 134, 3, true));
+    ("gray-slow", "EBR", (0x30c83403957cb26d, 132, 132, 0, true));
+    ("gray-slow", "IBR", (0x30c83403957cb26d, 132, 132, 0, true));
+    ("gray-slow", "HP", (0x30c83403957cb26d, 132, 132, 0, true));
+    ("gray-slow", "HE", (0x30c83403957cb26d, 132, 132, 0, true));
+    ("gray-slow", "Hyaline", (0x22cc76c423aeaec1, 3, 1, 0, true));
+    ("gray-slow", "PTB", (0x30c83403957cb26d, 132, 132, 0, true));
+    ("gray-slow", "None", (0x30c83403957cb26d, 132, 132, 0, true));
+    ("mixed", "EBR", (0x3cb0ddb56d0cd4da, 133, 133, 1, true));
+    ("mixed", "IBR", (0x3cb0ddb56d0cd4da, 133, 133, 1, true));
+    ("mixed", "HP", (0xb23e192ee301afe, 133, 133, 1, true));
+    ("mixed", "HE", (0xb23e192ee301afe, 133, 133, 1, true));
+    ("mixed", "Hyaline", (0x2b50081cc9370428, 3, 1, 7, true));
+    ("mixed", "PTB", (0xb23e192ee301afe, 133, 133, 1, true));
+    ("mixed", "None", (0xb23e192ee301afe, 133, 133, 1, true));
+  ]
+
+let chaos_matrix_pinned () =
+  let show (d, p, e, l, ok) =
+    Printf.sprintf "digest=%x peak=%d end=%d leaked=%d pass=%b" d p e l ok
   in
-  let a = Workload.Chaos_runner.run_campaign ~spec:chaos_spec scheme in
-  let b =
-    Workload.Chaos_runner.run_campaign
-      ~spec:{ chaos_spec with Workload.Chaos_runner.ch_seed = 43 }
-      scheme
-  in
-  Alcotest.(check bool) "different digest" true (a.c_digest <> b.c_digest)
+  List.iter
+    (fun (kind, scheme, expected) ->
+      let kind = Result.get_ok (Fault.Chaos.kind_of_string kind) in
+      let o = campaign ~spec:{ CR.default_spec with CR.ch_kind = kind } scheme in
+      Alcotest.(check string)
+        (o.key ^ " pinned") (show expected)
+        (show
+           ( col o "digest",
+             col o "backlog_peak",
+             col o "backlog_end",
+             o.cell.c_leaked,
+             o.errors = [] )))
+    pinned_campaigns
 
 (* ------------------- outcome separation --------------------------- *)
 
 (* Gray-slow victims keep serving but every try against them costs more
    than the per-try budget, so a tight deadline forces timeouts and
-   fail-over retries. The runner must report those as request outcomes
-   while c_aborted — requests lost to a worker dying mid-flight — stays
-   zero, every request lands in exactly one outcome, and the run still
-   validates with nothing leaked. *)
+   fail-over retries. The kernel must report those as request outcomes
+   while [aborted] — requests lost to a worker dying mid-flight — stays
+   zero, every request lands in exactly one outcome, and the cell still
+   passes with nothing leaked. *)
 let request_outcomes_are_not_failures () =
-  let scheme =
-    match Workload.Chaos_runner.find_schemes [ "EBR" ] with
-    | Ok [ s ] -> s
-    | _ -> Alcotest.fail "EBR scheme not found"
-  in
   let spec =
-    {
-      chaos_spec with
-      Workload.Chaos_runner.ch_kind = Fault.Chaos.Gray_slow;
-      ch_deadline = 3;
-      ch_retries = 2;
-    }
+    { chaos_spec with CR.ch_kind = Fault.Chaos.Gray_slow; ch_deadline = 3; ch_retries = 2 }
   in
-  let r = Workload.Chaos_runner.run_campaign ~spec scheme in
-  Alcotest.(check int) "no worker deaths" 0 r.Workload.Chaos_runner.c_aborted;
-  Alcotest.(check bool) "deadline misses were accounted" true
-    (r.c_timed_out + r.c_retried_ok > 0);
-  Alcotest.(check bool) "retries were issued" true (r.c_retries > 0);
-  Alcotest.(check int) "every request has one outcome" r.c_steps
-    (r.c_ok_first + r.c_retried_ok + r.c_timed_out + r.c_shed + r.c_failed);
-  List.iter
-    (fun name ->
-      match List.find_opt (fun o -> o.Fault.Chaos.o_name = name) r.c_oracles with
-      | Some o -> Alcotest.(check bool) (name ^ ": " ^ o.o_detail) true o.o_ok
-      | None -> Alcotest.failf "oracle %s missing" name)
-    [ "uaf-free"; "leak-free"; "accounting" ];
-  Alcotest.(check int) "no leaks" 0 r.c_leaked
+  let o = campaign ~spec "EBR" in
+  let c = col o in
+  Alcotest.(check int) "no worker deaths" 0 (c "aborted");
+  Alcotest.(check bool) "deadline misses were accounted" true (c "timeout" + c "retried_ok" > 0);
+  Alcotest.(check bool) "retries were issued" true (c "retries" > 0);
+  Alcotest.(check int) "every request has one outcome" o.cell.c_ops
+    (c "ok" + c "retried_ok" + c "timeout" + c "shed" + c "failed");
+  Alcotest.(check (list (pair string int))) "cell passed" [] o.errors;
+  Alcotest.(check int) "no leaks" 0 o.cell.c_leaked
 
 let () =
   Alcotest.run "resilience"
@@ -235,6 +286,7 @@ let () =
             chaos_replays_bit_identically;
           Alcotest.test_case "seed changes the schedule" `Slow
             chaos_seed_changes_schedule;
+          Alcotest.test_case "35 campaign results pinned" `Slow chaos_matrix_pinned;
         ] );
       ( "outcomes",
         [

@@ -74,7 +74,10 @@ let test_knob_rows_sweep_threads () =
       let cells = T.sweep ~threads:[ 1; 2 ] ~duration:0.005 ~scale:1000 r r.instances in
       let at p = List.length (List.filter (fun (o : T.outcome) -> o.cell.c_threads = p) cells) in
       let knobs =
-        match r.axis with T.Knob (_, vs) -> List.length vs | T.Telemetry -> 2 | T.Threads -> 1
+        match r.axis with
+        | T.Knob (_, vs) -> List.length vs
+        | T.Telemetry | T.Adapt -> 2
+        | T.Threads | T.Workers _ -> 1
       in
       Alcotest.(check int) (id ^ " cells at P=1") knobs (at 1);
       Alcotest.(check int) (id ^ " cells at P=2") knobs (at 2))
@@ -263,6 +266,66 @@ let test_fig12_cell () =
           Alcotest.(check int) "no leak" 0 o.cell.c_leaked
       | os -> Alcotest.failf "%d cells, expected 1" (List.length os))
 
+(* The stepped loop: steps 1..n on the caller's domain, the sampler
+   every [every] steps at logical time, and a death tallied as [run]
+   tallies it. *)
+let test_harness_steps () =
+  let stepped = ref [] and samples = ref [] in
+  let sample ~elapsed ~ops = samples := (elapsed, ops) :: !samples in
+  let worker step _ = T.each_step step in
+  let r =
+    Workload.Harness.steps ~name:"steps-test" ~steps:7 ~every:3 ~sample
+      (worker (fun i -> stepped := i :: !stepped))
+  in
+  Alcotest.(check (list int)) "steps 1..7" [ 1; 2; 3; 4; 5; 6; 7 ] (List.rev !stepped);
+  Alcotest.(check (list (pair (float 0.) int)))
+    "sampled after steps 3 and 6" [ (3., 3); (6., 6) ] (List.rev !samples);
+  Alcotest.(check int) "ops" 7 r.ops;
+  Alcotest.(check (list (pair string int))) "no deaths" [] r.errors;
+  let r =
+    Workload.Harness.steps ~name:"steps-test" ~steps:7 ~every:3
+      (worker (fun i -> if i = 5 then raise (Invalid_argument "injected")))
+  in
+  Alcotest.(check (list (pair string int))) "death tallied" [ ("Invalid_argument", 1) ] r.errors;
+  Alcotest.(check int) "steps before the death kept" 4 r.ops
+
+(* Every malformed campaign is refused by the row builder, before
+   anything runs; the CLI turns the refusal into exit 2. *)
+let test_chaos_spec_rejected () =
+  let module CR = Workload.Chaos_runner in
+  let d = CR.default_spec in
+  List.iter
+    (fun (what, spec) ->
+      Alcotest.(check bool) (what ^ " rejected") true (Result.is_error (CR.row spec)))
+    [
+      ("--shards 3", { d with ch_shards = 3; ch_victims = 3 });
+      ("--shards 0", { d with ch_shards = 0; ch_victims = 0 });
+      ("--shards 64", { d with ch_shards = 64; ch_victims = 64 });
+      ("--shards 32", { d with ch_shards = 32; ch_victims = 32 });
+      ("--victims 0", { d with ch_victims = 0 });
+      ("--victims 9", { d with ch_victims = 9 });
+      ("--bound 0", { d with ch_backlog_bound = 0 });
+      ("--write-pct 150", { d with ch_write_pct = 150 });
+    ];
+  Alcotest.(check bool) "the default spec accepted" true (Result.is_ok (CR.row d))
+
+(* EBR whose [abandon] does nothing: the stalled thread keeps pinning
+   the frontier after the runner's recovery, so the row must fail. *)
+module Ebr_no_abandon = struct
+  include Smr.Ebr
+
+  let abandon _ ~pid:_ = ()
+end
+
+let test_robustness_checks_recovery () =
+  let run scheme =
+    T.run ~duration:0.2 (Workload.Experiments.robustness_row ~schemes:[ ("EBR", scheme) ] ())
+  in
+  Alcotest.(check int) "EBR passes" 0 (run (module Smr.Ebr));
+  Alcotest.(check int) "EBR without abandon fails" 1 (run (module Ebr_no_abandon));
+  Alcotest.(check int) "a non-positive duration is a usage error" 2
+    (Workload.Experiments.run_robustness ~duration:0. ())
+
 let () =
   Alcotest.run "workload"
     [
@@ -289,5 +352,11 @@ let () =
           Alcotest.test_case "pids and sampler" `Slow test_harness_pids_and_sampler;
           Alcotest.test_case "perf cell death" `Slow test_perf_cell_reports_death;
           Alcotest.test_case "fig12 cell" `Slow test_fig12_cell;
+          Alcotest.test_case "stepped loop" `Quick test_harness_steps;
+        ] );
+      ( "fault rows",
+        [
+          Alcotest.test_case "bad chaos specs are refused" `Quick test_chaos_spec_rejected;
+          Alcotest.test_case "robustness checks recovery" `Slow test_robustness_checks_recovery;
         ] );
     ]

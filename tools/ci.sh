@@ -117,8 +117,32 @@ if [ -n "$codecs" ]; then
   exit 1
 fi
 
+echo "== one fault runner =="
+# Robustness, adaptivity and chaos are rows of the experiment table
+# (DESIGN.md §4): a row carries its fault rules and run length, and
+# Table.sweep runs it like any other row. Only the table wraps a scheme
+# for fault injection, the per-experiment drivers must not come back,
+# and a malformed chaos campaign is a usage error (inverted gate).
+wraps=$(grep -rn 'Faulty_smr.Make' lib/workload | wc -l)
+if [ "$wraps" -gt 1 ]; then
+  echo "error: Faulty_smr.Make appears $wraps times under lib/workload, expected 1" >&2
+  exit 1
+fi
+if grep -rnE 'run_campaign|run_robustness_one|run_adaptivity_one|type replay' lib bin bench test; then
+  echo "error: a per-experiment fault driver is back" >&2
+  exit 1
+fi
+status=0
+dune exec bin/cdrc_bench.exe -- chaos --shards 3 >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "error: chaos --shards 3 exited $status, expected 2" >&2
+  exit 1
+fi
+
 echo "== robustness smoke (EBR, 0.2s) =="
-dune exec bin/cdrc_bench.exe -- robustness --duration 0.2 --schemes EBR --out ""
+# The row's check: nothing leaks, and EBR's live blocks at the end are
+# below those at abandon.
+dune exec bin/cdrc_bench.exe -- robustness --duration 0.2 --schemes EBR
 
 echo "== adaptivity smoke (controller vs fixed knobs) =="
 # Deterministic stalled-victim replays (DESIGN.md §10) on two targets:
@@ -126,11 +150,10 @@ echo "== adaptivity smoke (controller vs fixed knobs) =="
 # controller escalates to abandon_shard. Exits 1 unless, on both, the
 # controller-on run keeps EBR's backlog under the bound while the
 # fixed-knob run exceeds it — the graceful-degradation contract.
-dune exec bin/cdrc_bench.exe -- adaptivity --iters 2000 --bound 512 --out ""
+dune exec bin/cdrc_bench.exe -- adaptivity --iters 2000 --bound 512
 # The gate must actually gate: with an unattainable bound the same
 # replays have to exit non-zero.
-if dune exec bin/cdrc_bench.exe -- adaptivity --iters 2000 --bound 1 --out "" \
-    >/dev/null 2>&1; then
+if dune exec bin/cdrc_bench.exe -- adaptivity --iters 2000 --bound 1 >/dev/null 2>&1; then
   echo "error: adaptivity ignored a violated bound" >&2
   exit 1
 fi
@@ -199,8 +222,8 @@ echo "== chaos campaign smoke (mixed + rolling-crash, EBR + HP) =="
 # oracle (UAF/double-free freedom, accounting with crash slack, bounded
 # garbage, recovery SLO, leak freedom) must hold; a failure prints the
 # replayable schedule and exits 1.
-dune exec bin/cdrc_bench.exe -- chaos --campaign mixed --schemes EBR,HP --validate
-dune exec bin/cdrc_bench.exe -- chaos --campaign rolling-crash --schemes EBR,HP --validate
+dune exec bin/cdrc_bench.exe -- chaos --campaign mixed --schemes EBR,HP
+dune exec bin/cdrc_bench.exe -- chaos --campaign rolling-crash --schemes EBR,HP
 
 echo "== chaos recovery gate (breaker must carry the stall storm) =="
 # The graceful-degradation contract, inverted and straight: a stall
