@@ -49,9 +49,10 @@ module Make (S : Smr.Smr_intf.S) = struct
   type t = {
     smr : S.t;
     heap : Simheap.t;
-    (* Per-pid deferred-op queues and their reentrancy latches, owner
-       pid only, like the scheme's retired lists. *)
-    pending : Smr.Deferred.t Queue.t array;
+    (* Per-pid deferred-op queues, threaded through the retire records'
+       links, and their reentrancy latches, owner pid only, like the
+       scheme's retired lists. *)
+    pending : Smr.Retire_queue.t array;
     draining : bool array;
     scopes : scope_state array;
     wd : Obs.Watchdog.t; (* sampled by [stalled] *)
@@ -77,7 +78,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     {
       smr;
       heap;
-      pending = Array.init max_threads (fun _ -> Queue.create ());
+      pending = Array.init max_threads (fun _ -> Smr.Retire_queue.create ());
       draining = Array.make max_threads false;
       scopes =
         Array.init max_threads (fun pid ->
@@ -112,7 +113,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (** The birth tag of an object allocated now: what [alloc] stores, and
       what a caller that allocates its own records (CDRC's control
-      blocks) passes to [retire_id]. *)
+      blocks) puts in their retire records ({!Smr.Deferred.make}). *)
   let birth t ~pid = S.alloc_hook t.smr ~pid
 
   (* The hook runs strictly before the heap allocation: if it raises
@@ -317,18 +318,25 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (** {2 Retire, eject, flush} *)
 
-  (** Defer [op] until no acquire active now still protects the object
-      named [id], born at [birth]. CDRC retires its control blocks this
-      way: each stays one record, named by its identity. *)
-  let retire_id t ~pid id ~birth op = S.retire t.smr ~pid id ~birth op
+  (** Defer the retire record [d] until no acquire active now still
+      protects the object it names ({!Smr.Deferred.make}). CDRC retires
+      its control blocks this way: each stays one record, named by its
+      identity. *)
+  let retire t ~pid d = S.retire t.smr ~pid d
 
-  let retire t ~pid (m : _ managed) (op : Smr.Deferred.t) =
-    retire_id t ~pid (ident m) ~birth:m.birth op
+  let free_block _pid block = Simheap.free block
 
   (** Manual-SMR convenience: retire with the deferred operation being
-      the reclamation itself. *)
+      the reclamation itself, a static run function over the block. *)
   let retire_free t ~pid (m : _ managed) =
-    retire t ~pid m (fun _pid -> Simheap.free m.block)
+    retire t ~pid (Smr.Deferred.make ~id:(ident m) ~birth:m.birth free_block m.block)
+
+  let rec run_queue q ~pid =
+    match Smr.Retire_queue.pop q with
+    | Smr.Deferred.Nil -> ()
+    | d ->
+        Smr.Deferred.run d ~pid;
+        run_queue q ~pid
 
   (* Run [pid]'s queue to empty, unless [pid] is already running it: an
      op that retires, ejects or runs another op from inside the drain
@@ -339,13 +347,9 @@ module Make (S : Smr.Smr_intf.S) = struct
      pid's next drain. *)
   let drain t ~pid =
     let q = t.pending.(pid) in
-    if (not (Queue.is_empty q)) && not t.draining.(pid) then begin
+    if (not (Smr.Retire_queue.is_empty q)) && not t.draining.(pid) then begin
       t.draining.(pid) <- true;
-      match
-        while not (Queue.is_empty q) do
-          (Queue.pop q) pid
-        done
-      with
+      match run_queue q ~pid with
       | () -> t.draining.(pid) <- false
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
@@ -353,27 +357,23 @@ module Make (S : Smr.Smr_intf.S) = struct
           Printexc.raise_with_backtrace e bt
     end
 
-  (** Run [op] as [pid] through the pid's queue: now, or, from inside
-      a drain, once the running op returns. For deferred work that needs
-      no scheme protection (CDRC's strong-only disposals). *)
-  let run t ~pid op =
-    Queue.push op t.pending.(pid);
+  (** Run the detached record [d] as [pid] through the pid's queue: now,
+      or, from inside a drain, once the running op returns. For deferred
+      work that needs no scheme protection (CDRC's strong-only
+      disposals). *)
+  let run t ~pid d =
+    Smr.Retire_queue.push t.pending.(pid) d;
     drain t ~pid
 
-  let rec push_all q = function
-    | [] -> ()
-    | op :: rest ->
-        Queue.push op q;
-        push_all q rest
-
-  (* One scheme scan for [pid], queueing what it releases; [false] when
-     it released nothing. *)
+  (* One scheme scan for [pid], splicing the chain it releases into the
+     pid's queue; [false] when it released nothing. *)
   let scan t ~pid ~force =
-    match S.eject ~force t.smr ~pid with
-    | [] -> false
-    | ops ->
-        Obs.Histo.observe eject_batch_h ~pid (List.length ops);
-        push_all t.pending.(pid) ops;
+    (* A constant [~force:true] passes a static [Some true]; passing a
+       variable would box it on every scan. *)
+    match if force then S.eject ~force:true t.smr ~pid else S.eject t.smr ~pid with
+    | Smr.Deferred.Nil -> false
+    | chain ->
+        Obs.Histo.observe eject_batch_h ~pid (Smr.Retire_queue.splice t.pending.(pid) chain);
         true
 
   (** One scheme scan — amortized by the scheme's [cleanup_freq] and
@@ -395,24 +395,22 @@ module Make (S : Smr.Smr_intf.S) = struct
     drain t ~pid;
     if more then flush t ~pid
 
-  (** Teardown at quiescence: run what [S.drain_all] returns as pid 0
-      and every pid's queue as that pid, until both stay empty,
-      cascades included. Requires no concurrent activity. Afterwards,
-      with no strong cycles, the heap counts exactly the objects still
-      owned. *)
+  (** Teardown at quiescence: queue what [S.drain_all] returns on pid
+      0's queue, and drain every pid's queue as that pid, until both stay
+      empty, cascades included. An op that raises leaves the rest queued,
+      as {!drain} does, for the next [quiesce]. Requires no concurrent
+      activity. Afterwards, with no strong cycles, the heap counts
+      exactly the objects still owned. *)
   let quiesce t =
     let progress = ref true in
     while !progress do
-      progress := false;
-      let ops = S.drain_all t.smr in
-      if ops <> [] then progress := true;
-      List.iter (fun op -> op 0) ops;
+      progress := Smr.Retire_queue.splice t.pending.(0) (S.drain_all t.smr) > 0;
       Array.iteri
         (fun pid q ->
-          while not (Queue.is_empty q) do
+          if not (Smr.Retire_queue.is_empty q) then begin
             progress := true;
-            (Queue.pop q) pid
-          done)
+            drain t ~pid
+          end)
         t.pending
     done
 

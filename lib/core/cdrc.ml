@@ -15,8 +15,9 @@
     decrements and disposals — so that reads can protect a reference
     count (or a disposal) instead of incrementing it. Fig 8 uses three
     instances because a C++ [eject] hands back a bare pointer and the
-    instance says which operation to apply; a {!Smr.Deferred.t} closure
-    already carries its operation, so one instance suffices. Every
+    instance says which operation to apply; a {!Smr.Deferred.t} retire
+    record already carries its operation (one of three run functions
+    the runtime builds once), so one instance suffices. Every
     deferred operation on a control block is retired under the identity
     that all guards on the block announce, so merging the instances
     only adds guards that hold it back: it can run later than under
@@ -124,12 +125,25 @@ module Make (S : Smr.Smr_intf.S) = struct
   }
 
   (* [thrs] holds each pid's one [thr], set once by [create]: what
-     [thread] returns and what a destroy hook is called with. *)
+     [thread] returns and what a destroy hook is called with. [runs]
+     holds the runtime's three deferred operations, also set once by
+     [create]. *)
   and rt = {
     ar : Ar.t; (* the one acquire–retire instance *)
     support_weak : bool;
     books : books array; (* per pid *)
     mutable thrs : thr array;
+    mutable runs : runs;
+  }
+
+  (* The run functions of the runtime's retire records, one closure each
+     over the runtime, built once: a record applies one of them to its
+     control block as the executing pid, so a retire allocates the
+     record alone. *)
+  and runs = {
+    run_decrement : 'a. int -> 'a control_block -> unit;
+    run_weak_decrement : 'a. int -> 'a control_block -> unit;
+    run_dispose : 'a. int -> 'a control_block -> unit;
   }
 
   and thr = { rt : rt; pid : int }
@@ -141,36 +155,6 @@ module Make (S : Smr.Smr_intf.S) = struct
   type 'a snapshot = { n_slot : 'a slot; n_guard : S.guard; mutable n_live : bool }
 
   type 'a weak_snapshot = 'a snapshot
-
-  let create ?(support_weak = true) ?epoch_freq ?cleanup_freq ?slots_per_thread ?heap
-      ~max_threads () =
-    let heap =
-      match heap with Some h -> h | None -> Simheap.create ~name:("rc-" ^ S.name) ()
-    in
-    let rt =
-      {
-        ar = Ar.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~heap ~max_threads ();
-        support_weak;
-        books =
-          Array.init max_threads (fun _ ->
-              {
-                fast = 0;
-                slow = 0;
-                counted = [||];
-                n_counted = 0;
-                pad_0 = 0;
-                pad_1 = 0;
-                pad_2 = 0;
-                pad_3 = 0;
-                pad_4 = 0;
-                pad_5 = 0;
-                pad_6 = 0;
-              });
-        thrs = [||];
-      }
-    in
-    rt.thrs <- Array.init max_threads (fun pid -> { rt; pid });
-    rt
 
   let heap rt = Ar.heap rt.ar
   let max_threads rt = Ar.max_threads rt.ar
@@ -205,26 +189,26 @@ module Make (S : Smr.Smr_intf.S) = struct
         Simheap.free c.block
     | Null | Null_tagged _ | Tagged _ -> not_a_cb ()
 
-  (* Defer [op] on [cb] until no guard taken before this call protects
+  (* Defer [run] on [cb] until no guard taken before this call protects
      it, counting it under its kind's [counter], then eject: all three
      kinds share the one instance [ar], whose queue runs what the scan
      releases (cascades included) before this returns, or, from inside
-     a deferred op, right after it. *)
-  let delayed rt ~pid counter cb op =
+     a deferred op, right after it. The retire record, named by the
+     block's identity, is the only allocation. *)
+  let delayed rt ~pid counter cb run =
     Obs.Metrics.incr counter ~pid;
     let birth = match cb with Cb c -> c.birth | Null | Null_tagged _ | Tagged _ -> not_a_cb () in
-    Ar.retire_id rt.ar ~pid (Ident.of_val cb) ~birth op;
+    Ar.retire rt.ar ~pid (Smr.Deferred.make ~id:(Ident.of_val cb) ~birth run cb);
     Ar.eject rt.ar ~pid
 
   let rec decrement rt ~pid cb =
     if Cell.strong_decrement (cell_of cb) then
-      if rt.support_weak then
-        delayed rt ~pid dispose_deferred_c cb (fun epid -> dispose rt ~pid:epid cb)
+      if rt.support_weak then delayed rt ~pid dispose_deferred_c cb rt.runs.run_dispose
       else
         (* Strong-only mode: no weak snapshot can observe the object, so
            dispose as soon as the count dies — via the queue, so that a
            destroy hook dropping a long chain cannot overflow the stack. *)
-        Ar.run rt.ar ~pid (fun epid -> dispose rt ~pid:epid cb)
+        Ar.run rt.ar ~pid (Smr.Deferred.make ~id:Ident.null ~birth:0 rt.runs.run_dispose cb)
 
   and dispose rt ~pid cb =
     (match cb with
@@ -237,11 +221,50 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   and weak_decrement _rt ~pid:_ cb = if Cell.weak_decrement (cell_of cb) then free_cb cb
 
-  let delayed_decrement rt ~pid cb =
-    delayed rt ~pid dec_deferred_c cb (fun epid -> decrement rt ~pid:epid cb)
+  let delayed_decrement rt ~pid cb = delayed rt ~pid dec_deferred_c cb rt.runs.run_decrement
 
   let delayed_weak_decrement rt ~pid cb =
-    delayed rt ~pid weak_dec_deferred_c cb (fun epid -> weak_decrement rt ~pid:epid cb)
+    delayed rt ~pid weak_dec_deferred_c cb rt.runs.run_weak_decrement
+
+  let no_run _pid _cb = invalid_arg "Cdrc: runtime not initialized"
+  let no_runs = { run_decrement = no_run; run_weak_decrement = no_run; run_dispose = no_run }
+
+  let create ?(support_weak = true) ?epoch_freq ?cleanup_freq ?slots_per_thread ?heap
+      ~max_threads () =
+    let heap =
+      match heap with Some h -> h | None -> Simheap.create ~name:("rc-" ^ S.name) ()
+    in
+    let rt =
+      {
+        ar = Ar.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~heap ~max_threads ();
+        support_weak;
+        books =
+          Array.init max_threads (fun _ ->
+              {
+                fast = 0;
+                slow = 0;
+                counted = [||];
+                n_counted = 0;
+                pad_0 = 0;
+                pad_1 = 0;
+                pad_2 = 0;
+                pad_3 = 0;
+                pad_4 = 0;
+                pad_5 = 0;
+                pad_6 = 0;
+              });
+        thrs = [||];
+        runs = no_runs;
+      }
+    in
+    rt.thrs <- Array.init max_threads (fun pid -> { rt; pid });
+    rt.runs <-
+      {
+        run_decrement = (fun pid cb -> decrement rt ~pid cb);
+        run_weak_decrement = (fun pid cb -> weak_decrement rt ~pid cb);
+        run_dispose = (fun pid cb -> dispose rt ~pid cb);
+      };
+    rt
 
   (* ------------------------------------------------------------------ *)
   (* Pointer views and logical CAS *)

@@ -204,9 +204,10 @@ module Slots (S : Smr.Smr_intf.S with type t = Smr.Hp.t) = struct
     let loc = Sched.Atomic.make nodes.(0) in
     let retire (m : int Ar.managed) =
       Mon.retire mon ~ident:m.value;
-      Ar.retire ar ~pid:1 m (fun _ ->
-          Mon.free mon ~ident:m.value;
-          Simheap.free m.block)
+      Ar.retire ar ~pid:1
+        (Smr.Deferred.of_fun ~id:(Ar.ident m) ~birth:m.birth (fun _ ->
+             Mon.free mon ~ident:m.value;
+             Simheap.free m.block))
     in
     let eject () = Ar.eject ~force:true ar ~pid:1 in
     let read s =

@@ -18,7 +18,7 @@
       freezes: while stalled, [end_critical_section] and [release] are
       suppressed (recorded, not executed) — the thread keeps pinning
       whatever it pinned, exactly like a preempted thread holding
-      announcements — and [eject] returns [[]]. When the stall expires,
+      announcements — and [eject] returns [Nil]. When the stall expires,
       the first subsequent call replays the suppressed exits ("the
       thread wakes and finishes its frozen operation").
     - [Drop_eject]: the next n entries the underlying [eject] returns
@@ -131,40 +131,41 @@ struct
       S.release t.inner ~pid g
     end
 
-  let retire t ~pid id ~birth op =
+  let retire t ~pid d =
     maybe_wake t ~pid;
     let a = Fault_plan.hit plan On_retire ~pid in
     (match a with Some (Fault_plan.Delay n) -> spin n | _ -> ());
     pace ~pid;
-    S.retire t.inner ~pid id ~birth op;
+    S.retire t.inner ~pid d;
     (* Crash after recording: the thread dies on the way out, but the
        entry is safely queued for adoption. *)
     match a with Some Fault_plan.Crash -> raise (Fault_plan.Crashed pid) | _ -> ()
 
+  (* Re-retire the first [m] records of the chain [d] under a fresh
+     never-announced identity and a maximally conservative birth
+     (delayed, never unsafe), and return the rest. *)
+  let rec drop t ~pid m d =
+    if m = 0 then d
+    else
+      match d with
+      | Smr.Deferred.Nil -> d
+      | Smr.Deferred.D _ ->
+          let rest = Smr.Deferred.next d in
+          Smr.Deferred.set_next d Smr.Deferred.Nil;
+          Smr.Deferred.rename d ~id:(Smr.Ident.of_val (ref 0)) ~birth:0;
+          S.retire t.inner ~pid d;
+          drop t ~pid (m - 1) rest
+
   let eject ?force t ~pid =
-    if Fault_plan.stalled plan ~pid then []
+    if Fault_plan.stalled plan ~pid then Smr.Deferred.Nil
     else begin
       maybe_wake t ~pid;
       act_before ~pid (Fault_plan.hit plan On_eject ~pid);
       pace ~pid;
       let ops = S.eject ?force t.inner ~pid in
-      match Fault_plan.take_drops plan ~pid ~avail:(List.length ops) with
+      match Fault_plan.take_drops plan ~pid ~avail:(Smr.Deferred.length ops) with
       | 0 -> ops
-      | m ->
-          let rec split i = function
-            | rest when i = 0 -> ([], rest)
-            | [] -> ([], [])
-            | op :: rest ->
-                let d, k = split (i - 1) rest in
-                (op :: d, k)
-          in
-          let dropped, kept = split m ops in
-          (* Re-retire under a fresh never-announced identity and a
-             maximally conservative birth: delayed, never unsafe. *)
-          List.iter
-            (fun op -> S.retire t.inner ~pid (Smr.Ident.of_val (ref 0)) ~birth:0 op)
-            dropped;
-          kept
+      | m -> drop t ~pid m ops
     end
 
   let retired_count t ~pid = S.retired_count t.inner ~pid

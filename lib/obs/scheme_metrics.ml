@@ -4,23 +4,24 @@
    ([let om = Obs.Scheme_metrics.v name]) and calls the [on_*] helpers
    from its protocol entry points. The helpers are written so the
    disabled path is one atomic load: counters no-op inside [Metrics],
-   and the only helper with real structure — [on_retire], which wraps
-   the deferred operation to timestamp its eventual execution — checks
-   [Metrics.enabled] once and returns the operation unchanged when
-   telemetry is off, so disabled runs allocate nothing per retire.
+   and [on_retire] checks [Metrics.enabled] once and returns
+   [no_stamp] when telemetry is off, so disabled runs allocate nothing
+   per retire.
 
    Latency accounting: [on_retire] bumps the operation-tick clock on
-   every retire, and for sampled retires closes over the current tick;
-   when the wrapped deferred operation finally runs (at eject or drain
-   time), the tick delta is the entry's reclamation latency in
-   "subsequent retires survived" — the paper's bounded-garbage
-   quantity, deterministic under a fixed seed. The wrapper observes
-   into the scheme's latency histogram and then runs the real
-   operation, so instrumentation cannot change reclamation order or
-   effects. *)
+   every retire, and for sampled retires returns a stamp holding the
+   current tick, which the scheme stores in the retire record. When the
+   record finally runs (at eject or drain time), [on_reclaim] observes
+   the tick delta as the entry's reclamation latency in "subsequent
+   retires survived" — the paper's bounded-garbage quantity,
+   deterministic under a fixed seed — before the operation runs, so
+   instrumentation cannot change reclamation order or effects. A stamp
+   also names its bundle (its low [index_bits]), so the run knows whose
+   histogram to feed without the record carrying it. *)
 
 type t = {
   scheme : string;
+  index : int; (* in [latency_histos] *)
   acquire : Metrics.counter;
   slot_exhausted : Metrics.counter;
   confirm_retry : Metrics.counter;
@@ -30,7 +31,6 @@ type t = {
   eject_ops : Metrics.counter;
   abandon : Metrics.counter;
   eject_batch : Histo.t;
-  reclaim_latency : Histo.t;
   (* Preallocated constant events for the hot, sampled trace points, so
      an emitted acquire/retire allocates only its ring entry. *)
   ev_acquire : Trace.ev;
@@ -38,10 +38,32 @@ type t = {
   ev_retire : Trace.ev;
 }
 
+let no_stamp = -1
+let index_bits = 8
+
+(* Every bundle's latency histogram, by bundle index: what a stamp's
+   low bits name. Bundles are bound at module initialization, one per
+   scheme module; binding a scheme again reuses its index. *)
+let latency_histos : Histo.t array ref = ref [||]
+
+let index_of h =
+  let hs = !latency_histos in
+  let rec find i =
+    if i = Array.length hs then begin
+      if i >= 1 lsl index_bits then invalid_arg "Scheme_metrics.v: too many bundles";
+      latency_histos := Array.append hs [| h |];
+      i
+    end
+    else if hs.(i) == h then i
+    else find (i + 1)
+  in
+  find 0
+
 let v scheme =
   let p = "smr." ^ String.lowercase_ascii scheme ^ "." in
   {
     scheme;
+    index = index_of (Histo.histo (p ^ "reclaim_latency"));
     acquire = Metrics.counter (p ^ "acquire");
     slot_exhausted = Metrics.counter (p ^ "slot_exhausted");
     confirm_retry = Metrics.counter (p ^ "confirm_retry");
@@ -51,7 +73,6 @@ let v scheme =
     eject_ops = Metrics.counter (p ^ "eject.ops");
     abandon = Metrics.counter (p ^ "abandon");
     eject_batch = Histo.histo (p ^ "eject.batch_size");
-    reclaim_latency = Histo.histo (p ^ "reclaim_latency");
     ev_acquire = Trace.Acquire { scheme };
     ev_confirm_retry = Trace.Confirm_retry { scheme };
     ev_retire = Trace.Retire { scheme };
@@ -76,41 +97,38 @@ let on_confirm_retry t ~pid =
   Metrics.incr t.confirm_retry ~pid;
   if Trace.should_sample ~pid then Trace.emit ~pid t.ev_confirm_retry
 
-(* Returns the deferred operation to store in the retired list. The
-   retire counter and the tick clock move on every retire (both are
-   single plain stores); the trace event and the latency-tracking
-   wrapper ride the 1-in-32 [Trace.should_sample] gate, so the
-   histogram is a uniform sample of retirements rather than a census —
-   percentiles are unaffected, and the closure allocation disappears
-   from 31/32 of the hot path. *)
-let on_retire t ~pid (op : int -> unit) : int -> unit =
-  if not (Metrics.enabled ()) then op
+(* Returns the stamp to store in the retire record. The retire counter
+   and the tick clock move on every retire (both are single plain
+   stores); the trace event and the latency sample ride the 1-in-32
+   [Trace.should_sample] gate, so the histogram is a uniform sample of
+   retirements rather than a census — percentiles are unaffected. *)
+let on_retire t ~pid =
+  if not (Metrics.enabled ()) then no_stamp
   else begin
     Metrics.incr t.retire ~pid;
     Tick.bump ~pid;
-    if not (Trace.should_sample ~pid) then op
+    if not (Trace.should_sample ~pid) then no_stamp
     else begin
       Trace.emit ~pid t.ev_retire;
-      let t0 = Tick.now () in
-      fun run_pid ->
-        Histo.observe t.reclaim_latency ~pid:run_pid (Tick.now () - t0);
-        op run_pid
+      (Tick.now () lsl index_bits) lor t.index
     end
   end
 
-(* Call at every eject scan site with the batch about to be returned;
-   passes the batch through. *)
-let on_eject t ~pid ops =
+let on_reclaim ~pid stamp =
+  let h = Array.unsafe_get !latency_histos (stamp land ((1 lsl index_bits) - 1)) in
+  Histo.observe h ~pid (Tick.now () - (stamp lsr index_bits))
+
+(* Call at every eject scan site with the size of the batch about to be
+   returned. *)
+let on_eject t ~pid n =
   if Metrics.enabled () then begin
     Metrics.incr t.eject_scans ~pid;
-    let n = List.length ops in
     if n > 0 then begin
       Metrics.add t.eject_ops ~pid n;
       Histo.observe t.eject_batch ~pid n;
       Trace.emit ~pid (Trace.Eject { scheme = t.scheme; batch = n })
     end
-  end;
-  ops
+  end
 
 let on_abandon t ~pid =
   Metrics.incr t.abandon ~pid;

@@ -3,8 +3,7 @@
     Every SMR scheme binds one of these at module-initialization time
     ([let om = Obs.Scheme_metrics.v name]) and calls the [on_*] hooks
     from its protocol entry points. All hooks are one atomic load when
-    telemetry is disabled; [on_retire] additionally guarantees the
-    disabled path allocates nothing per retire. *)
+    telemetry is disabled, and none allocates per retire. *)
 
 type t
 
@@ -27,18 +26,25 @@ val on_knob_ignored : t -> knob:string -> unit
 val on_confirm_retry : t -> pid:int -> unit
 (** An announce→re-validate round failed and retried. *)
 
-val on_retire : t -> pid:int -> (int -> unit) -> int -> unit
-(** [on_retire t ~pid op] counts the retirement, bumps the operation
-    tick clock, and returns the deferred operation to store: [op]
-    itself when disabled or unsampled, or a wrapper that records the
-    tick-delta reclamation latency into [smr.<scheme>.reclaim_latency]
-    before running [op]. Wrapping never changes reclamation order or
-    effects. *)
+val no_stamp : int
+(** The stamp of a retire record that carries no latency sample. *)
 
-val on_eject : t -> pid:int -> 'a list -> 'a list
-(** Call at every eject scan with the batch about to be returned;
-    counts the scan, the batch size (histogram + counter) and passes
-    the batch through unchanged. *)
+val on_retire : t -> pid:int -> int
+(** [on_retire t ~pid] counts the retirement, bumps the operation tick
+    clock, and returns the stamp the scheme stores in the retire record
+    ({!Smr.Deferred}): {!no_stamp} when disabled or unsampled, else the
+    current tick tagged with this bundle, for {!on_reclaim}. *)
+
+val on_reclaim : pid:int -> int -> unit
+(** [on_reclaim ~pid stamp] records the tick-delta reclamation latency
+    of a record that carries [stamp] (not {!no_stamp}) into its
+    bundle's [smr.<scheme>.reclaim_latency]; the record's run calls it
+    just before the operation, which it never reorders or changes. *)
+
+val on_eject : t -> pid:int -> int -> unit
+(** Call at every eject scan with the size of the batch about to be
+    returned; counts the scan and the batch size (histogram +
+    counter). *)
 
 val on_abandon : t -> pid:int -> unit
 (** A stalled thread's state was reaped on its behalf. *)

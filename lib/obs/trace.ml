@@ -2,8 +2,11 @@
 
    Each pid owns a ring of [capacity] entries, written only by that pid
    (owner-write), so recording an event is: one global fetch-and-add
-   for the sequence number, one store into the ring slot, one bump of
-   the local cursor. When the ring wraps, the oldest events are
+   for the sequence number, one store into each of the ring's three
+   columns (sequence, pid, event), one bump of the local cursor. The
+   columns are unboxed, so recording a preallocated event allocates
+   nothing; an entry record, held by the ring until it wraps, would be
+   promoted on every emit. When the ring wraps, the oldest events are
    overwritten — the trace is a flight recorder, not a log. Export
    collects all rings, sorts by sequence number, and emits JSONL; the
    sequence gives a single global order without the writers ever
@@ -32,11 +35,17 @@ type ev =
 
 type entry = { seq : int; e_pid : int; ev : ev }
 
+(* What an unwritten ring slot holds. *)
+let no_ev = Sample { t_ms = 0; ops_per_s = 0; live = 0; backlog = 0 }
+
+(* A slot [i] holds an event when [seqs.(i) >= 0]. A ring is its owner
+   pid's alone, in blocks of its own. *)
 type ring = {
-  slots : entry option array;
+  seqs : int array; [@rc_lint.allow "R6"]
+  pids : int array; [@rc_lint.allow "R6"]
+  evs : ev array;
   mutable cursor : int;
   mutable written : int;
-  mutable tick : int; (* sampling clock for hot-path events, owner-written *)
 }
 
 let enabled_flag = Atomic.make false
@@ -50,7 +59,15 @@ let ring_for pid =
   match Atomic.get rings.(i) with
   | Some r -> r
   | None ->
-      let r = { slots = Array.make capacity None; cursor = 0; written = 0; tick = 0 } in
+      let r =
+        {
+          seqs = Array.make capacity (-1);
+          pids = Array.make capacity 0;
+          evs = Array.make capacity no_ev;
+          cursor = 0;
+          written = 0;
+        }
+      in
       (* A CAS loss means another pid sharing this index raced us to
          install a ring; use theirs. *)
       if Atomic.compare_and_set rings.(i) None (Some r) then r
@@ -60,7 +77,9 @@ let emit ~pid ev =
   if Atomic.get enabled_flag then begin
     let r = ring_for pid in
     let s = Atomic.fetch_and_add seq 1 in
-    r.slots.(r.cursor) <- Some { seq = s; e_pid = pid; ev };
+    r.evs.(r.cursor) <- ev;
+    r.pids.(r.cursor) <- pid;
+    r.seqs.(r.cursor) <- s;
     r.cursor <- (r.cursor + 1) mod capacity;
     r.written <- r.written + 1
   end
@@ -75,15 +94,22 @@ let emit ~pid ev =
    by calling [emit] directly. *)
 let sample_shift = 5
 
+(* Each pid's sampling clock for hot-path events, owner-written: one
+   live int per cache line, indexed like the rings. *)
+let tick_stride = 8
+let ticks = Array.make (max_pids * tick_stride) 0
+
 let should_sample ~pid =
   Atomic.get enabled_flag
   &&
-  let r = ring_for pid in
-  r.tick <- r.tick + 1;
-  r.tick land ((1 lsl sample_shift) - 1) = 0
+  let i = (pid land ring_mask) * tick_stride in
+  let t = Array.unsafe_get ticks i + 1 in
+  Array.unsafe_set ticks i t;
+  t land ((1 lsl sample_shift) - 1) = 0
 
 let reset () =
   Atomic.set seq 0;
+  Array.fill ticks 0 (Array.length ticks) 0;
   Array.iter (fun cell -> Atomic.set cell None) rings
 
 (** Total events recorded since the last [reset], including ones that
@@ -116,7 +142,10 @@ let entries () =
     (fun cell ->
       match Atomic.get cell with
       | None -> ()
-      | Some r -> Array.iter (function None -> () | Some e -> acc := e :: !acc) r.slots)
+      | Some r ->
+          Array.iteri
+            (fun i seq -> if seq >= 0 then acc := { seq; e_pid = r.pids.(i); ev = r.evs.(i) } :: !acc)
+            r.seqs)
     rings;
   List.sort (fun a b -> compare a.seq b.seq) !acc
 

@@ -14,8 +14,9 @@ type t = {
   ann : int Padded.t;
   cur_epoch : int Sched.Atomic.t;
   alloc_tally : int Padded.t; (* owner-thread only; padded for locality *)
-  retired : int Retire_queue.t array; (* meta = retire epoch *)
-  orphans : int Orphanage.t; (* entries abandoned by crashed threads *)
+  retired : Retire_queue.t array; (* meta = retire epoch *)
+  out : Retire_queue.t array; (* each pid's eject batch, built by its scan *)
+  orphans : Orphanage.t; (* entries abandoned by crashed threads *)
 }
 
 let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
@@ -29,6 +30,7 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     cur_epoch = Sched.Atomic.make 0;
     alloc_tally = Padded.create max_threads 0;
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
+    out = Array.init max_threads (fun _ -> Retire_queue.create ());
     orphans = Orphanage.create ();
   }
 
@@ -67,9 +69,13 @@ let release _t ~pid:_ _g = ()
 
 let min_announced t = Padded.fold min max_int t.ann
 
-let retire t ~pid _id ~birth:_ op =
-  let op = Obs.Scheme_metrics.on_retire om ~pid op in
-  Retire_queue.push t.retired.(pid) (Sched.Atomic.get t.cur_epoch) op
+let retire t ~pid d =
+  Deferred.set_stamp d (Obs.Scheme_metrics.on_retire om ~pid);
+  Deferred.set_meta d (Sched.Atomic.get t.cur_epoch);
+  Retire_queue.push t.retired.(pid) d
+
+(* Retired before every announced critical section began. *)
+let before min_ann d = Deferred.meta d < min_ann
 
 let eject ?(force = false) t ~pid =
   let q = t.retired.(pid) in
@@ -78,25 +84,25 @@ let eject ?(force = false) t ~pid =
     || Retire_queue.due q ~every:(Knobs.cleanup_freq t.knobs)
   then begin
     let min_ann = min_announced t in
-    let safe e = e < min_ann in
     let max = if force then max_int else Knobs.batch_cap t.knobs in
+    let out = t.out.(pid) in
     (* Retire epochs are monotone within a thread's queue. *)
-    Obs.Scheme_metrics.on_eject om ~pid
-      (Orphanage.adopt t.orphans ~safe (Retire_queue.pop_prefix ~max q ~safe))
+    Retire_queue.pop_prefix q ~into:out ~max before min_ann;
+    Orphanage.adopt t.orphans ~into:out before min_ann;
+    Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.size out);
+    Retire_queue.take out
   end
-  else []
+  else Deferred.Nil
 
 let retired_count t ~pid = Retire_queue.size t.retired.(pid)
 
 let abandon t ~pid =
   Obs.Scheme_metrics.on_abandon om ~pid;
   Padded.set t.ann pid empty_ann;
-  Orphanage.put t.orphans (Retire_queue.drain_with_meta t.retired.(pid))
+  Orphanage.put t.orphans (Retire_queue.take t.retired.(pid))
 
 let reclamation_frontier t =
   let f = min_announced t in
   Some (if f = max_int then Sched.Atomic.get t.cur_epoch else f)
 
-let drain_all t =
-  let orphaned = List.map snd (Orphanage.take_all t.orphans) in
-  orphaned @ Array.fold_left (fun acc q -> acc @ Retire_queue.drain q) [] t.retired
+let drain_all t = Orphanage.drain_all t.orphans t.retired

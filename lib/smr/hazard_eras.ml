@@ -9,6 +9,11 @@ type guard = int
 
 let empty_era = -1
 
+(* A scan's snapshot of the announced eras, [eras.(0 .. n-1)]:
+   preallocated per pid, so that a scan builds no list. Owner-only, in
+   a block of its own. *)
+type announced = { eras : int array; [@rc_lint.allow "R6"] mutable n : int }
+
 type t = {
   max_threads : int;
   k : int;
@@ -18,8 +23,10 @@ type t = {
   slots : int Padded.t; (* announced eras, (k+1) per thread *)
   free : Slot_pool.t array; (* per-thread free local slot indices; owner only *)
   alloc_tally : int Padded.t;
-  retired : (int * int) Retire_queue.t array; (* (birth era, retire era) *)
-  orphans : (int * int) Orphanage.t;
+  retired : Retire_queue.t array; (* meta = retire era *)
+  out : Retire_queue.t array; (* each pid's eject batch, built by its scan *)
+  snap : announced array; (* each pid's scan snapshot *)
+  orphans : Orphanage.t;
 }
 
 let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
@@ -35,6 +42,9 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     free = Array.init max_threads (fun _ -> Slot_pool.create k);
     alloc_tally = Padded.create max_threads 0;
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
+    out = Array.init max_threads (fun _ -> Retire_queue.create ());
+    snap =
+      Array.init max_threads (fun _ -> { eras = Array.make ((k + 1) * max_threads) 0; n = 0 });
     orphans = Orphanage.create ();
   }
 
@@ -94,15 +104,20 @@ let release t ~pid g =
   Padded.set t.slots (slot_index t ~pid g) empty_era;
   if g < t.k then Slot_pool.give t.free.(pid) g
 
-(* Whether an announced era falls in [birth, retired_at]: closure-free,
-   since an eject scan asks once per retired entry. *)
-let rec covered birth retired_at = function
-  | [] -> false
-  | e :: rest -> (birth <= e && e <= retired_at) || covered birth retired_at rest
+(* Whether one of [eras.(0 .. i)] falls in [birth, retired_at]. *)
+let rec covered eras birth retired_at i =
+  i >= 0
+  &&
+  let e = Array.unsafe_get eras i in
+  (birth <= e && e <= retired_at) || covered eras birth retired_at (i - 1)
 
-let retire t ~pid _id ~birth op =
-  let op = Obs.Scheme_metrics.on_retire om ~pid op in
-  Retire_queue.push t.retired.(pid) (birth, Sched.Atomic.get t.era) op
+(* No announced era falls in the entry's [birth era, retire era]. *)
+let unprotected a d = not (covered a.eras (Deferred.birth d) (Deferred.meta d) (a.n - 1))
+
+let retire t ~pid d =
+  Deferred.set_stamp d (Obs.Scheme_metrics.on_retire om ~pid);
+  Deferred.set_meta d (Sched.Atomic.get t.era);
+  Retire_queue.push t.retired.(pid) d
 
 let eject ?(force = false) t ~pid =
   let q = t.retired.(pid) in
@@ -110,19 +125,24 @@ let eject ?(force = false) t ~pid =
     force || Knobs.sync_scan t.knobs
     || Retire_queue.due q ~every:(effective_cleanup_freq t)
   then begin
-    let eras = ref [] in
+    let a = t.snap.(pid) in
+    a.n <- 0;
     let total = (t.k + 1) * t.max_threads in
     for i = 0 to total - 1 do
       let e = Padded.get t.slots i in
-      if e <> empty_era then eras := e :: !eras
+      if e <> empty_era then begin
+        a.eras.(a.n) <- e;
+        a.n <- a.n + 1
+      end
     done;
-    let eras = !eras in
-    let safe (birth, retired_at) = not (covered birth retired_at eras) in
     let max = if force then max_int else Knobs.batch_cap t.knobs in
-    Obs.Scheme_metrics.on_eject om ~pid
-      (Orphanage.adopt t.orphans ~safe (Retire_queue.filter_pop ~max q ~safe))
+    let out = t.out.(pid) in
+    Retire_queue.filter_pop q ~into:out ~max unprotected a;
+    Orphanage.adopt t.orphans ~into:out unprotected a;
+    Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.size out);
+    Retire_queue.take out
   end
-  else []
+  else Deferred.Nil
 
 let retired_count t ~pid = Retire_queue.size t.retired.(pid)
 
@@ -132,7 +152,7 @@ let abandon t ~pid =
     Padded.set t.slots (slot_index t ~pid s) empty_era
   done;
   Slot_pool.reset t.free.(pid);
-  Orphanage.put t.orphans (Retire_queue.drain_with_meta t.retired.(pid))
+  Orphanage.put t.orphans (Retire_queue.take t.retired.(pid))
 
 let reclamation_frontier t =
   let f =
@@ -140,6 +160,4 @@ let reclamation_frontier t =
   in
   Some (if f = max_int then Sched.Atomic.get t.era else f)
 
-let drain_all t =
-  let orphaned = List.map snd (Orphanage.take_all t.orphans) in
-  orphaned @ Array.fold_left (fun acc q -> acc @ Retire_queue.drain q) [] t.retired
+let drain_all t = Orphanage.drain_all t.orphans t.retired

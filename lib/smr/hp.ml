@@ -8,6 +8,10 @@ type guard = int
 (* A guard is the thread-local slot index: 0..k-1 from the free pool,
    k for the reserved slot. *)
 
+(* A scan's snapshot of the non-null announcements, [ids.(0 .. n-1)]:
+   preallocated per pid, so that a scan builds no list. *)
+type announced = { ids : Ident.t array; mutable n : int }
+
 type t = {
   max_threads : int;
   k : int; (* non-reserved slots per thread *)
@@ -15,8 +19,10 @@ type t = {
   cleanup_floor : int; (* amortization floor: 2 * announcements *)
   slots : Ident.t Padded.t; (* (k+1) * max_threads announcement slots *)
   free : Slot_pool.t array; (* per-thread free local slot indices; owner only *)
-  retired : Ident.t Retire_queue.t array;
-  orphans : Ident.t Orphanage.t;
+  retired : Retire_queue.t array;
+  out : Retire_queue.t array; (* each pid's eject batch, built by its scan *)
+  announced : announced array; (* each pid's scan snapshot *)
+  orphans : Orphanage.t;
 }
 
 let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
@@ -33,6 +39,10 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     slots = Padded.create ((k + 1) * max_threads) Ident.null;
     free = Array.init max_threads (fun _ -> Slot_pool.create k);
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
+    out = Array.init max_threads (fun _ -> Retire_queue.create ());
+    announced =
+      Array.init max_threads (fun _ ->
+          { ids = Array.make ((k + 1) * max_threads) Ident.null; n = 0 });
     orphans = Orphanage.create ();
   }
 
@@ -85,13 +95,17 @@ let announced_count t =
 
 let is_announced t id = Padded.fold (fun acc a -> acc || Ident.equal a id) false t.slots
 
-(* [List.exists (Ident.equal id)] would build a closure per call, and
-   an eject scan calls this once per retired entry. *)
-let rec mem id = function [] -> false | a :: rest -> Ident.equal a id || mem id rest
+(* Whether [id] is among [ids.(0 .. i)]: a linear membership test beats
+   hashing at this size, and identity tokens cannot be hashed stably
+   under a moving GC. *)
+let rec mem id ids i = i >= 0 && (Ident.equal (Array.unsafe_get ids i) id || mem id ids (i - 1))
 
-let retire t ~pid id ~birth:_ op =
-  let op = Obs.Scheme_metrics.on_retire om ~pid op in
-  Retire_queue.push t.retired.(pid) id op
+(* Announced nowhere in the scan's snapshot. *)
+let unannounced a d = not (mem (Deferred.id d) a.ids (a.n - 1))
+
+let retire t ~pid d =
+  Deferred.set_stamp d (Obs.Scheme_metrics.on_retire om ~pid);
+  Retire_queue.push t.retired.(pid) d
 
 let eject ?(force = false) t ~pid =
   let q = t.retired.(pid) in
@@ -100,22 +114,25 @@ let eject ?(force = false) t ~pid =
     || Retire_queue.due q ~every:(effective_cleanup_freq t)
   then begin
     (* Snapshot every announcement; entries are held back while their
-       identity appears anywhere. The announcement count is small
-       (P*(k+1)), so a linear membership test beats hashing — identity
-       tokens cannot be hashed stably under a moving GC. *)
-    let announced = ref [] in
+       identity appears anywhere. *)
+    let a = t.announced.(pid) in
+    a.n <- 0;
     let total = (t.k + 1) * t.max_threads in
     for i = 0 to total - 1 do
       let id = Padded.get t.slots i in
-      if not (Ident.is_null id) then announced := id :: !announced
+      if not (Ident.is_null id) then begin
+        a.ids.(a.n) <- id;
+        a.n <- a.n + 1
+      end
     done;
-    let announced = !announced in
-    let safe id = not (mem id announced) in
     let max = if force then max_int else Knobs.batch_cap t.knobs in
-    Obs.Scheme_metrics.on_eject om ~pid
-      (Orphanage.adopt t.orphans ~safe (Retire_queue.filter_pop ~max q ~safe))
+    let out = t.out.(pid) in
+    Retire_queue.filter_pop q ~into:out ~max unannounced a;
+    Orphanage.adopt t.orphans ~into:out unannounced a;
+    Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.size out);
+    Retire_queue.take out
   end
-  else []
+  else Deferred.Nil
 
 let retired_count t ~pid = Retire_queue.size t.retired.(pid)
 
@@ -125,10 +142,8 @@ let abandon t ~pid =
     Padded.set t.slots (slot_index t ~pid s) Ident.null
   done;
   Slot_pool.reset t.free.(pid);
-  Orphanage.put t.orphans (Retire_queue.drain_with_meta t.retired.(pid))
+  Orphanage.put t.orphans (Retire_queue.take t.retired.(pid))
 
 let reclamation_frontier _t = None
 
-let drain_all t =
-  let orphaned = List.map snd (Orphanage.take_all t.orphans) in
-  orphaned @ Array.fold_left (fun acc q -> acc @ Retire_queue.drain q) [] t.retired
+let drain_all t = Orphanage.drain_all t.orphans t.retired

@@ -15,7 +15,8 @@ type t = {
   state : hstate Sched.Atomic.t;
   snapshot : rnode Padded.t; (* head observed at each thread's enter *)
   in_cs : bool Padded.t; (* whether each thread holds an open critical section *)
-  safe : (Deferred.t) list Sched.Atomic.t; (* entries whose stamp reached zero *)
+  safe : Deferred.t Sched.Atomic.t;
+      (* entries whose stamp reached zero: a stack threaded through their links *)
   pending : int Sched.Atomic.t; (* retired - ejected, diagnostics *)
 }
 
@@ -39,7 +40,7 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     state = Sched.Atomic.make { active = 0; head = Nil };
     snapshot = Padded.create max_threads Nil;
     in_cs = Padded.create max_threads false;
-    safe = Sched.Atomic.make [];
+    safe = Sched.Atomic.make Deferred.Nil;
     pending = Sched.Atomic.make 0;
   }
 
@@ -50,7 +51,8 @@ let active_count t = (Sched.Atomic.get t.state).active
 
 let rec push_safe t op =
   let cur = Sched.Atomic.get t.safe in
-  if not (Sched.Atomic.compare_and_set t.safe cur (op :: cur)) then push_safe t op
+  Deferred.set_next op cur;
+  if not (Sched.Atomic.compare_and_set t.safe cur op) then push_safe t op
 
 let rec begin_critical_section t ~pid =
   let s = Sched.Atomic.get t.state in
@@ -105,43 +107,54 @@ let acquire _t ~pid _id =
 let confirm _t ~pid:_ _g _id = true
 let release _t ~pid:_ _g = ()
 
-let rec retire t ~pid _id ~birth op =
+let rec retire t ~pid op =
   let s = Sched.Atomic.get t.state in
   if s.active = 0 then
     (* No reader can hold the object; it is immediately safe. *)
-    if Sched.Atomic.compare_and_set t.state s s then push_safe t op else retire t ~pid _id ~birth op
+    if Sched.Atomic.compare_and_set t.state s s then push_safe t op else retire t ~pid op
   else begin
     let node = Node { refs = Sched.Atomic.make s.active; op; next = s.head } in
-    if not (Sched.Atomic.compare_and_set t.state s { s with head = node }) then
-      retire t ~pid _id ~birth op
+    if not (Sched.Atomic.compare_and_set t.state s { s with head = node }) then retire t ~pid op
   end
 
-let retire t ~pid id ~birth op =
-  let op = Obs.Scheme_metrics.on_retire om ~pid op in
+let retire t ~pid op =
+  Deferred.set_stamp op (Obs.Scheme_metrics.on_retire om ~pid);
   ignore (Sched.Atomic.fetch_and_add t.pending 1);
-  retire t ~pid id ~birth op
+  retire t ~pid op
+
+(* Push back, one at a time, the records of the chain from [d] on. *)
+let rec push_back t d =
+  match d with
+  | Deferred.Nil -> ()
+  | Deferred.D _ ->
+      let rest = Deferred.next d in
+      push_safe t d;
+      push_back t rest
+
+(* Cut the chain after its [cap]-th record, push the rest back, and
+   return the length kept; [n] records before [d] are counted. *)
+let rec cap_chain t ~cap d n =
+  match Deferred.next d with
+  | Deferred.Nil -> n + 1
+  | rest when n + 1 = cap ->
+      Deferred.set_next d Deferred.Nil;
+      push_back t rest;
+      cap
+  | rest -> cap_chain t ~cap rest (n + 1)
 
 let eject ?(force = false) t ~pid =
   match Sched.Atomic.get t.safe with
-  | [] -> []
-  | _ ->
-      let ops = Sched.Atomic.exchange t.safe [] in
+  | Deferred.Nil -> Deferred.Nil
+  | Deferred.D _ ->
+      let ops = Sched.Atomic.exchange t.safe Deferred.Nil in
       (* Cap the batch: the excess goes back on the safe list (it is
          already reclaimable, the controller just wants it released in
          smaller doses). *)
       let cap = if force then max_int else Knobs.batch_cap t.knobs in
-      let ops =
-        let rec split n acc = function
-          | [] -> List.rev acc
-          | rest when n = 0 ->
-              List.iter (push_safe t) rest;
-              List.rev acc
-          | op :: rest -> split (n - 1) (op :: acc) rest
-        in
-        if cap = max_int then ops else split cap [] ops
-      in
-      ignore (Sched.Atomic.fetch_and_add t.pending (-List.length ops));
-      Obs.Scheme_metrics.on_eject om ~pid ops
+      let n = match ops with Deferred.Nil -> 0 | Deferred.D _ -> cap_chain t ~cap ops 0 in
+      ignore (Sched.Atomic.fetch_and_add t.pending (-n));
+      Obs.Scheme_metrics.on_eject om ~pid n;
+      ops
 
 (* Pending entries are global rather than per-thread: report the whole
    count under pid 0 and none elsewhere, so the per-pid counts sum to

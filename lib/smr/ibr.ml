@@ -17,8 +17,11 @@ type t = {
   ann : interval Padded.t;
   cur_epoch : int Sched.Atomic.t;
   alloc_tally : int Padded.t; (* owner-thread only *)
-  retired : (int * int) Retire_queue.t array; (* meta = (birth, retire epoch) *)
-  orphans : (int * int) Orphanage.t;
+  retired : Retire_queue.t array; (* meta = retire epoch *)
+  out : Retire_queue.t array; (* each pid's eject batch, built by its scan *)
+  anns : int array array;
+      (* each pid's scan snapshot: interval [i] at [2i] (begin), [2i+1] (end) *)
+  orphans : Orphanage.t;
 }
 
 let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
@@ -32,6 +35,8 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     cur_epoch = Sched.Atomic.make 0;
     alloc_tally = Padded.create max_threads 0;
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
+    out = Array.init max_threads (fun _ -> Retire_queue.create ());
+    anns = Array.init max_threads (fun _ -> Array.make (2 * max_threads) 0);
     orphans = Orphanage.create ();
   }
 
@@ -79,17 +84,22 @@ let confirm t ~pid _g _id =
 
 let release _t ~pid:_ _g = ()
 
-(* Whether no interval in [anns.(0 .. i)] meets [birth, retired_at]:
-   closure-free, since an eject scan asks once per retired entry. *)
+(* Whether no snapshot interval in [anns] numbered [0 .. i] meets
+   [birth, retired_at]. *)
 let rec disjoint anns birth retired_at i =
   if i < 0 then true
   else
-    let a = anns.(i) in
-    (a.e < birth || a.b > retired_at) && disjoint anns birth retired_at (i - 1)
+    (Array.unsafe_get anns ((2 * i) + 1) < birth || Array.unsafe_get anns (2 * i) > retired_at)
+    && disjoint anns birth retired_at (i - 1)
 
-let retire t ~pid _id ~birth op =
-  let op = Obs.Scheme_metrics.on_retire om ~pid op in
-  Retire_queue.push t.retired.(pid) (birth, Sched.Atomic.get t.cur_epoch) op
+(* No announced interval meets the entry's [birth, retire epoch]. *)
+let unprotected anns d =
+  disjoint anns (Deferred.birth d) (Deferred.meta d) ((Array.length anns / 2) - 1)
+
+let retire t ~pid d =
+  Deferred.set_stamp d (Obs.Scheme_metrics.on_retire om ~pid);
+  Deferred.set_meta d (Sched.Atomic.get t.cur_epoch);
+  Retire_queue.push t.retired.(pid) d
 
 let eject ?(force = false) t ~pid =
   let q = t.retired.(pid) in
@@ -97,26 +107,30 @@ let eject ?(force = false) t ~pid =
     force || Knobs.sync_scan t.knobs
     || Retire_queue.due q ~every:(Knobs.cleanup_freq t.knobs)
   then begin
-    let n = t.max_threads in
-    let anns = Array.init n (fun i -> Padded.get t.ann i) in
-    let safe (birth, retired_at) = disjoint anns birth retired_at (n - 1) in
+    let anns = t.anns.(pid) in
+    for i = 0 to t.max_threads - 1 do
+      let a = Padded.get t.ann i in
+      anns.(2 * i) <- a.b;
+      anns.((2 * i) + 1) <- a.e
+    done;
     let max = if force then max_int else Knobs.batch_cap t.knobs in
-    Obs.Scheme_metrics.on_eject om ~pid
-      (Orphanage.adopt t.orphans ~safe (Retire_queue.filter_pop ~max q ~safe))
+    let out = t.out.(pid) in
+    Retire_queue.filter_pop q ~into:out ~max unprotected anns;
+    Orphanage.adopt t.orphans ~into:out unprotected anns;
+    Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.size out);
+    Retire_queue.take out
   end
-  else []
+  else Deferred.Nil
 
 let retired_count t ~pid = Retire_queue.size t.retired.(pid)
 
 let abandon t ~pid =
   Obs.Scheme_metrics.on_abandon om ~pid;
   Padded.set t.ann pid inactive;
-  Orphanage.put t.orphans (Retire_queue.drain_with_meta t.retired.(pid))
+  Orphanage.put t.orphans (Retire_queue.take t.retired.(pid))
 
 let reclamation_frontier t =
   let f = Padded.fold (fun acc a -> min acc a.b) max_int t.ann in
   Some (if f = max_int then Sched.Atomic.get t.cur_epoch else f)
 
-let drain_all t =
-  let orphaned = List.map snd (Orphanage.take_all t.orphans) in
-  orphaned @ Array.fold_left (fun acc q -> acc @ Retire_queue.drain q) [] t.retired
+let drain_all t = Orphanage.drain_all t.orphans t.retired

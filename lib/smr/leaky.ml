@@ -9,8 +9,8 @@ type guard = int
 type t = {
   max_threads : int;
   knobs : Knobs.t;
-  retired : unit Retire_queue.t array;
-  orphans : unit Orphanage.t;
+  retired : Retire_queue.t array;
+  orphans : Orphanage.t;
 }
 
 let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
@@ -49,23 +49,24 @@ let acquire _t ~pid _id =
 let confirm _t ~pid:_ _g _id = true
 let release _t ~pid:_ _g = ()
 
-let retire t ~pid _id ~birth:_ op =
-  let op = Obs.Scheme_metrics.on_retire om ~pid op in
-  Retire_queue.push t.retired.(pid) () op
+let retire t ~pid d =
+  Deferred.set_stamp d (Obs.Scheme_metrics.on_retire om ~pid);
+  Retire_queue.push t.retired.(pid) d
 
 (* "Eject nothing, leak everything" is the scheme; still count the scan
    so the accounting identity (retire = eject.ops + backlog) is
    checkable for it too. *)
-let eject ?force:_ _t ~pid = Obs.Scheme_metrics.on_eject om ~pid []
+let eject ?force:_ _t ~pid =
+  Obs.Scheme_metrics.on_eject om ~pid 0;
+  Deferred.Nil
+
 let retired_count t ~pid = Retire_queue.size t.retired.(pid)
 
 (* Nothing is announced and nothing ejects before teardown, but the
    parked entries still need a live owner for [drain_all] to find. *)
 let abandon t ~pid =
   Obs.Scheme_metrics.on_abandon om ~pid;
-  Orphanage.put t.orphans (Retire_queue.drain_with_meta t.retired.(pid))
+  Orphanage.put t.orphans (Retire_queue.take t.retired.(pid))
 let reclamation_frontier _t = None
 
-let drain_all t =
-  let orphaned = List.map snd (Orphanage.take_all t.orphans) in
-  orphaned @ Array.fold_left (fun acc q -> acc @ Retire_queue.drain q) [] t.retired
+let drain_all t = Orphanage.drain_all t.orphans t.retired

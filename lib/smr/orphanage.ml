@@ -1,22 +1,30 @@
-type 'meta t = ('meta * Deferred.t) list Sched.Atomic.t
+type t = Deferred.t Sched.Atomic.t
 
-let create () = Sched.Atomic.make []
+let create () = Sched.Atomic.make Deferred.Nil
 
-let rec put t entries =
-  match entries with
-  | [] -> ()
-  | _ ->
-      let cur = Sched.Atomic.get t in
-      if not (Sched.Atomic.compare_and_set t cur (entries @ cur)) then put t entries
+(* Link the pool's current chain behind [tl], the last record of
+   [chain], and publish [chain] as the pool. *)
+let rec put_before t chain tl =
+  let cur = Sched.Atomic.get t in
+  Deferred.set_next tl cur;
+  if not (Sched.Atomic.compare_and_set t cur chain) then put_before t chain tl
 
-let take_all t = Sched.Atomic.exchange t []
+let put t chain =
+  match chain with Deferred.Nil -> () | Deferred.D _ -> put_before t chain (Deferred.last chain)
 
-let adopt t ~safe ops =
+let take_all t = Sched.Atomic.exchange t Deferred.Nil
+
+let adopt t ~into safe env =
   match take_all t with
-  | [] -> ops
-  | entries -> (
-      let ready, blocked = List.partition (fun (m, _) -> safe m) entries in
-      put t blocked;
-      match ready with [] -> ops | _ -> ops @ List.map snd ready)
+  | Deferred.Nil -> ()
+  | chain ->
+      let pool = Retire_queue.create () in
+      ignore (Retire_queue.splice pool chain);
+      Retire_queue.filter_pop pool ~into ~max:max_int safe env;
+      put t (Retire_queue.take pool)
 
-let size t = List.length (Sched.Atomic.get t)
+let drain_all t queues =
+  let all = Retire_queue.create () in
+  ignore (Retire_queue.splice all (take_all t));
+  Array.iter (fun q -> ignore (Retire_queue.splice all (Retire_queue.take q))) queues;
+  Retire_queue.take all

@@ -4,30 +4,33 @@
     thread it cannot push the dead thread's entries into a survivor's
     queue directly. Instead they land here, batch-at-a-time
     (Hyaline-style adoption): any thread's next eject scan calls
-    {!take_all} and folds the orphans through the scheme's usual safety
-    check, re-queuing the ones still protected. The metadata travels
-    with each entry so adopted garbage is held back exactly as long as
-    home-grown garbage.
+    {!adopt} and folds the orphans through the scheme's usual safety
+    check, re-pooling the ones still protected. The metadata travels
+    in each retire record, so adopted garbage is held back exactly as
+    long as home-grown garbage. The pool is a chain threaded through
+    the records' links.
 
     Lock-free; [take_all] transfers ownership of the whole batch to the
     caller. *)
 
-type 'meta t
+type t
 
-val create : unit -> 'meta t
+val create : unit -> t
 
-val put : 'meta t -> ('meta * Deferred.t) list -> unit
-(** Add a batch of orphaned entries (no-op on [[]]). *)
+val put : t -> Deferred.t -> unit
+(** Add a [Nil]-terminated chain of orphaned records, ahead of those
+    already pooled (no-op on [Nil]). *)
 
-val take_all : 'meta t -> ('meta * Deferred.t) list
-(** Remove and return every pooled entry; the caller must either run
-    or re-queue each one. *)
+val take_all : t -> Deferred.t
+(** Remove and return every pooled record as a chain; the caller must
+    either run or re-pool each one. *)
 
-val adopt : 'meta t -> safe:('meta -> bool) -> Deferred.t list -> Deferred.t list
-(** [adopt t ~safe ops] takes the pool, puts back the entries [safe]
-    rejects, and returns [ops] followed by the ready entries' ops: an
-    eject scan's adoption step. With nothing ready it returns [ops]
-    itself, uncopied. *)
+val adopt : t -> into:Retire_queue.t -> ('env -> Deferred.t -> bool) -> 'env -> unit
+(** [adopt t ~into safe env] takes the pool, moves the records
+    [safe env] accepts to the tail of [into], in order, and puts the
+    rest back: an eject scan's adoption step. One exchange when the
+    pool is empty, and no allocation. *)
 
-val size : 'meta t -> int
-(** Current pool size (diagnostics; racy under concurrency). *)
+val drain_all : t -> Retire_queue.t array -> Deferred.t
+(** The pool followed by every queue of [queues], in order, as one
+    chain, leaving them all empty. Quiescent teardown only. *)

@@ -5,7 +5,6 @@ let confirm_is_trivial = false
 let requires_validation = true
 
 type guard = int
-type handoff = (Ident.t * Deferred.t) option
 
 type t = {
   max_threads : int;
@@ -13,10 +12,12 @@ type t = {
   knobs : Knobs.t;
   cleanup_floor : int; (* amortization floor: 2 * announcements *)
   slots : Ident.t Padded.t; (* posted values, (k+1) per thread *)
-  handoffs : handoff Padded.t; (* one per physical slot *)
+  handoffs : Deferred.t Padded.t; (* one per physical slot; [Nil] when empty *)
   free : Slot_pool.t array; (* per-thread free local slot indices; owner only *)
-  retired : Ident.t Retire_queue.t array;
-  orphans : Ident.t Orphanage.t;
+  retired : Retire_queue.t array;
+  out : Retire_queue.t array; (* each pid's eject batch, built by its scan *)
+  spill : Retire_queue.t array; (* each pid's safe entries past the batch cap *)
+  orphans : Orphanage.t;
 }
 
 let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
@@ -31,9 +32,11 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     knobs;
     cleanup_floor = 2 * (k + 1) * max_threads;
     slots = Padded.create ((k + 1) * max_threads) Ident.null;
-    handoffs = Padded.create ((k + 1) * max_threads) None;
+    handoffs = Padded.create ((k + 1) * max_threads) Deferred.Nil;
     free = Array.init max_threads (fun _ -> Slot_pool.create k);
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
+    out = Array.init max_threads (fun _ -> Retire_queue.create ());
+    spill = Array.init max_threads (fun _ -> Retire_queue.create ());
     orphans = Orphanage.create ();
   }
 
@@ -77,18 +80,69 @@ let confirm t ~pid g id =
 let release t ~pid g =
   let idx = slot_index t ~pid g in
   Padded.set t.slots idx Ident.null;
-  (match Padded.exchange t.handoffs idx None with
-  | Some (id, op) -> Retire_queue.push t.retired.(pid) id op
-  | None -> ());
+  (match Padded.exchange t.handoffs idx Deferred.Nil with
+  | Deferred.D _ as d -> Retire_queue.push t.retired.(pid) d
+  | Deferred.Nil -> ());
   if g < t.k then Slot_pool.give t.free.(pid) g
 
-let retire t ~pid id ~birth:_ op =
-  let op = Obs.Scheme_metrics.on_retire om ~pid op in
-  Retire_queue.push t.retired.(pid) id op
+let retire t ~pid d =
+  Deferred.set_stamp d (Obs.Scheme_metrics.on_retire om ~pid);
+  Retire_queue.push t.retired.(pid) d
 
-(* Liberate: unguarded entries are safe; guarded ones are handed off to
-   the guard that pins them (at most one buck per guard — otherwise the
-   entry stays queued). *)
+(* The first physical slot from [i] on that posts [id], or -1. *)
+let rec posted t id i total =
+  if i >= total then -1
+  else if Ident.equal (Padded.get t.slots i) id then i
+  else posted t id (i + 1) total
+
+(* An unguarded entry of [pid]'s scan: into the batch, or, past the
+   cap, set aside to go back on the queue. *)
+let release_entry t ~pid ~cap d =
+  let out = t.out.(pid) in
+  if Retire_queue.size out < cap then Retire_queue.push out d
+  else Retire_queue.push t.spill.(pid) d
+
+(* Liberate one detached entry [d]: unguarded, it is safe; guarded, it
+   is handed off to the guard that pins it (at most one buck per guard
+   — otherwise it stays queued). *)
+let liberate t ~pid ~cap ~total d =
+  let id = Deferred.id d in
+  let i = posted t id 0 total in
+  if i < 0 then release_entry t ~pid ~cap d
+  else if Padded.compare_and_set t.handoffs i Deferred.Nil d then begin
+    (* Hand-off succeeded; but if the guard was released in the
+       meantime nobody will inherit the buck, so take it back. *)
+    if not (Ident.equal (Padded.get t.slots i) id) then
+      match Padded.exchange t.handoffs i Deferred.Nil with
+      | Deferred.Nil -> (* a releaser inherited the buck *) ()
+      | d' when Ident.equal (Deferred.id d') id ->
+          (* Reclaimed our own hand-off: the guard is gone, the entry
+             is unprotected. *)
+          release_entry t ~pid ~cap d'
+      | other ->
+          (* A releaser already took ours and a different buck landed
+             in the slot: adopt it. *)
+          Retire_queue.push t.retired.(pid) other
+  end
+  else Retire_queue.push t.retired.(pid) d
+
+let rec liberate_all t ~pid ~cap ~total d =
+  match d with
+  | Deferred.Nil -> ()
+  | Deferred.D _ ->
+      let rest = Deferred.next d in
+      Deferred.set_next d Deferred.Nil;
+      liberate t ~pid ~cap ~total d;
+      liberate_all t ~pid ~cap ~total rest
+
+(* Queue the entries set aside past the cap behind those kept. *)
+let rec requeue q spill =
+  match Retire_queue.pop spill with
+  | Deferred.Nil -> ()
+  | d ->
+      Retire_queue.push q d;
+      requeue q spill
+
 let eject ?(force = false) t ~pid =
   let q = t.retired.(pid) in
   if
@@ -96,69 +150,50 @@ let eject ?(force = false) t ~pid =
     || Retire_queue.due q ~every:(effective_cleanup_freq t)
   then begin
     let total = (t.k + 1) * t.max_threads in
-    let safe = ref [] in
-    let keep = ref [] in
-    List.iter
-      (fun ((id, op) as entry) ->
-        let posted_at = ref (-1) in
-        (try
-           for i = 0 to total - 1 do
-             if Ident.equal (Padded.get t.slots i) id then begin
-               posted_at := i;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !posted_at < 0 then safe := (id, op) :: !safe
-        else begin
-          let i = !posted_at in
-          if Padded.compare_and_set t.handoffs i None (Some entry) then begin
-            (* Hand-off succeeded; but if the guard was released in the
-               meantime nobody will inherit the buck, so take it back. *)
-            if not (Ident.equal (Padded.get t.slots i) id) then begin
-              match Padded.exchange t.handoffs i None with
-              | Some (id', op') when Ident.equal id' id ->
-                  (* Reclaimed our own hand-off: the guard is gone, the
-                     entry is unprotected. *)
-                  safe := (id', op') :: !safe
-              | Some other ->
-                  (* A releaser already took ours and a different buck
-                     landed in the slot: adopt it. *)
-                  keep := other :: !keep
-              | None -> (* a releaser inherited the buck *) ()
-            end
-          end
-          else keep := entry :: !keep
-        end)
-      (Orphanage.take_all t.orphans @ Retire_queue.drain_with_meta q);
     (* Cap the released batch; entries past the cap stay unprotected
        and go back on the queue for the next scan. *)
     let cap = if force then max_int else Knobs.batch_cap t.knobs in
-    let out = ref [] in
-    List.iteri
-      (fun i entry -> if i < cap then out := entry :: !out else keep := entry :: !keep)
-      (List.rev !safe);
-    List.iter (fun (id, op) -> Retire_queue.push q id op) (List.rev !keep);
-    Obs.Scheme_metrics.on_eject om ~pid (List.rev_map snd !out)
+    let mine = Retire_queue.take q in
+    liberate_all t ~pid ~cap ~total (Orphanage.take_all t.orphans);
+    liberate_all t ~pid ~cap ~total mine;
+    requeue q t.spill.(pid);
+    let out = t.out.(pid) in
+    Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.size out);
+    Retire_queue.take out
   end
-  else []
+  else Deferred.Nil
 
 let retired_count t ~pid = Retire_queue.size t.retired.(pid)
+
+(* Empty every hand-off slot, the last slot's buck first in the returned
+   chain. *)
+let take_handoffs t =
+  let parked = ref Deferred.Nil in
+  for idx = 0 to Padded.length t.handoffs - 1 do
+    match Padded.exchange t.handoffs idx Deferred.Nil with
+    | Deferred.Nil -> ()
+    | d ->
+        Deferred.set_next d !parked;
+        parked := d
+  done;
+  !parked
 
 let abandon t ~pid =
   Obs.Scheme_metrics.on_abandon om ~pid;
   (* Clear the dead thread's posted guards, reclaiming any buck that
      was handed off to them along the way. *)
-  let parked = ref [] in
+  let parked = ref Deferred.Nil in
   for s = 0 to t.k do
     let idx = slot_index t ~pid s in
     Padded.set t.slots idx Ident.null;
-    match Padded.exchange t.handoffs idx None with
-    | Some entry -> parked := entry :: !parked
-    | None -> ()
+    match Padded.exchange t.handoffs idx Deferred.Nil with
+    | Deferred.Nil -> ()
+    | d ->
+        Deferred.set_next d !parked;
+        parked := d
   done;
   Slot_pool.reset t.free.(pid);
-  Orphanage.put t.orphans (!parked @ Retire_queue.drain_with_meta t.retired.(pid))
+  Orphanage.put t.orphans (Deferred.concat !parked (Retire_queue.take t.retired.(pid)))
 
 let reclamation_frontier _t = None
 
@@ -167,12 +202,5 @@ let drain_all t =
      hand-off slots from guards released... released guards clear their
      hand-off, so only unreleased-but-quiescent slots could hold one;
      sweep them too. *)
-  let parked = ref [] in
-  for i = 0 to Padded.length t.handoffs - 1 do
-    match Padded.exchange t.handoffs i None with
-    | Some (_, op) -> parked := op :: !parked
-    | None -> ()
-  done;
-  let parked = !parked in
-  let orphaned = List.map snd (Orphanage.take_all t.orphans) in
-  parked @ orphaned @ Array.fold_left (fun acc q -> acc @ Retire_queue.drain q) [] t.retired
+  let parked = take_handoffs t in
+  Deferred.concat parked (Orphanage.drain_all t.orphans t.retired)

@@ -1,38 +1,51 @@
-(** Per-thread bag of retired entries, shared by all scheme
-    implementations.
+(** An intrusive FIFO of retire records ({!Deferred.t}), threaded
+    through their [next] link: a thread's retired list in every scheme,
+    the batch an eject scan builds, and the runtime's deferred-op
+    queue. Pushing, popping, splicing a chain and moving the safe
+    entries of a scan to another queue allocate nothing.
 
-    Each entry carries scheme-specific metadata (retire epoch, birth /
-    retire interval, or the retired pointer's identity token) and the
-    deferred operation. Access is owner-thread-only, except {!drain}
-    which is quiescent-only. *)
+    Each record carries the scheme's metadata (retire epoch, birth and
+    retire interval, or the retired pointer's identity) and its
+    operation. Access is owner-thread-only. *)
 
-type 'meta t
+type t
 
-val create : unit -> 'meta t
+val create : unit -> t
 
-val push : 'meta t -> 'meta -> (Deferred.t) -> unit
+val push : t -> Deferred.t -> unit
+(** Append one detached record (its link is [Nil]) at the tail. *)
 
-val size : _ t -> int
+val pop : t -> Deferred.t
+(** Remove and return the head record, detached, or [Nil] when
+    empty. *)
+
+val size : t -> int
 (** Entries currently held. *)
 
-val due : _ t -> every:int -> bool
+val is_empty : t -> bool
+
+val due : t -> every:int -> bool
 (** [due q ~every] is [true] on every [every]-th push since the last
     time it returned [true] (and resets the tally). Drives scan
     amortization. *)
 
-val pop_prefix : ?max:int -> 'meta t -> safe:('meta -> bool) -> (Deferred.t) list
-(** Remove and return the longest prefix of entries (oldest first)
-    whose metadata satisfies [safe], at most [max] of them (default
-    unbounded). For queues whose metadata is monotone (EBR retire
-    epochs). *)
+val splice : t -> Deferred.t -> int
+(** Append a whole [Nil]-terminated chain at the tail and return its
+    length. *)
 
-val filter_pop : ?max:int -> 'meta t -> safe:('meta -> bool) -> (Deferred.t) list
-(** Remove and return up to [max] entries satisfying [safe] (oldest
-    first; default unbounded), preserving the order of the
-    remainder. *)
+val take : t -> Deferred.t
+(** Remove everything and return it as a [Nil]-terminated chain,
+    oldest first. *)
 
-val drain : 'meta t -> (Deferred.t) list
-(** Remove and return everything. *)
+val pop_prefix : t -> into:t -> max:int -> ('env -> Deferred.t -> bool) -> 'env -> unit
+(** [pop_prefix q ~into ~max safe env] moves the longest prefix of
+    entries (oldest first) that [safe env] accepts, at most [max] of
+    them, to the tail of [into]. For queues whose metadata is monotone
+    (EBR retire epochs). [safe] should be a top-level function and
+    [env] a value the scan already has, so that the scan builds no
+    closure. *)
 
-val drain_with_meta : 'meta t -> ('meta * Deferred.t) list
-(** Remove and return everything, metadata included (oldest first). *)
+val filter_pop : t -> into:t -> max:int -> ('env -> Deferred.t -> bool) -> 'env -> unit
+(** [filter_pop q ~into ~max safe env] moves up to [max] entries that
+    [safe env] accepts (oldest first) to the tail of [into], unlinking
+    them in place and preserving the order of the remainder. *)

@@ -32,18 +32,22 @@
 
     {2 Retire / eject}
 
-    [retire] records a deferred operation (a {!Deferred.t} closure —
-    it receives the pid of the thread that runs it: a
-    [free] for manual use, a reference-count decrement for automatic
-    use — the generalization at the heart of the paper). [eject]
-    returns operations that are no longer protected; it amortizes
-    internally, so most calls return [[]]. Callers must run the
-    returned closures {e outside} the scheme (never reentrantly), which
-    is how the paper avoids recursive ejects (§3.2); the
-    [Acquire_retire] layer provides the drain queue that enforces
-    this. A pointer may be retired several times before being ejected
-    the same number of times (Def 3.3): every scheme here tracks retire
-    {e entries}, not unique pointers, so this needs no special casing.
+    [retire] records a deferred operation as a {!Deferred.t} retire
+    record: one block naming the object (identity and birth tag), the
+    operation (a shared run function and its argument: a [free] for
+    manual use, a reference-count decrement for automatic use — the
+    generalization at the heart of the paper) and an intrusive link.
+    The run function receives the pid of the thread that runs it.
+    [eject] returns the records that are no longer protected as a
+    [Nil]-terminated chain threaded through that link; it amortizes
+    internally, so most calls return [Nil]. Neither allocates. Callers
+    must run the returned operations {e outside} the scheme (never
+    reentrantly), which is how the paper avoids recursive ejects
+    (§3.2); the [Acquire_retire] layer provides the drain queue that
+    enforces this. A pointer may be retired several times before being
+    ejected the same number of times (Def 3.3): every scheme here
+    tracks retire {e records}, not unique pointers, so this needs no
+    special casing.
 
     {2 Threading}
 
@@ -151,16 +155,18 @@ module type S = sig
   (** End the protection of [g]. Guards from [try_acquire] return to
       the free pool; the reserved guard becomes reusable. *)
 
-  val retire : t -> pid:int -> Ident.t -> birth:int -> Deferred.t -> unit
-  (** Defer an operation on the object identified by [Ident.t] (with
-      the birth tag from {!alloc_hook}) until no acquire active at this
-      call still protects it. *)
+  val retire : t -> pid:int -> Deferred.t -> unit
+  (** Defer the record's operation on the object it names (its
+      identity, and the birth tag from {!alloc_hook}) until no acquire
+      active at this call still protects it. The record must be
+      detached; the scheme owns it until [eject] or [drain_all] returns
+      it, and writes its [meta] and telemetry stamp. *)
 
-  val eject : ?force:bool -> t -> pid:int -> Deferred.t list
-  (** Deferred operations now safe to run. Amortized: most calls return
-      [[]] without scanning; pass [~force:true] to scan unconditionally
-      (used by flush/teardown paths). Run the closures outside the
-      scheme. *)
+  val eject : ?force:bool -> t -> pid:int -> Deferred.t
+  (** The records now safe to run, as a chain. Amortized: most calls
+      return [Nil] without scanning; pass [~force:true] to scan
+      unconditionally (used by flush/teardown paths). Run them outside
+      the scheme. *)
 
   val retired_count : t -> pid:int -> int
   (** Number of this thread's retired-but-not-ejected entries
@@ -195,8 +201,8 @@ module type S = sig
       signature of a stalled thread — the [Acquire_retire] watchdog
       reports exactly that. *)
 
-  val drain_all : t -> Deferred.t list
-  (** Return {e all} pending deferred operations from all threads.
+  val drain_all : t -> Deferred.t
+  (** Return {e all} pending records from all threads, as a chain.
       Only sound at quiescence: no critical section active, no guard
       held, no concurrent scheme calls. Used at teardown and by the
       leak-freedom tests. *)

@@ -7,6 +7,9 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
 
   let t name f = Alcotest.test_case (S.name ^ ": " ^ name) `Quick f
 
+  (* A retire record running [f] once [m] is unprotected. *)
+  let on m f = Smr.Deferred.of_fun ~id:(Ar.ident m) ~birth:m.Ar.birth f
+
   let birth_tags_monotone () =
     let ar = Ar.create ~epoch_freq:5 ~max_threads:1 () in
     let prev = ref min_int in
@@ -41,9 +44,10 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let ms = Array.init 50 (fun i -> Ar.alloc ar ~pid:0 i) in
     let rec retire_chain i =
       if i < 50 then
-        Ar.retire ar ~pid:0 ms.(i) (fun _pid ->
-            Simheap.free ms.(i).Ar.block;
-            retire_chain (i + 1))
+        Ar.retire ar ~pid:0
+          (on ms.(i) (fun _pid ->
+               Simheap.free ms.(i).Ar.block;
+               retire_chain (i + 1)))
     in
     retire_chain 0;
     Ar.quiesce ar;
@@ -53,7 +57,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let ar = Ar.create ~cleanup_freq:1 ~max_threads:3 () in
     let m = Ar.alloc ar ~pid:0 () in
     let seen = ref (-1) in
-    Ar.retire ar ~pid:0 m (fun pid -> seen := pid);
+    Ar.retire ar ~pid:0 (on m (fun pid -> seen := pid));
     (* Drain from pid 2: the op must observe pid 2 (Hyaline can eject
        cross-thread; the closure must not assume the retiring pid). *)
     Ar.flush ar ~pid:2;
@@ -209,6 +213,9 @@ module Queue_tests (S : Smr.Smr_intf.S) = struct
 
   let t name f = Alcotest.test_case (S.name ^ ": " ^ name) `Quick f
 
+  (* A retire record running [f] once [m] is unprotected. *)
+  let on m f = Smr.Deferred.of_fun ~id:(Ar.ident m) ~birth:m.Ar.birth f
+
   let nested_eject_runs_after () =
     let ar = Ar.create ~max_threads:1 () in
     let depth = ref 0 and deepest = ref 0 and order = ref [] in
@@ -220,12 +227,13 @@ module Queue_tests (S : Smr.Smr_intf.S) = struct
       decr depth
     in
     let a = Ar.alloc ar ~pid:0 () and b = Ar.alloc ar ~pid:0 () in
-    Ar.retire ar ~pid:0 a
-      (op "a" (fun () ->
-           Simheap.free a.Ar.block;
-           Ar.retire ar ~pid:0 b (op "b" (fun () -> Simheap.free b.Ar.block));
+    Ar.retire ar ~pid:0
+      (on a
+         (op "a" (fun () ->
+              Simheap.free a.Ar.block;
+              Ar.retire ar ~pid:0 (on b (op "b" (fun () -> Simheap.free b.Ar.block)));
            Ar.eject ~force:true ar ~pid:0;
-           Alcotest.(check bool) "successor not run inside the op" true (Ar.is_live b)));
+              Alcotest.(check bool) "successor not run inside the op" true (Ar.is_live b))));
     Ar.eject ~force:true ar ~pid:0;
     Alcotest.(check (list string)) "both ran, in order" [ "a"; "b" ] (List.rev !order);
     Alcotest.(check int) "nesting depth" 1 !deepest;
@@ -238,23 +246,68 @@ module Queue_tests (S : Smr.Smr_intf.S) = struct
     let rec link i _pid =
       Simheap.free ms.(i).Ar.block;
       if i + 1 < n then begin
-        Ar.retire ar ~pid:0 ms.(i + 1) (link (i + 1));
+        Ar.retire ar ~pid:0 (on ms.(i + 1) (link (i + 1)));
         Ar.eject ~force:true ar ~pid:0
       end
     in
-    Ar.retire ar ~pid:0 ms.(0) (link 0);
+    Ar.retire ar ~pid:0 (on ms.(0) (link 0));
     Ar.flush ar ~pid:0;
     Alcotest.(check int) "whole chain reclaimed" 0 (Simheap.live (Ar.heap ar))
+
+  (* With telemetry off, a retire allocates its retire record alone (a
+     header and seven fields), and a scanning eject that releases every
+     entry, plus the drain that runs them, allocates nothing: the queues
+     and the batch are threaded through the records. *)
+  let record_words = 8
+
+  let pipeline_allocation_pinned () =
+    let n = 1_000 in
+    let ar = Ar.create ~cleanup_freq:(4 * n) ~max_threads:1 () in
+    let ms = Array.init n (fun i -> Ar.alloc ar ~pid:0 i) in
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      Ar.retire_free ar ~pid:0 ms.(i)
+    done;
+    let retire_words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "pending" n (Ar.total_pending ar);
+    let w0 = Gc.minor_words () in
+    Ar.eject ~force:true ar ~pid:0;
+    let eject_words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "words per retire" record_words
+      (int_of_float (Float.round (retire_words /. float n)));
+    Alcotest.(check (float 0.)) "scanning eject and drain" 0. eject_words;
+    Alcotest.(check int) "all reclaimed" 0 (Simheap.live (Ar.heap ar))
 
   let tests =
     [
       t "nested eject runs the successor after the op" nested_eject_runs_after;
       t "100,000-link chain flushes" long_chain_flushes;
+      t "retire pipeline allocation pinned" pipeline_allocation_pinned;
     ]
 end
 
 module Q_ebr = Queue_tests (Smr.Ebr)
 module Q_hp = Queue_tests (Smr.Hp)
+
+(* [quiesce] runs what the scheme drains through pid 0's queue, so an op
+   that raises leaves the ops behind it queued for the next [quiesce],
+   as a drain does, instead of dropping them. *)
+let quiesce_keeps_ops_after_a_raise () =
+  let ar = Ebr_ar.create ~max_threads:1 () in
+  let ms = Array.init 3 (fun i -> Ebr_ar.alloc ar ~pid:0 i) in
+  Array.iteri
+    (fun i (m : int Ebr_ar.managed) ->
+      Ebr_ar.retire ar ~pid:0
+        (Smr.Deferred.of_fun ~id:(Ebr_ar.ident m) ~birth:m.birth (fun _ ->
+             if i = 0 then failwith "boom" else Simheap.free m.block)))
+    ms;
+  (match Ebr_ar.quiesce ar with
+  | () -> Alcotest.fail "expected the raise"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "scheme drained" 0 (Ebr_ar.total_pending ar);
+  Alcotest.(check int) "nothing freed yet" 3 (Simheap.live (Ebr_ar.heap ar));
+  Ebr_ar.quiesce ar;
+  Alcotest.(check int) "the ops behind the raise ran" 1 (Simheap.live (Ebr_ar.heap ar))
 
 (* Hyaline's retired entries are global: [total_pending] must count
    each once, not once per pid. *)
@@ -279,6 +332,8 @@ let scope_tests =
     Alcotest.test_case "EBR: scope exit unpins the frontier" `Quick scope_unpins_frontier;
     Alcotest.test_case "crash propagates unwrapped" `Quick crash_propagates_unwrapped;
     Alcotest.test_case "EBR: nested scope rejected" `Quick nested_scope_rejected;
+    Alcotest.test_case "EBR: quiesce keeps the ops after a raise" `Quick
+      quiesce_keeps_ops_after_a_raise;
   ]
 
 let () =

@@ -599,6 +599,28 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     at_most "Awp.make_null" 2 (words (fun i -> wcells.(i) <- R.Awp.make_null ()));
     Array.iter (R.Shared.drop th) ps
 
+  (* A store's delayed decrement of the value it replaces allocates its
+     retire record alone (a header and seven fields): the run function is
+     the runtime's, built once, and the queues thread the record's link.
+     Amortized scans and the drains that run the decrements are
+     included. *)
+  let delayed_decrement_allocation_pinned () =
+    with_rt ~max_threads:1 @@ fun rt ->
+    let th = R.thread rt 0 in
+    let a = R.Shared.make th 1 and b = R.Shared.make th 2 in
+    let cell = R.Asp.make th (R.Shared.ptr a) in
+    let n = 1_000 in
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      R.Asp.store th cell (R.Shared.ptr (if i land 1 = 0 then a else b))
+    done;
+    let words = (Gc.minor_words () -. w0) /. float n in
+    let msg = Printf.sprintf "Asp.store: %.2f words <= 8" words in
+    Alcotest.(check bool) msg true (words <= 8.);
+    R.Asp.clear th cell;
+    R.Shared.drop th a;
+    R.Shared.drop th b
+
   let snapshot_use_after_drop () =
     with_rt ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
@@ -789,6 +811,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       t "critically rejects nesting" `Quick critically_rejects_nesting;
       t "snapshot allocation pinned" `Quick snapshot_allocation_pinned;
       t "object allocation pinned" `Quick object_allocation_pinned;
+      t "delayed decrement allocation pinned" `Quick delayed_decrement_allocation_pinned;
       t "snapshot use after drop" `Quick snapshot_use_after_drop;
       t "strong cycle leaks" `Quick strong_cycle_leaks;
       t "weak edge breaks cycle" `Quick weak_backedge_breaks_cycle;

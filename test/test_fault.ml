@@ -151,9 +151,10 @@ let test_slow_thread_stays_live () =
   for i = 1 to 100 do
     FS.begin_critical_section s ~pid:0;
     let birth = FS.alloc_hook s ~pid:0 in
-    FS.retire s ~pid:0 (Ident.of_val (ref i)) ~birth (fun _ -> incr freed);
+    FS.retire s ~pid:0
+      (Smr.Deferred.of_fun ~id:(Ident.of_val (ref i)) ~birth (fun _ -> incr freed));
     FS.end_critical_section s ~pid:0;
-    List.iter (fun op -> op 0) (FS.eject ~force:true s ~pid:0)
+    Smr.Deferred.run_all ~pid:0 (FS.eject ~force:true s ~pid:0)
   done;
   Alcotest.(check int) "slow pid factor live" 8 (FP.slow_factor plan ~pid:0);
   Alcotest.(check bool) "never stalled" false (FP.stalled plan ~pid:0);
@@ -215,9 +216,10 @@ let stalled_backlog (module S : Smr.Smr_intf.S) () =
   let retire_one i =
     FS.begin_critical_section s ~pid:1;
     let birth = FS.alloc_hook s ~pid:1 in
-    FS.retire s ~pid:1 (Ident.of_val (ref i)) ~birth (fun _ -> incr freed);
+    FS.retire s ~pid:1
+      (Smr.Deferred.of_fun ~id:(Ident.of_val (ref i)) ~birth (fun _ -> incr freed));
     FS.end_critical_section s ~pid:1;
-    List.iter (fun op -> op 1) (FS.eject ~force:true s ~pid:1)
+    Smr.Deferred.run_all ~pid:1 (FS.eject ~force:true s ~pid:1)
   in
   (* Victim enters and stalls (the entry itself still runs). *)
   FS.begin_critical_section s ~pid:0;
@@ -248,17 +250,17 @@ let stalled_backlog (module S : Smr.Smr_intf.S) () =
   FS.abandon s ~pid:0;
   let rec drain pid =
     match FS.eject ~force:true s ~pid with
-    | [] -> ()
+    | Smr.Deferred.Nil -> ()
     | ops ->
-        List.iter (fun op -> op pid) ops;
+        Smr.Deferred.run_all ~pid ops;
         drain pid
   in
   drain 1;
   let rec drain_all () =
     match FS.drain_all s with
-    | [] -> ()
+    | Smr.Deferred.Nil -> ()
     | ops ->
-        List.iter (fun op -> op 1) ops;
+        Smr.Deferred.run_all ~pid:1 ops;
         drain_all ()
   in
   drain_all ();
@@ -288,7 +290,8 @@ let crash_recovery (module S : Smr.Smr_intf.S) () =
   let runs = Array.make 3 0 in
   let retire_one i =
     let birth = FS.alloc_hook s ~pid:0 in
-    FS.retire s ~pid:0 (Ident.of_val (ref i)) ~birth (fun _ -> runs.(i) <- runs.(i) + 1)
+    FS.retire s ~pid:0
+      (Smr.Deferred.of_fun ~id:(Ident.of_val (ref i)) ~birth (fun _ -> runs.(i) <- runs.(i) + 1))
   in
   FS.begin_critical_section s ~pid:0;
   let sentinel = Ident.of_val (ref 999) in
@@ -310,9 +313,9 @@ let crash_recovery (module S : Smr.Smr_intf.S) () =
   let total () = Array.fold_left ( + ) 0 runs in
   let rec drain pid =
     match FS.eject ~force:true s ~pid with
-    | [] -> ()
+    | Smr.Deferred.Nil -> ()
     | ops ->
-        List.iter (fun op -> op pid) ops;
+        Smr.Deferred.run_all ~pid ops;
         drain pid
   in
   (* Survivor alone: the dead thread's entries are unreachable. *)
@@ -324,9 +327,9 @@ let crash_recovery (module S : Smr.Smr_intf.S) () =
     Alcotest.(check int) (S.name ^ ": survivor adopted all entries") 3 (total ());
   let rec drain_all () =
     match FS.drain_all s with
-    | [] -> ()
+    | Smr.Deferred.Nil -> ()
     | ops ->
-        List.iter (fun op -> op 1) ops;
+        Smr.Deferred.run_all ~pid:1 ops;
         drain_all ()
   in
   drain_all ();

@@ -31,7 +31,7 @@ let test_ident_stable_across_gc () =
 
 let test_deferred_run () =
   let got = ref (-1) in
-  let op : Smr.Deferred.t = fun pid -> got := pid in
+  let op = Smr.Deferred.make ~id:Smr.Ident.null ~birth:0 (fun pid r -> r := pid) got in
   Smr.Deferred.run op ~pid:3;
   Alcotest.(check int) "pid passed" 3 !got
 
@@ -157,9 +157,10 @@ let test_hp_scripted_counters () =
       let anchors = Array.init 5 (fun i -> ref (100 + i)) in
       let ran = ref 0 in
       Array.iter
-        (fun r -> H.retire t ~pid (Smr.Ident.of_val r) ~birth:0 (fun _ -> incr ran))
+        (fun r ->
+          H.retire t ~pid (Smr.Deferred.of_fun ~id:(Smr.Ident.of_val r) (fun _ -> incr ran)))
         anchors;
-      List.iter (fun op -> op pid) (H.eject ~force:true t ~pid);
+      Smr.Deferred.run_all ~pid (H.eject ~force:true t ~pid);
       let v = Obs.Metrics.value in
       Alcotest.(check int) "acquire" 2 (v "smr.hp.acquire");
       Alcotest.(check int) "slot_exhausted" 1 (v "smr.hp.slot_exhausted");

@@ -59,57 +59,85 @@ let prop_null_laws =
 
 (* ------------------- Retire_queue vs list model ------------------- *)
 
-type rq_op = Push of int | PopPrefix of int | FilterPop of int | Drain
+type rq_op = Push of int | PopPrefix of int * int | FilterPop of int * int | Drain
 
 let rq_op_gen =
   Q.Gen.(
     oneof
       [
         map (fun k -> Push k) (int_range 0 100);
-        map (fun k -> PopPrefix k) (int_range 0 100);
-        map (fun k -> FilterPop k) (int_range 0 100);
+        map2 (fun k m -> PopPrefix (k, m)) (int_range 0 100) (int_range 1 8);
+        map2 (fun k m -> FilterPop (k, m)) (int_range 0 100) (int_range 1 8);
         return Drain;
       ])
 
+let record k =
+  let d = Smr.Deferred.of_fun (fun _ -> ()) in
+  Smr.Deferred.set_meta d k;
+  d
+
+let rec metas d =
+  match d with
+  | Smr.Deferred.Nil -> []
+  | Smr.Deferred.D _ -> Smr.Deferred.meta d :: metas (Smr.Deferred.next d)
+
+let below threshold d = Smr.Deferred.meta d < threshold
+
+(* The model's [take_while]/[partition] capped at [max] entries moved. *)
+let rec model_prefix ~max t = function
+  | m :: rest when max > 0 && m < t ->
+      let a, b = model_prefix ~max:(max - 1) t rest in
+      (m :: a, b)
+  | rest -> ([], rest)
+
+let rec model_filter ~max t = function
+  | [] -> ([], [])
+  | m :: rest when max > 0 && m < t ->
+      let a, b = model_filter ~max:(max - 1) t rest in
+      (m :: a, b)
+  | m :: rest ->
+      let a, b = model_filter ~max t rest in
+      (a, m :: b)
+
+(* Every operation moves exactly the model's entries, in order, into the
+   batch queue, and leaves the model's remainder in order. *)
 let prop_retire_queue_model =
   Q.Test.make ~name:"Retire_queue matches list model" ~count:500
     Q.Gen.(list_size (int_range 0 40) rq_op_gen)
     (fun ops ->
       let q = Smr.Retire_queue.create () in
+      let out = Smr.Retire_queue.create () in
       let model = ref [] in
-      let out_q = ref [] and out_m = ref [] in
+      let moved expected =
+        let got = metas (Smr.Retire_queue.take out) in
+        got = expected
+      in
       List.for_all
         (fun op ->
           match op with
           | Push k ->
-              Smr.Retire_queue.push q k (fun _ -> ());
+              Smr.Retire_queue.push q (record k);
               model := !model @ [ k ];
               true
-          | PopPrefix threshold ->
-              let popped = Smr.Retire_queue.pop_prefix q ~safe:(fun m -> m < threshold) in
-              let rec split = function
-                | m :: rest when m < threshold ->
-                    let a, b = split rest in
-                    (m :: a, b)
-                | rest -> ([], rest)
-              in
-              let a, b = split !model in
+          | PopPrefix (threshold, max) ->
+              Smr.Retire_queue.pop_prefix q ~into:out ~max below threshold;
+              let a, b = model_prefix ~max threshold !model in
               model := b;
-              out_q := List.map (fun _ -> ()) popped @ !out_q;
-              out_m := List.map (fun _ -> ()) a @ !out_m;
-              List.length popped = List.length a
-          | FilterPop threshold ->
-              let popped = Smr.Retire_queue.filter_pop q ~safe:(fun m -> m < threshold) in
-              let a, b = List.partition (fun m -> m < threshold) !model in
+              moved a
+          | FilterPop (threshold, max) ->
+              Smr.Retire_queue.filter_pop q ~into:out ~max below threshold;
+              let a, b = model_filter ~max threshold !model in
               model := b;
-              List.length popped = List.length a
+              moved a
           | Drain ->
-              let popped = Smr.Retire_queue.drain q in
               let n = List.length !model in
+              let got = metas (Smr.Retire_queue.take q) in
+              let ok = got = !model && n = List.length got in
               model := [];
-              List.length popped = n)
+              ok)
         ops
-      && Smr.Retire_queue.size q = List.length !model)
+      && Smr.Retire_queue.size q = List.length !model
+      && metas (Smr.Retire_queue.take q) = !model)
 
 (* ------------------- Padded array vs array model ------------------ *)
 

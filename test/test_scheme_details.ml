@@ -29,11 +29,12 @@ let ebr_stale_announcement_blocks () =
     Smr.Ebr.advance_epoch s
   done;
   let hits = ref 0 in
-  Smr.Ebr.retire s ~pid:0 (Ident.of_val (mk_obj ())) ~birth:0 (fun _ -> incr hits);
-  List.iter (fun op -> op 0) (Smr.Ebr.eject ~force:true s ~pid:0);
+  Smr.Ebr.retire s ~pid:0
+    (Smr.Deferred.of_fun ~id:(Ident.of_val (mk_obj ())) ~birth:0 (fun _ -> incr hits));
+  Smr.Deferred.run_all ~pid:0 (Smr.Ebr.eject ~force:true s ~pid:0);
   Alcotest.(check int) "old announcement blocks new retire" 0 !hits;
   Smr.Ebr.end_critical_section s ~pid:1;
-  List.iter (fun op -> op 0) (Smr.Ebr.eject ~force:true s ~pid:0);
+  Smr.Deferred.run_all ~pid:0 (Smr.Ebr.eject ~force:true s ~pid:0);
   Alcotest.(check int) "released" 1 !hits
 
 (* ---------------- IBR ---------------- *)
@@ -47,8 +48,9 @@ let ibr_interval_blocks_only_overlaps () =
   (* Retire A now: its interval [birth_a, now] intersects the reader's
      announced interval -> blocked. *)
   let hits_a = ref 0 in
-  Smr.Ibr.retire s ~pid:0 (Ident.of_val (mk_obj ())) ~birth:birth_a (fun _ -> incr hits_a);
-  List.iter (fun op -> op 0) (Smr.Ibr.eject ~force:true s ~pid:0);
+  Smr.Ibr.retire s ~pid:0
+    (Smr.Deferred.of_fun ~id:(Ident.of_val (mk_obj ())) ~birth:birth_a (fun _ -> incr hits_a));
+  Smr.Deferred.run_all ~pid:0 (Smr.Ibr.eject ~force:true s ~pid:0);
   Alcotest.(check int) "overlapping interval blocked" 0 !hits_a;
   (* Object B is born and retired entirely after the reader's interval
      (the reader never confirms again): safe to eject immediately. *)
@@ -57,12 +59,13 @@ let ibr_interval_blocks_only_overlaps () =
   done;
   let birth_b = Smr.Ibr.alloc_hook s ~pid:0 in
   let hits_b = ref 0 in
-  Smr.Ibr.retire s ~pid:0 (Ident.of_val (mk_obj ())) ~birth:birth_b (fun _ -> incr hits_b);
-  List.iter (fun op -> op 0) (Smr.Ibr.eject ~force:true s ~pid:0);
+  Smr.Ibr.retire s ~pid:0
+    (Smr.Deferred.of_fun ~id:(Ident.of_val (mk_obj ())) ~birth:birth_b (fun _ -> incr hits_b));
+  Smr.Deferred.run_all ~pid:0 (Smr.Ibr.eject ~force:true s ~pid:0);
   Alcotest.(check int) "disjoint interval ejected" 1 !hits_b;
   Alcotest.(check int) "overlapping still blocked" 0 !hits_a;
   Smr.Ibr.end_critical_section s ~pid:1;
-  List.iter (fun op -> op 0) (Smr.Ibr.eject ~force:true s ~pid:0);
+  Smr.Deferred.run_all ~pid:0 (Smr.Ibr.eject ~force:true s ~pid:0);
   Alcotest.(check int) "released after section" 1 !hits_a
 
 let ibr_confirm_extends_interval () =
@@ -96,11 +99,11 @@ let he_era_protects_interval () =
   let id = Ident.of_val (mk_obj ()) in
   let g = Option.get (Smr.Hazard_eras.try_acquire s ~pid:1 id) in
   let hits = ref 0 in
-  Smr.Hazard_eras.retire s ~pid:0 id ~birth (fun _ -> incr hits);
-  List.iter (fun op -> op 0) (Smr.Hazard_eras.eject ~force:true s ~pid:0);
+  Smr.Hazard_eras.retire s ~pid:0 (Smr.Deferred.of_fun ~id ~birth (fun _ -> incr hits));
+  Smr.Deferred.run_all ~pid:0 (Smr.Hazard_eras.eject ~force:true s ~pid:0);
   Alcotest.(check int) "era inside interval blocks" 0 !hits;
   Smr.Hazard_eras.release s ~pid:1 g;
-  List.iter (fun op -> op 0) (Smr.Hazard_eras.eject ~force:true s ~pid:0);
+  Smr.Deferred.run_all ~pid:0 (Smr.Hazard_eras.eject ~force:true s ~pid:0);
   Alcotest.(check int) "released" 1 !hits
 
 (* ---------------- HP ---------------- *)
@@ -136,17 +139,17 @@ let ptb_handoff_roundtrip () =
   let g = Option.get (Smr.Ptb.try_acquire s ~pid:1 id) in
   Alcotest.(check bool) "confirmed" true (Smr.Ptb.confirm s ~pid:1 g id);
   let hits = ref 0 in
-  Smr.Ptb.retire s ~pid:0 id ~birth:0 (fun _ -> incr hits);
+  Smr.Ptb.retire s ~pid:0 (Smr.Deferred.of_fun ~id ~birth:0 (fun _ -> incr hits));
   (* Liberation hands the entry to the guard: the retirer's queue
      drops to zero, but nothing ran. *)
-  List.iter (fun op -> op 0) (Smr.Ptb.eject ~force:true s ~pid:0);
+  Smr.Deferred.run_all ~pid:0 (Smr.Ptb.eject ~force:true s ~pid:0);
   Alcotest.(check int) "not run while pinned" 0 !hits;
   Alcotest.(check int) "buck left the retirer" 0 (Smr.Ptb.retired_count s ~pid:0);
   (* The releaser inherits the buck... *)
   Smr.Ptb.release s ~pid:1 g;
   Alcotest.(check int) "buck with the releaser" 1 (Smr.Ptb.retired_count s ~pid:1);
   (* ...and its next scan liberates it. *)
-  List.iter (fun op -> op 1) (Smr.Ptb.eject ~force:true s ~pid:1);
+  Smr.Deferred.run_all ~pid:1 (Smr.Ptb.eject ~force:true s ~pid:1);
   Alcotest.(check int) "liberated by releaser" 1 !hits
 
 let ptb_second_retire_stays_queued () =
@@ -155,15 +158,15 @@ let ptb_second_retire_stays_queued () =
   let g = Option.get (Smr.Ptb.try_acquire s ~pid:1 id) in
   ignore (Smr.Ptb.confirm s ~pid:1 g id);
   let hits = ref 0 in
-  Smr.Ptb.retire s ~pid:0 id ~birth:0 (fun _ -> incr hits);
-  Smr.Ptb.retire s ~pid:0 id ~birth:0 (fun _ -> incr hits);
-  List.iter (fun op -> op 0) (Smr.Ptb.eject ~force:true s ~pid:0);
+  Smr.Ptb.retire s ~pid:0 (Smr.Deferred.of_fun ~id ~birth:0 (fun _ -> incr hits));
+  Smr.Ptb.retire s ~pid:0 (Smr.Deferred.of_fun ~id ~birth:0 (fun _ -> incr hits));
+  Smr.Deferred.run_all ~pid:0 (Smr.Ptb.eject ~force:true s ~pid:0);
   (* One hand-off slot per guard: the second entry must stay queued. *)
   Alcotest.(check int) "nothing ran" 0 !hits;
   Alcotest.(check int) "one entry kept" 1 (Smr.Ptb.retired_count s ~pid:0);
   Smr.Ptb.release s ~pid:1 g;
-  List.iter (fun op -> op 0) (Smr.Ptb.eject ~force:true s ~pid:0);
-  List.iter (fun op -> op 1) (Smr.Ptb.eject ~force:true s ~pid:1);
+  Smr.Deferred.run_all ~pid:0 (Smr.Ptb.eject ~force:true s ~pid:0);
+  Smr.Deferred.run_all ~pid:1 (Smr.Ptb.eject ~force:true s ~pid:1);
   Alcotest.(check int) "both ran after release" 2 !hits
 
 (* ---------------- Hyaline ---------------- *)
@@ -184,21 +187,23 @@ let hyaline_stamp_frees_on_last_leave () =
   let hits = ref 0 in
   Smr.Hyaline.begin_critical_section s ~pid:0;
   Smr.Hyaline.begin_critical_section s ~pid:1;
-  Smr.Hyaline.retire s ~pid:2 (Ident.of_val (mk_obj ())) ~birth:0 (fun _ -> incr hits);
-  Alcotest.(check (list reject)) "not yet safe" []
-    (List.map (fun _ -> Alcotest.fail "op") (Smr.Hyaline.eject s ~pid:2));
+  Smr.Hyaline.retire s ~pid:2
+    (Smr.Deferred.of_fun ~id:(Ident.of_val (mk_obj ())) ~birth:0 (fun _ -> incr hits));
+  Alcotest.(check int) "not yet safe"  0
+    (Smr.Deferred.length (Smr.Hyaline.eject s ~pid:2));
   Smr.Hyaline.end_critical_section s ~pid:0;
-  Alcotest.(check (list reject)) "one reader still out" []
-    (List.map (fun _ -> Alcotest.fail "op") (Smr.Hyaline.eject s ~pid:2));
+  Alcotest.(check int) "one reader still out"  0
+    (Smr.Deferred.length (Smr.Hyaline.eject s ~pid:2));
   Smr.Hyaline.end_critical_section s ~pid:1;
-  List.iter (fun op -> op 2) (Smr.Hyaline.eject s ~pid:2);
+  Smr.Deferred.run_all ~pid:2 (Smr.Hyaline.eject s ~pid:2);
   Alcotest.(check int) "freed when the last reader left" 1 !hits
 
 let hyaline_retire_at_idle_immediate () =
   let s = Smr.Hyaline.create ~max_threads:1 () in
   let hits = ref 0 in
-  Smr.Hyaline.retire s ~pid:0 (Ident.of_val (mk_obj ())) ~birth:0 (fun _ -> incr hits);
-  List.iter (fun op -> op 0) (Smr.Hyaline.eject s ~pid:0);
+  Smr.Hyaline.retire s ~pid:0
+    (Smr.Deferred.of_fun ~id:(Ident.of_val (mk_obj ())) ~birth:0 (fun _ -> incr hits));
+  Smr.Deferred.run_all ~pid:0 (Smr.Hyaline.eject s ~pid:0);
   Alcotest.(check int) "no reader -> immediately safe" 1 !hits
 
 (* ---------------- Leaky ---------------- *)
@@ -207,12 +212,13 @@ let leaky_never_ejects () =
   let s = Smr.Leaky.create ~max_threads:1 () in
   let hits = ref 0 in
   for _ = 1 to 10 do
-    Smr.Leaky.retire s ~pid:0 (Ident.of_val (mk_obj ())) ~birth:0 (fun _ -> incr hits)
+    Smr.Leaky.retire s ~pid:0
+      (Smr.Deferred.of_fun ~id:(Ident.of_val (mk_obj ())) ~birth:0 (fun _ -> incr hits))
   done;
   Alcotest.(check int) "eject never returns" 0
-    (List.length (Smr.Leaky.eject ~force:true s ~pid:0));
+    (Smr.Deferred.length (Smr.Leaky.eject ~force:true s ~pid:0));
   Alcotest.(check int) "pending" 10 (Smr.Leaky.retired_count s ~pid:0);
-  List.iter (fun op -> op 0) (Smr.Leaky.drain_all s);
+  Smr.Deferred.run_all ~pid:0 (Smr.Leaky.drain_all s);
   Alcotest.(check int) "drain_all releases" 10 !hits
 
 (* ---------------- sticky counter internals ---------------- *)

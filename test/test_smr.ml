@@ -19,10 +19,10 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let obj = ref 0 in
     let hits = ref 0 in
     let birth = S.alloc_hook s ~pid:0 in
-    S.retire s ~pid:0 (Ident.of_val obj) ~birth (fun _ -> incr hits);
+    S.retire s ~pid:0 (Smr.Deferred.of_fun ~id:(Ident.of_val obj) ~birth (fun _ -> incr hits));
     (* Nothing is protected: a forced eject must surface the op. *)
     let ops = S.eject ~force:true s ~pid:0 in
-    List.iter (fun op -> op 0) ops;
+    Smr.Deferred.run_all ~pid:0 ops;
     Alcotest.(check int) "op ran" 1 !hits;
     Alcotest.(check int) "queue empty" 0 (S.retired_count s ~pid:0)
 
@@ -39,9 +39,9 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     done;
     (* Writer (pid 0): allocates (advancing epochs) then retires obj. *)
     let birth = S.alloc_hook s ~pid:0 in
-    S.retire s ~pid:0 id ~birth (fun _ -> incr hits);
+    S.retire s ~pid:0 (Smr.Deferred.of_fun ~id ~birth (fun _ -> incr hits));
     let ops = S.eject ~force:true s ~pid:0 in
-    Alcotest.(check int) "blocked while protected" 0 (List.length ops);
+    Alcotest.(check int) "blocked while protected" 0 (Smr.Deferred.length ops);
     Alcotest.(check int) "op not run while protected" 0 !hits;
     (* The entry is still pending somewhere: in the retirer's queue, or
        (PTB) handed off to the pinning guard. *)
@@ -49,8 +49,8 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
        in the releaser's queue, so drain both pids. *)
     S.release s ~pid:1 g;
     S.end_critical_section s ~pid:1;
-    List.iter (fun op -> op 0) (S.eject ~force:true s ~pid:0);
-    List.iter (fun op -> op 1) (S.eject ~force:true s ~pid:1);
+    Smr.Deferred.run_all ~pid:0 (S.eject ~force:true s ~pid:0);
+    Smr.Deferred.run_all ~pid:1 (S.eject ~force:true s ~pid:1);
     Alcotest.(check int) "ejected after release" 1 !hits
 
   let multi_retire_ejects_each_once () =
@@ -61,13 +61,13 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let id = Ident.of_val obj in
     for _ = 1 to 5 do
       let birth = S.alloc_hook s ~pid:0 in
-      S.retire s ~pid:0 id ~birth (fun _ -> incr hits)
+      S.retire s ~pid:0 (Smr.Deferred.of_fun ~id ~birth (fun _ -> incr hits))
     done;
     let rec drain () =
       match S.eject ~force:true s ~pid:0 with
-      | [] -> ()
+      | Smr.Deferred.Nil -> ()
       | ops ->
-          List.iter (fun op -> op 0) ops;
+          Smr.Deferred.run_all ~pid:0 ops;
           drain ()
     in
     drain ();
@@ -85,17 +85,17 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     done;
     for _ = 1 to 3 do
       let birth = S.alloc_hook s ~pid:0 in
-      S.retire s ~pid:0 id ~birth (fun _ -> incr hits)
+      S.retire s ~pid:0 (Smr.Deferred.of_fun ~id ~birth (fun _ -> incr hits))
     done;
-    List.iter (fun op -> op 0) (S.eject ~force:true s ~pid:0);
+    Smr.Deferred.run_all ~pid:0 (S.eject ~force:true s ~pid:0);
     Alcotest.(check int) "all blocked" 0 !hits;
     S.release s ~pid:1 g;
     S.end_critical_section s ~pid:1;
     let rec drain pid =
       match S.eject ~force:true s ~pid with
-      | [] -> ()
+      | Smr.Deferred.Nil -> ()
       | ops ->
-          List.iter (fun op -> op pid) ops;
+          Smr.Deferred.run_all ~pid ops;
           drain pid
     in
     drain 0;
@@ -106,13 +106,13 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let s = S.create ~cleanup_freq:1000 ~max_threads:1 () in
     let obj = ref 0 in
     let birth = S.alloc_hook s ~pid:0 in
-    S.retire s ~pid:0 (Ident.of_val obj) ~birth (fun _ -> ());
+    S.retire s ~pid:0 (Smr.Deferred.of_fun ~id:(Ident.of_val obj) ~birth (fun _ -> ()));
     (* Hyaline has no per-thread amortization (global safe pool), so the
        gate only applies to the queue-based schemes. *)
     if S.name <> "Hyaline" then begin
-      Alcotest.(check (list reject)) "unforced eject empty"
-        []
-        (List.map (fun _ -> Alcotest.fail "op") (S.eject s ~pid:0));
+      Alcotest.(check int) "unforced eject empty"
+         0
+        (Smr.Deferred.length (S.eject s ~pid:0));
       Alcotest.(check int) "entry retained" 1 (S.retired_count s ~pid:0)
     end;
     ignore (S.eject ~force:true s ~pid:0)
@@ -124,14 +124,14 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       for _ = 1 to 10 do
         let obj = ref 0 in
         let birth = S.alloc_hook s ~pid in
-        S.retire s ~pid (Ident.of_val obj) ~birth (fun _ -> incr hits)
+        S.retire s ~pid (Smr.Deferred.of_fun ~id:(Ident.of_val obj) ~birth (fun _ -> incr hits))
       done
     done;
     let rec go () =
       match S.drain_all s with
-      | [] -> ()
+      | Smr.Deferred.Nil -> ()
       | ops ->
-          List.iter (fun op -> op 0) ops;
+          Smr.Deferred.run_all ~pid:0 ops;
           go ()
     in
     go ();
@@ -262,7 +262,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
           let slot = Repro_util.Rng.int rng nslots in
           let nu = Ar.alloc ar ~pid i in
           let old = Atomic.exchange cells.(slot) nu in
-          Ar.retire ar ~pid old (fun _ -> Simheap.free old.Ar.block);
+          Ar.retire_free ar ~pid old;
           Ar.end_critical_section ar ~pid;
           Ar.eject ar ~pid
         done
