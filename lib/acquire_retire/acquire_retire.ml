@@ -9,38 +9,43 @@
     flushing, backlog accounting and the watchdog exist once, here.
 
     Differences from Fig 2, forced by OCaml and documented in
-    DESIGN.md: [alloc] wraps an existing value in a {!Make.managed}
-    record (carrying the birth tag and the simulated-heap block) rather
-    than calling a constructor; [eject] runs what the scheme releases
-    through the pid's deferred-op queue, never reentrantly (§3.2); and
-    protection is acquired inside a {!Make.scope}, whose rank-2 body
-    type keeps every guard from outliving the critical section that
-    backs it (DESIGN.md §3), or — only for CDRC's snapshots, whose
-    guards outlive the call that takes them — through
+    DESIGN.md: [alloc] wraps an existing value in an abstract
+    {!Make.managed} (carrying the birth tag and the simulated-heap
+    block) rather than calling a constructor; [eject] runs what the
+    scheme releases through the pid's deferred-op queue, never
+    reentrantly (§3.2); and protection is acquired inside a
+    {!Make.scope}, whose rank-2 body type keeps every guard and every
+    unlink witness from outliving the critical section that backs it,
+    and whose guards and witnesses carry the manual structures'
+    life-cycle obligations (DESIGN.md §3), or — only for CDRC's
+    snapshots, whose guards outlive the call that takes them — through
     {!Make.protect_unscoped}. *)
 
 module Make (S : Smr.Smr_intf.S) = struct
   module Smr_impl = S
 
   (* A pid's protection state, preallocated so that neither opening a
-     section nor protecting a pointer allocates bookkeeping: bit [g] of
-     [held] is set while the pid holds guard [g], taken by its scope or
-     by {!protect_unscoped}, and [guard] is the guard of the pid's last
-     unscoped protect. The owner writes the record on every protect, so
-     the [pad_*] fields give it a cache line of its own. *)
+     section nor protecting a pointer allocates bookkeeping. Bit [g] of
+     [held] is set while the pid holds the scheme guard [g] taken by
+     {!protect_unscoped}, and [guard] is the guard of its last unscoped
+     protect. Bit [v] of [scoped] is set while the pid's scope holds its
+     guard slot [v]: [taken.(v)] is the scheme guard behind it, and
+     [gens.(v)] the slot's generation, bumped at each release. The owner
+     writes the record on every protect, so the [pad_*] fields give it
+     a cache line of its own. *)
   type scope_state = {
     smr_s : S.t;
     pid : int;
     mutable held : int;
     mutable opened : bool;
     mutable guard : S.guard;
+    mutable scoped : int;
+    taken : S.guard array;
+    gens : int array;
     pad_0 : int;
     pad_1 : int;
     pad_2 : int;
     pad_3 : int;
-    pad_4 : int;
-    pad_5 : int;
-    pad_6 : int;
   }
 
   (** The guard of a failed fresh-slot announcement. *)
@@ -63,11 +68,6 @@ module Make (S : Smr.Smr_intf.S) = struct
      wrapper has had its say. *)
   let eject_batch_h = Obs.Histo.histo ("ar." ^ String.lowercase_ascii S.name ^ ".eject.batch_size")
 
-  (** A value under acquire–retire management. [alloc] is part of the
-      Fig 2 interface because IBR and HE must tag each object with a
-      birth epoch at allocation time. *)
-  type 'a managed = { value : 'a; birth : int; block : Simheap.block }
-
   let create ?epoch_freq ?cleanup_freq ?slots_per_thread ?heap ~max_threads () =
     let heap =
       match heap with Some h -> h | None -> Simheap.create ~name:("ar-" ^ S.name) ()
@@ -88,13 +88,13 @@ module Make (S : Smr.Smr_intf.S) = struct
               held = 0;
               opened = false;
               guard = no_guard;
+              scoped = 0;
+              taken = Array.make Sys.int_size no_guard;
+              gens = Array.make Sys.int_size 0;
               pad_0 = 0;
               pad_1 = 0;
               pad_2 = 0;
               pad_3 = 0;
-              pad_4 = 0;
-              pad_5 = 0;
-              pad_6 = 0;
             });
       wd = Obs.Watchdog.create ~scheme:S.name ();
     }
@@ -116,21 +116,6 @@ module Make (S : Smr.Smr_intf.S) = struct
       blocks) puts in their retire records ({!Smr.Deferred.make}). *)
   let birth t ~pid = S.alloc_hook t.smr ~pid
 
-  (* The hook runs strictly before the heap allocation: if it raises
-     (fault injection crashing the thread), no block exists yet and
-     nothing can leak. *)
-  let alloc t ~pid value =
-    let birth = birth t ~pid in
-    let block = Simheap.alloc t.heap in
-    { value; birth; block }
-
-  let get (m : _ managed) =
-    Simheap.check_live m.block;
-    m.value
-
-  let is_live (m : _ managed) = Simheap.is_live m.block
-  let ident (m : _ managed) = Smr.Ident.of_val m
-
   let begin_critical_section t ~pid = S.begin_critical_section t.smr ~pid
   let end_critical_section t ~pid = S.end_critical_section t.smr ~pid
 
@@ -141,9 +126,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     if S.confirm smr ~pid g (ident v) then v
     else settle smr ~pid ~ident cell g (Sched.Atomic.get cell)
 
-  (* The pid's held guards. [release_held] releases [g] only while the
-     pid holds it, so a guard released early is not released again when
-     its section closes. *)
+  (* The pid's held unscoped guards. [release_held] releases [g] only
+     while the pid holds it, so a guard released early is not released
+     again when its section closes. *)
   let hold s g = s.held <- s.held lor (1 lsl g)
 
   let release_held s g =
@@ -157,6 +142,14 @@ module Make (S : Smr.Smr_intf.S) = struct
     if mask <> 0 then begin
       if mask land 1 <> 0 then S.release s.smr_s ~pid:s.pid g;
       release_mask s (mask lsr 1) (g + 1)
+    end
+
+  (* [release_mask] over the scope's guard slots, each holding the
+     scheme guard [taken.(v)]. *)
+  let rec release_scoped s mask v =
+    if mask <> 0 then begin
+      if mask land 1 <> 0 then S.release s.smr_s ~pid:s.pid s.taken.(v);
+      release_scoped s (mask lsr 1) (v + 1)
     end
 
   (** {2 Protection sections}
@@ -177,57 +170,162 @@ module Make (S : Smr.Smr_intf.S) = struct
     S.begin_critical_section t.smr ~pid;
     s.opened <- true
 
-  (* Marks the section closed and clears the mask before releasing, so
+  (* Marks the section closed and clears the masks before releasing, so
      a release that raises can neither make a guard be released twice
      nor keep the pid's next section from opening. *)
   let close s =
-    let mask = s.held in
+    let mask = s.held and scoped = s.scoped in
     s.held <- 0;
+    s.scoped <- 0;
     s.opened <- false;
     release_mask s mask 0;
+    release_scoped s scoped 0;
     S.end_critical_section s.smr_s ~pid:s.pid
 
   let close_section t ~pid = close t.scopes.(pid)
 
-  (** {2 Protection scopes}
+  (* The static run function of a retire record that reclaims a block. *)
+  let free_block _pid block = Simheap.free block
 
-      The way a data structure protects a pointer. [scope t ~pid { f }]
-      opens the pid's section, runs [f] on a fresh scope, and on every
-      exit — normal or exceptional — closes the section, releasing each
-      guard still held exactly once. The body's type
-      [{ f : 's. 's scope -> 'a }] is rank-2: [f] must work for every
-      ['s], so ['s] cannot occur in ['a], and neither a guard nor
-      anything typed by its scope can be returned from the body or
-      stored where the body's caller sees it (test/scope_fixtures pins
-      this with programs that must fail to compile). The scope is
-      sealed: a scheme's [S.guard = int] cannot be forged into an
-      ['s guard]. Scopes do not nest ({!open_section}). *)
+  (** {2 Managed objects and protection scopes}
+
+      The way a manual data structure allocates, reads and retires a
+      node, carrying the three pointer life-cycle obligations of manual
+      SMR (Meyer–Wolff) in its types:
+
+      - {e Release what you announced}: [scope t ~pid { f }] opens the
+        pid's section, runs [f] on a fresh scope, and on every exit —
+        normal or exceptional — closes the section, releasing each
+        guard still held exactly once. The body's type
+        [{ f : 's. 's scope -> 'a }] is rank-2: [f] must work for every
+        ['s], so ['s] cannot occur in ['a], and neither a guard, nor an
+        unlink witness, nor anything typed by its scope can be returned
+        from the body or stored where the body's caller sees it
+        (test/scope_fixtures pins this with programs that must fail to
+        compile). Scopes do not nest ({!open_section}).
+      - {e Announce before you dereference}: a {!managed} is abstract,
+        and {!get} reads it only through a guard of the scope that
+        {!protect}ed it. A guard is one of the scope's guard slots
+        packed with the slot's generation, which {!release} and
+        {!retire_free} bump: a [get] or [release] through a released
+        guard raises [Invalid_argument] instead of reading memory that
+        may be freed, or dropping a protection taken since.
+      - {e Retire only what you unlinked}: {!retire_free} takes an
+        {!unlinked} witness, which only {!unlink}'s own successful CAS
+        returns.
+
+      Three reads without a live guard are legal, and each is named:
+      a chain excised under one witness ({!excised}); a node no other
+      pid can reach, because the pid allocated it and has not published
+      it or the structure is quiescent ({!quiescent}, {!discard}); and
+      NM-tree's over-budget fallback, the paper's Fig 11 behaviour
+      ({!get_unguarded}). *)
   module Scope : sig
+    type +'a managed
+    (** A value under acquire–retire management. [alloc] is part of the
+        Fig 2 interface because IBR and HE must tag each object with a
+        birth epoch at allocation time. *)
+
     type 's scope
     type 's guard
+    type ('s, 'a) unlinked
     type 'a body = { f : 's. 's scope -> 'a } [@@unboxed]
+
+    val alloc : t -> pid:int -> 'a -> 'a managed
+    val ident : 'a managed -> Smr.Ident.t
+    val birth_tag : 'a managed -> int
+    val is_live : 'a managed -> bool
+
+    val discard : 'a managed -> unit
+    (** Free [m] now, outside retirement: only for a node no other pid
+        can reach — one the pid allocated and never published, one of a
+        quiescent structure being torn down, or one whose own retire
+        record is running. *)
+
+    val quiescent : 'a managed -> 'a
+    (** [m]'s value with no guard, for the same nodes as {!discard}:
+        a quiescent structure's [size] and [teardown] walks. *)
+
+    val get_unguarded : 'a managed -> 'a
+    (** [m]'s value, checked live, with no guard: NM-tree's over-budget
+        HP fallback (paper Fig 11), whose use-after-frees the tree
+        counts, and its never-retired root sentinel. No other structure
+        may call it (tools/ci.sh). *)
 
     val scope : t -> pid:int -> 'a body -> 'a
 
-    val protect : 's scope -> ident:('v -> Smr.Ident.t) -> 'v Sched.Atomic.t -> ('v * 's guard) option
+    val protect : 's scope -> ident:('v -> Smr.Ident.t) -> 'v Sched.Atomic.t -> 'v * 's guard
     (** The two-phase announce/confirm protocol of [Smr.Smr_intf] on
         [cell]: [ident] (a top-level projection, so the call allocates
-        no closure) names what the scheme announces and validates.
-        [None] means the announcement slots ran out; what to do then is
+        no closure) names what the scheme announces and validates. When
+        the announcement slots ran out, the value is [cell]'s,
+        unprotected, and the guard is {!unguarded}; what to do then is
         the caller's policy. *)
+
+    val unguarded : 's guard
+    (** The guard of a failed protect: {!get} through it raises, and
+        {!release} and {!retire_free} ignore it. *)
+
+    val guarded : 's guard -> bool
+    (** Whether the protect that returned the guard got a slot. *)
+
+    val get : 's scope -> 's guard -> 'a managed -> 'a
+    (** [m]'s value, read through [g], the guard that protects it.
+        Raises [Invalid_argument] if [g] was released (or is
+        {!unguarded}), and [Simheap.Use_after_free] if [m] was freed. *)
 
     val release : 's scope -> 's guard -> unit
     (** Release before scope exit, where the order against a retire or
-        an eject matters, or to free a slot mid-traversal. A guard is
-        its slot's index, and a released slot can be handed out again
-        by the next [protect]: releasing a guard twice is a no-op only
-        if no [protect] since the first release reused its slot. *)
+        an eject matters, or to free a slot mid-traversal. The guard
+        goes stale: releasing it again, or a {!get} through it, raises
+        [Invalid_argument], even after a later [protect] has reused its
+        slot — that protection stays held. *)
+
+    val unlink :
+      's scope -> 'v Sched.Atomic.t -> seen:'v -> desired:'v -> 'a managed -> ('s, 'a) unlinked option
+    (** [unlink s cell ~seen ~desired victim] swings [cell] from [seen],
+        the value the caller read, to [desired] with one CAS, and on
+        success returns the witness that [victim], the node [seen] links
+        to, is unlinked. Structural pre-checks and retry loops stay with
+        the caller. *)
+
+    val retire_free : 's scope -> ('s, 'a) unlinked -> 's guard -> unit
+    (** Release [g], the guard protecting the witness's victim (or
+        {!unguarded}), then retire the victim, the deferred operation
+        being its reclamation. *)
+
+    val excised : ('s, 'a) unlinked -> 'a managed -> 'a
+    (** [m]'s value, checked live: [m] is a node of the chain that the
+        witness's CAS excised together with its victim, so only this pid
+        retires it. *)
+
+    val retire_excised : 's scope -> ('s, 'a) unlinked -> 'a managed -> unit
+    (** Retire [m], a node of the chain excised under the witness
+        (the victim included), holding no guard on it. *)
   end = struct
+    type 'a managed = { value : 'a; birth : int; block : Simheap.block }
     type 's scope = scope_state
-    type 's guard = S.guard
+    type 's guard = int
+    type ('s, 'a) unlinked = 'a managed
     type 'a body = { f : 's. 's scope -> 'a } [@@unboxed]
 
-    let release = release_held
+    (* The hook runs strictly before the heap allocation: if it raises
+       (fault injection crashing the thread), no block exists yet and
+       nothing can leak. *)
+    let alloc t ~pid value =
+      let birth = birth t ~pid in
+      let block = Simheap.alloc t.heap in
+      { value; birth; block }
+
+    let ident (m : _ managed) = Smr.Ident.of_val m
+    let birth_tag m = m.birth
+    let is_live m = Simheap.is_live m.block
+    let discard m = Simheap.free m.block
+    let quiescent m = m.value
+
+    let get_unguarded m =
+      Simheap.check_live m.block;
+      m.value
 
     let scope t ~pid body =
       open_section t ~pid;
@@ -241,19 +339,73 @@ module Make (S : Smr.Smr_intf.S) = struct
           close s;
           Printexc.raise_with_backtrace e bt
 
+    (* A guard is [gens.(v) lsl gen_shift lor v] for the guard slot [v]
+       that holds it. *)
+    let gen_shift = 6
+    let slot_mask = (1 lsl gen_shift) - 1
+    let unguarded = no_guard
+    let guarded g = g <> unguarded
+
+    let rec first_clear mask v = if mask land 1 = 0 then v else first_clear (mask lsr 1) (v + 1)
+
+    (* Hold the scheme guard [g] in a guard slot of the scope: slot [g]
+       itself, unless a guard of the scope already holds it — a region
+       scheme hands every protect the same slot — in which case the
+       lowest free one; {!unguarded} when none is free, which only a
+       region scheme, whose section protects anyway, can reach. *)
+    let claim s g =
+      let v = if s.scoped land (1 lsl g) = 0 then g else first_clear s.scoped 0 in
+      if v >= Sys.int_size then unguarded
+      else begin
+        s.scoped <- s.scoped lor (1 lsl v);
+        s.taken.(v) <- g;
+        (s.gens.(v) lsl gen_shift) lor v
+      end
+
+    let live s g = g >= 0 && s.gens.(g land slot_mask) = g lsr gen_shift
+
+    let get s g m =
+      if not (live s g) then invalid_arg "Acquire_retire.get: the guard is not held";
+      Simheap.check_live m.block;
+      m.value
+
+    let release s g =
+      if g <> unguarded then begin
+        if not (live s g) then invalid_arg "Acquire_retire.release: the guard is not held";
+        let v = g land slot_mask in
+        s.gens.(v) <- s.gens.(v) + 1;
+        s.scoped <- s.scoped lxor (1 lsl v);
+        S.release s.smr_s ~pid:s.pid s.taken.(v)
+      end
+
+    (* The guard is claimed before the confirm loop runs, so a confirm
+       that raises leaves it for the scope's exit to release. *)
     let protect s ~ident cell =
       if S.confirm_is_trivial then (
         match S.try_acquire s.smr_s ~pid:s.pid Smr.Ident.null with
         | Some g ->
-            hold s g;
-            Some (Sched.Atomic.get cell, g)
-        | None -> None)
+            let g = claim s g in
+            (Sched.Atomic.get cell, g)
+        | None -> (Sched.Atomic.get cell, unguarded))
       else
-        match S.try_acquire s.smr_s ~pid:s.pid (ident (Sched.Atomic.get cell)) with
+        let v = Sched.Atomic.get cell in
+        match S.try_acquire s.smr_s ~pid:s.pid (ident v) with
         | Some g ->
-            hold s g;
-            Some (settle s.smr_s ~pid:s.pid ~ident cell g (Sched.Atomic.get cell), g)
-        | None -> None
+            let sg = claim s g in
+            (settle s.smr_s ~pid:s.pid ~ident cell g (Sched.Atomic.get cell), sg)
+        | None -> (v, unguarded)
+
+    let unlink _ cell ~seen ~desired victim =
+      if Sched.Atomic.compare_and_set cell seen desired then Some victim else None
+
+    let retire_excised s _ m =
+      S.retire s.smr_s ~pid:s.pid (Smr.Deferred.make ~id:(ident m) ~birth:m.birth free_block m.block)
+
+    let retire_free s w g =
+      release s g;
+      retire_excised s w w
+
+    let excised _ m = get_unguarded m
   end
 
   include Scope
@@ -323,13 +475,6 @@ module Make (S : Smr.Smr_intf.S) = struct
       its control blocks this way: each stays one record, named by its
       identity. *)
   let retire t ~pid d = S.retire t.smr ~pid d
-
-  let free_block _pid block = Simheap.free block
-
-  (** Manual-SMR convenience: retire with the deferred operation being
-      the reclamation itself, a static run function over the block. *)
-  let retire_free t ~pid (m : _ managed) =
-    retire t ~pid (Smr.Deferred.make ~id:(ident m) ~birth:m.birth free_block m.block)
 
   let rec run_queue q ~pid =
     match Smr.Retire_queue.pop q with

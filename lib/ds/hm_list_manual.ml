@@ -50,13 +50,23 @@ module Make (S : Smr.Smr_intf.S) = struct
     else if Atomic.compare_and_set cell cur desired then true
     else link_cas cell expected desired
 
+  (* [link_cas] for an unlink: the witness that [victim], the node
+     [expected] links to, is unlinked. *)
+  let rec unlink s cell expected desired victim =
+    let cur = Atomic.get cell in
+    if not (link_eq cur expected) then None
+    else
+      match Ar.unlink s cell ~seen:cur ~desired victim with
+      | None -> unlink s cell expected desired victim
+      | w -> w
+
   (* Protect the destination of the link currently in [cell]. Guard
      budget per traversal is at most 3, below the default 8 slots of
      HP/HE. *)
   let protect s cell =
-    match Ar.protect s ~ident:ident_of cell with
-    | Some p -> p
-    | None -> failwith "hm_list_manual: out of announcement slots (need >= 3)"
+    let ((_, g) as p) = Ar.protect s ~ident:ident_of cell in
+    if Ar.guarded g then p
+    else failwith "hm_list_manual: out of announcement slots (need >= 3)"
 
   exception Restart
 
@@ -67,11 +77,12 @@ module Make (S : Smr.Smr_intf.S) = struct
     match Ar.scope c.t.ar ~pid:c.pid body with v -> v | exception Restart -> scoped c body
 
   (* Typed by its scope: [prev] and [cur] are protected only while the
-     scope that found them is open. *)
+     scope that found them is open, [cur]'s node by [cg]. *)
   type 's cursor = {
     found : bool;
     prev : link Atomic.t;
     cur : link; (* unmarked view of the successor *)
+    cg : 's Ar.guard;
   }
 
   (* The traversals walk hand over hand: [pg] protects the node holding
@@ -84,9 +95,9 @@ module Make (S : Smr.Smr_intf.S) = struct
      key >= [key], unlinking marked nodes on the way. *)
   let rec find (s : 's Ar.scope) c key prev pg (cur : link) cg at_head : 's cursor =
     match cur.dest with
-    | None -> { found = false; prev; cur }
+    | None -> { found = false; prev; cur; cg }
     | Some m ->
-        let node = Ar.get m in
+        let node = Ar.get s cg m in
         let next, gn = protect s node.next in
         (* Protected-pointer schemes: cur is only trustworthy if prev
            still links to it unmarked (Michael 2002). *)
@@ -95,17 +106,16 @@ module Make (S : Smr.Smr_intf.S) = struct
           (* cur is logically deleted: unlink and retire it. *)
           let succ = { next with marked = false } in
           Sched.yield ();
-          if link_cas prev cur succ then begin
-            Ar.retire_free c.t.ar ~pid:c.pid m;
-            Ar.eject c.t.ar ~pid:c.pid;
-            Ar.release s cg;
-            find s c key prev pg succ gn at_head
-          end
-          else raise Restart
+          match unlink s prev cur succ m with
+          | Some w ->
+              Ar.retire_free s w cg;
+              Ar.eject c.t.ar ~pid:c.pid;
+              find s c key prev pg succ gn at_head
+          | None -> raise Restart
         end
         else if node.key >= key then begin
           Ar.release s gn;
-          { found = node.key = key; prev; cur }
+          { found = node.key = key; prev; cur; cg }
         end
         else begin
           if not at_head then Ar.release s pg;
@@ -127,8 +137,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               let m = Ar.alloc c.t.ar ~pid:c.pid { key; next = Atomic.make cu.cur } in
               if link_cas cu.prev cu.cur (link_to m) then true
               else begin
-                (* Never published: reclaim directly. *)
-                Simheap.free m.Ar.block;
+                Ar.discard m;
                 raise Restart
               end
             end);
@@ -150,7 +159,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               if not cu.found then `Absent
               else begin
                 let m = Option.get cu.cur.dest in
-                let node = Ar.get m in
+                let node = Ar.get s cu.cg m in
                 let next = Atomic.get node.next in
                 (* A marked node is owned by a concurrent remove; retry
                    until the find no longer sees it. *)
@@ -159,12 +168,12 @@ module Make (S : Smr.Smr_intf.S) = struct
                   (* We own the deletion; try to unlink (guards still
                      held, so the prev cell is safe to CAS). *)
                   Sched.yield ();
-                  if link_cas cu.prev cu.cur next then begin
-                    Ar.retire_free c.t.ar ~pid:c.pid m;
-                    Ar.eject c.t.ar ~pid:c.pid;
-                    `Unlinked
-                  end
-                  else `Marked
+                  match unlink s cu.prev cu.cur next m with
+                  | Some w ->
+                      Ar.retire_free s w cu.cg;
+                      Ar.eject c.t.ar ~pid:c.pid;
+                      `Unlinked
+                  | None -> `Marked
                 end
                 else raise Restart
               end);
@@ -182,7 +191,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     match cur.dest with
     | None -> false
     | Some m ->
-        let node = Ar.get m in
+        let node = Ar.get s cg m in
         if node.key > key then false
         else if node.key = key then
           (* Deletion flag lives on the node's own next link; no
@@ -210,7 +219,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     match cur.dest with
     | None -> n
     | Some m ->
-        let node = Ar.get m in
+        let node = Ar.get s cg m in
         if node.key >= hi then n
         else begin
           let next, gn = protect s node.next in
@@ -235,8 +244,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       match l.dest with
       | None -> n
       | Some m ->
-          let node = m.Ar.value in
-          let next = Atomic.get node.next in
+          let next = Atomic.get (Ar.quiescent m).next in
           go next (if next.marked then n else n + 1)
     in
     go (Atomic.get head) 0
@@ -246,9 +254,8 @@ module Make (S : Smr.Smr_intf.S) = struct
       match l.dest with
       | None -> ()
       | Some m ->
-          let node = m.Ar.value in
-          let next = Atomic.get node.next in
-          if Simheap.is_live m.Ar.block then Simheap.free m.Ar.block;
+          let next = Atomic.get (Ar.quiescent m).next in
+          if Ar.is_live m then Ar.discard m;
           go next
     in
     go (Atomic.get head);

@@ -53,9 +53,8 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Protect the destination of an anchor cell (head or tail), or of a
      node's [next] link. *)
   let protect s cell =
-    match Ar.protect s ~ident:ident_of cell with
-    | Some p -> p
-    | None -> failwith "ms_queue: out of announcement slots"
+    let ((_, g) as p) = Ar.protect s ~ident:ident_of cell in
+    if Ar.guarded g then p else failwith "ms_queue: out of announcement slots"
 
   (* Each retry releases the attempt's guards first, keeping the slot
      budget at two. *)
@@ -70,7 +69,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           enqueue_in s c nu
         end
         else begin
-          let tnode = Ar.get tm in
+          let tnode = Ar.get s g tm in
           match Atomic.get tnode.next with
           | None ->
               if link_cas tnode.next None (Some nu) then
@@ -101,7 +100,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           dequeue_in s c
         end
         else begin
-          let hnode = Ar.get hm in
+          let hnode = Ar.get s gh hm in
           let lt = Atomic.get c.t.tail in
           match Atomic.get hnode.next with
           | None -> None
@@ -118,15 +117,19 @@ module Make (S : Smr.Smr_intf.S) = struct
                 retry s c gh gn
               end
               else begin
-                let v = (Ar.get nm).value in
-                if link_cas c.t.head lh next then begin
-                  (* The guards outlive the eject: the scope releases
-                     them after it. *)
-                  Ar.retire_free c.t.ar ~pid:c.pid hm;
-                  Ar.eject c.t.ar ~pid:c.pid;
-                  Some v
-                end
-                else retry s c gh gn
+                let v = (Ar.get s gn nm).value in
+                (* A node enters [head] in the one [Some] box its
+                   enqueuer linked, so the CAS on the value [protect]
+                   read needs no structural retry. *)
+                match Ar.unlink s c.t.head ~seen:lh ~desired:next hm with
+                | Some w ->
+                    (* Releasing [gh] first lets this eject reclaim the
+                       old head; [gn] outlives it until the scope
+                       exits. *)
+                    Ar.retire_free s w gh;
+                    Ar.eject c.t.ar ~pid:c.pid;
+                    Some v
+                | None -> retry s c gh gn
               end
         end
 
@@ -143,9 +146,9 @@ module Make (S : Smr.Smr_intf.S) = struct
   let teardown t =
     let rec go = function
       | None -> ()
-      | Some (m : node Ar.managed) ->
-          let next = Atomic.get m.Ar.value.next in
-          if Simheap.is_live m.Ar.block then Simheap.free m.Ar.block;
+      | Some m ->
+          let next = Atomic.get (Ar.quiescent m).next in
+          if Ar.is_live m then Ar.discard m;
           go next
     in
     go (Atomic.get t.head);

@@ -88,56 +88,68 @@ module Make (S : Smr.Smr_intf.S) = struct
     else if Atomic.compare_and_set cell cur desired then true
     else edge_cas cell expected desired
 
-  (* Protect the destination of the edge in [cell]. The protection is
-     [None] when the announcement slots ran out: proceed unprotected
-     (the paper's over-budget HP behaviour). Read the edge with
-     [target]. *)
+  (* [edge_cas] for an unlink: the witness that [victim], the node
+     [expected] leads to, is excised. *)
+  let rec unlink s cell expected desired victim =
+    let cur = Atomic.get cell in
+    if not (edge_eq cur expected) then None
+    else
+      match Ar.unlink s cell ~seen:cur ~desired victim with
+      | None -> unlink s cell expected desired victim
+      | w -> w
+
+  (* Protect the destination of the edge in [cell]. The guard is
+     [Ar.unguarded] when the announcement slots ran out: proceed
+     unprotected (the paper's over-budget HP behaviour). *)
   let protect s cell = Ar.protect s ~ident:ident_of cell
-  let target cell = function Some ((e : edge), _) -> e | None -> Atomic.get cell
-  let release s = function Some (_, g) -> Ar.release s g | None -> ()
+
+  (* Read [m] through its guard, or, with none — the over-budget
+     fallback, and the root sentinel, which is never retired — through
+     the tree's one unguarded read. *)
+  let deref s g m = if Ar.guarded g then Ar.get s g m else Ar.get_unguarded m
 
   (* Seek record (paper Fig 1a), typed by the scope whose guards
      protect its ancestor, parent and leaf; the successor is never
      dereferenced so it carries no guard. *)
   type 's seek_record = {
     anc : node Ar.managed;
+    g_anc : 's Ar.guard;
     suc : node Ar.managed;
     par : node Ar.managed;
+    g_par : 's Ar.guard;
     leaf : node Ar.managed;
+    g_leaf : 's Ar.guard;
   }
-
-  let deref (m : node Ar.managed) = Ar.get m
 
   (* One step down from internal node [n] (= [par]), toward [key]. *)
   let rec descend (s : 's Ar.scope) key anc g_anc suc n par g_par : 's seek_record =
     let cell = if key < n.key then n.left else n.right in
-    let p = protect s cell in
-    let e = target cell p in
+    let e, g = protect s cell in
     match e.dest with
     | None ->
         (* Internal nodes always have two children; a null edge
            means we read a reclaimed node on an unsafe scheme. *)
         raise (Simheap.Use_after_free "nm_tree: null child of internal node")
-    | Some m -> walk s key anc g_anc suc par g_par m p e.tag
+    | Some m -> walk s key anc g_anc suc par g_par m g e.tag
 
   and walk s key anc g_anc suc par g_par cur g_cur cur_tag =
-    let n = deref cur in
-    if is_leaf n then { anc; suc; par; leaf = cur }
+    let n = deref s g_cur cur in
+    if is_leaf n then { anc; g_anc; suc; par; g_par; leaf = cur; g_leaf = g_cur }
     else if not cur_tag then begin
       (* The edge par->cur is untagged: par/cur become the new
          ancestor/successor. *)
-      release s g_anc;
+      Ar.release s g_anc;
       descend s key par g_par cur n cur g_cur
     end
     else begin
-      release s g_par;
+      Ar.release s g_par;
       descend s key anc g_anc suc n cur g_cur
     end
 
   (* From the root sentinel, whose first step always lands on S. *)
   let seek s c key =
     let r = c.t.root in
-    descend s key r None r (deref r) r None
+    descend s key r Ar.unguarded r (deref s Ar.unguarded r) r Ar.unguarded
 
   (* Excise the flagged chain hanging between ancestor and sibling:
      tag the sibling edge, swing the ancestor edge, and — this being
@@ -145,9 +157,9 @@ module Make (S : Smr.Smr_intf.S) = struct
      The {!Sched.yield} points (free outside a controller) let the
      schedule explorer interleave two removals mid-cleanup, as
      test/test_ds.ml does for sibling leaves of one parent. *)
-  let cleanup c key (s : _ seek_record) =
+  let cleanup s c key (sr : _ seek_record) =
     Sched.yield ();
-    let par = deref s.par in
+    let par = deref s sr.g_par sr.par in
     let child_cell, sibling_cell =
       if key < par.key then (par.left, par.right) else (par.right, par.left)
     in
@@ -161,48 +173,47 @@ module Make (S : Smr.Smr_intf.S) = struct
     in
     tag_sibling ();
     let es = Atomic.get sibling_cell in
-    let anc = deref s.anc in
+    let anc = deref s sr.g_anc sr.anc in
     let acell = if key < anc.key then anc.left else anc.right in
     Sched.yield ();
-    let ok =
-      edge_cas acell
-        { dest = Some s.suc; flag = false; tag = false }
+    match
+      unlink s acell
+        { dest = Some sr.suc; flag = false; tag = false }
         { dest = es.dest; flag = es.flag; tag = false }
-    in
-    if ok then begin
-      (* We won the excision: retire the successor..parent chain plus
-         the flagged leaves hanging off it. Exactly the loop the paper
-         shows is easy to get wrong (Fig 1a); reference counting makes
-         it disappear (see Nm_tree_rc). *)
-      let stop = es.dest in
-      let is_stop d = match (d, stop) with Some a, Some b -> a == b | _ -> false in
-      let rec retire_chain (n : node Ar.managed) =
-        if not (is_stop (Some n)) then begin
-          Sched.yield ();
-          let node = deref n in
-          let el = Atomic.get node.left in
-          let er = Atomic.get node.right in
-          (* At the parent, the excised child is whichever one is not
-             the kept sibling: both may be flagged when two removals
-             race on one parent, and retiring the sibling here would
-             free it twice once its own removal completes. *)
-          let excised, next =
-            if is_stop er.dest then (el.dest, er.dest)
-            else if is_stop el.dest then (er.dest, el.dest)
-            else if el.flag then (el.dest, er.dest)
-            else (er.dest, el.dest)
-          in
-          (match excised with
-          | Some fm -> Ar.retire_free c.t.ar ~pid:c.pid fm
-          | None -> ());
-          Ar.retire_free c.t.ar ~pid:c.pid n;
-          match next with Some m -> retire_chain m | None -> ()
-        end
-      in
-      retire_chain s.suc;
-      Ar.eject c.t.ar ~pid:c.pid
-    end;
-    ok
+        sr.suc
+    with
+    | None -> false
+    | Some w ->
+        (* We won the excision: retire the successor..parent chain plus
+           the flagged leaves hanging off it, all under the one witness.
+           Exactly the loop the paper shows is easy to get wrong (Fig 1a);
+           reference counting makes it disappear (see Nm_tree_rc). *)
+        let stop = es.dest in
+        let is_stop d = match (d, stop) with Some a, Some b -> a == b | _ -> false in
+        let rec retire_chain (n : node Ar.managed) =
+          if not (is_stop (Some n)) then begin
+            Sched.yield ();
+            let node = Ar.excised w n in
+            let el = Atomic.get node.left in
+            let er = Atomic.get node.right in
+            (* At the parent, the excised child is whichever one is not
+               the kept sibling: both may be flagged when two removals
+               race on one parent, and retiring the sibling here would
+               free it twice once its own removal completes. *)
+            let excised, next =
+              if is_stop er.dest then (el.dest, er.dest)
+              else if is_stop el.dest then (er.dest, el.dest)
+              else if el.flag then (el.dest, er.dest)
+              else (er.dest, el.dest)
+            in
+            (match excised with Some fm -> Ar.retire_excised s w fm | None -> ());
+            Ar.retire_excised s w n;
+            match next with Some m -> retire_chain m | None -> ()
+          end
+        in
+        retire_chain sr.suc;
+        Ar.eject c.t.ar ~pid:c.pid;
+        true
 
   exception Restart
 
@@ -220,19 +231,19 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* After losing a CAS on [cell], help the delete that beat us, if
      any, then retry. *)
-  let help_and_retry c key (sr : _ seek_record) cell =
+  let help_and_retry s c key (sr : _ seek_record) cell =
     let e = Atomic.get cell in
     (match e.dest with
-    | Some m when m == sr.leaf && (e.flag || e.tag) -> ignore (cleanup c key sr)
+    | Some m when m == sr.leaf && (e.flag || e.tag) -> ignore (cleanup s c key sr)
     | _ -> ());
     raise Restart
 
   let insert_op s c key =
     let sr = seek s c key in
-    let leaf = deref sr.leaf in
+    let leaf = deref s sr.g_leaf sr.leaf in
     if leaf.key = key then false
     else begin
-      let par = deref sr.par in
+      let par = deref s sr.g_par sr.par in
       let cell = if key < par.key then par.left else par.right in
       let new_leaf = mk_leaf c.t.ar ~pid:c.pid key in
       let ikey = max key leaf.key in
@@ -240,10 +251,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       let new_internal = mk_internal c.t.ar ~pid:c.pid ikey l r in
       if edge_cas cell (clean sr.leaf) (clean new_internal) then true
       else begin
-        (* Unpublished nodes: reclaim directly. *)
-        Simheap.free new_leaf.Ar.block;
-        Simheap.free new_internal.Ar.block;
-        help_and_retry c key sr cell
+        Ar.discard new_leaf;
+        Ar.discard new_internal;
+        help_and_retry s c key sr cell
       end
     end
 
@@ -252,40 +262,40 @@ module Make (S : Smr.Smr_intf.S) = struct
      (in fresh scopes), never the injection. *)
   let inject s c key =
     let sr = seek s c key in
-    if (deref sr.leaf).key <> key then `Done false
+    if (deref s sr.g_leaf sr.leaf).key <> key then `Done false
     else begin
-      let par = deref sr.par in
+      let par = deref s sr.g_par sr.par in
       let cell = if key < par.key then par.left else par.right in
       if edge_cas cell (clean sr.leaf) { dest = Some sr.leaf; flag = true; tag = false } then
-        if cleanup c key sr then `Done true else `Flagged sr.leaf
-      else help_and_retry c key sr cell
+        if cleanup s c key sr then `Done true else `Flagged sr.leaf
+      else help_and_retry s c key sr cell
     end
 
   let excise s c key victim =
     let sr = seek s c key in
     (* A different leaf means someone else finished removing ours. *)
-    sr.leaf != victim || cleanup c key sr || raise Restart
+    sr.leaf != victim || cleanup s c key sr || raise Restart
 
   (* Read-only descent: protects parent and current only. *)
   let rec contains_in s key g_par cur g_cur =
-    let n = deref cur in
+    let n = deref s g_cur cur in
     if is_leaf n then n.key = key
     else begin
       let cell = if key < n.key then n.left else n.right in
-      let p = protect s cell in
-      match (target cell p).dest with
+      let e, g = protect s cell in
+      match e.dest with
       | None -> raise (Simheap.Use_after_free "nm_tree: null child of internal node")
       | Some m ->
-          release s g_par;
-          contains_in s key g_cur m p
+          Ar.release s g_par;
+          contains_in s key g_cur m g
     end
 
   (* Sequential range count over [lo, hi): DFS holding one guard per
      path node (paper Fig 11's workload). *)
   let range_op s c lo hi =
     let count = ref 0 in
-    let rec dfs (m : node Ar.managed) =
-      let n = deref m in
+    let rec dfs m g =
+      let n = deref s g m in
       if is_leaf n then begin
         if n.key >= lo && n.key < hi && n.key < inf1 then incr count
       end
@@ -294,11 +304,11 @@ module Make (S : Smr.Smr_intf.S) = struct
         if hi > n.key then child n.right
       end
     and child cell =
-      let p = protect s cell in
-      (match (target cell p).dest with Some m -> dfs m | None -> ());
-      release s p
+      let e, g = protect s cell in
+      (match e.dest with Some m -> dfs m g | None -> ());
+      Ar.release s g
     in
-    dfs c.t.root;
+    dfs c.t.root Ar.unguarded;
     !count
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
@@ -310,13 +320,14 @@ module Make (S : Smr.Smr_intf.S) = struct
     | `Done removed -> removed
     | `Flagged victim -> guarded c { f = (fun s -> excise s c key victim) }
 
-  let contains c key = guarded c { f = (fun s -> contains_in s key None c.t.root None) }
+  let contains c key =
+    guarded c { f = (fun s -> contains_in s key Ar.unguarded c.t.root Ar.unguarded) }
   let range_query c lo hi = guarded c { f = (fun s -> range_op s c lo hi) }
   let flush c = Ar.flush c.t.ar ~pid:c.pid
 
   let size t =
-    let rec go (m : node Ar.managed) =
-      let n = m.Ar.value in
+    let rec go m =
+      let n = Ar.quiescent m in
       if is_leaf n then if n.key < inf1 then 1 else 0
       else
         let l = (Atomic.get n.left).dest and r = (Atomic.get n.right).dest in
@@ -330,11 +341,11 @@ module Make (S : Smr.Smr_intf.S) = struct
   let reset_peak t = Simheap.reset_peak (Ar.heap t.ar)
 
   let teardown t =
-    let rec free_rec (m : node Ar.managed) =
-      let n = m.Ar.value in
+    let rec free_rec m =
+      let n = Ar.quiescent m in
       (match (Atomic.get n.left).dest with Some x -> free_rec x | None -> ());
       (match (Atomic.get n.right).dest with Some x -> free_rec x | None -> ());
-      if Simheap.is_live m.Ar.block then Simheap.free m.Ar.block
+      if Ar.is_live m then Ar.discard m
     in
     free_rec t.root;
     Ar.quiesce t.ar

@@ -45,41 +45,43 @@ module Make (S : Smr.Smr_intf.S) = struct
     let top = Atomic.get c.t.top in
     let m = Ar.alloc c.t.ar ~pid:c.pid { value = v; next = top } in
     if not (link_cas c.t.top top (Some m)) then begin
-      Simheap.free m.Ar.block;
+      Ar.discard m;
       push_in c v
     end
 
   let push c v = Ar.scope c.t.ar ~pid:c.pid { f = (fun _ -> push_in c v) }
 
   let rec pop_in s c attempts =
-    match Ar.protect s ~ident:ident_of c.t.top with
-    | None ->
-        (* Slots exhausted (HP/HE): back off with jitter and retry — a
-           concurrent releaser or a woken stalled guard may free one —
-           before declaring the budget truly blown. *)
-        if attempts >= 16 then failwith "treiber_stack: out of announcement slots"
-        else begin
-          Repro_util.Backoff.once c.bo;
-          pop_in s c (attempts + 1)
-        end
-    | Some (None, _) ->
-        Repro_util.Backoff.reset c.bo;
-        None
-    | Some ((Some m as top), g) ->
-        Repro_util.Backoff.reset c.bo;
-        let node = Ar.get m in
-        (* Release before retiring, so the retire's scan no longer sees
-           our own announcement of the popped node. *)
-        if link_cas c.t.top top node.next then begin
-          Ar.release s g;
-          Ar.retire_free c.t.ar ~pid:c.pid m;
-          Ar.eject c.t.ar ~pid:c.pid;
-          Some node.value
-        end
-        else begin
-          Ar.release s g;
-          pop_in s c 0
-        end
+    let top, g = Ar.protect s ~ident:ident_of c.t.top in
+    if not (Ar.guarded g) then
+      (* Slots exhausted (HP/HE): back off with jitter and retry — a
+         concurrent releaser or a woken stalled guard may free one —
+         before declaring the budget truly blown. *)
+      if attempts >= 16 then failwith "treiber_stack: out of announcement slots"
+      else begin
+        Repro_util.Backoff.once c.bo;
+        pop_in s c (attempts + 1)
+      end
+    else begin
+      Repro_util.Backoff.reset c.bo;
+      match top with
+      | None -> None
+      | Some m -> (
+          let node = Ar.get s g m in
+          (* Each node is pushed in one [Some] box, so the CAS on the
+             value [protect] read needs no structural retry. *)
+          match Ar.unlink s c.t.top ~seen:top ~desired:node.next m with
+          | Some w ->
+              (* [retire_free] releases [g] before retiring, so the
+                 retire's scan no longer sees our own announcement of
+                 the popped node. *)
+              Ar.retire_free s w g;
+              Ar.eject c.t.ar ~pid:c.pid;
+              Some node.value
+          | None ->
+              Ar.release s g;
+              pop_in s c 0)
+    end
 
   let pop c = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> pop_in s c 0) }
 
@@ -90,10 +92,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* Quiescent helpers *)
   let size t =
-    let rec go acc = function
-      | None -> acc
-      | Some (m : node Ar.managed) -> go (acc + 1) m.Ar.value.next
-    in
+    let rec go acc = function None -> acc | Some m -> go (acc + 1) (Ar.quiescent m).next in
     go 0 (Atomic.get t.top)
 
   let live_objects t = Simheap.live (Ar.heap t.ar)
@@ -103,9 +102,9 @@ module Make (S : Smr.Smr_intf.S) = struct
   let teardown t =
     let rec go = function
       | None -> ()
-      | Some (m : node Ar.managed) ->
-          let next = m.Ar.value.next in
-          if Simheap.is_live m.Ar.block then Simheap.free m.Ar.block;
+      | Some m ->
+          let next = (Ar.quiescent m).next in
+          if Ar.is_live m then Ar.discard m;
           go next
     in
     go (Atomic.get t.top);

@@ -202,24 +202,30 @@ module Slots (S : Smr.Smr_intf.S with type t = Smr.Hp.t) = struct
           Ar.alloc ar ~pid:1 (i + 1))
     in
     let loc = Sched.Atomic.make nodes.(0) in
-    let retire (m : int Ar.managed) =
-      Mon.retire mon ~ident:m.value;
+    (* Node [i]'s monitor ident, found without reading the node: a
+       mutant's reader may hold a freed one. *)
+    let id_of m =
+      let rec find i = if nodes.(i) == m then i + 1 else find (i + 1) in
+      find 0
+    in
+    let retire i =
+      let m = nodes.(i) in
+      Mon.retire mon ~ident:(i + 1);
       Ar.retire ar ~pid:1
-        (Smr.Deferred.of_fun ~id:(Ar.ident m) ~birth:m.birth (fun _ ->
-             Mon.free mon ~ident:m.value;
-             Simheap.free m.block))
+        (Smr.Deferred.of_fun ~id:(Ar.ident m) ~birth:(Ar.birth_tag m) (fun _ ->
+             Mon.free mon ~ident:(i + 1);
+             Ar.discard m))
     in
     let eject () = Ar.eject ~force:true ar ~pid:1 in
     let read s =
-      match Ar.protect s ~ident:Ar.ident loc with
-      | None -> failwith "out of announcement slots"
-      | Some (m, _) ->
-          let id = m.Ar.value in
-          if Sched.Atomic.plain (fun () -> Smr.Hp.is_announced ar.Ar.smr (Ar.ident m)) then
-            Mon.acquire mon ~ident:id;
-          Mon.deref mon ~ident:id;
-          ignore (Ar.get m);
-          Mon.release mon ~ident:id
+      let m, g = Ar.protect s ~ident:Ar.ident loc in
+      if not (Ar.guarded g) then failwith "out of announcement slots";
+      let id = id_of m in
+      if Sched.Atomic.plain (fun () -> Smr.Hp.is_announced ar.Ar.smr (Ar.ident m)) then
+        Mon.acquire mon ~ident:id;
+      Mon.deref mon ~ident:id;
+      ignore (Ar.get s g m);
+      Mon.release mon ~ident:id
     in
     {
       Sched.fibers =
@@ -227,9 +233,9 @@ module Slots (S : Smr.Smr_intf.S with type t = Smr.Hp.t) = struct
           (fun () -> Ar.scope ar ~pid:0 { Ar.f = read });
           (fun () ->
             Sched.Atomic.set loc nodes.(1);
-            retire nodes.(0);
+            retire 0;
             Sched.Atomic.set loc nodes.(2);
-            retire nodes.(1);
+            retire 1;
             eject ());
         |];
       check =

@@ -1,27 +1,25 @@
-(** rc-lint: static retire-discipline and atomic-discipline checks for
-    the reclamation stack (DESIGN.md §9).
+(** rc-lint: static atomic-discipline and layout checks for the
+    reclamation stack (DESIGN.md §9).
 
     The analyzer parses each [.ml] file with the ppxlib parser and runs
-    a set of purely syntactic rules over the AST — R1, R3–R7 and R9,
-    catalogued in {!rules} (R2 and R8 are retired, and their IDs are
-    not reused). Rules are deliberately approximate: they encode the
-    repo's protocol conventions (CAS-helper naming, the [Sched.Atomic]
-    discipline of §8, the retire life-cycle of §14) rather
-    than a points-to analysis, which is the Meyer–Wolff observation —
-    the retire obligations are simple enough to be checked on the
-    syntax of disciplined code. The protection obligations (release
-    every guard, let no guard escape) are not linted: the rank-2
-    [Acquire_retire] scope discharges them by type.
+    a set of purely syntactic rules over the AST — R1 and R4–R7,
+    catalogued in {!rules} (the life-cycle rules are retired, and the
+    gaps they leave in the numbering are not reused). Rules are deliberately approximate: they encode the
+    repo's protocol conventions (the [Sched.Atomic] discipline of §8,
+    telemetry hooks, padded counters, knob reads) rather than a
+    points-to analysis. No rule checks a pointer's life cycle: the
+    rank-2 [Acquire_retire] scope types all three Meyer–Wolff
+    obligations — release every guard, dereference only through a live
+    guard, retire only under an unlink witness.
 
     Which rules run on a file is decided by its path (the role system:
-    protocol directories, [lib/ds/*_manual.ml] structures, SMR schemes,
-    observability modules). The visitor machinery, role classification,
-    and per-rule state are implementation details hidden behind this
-    interface.
+    protocol directories, SMR schemes, observability modules). The
+    visitor machinery, role classification, and per-rule state are
+    implementation details hidden behind this interface.
 
-    Suppression: [\[@@@rc_lint.allow "R3"\]] as a floating structure
+    Suppression: [\[@@@rc_lint.allow "R4"\]] as a floating structure
     attribute silences a rule from that point to the end of the file;
-    [\[@rc_lint.allow "R3"\]] attached to an expression or value
+    [\[@rc_lint.allow "R4"\]] attached to an expression or value
     binding silences exactly that subtree/site. The payload ["all"]
     silences every rule. *)
 

@@ -170,11 +170,22 @@ let ebr_target ~bound : Table.instance =
          grows by one entry per step. *)
       let wd = Obs.Watchdog.create ~slack:64 ~scheme:FS.name () in
       let backlog () = Ar.total_pending ar in
+      let cell = Sched.Atomic.make None in
       stalled_victim ~bound s
         ~churn:(fun i ->
-          Ar.begin_critical_section ar ~pid:1;
-          Ar.retire_free ar ~pid:1 (Ar.alloc ar ~pid:1 i);
-          Ar.end_critical_section ar ~pid:1;
+          (* One node per step: published in a private cell, unlinked
+             and retired, in one section. *)
+          Ar.scope ar ~pid:1
+            {
+              f =
+                (fun sc ->
+                  let m = Ar.alloc ar ~pid:1 i in
+                  let seen = Some m in
+                  Sched.Atomic.set cell seen;
+                  Option.iter
+                    (fun w -> Ar.retire_free sc w Ar.unguarded)
+                    (Ar.unlink sc cell ~seen ~desired:None m));
+            };
           Ar.eject ar ~pid:1)
         ~abandon:(fun () -> Ar.abandon ar ~pid:0)
         ~backlog ~control:[ Ar.handle ar ]

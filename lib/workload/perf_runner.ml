@@ -79,7 +79,7 @@ let atomic_profiles () =
     (* Retire one node and eject it: the HP scan reads every slot. *)
     profile ~core:"slot" ~op:"retire_eject" (fun () ->
         Ar_hp.retire ar ~pid:0
-          (Smr.Deferred.of_fun ~id:(Ar_hp.ident node) ~birth:node.birth ignore);
+          (Smr.Deferred.of_fun ~id:(Ar_hp.ident node) ~birth:(Ar_hp.birth_tag node) ignore);
         Ar_hp.eject ~force:true ar ~pid:0);
     (* Fig 9 weak upgrade + matching drop on a live control block. *)
     profile ~core:"rc_cell" ~op:"upgrade_drop" (fun () ->

@@ -1,3 +1,4 @@
+(* expect: less general than 's\. 's [A-Za-z_.]*scope -> ' *)
 (* Must not compile: the body stores its guard into a mutable field of
    a context created outside the scope, where it would outlive the
    critical section that backs it. *)
@@ -14,7 +15,6 @@ let () =
     {
       f =
         (fun s ->
-          match Ar.protect s ~ident:Ar.ident cell with
-          | Some (_, g) -> c.saved <- Some g
-          | None -> ());
+          let _, g = Ar.protect s ~ident:Ar.ident cell in
+          c.saved <- Some g);
     }

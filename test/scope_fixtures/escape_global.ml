@@ -1,3 +1,4 @@
+(* expect: less general than 's\. 's [A-Za-z_.]*scope -> ' *)
 (* Must not compile: the body assigns its guard to a top-level ref. *)
 module Ar = Acquire_retire.Make (Smr.Hp)
 
@@ -10,7 +11,6 @@ let () =
     {
       f =
         (fun s ->
-          match Ar.protect s ~ident:Ar.ident cell with
-          | Some (_, g) -> last := Some g
-          | None -> ());
+          let _, g = Ar.protect s ~ident:Ar.ident cell in
+          last := Some g);
     }

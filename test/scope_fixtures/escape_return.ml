@@ -1,3 +1,4 @@
+(* expect: less general than 's\. 's [A-Za-z_.]*scope -> ' *)
 (* Must not compile: the body returns the guard it obtained, so the
    scope's type variable would escape the scope. *)
 module Ar = Acquire_retire.Make (Smr.Hp)
@@ -10,5 +11,6 @@ let escaped =
     {
       f =
         (fun s ->
-          match Ar.protect s ~ident:Ar.ident cell with Some (_, g) -> Some g | None -> None);
+          let _, g = Ar.protect s ~ident:Ar.ident cell in
+          g);
     }

@@ -8,16 +8,30 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
   let t name f = Alcotest.test_case (S.name ^ ": " ^ name) `Quick f
 
   (* A retire record running [f] once [m] is unprotected. *)
-  let on m f = Smr.Deferred.of_fun ~id:(Ar.ident m) ~birth:m.Ar.birth f
+  let on m f = Smr.Deferred.of_fun ~id:(Ar.ident m) ~birth:(Ar.birth_tag m) f
+
+  (* Retire [m] the one way a scope allows: publish it in a private
+     cell, unlink it, and retire it under the witness. *)
+  let retire_fresh ar ~pid m =
+    let cell = Atomic.make (Some m) in
+    Ar.scope ar ~pid
+      {
+        f =
+          (fun s ->
+            let seen = Atomic.get cell in
+            Option.iter
+              (fun w -> Ar.retire_free s w Ar.unguarded)
+              (Ar.unlink s cell ~seen ~desired:None m));
+      }
 
   let birth_tags_monotone () =
     let ar = Ar.create ~epoch_freq:5 ~max_threads:1 () in
     let prev = ref min_int in
     for _ = 1 to 100 do
       let m = Ar.alloc ar ~pid:0 () in
-      Alcotest.(check bool) "monotone" true (m.Ar.birth >= !prev);
-      prev := m.Ar.birth;
-      Ar.retire_free ar ~pid:0 m
+      Alcotest.(check bool) "monotone" true (Ar.birth_tag m >= !prev);
+      prev := Ar.birth_tag m;
+      retire_fresh ar ~pid:0 m
     done;
     (* IBR/HE advance their clock every 5 allocations here; the tag
        must actually move for the epoch-based schemes. *)
@@ -32,8 +46,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     | _ -> Alcotest.fail "expected exception"
     | exception Failure _ -> ());
     (* If the section leaked, this retire would never eject. *)
-    let m = Ar.alloc ar ~pid:0 () in
-    Ar.retire_free ar ~pid:0 m;
+    retire_fresh ar ~pid:0 (Ar.alloc ar ~pid:0 ());
     Ar.quiesce ar;
     Alcotest.(check int) "section was closed" 0 (Simheap.live (Ar.heap ar))
 
@@ -46,7 +59,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       if i < 50 then
         Ar.retire ar ~pid:0
           (on ms.(i) (fun _pid ->
-               Simheap.free ms.(i).Ar.block;
+               Ar.discard ms.(i);
                retire_chain (i + 1)))
     in
     retire_chain 0;
@@ -65,7 +78,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
        drain it there too. *)
     if !seen = -1 then Ar.flush ar ~pid:0;
     Alcotest.(check bool) "pid routed" true (!seen = 0 || !seen = 2);
-    Simheap.free m.Ar.block
+    Ar.discard m
 
   let try_acquire_settles_on_current_value () =
     let ar = Ar.create ~max_threads:1 () in
@@ -75,13 +88,12 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       {
         f =
           (fun s ->
-            match Ar.protect s ~ident:Ar.ident cell with
-            | Some (v, g) ->
-                Alcotest.(check int) "value" 1 (Ar.get v);
-                Ar.release s g
-            | None -> Alcotest.fail "unexpected exhaustion with free slots");
+            let v, g = Ar.protect s ~ident:Ar.ident cell in
+            if not (Ar.guarded g) then Alcotest.fail "unexpected exhaustion with free slots";
+            Alcotest.(check int) "value" 1 (Ar.get s g v);
+            Ar.release s g);
       };
-    Ar.retire_free ar ~pid:0 m1;
+    Ar.discard m1;
     Ar.quiesce ar
 
   let tests =
@@ -110,9 +122,9 @@ module T_ptb = Make_tests (Smr.Ptb)
 module Hp_ar = Acquire_retire.Make (Smr.Hp)
 
 let hold_both s a b =
-  match (Hp_ar.protect s ~ident:Hp_ar.ident a, Hp_ar.protect s ~ident:Hp_ar.ident b) with
-  | Some _, Some _ -> ()
-  | _ -> Alcotest.fail "both slots should be free"
+  let _, ga = Hp_ar.protect s ~ident:Hp_ar.ident a in
+  let _, gb = Hp_ar.protect s ~ident:Hp_ar.ident b in
+  if not (Hp_ar.guarded ga && Hp_ar.guarded gb) then Alcotest.fail "both slots should be free"
 
 let two_slot_cells () =
   let ar = Hp_ar.create ~slots_per_thread:2 ~max_threads:1 () in
@@ -139,7 +151,9 @@ module Ebr_ar = Acquire_retire.Make (Smr.Ebr)
 
 let reclaimed_after ar =
   let m = Ebr_ar.alloc ar ~pid:1 () in
-  Ebr_ar.retire_free ar ~pid:1 m;
+  Ebr_ar.retire ar ~pid:1
+    (Smr.Deferred.of_fun ~id:(Ebr_ar.ident m) ~birth:(Ebr_ar.birth_tag m) (fun _ ->
+         Ebr_ar.discard m));
   Ebr_ar.flush ar ~pid:1;
   not (Ebr_ar.is_live m)
 
@@ -197,9 +211,118 @@ let crash_propagates_unwrapped () =
   (match Ar.scope ar ~pid:0 { f = (fun s -> ignore (Ar.protect s ~ident:Ar.ident cell)) } with
   | () -> Alcotest.fail "expected the crash"
   | exception Fault.Fault_plan.Crashed 0 -> ());
-  Ar.retire_free ar ~pid:1 m;
+  let m' = Ar.alloc ar ~pid:1 () in
+  Ar.scope ar ~pid:1
+    {
+      f =
+        (fun s ->
+          Option.iter
+            (fun w -> Ar.retire_free s w Ar.unguarded)
+            (Ar.unlink s cell ~seen:m ~desired:m' m));
+    };
   Ar.flush ar ~pid:1;
   Alcotest.(check bool) "announcement dropped" false (Ar.is_live m)
+
+(* ------------------------ guard generations ----------------------- *)
+
+(* A guard goes stale when it is released, by [release] or by the
+   [retire_free] it is handed: a [get] or [release] through it raises
+   instead of reading a node that may be freed, or dropping a
+   protection taken since. Region schemes hand every protect the same
+   scheme slot, so the guards of one scope must still go stale one at a
+   time. *)
+module Guard_tests (S : Smr.Smr_intf.S) = struct
+  module Ar = Acquire_retire.Make (S)
+
+  let t name f = Alcotest.test_case (S.name ^ ": " ^ name) `Quick f
+
+  let stale f =
+    match f () with
+    | _ -> Alcotest.fail "expected the stale guard to raise"
+    | exception Invalid_argument _ -> ()
+
+  let get_after_retire_raises () =
+    let ar = Ar.create ~max_threads:1 () in
+    let m = Ar.alloc ar ~pid:0 1 and m' = Ar.alloc ar ~pid:0 2 in
+    let cell = Atomic.make m in
+    Ar.scope ar ~pid:0
+      {
+        f =
+          (fun s ->
+            let m, g = Ar.protect s ~ident:Ar.ident cell in
+            Alcotest.(check int) "read through the live guard" 1 (Ar.get s g m);
+            match Ar.unlink s cell ~seen:m ~desired:m' m with
+            | None -> Alcotest.fail "the unlink CAS should succeed"
+            | Some w ->
+                Ar.retire_free s w g;
+                stale (fun () -> Ar.get s g m);
+                stale (fun () -> Ar.release s g));
+      };
+    Ar.flush ar ~pid:0;
+    Alcotest.(check bool) "retired node reclaimed" false (Ar.is_live m)
+
+  let released_guard_alone_goes_stale () =
+    let ar = Ar.create ~max_threads:1 () in
+    let cell = Atomic.make (Ar.alloc ar ~pid:0 7) in
+    Ar.scope ar ~pid:0
+      {
+        f =
+          (fun s ->
+            let a, ga = Ar.protect s ~ident:Ar.ident cell in
+            let b, gb = Ar.protect s ~ident:Ar.ident cell in
+            Ar.release s ga;
+            stale (fun () -> Ar.get s ga a);
+            Alcotest.(check int) "the other guard still reads" 7 (Ar.get s gb b);
+            let c, gc = Ar.protect s ~ident:Ar.ident cell in
+            stale (fun () -> Ar.release s ga);
+            Alcotest.(check int) "a reused slot's guard reads" 7 (Ar.get s gc c));
+      }
+
+  let tests =
+    [
+      t "get after retire_free through the consumed guard raises" get_after_retire_raises;
+      t "a released guard goes stale alone" released_guard_alone_goes_stale;
+    ]
+end
+
+module G_ebr = Guard_tests (Smr.Ebr)
+module G_hp = Guard_tests (Smr.Hp)
+
+(* A second release of an old guard, after [protect] reused its slot,
+   used to release the new protection: pid 1 could then free the node
+   pid 0 still reads. The stale release must raise and leave the new
+   guard's slot announced. *)
+let stale_release_keeps_protection () =
+  let ar = Hp_ar.create ~slots_per_thread:2 ~max_threads:2 () in
+  let c1 = Atomic.make (Hp_ar.alloc ar ~pid:0 1) in
+  let c2 = Atomic.make (Hp_ar.alloc ar ~pid:0 2) in
+  let m =
+    Hp_ar.scope ar ~pid:0
+      {
+        f =
+          (fun s ->
+            let _, g1 = Hp_ar.protect s ~ident:Hp_ar.ident c1 in
+            Hp_ar.release s g1;
+            let m, g2 = Hp_ar.protect s ~ident:Hp_ar.ident c2 in
+            (match Hp_ar.release s g1 with
+            | () -> Alcotest.fail "expected the stale release to raise"
+            | exception Invalid_argument _ -> ());
+            let m' = Hp_ar.alloc ar ~pid:1 3 in
+            Hp_ar.scope ar ~pid:1
+              {
+                f =
+                  (fun s1 ->
+                    Option.iter
+                      (fun w -> Hp_ar.retire_free s1 w Hp_ar.unguarded)
+                      (Hp_ar.unlink s1 c2 ~seen:m ~desired:m' m));
+              };
+            Hp_ar.eject ~force:true ar ~pid:1;
+            Alcotest.(check int) "still protected" 2 (Hp_ar.get s g2 m);
+            m);
+      }
+  in
+  Hp_ar.eject ~force:true ar ~pid:1;
+  Alcotest.(check bool) "reclaimed once the scope exits" false (Hp_ar.is_live m)
 
 (* ------------------------ the deferred-op queue ------------------- *)
 
@@ -214,7 +337,7 @@ module Queue_tests (S : Smr.Smr_intf.S) = struct
   let t name f = Alcotest.test_case (S.name ^ ": " ^ name) `Quick f
 
   (* A retire record running [f] once [m] is unprotected. *)
-  let on m f = Smr.Deferred.of_fun ~id:(Ar.ident m) ~birth:m.Ar.birth f
+  let on m f = Smr.Deferred.of_fun ~id:(Ar.ident m) ~birth:(Ar.birth_tag m) f
 
   let nested_eject_runs_after () =
     let ar = Ar.create ~max_threads:1 () in
@@ -230,8 +353,8 @@ module Queue_tests (S : Smr.Smr_intf.S) = struct
     Ar.retire ar ~pid:0
       (on a
          (op "a" (fun () ->
-              Simheap.free a.Ar.block;
-              Ar.retire ar ~pid:0 (on b (op "b" (fun () -> Simheap.free b.Ar.block)));
+              Ar.discard a;
+              Ar.retire ar ~pid:0 (on b (op "b" (fun () -> Ar.discard b)));
            Ar.eject ~force:true ar ~pid:0;
               Alcotest.(check bool) "successor not run inside the op" true (Ar.is_live b))));
     Ar.eject ~force:true ar ~pid:0;
@@ -244,7 +367,7 @@ module Queue_tests (S : Smr.Smr_intf.S) = struct
     let n = 100_000 in
     let ms = Array.init n (fun i -> Ar.alloc ar ~pid:0 i) in
     let rec link i _pid =
-      Simheap.free ms.(i).Ar.block;
+      Ar.discard ms.(i);
       if i + 1 < n then begin
         Ar.retire ar ~pid:0 (on ms.(i + 1) (link (i + 1)));
         Ar.eject ~force:true ar ~pid:0
@@ -263,12 +386,25 @@ module Queue_tests (S : Smr.Smr_intf.S) = struct
   let pipeline_allocation_pinned () =
     let n = 1_000 in
     let ar = Ar.create ~cleanup_freq:(4 * n) ~max_threads:1 () in
-    let ms = Array.init n (fun i -> Ar.alloc ar ~pid:0 i) in
-    let w0 = Gc.minor_words () in
-    for i = 0 to n - 1 do
-      Ar.retire_free ar ~pid:0 ms.(i)
-    done;
-    let retire_words = Gc.minor_words () -. w0 in
+    let cells = Array.init n (fun i -> Atomic.make (Some (Ar.alloc ar ~pid:0 i))) in
+    let retire_words =
+      Ar.scope ar ~pid:0
+        {
+          f =
+            (fun s ->
+              let unlink cell =
+                match Atomic.get cell with
+                | Some m as seen -> Option.get (Ar.unlink s cell ~seen ~desired:None m)
+                | None -> assert false
+              in
+              let ws = Array.map unlink cells in
+              let w0 = Gc.minor_words () in
+              for i = 0 to n - 1 do
+                Ar.retire_free s ws.(i) Ar.unguarded
+              done;
+              Gc.minor_words () -. w0);
+        }
+    in
     Alcotest.(check int) "pending" n (Ar.total_pending ar);
     let w0 = Gc.minor_words () in
     Ar.eject ~force:true ar ~pid:0;
@@ -296,10 +432,10 @@ let quiesce_keeps_ops_after_a_raise () =
   let ar = Ebr_ar.create ~max_threads:1 () in
   let ms = Array.init 3 (fun i -> Ebr_ar.alloc ar ~pid:0 i) in
   Array.iteri
-    (fun i (m : int Ebr_ar.managed) ->
+    (fun i m ->
       Ebr_ar.retire ar ~pid:0
-        (Smr.Deferred.of_fun ~id:(Ebr_ar.ident m) ~birth:m.birth (fun _ ->
-             if i = 0 then failwith "boom" else Simheap.free m.block)))
+        (Smr.Deferred.of_fun ~id:(Ebr_ar.ident m) ~birth:(Ebr_ar.birth_tag m) (fun _ ->
+             if i = 0 then failwith "boom" else Ebr_ar.discard m)))
     ms;
   (match Ebr_ar.quiesce ar with
   | () -> Alcotest.fail "expected the raise"
@@ -316,8 +452,19 @@ let hyaline_backlog_exact () =
   let ar = Ar.create ~max_threads:4 () in
   (* An open section on pid 1 keeps every entry pending. *)
   Ar.begin_critical_section ar ~pid:1;
+  let cell = Atomic.make None in
   for _ = 1 to 10 do
-    Ar.retire_free ar ~pid:0 (Ar.alloc ar ~pid:0 ())
+    let m = Ar.alloc ar ~pid:0 () in
+    Atomic.set cell (Some m);
+    Ar.scope ar ~pid:0
+      {
+        f =
+          (fun s ->
+            let seen = Atomic.get cell in
+            Option.iter
+              (fun w -> Ar.retire_free s w Ar.unguarded)
+              (Ar.unlink s cell ~seen ~desired:None m));
+      }
   done;
   Alcotest.(check int) "backlog" 10 (Ar.total_pending ar);
   Ar.end_critical_section ar ~pid:1;
@@ -334,7 +481,10 @@ let scope_tests =
     Alcotest.test_case "EBR: nested scope rejected" `Quick nested_scope_rejected;
     Alcotest.test_case "EBR: quiesce keeps the ops after a raise" `Quick
       quiesce_keeps_ops_after_a_raise;
+    Alcotest.test_case "HP: a stale release keeps the slot's new protection" `Quick
+      stale_release_keeps_protection;
   ]
+  @ G_ebr.tests @ G_hp.tests
 
 let () =
   Alcotest.run "acquire_retire"

@@ -19,10 +19,7 @@ let test_bad_files () =
   check_rules "core/bad_r1_counter.ml" [ "R1"; "R1" ];
   check_rules "core/bad_r1_open.ml" [ "R1" ];
   check_rules "smr/bad_r1_stdlib.ml" [ "R1" ];
-  check_rules "ds/bad_r3_retire_manual.ml" [ "R3" ];
-  check_rules "ds/bad_r3_retire_loop_manual.ml" [ "R3" ];
   check_rules "bad_r4_obj_magic.ml" [ "R4" ];
-  check_rules "ds/bad_r9_use_after_retire_manual.ml" [ "R9"; "R9" ];
   check_rules "smr/bad_r5_scheme.ml" [ "R5" ];
   check_rules "obs/bad_r6_counter.ml" [ "R6"; "R6" ];
   check_rules "smr/bad_r7_knobs.ml" [ "R7"; "R7" ]
@@ -30,21 +27,20 @@ let test_bad_files () =
 let test_clean_files () =
   check_rules "clean.ml" [];
   check_rules "acquire_retire/suppressed_r1.ml" [];
-  check_rules "suppressed_r4.ml" [];
-  check_rules "ds/suppressed_r9_manual.ml" []
+  check_rules "suppressed_r4.ml" []
 
-(* bad_r3_retire_manual.ml holds two identical unguarded retires; the
-   annotated one must be silent and the other must still fire. *)
+(* bad_r4_obj_magic.ml holds two identical Obj escapes; the annotated
+   one must be silent and the other must still fire. *)
 let test_suppression_site_granular () =
-  match Lint.lint_file (fixture "ds/bad_r3_retire_manual.ml") with
+  match Lint.lint_file (fixture "bad_r4_obj_magic.ml") with
   | [ f ] ->
-      Alcotest.(check string) "rule" "R3" f.Finding.rule;
-      Alcotest.(check bool) "fires on the unannotated binding" true (f.Finding.line >= 12)
+      Alcotest.(check string) "rule" "R4" f.Finding.rule;
+      Alcotest.(check bool) "fires on the unannotated binding" true (f.Finding.line >= 5)
   | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
 let test_corpus_total () =
   let fs = Lint.lint_paths [ "lint_fixtures" ] in
-  Alcotest.(check int) "total corpus findings" 14 (List.length fs)
+  Alcotest.(check int) "total corpus findings" 10 (List.length fs)
 
 let test_allowlist_gates_r4 () =
   let src = "let key x = Obj.repr x\n" in

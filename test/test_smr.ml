@@ -175,17 +175,42 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
 
   (* -------------------- acquire-retire layer ----------------------- *)
 
+  (* Swing [cell] to [nu] and retire what it held, under pid's scope. *)
+  let replace ar ~pid cell nu =
+    Ar.scope ar ~pid
+      {
+        f =
+          (fun s ->
+            let rec go () =
+              let old = Atomic.get cell in
+              match Ar.unlink s cell ~seen:old ~desired:nu old with
+              | Some w -> Ar.retire_free s w Ar.unguarded
+              | None -> go ()
+            in
+            go ());
+      }
+
   let ar_managed_lifecycle () =
     let ar = Ar.create ~cleanup_freq:1 ~max_threads:1 () in
     let m = Ar.alloc ar ~pid:0 "hello" in
-    Alcotest.(check string) "get" "hello" (Ar.get m);
+    Alcotest.(check string) "unpublished read" "hello" (Ar.quiescent m);
     Alcotest.(check bool) "live" true (Ar.is_live m);
-    Ar.retire_free ar ~pid:0 m;
+    let cell = Atomic.make m and stale = Atomic.make m in
+    replace ar ~pid:0 cell (Ar.alloc ar ~pid:0 "bye");
     Ar.flush ar ~pid:0;
     Alcotest.(check bool) "reclaimed" false (Ar.is_live m);
-    (match Ar.get m with
-    | _ -> Alcotest.fail "expected Use_after_free"
-    | exception Simheap.Use_after_free _ -> ());
+    (* A reference the unlink missed: protecting it cannot revive the
+       node. *)
+    Ar.scope ar ~pid:0
+      {
+        f =
+          (fun s ->
+            let m, g = Ar.protect s ~ident:Ar.ident stale in
+            match Ar.get s g m with
+            | _ -> Alcotest.fail "expected Use_after_free"
+            | exception Simheap.Use_after_free _ -> ());
+      };
+    Ar.discard (Atomic.get cell);
     Alcotest.(check int) "heap empty" 0 (Simheap.live (Ar.heap ar))
 
   let ar_typed_acquire_protocol () =
@@ -197,26 +222,24 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
         {
           f =
             (fun s ->
-              match Ar.protect s ~ident:Ar.ident cell with
-              | None -> Alcotest.fail "unexpected exhaustion with free slots"
-              | Some (v, g) ->
-                  Alcotest.(check int) "read value" 1 (Ar.get v);
-                  (* Writer swaps in a new object and retires the old one. *)
-                  let m2 = Ar.alloc ar ~pid:0 2 in
-                  let old = Atomic.exchange cell m2 in
-                  Ar.retire_free ar ~pid:0 old;
-                  Ar.flush ar ~pid:0;
-                  (* Still protected: the object must not have been freed. *)
-                  Alcotest.(check int) "still readable under guard" 1 (Ar.get v);
-                  Ar.release s g;
-                  m2);
+              let v, g = Ar.protect s ~ident:Ar.ident cell in
+              if not (Ar.guarded g) then Alcotest.fail "unexpected exhaustion with free slots";
+              Alcotest.(check int) "read value" 1 (Ar.get s g v);
+              (* Writer swaps in a new object and retires the old one. *)
+              let m2 = Ar.alloc ar ~pid:0 2 in
+              replace ar ~pid:0 cell m2;
+              Ar.flush ar ~pid:0;
+              (* Still protected: the object must not have been freed. *)
+              Alcotest.(check int) "still readable under guard" 1 (Ar.get s g v);
+              Ar.release s g;
+              m2);
         }
     in
     Ar.flush ar ~pid:0;
     (* PTB hand-off lands in the releaser's queue. *)
     Ar.flush ar ~pid:1;
     Alcotest.(check bool) "freed after release" false (Ar.is_live m1);
-    Ar.retire_free ar ~pid:0 m2;
+    Ar.discard m2;
     Ar.quiesce ar;
     Alcotest.(check int) "leak free" 0 (Simheap.live (Ar.heap ar))
 
@@ -243,11 +266,10 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
             {
               f =
                 (fun s ->
-                  match Ar.protect s ~ident:Ar.ident cells.(slot) with
-                  | Some (v, g) ->
-                      ignore (Sys.opaque_identity (Ar.get v));
-                      Ar.release s g
-                  | None -> failwith "slots exhausted with one guard held");
+                  let v, g = Ar.protect s ~ident:Ar.ident cells.(slot) in
+                  if not (Ar.guarded g) then failwith "slots exhausted with one guard held";
+                  ignore (Sys.opaque_identity (Ar.get s g v));
+                  Ar.release s g);
             }
         done
       with e ->
@@ -258,12 +280,8 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       let rng = Repro_util.Rng.create ~seed:(pid * 104729) in
       try
         for i = 1 to iters do
-          Ar.begin_critical_section ar ~pid;
           let slot = Repro_util.Rng.int rng nslots in
-          let nu = Ar.alloc ar ~pid i in
-          let old = Atomic.exchange cells.(slot) nu in
-          Ar.retire_free ar ~pid old;
-          Ar.end_critical_section ar ~pid;
+          replace ar ~pid cells.(slot) (Ar.alloc ar ~pid i);
           Ar.eject ar ~pid
         done
       with e ->
@@ -276,9 +294,9 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     in
     List.iter Domain.join domains;
     Alcotest.(check int) "no reader/writer failures" 0 (Atomic.get failures);
-    (* Teardown: retire the survivors, then everything must be freed. *)
-    Array.iter (fun c -> Ar.retire_free ar ~pid:0 (Atomic.get c)) cells;
+    (* Teardown: free the survivors, then everything must be freed. *)
     Ar.quiesce ar;
+    Array.iter (fun c -> Ar.discard (Atomic.get c)) cells;
     Alcotest.(check int) "leak free at quiescence" 0 (Simheap.live (Ar.heap ar))
 
   let tests =

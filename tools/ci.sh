@@ -37,6 +37,36 @@ if grep -nE 'S\.(try_acquire|acquire|confirm|release) |Ar\.smr|begin_critical_se
   exit 1
 fi
 
+echo "== retire obligations =="
+# Acquire_retire's scope types the manual structures' pointer life
+# cycle (DESIGN.md §3): a node is read only through a live guard and
+# retired only under the witness of the unlink CAS that removed it, so
+# no lint rule approximates either. The life-cycle rules must stay
+# deleted and rc-lint small; no structure on Acquire_retire may free,
+# build or retire a record by hand; and the one unguarded read is
+# NM-tree's over-budget fallback. (dl_queue_manual.ml, the paper's
+# "Original" queue, brings its own scheme and is not on Acquire_retire.)
+if grep -rnE '\bR3\b|\bR9\b|run_r3|run_r9' lib/lint; then
+  echo "error: lib/lint still carries a retired life-cycle rule" >&2
+  exit 1
+fi
+lint_lines=$(wc -l < lib/lint/lint.ml)
+if [ "$lint_lines" -ge 500 ]; then
+  echo "error: lib/lint/lint.ml has $lint_lines lines, expected under 500" >&2
+  exit 1
+fi
+ar_ds=$(grep -lE 'Acquire_retire\.Make|\bAr\.' lib/ds/*_manual.ml)
+# shellcheck disable=SC2086
+if grep -nE 'Simheap\.free|Smr\.Deferred|\bAr\.retire ' $ar_ds; then
+  echo "error: a manual structure frees or retires a node outside the scope's witnesses" >&2
+  exit 1
+fi
+if grep -rn 'get_unguarded' lib bin bench test examples \
+    | grep -vE '^lib/(ds/nm_tree_manual|acquire_retire/acquire_retire)\.ml:'; then
+  echo "error: the unguarded read is confined to lib/ds/nm_tree_manual.ml" >&2
+  exit 1
+fi
+
 echo "== one reclamation runtime =="
 # CDRC and the manual structures run on Acquire_retire (DESIGN.md §3),
 # which alone queues and drains deferred ops, flushes, quiesces, counts
