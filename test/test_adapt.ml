@@ -8,8 +8,8 @@
    monotone in the backlog signal, emitted knob values always inside
    the config clamps; (3) end-to-end determinism — both targets of the
    stalled-victim adaptivity experiment replay bit-identically, the
-   controller run stays bounded where the fixed-knob run is not; plus the uniform
-   knob-validation contract across every scheme. *)
+   controller run stays bounded where the fixed-knob run is not. The
+   knob-validation contract is test_smr's. *)
 
 module C = Adapt.Controller
 module Q = QCheck2
@@ -260,58 +260,6 @@ let kv_bounds_garbage () =
   Alcotest.(check int) "fixed-knob run still leak-free after teardown" 0 off.cell.c_leaked;
   Alcotest.(check (list (pair string int))) "both cells passed" [] (on.errors @ off.errors)
 
-(* ---------------- knob validation across every scheme ------------- *)
-
-let all_schemes = List.map snd Workload.Instances.named_schemes
-
-let knob_validation_uniform () =
-  List.iter
-    (fun (module S : Smr.Smr_intf.S) ->
-      let rejects knob f =
-        match f () with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.failf "%s.create accepted a non-positive %s" S.name knob
-      in
-      rejects "epoch_freq" (fun () -> ignore (S.create ~epoch_freq:0 ~max_threads:1 ()));
-      rejects "cleanup_freq" (fun () ->
-          ignore (S.create ~cleanup_freq:(-1) ~max_threads:1 ()));
-      rejects "slots_per_thread" (fun () ->
-          ignore (S.create ~slots_per_thread:0 ~max_threads:1 ())))
-    all_schemes
-
-let knob_ignored_counter () =
-  let was = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
-  (* Leaky ignores all three tunables; HP ignores epoch_freq. *)
-  let before = Obs.Metrics.value "smr.none.knob_ignored" in
-  ignore
-    (Smr.Leaky.create ~epoch_freq:5 ~cleanup_freq:5 ~slots_per_thread:5 ~max_threads:1 ());
-  Alcotest.(check int) "Leaky records all three ignored knobs" (before + 3)
-    (Obs.Metrics.value "smr.none.knob_ignored");
-  let before_hp = Obs.Metrics.value "smr.hp.knob_ignored" in
-  ignore (Smr.Hp.create ~epoch_freq:7 ~max_threads:1 ());
-  Alcotest.(check int) "HP records its ignored epoch_freq" (before_hp + 1)
-    (Obs.Metrics.value "smr.hp.knob_ignored");
-  (* No false positives: a knob the scheme reads is not "ignored". *)
-  let before_ebr = Obs.Metrics.value "smr.ebr.knob_ignored" in
-  ignore (Smr.Ebr.create ~epoch_freq:5 ~cleanup_freq:5 ~max_threads:1 ());
-  Alcotest.(check int) "EBR records nothing for knobs it reads" before_ebr
-    (Obs.Metrics.value "smr.ebr.knob_ignored")
-
-let knob_gauges_track_values () =
-  let was = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
-  let g name = Obs.Metrics.gauge_value (Obs.Metrics.gauge name) in
-  let k = Smr.Knobs.create ~epoch_freq:17 ~scheme:"GaugeProbe" () in
-  Alcotest.(check int) "explicit value mirrored" 17 (g "smr.gaugeprobe.knob.epoch_freq");
-  Alcotest.(check int) "default value mirrored" Smr.Knobs.default_cleanup_freq
-    (g "smr.gaugeprobe.knob.cleanup_freq");
-  Smr.Knobs.set_batch_cap k 33;
-  Alcotest.(check int) "setter updates the gauge" 33 (g "smr.gaugeprobe.knob.batch_cap");
-  Alcotest.(check int) "setter updates the accessor" 33 (Smr.Knobs.batch_cap k)
-
 (* ------------------------------------------------------------------ *)
 (* Reaction latency to a hotspot phase shift (ROADMAP item 5): after a
    hot-set migration, the abandoned phase expires and the sweep's
@@ -398,13 +346,5 @@ let () =
             reaction_gauge_recorded;
           Alcotest.test_case "reaction probe replays bit-identically" `Quick
             reaction_replays_bit_identically;
-        ] );
-      ( "knobs",
-        [
-          Alcotest.test_case "create validation uniform across schemes" `Quick
-            knob_validation_uniform;
-          Alcotest.test_case "ignored-knob misuse counter" `Quick knob_ignored_counter;
-          Alcotest.test_case "gauges mirror effective values" `Quick
-            knob_gauges_track_values;
         ] );
     ]

@@ -784,6 +784,61 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     R.quiesce rt;
     Alcotest.(check int) "leak free" 0 (R.live_objects rt)
 
+  (* -------------------- crash recovery ------------------------------ *)
+
+  (* Pid 0 overwrites a cell until it crashes on its 5th retire (a
+     Faulty_smr crash, after the record is queued), dying with the
+     deferred decrements of the values it displaced still parked. Each
+     value owns a child through its destroy hook, so running a parked
+     decrement cascades. Strong-only mode disposes through the queue
+     rather than by a retire, so every retire of pid 0 is a store's
+     decrement and the crash never strikes inside a drain. Once pid 0
+     is abandoned, the survivor's flush must run them all: only the
+     cell's current value and its child stay live, and Simheap raises
+     on any use-after-free or double free. *)
+  let abandon_after_crash () =
+    let plan =
+      Fault.Fault_plan.create [ { site = On_retire; pid = Some 0; at = 5; action = Crash } ]
+    in
+    let module FS =
+      Fault.Faulty_smr.Make
+        (S)
+        (struct
+          let plan = plan
+        end)
+    in
+    let module RF = Cdrc.Make (FS) in
+    let rt = RF.create ~support_weak:false ~max_threads:2 () in
+    let th0 = RF.thread rt 0 and th1 = RF.thread rt 1 in
+    let make i =
+      let child = RF.Shared.make th1 (-i) in
+      RF.Shared.make th1 ~destroy:(fun th _ -> RF.Shared.drop th child) i
+    in
+    let cell =
+      RF.critically th1 (fun () ->
+          let p = make 0 in
+          let c = RF.Asp.make th1 (RF.Shared.ptr p) in
+          RF.Shared.drop th1 p;
+          c)
+    in
+    let crashed = ref false in
+    for i = 1 to 8 do
+      let p = make i in
+      (if not !crashed then
+         try RF.critically th0 (fun () -> RF.Asp.store th0 cell (RF.Shared.ptr p))
+         with Fault.Fault_plan.Crashed 0 -> crashed := true);
+      RF.Shared.drop th1 p
+    done;
+    Alcotest.(check bool) "pid 0 crashed" true !crashed;
+    Alcotest.(check bool) "decrements parked at the crash" true (RF.retired_backlog rt > 0);
+    RF.abandon rt ~pid:0;
+    RF.flush th1;
+    Alcotest.(check int) "nothing left parked" 0 (RF.retired_backlog rt);
+    Alcotest.(check int) "only the cell's value and its child live" 2 (RF.live_objects rt);
+    RF.critically th1 (fun () -> RF.Asp.clear th1 cell);
+    RF.flush th1;
+    Alcotest.(check int) "leak free" 0 (RF.live_objects rt)
+
   let tests =
     [
       t "shared lifecycle" `Quick shared_lifecycle;
@@ -815,6 +870,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       t "snapshot use after drop" `Quick snapshot_use_after_drop;
       t "strong cycle leaks" `Quick strong_cycle_leaks;
       t "weak edge breaks cycle" `Quick weak_backedge_breaks_cycle;
+      t "abandon after crash" `Quick abandon_after_crash;
       t "stress strong" `Slow (stress_asp ~threads:4 ~iters:10_000);
       t "stress weak" `Slow (stress_weak ~threads:4 ~iters:10_000);
     ]

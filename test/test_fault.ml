@@ -2,7 +2,8 @@
    stall clock, crash permanence, drop budgets), the paper's §2
    robustness contrast as deterministic assertions (EBR's backlog grows
    without bound under one stalled thread while HP/IBR/HE/PTB stay
-   bounded), crash recovery via [abandon] for every scheme, and a
+   bounded), crash recovery via [abandon] for every scheme, rolling
+   crashes whose orphans survivors adopt and whose pids are recycled, and a
    qcheck property running random fault plans against the Treiber stack
    (no use-after-free ever; no leaks once crashed/stalled threads are
    abandoned and the structure torn down). *)
@@ -337,6 +338,67 @@ let crash_recovery (module S : Smr.Smr_intf.S) () =
     (fun i n -> Alcotest.(check int) (Printf.sprintf "%s: op %d ran once" S.name i) 1 n)
     runs
 
+(* --------------- rolling crashes, pids recycled ------------------ *)
+
+(* Four workers push and pop a Treiber stack in turn. Pids 1, 2 and 3
+   crash one after another mid-run, each on a retire after the record
+   is queued (where Faulty_smr's On_retire crash strikes), so each dies
+   with retired entries parked in its queue. The crashed pid is
+   abandoned at once while the others keep operating: their ejects
+   adopt its orphans under live traffic, and a fresh worker takes the
+   recycled pid over. A Fault_plan crash is permanent for its pid, so
+   the crash here is the wrapper's own and a recycled pid starts
+   healthy. *)
+
+exception Worker_crashed of int
+
+module Crash_on_retire (S : Smr.Smr_intf.S) = struct
+  include S
+
+  (* Retires each pid has left before it dies; 0 = healthy. *)
+  let fuse = Array.make 4 0
+
+  let retire t ~pid d =
+    S.retire t ~pid d;
+    if fuse.(pid) > 0 then begin
+      fuse.(pid) <- fuse.(pid) - 1;
+      if fuse.(pid) = 0 then raise (Worker_crashed pid)
+    end
+end
+
+let rolling_crashes (module S : Smr.Smr_intf.S) () =
+  let module C = Crash_on_retire (S) in
+  let module St = Ds.Treiber_stack_manual.Make (C) in
+  let st = St.create ~max_threads:4 () in
+  let ctxs = Array.init 4 (St.ctx st) in
+  let crashed = ref [] and recycled_ops = ref 0 in
+  for round = 1 to 600 do
+    (* Pid [p] is armed at round [100 p] and dies on its 7th retire
+       after that. *)
+    if round mod 100 = 0 && round <= 300 then C.fuse.(round / 100) <- 7;
+    for pid = 0 to 3 do
+      match
+        St.push ctxs.(pid) round;
+        ignore (St.pop ctxs.(pid))
+      with
+      | () -> if List.mem pid !crashed then incr recycled_ops
+      | exception Worker_crashed p ->
+          crashed := p :: !crashed;
+          St.abandon st ~pid:p;
+          ctxs.(p) <- St.ctx st p
+    done
+  done;
+  Alcotest.(check (list int)) (S.name ^ ": pids 1, 2, 3 crashed in turn") [ 3; 2; 1 ] !crashed;
+  Alcotest.(check bool) (S.name ^ ": recycled pids kept working") true (!recycled_ops > 0);
+  Array.iter St.flush ctxs;
+  (* Only the survivors' ejects can have drained the dead pids'
+     orphans before teardown; the leaky baseline never ejects. *)
+  if S.name <> "None" then
+    Alcotest.(check int) (S.name ^ ": orphans adopted by the survivors") 0
+      (St.retired_backlog st);
+  St.teardown st;
+  Alcotest.(check int) (S.name ^ ": leak-free teardown") 0 (St.live_objects st)
+
 (* ------------- qcheck: random fault plans are survivable ---------- *)
 
 (* Drive the Treiber stack with three cooperatively-interleaved threads
@@ -418,5 +480,6 @@ let () =
             Alcotest.test_case S.name `Quick (stalled_backlog (module S)))
           (List.map snd Workload.Experiments.robustness_schemes) );
       ("crash-abandon", scheme_cases crash_recovery);
+      ("rolling-crash", scheme_cases rolling_crashes);
       ("random-plans", [ QCheck_alcotest.to_alcotest prop_random_plans_safe ]);
     ]

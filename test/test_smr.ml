@@ -340,10 +340,76 @@ let slot_pool () =
   Smr.Slot_pool.give p 0;
   Alcotest.(check (list (option int))) "reset frees all" [ Some 0; Some 1; Some 2; None ] (takes 4)
 
+(* ---------------- knob validation across every scheme ------------- *)
+
+let all_schemes : (module Smr.Smr_intf.S) list =
+  [
+    (module Smr.Ebr);
+    (module Smr.Ibr);
+    (module Smr.Hyaline);
+    (module Smr.Hp);
+    (module Smr.Hazard_eras);
+    (module Smr.Ptb);
+    (module Smr.Leaky);
+  ]
+
+let knob_validation_uniform () =
+  List.iter
+    (fun (module S : Smr.Smr_intf.S) ->
+      let rejects knob f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "%s.create accepted a non-positive %s" S.name knob
+      in
+      rejects "epoch_freq" (fun () -> ignore (S.create ~epoch_freq:0 ~max_threads:1 ()));
+      rejects "cleanup_freq" (fun () ->
+          ignore (S.create ~cleanup_freq:(-1) ~max_threads:1 ()));
+      rejects "slots_per_thread" (fun () ->
+          ignore (S.create ~slots_per_thread:0 ~max_threads:1 ())))
+    all_schemes
+
+let knob_ignored_counter () =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
+  (* Leaky ignores all three tunables; HP ignores epoch_freq. *)
+  let before = Obs.Metrics.value "smr.none.knob_ignored" in
+  ignore
+    (Smr.Leaky.create ~epoch_freq:5 ~cleanup_freq:5 ~slots_per_thread:5 ~max_threads:1 ());
+  Alcotest.(check int) "Leaky records all three ignored knobs" (before + 3)
+    (Obs.Metrics.value "smr.none.knob_ignored");
+  let before_hp = Obs.Metrics.value "smr.hp.knob_ignored" in
+  ignore (Smr.Hp.create ~epoch_freq:7 ~max_threads:1 ());
+  Alcotest.(check int) "HP records its ignored epoch_freq" (before_hp + 1)
+    (Obs.Metrics.value "smr.hp.knob_ignored");
+  (* No false positives: a knob the scheme reads is not "ignored". *)
+  let before_ebr = Obs.Metrics.value "smr.ebr.knob_ignored" in
+  ignore (Smr.Ebr.create ~epoch_freq:5 ~cleanup_freq:5 ~max_threads:1 ());
+  Alcotest.(check int) "EBR records nothing for knobs it reads" before_ebr
+    (Obs.Metrics.value "smr.ebr.knob_ignored")
+
+let knob_gauges_track_values () =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
+  let g name = Obs.Metrics.gauge_value (Obs.Metrics.gauge name) in
+  ignore (Smr.Knobs.create ~epoch_freq:17 ~scheme:"GaugeProbe" ());
+  Alcotest.(check int) "explicit value mirrored" 17 (g "smr.gaugeprobe.knob.epoch_freq");
+  Alcotest.(check int) "default value mirrored" Smr.Knobs.default_cleanup_freq
+    (g "smr.gaugeprobe.knob.cleanup_freq")
+
 let () =
   Alcotest.run "smr"
     [
       ("slot_pool", [ Alcotest.test_case "slot pool" `Quick slot_pool ]);
+      ( "knobs",
+        [
+          Alcotest.test_case "create validation uniform across schemes" `Quick
+            knob_validation_uniform;
+          Alcotest.test_case "ignored-knob misuse counter" `Quick knob_ignored_counter;
+          Alcotest.test_case "gauges mirror effective values" `Quick
+            knob_gauges_track_values;
+        ] );
       ("ebr", T_ebr.tests);
       ("ibr", T_ibr.tests);
       ("hyaline", T_hyaline.tests);
