@@ -31,41 +31,31 @@ let scale_arg =
   let doc = "Divide structure sizes by this factor (smoke runs)." in
   Arg.(value & opt int 1 & info [ "scale" ] ~docv:"K" ~doc)
 
-let adapt_arg =
-  let doc =
-    "Run the adaptive reclamation controller alongside the sampler (on|off). The \
-     controller's decision log is printed with each result."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) false
-    & info [ "adapt" ] ~docv:"on|off" ~doc)
-
 (* Experiment runners return their exit status: 2 for an unknown
    scheme, 1 when a worker died, else 0. *)
 let exit_with status = if status <> 0 then exit status
 
 (* A table row's flags: --threads and --duration, plus --schemes when
-   the row is selectable, --scale and --adapt for the set figures,
-   --repeats when the row repeats its cells. *)
-let row_term ~schemes ~scale ~adapt ~repeats =
+   the row is selectable, --scale for the set figures, --repeats when
+   the row repeats its cells. *)
+let row_term ~schemes ~scale ~repeats =
   let flag present arg default = if present then arg else Term.const default in
   let repeats_arg =
     Arg.(
       value & opt int repeats
       & info [ "repeats" ] ~docv:"N" ~doc:"Repeats per cell (median reported).")
   in
-  let run threads duration schemes scale adapt repeats row =
-    exit_with (Workload.Table.run ~threads ~duration ~schemes ~scale ~adapt ~repeats row)
+  let run threads duration schemes scale repeats row =
+    exit_with (Workload.Table.run ~threads ~duration ~schemes ~scale ~repeats row)
   in
   Term.(
     const run $ threads_arg $ duration_arg
-    $ flag schemes schemes_arg [] $ flag scale scale_arg 1 $ flag adapt adapt_arg false
+    $ flag schemes schemes_arg [] $ flag scale scale_arg 1
     $ flag (repeats > 1) repeats_arg 1)
 
 let row_cmd (r : Workload.Table.row) =
   let figure = r.axis = Workload.Table.Threads && r.keys > 0 in
-  let term = row_term ~schemes:r.selectable ~scale:figure ~adapt:figure ~repeats:r.repeats in
+  let term = row_term ~schemes:r.selectable ~scale:figure ~repeats:r.repeats in
   Cmd.v (Cmd.info r.id ~doc:r.title) Term.(term $ const r)
 
 let robustness_cmd =
@@ -78,30 +68,6 @@ let robustness_cmd =
          "Fault injection: garbage growth under one stalled thread, and recovery via \
           abandon (exit 1 unless every scheme passes its check)")
     Term.(const run $ duration_arg $ schemes_arg)
-
-let adaptivity_cmd =
-  let iters_arg =
-    Arg.(
-      value & opt int 2000
-      & info [ "iters" ] ~docv:"N" ~doc:"Churn iterations per replay.")
-  in
-  let bound_arg =
-    Arg.(
-      value & opt int 512
-      & info [ "bound" ] ~docv:"B"
-          ~doc:
-            "Backlog bound asserted for the controller-on run (and exceeded by the \
-             fixed-knob run).")
-  in
-  let run iters bound = exit_with (Workload.Experiments.run_adaptivity ~iters ~bound ()) in
-  Cmd.v
-    (Cmd.info "adaptivity"
-       ~doc:
-         "Adaptive controller vs fixed knobs under a stalled victim: deterministic \
-          replays on an acquire-retire instance and on shard 0 of the KV service, \
-          asserting the controller keeps EBR's garbage bounded where fixed knobs do not \
-          (exit 1 on violation)")
-    Term.(const run $ iters_arg $ bound_arg)
 
 let perf_cmd =
   let out_arg =
@@ -166,8 +132,8 @@ let perf_cmd =
 let stats_cmd =
   let exp_arg =
     let doc =
-      "Experiment to instrument: any table row (fig11, fig12, abl-sticky, ...), robustness \
-       or chaos."
+      "Experiment to instrument: any table row (fig11, fig12, abl-sticky, ...) or \
+       robustness."
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
   in
@@ -248,7 +214,7 @@ let custom_cmd =
   in
   Cmd.v
     (Cmd.info "custom" ~doc:"Custom workload on any structure")
-    Term.(row_term ~schemes:true ~scale:false ~adapt:true ~repeats:1 $ row)
+    Term.(row_term ~schemes:true ~scale:false ~repeats:1 $ row)
 
 let kv_cmd =
   let shards_arg =
@@ -264,7 +230,7 @@ let kv_cmd =
           ~doc:"Operation mixes to run: read95 (95% gets), write50 (50% gets).")
   in
   let keys_arg = Arg.(value & opt int 16_384 & info [ "keys" ] ~docv:"N" ~doc:"Key range.") in
-  let run threads duration schemes adapt shards mixes keys =
+  let run threads duration schemes shards mixes keys =
     let rows =
       List.map
         (fun m ->
@@ -279,7 +245,7 @@ let kv_cmd =
       (List.fold_left
          (fun status r ->
            if status = 2 then 2
-           else max status (Workload.Table.run ~threads ~duration ~schemes ~adapt r))
+           else max status (Workload.Table.run ~threads ~duration ~schemes r))
          0 rows)
   in
   Cmd.v
@@ -289,98 +255,7 @@ let kv_cmd =
           shard count cells per mix, Zipfian keys with TTL-expiry churn; every cell checks \
           the accounting identities and leak-freedom (exit 1 on a violation)")
     Term.(
-      const run $ threads_arg $ duration_arg $ schemes_arg $ adapt_arg $ shards_arg
-      $ mix_arg $ keys_arg)
-
-let chaos_cmd =
-  let campaign_arg =
-    Arg.(
-      value & opt string "mixed"
-      & info [ "campaign" ] ~docv:"KIND"
-          ~doc:
-            "Campaign kind: stall-storm | rolling-crash | crash-eject | gray-slow | \
-             mixed (stall + rolling crash + gray + eject-crash across victims).")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Campaign seed: victim selection, fire points and all request randomness \
-             derive from it, so a failed campaign replays bit-identically.")
-  in
-  let steps_arg =
-    Arg.(value & opt int 4000 & info [ "steps" ] ~docv:"N" ~doc:"Requests to issue.")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"N" ~doc:"Shard count (power of two).")
-  in
-  let victims_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "victims" ] ~docv:"N" ~doc:"Faulted shards (default: all).")
-  in
-  let breaker_arg =
-    Arg.(
-      value & opt (enum [ ("on", true); ("off", false) ]) true
-      & info [ "breaker" ] ~docv:"on|off"
-          ~doc:
-            "Per-shard circuit breakers + recovery drills. With off, no recovery runs \
-             — the recovery-SLO oracle then fails on campaigns that pin a shard (the \
-             CI inverted gate).")
-  in
-  let write_pct_arg =
-    Arg.(
-      value & opt int 40
-      & info [ "write-pct" ] ~docv:"PCT" ~doc:"Percentage of write requests.")
-  in
-  let bound_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "bound" ] ~docv:"N"
-          ~doc:"Backlog bound: breaker trip point and end-of-campaign recovery gate.")
-  in
-  let slo_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "recovery-slo" ] ~docv:"STEPS"
-          ~doc:"Max steps from a breaker trip to bounded backlog.")
-  in
-  let run campaign seed steps shards victims breaker write_pct bound slo schemes =
-    let spec kind =
-      {
-        Workload.Chaos_runner.default_spec with
-        ch_seed = seed;
-        ch_kind = kind;
-        ch_shards = shards;
-        ch_victims = Option.value victims ~default:shards;
-        ch_steps = steps;
-        ch_write_pct = write_pct;
-        ch_breaker = breaker;
-        ch_backlog_bound = bound;
-        ch_recovery_slo = slo;
-      }
-    in
-    let row k = Workload.Chaos_runner.row (spec k) in
-    match Result.bind (Fault.Chaos.kind_of_string campaign) row with
-    | Error e ->
-        prerr_endline e;
-        exit 2
-    | Ok row -> exit_with (Workload.Table.run ~schemes row)
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Deterministic chaos campaign against the sharded KV service: seeded \
-          multi-shard fault schedules (stall storms, rolling crashes, crash-during-\
-          eject, gray-failure slow shards) driven through deadlines, retries and \
-          per-shard circuit breakers with abandon-based recovery drills; exits 1 if \
-          any safety or SLO oracle fails, 2 on an invalid campaign")
-    Term.(
-      const run $ campaign_arg $ seed_arg $ steps_arg $ shards_arg $ victims_arg
-      $ breaker_arg $ write_pct_arg $ bound_arg $ slo_arg $ schemes_arg)
+      const run $ threads_arg $ duration_arg $ schemes_arg $ shards_arg $ mix_arg $ keys_arg)
 
 let explore_cmd =
   let target_arg =
@@ -489,8 +364,7 @@ let () =
   let cmds =
     List.map row_cmd Workload.Table.figures
     @ [
-        robustness_cmd; adaptivity_cmd; stats_cmd; perf_cmd; kv_cmd; chaos_cmd; custom_cmd;
-        explore_cmd;
+        robustness_cmd; stats_cmd; perf_cmd; kv_cmd; custom_cmd; explore_cmd;
       ]
   in
   exit (Cmd.eval (Cmd.group info cmds))

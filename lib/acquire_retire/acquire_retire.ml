@@ -72,9 +72,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     let heap =
       match heap with Some h -> h | None -> Simheap.create ~name:("ar-" ^ S.name) ()
     in
+    if Option.value slots_per_thread ~default:Smr.Knobs.default_slots_per_thread >= Sys.int_size
+    then invalid_arg "Acquire_retire.create: more slots per thread than a scope's bitmask holds";
     let smr = S.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () in
-    if Smr.Knobs.slots_per_thread (S.knobs smr) >= Sys.int_size then
-      invalid_arg "Acquire_retire.create: more slots per thread than a scope's bitmask holds";
     {
       smr;
       heap;
@@ -101,15 +101,6 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let heap t = t.heap
   let max_threads t = S.max_threads t.smr
-
-  (** The instance's knob handle, under the scheme's name — the
-      CONTROLLABLE surface the adaptive controller retunes. *)
-  let handle t =
-    {
-      Smr.Knobs.h_scheme = S.name;
-      h_knobs = S.knobs t.smr;
-      h_force_advance = (fun () -> S.force_advance t.smr);
-    }
 
   (** The birth tag of an object allocated now: what [alloc] stores, and
       what a caller that allocates its own records (CDRC's control
@@ -521,9 +512,9 @@ module Make (S : Smr.Smr_intf.S) = struct
         Obs.Histo.observe eject_batch_h ~pid (Smr.Retire_queue.splice t.pending.(pid) chain);
         true
 
-  (** One scheme scan — amortized by the scheme's [cleanup_freq] and
-      capped by its [batch_cap], or unconditional and uncapped under
-      [~force] — then run everything it released. *)
+  (** One scheme scan — amortized by the scheme's [cleanup_freq], or
+      unconditional under [~force] — then run everything it
+      released. *)
   let eject ?(force = false) t ~pid =
     ignore (scan t ~pid ~force);
     drain t ~pid

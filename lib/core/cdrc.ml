@@ -35,8 +35,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   let scheme_name = "RC" ^ S.name
 
   (* The acquire–retire runtime under the RC runtime's name, so that
-     over HP its knob handle reads RCHP and its watchdog counts under
-     ar.rchp.watchdog. *)
+     over HP its watchdog counts under ar.rchp.watchdog. *)
   module Ar = Acquire_retire.Make (struct
     include S
 
@@ -889,10 +888,6 @@ module Make (S : Smr.Smr_intf.S) = struct
   (** Deferred decrements and disposals of all three kinds currently
       parked in the acquire–retire instance. *)
   let retired_backlog rt = Ar.total_pending rt.ar
-
-  (** CONTROLLABLE surface: the one knob handle of the runtime's
-      acquire–retire instance, which every deferred kind shares. *)
-  let control rt = [ Ar.handle rt.ar ]
 
   (** Crash/stall recovery on the acquire–retire instance: the
       abandoned pid's critical section closes, its announcement slots

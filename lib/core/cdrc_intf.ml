@@ -65,11 +65,6 @@ module type S = sig
       deferred-operation backlog grew (see [Obs.Watchdog], which also
       records the verdict text). *)
 
-  val control : rt -> Smr.Knobs.handle list
-  (** CONTROLLABLE surface for the adaptive controller: exactly one
-      knob handle, for the acquire–retire instance that every deferred
-      kind shares. *)
-
   val abandon : rt -> pid:int -> unit
   (** Crash/stall recovery: release every resource [pid] holds in the
       runtime's acquire–retire instance — close its critical section,

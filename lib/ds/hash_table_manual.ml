@@ -51,5 +51,4 @@ module Make (S : Smr.Smr_intf.S) = struct
   let snapshot_stats _ = None
   let retired_backlog t = L.retired_backlog t.list
   let stalled t = L.stalled t.list
-  let control t = L.control t.list
 end

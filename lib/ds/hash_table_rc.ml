@@ -55,5 +55,4 @@ module Make (R : Cdrc.Intf.S) = struct
   let snapshot_stats t = Some (R.snapshot_stats t.list.L.rt)
   let retired_backlog t = R.retired_backlog t.list.L.rt
   let stalled t = R.stalled t.list.L.rt
-  let control t = R.control t.list.L.rt
 end

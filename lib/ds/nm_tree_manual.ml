@@ -351,6 +351,5 @@ module Make (S : Smr.Smr_intf.S) = struct
     Ar.quiesce t.ar
   let snapshot_stats _ = None
   let retired_backlog t = Ar.total_pending t.ar
-  let control t = [ Ar.handle t.ar ]
   let stalled t = Ar.stalled t.ar
 end

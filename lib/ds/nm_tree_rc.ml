@@ -345,5 +345,4 @@ module Make (R : Cdrc.Intf.S) = struct
   let snapshot_stats t = Some (R.snapshot_stats t.rt)
   let retired_backlog t = R.retired_backlog t.rt
   let stalled t = R.stalled t.rt
-  let control t = R.control t.rt
 end

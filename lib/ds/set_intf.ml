@@ -73,13 +73,6 @@ module type S = sig
       periodically; the verdict text reaches [result.watchdog_verdicts]
       through [Obs.Verdicts]. *)
 
-  val control : t -> Smr.Knobs.handle list
-  (** The structure's CONTROLLABLE surface: one knob handle per
-      underlying scheme instance (one for manual and RC structures
-      alike — an RC runtime retires every deferred kind into one
-      instance). The experiment runner's sampler hands these to the adaptive
-      controller when [--adapt] is on. *)
-
   val teardown : t -> unit
   (** Free every node and apply all deferred operations; afterwards
       [live_objects t = 0] unless the structure leaked. Quiescent-only. *)

@@ -56,8 +56,6 @@ struct
 
   let inner t = t.inner
   let max_threads t = S.max_threads t.inner
-  let knobs t = S.knobs t.inner
-  let force_advance t = S.force_advance t.inner
 
   let spin n =
     for _ = 1 to n do

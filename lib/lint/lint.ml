@@ -2,16 +2,18 @@
     reclamation stack (DESIGN.md §9).
 
     The analyzer parses each [.ml] file with the ppxlib parser and runs
-    a set of purely syntactic rules over the AST: R1 and R4–R7. Rules
+    a set of purely syntactic rules over the AST: R1 and R4–R6. Rules
     are deliberately approximate — they encode the repo's protocol
     conventions (the [Sched.Atomic] discipline of §8, telemetry hooks,
-    padded counters, knob reads) rather than a points-to analysis. None
+    padded counters) rather than a points-to analysis. None
     of them checks a pointer's life cycle: all three of Meyer–Wolff's
     obligations for manual SMR are typed by [Acquire_retire]'s rank-2
     scopes — a guard is released when its scope exits, a node is read
     only through a live guard, and only an unlink witness retires it
-    (DESIGN.md §3). The rules that approximated them are retired, and
-    the gaps they leave in the numbering are not reused.
+    (DESIGN.md §3). The rules that approximated them are retired, as is
+    R7 (knob capture: knobs are create-time constants, so a copy cannot
+    go stale), and the gaps they leave in the numbering are not
+    reused.
 
     Suppression: [\[@@@rc_lint.allow "R4"\]] as a floating structure
     attribute silences a rule from that point to the end of the file;
@@ -39,10 +41,6 @@ let rules : (string * string) list =
     ( "R6",
       "padding: per-domain hot counter arrays in lib/obs and lib/smr must go through \
        Padded (or annotate the deliberate layout)" );
-    ( "R7",
-      "knob-capture: scheme code must read tuning knobs through Knobs.t accessors, never \
-       store them in its own record fields — a captured constant is invisible to the \
-       adaptive controller" );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -54,10 +52,9 @@ let rules : (string * string) list =
    subdirectories), so the same role logic covers both trees. *)
 type roles = {
   protocol : bool;  (* a protocol directory or padded.ml: R1 *)
-  smr_scheme : bool;  (* under an smr/ directory: R5 + R7 *)
+  smr_scheme : bool;  (* under an smr/ directory: R5 *)
   obs_smr : bool;  (* under obs/ or smr/: R6 *)
   unsafe_allowed : bool;  (* listed in allow_unsafe.txt: R4 off *)
-  knobs_module : bool;  (* knobs.ml itself — the one legal knob store; R7 off *)
 }
 
 let path_segments p =
@@ -88,7 +85,6 @@ let roles_of ~allow_unsafe path =
     smr_scheme = has "smr";
     obs_smr = has "obs" || has "smr";
     unsafe_allowed = List.exists (fun entry -> suffix_matches ~entry path) allow_unsafe;
-    knobs_module = String.equal base "knobs.ml";
   }
 
 (* ------------------------------------------------------------------ *)
@@ -308,41 +304,6 @@ let run_r6 ctx st =
   in
   it#structure st
 
-(* ------------------------------------------------------------------ *)
-(* R7: knob-capture                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* A scheme record field named after a tuning knob is a constant
-   captured at [create] time: the adaptive controller's setters write
-   the Knobs.t block, so a copy in scheme state silently stops
-   tracking. Schemes store the [Knobs.t] itself and re-read through
-   its accessors on every use. ([slots_per_thread] is exempt —
-   structural, sized at create by design.) *)
-
-let knob_field_names = [ "epoch_freq"; "cleanup_freq"; "batch_cap"; "sync_scan" ]
-
-let run_r7 ctx st =
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! label_declaration ld =
-        if
-          List.mem ld.pld_name.txt knob_field_names
-          && not
-               (allows "R7" ld.pld_attributes || allows "R7" ld.pld_type.ptyp_attributes)
-        then
-          report ctx "R7" ld.pld_loc
-            (Printf.sprintf
-               "field `%s` captures a tuning knob in scheme state — store the Knobs.t \
-                block and read `Knobs.%s` at each use so the adaptive controller can \
-                retune it"
-               ld.pld_name.txt ld.pld_name.txt);
-        super#label_declaration ld
-    end
-  in
-  it#structure st
-
 (* Floating [@@@rc_lint.allow "R"] attributes: each one suppresses the
    rule for every finding at or below its own line. *)
 let file_suppressions st =
@@ -376,7 +337,6 @@ let lint_structure ~roles ctx st =
   if not roles.unsafe_allowed then run_r4 ctx st;
   if roles.smr_scheme then run_r5 ctx st;
   if roles.obs_smr then run_r6 ctx st;
-  if roles.smr_scheme && not roles.knobs_module then run_r7 ctx st;
   let spans = file_suppressions st in
   ctx.findings <- List.filter (fun f -> not (suppressed_by spans f)) ctx.findings
 

@@ -2,12 +2,12 @@
     reclamation stack (DESIGN.md §9).
 
     The analyzer parses each [.ml] file with the ppxlib parser and runs
-    a set of purely syntactic rules over the AST — R1 and R4–R7,
-    catalogued in {!rules} (the life-cycle rules are retired, and the
-    gaps they leave in the numbering are not reused). Rules are deliberately approximate: they encode the
-    repo's protocol conventions (the [Sched.Atomic] discipline of §8,
-    telemetry hooks, padded counters, knob reads) rather than a
-    points-to analysis. No rule checks a pointer's life cycle: the
+    a set of purely syntactic rules over the AST — R1 and R4–R6,
+    catalogued in {!rules} (the life-cycle rules and knob capture are
+    retired, and the gaps they leave in the numbering are not reused).
+    Rules are deliberately approximate: they encode the repo's protocol
+    conventions (the [Sched.Atomic] discipline of §8, telemetry hooks,
+    padded counters) rather than a points-to analysis. No rule checks a pointer's life cycle: the
     rank-2 [Acquire_retire] scope types all three Meyer–Wolff
     obligations — release every guard, dereference only through a live
     guard, retire only under an unlink witness.

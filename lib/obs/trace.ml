@@ -31,7 +31,6 @@ type ev =
   | Watchdog of { scheme : string; verdict : string }
   | Fault of { site : string; action : string }
   | Sample of { t_ms : int; ops_per_s : int; live : int; backlog : int }
-  | Breaker of { shard : int; state : string; cause : string }
 
 type entry = { seq : int; e_pid : int; ev : ev }
 
@@ -128,8 +127,6 @@ let fields_of_ev = function
   | Sample { t_ms; ops_per_s; live; backlog } ->
       ( "sample",
         [ ("t_ms", Int t_ms); ("ops_per_s", Int ops_per_s); ("live", Int live); ("backlog", Int backlog) ] )
-  | Breaker { shard; state; cause } ->
-      ("breaker", [ ("shard", Int shard); ("state", String state); ("cause", String cause) ])
 
 let entry_to_json { seq; e_pid; ev } =
   let kind, fields = fields_of_ev ev in

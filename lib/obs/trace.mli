@@ -19,8 +19,6 @@ type ev =
   | Watchdog of { scheme : string; verdict : string }
   | Fault of { site : string; action : string }
   | Sample of { t_ms : int; ops_per_s : int; live : int; backlog : int }
-  | Breaker of { shard : int; state : string; cause : string }
-      (** circuit-breaker transition on a KV shard (full fidelity) *)
 
 type entry = { seq : int; e_pid : int; ev : ev }
 

@@ -10,7 +10,8 @@ type guard = int
 
 type t = {
   max_threads : int;
-  knobs : Knobs.t;
+  epoch_freq : int;
+  cleanup_freq : int;
   ann : int Padded.t;
   cur_epoch : int Sched.Atomic.t;
   alloc_tally : int Padded.t; (* owner-thread only; padded for locality *)
@@ -23,9 +24,11 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
   (match slots_per_thread with
   | Some _ -> Obs.Scheme_metrics.on_knob_ignored om ~knob:"slots_per_thread"
   | None -> ());
+  let knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name () in
   {
     max_threads;
-    knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name ();
+    epoch_freq = knobs.epoch_freq;
+    cleanup_freq = knobs.cleanup_freq;
     ann = Padded.create max_threads empty_ann;
     cur_epoch = Sched.Atomic.make 0;
     alloc_tally = Padded.create max_threads 0;
@@ -35,13 +38,10 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
   }
 
 let max_threads t = t.max_threads
-let knobs t = t.knobs
 let current_epoch t = Sched.Atomic.get t.cur_epoch
 let advance_epoch t =
   ignore (Sched.Atomic.fetch_and_add t.cur_epoch 1);
   Obs.Metrics.incr epoch_advances ~pid:0
-
-let force_advance t = advance_epoch t
 
 let begin_critical_section t ~pid =
   (* Announcing a possibly stale epoch is conservative-safe: it only
@@ -53,7 +53,7 @@ let end_critical_section t ~pid = Padded.set t.ann pid empty_ann
 let alloc_hook t ~pid =
   let tally = Padded.get t.alloc_tally pid + 1 in
   Padded.set t.alloc_tally pid tally;
-  if tally mod Knobs.epoch_freq t.knobs = 0 then advance_epoch t;
+  if tally mod t.epoch_freq = 0 then advance_epoch t;
   0
 
 let try_acquire _t ~pid _id =
@@ -79,15 +79,11 @@ let before min_ann d = Deferred.meta d < min_ann
 
 let eject ?(force = false) t ~pid =
   let q = t.retired.(pid) in
-  if
-    force || Knobs.sync_scan t.knobs
-    || Retire_queue.due q ~every:(Knobs.cleanup_freq t.knobs)
-  then begin
+  if force || Retire_queue.due q ~every:t.cleanup_freq then begin
     let min_ann = min_announced t in
-    let max = if force then max_int else Knobs.batch_cap t.knobs in
     let out = t.out.(pid) in
     (* Retire epochs are monotone within a thread's queue. *)
-    Retire_queue.pop_prefix q ~into:out ~max before min_ann;
+    Retire_queue.pop_prefix q ~into:out before min_ann;
     Orphanage.adopt t.orphans ~into:out before min_ann;
     Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.size out);
     Retire_queue.take out

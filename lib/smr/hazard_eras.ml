@@ -17,8 +17,8 @@ type announced = { eras : int array; [@rc_lint.allow "R6"] mutable n : int }
 type t = {
   max_threads : int;
   k : int;
-  knobs : Knobs.t;
-  cleanup_floor : int; (* amortization floor: 2 * announcements *)
+  epoch_freq : int;
+  cleanup_every : int; (* as HP's: cleanup_freq, floored at twice the announcements *)
   era : int Sched.Atomic.t;
   slots : int Padded.t; (* announced eras, (k+1) per thread *)
   free : Slot_pool.t array; (* per-thread free local slot indices; owner only *)
@@ -31,12 +31,12 @@ type t = {
 
 let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
   let knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name () in
-  let k = Knobs.slots_per_thread knobs in
+  let k = knobs.slots_per_thread in
   {
     max_threads;
     k;
-    knobs;
-    cleanup_floor = 2 * (k + 1) * max_threads;
+    epoch_freq = knobs.epoch_freq;
+    cleanup_every = max knobs.cleanup_freq (2 * (k + 1) * max_threads);
     era = Sched.Atomic.make 0;
     slots = Padded.create ((k + 1) * max_threads) empty_era;
     free = Array.init max_threads (fun _ -> Slot_pool.create k);
@@ -48,18 +48,12 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     orphans = Orphanage.create ();
   }
 
-(* See Hp.effective_cleanup_freq: the floor keeps scan cost amortized
-   even when the controller lowers the knob. *)
-let effective_cleanup_freq t = max (Knobs.cleanup_freq t.knobs) t.cleanup_floor
-
 let max_threads t = t.max_threads
-let knobs t = t.knobs
 let current_era t = Sched.Atomic.get t.era
 let advance_era t =
   ignore (Sched.Atomic.fetch_and_add t.era 1);
   Obs.Metrics.incr epoch_advances ~pid:0
 
-let force_advance t = advance_era t
 let slot_index t ~pid local = (pid * (t.k + 1)) + local
 let begin_critical_section _t ~pid:_ = ()
 let end_critical_section _t ~pid:_ = ()
@@ -67,7 +61,7 @@ let end_critical_section _t ~pid:_ = ()
 let alloc_hook t ~pid =
   let tally = Padded.get t.alloc_tally pid + 1 in
   Padded.set t.alloc_tally pid tally;
-  if tally mod Knobs.epoch_freq t.knobs = 0 then advance_era t;
+  if tally mod t.epoch_freq = 0 then advance_era t;
   Sched.Atomic.get t.era
 
 let try_acquire t ~pid _id =
@@ -121,10 +115,7 @@ let retire t ~pid d =
 
 let eject ?(force = false) t ~pid =
   let q = t.retired.(pid) in
-  if
-    force || Knobs.sync_scan t.knobs
-    || Retire_queue.due q ~every:(effective_cleanup_freq t)
-  then begin
+  if force || Retire_queue.due q ~every:t.cleanup_every then begin
     let a = t.snap.(pid) in
     a.n <- 0;
     let total = (t.k + 1) * t.max_threads in
@@ -135,9 +126,8 @@ let eject ?(force = false) t ~pid =
         a.n <- a.n + 1
       end
     done;
-    let max = if force then max_int else Knobs.batch_cap t.knobs in
     let out = t.out.(pid) in
-    Retire_queue.filter_pop q ~into:out ~max unprotected a;
+    Retire_queue.filter_pop q ~into:out unprotected a;
     Orphanage.adopt t.orphans ~into:out unprotected a;
     Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.size out);
     Retire_queue.take out

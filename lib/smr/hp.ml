@@ -15,8 +15,10 @@ type announced = { ids : Ident.t array; mutable n : int }
 type t = {
   max_threads : int;
   k : int; (* non-reserved slots per thread *)
-  knobs : Knobs.t;
-  cleanup_floor : int; (* amortization floor: 2 * announcements *)
+  cleanup_every : int;
+      (* retires between scans: cleanup_freq, floored at twice the
+         announcements, since a scan's cost must amortize over
+         O(total announcements) retires *)
   slots : Ident.t Padded.t; (* (k+1) * max_threads announcement slots *)
   free : Slot_pool.t array; (* per-thread free local slot indices; owner only *)
   retired : Retire_queue.t array;
@@ -30,12 +32,11 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
   | Some _ -> Obs.Scheme_metrics.on_knob_ignored om ~knob:"epoch_freq"
   | None -> ());
   let knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name () in
-  let k = Knobs.slots_per_thread knobs in
+  let k = knobs.slots_per_thread in
   {
     max_threads;
     k;
-    knobs;
-    cleanup_floor = 2 * (k + 1) * max_threads;
+    cleanup_every = max knobs.cleanup_freq (2 * (k + 1) * max_threads);
     slots = Padded.create ((k + 1) * max_threads) Ident.null;
     free = Array.init max_threads (fun _ -> Slot_pool.create k);
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
@@ -46,14 +47,7 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     orphans = Orphanage.create ();
   }
 
-(* The scan-cost amortization argument needs cleanup_freq >= O(total
-   announcements); the floor is applied at read time so the controller
-   may still lower the knob and the scheme degrades gracefully. *)
-let effective_cleanup_freq t = max (Knobs.cleanup_freq t.knobs) t.cleanup_floor
-
 let max_threads t = t.max_threads
-let knobs t = t.knobs
-let force_advance _t = ()
 let slots_per_thread t = t.k
 let slot_index t ~pid local = (pid * (t.k + 1)) + local
 let begin_critical_section _t ~pid:_ = ()
@@ -109,10 +103,7 @@ let retire t ~pid d =
 
 let eject ?(force = false) t ~pid =
   let q = t.retired.(pid) in
-  if
-    force || Knobs.sync_scan t.knobs
-    || Retire_queue.due q ~every:(effective_cleanup_freq t)
-  then begin
+  if force || Retire_queue.due q ~every:t.cleanup_every then begin
     (* Snapshot every announcement; entries are held back while their
        identity appears anywhere. *)
     let a = t.announced.(pid) in
@@ -125,9 +116,8 @@ let eject ?(force = false) t ~pid =
         a.n <- a.n + 1
       end
     done;
-    let max = if force then max_int else Knobs.batch_cap t.knobs in
     let out = t.out.(pid) in
-    Retire_queue.filter_pop q ~into:out ~max unannounced a;
+    Retire_queue.filter_pop q ~into:out unannounced a;
     Orphanage.adopt t.orphans ~into:out unannounced a;
     Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.size out);
     Retire_queue.take out

@@ -11,7 +11,6 @@ type hstate = { active : int; head : rnode }
 
 type t = {
   max_threads : int;
-  knobs : Knobs.t;
   state : hstate Sched.Atomic.t;
   snapshot : rnode Padded.t; (* head observed at each thread's enter *)
   in_cs : bool Padded.t; (* whether each thread holds an open critical section *)
@@ -22,10 +21,9 @@ type t = {
 
 let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
   (* Hyaline's batch ref-stamping has no epoch clock, no scan
-     amortization, and no announcement slots: every tuning knob except
-     [batch_cap] is meaningless here. The values are still validated
-     (a nonsense value is a bug even when unread) and the misuse is
-     counted. *)
+     amortization, and no announcement slots: every tuning knob is
+     meaningless here. The values are still validated (a nonsense
+     value is a bug even when unread) and the misuse is counted. *)
   List.iter
     (fun (knob, v) ->
       if Option.is_some v then Obs.Scheme_metrics.on_knob_ignored om ~knob)
@@ -34,9 +32,9 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
       ("cleanup_freq", cleanup_freq);
       ("slots_per_thread", slots_per_thread);
     ];
+  ignore (Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name ());
   {
     max_threads;
-    knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name ();
     state = Sched.Atomic.make { active = 0; head = Nil };
     snapshot = Padded.create max_threads Nil;
     in_cs = Padded.create max_threads false;
@@ -45,8 +43,6 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
   }
 
 let max_threads t = t.max_threads
-let knobs t = t.knobs
-let force_advance _t = ()
 let active_count t = (Sched.Atomic.get t.state).active
 
 let rec push_safe t op =
@@ -122,36 +118,12 @@ let retire t ~pid op =
   ignore (Sched.Atomic.fetch_and_add t.pending 1);
   retire t ~pid op
 
-(* Push back, one at a time, the records of the chain from [d] on. *)
-let rec push_back t d =
-  match d with
-  | Deferred.Nil -> ()
-  | Deferred.D _ ->
-      let rest = Deferred.next d in
-      push_safe t d;
-      push_back t rest
-
-(* Cut the chain after its [cap]-th record, push the rest back, and
-   return the length kept; [n] records before [d] are counted. *)
-let rec cap_chain t ~cap d n =
-  match Deferred.next d with
-  | Deferred.Nil -> n + 1
-  | rest when n + 1 = cap ->
-      Deferred.set_next d Deferred.Nil;
-      push_back t rest;
-      cap
-  | rest -> cap_chain t ~cap rest (n + 1)
-
-let eject ?(force = false) t ~pid =
+let eject ?force:_ t ~pid =
   match Sched.Atomic.get t.safe with
   | Deferred.Nil -> Deferred.Nil
   | Deferred.D _ ->
       let ops = Sched.Atomic.exchange t.safe Deferred.Nil in
-      (* Cap the batch: the excess goes back on the safe list (it is
-         already reclaimable, the controller just wants it released in
-         smaller doses). *)
-      let cap = if force then max_int else Knobs.batch_cap t.knobs in
-      let n = match ops with Deferred.Nil -> 0 | Deferred.D _ -> cap_chain t ~cap ops 0 in
+      let n = Deferred.length ops in
       ignore (Sched.Atomic.fetch_and_add t.pending (-n));
       Obs.Scheme_metrics.on_eject om ~pid n;
       ops

@@ -8,7 +8,6 @@ type guard = int
 
 type t = {
   max_threads : int;
-  knobs : Knobs.t;
   retired : Retire_queue.t array;
   orphans : Orphanage.t;
 }
@@ -25,16 +24,14 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
       ("cleanup_freq", cleanup_freq);
       ("slots_per_thread", slots_per_thread);
     ];
+  ignore (Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name ());
   {
     max_threads;
-    knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name ();
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
     orphans = Orphanage.create ();
   }
 
 let max_threads t = t.max_threads
-let knobs t = t.knobs
-let force_advance _t = ()
 let begin_critical_section _t ~pid:_ = ()
 let end_critical_section _t ~pid:_ = ()
 let alloc_hook _t ~pid:_ = 0

@@ -20,7 +20,7 @@ let adopt t ~into safe env =
   | chain ->
       let pool = Retire_queue.create () in
       ignore (Retire_queue.splice pool chain);
-      Retire_queue.filter_pop pool ~into ~max:max_int safe env;
+      Retire_queue.filter_pop pool ~into safe env;
       put t (Retire_queue.take pool)
 
 let drain_all t queues =

@@ -9,14 +9,12 @@ type guard = int
 type t = {
   max_threads : int;
   k : int;
-  knobs : Knobs.t;
-  cleanup_floor : int; (* amortization floor: 2 * announcements *)
+  cleanup_every : int; (* as HP's: cleanup_freq, floored at twice the announcements *)
   slots : Ident.t Padded.t; (* posted values, (k+1) per thread *)
   handoffs : Deferred.t Padded.t; (* one per physical slot; [Nil] when empty *)
   free : Slot_pool.t array; (* per-thread free local slot indices; owner only *)
   retired : Retire_queue.t array;
   out : Retire_queue.t array; (* each pid's eject batch, built by its scan *)
-  spill : Retire_queue.t array; (* each pid's safe entries past the batch cap *)
   orphans : Orphanage.t;
 }
 
@@ -25,27 +23,20 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
   | Some _ -> Obs.Scheme_metrics.on_knob_ignored om ~knob:"epoch_freq"
   | None -> ());
   let knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name () in
-  let k = Knobs.slots_per_thread knobs in
+  let k = knobs.slots_per_thread in
   {
     max_threads;
     k;
-    knobs;
-    cleanup_floor = 2 * (k + 1) * max_threads;
+    cleanup_every = max knobs.cleanup_freq (2 * (k + 1) * max_threads);
     slots = Padded.create ((k + 1) * max_threads) Ident.null;
     handoffs = Padded.create ((k + 1) * max_threads) Deferred.Nil;
     free = Array.init max_threads (fun _ -> Slot_pool.create k);
     retired = Array.init max_threads (fun _ -> Retire_queue.create ());
     out = Array.init max_threads (fun _ -> Retire_queue.create ());
-    spill = Array.init max_threads (fun _ -> Retire_queue.create ());
     orphans = Orphanage.create ();
   }
 
-(* See Hp.effective_cleanup_freq. *)
-let effective_cleanup_freq t = max (Knobs.cleanup_freq t.knobs) t.cleanup_floor
-
 let max_threads t = t.max_threads
-let knobs t = t.knobs
-let force_advance _t = ()
 let slot_index t ~pid local = (pid * (t.k + 1)) + local
 let begin_critical_section _t ~pid:_ = ()
 let end_critical_section _t ~pid:_ = ()
@@ -95,20 +86,13 @@ let rec posted t id i total =
   else if Ident.equal (Padded.get t.slots i) id then i
   else posted t id (i + 1) total
 
-(* An unguarded entry of [pid]'s scan: into the batch, or, past the
-   cap, set aside to go back on the queue. *)
-let release_entry t ~pid ~cap d =
-  let out = t.out.(pid) in
-  if Retire_queue.size out < cap then Retire_queue.push out d
-  else Retire_queue.push t.spill.(pid) d
-
-(* Liberate one detached entry [d]: unguarded, it is safe; guarded, it
-   is handed off to the guard that pins it (at most one buck per guard
-   — otherwise it stays queued). *)
-let liberate t ~pid ~cap ~total d =
+(* Liberate one detached entry [d]: unguarded, it is safe and joins
+   [pid]'s batch; guarded, it is handed off to the guard that pins it
+   (at most one buck per guard — otherwise it stays queued). *)
+let liberate t ~pid ~total d =
   let id = Deferred.id d in
   let i = posted t id 0 total in
-  if i < 0 then release_entry t ~pid ~cap d
+  if i < 0 then Retire_queue.push t.out.(pid) d
   else if Padded.compare_and_set t.handoffs i Deferred.Nil d then begin
     (* Hand-off succeeded; but if the guard was released in the
        meantime nobody will inherit the buck, so take it back. *)
@@ -118,7 +102,7 @@ let liberate t ~pid ~cap ~total d =
       | d' when Ident.equal (Deferred.id d') id ->
           (* Reclaimed our own hand-off: the guard is gone, the entry
              is unprotected. *)
-          release_entry t ~pid ~cap d'
+          Retire_queue.push t.out.(pid) d'
       | other ->
           (* A releaser already took ours and a different buck landed
              in the slot: adopt it. *)
@@ -126,37 +110,22 @@ let liberate t ~pid ~cap ~total d =
   end
   else Retire_queue.push t.retired.(pid) d
 
-let rec liberate_all t ~pid ~cap ~total d =
+let rec liberate_all t ~pid ~total d =
   match d with
   | Deferred.Nil -> ()
   | Deferred.D _ ->
       let rest = Deferred.next d in
       Deferred.set_next d Deferred.Nil;
-      liberate t ~pid ~cap ~total d;
-      liberate_all t ~pid ~cap ~total rest
-
-(* Queue the entries set aside past the cap behind those kept. *)
-let rec requeue q spill =
-  match Retire_queue.pop spill with
-  | Deferred.Nil -> ()
-  | d ->
-      Retire_queue.push q d;
-      requeue q spill
+      liberate t ~pid ~total d;
+      liberate_all t ~pid ~total rest
 
 let eject ?(force = false) t ~pid =
   let q = t.retired.(pid) in
-  if
-    force || Knobs.sync_scan t.knobs
-    || Retire_queue.due q ~every:(effective_cleanup_freq t)
-  then begin
+  if force || Retire_queue.due q ~every:t.cleanup_every then begin
     let total = (t.k + 1) * t.max_threads in
-    (* Cap the released batch; entries past the cap stay unprotected
-       and go back on the queue for the next scan. *)
-    let cap = if force then max_int else Knobs.batch_cap t.knobs in
     let mine = Retire_queue.take q in
-    liberate_all t ~pid ~cap ~total (Orphanage.take_all t.orphans);
-    liberate_all t ~pid ~cap ~total mine;
-    requeue q t.spill.(pid);
+    liberate_all t ~pid ~total (Orphanage.take_all t.orphans);
+    liberate_all t ~pid ~total mine;
     let out = t.out.(pid) in
     Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.size out);
     Retire_queue.take out
@@ -198,9 +167,8 @@ let abandon t ~pid =
 let reclamation_frontier _t = None
 
 let drain_all t =
-  (* Quiescent: every slot is unposted, but bucks may still sit in
-     hand-off slots from guards released... released guards clear their
-     hand-off, so only unreleased-but-quiescent slots could hold one;
-     sweep them too. *)
+  (* At quiescence no guard is held and a released guard has taken its
+     hand-off back, so sweeping every hand-off slot is defensive: it
+     finds a buck only where a guard was left unreleased. *)
   let parked = take_handoffs t in
   Deferred.concat parked (Orphanage.drain_all t.orphans t.retired)

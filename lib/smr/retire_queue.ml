@@ -83,9 +83,9 @@ let close_moved t ~into oh ot n =
 
 (* [d] onwards: [prev] is the last record moved so far (the one before
    [d]), [n] how many. Stops at the first record [safe] rejects. *)
-let rec cut_prefix t ~into ~max safe env n prev d =
+let rec cut_prefix t ~into safe env n prev d =
   match d with
-  | D r when n < max && safe env d -> cut_prefix t ~into ~max safe env (n + 1) d r.next
+  | D r when safe env d -> cut_prefix t ~into safe env (n + 1) d r.next
   | D _ | Nil ->
       if n > 0 then begin
         let first = t.head in
@@ -94,13 +94,13 @@ let rec cut_prefix t ~into ~max safe env n prev d =
         close_moved t ~into first prev n
       end
 
-let pop_prefix t ~into ~max safe env = cut_prefix t ~into ~max safe env 0 Nil t.head
+let pop_prefix t ~into safe env = cut_prefix t ~into safe env 0 Nil t.head
 
 (* [d] onwards: [kt] is the last record kept so far, [oh .. ot] the [n]
    records moved so far. A link is written only where the kept and the
    moved runs alternate: a run of consecutive records that go the same
    way keeps its links. *)
-let rec filter_from t ~into ~max safe env kt oh ot n d =
+let rec filter_from t ~into safe env kt oh ot n d =
   match d with
   | Nil ->
       if n > 0 then begin
@@ -112,18 +112,17 @@ let rec filter_from t ~into ~max safe env kt oh ot n d =
         close_moved t ~into oh ot n
       end
   | D r ->
-      if n < max && safe env d then
+      if safe env d then
         match ot with
-        | Nil -> filter_from t ~into ~max safe env kt d d 1 r.next
+        | Nil -> filter_from t ~into safe env kt d d 1 r.next
         | D o ->
             if o.next != d then o.next <- d;
-            filter_from t ~into ~max safe env kt oh d (n + 1) r.next
+            filter_from t ~into safe env kt oh d (n + 1) r.next
       else begin
         (match kt with
         | Nil -> if t.head != d then t.head <- d
         | D k -> if k.next != d then k.next <- d);
-        if n < max then filter_from t ~into ~max safe env d oh ot n r.next
-        else close_moved t ~into oh ot n
+        filter_from t ~into safe env d oh ot n r.next
       end
 
-let filter_pop t ~into ~max safe env = filter_from t ~into ~max safe env Nil Nil Nil 0 t.head
+let filter_pop t ~into safe env = filter_from t ~into safe env Nil Nil Nil 0 t.head

@@ -37,15 +37,14 @@ val take : t -> Deferred.t
 (** Remove everything and return it as a [Nil]-terminated chain,
     oldest first. *)
 
-val pop_prefix : t -> into:t -> max:int -> ('env -> Deferred.t -> bool) -> 'env -> unit
-(** [pop_prefix q ~into ~max safe env] moves the longest prefix of
-    entries (oldest first) that [safe env] accepts, at most [max] of
-    them, to the tail of [into]. For queues whose metadata is monotone
+val pop_prefix : t -> into:t -> ('env -> Deferred.t -> bool) -> 'env -> unit
+(** [pop_prefix q ~into safe env] moves the longest prefix of entries
+    (oldest first) that [safe env] accepts to the tail of [into]. For queues whose metadata is monotone
     (EBR retire epochs). [safe] should be a top-level function and
     [env] a value the scan already has, so that the scan builds no
     closure. *)
 
-val filter_pop : t -> into:t -> max:int -> ('env -> Deferred.t -> bool) -> 'env -> unit
-(** [filter_pop q ~into ~max safe env] moves up to [max] entries that
-    [safe env] accepts (oldest first) to the tail of [into], unlinking
-    them in place and preserving the order of the remainder. *)
+val filter_pop : t -> into:t -> ('env -> Deferred.t -> bool) -> 'env -> unit
+(** [filter_pop q ~into safe env] moves every entry that [safe env]
+    accepts (oldest first) to the tail of [into], unlinking them in
+    place and preserving the order of the remainder. *)

@@ -108,22 +108,7 @@ module type S = sig
         {!Knobs.default_slots_per_thread} = 8), excluding the reserved
         slot; ignored by region schemes.
 
-      The instance's knobs stay mutable after [create] — see
-      {!knobs}. *)
-
-  val knobs : t -> Knobs.t
-  (** The instance's live knob block. Scheme code re-reads knobs
-      through {!Knobs} accessors on every decision (never capturing
-      values), so {!Knobs} setters retune a running instance; the
-      {!Knobs.slots_per_thread} value is structural and fixed at
-      [create]. *)
-
-  val force_advance : t -> unit
-  (** Advance the scheme's global epoch/era clock immediately (EBR,
-      IBR, HE); a no-op for schemes without a clock. The controller's
-      memory-pressure lever: advancing the clock lets entries retired
-      under old epochs become ejectable without waiting out
-      [epoch_freq] allocations. Safe from any thread. *)
+      The knobs are fixed for the instance's lifetime. *)
 
   val max_threads : t -> int
 

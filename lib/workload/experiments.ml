@@ -1,8 +1,7 @@
-(** The fault rows of the experiment table ({!Table}) — robustness and
-    controller adaptivity; chaos campaigns are {!Chaos_runner}'s — the
-    controller's reaction probe, and [stats], which runs a row with
-    telemetry on. DESIGN.md §4 carries the full index; EXPERIMENTS.md
-    records paper-vs-measured outcomes. *)
+(** The robustness fault row of the experiment table ({!Table}), and
+    [stats], which runs a row with telemetry on. DESIGN.md §4 carries
+    the full index; EXPERIMENTS.md records paper-vs-measured
+    outcomes. *)
 
 (* ---------------- robustness (fault injection) ---------------- *)
 
@@ -96,266 +95,6 @@ let run_robustness ?(duration = 1.0) ?(schemes = []) () =
     2
   end
 
-(* ---------------- adaptivity (controller vs fixed knobs) ---------------- *)
-
-(* The adaptive controller's claim, machine-checked on two targets. A
-   fault plan stalls a victim inside a critical section forever,
-   pinning EBR's epoch frontier. With fixed knobs the healthy worker's
-   garbage grows without bound: every scan is futile and nobody calls
-   [abandon]. With the controller on, the watchdog's Stuck verdicts
-   feed the stall-response policy, which backs off the futile scans
-   and, after the grace period, escalates to the kernel's recovery
-   (abandon and orphanage adoption); the backlog then drains.
-
-   - [adaptivity]: an acquire–retire instance; the victim (pid 0)
-     stalls at its first section entry and pid 1 churns
-     alloc/retire/eject.
-   - [adaptivity-kv]: shard 0 of a 2-shard KV service; the victim (pid
-     1) puts until its 8th shard-0 section entry stalls it, while pid 2
-     overwrites 8 hot shard-0 keys, retiring a box into the pinned
-     runtime on every put. Recovery is {!Kv_intf.S.abandon_shard}.
-
-   Each row is stepped, one churn iteration a step and a controller
-   tick every 32, so its decision log replays bit-identically
-   (test/test_adapt.ml pins it). A controller-on cell passes iff its
-   peak backlog stays within the bound, a fixed-knob cell iff its end
-   backlog exceeds it; the fixed-knob cell reaps the victim before
-   teardown, and neither may leak. *)
-
-(* A target's probe: a stepped worker running [churn], the recovery
-   [abandon] and the checks; [fired]: did the plan stall the victim
-   ([None]: at setup). epoch_freq/cleanup_freq 1 make the scheme
-   maximally eager, so any unbounded growth is the stall's fault. *)
-let stalled_victim ~bound (s : Table.setup) ~churn ~abandon ?fired ~control ~stalled ~live
-    ~backlog ~teardown () =
-  let step = ref 0 and peak = ref 0 and end_backlog = ref 0 and escalated = ref None in
-  let check () =
-    end_backlog := backlog ();
-    Table.violations
-      [
-        ( (not s.adapt) || !peak <= bound,
-          Printf.sprintf "controller-on peak backlog %d > %d" !peak bound );
-        ( s.adapt || !end_backlog > bound,
-          Printf.sprintf "fixed-knob end backlog %d <= %d" !end_backlog bound );
-        (Option.fold ~none:true ~some:(fun f -> f ()) fired, "the fault never fired");
-      ]
-  in
-  let column name = Option.map (fun v -> (name, v)) in
-  Table.probe ~control ~stalled ~live ~backlog ~check
-    ~recover:(fun () ->
-      escalated := Some !step;
-      abandon ())
-    ~columns:(fun () ->
-      [ ("peak_backlog", !peak); ("end_backlog", !end_backlog) ]
-      @ Option.to_list (column "escalated" !escalated)
-      @ Option.to_list (column "fired" (Option.map (fun f -> Bool.to_int (f ())) fired)))
-    ~teardown:(fun () ->
-      if !escalated = None then abandon ();
-      teardown ())
-    (fun _ ->
-      Table.each_step (fun i ->
-          step := i;
-          churn i;
-          peak := max !peak (backlog ())))
-
-let ebr_target ~bound : Table.instance =
-  ( Smr.Ebr.name,
-    fun s ->
-      let module FS = (val Table.faulty (module Smr.Ebr) s.plan) in
-      let module Ar = Acquire_retire.Make (FS) in
-      let ar = Ar.create ~epoch_freq:1 ~cleanup_freq:1 ~max_threads:2 () in
-      (* The victim enters and never leaves. *)
-      Ar.begin_critical_section ar ~pid:0;
-      (* A tighter slack than the instance's own watchdog: this backlog
-         grows by one entry per step. *)
-      let wd = Obs.Watchdog.create ~slack:64 ~scheme:FS.name () in
-      let backlog () = Ar.total_pending ar in
-      let cell = Sched.Atomic.make None in
-      stalled_victim ~bound s
-        ~churn:(fun i ->
-          (* One node per step: published in a private cell, unlinked
-             and retired, in one section. *)
-          Ar.scope ar ~pid:1
-            {
-              f =
-                (fun sc ->
-                  let m = Ar.alloc ar ~pid:1 i in
-                  let seen = Some m in
-                  Sched.Atomic.set cell seen;
-                  Option.iter
-                    (fun w -> Ar.retire_free sc w Ar.unguarded)
-                    (Ar.unlink sc cell ~seen ~desired:None m));
-            };
-          Ar.eject ar ~pid:1)
-        ~abandon:(fun () -> Ar.abandon ar ~pid:0)
-        ~backlog ~control:[ Ar.handle ar ]
-        ~stalled:(fun () ->
-          match FS.reclamation_frontier ar.Ar.smr with
-          | None -> false
-          | Some frontier ->
-              Obs.Watchdog.check wd ~pid:0 ~frontier ~pending:(backlog ())
-              <> Obs.Watchdog.Progressing)
-        ~live:(fun () -> Simheap.live (Ar.heap ar))
-        ~teardown:(fun () ->
-          Ar.flush ar ~pid:1;
-          Ar.quiesce ar)
-        () )
-
-let kv_target ~bound : Table.instance =
-  ( Smr.Ebr.name,
-    fun s ->
-      let module K = Kv_service.Make (Cdrc.Make ((val Table.faulty (module Smr.Ebr) s.plan))) in
-      let t = K.create ~shards:2 ~buckets:32 ~epoch_freq:1 ~max_threads:3 () in
-      let victim = K.ctx t 1 and healthy = K.ctx t 2 in
-      let shard0 =
-        Array.of_list (List.filter (fun k -> K.shard_of_key t k = 0) (List.init 4096 Fun.id))
-      in
-      let key i = shard0.(i mod Array.length shard0) in
-      let fired () = Fault.Fault_plan.stalled s.plan ~pid:1 in
-      stalled_victim ~bound s ~fired
-        ~churn:(fun i ->
-          (* A stalled victim is parked: the wrapper froze its
-             protection mid-operation. *)
-          if not (fired ()) then ignore (K.put victim ~now:i (key i) i);
-          ignore (K.put healthy ~now:i (key (i mod 8)) i))
-        ~abandon:(fun () -> K.abandon_shard t ~shard:0 ~pid:1)
-        ~control:(K.shard_control t ~shard:0)
-        ~stalled:(fun () -> K.stalled t)
-        ~live:(fun () -> K.live_objects t)
-        ~backlog:(fun () -> K.shard_backlog t ~shard:0)
-        ~teardown:(fun () ->
-          K.flush healthy;
-          K.teardown t)
-        () )
-
-(* Each target with the controller off, then on. *)
-let adaptivity_rows ?(iters = 2000) ?(bound = 512) () =
-  let row ~id ~title ~expected ~victim ~at structure target =
-    Table.row ~id ~title ~expected:(Printf.sprintf "%s %d" expected bound)
-      ~axis:Adapt
-      ~faults:[ { site = On_begin_cs; pid = Some victim; at; action = Stall 0 } ]
-      ~length:(Steps { steps = iters; every = 32 })
-      structure [ target ~bound ]
-  in
-  [
-    row ~id:"adaptivity" ~victim:0 ~at:1 "ar" ebr_target
-      ~title:"Adaptivity: stalled domain, fixed knobs vs controller (EBR)"
-      ~expected:
-        "fixed-knob EBR backlog grows without bound behind the pinned frontier; the \
-         controller backs off scans, escalates to abandon after the grace period, and keeps \
-         the backlog under";
-    row ~id:"adaptivity-kv" ~victim:1 ~at:8 "kv" kv_target
-      ~title:"KV stalled shard: victim pinned in a shard-0 critical section (EBR)"
-      ~expected:
-        "fixed-knob backlog grows behind the pinned frontier; the controller escalates to \
-         abandon_shard and keeps the peak under";
-  ]
-
-(* Exit 1 unless every cell of both rows passes: the CI smoke's
-   assertion. *)
-let run_adaptivity ?iters ?bound () =
-  List.fold_left (fun status r -> max status (Table.run r)) 0 (adaptivity_rows ?iters ?bound ())
-
-(* Controller reaction latency to a workload phase shift: how fast
-   adaptation reacts, not just whether it eventually bounds the
-   backlog. Deterministic single thread, logical time.
-
-   The probe couples the hotspot keygen's migrations to a retirement
-   signal the controller can see: every tick refreshes the hot set
-   with TTL'd puts, so while a phase is stable the entries are
-   perpetually renewed and the backlog stays calm; the moment the hot
-   set migrates, the abandoned phase stops being refreshed, expires
-   [ttl] ticks later, and the next background sweep claims the whole
-   old hot set at once — a retirement burst that drives the shard
-   backlog past [backlog_high]. Reaction latency is the tick gap from
-   the migration to the controller's first [Force_advance], so it
-   bounds the end-to-end detection pipeline: expiry + sweep cadence +
-   controller tick. *)
-
-type reaction_result = {
-  a_shifts : int; (* hot-set migrations that occurred *)
-  a_reactions : int list; (* shift → first Force_advance, ticks, per shift *)
-  a_worst : int; (* max reaction; -1 when nothing was measured *)
-  a_peak_backlog : int; (* anywhere, including post-shift bursts *)
-  a_steady_peak : int; (* outside the post-shift burst windows *)
-  a_decisions : string list;
-}
-
-let reaction_g = Obs.Metrics.gauge "adapt.reaction_ticks"
-
-let measure_adapt_reaction ?(ticks = 2400) ?(hot_keys = 256) ?(shift_ticks = 800)
-    ?(ttl = 32) ?(sweep_every = 8) ?(per_tick = 8) ?(seed = 42) () =
-  let module K = Instances.Kv_ebr in
-  let metrics_were = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled true;
-  let t = K.create ~shards:1 ~buckets:64 ~epoch_freq:1 ~max_threads:2 () in
-  let c = K.ctx t 1 in
-  let kg =
-    Keygen.create ~seed ~range:16_384
-      (Keygen.Hotspot
-         { hot_keys; hot_pct = 100; shift_every = shift_ticks * per_tick })
-  in
-  (* Thresholds sized so a steady phase never fires the pressure
-     policy but one expired hot set always does. The sweep that claims
-     an expired hot set drains most of its own burst as it goes (the
-     retire path ejects every cleanup batch), so the observable spike
-     tops out well under [hot_keys]; 3/8 of the hot set sits between
-     the steady-churn plateau and that post-sweep residue. *)
-  let config =
-    {
-      Adapt.Controller.default_config with
-      Adapt.Controller.backlog_high = 3 * hot_keys / 8;
-      backlog_low = hot_keys / 16;
-    }
-  in
-  let ctl = Adapt.Controller.create ~config (K.shard_control t ~shard:0) in
-  let seen_shifts = ref 0 in
-  let pending_shift = ref None in
-  let last_shift = ref min_int in
-  let reactions = ref [] in
-  let peak = ref 0 in
-  let steady_peak = ref 0 in
-  for tick = 1 to ticks do
-    let now = K.tick t in
-    for _ = 1 to per_tick do
-      ignore (K.put c ~now ~ttl (Keygen.next kg) tick)
-    done;
-    if Keygen.shifts kg > !seen_shifts then begin
-      seen_shifts := Keygen.shifts kg;
-      (* A shift during an unfinished measurement restarts the clock:
-         the controller has yet to react to any phase change. *)
-      pending_shift := Some tick;
-      last_shift := tick
-    end;
-    if tick mod sweep_every = 0 then ignore (K.expire_sweep c ~now);
-    let backlog = K.shard_backlog t ~shard:0 in
-    peak := max !peak backlog;
-    if tick - !last_shift > 2 * (ttl + sweep_every) then
-      steady_peak := max !steady_peak backlog;
-    let actions =
-      Adapt.Controller.observe ctl
-        { Adapt.Controller.backlog; p99 = None; stalled = false }
-    in
-    match !pending_shift with
-    | Some t0 when List.mem Adapt.Controller.Force_advance actions ->
-        let dt = tick - t0 in
-        reactions := dt :: !reactions;
-        Obs.Metrics.set_gauge reaction_g dt;
-        pending_shift := None
-    | _ -> ()
-  done;
-  K.flush c;
-  K.teardown t;
-  Obs.Metrics.set_enabled metrics_were;
-  {
-    a_shifts = !seen_shifts;
-    a_reactions = !reactions;
-    a_worst = List.fold_left max (-1) !reactions;
-    a_peak_backlog = !peak;
-    a_steady_peak = !steady_peak;
-    a_decisions = Adapt.Controller.decisions ctl;
-  }
-
 (* ---------------- telemetry (`stats`) ---------------- *)
 
 let ensure_results_dir () =
@@ -448,18 +187,12 @@ let instrumented ~json ~check exp needs run =
 
 (** Run one row with telemetry enabled, export the event trace to
     [results/trace-<exp>.jsonl], and report the metric registry. The
-    experiments are the figure rows, robustness, and one mixed chaos
-    campaign with the breaker on and a deliberately tight deadline,
-    which makes the retry/shed paths fire so its requirements are
-    discriminating. The adaptivity rows are not: telemetry feeds their
-    controller a latency signal, so it would measure another
-    controller. Returns a process exit code: 0 on success, 1 if a cell
-    failed or [--check] did, 2 for an unknown experiment id or
-    scheme. *)
+    experiments are the figure rows and robustness. Returns a process
+    exit code: 0 on success, 1 if a cell failed or [--check] did, 2 for
+    an unknown experiment id or scheme. *)
 let run_stats ?(threads = [ 2 ]) ?(duration = 0.3) ?(schemes = []) ?(scale = 1)
     ?(json = false) ?(check = false) exp =
-  let chaos = Chaos_runner.row { Chaos_runner.default_spec with ch_deadline = 12 } in
-  let rows = Table.figures @ [ robustness_row (); Result.get_ok chaos ] in
+  let rows = Table.figures @ [ robustness_row () ] in
   match List.find_opt (fun (r : Table.row) -> r.id = exp) rows with
   | None ->
       Format.eprintf "stats: unknown experiment %S (expected one of: %s)@." exp

@@ -31,7 +31,7 @@ let manual_schemes : (module Smr.Smr_intf.S) list =
   ]
 
 (* The six manual schemes and the leak-everything baseline, by name, in
-   the order the robustness and chaos experiments report them. *)
+   the order the robustness experiment reports them. *)
 let named_schemes : (string * (module Smr.Smr_intf.S)) list =
   [
     ("EBR", (module Smr.Ebr : Smr.Smr_intf.S));

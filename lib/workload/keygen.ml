@@ -22,8 +22,8 @@
       neighbouring hash-table buckets.
     + {b Hotspot}: a contiguous hot set of [hot_keys] keys receives
       [hot_pct]% of draws; every [shift_every] draws the hot set
-      {e migrates} to a new deterministic position — the phase change
-      the adaptive controller is supposed to notice (ROADMAP item 5). *)
+      {e migrates} to a new deterministic position: a workload phase
+      change. *)
 
 type spec =
   | Uniform

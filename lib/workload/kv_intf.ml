@@ -98,11 +98,6 @@ module type S = sig
 
   val flush : ctx -> unit
 
-  val drain_shard : ctx -> shard:int -> unit
-  (** Eagerly eject one shard's runtime from the caller's handle until
-      its backlog stops shrinking — the recovery-drill drain after an
-      {!abandon_shard}. *)
-
   (** {1 Accounting and observability} *)
 
   val size : t -> now:int -> int
@@ -113,20 +108,7 @@ module type S = sig
   val retired_backlog : t -> int
   (** Deferred decrements/disposals parked across all shards. *)
 
-  val shard_backlog : t -> shard:int -> int
-  val stalled : t -> bool
-  (** Whether some shard's reclamation watchdog reports a stall. *)
-
-  val control : t -> Smr.Knobs.handle list
-  val shard_control : t -> shard:int -> Smr.Knobs.handle list
   val counters : t -> counters
-
-  (** {1 Recovery} *)
-
-  val abandon_shard : t -> shard:int -> pid:int -> unit
-  (** Recovery: abandon [pid]'s resources on one shard's runtime
-      (close its critical section, adopt its parked retirements).
-      Call only after the pid has truly stopped touching the shard. *)
 
   val teardown : t -> unit
   (** Clear every bucket and quiesce every shard; afterwards

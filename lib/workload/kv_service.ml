@@ -196,8 +196,8 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
 
   (* ------------------------------------------------------------------ *)
   (* Core operations. Each runs under [R.critically] on the target
-     shard's thread handle only — shard isolation is what makes the
-     stalled-shard fault scenario local. *)
+     shard's thread handle only, so a thread stalled in one shard pins
+     only that shard's runtime. *)
 
   let locate c key =
     let s = shard_of_key c.t key in
@@ -444,20 +444,6 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
 
   let flush c = Array.iter R.flush c.ths
 
-  (* Recovery drill helper: eagerly eject one shard's runtime from the
-     caller's handle until its backlog stops shrinking — after an
-     [abandon_shard] this adopts and drains the dead pid's parked
-     retirements. Multiple passes because each eject can unlock the
-     next (deferred decrements cascade through the RC graph). *)
-  let drain_shard c ~shard =
-    let backlog () = R.retired_backlog c.t.shards.(shard).rt in
-    let rec go prev =
-      R.flush c.ths.(shard);
-      let b = backlog () in
-      if b > 0 && b < prev then go b
-    in
-    go max_int
-
   (* ------------------------------------------------------------------ *)
   (* Accounting and observability *)
 
@@ -479,17 +465,9 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
   let live_objects t = Simheap.live t.heap
   let peak_objects t = Simheap.peak t.heap
   let reset_peak t = Simheap.reset_peak t.heap
-  let shard_backlog t ~shard = R.retired_backlog t.shards.(shard).rt
 
   let retired_backlog t =
     Array.fold_left (fun acc sh -> acc + R.retired_backlog sh.rt) 0 t.shards
-
-  let stalled t = Array.exists (fun sh -> R.stalled sh.rt) t.shards
-
-  let shard_control t ~shard = R.control t.shards.(shard).rt
-
-  let control t =
-    Array.to_list t.shards |> List.concat_map (fun sh -> R.control sh.rt)
 
   let counters t =
     let sum arr = Padded.fold ( + ) 0 arr in
@@ -502,11 +480,6 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
       gets_hit = sum t.c_gets_hit;
       gets_miss = sum t.c_gets_miss;
     }
-
-  (* ------------------------------------------------------------------ *)
-  (* Recovery *)
-
-  let abandon_shard t ~shard ~pid = R.abandon t.shards.(shard).rt ~pid
 
   let teardown t =
     Array.iter

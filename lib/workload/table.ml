@@ -10,9 +10,8 @@
     (instance × thread count × knob value) into an {!outcome}: an
     {!Obs.Perf.cell} plus the columns the tables print. Figure tables
     ({!run}), the [perf] matrix ({!Perf_runner}), [stats <EXP>], the
-    bench suite, [cdrc-bench kv] ({!kv_row}) and the fault rows
-    (robustness, adaptivity, chaos) are selections and renderings of
-    these rows. A cell fails when a worker dies, its kernel's check
+    bench suite, [cdrc-bench kv] ({!kv_row}) and the robustness fault
+    row are selections and renderings of these rows. A cell fails when a worker dies, its kernel's check
     reports a violation, or its teardown leaves more blocks live than
     the kernel allows. EXPERIMENTS.md records paper-vs-measured
     outcomes. *)
@@ -31,28 +30,24 @@ type probe = {
   uaf : unit -> int;
   snapshots : unit -> (int * int) option; (* RC (fast, slow) snapshot paths *)
   stalled : unit -> bool; (* the reclamation watchdog's verdict *)
-  control : Smr.Knobs.handle list;
   check : unit -> string list; (* violations, once the workers have stopped *)
-  recover : unit -> unit; (* reap the fault's victim: the controller's escalation *)
+  recover : unit -> unit; (* reap the fault's victim *)
   columns : unit -> (string * int) list; (* named results, read after [check] *)
-  allowance : unit -> int; (* blocks [teardown] may leave live: a crash allowance *)
   teardown : unit -> unit;
 }
 
 let probe ?(peak = fun () -> None) ?(uaf = fun () -> 0) ?(snapshots = fun () -> None)
-    ?(stalled = fun () -> false) ?(control = []) ?(check = fun () -> []) ?(recover = ignore)
-    ?(columns = fun () -> []) ?(allowance = fun () -> 0) ~live ~backlog ~teardown worker =
-  { worker; live; backlog; peak; uaf; snapshots; stalled; control; check; recover; columns;
-    allowance; teardown }
+    ?(stalled = fun () -> false) ?(check = fun () -> []) ?(recover = ignore)
+    ?(columns = fun () -> []) ~live ~backlog ~teardown worker =
+  { worker; live; backlog; peak; uaf; snapshots; stalled; check; recover; columns; teardown }
 
 (* One cell's inputs: its thread count, the row's knob value when the
-   row sweeps one, whether the adaptive controller runs, [keys], the
-   size every kernel derives its own from (a key range, or twice a
-   prefill), and a fresh plan of the row's faults. *)
+   row sweeps one, [keys], the size every kernel derives its own from
+   (a key range, or twice a prefill), and a fresh plan of the row's
+   faults. *)
 type setup = {
   threads : int;
   knob : (string * int) option;
-  adapt : bool;
   keys : int;
   plan : Fault.Fault_plan.t;
 }
@@ -64,7 +59,6 @@ type axis =
   | Workers of int  (** one cell at this many workers, whatever the thread counts *)
   | Knob of string * int list  (** thread count × knob value, read by the kernel *)
   | Telemetry  (** thread count × telemetry off, then on *)
-  | Adapt  (** thread count × adaptive controller off, then on *)
 
 type requirement = Key of string | Prefix of string
 
@@ -161,7 +155,6 @@ let set_kernel ?buckets ?(init = fun k -> k / 2) ?(base = 42) m (module D : Ds.S
         ~uaf:(fun () -> D.uaf_events d)
         ~snapshots:(fun () -> D.snapshot_stats d)
         ~stalled:(fun () -> D.stalled d)
-        ~control:(D.control d)
         ~live:(fun () -> D.live_objects d)
         ~backlog:(fun () -> D.retired_backlog d)
         ~teardown:(fun () -> D.teardown d)
@@ -265,7 +258,7 @@ let kv_kernel ~read_pct ((name, (module K : Kv_intf.S)) : string * (module Kv_in
       let c0 = K.ctx t 0 in
       kv_prefill (module K) c0 ~keys:s.keys;
       let check () = kv_accounting (module K) t c0 ~slack:0 in
-      probe ~control:(K.control t) ~check
+      probe ~check
         ~live:(fun () ->
           ignore (K.tick t);
           K.live_objects t)
@@ -470,7 +463,6 @@ type outcome = {
   failed : int; (* other worker deaths: harness or structure bugs *)
   snap_slow : float option; (* RC only: slow-path snapshot share *)
   watchdog : string list; (* Stuck verdicts raised during the cell *)
-  adapt : string list; (* the adaptive controller's decision log *)
   columns : (string * int) list; (* the kernel's named results *)
   faults : Fault.Fault_plan.event list; (* what the cell's plan fired, in order *)
   errors : Harness.errors; (* deaths, plus Leak (blocks) and Invalid (check violations) *)
@@ -511,17 +503,9 @@ let run_cell ~duration ~suffix ~telemetry row (s : setup) ((name, make) : instan
     peak_backlog := max !peak_backlog backlog;
     (live, backlog)
   in
-  (* The adaptive controller rides the sampler, fed the backlog,
-     latency-p99 and watchdog signals; its escalation is the kernel's
-     recovery, a no-op for healthy benchmark workers. *)
-  let ctl =
-    if s.adapt then
-      Some (Adapt.Controller.create ~on_escalate:p.recover p.control)
-    else None
-  in
-  (* Without a controller, a timed fault row recovers at half the run. *)
+  (* A timed fault row recovers at half the run. *)
   let recover_at =
-    ref (if row.faults <> [] && row.length = Timed && ctl = None then duration /. 2. else infinity)
+    ref (if row.faults <> [] && row.length = Timed then duration /. 2. else infinity)
   in
   let last = ref (0., 0) in
   let sample ~elapsed ~ops =
@@ -530,7 +514,8 @@ let run_cell ~duration ~suffix ~telemetry row (s : setup) ((name, make) : instan
     (* A perf row's sampler only tracks the peaks: its cells measure
        the structure, not the sampler. *)
     let series = (not row.telemetry) && Obs.Metrics.enabled () in
-    let stalled = (series || ctl <> None || row.faults <> []) && p.stalled () in
+    (* Sampling the watchdog records its Stuck verdicts. *)
+    if series || row.faults <> [] then ignore (p.stalled ());
     if series then begin
       let t0, ops0 = !last in
       let dt = elapsed -. t0 in
@@ -542,18 +527,6 @@ let run_cell ~duration ~suffix ~telemetry row (s : setup) ((name, make) : instan
       let t_ms = int_of_float (elapsed *. 1000.) in
       Obs.Trace.emit ~pid:0 (Obs.Trace.Sample { t_ms; ops_per_s = rate; live; backlog })
     end;
-    Option.iter
-      (fun c ->
-        ignore
-          (Adapt.Controller.observe c
-             {
-               Adapt.Controller.backlog;
-               (* [None] while telemetry is off: "SLO met". *)
-               p99 =
-                 Obs.Histo.percentile_of_counts (Obs.Histo.merged_suffix ".reclaim_latency") 99.0;
-               stalled;
-             }))
-      ctl;
     if elapsed >= !recover_at then begin
       recover_at := infinity;
       p.recover ()
@@ -578,7 +551,6 @@ let run_cell ~duration ~suffix ~telemetry row (s : setup) ((name, make) : instan
   let columns = p.columns () in
   p.teardown ();
   let leaked = p.live () in
-  let allowance = p.allowance () in
   List.iter (fun v -> Format.eprintf "[%s] %s@." key v) violations;
   let reclaim = quantiles ".reclaim_latency" in
   let eject = quantiles ".eject.batch_size" in
@@ -612,13 +584,12 @@ let run_cell ~duration ~suffix ~telemetry row (s : setup) ((name, make) : instan
     failed = Harness.total h.errors - safety;
     snap_slow;
     watchdog = Obs.Verdicts.drain ();
-    adapt = (match ctl with None -> [] | Some c -> Adapt.Controller.decisions c);
     columns;
     faults = Fault.Fault_plan.trace s.plan;
     errors =
       List.sort compare
         (h.errors
-        @ (if leaked > allowance then [ ("Leak", leaked) ] else [])
+        @ (if leaked > 0 then [ ("Leak", leaked) ] else [])
         @ if violations = [] then [] else [ ("Invalid", List.length violations) ]);
   }
 
@@ -630,20 +601,16 @@ let select row schemes =
    thread counts (one worker for a stepped row), then the axis's
    values. [keys] overrides [row.keys / scale]. [on_cell] sees each
    outcome as it completes. *)
-let sweep ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(scale = 1) ?keys ?(adapt = false)
-    ?(repeats = 1) ?(on_cell = ignore) row instances =
+let sweep ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(scale = 1) ?keys ?(repeats = 1)
+    ?(on_cell = ignore) row instances =
   let keys = Option.value keys ~default:(row.keys / scale) in
   let own = if row.telemetry then Some true else None in
-  (* (key suffix, knob, telemetry, controller) of each cell at one
-     thread count *)
+  (* (key suffix, knob, telemetry) of each cell at one thread count *)
   let variants =
     match row.axis with
-    | Threads | Workers _ -> [ ("", None, own, adapt) ]
-    | Knob (n, vs) ->
-        List.map (fun v -> (Printf.sprintf " %s=%d" n v, Some (n, v), own, adapt)) vs
-    | Telemetry ->
-        [ (" telemetry off", None, Some false, adapt); (" telemetry on", None, Some true, adapt) ]
-    | Adapt -> [ (" adapt=0", None, own, false); (" adapt=1", None, own, true) ]
+    | Threads | Workers _ -> [ ("", None, own) ]
+    | Knob (n, vs) -> List.map (fun v -> (Printf.sprintf " %s=%d" n v, Some (n, v), own)) vs
+    | Telemetry -> [ (" telemetry off", None, Some false); (" telemetry on", None, Some true) ]
   in
   let threads =
     match (row.length, row.axis) with Steps _, _ -> [ 1 ] | _, Workers n -> [ n ] | _ -> threads
@@ -653,11 +620,11 @@ let sweep ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(scale = 1) ?keys ?(adapt 
       List.concat_map
         (fun threads ->
           List.concat_map
-            (fun (suffix, knob, telemetry, adapt) ->
+            (fun (suffix, knob, telemetry) ->
               List.map
                 (fun inst ->
                   let plan = Fault.Fault_plan.create row.faults in
-                  let s = { threads; knob; adapt; keys; plan } in
+                  let s = { threads; knob; keys; plan } in
                   let o = run_cell ~duration ~suffix ~telemetry row s inst in
                   on_cell o;
                   o)
@@ -675,16 +642,13 @@ let pp_outcome ~stepped ppf o =
   if stepped then Format.fprintf ppf "%-26s steps=%-8d" o.key c.c_ops
   else Format.fprintf ppf "%-26s %8.3f Mops/s  ops=%-10d" o.key c.c_mops c.c_ops;
   Format.fprintf ppf " live(avg)=%-9.0f peak=%-9d" o.live_avg o.peak;
-  let leak = Harness.count o.errors "Leak" > 0 in
-  flag leak "  LEAK=%d" c.c_leaked;
-  flag ((not leak) && c.c_leaked > 0) "  leaked=%d (allowed)" c.c_leaked;
+  flag (c.c_leaked > 0) "  LEAK=%d" c.c_leaked;
   flag (o.uaf > 0) "  UAF=%d" o.uaf;
   flag (o.failed > 0) "  FAILED-WORKERS=%d" o.failed;
   (match o.snap_slow with
   | Some s when s > 0.0005 -> Format.fprintf ppf "  slow-snap=%.1f%%" (100. *. s)
   | _ -> ());
   flag (o.watchdog <> []) "  WATCHDOG=%d" (List.length o.watchdog);
-  flag (o.adapt <> []) "  ADAPT=%d" (List.length o.adapt);
   List.iter (fun (k, v) -> Format.fprintf ppf "  %s=%d" k v) o.columns
 
 (* Median throughput per cell key over a row's repeats. *)
@@ -703,7 +667,7 @@ let print_medians repeats outcomes =
     between thread counts — and return the command's exit status: 2
     when a [--schemes] name is unknown (nothing runs), 1 when a cell
     failed (each named on stderr by {!Harness.status}), else 0. *)
-let run ?threads ?duration ?(schemes = []) ?scale ?adapt ?repeats row =
+let run ?threads ?duration ?(schemes = []) ?scale ?repeats row =
   match select row schemes with
   | Error e ->
       Format.eprintf "%s: %s@." row.id e;
@@ -715,12 +679,11 @@ let run ?threads ?duration ?(schemes = []) ?scale ?adapt ?repeats row =
         if !last_p <> 0 && o.cell.c_threads <> !last_p then Format.printf "@.";
         last_p := o.cell.c_threads;
         Format.printf "%a@." (pp_outcome ~stepped:(row.length <> Timed)) o;
-        List.iter (fun e -> Format.printf "    [fault] %a@." Fault.Fault_plan.pp_event e) o.faults;
-        List.iter (fun d -> Format.printf "    [adapt] %s@." d) o.adapt
+        List.iter (fun e -> Format.printf "    [fault] %a@." Fault.Fault_plan.pp_event e) o.faults
       in
       let repeats = Option.value repeats ~default:row.repeats in
       let outcomes =
-        sweep ?threads ?duration ?scale ?adapt ~repeats ~on_cell row instances
+        sweep ?threads ?duration ?scale ~repeats ~on_cell row instances
       in
       Format.printf "@.";
       if repeats > 1 then print_medians repeats outcomes;

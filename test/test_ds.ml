@@ -490,35 +490,6 @@ let retention_tests =
         (module Ms_q (RC_ptb));
       ]
 
-(* The runtime's knob surface is one handle: the weak queue's three
-   deferred kinds share one acquire–retire instance, so turning on
-   [sync_scan] through it makes every retire scan, and under RCHP the
-   queue stays at its steady size without a flush. The one entry left
-   parked after a pair is the old head's decrement, retired while the
-   dequeue's own snapshot still guarded it; the next retire ejects it.
-   Without [sync_scan] the same loop retains thousands of nodes. *)
-let control_one_handle () =
-  let module Q = Q_rc_hp in
-  let q = Q.create ~max_threads:1 () in
-  let c = Q.ctx q 0 in
-  match RC_hp.control q.Q.rt with
-  | [ h ] ->
-      Alcotest.(check string) "handle names the runtime" "RCHP" h.Smr.Knobs.h_scheme;
-      Smr.Knobs.set_sync_scan h.Smr.Knobs.h_knobs true;
-      for i = 1 to 64 do
-        Q.enqueue c i
-      done;
-      for i = 1 to 2_000 do
-        Q.enqueue c (64 + i);
-        ignore (Q.dequeue c);
-        let b = Q.retired_backlog q and live = Q.live_objects q in
-        if b > 1 || live > 67 then
-          Alcotest.failf "backlog %d, %d blocks live after %d pairs with sync_scan on" b live i
-      done;
-      Q.teardown q;
-      Alcotest.(check int) "leak free" 0 (Q.live_objects q)
-  | hs -> Alcotest.failf "expected one knob handle, got %d" (List.length hs)
-
 (* Two removals racing on the sibling leaves of one parent, under the
    DFS explorer. The cleanup's yield points let both flag their edge
    before either excises; the winner must then retire only its own
@@ -606,7 +577,6 @@ let () =
       ("queue original", Tests_q_manual.tests);
       ("queue locked", Tests_q_locked.tests);
       ("queue retention", retention_tests);
-      ("queue control", [ Alcotest.test_case "one knob handle" `Quick control_one_handle ]);
       ( "tree manual explore",
         [
           Alcotest.test_case "delete || delete on sibling leaves (EBR)" `Quick

@@ -249,9 +249,6 @@ let test_trace_lines_parse () =
       ( Sample { t_ms = 5; ops_per_s = -1; live = 0; backlog = max_int },
         "sample",
         [ ("t_ms", Int 5); ("ops_per_s", Int (-1)); ("live", Int 0); ("backlog", Int max_int) ] );
-      ( Breaker { shard = 2; state = "open"; cause = odd },
-        "breaker",
-        [ ("shard", Int 2); ("state", String "open"); ("cause", String odd) ] );
     ]
   in
   Obs.Report.reset_all ();

@@ -59,15 +59,15 @@ let prop_null_laws =
 
 (* ------------------- Retire_queue vs list model ------------------- *)
 
-type rq_op = Push of int | PopPrefix of int * int | FilterPop of int * int | Drain
+type rq_op = Push of int | PopPrefix of int | FilterPop of int | Drain
 
 let rq_op_gen =
   Q.Gen.(
     oneof
       [
         map (fun k -> Push k) (int_range 0 100);
-        map2 (fun k m -> PopPrefix (k, m)) (int_range 0 100) (int_range 1 8);
-        map2 (fun k m -> FilterPop (k, m)) (int_range 0 100) (int_range 1 8);
+        map (fun k -> PopPrefix k) (int_range 0 100);
+        map (fun k -> FilterPop k) (int_range 0 100);
         return Drain;
       ])
 
@@ -83,21 +83,12 @@ let rec metas d =
 
 let below threshold d = Smr.Deferred.meta d < threshold
 
-(* The model's [take_while]/[partition] capped at [max] entries moved. *)
-let rec model_prefix ~max t = function
-  | m :: rest when max > 0 && m < t ->
-      let a, b = model_prefix ~max:(max - 1) t rest in
+(* The model's [take_while]. *)
+let rec model_prefix t = function
+  | m :: rest when m < t ->
+      let a, b = model_prefix t rest in
       (m :: a, b)
   | rest -> ([], rest)
-
-let rec model_filter ~max t = function
-  | [] -> ([], [])
-  | m :: rest when max > 0 && m < t ->
-      let a, b = model_filter ~max:(max - 1) t rest in
-      (m :: a, b)
-  | m :: rest ->
-      let a, b = model_filter ~max t rest in
-      (a, m :: b)
 
 (* Every operation moves exactly the model's entries, in order, into the
    batch queue, and leaves the model's remainder in order. *)
@@ -119,14 +110,14 @@ let prop_retire_queue_model =
               Smr.Retire_queue.push q (record k);
               model := !model @ [ k ];
               true
-          | PopPrefix (threshold, max) ->
-              Smr.Retire_queue.pop_prefix q ~into:out ~max below threshold;
-              let a, b = model_prefix ~max threshold !model in
+          | PopPrefix threshold ->
+              Smr.Retire_queue.pop_prefix q ~into:out below threshold;
+              let a, b = model_prefix threshold !model in
               model := b;
               moved a
-          | FilterPop (threshold, max) ->
-              Smr.Retire_queue.filter_pop q ~into:out ~max below threshold;
-              let a, b = model_filter ~max threshold !model in
+          | FilterPop threshold ->
+              Smr.Retire_queue.filter_pop q ~into:out below threshold;
+              let a, b = List.partition (fun m -> m < threshold) !model in
               model := b;
               moved a
           | Drain ->

@@ -76,7 +76,7 @@ let test_knob_rows_sweep_threads () =
       let knobs =
         match r.axis with
         | T.Knob (_, vs) -> List.length vs
-        | T.Telemetry | T.Adapt -> 2
+        | T.Telemetry -> 2
         | T.Threads | T.Workers _ -> 1
       in
       Alcotest.(check int) (id ^ " cells at P=1") knobs (at 1);
@@ -289,26 +289,6 @@ let test_harness_steps () =
   Alcotest.(check (list (pair string int))) "death tallied" [ ("Invalid_argument", 1) ] r.errors;
   Alcotest.(check int) "steps before the death kept" 4 r.ops
 
-(* Every malformed campaign is refused by the row builder, before
-   anything runs; the CLI turns the refusal into exit 2. *)
-let test_chaos_spec_rejected () =
-  let module CR = Workload.Chaos_runner in
-  let d = CR.default_spec in
-  List.iter
-    (fun (what, spec) ->
-      Alcotest.(check bool) (what ^ " rejected") true (Result.is_error (CR.row spec)))
-    [
-      ("--shards 3", { d with ch_shards = 3; ch_victims = 3 });
-      ("--shards 0", { d with ch_shards = 0; ch_victims = 0 });
-      ("--shards 64", { d with ch_shards = 64; ch_victims = 64 });
-      ("--shards 32", { d with ch_shards = 32; ch_victims = 32 });
-      ("--victims 0", { d with ch_victims = 0 });
-      ("--victims 9", { d with ch_victims = 9 });
-      ("--bound 0", { d with ch_backlog_bound = 0 });
-      ("--write-pct 150", { d with ch_write_pct = 150 });
-    ];
-  Alcotest.(check bool) "the default spec accepted" true (Result.is_ok (CR.row d))
-
 (* EBR whose [abandon] does nothing: the stalled thread keeps pinning
    the frontier after the runner's recovery, so the row must fail. *)
 module Ebr_no_abandon = struct
@@ -356,7 +336,6 @@ let () =
         ] );
       ( "fault rows",
         [
-          Alcotest.test_case "bad chaos specs are refused" `Quick test_chaos_spec_rejected;
           Alcotest.test_case "robustness checks recovery" `Slow test_robustness_checks_recovery;
         ] );
     ]

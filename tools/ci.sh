@@ -70,7 +70,7 @@ fi
 echo "== one reclamation runtime =="
 # CDRC and the manual structures run on Acquire_retire (DESIGN.md §3),
 # which alone queues and drains deferred ops, flushes, quiesces, counts
-# the backlog, hands out the knob handle and samples the watchdog:
+# the backlog and samples the watchdog:
 # nothing in lib/core or lib/ds drives the scheme's reclamation API
 # itself, and the per-structure eject loops, CDRC's private queue and
 # the AR-level carry queue must not come back.
@@ -162,11 +162,10 @@ if [ -n "$codecs" ]; then
 fi
 
 echo "== one fault runner =="
-# Robustness, adaptivity and chaos are rows of the experiment table
-# (DESIGN.md §4): a row carries its fault rules and run length, and
-# Table.sweep runs it like any other row. Only the table wraps a scheme
-# for fault injection, the per-experiment drivers must not come back,
-# and a malformed chaos campaign is a usage error (inverted gate).
+# Robustness is a row of the experiment table (DESIGN.md §4): a row
+# carries its fault rules and run length, and Table.sweep runs it like
+# any other row. Only the table wraps a scheme for fault injection, and
+# the per-experiment drivers must not come back.
 wraps=$(grep -rn 'Faulty_smr.Make' lib/workload | wc -l)
 if [ "$wraps" -gt 1 ]; then
   echo "error: Faulty_smr.Make appears $wraps times under lib/workload, expected 1" >&2
@@ -176,10 +175,25 @@ if grep -rnE 'run_campaign|run_robustness_one|run_adaptivity_one|type replay' li
   echo "error: a per-experiment fault driver is back" >&2
   exit 1
 fi
-status=0
-dune exec bin/cdrc_bench.exe -- chaos --shards 3 >/dev/null 2>&1 || status=$?
-if [ "$status" -ne 2 ]; then
-  echo "error: chaos --shards 3 exited $status, expected 2" >&2
+
+echo "== no serving-resilience layer =="
+# The paper's robustness claim is checked by the robustness row and
+# test_fault; the adaptive controller, the circuit breaker and the
+# chaos campaigns that served KV requests around it are gone. Scheme
+# knobs are create-time constants (DESIGN.md §5.5): nothing retunes a
+# running scheme, so no setter, no batch cap or sync-scan mode, no
+# forced advance and no knob-capture lint rule may come back.
+if [ -e lib/adapt ]; then
+  echo "error: lib/adapt is back" >&2
+  exit 1
+fi
+if grep -rnE 'Knobs\.set_|sync_scan|batch_cap|force_advance|Breaker|Chaos_runner' \
+    lib bin bench examples; then
+  echo "error: a piece of the serving-resilience layer is back" >&2
+  exit 1
+fi
+if dune exec tools/rc_lint/rc_lint.exe -- --list-rules | grep -q '^R7'; then
+  echo "error: rc-lint lists the knob-capture rule R7" >&2
   exit 1
 fi
 
@@ -187,20 +201,6 @@ echo "== robustness smoke (EBR, 0.2s) =="
 # The row's check: nothing leaks, and EBR's live blocks at the end are
 # below those at abandon.
 dune exec bin/cdrc_bench.exe -- robustness --duration 0.2 --schemes EBR
-
-echo "== adaptivity smoke (controller vs fixed knobs) =="
-# Deterministic stalled-victim replays (DESIGN.md §10) on two targets:
-# an acquire-retire instance, and shard 0 of the KV service, where the
-# controller escalates to abandon_shard. Exits 1 unless, on both, the
-# controller-on run keeps EBR's backlog under the bound while the
-# fixed-knob run exceeds it — the graceful-degradation contract.
-dune exec bin/cdrc_bench.exe -- adaptivity --iters 2000 --bound 512
-# The gate must actually gate: with an unattainable bound the same
-# replays have to exit non-zero.
-if dune exec bin/cdrc_bench.exe -- adaptivity --iters 2000 --bound 1 >/dev/null 2>&1; then
-  echo "error: adaptivity ignored a violated bound" >&2
-  exit 1
-fi
 
 echo "== telemetry smoke (fig13a, scaled down) =="
 # Short run with telemetry on; --check fails unless the exported trace
@@ -260,31 +260,6 @@ echo "== kv serving smoke (table rows, always validated) =="
 # leak-freedom are asserted; any violation exits 1.
 dune exec bin/cdrc_bench.exe -- kv --threads 2 --duration 0.1 --shards 2 \
   --schemes EBR,None --mix read95 --keys 2048
-
-echo "== chaos campaign smoke (mixed + rolling-crash, EBR + HP) =="
-# Deterministic seeded chaos campaigns (DESIGN.md §13): every safety
-# oracle (UAF/double-free freedom, accounting with crash slack, bounded
-# garbage, recovery SLO, leak freedom) must hold; a failure prints the
-# replayable schedule and exits 1.
-dune exec bin/cdrc_bench.exe -- chaos --campaign mixed --schemes EBR,HP
-dune exec bin/cdrc_bench.exe -- chaos --campaign rolling-crash --schemes EBR,HP
-
-echo "== chaos recovery gate (breaker must carry the stall storm) =="
-# The graceful-degradation contract, inverted and straight: a stall
-# storm on EBR with the breaker disabled must blow the backlog bound
-# (exit 1) — and the identical campaign with the breaker on must pass.
-if dune exec bin/cdrc_bench.exe -- chaos --campaign stall-storm --breaker off \
-    --schemes EBR --steps 6000 --write-pct 60 --bound 256 >/dev/null 2>&1; then
-  echo "error: breaker-off stall storm passed — the chaos gate no longer gates" >&2
-  exit 1
-fi
-dune exec bin/cdrc_bench.exe -- chaos --campaign stall-storm --breaker on \
-  --schemes EBR --steps 6000 --write-pct 60 --bound 256
-
-echo "== telemetry smoke (chaos) =="
-# The chaos arm of stats: breaker/retry/shed metrics must be present
-# and nonzero, and the exported trace must parse.
-dune exec bin/cdrc_bench.exe -- stats chaos --schemes EBR,HP --check
 
 echo "== perf trajectory gate (committed points) =="
 # Compare the two most recent committed BENCH_PR<N>.json trajectory
