@@ -72,8 +72,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     let heap =
       match heap with Some h -> h | None -> Simheap.create ~name:("ar-" ^ S.name) ()
     in
-    if Option.value slots_per_thread ~default:Smr.Knobs.default_slots_per_thread >= Sys.int_size
-    then invalid_arg "Acquire_retire.create: more slots per thread than a scope's bitmask holds";
+    (match slots_per_thread with
+    | Some k when k >= Sys.int_size ->
+        invalid_arg "Acquire_retire.create: more slots per thread than a scope's bitmask holds"
+    | _ -> ());
     let smr = S.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () in
     {
       smr;

@@ -39,10 +39,10 @@ val take : t -> Deferred.t
 
 val pop_prefix : t -> into:t -> ('env -> Deferred.t -> bool) -> 'env -> unit
 (** [pop_prefix q ~into safe env] moves the longest prefix of entries
-    (oldest first) that [safe env] accepts to the tail of [into]. For queues whose metadata is monotone
-    (EBR retire epochs). [safe] should be a top-level function and
-    [env] a value the scan already has, so that the scan builds no
-    closure. *)
+    (oldest first) that [safe env] accepts to the tail of [into]. For
+    queues whose metadata is monotone (EBR retire epochs). [safe]
+    should be a top-level function and [env] a value the scan already
+    has, so that the scan builds no closure. *)
 
 val filter_pop : t -> into:t -> ('env -> Deferred.t -> bool) -> 'env -> unit
 (** [filter_pop q ~into safe env] moves every entry that [safe env]

@@ -1,4 +1,4 @@
-(* The one measurement loop, timed or stepped; see harness.mli. *)
+(* The one measurement loop; see harness.mli. *)
 
 type errors = (string * int) list
 
@@ -65,17 +65,6 @@ let run ~name ~threads ~duration ?sample worker =
   Atomic.set stop true;
   List.iter Domain.join domains;
   result ~ops:(reported_ops ()) ~elapsed:(Unix.gettimeofday () -. t0) (Array.to_list deaths)
-
-let steps ~name ~steps ~every ?(sample = fun ~elapsed:_ ~ops:_ -> ()) worker =
-  let ops = ref 0 in
-  let continue n =
-    ops := n;
-    if n > 0 && n mod every = 0 then sample ~elapsed:(float_of_int n) ~ops:n;
-    n < steps
-  in
-  let t0 = Unix.gettimeofday () in
-  let death = attempt ~name worker 1 continue in
-  result ~ops:!ops ~elapsed:(Unix.gettimeofday () -. t0) [ death ]
 
 let cell_name scheme structure threads = Printf.sprintf "%s/%s/%d" scheme structure threads
 

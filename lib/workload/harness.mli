@@ -2,8 +2,7 @@
 
     Every row of the experiment table ({!Table}: the figures, the
     ablations, the perf matrix, the KV rows and the fault rows) drives
-    its workers through {!run} or, for a row measured in logical steps,
-    {!steps}. {!run} is the timed multi-domain loop: spawn
+    its workers through {!run}, the timed multi-domain loop: spawn
     [threads] worker domains with pids [1..threads] (pid 0 belongs to
     the coordinator, which prefills and samples), sample or sleep for
     [duration], raise the stop flag, join. A worker exception never
@@ -39,22 +38,6 @@ val run :
     calls [f ~elapsed ~ops] (total reported ops so far) every
     [period] seconds until [duration] elapses; without it, it sleeps.
     Every worker death is printed as [[name] worker <pid> died: <exn>]. *)
-
-val steps :
-  name:string ->
-  steps:int ->
-  every:int ->
-  ?sample:(elapsed:float -> ops:int -> unit) ->
-  (int -> (int -> bool) -> unit) ->
-  result
-(** The deterministic sibling of {!run}: [worker 1 continue] runs on
-    the caller's domain, and [continue n] answers [true] while [n <
-    steps]. A stepped worker reports after every step, so it runs
-    steps [1..steps]. After the [n]-th step, for every [n] divisible
-    by [every], [continue] calls [sample ~elapsed:n ~ops:n]: the
-    sampler sees logical time, never the clock. [elapsed] in the
-    result is wall-clock. A worker death is printed and tallied
-    exactly as by {!run}. *)
 
 val count : errors -> string -> int
 (** Deaths of one kind. *)

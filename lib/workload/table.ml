@@ -4,17 +4,15 @@
 
     A row lists its instances (one per scheme, each a kernel: prefill
     plus a {!Harness} worker), the axis it sweeps, the size its kernels
-    derive theirs from, whether telemetry is on, the faults its cells
-    inject and how long a cell runs: [--duration] seconds, or a number
-    of logical steps on the caller's domain. {!sweep} turns every
-    (instance × thread count × knob value) into an {!outcome}: an
-    {!Obs.Perf.cell} plus the columns the tables print. Figure tables
-    ({!run}), the [perf] matrix ({!Perf_runner}), [stats <EXP>], the
-    bench suite, [cdrc-bench kv] ({!kv_row}) and the robustness fault
-    row are selections and renderings of these rows. A cell fails when a worker dies, its kernel's check
-    reports a violation, or its teardown leaves more blocks live than
-    the kernel allows. EXPERIMENTS.md records paper-vs-measured
-    outcomes. *)
+    derive theirs from, whether telemetry is on and the faults its
+    cells inject. {!sweep} turns every (instance × thread count × knob
+    value) into an {!outcome}: an {!Obs.Perf.cell} plus the columns the
+    tables print. Figure tables ({!run}), the [perf] matrix
+    ({!Perf_runner}), [stats <EXP>], the bench suite, [cdrc-bench kv]
+    ({!kv_row}) and the robustness fault row are selections and
+    renderings of these rows. A cell fails when a worker dies, its
+    kernel's check reports a violation, or its teardown leaves a block
+    live. EXPERIMENTS.md records paper-vs-measured outcomes. *)
 
 module Rng = Repro_util.Rng
 
@@ -62,11 +60,6 @@ type axis =
 
 type requirement = Key of string | Prefix of string
 
-type length =
-  | Timed  (** [--duration] seconds of {!Harness.run} *)
-  | Steps of { steps : int; every : int }
-      (** {!Harness.steps}: one worker, [steps] steps, sampled every [every] *)
-
 type row = {
   id : string;
   title : string;
@@ -79,15 +72,13 @@ type row = {
   selectable : bool; (* its command takes --schemes *)
   repeats : int; (* > 1: each cell runs that often and medians are reported *)
   needs : requirement list; (* counters [stats --check] demands nonzero *)
-  faults : Fault.Fault_plan.rule list; (* a timed fault row recovers at half the run *)
-  length : length;
+  faults : Fault.Fault_plan.rule list; (* a fault row recovers at half the run *)
 }
 
 (* ---------------- kernels ---------------- *)
 
 (* Each structure's prefill and worker, defined once. Workers check
-   [continue] every batch: [iters] steps counted as [ops] operations.
-   A stepped row's worker reports every step ({!each_step}). *)
+   [continue] every batch: [iters] steps counted as [ops] operations. *)
 let batches ?(iters = 64) ?(ops = 64) continue step =
   let n = ref 0 in
   while continue !n do
@@ -96,10 +87,6 @@ let batches ?(iters = 64) ?(ops = 64) continue step =
     done;
     n := !n + ops
   done
-
-let each_step step continue =
-  let rec go n = if continue n then (step (n + 1); go (n + 1)) in
-  go 0
 
 let knob (s : setup) name = match s.knob with Some (n, v) when n = name -> Some v | _ -> None
 
@@ -287,9 +274,9 @@ let rc_needs = [ Prefix "smr."; Prefix "cdrc." ]
 
 (* Telemetry is off for figure rows and on for perf rows. *)
 let row ?(telemetry = false) ?(selectable = false) ?(keys = 0) ?(axis = Threads) ?(repeats = 1)
-    ?(needs = []) ?(faults = []) ?(length = Timed) ~id ~title ~expected structure instances =
+    ?(needs = []) ?(faults = []) ~id ~title ~expected structure instances =
   { id; title; expected; structure; keys; axis; instances; telemetry; selectable; repeats; needs;
-    faults; length }
+    faults }
 
 (* A fault kernel's scheme, wrapped to inject from its cell's plan. *)
 let faulty (module S : Smr.Smr_intf.S) plan : (module Smr.Smr_intf.S) =
@@ -503,10 +490,8 @@ let run_cell ~duration ~suffix ~telemetry row (s : setup) ((name, make) : instan
     peak_backlog := max !peak_backlog backlog;
     (live, backlog)
   in
-  (* A timed fault row recovers at half the run. *)
-  let recover_at =
-    ref (if row.faults <> [] && row.length = Timed then duration /. 2. else infinity)
-  in
+  (* A fault row recovers at half the run. *)
+  let recover_at = ref (if row.faults <> [] then duration /. 2. else infinity) in
   let last = ref (0., 0) in
   let sample ~elapsed ~ops =
     let live, backlog = observe () in
@@ -532,13 +517,8 @@ let run_cell ~duration ~suffix ~telemetry row (s : setup) ((name, make) : instan
       p.recover ()
     end
   in
-  let h =
-    match row.length with
-    | Timed ->
-        let period = if row.telemetry || row.faults <> [] then 0.002 else 0.01 in
-        Harness.run ~name:key ~threads:s.threads ~duration ~sample:(period, sample) p.worker
-    | Steps { steps; every } -> Harness.steps ~name:key ~steps ~every ~sample p.worker
-  in
+  let period = if row.telemetry || row.faults <> [] then 0.002 else 0.01 in
+  let h = Harness.run ~name:key ~threads:s.threads ~duration ~sample:(period, sample) p.worker in
   let final_live, _ = observe () in
   let snap_slow =
     Option.map
@@ -598,9 +578,8 @@ let select row schemes =
   Instances.select ~find:(Instances.find_named fst row.instances) row.instances schemes
 
 (* Every cell of [instances] under [row]: repeats outermost, then
-   thread counts (one worker for a stepped row), then the axis's
-   values. [keys] overrides [row.keys / scale]. [on_cell] sees each
-   outcome as it completes. *)
+   thread counts, then the axis's values. [keys] overrides [row.keys /
+   scale]. [on_cell] sees each outcome as it completes. *)
 let sweep ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(scale = 1) ?keys ?(repeats = 1)
     ?(on_cell = ignore) row instances =
   let keys = Option.value keys ~default:(row.keys / scale) in
@@ -612,9 +591,7 @@ let sweep ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(scale = 1) ?keys ?(repeat
     | Knob (n, vs) -> List.map (fun v -> (Printf.sprintf " %s=%d" n v, Some (n, v), own)) vs
     | Telemetry -> [ (" telemetry off", None, Some false); (" telemetry on", None, Some true) ]
   in
-  let threads =
-    match (row.length, row.axis) with Steps _, _ -> [ 1 ] | _, Workers n -> [ n ] | _ -> threads
-  in
+  let threads = match row.axis with Workers n -> [ n ] | _ -> threads in
   List.concat_map
     (fun _ ->
       List.concat_map
@@ -635,12 +612,10 @@ let sweep ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(scale = 1) ?keys ?(repeat
 
 (* ---------------- rendering ---------------- *)
 
-(* A stepped cell prints its step count, not a throughput. *)
-let pp_outcome ~stepped ppf o =
+let pp_outcome ppf o =
   let c = o.cell in
   let flag cond fmt = if cond then Format.fprintf ppf fmt else Format.ifprintf ppf fmt in
-  if stepped then Format.fprintf ppf "%-26s steps=%-8d" o.key c.c_ops
-  else Format.fprintf ppf "%-26s %8.3f Mops/s  ops=%-10d" o.key c.c_mops c.c_ops;
+  Format.fprintf ppf "%-26s %8.3f Mops/s  ops=%-10d" o.key c.c_mops c.c_ops;
   Format.fprintf ppf " live(avg)=%-9.0f peak=%-9d" o.live_avg o.peak;
   flag (c.c_leaked > 0) "  LEAK=%d" c.c_leaked;
   flag (o.uaf > 0) "  UAF=%d" o.uaf;
@@ -678,7 +653,7 @@ let run ?threads ?duration ?(schemes = []) ?scale ?repeats row =
       let on_cell o =
         if !last_p <> 0 && o.cell.c_threads <> !last_p then Format.printf "@.";
         last_p := o.cell.c_threads;
-        Format.printf "%a@." (pp_outcome ~stepped:(row.length <> Timed)) o;
+        Format.printf "%a@." pp_outcome o;
         List.iter (fun e -> Format.printf "    [fault] %a@." Fault.Fault_plan.pp_event e) o.faults
       in
       let repeats = Option.value repeats ~default:row.repeats in

@@ -396,7 +396,9 @@ let knob_gauges_track_values () =
   ignore (Smr.Knobs.create ~epoch_freq:17 ~scheme:"GaugeProbe" ());
   Alcotest.(check int) "explicit value mirrored" 17 (g "smr.gaugeprobe.knob.epoch_freq");
   Alcotest.(check int) "default value mirrored" Smr.Knobs.default_cleanup_freq
-    (g "smr.gaugeprobe.knob.cleanup_freq")
+    (g "smr.gaugeprobe.knob.cleanup_freq");
+  Alcotest.(check int) "slot budget mirrored" Smr.Knobs.default_slots_per_thread
+    (g "smr.gaugeprobe.knob.slots_per_thread")
 
 let () =
   Alcotest.run "smr"

@@ -266,29 +266,6 @@ let test_fig12_cell () =
           Alcotest.(check int) "no leak" 0 o.cell.c_leaked
       | os -> Alcotest.failf "%d cells, expected 1" (List.length os))
 
-(* The stepped loop: steps 1..n on the caller's domain, the sampler
-   every [every] steps at logical time, and a death tallied as [run]
-   tallies it. *)
-let test_harness_steps () =
-  let stepped = ref [] and samples = ref [] in
-  let sample ~elapsed ~ops = samples := (elapsed, ops) :: !samples in
-  let worker step _ = T.each_step step in
-  let r =
-    Workload.Harness.steps ~name:"steps-test" ~steps:7 ~every:3 ~sample
-      (worker (fun i -> stepped := i :: !stepped))
-  in
-  Alcotest.(check (list int)) "steps 1..7" [ 1; 2; 3; 4; 5; 6; 7 ] (List.rev !stepped);
-  Alcotest.(check (list (pair (float 0.) int)))
-    "sampled after steps 3 and 6" [ (3., 3); (6., 6) ] (List.rev !samples);
-  Alcotest.(check int) "ops" 7 r.ops;
-  Alcotest.(check (list (pair string int))) "no deaths" [] r.errors;
-  let r =
-    Workload.Harness.steps ~name:"steps-test" ~steps:7 ~every:3
-      (worker (fun i -> if i = 5 then raise (Invalid_argument "injected")))
-  in
-  Alcotest.(check (list (pair string int))) "death tallied" [ ("Invalid_argument", 1) ] r.errors;
-  Alcotest.(check int) "steps before the death kept" 4 r.ops
-
 (* EBR whose [abandon] does nothing: the stalled thread keeps pinning
    the frontier after the runner's recovery, so the row must fail. *)
 module Ebr_no_abandon = struct
@@ -332,7 +309,6 @@ let () =
           Alcotest.test_case "pids and sampler" `Slow test_harness_pids_and_sampler;
           Alcotest.test_case "perf cell death" `Slow test_perf_cell_reports_death;
           Alcotest.test_case "fig12 cell" `Slow test_fig12_cell;
-          Alcotest.test_case "stepped loop" `Quick test_harness_steps;
         ] );
       ( "fault rows",
         [
