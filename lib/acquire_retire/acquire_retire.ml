@@ -59,6 +59,7 @@ module Make (S : Smr.Smr_intf.S) = struct
        scheme's retired lists. *)
     pending : Smr.Retire_queue.t array;
     draining : bool array;
+    abandoned : Smr.Orphanage.t; (* queued records of abandoned pids *)
     scopes : scope_state array;
     wd : Obs.Watchdog.t; (* sampled by [stalled] *)
   }
@@ -82,6 +83,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       heap;
       pending = Array.init max_threads (fun _ -> Smr.Retire_queue.create ());
       draining = Array.make max_threads false;
+      abandoned = Smr.Orphanage.create ();
       scopes =
         Array.init max_threads (fun pid ->
             {
@@ -521,17 +523,23 @@ module Make (S : Smr.Smr_intf.S) = struct
     ignore (scan t ~pid ~force);
     drain t ~pid
 
+  (* The records abandoned pids had queued but not run, onto [pid]'s
+     queue; the number taken. *)
+  let adopt t ~pid = Smr.Retire_queue.splice t.pending.(pid) (Smr.Orphanage.take_all t.abandoned)
+
   (** Apply every deferred operation that is currently safe, plus the
-      cascades it triggers. A disposal retires its node's outgoing
+      cascades it triggers, starting with those abandoned pids left
+      queued ({!abandon}). A disposal retires its node's outgoing
       decrements, which may make the next node's disposal due, so
       [flush] ejects under [~force] and drains until the scheme yields
       nothing: a dequeued chain is reclaimed in one call, not one node
       per call. Only [flush] rescans; a rescan after every drain would
       cost the protected-pointer schemes their tail latency. *)
   let rec flush t ~pid =
+    let adopted = adopt t ~pid in
     let more = scan t ~pid ~force:true in
     drain t ~pid;
-    if more then flush t ~pid
+    if more || adopted > 0 then flush t ~pid
 
   (** Teardown at quiescence: queue what [S.drain_all] returns on pid
       0's queue, and drain every pid's queue as that pid, until both stay
@@ -542,7 +550,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   let quiesce t =
     let progress = ref true in
     while !progress do
-      progress := Smr.Retire_queue.splice t.pending.(0) (S.drain_all t.smr) > 0;
+      progress := adopt t ~pid:0 + Smr.Retire_queue.splice t.pending.(0) (S.drain_all t.smr) > 0;
       Array.iteri
         (fun pid q ->
           if not (Smr.Retire_queue.is_empty q) then begin
@@ -563,8 +571,12 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (** Crash recovery: reap [pid]'s scheme state (close its critical
       section, clear its announcements, orphan its retired entries for
-      adoption). Call once, after the thread has truly stopped. *)
-  let abandon t ~pid = S.abandon t.smr ~pid
+      adoption), and hand the records it had ejected but not run to the
+      survivors: the next {!flush} or {!quiesce} runs them. Call once,
+      after the thread has truly stopped. *)
+  let abandon t ~pid =
+    S.abandon t.smr ~pid;
+    Smr.Orphanage.put t.abandoned (Smr.Retire_queue.take t.pending.(pid))
 
   (** {2 Epoch watchdog}
 

@@ -2,7 +2,7 @@
     reclamation stack (DESIGN.md §9).
 
     The analyzer parses each [.ml] file with the ppxlib parser and runs
-    a set of purely syntactic rules over the AST: R1 and R4–R6. Rules
+    a set of purely syntactic rules over the AST: R1, R4 and R6. Rules
     are deliberately approximate — they encode the repo's protocol
     conventions (the [Sched.Atomic] discipline of §8, telemetry hooks,
     padded counters) rather than a points-to analysis. None
@@ -10,10 +10,11 @@
     obligations for manual SMR are typed by [Acquire_retire]'s rank-2
     scopes — a guard is released when its scope exits, a node is read
     only through a live guard, and only an unlink witness retires it
-    (DESIGN.md §3). The rules that approximated them are retired, as is
-    R7 (knob capture: knobs are create-time constants, so a copy cannot
-    go stale), and the gaps they leave in the numbering are not
-    reused.
+    (DESIGN.md §3). The rules that approximated them are retired, as
+    are R5 (telemetry: the shared reclaimer stamps every retire, and
+    the accounting-identity tests check the counts) and R7 (knob
+    capture: knobs are create-time constants, so a copy cannot go
+    stale), and the gaps they leave in the numbering are not reused.
 
     Suppression: [\[@@@rc_lint.allow "R4"\]] as a floating structure
     attribute silences a rule from that point to the end of the file;
@@ -35,9 +36,6 @@ let rules : (string * string) list =
     ( "R4",
       "unsafe-escape: Obj.magic/Obj.repr/Obj.obj forbidden outside \
        tools/rc_lint/allow_unsafe.txt" );
-    ( "R5",
-      "obs-consistency: an SMR scheme defining retire must touch \
-       Obs.Scheme_metrics.on_retire so telemetry cannot silently rot" );
     ( "R6",
       "padding: per-domain hot counter arrays in lib/obs and lib/smr must go through \
        Padded (or annotate the deliberate layout)" );
@@ -52,7 +50,6 @@ let rules : (string * string) list =
    subdirectories), so the same role logic covers both trees. *)
 type roles = {
   protocol : bool;  (* a protocol directory or padded.ml: R1 *)
-  smr_scheme : bool;  (* under an smr/ directory: R5 *)
   obs_smr : bool;  (* under obs/ or smr/: R6 *)
   unsafe_allowed : bool;  (* listed in allow_unsafe.txt: R4 off *)
 }
@@ -82,7 +79,6 @@ let roles_of ~allow_unsafe path =
     protocol =
       List.exists has [ "sticky"; "core"; "smr"; "acquire_retire" ]
       || (has "util" && String.equal base "padded.ml");
-    smr_scheme = has "smr";
     obs_smr = has "obs" || has "smr";
     unsafe_allowed = List.exists (fun entry -> suffix_matches ~entry path) allow_unsafe;
   }
@@ -218,50 +214,6 @@ let run_r4 ctx st =
   it#structure st
 
 (* ------------------------------------------------------------------ *)
-(* R5: obs-consistency                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let run_r5 ctx st =
-  let retire_binding = ref None in
-  let touched = ref false in
-  let suppressed = ref false in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! structure_item si =
-        (match si.pstr_desc with
-        | Pstr_value (_, vbs) ->
-            List.iter
-              (fun vb ->
-                match vb.pvb_pat.ppat_desc with
-                | Ppat_var { txt = "retire"; _ } ->
-                    if allows "R5" vb.pvb_attributes then suppressed := true
-                    else if !retire_binding = None then retire_binding := Some vb.pvb_loc
-                | _ -> ())
-              vbs
-        | _ -> ());
-        super#structure_item si
-
-      method! expression e =
-        (match e.pexp_desc with
-        | Pexp_ident { txt; _ } -> (
-            match List.rev (flat txt) with
-            | "on_retire" :: "Scheme_metrics" :: _ -> touched := true
-            | _ -> ())
-        | _ -> ());
-        super#expression e
-    end
-  in
-  it#structure st;
-  match !retire_binding with
-  | Some loc when (not !touched) && not !suppressed ->
-      report ctx "R5" loc
-        "scheme defines `retire` but never calls Obs.Scheme_metrics.on_retire — the §7 \
-         telemetry (retire counters, reclaim-latency histogram) would silently rot"
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* R6: padding                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -335,7 +287,6 @@ let suppressed_by spans (f : Finding.t) =
 let lint_structure ~roles ctx st =
   if roles.protocol then run_r1 ctx st;
   if not roles.unsafe_allowed then run_r4 ctx st;
-  if roles.smr_scheme then run_r5 ctx st;
   if roles.obs_smr then run_r6 ctx st;
   let spans = file_suppressions st in
   ctx.findings <- List.filter (fun f -> not (suppressed_by spans f)) ctx.findings

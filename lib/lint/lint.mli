@@ -2,9 +2,10 @@
     reclamation stack (DESIGN.md §9).
 
     The analyzer parses each [.ml] file with the ppxlib parser and runs
-    a set of purely syntactic rules over the AST — R1 and R4–R6,
-    catalogued in {!rules} (the life-cycle rules and knob capture are
-    retired, and the gaps they leave in the numbering are not reused).
+    a set of purely syntactic rules over the AST — R1, R4 and R6,
+    catalogued in {!rules} (the life-cycle rules, retire telemetry and
+    knob capture are retired, and the gaps they leave in the numbering
+    are not reused).
     Rules are deliberately approximate: they encode the repo's protocol
     conventions (the [Sched.Atomic] discipline of §8, telemetry hooks,
     padded counters) rather than a points-to analysis. No rule checks a pointer's life cycle: the
@@ -13,7 +14,7 @@
     guard, retire only under an unlink witness.
 
     Which rules run on a file is decided by its path (the role system:
-    protocol directories, SMR schemes, observability modules). The
+    protocol directories, observability and SMR modules). The
     visitor machinery, role classification, and per-rule state are
     implementation details hidden behind this interface.
 

@@ -11,30 +11,22 @@ type guard = int
 type t = {
   max_threads : int;
   epoch_freq : int;
-  cleanup_freq : int;
   ann : int Padded.t;
   cur_epoch : int Sched.Atomic.t;
   alloc_tally : int Padded.t; (* owner-thread only; padded for locality *)
-  retired : Retire_queue.t array; (* meta = retire epoch *)
-  out : Retire_queue.t array; (* each pid's eject batch, built by its scan *)
-  orphans : Orphanage.t; (* entries abandoned by crashed threads *)
+  r : Reclaimer.t array; (* meta = retire epoch *)
 }
 
 let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
-  (match slots_per_thread with
-  | Some _ -> Obs.Scheme_metrics.on_knob_ignored om ~knob:"slots_per_thread"
-  | None -> ());
-  let knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name () in
+  let reads = [ `Epoch_freq; `Cleanup_freq ] in
+  let knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~reads ~scheme:name () in
   {
     max_threads;
     epoch_freq = knobs.epoch_freq;
-    cleanup_freq = knobs.cleanup_freq;
     ann = Padded.create max_threads empty_ann;
     cur_epoch = Sched.Atomic.make 0;
     alloc_tally = Padded.create max_threads 0;
-    retired = Array.init max_threads (fun _ -> Retire_queue.create ());
-    out = Array.init max_threads (fun _ -> Retire_queue.create ());
-    orphans = Orphanage.create ();
+    r = Reclaimer.create ~om ~every:knobs.cleanup_freq ~max_threads;
   }
 
 let max_threads t = t.max_threads
@@ -69,36 +61,26 @@ let release _t ~pid:_ _g = ()
 
 let min_announced t = Padded.fold min max_int t.ann
 
-let retire t ~pid d =
-  Deferred.set_stamp d (Obs.Scheme_metrics.on_retire om ~pid);
-  Deferred.set_meta d (Sched.Atomic.get t.cur_epoch);
-  Retire_queue.push t.retired.(pid) d
+let retire t ~pid d = Reclaimer.retire t.r.(pid) ~pid ~meta:(Sched.Atomic.get t.cur_epoch) d
 
 (* Retired before every announced critical section began. *)
 let before min_ann d = Deferred.meta d < min_ann
 
-let eject ?(force = false) t ~pid =
-  let q = t.retired.(pid) in
-  if force || Retire_queue.due q ~every:t.cleanup_freq then begin
-    let min_ann = min_announced t in
-    let out = t.out.(pid) in
-    (* Retire epochs are monotone within a thread's queue. *)
-    Retire_queue.pop_prefix q ~into:out before min_ann;
-    Orphanage.adopt t.orphans ~into:out before min_ann;
-    Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.size out);
-    Retire_queue.take out
-  end
-  else Deferred.Nil
-
-let retired_count t ~pid = Retire_queue.size t.retired.(pid)
+(* Retire epochs are monotone within a thread's queue, so the safe
+   records are a prefix of it. *)
+let collect t ~pid:_ (r : Reclaimer.t) =
+  let min_ann = min_announced t in
+  Retire_queue.pop_prefix r.retired ~into:r.out before min_ann;
+  Orphanage.adopt r.orphans ~into:r.out before min_ann
+let eject ?(force = false) t ~pid = Reclaimer.eject t.r.(pid) ~force ~pid collect t
+let retired_count t ~pid = Reclaimer.retired_count t.r ~pid
 
 let abandon t ~pid =
-  Obs.Scheme_metrics.on_abandon om ~pid;
   Padded.set t.ann pid empty_ann;
-  Orphanage.put t.orphans (Retire_queue.take t.retired.(pid))
+  Reclaimer.abandon t.r ~pid Deferred.Nil
 
 let reclamation_frontier t =
   let f = min_announced t in
   Some (if f = max_int then Sched.Atomic.get t.cur_epoch else f)
 
-let drain_all t = Orphanage.drain_all t.orphans t.retired
+let drain_all t = Reclaimer.drain_all t.r

@@ -16,5 +16,4 @@
 
 include Smr_intf.S
 
-val current_era : t -> int
 val advance_era : t -> unit

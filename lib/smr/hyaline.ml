@@ -24,15 +24,7 @@ let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
      amortization, and no announcement slots: every tuning knob is
      meaningless here. The values are still validated (a nonsense
      value is a bug even when unread) and the misuse is counted. *)
-  List.iter
-    (fun (knob, v) ->
-      if Option.is_some v then Obs.Scheme_metrics.on_knob_ignored om ~knob)
-    [
-      ("epoch_freq", epoch_freq);
-      ("cleanup_freq", cleanup_freq);
-      ("slots_per_thread", slots_per_thread);
-    ];
-  ignore (Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name ());
+  ignore (Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~reads:[] ~scheme:name ());
   {
     max_threads;
     state = Sched.Atomic.make { active = 0; head = Nil };

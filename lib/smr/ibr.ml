@@ -14,33 +14,25 @@ let inactive = { b = max_int; e = min_int }
 type t = {
   max_threads : int;
   epoch_freq : int;
-  cleanup_freq : int;
   ann : interval Padded.t;
   cur_epoch : int Sched.Atomic.t;
   alloc_tally : int Padded.t; (* owner-thread only *)
-  retired : Retire_queue.t array; (* meta = retire epoch *)
-  out : Retire_queue.t array; (* each pid's eject batch, built by its scan *)
+  r : Reclaimer.t array; (* meta = retire epoch *)
   anns : int array array;
       (* each pid's scan snapshot: interval [i] at [2i] (begin), [2i+1] (end) *)
-  orphans : Orphanage.t;
 }
 
 let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
-  (match slots_per_thread with
-  | Some _ -> Obs.Scheme_metrics.on_knob_ignored om ~knob:"slots_per_thread"
-  | None -> ());
-  let knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name () in
+  let reads = [ `Epoch_freq; `Cleanup_freq ] in
+  let knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~reads ~scheme:name () in
   {
     max_threads;
     epoch_freq = knobs.epoch_freq;
-    cleanup_freq = knobs.cleanup_freq;
     ann = Padded.create max_threads inactive;
     cur_epoch = Sched.Atomic.make 0;
     alloc_tally = Padded.create max_threads 0;
-    retired = Array.init max_threads (fun _ -> Retire_queue.create ());
-    out = Array.init max_threads (fun _ -> Retire_queue.create ());
+    r = Reclaimer.create ~om ~every:knobs.cleanup_freq ~max_threads;
     anns = Array.init max_threads (fun _ -> Array.make (2 * max_threads) 0);
-    orphans = Orphanage.create ();
   }
 
 let max_threads t = t.max_threads
@@ -96,37 +88,26 @@ let rec disjoint anns birth retired_at i =
 let unprotected anns d =
   disjoint anns (Deferred.birth d) (Deferred.meta d) ((Array.length anns / 2) - 1)
 
-let retire t ~pid d =
-  Deferred.set_stamp d (Obs.Scheme_metrics.on_retire om ~pid);
-  Deferred.set_meta d (Sched.Atomic.get t.cur_epoch);
-  Retire_queue.push t.retired.(pid) d
+let retire t ~pid d = Reclaimer.retire t.r.(pid) ~pid ~meta:(Sched.Atomic.get t.cur_epoch) d
 
-let eject ?(force = false) t ~pid =
-  let q = t.retired.(pid) in
-  if force || Retire_queue.due q ~every:t.cleanup_freq then begin
-    let anns = t.anns.(pid) in
-    for i = 0 to t.max_threads - 1 do
-      let a = Padded.get t.ann i in
-      anns.(2 * i) <- a.b;
-      anns.((2 * i) + 1) <- a.e
-    done;
-    let out = t.out.(pid) in
-    Retire_queue.filter_pop q ~into:out unprotected anns;
-    Orphanage.adopt t.orphans ~into:out unprotected anns;
-    Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.size out);
-    Retire_queue.take out
-  end
-  else Deferred.Nil
+let collect t ~pid r =
+  let anns = t.anns.(pid) in
+  for i = 0 to t.max_threads - 1 do
+    let a = Padded.get t.ann i in
+    anns.(2 * i) <- a.b;
+    anns.((2 * i) + 1) <- a.e
+  done;
+  Reclaimer.keep r unprotected anns
 
-let retired_count t ~pid = Retire_queue.size t.retired.(pid)
+let eject ?(force = false) t ~pid = Reclaimer.eject t.r.(pid) ~force ~pid collect t
+let retired_count t ~pid = Reclaimer.retired_count t.r ~pid
 
 let abandon t ~pid =
-  Obs.Scheme_metrics.on_abandon om ~pid;
   Padded.set t.ann pid inactive;
-  Orphanage.put t.orphans (Retire_queue.take t.retired.(pid))
+  Reclaimer.abandon t.r ~pid Deferred.Nil
 
 let reclamation_frontier t =
   let f = Padded.fold (fun acc a -> min acc a.b) max_int t.ann in
   Some (if f = max_int then Sched.Atomic.get t.cur_epoch else f)
 
-let drain_all t = Orphanage.drain_all t.orphans t.retired
+let drain_all t = Reclaimer.drain_all t.r

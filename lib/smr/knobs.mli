@@ -29,9 +29,14 @@ val default_slots_per_thread : int
 (** HP/HE/PTB announcement slots per thread, excluding the reserved
     slot (8). *)
 
-val create : ?epoch_freq:int -> ?cleanup_freq:int -> ?slots_per_thread:int -> scheme:string -> unit -> t
+type knob = [ `Epoch_freq | `Cleanup_freq | `Slots_per_thread ]
+
+val create :
+  ?epoch_freq:int -> ?cleanup_freq:int -> ?slots_per_thread:int -> ?reads:knob list ->
+  scheme:string -> unit -> t
 (** The knobs of one scheme instance, with every provided value
     validated ([<= 0] raises [Invalid_argument] naming the scheme and
-    the knob). The effective values are mirrored into the registry
-    gauges [smr.<scheme>.knob.*], so [stats --json] runs are
-    reproducible from their results files. *)
+    the knob). A provided knob not in [reads] (default: all three)
+    counts as the scheme's [knob_ignored] misuse. The effective values
+    are mirrored into the registry gauges [smr.<scheme>.knob.*], so
+    [stats --json] runs are reproducible from their results files. *)

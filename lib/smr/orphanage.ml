@@ -22,9 +22,3 @@ let adopt t ~into safe env =
       ignore (Retire_queue.splice pool chain);
       Retire_queue.filter_pop pool ~into safe env;
       put t (Retire_queue.take pool)
-
-let drain_all t queues =
-  let all = Retire_queue.create () in
-  ignore (Retire_queue.splice all (take_all t));
-  Array.iter (fun q -> ignore (Retire_queue.splice all (Retire_queue.take q))) queues;
-  Retire_queue.take all

@@ -8,7 +8,8 @@
     check, re-pooling the ones still protected. The metadata travels
     in each retire record, so adopted garbage is held back exactly as
     long as home-grown garbage. The pool is a chain threaded through
-    the records' links.
+    the records' links. [Acquire_retire] pools a crashed pid's ejected
+    but unrun records the same way.
 
     Lock-free; [take_all] transfers ownership of the whole batch to the
     caller. *)
@@ -30,7 +31,3 @@ val adopt : t -> into:Retire_queue.t -> ('env -> Deferred.t -> bool) -> 'env -> 
     [safe env] accepts to the tail of [into], in order, and puts the
     rest back: an eject scan's adoption step. One exchange when the
     pool is empty, and no allocation. *)
-
-val drain_all : t -> Retire_queue.t array -> Deferred.t
-(** The pool followed by every queue of [queues], in order, as one
-    chain, leaving them all empty. Quiescent teardown only. *)

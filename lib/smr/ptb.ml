@@ -7,37 +7,28 @@ let requires_validation = true
 type guard = int
 
 type t = {
-  max_threads : int;
-  k : int;
-  cleanup_every : int; (* as HP's: cleanup_freq, floored at twice the announcements *)
-  slots : Ident.t Padded.t; (* posted values, (k+1) per thread *)
+  k : int; (* [k], [ann] and [free] are the slot table's, flat *)
+  ann : Ident.t Padded.t; (* posted values *)
+  free : Slot_pool.t array;
   handoffs : Deferred.t Padded.t; (* one per physical slot; [Nil] when empty *)
-  free : Slot_pool.t array; (* per-thread free local slot indices; owner only *)
-  retired : Retire_queue.t array;
-  out : Retire_queue.t array; (* each pid's eject batch, built by its scan *)
-  orphans : Orphanage.t;
+  s : Ident.t Slots.t;
+  r : Reclaimer.t array;
 }
 
 let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
-  (match epoch_freq with
-  | Some _ -> Obs.Scheme_metrics.on_knob_ignored om ~knob:"epoch_freq"
-  | None -> ());
-  let knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~scheme:name () in
-  let k = knobs.slots_per_thread in
+  let reads = [ `Cleanup_freq; `Slots_per_thread ] in
+  let knobs = Knobs.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~reads ~scheme:name () in
+  let s = Slots.create ~k:knobs.slots_per_thread ~max_threads Ident.null in
   {
-    max_threads;
-    k;
-    cleanup_every = max knobs.cleanup_freq (2 * (k + 1) * max_threads);
-    slots = Padded.create ((k + 1) * max_threads) Ident.null;
-    handoffs = Padded.create ((k + 1) * max_threads) Deferred.Nil;
-    free = Array.init max_threads (fun _ -> Slot_pool.create k);
-    retired = Array.init max_threads (fun _ -> Retire_queue.create ());
-    out = Array.init max_threads (fun _ -> Retire_queue.create ());
-    orphans = Orphanage.create ();
+    k = s.k;
+    ann = s.ann;
+    free = s.free;
+    handoffs = Padded.create (Padded.length s.ann) Deferred.Nil;
+    s;
+    r = Reclaimer.create ~om ~every:(Slots.period s knobs.cleanup_freq) ~max_threads;
   }
 
-let max_threads t = t.max_threads
-let slot_index t ~pid local = (pid * (t.k + 1)) + local
+let max_threads t = Array.length t.free
 let begin_critical_section _t ~pid:_ = ()
 let end_critical_section _t ~pid:_ = ()
 let alloc_hook _t ~pid:_ = 0
@@ -47,98 +38,90 @@ let try_acquire t ~pid id =
   | None ->
       Obs.Scheme_metrics.on_slot_exhausted om ~pid;
       None
-  | Some s as g ->
+  | Some l as g ->
       Obs.Scheme_metrics.on_acquire om ~pid;
-      Padded.set t.slots (slot_index t ~pid s) id;
+      Padded.set t.ann (Slots.index ~k:t.k ~pid l) id;
       g
 
 let acquire t ~pid id =
   Obs.Scheme_metrics.on_acquire om ~pid;
-  Padded.set t.slots (slot_index t ~pid t.k) id;
+  Padded.set t.ann (Slots.index ~k:t.k ~pid t.k) id;
   t.k
 
 let confirm t ~pid g id =
-  let idx = slot_index t ~pid g in
-  if Ident.equal (Padded.get t.slots idx) id then true
+  let idx = Slots.index ~k:t.k ~pid g in
+  if Ident.equal (Padded.get t.ann idx) id then true
   else begin
     Obs.Scheme_metrics.on_confirm_retry om ~pid;
-    Padded.set t.slots idx id;
+    Padded.set t.ann idx id;
     false
   end
 
 (* Releasing a guard inherits its handed-off buck: the entry returns
    to the releaser's retired queue and is decided at the next scan. *)
 let release t ~pid g =
-  let idx = slot_index t ~pid g in
-  Padded.set t.slots idx Ident.null;
+  let idx = Slots.index ~k:t.k ~pid g in
+  Padded.set t.ann idx Ident.null;
   (match Padded.exchange t.handoffs idx Deferred.Nil with
-  | Deferred.D _ as d -> Retire_queue.push t.retired.(pid) d
+  | Deferred.D _ as d -> Reclaimer.requeue t.r.(pid) d
   | Deferred.Nil -> ());
   if g < t.k then Slot_pool.give t.free.(pid) g
 
-let retire t ~pid d =
-  Deferred.set_stamp d (Obs.Scheme_metrics.on_retire om ~pid);
-  Retire_queue.push t.retired.(pid) d
+let retire t ~pid d = Reclaimer.retire t.r.(pid) ~pid ~meta:0 d
 
 (* The first physical slot from [i] on that posts [id], or -1. *)
 let rec posted t id i total =
   if i >= total then -1
-  else if Ident.equal (Padded.get t.slots i) id then i
+  else if Ident.equal (Padded.get t.ann i) id then i
   else posted t id (i + 1) total
 
 (* Liberate one detached entry [d]: unguarded, it is safe and joins
-   [pid]'s batch; guarded, it is handed off to the guard that pins it
+   [r]'s batch; guarded, it is handed off to the guard that pins it
    (at most one buck per guard — otherwise it stays queued). *)
-let liberate t ~pid ~total d =
+let liberate t (r : Reclaimer.t) ~total d =
   let id = Deferred.id d in
   let i = posted t id 0 total in
-  if i < 0 then Retire_queue.push t.out.(pid) d
+  if i < 0 then Retire_queue.push r.out d
   else if Padded.compare_and_set t.handoffs i Deferred.Nil d then begin
     (* Hand-off succeeded; but if the guard was released in the
        meantime nobody will inherit the buck, so take it back. *)
-    if not (Ident.equal (Padded.get t.slots i) id) then
+    if not (Ident.equal (Padded.get t.ann i) id) then
       match Padded.exchange t.handoffs i Deferred.Nil with
       | Deferred.Nil -> (* a releaser inherited the buck *) ()
       | d' when Ident.equal (Deferred.id d') id ->
           (* Reclaimed our own hand-off: the guard is gone, the entry
              is unprotected. *)
-          Retire_queue.push t.out.(pid) d'
+          Retire_queue.push r.out d'
       | other ->
           (* A releaser already took ours and a different buck landed
              in the slot: adopt it. *)
-          Retire_queue.push t.retired.(pid) other
+          Reclaimer.requeue r other
   end
-  else Retire_queue.push t.retired.(pid) d
+  else Reclaimer.requeue r d
 
-let rec liberate_all t ~pid ~total d =
+let rec liberate_all t r ~total d =
   match d with
   | Deferred.Nil -> ()
   | Deferred.D _ ->
       let rest = Deferred.next d in
       Deferred.set_next d Deferred.Nil;
-      liberate t ~pid ~total d;
-      liberate_all t ~pid ~total rest
+      liberate t r ~total d;
+      liberate_all t r ~total rest
 
-let eject ?(force = false) t ~pid =
-  let q = t.retired.(pid) in
-  if force || Retire_queue.due q ~every:t.cleanup_every then begin
-    let total = (t.k + 1) * t.max_threads in
-    let mine = Retire_queue.take q in
-    liberate_all t ~pid ~total (Orphanage.take_all t.orphans);
-    liberate_all t ~pid ~total mine;
-    let out = t.out.(pid) in
-    Obs.Scheme_metrics.on_eject om ~pid (Retire_queue.size out);
-    Retire_queue.take out
-  end
-  else Deferred.Nil
+let collect t ~pid:_ (r : Reclaimer.t) =
+  let total = Padded.length t.ann in
+  let mine = Retire_queue.take r.retired in
+  liberate_all t r ~total (Orphanage.take_all r.orphans);
+  liberate_all t r ~total mine
 
-let retired_count t ~pid = Retire_queue.size t.retired.(pid)
+let eject ?(force = false) t ~pid = Reclaimer.eject t.r.(pid) ~force ~pid collect t
+let retired_count t ~pid = Reclaimer.retired_count t.r ~pid
 
-(* Empty every hand-off slot, the last slot's buck first in the returned
-   chain. *)
-let take_handoffs t =
+(* Empty the hand-off slots [lo .. hi], the last slot's buck first in
+   the returned chain. *)
+let take_handoffs t lo hi =
   let parked = ref Deferred.Nil in
-  for idx = 0 to Padded.length t.handoffs - 1 do
+  for idx = lo to hi do
     match Padded.exchange t.handoffs idx Deferred.Nil with
     | Deferred.Nil -> ()
     | d ->
@@ -147,22 +130,12 @@ let take_handoffs t =
   done;
   !parked
 
+(* Clear the dead thread's posted guards, then reclaim any buck that
+   was handed off to them along the way. *)
 let abandon t ~pid =
-  Obs.Scheme_metrics.on_abandon om ~pid;
-  (* Clear the dead thread's posted guards, reclaiming any buck that
-     was handed off to them along the way. *)
-  let parked = ref Deferred.Nil in
-  for s = 0 to t.k do
-    let idx = slot_index t ~pid s in
-    Padded.set t.slots idx Ident.null;
-    match Padded.exchange t.handoffs idx Deferred.Nil with
-    | Deferred.Nil -> ()
-    | d ->
-        Deferred.set_next d !parked;
-        parked := d
-  done;
-  Slot_pool.reset t.free.(pid);
-  Orphanage.put t.orphans (Deferred.concat !parked (Retire_queue.take t.retired.(pid)))
+  Slots.clear t.s ~pid;
+  let held = take_handoffs t (Slots.index ~k:t.k ~pid 0) (Slots.index ~k:t.k ~pid t.k) in
+  Reclaimer.abandon t.r ~pid held
 
 let reclamation_frontier _t = None
 
@@ -170,5 +143,5 @@ let drain_all t =
   (* At quiescence no guard is held and a released guard has taken its
      hand-off back, so sweeping every hand-off slot is defensive: it
      finds a buck only where a guard was left unreleased. *)
-  let parked = take_handoffs t in
-  Deferred.concat parked (Orphanage.drain_all t.orphans t.retired)
+  let parked = take_handoffs t 0 (Padded.length t.handoffs - 1) in
+  Deferred.concat parked (Reclaimer.drain_all t.r)

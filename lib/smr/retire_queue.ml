@@ -4,25 +4,16 @@ type t = {
   mutable head : Deferred.t;
   mutable tail : Deferred.t;
   mutable size : int;
-  mutable since_scan : int;
 }
 
-let create () = { head = Nil; tail = Nil; size = 0; since_scan = 0 }
+let create () = { head = Nil; tail = Nil; size = 0 }
 let[@inline] size t = t.size
 let[@inline] is_empty t = t.size = 0
 
 let[@inline] push t d =
   (match t.tail with Nil -> t.head <- d | D r -> r.next <- d);
   t.tail <- d;
-  t.size <- t.size + 1;
-  t.since_scan <- t.since_scan + 1
-
-let[@inline] due t ~every =
-  if t.since_scan >= every then begin
-    t.since_scan <- 0;
-    true
-  end
-  else false
+  t.size <- t.size + 1
 
 (* A popped record is detached: a record promoted while it waited would
    otherwise keep its successors alive through its link, dead or not,

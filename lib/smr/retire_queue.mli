@@ -24,11 +24,6 @@ val size : t -> int
 
 val is_empty : t -> bool
 
-val due : t -> every:int -> bool
-(** [due q ~every] is [true] on every [every]-th push since the last
-    time it returned [true] (and resets the tally). Drives scan
-    amortization. *)
-
 val splice : t -> Deferred.t -> int
 (** Append a whole [Nil]-terminated chain at the tail and return its
     length. *)

@@ -1,8 +1,9 @@
 (** Common interface over manual SMR schemes (paper §2, §3.2).
 
-    Every scheme — hazard pointers, EBR, IBR, Hyaline, hazard eras —
-    implements this signature; the generalized acquire–retire layer
-    (Fig 2) and the manual data structures are functors over it.
+    Every scheme — hazard pointers, pass-the-buck, EBR, IBR, Hyaline,
+    hazard eras and the leaky baseline — implements this signature;
+    the generalized acquire–retire layer (Fig 2) and the manual data
+    structures are functors over it.
 
     {2 The acquire protocol}
 
@@ -47,7 +48,9 @@
     enforces this. A pointer may be retired several times before being
     ejected the same number of times (Def 3.3): every scheme here
     tracks retire {e records}, not unique pointers, so this needs no
-    special casing.
+    special casing. Every scheme but Hyaline (one global batch list)
+    delegates both to a {!Reclaimer}, keeping only its [meta] and its
+    [safe] predicate.
 
     {2 Threading}
 

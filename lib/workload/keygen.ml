@@ -8,7 +8,7 @@
     its generator). test/test_kv.ml pins golden sequences against this
     contract.
 
-    Three families, mirroring the skew regimes the reclamation papers
+    Two families, mirroring the skew regimes the reclamation papers
     disagree on (Hyaline §6, Stamp-it §5 — scheme rankings flip under
     skew):
 
@@ -19,40 +19,9 @@
       probability is proportional to [1/(r+1)^theta]; rank 0 is the
       hottest. Ranks are scattered over the key space by a fixed
       Fibonacci permutation so that popular keys do not collide into
-      neighbouring hash-table buckets.
-    + {b Hotspot}: a contiguous hot set of [hot_keys] keys receives
-      [hot_pct]% of draws; every [shift_every] draws the hot set
-      {e migrates} to a new deterministic position: a workload phase
-      change. *)
+      neighbouring hash-table buckets. *)
 
-type spec =
-  | Uniform
-  | Zipfian of { theta : float }
-  | Hotspot of { hot_keys : int; hot_pct : int; shift_every : int }
-
-let spec_to_string = function
-  | Uniform -> "uniform"
-  | Zipfian { theta } -> Printf.sprintf "zipf:%.2f" theta
-  | Hotspot { hot_keys; hot_pct; shift_every } ->
-      Printf.sprintf "hotspot:%d:%d:%d" hot_keys hot_pct shift_every
-
-(* "uniform" | "zipf" | "zipf:0.99" | "hotspot" | "hotspot:KEYS:PCT:SHIFT" *)
-let spec_of_string s =
-  match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
-  | [ "uniform" ] -> Ok Uniform
-  | [ "zipf" ] -> Ok (Zipfian { theta = 0.99 })
-  | [ "zipf"; t ] -> (
-      match float_of_string_opt t with
-      | Some theta when theta > 0.0 && theta < 1.0 -> Ok (Zipfian { theta })
-      | _ -> Error (Printf.sprintf "zipf theta must be in (0,1): %S" t))
-  | [ "hotspot" ] -> Ok (Hotspot { hot_keys = 128; hot_pct = 90; shift_every = 50_000 })
-  | [ "hotspot"; k; p; e ] -> (
-      match (int_of_string_opt k, int_of_string_opt p, int_of_string_opt e) with
-      | Some hot_keys, Some hot_pct, Some shift_every
-        when hot_keys > 0 && hot_pct >= 0 && hot_pct <= 100 && shift_every > 0 ->
-          Ok (Hotspot { hot_keys; hot_pct; shift_every })
-      | _ -> Error (Printf.sprintf "hotspot spec must be hotspot:KEYS:PCT:SHIFT: %S" s))
-  | _ -> Error (Printf.sprintf "unknown keygen spec %S (uniform | zipf[:THETA] | hotspot[:KEYS:PCT:SHIFT])" s)
+type spec = Uniform | Zipfian of { theta : float }
 
 (* Fibonacci scatter: an odd multiplier is a bijection modulo 2^62, so
    ranks map to distinct keys when [range] is reached by [mod] — not a
@@ -68,14 +37,6 @@ type state =
       z_alpha : float;
       z_eta : float;
     }
-  | H of {
-      mutable h_base : int; (* current hot-set origin *)
-      mutable h_drawn : int; (* draws since the last shift *)
-      mutable h_shifts : int; (* completed migrations *)
-      h_keys : int;
-      h_pct : int;
-      h_every : int;
-    }
 
 type t = { rng : Repro_util.Rng.t; range : int; state : state; spec : spec }
 
@@ -85,11 +46,6 @@ let zeta n theta =
     acc := !acc +. (1.0 /. Float.pow (float_of_int i) theta)
   done;
   !acc
-
-(* Deterministic hot-set origin for migration [i]: scattered over the
-   key space so consecutive phases do not overlap for any sane
-   (range, hot_keys). *)
-let hot_origin ~seed ~range i = (seed + ((i + 1) * 0x9E3779B97F4A7))  land max_int mod range
 
 let create ~seed ~range spec =
   if range <= 0 then invalid_arg "Keygen.create: range must be positive";
@@ -108,16 +64,6 @@ let create ~seed ~range spec =
           /. (1.0 -. (zeta2 /. zetan))
         in
         Z { z_theta = theta; z_zetan = zetan; z_alpha = alpha; z_eta = eta }
-    | Hotspot { hot_keys; hot_pct; shift_every } ->
-        H
-          {
-            h_base = hot_origin ~seed ~range 0;
-            h_drawn = 0;
-            h_shifts = 0;
-            h_keys = min hot_keys range;
-            h_pct = hot_pct;
-            h_every = shift_every;
-          }
   in
   { rng; range; state; spec }
 
@@ -141,29 +87,7 @@ let zipf_rank t =
         |> min (t.range - 1)
   | _ -> invalid_arg "Keygen.zipf_rank: not a Zipfian generator"
 
-(** Completed hot-set migrations (0 for non-hotspot generators). *)
-let shifts t = match t.state with H h -> h.h_shifts | _ -> 0
-
-(** Current hot-set origin, for tests. *)
-let hot_base t =
-  match t.state with
-  | H h -> h.h_base
-  | _ -> invalid_arg "Keygen.hot_base: not a hotspot generator"
-
 let next t =
   match t.state with
   | U -> Repro_util.Rng.int t.rng t.range
   | Z _ -> scatter (zipf_rank t) t.range
-  | H h ->
-      if h.h_drawn >= h.h_every then begin
-        h.h_drawn <- 0;
-        h.h_shifts <- h.h_shifts + 1;
-        (* The new origin is drawn from the same PRNG stream, so it is
-           covered by the determinism contract: same (spec, seed,
-           range) → same migration schedule. *)
-        h.h_base <- hot_origin ~seed:(Repro_util.Rng.int t.rng max_int) ~range:t.range 0
-      end;
-      h.h_drawn <- h.h_drawn + 1;
-      if Repro_util.Rng.int t.rng 100 < h.h_pct then
-        (h.h_base + Repro_util.Rng.int t.rng h.h_keys) mod t.range
-      else Repro_util.Rng.int t.rng t.range

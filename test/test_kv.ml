@@ -2,8 +2,7 @@
 
    Three layers: (1) deterministic + qcheck distribution tests of the
    key generators (same seed → bit-identical streams, pinned goldens,
-   Zipfian rank-frequency monotonicity, hotspot-shift moves the modal
-   key); (2) shard-core internal consistency across all 7 RC schemes
+   Zipfian rank-frequency monotonicity); (2) shard-core internal consistency across all 7 RC schemes
    (get-after-put, expired keys never served, the node and box
    retirement identities, leak-free teardown); (3) linearizability of
    single-shard get/put/remove/TTL histories — recorded under real
@@ -26,10 +25,6 @@ let spec_gen =
         return Kg.Uniform;
         (let* t = int_range 5 95 in
          return (Kg.Zipfian { theta = float_of_int t /. 100. }));
-        (let* hot_keys = int_range 1 64 in
-         let* hot_pct = int_range 0 100 in
-         let* shift_every = int_range 1 500 in
-         return (Kg.Hotspot { hot_keys; hot_pct; shift_every }));
       ])
 
 let draws g n = List.init n (fun _ -> Kg.next g)
@@ -48,34 +43,6 @@ let prop_in_range =
     (fun (spec, seed, range) ->
       let g = Kg.create ~seed ~range spec in
       List.for_all (fun k -> k >= 0 && k < range) (draws g 256))
-
-let prop_spec_roundtrip =
-  (* Thetas are generated on a 2-decimal grid, matching the %.2f the
-     printer uses, so the float comparison is exact. *)
-  Q.Test.make ~name:"keygen: spec_of_string ∘ spec_to_string = Ok" ~count:200 spec_gen
-    (fun spec -> Kg.spec_of_string (Kg.spec_to_string spec) = Ok spec)
-
-let prop_hotspot_concentration =
-  (* 90% of draws land in the 32-key hot window; 850/1000 is ~5σ below
-     the binomial mean, so this never flakes across seeds. *)
-  Q.Test.make ~name:"keygen: hotspot concentrates draws in the hot window" ~count:50
-    Q.Gen.(int_range 0 100_000)
-    (fun seed ->
-      let g =
-        Kg.create ~seed ~range:4096
-          (Kg.Hotspot { hot_keys = 32; hot_pct = 90; shift_every = 1_000_000 })
-      in
-      let base = Kg.hot_base g in
-      let in_hot k = (k - base + 4096) mod 4096 < 32 in
-      List.length (List.filter in_hot (draws g 1000)) >= 850)
-
-let rejects_bad_specs () =
-  let bad s =
-    match Kg.spec_of_string s with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "accepted %S" s
-  in
-  List.iter bad [ "zipf:1.5"; "zipf:0"; "hotspot:0:50:10"; "hotspot:8:101:10"; "bogus"; "" ]
 
 let zipf_rank_frequency_monotone () =
   (* Pinned-seed distribution check: rank-frequency of the YCSB
@@ -112,39 +79,14 @@ let golden_sequences () =
   Alcotest.(check (list int))
     "zipf 0.99 seed 42"
     [ 0; 232; 50; 721; 762; 839; 693; 866 ]
-    (first8 (Kg.Zipfian { theta = 0.99 }));
-  Alcotest.(check (list int))
-    "hotspot 16/90/100 seed 42"
-    [ 224; 217; 223; 210; 224; 218; 209; 223 ]
-    (first8 (Kg.Hotspot { hot_keys = 16; hot_pct = 90; shift_every = 100 }))
-
-let hotspot_shift_schedule () =
-  let g =
-    Kg.create ~seed:42 ~range:1024 (Kg.Hotspot { hot_keys = 16; hot_pct = 100; shift_every = 100 })
-  in
-  let base0 = Kg.hot_base g in
-  Alcotest.(check int) "initial origin pinned" 209 base0;
-  (* At pct 100 every pre-shift draw lands in the hot window. *)
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) "draw in hot window" true ((k - base0 + 1024) mod 1024 < 16))
-    (draws g 100);
-  Alcotest.(check int) "no shift within the phase" 0 (Kg.shifts g);
-  ignore (Kg.next g);
-  Alcotest.(check int) "draw 101 migrates" 1 (Kg.shifts g);
-  Alcotest.(check int) "new origin pinned" 533 (Kg.hot_base g);
-  Alcotest.(check bool) "origin moved" true (Kg.hot_base g <> base0)
+    (first8 (Kg.Zipfian { theta = 0.99 }))
 
 let keygen_tests =
   [
     to_alcotest prop_deterministic;
     to_alcotest prop_in_range;
-    to_alcotest prop_spec_roundtrip;
-    to_alcotest prop_hotspot_concentration;
-    Alcotest.test_case "rejects bad specs" `Quick rejects_bad_specs;
     Alcotest.test_case "zipf rank-frequency monotone" `Quick zipf_rank_frequency_monotone;
     Alcotest.test_case "golden sequences" `Quick golden_sequences;
-    Alcotest.test_case "hotspot shift schedule" `Quick hotspot_shift_schedule;
   ]
 
 (* ================================================================= *)

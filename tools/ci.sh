@@ -197,6 +197,24 @@ if dune exec tools/rc_lint/rc_lint.exe -- --list-rules | grep -q '^R7'; then
   exit 1
 fi
 
+echo "== one reclaimer =="
+# EBR, IBR, HE, HP, PTB and the leaky baseline are each a protocol over
+# Smr.Reclaimer (DESIGN.md §3), which alone owns the retired queues,
+# the scan cadence, the orphan pool and the retire/abandon telemetry:
+# no such scheme builds a queue or an orphan pool or counts a retire
+# or an abandon itself, and rc-lint's retire-telemetry rule R5, which
+# the shared retire made redundant, must stay deleted.
+if grep -nE 'Retire_queue\.create|Orphanage\.create|on_retire|on_abandon' \
+    lib/smr/ebr.ml lib/smr/ibr.ml lib/smr/hazard_eras.ml lib/smr/hp.ml lib/smr/ptb.ml \
+    lib/smr/leaky.ml; then
+  echo "error: a scheme carries its own retired queues, orphan pool or telemetry" >&2
+  exit 1
+fi
+if dune exec tools/rc_lint/rc_lint.exe -- --list-rules | grep -q '^R5'; then
+  echo "error: rc-lint lists the retire-telemetry rule R5" >&2
+  exit 1
+fi
+
 echo "== robustness smoke (EBR, 0.2s) =="
 # The row's check: nothing leaks, and EBR's live blocks at the end are
 # below those at abandon.
