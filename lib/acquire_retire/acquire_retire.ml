@@ -13,13 +13,15 @@
     {!Make.managed} (carrying the birth tag and the simulated-heap
     block) rather than calling a constructor; [eject] runs what the
     scheme releases through the pid's deferred-op queue, never
-    reentrantly (§3.2); and protection is acquired inside a
-    {!Make.scope}, whose rank-2 body type keeps every guard and every
-    unlink witness from outliving the critical section that backs it,
-    and whose guards and witnesses carry the manual structures'
-    life-cycle obligations (DESIGN.md §3), or — only for CDRC's
-    snapshots, whose guards outlive the call that takes them — through
-    {!Make.protect_unscoped}. *)
+    reentrantly (§3.2), and an ordinary eject runs a bounded slice of
+    that queue and leaves the rest for the pid's next eject, where
+    Fig 2's hands back one pointer per call; and protection is
+    acquired inside a {!Make.scope}, whose rank-2 body type keeps every
+    guard and every unlink witness from outliving the critical section
+    that backs it, and whose guards and witnesses carry the manual
+    structures' life-cycle obligations (DESIGN.md §3), or — only for
+    CDRC's snapshots, whose guards outlive the call that takes them —
+    through {!Make.protect_unscoped}. *)
 
 module Make (S : Smr.Smr_intf.S) = struct
   module Smr_impl = S
@@ -59,6 +61,8 @@ module Make (S : Smr.Smr_intf.S) = struct
        scheme's retired lists. *)
     pending : Smr.Retire_queue.t array;
     draining : bool array;
+    fresh : int array; (* records [run] put at the head of the queue, not yet run *)
+    slice : int; (* records an ordinary eject runs *)
     abandoned : Smr.Orphanage.t; (* queued records of abandoned pids *)
     scopes : scope_state array;
     wd : Obs.Watchdog.t; (* sampled by [stalled] *)
@@ -68,6 +72,10 @@ module Make (S : Smr.Smr_intf.S) = struct
      sees the batches the runtime runs, i.e. after any fault-injection
      wrapper has had its say. *)
   let eject_batch_h = Obs.Histo.histo ("ar." ^ String.lowercase_ascii S.name ^ ".eject.batch_size")
+
+  (* The records each ordinary eject that ran its queue left there for
+     the pid's next one. *)
+  let eject_carried_h = Obs.Histo.histo ("ar." ^ String.lowercase_ascii S.name ^ ".eject.carried")
 
   let create ?epoch_freq ?cleanup_freq ?slots_per_thread ?heap ~max_threads () =
     let heap =
@@ -83,6 +91,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       heap;
       pending = Array.init max_threads (fun _ -> Smr.Retire_queue.create ());
       draining = Array.make max_threads false;
+      fresh = Array.make max_threads 0;
+      slice =
+        max 1 (Option.value cleanup_freq ~default:Smr.Knobs.default_cleanup_freq / 4);
       abandoned = Smr.Orphanage.create ();
       scopes =
         Array.init max_threads (fun pid ->
@@ -471,39 +482,54 @@ module Make (S : Smr.Smr_intf.S) = struct
       identity. *)
   let retire t ~pid d = S.retire t.smr ~pid d
 
-  let rec run_queue q ~pid =
-    match Smr.Retire_queue.pop q with
-    | Smr.Deferred.Nil -> ()
-    | d ->
-        Smr.Deferred.run d ~pid;
-        run_queue q ~pid
+  (* Run the [fresh] records at the head of [pid]'s queue uncharged,
+     then up to [budget] more. A record [run] queues while one runs is
+     put at the head, so it runs next and never waits for a later
+     operation. *)
+  let rec run_queue t q ~pid budget =
+    let fresh = t.fresh.(pid) in
+    if fresh > 0 || budget > 0 then
+      match Smr.Retire_queue.pop q with
+      | Smr.Deferred.Nil -> t.fresh.(pid) <- 0
+      | d ->
+          if fresh > 0 then t.fresh.(pid) <- fresh - 1;
+          Smr.Deferred.run d ~pid;
+          run_queue t q ~pid (if fresh > 0 then budget else budget - 1)
 
-  (* Run [pid]'s queue to empty, unless [pid] is already running it: an
-     op that retires, ejects or runs another op from inside the drain
-     only queues it, and this loop runs it once the op returns, so
-     cascades run iteratively and never re-enter [eject] (§3.2). The
-     empty check comes first: it follows every eject, and the empty case
-     must not allocate. An op that raises leaves the rest queued for the
-     pid's next drain. *)
-  let drain t ~pid =
+  (* Run [pid]'s queue as [run_queue] does, unless [pid] is already
+     running it: an op that retires, ejects or runs another op from
+     inside the drain only queues it, and this loop runs it once the op
+     returns, so cascades run iteratively and never re-enter [eject]
+     (§3.2). The empty check comes first: it follows every eject, and
+     the empty case must not allocate. An op that raises leaves the rest
+     queued for the pid's next drain. [true] when it ran the queue. *)
+  let drain_upto t ~pid budget =
     let q = t.pending.(pid) in
     if (not (Smr.Retire_queue.is_empty q)) && not t.draining.(pid) then begin
       t.draining.(pid) <- true;
-      match run_queue q ~pid with
-      | () -> t.draining.(pid) <- false
+      match run_queue t q ~pid budget with
+      | () ->
+          t.draining.(pid) <- false;
+          true
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
           t.draining.(pid) <- false;
           Printexc.raise_with_backtrace e bt
     end
+    else false
 
-  (** Run the detached record [d] as [pid] through the pid's queue: now,
-      or, from inside a drain, once the running op returns. For deferred
-      work that needs no scheme protection (CDRC's strong-only
-      disposals). *)
+  (* Run [pid]'s queue to empty, cascades included. *)
+  let drain t ~pid = ignore (drain_upto t ~pid max_int)
+
+  (** Run the detached record [d] as [pid] before this returns, or, from
+      inside a drain, right after the running op: [d] goes to the head
+      of the pid's queue, ahead of any records an eject left there, and
+      neither run is charged to an eject's slice. For deferred work that
+      needs no scheme protection (CDRC's strong-only disposals). *)
   let run t ~pid d =
-    Smr.Retire_queue.push t.pending.(pid) d;
-    drain t ~pid
+    Smr.Retire_queue.push_front t.pending.(pid) d;
+    t.fresh.(pid) <- t.fresh.(pid) + 1;
+    ignore (drain_upto t ~pid 0)
 
   (* One scheme scan for [pid], splicing the chain it releases into the
      pid's queue; [false] when it released nothing. *)
@@ -517,11 +543,19 @@ module Make (S : Smr.Smr_intf.S) = struct
         true
 
   (** One scheme scan — amortized by the scheme's [cleanup_freq], or
-      unconditional under [~force] — then run everything it
-      released. *)
+      unconditional under [~force] — then run records from the front of
+      the pid's queue: everything, cascades included, under [~force];
+      otherwise at most the instance's slice, [max 1 (cleanup_freq / 4)]
+      (16 by default), leaving the rest for the pid's next eject. A scan
+      releases up to [cleanup_freq] records at once, so the slice spreads
+      their cost over the operations that follow instead of charging it
+      all to the one whose retire made the scan due; the paper's [eject]
+      likewise hands back one record per call. *)
   let eject ?(force = false) t ~pid =
     ignore (scan t ~pid ~force);
-    drain t ~pid
+    if force then drain t ~pid
+    else if drain_upto t ~pid t.slice then
+      Obs.Histo.observe eject_carried_h ~pid (Smr.Retire_queue.size t.pending.(pid))
 
   (* The records abandoned pids had queued but not run, onto [pid]'s
      queue; the number taken. *)
@@ -560,12 +594,16 @@ module Make (S : Smr.Smr_intf.S) = struct
         t.pending
     done
 
-  (** Retired entries not yet ejected, summed over every pid: exact,
-      since the schemes' per-pid counts sum to their backlog. *)
+  (** Retire records not yet run, summed over every pid: those the
+      scheme still holds, plus those an eject released but left queued
+      for the pid's next one. Exact at quiescence, since the schemes'
+      per-pid counts sum to their backlog; a sample taken while the
+      pids run reads each pid's queue length unsynchronized. Records of
+      abandoned pids waiting for adoption are not counted. *)
   let total_pending t =
     let acc = ref 0 in
     for pid = 0 to S.max_threads t.smr - 1 do
-      acc := !acc + S.retired_count t.smr ~pid
+      acc := !acc + S.retired_count t.smr ~pid + Smr.Retire_queue.size t.pending.(pid)
     done;
     !acc
 
@@ -576,6 +614,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       after the thread has truly stopped. *)
   let abandon t ~pid =
     S.abandon t.smr ~pid;
+    t.fresh.(pid) <- 0;
     Smr.Orphanage.put t.abandoned (Smr.Retire_queue.take t.pending.(pid))
 
   (** {2 Epoch watchdog}

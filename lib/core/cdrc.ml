@@ -190,10 +190,11 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* Defer [run] on [cb] until no guard taken before this call protects
      it, counting it under its kind's [counter], then eject: all three
-     kinds share the one instance [ar], whose queue runs what the scan
-     releases (cascades included) before this returns, or, from inside
-     a deferred op, right after it. The retire record, named by the
-     block's identity, is the only allocation. *)
+     kinds share the one instance [ar], whose queue runs a slice of what
+     the scans released before this returns (from inside a deferred op,
+     it only queues) and keeps the rest for the pid's next eject. The
+     retire record, named by the block's identity, is the only
+     allocation. *)
   let delayed rt ~pid counter cb run =
     Obs.Metrics.incr counter ~pid;
     let birth = match cb with Cb c -> c.birth | Null | Null_tagged _ | Tagged _ -> not_a_cb () in
@@ -206,7 +207,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       else
         (* Strong-only mode: no weak snapshot can observe the object, so
            dispose as soon as the count dies — via the queue, so that a
-           destroy hook dropping a long chain cannot overflow the stack. *)
+           destroy hook dropping a long chain cannot overflow the stack,
+           but ahead of anything an eject left there, so that the object
+           is gone before the outermost [drop] returns. *)
         Ar.run rt.ar ~pid (Smr.Deferred.make ~id:Ident.null ~birth:0 rt.runs.run_dispose cb)
 
   and dispose rt ~pid cb =
@@ -886,7 +889,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     Array.fold_left (fun (fast, slow) b -> (fast + b.fast, slow + b.slow)) (0, 0) rt.books
 
   (** Deferred decrements and disposals of all three kinds currently
-      parked in the acquire–retire instance. *)
+      parked in the acquire–retire instance: held by the scheme, or
+      released and left queued by an eject
+      ({!Acquire_retire.Make.total_pending}). *)
   let retired_backlog rt = Ar.total_pending rt.ar
 
   (** Crash/stall recovery on the acquire–retire instance: the

@@ -57,7 +57,10 @@ module type S = sig
   val retired_backlog : rt -> int
   (** Deferred strong decrements, weak decrements and disposals
       currently parked in the runtime's one acquire–retire instance,
-      summed over all threads. *)
+      summed over all threads: those its scheme still holds, and those
+      a scan released but an ordinary eject left queued for the thread's
+      next one (an eject runs at most [max 1 (cleanup_freq / 4)]
+      records). *)
 
   val stalled : rt -> bool
   (** Sample the runtime's reclamation-progress watchdog: [true] when

@@ -135,4 +135,22 @@ let abandon t ~pid =
 
 let reclamation_frontier _t = None
 
-let drain_all t = eject ~force:true t ~pid:0
+(* Take every entry still on the global list onto the safe stack:
+   zeroing a stamp takes the entry, so one already pushed is skipped,
+   and an exit that still decrements the stamp later cannot push it
+   again. *)
+let rec take_listed t = function
+  | Nil -> ()
+  | Node n ->
+      if Sched.Atomic.exchange n.refs 0 > 0 then push_safe t n.op;
+      take_listed t n.next
+
+(* At quiescence the list holds only entries whose stamps wait for
+   sections that will never exit: a stalled or crashed pid's, whose
+   exit was never replayed. Teardown reclaims them with the safe stack,
+   as the other schemes return every retired record. *)
+let drain_all t =
+  let s = Sched.Atomic.get t.state in
+  Sched.Atomic.set t.state { s with head = Nil };
+  take_listed t s.head;
+  eject ~force:true t ~pid:0

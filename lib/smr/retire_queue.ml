@@ -15,6 +15,11 @@ let[@inline] push t d =
   t.tail <- d;
   t.size <- t.size + 1
 
+let[@inline] push_front t d =
+  (match t.head with Nil -> t.tail <- d | D _ as h -> set_next d h);
+  t.head <- d;
+  t.size <- t.size + 1
+
 (* A popped record is detached: a record promoted while it waited would
    otherwise keep its successors alive through its link, dead or not,
    and the next minor collection would promote them all. *)

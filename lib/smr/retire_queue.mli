@@ -15,6 +15,10 @@ val create : unit -> t
 val push : t -> Deferred.t -> unit
 (** Append one detached record (its link is [Nil]) at the tail. *)
 
+val push_front : t -> Deferred.t -> unit
+(** Prepend one detached record at the head: the next {!pop} returns
+    it. *)
+
 val pop : t -> Deferred.t
 (** Remove and return the head record, detached, or [Nil] when
     empty. *)

@@ -414,8 +414,88 @@ module Queue_tests (S : Smr.Smr_intf.S) = struct
     Alcotest.(check (float 0.)) "scanning eject and drain" 0. eject_words;
     Alcotest.(check int) "all reclaimed" 0 (Simheap.live (Ar.heap ar))
 
+  (* An ordinary eject runs at most a slice of its queue,
+     [max 1 (cleanup_freq / 4)]: 16 at the default [cleanup_freq]. *)
+  let slice = max 1 (Smr.Knobs.default_cleanup_freq / 4)
+
+  (* Retire [n] fresh objects as [pid], nothing protected, so the next
+     scan releases them all; each record counts its run in [ran]. *)
+  let retire_many ar ~pid n ran =
+    for i = 1 to n do
+      let m = Ar.alloc ar ~pid i in
+      Ar.retire ar ~pid
+        (on m (fun _ ->
+             incr ran;
+             Ar.discard m))
+    done
+
+  let eject_runs_one_slice () =
+    let ar = Ar.create ~max_threads:1 () in
+    let n = 1_000 and ran = ref 0 in
+    retire_many ar ~pid:0 n ran;
+    Ar.eject ar ~pid:0;
+    Alcotest.(check int) "one slice ran" slice !ran;
+    Alcotest.(check int) "the rest stay queued and counted" (n - slice) (Ar.total_pending ar);
+    Alcotest.(check int) "their objects live" (n - slice) (Simheap.live (Ar.heap ar));
+    Ar.flush ar ~pid:0
+
+  let ejects_and_flush_empty_the_queue () =
+    let ar = Ar.create ~max_threads:1 () in
+    let n = 1_000 and ran = ref 0 and ejects = ref 0 in
+    retire_many ar ~pid:0 n ran;
+    while Ar.total_pending ar > 0 && !ejects <= n do
+      Ar.eject ar ~pid:0;
+      incr ejects
+    done;
+    Alcotest.(check int) "every record ran" n !ran;
+    Alcotest.(check int) "one slice per eject" ((n + slice - 1) / slice) !ejects;
+    retire_many ar ~pid:0 n ran;
+    Ar.eject ar ~pid:0;
+    Ar.flush ar ~pid:0;
+    Alcotest.(check int) "one flush ran the rest" (2 * n) !ran;
+    Alcotest.(check int) "nothing pending" 0 (Ar.total_pending ar);
+    Alcotest.(check int) "all reclaimed" 0 (Simheap.live (Ar.heap ar))
+
+  (* [run] runs its record, and the records that record runs in turn,
+     before it returns, ahead of the queue an eject left and charged to
+     no slice. *)
+  let run_goes_ahead_of_a_carried_queue () =
+    let ar = Ar.create ~max_threads:1 () in
+    let n = 1_000 and ran = ref 0 in
+    retire_many ar ~pid:0 n ran;
+    Ar.eject ar ~pid:0;
+    let chain = ref 0 in
+    let rec link k _pid =
+      incr chain;
+      if k > 0 then Ar.run ar ~pid:0 (Smr.Deferred.of_fun (link (k - 1)))
+    in
+    Ar.run ar ~pid:0 (Smr.Deferred.of_fun (link 99));
+    Alcotest.(check int) "the whole run chain ran" 100 !chain;
+    Alcotest.(check int) "the carried records waited" slice !ran;
+    Ar.eject ar ~pid:0;
+    Alcotest.(check int) "the next eject runs the next slice" (2 * slice) !ran;
+    Ar.flush ar ~pid:0
+
+  (* Records an eject left queued go with an abandoned pid to the
+     survivors: nothing leaks. *)
+  let abandon_hands_over_carried_records () =
+    let ar = Ar.create ~max_threads:2 () in
+    let n = 1_000 and ran = ref 0 in
+    retire_many ar ~pid:1 n ran;
+    Ar.eject ar ~pid:1;
+    Ar.abandon ar ~pid:1;
+    Ar.flush ar ~pid:0;
+    Alcotest.(check int) "the survivor ran the rest" n !ran;
+    Alcotest.(check int) "nothing pending" 0 (Ar.total_pending ar);
+    Ar.quiesce ar;
+    Alcotest.(check int) "leak free" 0 (Simheap.live (Ar.heap ar))
+
   let tests =
     [
+      t "one ordinary eject runs one slice" eject_runs_one_slice;
+      t "ejects, then one flush, empty the queue" ejects_and_flush_empty_the_queue;
+      t "run goes ahead of a carried queue" run_goes_ahead_of_a_carried_queue;
+      t "abandon hands over carried records" abandon_hands_over_carried_records;
       t "nested eject runs the successor after the op" nested_eject_runs_after;
       t "100,000-link chain flushes" long_chain_flushes;
       t "retire pipeline allocation pinned" pipeline_allocation_pinned;
@@ -440,7 +520,8 @@ let quiesce_keeps_ops_after_a_raise () =
   (match Ebr_ar.quiesce ar with
   | () -> Alcotest.fail "expected the raise"
   | exception Failure _ -> ());
-  Alcotest.(check int) "scheme drained" 0 (Ebr_ar.total_pending ar);
+  (* The scheme is drained; the backlog is the two ops left queued. *)
+  Alcotest.(check int) "queued ops counted" 2 (Ebr_ar.total_pending ar);
   Alcotest.(check int) "nothing freed yet" 3 (Simheap.live (Ebr_ar.heap ar));
   Ebr_ar.quiesce ar;
   Alcotest.(check int) "the ops behind the raise ran" 1 (Simheap.live (Ebr_ar.heap ar))

@@ -845,6 +845,53 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     RF.flush th1;
     Alcotest.(check int) "leak free" 0 (RF.live_objects rt)
 
+  (* -------------------- carried deferred decrements ---------------- *)
+
+  (* A scan releases up to [cleanup_freq] deferred decrements at once,
+     and an ordinary eject runs a slice of them, leaving the rest queued
+     for the pid's next eject. [carry th] leaves such a queue: one scan's
+     worth of stores, each deferring the decrement of the value it
+     displaces. Hyaline releases each decrement at its own eject, so it
+     never carries. *)
+  let carry rt th =
+    let a = R.Shared.make th 1 and b = R.Shared.make th 2 in
+    let cell = R.Asp.make th (R.Shared.ptr a) in
+    for i = 1 to Smr.Knobs.default_cleanup_freq do
+      R.Asp.store th cell (R.Shared.ptr (if i land 1 = 0 then a else b))
+    done;
+    if S.name <> "Hyaline" then
+      Alcotest.(check bool) "decrements carried" true (R.retired_backlog rt > 0);
+    (a, b, cell)
+
+  let release th (a, b, cell) =
+    R.Asp.clear th cell;
+    R.Shared.drop th a;
+    R.Shared.drop th b
+
+  (* A strong-only disposal runs before [drop] returns, ahead of the
+     carried queue. *)
+  let drop_frees_despite_carried_backlog () =
+    with_rt ~support_weak:false ~max_threads:1 @@ fun rt ->
+    let th = R.thread rt 0 in
+    let held = carry rt th in
+    let live = R.live_objects rt and destroyed = ref false in
+    let p = R.Shared.make th ~destroy:(fun _ _ -> destroyed := true) 3 in
+    R.Shared.drop th p;
+    Alcotest.(check bool) "destroyed before drop returns" true !destroyed;
+    Alcotest.(check int) "freed before drop returns" live (R.live_objects rt);
+    release th held
+
+  let abandon_with_carried_backlog () =
+    let rt = R.create ~support_weak:false ~max_threads:2 () in
+    let th0 = R.thread rt 0 and th1 = R.thread rt 1 in
+    let held = carry rt th1 in
+    R.abandon rt ~pid:1;
+    release th0 held;
+    R.flush th0;
+    Alcotest.(check int) "nothing parked" 0 (R.retired_backlog rt);
+    R.quiesce rt;
+    Alcotest.(check int) "leak free" 0 (R.live_objects rt)
+
   let tests =
     [
       t "shared lifecycle" `Quick shared_lifecycle;
@@ -878,6 +925,8 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       t "weak edge breaks cycle" `Quick weak_backedge_breaks_cycle;
       t "abandon after crash" `Quick (abandon_after_crash ~support_weak:false);
       t "abandon after crash (weak)" `Quick (abandon_after_crash ~support_weak:true);
+      t "strong drop frees despite a carried backlog" `Quick drop_frees_despite_carried_backlog;
+      t "abandon with a carried backlog" `Quick abandon_with_carried_backlog;
       t "stress strong" `Slow (stress_asp ~threads:4 ~iters:10_000);
       t "stress weak" `Slow (stress_weak ~threads:4 ~iters:10_000);
     ]
