@@ -547,10 +547,16 @@ module Make (S : Smr.Smr_intf.S) = struct
       the pid's queue: everything, cascades included, under [~force];
       otherwise at most the instance's slice, [max 1 (cleanup_freq / 4)]
       (16 by default), leaving the rest for the pid's next eject. A scan
-      releases up to [cleanup_freq] records at once, so the slice spreads
-      their cost over the operations that follow instead of charging it
-      all to the one whose retire made the scan due; the paper's [eject]
-      likewise hands back one record per call. *)
+      releases a batch at once (about [cleanup_freq] records on kv-zipf
+      at one pid), so the slice spreads its cost over the operations
+      that follow instead of charging it all to the one whose retire
+      made the scan due; the paper's [eject] likewise hands back one
+      record per call. The carried queue has no fixed bound between
+      flushes: HP, HE and PTB scan every [max cleanup_freq (2(k+1)P)]
+      retires, EBR can release a stalled reader's whole backlog in one
+      scan, and scans by ejects nested in a drain add to the queue
+      without adding to the slice. A forced eject, [flush] or
+      [quiesce] empties it. *)
   let eject ?(force = false) t ~pid =
     ignore (scan t ~pid ~force);
     if force then drain t ~pid

@@ -135,10 +135,11 @@ let abandon t ~pid =
 
 let reclamation_frontier _t = None
 
-(* Take every entry still on the global list onto the safe stack:
-   zeroing a stamp takes the entry, so one already pushed is skipped,
-   and an exit that still decrements the stamp later cannot push it
-   again. *)
+(* Take every entry still on the global list onto the safe stack. An
+   entry whose stamp already reached zero is on it and is skipped.
+   Zeroing the stamp of each one taken means that no later decrement
+   can push it again, though [drain_all] cuts the list first, so an
+   exit replayed afterwards does not reach these entries at all. *)
 let rec take_listed t = function
   | Nil -> ()
   | Node n ->

@@ -191,7 +191,9 @@ module type S = sig
 
   val drain_all : t -> Deferred.t
   (** Return {e all} pending records from all threads, as a chain.
-      Only sound at quiescence: no critical section active, no guard
-      held, no concurrent scheme calls. Used at teardown and by the
+      Only sound at quiescence: no concurrent scheme calls, and no guard
+      or critical section in use. A section that a pid stopped for good
+      left open (a stall whose exit never replays) holds nothing back:
+      its records are returned too. Used at teardown and by the
       leak-freedom tests. *)
 end

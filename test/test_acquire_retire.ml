@@ -521,6 +521,8 @@ let quiesce_keeps_ops_after_a_raise () =
   | () -> Alcotest.fail "expected the raise"
   | exception Failure _ -> ());
   (* The scheme is drained; the backlog is the two ops left queued. *)
+  Alcotest.(check int) "scheme drained" 0 (Ebr_ar.Smr_impl.retired_count ar.Ebr_ar.smr ~pid:0);
+  Alcotest.(check int) "two ops queued" 2 (Smr.Retire_queue.size ar.Ebr_ar.pending.(0));
   Alcotest.(check int) "queued ops counted" 2 (Ebr_ar.total_pending ar);
   Alcotest.(check int) "nothing freed yet" 3 (Simheap.live (Ebr_ar.heap ar));
   Ebr_ar.quiesce ar;
@@ -553,6 +555,31 @@ let hyaline_backlog_exact () =
   Alcotest.(check int) "drained" 0 (Ar.total_pending ar);
   Alcotest.(check int) "reclaimed" 0 (Simheap.live (Ar.heap ar))
 
+(* A pid stalled inside its section pins every Hyaline entry retired
+   since it entered. At teardown [quiesce] must reclaim them anyway, as
+   the other schemes return every retired record, and a section exit
+   replayed afterwards must not run any of them a second time. *)
+let hyaline_quiesce_past_a_stalled_section () =
+  let module Ar = Acquire_retire.Make (Smr.Hyaline) in
+  let ar = Ar.create ~max_threads:2 () in
+  Ar.begin_critical_section ar ~pid:1;
+  let runs = ref 0 in
+  for i = 1 to 3 do
+    let m = Ar.alloc ar ~pid:0 i in
+    Ar.retire ar ~pid:0
+      (Smr.Deferred.of_fun ~id:(Ar.ident m) ~birth:(Ar.birth_tag m) (fun _ ->
+           incr runs;
+           Ar.discard m))
+  done;
+  Alcotest.(check int) "pinned by the stalled section" 3 (Ar.total_pending ar);
+  Ar.quiesce ar;
+  Alcotest.(check int) "every entry ran" 3 !runs;
+  Alcotest.(check int) "nothing left live" 0 (Simheap.live (Ar.heap ar));
+  Alcotest.(check int) "nothing pending" 0 (Ar.total_pending ar);
+  Ar.end_critical_section ar ~pid:1;
+  Ar.quiesce ar;
+  Alcotest.(check int) "a late exit runs nothing twice" 3 !runs
+
 let scope_tests =
   [
     Alcotest.test_case "HP: raising body frees both slots" `Quick raising_body_frees_slots;
@@ -579,5 +606,9 @@ let () =
       ("scope", scope_tests);
       ("queue", Q_ebr.tests @ Q_hp.tests);
       ( "backlog",
-        [ Alcotest.test_case "Hyaline: total_pending is exact" `Quick hyaline_backlog_exact ] );
+        [
+          Alcotest.test_case "Hyaline: total_pending is exact" `Quick hyaline_backlog_exact;
+          Alcotest.test_case "Hyaline: quiesce reclaims past a stalled section" `Quick
+            hyaline_quiesce_past_a_stalled_section;
+        ] );
     ]

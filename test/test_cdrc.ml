@@ -847,8 +847,8 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
 
   (* -------------------- carried deferred decrements ---------------- *)
 
-  (* A scan releases up to [cleanup_freq] deferred decrements at once,
-     and an ordinary eject runs a slice of them, leaving the rest queued
+  (* A scan releases a batch of deferred decrements at once, and an
+     ordinary eject runs a slice of them, leaving the rest queued
      for the pid's next eject. [carry th] leaves such a queue: one scan's
      worth of stores, each deferring the decrement of the value it
      displaces. Hyaline releases each decrement at its own eject, so it
