@@ -20,8 +20,8 @@
     guard and every unlink witness from outliving the critical section
     that backs it, and whose guards and witnesses carry the manual
     structures' life-cycle obligations (DESIGN.md §3), or — only for
-    CDRC's snapshots, whose guards outlive the call that takes them —
-    through {!Make.protect_unscoped}. *)
+    CDRC's snapshots over a scheme that takes guards, whose guards
+    outlive the call that takes them — through {!Make.protect_unscoped}. *)
 
 module Make (S : Smr.Smr_intf.S) = struct
   module Smr_impl = S
@@ -420,7 +420,11 @@ module Make (S : Smr.Smr_intf.S) = struct
 
       CDRC's snapshots keep their guard after the call that took it, so
       a scope cannot type them. [protect_unscoped] is their entry point
-      to the same announce/confirm loop. The pid holds the guard it
+      to the same announce/confirm loop. Only the snapshots of a scheme
+      that takes guards (HP, HE, PTB, IBR) come here: a scheme whose
+      confirm is trivial (EBR, Hyaline, the leaky baseline) protects
+      every read of the section, so CDRC reads the cell itself and holds
+      no guard (DESIGN.md S6). The pid holds the guard it
       takes as it holds a scope's: {!release_unscoped} releases it
       early, and {!close_section} releases it if nothing did. Neither
       call returns the guard beside the value, which would allocate a
@@ -444,21 +448,15 @@ module Make (S : Smr.Smr_intf.S) = struct
       pid's reserved slot ([~reserved:true]; at most one such guard per
       pid at a time, and it never fails) or on a fresh one, and returns
       [cell]'s value that the guard covers: announce a read, confirm a
-      re-read, as {!Scope.protect} does (one read for a scheme whose
-      confirm is trivial). When {!guard} is then {!no_guard}, no fresh
-      slot was left: the value is unprotected and must not be
-      dereferenced. *)
+      re-read, as {!Scope.protect} does. When {!guard} is then
+      {!no_guard}, no fresh slot was left: the value is unprotected and
+      must not be dereferenced. *)
   let protect_unscoped t ~pid ~reserved ~ident cell =
     let s = t.scopes.(pid) in
-    if S.confirm_is_trivial then begin
-      announce s ~reserved Smr.Ident.null;
-      Sched.Atomic.get cell
-    end
-    else
-      let v = Sched.Atomic.get cell in
-      announce s ~reserved (ident v);
-      if s.guard = no_guard then v
-      else settle s.smr_s ~pid ~ident cell s.guard (Sched.Atomic.get cell)
+    let v = Sched.Atomic.get cell in
+    announce s ~reserved (ident v);
+    if s.guard = no_guard then v
+    else settle s.smr_s ~pid ~ident cell s.guard (Sched.Atomic.get cell)
 
   (** [protect_seen t ~pid ~ident cell v] protects [v], a value already
       read from [cell] and protected by another guard, on a fresh slot:

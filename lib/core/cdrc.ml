@@ -107,8 +107,10 @@ module Make (S : Smr.Smr_intf.S) = struct
      [snapshot_stats] reads are exact once the workers have joined.
      [counted.(0 .. n_counted - 1)] hold one entry per counted snapshot
      the pid has not dropped: the control block whose count it holds,
-     given back at the pid's section exit. The [pad_*] fields give the
-     record a cache line of its own. *)
+     given back at the pid's section exit. [section] numbers the pid's
+     sections: each exit bumps it, and a snapshot carries the number of
+     the section that took it. The [pad_*] fields give the record a
+     cache line of its own. *)
   and books = {
     mutable fast : int;
     mutable slow : int;
@@ -120,7 +122,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     pad_3 : int;
     pad_4 : int;
     pad_5 : int;
-    pad_6 : int;
+    mutable section : int;
   }
 
   (* [thrs] holds each pid's one [thr], set once by [create]: what
@@ -149,9 +151,25 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* A snapshot (strong or weak) is the slot it read from its cell,
      shared with the cell rather than copied, plus what keeps the object
-     alive: a guard, or [Ar.no_guard] when it holds a count instead (the
-     slow path) or nothing (a null snapshot). Four words, one block. *)
+     alive: the section that took it (under a region scheme, whose
+     section protects every read it makes), a guard, or a count (the
+     slow path). [n_guard] is [Ar.no_guard] for a null snapshot, which
+     keeps nothing alive; otherwise it is {!stamp}ed with the section.
+     Four words, one block. *)
   type 'a snapshot = { n_slot : 'a slot; n_guard : S.guard; mutable n_live : bool }
+
+  (* A non-null snapshot's [n_guard] is [section lsl stamp_shift lor g]:
+     [g] is the guard it holds ([counted] for a counted snapshot, and
+     any guard for a region scheme's, which holds none), and [section]
+     the pid's section that took it. A guard is a pid-local slot
+     index, at most [Sys.int_size - 1] = 62 ([Acquire_retire.create]
+     caps the slots), so no guard is [counted]. [drop] checks the stamp, so a snapshot that escaped its
+     section cannot release a guard, or give back a count, that a
+     later section's snapshot holds. *)
+  let stamp_shift = 6
+  let guard_mask = (1 lsl stamp_shift) - 1
+  let counted = guard_mask
+  let stamp b g = (b.section lsl stamp_shift) lor g
 
   type 'a weak_snapshot = 'a snapshot
 
@@ -253,7 +271,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                 pad_3 = 0;
                 pad_4 = 0;
                 pad_5 = 0;
-                pad_6 = 0;
+                section = 0;
               });
         thrs = [||];
         runs = no_runs;
@@ -374,14 +392,16 @@ module Make (S : Smr.Smr_intf.S) = struct
       end
       else count_out b id (i - 1)
 
-  (* Section exit: close the pid's section, which releases every guard
-     its snapshots still hold, then give back the counts its counted
-     snapshots still hold. The books shrink before each decrement, so
+  (* Section exit: number the pid's next section, so that no snapshot
+     of this one drops after it, close the section, which releases every
+     guard its snapshots still hold, then give back the counts its
+     counted snapshots still hold. The books shrink before each decrement, so
      one that raises gives back no count twice and leaves the rest for
      the pid's next exit. *)
   let leave (t : thr) () =
-    Ar.close_section t.rt.ar ~pid:t.pid;
     let b = t.rt.books.(t.pid) in
+    b.section <- b.section + 1;
+    Ar.close_section t.rt.ar ~pid:t.pid;
     while b.n_counted > 0 do
       let i = b.n_counted - 1 in
       let (Counted cb) = b.counted.(i) in
@@ -521,25 +541,30 @@ module Make (S : Smr.Smr_intf.S) = struct
       check_owner p.n_live N.what;
       match tag with None -> p.n_slot | Some g -> Ptr.with_tag p.n_slot g
 
-    (* Fig 5 snapshot_ptr::release, Fig 9 weak_snapshot_ptr::release *)
+    (* Fig 5 snapshot_ptr::release, Fig 9 weak_snapshot_ptr::release. A
+       snapshot of an earlier section raises: that section's exit
+       released its guard or gave back its count. A region scheme's
+       snapshot holds neither, so its drop releases nothing. *)
     let drop (t : thr) p =
       check_owner p.n_live N.what;
       p.n_live <- false;
-      if p.n_guard <> Ar.no_guard then Ar.release_unscoped t.rt.ar ~pid:t.pid p.n_guard
-      else
-        match p.n_slot with
-        | (Cb _ as cb) | Tagged (cb, _) ->
-            (* No entry: the count went back when the section that took
-               the snapshot exited. *)
-            let b = t.rt.books.(t.pid) in
-            if not (count_out b (Ident.of_val cb) (b.n_counted - 1)) then
-              raise (Use_after_drop N.what);
-            decrement t.rt ~pid:t.pid cb
-        | Null | Null_tagged _ -> ()
+      let g = p.n_guard in
+      if g <> Ar.no_guard then begin
+        let b = t.rt.books.(t.pid) in
+        if g lsr stamp_shift <> b.section then raise (Use_after_drop N.what);
+        let g = g land guard_mask in
+        if g = counted then begin
+          let cb = target p.n_slot in
+          if not (count_out b (Ident.of_val cb) (b.n_counted - 1)) then
+            raise (Use_after_drop N.what);
+          decrement t.rt ~pid:t.pid cb
+        end
+        else if not S.confirm_is_trivial then Ar.release_unscoped t.rt.ar ~pid:t.pid g
+      end
 
     let is_protected p =
       check_owner p.n_live N.what;
-      p.n_guard <> Ar.no_guard
+      p.n_guard <> Ar.no_guard && p.n_guard land guard_mask <> counted
   end
 
   module Snapshot = struct
@@ -582,19 +607,28 @@ module Make (S : Smr.Smr_intf.S) = struct
         diagnostics or quiescent inspection. *)
     let unsafe_ptr (c : 'a t) : 'a ptr = Sched.Atomic.get c.asp
 
-    (* Fig 8 load_and_increment *)
+    let counted_shared = function
+      | Null | Null_tagged _ -> Shared.null ()
+      | (Cb _ as cb) | Tagged (cb, _) ->
+          must_increment cb;
+          { s_cb = cb; s_live = true }
+
+    (* Fig 8 load_and_increment. Under a region scheme the section
+       protects the read: the reserved acquire is made for its count
+       alone, and no guard is held. *)
     let load (t : thr) (c : 'a t) : 'a shared =
       let ar = t.rt.ar and pid = t.pid in
-      let v = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.asp in
-      let res =
-        match v with
-        | Null | Null_tagged _ -> Shared.null ()
-        | (Cb _ as cb) | Tagged (cb, _) ->
-            must_increment cb;
-            { s_cb = cb; s_live = true }
-      in
-      Ar.release_unscoped ar ~pid (Ar.guard ar ~pid);
-      res
+      if S.confirm_is_trivial then begin
+        ignore (S.acquire ar.Ar.smr ~pid Ident.null);
+        counted_shared (Sched.Atomic.get c.asp)
+      end
+      else begin
+        let res =
+          counted_shared (Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.asp)
+        in
+        Ar.release_unscoped ar ~pid (Ar.guard ar ~pid);
+        res
+      end
 
     let store (t : thr) (c : 'a t) (desired : 'a ptr) =
       (match target desired with Null -> () | cb -> must_increment cb);
@@ -624,37 +658,50 @@ module Make (S : Smr.Smr_intf.S) = struct
       ignore t;
       slot_cas c.asp (Ptr.with_mark expected false) (Ptr.with_mark expected true)
 
-    (* Fig 5 get_snapshot *)
+    (* Fig 5 get_snapshot. Under a region scheme the section protects
+       the read, as §3.4 has it: one load, and the acquire is made for
+       its count alone. *)
     let get_snapshot (t : thr) (c : 'a t) : 'a snapshot =
       let ar = t.rt.ar and pid = t.pid in
       let b = t.rt.books.(pid) in
-      let v = Ar.protect_unscoped ar ~pid ~reserved:false ~ident:slot_ident c.asp in
-      let g = Ar.guard ar ~pid in
-      if g <> Ar.no_guard then begin
+      if S.confirm_is_trivial then begin
+        ignore (S.try_acquire ar.Ar.smr ~pid Ident.null);
+        let v = Sched.Atomic.get c.asp in
         b.fast <- b.fast + 1;
         Obs.Metrics.incr snap_fast_c ~pid;
         match v with
-        | Cb _ | Tagged _ -> { n_slot = v; n_guard = g; n_live = true }
-        | Null | Null_tagged _ ->
-            Ar.release_unscoped ar ~pid g;
-            { n_slot = v; n_guard = Ar.no_guard; n_live = true }
+        | Cb _ | Tagged _ -> { n_slot = v; n_guard = stamp b 0; n_live = true }
+        | Null | Null_tagged _ -> { n_slot = v; n_guard = Ar.no_guard; n_live = true }
       end
       else begin
-        (* Slow path: protect with the reserved slot, take a real
-           count, release the slot (Fig 5 lines 8–11). *)
-        b.slow <- b.slow + 1;
-        Obs.Metrics.incr snap_slow_c ~pid;
-        let v = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.asp in
+        let v = Ar.protect_unscoped ar ~pid ~reserved:false ~ident:slot_ident c.asp in
         let g = Ar.guard ar ~pid in
-        match v with
-        | Null | Null_tagged _ ->
-            Ar.release_unscoped ar ~pid g;
-            { n_slot = v; n_guard = Ar.no_guard; n_live = true }
-        | (Cb _ as cb) | Tagged (cb, _) ->
-            must_increment cb;
-            Ar.release_unscoped ar ~pid g;
-            count_in t cb;
-            { n_slot = v; n_guard = Ar.no_guard; n_live = true }
+        if g <> Ar.no_guard then begin
+          b.fast <- b.fast + 1;
+          Obs.Metrics.incr snap_fast_c ~pid;
+          match v with
+          | Cb _ | Tagged _ -> { n_slot = v; n_guard = stamp b g; n_live = true }
+          | Null | Null_tagged _ ->
+              Ar.release_unscoped ar ~pid g;
+              { n_slot = v; n_guard = Ar.no_guard; n_live = true }
+        end
+        else begin
+          (* Slow path: protect with the reserved slot, take a real
+             count, release the slot (Fig 5 lines 8–11). *)
+          b.slow <- b.slow + 1;
+          Obs.Metrics.incr snap_slow_c ~pid;
+          let v = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.asp in
+          let g = Ar.guard ar ~pid in
+          match v with
+          | Null | Null_tagged _ ->
+              Ar.release_unscoped ar ~pid g;
+              { n_slot = v; n_guard = Ar.no_guard; n_live = true }
+          | (Cb _ as cb) | Tagged (cb, _) ->
+              must_increment cb;
+              Ar.release_unscoped ar ~pid g;
+              count_in t cb;
+              { n_slot = v; n_guard = stamp b counted; n_live = true }
+        end
       end
 
     (** Scoped snapshot: dropped when [f] returns or raises. *)
@@ -781,20 +828,27 @@ module Make (S : Smr.Smr_intf.S) = struct
       let old = Sched.Atomic.exchange c.awp desired in
       match target old with Null -> () | cb -> delayed_weak_decrement t.rt ~pid:t.pid cb
 
-    (* Fig 9 load *)
+    let counted_weak = function
+      | Null | Null_tagged _ -> Weak.null ()
+      | (Cb _ as cb) | Tagged (cb, _) ->
+          weak_increment cb;
+          { w_cb = cb; w_live = true }
+
+    (* Fig 9 load; under a region scheme, one load, as [Asp.load]. *)
     let load (t : thr) (c : 'a t) : 'a weak =
       require_weak t.rt;
       let ar = t.rt.ar and pid = t.pid in
-      let v = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.awp in
-      let res =
-        match v with
-        | Null | Null_tagged _ -> Weak.null ()
-        | (Cb _ as cb) | Tagged (cb, _) ->
-            weak_increment cb;
-            { w_cb = cb; w_live = true }
-      in
-      Ar.release_unscoped ar ~pid (Ar.guard ar ~pid);
-      res
+      if S.confirm_is_trivial then begin
+        ignore (S.acquire ar.Ar.smr ~pid Ident.null);
+        counted_weak (Sched.Atomic.get c.awp)
+      end
+      else begin
+        let res =
+          counted_weak (Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.awp)
+        in
+        Ar.release_unscoped ar ~pid (Ar.guard ar ~pid);
+        res
+      end
 
     (* Fig 9 compare_and_swap. [desired] must be backed by an owned
        weak-counted reference (weak, shared, or weak_snapshot) held by
@@ -816,43 +870,66 @@ module Make (S : Smr.Smr_intf.S) = struct
       end
 
     (* Fig 9 get_snapshot, retried at the top level: a local [retry]
-       closure would cost a heap block per snapshot. *)
+       closure would cost a heap block per snapshot. Under a region
+       scheme the section protects both the read and the disposal: one
+       load and a liveness check, and the two acquires are made for
+       their counts alone. *)
     let rec weak_snapshot (t : thr) (c : 'a t) : 'a weak_snapshot =
       let ar = t.rt.ar and pid = t.pid in
-      let v = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.awp in
-      let wg = Ar.guard ar ~pid in
-      match v with
-      | Null | Null_tagged _ ->
-          Ar.release_unscoped ar ~pid wg;
-          { n_slot = v; n_guard = Ar.no_guard; n_live = true }
-      | (Cb _ as cb) | Tagged (cb, _) ->
-          (* Protect [cb]'s disposal with a fresh guard on [v], which
-             [wg] already protects. For IBR/HE the dispose-side
-             interval must be re-stabilized before trusting the
-             liveness read; HP and PTB confirm [v] at once. *)
-          Ar.protect_seen ar ~pid ~ident:slot_ident c.awp v;
-          let dg = Ar.guard ar ~pid in
-          let alive =
-            if dg <> Ar.no_guard then not (expired cb)
-            else
-              (* Fig 9 line 26: out of dispose guards — fall back to
-                 a real strong increment if the object is alive. *)
-              Cell.try_upgrade (cell_of cb)
-          in
-          if alive then begin
+      if S.confirm_is_trivial then begin
+        ignore (S.acquire ar.Ar.smr ~pid Ident.null);
+        let v = Sched.Atomic.get c.awp in
+        match v with
+        | Null | Null_tagged _ -> { n_slot = v; n_guard = Ar.no_guard; n_live = true }
+        | (Cb _ as cb) | Tagged (cb, _) -> (
+            ignore (S.try_acquire ar.Ar.smr ~pid Ident.null);
+            if not (expired cb) then
+              { n_slot = v; n_guard = stamp t.rt.books.(pid) 0; n_live = true }
+            else expired_snapshot t c v)
+      end
+      else begin
+        let v = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.awp in
+        let wg = Ar.guard ar ~pid in
+        match v with
+        | Null | Null_tagged _ ->
             Ar.release_unscoped ar ~pid wg;
-            if dg = Ar.no_guard then count_in t cb;
-            { n_slot = v; n_guard = dg; n_live = true }
-          end
-          else begin
-            if dg <> Ar.no_guard then Ar.release_unscoped ar ~pid dg;
-            Ar.release_unscoped ar ~pid wg;
-            (* Fig 9 lines 34–35: only linearizable to return null if
-               the cell still holds the expired pointer. *)
-            if slot_eq (Sched.Atomic.get c.awp) v then
-              { n_slot = Ptr.with_tag Null (slot_tag v); n_guard = Ar.no_guard; n_live = true }
-            else weak_snapshot t c
-          end
+            { n_slot = v; n_guard = Ar.no_guard; n_live = true }
+        | (Cb _ as cb) | Tagged (cb, _) ->
+            (* Protect [cb]'s disposal with a fresh guard on [v], which
+               [wg] already protects. For IBR/HE the dispose-side
+               interval must be re-stabilized before trusting the
+               liveness read; HP and PTB confirm [v] at once. *)
+            Ar.protect_seen ar ~pid ~ident:slot_ident c.awp v;
+            let dg = Ar.guard ar ~pid in
+            let alive =
+              if dg <> Ar.no_guard then not (expired cb)
+              else
+                (* Fig 9 line 26: out of dispose guards — fall back to
+                   a real strong increment if the object is alive. *)
+                Cell.try_upgrade (cell_of cb)
+            in
+            if alive then begin
+              Ar.release_unscoped ar ~pid wg;
+              let b = t.rt.books.(pid) in
+              if dg = Ar.no_guard then begin
+                count_in t cb;
+                { n_slot = v; n_guard = stamp b counted; n_live = true }
+              end
+              else { n_slot = v; n_guard = stamp b dg; n_live = true }
+            end
+            else begin
+              if dg <> Ar.no_guard then Ar.release_unscoped ar ~pid dg;
+              Ar.release_unscoped ar ~pid wg;
+              expired_snapshot t c v
+            end
+      end
+
+    (* Fig 9 lines 34–35: [v] expired, and a null snapshot is only
+       linearizable if the cell still holds it; otherwise retry. *)
+    and expired_snapshot t c v =
+      if slot_eq (Sched.Atomic.get c.awp) v then
+        { n_slot = Ptr.with_tag Null (slot_tag v); n_guard = Ar.no_guard; n_live = true }
+      else weak_snapshot t c
 
     let get_snapshot (t : thr) (c : 'a t) : 'a weak_snapshot =
       require_weak t.rt;

@@ -36,9 +36,11 @@ module type S = sig
   (** Run the body in the thread's critical section, which owns the
       snapshots taken inside it: on every exit, normal or exceptional,
       it releases the guards they still hold and gives back the counts
-      of the counted ones, whose later [drop] raises [Use_after_drop].
-      Sections do not nest: [Invalid_argument] when the thread's
-      section is already open. *)
+      of the counted ones. A snapshot that escapes the section is dead:
+      its later [drop] raises [Use_after_drop]. Under a region scheme
+      (EBR, Hyaline, the leaky baseline) the section itself protects a
+      snapshot, which holds no guard. Sections do not nest:
+      [Invalid_argument] when the thread's section is already open. *)
 
   val flush : thr -> unit
   (** Apply every deferred operation that is currently safe, plus the

@@ -658,6 +658,145 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
         R.Awp.clear th wcell);
     R.Shared.drop th p
 
+  (* A snapshot that escapes its section and is dropped in a later one
+     must raise, and release nothing: its section's exit released its
+     guard, which the slot pool may have handed to a snapshot of the
+     later section, and gave back its count, which a counted snapshot of
+     the later section may hold again. Run with 2 slots, so that the
+     live snapshot gets the escaped one's slot, and the third snapshot
+     of a section is counted. The live snapshots must then outlive the
+     clearing of their object's last references and a flush. *)
+  let escaped_snapshot_drop_raises () =
+    with_rt ~slots_per_thread:2 ~max_threads:1 @@ fun rt ->
+    let th = R.thread rt 0 in
+    let p = R.Shared.make th 1 in
+    let cell = R.Asp.make th (R.Shared.ptr p) in
+    let escaped = R.critically th (fun () -> R.Asp.get_snapshot th cell) in
+    R.critically th (fun () ->
+        let live = R.Asp.get_snapshot th cell in
+        raises_use_after_drop "escaped snapshot" (fun () -> R.Snapshot.drop th escaped);
+        R.Asp.clear th cell;
+        R.Shared.drop th p;
+        R.flush th;
+        Alcotest.(check int) "live snapshot reads" 1 (R.Snapshot.get live);
+        R.Snapshot.drop th live);
+    R.flush th;
+    Alcotest.(check int) "reclaimed" 0 (R.live_objects rt);
+    if not S.is_protected_region then begin
+      let p = R.Shared.make th 2 in
+      let cell = R.Asp.make th (R.Shared.ptr p) in
+      let three () = List.init 3 (fun _ -> R.Asp.get_snapshot th cell) in
+      let escaped = R.critically th (fun () -> List.nth (three ()) 2) in
+      Alcotest.(check bool) "escaped one is counted" false (R.Snapshot.is_protected escaped);
+      R.critically th (fun () ->
+          let live = three () in
+          raises_use_after_drop "escaped counted snapshot" (fun () -> R.Snapshot.drop th escaped);
+          (* The guarded two go, so that only the count keeps the
+             object. *)
+          List.iter (R.Snapshot.drop th) [ List.nth live 0; List.nth live 1 ];
+          R.Asp.clear th cell;
+          R.Shared.drop th p;
+          R.flush th;
+          Alcotest.(check int) "live counted snapshot reads" 2 (R.Snapshot.get (List.nth live 2));
+          R.Snapshot.drop th (List.nth live 2));
+      R.flush th;
+      Alcotest.(check int) "reclaimed (counted)" 0 (R.live_objects rt)
+    end
+
+  (* The scheme underneath, counting the acquires CDRC makes and the
+     guards it releases. *)
+  module Tally = struct
+    let acquires = ref 0
+    let releases = ref 0
+
+    include S
+
+    let try_acquire t ~pid id =
+      incr acquires;
+      S.try_acquire t ~pid id
+
+    let acquire t ~pid id =
+      incr acquires;
+      S.acquire t ~pid id
+
+    let release t ~pid g =
+      incr releases;
+      S.release t ~pid g
+  end
+
+  module RT = Cdrc.Make (Tally)
+
+  (* Exact atomics per protection and its drop, in a [Sched.Atomic]
+     counting window, and the scheme calls the pair makes, section exit
+     included. A scheme whose confirm is trivial protects every read of
+     the section: its snapshots read the cell once, and no protection
+     takes a guard (no release at the drop or at the exit); the acquire
+     is still made, for its count. The slot schemes' footprints are
+     pinned as measured. Expected: (gets, sets, exchanges, cas, faa) per
+     op, for a strong snapshot, a load and a weak snapshot, and the
+     releases each op makes. *)
+  let protection_atomics_pinned () =
+    let snap, load, weak, releases =
+      match S.name with
+      | "EBR" | "Hyaline" -> ((1, 0, 0, 0, 0), (1, 0, 0, 0, 2), (2, 0, 0, 0, 0), (0, 0, 0))
+      | "IBR" ->
+          (* Both guards of a weak snapshot are IBR's one guard 0, held
+             once. *)
+          ((4, 0, 0, 0, 0), (4, 0, 0, 0, 2), (7, 0, 0, 0, 0), (1, 1, 1))
+      | "HP" -> ((3, 2, 0, 0, 0), (3, 2, 0, 0, 2), (5, 4, 0, 0, 0), (1, 1, 2))
+      | "HE" -> ((5, 2, 0, 0, 0), (5, 2, 0, 0, 2), (9, 4, 0, 0, 0), (1, 1, 2))
+      | "PTB" -> ((3, 2, 1, 0, 0), (3, 2, 1, 0, 2), (5, 4, 2, 0, 0), (1, 1, 2))
+      | other -> Alcotest.failf "no pinned footprint for %s" other
+    in
+    Alcotest.(check bool) "region schemes release nothing" S.confirm_is_trivial (releases = (0, 0, 0));
+    let rt = RT.create ~max_threads:1 () in
+    let th = RT.thread rt 0 in
+    let p = RT.Shared.make th 6 in
+    let cell = RT.Asp.make th (RT.Shared.ptr p) in
+    let wcell = RT.Awp.make th (RT.Shared.ptr p) in
+    let ops = 3 in
+    let measure what (gets, sets, exchanges, cas, faa) released f =
+      let what = R.scheme_name ^ " " ^ what in
+      Tally.acquires := 0;
+      Tally.releases := 0;
+      RT.critically th (fun () ->
+          Sched.Atomic.reset ();
+          Sched.Atomic.counting (fun () ->
+              for _ = 1 to ops do
+                f ()
+              done));
+      let c = Sched.Atomic.snapshot () in
+      let per n = n / ops in
+      Alcotest.(check (list int))
+        (what ^ ": gets, sets, exchanges, cas, faa per op")
+        [ gets; sets; exchanges; cas; faa ]
+        [ per c.gets; per c.sets; per c.exchanges; per c.cas; per c.faa ];
+      Alcotest.(check int) (what ^ ": atomics") ((gets + sets + exchanges + cas + faa) * ops)
+        (Sched.Atomic.total c);
+      Alcotest.(check int) (what ^ ": releases") (released * ops) !Tally.releases;
+      !Tally.acquires / ops
+    in
+    let r_snap, r_load, r_weak = releases in
+    let a_snap =
+      measure "get_snapshot + drop" snap r_snap (fun () ->
+          RT.Snapshot.drop th (RT.Asp.get_snapshot th cell))
+    in
+    let a_load =
+      measure "Asp.load + Shared.drop" load r_load (fun () ->
+          RT.Shared.drop th (RT.Asp.load th cell))
+    in
+    let a_weak =
+      measure "Awp.get_snapshot + drop" weak r_weak (fun () ->
+          RT.Weak_snapshot.drop th (RT.Awp.get_snapshot th wcell))
+    in
+    Alcotest.(check (list int)) "acquires per op" [ 1; 1; 2 ] [ a_snap; a_load; a_weak ];
+    Sched.Atomic.reset ();
+    RT.critically th (fun () ->
+        RT.Asp.clear th cell;
+        RT.Awp.clear th wcell);
+    RT.Shared.drop th p;
+    RT.quiesce rt
+
   (* -------------------- multi-domain stress ------------------------- *)
 
   let stress_asp ~threads ~iters () =
@@ -921,6 +1060,8 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       t "object allocation pinned" `Quick object_allocation_pinned;
       t "delayed decrement allocation pinned" `Quick delayed_decrement_allocation_pinned;
       t "snapshot use after drop" `Quick snapshot_use_after_drop;
+      t "escaped snapshot's drop raises" `Quick escaped_snapshot_drop_raises;
+      t "atomics per protection pinned" `Quick protection_atomics_pinned;
       t "strong cycle leaks" `Quick strong_cycle_leaks;
       t "weak edge breaks cycle" `Quick weak_backedge_breaks_cycle;
       t "abandon after crash" `Quick (abandon_after_crash ~support_weak:false);
