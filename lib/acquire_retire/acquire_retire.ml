@@ -16,31 +16,29 @@
     reentrantly (§3.2), and an ordinary eject runs a bounded slice of
     that queue and leaves the rest for the pid's next eject, where
     Fig 2's hands back one pointer per call; and protection is
-    acquired inside a {!Make.scope}, whose rank-2 body type keeps every
-    guard and every unlink witness from outliving the critical section
-    that backs it, and whose guards and witnesses carry the manual
-    structures' life-cycle obligations (DESIGN.md §3), or — only for
-    CDRC's snapshots over a scheme that takes guards, whose guards
-    outlive the call that takes them — through {!Make.protect_unscoped}. *)
+    acquired inside a section, whose exit releases every guard still
+    held. A {!Make.scope} is a section whose rank-2 body type keeps every
+    guard and every unlink witness from outliving it, and whose guards
+    and witnesses carry the manual structures' life-cycle obligations
+    (DESIGN.md §3); CDRC's [critically] is another, whose snapshots,
+    over a scheme that takes guards, keep theirs after the call that
+    takes them. Both protect through one entry, {!Make.acquire}. *)
 
 module Make (S : Smr.Smr_intf.S) = struct
   module Smr_impl = S
 
   (* A pid's protection state, preallocated so that neither opening a
-     section nor protecting a pointer allocates bookkeeping. Bit [g] of
-     [held] is set while the pid holds the scheme guard [g] taken by
-     {!protect_unscoped}, and [guard] is the guard of its last unscoped
-     protect. Bit [v] of [scoped] is set while the pid's scope holds its
-     guard slot [v]: [taken.(v)] is the scheme guard behind it, and
-     [gens.(v)] the slot's generation, bumped at each release. The owner
-     writes the record on every protect, so the [pad_*] fields give it
-     a cache line of its own. *)
+     section nor protecting a pointer allocates bookkeeping. Bit [v] of
+     [scoped] is set while the pid's section holds its guard slot [v]:
+     [taken.(v)] is the scheme guard behind it, and [gens.(v)] the
+     slot's generation, bumped at each release. [last] is the guard slot
+     of the pid's last {!acquire}. The owner writes the record on every
+     protect, so the [pad_*] fields give it a cache line of its own. *)
   type scope_state = {
     smr_s : S.t;
     pid : int;
-    mutable held : int;
     mutable opened : bool;
-    mutable guard : S.guard;
+    mutable last : int;
     mutable scoped : int;
     taken : S.guard array;
     gens : int array;
@@ -48,9 +46,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     pad_1 : int;
     pad_2 : int;
     pad_3 : int;
+    pad_4 : int;
   }
 
-  (** The guard of a failed fresh-slot announcement. *)
+  (** The guard slot of a failed fresh-slot announcement. *)
   let no_guard = -1
 
   type t = {
@@ -100,9 +99,8 @@ module Make (S : Smr.Smr_intf.S) = struct
             {
               smr_s = smr;
               pid;
-              held = 0;
               opened = false;
-              guard = no_guard;
+              last = no_guard;
               scoped = 0;
               taken = Array.make Sys.int_size no_guard;
               gens = Array.make Sys.int_size 0;
@@ -110,6 +108,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               pad_1 = 0;
               pad_2 = 0;
               pad_3 = 0;
+              pad_4 = 0;
             });
       wd = Obs.Watchdog.create ~scheme:S.name ();
     }
@@ -122,9 +121,6 @@ module Make (S : Smr.Smr_intf.S) = struct
       blocks) puts in their retire records ({!Smr.Deferred.make}). *)
   let birth t ~pid = S.alloc_hook t.smr ~pid
 
-  let begin_critical_section t ~pid = S.begin_critical_section t.smr ~pid
-  let end_critical_section t ~pid = S.end_critical_section t.smr ~pid
-
   (* The announce/confirm loop of [Smr.Smr_intf], the only one in the
      stack: confirm [g] against [v], re-reading [cell] after each miss,
      and return the value [g] covers. *)
@@ -132,26 +128,8 @@ module Make (S : Smr.Smr_intf.S) = struct
     if S.confirm smr ~pid g (ident v) then v
     else settle smr ~pid ~ident cell g (Sched.Atomic.get cell)
 
-  (* The pid's held unscoped guards. [release_held] releases [g] only
-     while the pid holds it, so a guard released early is not released
-     again when its section closes. *)
-  let hold s g = s.held <- s.held lor (1 lsl g)
-
-  let release_held s g =
-    let bit = 1 lsl g in
-    if s.held land bit <> 0 then begin
-      s.held <- s.held lxor bit;
-      S.release s.smr_s ~pid:s.pid g
-    end
-
-  let rec release_mask s mask g =
-    if mask <> 0 then begin
-      if mask land 1 <> 0 then S.release s.smr_s ~pid:s.pid g;
-      release_mask s (mask lsr 1) (g + 1)
-    end
-
-  (* [release_mask] over the scope's guard slots, each holding the
-     scheme guard [taken.(v)]. *)
+  (* Release the guard slots set in [mask], from slot [v] up, each
+     holding the scheme guard [taken.(v)]. *)
   let rec release_scoped s mask v =
     if mask <> 0 then begin
       if mask land 1 <> 0 then S.release s.smr_s ~pid:s.pid s.taken.(v);
@@ -164,7 +142,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       [close_section t ~pid] releases each guard the pid still holds
       exactly once, then closes it. A {!Scope.scope} is one such section
       around its body; CDRC's [critically] is another, whose snapshots
-      hold guards taken by {!protect_unscoped}. Sections do not nest:
+      hold guards taken by {!acquire}. Sections do not nest:
       closing an inner one would end the critical section (under EBR
       and IBR, the announcement) that the outer body still relies on,
       so opening a section for a pid whose section is open raises
@@ -176,19 +154,90 @@ module Make (S : Smr.Smr_intf.S) = struct
     S.begin_critical_section t.smr ~pid;
     s.opened <- true
 
-  (* Marks the section closed and clears the masks before releasing, so
+  (* Marks the section closed and clears the mask before releasing, so
      a release that raises can neither make a guard be released twice
      nor keep the pid's next section from opening. *)
   let close s =
-    let mask = s.held and scoped = s.scoped in
-    s.held <- 0;
+    let scoped = s.scoped in
     s.scoped <- 0;
     s.opened <- false;
-    release_mask s mask 0;
     release_scoped s scoped 0;
     S.end_critical_section s.smr_s ~pid:s.pid
 
   let close_section t ~pid = close t.scopes.(pid)
+
+  (** {2 Protection}
+
+      One entry to the announce/confirm loop, for a scope's
+      {!Scope.protect} and for CDRC's snapshots, whose guards outlive the
+      call that takes them. It leaves the guard slot it took in the pid
+      state's [last] field ({!no_guard} when the fresh slots ran out):
+      returning it beside the value would allocate a pair per snapshot.
+      The slot is the scheme guard's own, unless the section already
+      holds that guard: region schemes and IBR hand every protect guard
+      0. Then [~own:true] (a scope) takes the lowest free slot, so that
+      each guard is released and checked alone ({!no_guard} when none is
+      free, which only such a scheme, whose section protects the read
+      anyway, can reach), and [~own:false] (CDRC) holds the guard once,
+      so a pid can hold any number of them. *)
+
+  let rec first_clear mask v = if mask land 1 = 0 then v else first_clear (mask lsr 1) (v + 1)
+
+  (* Hold the scheme guard [g] (or {!no_guard}) in a guard slot of the
+     pid's section, and return the slot. *)
+  let hold s ~own g =
+    let v =
+      if own && g <> no_guard && s.scoped land (1 lsl g) <> 0 then first_clear s.scoped 0 else g
+    in
+    if v = no_guard || v >= Sys.int_size then no_guard
+    else begin
+      s.scoped <- s.scoped lor (1 lsl v);
+      s.taken.(v) <- g;
+      v
+    end
+
+  (* Announce [id] on the pid's reserved slot or on a fresh one; the
+     scheme guard, {!no_guard} when no fresh slot was left. *)
+  let announce s ~reserved id =
+    if reserved then S.acquire s.smr_s ~pid:s.pid id
+    else match S.try_acquire s.smr_s ~pid:s.pid id with Some g -> g | None -> no_guard
+
+  (** [acquire s ~reserved ~own ~ident cell] announces on the pid's
+      reserved slot ([~reserved:true]; at most one such guard per pid at
+      a time, and it never fails) or on a fresh one, and returns [cell]'s
+      value that the guard in [s.last] covers: announce a read, confirm
+      a re-read. The slot is held before the confirm loop runs, so a
+      confirm that raises leaves it for the section's exit. *)
+  let acquire s ~reserved ~own ~ident cell =
+    if S.confirm_is_trivial then begin
+      s.last <- hold s ~own (announce s ~reserved Smr.Ident.null);
+      Sched.Atomic.get cell
+    end
+    else
+      let v = Sched.Atomic.get cell in
+      let g = announce s ~reserved (ident v) in
+      s.last <- hold s ~own g;
+      if g = no_guard then v else settle s.smr_s ~pid:s.pid ~ident cell g (Sched.Atomic.get cell)
+
+  (** [acquire_seen s ~ident cell v] protects [v], a value already read
+      from [cell] and protected by another guard, on a fresh slot held
+      as [~own:false] holds it: [v] is announced and confirmed as read,
+      and [cell] is re-read only after a miss — how Fig 9's weak
+      snapshot protects a disposal. *)
+  let acquire_seen s ~ident cell v =
+    let g = announce s ~reserved:false (ident v) in
+    s.last <- hold s ~own:false g;
+    if g <> no_guard then ignore (settle s.smr_s ~pid:s.pid ~ident cell g v)
+
+  (** Release the guard slot [v] if the pid's section still holds it: a
+      guard held once for two protections is released by the first. *)
+  let release_slot s v =
+    let bit = 1 lsl v in
+    if s.scoped land bit <> 0 then begin
+      s.gens.(v) <- s.gens.(v) + 1;
+      s.scoped <- s.scoped lxor bit;
+      S.release s.smr_s ~pid:s.pid s.taken.(v)
+    end
 
   (* The static run function of a retire record that reclaims a block. *)
   let free_block _pid block = Simheap.free block
@@ -352,22 +401,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     let unguarded = no_guard
     let guarded g = g <> unguarded
 
-    let rec first_clear mask v = if mask land 1 = 0 then v else first_clear (mask lsr 1) (v + 1)
-
-    (* Hold the scheme guard [g] in a guard slot of the scope: slot [g]
-       itself, unless a guard of the scope already holds it — a region
-       scheme hands every protect the same slot — in which case the
-       lowest free one; {!unguarded} when none is free, which only a
-       region scheme, whose section protects anyway, can reach. *)
-    let claim s g =
-      let v = if s.scoped land (1 lsl g) = 0 then g else first_clear s.scoped 0 in
-      if v >= Sys.int_size then unguarded
-      else begin
-        s.scoped <- s.scoped lor (1 lsl v);
-        s.taken.(v) <- g;
-        (s.gens.(v) lsl gen_shift) lor v
-      end
-
     let live s g = g >= 0 && s.gens.(g land slot_mask) = g lsr gen_shift
 
     let get s g m =
@@ -378,28 +411,13 @@ module Make (S : Smr.Smr_intf.S) = struct
     let release s g =
       if g <> unguarded then begin
         if not (live s g) then invalid_arg "Acquire_retire.release: the guard is not held";
-        let v = g land slot_mask in
-        s.gens.(v) <- s.gens.(v) + 1;
-        s.scoped <- s.scoped lxor (1 lsl v);
-        S.release s.smr_s ~pid:s.pid s.taken.(v)
+        release_slot s (g land slot_mask)
       end
 
-    (* The guard is claimed before the confirm loop runs, so a confirm
-       that raises leaves it for the scope's exit to release. *)
     let protect s ~ident cell =
-      if S.confirm_is_trivial then (
-        match S.try_acquire s.smr_s ~pid:s.pid Smr.Ident.null with
-        | Some g ->
-            let g = claim s g in
-            (Sched.Atomic.get cell, g)
-        | None -> (Sched.Atomic.get cell, unguarded))
-      else
-        let v = Sched.Atomic.get cell in
-        match S.try_acquire s.smr_s ~pid:s.pid (ident v) with
-        | Some g ->
-            let sg = claim s g in
-            (settle s.smr_s ~pid:s.pid ~ident cell g (Sched.Atomic.get cell), sg)
-        | None -> (v, unguarded)
+      let x = acquire s ~reserved:false ~own:true ~ident cell in
+      let v = s.last in
+      (x, if v = no_guard then unguarded else (s.gens.(v) lsl gen_shift) lor v)
 
     let unlink _ cell ~seen ~desired victim =
       if Sched.Atomic.compare_and_set cell seen desired then Some victim else None
@@ -415,62 +433,6 @@ module Make (S : Smr.Smr_intf.S) = struct
   end
 
   include Scope
-
-  (** {2 Unscoped protection}
-
-      CDRC's snapshots keep their guard after the call that took it, so
-      a scope cannot type them. [protect_unscoped] is their entry point
-      to the same announce/confirm loop. Only the snapshots of a scheme
-      that takes guards (HP, HE, PTB, IBR) come here: a scheme whose
-      confirm is trivial (EBR, Hyaline, the leaky baseline) protects
-      every read of the section, so CDRC reads the cell itself and holds
-      no guard (DESIGN.md S6). The pid holds the guard it
-      takes as it holds a scope's: {!release_unscoped} releases it
-      early, and {!close_section} releases it if nothing did. Neither
-      call returns the guard beside the value, which would allocate a
-      pair per protect: it is left in the pid's {!guard} field. *)
-
-  (* Announce [id] on the pid's reserved slot or on a fresh one, and
-     hold the guard. [s.guard] is left at {!no_guard} when no fresh slot
-     was left. *)
-  let announce s ~reserved id =
-    let g =
-      if reserved then S.acquire s.smr_s ~pid:s.pid id
-      else match S.try_acquire s.smr_s ~pid:s.pid id with Some g -> g | None -> no_guard
-    in
-    s.guard <- g;
-    if g <> no_guard then hold s g
-
-  (** The guard the pid's last unscoped protect took. *)
-  let guard t ~pid = t.scopes.(pid).guard
-
-  (** [protect_unscoped t ~pid ~reserved ~ident cell] announces on the
-      pid's reserved slot ([~reserved:true]; at most one such guard per
-      pid at a time, and it never fails) or on a fresh one, and returns
-      [cell]'s value that the guard covers: announce a read, confirm a
-      re-read, as {!Scope.protect} does. When {!guard} is then
-      {!no_guard}, no fresh slot was left: the value is unprotected and
-      must not be dereferenced. *)
-  let protect_unscoped t ~pid ~reserved ~ident cell =
-    let s = t.scopes.(pid) in
-    let v = Sched.Atomic.get cell in
-    announce s ~reserved (ident v);
-    if s.guard = no_guard then v
-    else settle s.smr_s ~pid ~ident cell s.guard (Sched.Atomic.get cell)
-
-  (** [protect_seen t ~pid ~ident cell v] protects [v], a value already
-      read from [cell] and protected by another guard, on a fresh slot:
-      [v] is announced and confirmed as read, and [cell] is re-read only
-      after a miss — how Fig 9's weak snapshot protects a disposal. The
-      guard is left in {!guard}, {!no_guard} when no fresh slot was
-      left. *)
-  let protect_seen t ~pid ~ident cell v =
-    let s = t.scopes.(pid) in
-    announce s ~reserved:false (ident v);
-    if s.guard <> no_guard then ignore (settle s.smr_s ~pid ~ident cell s.guard v)
-
-  (** Release an unscoped guard before its section closes. *)
-  let release_unscoped t ~pid g = release_held t.scopes.(pid) g
 
   (** {2 Retire, eject, flush} *)
 
@@ -613,11 +575,16 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (** Crash recovery: reap [pid]'s scheme state (close its critical
       section, clear its announcements, orphan its retired entries for
-      adoption), and hand the records it had ejected but not run to the
-      survivors: the next {!flush} or {!quiesce} runs them. Call once,
-      after the thread has truly stopped. *)
+      adoption), mark the pid's section closed with no guard slot held,
+      so that a thread recycling the pid can open one, and hand the
+      records it had ejected but not run to the survivors: the next
+      {!flush} or {!quiesce} runs them. Call once, after the thread has
+      truly stopped. *)
   let abandon t ~pid =
     S.abandon t.smr ~pid;
+    let s = t.scopes.(pid) in
+    s.scoped <- 0;
+    s.opened <- false;
     t.fresh.(pid) <- 0;
     Smr.Orphanage.put t.abandoned (Smr.Retire_queue.take t.pending.(pid))
 

@@ -349,9 +349,6 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Critical sections (§3.4) *)
 
-  let begin_critical_section (t : thr) = Ar.begin_critical_section t.rt.ar ~pid:t.pid
-  let end_critical_section (t : thr) = Ar.end_critical_section t.rt.ar ~pid:t.pid
-
   (* [body x], then [cleanup t x] on every exit, normal or exceptional.
      Unlike [Fun.protect], it allocates no closure of its own, and an
      exception raised by [cleanup] propagates as itself. *)
@@ -409,13 +406,18 @@ module Make (S : Smr.Smr_intf.S) = struct
       decrement t.rt ~pid:t.pid cb
     done
 
+  (* The two halves of [critically], for a section that no one body
+     spans. *)
+  let begin_critical_section (t : thr) = Ar.open_section t.rt.ar ~pid:t.pid
+  let end_critical_section (t : thr) = leave t ()
+
   (** [critically t f] runs [f] in the pid's critical section, which
       owns the pid's snapshots: on every exit, normal or exceptional, it
       releases the guards they still hold, gives back their counts and
       closes the section. Sections do not nest: [Invalid_argument] for a
       pid whose section is open. *)
   let critically (t : thr) f =
-    Ar.open_section t.rt.ar ~pid:t.pid;
+    begin_critical_section t;
     finally t leave () f
 
   (* ------------------------------------------------------------------ *)
@@ -441,6 +443,20 @@ module Make (S : Smr.Smr_intf.S) = struct
         | Some v -> v
         | None -> failwith ("Cdrc: invariant violated: " ^ what ^ " deref of disposed object"))
     | Null | Null_tagged _ | Tagged _ -> not_a_cb ()
+
+  (* An owned pointer to [p]'s object, taking a strong or a weak count
+     on it: what a copy, a snapshot's upgrade and a load return. *)
+  let counted_shared = function
+    | Null | Null_tagged _ -> { s_cb = Null; s_live = true }
+    | (Cb _ as cb) | Tagged (cb, _) ->
+        must_increment cb;
+        { s_cb = cb; s_live = true }
+
+  let counted_weak = function
+    | Null | Null_tagged _ -> { w_cb = Null; w_live = true }
+    | (Cb _ as cb) | Tagged (cb, _) ->
+        weak_increment cb;
+        { w_cb = cb; w_live = true }
 
   (* ------------------------------------------------------------------ *)
 
@@ -474,11 +490,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let copy (t : thr) (p : 'a t) : 'a t =
       ignore t;
       check_owner p.s_live "shared";
-      match p.s_cb with
-      | Null -> null ()
-      | cb ->
-          must_increment cb;
-          { s_cb = cb; s_live = true }
+      counted_shared p.s_cb
 
     let drop (t : thr) (p : 'a t) =
       check_owner p.s_live "shared";
@@ -559,7 +571,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             raise (Use_after_drop N.what);
           decrement t.rt ~pid:t.pid cb
         end
-        else if not S.confirm_is_trivial then Ar.release_unscoped t.rt.ar ~pid:t.pid g
+        else if not S.confirm_is_trivial then Ar.release_slot t.rt.ar.Ar.scopes.(t.pid) g
       end
 
     let is_protected p =
@@ -579,11 +591,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let to_shared (t : thr) (p : 'a t) : 'a shared =
       ignore t;
       check_owner p.n_live "snapshot";
-      match p.n_slot with
-      | Null | Null_tagged _ -> Shared.null ()
-      | (Cb _ as cb) | Tagged (cb, _) ->
-          must_increment cb;
-          { s_cb = cb; s_live = true }
+      counted_shared p.n_slot
 
     let use_count (p : 'a t) =
       check_owner p.n_live "snapshot";
@@ -607,12 +615,6 @@ module Make (S : Smr.Smr_intf.S) = struct
         diagnostics or quiescent inspection. *)
     let unsafe_ptr (c : 'a t) : 'a ptr = Sched.Atomic.get c.asp
 
-    let counted_shared = function
-      | Null | Null_tagged _ -> Shared.null ()
-      | (Cb _ as cb) | Tagged (cb, _) ->
-          must_increment cb;
-          { s_cb = cb; s_live = true }
-
     (* Fig 8 load_and_increment. Under a region scheme the section
        protects the read: the reserved acquire is made for its count
        alone, and no guard is held. *)
@@ -623,10 +625,11 @@ module Make (S : Smr.Smr_intf.S) = struct
         counted_shared (Sched.Atomic.get c.asp)
       end
       else begin
+        let s = ar.Ar.scopes.(pid) in
         let res =
-          counted_shared (Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.asp)
+          counted_shared (Ar.acquire s ~reserved:true ~own:false ~ident:slot_ident c.asp)
         in
-        Ar.release_unscoped ar ~pid (Ar.guard ar ~pid);
+        Ar.release_slot s s.Ar.last;
         res
       end
 
@@ -674,15 +677,16 @@ module Make (S : Smr.Smr_intf.S) = struct
         | Null | Null_tagged _ -> { n_slot = v; n_guard = Ar.no_guard; n_live = true }
       end
       else begin
-        let v = Ar.protect_unscoped ar ~pid ~reserved:false ~ident:slot_ident c.asp in
-        let g = Ar.guard ar ~pid in
+        let s = ar.Ar.scopes.(pid) in
+        let v = Ar.acquire s ~reserved:false ~own:false ~ident:slot_ident c.asp in
+        let g = s.Ar.last in
         if g <> Ar.no_guard then begin
           b.fast <- b.fast + 1;
           Obs.Metrics.incr snap_fast_c ~pid;
           match v with
           | Cb _ | Tagged _ -> { n_slot = v; n_guard = stamp b g; n_live = true }
           | Null | Null_tagged _ ->
-              Ar.release_unscoped ar ~pid g;
+              Ar.release_slot s g;
               { n_slot = v; n_guard = Ar.no_guard; n_live = true }
         end
         else begin
@@ -690,15 +694,15 @@ module Make (S : Smr.Smr_intf.S) = struct
              count, release the slot (Fig 5 lines 8–11). *)
           b.slow <- b.slow + 1;
           Obs.Metrics.incr snap_slow_c ~pid;
-          let v = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.asp in
-          let g = Ar.guard ar ~pid in
+          let v = Ar.acquire s ~reserved:true ~own:false ~ident:slot_ident c.asp in
+          let g = s.Ar.last in
           match v with
           | Null | Null_tagged _ ->
-              Ar.release_unscoped ar ~pid g;
+              Ar.release_slot s g;
               { n_slot = v; n_guard = Ar.no_guard; n_live = true }
           | (Cb _ as cb) | Tagged (cb, _) ->
               must_increment cb;
-              Ar.release_unscoped ar ~pid g;
+              Ar.release_slot s g;
               count_in t cb;
               { n_slot = v; n_guard = stamp b counted; n_live = true }
         end
@@ -728,20 +732,12 @@ module Make (S : Smr.Smr_intf.S) = struct
     let of_shared (t : thr) (p : 'a shared) : 'a t =
       require_weak t.rt;
       check_owner p.s_live "shared";
-      match p.s_cb with
-      | Null -> null ()
-      | cb ->
-          weak_increment cb;
-          { w_cb = cb; w_live = true }
+      counted_weak p.s_cb
 
     let of_snapshot (t : thr) (p : 'a snapshot) : 'a t =
       require_weak t.rt;
       check_owner p.n_live "snapshot";
-      match p.n_slot with
-      | Null | Null_tagged _ -> null ()
-      | (Cb _ as cb) | Tagged (cb, _) ->
-          weak_increment cb;
-          { w_cb = cb; w_live = true }
+      counted_weak p.n_slot
 
     let is_null (p : 'a t) =
       check_owner p.w_live "weak";
@@ -768,11 +764,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let copy (t : thr) (p : 'a t) : 'a t =
       ignore t;
       check_owner p.w_live "weak";
-      match p.w_cb with
-      | Null -> null ()
-      | cb ->
-          weak_increment cb;
-          { w_cb = cb; w_live = true }
+      counted_weak p.w_cb
 
     let drop (t : thr) (p : 'a t) =
       check_owner p.w_live "weak";
@@ -828,12 +820,6 @@ module Make (S : Smr.Smr_intf.S) = struct
       let old = Sched.Atomic.exchange c.awp desired in
       match target old with Null -> () | cb -> delayed_weak_decrement t.rt ~pid:t.pid cb
 
-    let counted_weak = function
-      | Null | Null_tagged _ -> Weak.null ()
-      | (Cb _ as cb) | Tagged (cb, _) ->
-          weak_increment cb;
-          { w_cb = cb; w_live = true }
-
     (* Fig 9 load; under a region scheme, one load, as [Asp.load]. *)
     let load (t : thr) (c : 'a t) : 'a weak =
       require_weak t.rt;
@@ -843,10 +829,11 @@ module Make (S : Smr.Smr_intf.S) = struct
         counted_weak (Sched.Atomic.get c.awp)
       end
       else begin
+        let s = ar.Ar.scopes.(pid) in
         let res =
-          counted_weak (Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.awp)
+          counted_weak (Ar.acquire s ~reserved:true ~own:false ~ident:slot_ident c.awp)
         in
-        Ar.release_unscoped ar ~pid (Ar.guard ar ~pid);
+        Ar.release_slot s s.Ar.last;
         res
       end
 
@@ -888,19 +875,20 @@ module Make (S : Smr.Smr_intf.S) = struct
             else expired_snapshot t c v)
       end
       else begin
-        let v = Ar.protect_unscoped ar ~pid ~reserved:true ~ident:slot_ident c.awp in
-        let wg = Ar.guard ar ~pid in
+        let s = ar.Ar.scopes.(pid) in
+        let v = Ar.acquire s ~reserved:true ~own:false ~ident:slot_ident c.awp in
+        let wg = s.Ar.last in
         match v with
         | Null | Null_tagged _ ->
-            Ar.release_unscoped ar ~pid wg;
+            Ar.release_slot s wg;
             { n_slot = v; n_guard = Ar.no_guard; n_live = true }
         | (Cb _ as cb) | Tagged (cb, _) ->
             (* Protect [cb]'s disposal with a fresh guard on [v], which
                [wg] already protects. For IBR/HE the dispose-side
                interval must be re-stabilized before trusting the
                liveness read; HP and PTB confirm [v] at once. *)
-            Ar.protect_seen ar ~pid ~ident:slot_ident c.awp v;
-            let dg = Ar.guard ar ~pid in
+            Ar.acquire_seen s ~ident:slot_ident c.awp v;
+            let dg = s.Ar.last in
             let alive =
               if dg <> Ar.no_guard then not (expired cb)
               else
@@ -909,7 +897,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                 Cell.try_upgrade (cell_of cb)
             in
             if alive then begin
-              Ar.release_unscoped ar ~pid wg;
+              Ar.release_slot s wg;
               let b = t.rt.books.(pid) in
               if dg = Ar.no_guard then begin
                 count_in t cb;
@@ -918,8 +906,8 @@ module Make (S : Smr.Smr_intf.S) = struct
               else { n_slot = v; n_guard = stamp b dg; n_live = true }
             end
             else begin
-              if dg <> Ar.no_guard then Ar.release_unscoped ar ~pid dg;
-              Ar.release_unscoped ar ~pid wg;
+              if dg <> Ar.no_guard then Ar.release_slot s dg;
+              Ar.release_slot s wg;
               expired_snapshot t c v
             end
       end

@@ -30,8 +30,20 @@ module type S = sig
   val thread : rt -> int -> thr
   val heap : rt -> Simheap.t
   val max_threads : rt -> int
+
   val begin_critical_section : thr -> unit
+  (** The opening half of {!critically}, for a section that no one body
+      spans: it opens the thread's section, and raises
+      [Invalid_argument] when that section is already open. *)
+
   val end_critical_section : thr -> unit
+  (** The exit half of {!critically}: it ends the snapshots taken since
+      {!begin_critical_section}, releasing the guards they still hold
+      and giving back their counts, and closes the section. A snapshot
+      left undropped is dead from then on, as one that escapes
+      [critically] is. Unlike [critically], nothing closes the section
+      if the code between the two halves raises. *)
+
   val critically : thr -> (unit -> 'r) -> 'r
   (** Run the body in the thread's critical section, which owns the
       snapshots taken inside it: on every exit, normal or exceptional,
@@ -133,12 +145,27 @@ module type S = sig
     val is_null : 'a t -> bool
     val is_marked : 'a t -> bool
     val tag : 'a t -> int
+
     val get : 'a t -> 'a
+    (** The object's value. Like {!ptr}, {!to_shared} and
+        {!is_protected}, it checks only that the snapshot was not
+        dropped: a snapshot read after its section ended, whose guard or
+        count is gone, is not detected, and its object may be freed.
+        Only {!drop}, which takes the thread, checks the section. *)
+
     val ptr : ?tag:int -> 'a t -> 'a ptr
+    (** Unchecked after the snapshot's section ended, as {!get}. *)
+
     val drop : thr -> 'a t -> unit
+
     val to_shared : thr -> 'a t -> 'a shared
+    (** Unchecked after the snapshot's section ended, as {!get}. *)
+
     val use_count : 'a t -> int
+
     val is_protected : 'a t -> bool
+    (** Unchecked after the snapshot's section ended, as {!get}: it
+        reports the guard or count the snapshot had. *)
   end
 
   module Asp : sig
@@ -181,7 +208,11 @@ module type S = sig
     val is_null : 'a t -> bool
     val is_marked : 'a t -> bool
     val tag : 'a t -> int
+
     val get : 'a t -> 'a
+    (** As {!Snapshot.get}: reading a weak snapshot after its section
+        ended is not detected. *)
+
     val ptr : ?tag:int -> 'a t -> 'a ptr
     val to_shared : thr -> 'a t -> 'a shared
     val drop : thr -> 'a t -> unit

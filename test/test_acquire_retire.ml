@@ -96,6 +96,33 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     Ar.discard m1;
     Ar.quiesce ar
 
+  (* A pid that stopped inside its section leaves the section to
+     [abandon]: recycled, the pid opens a section again, with every
+     slot free, and closing it releases no slot twice. *)
+  let abandon_frees_the_section () =
+    let ar = Ar.create ~slots_per_thread:2 ~max_threads:2 () in
+    let m = Ar.alloc ar ~pid:0 () in
+    let cell = Atomic.make m in
+    Ar.open_section ar ~pid:1;
+    ignore (Ar.acquire ar.Ar.scopes.(1) ~reserved:false ~own:true ~ident:Ar.ident cell);
+    Ar.abandon ar ~pid:1;
+    let guarded_of_three () =
+      Ar.scope ar ~pid:1
+        {
+          f =
+            (fun s ->
+              List.length
+                (List.filter
+                   (fun _ -> Ar.guarded (snd (Ar.protect s ~ident:Ar.ident cell)))
+                   [ 1; 2; 3 ]));
+        }
+    in
+    let slots = if S.is_protected_region then 3 else 2 in
+    Alcotest.(check int) "the recycled pid's section opens" slots (guarded_of_three ());
+    Alcotest.(check int) "its exit released each slot once" slots (guarded_of_three ());
+    Ar.discard m;
+    Ar.quiesce ar
+
   let tests =
     [
       t "birth tags monotone" birth_tags_monotone;
@@ -103,6 +130,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       t "cascading retires" cascading_retires;
       t "ejected ops receive pid" ejected_ops_receive_executing_pid;
       t "try_acquire settles" try_acquire_settles_on_current_value;
+      t "abandon frees the pid's section" abandon_frees_the_section;
     ]
 end
 
@@ -167,9 +195,9 @@ let scope_unpins_frontier () =
   Alcotest.(check bool) "closed after a raise" true (reclaimed_after ar);
   Ebr_ar.scope ar ~pid:0 { f = protect };
   Alcotest.(check bool) "closed after unreleased guards" true (reclaimed_after ar);
-  Ebr_ar.begin_critical_section ar ~pid:0;
+  Ebr_ar.open_section ar ~pid:0;
   Alcotest.(check bool) "an open section pins it" false (reclaimed_after ar);
-  Ebr_ar.end_critical_section ar ~pid:0
+  Ebr_ar.close_section ar ~pid:0
 
 (* Scopes do not nest: an inner scope's exit would close the section
    the outer body still relies on. The rejected inner scope leaves the
@@ -534,7 +562,7 @@ let hyaline_backlog_exact () =
   let module Ar = Acquire_retire.Make (Smr.Hyaline) in
   let ar = Ar.create ~max_threads:4 () in
   (* An open section on pid 1 keeps every entry pending. *)
-  Ar.begin_critical_section ar ~pid:1;
+  Ar.open_section ar ~pid:1;
   let cell = Atomic.make None in
   for _ = 1 to 10 do
     let m = Ar.alloc ar ~pid:0 () in
@@ -550,7 +578,7 @@ let hyaline_backlog_exact () =
       }
   done;
   Alcotest.(check int) "backlog" 10 (Ar.total_pending ar);
-  Ar.end_critical_section ar ~pid:1;
+  Ar.close_section ar ~pid:1;
   Ar.flush ar ~pid:0;
   Alcotest.(check int) "drained" 0 (Ar.total_pending ar);
   Alcotest.(check int) "reclaimed" 0 (Simheap.live (Ar.heap ar))
@@ -562,7 +590,7 @@ let hyaline_backlog_exact () =
 let hyaline_quiesce_past_a_stalled_section () =
   let module Ar = Acquire_retire.Make (Smr.Hyaline) in
   let ar = Ar.create ~max_threads:2 () in
-  Ar.begin_critical_section ar ~pid:1;
+  Ar.open_section ar ~pid:1;
   let runs = ref 0 in
   for i = 1 to 3 do
     let m = Ar.alloc ar ~pid:0 i in
@@ -576,7 +604,7 @@ let hyaline_quiesce_past_a_stalled_section () =
   Alcotest.(check int) "every entry ran" 3 !runs;
   Alcotest.(check int) "nothing left live" 0 (Simheap.live (Ar.heap ar));
   Alcotest.(check int) "nothing pending" 0 (Ar.total_pending ar);
-  Ar.end_critical_section ar ~pid:1;
+  Ar.close_section ar ~pid:1;
   Ar.quiesce ar;
   Alcotest.(check int) "a late exit runs nothing twice" 3 !runs
 

@@ -703,6 +703,53 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       Alcotest.(check int) "reclaimed (counted)" 0 (R.live_objects rt)
     end
 
+  (* [begin_critical_section] and [end_critical_section] are the two
+     halves of [critically]: the exit releases the guard of a snapshot
+     left undropped and numbers the next section, so that the
+     snapshot's drop in a later section raises, and a [critically]
+     inside an open section is rejected. *)
+  let raw_sections_keep_critically () =
+    with_rt ~max_threads:1 @@ fun rt ->
+    let th = R.thread rt 0 in
+    let p = R.Shared.make th 3 in
+    let cell = R.Asp.make th (R.Shared.ptr p) in
+    R.Shared.drop th p;
+    R.begin_critical_section th;
+    let escaped = R.Asp.get_snapshot th cell in
+    R.end_critical_section th;
+    R.begin_critical_section th;
+    R.Asp.clear th cell;
+    R.end_critical_section th;
+    R.flush th;
+    R.flush th;
+    Alcotest.(check int) "the exit released the snapshot's guard" 0 (R.live_objects rt);
+    R.begin_critical_section th;
+    raises_use_after_drop "snapshot of an earlier section" (fun () -> R.Snapshot.drop th escaped);
+    (match R.critically th (fun () -> ()) with
+    | () -> Alcotest.fail "expected Invalid_argument for a section inside an open one"
+    | exception Invalid_argument _ -> ());
+    R.end_critical_section th;
+    R.critically th (fun () -> ())
+
+  (* A section holds more snapshots than the pid's guard slots have
+     bits. A scheme that hands every protect the same guard (the region
+     schemes and IBR) holds it once, so no snapshot takes the slow path;
+     a slot scheme fills its fresh slots and counts the rest. *)
+  let snapshots_past_the_slot_mask () =
+    with_rt ~max_threads:1 @@ fun rt ->
+    let th = R.thread rt 0 in
+    let p = R.Shared.make th 7 in
+    let cell = R.Asp.make th (R.Shared.ptr p) in
+    let n = 2 * Sys.int_size in
+    R.critically th (fun () ->
+        let held = List.init n (fun _ -> R.Asp.get_snapshot th cell) in
+        List.iter (fun s -> Alcotest.(check int) "reads" 7 (R.Snapshot.get s)) held);
+    let slow = if S.is_protected_region then 0 else n - Smr.Knobs.default_slots_per_thread in
+    Alcotest.(check (pair int int)) "fast, slow" (n - slow, slow) (R.snapshot_stats rt);
+    Alcotest.(check int) "counts given back" 2 (R.Shared.use_count p);
+    R.critically th (fun () -> R.Asp.clear th cell);
+    R.Shared.drop th p
+
   (* The scheme underneath, counting the acquires CDRC makes and the
      guards it releases. *)
   module Tally = struct
@@ -1062,6 +1109,8 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       t "snapshot use after drop" `Quick snapshot_use_after_drop;
       t "escaped snapshot's drop raises" `Quick escaped_snapshot_drop_raises;
       t "atomics per protection pinned" `Quick protection_atomics_pinned;
+      t "raw sections keep critically's guarantees" `Quick raw_sections_keep_critically;
+      t "snapshots past the slot mask" `Quick snapshots_past_the_slot_mask;
       t "strong cycle leaks" `Quick strong_cycle_leaks;
       t "weak edge breaks cycle" `Quick weak_backedge_breaks_cycle;
       t "abandon after crash" `Quick (abandon_after_crash ~support_weak:false);

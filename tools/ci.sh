@@ -28,12 +28,23 @@ echo "== protection scopes =="
 # Every manual structure protects pointers through Acquire_retire's
 # rank-2 scope (DESIGN.md §3), which releases its guards and closes its
 # critical section on every exit: no lib/ds/*_manual.ml line may call
-# the scheme's protection API or open a section by hand.
-# The unscoped entry points are CDRC's, for snapshots that outlive a
-# call; a manual structure has no such pointer.
-if grep -nE 'S\.(try_acquire|acquire|confirm|release) |Ar\.smr|begin_critical_section|end_critical_section|Ar\.(protect|release)_unscoped' \
+# the scheme's protection API or open a section by hand. The untyped
+# entry (Ar.acquire) is CDRC's, for snapshots that outlive a call; a
+# manual structure has no such pointer.
+if grep -nE 'S\.(try_acquire|acquire|confirm|release) |Ar\.smr|begin_critical_section|end_critical_section|Ar\.(acquire|acquire_seen|release_slot) ' \
     lib/ds/*_manual.ml; then
   echo "error: a manual structure bypasses the protection scope" >&2
+  exit 1
+fi
+
+echo "== one protection path =="
+# A scope's protect and CDRC's snapshots announce through one entry
+# (Acquire_retire's acquire), hold their guards in one mask, and open
+# and close one kind of section (DESIGN.md §3): the unscoped path, its
+# held mask and the raw section exports must stay deleted.
+if grep -rnE 'protect_unscoped|protect_seen|release_unscoped|release_held|Ar\.guard [a-z_.]+ ~pid|Ar\.(begin|end)_critical_section' \
+    lib bin bench test examples; then
+  echo "error: a second protection path is back" >&2
   exit 1
 fi
 
