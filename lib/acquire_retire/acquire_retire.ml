@@ -588,6 +588,12 @@ module Make (S : Smr.Smr_intf.S) = struct
     t.fresh.(pid) <- 0;
     Smr.Orphanage.put t.abandoned (Smr.Retire_queue.take t.pending.(pid))
 
+  (** Hand [d], a chain of records that may run at any time, to the
+      survivors, as {!abandon} does with a dead pid's queued records:
+      the next {!flush} or {!quiesce} runs them. It makes no scheme
+      call, so it is safe for a pid that crashed. *)
+  let orphan t d = Smr.Orphanage.put t.abandoned d
+
   (** {2 Epoch watchdog}
 
       Detects the paper's §2 pathology at runtime: a thread stalled

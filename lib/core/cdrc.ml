@@ -963,8 +963,19 @@ module Make (S : Smr.Smr_intf.S) = struct
       abandoned pid's critical section closes, its announcement slots
       clear, and its parked deferred operations of all three kinds land
       in the shared orphan pool for survivor adoption — so one stalled
-      thread cannot pin the whole runtime's backlog. *)
-  let abandon rt ~pid = Ar.abandon rt.ar ~pid
+      thread cannot pin the whole runtime's backlog. The counts its
+      counted snapshots still hold go to the pool too, as decrements,
+      without a scheme call as the dead pid; its books then number a
+      new section, so no snapshot it took can drop later. *)
+  let abandon rt ~pid =
+    Ar.abandon rt.ar ~pid;
+    let b = rt.books.(pid) in
+    for i = 0 to b.n_counted - 1 do
+      let (Counted cb) = b.counted.(i) in
+      Ar.orphan rt.ar (Smr.Deferred.make ~id:Ident.null ~birth:0 rt.runs.run_decrement cb)
+    done;
+    b.n_counted <- 0;
+    b.section <- b.section + 1
 
   let stalled rt = Ar.stalled rt.ar
 end

@@ -86,9 +86,11 @@ module type S = sig
   (** Crash/stall recovery: release every resource [pid] holds in the
       runtime's acquire–retire instance — close its critical section,
       clear its announcement slots, and hand its retired-but-not-ejected
-      entries to the survivors for adoption. Call it exactly once per
-      dead thread, and only after that thread has truly stopped calling
-      into the runtime (it mutates owner-only state). *)
+      entries, and the counts its counted (slow-path) snapshots still
+      hold, to the survivors for adoption: the next [flush] or
+      [quiesce] runs them. Call it exactly once per dead thread, and
+      only after that thread has truly stopped calling into the runtime
+      (it mutates owner-only state). *)
 
   (** {1 Pointer values} *)
 

@@ -2,12 +2,16 @@
     of {!Hm_list_rc} bucket cells sharing one RC runtime (paper
     Fig 13b, automatic side). *)
 
+(* The bucket of [key] in an array of [nbuckets]: a multiplicative
+   hash. The KV store's shards route keys to buckets through it too. *)
+let bucket nbuckets key = key * 2654435761 land max_int mod nbuckets
+
 module Make (R : Cdrc.Intf.S) = struct
   module L = Hm_list_rc.Make (R)
 
   let name = R.scheme_name
 
-  type t = { list : L.t; buckets : L.node R.asp array; nbuckets : int }
+  type t = { list : L.t; buckets : unit L.node R.asp array; nbuckets : int }
   type ctx = { t : t; c : L.ctx }
 
   let default_buckets = 1 lsl 16
@@ -20,20 +24,19 @@ module Make (R : Cdrc.Intf.S) = struct
     }
 
   let ctx t pid = { t; c = L.ctx t.list pid }
-  let bucket t key = key * 2654435761 land max_int mod t.nbuckets
   let th ctx = ctx.c.L.th
 
   let insert ctx key =
     R.critically (th ctx) (fun () ->
-        L.insert_at ctx.c ctx.t.buckets.(bucket ctx.t key) key)
+        L.insert_at ctx.c ctx.t.buckets.(bucket ctx.t.nbuckets key) key)
 
   let remove ctx key =
     R.critically (th ctx) (fun () ->
-        L.remove_at ctx.c ctx.t.buckets.(bucket ctx.t key) key)
+        L.remove_at ctx.c ctx.t.buckets.(bucket ctx.t.nbuckets key) key)
 
   let contains ctx key =
     R.critically (th ctx) (fun () ->
-        L.contains_at ctx.c ctx.t.buckets.(bucket ctx.t key) key)
+        L.contains_at ctx.c ctx.t.buckets.(bucket ctx.t.nbuckets key) key)
 
   let range_query ctx lo hi =
     R.critically (th ctx) (fun () ->

@@ -7,14 +7,20 @@
     calls, no announcement bookkeeping, no [*prev == cur] revalidation
     — unlinking a node through a CAS automatically defers the
     decrement of its reference count, and snapshots guarantee their
-    target stays readable (the paper's Fig 1 contrast). *)
+    target stays readable (the paper's Fig 1 contrast).
+
+    The chain (node, cursor, [search], [unlink], [fold]) is shared with
+    the KV store's buckets, whose nodes carry an atomic value slot where
+    the set's carry [()]; the search's {!Sched.yield} point (free outside
+    a controller) lets the DFS explorer interleave both mid-protocol. *)
 
 module Make (R : Cdrc.Intf.S) = struct
   let name = R.scheme_name
 
-  type node = { key : int; next : node R.asp }
+  (* A chain node; [value] is what it carries besides its key. *)
+  type 'v node = { key : int; value : 'v; next : 'v node R.asp }
 
-  type t = { rt : R.rt; head : node R.asp }
+  type t = { rt : R.rt; head : unit node R.asp }
   type ctx = { t : t; th : R.thr }
 
   let create ?slots_per_thread ?epoch_freq ?buckets:_ ~max_threads () =
@@ -27,26 +33,29 @@ module Make (R : Cdrc.Intf.S) = struct
   let ctx t pid = { t; th = R.thread t.rt pid }
 
   let mk_node th key next_ptr =
-    R.Shared.make th ~destroy:(fun th v -> R.Asp.clear th v.next) { key; next = R.Asp.make th next_ptr }
+    R.Shared.make th
+      ~destroy:(fun th v -> R.Asp.clear th v.next)
+      { key; value = (); next = R.Asp.make th next_ptr }
 
-  type cursor = {
+  type 'v cursor = {
     found : bool;
-    prev : node R.asp; (* the cell that links to [cur] *)
-    prev_s : node R.snapshot; (* keeps prev's node alive; null for head *)
-    cur : node R.snapshot;
+    prev : 'v node R.asp; (* the cell that links to [cur] *)
+    prev_s : 'v node R.snapshot; (* keeps prev's node alive; null for head *)
+    cur : 'v node R.snapshot;
   }
 
-  let discard c cu =
-    R.Snapshot.drop c.th cu.prev_s;
-    R.Snapshot.drop c.th cu.cur
+  let discard th cu =
+    R.Snapshot.drop th cu.prev_s;
+    R.Snapshot.drop th cu.cur
 
   exception Restart
 
-  let rec search c head key =
-    match search_once c head key with cu -> cu | exception Restart -> search c head key
+  (* Position at the first node with key ≥ [key], helping unlink
+     next-marked nodes on the way. *)
+  let rec search th head key =
+    match search_once th head key with cu -> cu | exception Restart -> search th head key
 
-  and search_once c head key =
-    let th = c.th in
+  and search_once th head key =
     let prev = ref head in
     let prev_s = ref (R.Snapshot.null ()) in
     let cur = ref (R.Asp.get_snapshot th head) in
@@ -56,6 +65,7 @@ module Make (R : Cdrc.Intf.S) = struct
       raise Restart
     in
     let rec loop () =
+      Sched.yield ();
       if R.Snapshot.is_null !cur then
         { found = false; prev = !prev; prev_s = !prev_s; cur = !cur }
       else begin
@@ -94,12 +104,52 @@ module Make (R : Cdrc.Intf.S) = struct
     in
     loop ()
 
+  (* Owned deletion of [cu.cur] once the caller has marked its [next]
+     field, whose target the snapshot [next] holds (dropped here): CAS
+     [cu.prev] past it, or finish by a helping re-search for [key]. *)
+  let unlink th head cu key next =
+    if
+      not
+        (R.Asp.compare_and_swap th cu.prev
+           ~expected:(R.Snapshot.ptr cu.cur ~tag:0)
+           ~desired:(R.Snapshot.ptr next ~tag:0))
+    then begin
+      let cu2 = search th head key in
+      discard th cu2
+    end;
+    R.Snapshot.drop th next
+
+  (* Read-only walk inside the caller's section: [f th acc node] folds
+     over every node whose [next] is unmarked; marked (physically
+     dying) nodes are passed through without helping. *)
+  let fold th head f acc =
+    let prev_s = ref (R.Snapshot.null ()) in
+    let cur = ref (R.Asp.get_snapshot th head) in
+    let acc = ref acc in
+    let rec loop () =
+      if R.Snapshot.is_null !cur then begin
+        R.Snapshot.drop th !cur;
+        R.Snapshot.drop th !prev_s;
+        !acc
+      end
+      else begin
+        let node = R.Snapshot.get !cur in
+        let next = R.Asp.get_snapshot th node.next in
+        if not (R.Snapshot.is_marked next) then acc := f th !acc node;
+        R.Snapshot.drop th !prev_s;
+        prev_s := !cur;
+        cur := next;
+        loop ()
+      end
+    in
+    loop ()
+
   let insert_at c head key =
     let th = c.th in
     let rec go () =
-      let cu = search c head key in
+      let cu = search th head key in
       if cu.found then begin
-        discard c cu;
+        discard th cu;
         false
       end
       else begin
@@ -110,12 +160,12 @@ module Make (R : Cdrc.Intf.S) = struct
             ~desired:(R.Shared.ptr fresh)
         then begin
           R.Shared.drop th fresh;
-          discard c cu;
+          discard th cu;
           true
         end
         else begin
           R.Shared.drop th fresh;
-          discard c cu;
+          discard th cu;
           go ()
         end
       end
@@ -125,9 +175,9 @@ module Make (R : Cdrc.Intf.S) = struct
   let remove_at c head key =
     let th = c.th in
     let rec go () =
-      let cu = search c head key in
+      let cu = search th head key in
       if not cu.found then begin
-        discard c cu;
+        discard th cu;
         false
       end
       else begin
@@ -135,28 +185,19 @@ module Make (R : Cdrc.Intf.S) = struct
         let next = R.Asp.get_snapshot th node.next in
         if R.Snapshot.is_marked next then begin
           R.Snapshot.drop th next;
-          discard c cu;
+          discard th cu;
           go ()
         end
         else if R.Asp.try_mark th node.next ~expected:(R.Snapshot.ptr next ~tag:0) then begin
           (* Owned deletion: attempt the unlink; a later search finishes
              it otherwise. *)
-          if
-            not
-              (R.Asp.compare_and_swap th cu.prev
-                 ~expected:(R.Snapshot.ptr cu.cur ~tag:0)
-                 ~desired:(R.Snapshot.ptr next ~tag:0))
-          then begin
-            let cu2 = search c head key in
-            discard c cu2
-          end;
-          R.Snapshot.drop th next;
-          discard c cu;
+          unlink th head cu key next;
+          discard th cu;
           true
         end
         else begin
           R.Snapshot.drop th next;
-          discard c cu;
+          discard th cu;
           go ()
         end
       end
@@ -230,21 +271,7 @@ module Make (R : Cdrc.Intf.S) = struct
 
   let size_at rt head =
     let th = R.thread rt 0 in
-    R.critically th (fun () ->
-        let cur = ref (R.Asp.get_snapshot th head) in
-        let n = ref 0 in
-        let rec loop () =
-          if R.Snapshot.is_null !cur then !n
-          else begin
-            let node = R.Snapshot.get !cur in
-            let next = R.Asp.get_snapshot th node.next in
-            if not (R.Snapshot.is_marked next) then incr n;
-            R.Snapshot.drop th !cur;
-            cur := next;
-            loop ()
-          end
-        in
-        loop ())
+    R.critically th (fun () -> fold th head (fun _ n _ -> n + 1) 0)
 
   let size t = size_at t.rt t.head
   let live_objects t = R.live_objects t.rt

@@ -2,8 +2,9 @@
 
     The service is a KV generalization of {!Ds.Hash_table_rc}: each
     shard is an independent RC runtime holding a bucket array of
-    Harris–Michael chains whose nodes carry the key plus an atomic
-    {e value slot} — an [R.asp] pointing at an immutable value box
+    {!Ds.Hm_list_rc} chains — the list set's own search and unlink —
+    whose nodes carry the key plus, as their payload, an atomic
+    {e value slot}: an [R.asp] pointing at an immutable value box
     [(value, expiry)]. Every state change of a mapping is a single CAS
     or mark on that slot, so the whole KV history linearizes on slot
     operations:

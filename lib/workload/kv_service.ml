@@ -1,7 +1,9 @@
 (** Sharded KV store under automatic reference counting — the serving
-    workload of DESIGN.md §12, layered over {!Ds.Hash_table_rc}'s
-    design (bucket arrays of Harris–Michael chains) with one RC
-    runtime {e per shard} and an atomic value slot per node.
+    workload of DESIGN.md §12. Each bucket is a {!Ds.Hm_list_rc} chain
+    whose node carries an atomic value slot, with one RC runtime
+    {e per shard}; keys land in buckets by {!Ds.Hash_table_rc.bucket}.
+    This module adds only what a store needs on top of the chain:
+    sharding, value boxes, the slot-mark protocol, TTL and counters.
 
     See {!Kv_intf} for the slot-mark protocol. The invariant that
     makes searches (first node with key ≥ k) sufficient: within a
@@ -9,20 +11,24 @@
     tombstones, because inserts go {e before} the first key-≥-k node
     and a node is never resurrected after its slot is marked.
 
-    The protocol steps that decide linearization — chain traversal,
-    the slot CAS/mark, and the physical unlink — are annotated with
-    {!Sched.yield} scheduling points (free outside a controller), so
-    test/test_kv.ml can drive the shard core under the DFS explorer
-    and check recorded histories for linearizability across bounded
-    preemption interleavings. *)
+    The protocol steps that decide linearization — chain traversal
+    (in the chain's shared search), the slot CAS/mark, and the
+    physical unlink — are annotated with {!Sched.yield} scheduling
+    points (free outside a controller), so test/test_kv.ml can drive
+    the shard core under the DFS explorer and check recorded histories
+    for linearizability across bounded preemption interleavings. *)
 
 module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
+  module L = Ds.Hm_list_rc.Make (R)
+
   let name = R.scheme_name
 
   (* Immutable value box: the unit of overwrite churn. [bexp] is the
      logical expiry tick; [max_int] = no TTL. *)
   type box = { bv : int; bexp : int }
-  type node = { key : int; slot : box R.asp; next : node R.asp }
+
+  (* A chain node whose [value] is the key's atomic value slot. *)
+  type node = box R.asp L.node
   type shard = { rt : R.rt; buckets : node R.asp array; nbuckets : int }
 
   type t = {
@@ -83,101 +89,23 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
   (* Shard router: a different Fibonacci mix than the bucket hash, so
      bucket collisions and shard placement are uncorrelated. *)
   let shard_of_key t key = (key * 0x2545F4914F6CDD1D land max_int) lsr 17 land t.mask
-  let bucket sh key = key * 2654435761 land max_int mod sh.nbuckets
+  let bucket sh key = Ds.Hash_table_rc.bucket sh.nbuckets key
   let ctx t pid = { t; ths = Array.map (fun sh -> R.thread sh.rt pid) t.shards; pid }
   let now t = Atomic.get t.clock
   let tick t = 1 + Atomic.fetch_and_add t.clock 1
   let bump arr c = Padded.add arr c.pid 1
 
-  (* ------------------------------------------------------------------ *)
-  (* Chain search — hm_list_rc's cursor, verbatim protocol: position at
-     the first node with key ≥ k, helping unlink next-marked nodes.
-     Slot (liveness) inspection is the caller's job. *)
-
-  type cursor = {
-    found : bool;
-    prev : node R.asp;
-    prev_s : node R.snapshot; (* keeps prev's node alive; null for head *)
-    cur : node R.snapshot;
-  }
-
-  let discard th cu =
-    R.Snapshot.drop th cu.prev_s;
-    R.Snapshot.drop th cu.cur
-
-  exception Restart
-
-  let rec search th head key =
-    match search_once th head key with cu -> cu | exception Restart -> search th head key
-
-  and search_once th head key =
-    let prev = ref head in
-    let prev_s = ref (R.Snapshot.null ()) in
-    let cur = ref (R.Asp.get_snapshot th head) in
-    let abort () =
-      R.Snapshot.drop th !cur;
-      R.Snapshot.drop th !prev_s;
-      raise Restart
-    in
-    let rec loop () =
-      Sched.yield ();
-      if R.Snapshot.is_null !cur then
-        { found = false; prev = !prev; prev_s = !prev_s; cur = !cur }
-      else begin
-        let node = R.Snapshot.get !cur in
-        let next = R.Asp.get_snapshot th node.next in
-        if R.Snapshot.is_marked next then begin
-          if
-            R.Asp.compare_and_swap th !prev
-              ~expected:(R.Snapshot.ptr !cur ~tag:0)
-              ~desired:(R.Snapshot.ptr next ~tag:0)
-          then begin
-            R.Snapshot.drop th !cur;
-            cur := next;
-            loop ()
-          end
-          else begin
-            R.Snapshot.drop th next;
-            abort ()
-          end
-        end
-        else if node.key >= key then begin
-          R.Snapshot.drop th next;
-          { found = node.key = key; prev = !prev; prev_s = !prev_s; cur = !cur }
-        end
-        else begin
-          R.Snapshot.drop th !prev_s;
-          prev_s := !cur;
-          prev := node.next;
-          cur := next;
-          loop ()
-        end
-      end
-    in
-    loop ()
-
   (* Physical deletion of a slot-marked node: mark [next], then unlink
-     via the predecessor from the caller's cursor; a failed unlink is
-     finished by a helping re-search. Loops until the next-mark lands —
-     the slot mark already made the node unresurrectable, so the only
-     contention is successor churn. *)
-  let unlink_node th head cu node =
+     via the predecessor from the caller's cursor ({!L.unlink}). Loops
+     until the next-mark lands — the slot mark already made the node
+     unresurrectable, so the only contention is successor churn. *)
+  let unlink_node th head cu (node : node) =
     let rec mark_next () =
       Sched.yield ();
       let next = R.Asp.get_snapshot th node.next in
       if R.Snapshot.is_marked next then R.Snapshot.drop th next
-      else if R.Asp.try_mark th node.next ~expected:(R.Snapshot.ptr next ~tag:0) then begin
-        if
-          not
-            (R.Asp.compare_and_swap th cu.prev
-               ~expected:(R.Snapshot.ptr cu.cur ~tag:0)
-               ~desired:(R.Snapshot.ptr next ~tag:0))
-        then begin
-          let cu2 = search th head node.key in
-          discard th cu2
-        end;
-        R.Snapshot.drop th next
-      end
+      else if R.Asp.try_mark th node.next ~expected:(R.Snapshot.ptr next ~tag:0) then
+        L.unlink th head cu node.key next
       else begin
         R.Snapshot.drop th next;
         mark_next ()
@@ -189,10 +117,15 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
 
   let mk_node th key box_sh next_ptr =
     R.Shared.make th
-      ~destroy:(fun th n ->
-        R.Asp.clear th n.slot;
+      ~destroy:(fun th (n : node) ->
+        R.Asp.clear th n.value;
         R.Asp.clear th n.next)
-      { key; slot = R.Asp.make th (R.Shared.ptr box_sh); next = R.Asp.make th next_ptr }
+      { L.key; value = R.Asp.make th (R.Shared.ptr box_sh); next = R.Asp.make th next_ptr }
+
+  (* Drop a slot snapshot, then the cursor it was read under. *)
+  let release th bs cu =
+    R.Snapshot.drop th bs;
+    L.discard th cu
 
   (* ------------------------------------------------------------------ *)
   (* Core operations. Each runs under [R.critically] on the target
@@ -207,18 +140,17 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     let sh, th = locate c key in
     let head = sh.buckets.(bucket sh key) in
     R.critically th (fun () ->
-        let cu = search th head key in
+        let cu = L.search th head key in
         if not cu.found then begin
-          discard th cu;
+          L.discard th cu;
           bump c.t.c_gets_miss c;
           None
         end
         else begin
           let node = R.Snapshot.get cu.cur in
-          let bs = R.Asp.get_snapshot th node.slot in
+          let bs = R.Asp.get_snapshot th node.value in
           if R.Snapshot.is_null bs || R.Snapshot.is_marked bs then begin
-            R.Snapshot.drop th bs;
-            discard th cu;
+            release th bs cu;
             bump c.t.c_gets_miss c;
             None
           end
@@ -226,8 +158,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
             let box = R.Snapshot.get bs in
             if box.bexp > now then begin
               let v = box.bv in
-              R.Snapshot.drop th bs;
-              discard th cu;
+              release th bs cu;
               bump c.t.c_gets_hit c;
               Some v
             end
@@ -236,14 +167,14 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
                  winner of the slot mark owns the physical unlink. *)
               Sched.yield ();
               let claimed =
-                R.Asp.try_mark th node.slot ~expected:(R.Snapshot.ptr bs ~tag:0)
+                R.Asp.try_mark th node.value ~expected:(R.Snapshot.ptr bs ~tag:0)
               in
               R.Snapshot.drop th bs;
               if claimed then begin
                 bump c.t.c_expiries c;
                 unlink_node th head cu node
               end;
-              discard th cu;
+              L.discard th cu;
               bump c.t.c_gets_miss c;
               None
             end
@@ -256,7 +187,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     let exp = match ttl with None -> max_int | Some d -> now + d in
     R.critically th (fun () ->
         let rec go () =
-          let cu = search th head key in
+          let cu = L.search th head key in
           let insert_fresh () =
             (* Fresh node before the first key-≥-k node: covers both
                the absent case and insert-before-tombstone. *)
@@ -270,20 +201,20 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
                 ~desired:(R.Shared.ptr fresh)
             then begin
               R.Shared.drop th fresh;
-              discard th cu;
+              L.discard th cu;
               bump c.t.c_puts_new c;
               false
             end
             else begin
               R.Shared.drop th fresh;
-              discard th cu;
+              L.discard th cu;
               go ()
             end
           in
           if not cu.found then insert_fresh ()
           else begin
             let node = R.Snapshot.get cu.cur in
-            let bs = R.Asp.get_snapshot th node.slot in
+            let bs = R.Asp.get_snapshot th node.value in
             if R.Snapshot.is_null bs || R.Snapshot.is_marked bs then begin
               R.Snapshot.drop th bs;
               insert_fresh ()
@@ -293,15 +224,14 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
               let box_sh = mk_box th v exp in
               Sched.yield ();
               if
-                R.Asp.compare_and_swap th node.slot
+                R.Asp.compare_and_swap th node.value
                   ~expected:(R.Snapshot.ptr bs ~tag:0)
                   ~desired:(R.Shared.ptr box_sh)
               then begin
                 (* The old box's decrement is now deferred through the
                    scheme — overwrite churn is retirement traffic. *)
                 R.Shared.drop th box_sh;
-                R.Snapshot.drop th bs;
-                discard th cu;
+                release th bs cu;
                 if old.bexp > now then begin
                   bump c.t.c_overwrites c;
                   true
@@ -313,8 +243,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
               end
               else begin
                 R.Shared.drop th box_sh;
-                R.Snapshot.drop th bs;
-                discard th cu;
+                release th bs cu;
                 go ()
               end
             end
@@ -331,40 +260,37 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     let head = sh.buckets.(bucket sh key) in
     R.critically th (fun () ->
         let rec go () =
-          let cu = search th head key in
+          let cu = L.search th head key in
           if not cu.found then begin
-            discard th cu;
+            L.discard th cu;
             (false, false)
           end
           else begin
             let node = R.Snapshot.get cu.cur in
-            let bs = R.Asp.get_snapshot th node.slot in
+            let bs = R.Asp.get_snapshot th node.value in
             if R.Snapshot.is_null bs || R.Snapshot.is_marked bs then begin
-              R.Snapshot.drop th bs;
-              discard th cu;
+              release th bs cu;
               (false, false)
             end
             else begin
               let live = (R.Snapshot.get bs).bexp > now in
               if only_expired && live then begin
-                R.Snapshot.drop th bs;
-                discard th cu;
+                release th bs cu;
                 (false, false)
               end
               else if begin
                 Sched.yield ();
-                R.Asp.try_mark th node.slot ~expected:(R.Snapshot.ptr bs ~tag:0)
+                R.Asp.try_mark th node.value ~expected:(R.Snapshot.ptr bs ~tag:0)
               end
               then begin
                 R.Snapshot.drop th bs;
                 bump (if live then c.t.c_removes else c.t.c_expiries) c;
                 unlink_node th head cu node;
-                discard th cu;
+                L.discard th cu;
                 (true, live)
               end
               else begin
-                R.Snapshot.drop th bs;
-                discard th cu;
+                release th bs cu;
                 go ()
               end
             end
@@ -374,36 +300,20 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
 
   let remove c ~now key = snd (kill c ~now ~only_expired:false key)
 
-  (* Read-only chain fold over live snapshots; marked (physically
-     dying) nodes are passed through without helping. *)
-  let fold_chain th head f acc =
-    R.critically th (fun () ->
-        let prev_s = ref (R.Snapshot.null ()) in
-        let cur = ref (R.Asp.get_snapshot th head) in
-        let acc = ref acc in
-        let rec loop () =
-          if R.Snapshot.is_null !cur then begin
-            R.Snapshot.drop th !cur;
-            R.Snapshot.drop th !prev_s;
-            !acc
-          end
-          else begin
-            let node = R.Snapshot.get !cur in
-            let next = R.Asp.get_snapshot th node.next in
-            if not (R.Snapshot.is_marked next) then begin
-              let bs = R.Asp.get_snapshot th node.slot in
-              (if not (R.Snapshot.is_null bs || R.Snapshot.is_marked bs) then
-                 let box = R.Snapshot.get bs in
-                 acc := f !acc node.key box.bv box.bexp);
-              R.Snapshot.drop th bs
-            end;
-            R.Snapshot.drop th !prev_s;
-            prev_s := !cur;
-            cur := next;
-            loop ()
-          end
-        in
-        loop ())
+  (* Read-only chain fold: [f th acc node] over every node not
+     physically dying ({!L.fold}). *)
+  let fold_chain th head f acc = R.critically th (fun () -> L.fold th head f acc)
+
+  (* The expiry of [node]'s box, read under a snapshot of its slot;
+     [min_int] when the slot holds no live box (empty or marked). *)
+  let expiry th (node : node) =
+    let bs = R.Asp.get_snapshot th node.value in
+    let exp =
+      if R.Snapshot.is_null bs || R.Snapshot.is_marked bs then min_int
+      else (R.Snapshot.get bs).bexp
+    in
+    R.Snapshot.drop th bs;
+    exp
 
   let scan c ~now lo hi =
     let total = ref 0 in
@@ -414,8 +324,9 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
           (fun head ->
             total :=
               fold_chain th head
-                (fun acc key _v exp ->
-                  if key >= lo && key < hi && exp > now then acc + 1 else acc)
+                (fun th acc node ->
+                  let exp = expiry th node in
+                  if node.key >= lo && node.key < hi && exp > now then acc + 1 else acc)
                 !total)
           sh.buckets)
       c.t.shards;
@@ -432,7 +343,9 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
                the racing-safe kill path. *)
             let expired =
               fold_chain th head
-                (fun acc key _v exp -> if exp <= now then key :: acc else acc)
+                (fun th acc node ->
+                  let exp = expiry th node in
+                  if exp > min_int && exp <= now then node.key :: acc else acc)
                 []
             in
             List.iter
@@ -456,7 +369,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
           (fun head ->
             total :=
               fold_chain th head
-                (fun acc _key _v exp -> if exp > now then acc + 1 else acc)
+                (fun th acc node -> if expiry th node > now then acc + 1 else acc)
                 !total)
           sh.buckets)
       t.shards;

@@ -1031,6 +1031,28 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     RF.flush th1;
     Alcotest.(check int) "leak free" 0 (RF.live_objects rt)
 
+  (* Pid 1 stops inside a section, holding a guarded and, its one slot
+     taken, a counted snapshot of a cell's object. [abandon] must give
+     back the count as well as the guard: once pid 0 clears the cell,
+     two flushes and a quiesce reclaim the object. *)
+  let abandon_gives_back_counts () =
+    let rt = R.create ~support_weak:false ~slots_per_thread:1 ~max_threads:2 () in
+    let th0 = R.thread rt 0 and th1 = R.thread rt 1 in
+    let p = R.Shared.make th0 5 in
+    let cell = R.Asp.make th0 (R.Shared.ptr p) in
+    R.Shared.drop th0 p;
+    R.begin_critical_section th1;
+    let _guarded = R.Asp.get_snapshot th1 cell in
+    let counted = R.Asp.get_snapshot th1 cell in
+    Alcotest.(check (pair int int)) "fast, slow" (1, 1) (R.snapshot_stats rt);
+    Alcotest.(check int) "the counted snapshot holds a count" 2 (R.Snapshot.use_count counted);
+    R.abandon rt ~pid:1;
+    R.critically th0 (fun () -> R.Asp.clear th0 cell);
+    R.flush th0;
+    R.flush th0;
+    R.quiesce rt;
+    Alcotest.(check int) "leak free" 0 (R.live_objects rt)
+
   (* -------------------- carried deferred decrements ---------------- *)
 
   (* A scan releases a batch of deferred decrements at once, and an
@@ -1120,6 +1142,10 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       t "stress strong" `Slow (stress_asp ~threads:4 ~iters:10_000);
       t "stress weak" `Slow (stress_weak ~threads:4 ~iters:10_000);
     ]
+    @
+    (* Only a slot scheme takes a counted snapshot with one slot free. *)
+    if S.is_protected_region then []
+    else [ t "abandon gives back counted snapshots" `Quick abandon_gives_back_counts ]
 end
 
 module T_ebr = Make_tests (Smr.Ebr)

@@ -554,6 +554,65 @@ let test_list_mark_then_help () =
       Alcotest.(check bool) "explored more than one schedule" true (schedules > 1)
   | r -> Alcotest.failf "dfs: %a" Sched.pp_result r
 
+(* The Fig 13a list's own code under the DFS explorer (≤ 2
+   preemptions), on the yield of its search, which the KV store's
+   buckets share: two fibers race on neighbouring keys, each history
+   must linearize against the sequential set model, the final size is
+   the one every linearization ends with, and teardown leaks nothing. *)
+type set_op = Ins of int | Rem of int
+
+let set_model st = function
+  | Ins k -> (IntSet.add k st, not (IntSet.mem k st))
+  | Rem k -> (IntSet.remove k st, IntSet.mem k st)
+
+let pp_set_op ppf = function
+  | Ins k -> Format.fprintf ppf "insert %d" k
+  | Rem k -> Format.fprintf ppf "remove %d" k
+
+let rc_list_race (module D : Ds.Set_intf.S) ~prefill ~final ops () =
+  let t = D.create ~max_threads:3 () in
+  let c0 = D.ctx t 0 in
+  List.iter (fun k -> ignore (D.insert c0 k)) prefill;
+  let rec_ = Lincheck.Recorder.create () in
+  let run i op () =
+    let c = D.ctx t (i + 1) in
+    ignore
+      (Lincheck.Recorder.run rec_ ~thread:i op (fun () ->
+           match op with Ins k -> D.insert c k | Rem k -> D.remove c k))
+  in
+  {
+    Sched.fibers = Array.of_list (List.mapi run ops);
+    check =
+      (fun () ->
+        (match
+           Lincheck.check_or_explain ~model:set_model ~equal_res:( = ) ~pp_op:pp_set_op
+             ~pp_res:Format.pp_print_bool ~init:(IntSet.of_list prefill)
+             (Lincheck.Recorder.history rec_)
+         with
+        | Ok () -> ()
+        | Error msg -> failwith ("not linearizable: " ^ msg));
+        if D.size t <> final then failwith (Printf.sprintf "final size %d, not %d" (D.size t) final);
+        List.iter (fun pid -> D.flush (D.ctx t pid)) [ 0; 1; 2 ];
+        D.teardown t;
+        let live = D.live_objects t in
+        if live <> 0 then failwith (Printf.sprintf "%d blocks leaked" live));
+  }
+
+let test_rc_list_races (module D : Ds.Set_intf.S) () =
+  List.iter
+    (fun (label, scenario) ->
+      match Sched.explore_dfs ~max_preemptions:2 ~max_schedules:200_000 scenario with
+      | Sched.Pass { schedules } ->
+          if schedules < 2 then
+            Alcotest.failf "%s: only %d schedule(s) explored — no interleaving" label schedules
+      | r -> Alcotest.failf "%s: %a" label Sched.pp_result r)
+    [
+      (* Insert 2 behind node 1 while 1 is removed: the insert's CAS on
+         1's [next] must fail once 1 is marked. *)
+      ("insert || remove", rc_list_race (module D) ~prefill:[ 1; 3 ] ~final:2 [ Rem 1; Ins 2 ]);
+      ("remove || remove", rc_list_race (module D) ~prefill:[ 1; 2; 3 ] ~final:1 [ Rem 2; Rem 3 ]);
+    ]
+
 let () =
   Alcotest.run "ds"
     [
@@ -587,6 +646,14 @@ let () =
         [
           Alcotest.test_case "remove || remove on neighbouring keys (EBR)" `Quick
             test_list_mark_then_help;
+        ]
+      );
+      ( "list rc explore",
+        [
+          Alcotest.test_case "insert || remove, remove || remove on neighbouring keys (RCEBR)"
+            `Quick (test_rc_list_races (module Lr_ebr));
+          Alcotest.test_case "insert || remove, remove || remove on neighbouring keys (RCHP)"
+            `Quick (test_rc_list_races (module Lr_hp));
         ]
       );
     ]

@@ -6,8 +6,8 @@
    (get-after-put, expired keys never served, the node and box
    retirement identities, leak-free teardown); (3) linearizability of
    single-shard get/put/remove/TTL histories — recorded under real
-   domains and explored exhaustively at the shard core's [Sched.yield]
-   points (DFS ≤2 preemptions). *)
+   domains and explored exhaustively at the [Sched.yield] points of the
+   chain's shared search and the shard core (DFS ≤2 preemptions). *)
 
 module Q = QCheck2
 
@@ -333,32 +333,36 @@ let kv_scenario (module K : Workload.Kv_intf.S) ~prefill ~fibers:fiber_ops ~at ~
   { Sched.fibers; check }
 
 (* The scenario set: every two-fiber race the slot-mark protocol has
-   to arbitrate. [at] is the logical time final sizes are read at. *)
+   to arbitrate, each with the number of schedules its DFS explores on
+   every scheme. The count pins where the yields sit — in the chain's
+   shared search ({!Ds.Hm_list_rc}) and in the shard core — so a change
+   that moves, adds or drops one is caught. [at] is the logical time
+   final sizes are read at. *)
 let kv_races (module K : Workload.Kv_intf.S) =
   [
-    ( "put/put same key",
+    ( "put/put same key", 14,
       kv_scenario (module K) ~prefill:[]
         ~fibers:[ [ Put { k = 5; v = 1; ttl = None; now = 0 } ];
                   [ Put { k = 5; v = 2; ttl = None; now = 0 } ] ]
         ~at:0 ~final_sizes:[ 1 ] );
-    ( "put/remove live key",
+    ( "put/remove live key", 19,
       kv_scenario (module K)
         ~prefill:[ (5, 10, None) ]
         ~fibers:[ [ Put { k = 5; v = 20; ttl = None; now = 1 } ];
                   [ Rem { k = 5; now = 1 } ] ]
         ~at:1 ~final_sizes:[ 0; 1 ] );
-    ( "get/put expired key",
+    ( "get/put expired key", 19,
       kv_scenario (module K)
         ~prefill:[ (5, 10, Some 3) ]
         ~fibers:[ [ Get { k = 5; now = 5 } ];
                   [ Put { k = 5; v = 30; ttl = None; now = 5 } ] ]
         ~at:5 ~final_sizes:[ 1 ] );
-    ( "remove/remove live key",
+    ( "remove/remove live key", 22,
       kv_scenario (module K)
         ~prefill:[ (5, 10, None) ]
         ~fibers:[ [ Rem { k = 5; now = 1 } ]; [ Rem { k = 5; now = 1 } ] ]
         ~at:1 ~final_sizes:[ 0 ] );
-    ( "insert past dying node",
+    ( "insert past dying node", 26,
       kv_scenario (module K)
         ~prefill:[ (3, 1, Some 2); (5, 2, None) ]
         ~fibers:[ [ Get { k = 3; now = 4 } ];
@@ -368,12 +372,10 @@ let kv_races (module K : Workload.Kv_intf.S) =
 
 let explore_races (name, (module K : Workload.Kv_intf.S)) () =
   List.iter
-    (fun (label, scenario) ->
+    (fun (label, expected, scenario) ->
       match Sched.explore_dfs ~max_preemptions:2 ~max_schedules:200_000 scenario with
       | Sched.Pass { schedules } ->
-          if schedules < 2 then
-            Alcotest.failf "%s/%s: only %d schedule(s) explored — no interleaving" name
-              label schedules
+          Alcotest.(check int) (Printf.sprintf "%s/%s: schedules" name label) expected schedules
       | Sched.Fail f -> Alcotest.failf "%s/%s: %s" name label f.Sched.f_message
       | Sched.Exhausted { schedules } ->
           Alcotest.failf "%s/%s: exhausted after %d schedules" name label schedules)

@@ -48,6 +48,16 @@ if grep -rnE 'protect_unscoped|protect_seen|release_unscoped|release_held|Ar\.gu
   exit 1
 fi
 
+echo "== one chain protocol =="
+# The KV store's buckets run on the list set's Harris–Michael chain
+# (lib/ds/hm_list_rc.ml: node, cursor, search, unlink, fold), so the
+# DFS explorer's races cover the code the list and hash-table figures
+# measure: no second copy of the chain search may return to lib/workload.
+if grep -rnE 'type cursor|search_once|exception Restart' lib/workload; then
+  echo "error: a second chain search is back under lib/workload" >&2
+  exit 1
+fi
+
 echo "== retire obligations =="
 # Acquire_retire's scope types the manual structures' pointer life
 # cycle (DESIGN.md §3): a node is read only through a live guard and
