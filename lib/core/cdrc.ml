@@ -27,9 +27,11 @@
     values with explicit [drop] instead of destructors; atomic pointer
     CAS is logical (control-block identity + mark bit) implemented with
     a retry loop over a slot, which is the control block itself or, for a
-    tagged pointer, a box; all racy accesses and snapshot
-    lifetimes must happen inside a critical section ({!Make.critically}),
-    exactly as §3.4 requires for region schemes. *)
+    tagged pointer, a box. A control block is one record: the value sits
+    inline beside the counts and the disposed flag ({!Rc_cell}), so a
+    dereference reaches the object in one hop. All racy accesses and
+    snapshot lifetimes must happen inside a critical section
+    ({!Make.critically}), exactly as §3.4 requires for region schemes. *)
 
 module Make (S : Smr.Smr_intf.S) = struct
   let scheme_name = "RC" ^ S.name
@@ -42,7 +44,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let name = scheme_name
   end)
 
-  (* The control-block lifecycle core (counters + value cell); the
+  (* The control-block lifecycle steps over the block's atomics; the
      schedule explorer drives the same module. *)
   module Cell = Rc_cell
   module Ident = Smr.Ident
@@ -85,7 +87,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     | Null
     | Null_tagged of int (* tag in 1..3 *)
     | Cb of {
-        cell : 'a Cell.t; (* value (None once disposed) + strong/weak counters *)
+        value : 'a;
+        disposed : Cell.flag;
+        strong : Cell.counter;
+        weak : Cell.counter;
         birth : int;
         block : Simheap.block;
         destroy : thr -> 'a -> unit;
@@ -184,26 +189,24 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Reference-count primitives (Fig 8) *)
 
   let not_a_cb () = invalid_arg "Cdrc: not a control block"
-  let cell_of = function Cb c -> c.cell | Null | Null_tagged _ | Tagged _ -> not_a_cb ()
+  let strong_of = function Cb c -> c.strong | Null | Null_tagged _ | Tagged _ -> not_a_cb ()
+  let weak_of = function Cb c -> c.weak | Null | Null_tagged _ | Tagged _ -> not_a_cb ()
 
   (* The control block [p] points to, [Null] for a null pointer. *)
   let target = function Null | Null_tagged _ -> Null | Tagged (cb, _) -> cb | Cb _ as cb -> cb
 
-  let expired cb = Cell.expired (cell_of cb)
+  let expired cb = Cell.expired (strong_of cb)
 
   let must_increment cb =
-    if not (Cell.try_upgrade (cell_of cb)) then
+    if not (Cell.try_upgrade (strong_of cb)) then
       failwith "Cdrc: invariant violated: increment of a dead strong count"
 
   let weak_increment cb =
-    if not (Cell.weak_increment_if_not_zero (cell_of cb)) then
+    if not (Cell.weak_increment_if_not_zero (weak_of cb)) then
       failwith "Cdrc: invariant violated: increment of a dead weak count"
 
-  let free_cb cb =
-    match cb with
-    | Cb c ->
-        Cell.clear c.cell;
-        Simheap.free c.block
+  let free_cb = function
+    | Cb c -> Simheap.free c.block
     | Null | Null_tagged _ | Tagged _ -> not_a_cb ()
 
   (* Defer [run] on [cb] until no guard taken before this call protects
@@ -220,7 +223,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     Ar.eject rt.ar ~pid
 
   let rec decrement rt ~pid cb =
-    if Cell.strong_decrement (cell_of cb) then
+    if Cell.strong_decrement (strong_of cb) then
       if rt.support_weak then delayed rt ~pid dispose_deferred_c cb rt.runs.run_dispose
       else
         (* Strong-only mode: no weak snapshot can observe the object, so
@@ -232,14 +235,14 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   and dispose rt ~pid cb =
     (match cb with
-    | Cb c -> (
-        match Cell.take c.cell with
-        | Some v -> c.destroy rt.thrs.(pid) v
-        | None -> failwith "Cdrc: invariant violated: double dispose")
+    | Cb c ->
+        if not (Cell.dispose_once c.disposed) then
+          failwith "Cdrc: invariant violated: double dispose";
+        c.destroy rt.thrs.(pid) c.value
     | Null | Null_tagged _ | Tagged _ -> not_a_cb ());
     weak_decrement rt ~pid cb
 
-  and weak_decrement _rt ~pid:_ cb = if Cell.weak_decrement (cell_of cb) then free_cb cb
+  and weak_decrement _rt ~pid:_ cb = if Cell.weak_decrement (weak_of cb) then free_cb cb
 
   let delayed_decrement rt ~pid cb = delayed rt ~pid dec_deferred_c cb rt.runs.run_decrement
 
@@ -334,7 +337,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     (** Logical value read (unprotected!): only for diagnostics,
         quiescent inspection, and values the caller knows are pinned. *)
-    let strong_count p = match target p with Null -> 0 | cb -> Cell.strong_count (cell_of cb)
+    let strong_count p = match target p with Null -> 0 | cb -> Cell.count (strong_of cb)
   end
 
   (* Logical CAS over a slot cell: succeed iff the current slot equals
@@ -437,11 +440,11 @@ module Make (S : Smr.Smr_intf.S) = struct
      for the invariant's message. *)
   let value_of what cb =
     match cb with
-    | Cb c -> (
+    | Cb c ->
         Simheap.check_live c.block;
-        match Cell.read c.cell with
-        | Some v -> v
-        | None -> failwith ("Cdrc: invariant violated: " ^ what ^ " deref of disposed object"))
+        if Cell.disposed c.disposed then
+          failwith ("Cdrc: invariant violated: " ^ what ^ " deref of disposed object");
+        c.value
     | Null | Null_tagged _ | Tagged _ -> not_a_cb ()
 
   (* An owned pointer to [p]'s object, taking a strong or a weak count
@@ -471,7 +474,8 @@ module Make (S : Smr.Smr_intf.S) = struct
       let rt = t.rt in
       let birth = Ar.birth rt.ar ~pid:t.pid in
       let block = Simheap.alloc (heap rt) in
-      { s_cb = Cb { cell = Cell.make v; birth; block; destroy }; s_live = true }
+      let strong = Cell.one () and weak = Cell.one () and disposed = Cell.undisposed () in
+      { s_cb = Cb { value = v; disposed; strong; weak; birth; block; destroy }; s_live = true }
 
     let is_null (p : 'a t) =
       check_owner p.s_live "shared";
@@ -503,11 +507,11 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     let use_count (p : 'a t) =
       check_owner p.s_live "shared";
-      match p.s_cb with Null -> 0 | cb -> Cell.strong_count (cell_of cb)
+      match p.s_cb with Null -> 0 | cb -> Cell.count (strong_of cb)
 
     let weak_count (p : 'a t) =
       check_owner p.s_live "shared";
-      match p.s_cb with Null -> 0 | cb -> Cell.weak_count (cell_of cb)
+      match p.s_cb with Null -> 0 | cb -> Cell.count (weak_of cb)
 
     let equal (a : 'a t) (b : 'a t) =
       check_owner a.s_live "shared";
@@ -597,7 +601,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       check_owner p.n_live "snapshot";
       match p.n_slot with
       | Null | Null_tagged _ -> 0
-      | (Cb _ as cb) | Tagged (cb, _) -> Cell.strong_count (cell_of cb)
+      | (Cb _ as cb) | Tagged (cb, _) -> Cell.count (strong_of cb)
   end
 
   module Asp = struct
@@ -759,7 +763,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       check_owner p.w_live "weak";
       match p.w_cb with
       | Null -> Shared.null ()
-      | cb -> if Cell.try_upgrade (cell_of cb) then { s_cb = cb; s_live = true } else Shared.null ()
+      | cb -> if Cell.try_upgrade (strong_of cb) then { s_cb = cb; s_live = true } else Shared.null ()
 
     let copy (t : thr) (p : 'a t) : 'a t =
       ignore t;
@@ -777,7 +781,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     let weak_count (p : 'a t) =
       check_owner p.w_live "weak";
-      match p.w_cb with Null -> 0 | cb -> Cell.weak_count (cell_of cb)
+      match p.w_cb with Null -> 0 | cb -> Cell.count (weak_of cb)
   end
 
   module Weak_snapshot = struct
@@ -795,7 +799,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       match p.n_slot with
       | Null | Null_tagged _ -> Shared.null ()
       | (Cb _ as cb) | Tagged (cb, _) ->
-          if Cell.try_upgrade (cell_of cb) then { s_cb = cb; s_live = true }
+          if Cell.try_upgrade (strong_of cb) then { s_cb = cb; s_live = true }
           else Shared.null ()
   end
 
@@ -894,7 +898,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               else
                 (* Fig 9 line 26: out of dispose guards — fall back to
                    a real strong increment if the object is alive. *)
-                Cell.try_upgrade (cell_of cb)
+                Cell.try_upgrade (strong_of cb)
             in
             if alive then begin
               Ar.release_slot s wg;

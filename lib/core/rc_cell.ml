@@ -1,61 +1,57 @@
 (** The schedule-sensitive heart of a CDRC control block (paper §4,
-    Figs 8–9).
-
-    A control block's lifecycle is driven by three cells — the strong
-    sticky counter, the weak sticky counter, and the value cell that is
-    atomically emptied exactly once at disposal — and the races that
-    matter all run through them: a weak upgrade ([try_upgrade], Fig 9's
-    increment-if-not-zero) racing the final strong decrement, a reader
-    dereferencing the value cell racing the dispose, the last weak
-    decrement racing a weak copy. [Cdrc.Make] wires this module up with
-    deferral, guards and birth epochs; none of those add scheduling
-    points to the lifecycle itself, so the explorer drives this module
-    directly. *)
+    Figs 7–9). A control block is one record ([Cdrc.Make]'s [Cb]): the
+    value sits inline beside three atomics — the strong and the weak
+    sticky counter and the [disposed] flag that disposal sets once —
+    and the races that matter all run through them: a weak upgrade
+    ([try_upgrade], Fig 9's increment-if-not-zero) racing the final
+    strong decrement, a reader's disposed check racing the dispose, the
+    last weak decrement racing a weak copy. The lifecycle steps are
+    written once, here, as functions of the block's atomics; [Cdrc.Make],
+    the schedule explorer and the atomics profiles all call them.
+    Deferral, guards and birth epochs add no scheduling points to the
+    lifecycle itself. *)
 
 module Counter = Sticky.Sticky_counter
 
-type 'a t = {
-  value : 'a option Sched.Atomic.t;  (* [None] once disposed *)
-  strong : Counter.t;
-  weak : Counter.t;  (* #weak refs + (1 if strong > 0) *)
-}
+type counter = Counter.t
+type flag = bool Sched.Atomic.t (* [true] once disposed *)
 
-let make v =
-  { value = Sched.Atomic.make (Some v); strong = Counter.create 1; weak = Counter.create 1 }
+(** A new block's atomics: each count starts at one (the weak count's
+    unit is the strong side's), and the block is not disposed. *)
+let one () = Counter.create 1
 
-(* ---- value cell ---- *)
+let undisposed () : flag = Sched.Atomic.make false
 
-let read cb = Sched.Atomic.get cb.value
+(* ---- disposal ---- *)
 
-(** Atomically take the value for disposal; [None] means a second
-    disposal raced us, which the caller must treat as a protocol
-    violation. *)
-let take cb = Sched.Atomic.exchange cb.value None
+(** The check a dereference makes: one get. *)
+let disposed (d : flag) = Sched.Atomic.get d
 
-let clear cb = Sched.Atomic.set cb.value None
+(** Claim the disposal with one exchange: [true] for exactly one caller.
+    [false] means a second disposal raced us, which the caller must
+    treat as a protocol violation. *)
+let dispose_once (d : flag) = not (Sched.Atomic.exchange d true)
 
 (* ---- strong side ---- *)
 
-let expired cb = Counter.is_zero cb.strong
+let expired strong = Counter.is_zero strong
 
 (** Fig 9 upgrade: revive-free increment-if-not-zero on the strong
     count. The single primitive behind [Weak.lock],
     [Weak_snapshot.to_shared] and the out-of-guards fallback of
     [Awp.get_snapshot]. *)
-let try_upgrade cb = Counter.increment_if_not_zero cb.strong
+let try_upgrade strong = Counter.increment_if_not_zero strong
 
 (** [true] iff this decrement brought the strong count to zero —
     exactly one caller per death gets the disposal duty. *)
-let strong_decrement cb = Counter.decrement cb.strong
+let strong_decrement strong = Counter.decrement strong
 
-let strong_count cb = Counter.load cb.strong
+(* ---- weak side (#weak refs + 1 while strong > 0) ---- *)
 
-(* ---- weak side ---- *)
-
-let weak_increment_if_not_zero cb = Counter.increment_if_not_zero cb.weak
+let weak_increment_if_not_zero weak = Counter.increment_if_not_zero weak
 
 (** [true] iff this decrement brought the weak count to zero — the
     winner frees the control block itself. *)
-let weak_decrement cb = Counter.decrement cb.weak
+let weak_decrement weak = Counter.decrement weak
 
-let weak_count cb = Counter.load cb.weak
+let count c = Counter.load c

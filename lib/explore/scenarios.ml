@@ -343,9 +343,10 @@ let handoff ?(mutate = false) () : Sched.scenario =
 (** The owner of the last strong reference races a weak-pointer
     upgrade: drop-strong → dispose → weak-decrement → free on one
     side, increment-if-not-zero → deref on the other, with the strong
-    counter's traffic fed to the monitor's rc ledger. Oracles: a
-    successful upgrade observes the value (never the disposed [None])
-    and a live block; disposal happens exactly once; the block is freed
+    counter's traffic fed to the monitor's rc ledger. The block's
+    atomics are a control block's, driven by [Rc_cell]'s steps as
+    [Cdrc] drives them. Oracles: a successful upgrade finds the block
+    not disposed and live; disposal happens exactly once; the block is freed
     exactly once and nothing leaks ([Simheap]); both counters end at
     zero; upgrades and drops balance exactly. With [mutate] the first
     fiber drops its strong reference {e twice} — the classic
@@ -354,20 +355,20 @@ let weak_upgrade ?(mutate = false) () : Sched.scenario =
   let mon = Mon.create ~fibers:2 () in
   let heap = Simheap.create ~name:"weak-upgrade" () in
   let block = Simheap.alloc heap in
-  let cell = Cell.make 42 in
+  let strong = Cell.one () and weak = Cell.one () and disposed = Cell.undisposed () in
   Mon.rc_register mon ~ident:1 ~count:1;
   (* the weak-holder fiber's own weak unit, on top of the strong
      side's implicit one (Fig 8: weak = #weak + (1 if strong > 0)) *)
-  if not (Cell.weak_increment_if_not_zero cell) then failwith "setup weak_increment";
+  if not (Cell.weak_increment_if_not_zero weak) then failwith "setup weak_increment";
   let drop_strong () =
-    let death = Cell.strong_decrement cell in
+    let death = Cell.strong_decrement strong in
     Mon.rc_decr mon ~ident:1 ~death;
     if death then begin
-      (match Cell.take cell with Some _ -> () | None -> failwith "double dispose");
-      if Cell.weak_decrement cell then Simheap.free block
+      if not (Cell.dispose_once disposed) then failwith "double dispose";
+      if Cell.weak_decrement weak then Simheap.free block
     end
   in
-  let drop_weak () = if Cell.weak_decrement cell then Simheap.free block in
+  let drop_weak () = if Cell.weak_decrement weak then Simheap.free block in
   {
     Sched.fibers =
       [|
@@ -377,11 +378,9 @@ let weak_upgrade ?(mutate = false) () : Sched.scenario =
              longer owns. *)
           if mutate then drop_strong ());
         (fun () ->
-          if Cell.try_upgrade cell then begin
+          if Cell.try_upgrade strong then begin
             Mon.rc_incr mon ~ident:1;
-            (match Cell.read cell with
-            | Some _ -> ()
-            | None -> failwith "successful upgrade observed a disposed value");
+            if Cell.disposed disposed then failwith "successful upgrade observed a disposed value";
             Simheap.check_live block;
             drop_strong ()
           end;
@@ -392,7 +391,7 @@ let weak_upgrade ?(mutate = false) () : Sched.scenario =
         Mon.check mon;
         if Simheap.live heap <> 0 then
           failwith (Printf.sprintf "leak: %d control block(s) never freed" (Simheap.live heap));
-        let s = Cell.strong_count cell and w = Cell.weak_count cell in
+        let s = Cell.count strong and w = Cell.count weak in
         if s <> 0 || w <> 0 then
           failwith (Printf.sprintf "final counts: strong=%d weak=%d (expected 0/0)" s w));
   }

@@ -315,24 +315,25 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     R.Snapshot.drop th bs;
     exp
 
+  (* A sweep builds its fold callback once, not once per bucket. *)
   let scan c ~now lo hi =
+    let count th acc node =
+      let exp = expiry th node in
+      if node.key >= lo && node.key < hi && exp > now then acc + 1 else acc
+    in
     let total = ref 0 in
     Array.iteri
       (fun s sh ->
         let th = c.ths.(s) in
-        Array.iter
-          (fun head ->
-            total :=
-              fold_chain th head
-                (fun th acc node ->
-                  let exp = expiry th node in
-                  if node.key >= lo && node.key < hi && exp > now then acc + 1 else acc)
-                !total)
-          sh.buckets)
+        Array.iter (fun head -> total := fold_chain th head count !total) sh.buckets)
       c.t.shards;
     !total
 
   let expire_sweep c ~now =
+    let collect th acc node =
+      let exp = expiry th node in
+      if exp > min_int && exp <= now then node.key :: acc else acc
+    in
     let claimed = ref 0 in
     Array.iteri
       (fun s sh ->
@@ -341,13 +342,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
           (fun head ->
             (* Collect candidates read-only, then claim each through
                the racing-safe kill path. *)
-            let expired =
-              fold_chain th head
-                (fun th acc node ->
-                  let exp = expiry th node in
-                  if exp > min_int && exp <= now then node.key :: acc else acc)
-                []
-            in
+            let expired = fold_chain th head collect [] in
             List.iter
               (fun key -> if fst (kill c ~now ~only_expired:true key) then incr claimed)
               expired)
@@ -361,17 +356,12 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
   (* Accounting and observability *)
 
   let size t ~now =
+    let count th acc node = if expiry th node > now then acc + 1 else acc in
     let total = ref 0 in
     Array.iter
       (fun sh ->
         let th = R.thread sh.rt 0 in
-        Array.iter
-          (fun head ->
-            total :=
-              fold_chain th head
-                (fun th acc node -> if expiry th node > now then acc + 1 else acc)
-                !total)
-          sh.buckets)
+        Array.iter (fun head -> total := fold_chain th head count !total) sh.buckets)
       t.shards;
     !total
 

@@ -58,7 +58,7 @@ let atomic_profiles () =
   let ar = Ar_hp.create ~slots_per_thread:2 ~max_threads:1 () in
   let node = Ar_hp.alloc ar ~pid:0 () in
   let shared = C.make node in
-  let cell = Cell_c.make 0 in
+  let strong = Cell_c.one () and disposed = Cell_c.undisposed () in
   [
     (* Revive-free increment + non-final decrement: the refcount hot
        path. 2 FAA/op. *)
@@ -83,17 +83,17 @@ let atomic_profiles () =
         Ar_hp.eject ~force:true ar ~pid:0);
     (* Fig 9 weak upgrade + matching drop on a live control block. *)
     profile ~core:"rc_cell" ~op:"upgrade_drop" (fun () ->
-        ignore (Cell_c.try_upgrade cell);
-        ignore (Cell_c.strong_decrement cell));
-    (* Value-cell dereference. 1 get/op. *)
-    profile ~core:"rc_cell" ~op:"read" (fun () -> ignore (Cell_c.read cell));
-    (* Full disposal: final strong decrement, take the value, final
-       weak decrement frees the block. *)
+        ignore (Cell_c.try_upgrade strong);
+        ignore (Cell_c.strong_decrement strong));
+    (* A dereference's disposed check. 1 get/op. *)
+    profile ~core:"rc_cell" ~op:"read" (fun () -> ignore (Cell_c.disposed disposed));
+    (* Full disposal of a fresh block: final strong decrement, claim
+       the disposal, final weak decrement frees the block. *)
     profile ~core:"rc_cell" ~op:"dispose" (fun () ->
-        let cb = Cell_c.make 0 in
-        ignore (Cell_c.strong_decrement cb);
-        ignore (Cell_c.take cb);
-        ignore (Cell_c.weak_decrement cb));
+        let strong = Cell_c.one () and weak = Cell_c.one () and disposed = Cell_c.undisposed () in
+        ignore (Cell_c.strong_decrement strong);
+        ignore (Cell_c.dispose_once disposed);
+        ignore (Cell_c.weak_decrement weak));
   ]
 
 (* The pinned per-op expectations for these scripts live in

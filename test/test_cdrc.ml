@@ -55,14 +55,69 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     | _ -> Alcotest.fail "expected Use_after_drop on double drop"
     | exception R.Use_after_drop _ -> ()
 
+  (* The hook runs when the last strong reference goes, and neither a
+     failed upgrade nor the weak drop that frees the block runs it
+     again. *)
   let destroy_hook_runs () =
     with_rt ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    let destroyed = ref false in
-    let p = R.Shared.make th ~destroy:(fun _th _v -> destroyed := true) 7 in
-    R.Shared.drop th p;
+    let destroyed = ref 0 in
+    let w =
+      R.critically th @@ fun () ->
+      let p = R.Shared.make th ~destroy:(fun _ _ -> incr destroyed) 7 in
+      let q = R.Shared.copy th p and w = R.Weak.of_shared th p in
+      let cell = R.Asp.make th (R.Shared.ptr p) in
+      R.Shared.drop th p;
+      R.Shared.drop th q;
+      R.Asp.clear th cell;
+      w
+    in
     R.quiesce rt;
-    Alcotest.(check bool) "destroy ran" true !destroyed
+    Alcotest.(check int) "destroy ran" 1 !destroyed;
+    let l = R.Weak.lock th w in
+    Alcotest.(check bool) "upgrade of the disposed object fails" true (R.Shared.is_null l);
+    R.Shared.drop th l;
+    R.Weak.drop th w;
+    R.quiesce rt;
+    Alcotest.(check int) "destroy ran once" 1 !destroyed;
+    Alcotest.(check int) "freed" 0 (R.live_objects rt)
+
+  (* -------------------- control-block lifecycle --------------------- *)
+
+  (* [f ()] must fail with a message that ends in [what]. *)
+  let fails_with what f =
+    match f () with
+    | _ -> Alcotest.failf "expected Failure %S" what
+    | exception Failure msg ->
+        let n = String.length what and m = String.length msg in
+        if m < n || String.sub msg (m - n) n <> what then
+          Alcotest.failf "Failure %S does not end in %S" msg what
+
+  (* A block disposed once by hand while a strong pointer [p] and a weak
+     pointer [w] still hold it; [destroyed] counts the hook's runs. *)
+  let disposed_block rt th =
+    let destroyed = ref 0 in
+    let p = R.Shared.make th ~destroy:(fun _ _ -> incr destroyed) 7 in
+    let w = R.Weak.of_shared th p in
+    R.dispose rt ~pid:0 (R.Shared.ptr p);
+    (p, w, destroyed)
+
+  let dispose_claimed_once () =
+    with_rt ~max_threads:1 @@ fun rt ->
+    let th = R.thread rt 0 in
+    let p, w, destroyed = disposed_block rt th in
+    fails_with "double dispose" (fun () -> R.dispose rt ~pid:0 (R.Shared.ptr p));
+    Alcotest.(check int) "destroy ran once" 1 !destroyed;
+    Alcotest.(check int) "the block is live" 1 (R.live_objects rt);
+    R.Weak.drop th w;
+    Alcotest.(check int) "the last weak drop frees it" 0 (R.live_objects rt)
+
+  let deref_of_disposed_fails () =
+    with_rt ~max_threads:1 @@ fun rt ->
+    let th = R.thread rt 0 in
+    let p, w, _ = disposed_block rt th in
+    fails_with "strong deref of disposed object" (fun () -> R.Shared.get p);
+    R.Weak.drop th w
 
   (* -------------------- atomic shared pointers ---------------------- *)
 
@@ -588,7 +643,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     at_most "Simheap.alloc" 2 (words (fun i -> blocks.(i) <- Simheap.alloc heap));
     Array.iter Simheap.free blocks;
     let ps = Array.make n (R.Shared.null ()) in
-    at_most "Shared.make ~destroy" 24
+    at_most "Shared.make ~destroy" 21
       (words (fun i -> ps.(i) <- R.Shared.make th ~destroy:no_op_destroy i));
     let views = Array.make n R.Ptr.null in
     at_most "Shared.ptr" 0 (words (fun i -> views.(i) <- R.Shared.ptr ps.(i)));
@@ -1106,6 +1161,8 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       t "shared null" `Quick shared_null;
       t "use after drop" `Quick use_after_drop_detected;
       t "destroy hook" `Quick destroy_hook_runs;
+      t "dispose claimed once" `Quick dispose_claimed_once;
+      t "deref of a disposed object fails" `Quick deref_of_disposed_fails;
       t "asp store/load" `Quick asp_store_load;
       t "asp cas" `Quick asp_cas_semantics;
       t "asp cas null" `Quick asp_cas_null_transitions;

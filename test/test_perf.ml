@@ -398,8 +398,8 @@ let test_pinned_atomic_footprints () =
   expect "slot" "retire_eject" ~gets:3 ~sets:0 ~exchanges:1 ~cas:0 ~faa:0;
   expect "rc_cell" "upgrade_drop" ~gets:0 ~sets:0 ~exchanges:0 ~cas:0 ~faa:2;
   expect "rc_cell" "read" ~gets:1 ~sets:0 ~exchanges:0 ~cas:0 ~faa:0;
-  (* Disposal: strong death (FAA+CAS), take (exchange), weak death
-     (FAA+CAS). *)
+  (* Disposal: strong death (FAA+CAS), the claim on [disposed]
+     (exchange), weak death (FAA+CAS). *)
   expect "rc_cell" "dispose" ~gets:0 ~sets:0 ~exchanges:1 ~cas:2 ~faa:2
 
 (* ---------------- the matrix ---------------- *)

@@ -58,6 +58,17 @@ if grep -rnE 'type cursor|search_once|exception Restart' lib/workload; then
   exit 1
 fi
 
+echo "== one-record control blocks =="
+# A control block is one record, the slot's Cb (DESIGN.md S5): the
+# value sits inline beside the disposed flag and both counts, and
+# Rc_cell's lifecycle steps run on the block's own atomics, so a
+# dereference reaches the object in one hop. The boxed value cell and
+# the separate lifecycle record it hung off must not come back.
+if grep -rnE 'option Sched\.Atomic\.t|\bcell :' lib/core; then
+  echo "error: a boxed value cell or a separate lifecycle record is back in lib/core" >&2
+  exit 1
+fi
+
 echo "== retire obligations =="
 # Acquire_retire's scope types the manual structures' pointer life
 # cycle (DESIGN.md §3): a node is read only through a live guard and
@@ -385,8 +396,10 @@ sys.exit(1 if bad or not result["correct"] else 0)
 
 echo "== flat objects (perfbench queue-weak, traced, 3s) =="
 # A managed object is a handful of blocks (DESIGN.md S1, S5): a heap
-# block is one atomic word, a control block carries no closure and is
-# its own untagged slot, and an atomic pointer cell is its atomic. A
+# block is one atomic word, a control block is one record (value, flag,
+# counts, birth, heap block, hook) and its own untagged slot, five
+# blocks with its three atomics and heap block, and an atomic pointer
+# cell is its atomic. A
 # retire allocates one 8-word retire record and nothing after it does
 # (DESIGN.md §2, "Retire records"), and recording a preallocated trace
 # event allocates nothing (DESIGN.md §7). Every queue node outlives a minor
