@@ -28,8 +28,9 @@
     CAS is logical (control-block identity + mark bit) implemented with
     a retry loop over a slot, which is the control block itself or, for a
     tagged pointer, a box. A control block is one record: the value sits
-    inline beside the counts and the disposed flag ({!Rc_cell}), so a
-    dereference reaches the object in one hop. All racy accesses and
+    inline beside the counts and the heap block, whose one word also
+    carries the disposed bit ({!Rc_cell}), so a dereference reads one
+    word and reaches the object in one hop. All racy accesses and
     snapshot lifetimes must happen inside a critical section
     ({!Make.critically}), exactly as §3.4 requires for region schemes. *)
 
@@ -80,15 +81,16 @@ module Make (S : Smr.Smr_intf.S) = struct
      A control block is the [Cb] constructor's inline record, so an
      untagged pointer to it is the block itself: a cell holds it with
      no box between, and taking a view of an owned pointer allocates
-     nothing. [destroy] is the user's hook as given (or the shared
-     [no_destroy]), called with the executing pid's preallocated
-     [thr]. Only a tagged pointer is boxed, as [Tagged]. *)
+     nothing. [block]'s word is the block's lifecycle: its dead bit is
+     the disposed flag, its freed bit the free. [destroy] is the user's
+     hook as given (or the shared [no_destroy]), called with the
+     executing pid's preallocated [thr]. Only a tagged pointer is boxed,
+     as [Tagged]. *)
   type 'a slot =
     | Null
     | Null_tagged of int (* tag in 1..3 *)
     | Cb of {
         value : 'a;
-        disposed : Cell.flag;
         strong : Cell.counter;
         weak : Cell.counter;
         birth : int;
@@ -236,7 +238,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   and dispose rt ~pid cb =
     (match cb with
     | Cb c ->
-        if not (Cell.dispose_once c.disposed) then
+        if not (Cell.dispose_once c.block) then
           failwith "Cdrc: invariant violated: double dispose";
         c.destroy rt.thrs.(pid) c.value
     | Null | Null_tagged _ | Tagged _ -> not_a_cb ());
@@ -436,13 +438,13 @@ module Make (S : Smr.Smr_intf.S) = struct
   let check_owner live what = if not live then raise (Use_after_drop what)
   let no_destroy _ _ = ()
 
-  (* The value behind control block [cb]; [what] names the pointer kind
-     for the invariant's message. *)
+  (* The value behind control block [cb], after one read of its heap
+     word: freed raises [Use_after_free], disposed breaks the invariant
+     that [what] (the pointer kind) names. *)
   let value_of what cb =
     match cb with
     | Cb c ->
-        Simheap.check_live c.block;
-        if Cell.disposed c.disposed then
+        if Cell.disposed c.block then
           failwith ("Cdrc: invariant violated: " ^ what ^ " deref of disposed object");
         c.value
     | Null | Null_tagged _ | Tagged _ -> not_a_cb ()
@@ -474,8 +476,8 @@ module Make (S : Smr.Smr_intf.S) = struct
       let rt = t.rt in
       let birth = Ar.birth rt.ar ~pid:t.pid in
       let block = Simheap.alloc (heap rt) in
-      let strong = Cell.one () and weak = Cell.one () and disposed = Cell.undisposed () in
-      { s_cb = Cb { value = v; disposed; strong; weak; birth; block; destroy }; s_live = true }
+      let strong = Cell.one () and weak = Cell.one () in
+      { s_cb = Cb { value = v; strong; weak; birth; block; destroy }; s_live = true }
 
     let is_null (p : 'a t) =
       check_owner p.s_live "shared";

@@ -1,36 +1,34 @@
 (** The schedule-sensitive heart of a CDRC control block (paper §4,
     Figs 7–9). A control block is one record ([Cdrc.Make]'s [Cb]): the
-    value sits inline beside three atomics — the strong and the weak
-    sticky counter and the [disposed] flag that disposal sets once —
-    and the races that matter all run through them: a weak upgrade
-    ([try_upgrade], Fig 9's increment-if-not-zero) racing the final
-    strong decrement, a reader's disposed check racing the dispose, the
-    last weak decrement racing a weak copy. The lifecycle steps are
-    written once, here, as functions of the block's atomics; [Cdrc.Make],
-    the schedule explorer and the atomics profiles all call them.
-    Deferral, guards and birth epochs add no scheduling points to the
-    lifecycle itself. *)
+    value sits inline beside three atomic words — the strong and the
+    weak sticky counter and the block's {!Simheap} word, whose dead bit
+    disposal claims once — and the races that matter all run through
+    them: a weak upgrade ([try_upgrade], Fig 9's increment-if-not-zero)
+    racing the final strong decrement, a reader's disposed check racing
+    the dispose, the last weak decrement racing a weak copy. The
+    lifecycle steps are written once, here, as functions of the block's
+    atomics; [Cdrc.Make], the schedule explorer and the atomics profiles
+    all call them. Deferral, guards and birth epochs add no scheduling
+    points to the lifecycle itself. *)
 
 module Counter = Sticky.Sticky_counter
 
 type counter = Counter.t
-type flag = bool Sched.Atomic.t (* [true] once disposed *)
 
-(** A new block's atomics: each count starts at one (the weak count's
-    unit is the strong side's), and the block is not disposed. *)
+(** A new block's counts: each starts at one (the weak count's unit is
+    the strong side's). A fresh {!Simheap} block is not disposed. *)
 let one () = Counter.create 1
 
-let undisposed () : flag = Sched.Atomic.make false
+(* ---- disposal: the heap block's dead bit ---- *)
 
-(* ---- disposal ---- *)
+(** The check a dereference makes, one get of the block word: [true]
+    once disposed, and [Simheap.Use_after_free] once freed. *)
+let disposed b = Simheap.check_dead b
 
-(** The check a dereference makes: one get. *)
-let disposed (d : flag) = Sched.Atomic.get d
-
-(** Claim the disposal with one exchange: [true] for exactly one caller.
-    [false] means a second disposal raced us, which the caller must
-    treat as a protocol violation. *)
-let dispose_once (d : flag) = not (Sched.Atomic.exchange d true)
+(** Claim the disposal with one fetch-and-add: [true] for exactly one
+    caller. [false] means a second disposal raced us, which the caller
+    must treat as a protocol violation. *)
+let dispose_once b = Simheap.mark_dead b
 
 (* ---- strong side ---- *)
 

@@ -48,61 +48,46 @@ module Make (R : Cdrc.Intf.S) = struct
     R.Snapshot.drop th cu.prev_s;
     R.Snapshot.drop th cu.cur
 
-  exception Restart
-
   (* Position at the first node with key ≥ [key], helping unlink
-     next-marked nodes on the way. *)
+     next-marked nodes on the way; a failed unlink restarts from the
+     head. Each hop passes the cursor's fields on as arguments. *)
   let rec search th head key =
-    match search_once th head key with cu -> cu | exception Restart -> search th head key
+    let prev_s = R.Snapshot.null () in
+    search_from th head key head prev_s (R.Asp.get_snapshot th head)
 
-  and search_once th head key =
-    let prev = ref head in
-    let prev_s = ref (R.Snapshot.null ()) in
-    let cur = ref (R.Asp.get_snapshot th head) in
-    let abort () =
-      R.Snapshot.drop th !cur;
-      R.Snapshot.drop th !prev_s;
-      raise Restart
-    in
-    let rec loop () =
-      Sched.yield ();
-      if R.Snapshot.is_null !cur then
-        { found = false; prev = !prev; prev_s = !prev_s; cur = !cur }
-      else begin
-        let node = R.Snapshot.get !cur in
-        let next = R.Asp.get_snapshot th node.next in
-        if R.Snapshot.is_marked next then begin
-          (* cur is logically deleted: unlink it. The CAS's deferred
-             decrement replaces the whole retire loop of the manual
-             version. *)
-          if
-            R.Asp.compare_and_swap th !prev
-              ~expected:(R.Snapshot.ptr !cur ~tag:0)
-              ~desired:(R.Snapshot.ptr next ~tag:0)
-          then begin
-            R.Snapshot.drop th !cur;
-            cur := next;
-            loop ()
-          end
-          else begin
-            R.Snapshot.drop th next;
-            abort ()
-          end
-        end
-        else if node.key >= key then begin
-          R.Snapshot.drop th next;
-          { found = node.key = key; prev = !prev; prev_s = !prev_s; cur = !cur }
+  and search_from th head key prev prev_s cur =
+    Sched.yield ();
+    if R.Snapshot.is_null cur then { found = false; prev; prev_s; cur }
+    else begin
+      let node = R.Snapshot.get cur in
+      let next = R.Asp.get_snapshot th node.next in
+      if R.Snapshot.is_marked next then
+        (* cur is logically deleted: unlink it. The CAS's deferred
+           decrement replaces the whole retire loop of the manual
+           version. *)
+        if
+          R.Asp.compare_and_swap th prev
+            ~expected:(R.Snapshot.ptr cur ~tag:0)
+            ~desired:(R.Snapshot.ptr next ~tag:0)
+        then begin
+          R.Snapshot.drop th cur;
+          search_from th head key prev prev_s next
         end
         else begin
-          R.Snapshot.drop th !prev_s;
-          prev_s := !cur;
-          prev := node.next;
-          cur := next;
-          loop ()
+          R.Snapshot.drop th next;
+          R.Snapshot.drop th cur;
+          R.Snapshot.drop th prev_s;
+          search th head key
         end
+      else if node.key >= key then begin
+        R.Snapshot.drop th next;
+        { found = node.key = key; prev; prev_s; cur }
       end
-    in
-    loop ()
+      else begin
+        R.Snapshot.drop th prev_s;
+        search_from th head key node.next cur next
+      end
+    end
 
   (* Owned deletion of [cu.cur] once the caller has marked its [next]
      field, whose target the snapshot [next] holds (dropped here): CAS
@@ -122,27 +107,23 @@ module Make (R : Cdrc.Intf.S) = struct
   (* Read-only walk inside the caller's section: [f th acc node] folds
      over every node whose [next] is unmarked; marked (physically
      dying) nodes are passed through without helping. *)
+  let rec fold_from th f prev_s cur acc =
+    if R.Snapshot.is_null cur then begin
+      R.Snapshot.drop th cur;
+      R.Snapshot.drop th prev_s;
+      acc
+    end
+    else begin
+      let node = R.Snapshot.get cur in
+      let next = R.Asp.get_snapshot th node.next in
+      let acc = if R.Snapshot.is_marked next then acc else f th acc node in
+      R.Snapshot.drop th prev_s;
+      fold_from th f cur next acc
+    end
+
   let fold th head f acc =
-    let prev_s = ref (R.Snapshot.null ()) in
-    let cur = ref (R.Asp.get_snapshot th head) in
-    let acc = ref acc in
-    let rec loop () =
-      if R.Snapshot.is_null !cur then begin
-        R.Snapshot.drop th !cur;
-        R.Snapshot.drop th !prev_s;
-        !acc
-      end
-      else begin
-        let node = R.Snapshot.get !cur in
-        let next = R.Asp.get_snapshot th node.next in
-        if not (R.Snapshot.is_marked next) then acc := f th !acc node;
-        R.Snapshot.drop th !prev_s;
-        prev_s := !cur;
-        cur := next;
-        loop ()
-      end
-    in
-    loop ()
+    let prev_s = R.Snapshot.null () in
+    fold_from th f prev_s (R.Asp.get_snapshot th head) acc
 
   let insert_at c head key =
     let th = c.th in
@@ -204,62 +185,49 @@ module Make (R : Cdrc.Intf.S) = struct
     in
     go ()
 
+  (* The read-only walks' exit: drop the two snapshots they hold. *)
+  let finish th prev_s cur result =
+    R.Snapshot.drop th cur;
+    R.Snapshot.drop th prev_s;
+    result
+
   (* Read-only traversal: marked nodes are passed through. *)
-  let contains_at c head key =
-    let th = c.th in
-    let prev_s = ref (R.Snapshot.null ()) in
-    let cur = ref (R.Asp.get_snapshot th head) in
-    let finish result =
-      R.Snapshot.drop th !cur;
-      R.Snapshot.drop th !prev_s;
-      result
-    in
-    let rec loop () =
-      if R.Snapshot.is_null !cur then finish false
+  let rec contains_from th key prev_s cur =
+    if R.Snapshot.is_null cur then finish th prev_s cur false
+    else begin
+      let node = R.Snapshot.get cur in
+      if node.key > key then finish th prev_s cur false
+      else if node.key = key then
+        (* Only the mark bit is needed: an unprotected view read
+           suffices (no dereference). *)
+        finish th prev_s cur (not (R.Ptr.is_marked (R.Asp.unsafe_ptr node.next)))
       else begin
-        let node = R.Snapshot.get !cur in
-        if node.key > key then finish false
-        else if node.key = key then
-          (* Only the mark bit is needed: an unprotected view read
-             suffices (no dereference). *)
-          finish (not (R.Ptr.is_marked (R.Asp.unsafe_ptr node.next)))
-        else begin
-          let next = R.Asp.get_snapshot th node.next in
-          R.Snapshot.drop th !prev_s;
-          prev_s := !cur;
-          cur := next;
-          loop ()
-        end
+        let next = R.Asp.get_snapshot th node.next in
+        R.Snapshot.drop th prev_s;
+        contains_from th key cur next
       end
-    in
-    loop ()
+    end
+
+  let contains_at c head key =
+    let prev_s = R.Snapshot.null () in
+    contains_from c.th key prev_s (R.Asp.get_snapshot c.th head)
+
+  let rec range_from th lo hi prev_s cur count =
+    if R.Snapshot.is_null cur then finish th prev_s cur count
+    else begin
+      let node = R.Snapshot.get cur in
+      if node.key >= hi then finish th prev_s cur count
+      else begin
+        let next = R.Asp.get_snapshot th node.next in
+        let count = if node.key >= lo && not (R.Snapshot.is_marked next) then count + 1 else count in
+        R.Snapshot.drop th prev_s;
+        range_from th lo hi cur next count
+      end
+    end
 
   let range_at c head lo hi =
-    let th = c.th in
-    let prev_s = ref (R.Snapshot.null ()) in
-    let cur = ref (R.Asp.get_snapshot th head) in
-    let count = ref 0 in
-    let finish () =
-      R.Snapshot.drop th !cur;
-      R.Snapshot.drop th !prev_s;
-      !count
-    in
-    let rec loop () =
-      if R.Snapshot.is_null !cur then finish ()
-      else begin
-        let node = R.Snapshot.get !cur in
-        if node.key >= hi then finish ()
-        else begin
-          let next = R.Asp.get_snapshot th node.next in
-          if node.key >= lo && not (R.Snapshot.is_marked next) then incr count;
-          R.Snapshot.drop th !prev_s;
-          prev_s := !cur;
-          cur := next;
-          loop ()
-        end
-      end
-    in
-    loop ()
+    let prev_s = R.Snapshot.null () in
+    range_from c.th lo hi prev_s (R.Asp.get_snapshot c.th head) 0
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
 

@@ -73,44 +73,42 @@ module Make (R : Cdrc.Intf.S) = struct
 
   (* The R sentinel is permanently pinned by [t.root], so it needs no
      snapshot; a null snapshot in the [anc] slot denotes R and is
-     resolved by [anc_cell]. *)
+     resolved by [anc_cell]. Each hop passes the record on as
+     arguments: [cur] is the node below [par], reached over an edge
+     whose tag bits it carries. *)
+  let rec seek_from th key anc suc par cur =
+    let n = R.Snapshot.get cur in
+    if is_leaf n then { anc; suc; par; leaf = cur }
+    else if R.Snapshot.tag cur land tg = 0 then begin
+      (* Edge par->cur untagged: par becomes ancestor, cur becomes
+         successor. The par snapshot moves to the anc slot. *)
+      R.Snapshot.drop th anc;
+      descend th key par (R.Snapshot.ptr cur ~tag:0) cur n
+    end
+    else begin
+      R.Snapshot.drop th par;
+      descend th key anc suc cur n
+    end
+
+  and descend th key anc suc par n =
+    let next = R.Asp.get_snapshot th (if key < n.key then n.left else n.right) in
+    if R.Snapshot.is_null next then begin
+      (* Cannot happen: internal nodes always have two children and
+         snapshots pin their targets. *)
+      R.Snapshot.drop th next;
+      failwith "nm_tree_rc: null child of internal node"
+    end;
+    seek_from th key anc suc par next
+
+  (* anc = R (represented by a null snapshot), suc = S, par = S. *)
   let seek c key =
     let th = c.th in
     let rn = R.Shared.get c.t.root in
     let s_snap = R.Asp.get_snapshot th rn.left in
-    (* anc = R (represented by a null snapshot), suc = S, par = S. *)
-    let anc = ref (R.Snapshot.null ()) in
-    let suc = ref (R.Snapshot.ptr s_snap ~tag:0) in
-    let par = ref s_snap in
+    let anc = R.Snapshot.null () in
     let sn = R.Snapshot.get s_snap in
-    let cur = ref (R.Asp.get_snapshot th sn.left) in
-    let cur_tag = ref (R.Snapshot.tag !cur) in
-    let rec walk () =
-      let n = R.Snapshot.get !cur in
-      if not (is_leaf n) then begin
-        if !cur_tag land tg = 0 then begin
-          (* Edge par->cur untagged: par becomes ancestor, cur becomes
-             successor. The par snapshot moves to the anc slot. *)
-          R.Snapshot.drop th !anc;
-          anc := !par;
-          suc := R.Snapshot.ptr !cur ~tag:0
-        end
-        else R.Snapshot.drop th !par;
-        par := !cur;
-        let next = R.Asp.get_snapshot th (if key < n.key then n.left else n.right) in
-        if R.Snapshot.is_null next then begin
-          (* Cannot happen: internal nodes always have two children and
-             snapshots pin their targets. *)
-          R.Snapshot.drop th next;
-          failwith "nm_tree_rc: null child of internal node"
-        end;
-        cur_tag := R.Snapshot.tag next;
-        cur := next;
-        walk ()
-      end
-    in
-    walk ();
-    { anc = !anc; suc = !suc; par = !par; leaf = !cur }
+    seek_from th key anc (R.Snapshot.ptr s_snap ~tag:0) s_snap
+      (R.Asp.get_snapshot th sn.left)
 
   (* Ancestor child cell toward [key]; a null anc snapshot denotes the
      root sentinel R. *)
@@ -247,57 +245,43 @@ module Make (R : Cdrc.Intf.S) = struct
     inject ()
 
   (* Read-only descent with two rotating snapshots. *)
+  let rec contains_from th key prev cur =
+    let n = R.Snapshot.get cur in
+    if is_leaf n then begin
+      let res = n.key = key in
+      R.Snapshot.drop th cur;
+      R.Snapshot.drop th prev;
+      res
+    end
+    else begin
+      let next = R.Asp.get_snapshot th (if key < n.key then n.left else n.right) in
+      R.Snapshot.drop th prev;
+      contains_from th key cur next
+    end
+
   let contains_op c key =
-    let th = c.th in
     let rn = R.Shared.get c.t.root in
-    let prev = ref (R.Snapshot.null ()) in
-    let cur = ref (R.Asp.get_snapshot th rn.left) in
-    let rec walk () =
-      let n = R.Snapshot.get !cur in
-      if is_leaf n then begin
-        let res = n.key = key in
-        R.Snapshot.drop th !cur;
-        R.Snapshot.drop th !prev;
-        res
-      end
-      else begin
-        let next = R.Asp.get_snapshot th (if key < n.key then n.left else n.right) in
-        R.Snapshot.drop th !prev;
-        prev := !cur;
-        cur := next;
-        walk ()
-      end
-    in
-    walk ()
+    let prev = R.Snapshot.null () in
+    contains_from c.th key prev (R.Asp.get_snapshot c.th rn.left)
 
   (* DFS range count holding one snapshot per path node — the workload
-     that exhausts RCHP's announcement slots (Fig 11). *)
-  let range_op c lo hi =
-    let th = c.th in
-    let count = ref 0 in
-    let rec dfs (snap : node R.snapshot) =
-      let n = R.Snapshot.get snap in
-      if is_leaf n then begin
-        if n.key >= lo && n.key < hi && n.key < inf1 then incr count
-      end
-      else begin
-        if lo < n.key then begin
-          let child = R.Asp.get_snapshot th n.left in
-          if not (R.Snapshot.is_null child) then dfs child;
-          R.Snapshot.drop th child
-        end;
-        if hi > n.key then begin
-          let child = R.Asp.get_snapshot th n.right in
-          if not (R.Snapshot.is_null child) then dfs child;
-          R.Snapshot.drop th child
-        end
-      end
-    in
-    let rn = R.Shared.get c.t.root in
-    let s = R.Asp.get_snapshot th rn.left in
-    if not (R.Snapshot.is_null s) then dfs s;
-    R.Snapshot.drop th s;
-    !count
+     that exhausts RCHP's announcement slots (Fig 11). [range_in] counts
+     the keys in [lo, hi) below [cell]'s target. *)
+  let rec range_in th lo hi cell =
+    let snap = R.Asp.get_snapshot th cell in
+    let k = if R.Snapshot.is_null snap then 0 else range_below th lo hi snap in
+    R.Snapshot.drop th snap;
+    k
+
+  and range_below th lo hi snap =
+    let n = R.Snapshot.get snap in
+    if is_leaf n then if n.key >= lo && n.key < hi && n.key < inf1 then 1 else 0
+    else begin
+      let l = if lo < n.key then range_in th lo hi n.left else 0 in
+      if hi > n.key then l + range_in th lo hi n.right else l
+    end
+
+  let range_op c lo hi = range_in c.th lo hi (R.Shared.get c.t.root).left
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
 

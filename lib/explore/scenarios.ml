@@ -355,7 +355,7 @@ let weak_upgrade ?(mutate = false) () : Sched.scenario =
   let mon = Mon.create ~fibers:2 () in
   let heap = Simheap.create ~name:"weak-upgrade" () in
   let block = Simheap.alloc heap in
-  let strong = Cell.one () and weak = Cell.one () and disposed = Cell.undisposed () in
+  let strong = Cell.one () and weak = Cell.one () in
   Mon.rc_register mon ~ident:1 ~count:1;
   (* the weak-holder fiber's own weak unit, on top of the strong
      side's implicit one (Fig 8: weak = #weak + (1 if strong > 0)) *)
@@ -364,7 +364,7 @@ let weak_upgrade ?(mutate = false) () : Sched.scenario =
     let death = Cell.strong_decrement strong in
     Mon.rc_decr mon ~ident:1 ~death;
     if death then begin
-      if not (Cell.dispose_once disposed) then failwith "double dispose";
+      if not (Cell.dispose_once block) then failwith "double dispose";
       if Cell.weak_decrement weak then Simheap.free block
     end
   in
@@ -380,8 +380,7 @@ let weak_upgrade ?(mutate = false) () : Sched.scenario =
         (fun () ->
           if Cell.try_upgrade strong then begin
             Mon.rc_incr mon ~ident:1;
-            if Cell.disposed disposed then failwith "successful upgrade observed a disposed value";
-            Simheap.check_live block;
+            if Cell.disposed block then failwith "successful upgrade observed a disposed value";
             drop_strong ()
           end;
           drop_weak ());

@@ -6,19 +6,25 @@ type t = {
   next_uid : int Atomic.t; (* also the allocation count *)
 }
 
-(* A block is one word: [heap id | uid | freed bit], from the top bit
-   down. The heap is found again from its id, so a block carries no
-   pointer and costs one 2-word atomic. *)
+(* A block is one word: [heap id | uid | dead bit | freed bit], from the
+   top bit down. The heap is found again from its id, so a block carries
+   no pointer and costs one 2-word atomic. The dead bit is its owner's
+   lifecycle flag (a control block's disposal): it is claimed and read
+   through [Sched.Atomic], so those two steps are scheduling points and
+   counted atomics like the owner's other protocol steps; [alloc],
+   [free] and [check_live] stay plain. *)
 type block = int Atomic.t
 
 exception Use_after_free of string
 exception Double_free of string
 
 let heap_bits = 22
-let uid_bits = Sys.int_size - 1 - heap_bits
+let uid_bits = Sys.int_size - 2 - heap_bits
 let max_uid = (1 lsl uid_bits) - 1
 let max_heaps = 1 lsl heap_bits
 let freed_bit = 1
+let dead_bit = 2
+let uid_shift = 2
 
 (* Every heap ever created, by id. [create] writes it under [lock] and
    republishes it through the atomic, so a reader that got a block from
@@ -56,8 +62,8 @@ let create ?(name = "heap") () =
       t)
 
 let name t = t.name
-let heap_of w = (Atomic.get registry).(w lsr (uid_bits + 1))
-let uid_of w = (w lsr 1) land max_uid
+let heap_of w = (Atomic.get registry).(w lsr (uid_bits + uid_shift))
+let uid_of w = (w lsr uid_shift) land max_uid
 
 let rec bump_peak t live =
   let peak = Atomic.get t.peak_n in
@@ -70,22 +76,45 @@ let alloc t =
   if uid > max_uid then
     failwith (Printf.sprintf "Simheap.alloc: %s: block uids exhausted" t.name);
   bump_peak t (Atomic.fetch_and_add t.live_n 1 + 1);
-  Atomic.make ((t.id lsl (uid_bits + 1)) lor (uid lsl 1))
+  Atomic.make ((t.id lsl (uid_bits + uid_shift)) lor (uid lsl uid_shift))
 
-(* Only the freed bit ever changes, so a failed CAS means a racing
-   free set it first: exactly one free wins, every other raises. *)
-let free b =
-  let w = Atomic.get b in
-  if w land freed_bit <> 0 || not (Atomic.compare_and_set b w (w lor freed_bit)) then
-    raise
-      (Double_free (Printf.sprintf "%s: block %d freed twice" (heap_of w).name (uid_of w)));
-  ignore (Atomic.fetch_and_add (heap_of w).live_n (-1))
-
-let check_live b =
+(* A failed CAS means a racing free set the freed bit first, or a claim
+   set the dead bit: the retry re-reads, so exactly one free wins and
+   every other raises. *)
+let rec free b =
   let w = Atomic.get b in
   if w land freed_bit <> 0 then
     raise
-      (Use_after_free (Printf.sprintf "%s: block %d used after free" (heap_of w).name (uid_of w)))
+      (Double_free (Printf.sprintf "%s: block %d freed twice" (heap_of w).name (uid_of w)));
+  if Atomic.compare_and_set b w (w lor freed_bit) then
+    ignore (Atomic.fetch_and_add (heap_of w).live_n (-1))
+  else free b
+
+let use_after_free w =
+  raise
+    (Use_after_free (Printf.sprintf "%s: block %d used after free" (heap_of w).name (uid_of w)))
+
+let check_live b =
+  let w = Atomic.get b in
+  if w land freed_bit <> 0 then use_after_free w
+
+let check_dead b =
+  let w = Sched.Atomic.get b in
+  if w land freed_bit <> 0 then use_after_free w;
+  w land dead_bit <> 0
+
+(* One add claims the dead bit. An add onto a word whose dead bit is
+   already set carries into the uid, so a losing claim gives it back at
+   once. Only a protocol violation (a second disposal, or one after the
+   free) ever loses, and the first losing claim always sees the bit:
+   only a third claim racing that give-back could misread the word. *)
+let mark_dead b =
+  let w = Sched.Atomic.fetch_and_add b dead_bit in
+  if w land (dead_bit lor freed_bit) = 0 then true
+  else begin
+    ignore (Sched.Atomic.fetch_and_add b (-dead_bit));
+    false
+  end
 
 let is_live b = Atomic.get b land freed_bit = 0
 let uid b = uid_of (Atomic.get b)

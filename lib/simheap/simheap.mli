@@ -19,12 +19,15 @@
     of silently corrupting memory, which is strictly better for a
     reproduction.
 
-    A block is one atomic word packing its heap's id, its uid and a
-    freed bit, so allocation costs one 2-word atomic and [free] and
-    [check_live] touch one word. The heap is found again from its id
-    through a process-wide registry that {!create} extends under a
-    mutex. Every other operation is thread-safe and lock-free, and
-    [free] allocates nothing. *)
+    A block is one atomic word packing its heap's id, its uid, a dead
+    bit and a freed bit, so allocation costs one 2-word atomic and
+    every other operation on a block touches that one word. The dead
+    bit is the owner's lifecycle flag — a CDRC control block's
+    disposal: {!mark_dead} claims it once and {!check_dead} reads it
+    together with the freed bit, both through {!Sched.Atomic}. The heap
+    is found again from its id through a process-wide registry that
+    {!create} extends under a mutex. Every other operation is
+    thread-safe and lock-free, and [free] allocates nothing. *)
 
 type t
 (** A simulated heap (one per benchmark run, usually). *)
@@ -49,18 +52,33 @@ val name : t -> string
 val alloc : t -> block
 (** Allocate a block: takes the next uid, increments the live count and
     updates the peak.
-    @raise Failure when the heap's uids (2{^40} on a 64-bit host) are
+    @raise Failure when the heap's uids (2{^39} on a 64-bit host) are
     exhausted: uids never wrap. *)
 
 val free : block -> unit
-(** Reclaim a block: one CAS sets its freed bit, then the heap's live
-    count drops. Of several frees of one block, racing or not, exactly
-    one succeeds.
+(** Reclaim a block, dead or not: a CAS sets its freed bit, then the
+    heap's live count drops. Of several frees of one block, racing or
+    not, exactly one succeeds.
     @raise Double_free if the block was already freed. *)
 
 val check_live : block -> unit
 (** Assert the block has not been reclaimed.
     @raise Use_after_free if it has. *)
+
+val mark_dead : block -> bool
+(** Claim the block's dead bit with one {!Sched.Atomic.fetch_and_add}:
+    [true] for the first caller. [false] means the block was already
+    dead or freed; that claim gives its add back, so neither outcome
+    changes the uid or the heap's counts. Of two claims, racing or not,
+    exactly one succeeds; a third claim racing a loser's give-back can
+    misread the word, so callers treat any failed claim as the protocol
+    violation it is. *)
+
+val check_dead : block -> bool
+(** [check_live]'s assertion and the dead bit, from one
+    {!Sched.Atomic.get} of the block word: [true] once {!mark_dead} has
+    claimed the block.
+    @raise Use_after_free if the block is freed. *)
 
 val is_live : block -> bool
 (** Non-raising liveness query (used by tests). *)

@@ -300,9 +300,20 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
 
   let remove c ~now key = snd (kill c ~now ~only_expired:false key)
 
-  (* Read-only chain fold: [f th acc node] over every node not
-     physically dying ({!L.fold}). *)
-  let fold_chain th head f acc = R.critically th (fun () -> L.fold th head f acc)
+  (* Read-only chain fold in a section of its own: [f th acc node] over
+     every node not physically dying ({!L.fold}). The section is
+     [critically]'s two halves around the fold, so a sweep folds its
+     buckets without building a section body for each. *)
+  let fold_chain th head f acc =
+    R.begin_critical_section th;
+    match L.fold th head f acc with
+    | acc ->
+        R.end_critical_section th;
+        acc
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        R.end_critical_section th;
+        Printexc.raise_with_backtrace e bt
 
   (* The expiry of [node]'s box, read under a snapshot of its slot;
      [min_int] when the slot holds no live box (empty or marked). *)
@@ -315,7 +326,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     R.Snapshot.drop th bs;
     exp
 
-  (* A sweep builds its fold callback once, not once per bucket. *)
+  (* A sweep builds its callbacks once, not once per bucket. *)
   let scan c ~now lo hi =
     let count th acc node =
       let exp = expiry th node in
@@ -335,6 +346,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
       if exp > min_int && exp <= now then node.key :: acc else acc
     in
     let claimed = ref 0 in
+    let claim key = if fst (kill c ~now ~only_expired:true key) then incr claimed in
     Array.iteri
       (fun s sh ->
         let th = c.ths.(s) in
@@ -342,10 +354,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
           (fun head ->
             (* Collect candidates read-only, then claim each through
                the racing-safe kill path. *)
-            let expired = fold_chain th head collect [] in
-            List.iter
-              (fun key -> if fst (kill c ~now ~only_expired:true key) then incr claimed)
-              expired)
+            List.iter claim (fold_chain th head collect []))
           sh.buckets)
       c.t.shards;
     !claimed

@@ -58,7 +58,8 @@ let atomic_profiles () =
   let ar = Ar_hp.create ~slots_per_thread:2 ~max_threads:1 () in
   let node = Ar_hp.alloc ar ~pid:0 () in
   let shared = C.make node in
-  let strong = Cell_c.one () and disposed = Cell_c.undisposed () in
+  let heap = Simheap.create ~name:"profile" () in
+  let strong = Cell_c.one () and block = Simheap.alloc heap in
   [
     (* Revive-free increment + non-final decrement: the refcount hot
        path. 2 FAA/op. *)
@@ -85,15 +86,17 @@ let atomic_profiles () =
     profile ~core:"rc_cell" ~op:"upgrade_drop" (fun () ->
         ignore (Cell_c.try_upgrade strong);
         ignore (Cell_c.strong_decrement strong));
-    (* A dereference's disposed check. 1 get/op. *)
-    profile ~core:"rc_cell" ~op:"read" (fun () -> ignore (Cell_c.disposed disposed));
+    (* A dereference's disposed check, one read of the block word.
+       1 get/op. *)
+    profile ~core:"rc_cell" ~op:"read" (fun () -> ignore (Cell_c.disposed block));
     (* Full disposal of a fresh block: final strong decrement, claim
-       the disposal, final weak decrement frees the block. *)
+       the disposal (one add on the block word), final weak decrement
+       frees the block (the free is plain, so uncounted). *)
     profile ~core:"rc_cell" ~op:"dispose" (fun () ->
-        let strong = Cell_c.one () and weak = Cell_c.one () and disposed = Cell_c.undisposed () in
+        let strong = Cell_c.one () and weak = Cell_c.one () and block = Simheap.alloc heap in
         ignore (Cell_c.strong_decrement strong);
-        ignore (Cell_c.dispose_once disposed);
-        ignore (Cell_c.weak_decrement weak));
+        ignore (Cell_c.dispose_once block);
+        if Cell_c.weak_decrement weak then Simheap.free block);
   ]
 
 (* The pinned per-op expectations for these scripts live in

@@ -619,10 +619,12 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
 
   let no_op_destroy _th _v = ()
 
-  (* A managed object is flat: a heap block is one atomic word, a
-     control block carries no per-object closure and is its own
-     untagged slot, so a view of an owned pointer allocates nothing, and
-     an atomic pointer cell is its atomic alone. *)
+  (* A managed object is flat: a heap block is one atomic word, which
+     also carries the disposed bit, a control block carries no
+     per-object closure and is its own untagged slot (13 words in four
+     objects; [Shared.make ~destroy] adds the owner's 3-word record and
+     the optional argument's 2-word box), so a view of an owned pointer
+     allocates nothing, and an atomic pointer cell is its atomic alone. *)
   let object_allocation_pinned () =
     with_rt ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
@@ -643,7 +645,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     at_most "Simheap.alloc" 2 (words (fun i -> blocks.(i) <- Simheap.alloc heap));
     Array.iter Simheap.free blocks;
     let ps = Array.make n (R.Shared.null ()) in
-    at_most "Shared.make ~destroy" 21
+    at_most "Shared.make ~destroy" 18
       (words (fun i -> ps.(i) <- R.Shared.make th ~destroy:no_op_destroy i));
     let views = Array.make n R.Ptr.null in
     at_most "Shared.ptr" 0 (words (fun i -> views.(i) <- R.Shared.ptr ps.(i)));

@@ -598,20 +598,54 @@ let rc_list_race (module D : Ds.Set_intf.S) ~prefill ~final ops () =
         if live <> 0 then failwith (Printf.sprintf "%d blocks leaked" live));
   }
 
+(* Each race's schedule count is pinned: these scenarios schedule only
+   at yields, and the search yields once per hop, so a count that moves
+   means the search's hops changed. *)
 let test_rc_list_races (module D : Ds.Set_intf.S) () =
   List.iter
-    (fun (label, scenario) ->
+    (fun (label, expected, scenario) ->
       match Sched.explore_dfs ~max_preemptions:2 ~max_schedules:200_000 scenario with
-      | Sched.Pass { schedules } ->
-          if schedules < 2 then
-            Alcotest.failf "%s: only %d schedule(s) explored — no interleaving" label schedules
+      | Sched.Pass { schedules } -> Alcotest.(check int) (label ^ ": schedules") expected schedules
       | r -> Alcotest.failf "%s: %a" label Sched.pp_result r)
     [
       (* Insert 2 behind node 1 while 1 is removed: the insert's CAS on
          1's [next] must fail once 1 is marked. *)
-      ("insert || remove", rc_list_race (module D) ~prefill:[ 1; 3 ] ~final:2 [ Rem 1; Ins 2 ]);
-      ("remove || remove", rc_list_race (module D) ~prefill:[ 1; 2; 3 ] ~final:1 [ Rem 2; Rem 3 ]);
+      ("insert || remove", 9, rc_list_race (module D) ~prefill:[ 1; 3 ] ~final:2 [ Rem 1; Ins 2 ]);
+      ( "remove || remove",
+        19,
+        rc_list_race (module D) ~prefill:[ 1; 2; 3 ] ~final:1 [ Rem 2; Rem 3 ] );
     ]
+
+(* A read hop allocates its snapshot and nothing else: the chain and
+   tree loops pass their cursor on as arguments, with no ref cell and no
+   loop closure. So on a built RCEBR structure a [contains] allocates
+   4 words per snapshot it takes ([snapshot_stats]) plus 10 words per
+   call: the section body's closure (6) and the null snapshot the walk
+   starts from (4). *)
+let read_hop_allocation_pinned () =
+  let check (module D : Ds.Set_intf.S) label ~per_call =
+    let d = D.create ~max_threads:1 () in
+    let c = D.ctx d 0 in
+    for k = 0 to 31 do
+      ignore (D.insert c (2 * k))
+    done;
+    let snapshots () =
+      match D.snapshot_stats d with Some (fast, slow) -> fast + slow | None -> assert false
+    in
+    for key = -1 to 64 do
+      let s0 = snapshots () in
+      let w0 = Gc.minor_words () in
+      ignore (D.contains c key);
+      let words = Gc.minor_words () -. w0 in
+      let taken = snapshots () - s0 in
+      Alcotest.(check int)
+        (Printf.sprintf "%s contains %d: words = 4 x %d snapshots + %d" label key taken per_call)
+        ((4 * taken) + per_call) (int_of_float words)
+    done;
+    D.teardown d
+  in
+  check (module Lr_ebr) "list" ~per_call:10;
+  check (module Tr_ebr) "tree" ~per_call:10
 
 let () =
   Alcotest.run "ds"
@@ -647,6 +681,9 @@ let () =
           Alcotest.test_case "remove || remove on neighbouring keys (EBR)" `Quick
             test_list_mark_then_help;
         ]
+      );
+      ( "read hops",
+        [ Alcotest.test_case "read hop allocation pinned (RCEBR)" `Quick read_hop_allocation_pinned ]
       );
       ( "list rc explore",
         [

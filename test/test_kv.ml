@@ -150,6 +150,23 @@ let expire_sweep_churn (name, (module K : Workload.Kv_intf.S)) () =
   K.teardown t;
   Alcotest.(check int) (name ^ ": leak-free") 0 (K.live_objects t)
 
+(* A sweep folds each bucket in a section of its own and builds its
+   callbacks once per sweep, not once per bucket: on an empty 4 x 256
+   store over EBR a bucket costs the fold's two snapshots (the head's
+   and the null one it starts from), 4 words each. *)
+let sweep_allocation_pinned () =
+  let (module K) = List.assoc "EBR" kv_schemes in
+  let t = K.create ~shards:4 ~buckets:256 ~max_threads:1 () in
+  let c = K.ctx t 0 in
+  let buckets = float (4 * 256) in
+  ignore (K.expire_sweep c ~now:0);
+  let w0 = Gc.minor_words () in
+  ignore (K.expire_sweep c ~now:0);
+  let per_bucket = (Gc.minor_words () -. w0) /. buckets in
+  let msg = Printf.sprintf "%.2f words per bucket <= 8.1" per_bucket in
+  Alcotest.(check bool) msg true (per_bucket <= 8.1);
+  K.teardown t
+
 (* The retirement-accounting identities (Kv_intf): after a sweep at
    quiescence, every node died by exactly one counted slot mark and
    every installed box was retired by exactly one counted event. *)
@@ -389,7 +406,9 @@ let () =
       ("keygen", keygen_tests);
       ("basic-ops", per_scheme basic_get_put_remove);
       ("ttl", per_scheme ttl_semantics);
-      ("sweep", per_scheme expire_sweep_churn);
+      ( "sweep",
+        per_scheme expire_sweep_churn
+        @ [ Alcotest.test_case "sweep allocation pinned" `Quick sweep_allocation_pinned ] );
       ( "accounting",
         per_scheme accounting_identities
         @ [ Alcotest.test_case "tampered counters caught" `Quick tampered_counters_caught ] );

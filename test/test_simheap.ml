@@ -46,6 +46,63 @@ let test_use_after_free_detected () =
   | () -> Alcotest.fail "expected Use_after_free"
   | exception Simheap.Use_after_free _ -> ()
 
+(* The dead bit: a second bit of the block word, claimed once and read
+   with the freed bit. *)
+let test_dead_bit_claimed_once () =
+  let h = Simheap.create ~name:"dead" () in
+  let b = Simheap.alloc h in
+  let uid = Simheap.uid b in
+  Alcotest.(check bool) "fresh block is not dead" false (Simheap.check_dead b);
+  Alcotest.(check bool) "first claim wins" true (Simheap.mark_dead b);
+  Alcotest.(check bool) "second claim fails" false (Simheap.mark_dead b);
+  Alcotest.(check bool) "a dead block reads dead" true (Simheap.check_dead b);
+  Alcotest.(check int) "uid unchanged" uid (Simheap.uid b);
+  Alcotest.(check int) "live unchanged" 1 (Simheap.live h);
+  Alcotest.(check int) "peak unchanged" 1 (Simheap.peak h);
+  Alcotest.(check bool) "still live" true (Simheap.is_live b);
+  Simheap.check_live b;
+  Simheap.free b;
+  Alcotest.(check int) "freed after the claim" 0 (Simheap.live h);
+  Alcotest.(check bool) "a claim after the free fails" false (Simheap.mark_dead b);
+  Alcotest.(check int) "uid unchanged by the failed claim" uid (Simheap.uid b);
+  (match Simheap.free b with
+  | () -> Alcotest.fail "expected Double_free"
+  | exception Simheap.Double_free _ -> ());
+  match Simheap.check_dead b with
+  | _ -> Alcotest.fail "expected Use_after_free"
+  | exception Simheap.Use_after_free msg ->
+      let expected = Printf.sprintf "dead: block %d used after free" uid in
+      Alcotest.(check string) "message names the heap and the uid" expected msg
+
+(* Two domains, released together, race to claim the same blocks: each
+   block has exactly one winner, and the loser's give-back leaves its
+   uid and the heap's counts as they were. *)
+let test_racing_claims () =
+  let h = Simheap.create ~name:"claims" () in
+  let n = 2 and m = 5_000 in
+  let blocks = Array.init m (fun _ -> Simheap.alloc h) in
+  let uids = Array.map Simheap.uid blocks in
+  let wins = Array.init m (fun _ -> Atomic.make 0) in
+  let ready = Atomic.make 0 in
+  let domains =
+    List.init n (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < n do
+              Domain.cpu_relax ()
+            done;
+            Array.iteri (fun i b -> if Simheap.mark_dead b then Atomic.incr wins.(i)) blocks))
+  in
+  List.iter Domain.join domains;
+  Alcotest.(check bool) "each block claimed exactly once" true
+    (Array.for_all (fun w -> Atomic.get w = 1) wins);
+  Alcotest.(check bool) "every block dead" true (Array.for_all Simheap.check_dead blocks);
+  Alcotest.(check bool) "uids unchanged" true (Array.map Simheap.uid blocks = uids);
+  Alcotest.(check int) "live" m (Simheap.live h);
+  Alcotest.(check int) "peak" m (Simheap.peak h);
+  Array.iter Simheap.free blocks;
+  Alcotest.(check int) "all freed" 0 (Simheap.live h)
+
 let test_uids_unique () =
   let h = Simheap.create () in
   let bs = List.init 100 (fun _ -> Simheap.alloc h) in
@@ -131,5 +188,7 @@ let () =
           Alcotest.test_case "double free" `Quick test_double_free_detected;
           Alcotest.test_case "use after free" `Quick test_use_after_free_detected;
           Alcotest.test_case "racing free" `Quick test_racing_free;
+          Alcotest.test_case "dead bit claimed once" `Quick test_dead_bit_claimed_once;
+          Alcotest.test_case "racing claims" `Quick test_racing_claims;
         ] );
     ]

@@ -60,12 +60,14 @@ fi
 
 echo "== one-record control blocks =="
 # A control block is one record, the slot's Cb (DESIGN.md S5): the
-# value sits inline beside the disposed flag and both counts, and
-# Rc_cell's lifecycle steps run on the block's own atomics, so a
-# dereference reaches the object in one hop. The boxed value cell and
-# the separate lifecycle record it hung off must not come back.
-if grep -rnE 'option Sched\.Atomic\.t|\bcell :' lib/core; then
-  echo "error: a boxed value cell or a separate lifecycle record is back in lib/core" >&2
+# value sits inline beside both counts and the heap block, whose one
+# word also carries the disposed bit, and Rc_cell's lifecycle steps run
+# on the block's own atomics, so a dereference reads one word and
+# reaches the object in one hop. The boxed value cell, the separate
+# lifecycle record it hung off and a separate disposed atomic must not
+# come back.
+if grep -rnE 'option Sched\.Atomic\.t|\bcell :|Cell\.undisposed|\bdisposed :' lib/core; then
+  echo "error: a boxed value cell, a separate lifecycle record or a disposed atomic is back in lib/core" >&2
   exit 1
 fi
 
@@ -375,7 +377,9 @@ sys.exit(1 if bad or not result["correct"] else 0)
 echo "== lean snapshots (perfbench tree-read, traced, 3s) =="
 # A snapshot costs one 4-word block and no bookkeeping allocation
 # (DESIGN.md §3): tree-read takes ~28 snapshots per operation, so its
-# minor words per operation bound the read path's allocation. The
+# minor words per operation bound the read path's allocation, and the
+# tree's loops pass their cursor on as arguments, so a hop allocates its
+# snapshot alone. The bounds are the traced seed-7 values plus ~5 %; the
 # counts repeat exactly for a seed (perfbench/test_determinism.ml), so
 # these bounds do not flake.
 python3 perfbench/run.py --workload tree-read --seed 7 --seconds 3 --trace 1 \
@@ -383,12 +387,12 @@ python3 perfbench/run.py --workload tree-read --seed 7 --seconds 3 --trace 1 \
 import json, sys
 result = json.load(sys.stdin)
 metrics = result["metrics"]
-bounds = {"rcebr.gc.minor_words_per_op": 160, "rchp.gc.minor_words_per_op": 240}
+bounds = {"rcebr.gc.minor_words_per_op": 126.0, "rchp.gc.minor_words_per_op": 126.0}
 bad = [(k, metrics[k]["value"], b) for k, b in bounds.items() if metrics[k]["value"] > b]
 for k, b in bounds.items():
-    print("tree-read %s = %.1f (bound %d)" % (k, metrics[k]["value"], b))
+    print("tree-read %s = %.1f (bound %.1f)" % (k, metrics[k]["value"], b))
 for k, v, b in bad:
-    print("error: tree-read %s = %.1f exceeds %d" % (k, v, b), file=sys.stderr)
+    print("error: tree-read %s = %.1f exceeds %.1f" % (k, v, b), file=sys.stderr)
 if not result["correct"]:
     print("error: tree-read returned a wrong result", file=sys.stderr)
 sys.exit(1 if bad or not result["correct"] else 0)
@@ -396,24 +400,26 @@ sys.exit(1 if bad or not result["correct"] else 0)
 
 echo "== flat objects (perfbench queue-weak, traced, 3s) =="
 # A managed object is a handful of blocks (DESIGN.md S1, S5): a heap
-# block is one atomic word, a control block is one record (value, flag,
-# counts, birth, heap block, hook) and its own untagged slot, five
-# blocks with its three atomics and heap block, and an atomic pointer
-# cell is its atomic. A
+# block is one atomic word, whose dead bit is the disposed flag, a
+# control block is one record (value, counts, birth, heap block, hook)
+# and its own untagged slot, 13 words in four blocks with its two
+# counters and heap block, and an atomic pointer cell is its atomic. A
 # retire allocates one 8-word retire record and nothing after it does
 # (DESIGN.md §2, "Retire records"), and recording a preallocated trace
 # event allocates nothing (DESIGN.md §7). Every queue node outlives a minor
 # GC, so its blocks are promoted: promoted words per operation bound
-# the object graph, minor words the allocation. The bounds are the
-# traced seed-7 values plus ~5 %; the counts repeat exactly for a seed
-# (perfbench/test_determinism.ml).
+# the object graph, minor words the allocation. The minor-word bounds
+# are the traced seed-7 values plus ~5 %; those counts repeat exactly
+# for a seed (perfbench/test_determinism.ml). The promoted-word bounds
+# keep their earlier values: promotion follows GC pacing, which moves
+# them between runs and builds.
 python3 perfbench/run.py --workload queue-weak --seed 7 --seconds 3 --trace 1 \
   | tail -1 | python3 -c '
 import json, sys
 result = json.load(sys.stdin)
 metrics = result["metrics"]
 bounds = {"rcebr.gc.promoted_words_per_op": 14.3, "rchp.gc.promoted_words_per_op": 16.6,
-          "rcebr.gc.minor_words_per_op": 65.0, "rchp.gc.minor_words_per_op": 65.0}
+          "rcebr.gc.minor_words_per_op": 61.8, "rchp.gc.minor_words_per_op": 61.8}
 bad = [(k, metrics[k]["value"], b) for k, b in bounds.items() if metrics[k]["value"] > b]
 for k, b in bounds.items():
     print("queue-weak %s = %.1f (bound %.1f)" % (k, metrics[k]["value"], b))
@@ -428,14 +434,17 @@ echo "== short-lived retire records (perfbench kv-zipf, traced, 3s) =="
 # Under EBR a kv-zipf retire record waits ~500 ticks for its epoch, so
 # it outlives a minor GC and is promoted. A record that a drained op
 # left linked to its successors would promote them too, dead or not.
-# The bounds are the traced seed-7 values plus ~5 % (deterministic for
-# a seed, as above).
+# Minor words bound the chain walks and sweeps, whose hops pass their
+# cursor on as arguments. The minor-word bounds are the traced seed-7
+# values plus ~5 % (deterministic for a seed, as above); the
+# promoted-word bounds keep their earlier values, as above.
 python3 perfbench/run.py --workload kv-zipf --seed 7 --seconds 3 --trace 1 \
   | tail -1 | python3 -c '
 import json, sys
 result = json.load(sys.stdin)
 metrics = result["metrics"]
-bounds = {"rcebr.gc.promoted_words_per_op": 8.8, "rchp.gc.promoted_words_per_op": 7.4}
+bounds = {"rcebr.gc.promoted_words_per_op": 8.8, "rchp.gc.promoted_words_per_op": 7.4,
+          "rcebr.gc.minor_words_per_op": 92.1, "rchp.gc.minor_words_per_op": 92.1}
 bad = [(k, metrics[k]["value"], b) for k, b in bounds.items() if metrics[k]["value"] > b]
 for k, b in bounds.items():
     print("kv-zipf %s = %.1f (bound %.1f)" % (k, metrics[k]["value"], b))
