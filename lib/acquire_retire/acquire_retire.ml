@@ -76,10 +76,10 @@ module Make (S : Smr.Smr_intf.S) = struct
      the pid's next one. *)
   let eject_carried_h = Obs.Histo.histo ("ar." ^ String.lowercase_ascii S.name ^ ".eject.carried")
 
-  let create ?epoch_freq ?cleanup_freq ?slots_per_thread ?heap ~max_threads () =
-    let heap =
-      match heap with Some h -> h | None -> Simheap.create ~name:("ar-" ^ S.name) ()
-    in
+  (** A runtime over a fresh instance of the scheme, with the scheme's
+      knobs, and a heap of its own that counts every block allocated
+      through it ({!heap}). *)
+  let create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
     (match slots_per_thread with
     | Some k when k >= Sys.int_size ->
         invalid_arg "Acquire_retire.create: more slots per thread than a scope's bitmask holds"
@@ -87,7 +87,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let smr = S.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () in
     {
       smr;
-      heap;
+      heap = Simheap.create ~name:("ar-" ^ S.name) ();
       pending = Array.init max_threads (fun _ -> Smr.Retire_queue.create ());
       draining = Array.make max_threads false;
       fresh = Array.make max_threads 0;

@@ -254,14 +254,11 @@ module Make (S : Smr.Smr_intf.S) = struct
   let no_run _pid _cb = invalid_arg "Cdrc: runtime not initialized"
   let no_runs = { run_decrement = no_run; run_weak_decrement = no_run; run_dispose = no_run }
 
-  let create ?(support_weak = true) ?epoch_freq ?cleanup_freq ?slots_per_thread ?heap
+  let create ?(support_weak = true) ?epoch_freq ?cleanup_freq ?slots_per_thread
       ~max_threads () =
-    let heap =
-      match heap with Some h -> h | None -> Simheap.create ~name:("rc-" ^ S.name) ()
-    in
     let rt =
       {
-        ar = Ar.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~heap ~max_threads ();
+        ar = Ar.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads ();
         support_weak;
         books =
           Array.init max_threads (fun _ ->

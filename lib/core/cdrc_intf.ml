@@ -22,10 +22,15 @@ module type S = sig
     ?epoch_freq:int ->
     ?cleanup_freq:int ->
     ?slots_per_thread:int ->
-    ?heap:Simheap.t ->
     max_threads:int ->
     unit ->
     rt
+  (** A runtime for up to [max_threads] pids over a fresh instance of
+      the scheme, with the scheme's knobs. It makes its own heap
+      ({!heap}), which counts every control block it allocates:
+      [live_objects] and [peak_objects] read it. [support_weak]
+      (default [true]) enables weak pointers; a strong-only runtime
+      disposes an object as soon as its strong count dies. *)
 
   val thread : rt -> int -> thr
   val heap : rt -> Simheap.t

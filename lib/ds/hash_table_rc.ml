@@ -3,7 +3,8 @@
     Fig 13b, automatic side). *)
 
 (* The bucket of [key] in an array of [nbuckets]: a multiplicative
-   hash. The KV store's shards route keys to buckets through it too. *)
+   hash. The KV store picks a key's chain within its shard's block of
+   [nbuckets] chains through it too. *)
 let bucket nbuckets key = key * 2654435761 land max_int mod nbuckets
 
 module Make (R : Cdrc.Intf.S) = struct

@@ -61,12 +61,6 @@ let find name = List.find_opt (fun t -> t.t_name = name) targets
 
 type mode = Dfs | Pct | Random
 
-let mode_of_string = function
-  | "dfs" -> Some Dfs
-  | "pct" -> Some Pct
-  | "random" -> Some Random
-  | _ -> None
-
 let run_target (t : target) ~mode ~seed ~iters ~max_preemptions ~max_steps ~depth
     ~(replay : int list option) : Sched.result =
   match replay with

@@ -25,8 +25,6 @@ val find : string -> target option
 
 type mode = Dfs | Pct | Random
 
-val mode_of_string : string -> mode option
-
 val run_target :
   target ->
   mode:mode ->

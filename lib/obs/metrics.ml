@@ -79,11 +79,9 @@ let total c =
     s := !s + Array.unsafe_get c.cells (i * stride)
   done;
   !s
-let counter_name c = c.c_name
 
 let set_gauge g v = if Atomic.get enabled_flag then Atomic.set g.cell v
 let gauge_value g = Atomic.get g.cell
-let gauge_name g = g.g_name
 
 let find_counter name = with_lock (fun () -> Hashtbl.find_opt counters name)
 

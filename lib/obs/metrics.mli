@@ -33,13 +33,10 @@ val incr : counter -> pid:int -> unit
 val total : counter -> int
 (** Sum over all shards (racy-but-untorn reads). *)
 
-val counter_name : counter -> string
-
 val set_gauge : gauge -> int -> unit
 (** Last-write-wins; no-op while disabled. *)
 
 val gauge_value : gauge -> int
-val gauge_name : gauge -> string
 
 val find_counter : string -> counter option
 (** Lookup without registering. *)

@@ -1,9 +1,10 @@
 (** Interface of the sharded KV serving store (DESIGN.md §12).
 
-    The service is a KV generalization of {!Ds.Hash_table_rc}: each
-    shard is an independent RC runtime holding a bucket array of
-    {!Ds.Hm_list_rc} chains — the list set's own search and unlink —
-    whose nodes carry the key plus, as their payload, an atomic
+    The service is a KV generalization of {!Ds.Hash_table_rc}: one RC
+    runtime serves a flat array of {!Ds.Hm_list_rc} chains — the list
+    set's own search and unlink — split into one block of chains per
+    shard, so a shard places keys and owns no runtime of its own. A
+    chain's nodes carry the key plus, as their payload, an atomic
     {e value slot}: an [R.asp] pointing at an immutable value box
     [(value, expiry)]. Every state change of a mapping is a single CAS
     or mark on that slot, so the whole KV history linearizes on slot
@@ -56,14 +57,14 @@ module type S = sig
   val create :
     ?shards:int ->
     ?buckets:int ->
-    ?slots_per_thread:int ->
-    ?epoch_freq:int ->
     max_threads:int ->
     unit ->
     t
   (** [shards] (default 4) is rounded up to a power of two; [buckets]
-      is per shard. All shards share one {!Simheap} so [live_objects]
-      and leak accounting are service-global. *)
+      is the chains per shard, so the store holds [shards × buckets]
+      chains. A shard is only a key placement ({!shard_of_key}): the
+      store runs one RC runtime, whose heap [live_objects] and leak
+      accounting read. *)
 
   val shard_count : t -> int
   val shard_of_key : t -> int -> int
@@ -91,7 +92,7 @@ module type S = sig
 
   val scan : ctx -> now:int -> int -> int -> int
   (** [scan c ~now lo hi]: count of live, unexpired keys in
-      [\[lo, hi)], across all shards. *)
+      [\[lo, hi)], across all chains. *)
 
   val expire_sweep : ctx -> now:int -> int
   (** Claim and unlink every expired entry; returns the number
@@ -107,12 +108,12 @@ module type S = sig
   val reset_peak : t -> unit
 
   val retired_backlog : t -> int
-  (** Deferred decrements/disposals parked across all shards. *)
+  (** Deferred decrements/disposals parked in the store's runtime. *)
 
   val counters : t -> counters
 
   val teardown : t -> unit
-  (** Clear every bucket and quiesce every shard; afterwards
+  (** Clear every bucket and quiesce the runtime; afterwards
       [live_objects t = 0] on a leak-free run. *)
 end
 

@@ -1,7 +1,9 @@
 (** Sharded KV store under automatic reference counting — the serving
     workload of DESIGN.md §12. Each bucket is a {!Ds.Hm_list_rc} chain
-    whose node carries an atomic value slot, with one RC runtime
-    {e per shard}; keys land in buckets by {!Ds.Hash_table_rc.bucket}.
+    whose node carries an atomic value slot, and one RC runtime serves
+    every chain. A shard is a placement, not a runtime: shard [s] owns
+    the [s]-th block of [buckets] chains in one flat array, and a key
+    lands in its shard's block by {!Ds.Hash_table_rc.bucket}.
     This module adds only what a store needs on top of the chain:
     sharding, value boxes, the slot-mark protocol, TTL and counters.
 
@@ -29,12 +31,12 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
 
   (* A chain node whose [value] is the key's atomic value slot. *)
   type node = box R.asp L.node
-  type shard = { rt : R.rt; buckets : node R.asp array; nbuckets : int }
 
   type t = {
-    shards : shard array;
+    rt : R.rt;
+    buckets : node R.asp array; (* shard [s]'s block: [s * nbuckets, (s + 1) * nbuckets) *)
+    nbuckets : int; (* chains per shard *)
     mask : int;
-    heap : Simheap.t;
     clock : int Atomic.t;
     c_puts_new : int Padded.t;
     c_overwrites : int Padded.t;
@@ -45,7 +47,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     c_gets_miss : int Padded.t;
   }
 
-  type ctx = { t : t; ths : R.thr array; pid : int }
+  type ctx = { t : t; th : R.thr; pid : int }
 
   let pow2_ceil n =
     let r = ref 1 in
@@ -54,26 +56,15 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     done;
     !r
 
-  let create ?(shards = 4) ?(buckets = 1 lsl 10) ?slots_per_thread ?epoch_freq
-      ~max_threads () =
+  let create ?(shards = 4) ?(buckets = 1 lsl 10) ~max_threads () =
     if shards <= 0 then invalid_arg "Kv_service.create: shards must be positive";
     if buckets <= 0 then invalid_arg "Kv_service.create: buckets must be positive";
     let nshards = pow2_ceil shards in
-    (* One heap across shards: leak accounting is service-global. *)
-    let heap = Simheap.create ~name:("kv-" ^ R.scheme_name) () in
-    let mk_shard _ =
-      {
-        rt =
-          R.create ~support_weak:false ?slots_per_thread ?epoch_freq ~heap
-            ~max_threads ();
-        buckets = Array.init buckets (fun _ -> R.Asp.make_null ());
-        nbuckets = buckets;
-      }
-    in
     {
-      shards = Array.init nshards mk_shard;
+      rt = R.create ~support_weak:false ~max_threads ();
+      buckets = Array.init (nshards * buckets) (fun _ -> R.Asp.make_null ());
+      nbuckets = buckets;
       mask = nshards - 1;
-      heap;
       clock = Atomic.make 0;
       c_puts_new = Padded.create max_threads 0;
       c_overwrites = Padded.create max_threads 0;
@@ -84,13 +75,17 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
       c_gets_miss = Padded.create max_threads 0;
     }
 
-  let shard_count t = Array.length t.shards
+  let shard_count t = t.mask + 1
 
   (* Shard router: a different Fibonacci mix than the bucket hash, so
      bucket collisions and shard placement are uncorrelated. *)
   let shard_of_key t key = (key * 0x2545F4914F6CDD1D land max_int) lsr 17 land t.mask
-  let bucket sh key = Ds.Hash_table_rc.bucket sh.nbuckets key
-  let ctx t pid = { t; ths = Array.map (fun sh -> R.thread sh.rt pid) t.shards; pid }
+
+  (* The chain of [key]: its bucket within its shard's block. *)
+  let chain t key =
+    t.buckets.((shard_of_key t key * t.nbuckets) + Ds.Hash_table_rc.bucket t.nbuckets key)
+
+  let ctx t pid = { t; th = R.thread t.rt pid; pid }
   let now t = Atomic.get t.clock
   let tick t = 1 + Atomic.fetch_and_add t.clock 1
   let bump arr c = Padded.add arr c.pid 1
@@ -128,17 +123,11 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     L.discard th cu
 
   (* ------------------------------------------------------------------ *)
-  (* Core operations. Each runs under [R.critically] on the target
-     shard's thread handle only, so a thread stalled in one shard pins
-     only that shard's runtime. *)
-
-  let locate c key =
-    let s = shard_of_key c.t key in
-    (c.t.shards.(s), c.ths.(s))
+  (* Core operations. Each runs under [R.critically] on the context's
+     one thread handle. *)
 
   let get c ~now key =
-    let sh, th = locate c key in
-    let head = sh.buckets.(bucket sh key) in
+    let th = c.th and head = chain c.t key in
     R.critically th (fun () ->
         let cu = L.search th head key in
         if not cu.found then begin
@@ -182,8 +171,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
         end)
 
   let put c ~now ?ttl key v =
-    let sh, th = locate c key in
-    let head = sh.buckets.(bucket sh key) in
+    let th = c.th and head = chain c.t key in
     let exp = match ttl with None -> max_int | Some d -> now + d in
     R.critically th (fun () ->
         let rec go () =
@@ -256,8 +244,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
      sweep/lazy-expiry mode: live entries survive. Returns
      [(claimed, was_live)]. *)
   let kill c ~now ~only_expired key =
-    let sh, th = locate c key in
-    let head = sh.buckets.(bucket sh key) in
+    let th = c.th and head = chain c.t key in
     R.critically th (fun () ->
         let rec go () =
           let cu = L.search th head key in
@@ -332,13 +319,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
       let exp = expiry th node in
       if node.key >= lo && node.key < hi && exp > now then acc + 1 else acc
     in
-    let total = ref 0 in
-    Array.iteri
-      (fun s sh ->
-        let th = c.ths.(s) in
-        Array.iter (fun head -> total := fold_chain th head count !total) sh.buckets)
-      c.t.shards;
-    !total
+    Array.fold_left (fun acc head -> fold_chain c.th head count acc) 0 c.t.buckets
 
   let expire_sweep c ~now =
     let collect th acc node =
@@ -347,39 +328,28 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     in
     let claimed = ref 0 in
     let claim key = if fst (kill c ~now ~only_expired:true key) then incr claimed in
-    Array.iteri
-      (fun s sh ->
-        let th = c.ths.(s) in
-        Array.iter
-          (fun head ->
-            (* Collect candidates read-only, then claim each through
-               the racing-safe kill path. *)
-            List.iter claim (fold_chain th head collect []))
-          sh.buckets)
-      c.t.shards;
+    Array.iter
+      (fun head ->
+        (* Collect candidates read-only, then claim each through the
+           racing-safe kill path. *)
+        List.iter claim (fold_chain c.th head collect []))
+      c.t.buckets;
     !claimed
 
-  let flush c = Array.iter R.flush c.ths
+  let flush c = R.flush c.th
 
   (* ------------------------------------------------------------------ *)
   (* Accounting and observability *)
 
   let size t ~now =
     let count th acc node = if expiry th node > now then acc + 1 else acc in
-    let total = ref 0 in
-    Array.iter
-      (fun sh ->
-        let th = R.thread sh.rt 0 in
-        Array.iter (fun head -> total := fold_chain th head count !total) sh.buckets)
-      t.shards;
-    !total
+    let th = R.thread t.rt 0 in
+    Array.fold_left (fun acc head -> fold_chain th head count acc) 0 t.buckets
 
-  let live_objects t = Simheap.live t.heap
-  let peak_objects t = Simheap.peak t.heap
-  let reset_peak t = Simheap.reset_peak t.heap
-
-  let retired_backlog t =
-    Array.fold_left (fun acc sh -> acc + R.retired_backlog sh.rt) 0 t.shards
+  let live_objects t = R.live_objects t.rt
+  let peak_objects t = R.peak_objects t.rt
+  let reset_peak t = Simheap.reset_peak (R.heap t.rt)
+  let retired_backlog t = R.retired_backlog t.rt
 
   let counters t =
     let sum arr = Padded.fold ( + ) 0 arr in
@@ -394,10 +364,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     }
 
   let teardown t =
-    Array.iter
-      (fun sh ->
-        let th = R.thread sh.rt 0 in
-        Array.iter (fun head -> R.Asp.clear th head) sh.buckets;
-        R.quiesce sh.rt)
-      t.shards
+    let th = R.thread t.rt 0 in
+    Array.iter (fun head -> R.Asp.clear th head) t.buckets;
+    R.quiesce t.rt
 end

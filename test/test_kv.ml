@@ -4,7 +4,8 @@
    key generators (same seed → bit-identical streams, pinned goldens,
    Zipfian rank-frequency monotonicity); (2) shard-core internal consistency across all 7 RC schemes
    (get-after-put, expired keys never served, the node and box
-   retirement identities, leak-free teardown); (3) linearizability of
+   retirement identities, leak-free teardown, one runtime serving every
+   shard); (3) linearizability of
    single-shard get/put/remove/TTL histories — recorded under real
    domains and explored exhaustively at the [Sched.yield] points of the
    chain's shared search and the shard core (DFS ≤2 preemptions). *)
@@ -237,7 +238,36 @@ let router_is_total_and_stable () =
     hit;
   K.teardown t
 
-let per_scheme mk = List.map (fun ((name, _) as inst) -> Alcotest.test_case name `Quick (mk inst)) kv_schemes
+(* One runtime per store: a record retired under a shard-0 key is run
+   by the scans and ejects that operations on shard-1 keys trigger, with
+   no flush; a runtime per shard would keep it until shard 0's own
+   eject. Removing a key whose chain holds it alone retires one record
+   that holds two blocks, the unlinked node and, through its value
+   slot, its box. Every other record here holds one: an overwrite's old
+   box, or the box decrement that the node's hook retires when the
+   removal's record runs. So at quiescence [live = 2 size + backlog]
+   exactly once that record has run, and one block more while it is
+   pending. On every reclaiming scheme it has run by the 64th retire,
+   the default scan cadence; the churn is 16 cadences. *)
+let shard0_retire_reclaimed_by_shard1_churn (name, (module K : Workload.Kv_intf.S)) () =
+  let t = K.create ~shards:2 ~buckets:8 ~max_threads:1 () in
+  let c = K.ctx t 0 in
+  let rec key_in shard k = if K.shard_of_key t k = shard then k else key_in shard (k + 1) in
+  let k0 = key_in 0 0 and k1 = key_in 1 0 in
+  let unclaimed () = K.live_objects t - ((2 * K.size t ~now:0) + K.retired_backlog t) in
+  ignore (K.put c ~now:0 k0 0);
+  ignore (K.put c ~now:0 k1 0);
+  Alcotest.(check bool) (name ^ ": remove shard-0 key") true (K.remove c ~now:0 k0);
+  Alcotest.(check int) (name ^ ": shard-0 record pending") 1 (unclaimed ());
+  for v = 1 to 16 * Smr.Knobs.default_cleanup_freq do
+    ignore (K.put c ~now:0 k1 v)
+  done;
+  Alcotest.(check int) (name ^ ": shard-0 record run by shard-1 churn") 0 (unclaimed ());
+  K.teardown t;
+  Alcotest.(check int) (name ^ ": leak-free") 0 (K.live_objects t)
+
+let per_scheme ?(schemes = kv_schemes) mk =
+  List.map (fun ((name, _) as inst) -> Alcotest.test_case name `Quick (mk inst)) schemes
 
 (* ================================================================= *)
 (* Exploration: shard-core histories under the DFS scheduler.
@@ -413,5 +443,8 @@ let () =
         per_scheme accounting_identities
         @ [ Alcotest.test_case "tampered counters caught" `Quick tampered_counters_caught ] );
       ("router", [ Alcotest.test_case "total-stable-balanced" `Quick router_is_total_and_stable ]);
+      ( "one runtime",
+        per_scheme ~schemes:(List.remove_assoc "None" kv_schemes)
+          shard0_retire_reclaimed_by_shard1_churn );
       ("explore", per_scheme explore_races);
     ]

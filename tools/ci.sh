@@ -58,6 +58,23 @@ if grep -rnE 'type cursor|search_once|exception Restart' lib/workload; then
   exit 1
 fi
 
+echo "== one runtime per store =="
+# The KV store runs one RC runtime (DESIGN.md §12), as every other
+# structure does: a shard places keys in a block of the store's one
+# flat array of chains and owns no runtime, so a record retired under
+# any key is run by the ejects of operations on every key. A second
+# R.create in the store, or a create knob that lets runtimes share a
+# heap, must not come back.
+creates=$(grep -o 'R\.create' lib/workload/kv_service.ml | wc -l)
+if [ "$creates" -gt 1 ]; then
+  echo "error: lib/workload/kv_service.ml calls R.create $creates times, expected 1" >&2
+  exit 1
+fi
+if grep -rnE '[?~]heap\b' lib/core lib/acquire_retire; then
+  echo "error: a shared-heap knob is back in lib/core or lib/acquire_retire" >&2
+  exit 1
+fi
+
 echo "== one-record control blocks =="
 # A control block is one record, the slot's Cb (DESIGN.md S5): the
 # value sits inline beside both counts and the heap block, whose one
@@ -431,9 +448,11 @@ sys.exit(1 if bad or not result["correct"] else 0)
 '
 
 echo "== short-lived retire records (perfbench kv-zipf, traced, 3s) =="
-# Under EBR a kv-zipf retire record waits ~500 ticks for its epoch, so
-# it outlives a minor GC and is promoted. A record that a drained op
-# left linked to its successors would promote them too, dead or not.
+# Under EBR a kv-zipf retire record waits ~130 ticks for its epoch
+# (reclaim-latency p50, traced seed 7: the store's one runtime scans on
+# every key's retires), so it can outlive a minor GC and be promoted.
+# A record that a drained op left linked to its successors would
+# promote them too, dead or not.
 # Minor words bound the chain walks and sweeps, whose hops pass their
 # cursor on as arguments. The minor-word bounds are the traced seed-7
 # values plus ~5 % (deterministic for a seed, as above); the
@@ -444,7 +463,7 @@ import json, sys
 result = json.load(sys.stdin)
 metrics = result["metrics"]
 bounds = {"rcebr.gc.promoted_words_per_op": 8.8, "rchp.gc.promoted_words_per_op": 7.4,
-          "rcebr.gc.minor_words_per_op": 92.1, "rchp.gc.minor_words_per_op": 92.1}
+          "rcebr.gc.minor_words_per_op": 88.8, "rchp.gc.minor_words_per_op": 88.8}
 bad = [(k, metrics[k]["value"], b) for k, b in bounds.items() if metrics[k]["value"] > b]
 for k, b in bounds.items():
     print("kv-zipf %s = %.1f (bound %.1f)" % (k, metrics[k]["value"], b))
