@@ -443,7 +443,7 @@ let () =
         per_scheme accounting_identities
         @ [ Alcotest.test_case "tampered counters caught" `Quick tampered_counters_caught ] );
       ("router", [ Alcotest.test_case "total-stable-balanced" `Quick router_is_total_and_stable ]);
-      ( "one runtime",
+      ( "runtime",
         per_scheme ~schemes:(List.remove_assoc "None" kv_schemes)
           shard0_retire_reclaimed_by_shard1_churn );
       ("explore", per_scheme explore_races);
