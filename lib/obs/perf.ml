@@ -156,6 +156,18 @@ let load_file path : (summary, string) result =
   | exception Sys_error msg -> Error msg
   | str -> Result.map_error (fun e -> path ^ ": " ^ e) (summary_of_string str)
 
+let trajectory files =
+  let number f =
+    match Filename.chop_suffix_opt ~suffix:".json" f with
+    | Some stem when String.starts_with ~prefix:"BENCH_PR" stem ->
+        let n = String.sub stem 8 (String.length stem - 8) in
+        if n <> "" && String.for_all (fun c -> c >= '0' && c <= '9') n then
+          Option.map (fun n -> (n, f)) (int_of_string_opt n)
+        else None
+    | _ -> None
+  in
+  List.filter_map number files |> List.sort compare |> List.map snd
+
 (* ------------------------------------------------------------------ *)
 (* Validation *)
 

@@ -69,6 +69,11 @@ val summary_of_string : string -> (summary, string) result
 
 val load_file : string -> (summary, string) result
 
+val trajectory : string list -> string list
+(** The trajectory points among [files], the names of the form
+    [BENCH_PR<N>.json], oldest first: ordered by [N], so
+    [BENCH_PR36.json] comes after [BENCH_PR8.json]. *)
+
 val validate : ?require_schemes:string list -> summary -> (unit, string) result
 (** Schema-level sanity: non-empty matrix, unique cell keys, ordered
     quantiles, non-negative figures, non-empty atomic profiles, and

@@ -331,6 +331,16 @@ let test_gate_intersection_only () =
   Alcotest.(check int) "no common cells" 0 compared;
   Alcotest.(check bool) "no verdict" false (P.failed regs)
 
+(* The gate compares the two highest-numbered points: BENCH_PR36.json
+   comes after BENCH_PR8.json, which a lexical sort puts it before. *)
+let test_points_ordered_by_number () =
+  Alcotest.(check (list string))
+    "by N, other files dropped"
+    [ "BENCH_PR7.json"; "BENCH_PR8.json"; "BENCH_PR36.json" ]
+    (P.trajectory
+       [ "BENCH_PR36.json"; "BENCH_smoke.json"; "BENCH_PR8.json"; "BENCH_PR.json";
+         "BENCH_PR7.json"; "BENCH_PR9x.json" ])
+
 (* ---------------- counting windows ---------------- *)
 
 module C = Sched.Atomic
@@ -463,6 +473,7 @@ let () =
           Alcotest.test_case "latency regression" `Quick test_gate_latency_regression;
           Alcotest.test_case "allowlist" `Quick test_gate_allowlist;
           Alcotest.test_case "intersection only" `Quick test_gate_intersection_only;
+          Alcotest.test_case "points ordered by number" `Quick test_points_ordered_by_number;
         ] );
       ( "atomics",
         [

@@ -2,7 +2,7 @@
    BENCH_*.json summaries and exit 1 on any unallowlisted regression.
 
      tools/bench_check BASE.json CAND.json
-     tools/bench_check                      # two most recent BENCH_*.json in .
+     tools/bench_check                      # two highest BENCH_PR<N>.json in .
 
    All comparison semantics live in [Obs.Perf.compare_summaries]; this
    is only argument parsing, file discovery and rendering. Exit codes:
@@ -10,8 +10,8 @@
 
 let usage =
   "usage: bench_check [BASE.json CAND.json] [options]\n\
-   With no files: compares the two most recent BENCH_*.json in the\n\
-   current directory (older = baseline, newer = candidate).\n\
+   With no files: compares the two highest-numbered BENCH_PR<N>.json\n\
+   in the current directory (lower N = baseline, higher = candidate).\n\
    options:\n\
   \  --throughput-tol PCT   max throughput drop per cell (default 15)\n\
   \  --latency-tol PCT      max p99 retire->free growth per cell (default 25)\n\
@@ -52,16 +52,10 @@ let () =
     match !files with
     | [ b; c ] -> (b, c)
     | [] -> (
-        let found =
-          Sys.readdir "." |> Array.to_list
-          |> List.filter (fun f ->
-                 String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
-          |> List.map (fun f -> ((Unix.stat f).Unix.st_mtime, f))
-          |> List.sort compare |> List.rev
-        in
+        let found = List.rev (Obs.Perf.trajectory (Array.to_list (Sys.readdir "."))) in
         match found with
-        | (_, newest) :: (_, previous) :: _ -> (previous, newest)
-        | _ -> die "found %d BENCH_*.json in .; need two files (or pass them explicitly)"
+        | newest :: previous :: _ -> (previous, newest)
+        | _ -> die "found %d BENCH_PR<N>.json in .; need two files (or pass them explicitly)"
                  (List.length found))
     | _ -> die "expected exactly two files\n%s" usage
   in
