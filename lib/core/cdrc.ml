@@ -62,6 +62,19 @@ module Make (S : Smr.Smr_intf.S) = struct
   let weak_dec_deferred_c = Obs.Metrics.counter (mprefix ^ "weak_decrement.deferred")
   let dispose_deferred_c = Obs.Metrics.counter (mprefix ^ "dispose.deferred")
 
+  (* The subset of [decrement.deferred] that a running record's destroy
+     hook retires rather than an operation: it moves with reclamation
+     cadence, the rest does not. *)
+  let dec_cascade_c = Obs.Metrics.counter (mprefix ^ "decrement.deferred.cascade")
+
+  (* Where the scheme's confirm is trivial, the section protects every
+     read and its acquire returns the constant guard 0: it is made only
+     so that [smr.<s>.acquire] counts it, so it is made only while a
+     flag that count reads is set (DESIGN.md §7). *)
+  let[@inline] count_acquire (ar : Ar.t) ~pid =
+    if Obs.Metrics.enabled () || Obs.Trace.enabled () then
+      ignore (S.try_acquire ar.Ar.smr ~pid Ident.null)
+
   exception Use_after_drop of string
   (** Raised when a dropped (or moved-from) pointer is used again —
       the analogue of C++ use-after-destructor UB, made loud. *)
@@ -246,7 +259,11 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   and weak_decrement _rt ~pid:_ cb = if Cell.weak_decrement (weak_of cb) then free_cb cb
 
-  let delayed_decrement rt ~pid cb = delayed rt ~pid dec_deferred_c cb rt.runs.run_decrement
+  (* A pid's queue is draining exactly while one of its records runs, so
+     a decrement retired then comes from that record's destroy hook. *)
+  let delayed_decrement rt ~pid cb =
+    if Obs.Metrics.enabled () && rt.ar.Ar.draining.(pid) then Obs.Metrics.incr dec_cascade_c ~pid;
+    delayed rt ~pid dec_deferred_c cb rt.runs.run_decrement
 
   let delayed_weak_decrement rt ~pid cb =
     delayed rt ~pid weak_dec_deferred_c cb rt.runs.run_weak_decrement
@@ -619,12 +636,12 @@ module Make (S : Smr.Smr_intf.S) = struct
     let unsafe_ptr (c : 'a t) : 'a ptr = Sched.Atomic.get c.asp
 
     (* Fig 8 load_and_increment. Under a region scheme the section
-       protects the read: the reserved acquire is made for its count
-       alone, and no guard is held. *)
+       protects the read: one load, no guard held, and the acquire only
+       counted ([count_acquire]). *)
     let load (t : thr) (c : 'a t) : 'a shared =
       let ar = t.rt.ar and pid = t.pid in
       if S.confirm_is_trivial then begin
-        ignore (S.acquire ar.Ar.smr ~pid Ident.null);
+        count_acquire ar ~pid;
         counted_shared (Sched.Atomic.get c.asp)
       end
       else begin
@@ -665,13 +682,13 @@ module Make (S : Smr.Smr_intf.S) = struct
       slot_cas c.asp (Ptr.with_mark expected false) (Ptr.with_mark expected true)
 
     (* Fig 5 get_snapshot. Under a region scheme the section protects
-       the read, as §3.4 has it: one load, and the acquire is made for
-       its count alone. *)
+       the read, as §3.4 has it: one load, and the acquire only counted
+       ([count_acquire]). *)
     let get_snapshot (t : thr) (c : 'a t) : 'a snapshot =
       let ar = t.rt.ar and pid = t.pid in
       let b = t.rt.books.(pid) in
       if S.confirm_is_trivial then begin
-        ignore (S.try_acquire ar.Ar.smr ~pid Ident.null);
+        count_acquire ar ~pid;
         let v = Sched.Atomic.get c.asp in
         b.fast <- b.fast + 1;
         Obs.Metrics.incr snap_fast_c ~pid;
@@ -828,7 +845,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       require_weak t.rt;
       let ar = t.rt.ar and pid = t.pid in
       if S.confirm_is_trivial then begin
-        ignore (S.acquire ar.Ar.smr ~pid Ident.null);
+        count_acquire ar ~pid;
         counted_weak (Sched.Atomic.get c.awp)
       end
       else begin
@@ -862,17 +879,17 @@ module Make (S : Smr.Smr_intf.S) = struct
     (* Fig 9 get_snapshot, retried at the top level: a local [retry]
        closure would cost a heap block per snapshot. Under a region
        scheme the section protects both the read and the disposal: one
-       load and a liveness check, and the two acquires are made for
-       their counts alone. *)
+       load and a liveness check, and the two acquires only counted
+       ([count_acquire]). *)
     let rec weak_snapshot (t : thr) (c : 'a t) : 'a weak_snapshot =
       let ar = t.rt.ar and pid = t.pid in
       if S.confirm_is_trivial then begin
-        ignore (S.acquire ar.Ar.smr ~pid Ident.null);
+        count_acquire ar ~pid;
         let v = Sched.Atomic.get c.awp in
         match v with
         | Null | Null_tagged _ -> { n_slot = v; n_guard = Ar.no_guard; n_live = true }
         | (Cb _ as cb) | Tagged (cb, _) -> (
-            ignore (S.try_acquire ar.Ar.smr ~pid Ident.null);
+            count_acquire ar ~pid;
             if not (expired cb) then
               { n_slot = v; n_guard = stamp t.rt.books.(pid) 0; n_live = true }
             else expired_snapshot t c v)

@@ -56,10 +56,12 @@ let bucket_of v =
     percentile that lands in it. *)
 let bucket_upper i = if i = 0 then 0 else (1 lsl i) - 1
 
-let observe h ~pid v =
-  if Metrics.enabled () then
-    let base = (pid land shard_mask) * buckets in
-    ignore (Atomic.fetch_and_add h.cells.(base + bucket_of v) 1)
+let[@inline never] observe_enabled h ~pid v =
+  let base = (pid land shard_mask) * buckets in
+  ignore (Atomic.fetch_and_add h.cells.(base + bucket_of v) 1)
+
+(* The flag test, inlined at every call site, as [Metrics.add]'s. *)
+let[@inline] observe h ~pid v = if Metrics.enabled () then observe_enabled h ~pid v
 
 (** Merged bucket counts across all shards, as a [buckets]-long array. *)
 let merged h =

@@ -14,18 +14,19 @@
    post-run reads that matter. Gauges are single last-write-wins
    atomic cells (they are set by the sampler thread, not the workers).
 
-   Everything is gated on one runtime flag: when disabled (the
-   default), [incr]/[add]/[set_gauge] are a single atomic load and
-   return — the hot paths of the schemes stay allocation-free and
-   branch-predictable, which is what keeps the disabled overhead inside
-   the 2% budget (see DESIGN.md §7). Registration is idempotent:
+   Everything is gated on one runtime flag: [add] and [incr] are an
+   inlined test of it around an out-of-line body, so when disabled (the
+   default) a call site costs one load and a branch, and no call — the
+   hot paths of the schemes stay allocation-free and call-free (see
+   DESIGN.md §7). [set_gauge] is the sampler's, not a hot path's, and
+   stays a call. Registration is idempotent:
    [counter name] returns the existing counter, so functor
    re-instantiation over the same scheme shares one set of cells. *)
 
 let shards = 16
 let shard_mask = shards - 1
 let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
+let[@inline] enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
 let stride = 8 (* one live int per cache line's worth of words *)
@@ -65,13 +66,14 @@ let gauge name =
           Hashtbl.add gauges name g;
           g)
 
-let add c ~pid n =
-  if Atomic.get enabled_flag then begin
-    let i = (pid land shard_mask) * stride in
-    Array.unsafe_set c.cells i (Array.unsafe_get c.cells i + n)
-  end
+let[@inline never] add_enabled c ~pid n =
+  let i = (pid land shard_mask) * stride in
+  Array.unsafe_set c.cells i (Array.unsafe_get c.cells i + n)
 
-let incr c ~pid = add c ~pid 1
+(* The flag test, inlined at every call site (this compiler has no
+   flambda; [@inline] still applies). *)
+let[@inline] add c ~pid n = if Atomic.get enabled_flag then add_enabled c ~pid n
+let[@inline] incr c ~pid = add c ~pid 1
 
 let total c =
   let s = ref 0 in

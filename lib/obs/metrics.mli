@@ -7,9 +7,10 @@
     the post-run reads that matter. Gauges are single last-write-wins
     atomic cells, set by the sampler thread.
 
-    Everything is gated on one runtime flag: when disabled (the
-    default), {!add}/{!incr}/{!set_gauge} are a single atomic load and
-    return. Registration is idempotent: {!counter} returns the
+    Everything is gated on one runtime flag. {!add} and {!incr} are an
+    inlined test of it around an out-of-line body: when disabled (the
+    default) a call site costs one load and a branch, and makes no
+    call. Registration is idempotent: {!counter} returns the
     existing counter for a seen name, so functor re-instantiation over
     the same scheme shares one set of cells. *)
 

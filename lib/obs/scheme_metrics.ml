@@ -2,11 +2,11 @@
 
    Every SMR scheme binds one of these at module-initialization time
    ([let om = Obs.Scheme_metrics.v name]) and calls the [on_*] helpers
-   from its protocol entry points. The helpers are written so the
-   disabled path is one atomic load: counters no-op inside [Metrics],
-   and [on_retire] checks [Metrics.enabled] once and returns
-   [no_stamp] when telemetry is off, so disabled runs allocate nothing
-   per retire.
+   from its protocol entry points. Each hot hook is an inlined test of
+   the flags its body reads around an out-of-line body (the pattern of
+   [Metrics.add]), so with telemetry off a hook costs one load and a
+   branch at its call site, and no call; [on_retire] returns [no_stamp]
+   then, so disabled runs allocate nothing per retire.
 
    Latency accounting: [on_retire] bumps the operation-tick clock on
    every retire, and for sampled retires returns a stamp holding the
@@ -80,12 +80,16 @@ let v scheme =
 
 (* Acquire and retire run once per data-structure operation, so their
    trace events are sampled (see [Trace.should_sample]); their counters
-   stay exact. *)
-let on_acquire t ~pid =
+   stay exact. The body runs exactly when a flag it reads is set, so
+   gating it changes no count. *)
+let[@inline never] acquire_enabled t ~pid =
   Metrics.incr t.acquire ~pid;
   if Trace.should_sample ~pid then Trace.emit ~pid t.ev_acquire
 
-let on_slot_exhausted t ~pid = Metrics.incr t.slot_exhausted ~pid
+let[@inline] on_acquire t ~pid =
+  if Metrics.enabled () || Trace.enabled () then acquire_enabled t ~pid
+
+let[@inline] on_slot_exhausted t ~pid = Metrics.incr t.slot_exhausted ~pid
 
 (* A knob was passed to [create] that this scheme does not read (e.g.
    [epoch_freq] for HP, anything for Leaky). The value was still
@@ -93,26 +97,28 @@ let on_slot_exhausted t ~pid = Metrics.incr t.slot_exhausted ~pid
    knob that cannot matter find out from [stats] instead of silence. *)
 let on_knob_ignored t ~knob:_ = Metrics.incr t.knob_ignored ~pid:0
 
-let on_confirm_retry t ~pid =
+let[@inline never] confirm_retry_enabled t ~pid =
   Metrics.incr t.confirm_retry ~pid;
   if Trace.should_sample ~pid then Trace.emit ~pid t.ev_confirm_retry
+
+let[@inline] on_confirm_retry t ~pid =
+  if Metrics.enabled () || Trace.enabled () then confirm_retry_enabled t ~pid
 
 (* Returns the stamp to store in the retire record. The retire counter
    and the tick clock move on every retire (both are single plain
    stores); the trace event and the latency sample ride the 1-in-32
    [Trace.should_sample] gate, so the histogram is a uniform sample of
    retirements rather than a census — percentiles are unaffected. *)
-let on_retire t ~pid =
-  if not (Metrics.enabled ()) then no_stamp
+let[@inline never] retire_enabled t ~pid =
+  Metrics.incr t.retire ~pid;
+  Tick.bump ~pid;
+  if not (Trace.should_sample ~pid) then no_stamp
   else begin
-    Metrics.incr t.retire ~pid;
-    Tick.bump ~pid;
-    if not (Trace.should_sample ~pid) then no_stamp
-    else begin
-      Trace.emit ~pid t.ev_retire;
-      (Tick.now () lsl index_bits) lor t.index
-    end
+    Trace.emit ~pid t.ev_retire;
+    (Tick.now () lsl index_bits) lor t.index
   end
+
+let[@inline] on_retire t ~pid = if Metrics.enabled () then retire_enabled t ~pid else no_stamp
 
 let on_reclaim ~pid stamp =
   let h = Array.unsafe_get !latency_histos (stamp land ((1 lsl index_bits) - 1)) in
@@ -120,15 +126,15 @@ let on_reclaim ~pid stamp =
 
 (* Call at every eject scan site with the size of the batch about to be
    returned. *)
-let on_eject t ~pid n =
-  if Metrics.enabled () then begin
-    Metrics.incr t.eject_scans ~pid;
-    if n > 0 then begin
-      Metrics.add t.eject_ops ~pid n;
-      Histo.observe t.eject_batch ~pid n;
-      Trace.emit ~pid (Trace.Eject { scheme = t.scheme; batch = n })
-    end
+let[@inline never] eject_enabled t ~pid n =
+  Metrics.incr t.eject_scans ~pid;
+  if n > 0 then begin
+    Metrics.add t.eject_ops ~pid n;
+    Histo.observe t.eject_batch ~pid n;
+    Trace.emit ~pid (Trace.Eject { scheme = t.scheme; batch = n })
   end
+
+let[@inline] on_eject t ~pid n = if Metrics.enabled () then eject_enabled t ~pid n
 
 let on_abandon t ~pid =
   Metrics.incr t.abandon ~pid;

@@ -2,8 +2,12 @@
 
     Every SMR scheme binds one of these at module-initialization time
     ([let om = Obs.Scheme_metrics.v name]) and calls the [on_*] hooks
-    from its protocol entry points. All hooks are one atomic load when
-    telemetry is disabled, and none allocates per retire. *)
+    from its protocol entry points. The per-operation hooks
+    ({!on_acquire}, {!on_slot_exhausted}, {!on_confirm_retry},
+    {!on_retire}, {!on_eject}) are an inlined test of the telemetry
+    flags around an out-of-line body: with telemetry disabled a hook
+    costs one flag load and a branch at its call site and makes no
+    call. None allocates per retire. *)
 
 type t
 

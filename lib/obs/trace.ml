@@ -48,7 +48,7 @@ type ring = {
 }
 
 let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
+let[@inline] enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 let seq = Atomic.make 0
 let rings : ring option Atomic.t array = Array.init max_pids (fun _ -> Atomic.make None)
@@ -98,13 +98,14 @@ let sample_shift = 5
 let tick_stride = 8
 let ticks = Array.make (max_pids * tick_stride) 0
 
-let should_sample ~pid =
-  Atomic.get enabled_flag
-  &&
+let[@inline never] sample_tick ~pid =
   let i = (pid land ring_mask) * tick_stride in
   let t = Array.unsafe_get ticks i + 1 in
   Array.unsafe_set ticks i t;
   t land ((1 lsl sample_shift) - 1) = 0
+
+(* The flag test, inlined at every call site, as [Metrics.add]'s. *)
+let[@inline] should_sample ~pid = Atomic.get enabled_flag && sample_tick ~pid
 
 let reset () =
   Atomic.set seq 0;

@@ -368,14 +368,16 @@ let figures =
          region schemes close behind; RC versions track their manual counterparts"
       "stack"
       (List.map (stack_kernel ~pairs:true) Instances.stacks);
-    (* The disabled path's only cost over uninstrumented code is one
-       atomic flag load per hook, so "off" stands in for the
-       pre-telemetry baseline. *)
+    (* The RC stack, so that the timed path runs CDRC's hooks as well as
+       the scheme's. With telemetry off a hook is one inlined flag test
+       and a region scheme's snapshot makes no scheme call (DESIGN.md
+       §7): those are counts, which test_instrumentation and test_cdrc
+       pin; this row times what turning telemetry on costs. *)
     row ~id:"obs-overhead"
-      ~title:"Telemetry overhead: Treiber stack (EBR) push/pop pairs, disabled vs enabled"
+      ~title:"Telemetry overhead: Treiber stack (RCEBR) push/pop pairs, disabled vs enabled"
       ~expected:"enabled within the DESIGN.md §7 budget (8%) of disabled"
       ~axis:Telemetry ~repeats:3 "stack"
-      [ stack_kernel ~pairs:true (module Ds.Treiber_stack_manual.Make (Smr.Ebr)) ];
+      [ stack_kernel ~pairs:true (module Ds.Treiber_stack_rc.Make (Instances.RC_ebr)) ];
   ]
 
 (* The pinned perf-trajectory matrix (DESIGN.md §11), in the order its

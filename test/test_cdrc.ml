@@ -832,13 +832,15 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
 
   (* Exact atomics per protection and its drop, in a [Sched.Atomic]
      counting window, and the scheme calls the pair makes, section exit
-     included. A scheme whose confirm is trivial protects every read of
-     the section: its snapshots read the cell once, and no protection
-     takes a guard (no release at the drop or at the exit); the acquire
-     is still made, for its count. The slot schemes' footprints are
-     pinned as measured. Expected: (gets, sets, exchanges, cas, faa) per
-     op, for a strong snapshot, a load and a weak snapshot, and the
-     releases each op makes. *)
+     included, measured with telemetry off and again with it on. A
+     scheme whose confirm is trivial protects every read of the section:
+     its snapshots read the cell once, and no protection takes a guard
+     (no release at the drop or at the exit); its acquire only counts,
+     so it is made only with telemetry on (DESIGN.md §7). The slot
+     schemes' footprints are pinned as measured, and telemetry moves
+     none of them. Expected: (gets, sets, exchanges, cas, faa) per op,
+     for a strong snapshot, a load and a weak snapshot, and the releases
+     each op makes. *)
   let protection_atomics_pinned () =
     let snap, load, weak, releases =
       match S.name with
@@ -881,19 +883,30 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       !Tally.acquires / ops
     in
     let r_snap, r_load, r_weak = releases in
-    let a_snap =
-      measure "get_snapshot + drop" snap r_snap (fun () ->
-          RT.Snapshot.drop th (RT.Asp.get_snapshot th cell))
+    let acquires telemetry =
+      let mode = if telemetry then "telemetry on, " else "telemetry off, " in
+      Obs.Metrics.set_enabled telemetry;
+      Fun.protect
+        ~finally:(fun () -> Obs.Metrics.set_enabled false)
+        (fun () ->
+          let a_snap =
+            measure (mode ^ "get_snapshot + drop") snap r_snap (fun () ->
+                RT.Snapshot.drop th (RT.Asp.get_snapshot th cell))
+          in
+          let a_load =
+            measure (mode ^ "Asp.load + Shared.drop") load r_load (fun () ->
+                RT.Shared.drop th (RT.Asp.load th cell))
+          in
+          let a_weak =
+            measure (mode ^ "Awp.get_snapshot + drop") weak r_weak (fun () ->
+                RT.Weak_snapshot.drop th (RT.Awp.get_snapshot th wcell))
+          in
+          [ a_snap; a_load; a_weak ])
     in
-    let a_load =
-      measure "Asp.load + Shared.drop" load r_load (fun () ->
-          RT.Shared.drop th (RT.Asp.load th cell))
-    in
-    let a_weak =
-      measure "Awp.get_snapshot + drop" weak r_weak (fun () ->
-          RT.Weak_snapshot.drop th (RT.Awp.get_snapshot th wcell))
-    in
-    Alcotest.(check (list int)) "acquires per op" [ 1; 1; 2 ] [ a_snap; a_load; a_weak ];
+    Alcotest.(check (list int)) "acquires per op, telemetry off"
+      (if S.confirm_is_trivial then [ 0; 0; 0 ] else [ 1; 1; 2 ])
+      (acquires false);
+    Alcotest.(check (list int)) "acquires per op, telemetry on" [ 1; 1; 2 ] (acquires true);
     Sched.Atomic.reset ();
     RT.critically th (fun () ->
         RT.Asp.clear th cell;

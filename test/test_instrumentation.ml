@@ -294,6 +294,208 @@ let test_report_json_parses () =
   | Ok _ -> Alcotest.fail "Report.json: unexpected shape"
   | Error e -> Alcotest.failf "Report.json does not parse: %s" e
 
+(* ---------------- telemetry on-off ---------------- *)
+
+(* [R] whose [create] also keeps the runtime it made, so that the
+   runtime a structure hides can still be read back. *)
+module Kept (R : Cdrc.Intf.S) = struct
+  include R
+
+  let last : R.rt option ref = ref None
+
+  let create ?support_weak ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () =
+    let rt = R.create ?support_weak ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () in
+    last := Some rt;
+    rt
+end
+
+(* What one seeded stream leaves: every operation's result, the
+   runtime's snapshot paths, heap and backlog after it, and the stream's
+   [Sched.Atomic] counting window. *)
+type footprint = {
+  results : int array;
+  snapshots : int * int;
+  heap : int * int * int; (* live, peak, allocated *)
+  backlog : int;
+  atomics : Sched.Atomic.counts;
+}
+
+let stream_ops = 4_000
+
+(* Run [op i] over the stream with telemetry on or off as [on] says:
+   the results, the window's atomics and the minor words per operation. *)
+let with_telemetry on op =
+  Obs.Report.reset_all ();
+  Obs.Metrics.set_enabled on;
+  Obs.Trace.set_enabled on;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Trace.set_enabled false;
+      Obs.Report.reset_all ())
+    (fun () ->
+      let results = Array.make stream_ops 0 in
+      Sched.Atomic.reset ();
+      let w0 = Gc.minor_words () in
+      Sched.Atomic.counting (fun () ->
+          for i = 0 to stream_ops - 1 do
+            results.(i) <- op i
+          done);
+      let words = (Gc.minor_words () -. w0) /. float_of_int stream_ops in
+      let atomics = Sched.Atomic.snapshot () in
+      Sched.Atomic.reset ();
+      (results, atomics, words))
+
+module On_off (R0 : Cdrc.Intf.S) = struct
+  module R = Kept (R0)
+  module T = Ds.Nm_tree_rc.Make (R)
+  module Q = Ds.Dl_queue_rc.Make (R)
+  module K = Workload.Kv_service.Make (R)
+
+  let code b = if b then 1 else 0
+
+  let footprint ~teardown on op =
+    let rt = Option.get !R.last in
+    let results, atomics, words = with_telemetry on op in
+    let heap = R.heap rt in
+    let fp =
+      {
+        results;
+        snapshots = R.snapshot_stats rt;
+        heap = (Simheap.live heap, Simheap.peak heap, Simheap.allocated heap);
+        backlog = R.retired_backlog rt;
+        atomics;
+      }
+    in
+    teardown ();
+    (fp, words)
+
+  (* Inserts, removes, lookups and 16-key range queries over 256 keys. *)
+  let tree on =
+    let rng = Repro_util.Rng.create ~seed:37 in
+    let t = T.create ~max_threads:1 () in
+    let c = T.ctx t 0 in
+    for k = 0 to 127 do
+      ignore (T.insert c (2 * k))
+    done;
+    footprint on
+      ~teardown:(fun () -> T.teardown t)
+      (fun i ->
+        let k = Repro_util.Rng.int rng 256 in
+        if i land 255 = 255 then T.flush c;
+        match Repro_util.Rng.int rng 10 with
+        | 0 | 1 -> code (T.insert c k)
+        | 2 | 3 -> code (T.remove c k)
+        | 4 -> T.range_query c k (k + 16)
+        | _ -> code (T.contains c k))
+
+  (* Enqueues and dequeues, one in three a dequeue, on a prefilled queue. *)
+  let queue on =
+    let rng = Repro_util.Rng.create ~seed:37 in
+    let q = Q.create ~max_threads:1 () in
+    let c = Q.ctx q 0 in
+    for v = 1 to 64 do
+      Q.enqueue c v
+    done;
+    footprint on
+      ~teardown:(fun () -> Q.teardown q)
+      (fun i ->
+        if i land 255 = 255 then Q.flush c;
+        if Repro_util.Rng.int rng 3 = 0 then Option.value ~default:(-1) (Q.dequeue c)
+        else begin
+          Q.enqueue c i;
+          0
+        end)
+
+  (* Gets, puts (some with a TTL) and removes over 128 keys, the clock
+     ticking every 16 operations and an expiry sweep every 512. *)
+  let kv on =
+    let rng = Repro_util.Rng.create ~seed:37 in
+    let t = K.create ~shards:4 ~buckets:16 ~max_threads:1 () in
+    let c = K.ctx t 0 in
+    for k = 0 to 63 do
+      ignore (K.put c ~now:0 k k)
+    done;
+    footprint on
+      ~teardown:(fun () -> K.teardown t)
+      (fun i ->
+        if i land 15 = 15 then ignore (K.tick t);
+        let now = K.now t in
+        if i land 511 = 511 then K.expire_sweep c ~now
+        else
+          let k = Repro_util.Rng.int rng 128 in
+          match Repro_util.Rng.int rng 10 with
+          | 0 | 1 | 2 | 3 | 4 -> Option.value ~default:(-1) (K.get c ~now k)
+          | 5 | 6 | 7 ->
+              let ttl = if Repro_util.Rng.bool rng then Some 8 else None in
+              code (K.put c ~now ?ttl k i)
+          | _ -> code (K.remove c ~now k))
+
+  let check what run () =
+    let off, words_off = run false in
+    let on, words_on = run true in
+    let what = R.scheme_name ^ " " ^ what in
+    Alcotest.(check (array int)) (what ^ ": results") off.results on.results;
+    Alcotest.(check (pair int int)) (what ^ ": snapshot_stats") off.snapshots on.snapshots;
+    Alcotest.(check (triple int int int)) (what ^ ": heap live, peak, allocated") off.heap on.heap;
+    Alcotest.(check int) (what ^ ": retired_backlog") off.backlog on.backlog;
+    let a (c : Sched.Atomic.counts) = [ c.gets; c.sets; c.exchanges; c.cas; c.cas_failures; c.faa ] in
+    Alcotest.(check (list int)) (what ^ ": atomics") (a off.atomics) (a on.atomics);
+    Printf.printf "%s: minor words/op %.1f off, %.1f on\n" what words_off words_on
+
+  let cases =
+    [
+      Alcotest.test_case (R.scheme_name ^ " tree") `Quick (check "tree" tree);
+      Alcotest.test_case (R.scheme_name ^ " weak queue") `Quick (check "weak queue" queue);
+      Alcotest.test_case (R.scheme_name ^ " kv") `Quick (check "kv" kv);
+    ]
+end
+
+module On_off_ebr = On_off (R_ebr)
+module On_off_hp = On_off (R_hp)
+
+(* A decrement a destroy hook retires moves with reclamation cadence; one
+   an operation retires does not. Split by the cascade counter, the
+   decrements that operations retire in one seeded weak-queue stream repeat
+   at two flush cadences while the totals differ. *)
+module Cascade (R : Cdrc.Intf.S) = struct
+  module Q = Ds.Dl_queue_rc.Make (R)
+
+  let counter suffix = "cdrc." ^ String.lowercase_ascii R.scheme_name ^ ".decrement.deferred" ^ suffix
+
+  let run ~flush_every =
+    Obs.Metrics.reset ();
+    Obs.Metrics.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Metrics.set_enabled false;
+        Obs.Metrics.reset ())
+      (fun () ->
+        let rng = Repro_util.Rng.create ~seed:37 in
+        let q = Q.create ~max_threads:1 () in
+        let c = Q.ctx q 0 in
+        for i = 1 to 4_000 do
+          if i mod flush_every = 0 then Q.flush c;
+          if Repro_util.Rng.int rng 3 = 0 then ignore (Q.dequeue c) else Q.enqueue c i
+        done;
+        let total = Obs.Metrics.value (counter "") and cascade = Obs.Metrics.value (counter ".cascade") in
+        Q.teardown q;
+        (total, cascade))
+
+  let test () =
+    let total_a, cascade_a = run ~flush_every:16 and total_b, cascade_b = run ~flush_every:1024 in
+    Printf.printf "%s: decrements (cascades) %d (%d) flushing every 16, %d (%d) every 1024\n"
+      R.scheme_name total_a cascade_a total_b cascade_b;
+    Alcotest.(check bool) (R.scheme_name ^ ": cadence moves the cascades") true (cascade_a <> cascade_b);
+    Alcotest.(check bool) (R.scheme_name ^ ": operations retire decrements") true (total_a > cascade_a);
+    Alcotest.(check int)
+      (R.scheme_name ^ ": decrements operations retire")
+      (total_a - cascade_a) (total_b - cascade_b)
+end
+
+module Cascade_ebr = Cascade (R_ebr)
+module Cascade_hp = Cascade (R_hp)
+
 let () =
   Alcotest.run "instrumentation"
     [
@@ -317,6 +519,12 @@ let () =
           Alcotest.test_case "accounting identity, all schemes" `Quick
             test_accounting_identity;
           QCheck_alcotest.to_alcotest counter_merge_prop;
+        ] );
+      ("telemetry on-off", On_off_ebr.cases @ On_off_hp.cases);
+      ( "decrement cascades",
+        [
+          Alcotest.test_case "RCEBR" `Quick Cascade_ebr.test;
+          Alcotest.test_case "RCHP" `Quick Cascade_hp.test;
         ] );
       ( "json exports",
         [

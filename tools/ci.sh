@@ -112,6 +112,11 @@ guards=$(cat <<'EOF'
   in    lib/smr/ebr.ml lib/smr/ibr.ml lib/smr/hazard_eras.ml lib/smr/hp.ml lib/smr/ptb.ml lib/smr/leaky.ml
   grep  Retire_queue\.create|Orphanage\.create|on_retire|on_abandon
   eg    let q = Retire_queue.create () in
+== telemetry off is one test: a region scheme's snapshot or load calls the scheme only to count, through the one helper that tests the telemetry flags first (DESIGN.md §7)
+  in    lib/core
+  grep  ignore \(S\.(try_)?acquire
+  max   1
+  eg    ignore (S.try_acquire ar.Ar.smr ~pid Ident.null);
 == one atomic module: every protocol atomic goes through Sched.Atomic (DESIGN.md §8)
   in    lib bin bench test tools
   grep  Sched\.(Traced|Passthrough|ATOMIC)|Slot_protocol|Sticky_counter_f|Rc_cell\.Make|San_scenarios|mutation_(skip|drop_acquire)
