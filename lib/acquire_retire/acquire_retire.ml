@@ -22,7 +22,10 @@
     and witnesses carry the manual structures' life-cycle obligations
     (DESIGN.md §3); CDRC's [critically] is another, whose snapshots,
     over a scheme that takes guards, keep theirs after the call that
-    takes them. Both protect through one entry, {!Make.acquire}. *)
+    takes them. Both protect through one announce/confirm loop, behind
+    three named entries: a fresh slot and the reserved slot for CDRC
+    ({!Make.acquire_fresh}, {!Make.acquire_reserved}), and a slot of the
+    scope's own for {!Make.Scope.protect}. *)
 
 module Make (S : Smr.Smr_intf.S) = struct
   module Smr_impl = S
@@ -32,7 +35,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      [scoped] is set while the pid's section holds its guard slot [v]:
      [taken.(v)] is the scheme guard behind it, and [gens.(v)] the
      slot's generation, bumped at each release. [last] is the guard slot
-     of the pid's last {!acquire}. The owner writes the record on every
+     the pid's last protect took. The owner writes the record on every
      protect, so the [pad_*] fields give it a cache line of its own. *)
   type scope_state = {
     smr_s : S.t;
@@ -128,6 +131,15 @@ module Make (S : Smr.Smr_intf.S) = struct
     if S.confirm smr ~pid g (ident v) then v
     else settle smr ~pid ~ident cell g (Sched.Atomic.get cell)
 
+  (* [settle] from the re-read of [cell] that follows an announcement
+     of [id], the identity of [v]: a re-read that finds [v] again is
+     confirmed against [id] without naming it anew. *)
+  let[@inline] settle_reread s ~ident cell g v id =
+    let v' = Sched.Atomic.get cell in
+    if v' != v then settle s.smr_s ~pid:s.pid ~ident cell g v'
+    else if S.confirm s.smr_s ~pid:s.pid g id then v
+    else settle s.smr_s ~pid:s.pid ~ident cell g (Sched.Atomic.get cell)
+
   (* Release the guard slots set in [mask], from slot [v] up, each
      holding the scheme guard [taken.(v)]. *)
   let rec release_scoped s mask v =
@@ -142,11 +154,11 @@ module Make (S : Smr.Smr_intf.S) = struct
       [close_section t ~pid] releases each guard the pid still holds
       exactly once, then closes it. A {!Scope.scope} is one such section
       around its body; CDRC's [critically] is another, whose snapshots
-      hold guards taken by {!acquire}. Sections do not nest:
-      closing an inner one would end the critical section (under EBR
-      and IBR, the announcement) that the outer body still relies on,
-      so opening a section for a pid whose section is open raises
-      [Invalid_argument]. *)
+      hold guards taken by {!acquire_fresh} and {!acquire_reserved}.
+      Sections do not nest: closing an inner one would end the critical
+      section (under EBR and IBR, the announcement) that the outer body
+      still relies on, so opening a section for a pid whose section is
+      open raises [Invalid_argument]. *)
 
   let open_section t ~pid =
     let s = t.scopes.(pid) in
@@ -168,27 +180,27 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (** {2 Protection}
 
-      One entry to the announce/confirm loop, for a scope's
-      {!Scope.protect} and for CDRC's snapshots, whose guards outlive the
-      call that takes them. It leaves the guard slot it took in the pid
-      state's [last] field ({!no_guard} when the fresh slots ran out):
-      returning it beside the value would allocate a pair per snapshot.
-      The slot is the scheme guard's own, unless the section already
-      holds that guard: region schemes and IBR hand every protect guard
-      0. Then [~own:true] (a scope) takes the lowest free slot, so that
-      each guard is released and checked alone ({!no_guard} when none is
-      free, which only such a scheme, whose section protects the read
-      anyway, can reach), and [~own:false] (CDRC) holds the guard once,
-      so a pid can hold any number of them. *)
+      Three named entries to the one announce/confirm loop ([settle]):
+      {!acquire_fresh} and {!acquire_reserved} for CDRC's snapshots and
+      loads, whose guards outlive the call that takes them, and the
+      scope's {!Scope.protect}. Each leaves the guard slot it took in the
+      pid state's [last] field ({!no_guard} when the fresh slots ran
+      out): returning it beside the value would allocate a pair per
+      snapshot. Each holds that slot in the section's mask before the
+      confirm loop runs, so a confirm that raises leaves it for the
+      section's exit. The slot is the scheme guard's own, unless the
+      section already holds that guard: region schemes and IBR hand
+      every protect guard 0. Then a scope takes the lowest free slot, so
+      that each guard is released and checked alone ({!no_guard} when
+      none is free, which only such a scheme, whose section protects the
+      read anyway, can reach), and CDRC holds the guard once, so a pid
+      can hold any number of them. *)
 
   let rec first_clear mask v = if mask land 1 = 0 then v else first_clear (mask lsr 1) (v + 1)
 
-  (* Hold the scheme guard [g] (or {!no_guard}) in a guard slot of the
-     pid's section, and return the slot. *)
-  let hold s ~own g =
-    let v =
-      if own && g <> no_guard && s.scoped land (1 lsl g) <> 0 then first_clear s.scoped 0 else g
-    in
+  (* Hold the scheme guard [g] in the pid section's guard slot [v], and
+     return the slot: {!no_guard} for {!no_guard} and past the mask. *)
+  let[@inline] hold s v g =
     if v = no_guard || v >= Sys.int_size then no_guard
     else begin
       s.scoped <- s.scoped lor (1 lsl v);
@@ -196,37 +208,64 @@ module Make (S : Smr.Smr_intf.S) = struct
       v
     end
 
-  (* Announce [id] on the pid's reserved slot or on a fresh one; the
-     scheme guard, {!no_guard} when no fresh slot was left. *)
-  let announce s ~reserved id =
-    if reserved then S.acquire s.smr_s ~pid:s.pid id
-    else match S.try_acquire s.smr_s ~pid:s.pid id with Some g -> g | None -> no_guard
+  (* Announce [id] on a fresh slot: the scheme guard, {!no_guard} when
+     none was left. *)
+  let[@inline] fresh s id =
+    match S.try_acquire s.smr_s ~pid:s.pid id with Some g -> g | None -> no_guard
 
-  (** [acquire s ~reserved ~own ~ident cell] announces on the pid's
-      reserved slot ([~reserved:true]; at most one such guard per pid at
-      a time, and it never fails) or on a fresh one, and returns [cell]'s
-      value that the guard in [s.last] covers: announce a read, confirm
-      a re-read. The slot is held before the confirm loop runs, so a
-      confirm that raises leaves it for the section's exit. *)
-  let acquire s ~reserved ~own ~ident cell =
+  (** [acquire_fresh s ~ident cell] announces on a fresh slot and returns
+      [cell]'s value that the guard in [s.last] covers: announce a read,
+      confirm a re-read. A guard the section already holds is held once
+      more in the same slot, and released by the first drop. CDRC calls
+      it, and {!acquire_reserved}, only over a scheme whose confirm is
+      not trivial: a region scheme's section protects the read itself. *)
+  let acquire_fresh s ~ident cell =
+    let v = Sched.Atomic.get cell in
+    let id = ident v in
+    let g = fresh s id in
+    s.last <- hold s g g;
+    if g = no_guard then v else settle_reread s ~ident cell g v id
+
+  (** [acquire_reserved s ~ident cell] is {!acquire_fresh} on the pid's
+      reserved slot: it never fails, and the pid holds at most one such
+      guard at a time. *)
+  let acquire_reserved s ~ident cell =
+    let v = Sched.Atomic.get cell in
+    let id = ident v in
+    let g = S.acquire s.smr_s ~pid:s.pid id in
+    s.last <- hold s g g;
+    settle_reread s ~ident cell g v id
+
+  (* A scope's slot for the scheme guard [g]: its own, or the lowest
+     free one when the section already holds [g]. *)
+  let own_slot s g =
+    if g <> no_guard && s.scoped land (1 lsl g) <> 0 then first_clear s.scoped 0 else g
+
+  (* The scope's entry, behind {!Scope.protect}: {!acquire_fresh} on a
+     slot of the scope's own. Under a trivial confirm the section
+     protects the read, so it announces nothing to confirm and reads
+     the cell once. *)
+  let acquire_own s ~ident cell =
     if S.confirm_is_trivial then begin
-      s.last <- hold s ~own (announce s ~reserved Smr.Ident.null);
+      let g = fresh s Smr.Ident.null in
+      s.last <- hold s (own_slot s g) g;
       Sched.Atomic.get cell
     end
     else
       let v = Sched.Atomic.get cell in
-      let g = announce s ~reserved (ident v) in
-      s.last <- hold s ~own g;
-      if g = no_guard then v else settle s.smr_s ~pid:s.pid ~ident cell g (Sched.Atomic.get cell)
+      let id = ident v in
+      let g = fresh s id in
+      s.last <- hold s (own_slot s g) g;
+      if g = no_guard then v else settle_reread s ~ident cell g v id
 
   (** [acquire_seen s ~ident cell v] protects [v], a value already read
       from [cell] and protected by another guard, on a fresh slot held
-      as [~own:false] holds it: [v] is announced and confirmed as read,
+      as {!acquire_fresh} holds it: [v] is announced and confirmed as read,
       and [cell] is re-read only after a miss — how Fig 9's weak
       snapshot protects a disposal. *)
   let acquire_seen s ~ident cell v =
-    let g = announce s ~reserved:false (ident v) in
-    s.last <- hold s ~own:false g;
+    let g = fresh s (ident v) in
+    s.last <- hold s g g;
     if g <> no_guard then ignore (settle s.smr_s ~pid:s.pid ~ident cell g v)
 
   (** Release the guard slot [v] if the pid's section still holds it: a
@@ -415,7 +454,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       end
 
     let protect s ~ident cell =
-      let x = acquire s ~reserved:false ~own:true ~ident cell in
+      let x = acquire_own s ~ident cell in
       let v = s.last in
       (x, if v = no_guard then unguarded else (s.gens.(v) lsl gen_shift) lor v)
 

@@ -167,7 +167,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     run_dispose : 'a. int -> 'a control_block -> unit;
   }
 
-  and thr = { rt : rt; pid : int }
+  (* [pid_books] and [scope] are the pid's books and its protection state
+     in the runtime's acquire–retire instance, which its snapshots
+     protect through. *)
+  and thr = { rt : rt; pid : int; pid_books : books; scope : Ar.scope_state }
 
   (* A snapshot (strong or weak) is the slot it read from its cell,
      shared with the cell rather than copied, plus what keeps the object
@@ -296,7 +299,9 @@ module Make (S : Smr.Smr_intf.S) = struct
         runs = no_runs;
       }
     in
-    rt.thrs <- Array.init max_threads (fun pid -> { rt; pid });
+    rt.thrs <-
+      Array.init max_threads (fun pid ->
+          { rt; pid; pid_books = rt.books.(pid); scope = rt.ar.Ar.scopes.(pid) });
     rt.runs <-
       {
         run_decrement = (fun pid cb -> decrement rt ~pid cb);
@@ -385,7 +390,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      books. Only the slow path comes here, so growing the table may
      allocate. Entries past [n_counted] are stale and never read. *)
   let count_in (t : thr) cb =
-    let b = t.rt.books.(t.pid) in
+    let b = t.pid_books in
     if b.n_counted = Array.length b.counted then begin
       let bigger = Array.make (max 8 (2 * b.n_counted)) (Counted cb) in
       Array.blit b.counted 0 bigger 0 b.n_counted;
@@ -415,7 +420,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      one that raises gives back no count twice and leaves the rest for
      the pid's next exit. *)
   let leave (t : thr) () =
-    let b = t.rt.books.(t.pid) in
+    let b = t.pid_books in
     b.section <- b.section + 1;
     Ar.close_section t.rt.ar ~pid:t.pid;
     while b.n_counted > 0 do
@@ -582,7 +587,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       p.n_live <- false;
       let g = p.n_guard in
       if g <> Ar.no_guard then begin
-        let b = t.rt.books.(t.pid) in
+        let b = t.pid_books in
         if g lsr stamp_shift <> b.section then raise (Use_after_drop N.what);
         let g = g land guard_mask in
         if g = counted then begin
@@ -591,7 +596,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             raise (Use_after_drop N.what);
           decrement t.rt ~pid:t.pid cb
         end
-        else if not S.confirm_is_trivial then Ar.release_slot t.rt.ar.Ar.scopes.(t.pid) g
+        else if not S.confirm_is_trivial then Ar.release_slot t.scope g
       end
 
     let is_protected p =
@@ -637,7 +642,8 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     (* Fig 8 load_and_increment. Under a region scheme the section
        protects the read: one load, no guard held, and the acquire only
-       counted ([count_acquire]). *)
+       counted ([count_acquire]); otherwise the reserved slot protects
+       it until the count is taken. *)
     let load (t : thr) (c : 'a t) : 'a shared =
       let ar = t.rt.ar and pid = t.pid in
       if S.confirm_is_trivial then begin
@@ -645,9 +651,9 @@ module Make (S : Smr.Smr_intf.S) = struct
         counted_shared (Sched.Atomic.get c.asp)
       end
       else begin
-        let s = ar.Ar.scopes.(pid) in
+        let s = t.scope in
         let res =
-          counted_shared (Ar.acquire s ~reserved:true ~own:false ~ident:slot_ident c.asp)
+          counted_shared (Ar.acquire_reserved s ~ident:slot_ident c.asp)
         in
         Ar.release_slot s s.Ar.last;
         res
@@ -683,10 +689,12 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     (* Fig 5 get_snapshot. Under a region scheme the section protects
        the read, as §3.4 has it: one load, and the acquire only counted
-       ([count_acquire]). *)
+       ([count_acquire]). Over a slot scheme a snapshot is one runtime
+       call on a fresh slot ([Ar.acquire_fresh]); the counted fallback
+       adds one on the reserved slot ([Ar.acquire_reserved]). *)
     let get_snapshot (t : thr) (c : 'a t) : 'a snapshot =
       let ar = t.rt.ar and pid = t.pid in
-      let b = t.rt.books.(pid) in
+      let b = t.pid_books in
       if S.confirm_is_trivial then begin
         count_acquire ar ~pid;
         let v = Sched.Atomic.get c.asp in
@@ -697,8 +705,8 @@ module Make (S : Smr.Smr_intf.S) = struct
         | Null | Null_tagged _ -> { n_slot = v; n_guard = Ar.no_guard; n_live = true }
       end
       else begin
-        let s = ar.Ar.scopes.(pid) in
-        let v = Ar.acquire s ~reserved:false ~own:false ~ident:slot_ident c.asp in
+        let s = t.scope in
+        let v = Ar.acquire_fresh s ~ident:slot_ident c.asp in
         let g = s.Ar.last in
         if g <> Ar.no_guard then begin
           b.fast <- b.fast + 1;
@@ -714,7 +722,7 @@ module Make (S : Smr.Smr_intf.S) = struct
              count, release the slot (Fig 5 lines 8–11). *)
           b.slow <- b.slow + 1;
           Obs.Metrics.incr snap_slow_c ~pid;
-          let v = Ar.acquire s ~reserved:true ~own:false ~ident:slot_ident c.asp in
+          let v = Ar.acquire_reserved s ~ident:slot_ident c.asp in
           let g = s.Ar.last in
           match v with
           | Null | Null_tagged _ ->
@@ -849,9 +857,9 @@ module Make (S : Smr.Smr_intf.S) = struct
         counted_weak (Sched.Atomic.get c.awp)
       end
       else begin
-        let s = ar.Ar.scopes.(pid) in
+        let s = t.scope in
         let res =
-          counted_weak (Ar.acquire s ~reserved:true ~own:false ~ident:slot_ident c.awp)
+          counted_weak (Ar.acquire_reserved s ~ident:slot_ident c.awp)
         in
         Ar.release_slot s s.Ar.last;
         res
@@ -891,12 +899,12 @@ module Make (S : Smr.Smr_intf.S) = struct
         | (Cb _ as cb) | Tagged (cb, _) -> (
             count_acquire ar ~pid;
             if not (expired cb) then
-              { n_slot = v; n_guard = stamp t.rt.books.(pid) 0; n_live = true }
+              { n_slot = v; n_guard = stamp t.pid_books 0; n_live = true }
             else expired_snapshot t c v)
       end
       else begin
-        let s = ar.Ar.scopes.(pid) in
-        let v = Ar.acquire s ~reserved:true ~own:false ~ident:slot_ident c.awp in
+        let s = t.scope in
+        let v = Ar.acquire_reserved s ~ident:slot_ident c.awp in
         let wg = s.Ar.last in
         match v with
         | Null | Null_tagged _ ->
@@ -918,7 +926,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             in
             if alive then begin
               Ar.release_slot s wg;
-              let b = t.rt.books.(pid) in
+              let b = t.pid_books in
               if dg = Ar.no_guard then begin
                 count_in t cb;
                 { n_slot = v; n_guard = stamp b counted; n_live = true }

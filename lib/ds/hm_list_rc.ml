@@ -185,10 +185,15 @@ module Make (R : Cdrc.Intf.S) = struct
     in
     go ()
 
+  (* Drop [prev_s], the snapshot a read-only walk held before [cur],
+     unless the walk's first hop passed [cur] as its own predecessor:
+     the walks start from one snapshot, not from a null placeholder. *)
+  let drop_pred th prev_s cur = if prev_s != cur then R.Snapshot.drop th prev_s
+
   (* The read-only walks' exit: drop the two snapshots they hold. *)
   let finish th prev_s cur result =
     R.Snapshot.drop th cur;
-    R.Snapshot.drop th prev_s;
+    drop_pred th prev_s cur;
     result
 
   (* Read-only traversal: marked nodes are passed through. *)
@@ -203,14 +208,14 @@ module Make (R : Cdrc.Intf.S) = struct
         finish th prev_s cur (not (R.Ptr.is_marked (R.Asp.unsafe_ptr node.next)))
       else begin
         let next = R.Asp.get_snapshot th node.next in
-        R.Snapshot.drop th prev_s;
+        drop_pred th prev_s cur;
         contains_from th key cur next
       end
     end
 
   let contains_at c head key =
-    let prev_s = R.Snapshot.null () in
-    contains_from c.th key prev_s (R.Asp.get_snapshot c.th head)
+    let first = R.Asp.get_snapshot c.th head in
+    contains_from c.th key first first
 
   let rec range_from th lo hi prev_s cur count =
     if R.Snapshot.is_null cur then finish th prev_s cur count
@@ -220,21 +225,43 @@ module Make (R : Cdrc.Intf.S) = struct
       else begin
         let next = R.Asp.get_snapshot th node.next in
         let count = if node.key >= lo && not (R.Snapshot.is_marked next) then count + 1 else count in
-        R.Snapshot.drop th prev_s;
+        drop_pred th prev_s cur;
         range_from th lo hi cur next count
       end
     end
 
   let range_at c head lo hi =
-    let prev_s = R.Snapshot.null () in
-    range_from c.th lo hi prev_s (R.Asp.get_snapshot c.th head) 0
+    let first = R.Asp.get_snapshot c.th head in
+    range_from c.th lo hi first first 0
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
 
   let insert c key = R.critically c.th (fun () -> insert_at c c.t.head key)
   let remove c key = R.critically c.th (fun () -> remove_at c c.t.head key)
-  let contains c key = R.critically c.th (fun () -> contains_at c c.t.head key)
-  let range_query c lo hi = R.critically c.th (fun () -> range_at c c.t.head lo hi)
+
+  (* The reads open and close their section with [critically]'s two
+     halves, so that a read allocates its snapshots alone. *)
+  let abort c e =
+    let bt = Printexc.get_raw_backtrace () in
+    R.end_critical_section c.th;
+    Printexc.raise_with_backtrace e bt
+
+  let contains c key =
+    R.begin_critical_section c.th;
+    match contains_at c c.t.head key with
+    | r ->
+        R.end_critical_section c.th;
+        r
+    | exception e -> abort c e
+
+  let range_query c lo hi =
+    R.begin_critical_section c.th;
+    match range_at c c.t.head lo hi with
+    | r ->
+        R.end_critical_section c.th;
+        r
+    | exception e -> abort c e
+
   let flush c = R.flush c.th
 
   let size_at rt head =

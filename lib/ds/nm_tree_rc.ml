@@ -244,25 +244,29 @@ module Make (R : Cdrc.Intf.S) = struct
     in
     inject ()
 
+  (* Drop [prev], the snapshot a read walk held above [cur], unless the
+     walk's first hop passed [cur] as its own parent: the walk starts
+     from one snapshot, not from a null placeholder. *)
+  let drop_parent th prev cur = if prev != cur then R.Snapshot.drop th prev
+
   (* Read-only descent with two rotating snapshots. *)
   let rec contains_from th key prev cur =
     let n = R.Snapshot.get cur in
     if is_leaf n then begin
       let res = n.key = key in
       R.Snapshot.drop th cur;
-      R.Snapshot.drop th prev;
+      drop_parent th prev cur;
       res
     end
     else begin
       let next = R.Asp.get_snapshot th (if key < n.key then n.left else n.right) in
-      R.Snapshot.drop th prev;
+      drop_parent th prev cur;
       contains_from th key cur next
     end
 
   let contains_op c key =
-    let rn = R.Shared.get c.t.root in
-    let prev = R.Snapshot.null () in
-    contains_from c.th key prev (R.Asp.get_snapshot c.th rn.left)
+    let top = R.Asp.get_snapshot c.th (R.Shared.get c.t.root).left in
+    contains_from c.th key top top
 
   (* DFS range count holding one snapshot per path node — the workload
      that exhausts RCHP's announcement slots (Fig 11). [range_in] counts
@@ -287,8 +291,30 @@ module Make (R : Cdrc.Intf.S) = struct
 
   let insert c key = R.critically c.th (fun () -> insert_op c key)
   let remove c key = R.critically c.th (fun () -> remove_op c key)
-  let contains c key = R.critically c.th (fun () -> contains_op c key)
-  let range_query c lo hi = R.critically c.th (fun () -> range_op c lo hi)
+
+  (* The reads open and close their section with [critically]'s two
+     halves, so that a read allocates its snapshots alone. *)
+  let abort c e =
+    let bt = Printexc.get_raw_backtrace () in
+    R.end_critical_section c.th;
+    Printexc.raise_with_backtrace e bt
+
+  let contains c key =
+    R.begin_critical_section c.th;
+    match contains_op c key with
+    | r ->
+        R.end_critical_section c.th;
+        r
+    | exception e -> abort c e
+
+  let range_query c lo hi =
+    R.begin_critical_section c.th;
+    match range_op c lo hi with
+    | r ->
+        R.end_critical_section c.th;
+        r
+    | exception e -> abort c e
+
   let flush c = R.flush c.th
 
   let size t =

@@ -125,13 +125,14 @@ let on_reclaim ~pid stamp =
   Histo.observe h ~pid (Tick.now () - (stamp lsr index_bits))
 
 (* Call at every eject scan site with the size of the batch about to be
-   returned. *)
+   returned. The trace event, which carries the batch, is built only
+   while tracing is on, so metrics alone allocate nothing per eject. *)
 let[@inline never] eject_enabled t ~pid n =
   Metrics.incr t.eject_scans ~pid;
   if n > 0 then begin
     Metrics.add t.eject_ops ~pid n;
     Histo.observe t.eject_batch ~pid n;
-    Trace.emit ~pid (Trace.Eject { scheme = t.scheme; batch = n })
+    if Trace.enabled () then Trace.emit ~pid (Trace.Eject { scheme = t.scheme; batch = n })
   end
 
 let[@inline] on_eject t ~pid n = if Metrics.enabled () then eject_enabled t ~pid n

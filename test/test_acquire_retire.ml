@@ -104,7 +104,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let m = Ar.alloc ar ~pid:0 () in
     let cell = Atomic.make m in
     Ar.open_section ar ~pid:1;
-    ignore (Ar.acquire ar.Ar.scopes.(1) ~reserved:false ~own:true ~ident:Ar.ident cell);
+    ignore (Ar.acquire_own ar.Ar.scopes.(1) ~ident:Ar.ident cell);
     Ar.abandon ar ~pid:1;
     let guarded_of_three () =
       Ar.scope ar ~pid:1

@@ -840,7 +840,10 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
      schemes' footprints are pinned as measured, and telemetry moves
      none of them. Expected: (gets, sets, exchanges, cas, faa) per op,
      for a strong snapshot, a load and a weak snapshot, and the releases
-     each op makes. *)
+     each op makes. A slot scheme also pins a snapshot taken while the
+     section holds every fresh slot: the counted fallback, with its
+     atomics, its scheme acquires (the failed fresh one and the
+     reserved one) and its releases. *)
   let protection_atomics_pinned () =
     let snap, load, weak, releases =
       match S.name with
@@ -854,6 +857,15 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       | "PTB" -> ((3, 2, 1, 0, 0), (3, 2, 1, 0, 2), (5, 4, 2, 0, 0), (1, 1, 2))
       | other -> Alcotest.failf "no pinned footprint for %s" other
     in
+    (* The counted snapshot: atomics per op, releases and scheme
+       acquires per op. *)
+    let counted =
+      match S.name with
+      | "HP" -> Some ((4, 2, 0, 0, 2), 1, 2)
+      | "HE" -> Some ((6, 2, 0, 0, 2), 1, 2)
+      | "PTB" -> Some ((4, 2, 1, 0, 2), 1, 2)
+      | _ -> None
+    in
     Alcotest.(check bool) "region schemes release nothing" S.confirm_is_trivial (releases = (0, 0, 0));
     let rt = RT.create ~max_threads:1 () in
     let th = RT.thread rt 0 in
@@ -861,16 +873,23 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let cell = RT.Asp.make th (RT.Shared.ptr p) in
     let wcell = RT.Awp.make th (RT.Shared.ptr p) in
     let ops = 3 in
-    let measure what (gets, sets, exchanges, cas, faa) released f =
+    (* [held] snapshots, taken before the window and dropped after it,
+       occupy the section's fresh slots; their scheme calls are not
+       counted. *)
+    let measure ?(held = 0) what (gets, sets, exchanges, cas, faa) released f =
       let what = R.scheme_name ^ " " ^ what in
-      Tally.acquires := 0;
-      Tally.releases := 0;
       RT.critically th (fun () ->
+          let holds = List.init held (fun _ -> RT.Asp.get_snapshot th cell) in
+          Tally.acquires := 0;
+          Tally.releases := 0;
           Sched.Atomic.reset ();
           Sched.Atomic.counting (fun () ->
               for _ = 1 to ops do
                 f ()
-              done));
+              done);
+          let releases = !Tally.releases in
+          List.iter (RT.Snapshot.drop th) holds;
+          Tally.releases := releases);
       let c = Sched.Atomic.snapshot () in
       let per n = n / ops in
       Alcotest.(check (list int))
@@ -907,6 +926,12 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       (if S.confirm_is_trivial then [ 0; 0; 0 ] else [ 1; 1; 2 ])
       (acquires false);
     Alcotest.(check (list int)) "acquires per op, telemetry on" [ 1; 1; 2 ] (acquires true);
+    Option.iter
+      (fun (atomics, released, acquired) ->
+        Alcotest.(check int) "counted snapshot: acquires per op" acquired
+          (measure ~held:Smr.Knobs.default_slots_per_thread "counted get_snapshot + drop" atomics
+             released (fun () -> RT.Snapshot.drop th (RT.Asp.get_snapshot th cell))))
+      counted;
     Sched.Atomic.reset ();
     RT.critically th (fun () ->
         RT.Asp.clear th cell;

@@ -322,12 +322,15 @@ type footprint = {
 
 let stream_ops = 4_000
 
-(* Run [op i] over the stream with telemetry on or off as [on] says:
-   the results, the window's atomics and the minor words per operation. *)
+(* Telemetry off, metrics alone, and metrics with tracing. *)
+type telemetry = Off | Metrics | Traced
+
+(* Run [op i] over the stream with telemetry as [on] says: the results,
+   the window's atomics and the minor words per operation. *)
 let with_telemetry on op =
   Obs.Report.reset_all ();
-  Obs.Metrics.set_enabled on;
-  Obs.Trace.set_enabled on;
+  Obs.Metrics.set_enabled (on <> Off);
+  Obs.Trace.set_enabled (on = Traced);
   Fun.protect
     ~finally:(fun () ->
       Obs.Metrics.set_enabled false;
@@ -431,17 +434,32 @@ module On_off (R0 : Cdrc.Intf.S) = struct
               code (K.put c ~now ?ttl k i)
           | _ -> code (K.remove c ~now k))
 
+  (* Metrics and tracing move no result, and metrics alone allocate
+     nothing: a traced eject records its batch in an event of its own,
+     so only tracing may add minor words. *)
   let check what run () =
-    let off, words_off = run false in
-    let on, words_on = run true in
+    let off, words_off = run Off in
     let what = R.scheme_name ^ " " ^ what in
-    Alcotest.(check (array int)) (what ^ ": results") off.results on.results;
-    Alcotest.(check (pair int int)) (what ^ ": snapshot_stats") off.snapshots on.snapshots;
-    Alcotest.(check (triple int int int)) (what ^ ": heap live, peak, allocated") off.heap on.heap;
-    Alcotest.(check int) (what ^ ": retired_backlog") off.backlog on.backlog;
-    let a (c : Sched.Atomic.counts) = [ c.gets; c.sets; c.exchanges; c.cas; c.cas_failures; c.faa ] in
-    Alcotest.(check (list int)) (what ^ ": atomics") (a off.atomics) (a on.atomics);
-    Printf.printf "%s: minor words/op %.1f off, %.1f on\n" what words_off words_on
+    let same mode (on, _) =
+      let what = what ^ " (" ^ mode ^ ")" in
+      Alcotest.(check (array int)) (what ^ ": results") off.results on.results;
+      Alcotest.(check (pair int int)) (what ^ ": snapshot_stats") off.snapshots on.snapshots;
+      Alcotest.(check (triple int int int)) (what ^ ": heap live, peak, allocated") off.heap on.heap;
+      Alcotest.(check int) (what ^ ": retired_backlog") off.backlog on.backlog;
+      let a (c : Sched.Atomic.counts) =
+        [ c.gets; c.sets; c.exchanges; c.cas; c.cas_failures; c.faa ]
+      in
+      Alcotest.(check (list int)) (what ^ ": atomics") (a off.atomics) (a on.atomics)
+    in
+    let metrics = run Metrics and traced = run Traced in
+    same "metrics" metrics;
+    same "traced" traced;
+    let words_metrics = snd metrics and words_traced = snd traced in
+    Printf.printf "%s: minor words/op %.1f off, %.1f metrics, %.1f traced\n" what words_off
+      words_metrics words_traced;
+    if Float.abs (words_metrics -. words_off) > 0.1 then
+      Alcotest.failf "%s: metrics move minor words/op from %.2f to %.2f" what words_off
+        words_metrics
 
   let cases =
     [

@@ -24,10 +24,14 @@ guards=$(cat <<'EOF'
   in    lib/ds/*_manual.ml
   grep  S\.(try_acquire|acquire|confirm|release) |Ar\.smr|begin_critical_section|end_critical_section|Ar\.(acquire|acquire_seen|release_slot)[ ]
   eg    match S.try_acquire s ~pid id with
-== one protection path: scopes and snapshots announce through one entry, one guard mask and one kind of section (DESIGN.md §3)
+== one protection path: scopes and snapshots announce through one loop, one guard mask and one kind of section (DESIGN.md §3)
   in    lib bin bench test examples
   grep  protect_unscoped|protect_seen|release_unscoped|release_held|Ar\.guard [a-z_.]+ ~pid|Ar\.(begin|end)_critical_section
   eg    let g = Ar.guard t.ar ~pid in
+== one protection loop: each protection calls its named entry (fresh, reserved or the scope's own slot); no flagged acquire picks one at run time (DESIGN.md §3)
+  in    lib bin bench test examples
+  grep  \bacquire\b[^=]*~(reserved|own):
+  eg    Ar.acquire s ~reserved:true ~own:false ~ident:slot_ident c.asp
 == one chain protocol: the KV buckets run on Hm_list_rc's chain, the code the explorer races (DESIGN.md §12)
   in    lib/workload
   grep  type cursor|search_once|exception Restart
@@ -333,21 +337,22 @@ rm -f results/BENCH_smoke.json
 # not report fails the check. What each stage holds:
 #   queue retention: a flush drains cascades to a fixpoint (DESIGN.md
 #     S8, §3); reclaiming one node per flush retains ~33,060 blocks.
-#   lean snapshots: a snapshot is one 4-word block, a tree hop
-#     allocates its snapshot alone (§3).
+#   lean snapshots: a snapshot is one 4-word block, and a tree read
+#     allocates its snapshots alone (§3).
 #   flat objects: a control block is 13 words in four blocks (S1, S5),
 #     a retire one 8-word record (§2, "Retire records").
 #   short-lived retire records: a drained record left linked to its
 #     successors would promote them too.
 # Minor-word bounds are the traced seed-7 values plus ~5 % and repeat
 # exactly for a seed (perfbench/test_determinism.ml); promoted words
-# follow GC pacing, so those bounds are looser.
+# follow GC pacing, so those bounds are looser. A set-in commit "C+"
+# names the change made on top of commit C.
 bounds=$(cat <<'EOF'
 # workload  seed trace metric                          bound  set-in  stage
 queue-weak  1    0     rcebr_peak_blocks               4096   c1cba52 queue retention
 queue-weak  1    0     rchp_peak_blocks                4096   c1cba52 queue retention
-tree-read   7    1     rcebr.gc.minor_words_per_op     126.0  f2b15d7 lean snapshots
-tree-read   7    1     rchp.gc.minor_words_per_op      126.0  f2b15d7 lean snapshots
+tree-read   7    1     rcebr.gc.minor_words_per_op     116.0  ed5208a+ lean snapshots
+tree-read   7    1     rchp.gc.minor_words_per_op      116.0  ed5208a+ lean snapshots
 queue-weak  7    1     rcebr.gc.promoted_words_per_op  14.3   ca7b0b8 flat objects
 queue-weak  7    1     rchp.gc.promoted_words_per_op   16.6   ca7b0b8 flat objects
 queue-weak  7    1     rcebr.gc.minor_words_per_op     61.8   f2b15d7 flat objects
