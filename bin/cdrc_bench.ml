@@ -22,8 +22,10 @@ let duration_arg =
 
 let schemes_arg =
   let doc =
-    "Comma-separated scheme names (EBR, IBR, Hyaline, HP, HE, RCEBR, RCIBR, RCHyaline, \
-     RCHP, RCHE; queues also accept Original, locked-weak, RC*-weak). Default: all."
+    "Comma-separated scheme names: EBR, IBR, Hyaline, HP, HE, PTB, their RC conversions \
+     RCEBR, RCIBR, RCHyaline, RCHP, RCHE, RCPTB, and None (leak everything); queues also \
+     accept Original, locked-weak, RC*-weak. A name the command has no cell for exits 2. \
+     Default: all."
   in
   Arg.(value & opt (list string) [] & info [ "s"; "schemes" ] ~docv:"NAME,..." ~doc)
 

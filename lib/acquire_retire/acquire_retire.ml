@@ -186,7 +186,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       scope's {!Scope.protect}. Each leaves the guard slot it took in the
       pid state's [last] field ({!no_guard} when the fresh slots ran
       out): returning it beside the value would allocate a pair per
-      snapshot. Each holds that slot in the section's mask before the
+      snapshot or hop. Each holds that slot in the section's mask before the
       confirm loop runs, so a confirm that raises leaves it for the
       section's exit. The slot is the scheme guard's own, unless the
       section already holds that guard: region schemes and IBR hand
@@ -348,20 +348,24 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     val scope : t -> pid:int -> 'a body -> 'a
 
-    val protect : 's scope -> ident:('v -> Smr.Ident.t) -> 'v Sched.Atomic.t -> 'v * 's guard
+    val protect : 's scope -> ident:('v -> Smr.Ident.t) -> 'v Sched.Atomic.t -> 'v
     (** The two-phase announce/confirm protocol of [Smr.Smr_intf] on
         [cell]: [ident] (a top-level projection, so the call allocates
-        no closure) names what the scheme announces and validates. When
-        the announcement slots ran out, the value is [cell]'s,
-        unprotected, and the guard is {!unguarded}; what to do then is
-        the caller's policy. *)
+        no closure) names what the scheme announces and validates. It
+        returns the value and leaves the guard that covers it to
+        {!guard}, so that it allocates nothing. When the announcement
+        slots ran out, the value is [cell]'s, unprotected, and the guard
+        is {!unguarded}; what to do then is the caller's policy. *)
+
+    val guard : 's scope -> 's guard
+    (** The guard the scope's last {!protect} took. *)
 
     val unguarded : 's guard
     (** The guard of a failed protect: {!get} through it raises, and
         {!release} and {!retire_free} ignore it. *)
 
     val guarded : 's guard -> bool
-    (** Whether the protect that returned the guard got a slot. *)
+    (** Whether the protect that took the guard got a slot. *)
 
     val get : 's scope -> 's guard -> 'a managed -> 'a
     (** [m]'s value, read through [g], the guard that protects it.
@@ -375,13 +379,25 @@ module Make (S : Smr.Smr_intf.S) = struct
         [Invalid_argument], even after a later [protect] has reused its
         slot — that protection stays held. *)
 
+    val cas : eq:('v -> 'v -> bool) -> 'v Sched.Atomic.t -> expected:'v -> desired:'v -> bool
+    (** The manual structures' one logical CAS: swing [cell] to
+        [desired] if it holds a value [eq] to [expected]. Their links
+        are immutable records, so an equal link may be another block:
+        the physical CAS is on the value read, retried while the cell
+        still holds an equal one. *)
+
     val unlink :
-      's scope -> 'v Sched.Atomic.t -> seen:'v -> desired:'v -> 'a managed -> ('s, 'a) unlinked option
-    (** [unlink s cell ~seen ~desired victim] swings [cell] from [seen],
-        the value the caller read, to [desired] with one CAS, and on
-        success returns the witness that [victim], the node [seen] links
-        to, is unlinked. Structural pre-checks and retry loops stay with
-        the caller. *)
+      's scope ->
+      eq:('v -> 'v -> bool) ->
+      'v Sched.Atomic.t ->
+      expected:'v ->
+      desired:'v ->
+      'a managed ->
+      ('s, 'a) unlinked option
+    (** [unlink s ~eq cell ~expected ~desired victim] is {!cas}, and on
+        success returns the witness that [victim], the node [expected]
+        links to, is unlinked. Structural pre-checks stay with the
+        caller. *)
 
     val retire_free : 's scope -> ('s, 'a) unlinked -> 's guard -> unit
     (** Release [g], the guard protecting the witness's victim (or
@@ -453,13 +469,19 @@ module Make (S : Smr.Smr_intf.S) = struct
         release_slot s (g land slot_mask)
       end
 
-    let protect s ~ident cell =
-      let x = acquire_own s ~ident cell in
-      let v = s.last in
-      (x, if v = no_guard then unguarded else (s.gens.(v) lsl gen_shift) lor v)
+    let protect = acquire_own
 
-    let unlink _ cell ~seen ~desired victim =
-      if Sched.Atomic.compare_and_set cell seen desired then Some victim else None
+    let guard s =
+      let v = s.last in
+      if v = no_guard then unguarded else (s.gens.(v) lsl gen_shift) lor v
+
+    let rec cas ~eq cell ~expected ~desired =
+      let cur = Sched.Atomic.get cell in
+      eq cur expected
+      && (Sched.Atomic.compare_and_set cell cur desired || cas ~eq cell ~expected ~desired)
+
+    let unlink _ ~eq cell ~expected ~desired victim =
+      if cas ~eq cell ~expected ~desired then Some victim else None
 
     let retire_excised s _ m =
       S.retire s.smr_s ~pid:s.pid (Smr.Deferred.make ~id:(ident m) ~birth:m.birth free_block m.block)

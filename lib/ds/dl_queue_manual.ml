@@ -15,15 +15,21 @@ module Make () = struct
 
   let name = "Original"
 
-  type node = { value : int; next : link Atomic.t; prev : link Atomic.t; block : Simheap.block }
+  type node = {
+    value : int;
+    next : link Sched.Atomic.t;
+    prev : link Sched.Atomic.t;
+    block : Simheap.block;
+  }
+
   and link = node option
 
   type t = {
     heap : Simheap.t;
     ann : Ident.t Padded.t; (* one announcement slot per thread *)
     retired : node Queue.t array; (* owner-thread only *)
-    head : link Atomic.t;
-    tail : link Atomic.t;
+    head : link Sched.Atomic.t;
+    tail : link Sched.Atomic.t;
     max_threads : int;
   }
 
@@ -34,8 +40,8 @@ module Make () = struct
   let mk_node t v prev =
     {
       value = v;
-      next = Atomic.make None;
-      prev = Atomic.make prev;
+      next = Sched.Atomic.make None;
+      prev = Sched.Atomic.make prev;
       block = Simheap.alloc t.heap;
     }
 
@@ -46,28 +52,27 @@ module Make () = struct
         heap;
         ann = Padded.create max_threads Ident.null;
         retired = Array.init max_threads (fun _ -> Queue.create ());
-        head = Atomic.make None;
-        tail = Atomic.make None;
+        head = Sched.Atomic.make None;
+        tail = Sched.Atomic.make None;
         max_threads;
       }
     in
-    let dummy = mk_node t min_int None in
-    Atomic.set t.head (Some dummy);
-    Atomic.set t.tail (Some dummy);
+    let dummy = Some (mk_node t min_int None) in
+    Sched.Atomic.set t.head dummy;
+    Sched.Atomic.set t.tail dummy;
     t
 
   let ctx t pid = { t; pid }
   let ident_of = function None -> Ident.null | Some n -> Ident.of_val n
 
-  (* Announce-and-revalidate on the head or tail anchor. *)
-  let protect c (anchor : link Atomic.t) =
-    let rec go () =
-      let l = Atomic.get anchor in
-      Padded.set c.t.ann c.pid (ident_of l);
-      let l' = Atomic.get anchor in
-      if Ident.equal (ident_of l') (ident_of l) then l else go ()
-    in
-    go ()
+  (* Announce-and-revalidate on the head or tail anchor. A node enters
+     every cell that links to it in the one [Some] box its enqueuer made
+     (the dummy's is shared by head and tail), so links compare
+     physically. *)
+  let rec protect c (anchor : link Sched.Atomic.t) =
+    let l = Sched.Atomic.get anchor in
+    Padded.set c.t.ann c.pid (ident_of l);
+    if Sched.Atomic.get anchor == l then l else protect c anchor
 
   let unannounce c = Padded.set c.t.ann c.pid Ident.null
 
@@ -94,8 +99,8 @@ module Make () = struct
            which we still own. *)
         let held =
           is_announced (Ident.of_val n)
-          || is_announced (ident_of (Atomic.get n.prev))
-          || is_announced (ident_of (Atomic.get n.next))
+          || is_announced (ident_of (Sched.Atomic.get n.prev))
+          || is_announced (ident_of (Sched.Atomic.get n.next))
         in
         if held then Queue.push n keep else Simheap.free n.block)
       t.retired.(c.pid);
@@ -106,62 +111,49 @@ module Make () = struct
     Queue.push n c.t.retired.(c.pid);
     if Queue.length c.t.retired.(c.pid) >= scan_threshold c.t then scan c
 
-  let rec cas_link cell expected desired =
-    let cur = Atomic.get cell in
-    let eq =
-      match (cur, expected) with
-      | None, None -> true
-      | Some a, Some b -> a == b
-      | _ -> false
-    in
-    if not eq then false
-    else if Atomic.compare_and_set cell cur desired then true
-    else cas_link cell expected desired
+  let rec enqueue_in c nu link =
+    match protect c c.t.tail with
+    | None -> failwith "dl_queue_manual: null tail"
+    | Some ltail as l ->
+        let lt = deref ltail in
+        Sched.Atomic.set nu.prev l;
+        (* Help the previous enqueuer: lprev is protected by
+           adjacency to the announced ltail. *)
+        (match Sched.Atomic.get lt.prev with
+        | Some lprev ->
+            let next = (deref lprev).next in
+            if Option.is_none (Sched.Atomic.get next) then
+              ignore (Sched.Atomic.compare_and_set next None l)
+        | None -> ());
+        if Sched.Atomic.compare_and_set c.t.tail l link then begin
+          ignore (Sched.Atomic.compare_and_set lt.next None link);
+          unannounce c
+        end
+        else enqueue_in c nu link
 
   let enqueue c v =
     let nu = mk_node c.t v None in
-    let rec loop () =
-      match protect c c.t.tail with
-      | None -> failwith "dl_queue_manual: null tail"
-      | Some ltail ->
-          let lt = deref ltail in
-          Atomic.set nu.prev (Some ltail);
-          (* Help the previous enqueuer: lprev is protected by
-             adjacency to the announced ltail. *)
-          (match Atomic.get lt.prev with
-          | Some lprev when Atomic.get (deref lprev).next = None ->
-              ignore (cas_link (deref lprev).next None (Some ltail))
-          | _ -> ());
-          if cas_link c.t.tail (Some ltail) (Some nu) then begin
-            ignore (cas_link lt.next None (Some nu));
-            unannounce c
-          end
-          else loop ()
-    in
-    loop ()
+    enqueue_in c nu (Some nu)
 
-  let dequeue c =
-    let rec loop () =
-      match protect c c.t.head with
-      | None -> failwith "dl_queue_manual: null head"
-      | Some lhead -> (
-          let h = deref lhead in
-          match Atomic.get h.next with
-          | None ->
+  let rec dequeue c =
+    match protect c c.t.head with
+    | None -> failwith "dl_queue_manual: null head"
+    | Some lhead as l -> (
+        let h = deref lhead in
+        match Sched.Atomic.get h.next with
+        | None ->
+            unannounce c;
+            None
+        | Some lnext as next ->
+            if Sched.Atomic.compare_and_set c.t.head l next then begin
+              (* lnext is protected by adjacency to lhead, which we
+                 still announce. *)
+              let v = (deref lnext).value in
+              retire c lhead;
               unannounce c;
-              None
-          | Some lnext ->
-              if cas_link c.t.head (Some lhead) (Some lnext) then begin
-                (* lnext is protected by adjacency to lhead, which we
-                   still announce. *)
-                let v = (deref lnext).value in
-                retire c lhead;
-                unannounce c;
-                Some v
-              end
-              else loop ())
-    in
-    loop ()
+              Some v
+            end
+            else dequeue c)
 
   let flush c = scan c
   let live_objects t = Simheap.live t.heap
@@ -171,13 +163,13 @@ module Make () = struct
     let rec free_chain = function
       | None -> ()
       | Some (n : node) ->
-          let next = Atomic.get n.next in
+          let next = Sched.Atomic.get n.next in
           if Simheap.is_live n.block then Simheap.free n.block;
           free_chain next
     in
-    free_chain (Atomic.get t.head);
-    Atomic.set t.head None;
-    Atomic.set t.tail None;
+    free_chain (Sched.Atomic.get t.head);
+    Sched.Atomic.set t.head None;
+    Sched.Atomic.set t.tail None;
     Array.iter
       (fun q ->
         Queue.iter (fun (n : node) -> if Simheap.is_live n.block then Simheap.free n.block) q;

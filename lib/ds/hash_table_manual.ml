@@ -10,7 +10,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let name = S.name
 
-  type t = { list : L.t; buckets : L.link Atomic.t array; nbuckets : int }
+  type t = { list : L.t; buckets : L.link Sched.Atomic.t array; nbuckets : int }
   type ctx = { t : t; c : L.ctx }
 
   let default_buckets = 1 lsl 16
@@ -18,7 +18,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   let create ?slots_per_thread ?epoch_freq ?(buckets = default_buckets) ~max_threads () =
     {
       list = L.create ?slots_per_thread ?epoch_freq ~max_threads ();
-      buckets = Array.init buckets (fun _ -> Atomic.make L.null_link);
+      buckets = Array.init buckets (fun _ -> Sched.Atomic.make L.null_link);
       nbuckets = buckets;
     }
 

@@ -20,16 +20,19 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let name = S.name
 
-  type node = { key : int; next : link Atomic.t }
+  type node = { key : int; next : link Sched.Atomic.t }
   and link = { dest : node Ar.managed option; marked : bool }
 
-  type t = { ar : Ar.t; head : link Atomic.t }
+  type t = { ar : Ar.t; head : link Sched.Atomic.t }
   type ctx = { t : t; pid : int }
 
   let null_link = { dest = None; marked = false }
 
   let create ?slots_per_thread ?epoch_freq ?buckets:_ ~max_threads () =
-    { ar = Ar.create ?slots_per_thread ?epoch_freq ~max_threads (); head = Atomic.make null_link }
+    {
+      ar = Ar.create ?slots_per_thread ?epoch_freq ~max_threads ();
+      head = Sched.Atomic.make null_link;
+    }
 
   let ctx t pid = { t; pid }
   let validate = S.requires_validation
@@ -44,151 +47,141 @@ module Make (S : Smr.Smr_intf.S) = struct
     | Some x, Some y -> x == y
     | _ -> false
 
-  let rec link_cas cell expected desired =
-    let cur = Atomic.get cell in
-    if not (link_eq cur expected) then false
-    else if Atomic.compare_and_set cell cur desired then true
-    else link_cas cell expected desired
-
-  (* [link_cas] for an unlink: the witness that [victim], the node
-     [expected] links to, is unlinked. *)
-  let rec unlink s cell expected desired victim =
-    let cur = Atomic.get cell in
-    if not (link_eq cur expected) then None
-    else
-      match Ar.unlink s cell ~seen:cur ~desired victim with
-      | None -> unlink s cell expected desired victim
-      | w -> w
-
-  (* Protect the destination of the link currently in [cell]. Guard
-     budget per traversal is at most 3, below the default 8 slots of
-     HP/HE. *)
+  (* Protect the destination of the link currently in [cell]; the guard
+     is [Ar.guard s]. Guard budget per traversal is at most 3, below the
+     default 8 slots of HP/HE. *)
   let protect s cell =
-    let ((_, g) as p) = Ar.protect s ~ident:ident_of cell in
-    if Ar.guarded g then p
+    let l = Ar.protect s ~ident:ident_of cell in
+    if Ar.guarded (Ar.guard s) then l
     else failwith "hm_list_manual: out of announcement slots (need >= 3)"
 
-  exception Restart
+  (* Michael's [*prev == cur] revalidation, for the protected-pointer
+     schemes: [prev] no longer links to [m] unmarked, so [m] may have
+     been retired before its guard was announced. *)
+  let moved prev m =
+    let l = Sched.Atomic.get prev in
+    l.marked || match l.dest with Some x -> x != m | None -> true
 
-  (* Run [body] in a protection scope, reopening a fresh one on
-     [Restart]: the scope releases whatever the abandoned attempt
-     held. *)
-  let rec scoped c body =
-    match Ar.scope c.t.ar ~pid:c.pid body with v -> v | exception Restart -> scoped c body
+  (* The walks go hand over hand: [pg] protects the node holding the
+     [prev] cell ({!Ar.unguarded} at the head, which belongs to no node)
+     and [cg] the node [prev] links to; a retry releases the guards it
+     holds and starts again from the head. *)
+  let release3 s pg cg gn =
+    Ar.release s gn;
+    Ar.release s cg;
+    Ar.release s pg
 
   (* Typed by its scope: [prev] and [cur] are protected only while the
-     scope that found them is open, [cur]'s node by [cg]. *)
+     scope that found them is open, [prev]'s node by [pg] and [cur]'s by
+     [cg]. *)
   type 's cursor = {
     found : bool;
-    prev : link Atomic.t;
-    cur : link; (* unmarked view of the successor *)
+    prev : link Sched.Atomic.t;
+    pg : 's Ar.guard;
+    cur : link; (* unmarked view of [prev]'s link: the CAS-expected value *)
     cg : 's Ar.guard;
   }
 
-  (* The traversals walk hand over hand: [pg] protects the node holding
-     the [prev] cell and [cg] the node [cur] links to. The head cell
-     belongs to no node, so [pg] means nothing while [at_head]. [cur] is
-     always an unmarked view, so it doubles as the CAS-expected link. *)
-  let unlinked prev cur = not (link_eq (Atomic.get prev) cur)
+  let release_cursor s cu =
+    Ar.release s cu.cg;
+    Ar.release s cu.pg
 
   (* Michael's find: position the cursor at the first node with
      key >= [key], unlinking marked nodes on the way. *)
-  let rec find (s : 's Ar.scope) c key prev pg (cur : link) cg at_head : 's cursor =
+  let rec search s c head key =
+    let cur = protect s head in
+    find s c head key head Ar.unguarded cur (Ar.guard s)
+
+  and find (s : 's Ar.scope) c head key prev pg (cur : link) cg : 's cursor =
     match cur.dest with
-    | None -> { found = false; prev; cur; cg }
+    | None -> { found = false; prev; pg; cur; cg }
     | Some m ->
         let node = Ar.get s cg m in
-        let next, gn = protect s node.next in
-        (* Protected-pointer schemes: cur is only trustworthy if prev
-           still links to it unmarked (Michael 2002). *)
-        if validate && unlinked prev cur then raise Restart
+        let next = protect s node.next in
+        let gn = Ar.guard s in
+        if validate && moved prev m then begin
+          release3 s pg cg gn;
+          search s c head key
+        end
         else if next.marked then begin
           (* cur is logically deleted: unlink and retire it. *)
           let succ = { next with marked = false } in
           Sched.yield ();
-          match unlink s prev cur succ m with
+          match Ar.unlink s ~eq:link_eq prev ~expected:cur ~desired:succ m with
           | Some w ->
               Ar.retire_free s w cg;
               Ar.eject c.t.ar ~pid:c.pid;
-              find s c key prev pg succ gn at_head
-          | None -> raise Restart
+              find s c head key prev pg succ gn
+          | None ->
+              release3 s pg cg gn;
+              search s c head key
         end
         else if node.key >= key then begin
           Ar.release s gn;
-          { found = node.key = key; prev; cur; cg }
+          { found = node.key = key; prev; pg; cur; cg }
         end
         else begin
-          if not at_head then Ar.release s pg;
-          find s c key node.next cg next gn false
+          Ar.release s pg;
+          find s c head key node.next cg next gn
         end
 
-  let search s c head key =
-    let cur, g = protect s head in
-    find s c key head g cur g true
+  let rec insert_in s c head key =
+    let cu = search s c head key in
+    if cu.found then false
+    else begin
+      let m = Ar.alloc c.t.ar ~pid:c.pid { key; next = Sched.Atomic.make cu.cur } in
+      Ar.cas ~eq:link_eq cu.prev ~expected:cu.cur ~desired:(link_to m)
+      || begin
+           Ar.discard m;
+           release_cursor s cu;
+           insert_in s c head key
+         end
+    end
 
-  let insert_at c head key =
-    scoped c
-      {
-        f =
-          (fun s ->
-            let cu = search s c head key in
-            if cu.found then false
-            else begin
-              let m = Ar.alloc c.t.ar ~pid:c.pid { key; next = Atomic.make cu.cur } in
-              if link_cas cu.prev cu.cur (link_to m) then true
-              else begin
-                Ar.discard m;
-                raise Restart
-              end
-            end);
-      }
+  let insert_at c head key = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> insert_in s c head key) }
 
-  (* The body returns once the deletion is owned: [`Marked] when the
-     unlink CAS lost, so a helping search in a fresh scope unlinks and
-     retires the node. Run inside the body, a [Restart] from that
-     search would re-run the whole remove after its mark took effect.
-     The {!Sched.yield} points (free outside a controller) let the
-     schedule explorer drive that path, as test/test_ds.ml does. *)
-  let remove_at c head key =
-    match
-      scoped c
-        {
-          f =
-            (fun s ->
-              let cu = search s c head key in
-              if not cu.found then `Absent
-              else begin
-                let m = Option.get cu.cur.dest in
-                let node = Ar.get s cu.cg m in
-                let next = Atomic.get node.next in
-                (* A marked node is owned by a concurrent remove; retry
-                   until the find no longer sees it. *)
-                if next.marked then raise Restart
-                else if link_cas node.next next { next with marked = true } then begin
-                  (* We own the deletion; try to unlink (guards still
-                     held, so the prev cell is safe to CAS). *)
-                  Sched.yield ();
-                  match unlink s cu.prev cu.cur next m with
-                  | Some w ->
-                      Ar.retire_free s w cu.cg;
-                      Ar.eject c.t.ar ~pid:c.pid;
-                      `Unlinked
-                  | None -> `Marked
-                end
-                else raise Restart
-              end);
-        }
-    with
-    | `Absent -> false
-    | `Unlinked -> true
-    | `Marked ->
-        scoped c { f = (fun s -> ignore (search s c head key)) };
+  (* A remove whose mark took effect owns the deletion and reports it
+     even when its unlink CAS loses: a helping search then unlinks and
+     retires the node. A marked node is owned by a concurrent remove, so
+     the remove retries until the search no longer sees it. The
+     {!Sched.yield} points (free outside a controller) let the schedule
+     explorer drive that path, as test/test_ds.ml does. *)
+  let rec remove_in s c head key =
+    let cu = search s c head key in
+    if not cu.found then false
+    else begin
+      let m = Option.get cu.cur.dest in
+      let node = Ar.get s cu.cg m in
+      let next = Sched.Atomic.get node.next in
+      if
+        (not next.marked)
+        && Ar.cas ~eq:link_eq node.next ~expected:next ~desired:{ next with marked = true }
+      then begin
+        (* We own the deletion; try to unlink (guards still held, so the
+           prev cell is safe to CAS). *)
+        Sched.yield ();
+        (match Ar.unlink s ~eq:link_eq cu.prev ~expected:cu.cur ~desired:next m with
+        | Some w ->
+            Ar.retire_free s w cu.cg;
+            Ar.eject c.t.ar ~pid:c.pid
+        | None ->
+            release_cursor s cu;
+            ignore (search s c head key));
         true
+      end
+      else begin
+        release_cursor s cu;
+        remove_in s c head key
+      end
+    end
+
+  let remove_at c head key = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> remove_in s c head key) }
 
   (* Read-only traversal: no helping, no unlinking; marked nodes are
-     passed through (their links are frozen). *)
-  let rec contains_in s key prev pg (cur : link) cg at_head =
-    match cur.dest with
+     passed through (their links are frozen). [cur] is the node [prev]
+     links to, so a hop allocates nothing. *)
+  let rec contains_in s head key prev pg cur cg =
+    match cur with
     | None -> false
     | Some m ->
         let node = Ar.get s cg m in
@@ -196,47 +189,54 @@ module Make (S : Smr.Smr_intf.S) = struct
         else if node.key = key then
           (* Deletion flag lives on the node's own next link; no
              dereference needed to read it. *)
-          not (Atomic.get node.next).marked
+          not (Sched.Atomic.get node.next).marked
         else begin
-          let next, gn = protect s node.next in
-          if validate && unlinked prev cur then raise Restart;
-          if not at_head then Ar.release s pg;
-          contains_in s key node.next cg { next with marked = false } gn false
+          let next = protect s node.next in
+          let gn = Ar.guard s in
+          if validate && moved prev m then begin
+            release3 s pg cg gn;
+            contains_from s head key
+          end
+          else begin
+            Ar.release s pg;
+            contains_in s head key node.next cg next.dest gn
+          end
         end
 
+  and contains_from s head key =
+    let first = protect s head in
+    contains_in s head key head Ar.unguarded first.dest (Ar.guard s)
+
   let contains_at c head key =
-    scoped c
-      {
-        f =
-          (fun s ->
-            let cur, g = protect s head in
-            contains_in s key head g cur g true);
-      }
+    Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> contains_from s head key) }
 
   (* Sequential-traversal range count (non-linearizable, as in the
      paper's range-query workload). *)
-  let rec range_in s lo hi n prev pg (cur : link) cg at_head =
-    match cur.dest with
+  let rec range_in s head lo hi n prev pg cur cg =
+    match cur with
     | None -> n
     | Some m ->
         let node = Ar.get s cg m in
         if node.key >= hi then n
         else begin
-          let next, gn = protect s node.next in
-          if validate && unlinked prev cur then raise Restart;
-          let n = if node.key >= lo && not next.marked then n + 1 else n in
-          if not at_head then Ar.release s pg;
-          range_in s lo hi n node.next cg { next with marked = false } gn false
+          let next = protect s node.next in
+          let gn = Ar.guard s in
+          if validate && moved prev m then begin
+            release3 s pg cg gn;
+            range_from s head lo hi
+          end
+          else begin
+            let n = if node.key >= lo && not next.marked then n + 1 else n in
+            Ar.release s pg;
+            range_in s head lo hi n node.next cg next.dest gn
+          end
         end
 
-  let range_at c head lo hi =
-    scoped c
-      {
-        f =
-          (fun s ->
-            let cur, g = protect s head in
-            range_in s lo hi 0 head g cur g true);
-      }
+  and range_from s head lo hi =
+    let first = protect s head in
+    range_in s head lo hi 0 head Ar.unguarded first.dest (Ar.guard s)
+
+  let range_at c head lo hi = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> range_from s head lo hi) }
 
   (* Quiescent-only sequential helpers over a head cell. *)
   let size_at head =
@@ -244,22 +244,22 @@ module Make (S : Smr.Smr_intf.S) = struct
       match l.dest with
       | None -> n
       | Some m ->
-          let next = Atomic.get (Ar.quiescent m).next in
+          let next = Sched.Atomic.get (Ar.quiescent m).next in
           go next (if next.marked then n else n + 1)
     in
-    go (Atomic.get head) 0
+    go (Sched.Atomic.get head) 0
 
   let teardown_at head =
     let rec go l =
       match l.dest with
       | None -> ()
       | Some m ->
-          let next = Atomic.get (Ar.quiescent m).next in
+          let next = Sched.Atomic.get (Ar.quiescent m).next in
           if Ar.is_live m then Ar.discard m;
           go next
     in
-    go (Atomic.get head);
-    Atomic.set head null_link
+    go (Sched.Atomic.get head);
+    Sched.Atomic.set head null_link
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
 

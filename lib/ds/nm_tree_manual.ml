@@ -36,7 +36,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let name = S.name
 
-  type node = { key : int; left : edge Atomic.t; right : edge Atomic.t }
+  type node = { key : int; left : edge Sched.Atomic.t; right : edge Sched.Atomic.t }
   and edge = { dest : node Ar.managed option; flag : bool; tag : bool }
 
   let inf2 = max_int
@@ -47,16 +47,18 @@ module Make (S : Smr.Smr_intf.S) = struct
   type t = {
     ar : Ar.t;
     root : node Ar.managed; (* the R sentinel; never retired *)
-    uaf : int Atomic.t; (* unsafe-scheme violations caught and retried *)
+    uaf : int Sched.Atomic.t; (* unsafe-scheme violations caught and retried *)
   }
 
   type ctx = { t : t; pid : int }
 
   let mk_leaf ar ~pid key =
-    Ar.alloc ar ~pid { key; left = Atomic.make null_edge; right = Atomic.make null_edge }
+    Ar.alloc ar ~pid
+      { key; left = Sched.Atomic.make null_edge; right = Sched.Atomic.make null_edge }
 
   let mk_internal ar ~pid key l r =
-    Ar.alloc ar ~pid { key; left = Atomic.make (clean l); right = Atomic.make (clean r) }
+    Ar.alloc ar ~pid
+      { key; left = Sched.Atomic.make (clean l); right = Sched.Atomic.make (clean r) }
 
   let create ?slots_per_thread ?epoch_freq ?buckets:_ ~max_threads () =
     let ar = Ar.create ?slots_per_thread ?epoch_freq ~max_threads () in
@@ -67,11 +69,11 @@ module Make (S : Smr.Smr_intf.S) = struct
     let l_inf2b = mk_leaf ar ~pid:0 inf2 in
     let s = mk_internal ar ~pid:0 inf1 l_inf1 l_inf2a in
     let r = mk_internal ar ~pid:0 inf2 s l_inf2b in
-    { ar; root = r; uaf = Atomic.make 0 }
+    { ar; root = r; uaf = Sched.Atomic.make 0 }
 
   let ctx t pid = { t; pid }
-  let uaf_events t = Atomic.get t.uaf
-  let is_leaf node = (Atomic.get node.left).dest = None
+  let uaf_events t = Sched.Atomic.get t.uaf
+  let is_leaf node = match (Sched.Atomic.get node.left).dest with None -> true | Some _ -> false
   let ident_of e = match e.dest with None -> Ident.null | Some m -> Ident.of_val m
 
   let edge_eq a b =
@@ -82,25 +84,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     | Some x, Some y -> x == y
     | _ -> false
 
-  let rec edge_cas cell expected desired =
-    let cur = Atomic.get cell in
-    if not (edge_eq cur expected) then false
-    else if Atomic.compare_and_set cell cur desired then true
-    else edge_cas cell expected desired
-
-  (* [edge_cas] for an unlink: the witness that [victim], the node
-     [expected] leads to, is excised. *)
-  let rec unlink s cell expected desired victim =
-    let cur = Atomic.get cell in
-    if not (edge_eq cur expected) then None
-    else
-      match Ar.unlink s cell ~seen:cur ~desired victim with
-      | None -> unlink s cell expected desired victim
-      | w -> w
-
-  (* Protect the destination of the edge in [cell]. The guard is
-     [Ar.unguarded] when the announcement slots ran out: proceed
-     unprotected (the paper's over-budget HP behaviour). *)
+  (* Protect the destination of the edge in [cell]. Its guard,
+     [Ar.guard s], is [Ar.unguarded] when the announcement slots ran
+     out: proceed unprotected (the paper's over-budget HP behaviour). *)
   let protect s cell = Ar.protect s ~ident:ident_of cell
 
   (* Read [m] through its guard, or, with none — the over-budget
@@ -121,16 +107,21 @@ module Make (S : Smr.Smr_intf.S) = struct
     g_leaf : 's Ar.guard;
   }
 
+  (* A retry releases the record's guards before it seeks again. *)
+  let release_seek s sr =
+    Ar.release s sr.g_leaf;
+    Ar.release s sr.g_par;
+    Ar.release s sr.g_anc
+
   (* One step down from internal node [n] (= [par]), toward [key]. *)
   let rec descend (s : 's Ar.scope) key anc g_anc suc n par g_par : 's seek_record =
-    let cell = if key < n.key then n.left else n.right in
-    let e, g = protect s cell in
+    let e = protect s (if key < n.key then n.left else n.right) in
     match e.dest with
     | None ->
         (* Internal nodes always have two children; a null edge
            means we read a reclaimed node on an unsafe scheme. *)
         raise (Simheap.Use_after_free "nm_tree: null child of internal node")
-    | Some m -> walk s key anc g_anc suc par g_par m g e.tag
+    | Some m -> walk s key anc g_anc suc par g_par m (Ar.guard s) e.tag
 
   and walk s key anc g_anc suc par g_par cur g_cur cur_tag =
     let n = deref s g_cur cur in
@@ -151,6 +142,38 @@ module Make (S : Smr.Smr_intf.S) = struct
     let r = c.t.root in
     descend s key r Ar.unguarded r (deref s Ar.unguarded r) r Ar.unguarded
 
+  (* Set the tag bit of the edge in [cell]. *)
+  let rec tag cell =
+    let e = Sched.Atomic.get cell in
+    if not (e.tag || Sched.Atomic.compare_and_set cell e { e with tag = true }) then tag cell
+
+  (* Retire the excised chain from [n] down to the kept sibling [stop]:
+     each chain node and the flagged leaf hanging off it, all under the
+     one witness. Exactly the loop the paper shows is easy to get wrong
+     (Fig 1a); reference counting makes it disappear (see Nm_tree_rc). *)
+  let is_stop stop d = match (d, stop) with Some a, Some b -> a == b | _ -> false
+
+  let rec retire_chain s w stop (n : node Ar.managed) =
+    if not (is_stop stop (Some n)) then begin
+      Sched.yield ();
+      let node = Ar.excised w n in
+      let el = Sched.Atomic.get node.left in
+      let er = Sched.Atomic.get node.right in
+      (* At the parent, the excised child is whichever one is not the
+         kept sibling: both may be flagged when two removals race on one
+         parent, and retiring the sibling here would free it twice once
+         its own removal completes. *)
+      let excised, next =
+        if is_stop stop er.dest then (el.dest, er.dest)
+        else if is_stop stop el.dest then (er.dest, el.dest)
+        else if el.flag then (el.dest, er.dest)
+        else (er.dest, el.dest)
+      in
+      (match excised with Some fm -> Ar.retire_excised s w fm | None -> ());
+      Ar.retire_excised s w n;
+      match next with Some m -> retire_chain s w stop m | None -> ()
+    end
+
   (* Excise the flagged chain hanging between ancestor and sibling:
      tag the sibling edge, swing the ancestor edge, and — this being
      the manual version — retire the whole chain by hand (Fig 1a).
@@ -163,82 +186,42 @@ module Make (S : Smr.Smr_intf.S) = struct
     let child_cell, sibling_cell =
       if key < par.key then (par.left, par.right) else (par.right, par.left)
     in
-    let e_child = Atomic.get child_cell in
-    let sibling_cell = if e_child.flag then sibling_cell else child_cell in
-    let rec tag_sibling () =
-      let es = Atomic.get sibling_cell in
-      if not es.tag then
-        if not (Atomic.compare_and_set sibling_cell es { es with tag = true }) then
-          tag_sibling ()
-    in
-    tag_sibling ();
-    let es = Atomic.get sibling_cell in
+    let sibling_cell = if (Sched.Atomic.get child_cell).flag then sibling_cell else child_cell in
+    tag sibling_cell;
+    let es = Sched.Atomic.get sibling_cell in
     let anc = deref s sr.g_anc sr.anc in
     let acell = if key < anc.key then anc.left else anc.right in
     Sched.yield ();
     match
-      unlink s acell
-        { dest = Some sr.suc; flag = false; tag = false }
-        { dest = es.dest; flag = es.flag; tag = false }
+      Ar.unlink s ~eq:edge_eq acell ~expected:(clean sr.suc) ~desired:{ es with tag = false }
         sr.suc
     with
     | None -> false
     | Some w ->
-        (* We won the excision: retire the successor..parent chain plus
-           the flagged leaves hanging off it, all under the one witness.
-           Exactly the loop the paper shows is easy to get wrong (Fig 1a);
-           reference counting makes it disappear (see Nm_tree_rc). *)
-        let stop = es.dest in
-        let is_stop d = match (d, stop) with Some a, Some b -> a == b | _ -> false in
-        let rec retire_chain (n : node Ar.managed) =
-          if not (is_stop (Some n)) then begin
-            Sched.yield ();
-            let node = Ar.excised w n in
-            let el = Atomic.get node.left in
-            let er = Atomic.get node.right in
-            (* At the parent, the excised child is whichever one is not
-               the kept sibling: both may be flagged when two removals
-               race on one parent, and retiring the sibling here would
-               free it twice once its own removal completes. *)
-            let excised, next =
-              if is_stop er.dest then (el.dest, er.dest)
-              else if is_stop el.dest then (er.dest, el.dest)
-              else if el.flag then (el.dest, er.dest)
-              else (er.dest, el.dest)
-            in
-            (match excised with Some fm -> Ar.retire_excised s w fm | None -> ());
-            Ar.retire_excised s w n;
-            match next with Some m -> retire_chain m | None -> ()
-          end
-        in
-        retire_chain sr.suc;
+        retire_chain s w es.dest sr.suc;
         Ar.eject c.t.ar ~pid:c.pid;
         true
 
-  exception Restart
-
-  (* Operations run in a protection scope. A retry, and a
-     Use_after_free (possible under the unsafe schemes, see header),
-     reopen a fresh one — the scope has released every guard — and the
-     Use_after_free is counted. *)
-  let rec guarded c body =
+  (* Operations run in a protection scope. A Use_after_free (possible
+     under the unsafe schemes, see header) is counted, and the operation
+     reruns in a fresh scope: the old one released every guard. *)
+  let rec rerun_on_uaf c body =
     match Ar.scope c.t.ar ~pid:c.pid body with
     | v -> v
-    | exception Restart -> guarded c body
     | exception Simheap.Use_after_free _ ->
-        ignore (Atomic.fetch_and_add c.t.uaf 1);
-        guarded c body
+        ignore (Sched.Atomic.fetch_and_add c.t.uaf 1);
+        rerun_on_uaf c body
 
   (* After losing a CAS on [cell], help the delete that beat us, if
-     any, then retry. *)
-  let help_and_retry s c key (sr : _ seek_record) cell =
-    let e = Atomic.get cell in
+     any, then release the record for the caller's retry. *)
+  let help s c key (sr : _ seek_record) cell =
+    let e = Sched.Atomic.get cell in
     (match e.dest with
     | Some m when m == sr.leaf && (e.flag || e.tag) -> ignore (cleanup s c key sr)
     | _ -> ());
-    raise Restart
+    release_seek s sr
 
-  let insert_op s c key =
+  let rec insert_op s c key =
     let sr = seek s c key in
     let leaf = deref s sr.g_leaf sr.leaf in
     if leaf.key = key then false
@@ -249,80 +232,87 @@ module Make (S : Smr.Smr_intf.S) = struct
       let ikey = max key leaf.key in
       let l, r = if key < leaf.key then (new_leaf, sr.leaf) else (sr.leaf, new_leaf) in
       let new_internal = mk_internal c.t.ar ~pid:c.pid ikey l r in
-      if edge_cas cell (clean sr.leaf) (clean new_internal) then true
-      else begin
-        Ar.discard new_leaf;
-        Ar.discard new_internal;
-        help_and_retry s c key sr cell
-      end
+      Ar.cas ~eq:edge_eq cell ~expected:(clean sr.leaf) ~desired:(clean new_internal)
+      || begin
+           Ar.discard new_leaf;
+           Ar.discard new_internal;
+           help s c key sr cell;
+           insert_op s c key
+         end
     end
 
   (* Flag the leaf's edge, then try one cleanup. The flag commits the
-     removal: if that cleanup fails, the caller retries the cleanup
-     (in fresh scopes), never the injection. *)
-  let inject s c key =
+     removal: if that cleanup fails, the caller retries the cleanup (in
+     a fresh scope, so that a Use_after_free rerun cannot repeat the
+     injection), never the injection. *)
+  let rec inject s c key =
     let sr = seek s c key in
     if (deref s sr.g_leaf sr.leaf).key <> key then `Done false
     else begin
       let par = deref s sr.g_par sr.par in
       let cell = if key < par.key then par.left else par.right in
-      if edge_cas cell (clean sr.leaf) { dest = Some sr.leaf; flag = true; tag = false } then
+      let flagged = { dest = Some sr.leaf; flag = true; tag = false } in
+      if Ar.cas ~eq:edge_eq cell ~expected:(clean sr.leaf) ~desired:flagged then
         if cleanup s c key sr then `Done true else `Flagged sr.leaf
-      else help_and_retry s c key sr cell
+      else begin
+        help s c key sr cell;
+        inject s c key
+      end
     end
 
-  let excise s c key victim =
+  (* A different leaf means someone else finished removing ours. *)
+  let rec excise s c key victim =
     let sr = seek s c key in
-    (* A different leaf means someone else finished removing ours. *)
-    sr.leaf != victim || cleanup s c key sr || raise Restart
+    sr.leaf != victim || cleanup s c key sr
+    || begin
+         release_seek s sr;
+         excise s c key victim
+       end
 
   (* Read-only descent: protects parent and current only. *)
   let rec contains_in s key g_par cur g_cur =
     let n = deref s g_cur cur in
     if is_leaf n then n.key = key
     else begin
-      let cell = if key < n.key then n.left else n.right in
-      let e, g = protect s cell in
+      let e = protect s (if key < n.key then n.left else n.right) in
       match e.dest with
       | None -> raise (Simheap.Use_after_free "nm_tree: null child of internal node")
       | Some m ->
+          let g = Ar.guard s in
           Ar.release s g_par;
           contains_in s key g_cur m g
     end
 
   (* Sequential range count over [lo, hi): DFS holding one guard per
      path node (paper Fig 11's workload). *)
-  let range_op s c lo hi =
-    let count = ref 0 in
-    let rec dfs m g =
-      let n = deref s g m in
-      if is_leaf n then begin
-        if n.key >= lo && n.key < hi && n.key < inf1 then incr count
-      end
-      else begin
-        if lo < n.key then child n.left;
-        if hi > n.key then child n.right
-      end
-    and child cell =
-      let e, g = protect s cell in
-      (match e.dest with Some m -> dfs m g | None -> ());
-      Ar.release s g
-    in
-    dfs c.t.root Ar.unguarded;
-    !count
+  let rec range_in s lo hi m g n =
+    let node = deref s g m in
+    if is_leaf node then if node.key >= lo && node.key < hi && node.key < inf1 then n + 1 else n
+    else
+      let n = if lo < node.key then range_child s lo hi node.left n else n in
+      if hi > node.key then range_child s lo hi node.right n else n
+
+  and range_child s lo hi cell n =
+    let e = protect s cell in
+    let g = Ar.guard s in
+    let n = match e.dest with Some m -> range_in s lo hi m g n | None -> n in
+    Ar.release s g;
+    n
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
 
-  let insert c key = guarded c { f = (fun s -> insert_op s c key) }
+  let insert c key = rerun_on_uaf c { f = (fun s -> insert_op s c key) }
 
   let remove c key =
-    match guarded c { f = (fun s -> inject s c key) } with
+    match rerun_on_uaf c { f = (fun s -> inject s c key) } with
     | `Done removed -> removed
-    | `Flagged victim -> guarded c { f = (fun s -> excise s c key victim) }
+    | `Flagged victim -> rerun_on_uaf c { f = (fun s -> excise s c key victim) }
 
   let contains c key =
-    guarded c { f = (fun s -> contains_in s key Ar.unguarded c.t.root Ar.unguarded) }
-  let range_query c lo hi = guarded c { f = (fun s -> range_op s c lo hi) }
+    rerun_on_uaf c { f = (fun s -> contains_in s key Ar.unguarded c.t.root Ar.unguarded) }
+
+  let range_query c lo hi =
+    rerun_on_uaf c { f = (fun s -> range_in s lo hi c.t.root Ar.unguarded 0) }
   let flush c = Ar.flush c.t.ar ~pid:c.pid
 
   let size t =
@@ -330,7 +320,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       let n = Ar.quiescent m in
       if is_leaf n then if n.key < inf1 then 1 else 0
       else
-        let l = (Atomic.get n.left).dest and r = (Atomic.get n.right).dest in
+        let l = (Sched.Atomic.get n.left).dest and r = (Sched.Atomic.get n.right).dest in
         (match l with Some x -> go x | None -> 0)
         + (match r with Some x -> go x | None -> 0)
     in
@@ -343,8 +333,8 @@ module Make (S : Smr.Smr_intf.S) = struct
   let teardown t =
     let rec free_rec m =
       let n = Ar.quiescent m in
-      (match (Atomic.get n.left).dest with Some x -> free_rec x | None -> ());
-      (match (Atomic.get n.right).dest with Some x -> free_rec x | None -> ());
+      (match (Sched.Atomic.get n.left).dest with Some x -> free_rec x | None -> ());
+      (match (Sched.Atomic.get n.right).dest with Some x -> free_rec x | None -> ());
       if Ar.is_live m then Ar.discard m
     in
     free_rec t.root;

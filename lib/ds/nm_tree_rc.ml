@@ -28,7 +28,7 @@ module Make (R : Cdrc.Intf.S) = struct
   let inf2 = max_int
   let inf1 = max_int - 1
 
-  type t = { rt : R.rt; root : node R.shared; uaf : int Atomic.t }
+  type t = { rt : R.rt; root : node R.shared }
   type ctx = { t : t; th : R.thr }
 
   let destroy th (v : node) =
@@ -50,10 +50,10 @@ module Make (R : Cdrc.Intf.S) = struct
     let s = mk_internal th inf1 (R.Shared.ptr l_inf1) (R.Shared.ptr l_inf2a) in
     let r = mk_internal th inf2 (R.Shared.ptr s) (R.Shared.ptr l_inf2b) in
     List.iter (R.Shared.drop th) [ l_inf1; l_inf2a; l_inf2b; s ];
-    { rt; root = r; uaf = Atomic.make 0 }
+    { rt; root = r }
 
   let ctx t pid = { t; th = R.thread t.rt pid }
-  let uaf_events t = Atomic.get t.uaf
+  let uaf_events _ = 0
   let is_leaf (n : node) = R.Ptr.is_null (R.Asp.unsafe_ptr n.left)
 
   (* Seek record: snapshots pin ancestor, parent, and leaf; the

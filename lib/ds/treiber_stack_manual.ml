@@ -16,74 +16,51 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   type node = { value : int; next : node Ar.managed option }
 
-  type t = { ar : Ar.t; top : node Ar.managed option Atomic.t }
-  type ctx = { t : t; pid : int; bo : Repro_util.Backoff.t }
+  type t = { ar : Ar.t; top : node Ar.managed option Sched.Atomic.t }
+  type ctx = { t : t; pid : int }
 
   let create ?slots_per_thread ?epoch_freq ~max_threads () =
-    { ar = Ar.create ?slots_per_thread ?epoch_freq ~max_threads (); top = Atomic.make None }
+    { ar = Ar.create ?slots_per_thread ?epoch_freq ~max_threads (); top = Sched.Atomic.make None }
 
-  (* Jittered backoff (seeded per thread) for the slot-exhaustion
-     retry: threads that run out of HP/HE announcement slots together
-     must not retry in lockstep. *)
-  let ctx t pid =
-    { t; pid; bo = Repro_util.Backoff.create ~rng:(Repro_util.Rng.create ~seed:(0x5eed + pid)) () }
+  let ctx t pid = { t; pid }
   let ident_of = function None -> Ident.null | Some m -> Ident.of_val m
 
-  let rec link_cas cell expected desired =
-    let cur = Atomic.get cell in
-    let eq =
-      match (cur, expected) with
-      | None, None -> true
-      | Some a, Some b -> a == b
-      | _ -> false
-    in
-    if not eq then false
-    else if Atomic.compare_and_set cell cur desired then true
-    else link_cas cell expected desired
-
+  (* Each node is pushed in one [Some] box, which links to it from
+     [top] and from the node above, so the CASes compare links
+     physically. *)
   let rec push_in c v =
-    let top = Atomic.get c.t.top in
+    let top = Sched.Atomic.get c.t.top in
     let m = Ar.alloc c.t.ar ~pid:c.pid { value = v; next = top } in
-    if not (link_cas c.t.top top (Some m)) then begin
+    if not (Sched.Atomic.compare_and_set c.t.top top (Some m)) then begin
       Ar.discard m;
       push_in c v
     end
 
   let push c v = Ar.scope c.t.ar ~pid:c.pid { f = (fun _ -> push_in c v) }
 
-  let rec pop_in s c attempts =
-    let top, g = Ar.protect s ~ident:ident_of c.t.top in
-    if not (Ar.guarded g) then
-      (* Slots exhausted (HP/HE): back off with jitter and retry — a
-         concurrent releaser or a woken stalled guard may free one —
-         before declaring the budget truly blown. *)
-      if attempts >= 16 then failwith "treiber_stack: out of announcement slots"
-      else begin
-        Repro_util.Backoff.once c.bo;
-        pop_in s c (attempts + 1)
-      end
-    else begin
-      Repro_util.Backoff.reset c.bo;
-      match top with
-      | None -> None
-      | Some m -> (
-          let node = Ar.get s g m in
-          (* Each node is pushed in one [Some] box, so the CAS on the
-             value [protect] read needs no structural retry. *)
-          match Ar.unlink s c.t.top ~seen:top ~desired:node.next m with
-          | Some w ->
-              (* [retire_free] releases [g] before retiring, so the
-                 retire's scan no longer sees our own announcement of
-                 the popped node. *)
-              Ar.retire_free s w g;
-              Ar.eject c.t.ar ~pid:c.pid;
-              Some node.value
-          | None ->
-              Ar.release s g;
-              pop_in s c 0)
-    end
+  let rec pop_in s c =
+    let top = Ar.protect s ~ident:ident_of c.t.top in
+    let g = Ar.guard s in
+    (* A pop holds one guard at a time, and every pid's pool holds at
+       least one slot. *)
+    if not (Ar.guarded g) then failwith "treiber_stack: out of announcement slots";
+    match top with
+    | None -> None
+    | Some m -> (
+        let node = Ar.get s g m in
+        match Ar.unlink s ~eq:( == ) c.t.top ~expected:top ~desired:node.next m with
+        | Some w ->
+            (* [retire_free] releases [g] before retiring, so the
+               retire's scan no longer sees our own announcement of
+               the popped node. *)
+            Ar.retire_free s w g;
+            Ar.eject c.t.ar ~pid:c.pid;
+            Some node.value
+        | None ->
+            Ar.release s g;
+            pop_in s c)
 
-  let pop c = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> pop_in s c 0) }
+  let pop c = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> pop_in s c) }
 
   let flush c = Ar.flush c.t.ar ~pid:c.pid
 
@@ -93,7 +70,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Quiescent helpers *)
   let size t =
     let rec go acc = function None -> acc | Some m -> go (acc + 1) (Ar.quiescent m).next in
-    go 0 (Atomic.get t.top)
+    go 0 (Sched.Atomic.get t.top)
 
   let live_objects t = Simheap.live (Ar.heap t.ar)
   let retired_backlog t = Ar.total_pending t.ar
@@ -107,7 +84,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           if Ar.is_live m then Ar.discard m;
           go next
     in
-    go (Atomic.get t.top);
-    Atomic.set t.top None;
+    go (Sched.Atomic.get t.top);
+    Sched.Atomic.set t.top None;
     Ar.quiesce t.ar
 end

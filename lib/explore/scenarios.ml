@@ -218,7 +218,8 @@ module Slots (S : Smr.Smr_intf.S with type t = Smr.Hp.t) = struct
     in
     let eject () = Ar.eject ~force:true ar ~pid:1 in
     let read s =
-      let m, g = Ar.protect s ~ident:Ar.ident loc in
+      let m = Ar.protect s ~ident:Ar.ident loc in
+      let g = Ar.guard s in
       if not (Ar.guarded g) then failwith "out of announcement slots";
       let id = id_of m in
       if Sched.Atomic.plain (fun () -> Smr.Hp.is_announced ar.Ar.smr (Ar.ident m)) then

@@ -31,7 +31,7 @@ open Ppxlib
 let rules : (string * string) list =
   [
     ( "R1",
-      "raw-atomic: every atomic in lib/{sticky,core,smr,acquire_retire} and \
+      "raw-atomic: every atomic in lib/{sticky,core,smr,acquire_retire,ds} and \
        lib/util/padded.ml goes through Sched.Atomic" );
     ( "R4",
       "unsafe-escape: Obj.magic/Obj.repr/Obj.obj forbidden outside \
@@ -77,7 +77,7 @@ let roles_of ~allow_unsafe path =
   let has d = List.mem d dirs in
   {
     protocol =
-      List.exists has [ "sticky"; "core"; "smr"; "acquire_retire" ]
+      List.exists has [ "sticky"; "core"; "smr"; "acquire_retire"; "ds" ]
       || (has "util" && String.equal base "padded.ml");
     obs_smr = has "obs" || has "smr";
     unsafe_allowed = List.exists (fun entry -> suffix_matches ~entry path) allow_unsafe;

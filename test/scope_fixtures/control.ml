@@ -12,11 +12,12 @@ let value =
     {
       f =
         (fun s ->
-          let m, g = Ar.protect s ~ident:Ar.ident cell in
+          let m = Ar.protect s ~ident:Ar.ident cell in
+          let g = Ar.guard s in
           if not (Ar.guarded g) then None
           else
             let v = Ar.get s g m in
-            match Ar.unlink s cell ~seen:m ~desired:next m with
+            match Ar.unlink s ~eq:( == ) cell ~expected:m ~desired:next m with
             | Some w ->
                 Ar.retire_free s w g;
                 Some v

@@ -11,6 +11,7 @@ let escaped =
     {
       f =
         (fun s ->
-          let _, g = Ar.protect s ~ident:Ar.ident cell in
+          ignore (Ar.protect s ~ident:Ar.ident cell);
+          let g = Ar.guard s in
           g);
     }

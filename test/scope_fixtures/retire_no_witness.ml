@@ -11,6 +11,7 @@ let () =
     {
       f =
         (fun s ->
-          let m, g = Ar.protect s ~ident:Ar.ident cell in
+          let m = Ar.protect s ~ident:Ar.ident cell in
+          let g = Ar.guard s in
           Ar.retire_free s m g);
     }

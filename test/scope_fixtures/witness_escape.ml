@@ -13,5 +13,5 @@ let escaped =
       f =
         (fun s ->
           let m = Atomic.get cell in
-          Ar.unlink s cell ~seen:m ~desired:next m);
+          Ar.unlink s ~eq:( == ) cell ~expected:m ~desired:next m);
     }

@@ -21,7 +21,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
             let seen = Atomic.get cell in
             Option.iter
               (fun w -> Ar.retire_free s w Ar.unguarded)
-              (Ar.unlink s cell ~seen ~desired:None m));
+              (Ar.unlink s ~eq:( == ) cell ~expected:seen ~desired:None m));
       }
 
   let birth_tags_monotone () =
@@ -88,7 +88,8 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       {
         f =
           (fun s ->
-            let v, g = Ar.protect s ~ident:Ar.ident cell in
+            let v = Ar.protect s ~ident:Ar.ident cell in
+            let g = Ar.guard s in
             if not (Ar.guarded g) then Alcotest.fail "unexpected exhaustion with free slots";
             Alcotest.(check int) "value" 1 (Ar.get s g v);
             Ar.release s g);
@@ -113,7 +114,9 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
             (fun s ->
               List.length
                 (List.filter
-                   (fun _ -> Ar.guarded (snd (Ar.protect s ~ident:Ar.ident cell)))
+                   (fun _ ->
+                     ignore (Ar.protect s ~ident:Ar.ident cell);
+                     Ar.guarded (Ar.guard s))
                    [ 1; 2; 3 ]));
         }
     in
@@ -150,8 +153,10 @@ module T_ptb = Make_tests (Smr.Ptb)
 module Hp_ar = Acquire_retire.Make (Smr.Hp)
 
 let hold_both s a b =
-  let _, ga = Hp_ar.protect s ~ident:Hp_ar.ident a in
-  let _, gb = Hp_ar.protect s ~ident:Hp_ar.ident b in
+  ignore (Hp_ar.protect s ~ident:Hp_ar.ident a);
+  let ga = Hp_ar.guard s in
+  ignore (Hp_ar.protect s ~ident:Hp_ar.ident b);
+  let gb = Hp_ar.guard s in
   if not (Hp_ar.guarded ga && Hp_ar.guarded gb) then Alcotest.fail "both slots should be free"
 
 let two_slot_cells () =
@@ -246,7 +251,7 @@ let crash_propagates_unwrapped () =
         (fun s ->
           Option.iter
             (fun w -> Ar.retire_free s w Ar.unguarded)
-            (Ar.unlink s cell ~seen:m ~desired:m' m));
+            (Ar.unlink s ~eq:( == ) cell ~expected:m ~desired:m' m));
     };
   Ar.flush ar ~pid:1;
   Alcotest.(check bool) "announcement dropped" false (Ar.is_live m)
@@ -277,9 +282,10 @@ module Guard_tests (S : Smr.Smr_intf.S) = struct
       {
         f =
           (fun s ->
-            let m, g = Ar.protect s ~ident:Ar.ident cell in
+            let m = Ar.protect s ~ident:Ar.ident cell in
+            let g = Ar.guard s in
             Alcotest.(check int) "read through the live guard" 1 (Ar.get s g m);
-            match Ar.unlink s cell ~seen:m ~desired:m' m with
+            match Ar.unlink s ~eq:( == ) cell ~expected:m ~desired:m' m with
             | None -> Alcotest.fail "the unlink CAS should succeed"
             | Some w ->
                 Ar.retire_free s w g;
@@ -296,12 +302,15 @@ module Guard_tests (S : Smr.Smr_intf.S) = struct
       {
         f =
           (fun s ->
-            let a, ga = Ar.protect s ~ident:Ar.ident cell in
-            let b, gb = Ar.protect s ~ident:Ar.ident cell in
+            let a = Ar.protect s ~ident:Ar.ident cell in
+            let ga = Ar.guard s in
+            let b = Ar.protect s ~ident:Ar.ident cell in
+            let gb = Ar.guard s in
             Ar.release s ga;
             stale (fun () -> Ar.get s ga a);
             Alcotest.(check int) "the other guard still reads" 7 (Ar.get s gb b);
-            let c, gc = Ar.protect s ~ident:Ar.ident cell in
+            let c = Ar.protect s ~ident:Ar.ident cell in
+            let gc = Ar.guard s in
             stale (fun () -> Ar.release s ga);
             Alcotest.(check int) "a reused slot's guard reads" 7 (Ar.get s gc c));
       }
@@ -329,9 +338,11 @@ let stale_release_keeps_protection () =
       {
         f =
           (fun s ->
-            let _, g1 = Hp_ar.protect s ~ident:Hp_ar.ident c1 in
+            ignore (Hp_ar.protect s ~ident:Hp_ar.ident c1);
+            let g1 = Hp_ar.guard s in
             Hp_ar.release s g1;
-            let m, g2 = Hp_ar.protect s ~ident:Hp_ar.ident c2 in
+            let m = Hp_ar.protect s ~ident:Hp_ar.ident c2 in
+            let g2 = Hp_ar.guard s in
             (match Hp_ar.release s g1 with
             | () -> Alcotest.fail "expected the stale release to raise"
             | exception Invalid_argument _ -> ());
@@ -342,7 +353,7 @@ let stale_release_keeps_protection () =
                   (fun s1 ->
                     Option.iter
                       (fun w -> Hp_ar.retire_free s1 w Hp_ar.unguarded)
-                      (Hp_ar.unlink s1 c2 ~seen:m ~desired:m' m));
+                      (Hp_ar.unlink s1 ~eq:( == ) c2 ~expected:m ~desired:m' m));
               };
             Hp_ar.eject ~force:true ar ~pid:1;
             Alcotest.(check int) "still protected" 2 (Hp_ar.get s g2 m);
@@ -422,7 +433,8 @@ module Queue_tests (S : Smr.Smr_intf.S) = struct
             (fun s ->
               let unlink cell =
                 match Atomic.get cell with
-                | Some m as seen -> Option.get (Ar.unlink s cell ~seen ~desired:None m)
+                | Some m as seen ->
+                    Option.get (Ar.unlink s ~eq:( == ) cell ~expected:seen ~desired:None m)
                 | None -> assert false
               in
               let ws = Array.map unlink cells in
@@ -574,7 +586,7 @@ let hyaline_backlog_exact () =
             let seen = Atomic.get cell in
             Option.iter
               (fun w -> Ar.retire_free s w Ar.unguarded)
-              (Ar.unlink s cell ~seen ~desired:None m));
+              (Ar.unlink s ~eq:( == ) cell ~expected:seen ~desired:None m));
       }
   done;
   Alcotest.(check int) "backlog" 10 (Ar.total_pending ar);

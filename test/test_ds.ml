@@ -165,6 +165,7 @@ module Lr_hp = Ds.Hm_list_rc.Make (RC_hp)
 module H_ebr = Ds.Hash_table_manual.Make (Smr.Ebr)
 module Hr_ebr = Ds.Hash_table_rc.Make (RC_ebr)
 module T_ebr = Ds.Nm_tree_manual.Make (Smr.Ebr)
+module T_hp = Ds.Nm_tree_manual.Make (Smr.Hp)
 module T_hyaline = Ds.Nm_tree_manual.Make (Smr.Hyaline)
 module Tr_ebr = Ds.Nm_tree_rc.Make (RC_ebr)
 module Tr_hp = Ds.Nm_tree_rc.Make (RC_hp)
@@ -555,10 +556,12 @@ let test_list_mark_then_help () =
   | r -> Alcotest.failf "dfs: %a" Sched.pp_result r
 
 (* The Fig 13a list's own code under the DFS explorer (≤ 2
-   preemptions), on the yield of its search, which the KV store's
-   buckets share: two fibers race on neighbouring keys, each history
-   must linearize against the sequential set model, the final size is
-   the one every linearization ends with, and teardown leaks nothing. *)
+   preemptions), on the yields of its search and remove: the RC list's
+   search, which the KV store's buckets share, yields once per hop, the
+   manual list's before each unlink. Two fibers race on neighbouring
+   keys, each history must linearize against the sequential set model,
+   the final size is the one every linearization ends with, and
+   teardown leaks nothing. *)
 type set_op = Ins of int | Rem of int
 
 let set_model st = function
@@ -569,7 +572,7 @@ let pp_set_op ppf = function
   | Ins k -> Format.fprintf ppf "insert %d" k
   | Rem k -> Format.fprintf ppf "remove %d" k
 
-let rc_list_race (module D : Ds.Set_intf.S) ~prefill ~final ops () =
+let list_race (module D : Ds.Set_intf.S) ~prefill ~final ops () =
   let t = D.create ~max_threads:3 () in
   let c0 = D.ctx t 0 in
   List.iter (fun k -> ignore (D.insert c0 k)) prefill;
@@ -599,9 +602,9 @@ let rc_list_race (module D : Ds.Set_intf.S) ~prefill ~final ops () =
   }
 
 (* Each race's schedule count is pinned: these scenarios schedule only
-   at yields, and the search yields once per hop, so a count that moves
-   means the search's hops changed. *)
-let test_rc_list_races (module D : Ds.Set_intf.S) () =
+   at yields, so a count that moves means the walks' yields changed.
+   [counts] are the two races' counts. *)
+let test_list_races (module D : Ds.Set_intf.S) ~counts:(ins_rem, rem_rem) () =
   List.iter
     (fun (label, expected, scenario) ->
       match Sched.explore_dfs ~max_preemptions:2 ~max_schedules:200_000 scenario with
@@ -610,10 +613,12 @@ let test_rc_list_races (module D : Ds.Set_intf.S) () =
     [
       (* Insert 2 behind node 1 while 1 is removed: the insert's CAS on
          1's [next] must fail once 1 is marked. *)
-      ("insert || remove", 9, rc_list_race (module D) ~prefill:[ 1; 3 ] ~final:2 [ Rem 1; Ins 2 ]);
+      ( "insert || remove",
+        ins_rem,
+        list_race (module D) ~prefill:[ 1; 3 ] ~final:2 [ Rem 1; Ins 2 ] );
       ( "remove || remove",
-        19,
-        rc_list_race (module D) ~prefill:[ 1; 2; 3 ] ~final:1 [ Rem 2; Rem 3 ] );
+        rem_rem,
+        list_race (module D) ~prefill:[ 1; 2; 3 ] ~final:1 [ Rem 2; Rem 3 ] );
     ]
 
 (* A read hop allocates its snapshot and nothing else: the chain and
@@ -648,6 +653,33 @@ let read_hop_allocation_pinned () =
   check (module Lr_ebr) "list" ~per_call:0;
   check (module Tr_ebr) "tree" ~per_call:0
 
+(* A manual read hop allocates nothing: [Ar.protect] returns the value
+   and leaves its guard in the scope state, and the walks pass on the
+   node a link leads to, never a rebuilt link. So a [contains] on a
+   built manual structure allocates the same words for every key, however
+   many hops it walks: its scope body's closure. *)
+let manual_read_hop_allocation_pinned () =
+  let check (module D : Ds.Set_intf.S) label ~per_call =
+    let d = D.create ~max_threads:1 () in
+    let c = D.ctx d 0 in
+    for k = 0 to 31 do
+      ignore (D.insert c (2 * k))
+    done;
+    for key = -1 to 64 do
+      let w0 = Gc.minor_words () in
+      ignore (D.contains c key);
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int)
+        (Printf.sprintf "%s contains %d: words per call" label key)
+        per_call (int_of_float words)
+    done;
+    D.teardown d
+  in
+  check (module L_ebr) "list/EBR" ~per_call:6;
+  check (module L_hp) "list/HP" ~per_call:6;
+  check (module T_ebr) "tree/EBR" ~per_call:7;
+  check (module T_hp) "tree/HP" ~per_call:7
+
 let () =
   Alcotest.run "ds"
     [
@@ -681,17 +713,28 @@ let () =
         [
           Alcotest.test_case "remove || remove on neighbouring keys (EBR)" `Quick
             test_list_mark_then_help;
+          Alcotest.test_case "insert || remove, remove || remove on neighbouring keys (EBR)"
+            `Quick
+            (test_list_races (module L_ebr) ~counts:(4, 7));
+          Alcotest.test_case "insert || remove, remove || remove on neighbouring keys (HP)"
+            `Quick
+            (test_list_races (module L_hp) ~counts:(4, 7));
         ]
       );
       ( "read hops",
-        [ Alcotest.test_case "read hop allocation pinned (RCEBR)" `Quick read_hop_allocation_pinned ]
-      );
+        [
+          Alcotest.test_case "read hop allocation pinned (RCEBR)" `Quick read_hop_allocation_pinned;
+          Alcotest.test_case "manual read hop allocation pinned (EBR, HP)" `Quick
+            manual_read_hop_allocation_pinned;
+        ] );
       ( "list rc explore",
         [
           Alcotest.test_case "insert || remove, remove || remove on neighbouring keys (RCEBR)"
-            `Quick (test_rc_list_races (module Lr_ebr));
+            `Quick
+            (test_list_races (module Lr_ebr) ~counts:(9, 19));
           Alcotest.test_case "insert || remove, remove || remove on neighbouring keys (RCHP)"
-            `Quick (test_rc_list_races (module Lr_hp));
+            `Quick
+            (test_list_races (module Lr_hp) ~counts:(9, 19));
         ]
       );
     ]

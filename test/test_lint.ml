@@ -19,6 +19,7 @@ let test_bad_files () =
   check_rules "core/bad_r1_counter.ml" [ "R1"; "R1" ];
   check_rules "core/bad_r1_open.ml" [ "R1" ];
   check_rules "smr/bad_r1_stdlib.ml" [ "R1" ];
+  check_rules "ds/bad_r1_raw_get.ml" [ "R1" ];
   check_rules "bad_r4_obj_magic.ml" [ "R4" ];
   check_rules "obs/bad_r6_counter.ml" [ "R6"; "R6" ]
 
@@ -38,7 +39,7 @@ let test_suppression_site_granular () =
 
 let test_corpus_total () =
   let fs = Lint.lint_paths [ "lint_fixtures" ] in
-  Alcotest.(check int) "total corpus findings" 7 (List.length fs)
+  Alcotest.(check int) "total corpus findings" 8 (List.length fs)
 
 let test_allowlist_gates_r4 () =
   let src = "let key x = Obj.repr x\n" in

@@ -183,7 +183,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
           (fun s ->
             let rec go () =
               let old = Atomic.get cell in
-              match Ar.unlink s cell ~seen:old ~desired:nu old with
+              match Ar.unlink s ~eq:( == ) cell ~expected:old ~desired:nu old with
               | Some w -> Ar.retire_free s w Ar.unguarded
               | None -> go ()
             in
@@ -205,7 +205,8 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       {
         f =
           (fun s ->
-            let m, g = Ar.protect s ~ident:Ar.ident stale in
+            let m = Ar.protect s ~ident:Ar.ident stale in
+            let g = Ar.guard s in
             match Ar.get s g m with
             | _ -> Alcotest.fail "expected Use_after_free"
             | exception Simheap.Use_after_free _ -> ());
@@ -222,7 +223,8 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
         {
           f =
             (fun s ->
-              let v, g = Ar.protect s ~ident:Ar.ident cell in
+              let v = Ar.protect s ~ident:Ar.ident cell in
+              let g = Ar.guard s in
               if not (Ar.guarded g) then Alcotest.fail "unexpected exhaustion with free slots";
               Alcotest.(check int) "read value" 1 (Ar.get s g v);
               (* Writer swaps in a new object and retires the old one. *)
@@ -266,7 +268,8 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
             {
               f =
                 (fun s ->
-                  let v, g = Ar.protect s ~ident:Ar.ident cells.(slot) in
+                  let v = Ar.protect s ~ident:Ar.ident cells.(slot) in
+                  let g = Ar.guard s in
                   if not (Ar.guarded g) then failwith "slots exhausted with one guard held";
                   ignore (Sys.opaque_identity (Ar.get s g v));
                   Ar.release s g);

@@ -1,5 +1,5 @@
 (* Tests for the utility library: RNG determinism and distribution
-   sanity, padded array semantics, backoff behaviour, statistics. *)
+   sanity, padded array semantics, statistics. *)
 
 open Repro_util
 
@@ -99,51 +99,6 @@ let test_padded_parallel_disjoint () =
     Alcotest.(check int) "final value" 10_000 (Padded.get p i)
   done
 
-let test_backoff_progresses () =
-  let b = Backoff.create ~min:1 ~max:8 () in
-  (* Just exercise it; semantic check is that it terminates quickly. *)
-  for _ = 1 to 20 do
-    Backoff.once b
-  done;
-  Backoff.reset b;
-  Backoff.once b;
-  Alcotest.(check pass) "backoff terminates" () ()
-
-let test_backoff_doubles_and_caps () =
-  let b = Backoff.create ~min:1 ~max:16 () in
-  let expected = [ 1; 2; 4; 8; 16; 16; 16 ] in
-  List.iter
-    (fun e ->
-      Alcotest.(check int) "spin count" e (Backoff.current b);
-      Backoff.once b)
-    expected
-
-let test_backoff_reset () =
-  let b = Backoff.create ~min:2 ~max:64 () in
-  for _ = 1 to 10 do
-    Backoff.once b
-  done;
-  Alcotest.(check int) "saturated at max" 64 (Backoff.current b);
-  Backoff.reset b;
-  Alcotest.(check int) "reset to min" 2 (Backoff.current b)
-
-let test_backoff_jitter_deterministic () =
-  (* Jitter draws from the supplied RNG, so the same seed must give the
-     same schedule, and the nominal doubling/cap must be unaffected. *)
-  let run seed =
-    let b = Backoff.create ~min:1 ~max:8 ~rng:(Rng.create ~seed) () in
-    List.init 12 (fun _ ->
-        let c = Backoff.current b in
-        Backoff.once b;
-        c)
-  in
-  Alcotest.(check (list int)) "same seed, same schedule" (run 99) (run 99);
-  let b = Backoff.create ~min:1 ~max:8 ~rng:(Rng.create ~seed:1) () in
-  for _ = 1 to 10 do
-    Backoff.once b
-  done;
-  Alcotest.(check int) "jitter does not change the cap" 8 (Backoff.current b)
-
 let feq what a b = Alcotest.(check (float 1e-9)) what a b
 
 let test_stats_mean_stddev () =
@@ -226,13 +181,6 @@ let () =
           Alcotest.test_case "cas" `Quick test_padded_cas;
           Alcotest.test_case "fold" `Quick test_padded_fold;
           Alcotest.test_case "parallel disjoint slots" `Quick test_padded_parallel_disjoint;
-        ] );
-      ( "backoff",
-        [
-          Alcotest.test_case "progresses" `Quick test_backoff_progresses;
-          Alcotest.test_case "doubles and caps" `Quick test_backoff_doubles_and_caps;
-          Alcotest.test_case "reset" `Quick test_backoff_reset;
-          Alcotest.test_case "jitter deterministic" `Quick test_backoff_jitter_deterministic;
         ] );
       ( "stats",
         [

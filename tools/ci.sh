@@ -63,6 +63,18 @@ guards=$(cat <<'EOF'
   allow lib/ds/nm_tree_manual.ml lib/acquire_retire/acquire_retire.ml
   grep  get_unguarded
   eg    let n = S.get_unguarded s cell in
+== manual walks: a manual structure retries by tail call with its cursor as arguments, like its RC twin; no exception unwinds a scope to restart it (DESIGN.md §3)
+  in    lib/ds
+  grep  exception Restart
+  eg    exception Restart
+== manual walks: protect returns the value alone and leaves its guard in the scope, so a hop allocates no pair (DESIGN.md §3)
+  in    lib/ds
+  grep  , *[a-z_']+\)?( as [a-z_]+\))? = ([A-Z][A-Za-z_]*\.)?protect\b
+  eg    let ((_, g) as p) = Ar.protect s ~ident:ident_of cell in
+== manual walks: Acquire_retire's one logical CAS, beside its unlink, serves every structure (DESIGN.md §3)
+  in    lib/ds
+  grep  let rec (link|edge|cas)_(cas|link)\b
+  eg    let rec edge_cas cell expected desired =
 == one reclamation runtime: only Acquire_retire drives a scheme's reclamation API (DESIGN.md §3)
   in    lib/core lib/ds
   grep  \bS\.(retire|eject|drain_all|retired_count|abandon|reclamation_frontier|knobs|force_advance|confirm)\b
