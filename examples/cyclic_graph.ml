@@ -73,6 +73,18 @@ module Weak_tree = struct
         (R.Shared.get n).children;
     n
 
+  (* Walk down the first children to a leaf through strong loads. *)
+  let rec leftmost th (n : node R.shared) =
+    let child = R.Asp.load th (R.Shared.get n).children.(0) in
+    if R.Shared.is_null child then begin
+      R.Shared.drop th child;
+      n
+    end
+    else begin
+      R.Shared.drop th n;
+      leftmost th child
+    end
+
   (* Walk up from any node to the root through weak upgrades. *)
   let rec root_of th (n : node R.shared) =
     let w = R.Awp.load th (R.Shared.get n).parent in
@@ -88,16 +100,29 @@ module Weak_tree = struct
     end
 end
 
-let () =
-  let nodes = ((fanout * fanout * fanout * fanout) + 64) * 2 in
-  ignore nodes;
+(* The section bodies: top-level functions of the thread and the tree's
+   depth, which [R.critically th f th depth] runs in the thread's
+   critical section. *)
+let build_and_drop th d =
+  let root = Strong_tree.build th d R.Ptr.null in
+  R.Shared.drop th root
 
+(* Navigate: pick the leftmost leaf, climb back to the root. *)
+let build_and_climb th d =
+  let root = Weak_tree.build th d R.Ptr.null in
+  let leaf = Weak_tree.leftmost th (R.Shared.copy th root) in
+  let top = Weak_tree.root_of th (R.Shared.copy th leaf) in
+  Printf.printf "weak parent links: leaf id=%d climbs to root id=%d\n"
+    (R.Shared.get leaf).Weak_tree.id (R.Shared.get top).Weak_tree.id;
+  R.Shared.drop th top;
+  R.Shared.drop th leaf;
+  R.Shared.drop th root
+
+let () =
   (* A: strong cycles leak. *)
   let rt_a = R.create ~max_threads:1 () in
   let th_a = R.thread rt_a 0 in
-  R.critically th_a (fun () ->
-      let root = Strong_tree.build th_a depth R.Ptr.null in
-      R.Shared.drop th_a root);
+  R.critically th_a build_and_drop th_a depth;
   R.quiesce rt_a;
   Printf.printf "strong parent links: built %d nodes, %d still live after dropping root \
                  (leaked: reference cycles)\n"
@@ -106,30 +131,7 @@ let () =
   (* B: weak parent links collect. *)
   let rt_b = R.create ~max_threads:1 () in
   let th_b = R.thread rt_b 0 in
-  R.critically th_b (fun () ->
-      let root = Weak_tree.build th_b depth R.Ptr.null in
-      (* Navigate: pick the leftmost leaf, climb back to the root. *)
-      let rec leftmost th n =
-        let cell = (R.Shared.get n).Weak_tree.children.(0) in
-        let child = R.Asp.load th cell in
-        if R.Shared.is_null child then begin
-          R.Shared.drop th child;
-          n
-        end
-        else begin
-          R.Shared.drop th n;
-          leftmost th child
-        end
-      in
-      let leaf = leftmost th_b (R.Shared.copy th_b root) in
-      Printf.printf "weak parent links: leaf id=%d climbs to root id=%d\n"
-        (R.Shared.get leaf).Weak_tree.id
-        (let r = Weak_tree.root_of th_b (R.Shared.copy th_b leaf) in
-         let id = (R.Shared.get r).Weak_tree.id in
-         R.Shared.drop th_b r;
-         id);
-      R.Shared.drop th_b leaf;
-      R.Shared.drop th_b root);
+  R.critically th_b build_and_climb th_b depth;
   R.quiesce rt_b;
   Printf.printf "weak parent links: built %d nodes, %d still live after dropping root \
                  (collected)\n"

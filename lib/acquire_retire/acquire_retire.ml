@@ -244,8 +244,11 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* The scope's entry, behind {!Scope.protect}: {!acquire_fresh} on a
      slot of the scope's own. Under a trivial confirm the section
      protects the read, so it announces nothing to confirm and reads
-     the cell once. *)
+     the cell once. Outside the pid's section it raises
+     [Invalid_argument]: nothing would protect the read, and no exit
+     would release the guard. *)
   let acquire_own s ~ident cell =
+    if not s.opened then invalid_arg "Acquire_retire.protect: the pid's section is closed";
     if S.confirm_is_trivial then begin
       let g = fresh s Smr.Ident.null in
       s.last <- hold s (own_slot s g) g;
@@ -287,12 +290,13 @@ module Make (S : Smr.Smr_intf.S) = struct
       node, carrying the three pointer life-cycle obligations of manual
       SMR (Meyer–Wolff) in its types:
 
-      - {e Release what you announced}: [scope t ~pid { f }] opens the
-        pid's section, runs [f] on a fresh scope, and on every exit —
-        normal or exceptional — closes the section, releasing each
-        guard still held exactly once. The body's type
-        [{ f : 's. 's scope -> 'a }] is rank-2: [f] must work for every
-        ['s], so ['s] cannot occur in ['a], and neither a guard, nor an
+      - {e Release what you announced}: [scope t ~pid { f } a b] opens
+        the pid's section, runs [f s a b] on a fresh scope [s], and on
+        every exit — normal or exceptional — closes the section,
+        releasing each guard still held exactly once. The body's type
+        [{ f : 's. 's scope -> 'a -> 'b -> 'r }] is rank-2: [f] must
+        work for every ['s], so ['s] cannot occur in ['r], and neither a
+        guard, nor an
         unlink witness, nor anything typed by its scope can be returned
         from the body or stored where the body's caller sees it
         (test/scope_fixtures pins this with programs that must fail to
@@ -323,7 +327,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     type 's scope
     type 's guard
     type ('s, 'a) unlinked
-    type 'a body = { f : 's. 's scope -> 'a } [@@unboxed]
+    type ('a, 'b, 'r) body = { f : 's. 's scope -> 'a -> 'b -> 'r } [@@unboxed]
+    (** A section body over the operation's context ['a] and its input
+        ['b]: [{ f = op }] of a top-level [op] allocates nothing. *)
 
     val alloc : t -> pid:int -> 'a -> 'a managed
     val ident : 'a managed -> Smr.Ident.t
@@ -346,7 +352,11 @@ module Make (S : Smr.Smr_intf.S) = struct
         counts, and its never-retired root sentinel. No other structure
         may call it (tools/ci.sh). *)
 
-    val scope : t -> pid:int -> 'a body -> 'a
+    val scope : t -> pid:int -> ('a, 'b, 'r) body -> 'a -> 'b -> 'r
+    (** [scope t ~pid body a b] runs [body.f s a b] in the pid's section.
+        A body that takes more arguments returns a partial application,
+        whose rest would run after the section closed: its first
+        {!protect} raises [Invalid_argument]. *)
 
     val protect : 's scope -> ident:('v -> Smr.Ident.t) -> 'v Sched.Atomic.t -> 'v
     (** The two-phase announce/confirm protocol of [Smr.Smr_intf] on
@@ -355,7 +365,8 @@ module Make (S : Smr.Smr_intf.S) = struct
         returns the value and leaves the guard that covers it to
         {!guard}, so that it allocates nothing. When the announcement
         slots ran out, the value is [cell]'s, unprotected, and the guard
-        is {!unguarded}; what to do then is the caller's policy. *)
+        is {!unguarded}; what to do then is the caller's policy. After
+        the scope's section closed it raises [Invalid_argument]. *)
 
     val guard : 's scope -> 's guard
     (** The guard the scope's last {!protect} took. *)
@@ -417,7 +428,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     type 's scope = scope_state
     type 's guard = int
     type ('s, 'a) unlinked = 'a managed
-    type 'a body = { f : 's. 's scope -> 'a } [@@unboxed]
+    type ('a, 'b, 'r) body = { f : 's. 's scope -> 'a -> 'b -> 'r } [@@unboxed]
 
     (* The hook runs strictly before the heap allocation: if it raises
        (fault injection crashing the thread), no block exists yet and
@@ -437,10 +448,10 @@ module Make (S : Smr.Smr_intf.S) = struct
       Simheap.check_live m.block;
       m.value
 
-    let scope t ~pid body =
+    let scope t ~pid body a b =
       open_section t ~pid;
       let s = t.scopes.(pid) in
-      match body.f s with
+      match body.f s a b with
       | v ->
           close s;
           v

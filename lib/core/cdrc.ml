@@ -128,9 +128,10 @@ module Make (S : Smr.Smr_intf.S) = struct
      [counted.(0 .. n_counted - 1)] hold one entry per counted snapshot
      the pid has not dropped: the control block whose count it holds,
      given back at the pid's section exit. [section] numbers the pid's
-     sections: each exit bumps it, and a snapshot carries the number of
-     the section that took it. The [pad_*] fields give the record a
-     cache line of its own. *)
+     sections and their gaps: each entry and each exit bumps it, so it
+     is odd exactly while the pid's section is open, and a snapshot
+     carries the number of the section that took it. The [pad_*]
+     fields give the record a cache line of its own. *)
   and books = {
     mutable fast : int;
     mutable slow : int;
@@ -413,15 +414,15 @@ module Make (S : Smr.Smr_intf.S) = struct
       end
       else count_out b id (i - 1)
 
-  (* Section exit: number the pid's next section, so that no snapshot
-     of this one drops after it, close the section, which releases every
-     guard its snapshots still hold, then give back the counts its
-     counted snapshots still hold. The books shrink before each decrement, so
-     one that raises gives back no count twice and leaves the rest for
-     the pid's next exit. *)
-  let leave (t : thr) () =
+  (* Section exit: number the gap after the section, even, so that no
+     snapshot of the section drops after it, close the section, which
+     releases every guard its snapshots still hold, then give back the
+     counts its counted snapshots still hold. The books shrink before
+     each decrement, so one that raises gives back no count twice and
+     leaves the rest for the pid's next exit. *)
+  let leave (t : thr) =
     let b = t.pid_books in
-    b.section <- b.section + 1;
+    b.section <- (b.section lor 1) + 1;
     Ar.close_section t.rt.ar ~pid:t.pid;
     while b.n_counted > 0 do
       let i = b.n_counted - 1 in
@@ -430,19 +431,40 @@ module Make (S : Smr.Smr_intf.S) = struct
       decrement t.rt ~pid:t.pid cb
     done
 
-  (* The two halves of [critically], for a section that no one body
-     spans. *)
-  let begin_critical_section (t : thr) = Ar.open_section t.rt.ar ~pid:t.pid
-  let end_critical_section (t : thr) = leave t ()
+  (* The two halves of [critically], kept for perfbench's primitive
+     probes, which time single calls inside one open section. *)
+  let begin_critical_section (t : thr) =
+    Ar.open_section t.rt.ar ~pid:t.pid;
+    t.pid_books.section <- t.pid_books.section + 1
+  let end_critical_section = leave
 
-  (** [critically t f] runs [f] in the pid's critical section, which
-      owns the pid's snapshots: on every exit, normal or exceptional, it
-      releases the guards they still hold, gives back their counts and
-      closes the section. Sections do not nest: [Invalid_argument] for a
-      pid whose section is open. *)
-  let critically (t : thr) f =
+  (** [critically t f a b] runs [f a b] in the pid's critical section,
+      which owns the pid's snapshots: on every exit, normal or
+      exceptional, it releases the guards they still hold, gives back
+      their counts and closes the section. A top-level [f] of the
+      operation's context [a] and input [b] makes the section allocate
+      nothing. Sections do not nest: [Invalid_argument] for a pid whose
+      section is open. *)
+  let critically (t : thr) f a b =
     begin_critical_section t;
-    finally t leave () f
+    match f a b with
+    | r ->
+        leave t;
+        r
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        leave t;
+        Printexc.raise_with_backtrace e bt
+
+  (* A read takes its guard, or leans on the section, only inside the
+     pid's section: outside it nothing would protect the read, nor
+     release what it took. One plain read of the books' section
+     number, odd while the section is open. *)
+  let[@inline never] section_closed what =
+    invalid_arg (what ^ ": the thread's critical section is closed")
+
+  let[@inline] check_section (t : thr) what =
+    if t.pid_books.section land 1 = 0 then section_closed what
 
   (* ------------------------------------------------------------------ *)
   (* Owned pointer types *)
@@ -645,6 +667,7 @@ module Make (S : Smr.Smr_intf.S) = struct
        counted ([count_acquire]); otherwise the reserved slot protects
        it until the count is taken. *)
     let load (t : thr) (c : 'a t) : 'a shared =
+      check_section t "Asp.load";
       let ar = t.rt.ar and pid = t.pid in
       if S.confirm_is_trivial then begin
         count_acquire ar ~pid;
@@ -693,6 +716,7 @@ module Make (S : Smr.Smr_intf.S) = struct
        call on a fresh slot ([Ar.acquire_fresh]); the counted fallback
        adds one on the reserved slot ([Ar.acquire_reserved]). *)
     let get_snapshot (t : thr) (c : 'a t) : 'a snapshot =
+      check_section t "Asp.get_snapshot";
       let ar = t.rt.ar and pid = t.pid in
       let b = t.pid_books in
       if S.confirm_is_trivial then begin
@@ -851,6 +875,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     (* Fig 9 load; under a region scheme, one load, as [Asp.load]. *)
     let load (t : thr) (c : 'a t) : 'a weak =
       require_weak t.rt;
+      check_section t "Awp.load";
       let ar = t.rt.ar and pid = t.pid in
       if S.confirm_is_trivial then begin
         count_acquire ar ~pid;
@@ -949,6 +974,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     let get_snapshot (t : thr) (c : 'a t) : 'a weak_snapshot =
       require_weak t.rt;
+      check_section t "Awp.get_snapshot";
       weak_snapshot t c
 
     let clear (t : thr) (c : 'a t) =
@@ -994,7 +1020,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       thread cannot pin the whole runtime's backlog. The counts its
       counted snapshots still hold go to the pool too, as decrements,
       without a scheme call as the dead pid; its books then number a
-      new section, so no snapshot it took can drop later. *)
+      closed gap, so no snapshot it took can drop later. *)
   let abandon rt ~pid =
     Ar.abandon rt.ar ~pid;
     let b = rt.books.(pid) in
@@ -1003,7 +1029,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       Ar.orphan rt.ar (Smr.Deferred.make ~id:Ident.null ~birth:0 rt.runs.run_decrement cb)
     done;
     b.n_counted <- 0;
-    b.section <- b.section + 1
+    b.section <- (b.section lor 1) + 1
 
   let stalled rt = Ar.stalled rt.ar
 end

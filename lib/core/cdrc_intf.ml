@@ -36,28 +36,40 @@ module type S = sig
   val heap : rt -> Simheap.t
   val max_threads : rt -> int
 
+  val critically : thr -> ('a -> 'b -> 'r) -> 'a -> 'b -> 'r
+  (** [critically th f a b] runs [f a b] in the thread's critical
+      section, which owns the snapshots taken inside it: on every exit,
+      normal or exceptional, it releases the guards they still hold and
+      gives back the counts of the counted ones. [f] is a top-level
+      function of the operation's context [a] and its input [b] (a key,
+      a value, [()], or a tuple of several), so that opening the
+      section allocates nothing, as the paper's scope-bound section
+      (§3.4) costs nothing. A snapshot that escapes the section is
+      dead: its later [drop] raises [Use_after_drop]. Under a region
+      scheme (EBR, Hyaline, the leaky baseline) the section itself
+      protects a snapshot, which holds no guard. Sections do not nest:
+      [Invalid_argument] when the thread's section is already open.
+
+      Every read that protects — [Asp.get_snapshot], [Asp.load],
+      [Awp.get_snapshot], [Awp.load] — raises [Invalid_argument] outside
+      a section. So an [f] that takes more arguments than the two
+      passed, whose partial application [critically] would return and
+      whose walk would run after the section closed, raises at its
+      first read. *)
+
   val begin_critical_section : thr -> unit
-  (** The opening half of {!critically}, for a section that no one body
-      spans: it opens the thread's section, and raises
-      [Invalid_argument] when that section is already open. *)
+  (** The opening half of {!critically}, kept only for perfbench's
+      primitive probes, which time single calls inside one open
+      section: structures and examples use {!critically}. It opens the
+      thread's section, and raises [Invalid_argument] when that section
+      is already open. *)
 
   val end_critical_section : thr -> unit
-  (** The exit half of {!critically}: it ends the snapshots taken since
-      {!begin_critical_section}, releasing the guards they still hold
-      and giving back their counts, and closes the section. A snapshot
-      left undropped is dead from then on, as one that escapes
-      [critically] is. Unlike [critically], nothing closes the section
-      if the code between the two halves raises. *)
-
-  val critically : thr -> (unit -> 'r) -> 'r
-  (** Run the body in the thread's critical section, which owns the
-      snapshots taken inside it: on every exit, normal or exceptional,
-      it releases the guards they still hold and gives back the counts
-      of the counted ones. A snapshot that escapes the section is dead:
-      its later [drop] raises [Use_after_drop]. Under a region scheme
-      (EBR, Hyaline, the leaky baseline) the section itself protects a
-      snapshot, which holds no guard. Sections do not nest:
-      [Invalid_argument] when the thread's section is already open. *)
+  (** The exit half of {!critically}, kept for the same probes: it ends
+      the snapshots taken since {!begin_critical_section}, releasing the
+      guards they still hold and giving back their counts, and closes
+      the section. Unlike [critically], nothing closes the section if
+      the code between the two halves raises. *)
 
   val flush : thr -> unit
   (** Apply every deferred operation that is currently safe, plus the

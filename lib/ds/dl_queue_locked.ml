@@ -175,63 +175,61 @@ module Make () = struct
 
   let ctx t _pid = { t; pending = Queue.create (); draining = false }
 
+  (* Swing the tail to [nu], retrying by tail call. *)
+  let rec swing_tail c nu =
+    match load_shared c.t.tail with
+    | None -> failwith "dl_queue_locked: null tail"
+    | Some ltail ->
+        store_weak c nu.node.prev (Some ltail);
+        (* Help the previous enqueuer. *)
+        (match upgrade_weak ltail.node.prev with
+        | Some lprev ->
+            (match load_shared lprev.node.next with
+            | None -> ignore (cas_shared c lprev.node.next ~expected:None ~desired:(Some ltail))
+            | Some nx -> dec_strong c nx);
+            dec_strong c lprev;
+            drain c
+        | None -> ());
+        if cas_shared c c.t.tail ~expected:(Some ltail) ~desired:(Some nu) then begin
+          ignore (cas_shared c ltail.node.next ~expected:None ~desired:(Some nu));
+          dec_strong c ltail;
+          drain c
+        end
+        else begin
+          dec_strong c ltail;
+          drain c;
+          swing_tail c nu
+        end
+
   let enqueue c v =
     let nu = alloc_node c.t v in
-    let rec loop () =
-      match load_shared c.t.tail with
-      | None -> failwith "dl_queue_locked: null tail"
-      | Some ltail ->
-          store_weak c nu.node.prev (Some ltail);
-          (* Help the previous enqueuer. *)
-          (match upgrade_weak ltail.node.prev with
-          | Some lprev ->
-              (match load_shared lprev.node.next with
-              | None -> ignore (cas_shared c lprev.node.next ~expected:None ~desired:(Some ltail))
-              | Some nx -> dec_strong c nx);
-              dec_strong c lprev;
-              drain c
-          | None -> ());
-          if cas_shared c c.t.tail ~expected:(Some ltail) ~desired:(Some nu) then begin
-            ignore (cas_shared c ltail.node.next ~expected:None ~desired:(Some nu));
-            dec_strong c ltail;
-            drain c
-          end
-          else begin
-            dec_strong c ltail;
-            drain c;
-            loop ()
-          end
-    in
-    loop ();
+    swing_tail c nu;
     dec_strong c nu;
     drain c
 
-  let dequeue c =
-    let rec loop () =
-      match load_shared c.t.head with
-      | None -> failwith "dl_queue_locked: null head"
-      | Some lhead -> (
-          match load_shared lhead.node.next with
-          | None ->
+  let rec dequeue c =
+    match load_shared c.t.head with
+    | None -> failwith "dl_queue_locked: null head"
+    | Some lhead -> (
+        match load_shared lhead.node.next with
+        | None ->
+            dec_strong c lhead;
+            drain c;
+            None
+        | Some lnext ->
+            if cas_shared c c.t.head ~expected:(Some lhead) ~desired:(Some lnext) then begin
+              let v = lnext.node.value in
+              dec_strong c lnext;
               dec_strong c lhead;
               drain c;
-              None
-          | Some lnext ->
-              if cas_shared c c.t.head ~expected:(Some lhead) ~desired:(Some lnext) then begin
-                let v = lnext.node.value in
-                dec_strong c lnext;
-                dec_strong c lhead;
-                drain c;
-                Some v
-              end
-              else begin
-                dec_strong c lnext;
-                dec_strong c lhead;
-                drain c;
-                loop ()
-              end)
-    in
-    loop ()
+              Some v
+            end
+            else begin
+              dec_strong c lnext;
+              dec_strong c lhead;
+              drain c;
+              dequeue c
+            end)
 
   let flush c = drain c
   let live_objects t = Simheap.live t.heap

@@ -27,15 +27,20 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Fibonacci hashing spreads the benchmark's dense integer keys. *)
   let bucket t key = key * 2654435761 land max_int mod t.nbuckets
 
-  let insert ctx key = L.insert_at ctx.c ctx.t.buckets.(bucket ctx.t key) key
-  let remove ctx key = L.remove_at ctx.c ctx.t.buckets.(bucket ctx.t key) key
-  let contains ctx key = L.contains_at ctx.c ctx.t.buckets.(bucket ctx.t key) key
+  (* The scope bodies: the chain operations on [key]'s bucket. *)
+  let cell ctx key = ctx.t.buckets.(bucket ctx.t key)
+  let insert_in s ctx key = L.insert_in s ctx.c (cell ctx key) key
+  let remove_in s ctx key = L.remove_in s ctx.c (cell ctx key) key
+  let scope ctx body a b = L.Ar.scope ctx.t.list.L.ar ~pid:ctx.c.L.pid body a b
+  let insert ctx key = scope ctx { f = insert_in } ctx key
+  let remove ctx key = scope ctx { f = remove_in } ctx key
+  let contains ctx key = scope ctx { f = L.contains_from } (cell ctx key) key
 
   (* Hash tables do not support ordered ranges; the paper never runs
      range queries on them. Count by scanning all buckets, one
      protection scope per bucket. *)
   let range_query ctx lo hi =
-    Array.fold_left (fun acc b -> acc + L.range_at ctx.c b lo hi) 0 ctx.t.buckets
+    Array.fold_left (fun acc b -> acc + scope ctx { f = L.range_cell } b (lo, hi)) 0 ctx.t.buckets
 
   let flush ctx = L.flush ctx.c
   let size t = Array.fold_left (fun acc b -> acc + L.size_at b) 0 t.buckets

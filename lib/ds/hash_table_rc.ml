@@ -27,21 +27,19 @@ module Make (R : Cdrc.Intf.S) = struct
   let ctx t pid = { t; c = L.ctx t.list pid }
   let th ctx = ctx.c.L.th
 
-  let insert ctx key =
-    R.critically (th ctx) (fun () ->
-        L.insert_at ctx.c ctx.t.buckets.(bucket ctx.t.nbuckets key) key)
+  (* The section bodies: the chain operations on [key]'s bucket. *)
+  let cell ctx key = ctx.t.buckets.(bucket ctx.t.nbuckets key)
+  let insert_in ctx key = L.insert_at ctx.c (cell ctx key) key
+  let remove_in ctx key = L.remove_at ctx.c (cell ctx key) key
+  let contains_in ctx key = L.contains_at ctx.c (cell ctx key) key
 
-  let remove ctx key =
-    R.critically (th ctx) (fun () ->
-        L.remove_at ctx.c ctx.t.buckets.(bucket ctx.t.nbuckets key) key)
+  let range_in ctx (lo, hi) =
+    Array.fold_left (fun acc b -> acc + L.range_at ctx.c b lo hi) 0 ctx.t.buckets
 
-  let contains ctx key =
-    R.critically (th ctx) (fun () ->
-        L.contains_at ctx.c ctx.t.buckets.(bucket ctx.t.nbuckets key) key)
-
-  let range_query ctx lo hi =
-    R.critically (th ctx) (fun () ->
-        Array.fold_left (fun acc b -> acc + L.range_at ctx.c b lo hi) 0 ctx.t.buckets)
+  let insert ctx key = R.critically (th ctx) insert_in ctx key
+  let remove ctx key = R.critically (th ctx) remove_in ctx key
+  let contains ctx key = R.critically (th ctx) contains_in ctx key
+  let range_query ctx lo hi = R.critically (th ctx) range_in ctx (lo, hi)
 
   let flush ctx = L.flush ctx.c
   let size t = Array.fold_left (fun acc b -> acc + L.size_at t.list.L.rt b) 0 t.buckets

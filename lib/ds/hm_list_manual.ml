@@ -138,8 +138,6 @@ module Make (S : Smr.Smr_intf.S) = struct
          end
     end
 
-  let insert_at c head key = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> insert_in s c head key) }
-
   (* A remove whose mark took effect owns the deletion and reports it
      even when its unlink CAS loses: a helping search then unlinks and
      retires the node. A marked node is owned by a concurrent remove, so
@@ -175,8 +173,6 @@ module Make (S : Smr.Smr_intf.S) = struct
       end
     end
 
-  let remove_at c head key = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> remove_in s c head key) }
-
   (* Read-only traversal: no helping, no unlinking; marked nodes are
      passed through (their links are frozen). [cur] is the node [prev]
      links to, so a hop allocates nothing. *)
@@ -207,9 +203,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     let first = protect s head in
     contains_in s head key head Ar.unguarded first.dest (Ar.guard s)
 
-  let contains_at c head key =
-    Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> contains_from s head key) }
-
   (* Sequential-traversal range count (non-linearizable, as in the
      paper's range-query workload). *)
   let rec range_in s head lo hi n prev pg cur cg =
@@ -236,7 +229,8 @@ module Make (S : Smr.Smr_intf.S) = struct
     let first = protect s head in
     range_in s head lo hi 0 head Ar.unguarded first.dest (Ar.guard s)
 
-  let range_at c head lo hi = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> range_from s head lo hi) }
+  (* A scope body over [head], counting the keys in [lo, hi). *)
+  let range_cell s head (lo, hi) = range_from s head lo hi
 
   (* Quiescent-only sequential helpers over a head cell. *)
   let size_at head =
@@ -263,10 +257,15 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
 
-  let insert c key = insert_at c c.t.head key
-  let remove c key = remove_at c c.t.head key
-  let contains c key = contains_at c c.t.head key
-  let range_query c lo hi = range_at c c.t.head lo hi
+  (* The scope bodies on the set's one head cell, of the context and
+     the input [Ar.scope] passes them. *)
+  let insert_head s c key = insert_in s c c.t.head key
+  let remove_head s c key = remove_in s c c.t.head key
+
+  let insert c key = Ar.scope c.t.ar ~pid:c.pid { f = insert_head } c key
+  let remove c key = Ar.scope c.t.ar ~pid:c.pid { f = remove_head } c key
+  let contains c key = Ar.scope c.t.ar ~pid:c.pid { f = contains_from } c.t.head key
+  let range_query c lo hi = Ar.scope c.t.ar ~pid:c.pid { f = range_cell } c.t.head (lo, hi)
   let flush c = Ar.flush c.t.ar ~pid:c.pid
   let size t = size_at t.head
   let live_objects t = Simheap.live (Ar.heap t.ar)

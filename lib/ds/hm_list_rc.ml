@@ -125,65 +125,60 @@ module Make (R : Cdrc.Intf.S) = struct
     let prev_s = R.Snapshot.null () in
     fold_from th f prev_s (R.Asp.get_snapshot th head) acc
 
-  let insert_at c head key =
+  (* The writes retry by tail call from a fresh search. *)
+  let rec insert_at c head key =
     let th = c.th in
-    let rec go () =
-      let cu = search th head key in
-      if cu.found then begin
+    let cu = search th head key in
+    if cu.found then begin
+      discard th cu;
+      false
+    end
+    else begin
+      let fresh = mk_node th key (R.Snapshot.ptr cu.cur ~tag:0) in
+      if
+        R.Asp.compare_and_swap th cu.prev
+          ~expected:(R.Snapshot.ptr cu.cur ~tag:0)
+          ~desired:(R.Shared.ptr fresh)
+      then begin
+        R.Shared.drop th fresh;
         discard th cu;
-        false
+        true
       end
       else begin
-        let fresh = mk_node th key (R.Snapshot.ptr cu.cur ~tag:0) in
-        if
-          R.Asp.compare_and_swap th cu.prev
-            ~expected:(R.Snapshot.ptr cu.cur ~tag:0)
-            ~desired:(R.Shared.ptr fresh)
-        then begin
-          R.Shared.drop th fresh;
-          discard th cu;
-          true
-        end
-        else begin
-          R.Shared.drop th fresh;
-          discard th cu;
-          go ()
-        end
+        R.Shared.drop th fresh;
+        discard th cu;
+        insert_at c head key
       end
-    in
-    go ()
+    end
 
-  let remove_at c head key =
+  let rec remove_at c head key =
     let th = c.th in
-    let rec go () =
-      let cu = search th head key in
-      if not cu.found then begin
+    let cu = search th head key in
+    if not cu.found then begin
+      discard th cu;
+      false
+    end
+    else begin
+      let node = R.Snapshot.get cu.cur in
+      let next = R.Asp.get_snapshot th node.next in
+      if R.Snapshot.is_marked next then begin
+        R.Snapshot.drop th next;
         discard th cu;
-        false
+        remove_at c head key
+      end
+      else if R.Asp.try_mark th node.next ~expected:(R.Snapshot.ptr next ~tag:0) then begin
+        (* Owned deletion: attempt the unlink; a later search finishes
+           it otherwise. *)
+        unlink th head cu key next;
+        discard th cu;
+        true
       end
       else begin
-        let node = R.Snapshot.get cu.cur in
-        let next = R.Asp.get_snapshot th node.next in
-        if R.Snapshot.is_marked next then begin
-          R.Snapshot.drop th next;
-          discard th cu;
-          go ()
-        end
-        else if R.Asp.try_mark th node.next ~expected:(R.Snapshot.ptr next ~tag:0) then begin
-          (* Owned deletion: attempt the unlink; a later search finishes
-             it otherwise. *)
-          unlink th head cu key next;
-          discard th cu;
-          true
-        end
-        else begin
-          R.Snapshot.drop th next;
-          discard th cu;
-          go ()
-        end
+        R.Snapshot.drop th next;
+        discard th cu;
+        remove_at c head key
       end
-    in
-    go ()
+    end
 
   (* Drop [prev_s], the snapshot a read-only walk held before [cur],
      unless the walk's first hop passed [cur] as its own predecessor:
@@ -236,37 +231,26 @@ module Make (R : Cdrc.Intf.S) = struct
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
 
-  let insert c key = R.critically c.th (fun () -> insert_at c c.t.head key)
-  let remove c key = R.critically c.th (fun () -> remove_at c c.t.head key)
+  (* The section bodies: the operations on the set's one head cell, of
+     the context and the input [critically] passes them, so that a
+     section allocates nothing of its own. *)
+  let insert_head c key = insert_at c c.t.head key
+  let remove_head c key = remove_at c c.t.head key
+  let contains_head c key = contains_at c c.t.head key
+  let range_head c (lo, hi) = range_at c c.t.head lo hi
 
-  (* The reads open and close their section with [critically]'s two
-     halves, so that a read allocates its snapshots alone. *)
-  let abort c e =
-    let bt = Printexc.get_raw_backtrace () in
-    R.end_critical_section c.th;
-    Printexc.raise_with_backtrace e bt
-
-  let contains c key =
-    R.begin_critical_section c.th;
-    match contains_at c c.t.head key with
-    | r ->
-        R.end_critical_section c.th;
-        r
-    | exception e -> abort c e
-
-  let range_query c lo hi =
-    R.begin_critical_section c.th;
-    match range_at c c.t.head lo hi with
-    | r ->
-        R.end_critical_section c.th;
-        r
-    | exception e -> abort c e
-
+  let insert c key = R.critically c.th insert_head c key
+  let remove c key = R.critically c.th remove_head c key
+  let contains c key = R.critically c.th contains_head c key
+  let range_query c lo hi = R.critically c.th range_head c (lo, hi)
   let flush c = R.flush c.th
+
+  let count_node _ n _ = n + 1
+  let count_chain th head = fold th head count_node 0
 
   let size_at rt head =
     let th = R.thread rt 0 in
-    R.critically th (fun () -> fold th head (fun _ n _ -> n + 1) 0)
+    R.critically th count_chain th head
 
   let size t = size_at t.rt t.head
   let live_objects t = R.live_objects t.rt

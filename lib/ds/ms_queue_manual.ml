@@ -67,11 +67,12 @@ module Make (S : Smr.Smr_intf.S) = struct
             Ar.release s g;
             enqueue_in s c link)
 
-  let enqueue c v =
-    Ar.scope c.t.ar ~pid:c.pid
-      { f = (fun s -> enqueue_in s c (Some (mk_node c.t.ar ~pid:c.pid v))) }
+  (* The scope body: allocate [v]'s node inside the scope, then link
+     it. *)
+  let enqueue_new s c v = enqueue_in s c (Some (mk_node c.t.ar ~pid:c.pid v))
+  let enqueue c v = Ar.scope c.t.ar ~pid:c.pid { f = enqueue_new } c v
 
-  let rec dequeue_in s c =
+  let rec dequeue_in s c () =
     let lh = protect s c.t.head in
     let gh = Ar.guard s in
     match lh with
@@ -110,9 +111,9 @@ module Make (S : Smr.Smr_intf.S) = struct
   and retry s c gh gn =
     Ar.release s gn;
     Ar.release s gh;
-    dequeue_in s c
+    dequeue_in s c ()
 
-  let dequeue c = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> dequeue_in s c) }
+  let dequeue c = Ar.scope c.t.ar ~pid:c.pid { f = dequeue_in } c ()
 
   let flush c = Ar.flush c.t.ar ~pid:c.pid
   let live_objects t = Simheap.live (Ar.heap t.ar)

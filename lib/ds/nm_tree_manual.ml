@@ -205,12 +205,12 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Operations run in a protection scope. A Use_after_free (possible
      under the unsafe schemes, see header) is counted, and the operation
      reruns in a fresh scope: the old one released every guard. *)
-  let rec rerun_on_uaf c body =
-    match Ar.scope c.t.ar ~pid:c.pid body with
+  let rec rerun_on_uaf c body x =
+    match Ar.scope c.t.ar ~pid:c.pid body c x with
     | v -> v
     | exception Simheap.Use_after_free _ ->
         ignore (Sched.Atomic.fetch_and_add c.t.uaf 1);
-        rerun_on_uaf c body
+        rerun_on_uaf c body x
 
   (* After losing a CAS on [cell], help the delete that beat us, if
      any, then release the record for the caller's retry. *)
@@ -301,18 +301,21 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
 
-  let insert c key = rerun_on_uaf c { f = (fun s -> insert_op s c key) }
+  (* The scope bodies that start from the root sentinel, or take two
+     inputs as one pair. *)
+  let excise_victim s c (key, victim) = excise s c key victim
+  let contains_root s c key = contains_in s key Ar.unguarded c.t.root Ar.unguarded
+  let range_root s c (lo, hi) = range_in s lo hi c.t.root Ar.unguarded 0
+
+  let insert c key = rerun_on_uaf c { f = insert_op } key
 
   let remove c key =
-    match rerun_on_uaf c { f = (fun s -> inject s c key) } with
+    match rerun_on_uaf c { f = inject } key with
     | `Done removed -> removed
-    | `Flagged victim -> rerun_on_uaf c { f = (fun s -> excise s c key victim) }
+    | `Flagged victim -> rerun_on_uaf c { f = excise_victim } (key, victim)
 
-  let contains c key =
-    rerun_on_uaf c { f = (fun s -> contains_in s key Ar.unguarded c.t.root Ar.unguarded) }
-
-  let range_query c lo hi =
-    rerun_on_uaf c { f = (fun s -> range_in s lo hi c.t.root Ar.unguarded 0) }
+  let contains c key = rerun_on_uaf c { f = contains_root } key
+  let range_query c lo hi = rerun_on_uaf c { f = range_root } (lo, hi)
   let flush c = Ar.flush c.t.ar ~pid:c.pid
 
   let size t =

@@ -118,6 +118,25 @@ module Make (R : Cdrc.Intf.S) = struct
     in
     if key < n.key then n.left else n.right
 
+  (* Tag the sibling edge in [cell] (freeze its pointer), and return a
+     snapshot of the tagged edge. The CAS desired value must be backed
+     by an owned reference, hence the snapshot. *)
+  let rec tag_sibling th cell =
+    let es = R.Asp.get_snapshot th cell in
+    let t0 = R.Snapshot.tag es in
+    if t0 land tg <> 0 then es
+    else if
+      R.Asp.compare_and_swap th cell ~expected:(R.Snapshot.ptr es)
+        ~desired:(R.Snapshot.ptr es ~tag:(t0 lor tg))
+    then begin
+      R.Snapshot.drop th es;
+      R.Asp.get_snapshot th cell
+    end
+    else begin
+      R.Snapshot.drop th es;
+      tag_sibling th cell
+    end
+
   (* Fig 1b cleanup: note the absence of any retire loop — the
      compare_and_swap defers the decrement of the excised chain and
      destroy hooks do the rest. *)
@@ -131,25 +150,7 @@ module Make (R : Cdrc.Intf.S) = struct
       if R.Ptr.tag (R.Asp.unsafe_ptr child_cell) land fl <> 0 then sibling_cell
       else child_cell
     in
-    (* Tag the sibling edge (freeze its pointer). The CAS desired value
-       must be backed by an owned reference, hence the snapshot. *)
-    let rec tag_sibling () =
-      let es = R.Asp.get_snapshot th sibling_cell in
-      let t0 = R.Snapshot.tag es in
-      if t0 land tg <> 0 then es
-      else if
-        R.Asp.compare_and_swap th sibling_cell ~expected:(R.Snapshot.ptr es)
-          ~desired:(R.Snapshot.ptr es ~tag:(t0 lor tg))
-      then begin
-        R.Snapshot.drop th es;
-        R.Asp.get_snapshot th sibling_cell
-      end
-      else begin
-        R.Snapshot.drop th es;
-        tag_sibling ()
-      end
-    in
-    let es = tag_sibling () in
+    let es = tag_sibling th sibling_cell in
     let acell = anc_cell c s key in
     let ok =
       R.Asp.compare_and_swap th acell
@@ -159,90 +160,88 @@ module Make (R : Cdrc.Intf.S) = struct
     R.Snapshot.drop th es;
     ok
 
-  let insert_op c key =
+  (* The writes retry by tail call from a fresh seek. *)
+  let rec insert_op c key =
     let th = c.th in
-    let rec go () =
-      let s = seek c key in
-      let leaf = R.Snapshot.get s.leaf in
-      if leaf.key = key then begin
-        discard c s;
-        false
-      end
-      else begin
-        let par = R.Snapshot.get s.par in
-        let cell = if key < par.key then par.left else par.right in
-        let new_leaf = mk_leaf th key in
-        let ikey = max key leaf.key in
-        let lp, rp =
-          if key < leaf.key then (R.Shared.ptr new_leaf, R.Snapshot.ptr s.leaf ~tag:0)
-          else (R.Snapshot.ptr s.leaf ~tag:0, R.Shared.ptr new_leaf)
-        in
-        let new_internal = mk_internal th ikey lp rp in
-        let ok =
-          R.Asp.compare_and_swap th cell
-            ~expected:(R.Snapshot.ptr s.leaf ~tag:0)
-            ~desired:(R.Shared.ptr new_internal)
-        in
-        R.Shared.drop th new_leaf;
-        R.Shared.drop th new_internal;
-        if ok then begin
-          discard c s;
-          true
-        end
-        else begin
-          let e = R.Asp.unsafe_ptr cell in
-          if R.Ptr.same_object e (R.Snapshot.ptr s.leaf ~tag:0) && R.Ptr.tag e <> 0 then
-            ignore (cleanup c key s);
-          discard c s;
-          go ()
-        end
-      end
-    in
-    go ()
-
-  let remove_op c key =
-    let th = c.th in
-    let rec cleanup_loop (victim : node R.ptr) =
-      let s = seek c key in
-      if not (R.Ptr.same_object (R.Snapshot.ptr s.leaf ~tag:0) victim) then begin
+    let s = seek c key in
+    let leaf = R.Snapshot.get s.leaf in
+    if leaf.key = key then begin
+      discard c s;
+      false
+    end
+    else begin
+      let par = R.Snapshot.get s.par in
+      let cell = if key < par.key then par.left else par.right in
+      let new_leaf = mk_leaf th key in
+      let ikey = max key leaf.key in
+      let lp, rp =
+        if key < leaf.key then (R.Shared.ptr new_leaf, R.Snapshot.ptr s.leaf ~tag:0)
+        else (R.Snapshot.ptr s.leaf ~tag:0, R.Shared.ptr new_leaf)
+      in
+      let new_internal = mk_internal th ikey lp rp in
+      let ok =
+        R.Asp.compare_and_swap th cell
+          ~expected:(R.Snapshot.ptr s.leaf ~tag:0)
+          ~desired:(R.Shared.ptr new_internal)
+      in
+      R.Shared.drop th new_leaf;
+      R.Shared.drop th new_internal;
+      if ok then begin
         discard c s;
         true
       end
       else begin
+        let e = R.Asp.unsafe_ptr cell in
+        if R.Ptr.same_object e (R.Snapshot.ptr s.leaf ~tag:0) && R.Ptr.tag e <> 0 then
+          ignore (cleanup c key s);
+        discard c s;
+        insert_op c key
+      end
+    end
+
+  (* A flagged [victim]'s removal is committed: retry its cleanup until
+     it succeeds or a seek finds another leaf. *)
+  let rec excise c key (victim : node R.ptr) =
+    let s = seek c key in
+    if not (R.Ptr.same_object (R.Snapshot.ptr s.leaf ~tag:0) victim) then begin
+      discard c s;
+      true
+    end
+    else begin
+      let ok = cleanup c key s in
+      discard c s;
+      if ok then true else excise c key victim
+    end
+
+  (* Flag the leaf's edge, then clean up. *)
+  let rec remove_op c key =
+    let th = c.th in
+    let s = seek c key in
+    if (R.Snapshot.get s.leaf).key <> key then begin
+      discard c s;
+      false
+    end
+    else begin
+      let par = R.Snapshot.get s.par in
+      let cell = if key < par.key then par.left else par.right in
+      if
+        R.Asp.compare_and_swap th cell
+          ~expected:(R.Snapshot.ptr s.leaf ~tag:0)
+          ~desired:(R.Snapshot.ptr s.leaf ~tag:fl)
+      then begin
+        let victim = R.Snapshot.ptr s.leaf ~tag:0 in
         let ok = cleanup c key s in
         discard c s;
-        if ok then true else cleanup_loop victim
-      end
-    in
-    let rec inject () =
-      let s = seek c key in
-      if (R.Snapshot.get s.leaf).key <> key then begin
-        discard c s;
-        false
+        if ok then true else excise c key victim
       end
       else begin
-        let par = R.Snapshot.get s.par in
-        let cell = if key < par.key then par.left else par.right in
-        if
-          R.Asp.compare_and_swap th cell
-            ~expected:(R.Snapshot.ptr s.leaf ~tag:0)
-            ~desired:(R.Snapshot.ptr s.leaf ~tag:fl)
-        then begin
-          let victim = R.Snapshot.ptr s.leaf ~tag:0 in
-          let ok = cleanup c key s in
-          discard c s;
-          if ok then true else cleanup_loop victim
-        end
-        else begin
-          let e = R.Asp.unsafe_ptr cell in
-          if R.Ptr.same_object e (R.Snapshot.ptr s.leaf ~tag:0) && R.Ptr.tag e <> 0 then
-            ignore (cleanup c key s);
-          discard c s;
-          inject ()
-        end
+        let e = R.Asp.unsafe_ptr cell in
+        if R.Ptr.same_object e (R.Snapshot.ptr s.leaf ~tag:0) && R.Ptr.tag e <> 0 then
+          ignore (cleanup c key s);
+        discard c s;
+        remove_op c key
       end
-    in
-    inject ()
+    end
 
   (* Drop [prev], the snapshot a read walk held above [cur], unless the
      walk's first hop passed [cur] as its own parent: the walk starts
@@ -285,64 +284,44 @@ module Make (R : Cdrc.Intf.S) = struct
       if hi > n.key then l + range_in th lo hi n.right else l
     end
 
-  let range_op c lo hi = range_in c.th lo hi (R.Shared.get c.t.root).left
+  let range_op c (lo, hi) = range_in c.th lo hi (R.Shared.get c.t.root).left
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
 
-  let insert c key = R.critically c.th (fun () -> insert_op c key)
-  let remove c key = R.critically c.th (fun () -> remove_op c key)
-
-  (* The reads open and close their section with [critically]'s two
-     halves, so that a read allocates its snapshots alone. *)
-  let abort c e =
-    let bt = Printexc.get_raw_backtrace () in
-    R.end_critical_section c.th;
-    Printexc.raise_with_backtrace e bt
-
-  let contains c key =
-    R.begin_critical_section c.th;
-    match contains_op c key with
-    | r ->
-        R.end_critical_section c.th;
-        r
-    | exception e -> abort c e
-
-  let range_query c lo hi =
-    R.begin_critical_section c.th;
-    match range_op c lo hi with
-    | r ->
-        R.end_critical_section c.th;
-        r
-    | exception e -> abort c e
-
+  (* Each operation is a section body of the context and the input
+     [critically] passes it, so that a section allocates nothing of its
+     own. *)
+  let insert c key = R.critically c.th insert_op c key
+  let remove c key = R.critically c.th remove_op c key
+  let contains c key = R.critically c.th contains_op c key
+  let range_query c lo hi = R.critically c.th range_op c (lo, hi)
   let flush c = R.flush c.th
+
+  (* The keys below [snap]'s node, at quiescence. *)
+  let rec size_below th (snap : node R.snapshot) =
+    let n = R.Snapshot.get snap in
+    if is_leaf n then if n.key < inf1 then 1 else 0
+    else begin
+      let l = R.Asp.get_snapshot th n.left in
+      let r = R.Asp.get_snapshot th n.right in
+      let total =
+        (if R.Snapshot.is_null l then 0 else size_below th l)
+        + if R.Snapshot.is_null r then 0 else size_below th r
+      in
+      R.Snapshot.drop th l;
+      R.Snapshot.drop th r;
+      total
+    end
+
+  let size_from th (root : node R.shared) =
+    let s = R.Asp.get_snapshot th (R.Shared.get root).left in
+    let n = if R.Snapshot.is_null s then 0 else size_below th s in
+    R.Snapshot.drop th s;
+    n
 
   let size t =
     let th = R.thread t.rt 0 in
-    R.critically th (fun () ->
-        let rec go (snap : node R.snapshot) =
-          let n = R.Snapshot.get snap in
-          let r =
-            if is_leaf n then if n.key < inf1 then 1 else 0
-            else begin
-              let l = R.Asp.get_snapshot th n.left in
-              let rr = R.Asp.get_snapshot th n.right in
-              let total =
-                (if R.Snapshot.is_null l then 0 else go l)
-                + if R.Snapshot.is_null rr then 0 else go rr
-              in
-              R.Snapshot.drop th l;
-              R.Snapshot.drop th rr;
-              total
-            end
-          in
-          r
-        in
-        let rn = R.Shared.get t.root in
-        let s = R.Asp.get_snapshot th rn.left in
-        let n = if R.Snapshot.is_null s then 0 else go s in
-        R.Snapshot.drop th s;
-        n)
+    R.critically th size_from th t.root
 
   let live_objects t = R.live_objects t.rt
   let peak_objects t = R.peak_objects t.rt

@@ -27,18 +27,19 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* Each node is pushed in one [Some] box, which links to it from
      [top] and from the node above, so the CASes compare links
-     physically. *)
-  let rec push_in c v =
+     physically. A push reads through no guard, but allocates in the
+     pid's section, as every structure does. *)
+  let rec push_in s c v =
     let top = Sched.Atomic.get c.t.top in
     let m = Ar.alloc c.t.ar ~pid:c.pid { value = v; next = top } in
     if not (Sched.Atomic.compare_and_set c.t.top top (Some m)) then begin
       Ar.discard m;
-      push_in c v
+      push_in s c v
     end
 
-  let push c v = Ar.scope c.t.ar ~pid:c.pid { f = (fun _ -> push_in c v) }
+  let push c v = Ar.scope c.t.ar ~pid:c.pid { f = push_in } c v
 
-  let rec pop_in s c =
+  let rec pop_in s c () =
     let top = Ar.protect s ~ident:ident_of c.t.top in
     let g = Ar.guard s in
     (* A pop holds one guard at a time, and every pid's pool holds at
@@ -58,9 +59,9 @@ module Make (S : Smr.Smr_intf.S) = struct
             Some node.value
         | None ->
             Ar.release s g;
-            pop_in s c)
+            pop_in s c ())
 
-  let pop c = Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> pop_in s c) }
+  let pop c = Ar.scope c.t.ar ~pid:c.pid { f = pop_in } c ()
 
   let flush c = Ar.flush c.t.ar ~pid:c.pid
 

@@ -217,7 +217,7 @@ module Slots (S : Smr.Smr_intf.S with type t = Smr.Hp.t) = struct
              Ar.discard m))
     in
     let eject () = Ar.eject ~force:true ar ~pid:1 in
-    let read s =
+    let read s loc () =
       let m = Ar.protect s ~ident:Ar.ident loc in
       let g = Ar.guard s in
       if not (Ar.guarded g) then failwith "out of announcement slots";
@@ -231,7 +231,7 @@ module Slots (S : Smr.Smr_intf.S with type t = Smr.Hp.t) = struct
     {
       Sched.fibers =
         [|
-          (fun () -> Ar.scope ar ~pid:0 { Ar.f = read });
+          (fun () -> Ar.scope ar ~pid:0 { Ar.f = read } loc ());
           (fun () ->
             Sched.Atomic.set loc nodes.(1);
             retire 0;

@@ -33,6 +33,16 @@ let result ~ops ~elapsed deaths =
     errors = tally (List.filter_map Fun.id deaths);
   }
 
+(* Call [f] with the elapsed time and the ops [ops] reports every
+   [period] seconds, until [deadline]. *)
+let rec sample_until ~t0 ~deadline period f ops =
+  let now = Unix.gettimeofday () in
+  if now < deadline then begin
+    f ~elapsed:(now -. t0) ~ops:(ops ());
+    Unix.sleepf (min period (deadline -. now));
+    sample_until ~t0 ~deadline period f ops
+  end
+
 let run ~name ~threads ~duration ?sample worker =
   let stop = Atomic.make false in
   (* Slot [pid - 1] holds the op count worker [pid] last reported;
@@ -51,17 +61,7 @@ let run ~name ~threads ~duration ?sample worker =
   let domains = List.init threads (fun i -> Domain.spawn (body (i + 1))) in
   (match sample with
   | None -> Unix.sleepf duration
-  | Some (period, f) ->
-      let deadline = t0 +. duration in
-      let rec loop () =
-        let now = Unix.gettimeofday () in
-        if now < deadline then begin
-          f ~elapsed:(now -. t0) ~ops:(reported_ops ());
-          Unix.sleepf (min period (deadline -. now));
-          loop ()
-        end
-      in
-      loop ());
+  | Some (period, f) -> sample_until ~t0 ~deadline:(t0 +. duration) period f reported_ops);
   Atomic.set stop true;
   List.iter Domain.join domains;
   result ~ops:(reported_ops ()) ~elapsed:(Unix.gettimeofday () -. t0) (Array.to_list deaths)

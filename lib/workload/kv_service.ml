@@ -94,19 +94,16 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
      via the predecessor from the caller's cursor ({!L.unlink}). Loops
      until the next-mark lands — the slot mark already made the node
      unresurrectable, so the only contention is successor churn. *)
-  let unlink_node th head cu (node : node) =
-    let rec mark_next () =
-      Sched.yield ();
-      let next = R.Asp.get_snapshot th node.next in
-      if R.Snapshot.is_marked next then R.Snapshot.drop th next
-      else if R.Asp.try_mark th node.next ~expected:(R.Snapshot.ptr next ~tag:0) then
-        L.unlink th head cu node.key next
-      else begin
-        R.Snapshot.drop th next;
-        mark_next ()
-      end
-    in
-    mark_next ()
+  let rec unlink_node th head cu (node : node) =
+    Sched.yield ();
+    let next = R.Asp.get_snapshot th node.next in
+    if R.Snapshot.is_marked next then R.Snapshot.drop th next
+    else if R.Asp.try_mark th node.next ~expected:(R.Snapshot.ptr next ~tag:0) then
+      L.unlink th head cu node.key next
+    else begin
+      R.Snapshot.drop th next;
+      unlink_node th head cu node
+    end
 
   let mk_box th v exp = R.Shared.make th { bv = v; bexp = exp }
 
@@ -123,184 +120,172 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     L.discard th cu
 
   (* ------------------------------------------------------------------ *)
-  (* Core operations. Each runs under [R.critically] on the context's
-     one thread handle. *)
+  (* Core operations. Each is a section body of the context and its
+     input, run under [R.critically] on the context's one thread handle;
+     a body retries by tail call from a fresh search. *)
 
-  let get c ~now key =
+  let get_in c (now, key) =
     let th = c.th and head = chain c.t key in
-    R.critically th (fun () ->
-        let cu = L.search th head key in
-        if not cu.found then begin
+    let cu = L.search th head key in
+    if not cu.found then begin
+      L.discard th cu;
+      bump c.t.c_gets_miss c;
+      None
+    end
+    else begin
+      let node = R.Snapshot.get cu.cur in
+      let bs = R.Asp.get_snapshot th node.value in
+      if R.Snapshot.is_null bs || R.Snapshot.is_marked bs then begin
+        release th bs cu;
+        bump c.t.c_gets_miss c;
+        None
+      end
+      else begin
+        let box = R.Snapshot.get bs in
+        if box.bexp > now then begin
+          let v = box.bv in
+          release th bs cu;
+          bump c.t.c_gets_hit c;
+          Some v
+        end
+        else begin
+          (* Expired: never served. Lazily claim the expiry; the winner
+             of the slot mark owns the physical unlink. *)
+          Sched.yield ();
+          let claimed = R.Asp.try_mark th node.value ~expected:(R.Snapshot.ptr bs ~tag:0) in
+          R.Snapshot.drop th bs;
+          if claimed then begin
+            bump c.t.c_expiries c;
+            unlink_node th head cu node
+          end;
           L.discard th cu;
           bump c.t.c_gets_miss c;
           None
         end
-        else begin
-          let node = R.Snapshot.get cu.cur in
-          let bs = R.Asp.get_snapshot th node.value in
-          if R.Snapshot.is_null bs || R.Snapshot.is_marked bs then begin
-            release th bs cu;
-            bump c.t.c_gets_miss c;
-            None
+      end
+    end
+
+  let get c ~now key = R.critically c.th get_in c (now, key)
+
+  let rec put_in c ((now, exp, key, v) as input) =
+    let th = c.th and head = chain c.t key in
+    let cu = L.search th head key in
+    if not cu.found then insert_fresh c input cu
+    else begin
+      let node = R.Snapshot.get cu.cur in
+      let bs = R.Asp.get_snapshot th node.value in
+      if R.Snapshot.is_null bs || R.Snapshot.is_marked bs then begin
+        R.Snapshot.drop th bs;
+        insert_fresh c input cu
+      end
+      else begin
+        let old = R.Snapshot.get bs in
+        let box_sh = mk_box th v exp in
+        Sched.yield ();
+        if
+          R.Asp.compare_and_swap th node.value
+            ~expected:(R.Snapshot.ptr bs ~tag:0)
+            ~desired:(R.Shared.ptr box_sh)
+        then begin
+          (* The old box's decrement is now deferred through the scheme
+             — overwrite churn is retirement traffic. *)
+          R.Shared.drop th box_sh;
+          release th bs cu;
+          if old.bexp > now then begin
+            bump c.t.c_overwrites c;
+            true
           end
           else begin
-            let box = R.Snapshot.get bs in
-            if box.bexp > now then begin
-              let v = box.bv in
-              release th bs cu;
-              bump c.t.c_gets_hit c;
-              Some v
-            end
-            else begin
-              (* Expired: never served. Lazily claim the expiry; the
-                 winner of the slot mark owns the physical unlink. *)
-              Sched.yield ();
-              let claimed =
-                R.Asp.try_mark th node.value ~expected:(R.Snapshot.ptr bs ~tag:0)
-              in
-              R.Snapshot.drop th bs;
-              if claimed then begin
-                bump c.t.c_expiries c;
-                unlink_node th head cu node
-              end;
-              L.discard th cu;
-              bump c.t.c_gets_miss c;
-              None
-            end
+            bump c.t.c_expired_overwrites c;
+            false
           end
-        end)
+        end
+        else begin
+          R.Shared.drop th box_sh;
+          release th bs cu;
+          put_in c input
+        end
+      end
+    end
+
+  (* A fresh node before the cursor's first key-≥-k node: covers both
+     the absent case and insert-before-tombstone. *)
+  and insert_fresh c ((_, exp, key, v) as input) cu =
+    let th = c.th in
+    let box_sh = mk_box th v exp in
+    let fresh = mk_node th key box_sh (R.Snapshot.ptr cu.cur ~tag:0) in
+    R.Shared.drop th box_sh;
+    Sched.yield ();
+    if
+      R.Asp.compare_and_swap th cu.prev
+        ~expected:(R.Snapshot.ptr cu.cur ~tag:0)
+        ~desired:(R.Shared.ptr fresh)
+    then begin
+      R.Shared.drop th fresh;
+      L.discard th cu;
+      bump c.t.c_puts_new c;
+      false
+    end
+    else begin
+      R.Shared.drop th fresh;
+      L.discard th cu;
+      put_in c input
+    end
 
   let put c ~now ?ttl key v =
-    let th = c.th and head = chain c.t key in
     let exp = match ttl with None -> max_int | Some d -> now + d in
-    R.critically th (fun () ->
-        let rec go () =
-          let cu = L.search th head key in
-          let insert_fresh () =
-            (* Fresh node before the first key-≥-k node: covers both
-               the absent case and insert-before-tombstone. *)
-            let box_sh = mk_box th v exp in
-            let fresh = mk_node th key box_sh (R.Snapshot.ptr cu.cur ~tag:0) in
-            R.Shared.drop th box_sh;
-            Sched.yield ();
-            if
-              R.Asp.compare_and_swap th cu.prev
-                ~expected:(R.Snapshot.ptr cu.cur ~tag:0)
-                ~desired:(R.Shared.ptr fresh)
-            then begin
-              R.Shared.drop th fresh;
-              L.discard th cu;
-              bump c.t.c_puts_new c;
-              false
-            end
-            else begin
-              R.Shared.drop th fresh;
-              L.discard th cu;
-              go ()
-            end
-          in
-          if not cu.found then insert_fresh ()
-          else begin
-            let node = R.Snapshot.get cu.cur in
-            let bs = R.Asp.get_snapshot th node.value in
-            if R.Snapshot.is_null bs || R.Snapshot.is_marked bs then begin
-              R.Snapshot.drop th bs;
-              insert_fresh ()
-            end
-            else begin
-              let old = R.Snapshot.get bs in
-              let box_sh = mk_box th v exp in
-              Sched.yield ();
-              if
-                R.Asp.compare_and_swap th node.value
-                  ~expected:(R.Snapshot.ptr bs ~tag:0)
-                  ~desired:(R.Shared.ptr box_sh)
-              then begin
-                (* The old box's decrement is now deferred through the
-                   scheme — overwrite churn is retirement traffic. *)
-                R.Shared.drop th box_sh;
-                release th bs cu;
-                if old.bexp > now then begin
-                  bump c.t.c_overwrites c;
-                  true
-                end
-                else begin
-                  bump c.t.c_expired_overwrites c;
-                  false
-                end
-              end
-              else begin
-                R.Shared.drop th box_sh;
-                release th bs cu;
-                go ()
-              end
-            end
-          end
-        in
-        go ())
+    R.critically c.th put_in c (now, exp, key, v)
 
   (* Shared kill path: claim the slot mark, count the death as a
      remove (live) or expiry (dead), unlink. [only_expired] is the
      sweep/lazy-expiry mode: live entries survive. Returns
      [(claimed, was_live)]. *)
-  let kill c ~now ~only_expired key =
+  let rec kill c ~only_expired ~now key =
     let th = c.th and head = chain c.t key in
-    R.critically th (fun () ->
-        let rec go () =
-          let cu = L.search th head key in
-          if not cu.found then begin
-            L.discard th cu;
-            (false, false)
-          end
-          else begin
-            let node = R.Snapshot.get cu.cur in
-            let bs = R.Asp.get_snapshot th node.value in
-            if R.Snapshot.is_null bs || R.Snapshot.is_marked bs then begin
-              release th bs cu;
-              (false, false)
-            end
-            else begin
-              let live = (R.Snapshot.get bs).bexp > now in
-              if only_expired && live then begin
-                release th bs cu;
-                (false, false)
-              end
-              else if begin
-                Sched.yield ();
-                R.Asp.try_mark th node.value ~expected:(R.Snapshot.ptr bs ~tag:0)
-              end
-              then begin
-                R.Snapshot.drop th bs;
-                bump (if live then c.t.c_removes else c.t.c_expiries) c;
-                unlink_node th head cu node;
-                L.discard th cu;
-                (true, live)
-              end
-              else begin
-                release th bs cu;
-                go ()
-              end
-            end
-          end
-        in
-        go ())
+    let cu = L.search th head key in
+    if not cu.found then begin
+      L.discard th cu;
+      (false, false)
+    end
+    else begin
+      let node = R.Snapshot.get cu.cur in
+      let bs = R.Asp.get_snapshot th node.value in
+      if R.Snapshot.is_null bs || R.Snapshot.is_marked bs then begin
+        release th bs cu;
+        (false, false)
+      end
+      else begin
+        let live = (R.Snapshot.get bs).bexp > now in
+        if only_expired && live then begin
+          release th bs cu;
+          (false, false)
+        end
+        else if begin
+          Sched.yield ();
+          R.Asp.try_mark th node.value ~expected:(R.Snapshot.ptr bs ~tag:0)
+        end
+        then begin
+          R.Snapshot.drop th bs;
+          bump (if live then c.t.c_removes else c.t.c_expiries) c;
+          unlink_node th head cu node;
+          L.discard th cu;
+          (true, live)
+        end
+        else begin
+          release th bs cu;
+          kill c ~only_expired ~now key
+        end
+      end
+    end
 
-  let remove c ~now key = snd (kill c ~now ~only_expired:false key)
+  let remove_in c (now, key) = snd (kill c ~only_expired:false ~now key)
+  let expire_in c (now, key) = fst (kill c ~only_expired:true ~now key)
+  let remove c ~now key = R.critically c.th remove_in c (now, key)
 
-  (* Read-only chain fold in a section of its own: [f th acc node] over
-     every node not physically dying ({!L.fold}). The section is
-     [critically]'s two halves around the fold, so a sweep folds its
-     buckets without building a section body for each. *)
-  let fold_chain th head f acc =
-    R.begin_critical_section th;
-    match L.fold th head f acc with
-    | acc ->
-        R.end_critical_section th;
-        acc
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        R.end_critical_section th;
-        Printexc.raise_with_backtrace e bt
+  (* A sweep's section body over one chain: [f th acc node] folded from
+     [init] over every node not physically dying ({!L.fold}). A sweep
+     builds it once, not once per bucket. *)
+  let chain_fold f init th head = L.fold th head f init
 
   (* The expiry of [node]'s box, read under a snapshot of its slot;
      [min_int] when the slot holds no live box (empty or marked). *)
@@ -313,26 +298,30 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
     R.Snapshot.drop th bs;
     exp
 
-  (* A sweep builds its callbacks once, not once per bucket. *)
+  (* The nodes of every chain in [buckets] that [keep node exp]
+     accepts, [exp] being the expiry of the node's box: one section per
+     chain. *)
+  let count_chains th buckets keep =
+    let count th acc node = if keep node (expiry th node) then acc + 1 else acc in
+    let count_chain = chain_fold count 0 in
+    Array.fold_left (fun acc head -> acc + R.critically th count_chain th head) 0 buckets
+
   let scan c ~now lo hi =
-    let count th acc node =
-      let exp = expiry th node in
-      if node.key >= lo && node.key < hi && exp > now then acc + 1 else acc
-    in
-    Array.fold_left (fun acc head -> fold_chain c.th head count acc) 0 c.t.buckets
+    count_chains c.th c.t.buckets (fun node exp -> node.key >= lo && node.key < hi && exp > now)
 
   let expire_sweep c ~now =
     let collect th acc node =
       let exp = expiry th node in
       if exp > min_int && exp <= now then node.key :: acc else acc
     in
+    let collect_chain = chain_fold collect [] in
     let claimed = ref 0 in
-    let claim key = if fst (kill c ~now ~only_expired:true key) then incr claimed in
+    let claim key = if R.critically c.th expire_in c (now, key) then incr claimed in
     Array.iter
       (fun head ->
         (* Collect candidates read-only, then claim each through the
            racing-safe kill path. *)
-        List.iter claim (fold_chain c.th head collect []))
+        List.iter claim (R.critically c.th collect_chain c.th head))
       c.t.buckets;
     !claimed
 
@@ -341,10 +330,7 @@ module Make (R : Cdrc.Intf.S) : Kv_intf.S = struct
   (* ------------------------------------------------------------------ *)
   (* Accounting and observability *)
 
-  let size t ~now =
-    let count th acc node = if expiry th node > now then acc + 1 else acc in
-    let th = R.thread t.rt 0 in
-    Array.fold_left (fun acc head -> fold_chain th head count acc) 0 t.buckets
+  let size t ~now = count_chains (R.thread t.rt 0) t.buckets (fun _ exp -> exp > now)
 
   let live_objects t = R.live_objects t.rt
   let peak_objects t = R.peak_objects t.rt

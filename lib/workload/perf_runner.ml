@@ -34,6 +34,9 @@ module Ar_hp = Acquire_retire.Make (Smr.Hp)
 
 let profile_ops = 1000
 
+(* A scope body that protects [cell] once. *)
+let protect_once s cell () = ignore (Ar_hp.protect s ~ident:Ar_hp.ident cell)
+
 let profile ~core ~op body : Obs.Perf.atomic_profile =
   C.reset ();
   C.counting (fun () ->
@@ -76,7 +79,7 @@ let atomic_profiles () =
        production scope over HP: 3 gets (pre-read, settle re-read,
        confirm) + 2 sets (announce, release at scope exit) per op. *)
     profile ~core:"slot" ~op:"protect_release" (fun () ->
-        Ar_hp.scope ar ~pid:0 { f = (fun s -> ignore (Ar_hp.protect s ~ident:Ar_hp.ident shared)) });
+        Ar_hp.scope ar ~pid:0 { f = protect_once } shared ());
     (* Retire one node and eject it: the HP scan reads every slot. *)
     profile ~core:"slot" ~op:"retire_eject" (fun () ->
         Ar_hp.retire ar ~pid:0

@@ -11,7 +11,7 @@ let value =
   Ar.scope ar ~pid:0
     {
       f =
-        (fun s ->
+        (fun s () () ->
           let m = Ar.protect s ~ident:Ar.ident cell in
           let g = Ar.guard s in
           if not (Ar.guarded g) then None
@@ -24,4 +24,4 @@ let value =
             | None ->
                 Ar.release s g;
                 Some v);
-    }
+    } () ()

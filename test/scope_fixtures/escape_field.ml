@@ -14,8 +14,8 @@ let () =
   Ar.scope ar ~pid:c.pid
     {
       f =
-        (fun s ->
+        (fun s () () ->
           ignore (Ar.protect s ~ident:Ar.ident cell);
           let g = Ar.guard s in
           c.saved <- Some g);
-    }
+    } () ()

@@ -10,8 +10,8 @@ let escaped =
   Ar.scope ar ~pid:0
     {
       f =
-        (fun s ->
+        (fun s () () ->
           ignore (Ar.protect s ~ident:Ar.ident cell);
           let g = Ar.guard s in
           g);
-    }
+    } () ()

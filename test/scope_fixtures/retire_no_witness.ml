@@ -10,8 +10,8 @@ let () =
   Ar.scope ar ~pid:0
     {
       f =
-        (fun s ->
+        (fun s () () ->
           let m = Ar.protect s ~ident:Ar.ident cell in
           let g = Ar.guard s in
           Ar.retire_free s m g);
-    }
+    } () ()

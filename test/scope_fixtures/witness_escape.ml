@@ -11,7 +11,7 @@ let escaped =
   Ar.scope ar ~pid:0
     {
       f =
-        (fun s ->
+        (fun s () () ->
           let m = Atomic.get cell in
           Ar.unlink s ~eq:( == ) cell ~expected:m ~desired:next m);
-    }
+    } () ()

@@ -17,12 +17,12 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     Ar.scope ar ~pid
       {
         f =
-          (fun s ->
+          (fun s () () ->
             let seen = Atomic.get cell in
             Option.iter
               (fun w -> Ar.retire_free s w Ar.unguarded)
               (Ar.unlink s ~eq:( == ) cell ~expected:seen ~desired:None m));
-      }
+      } () ()
 
   let birth_tags_monotone () =
     let ar = Ar.create ~epoch_freq:5 ~max_threads:1 () in
@@ -42,7 +42,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
 
   let critically_ends_section_on_exception () =
     let ar = Ar.create ~max_threads:1 () in
-    (match Ar.scope ar ~pid:0 { f = (fun _ -> failwith "boom") } with
+    (match Ar.scope ar ~pid:0 { f = (fun _ () () -> failwith "boom") } () () with
     | _ -> Alcotest.fail "expected exception"
     | exception Failure _ -> ());
     (* If the section leaked, this retire would never eject. *)
@@ -87,13 +87,13 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     Ar.scope ar ~pid:0
       {
         f =
-          (fun s ->
+          (fun s () () ->
             let v = Ar.protect s ~ident:Ar.ident cell in
             let g = Ar.guard s in
             if not (Ar.guarded g) then Alcotest.fail "unexpected exhaustion with free slots";
             Alcotest.(check int) "value" 1 (Ar.get s g v);
             Ar.release s g);
-      };
+      } () ();
     Ar.discard m1;
     Ar.quiesce ar
 
@@ -111,14 +111,14 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       Ar.scope ar ~pid:1
         {
           f =
-            (fun s ->
+            (fun s () () ->
               List.length
                 (List.filter
                    (fun _ ->
                      ignore (Ar.protect s ~ident:Ar.ident cell);
                      Ar.guarded (Ar.guard s))
                    [ 1; 2; 3 ]));
-        }
+        } () ()
     in
     let slots = if S.is_protected_region then 3 else 2 in
     Alcotest.(check int) "the recycled pid's section opens" slots (guarded_of_three ());
@@ -165,15 +165,15 @@ let two_slot_cells () =
 
 let raising_body_frees_slots () =
   let ar, a, b = two_slot_cells () in
-  (match Hp_ar.scope ar ~pid:0 { f = (fun s -> hold_both s a b; failwith "boom") } with
+  (match Hp_ar.scope ar ~pid:0 { f = (fun s () () -> hold_both s a b; failwith "boom") } () () with
   | () -> Alcotest.fail "expected exception"
   | exception Failure _ -> ());
-  Hp_ar.scope ar ~pid:0 { f = (fun s -> hold_both s a b) }
+  Hp_ar.scope ar ~pid:0 { f = (fun s () () -> hold_both s a b) } () ()
 
 let unreleased_guards_freed () =
   let ar, a, b = two_slot_cells () in
   for _ = 1 to 3 do
-    Hp_ar.scope ar ~pid:0 { f = (fun s -> hold_both s a b) }
+    Hp_ar.scope ar ~pid:0 { f = (fun s () () -> hold_both s a b) } () ()
   done
 
 (* EBR reclaims an entry only once every open section began after its
@@ -193,12 +193,12 @@ let reclaimed_after ar =
 let scope_unpins_frontier () =
   let ar = Ebr_ar.create ~max_threads:2 () in
   let cell = Atomic.make (Ebr_ar.alloc ar ~pid:0 ()) in
-  let protect s = ignore (Ebr_ar.protect s ~ident:Ebr_ar.ident cell) in
-  (match Ebr_ar.scope ar ~pid:0 { f = (fun s -> protect s; failwith "boom") } with
+  let protect s () () = ignore (Ebr_ar.protect s ~ident:Ebr_ar.ident cell) in
+  (match Ebr_ar.scope ar ~pid:0 { f = (fun s () () -> protect s () (); failwith "boom") } () () with
   | () -> Alcotest.fail "expected exception"
   | exception Failure _ -> ());
   Alcotest.(check bool) "closed after a raise" true (reclaimed_after ar);
-  Ebr_ar.scope ar ~pid:0 { f = protect };
+  Ebr_ar.scope ar ~pid:0 { f = protect } () ();
   Alcotest.(check bool) "closed after unreleased guards" true (reclaimed_after ar);
   Ebr_ar.open_section ar ~pid:0;
   Alcotest.(check bool) "an open section pins it" false (reclaimed_after ar);
@@ -213,14 +213,28 @@ let nested_scope_rejected () =
   Ebr_ar.scope ar ~pid:0
     {
       f =
-        (fun _ ->
-          (match Ebr_ar.scope ar ~pid:0 { f = (fun _ -> ()) } with
+        (fun _ () () ->
+          (match Ebr_ar.scope ar ~pid:0 { f = (fun _ () () -> ()) } () () with
           | () -> Alcotest.fail "expected Invalid_argument"
           | exception Invalid_argument _ -> ());
           Alcotest.(check bool) "outer section still open" false (reclaimed_after ar));
-    };
+    } () ();
   Alcotest.(check bool) "closed after the outer exit" true (reclaimed_after ar);
-  Ebr_ar.scope ar ~pid:0 { f = (fun _ -> ()) }
+  Ebr_ar.scope ar ~pid:0 { f = (fun _ () () -> ()) } () ()
+
+(* A body that takes one argument more than [scope] passes comes back
+   partially applied, and the walk it would make runs after the section
+   closed: its [protect] raises instead of reading unprotected. *)
+let body_past_its_scope_raises () =
+  let ar = Ebr_ar.create ~max_threads:2 () in
+  let cell = Atomic.make (Ebr_ar.alloc ar ~pid:0 ()) in
+  let walk s cell () () = ignore (Ebr_ar.protect s ~ident:Ebr_ar.ident cell) in
+  let rest = Ebr_ar.scope ar ~pid:0 { f = walk } cell () in
+  (match rest () with
+  | () -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "no section left open" true (reclaimed_after ar);
+  Ebr_ar.discard (Atomic.get cell)
 
 (* A crash inside the body propagates as itself, after the scope has
    dropped the crashed pid's announcement: the survivor can reclaim the
@@ -241,18 +255,18 @@ let crash_propagates_unwrapped () =
   let ar = Ar.create ~max_threads:2 () in
   let m = Ar.alloc ar ~pid:1 () in
   let cell = Atomic.make m in
-  (match Ar.scope ar ~pid:0 { f = (fun s -> ignore (Ar.protect s ~ident:Ar.ident cell)) } with
+  (match Ar.scope ar ~pid:0 { f = (fun s () () -> ignore (Ar.protect s ~ident:Ar.ident cell)) } () () with
   | () -> Alcotest.fail "expected the crash"
   | exception Fault.Fault_plan.Crashed 0 -> ());
   let m' = Ar.alloc ar ~pid:1 () in
   Ar.scope ar ~pid:1
     {
       f =
-        (fun s ->
+        (fun s () () ->
           Option.iter
             (fun w -> Ar.retire_free s w Ar.unguarded)
             (Ar.unlink s ~eq:( == ) cell ~expected:m ~desired:m' m));
-    };
+    } () ();
   Ar.flush ar ~pid:1;
   Alcotest.(check bool) "announcement dropped" false (Ar.is_live m)
 
@@ -281,7 +295,7 @@ module Guard_tests (S : Smr.Smr_intf.S) = struct
     Ar.scope ar ~pid:0
       {
         f =
-          (fun s ->
+          (fun s () () ->
             let m = Ar.protect s ~ident:Ar.ident cell in
             let g = Ar.guard s in
             Alcotest.(check int) "read through the live guard" 1 (Ar.get s g m);
@@ -291,7 +305,7 @@ module Guard_tests (S : Smr.Smr_intf.S) = struct
                 Ar.retire_free s w g;
                 stale (fun () -> Ar.get s g m);
                 stale (fun () -> Ar.release s g));
-      };
+      } () ();
     Ar.flush ar ~pid:0;
     Alcotest.(check bool) "retired node reclaimed" false (Ar.is_live m)
 
@@ -301,7 +315,7 @@ module Guard_tests (S : Smr.Smr_intf.S) = struct
     Ar.scope ar ~pid:0
       {
         f =
-          (fun s ->
+          (fun s () () ->
             let a = Ar.protect s ~ident:Ar.ident cell in
             let ga = Ar.guard s in
             let b = Ar.protect s ~ident:Ar.ident cell in
@@ -313,7 +327,7 @@ module Guard_tests (S : Smr.Smr_intf.S) = struct
             let gc = Ar.guard s in
             stale (fun () -> Ar.release s ga);
             Alcotest.(check int) "a reused slot's guard reads" 7 (Ar.get s gc c));
-      }
+      } () ()
 
   let tests =
     [
@@ -337,7 +351,7 @@ let stale_release_keeps_protection () =
     Hp_ar.scope ar ~pid:0
       {
         f =
-          (fun s ->
+          (fun s () () ->
             ignore (Hp_ar.protect s ~ident:Hp_ar.ident c1);
             let g1 = Hp_ar.guard s in
             Hp_ar.release s g1;
@@ -350,15 +364,16 @@ let stale_release_keeps_protection () =
             Hp_ar.scope ar ~pid:1
               {
                 f =
-                  (fun s1 ->
+                  (fun s1 () () ->
                     Option.iter
                       (fun w -> Hp_ar.retire_free s1 w Hp_ar.unguarded)
                       (Hp_ar.unlink s1 ~eq:( == ) c2 ~expected:m ~desired:m' m));
-              };
+              }
+              () ();
             Hp_ar.eject ~force:true ar ~pid:1;
             Alcotest.(check int) "still protected" 2 (Hp_ar.get s g2 m);
             m);
-      }
+      } () ()
   in
   Hp_ar.eject ~force:true ar ~pid:1;
   Alcotest.(check bool) "reclaimed once the scope exits" false (Hp_ar.is_live m)
@@ -430,7 +445,7 @@ module Queue_tests (S : Smr.Smr_intf.S) = struct
       Ar.scope ar ~pid:0
         {
           f =
-            (fun s ->
+            (fun s () () ->
               let unlink cell =
                 match Atomic.get cell with
                 | Some m as seen ->
@@ -443,7 +458,7 @@ module Queue_tests (S : Smr.Smr_intf.S) = struct
                 Ar.retire_free s ws.(i) Ar.unguarded
               done;
               Gc.minor_words () -. w0);
-        }
+        } () ()
     in
     Alcotest.(check int) "pending" n (Ar.total_pending ar);
     let w0 = Gc.minor_words () in
@@ -582,12 +597,12 @@ let hyaline_backlog_exact () =
     Ar.scope ar ~pid:0
       {
         f =
-          (fun s ->
+          (fun s () () ->
             let seen = Atomic.get cell in
             Option.iter
               (fun w -> Ar.retire_free s w Ar.unguarded)
               (Ar.unlink s ~eq:( == ) cell ~expected:seen ~desired:None m));
-      }
+      } () ()
   done;
   Alcotest.(check int) "backlog" 10 (Ar.total_pending ar);
   Ar.close_section ar ~pid:1;
@@ -627,6 +642,7 @@ let scope_tests =
     Alcotest.test_case "EBR: scope exit unpins the frontier" `Quick scope_unpins_frontier;
     Alcotest.test_case "crash propagates unwrapped" `Quick crash_propagates_unwrapped;
     Alcotest.test_case "EBR: nested scope rejected" `Quick nested_scope_rejected;
+    Alcotest.test_case "EBR: a 3-argument body's protect raises" `Quick body_past_its_scope_raises;
     Alcotest.test_case "EBR: quiesce keeps the ops after a raise" `Quick
       quiesce_keeps_ops_after_a_raise;
     Alcotest.test_case "HP: a stale release keeps the slot's new protection" `Quick

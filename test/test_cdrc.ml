@@ -3,6 +3,11 @@
    cascades, misuse detection, and multi-domain stress. Instantiated
    for all five SMR schemes. *)
 
+(* Run [f ()] in the thread's section through a runtime's one section
+   entry, which passes its body two arguments: the tests' bodies are
+   closures. *)
+let in_section critically th f = critically th (fun f () -> f ()) f ()
+
 module Make_tests (S : Smr.Smr_intf.S) = struct
   module R = Cdrc.Make (S)
 
@@ -63,7 +68,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let th = R.thread rt 0 in
     let destroyed = ref 0 in
     let w =
-      R.critically th @@ fun () ->
+      in_section R.critically th @@ fun () ->
       let p = R.Shared.make th ~destroy:(fun _ _ -> incr destroyed) 7 in
       let q = R.Shared.copy th p and w = R.Weak.of_shared th p in
       let cell = R.Asp.make th (R.Shared.ptr p) in
@@ -124,7 +129,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
   let asp_store_load () =
     with_rt ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th @@ fun () ->
+    in_section R.critically th @@ fun () ->
     let p = R.Shared.make th 1 in
     let cell = R.Asp.make th (R.Shared.ptr p) in
     let q = R.Asp.load th cell in
@@ -140,7 +145,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
   let asp_cas_semantics () =
     with_rt ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th @@ fun () ->
+    in_section R.critically th @@ fun () ->
     let a = R.Shared.make th 1 in
     let b = R.Shared.make th 2 in
     let cell = R.Asp.make th (R.Shared.ptr a) in
@@ -161,7 +166,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
   let asp_cas_null_transitions () =
     with_rt ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th (fun () ->
+    in_section R.critically th (fun () ->
     let cell : int R.asp = R.Asp.make_null () in
     let a = R.Shared.make th 5 in
     Alcotest.(check bool) "null -> a" true
@@ -175,7 +180,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
   let asp_marks () =
     with_rt ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th @@ fun () ->
+    in_section R.critically th @@ fun () ->
     let a = R.Shared.make th 1 in
     let cell = R.Asp.make th (R.Shared.ptr a) in
     Alcotest.(check bool) "try_mark succeeds" true
@@ -198,7 +203,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
   let marked_null_slots () =
     with_rt ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th @@ fun () ->
+    in_section R.critically th @@ fun () ->
     let cell : int R.asp = R.Asp.make_null () in
     Alcotest.(check bool) "mark null" true (R.Asp.try_mark th cell ~expected:R.Ptr.null);
     let p = R.Asp.unsafe_ptr cell in
@@ -209,7 +214,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
   let snapshot_fast_path_no_increment () =
     with_rt ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th @@ fun () ->
+    in_section R.critically th @@ fun () ->
     let p = R.Shared.make th 9 in
     let cell = R.Asp.make th (R.Shared.ptr p) in
     let snap = R.Asp.get_snapshot th cell in
@@ -227,7 +232,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     if not S.is_protected_region then begin
       with_rt ~slots_per_thread:2 ~max_threads:1 @@ fun rt ->
       let th = R.thread rt 0 in
-      R.critically th @@ fun () ->
+      in_section R.critically th @@ fun () ->
       let p = R.Shared.make th 3 in
       let cell = R.Asp.make th (R.Shared.ptr p) in
       let s1 = R.Asp.get_snapshot th cell in
@@ -250,7 +255,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
   let snapshot_keeps_object_alive () =
     with_rt ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th (fun () ->
+    in_section R.critically th (fun () ->
         let p = R.Shared.make th 11 in
         let cell = R.Asp.make th (R.Shared.ptr p) in
         let snap = R.Asp.get_snapshot th cell in
@@ -268,7 +273,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
   let snapshot_to_shared_upgrade () =
     with_rt ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th @@ fun () ->
+    in_section R.critically th @@ fun () ->
     let p = R.Shared.make th 4 in
     let cell = R.Asp.make th (R.Shared.ptr p) in
     let snap = R.Asp.get_snapshot th cell in
@@ -292,7 +297,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       type t = { next : t R.asp }
     end in
     let head = ref (R.Shared.null ()) in
-    R.critically th (fun () ->
+    in_section R.critically th (fun () ->
         for _ = 1 to n do
           let node =
             R.Shared.make th
@@ -303,7 +308,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
           head := node
         done);
     Alcotest.(check int) "all live" n (R.live_objects rt);
-    R.critically th (fun () -> R.Shared.drop th !head);
+    in_section R.critically th (fun () -> R.Shared.drop th !head);
     R.quiesce rt;
     Alcotest.(check int) "all reclaimed" 0 (R.live_objects rt)
 
@@ -341,7 +346,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
   let awp_store_load_cas () =
     with_rt ~support_weak:true ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th @@ fun () ->
+    in_section R.critically th @@ fun () ->
     let p = R.Shared.make th 1 in
     let w = R.Weak.of_shared th p in
     let cell = R.Awp.make th (R.Weak.ptr w) in
@@ -367,7 +372,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
        lifetime (the dispose is deferred). *)
     with_rt ~support_weak:true ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th (fun () ->
+    in_section R.critically th (fun () ->
         let p = R.Shared.make th 33 in
         let w = R.Weak.of_shared th p in
         let cell = R.Awp.make th (R.Weak.ptr w) in
@@ -387,7 +392,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
   let weak_snapshot_null_on_expired () =
     with_rt ~support_weak:true ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th (fun () ->
+    in_section R.critically th (fun () ->
         let p = R.Shared.make th 1 in
         let w = R.Weak.of_shared th p in
         let cell = R.Awp.make th (R.Weak.ptr w) in
@@ -404,7 +409,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
   let weak_snapshot_upgrade () =
     with_rt ~support_weak:true ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th @@ fun () ->
+    in_section R.critically th @@ fun () ->
     let p = R.Shared.make th 8 in
     let w = R.Weak.of_shared th p in
     let cell = R.Awp.make th (R.Weak.ptr w) in
@@ -424,7 +429,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     end in
     with_rt ~support_weak:true ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th (fun () ->
+    in_section R.critically th (fun () ->
         let a =
           R.Shared.make th
             ~destroy:(fun th v -> R.Asp.clear th v.Node.other)
@@ -449,7 +454,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     end in
     with_rt ~support_weak:true ~max_threads:1 @@ fun rt ->
     let th = R.thread rt 0 in
-    R.critically th (fun () ->
+    in_section R.critically th (fun () ->
         let destroy th v =
           R.Asp.clear th v.Node.child;
           R.Awp.clear th v.Node.parent
@@ -496,7 +501,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     | exception Failure _ -> ());
     R.quiesce rt;
     Alcotest.(check int) "nothing leaked" 0 (R.live_objects rt);
-    R.critically th (fun () ->
+    in_section R.critically th (fun () ->
         R.Shared.scoped th 3 (fun p ->
             let cell = R.Asp.make th (R.Shared.ptr p) in
             let v = R.Asp.with_snapshot th cell (fun s -> R.Snapshot.get s) in
@@ -523,7 +528,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       let p = R.Shared.make th 5 in
       let cell = R.Asp.make th (R.Shared.ptr p) in
       let raising f =
-        match R.critically th f with
+        match in_section R.critically th f with
         | () -> Alcotest.fail "expected Exit"
         | exception Exit -> ()
       in
@@ -557,9 +562,9 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
           ignore held;
           raise Exit);
       Alcotest.(check int) "counts given back once" 2 (R.Shared.use_count p);
-      R.critically th (fun () -> R.Snapshot.drop th (R.Asp.get_snapshot th cell));
+      in_section R.critically th (fun () -> R.Snapshot.drop th (R.Asp.get_snapshot th cell));
       Alcotest.(check (pair int int)) "fast again" (21 + (2 * slots), 54) (R.snapshot_stats rt);
-      R.critically th (fun () -> R.Asp.clear th cell);
+      in_section R.critically th (fun () -> R.Asp.clear th cell);
       R.Shared.drop th p;
       R.flush th;
       Alcotest.(check int) "reclaimed by flush" 0 (R.live_objects rt)
@@ -573,15 +578,15 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let th = R.thread rt 0 in
     let p = R.Shared.make th 4 in
     let cell = R.Asp.make th (R.Shared.ptr p) in
-    R.critically th (fun () ->
+    in_section R.critically th (fun () ->
         let s = R.Asp.get_snapshot th cell in
-        (match R.critically th (fun () -> ()) with
+        (match in_section R.critically th (fun () -> ()) with
         | () -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
         Alcotest.(check bool) "outer snapshot still protected" true (R.Snapshot.is_protected s);
         Alcotest.(check int) "outer snapshot" 4 (R.Snapshot.get s);
         R.Snapshot.drop th s);
-    R.critically th (fun () -> R.Asp.clear th cell);
+    in_section R.critically th (fun () -> R.Asp.clear th cell);
     R.Shared.drop th p
 
   (* The fast path allocates the snapshot's one 4-word block and nothing
@@ -601,7 +606,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       done;
       (Gc.minor_words () -. w0) /. float pairs
     in
-    R.critically th (fun () ->
+    in_section R.critically th (fun () ->
         let strong = words_per_pair (fun () -> R.Snapshot.drop th (R.Asp.get_snapshot th cell)) in
         let weak =
           words_per_pair (fun () -> R.Weak_snapshot.drop th (R.Awp.get_snapshot th wcell))
@@ -684,7 +689,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let p = R.Shared.make th 2 in
     let cell = R.Asp.make th (R.Shared.ptr p) in
     let wcell = R.Awp.make th (R.Shared.ptr p) in
-    R.critically th (fun () ->
+    in_section R.critically th (fun () ->
         let s = R.Asp.get_snapshot th cell in
         R.Snapshot.drop th s;
         let check what f = raises_use_after_drop ("Snapshot." ^ what) (fun () -> ignore (f s)) in
@@ -728,8 +733,8 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let th = R.thread rt 0 in
     let p = R.Shared.make th 1 in
     let cell = R.Asp.make th (R.Shared.ptr p) in
-    let escaped = R.critically th (fun () -> R.Asp.get_snapshot th cell) in
-    R.critically th (fun () ->
+    let escaped = in_section R.critically th (fun () -> R.Asp.get_snapshot th cell) in
+    in_section R.critically th (fun () ->
         let live = R.Asp.get_snapshot th cell in
         raises_use_after_drop "escaped snapshot" (fun () -> R.Snapshot.drop th escaped);
         R.Asp.clear th cell;
@@ -743,9 +748,9 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       let p = R.Shared.make th 2 in
       let cell = R.Asp.make th (R.Shared.ptr p) in
       let three () = List.init 3 (fun _ -> R.Asp.get_snapshot th cell) in
-      let escaped = R.critically th (fun () -> List.nth (three ()) 2) in
+      let escaped = in_section R.critically th (fun () -> List.nth (three ()) 2) in
       Alcotest.(check bool) "escaped one is counted" false (R.Snapshot.is_protected escaped);
-      R.critically th (fun () ->
+      in_section R.critically th (fun () ->
           let live = three () in
           raises_use_after_drop "escaped counted snapshot" (fun () -> R.Snapshot.drop th escaped);
           (* The guarded two go, so that only the count keeps the
@@ -782,11 +787,45 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     Alcotest.(check int) "the exit released the snapshot's guard" 0 (R.live_objects rt);
     R.begin_critical_section th;
     raises_use_after_drop "snapshot of an earlier section" (fun () -> R.Snapshot.drop th escaped);
-    (match R.critically th (fun () -> ()) with
+    (match in_section R.critically th (fun () -> ()) with
     | () -> Alcotest.fail "expected Invalid_argument for a section inside an open one"
     | exception Invalid_argument _ -> ());
     R.end_critical_section th;
-    R.critically th (fun () -> ())
+    in_section R.critically th (fun () -> ())
+
+  (* Every protecting read raises outside a section. So a body that
+     takes one argument more than [critically] passes, which comes back
+     partially applied and would walk after the section closed, raises
+     at its first read instead of reading unprotected. *)
+  let read_outside_section_raises () =
+    with_rt ~max_threads:1 @@ fun rt ->
+    let th = R.thread rt 0 in
+    let p = R.Shared.make th 9 in
+    let cell = R.Asp.make th (R.Shared.ptr p) in
+    let wcell = R.Awp.make th (R.Shared.ptr p) in
+    let read th cell () =
+      let s = R.Asp.get_snapshot th cell in
+      let v = R.Snapshot.get s in
+      R.Snapshot.drop th s;
+      v
+    in
+    let rest = R.critically th read th cell in
+    let raises what f =
+      match f () with
+      | _ -> Alcotest.failf "%s outside a section: expected Invalid_argument" what
+      | exception Invalid_argument _ -> ()
+    in
+    raises "a 3-argument body's walk" (fun () -> ignore (rest ()));
+    raises "Asp.get_snapshot" (fun () -> ignore (R.Asp.get_snapshot th cell));
+    raises "Asp.load" (fun () -> ignore (R.Asp.load th cell));
+    raises "Awp.get_snapshot" (fun () -> ignore (R.Awp.get_snapshot th wcell));
+    raises "Awp.load" (fun () -> ignore (R.Awp.load th wcell));
+    Alcotest.(check int) "the same read in a section" 9 (R.critically th (read th) cell ());
+    Alcotest.(check int) "nothing left held" 2 (R.Shared.use_count p);
+    in_section R.critically th (fun () ->
+        R.Asp.clear th cell;
+        R.Awp.clear th wcell);
+    R.Shared.drop th p
 
   (* A section holds more snapshots than the pid's guard slots have
      bits. A scheme that hands every protect the same guard (the region
@@ -798,13 +837,13 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     let p = R.Shared.make th 7 in
     let cell = R.Asp.make th (R.Shared.ptr p) in
     let n = 2 * Sys.int_size in
-    R.critically th (fun () ->
+    in_section R.critically th (fun () ->
         let held = List.init n (fun _ -> R.Asp.get_snapshot th cell) in
         List.iter (fun s -> Alcotest.(check int) "reads" 7 (R.Snapshot.get s)) held);
     let slow = if S.is_protected_region then 0 else n - Smr.Knobs.default_slots_per_thread in
     Alcotest.(check (pair int int)) "fast, slow" (n - slow, slow) (R.snapshot_stats rt);
     Alcotest.(check int) "counts given back" 2 (R.Shared.use_count p);
-    R.critically th (fun () -> R.Asp.clear th cell);
+    in_section R.critically th (fun () -> R.Asp.clear th cell);
     R.Shared.drop th p
 
   (* The scheme underneath, counting the acquires CDRC makes and the
@@ -878,7 +917,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
        counted. *)
     let measure ?(held = 0) what (gets, sets, exchanges, cas, faa) released f =
       let what = R.scheme_name ^ " " ^ what in
-      RT.critically th (fun () ->
+      in_section RT.critically th (fun () ->
           let holds = List.init held (fun _ -> RT.Asp.get_snapshot th cell) in
           Tally.acquires := 0;
           Tally.releases := 0;
@@ -933,7 +972,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
              released (fun () -> RT.Snapshot.drop th (RT.Asp.get_snapshot th cell))))
       counted;
     Sched.Atomic.reset ();
-    RT.critically th (fun () ->
+    in_section RT.critically th (fun () ->
         RT.Asp.clear th cell;
         RT.Awp.clear th wcell);
     RT.Shared.drop th p;
@@ -959,7 +998,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       let rng = Repro_util.Rng.create ~seed:(pid + 1) in
       try
         for i = 1 to iters do
-          R.critically th (fun () ->
+          in_section R.critically th (fun () ->
               let c = cells.(Repro_util.Rng.int rng nslots) in
               match Repro_util.Rng.int rng 4 with
               | 0 ->
@@ -1015,7 +1054,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       let rng = Repro_util.Rng.create ~seed:(pid + 99) in
       try
         for i = 1 to iters do
-          R.critically th (fun () ->
+          in_section R.critically th (fun () ->
               match Repro_util.Rng.int rng 5 with
               | 0 ->
                   (* publish a weak view of the current strong value *)
@@ -1098,7 +1137,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       RF.Shared.make th1 ~destroy:(fun th _ -> RF.Shared.drop th child) i
     in
     let cell =
-      RF.critically th1 (fun () ->
+      in_section RF.critically th1 (fun () ->
           let p = make 0 in
           let c = RF.Asp.make th1 (RF.Shared.ptr p) in
           RF.Shared.drop th1 p;
@@ -1108,7 +1147,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     for i = 1 to 8 do
       let p = make i in
       (if not !crashed then
-         try RF.critically th0 (fun () -> RF.Asp.store th0 cell (RF.Shared.ptr p))
+         try in_section RF.critically th0 (fun () -> RF.Asp.store th0 cell (RF.Shared.ptr p))
          with Fault.Fault_plan.Crashed 0 -> crashed := true);
       RF.Shared.drop th1 p
     done;
@@ -1122,7 +1161,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     RF.flush th1;
     Alcotest.(check int) "nothing left parked" 0 (RF.retired_backlog rt);
     Alcotest.(check int) "only the cell's value and its child live" 2 (RF.live_objects rt);
-    RF.critically th1 (fun () -> RF.Asp.clear th1 cell);
+    in_section RF.critically th1 (fun () -> RF.Asp.clear th1 cell);
     RF.flush th1;
     Alcotest.(check int) "leak free" 0 (RF.live_objects rt)
 
@@ -1142,7 +1181,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     Alcotest.(check (pair int int)) "fast, slow" (1, 1) (R.snapshot_stats rt);
     Alcotest.(check int) "the counted snapshot holds a count" 2 (R.Snapshot.use_count counted);
     R.abandon rt ~pid:1;
-    R.critically th0 (fun () -> R.Asp.clear th0 cell);
+    in_section R.critically th0 (fun () -> R.Asp.clear th0 cell);
     R.flush th0;
     R.flush th0;
     R.quiesce rt;
@@ -1229,6 +1268,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       t "escaped snapshot's drop raises" `Quick escaped_snapshot_drop_raises;
       t "atomics per protection pinned" `Quick protection_atomics_pinned;
       t "raw sections keep critically's guarantees" `Quick raw_sections_keep_critically;
+      t "a read outside a section raises" `Quick read_outside_section_raises;
       t "snapshots past the slot mask" `Quick snapshots_past_the_slot_mask;
       t "strong cycle leaks" `Quick strong_cycle_leaks;
       t "weak edge breaks cycle" `Quick weak_backedge_breaks_cycle;

@@ -621,64 +621,105 @@ let test_list_races (module D : Ds.Set_intf.S) ~counts:(ins_rem, rem_rem) () =
         list_race (module D) ~prefill:[ 1; 2; 3 ] ~final:1 [ Rem 2; Rem 3 ] );
     ]
 
-(* A read hop allocates its snapshot and nothing else: the chain and
-   tree loops pass their cursor on as arguments, with no ref cell and no
-   loop closure. A read opens its section with [critically]'s two
-   halves, so it builds no section body, and its walk starts from its
-   first snapshot, with no null placeholder. So on a built RCEBR
-   structure a [contains] allocates 4 words per snapshot it takes
-   ([snapshot_stats]) and nothing per call. *)
-let read_hop_allocation_pinned () =
-  let check (module D : Ds.Set_intf.S) label ~per_call =
-    let d = D.create ~max_threads:1 () in
-    let c = D.ctx d 0 in
-    for k = 0 to 31 do
-      ignore (D.insert c (2 * k))
-    done;
-    let snapshots () =
-      match D.snapshot_stats d with Some (fast, slow) -> fast + slow | None -> assert false
-    in
-    for key = -1 to 64 do
-      let s0 = snapshots () in
-      let w0 = Gc.minor_words () in
-      ignore (D.contains c key);
-      let words = Gc.minor_words () -. w0 in
-      let taken = snapshots () - s0 in
-      Alcotest.(check int)
-        (Printf.sprintf "%s contains %d: words = 4 x %d snapshots + %d" label key taken per_call)
-        ((4 * taken) + per_call) (int_of_float words)
-    done;
-    D.teardown d
-  in
-  check (module Lr_ebr) "list" ~per_call:0;
-  check (module Tr_ebr) "tree" ~per_call:0
+(* Per-call allocation, in minor words beyond the 4-word block of each
+   snapshot taken ([snapshots] counts them; a manual structure takes
+   none). A section is one entry that passes its body the operation's
+   context and input, so it builds no closure; the walks pass their
+   cursor on as arguments, with no ref cell and no retry closure. *)
+let words_beyond_snapshots snapshots f =
+  let s0 = snapshots () in
+  let w0 = Gc.minor_words () in
+  f ();
+  let words = Gc.minor_words () -. w0 in
+  int_of_float words - (4 * (snapshots () - s0))
 
-(* A manual read hop allocates nothing: [Ar.protect] returns the value
-   and leaves its guard in the scope state, and the walks pass on the
-   node a link leads to, never a rebuilt link. So a [contains] on a
-   built manual structure allocates the same words for every key, however
-   many hops it walks: its scope body's closure. *)
-let manual_read_hop_allocation_pinned () =
-  let check (module D : Ds.Set_intf.S) label ~per_call =
-    let d = D.create ~max_threads:1 () in
-    let c = D.ctx d 0 in
-    for k = 0 to 31 do
-      ignore (D.insert c (2 * k))
-    done;
-    for key = -1 to 64 do
-      let w0 = Gc.minor_words () in
-      ignore (D.contains c key);
-      let words = Gc.minor_words () -. w0 in
-      Alcotest.(check int)
-        (Printf.sprintf "%s contains %d: words per call" label key)
-        per_call (int_of_float words)
-    done;
-    D.teardown d
+(* The set rows of the per-call table, on a built 32-key set (keys
+   0, 2, .., 62): [contains] of every key from -1 to 64, [insert] of
+   each present key and [remove] of each absent one, which change
+   nothing, and [range_query] over 16 keys. Each must allocate the
+   words its row pins, on every call. *)
+let set_calls (module D : Ds.Set_intf.S) label ~contains ~insert ~remove ~range =
+  let d = D.create ~max_threads:1 () in
+  let c = D.ctx d 0 in
+  for k = 0 to 31 do
+    ignore (D.insert c (2 * k))
+  done;
+  let snapshots () =
+    match D.snapshot_stats d with Some (fast, slow) -> fast + slow | None -> 0
   in
-  check (module L_ebr) "list/EBR" ~per_call:6;
-  check (module L_hp) "list/HP" ~per_call:6;
-  check (module T_ebr) "tree/EBR" ~per_call:7;
-  check (module T_hp) "tree/HP" ~per_call:7
+  let row op expected keys call =
+    List.iter
+      (fun key ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s %s %d: words beyond 4 per snapshot" label op key)
+          expected
+          (words_beyond_snapshots snapshots (fun () -> call key)))
+      keys
+  in
+  row "contains" contains (List.init 66 (fun k -> k - 1)) (fun k -> ignore (D.contains c k));
+  row "insert (present)" insert (List.init 32 (fun k -> 2 * k)) (fun k -> ignore (D.insert c k));
+  row "remove (absent)" remove (List.init 33 (fun k -> (2 * k) - 1)) (fun k ->
+      ignore (D.remove c k));
+  row "range_query" range [ -1; 0; 10; 40; 60 ] (fun k -> ignore (D.range_query c k (k + 16)));
+  D.teardown d
+
+module K_ebr = Workload.Kv_service.Make (RC_ebr)
+
+(* The RC rows. A read allocates its snapshots alone, and a range query
+   the pair of its bounds. A write that changes nothing adds the 5-word
+   cursor (list) or seek record (tree) and the 4-word null snapshot its
+   search starts from. A Dl_queue_rc enqueue+dequeue pair, averaged
+   over 10,000 pairs, and a KV get, snapshots included, are pinned at
+   their measured words. *)
+let read_hop_allocation_pinned () =
+  set_calls (module Lr_ebr) "RC list" ~contains:0 ~insert:9 ~remove:9 ~range:3;
+  set_calls (module Tr_ebr) "RC tree" ~contains:0 ~insert:9 ~remove:9 ~range:3;
+  let q = Q_rc_ebr.create ~max_threads:1 () in
+  let c = Q_rc_ebr.ctx q 0 in
+  let pairs n =
+    for i = 1 to n do
+      Q_rc_ebr.enqueue c i;
+      ignore (Q_rc_ebr.dequeue c)
+    done
+  in
+  pairs 1000;
+  let snapshots () =
+    let fast, slow = RC_ebr.snapshot_stats q.Q_rc_ebr.rt in
+    fast + slow
+  in
+  let per_pair = float (words_beyond_snapshots snapshots (fun () -> pairs 10_000)) /. 10_000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "queue enqueue+dequeue: %.2f words beyond 4 per snapshot = 48.3" per_pair)
+    true
+    (Float.abs (per_pair -. 48.3) < 0.05);
+  Q_rc_ebr.teardown q;
+  let t = K_ebr.create ~shards:4 ~buckets:256 ~max_threads:1 () in
+  let c = K_ebr.ctx t 0 in
+  for k = 0 to 255 do
+    ignore (K_ebr.put c ~now:0 (2 * k) k)
+  done;
+  List.iter
+    (fun (label, expected, key) ->
+      for k = 0 to 255 do
+        Alcotest.(check int)
+          (Printf.sprintf "KV get %s %d: words" label (key k))
+          expected
+          (words_beyond_snapshots (fun () -> 0) (fun () -> ignore (K_ebr.get c ~now:0 (key k))))
+      done)
+    [ ("hit", 26, fun k -> 2 * k); ("miss", 16, fun k -> (2 * k) + 1) ];
+  K_ebr.teardown t
+
+(* The manual rows: [Ar.protect] returns the value and leaves its guard
+   in the scope state, the walks pass on the node a link leads to, and
+   a scope body is a top-level function, so a read allocates nothing
+   and a range query its bounds pair. A write that changes nothing
+   allocates its search's cursor (list, 6 words) or seek record (tree,
+   8 words). *)
+let manual_read_hop_allocation_pinned () =
+  set_calls (module L_ebr) "list/EBR" ~contains:0 ~insert:6 ~remove:6 ~range:3;
+  set_calls (module L_hp) "list/HP" ~contains:0 ~insert:6 ~remove:6 ~range:3;
+  set_calls (module T_ebr) "tree/EBR" ~contains:0 ~insert:8 ~remove:8 ~range:3;
+  set_calls (module T_hp) "tree/HP" ~contains:0 ~insert:8 ~remove:8 ~range:3
 
 let () =
   Alcotest.run "ds"

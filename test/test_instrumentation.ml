@@ -38,12 +38,16 @@ let test_deferred_run () =
 (* ---------------- snapshot_stats ---------------- *)
 
 module R_hp = Cdrc.Make (Smr.Hp)
+
+(* Run [f ()] in the thread's section through the runtime's one
+   two-argument section entry. *)
+let in_section critically th f = critically th (fun f () -> f ()) f ()
 module R_ebr = Cdrc.Make (Smr.Ebr)
 
 let test_fast_path_counting () =
   let rt = R_ebr.create ~max_threads:1 () in
   let th = R_ebr.thread rt 0 in
-  R_ebr.critically th (fun () ->
+  in_section R_ebr.critically th (fun () ->
       let p = R_ebr.Shared.make th 1 in
       let cell = R_ebr.Asp.make th (R_ebr.Shared.ptr p) in
       for _ = 1 to 10 do
@@ -62,7 +66,7 @@ let test_slow_path_counting_on_exhaustion () =
      spill to the count-increment slow path. *)
   let rt = R_hp.create ~slots_per_thread:2 ~max_threads:1 () in
   let th = R_hp.thread rt 0 in
-  R_hp.critically th (fun () ->
+  in_section R_hp.critically th (fun () ->
       let p = R_hp.Shared.make th 1 in
       let cell = R_hp.Asp.make th (R_hp.Shared.ptr p) in
       let snaps = List.init 5 (fun _ -> R_hp.Asp.get_snapshot th cell) in
@@ -84,7 +88,7 @@ let test_weak_snapshot_fallback_on_exhaustion () =
      guard-protected. *)
   let rt = R_hp.create ~support_weak:true ~slots_per_thread:1 ~max_threads:1 () in
   let th = R_hp.thread rt 0 in
-  R_hp.critically th (fun () ->
+  in_section R_hp.critically th (fun () ->
       let p = R_hp.Shared.make th 9 in
       let w = R_hp.Weak.of_shared th p in
       let cell = R_hp.Awp.make th (R_hp.Weak.ptr w) in

@@ -180,7 +180,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     Ar.scope ar ~pid
       {
         f =
-          (fun s ->
+          (fun s () () ->
             let rec go () =
               let old = Atomic.get cell in
               match Ar.unlink s ~eq:( == ) cell ~expected:old ~desired:nu old with
@@ -188,7 +188,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
               | None -> go ()
             in
             go ());
-      }
+      } () ()
 
   let ar_managed_lifecycle () =
     let ar = Ar.create ~cleanup_freq:1 ~max_threads:1 () in
@@ -204,13 +204,13 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
     Ar.scope ar ~pid:0
       {
         f =
-          (fun s ->
+          (fun s () () ->
             let m = Ar.protect s ~ident:Ar.ident stale in
             let g = Ar.guard s in
             match Ar.get s g m with
             | _ -> Alcotest.fail "expected Use_after_free"
             | exception Simheap.Use_after_free _ -> ());
-      };
+      } () ();
     Ar.discard (Atomic.get cell);
     Alcotest.(check int) "heap empty" 0 (Simheap.live (Ar.heap ar))
 
@@ -222,7 +222,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
       Ar.scope ar ~pid:1
         {
           f =
-            (fun s ->
+            (fun s () () ->
               let v = Ar.protect s ~ident:Ar.ident cell in
               let g = Ar.guard s in
               if not (Ar.guarded g) then Alcotest.fail "unexpected exhaustion with free slots";
@@ -235,7 +235,7 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
               Alcotest.(check int) "still readable under guard" 1 (Ar.get s g v);
               Ar.release s g;
               m2);
-        }
+        } () ()
     in
     Ar.flush ar ~pid:0;
     (* PTB hand-off lands in the releaser's queue. *)
@@ -267,13 +267,13 @@ module Make_tests (S : Smr.Smr_intf.S) = struct
           Ar.scope ar ~pid
             {
               f =
-                (fun s ->
+                (fun s () () ->
                   let v = Ar.protect s ~ident:Ar.ident cells.(slot) in
                   let g = Ar.guard s in
                   if not (Ar.guarded g) then failwith "slots exhausted with one guard held";
                   ignore (Sys.opaque_identity (Ar.get s g v));
                   Ar.release s g);
-            }
+            } () ()
         done
       with e ->
         ignore (Atomic.fetch_and_add failures 1);

@@ -75,6 +75,30 @@ guards=$(cat <<'EOF'
   in    lib/ds
   grep  let rec (link|edge|cas)_(cas|link)\b
   eg    let rec edge_cas cell expected desired =
+== one section entry: a section is one call that passes its body the operation's context and input, so it builds no closure and no hand-written bracket can leak it (DESIGN.md §3)
+  in    lib/ds lib/workload
+  grep  begin_critical_section|end_critical_section
+  eg    R.begin_critical_section c.th;
+== one section entry: no hand-written bracket re-raises past a section's exit (DESIGN.md §3)
+  in    lib/ds lib/workload
+  grep  raise_with_backtrace
+  eg    Printexc.raise_with_backtrace e bt
+== one section entry: a section body is a top-level function, not a closure (DESIGN.md §3)
+  in    lib/ds lib/workload
+  grep  critically .*\(fun
+  eg    R.critically th (fun () -> insert_at c c.t.head key)
+== one section entry: a section body is a top-level function, not a closure (DESIGN.md §3)
+  in    lib/ds lib/workload
+  grep  @@ fun
+  eg    R.critically th @@ fun () ->
+== one section entry: a scope body is a top-level function, not a closure (DESIGN.md §3)
+  in    lib/ds lib/workload
+  grep  \{ f = \(fun
+  eg    Ar.scope c.t.ar ~pid:c.pid { f = (fun s -> pop_in s c) }
+== one section entry: a retry is a tail call of a top-level function with its inputs, not a unit closure (DESIGN.md §3)
+  in    lib/ds lib/workload
+  grep  let rec [a-z_]+ \(\) =
+  eg    let rec go () =
 == one reclamation runtime: only Acquire_retire drives a scheme's reclamation API (DESIGN.md §3)
   in    lib/core lib/ds
   grep  \bS\.(retire|eject|drain_all|retired_count|abandon|reclamation_frontier|knobs|force_advance|confirm)\b
@@ -367,12 +391,12 @@ tree-read   7    1     rcebr.gc.minor_words_per_op     116.0  ed5208a+ lean snap
 tree-read   7    1     rchp.gc.minor_words_per_op      116.0  ed5208a+ lean snapshots
 queue-weak  7    1     rcebr.gc.promoted_words_per_op  14.3   ca7b0b8 flat objects
 queue-weak  7    1     rchp.gc.promoted_words_per_op   16.6   ca7b0b8 flat objects
-queue-weak  7    1     rcebr.gc.minor_words_per_op     61.8   f2b15d7 flat objects
-queue-weak  7    1     rchp.gc.minor_words_per_op      61.8   f2b15d7 flat objects
+queue-weak  7    1     rcebr.gc.minor_words_per_op     47.6   bc14489+ flat objects
+queue-weak  7    1     rchp.gc.minor_words_per_op      47.6   bc14489+ flat objects
 kv-zipf     7    1     rcebr.gc.promoted_words_per_op  8.8    ca7b0b8 short-lived retire records
 kv-zipf     7    1     rchp.gc.promoted_words_per_op   7.4    ca7b0b8 short-lived retire records
-kv-zipf     7    1     rcebr.gc.minor_words_per_op     88.8   e3178ac short-lived retire records
-kv-zipf     7    1     rchp.gc.minor_words_per_op      88.8   e3178ac short-lived retire records
+kv-zipf     7    1     rcebr.gc.minor_words_per_op     68.0   bc14489+ short-lived retire records
+kv-zipf     7    1     rchp.gc.minor_words_per_op      68.0   bc14489+ short-lived retire records
 EOF
 )
 python3 - "$bounds" <<'EOF'
