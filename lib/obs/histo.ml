@@ -22,7 +22,7 @@ type t = {
   (* shards * buckets plain-atomic cells; a shard's buckets are
      deliberately contiguous (not Padded) so one domain's observations
      stay on few lines. *)
-  cells : int Atomic.t array; [@rc_lint.allow "R6"]
+  cells : int Atomic.t array;
 }
 
 let lock = Mutex.create ()

@@ -1,11 +1,11 @@
 (* The one JSON codec (DESIGN.md §7, §11).
 
    Every JSON byte the system writes (perf summaries, `stats --json`,
-   trace JSONL, `rc_lint --json`) is built as a [t] and printed by
-   [to_string]; every JSON byte it reads goes through [of_string]. The
-   printer is compact and fixed-precision, so outputs are diff-stable;
-   the parser is strict RFC 8259 and returns [Error] instead of
-   raising on any input. *)
+   the trace JSONL) is built as a [t] and printed by [to_string];
+   every JSON byte it reads goes through [of_string]. The printer is
+   compact and fixed-precision, so outputs are diff-stable; the parser
+   is strict RFC 8259 and returns [Error] instead of raising on any
+   input. *)
 
 type t =
   | Null

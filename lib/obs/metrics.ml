@@ -35,7 +35,7 @@ let stride = 8 (* one live int per cache line's worth of words *)
    line) rather than Padded: counters are plain ints bumped
    only by their owning domain, so the Atomic.t indirection Padded
    imposes would cost on the hot path. *)
-type counter = { c_name : string; cells : int array [@rc_lint.allow "R6"] }
+type counter = { c_name : string; cells : int array }
 type gauge = { g_name : string; cell : int Atomic.t }
 
 (* The registry mutex only guards registration and whole-registry

@@ -40,8 +40,8 @@ let no_ev = Sample { t_ms = 0; ops_per_s = 0; live = 0; backlog = 0 }
 (* A slot [i] holds an event when [seqs.(i) >= 0]. A ring is its owner
    pid's alone, in blocks of its own. *)
 type ring = {
-  seqs : int array; [@rc_lint.allow "R6"]
-  pids : int array; [@rc_lint.allow "R6"]
+  seqs : int array;
+  pids : int array;
   evs : ev array;
   mutable cursor : int;
   mutable written : int;

@@ -3,7 +3,7 @@
    is the one [Some s] block [take] returns. The pool is its owner's
    alone, in blocks of its own. *)
 type t = {
-  stack : int array; [@rc_lint.allow "R6"]
+  stack : int array;
   free : bool array;
   mutable top : int;
   some : int option array;

@@ -1,7 +1,9 @@
 #!/bin/sh
-# Typechecks each protection-scope fixture against the built library
-# interfaces. Usage: check_scope_fixtures.sh OCAMLC CMI...
-# (one installed .cmi per library, naming its include directory).
+# Typechecks each fixture against the built library interfaces, with
+# the flags of the protocol libraries (lib/sched/dune): a bare Atomic
+# is an error there, as in lib/ds. Usage: check_scope_fixtures.sh
+# OCAMLC CMI... (one installed .cmi per library, naming its include
+# directory; Protocol_prelude's among them).
 # scope_fixtures/control.ml must typecheck, so a broken include path
 # cannot make the others "fail" for the wrong reason. Every other
 # fixture must be rejected with exit 2, and its compiler error (newlines
@@ -18,7 +20,7 @@ done
 status=0
 for f in scope_fixtures/*.ml; do
   # shellcheck disable=SC2086
-  out=$("$ocamlc" $incs -i "$f" 2>&1)
+  out=$("$ocamlc" $incs -open Protocol_prelude -alert ++raw_atomic -i "$f" 2>&1)
   code=$?
   case $f in
     */control.ml)

@@ -7,7 +7,7 @@ module Ar = Acquire_retire.Make (Smr.Hp)
 type 's ctx = { pid : int; mutable saved : 's Ar.guard option }
 
 let ar = Ar.create ~max_threads:1 ()
-let cell = Atomic.make (Ar.alloc ar ~pid:0 0)
+let cell = Sched.Atomic.make (Ar.alloc ar ~pid:0 0)
 let c = { pid = 0; saved = None }
 
 let () =

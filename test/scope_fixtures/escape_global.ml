@@ -3,7 +3,7 @@
 module Ar = Acquire_retire.Make (Smr.Hp)
 
 let ar = Ar.create ~max_threads:1 ()
-let cell = Atomic.make (Ar.alloc ar ~pid:0 0)
+let cell = Sched.Atomic.make (Ar.alloc ar ~pid:0 0)
 let last = ref None
 
 let () =

@@ -4,6 +4,6 @@
 module Ar = Acquire_retire.Make (Smr.Hp)
 
 let ar = Ar.create ~max_threads:1 ()
-let cell = Atomic.make (Ar.alloc ar ~pid:0 0)
+let cell = Sched.Atomic.make (Ar.alloc ar ~pid:0 0)
 
-let value = Ar.scope ar ~pid:0 { f = (fun s () () -> Ar.get s (Atomic.get cell)) } () ()
+let value = Ar.scope ar ~pid:0 { f = (fun s () () -> Ar.get s (Sched.Atomic.get cell)) } () ()

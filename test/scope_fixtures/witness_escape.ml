@@ -4,7 +4,7 @@
 module Ar = Acquire_retire.Make (Smr.Hp)
 
 let ar = Ar.create ~max_threads:1 ()
-let cell = Atomic.make (Ar.alloc ar ~pid:0 0)
+let cell = Sched.Atomic.make (Ar.alloc ar ~pid:0 0)
 let next = Ar.alloc ar ~pid:0 1
 
 let escaped =
@@ -12,6 +12,6 @@ let escaped =
     {
       f =
         (fun s () () ->
-          let m = Atomic.get cell in
+          let m = Sched.Atomic.get cell in
           Ar.unlink s ~eq:( == ) cell ~expected:m ~desired:next m);
     } () ()
